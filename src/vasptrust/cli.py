@@ -14,6 +14,7 @@ Exit codes: 0 success / all assertions passed, 1 scenario assertion failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -108,7 +109,6 @@ def cmd_run(args) -> int:
                           "workspace not initialized (run `vtn init` first)")
     config = load_config(config_path)
     if args.seed_override is not None:
-        import dataclasses
         config = dataclasses.replace(config, seed=args.seed_override)
     overrides = _parse_overrides(args.override or [])
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from .. import claims as claims_mod
 from .. import codec, crypto, pki, travel_rule, wallet
 from ..ledger import Ledger, make_transfer
-from ..resolver import (CustomerIdentifier, IdpDirectory, ResolverService,
+from ..resolver import (CustomerIdentifier, IdentifierAdvertisement,
+                        IdpDirectory, MergeOutcome, ResolverService,
                         Unauthorized, parse_identifier)
 from ..travel_rule import (ConsentDirection, ConsentStore, CorrelationStore,
                            CustomerRecord, SignedPayload, TravelRulePayload)
@@ -113,6 +114,15 @@ class VaspNode(Node):
         self.customers: dict[str, CustomerRecord] = {}
         self.devices: dict[str, wallet.WalletDevice] = {}  # device_id -> device
         self.resolver = ResolverService(vasp_number, self.customer_ids)
+        # Delta flooding state: the content of our last own advertisement,
+        # advertisements applied since the last flood with the channels
+        # whose neighbour already has each, the channels flooded over once,
+        # and the revocation list last purged against.
+        self._advertised: tuple | None = None
+        self._own_adv: IdentifierAdvertisement | None = None
+        self._outbox: dict[int, tuple[IdentifierAdvertisement, set[int]]] = {}
+        self._synced: set[int] = set()
+        self._revocations_seen: tuple[int, int] | None = None
         self.consents = ConsentStore(self.customer_ids)
         self.correlations = CorrelationStore()
         self.payload_store: list[tuple[str, SignedPayload]] = []
@@ -167,6 +177,7 @@ class VaspNode(Node):
     # -- resolver -------------------------------------------------------------------
 
     def local_lookup(self, identifier: CustomerIdentifier) -> list[int]:
+        self._purge_revoked()
         hits = self.resolver.lookup(identifier, self.certs.identity,
                                     self.directory.root_public_key,
                                     self.revocation_list, self.sim.now)
@@ -174,6 +185,25 @@ class VaspNode(Node):
                       detail=f"identifier={identifier.render()} "
                              f"vasps={hits} count={len(hits)}")
         return hits
+
+    def _purge_revoked(self) -> None:
+        """On a revocation list not seen before, drop the advertisements
+        held from every origin whose identity or claims certificate it
+        revokes, so a revoked member stops resolving."""
+        revocations = self.revocation_list
+        seen = (revocations.issued_at, len(revocations.entries))
+        if seen == self._revocations_seen:
+            return
+        self._revocations_seen = seen
+        for adv in self.resolver.known_advertisements():
+            origin = self.directory.member(adv.vasp_number)
+            if revocations.covers(origin.identity.serial) \
+                    or revocations.covers(origin.claims.serial):
+                self.resolver.drop_origin(adv.vasp_number)
+                self._outbox.pop(adv.vasp_number, None)
+                self.sim.emit(self.name, "resolver.adv_purged",
+                              detail=f"origin=vasp:{adv.vasp_number} "
+                                     f"seq={adv.sequence}")
 
     def build_own_advertisement(self):
         adv = self.resolver.build_advertisement(self.claims_key.private_key,
@@ -183,25 +213,50 @@ class VaspNode(Node):
         return adv
 
     def flood_advertisements(self, channels: list[SecureChannel]) -> None:
-        """Send our own fresh advertisement plus every stored one to each
-        neighbor; one flooding round of the link-state exchange."""
-        advs = [self.build_own_advertisement()] + self.resolver.known_advertisements()
+        """One flooding round of the link-state exchange (RFC 2328 §13).
+
+        Our own advertisement is re-originated only when its content (the
+        local identifiers or the claims certificate) changed. Over a channel
+        flooded before, only the advertisements applied since the previous
+        round go out, each to every channel but the ones it arrived on; a
+        channel never flooded over gets everything held, once.
+        """
+        self._purge_revoked()
+        content = (tuple(self.resolver.local_identifiers()),
+                   self.certs.claims.serial)
+        if content != self._advertised:
+            self._own_adv = self.build_own_advertisement()
+            self._advertised = content
+            self._outbox[self.vasp_number] = (self._own_adv, set())
+        outbox, self._outbox = self._outbox, {}
         for channel in channels:
+            if channel.id in self._synced:
+                advs = [adv for _, (adv, seen_on) in sorted(outbox.items())
+                        if channel.id not in seen_on]
+            else:
+                self._synced.add(channel.id)
+                advs = [self._own_adv] + self.resolver.known_advertisements()
             for adv in advs:
                 self.sim.send(channel, self.name, msg.AdvertisementFlood(adv))
 
-    def _merge_advertisement(self, adv) -> None:
+    def _merge_advertisement(self, channel: SecureChannel, adv) -> None:
         origin = self.directory.members.get(adv.vasp_number)
         if origin is None:
-            outcome = "Rejected"
+            outcome = MergeOutcome.REJECTED
         else:
             outcome = self.resolver.merge_advertisement(
                 adv, origin.claims, origin.identity,
                 self.directory.root_public_key, self.revocation_list,
-                self.sim.now).value
+                self.sim.now)
+        pending = self._outbox.get(adv.vasp_number)
+        if outcome is MergeOutcome.APPLIED:
+            self._outbox[adv.vasp_number] = (adv, {channel.id})
+        elif pending is not None and pending[0].sequence == adv.sequence:
+            # The neighbour sent us this very advertisement: it has it.
+            pending[1].add(channel.id)
         self.sim.emit(self.name, "resolver.adv_merged",
                       detail=f"origin=vasp:{adv.vasp_number} seq={adv.sequence} "
-                             f"outcome={outcome}")
+                             f"outcome={outcome.value}")
 
     # -- travel rule exchange ---------------------------------------------------------
 
@@ -382,6 +437,7 @@ class VaspNode(Node):
         body: msg.LookupRequest = env.body
         caller_serial = channel.peer_serial(env.sender)
         caller_cert = self.directory.certs.get(caller_serial)
+        self._purge_revoked()
         try:
             if caller_cert is None:
                 raise Unauthorized("unknown caller certificate")
@@ -457,7 +513,9 @@ class VaspNode(Node):
         nonce = self.sim.nonce()
         report, supervision = wallet.onboard_customer(
             self.vasp_number, customer_id, device, self.ledger, self.registry,
-            nonce, self.sim.now, policy)
+            nonce, self.sim.now, policy,
+            attestation_key=self.directory.device_attestation_keys.get(
+                device.device_id, b""))
         if supervision is not None:
             self.supervision[customer_id] = supervision
             self.devices[device.device_id] = device
@@ -534,7 +592,7 @@ class VaspNode(Node):
         elif isinstance(body, msg.LookupResponse):
             self.remote_lookups.append(body)
         elif isinstance(body, msg.AdvertisementFlood):
-            self._merge_advertisement(body.advertisement)
+            self._merge_advertisement(channel, body.advertisement)
         elif isinstance(body, msg.ClaimsAuthResponse):
             self._on_claims_auth_response(channel, env)
         elif isinstance(body, msg.ClaimsFetchResponse):

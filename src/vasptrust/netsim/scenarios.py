@@ -13,6 +13,7 @@ byte-reproducible for a fixed (name, config, seed).
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 
 from .. import claims as claims_mod
@@ -69,8 +70,8 @@ def ground_truth_map(world: World) -> dict[str, list[int]]:
 
 def flood_round(world: World,
                 channels_by_vasp: dict[int, list] | None = None) -> None:
-    """One advertisement flooding round: every VASP sends everything it
-    knows to every neighbor, then one delivery step."""
+    """One advertisement flooding round: every VASP sends what changed
+    since its previous round to its neighbors, then one delivery step."""
     channels = channels_by_vasp or world.federation_channels()
     for number in sorted(world.vasps):
         world.vasps[number].flood_advertisements(channels[number])
@@ -389,18 +390,9 @@ def run_scenario(name: str, config: TopologyConfig,
     ``seed`` replaces the config seed. With ``check`` the call raises
     ScenarioAssertionFailed (carrying the trace) on any failed assertion.
     """
-    if name not in SCENARIOS:
-        raise UnknownScenario(
-            f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
     if seed is not None:
-        import dataclasses
         config = dataclasses.replace(config, seed=seed)
-    params = dict(config.scenario_params.get(name, {}))
-    if overrides:
-        params.update(overrides)
-    world = build_world(config, scenario=name)
-    SCENARIOS[name](world, params)
-    trace = world.sim.trace
+    trace, _ = run_scenario_with_world(name, config, overrides)
     if check and not trace.passed:
         raise ScenarioAssertionFailed(trace)
     return trace
@@ -409,7 +401,7 @@ def run_scenario(name: str, config: TopologyConfig,
 def run_scenario_with_world(name: str, config: TopologyConfig,
                             overrides: dict | None = None
                             ) -> tuple[ScenarioTrace, World]:
-    """run_scenario variant returning the world, for inspection in tests."""
+    """run_scenario variant returning the world, for inspection."""
     if name not in SCENARIOS:
         raise UnknownScenario(
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")

@@ -134,9 +134,6 @@ class Simulation:
         if handler is not None:
             self._handlers[name] = handler
 
-    def actor_kind(self, name: str) -> ActorKind:
-        return self._actors[name]
-
     def emit(self, actor: str, event: str, payload=None, detail: str = "") -> TraceEvent:
         content = codec.canonical_encode(payload) if payload is not None \
             else detail.encode("utf-8")

@@ -221,8 +221,15 @@ class ResolverService:
 
         Newest advertisement per origin is authoritative: the identifier
         list replaces the previous one wholesale, so withdrawn identifiers
-        stop resolving to that origin.
+        stop resolving to that origin. Staleness is checked first, so a
+        duplicate or replay costs no certificate or signature work; a
+        resolver is authoritative for its own origin and never takes an
+        advertisement for it from the federation.
         """
+        held = self._remote.get(adv.vasp_number)
+        if adv.vasp_number == self.vasp_number or (
+                held is not None and adv.sequence <= held.sequence):
+            return MergeOutcome.STALE
         if origin_claims_cert.serial != adv.signer_cert_serial:
             return MergeOutcome.REJECTED
         if not pki.validate_chain(origin_claims_cert, root_public_key,
@@ -237,24 +244,28 @@ class ResolverService:
         if len({i.render() for i in adv.identifiers}) != len(adv.identifiers):
             return MergeOutcome.REJECTED
 
-        held = self._remote.get(adv.vasp_number)
-        if held is not None and adv.sequence <= held.sequence:
-            return MergeOutcome.STALE
-        if held is not None:
-            for ident in held.identifiers:
-                owners = self._remote_index.get(ident.render())
-                if owners is not None:
-                    owners.discard(adv.vasp_number)
-                    if not owners:
-                        del self._remote_index[ident.render()]
+        self.drop_origin(adv.vasp_number)
         for ident in adv.identifiers:
             self._remote_index.setdefault(ident.render(), set()).add(
                 adv.vasp_number)
         self._remote[adv.vasp_number] = adv
         return MergeOutcome.APPLIED
 
+    def drop_origin(self, vasp_number: int) -> None:
+        """Forget the advertisement held for an origin, if any."""
+        held = self._remote.pop(vasp_number, None)
+        if held is None:
+            return
+        for ident in held.identifiers:
+            owners = self._remote_index.get(ident.render())
+            if owners is not None:
+                owners.discard(vasp_number)
+                if not owners:
+                    del self._remote_index[ident.render()]
+
     def known_advertisements(self) -> list[IdentifierAdvertisement]:
-        """Latest advertisement held per remote origin, for re-flooding."""
+        """Latest advertisement held per remote origin, for syncing a new
+        neighbour."""
         return [self._remote[n] for n in sorted(self._remote)]
 
     def resolve_map(self) -> dict[str, list[int]]:

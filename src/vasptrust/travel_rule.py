@@ -103,9 +103,6 @@ class CustomerRecord:
     identifiers: list[CustomerIdentifier] = field(default_factory=list)
     wallet_ref: str | None = None
 
-    def transfer_eligible(self) -> bool:
-        return pick_identifying(self) is not None
-
 
 def pick_identifying(customer: CustomerRecord) -> IdentifyingInfo | None:
     """First identifying detail present, in the required listing order."""

@@ -314,6 +314,7 @@ class SupervisionRecord:
     device_id: str
     supervised_handles: list[int]
     since: int
+    attestation_key: bytes  # the consortium's key for the device
     checkpoints: list[AttestationEvidence] = field(default_factory=list)
 
 
@@ -339,6 +340,22 @@ def _migration_findings(evidence: AttestationEvidence) -> list[KeyReport]:
             if not r.erased and (r.origin is KeyOrigin.IMPORTED or r.migratable)]
 
 
+def _fresh_evidence(device: WalletDevice, nonce: bytes, now: int,
+                    attestation_key: bytes) -> AttestationEvidence:
+    """Evidence from the device, signed by the expected attestation key
+    over the nonce just issued; AttestationFailed otherwise."""
+    try:
+        evidence = device.attest(nonce, now)
+    except AttestationRefused as exc:
+        raise AttestationFailed(str(exc)) from exc
+    if not crypto.verify(attestation_key, evidence.signing_input(),
+                         evidence.signature):
+        raise AttestationFailed("attestation evidence does not verify")
+    if evidence.nonce != nonce:
+        raise AttestationFailed("attestation evidence answers another nonce")
+    return evidence
+
+
 def onboard_customer(acquiring_vasp_number: int,
                      customer_id: str,
                      device: WalletDevice,
@@ -346,23 +363,21 @@ def onboard_customer(acquiring_vasp_number: int,
                      registry: WalletRegistry,
                      nonce: bytes,
                      now: int,
-                     policy: OnboardPolicy | None = None
+                     policy: OnboardPolicy | None = None,
+                     *, attestation_key: bytes
                      ) -> tuple[BoardingReport, SupervisionRecord | None]:
     """Acquire a customer's wallet under supervision.
 
-    Validates prior status and key history, evaluates migratable/imported
-    keys against policy, then cuts assets over to a freshly generated
-    non-migratable key so responsibility starts on a clean key. The asset
-    move is submitted to the ledger mempool; the caller confirms the block.
+    ``attestation_key`` is the device's attestation key as the consortium
+    directory records it; the device's own claim about its key is not
+    trusted. Validates prior status and key history, evaluates
+    migratable/imported keys against policy, then cuts assets over to a
+    freshly generated non-migratable key so responsibility starts on a clean
+    key. The asset move is submitted to the ledger mempool; the caller
+    confirms the block.
     """
     policy = policy or OnboardPolicy()
-    try:
-        evidence = device.attest(nonce, now)
-    except AttestationRefused as exc:
-        raise AttestationFailed(str(exc)) from exc
-    if not crypto.verify(device.attestation_public_key,
-                         evidence.signing_input(), evidence.signature):
-        raise AttestationFailed("attestation evidence does not verify")
+    evidence = _fresh_evidence(device, nonce, now, attestation_key)
 
     prior = registry.status(device.device_id)
     prior_check = CheckResult(
@@ -418,7 +433,8 @@ def onboard_customer(acquiring_vasp_number: int,
         key_transition=KeyTransition(old_handles, new_handle),
         erasure_evidence=None, accepted=True)
     supervision = SupervisionRecord(customer_id, device.device_id,
-                                    [new_handle], now, [evidence])
+                                    [new_handle], now, attestation_key,
+                                    [evidence])
     return report, supervision
 
 
@@ -434,7 +450,9 @@ def offboard_customer(releasing_vasp_number: int,
 
     Assets move to one migratable handoff key (ending the VASP's Travel
     Rule responsibility), every supervised non-migratable key is erased,
-    and fresh evidence must prove the erasure before acceptance.
+    and fresh evidence must prove the erasure before acceptance: signed by
+    the attestation key the supervision was established with, over
+    ``nonce``.
     """
     status = registry.status(device.device_id)
     if (status.classification is not WalletClass.REGULATED
@@ -469,10 +487,7 @@ def offboard_customer(releasing_vasp_number: int,
     for handle in to_erase:
         device.erase_key(handle)
 
-    try:
-        evidence = device.attest(nonce, now)
-    except AttestationRefused as exc:
-        raise AttestationFailed(str(exc)) from exc
+    evidence = _fresh_evidence(device, nonce, now, supervision.attestation_key)
     reported = {r.handle: r for r in evidence.key_reports}
     still_live = [h for h in to_erase
                   if h not in reported or not reported[h].erased]

@@ -620,8 +620,9 @@ def test_offboarding_soundness(demo_config):
     handle = device.generate_key(migratable=False)
     ledger = Ledger([(device.slot(handle).public_key, 77)])
     registry = wallet.WalletRegistry()
-    _, supervision = wallet.onboard_customer(7, "alice", device, ledger,
-                                             registry, seed("n1"), now=1)
+    _, supervision = wallet.onboard_customer(
+        7, "alice", device, ledger, registry, seed("n1"), now=1,
+        attestation_key=device.attestation_public_key)
     ledger.confirm_block()
     supervised = list(supervision.supervised_handles)
     report = wallet.offboard_customer(7, "alice", device, ledger, registry,
@@ -640,8 +641,9 @@ def test_offboarding_soundness(demo_config):
     handle = bad.generate_key(migratable=False)
     ledger2 = Ledger([(bad.slot(handle).public_key, 10)])
     registry2 = wallet.WalletRegistry()
-    _, supervision2 = wallet.onboard_customer(7, "alice", bad, ledger2,
-                                              registry2, seed("n3"), now=1)
+    _, supervision2 = wallet.onboard_customer(
+        7, "alice", bad, ledger2, registry2, seed("n3"), now=1,
+        attestation_key=bad.attestation_public_key)
     ledger2.confirm_block()
     with pytest.raises(wallet.ErasureNotProven):
         wallet.offboard_customer(7, "alice", bad, ledger2, registry2,

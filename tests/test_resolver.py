@@ -190,6 +190,47 @@ class TestAdvertisements:
         forged = dataclasses.replace(adv, sequence=adv.sequence + 1)
         assert federation.merge(7, forged, 3) is MergeOutcome.REJECTED
 
+    def test_stale_forgery_is_stale_before_any_crypto(self, federation,
+                                                      monkeypatch):
+        fed = federation
+        adv = fed.advertise(3)
+        assert fed.merge(7, adv, 3) is MergeOutcome.APPLIED
+        receiver = fed.services[7]
+        view_before = receiver.resolve_map()
+        verifies = []
+        real_verify = crypto.verify
+        monkeypatch.setattr(crypto, "verify", lambda *args: (
+            verifies.append(args), real_verify(*args))[1])
+        forged = dataclasses.replace(
+            adv, identifiers=(parse_identifier("mallory$x.com"),),
+            signature=b"\x00" * 64)
+        assert fed.merge(7, forged, 3) is MergeOutcome.STALE
+        assert verifies == []
+        assert receiver._remote[3] is adv
+        assert receiver.resolve_map() == view_before
+        # The counter does count: a newer forgery is verified and refused.
+        newer = dataclasses.replace(forged, sequence=adv.sequence + 1)
+        assert fed.merge(7, newer, 3) is MergeOutcome.REJECTED
+        assert len(verifies) > 0
+        assert receiver._remote[3] is adv
+
+    def test_own_origin_never_taken_from_the_federation(self, federation):
+        fed = federation
+        fed.services[7].register_identifier("user7",
+                                            parse_identifier("me$x.com"))
+        echo = fed.advertise(7)
+        assert fed.merge(7, echo, 7) is MergeOutcome.STALE
+        assert 7 not in fed.services[7]._remote
+
+    def test_drop_origin_unindexes(self, federation):
+        fed = federation
+        fed.services[3].register_identifier("user3",
+                                            parse_identifier("gone$x.com"))
+        fed.merge(7, fed.advertise(3), 3)
+        fed.services[7].drop_origin(3)
+        assert fed.services[7].resolve_map() == {}
+        assert fed.services[7].known_advertisements() == []
+
     def test_origin_number_must_match_cert(self, federation):
         adv = federation.advertise(3)
         # present VASP 9's certificates for VASP 3's advertisement

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from vasptrust import pki
 from vasptrust.config import parse_config
 from vasptrust.netsim import (ScenarioAssertionFailed, UnknownScenario,
-                              graph_diameter, run_scenario,
+                              build_world, graph_diameter, run_scenario,
                               run_scenario_with_world)
+from vasptrust.netsim.scenarios import (converge_federation, flood_round,
+                                        ground_truth_map)
+from vasptrust.resolver import parse_identifier
 
 
-def line_config(n, seed=11):
-    """n VASPs in a line federation topology, one customer each."""
+def line_config(n, seed=11, ring=False):
+    """n VASPs in a line (or ring) federation topology, one customer each."""
     vasps = []
     for i in range(n):
         number = 10 + i
@@ -33,6 +37,8 @@ def line_config(n, seed=11):
             }],
         })
     graph = {str(10 + i): [10 + i + 1] for i in range(n - 1)}
+    if ring:
+        graph[str(10 + n - 1)] = [10]
     return parse_config({
         "consortium": "line", "seed": seed, "vasps": vasps,
         "federation_graph": graph,
@@ -178,6 +184,112 @@ class TestS3:
     def test_remote_lookup_exercised(self, demo_config):
         trace = run_scenario("S3", demo_config)
         assert trace.find("resolver.remote_lookup")
+
+
+def _flood_msgs(world, since):
+    return sum(1 for kind, _ in world.sim.wire_log[since:]
+               if kind == "AdvertisementFlood")
+
+
+class TestDeltaFlooding:
+    """Flooding rules of the resolver federation, checked by counts."""
+
+    def test_flood_round_after_convergence_sends_nothing(self, demo_config):
+        world = build_world(demo_config)
+        converge_federation(world)
+        before = len(world.sim.wire_log)
+        flood_round(world)
+        assert _flood_msgs(world, before) == 0
+
+    def test_forwards_end_one_round_after_convergence_on_cycles(self):
+        # On a ring of five the last wave arrives at two adjacent VASPs at
+        # once; their forwards cross once, change nothing, then stop.
+        config = line_config(5, ring=True)
+        world = build_world(config)
+        channels = world.federation_channels()
+        assert converge_federation(world) == graph_diameter(
+            config.federation_graph) == 2
+        events_before = len(world.sim.trace.events)
+        flood_round(world, channels)
+        merged = [e for e in world.sim.trace.events[events_before:]
+                  if e.event == "resolver.adv_merged"]
+        assert merged
+        assert all("outcome=Stale" in e.detail for e in merged)
+        before = len(world.sim.wire_log)
+        flood_round(world, channels)
+        assert _flood_msgs(world, before) == 0
+        assert len(world.sim.trace.find("resolver.adv_built")) == 5
+
+    def test_new_identifier_reoriginated_and_resolves_within_diameter(self):
+        config = line_config(5)
+        world = build_world(config)
+        channels = world.federation_channels()
+        converge_federation(world)
+        built_before = len(world.sim.trace.find("resolver.adv_built"))
+        world.vasps[10].resolver.register_identifier(
+            "user10", parse_identifier("late$v10.example"))
+        truth = ground_truth_map(world)
+        assert truth["late$v10.example"] == [10]
+        diameter = graph_diameter(config.federation_graph)
+        for _ in range(diameter):
+            flood_round(world, channels)
+        built = world.sim.trace.find("resolver.adv_built")[built_before:]
+        assert [(e.actor, e.detail.split()[0]) for e in built] == \
+            [("vasp:10", "seq=2")]
+        for number in sorted(world.vasps):
+            assert world.vasps[number].resolver.resolve_map() == truth
+
+    def test_channel_opened_after_convergence_gets_full_held_set(self):
+        config = line_config(5)
+        world = build_world(config)
+        channels = world.federation_channels()
+        converge_federation(world)
+        first, last = world.vasps[10], world.vasps[14]
+        shortcut = world.channel_between(first, last)
+        channels[10].append(shortcut)
+        channels[14].append(shortcut)
+        before = len(world.sim.wire_log)
+        flood_round(world, channels)
+        assert _flood_msgs(world, before) == 10
+        for node in (first, last):
+            sent = [env.body.advertisement.vasp_number
+                    for env in shortcut.transcript if env.sender == node.name]
+            assert sorted(sent) == sorted(world.vasps)
+
+    def test_late_joiner_converges(self):
+        config = line_config(5)
+        world = build_world(config)
+        channels = world.federation_channels()
+        # VASP 14 stays offline while the others converge among themselves.
+        partial = {n: [ch for ch in chs if world.vasps[14].name
+                       not in ch.endpoints()] for n, chs in channels.items()}
+        for _ in range(3):
+            flood_round(world, partial)
+        truth = ground_truth_map(world)
+        assert world.vasps[14].resolver.resolve_map() != truth
+        for _ in range(graph_diameter(config.federation_graph)):
+            flood_round(world, channels)
+        for number in sorted(world.vasps):
+            assert world.vasps[number].resolver.resolve_map() == truth
+
+    def test_revocation_purges_held_advertisements(self, demo_config):
+        world = build_world(demo_config)
+        converge_federation(world)
+        dave = parse_identifier("dave@idp2.com")
+        assert world.vasps[7].local_lookup(dave) == [3, 9]
+        world.root.revoke(world.vasps[3].certs.identity.serial,
+                          pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+        assert world.vasps[7].local_lookup(dave) == [9]
+        assert world.vasps[9].local_lookup(dave) == [9]
+        purged = world.sim.trace.find("resolver.adv_purged")
+        assert [(e.actor, e.detail.split()[0]) for e in purged] == \
+            [("vasp:7", "origin=vasp:3"), ("vasp:9", "origin=vasp:3")]
+        # Further flooding does not bring the revoked member back.
+        flood_round(world)
+        flood_round(world)
+        assert world.vasps[7].local_lookup(dave) == [9]
+        assert 3 not in world.vasps[9].resolver.resolve_map().get(
+            "dave@idp2.com", [])
 
 
 class TestS4:

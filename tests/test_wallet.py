@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import seed
 from vasptrust import codec, crypto, wallet
 from vasptrust.ledger import Ledger, make_transfer
+from vasptrust.netsim import build_world
 
 STACK = [("bootloader", crypto.digest(b"boot-1")),
          ("wallet-os", crypto.digest(b"os-1"))]
@@ -264,7 +266,8 @@ class TestBoarding:
     def test_clean_onboard(self):
         device, ledger, registry, old = self.setup_world()
         report, supervision = wallet.onboard_customer(
-            7, "alice", device, ledger, registry, nonce(), now=1)
+            7, "alice", device, ledger, registry, nonce(), now=1,
+            attestation_key=device.attestation_public_key)
         ledger.confirm_block()
         assert report.accepted
         assert report.key_transition.old_handles == (old,)
@@ -279,7 +282,8 @@ class TestBoarding:
     def test_imported_key_with_assets_rejected_by_default(self):
         device, ledger, registry, _ = self.setup_world(imported_balance=50)
         report, supervision = wallet.onboard_customer(
-            7, "alice", device, ledger, registry, nonce(), now=1)
+            7, "alice", device, ledger, registry, nonce(), now=1,
+            attestation_key=device.attestation_public_key)
         assert not report.accepted
         assert supervision is None
         assert not report.migration_check.passed
@@ -300,16 +304,18 @@ class TestBoarding:
                 imported_balance=imported)
             policy = wallet.OnboardPolicy(reject_imported_with_assets=rej_imp,
                                           reject_migratable_with_assets=rej_mig)
-            report, _ = wallet.onboard_customer(7, "a", device, ledger,
-                                                registry, nonce(), 1, policy)
+            report, _ = wallet.onboard_customer(
+                7, "a", device, ledger, registry, nonce(), 1, policy,
+                attestation_key=device.attestation_public_key)
             assert report.accepted == expect, (imported, rej_imp, rej_mig)
 
     def test_attestation_refusal_fails_onboarding(self):
         device, ledger, registry, _ = self.setup_world()
         device.attestation_enabled = False
         with pytest.raises(wallet.AttestationFailed):
-            wallet.onboard_customer(7, "alice", device, ledger, registry,
-                                    nonce(), 1)
+            wallet.onboard_customer(
+                7, "alice", device, ledger, registry, nonce(), 1,
+                attestation_key=device.attestation_public_key)
 
     def test_inconsistent_key_history_detected(self):
         device, ledger, registry, handle = self.setup_world()
@@ -333,7 +339,8 @@ class TestBoarding:
     def _onboarded(self):
         device, ledger, registry, _ = self.setup_world()
         report, supervision = wallet.onboard_customer(
-            7, "alice", device, ledger, registry, nonce(), now=1)
+            7, "alice", device, ledger, registry, nonce(), now=1,
+            attestation_key=device.attestation_public_key)
         ledger.confirm_block()
         return device, ledger, registry, supervision
 
@@ -368,12 +375,92 @@ class TestBoarding:
         handle = device.generate_key(migratable=False)
         ledger = Ledger([(device.slot(handle).public_key, 100)])
         registry = wallet.WalletRegistry()
-        _, supervision = wallet.onboard_customer(7, "alice", device, ledger,
-                                                 registry, nonce(), 1)
+        _, supervision = wallet.onboard_customer(
+            7, "alice", device, ledger, registry, nonce(), 1,
+            attestation_key=device.attestation_public_key)
         ledger.confirm_block()
         with pytest.raises(wallet.ErasureNotProven):
             wallet.offboard_customer(7, "alice", device, ledger, registry,
                                      supervision, nonce(2), 9)
+
+    def test_impostor_device_refused_at_onboarding(self):
+        # An emulator answers under the registered device's id with an
+        # attestation key of its own, and reports that key as its own.
+        device, ledger, registry, _ = self.setup_world()
+        impostor = wallet.WalletDevice(device.device_id, seed("impostor"),
+                                       STACK)
+        with pytest.raises(wallet.AttestationFailed):
+            wallet.onboard_customer(
+                7, "alice", impostor, ledger, registry, nonce(), 1,
+                attestation_key=device.attestation_public_key)
+        assert registry.status(device.device_id).classification \
+            is wallet.WalletClass.PRIVATE
+
+    def test_impostor_device_refused_by_vasp_node(self, demo_config):
+        world = build_world(demo_config)
+        genuine = world.devices["wdev:alice@7"]
+        impostor = wallet.WalletDevice(genuine.device_id, seed("impostor"),
+                                       STACK)
+        with pytest.raises(wallet.AttestationFailed):
+            world.vasps[7].onboard("alice", impostor)
+        assert "alice" not in world.vasps[7].supervision
+
+    def test_forged_erasure_evidence_refused(self):
+        class ForgingDevice(wallet.WalletDevice):
+            """Once forging, keeps its keys and claims their erasure in
+            evidence signed by a key of its own."""
+
+            forging = False
+
+            def erase_key(self, handle):
+                if not self.forging:
+                    super().erase_key(handle)
+
+            def attest(self, nonce, now=0):
+                evidence = super().attest(nonce, now)
+                if not self.forging:
+                    return evidence
+                forger = crypto.generate_keypair(seed("forger"))
+                claimed = replace(evidence, key_reports=tuple(
+                    replace(r, erased=True) for r in evidence.key_reports))
+                return replace(claimed, signature=crypto.sign(
+                    forger.private_key, claimed.signing_input()))
+
+        device = ForgingDevice("wdev:forging", seed("forging"), STACK)
+        handle = device.generate_key(migratable=False)
+        ledger = Ledger([(device.slot(handle).public_key, 100)])
+        registry = wallet.WalletRegistry()
+        _, supervision = wallet.onboard_customer(
+            7, "alice", device, ledger, registry, nonce(), 1,
+            attestation_key=device.attestation_public_key)
+        ledger.confirm_block()
+        device.forging = True
+        with pytest.raises(wallet.AttestationFailed):
+            wallet.offboard_customer(7, "alice", device, ledger, registry,
+                                     supervision, nonce(2), 9)
+        assert registry.status(device.device_id).classification \
+            is wallet.WalletClass.REGULATED
+
+    def test_replayed_erasure_evidence_refused(self):
+        class ReplayingDevice(wallet.WalletDevice):
+            """Answers every challenge with one fixed nonce."""
+
+            def attest(self, nonce_, now=0):
+                return super().attest(nonce(99), now)
+
+        device = ReplayingDevice("wdev:replay", seed("replay"), STACK)
+        handle = device.generate_key(migratable=False)
+        ledger = Ledger([(device.slot(handle).public_key, 100)])
+        registry = wallet.WalletRegistry()
+        _, supervision = wallet.onboard_customer(
+            7, "alice", device, ledger, registry, nonce(99), 1,
+            attestation_key=device.attestation_public_key)
+        ledger.confirm_block()
+        with pytest.raises(wallet.AttestationFailed):
+            wallet.offboard_customer(7, "alice", device, ledger, registry,
+                                     supervision, nonce(2), 9)
+        assert registry.status(device.device_id).classification \
+            is wallet.WalletClass.REGULATED
 
     def test_checkpoints_accumulate(self):
         device, ledger, registry, supervision = self._onboarded()
