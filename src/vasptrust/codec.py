@@ -8,16 +8,22 @@ payload; integers are minimal big-endian; the decoder rejects every
 non-canonical form (oversized ints, bad UTF-8, unknown tags, trailing bytes)
 so that decode(encode(v)) == v and re-encoding reproduces the input bytes.
 
+Encoding runs through one closure per type, built on first use from the
+declared field types and cached, so the per-value cost is a class check and
+the framing, not a walk over the type's annotations.
+
 No floating point is representable on purpose.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import struct
 import types
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from operator import attrgetter, call
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 _UNION_ORIGINS = (Union, types.UnionType)
 
@@ -32,6 +38,7 @@ TAG_ENUM = 0x08
 TAG_UNION = 0x09
 
 _MAX_LEN = 2**32 - 1
+_HEADER = struct.Struct(">BI").pack  # tag byte + 4-byte big-endian length
 
 
 class CodecError(Exception):
@@ -45,15 +52,7 @@ class DecodeError(CodecError):
 def _frame(tag: int, payload: bytes) -> bytes:
     if len(payload) > _MAX_LEN:
         raise CodecError("payload too large for framing")
-    return bytes([tag]) + len(payload).to_bytes(4, "big") + payload
-
-
-def _encode_uint(value: int) -> bytes:
-    if value < 0:
-        raise CodecError("negative integers are not encodable")
-    if value == 0:
-        return _frame(TAG_UINT, b"")
-    return _frame(TAG_UINT, value.to_bytes((value.bit_length() + 7) // 8, "big"))
+    return _HEADER(tag, len(payload)) + payload
 
 
 @lru_cache(maxsize=None)
@@ -68,61 +67,229 @@ def _union_members(typ: Any) -> tuple[bool, list[Any]]:
     return len(members) < len(get_args(typ)), members
 
 
-def _encode(value: Any, typ: Any = None) -> bytes:
-    # Declared-type handling first: unions need the declaration to pick
-    # between an optional and a tagged variant.
-    if typ is not None:
-        origin = get_origin(typ)
-        if origin in _UNION_ORIGINS:
-            allows_none, members = _union_members(typ)
-            if value is None:
-                if not allows_none:
-                    raise CodecError(f"None not permitted for {typ}")
-                return _frame(TAG_NONE, b"")
-            if len(members) == 1:
-                return _encode(value, members[0])
-            cls = type(value)
-            if cls not in members:
-                raise CodecError(f"{cls.__name__} is not a member of {typ}")
-            name = _frame(TAG_STR, cls.__name__.encode("utf-8"))
-            return _frame(TAG_UNION, name + _encode(value, cls))
-        if origin in (list, tuple):
-            args = get_args(typ)
-            if origin is list:
-                items = [_encode(v, args[0] if args else None) for v in value]
-            elif len(args) == 2 and args[1] is Ellipsis:
-                items = [_encode(v, args[0]) for v in value]
-            else:
-                if len(args) != len(value):
-                    raise CodecError(f"tuple arity mismatch for {typ}")
-                items = [_encode(v, t) for v, t in zip(value, args)]
-            return _frame(TAG_LIST, b"".join(items))
+# -- encoding ------------------------------------------------------------------
+#
+# Each type gets one encoder closure, built on first use and cached: a class
+# by the class (the encoder used for an undeclared value of that class), a
+# declared union, list or tuple type by the annotation. A class's encoder
+# checks the value's class first; a value of another class is encoded by its
+# own class's encoder, except None, which only an optional field admits.
 
+Encoder = Callable[[Any], bytes]
+
+_NONE = _frame(TAG_NONE, b"")
+_TRUE = _frame(TAG_BOOL, b"\x01")
+_FALSE = _frame(TAG_BOOL, b"\x00")
+
+_ENCODERS: dict[Any, Encoder] = {}
+_STRUCTS: dict[tuple[type, tuple[str, ...]], Encoder] = {}
+_AROUND: dict[tuple[type, str], Callable[[Any, bytes], bytes]] = {}
+
+
+def _other(value: Any, typ: Any) -> bytes:
+    """Encode a value whose class is not its declared type ``typ``."""
     if value is None:
-        return _frame(TAG_NONE, b"")
-    if isinstance(value, bool):
-        return _frame(TAG_BOOL, b"\x01" if value else b"\x00")
-    if isinstance(value, int):
-        return _encode_uint(value)
-    if isinstance(value, (bytes, bytearray)):
-        return _frame(TAG_BYTES, bytes(value))
-    if isinstance(value, str):
-        return _frame(TAG_STR, value.encode("utf-8"))
-    if isinstance(value, Enum):
-        return _frame(TAG_ENUM, value.name.encode("utf-8"))
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        parts = []
-        for name, field_type in _hints(type(value)):
-            parts.append(_encode(getattr(value, name), field_type))
-        return _frame(TAG_STRUCT, b"".join(parts))
-    if isinstance(value, (list, tuple)):
-        return _frame(TAG_LIST, b"".join(_encode(v) for v in value))
-    raise CodecError(f"cannot canonically encode {type(value).__name__}")
+        raise CodecError(f"None not permitted for {typ}")
+    return _encode_any(value)
+
+
+def _encode_any(value: Any) -> bytes:
+    encode = _ENCODERS.get(type(value))
+    if encode is None:
+        encode = _encoder(type(value))
+    return encode(value)
+
+
+def _encode_none(value: Any) -> bytes:
+    return _NONE if value is None else _other(value, type(None))
+
+
+def _encode_bool(value: Any) -> bytes:
+    if value is True:
+        return _TRUE
+    if value is False:
+        return _FALSE
+    return _other(value, bool)
+
+
+def _encode_int(value: Any) -> bytes:
+    if type(value) is not int:
+        return _other(value, int)
+    if value < 0:
+        raise CodecError("negative integers are not encodable")
+    n = (value.bit_length() + 7) // 8
+    return _HEADER(TAG_UINT, n) + value.to_bytes(n, "big")
+
+
+def _encode_bytes(value: Any) -> bytes:
+    if type(value) is not bytes:
+        return _other(value, bytes)
+    n = len(value)
+    if n > _MAX_LEN:
+        raise CodecError("payload too large for framing")
+    return _HEADER(TAG_BYTES, n) + value
+
+
+def _encode_str(value: Any) -> bytes:
+    if type(value) is not str:
+        return _other(value, str)
+    data = value.encode("utf-8")
+    n = len(data)
+    if n > _MAX_LEN:
+        raise CodecError("payload too large for framing")
+    return _HEADER(TAG_STR, n) + data
+
+
+def _encoder(typ: Any) -> Encoder:
+    encode = _ENCODERS.get(typ)
+    if encode is None:
+        encode = _ENCODERS[typ] = _build(typ)
+    return encode
+
+
+def _build(typ: Any) -> Encoder:
+    origin = get_origin(typ)
+    if origin in _UNION_ORIGINS:
+        return _build_union(typ)
+    if origin in (list, tuple):
+        return _build_sequence(typ, origin)
+    if isinstance(typ, type):
+        return _build_class(typ)
+    return _encode_any
+
+
+def _checked(cls: type, encode: Encoder) -> Encoder:
+    def encode_checked(value: Any) -> bytes:
+        if type(value) is cls:
+            return encode(value)
+        return _other(value, cls)
+    return encode_checked
+
+
+def _build_class(cls: type) -> Encoder:
+    # Same precedence as isinstance dispatch: bool before int, and a
+    # subclass of a builtin encodes as that builtin.
+    if cls is type(None):
+        return _encode_none
+    if cls is bool:
+        return _encode_bool
+    if issubclass(cls, int):
+        if cls is int:
+            return _encode_int
+        return _checked(cls, lambda v: _encode_int(int(v)))
+    if cls is bytes:
+        return _encode_bytes
+    if issubclass(cls, (bytes, bytearray)):
+        return _checked(cls, lambda v: _frame(TAG_BYTES, bytes(v)))
+    if cls is str:
+        return _encode_str
+    if issubclass(cls, str):
+        return _checked(cls, lambda v: _frame(TAG_STR, str.encode(v, "utf-8")))
+    if issubclass(cls, Enum):
+        names = {m._name_: _frame(TAG_ENUM, m._name_.encode("utf-8")) for m in cls}
+
+        def encode_enum(value: Any) -> bytes:
+            if type(value) is not cls:
+                return _other(value, cls)
+            return names[value._name_]
+        return encode_enum
+    if dataclasses.is_dataclass(cls):
+        return _struct(cls, ())
+    if issubclass(cls, (list, tuple)):
+        def encode_items(value: Any) -> bytes:
+            if value is None:
+                raise CodecError(f"None not permitted for {cls.__name__}")
+            return _frame(TAG_LIST, b"".join(map(_encode_any, value)))
+        return encode_items
+
+    def unencodable(value: Any) -> bytes:
+        if type(value) is cls:
+            raise CodecError(f"cannot canonically encode {cls.__name__}")
+        return _other(value, cls)
+    return unencodable
+
+
+def _member_tags(members: list[Any]) -> dict[type, bytes]:
+    """Union member class -> the encoded name that tags its values. A
+    member that is not a class (``list[int]``) matches no value's class."""
+    return {m: _frame(TAG_STR, m.__name__.encode("utf-8"))
+            for m in members if isinstance(m, type)}
+
+
+def _build_union(typ: Any) -> Encoder:
+    allows_none, members = _union_members(typ)
+    if len(members) == 1:
+        inner = _encoder(members[0])
+        return lambda value: _NONE if value is None else inner(value)
+    tagged = {m: (tag, _encoder(m)) for m, tag in _member_tags(members).items()}
+
+    def encode_union(value: Any) -> bytes:
+        entry = tagged.get(type(value))
+        if entry is None:
+            if value is not None:
+                raise CodecError(
+                    f"{type(value).__name__} is not a member of {typ}")
+            if not allows_none:
+                raise CodecError(f"None not permitted for {typ}")
+            return _NONE
+        tag, encode = entry
+        return _frame(TAG_UNION, tag + encode(value))
+    return encode_union
+
+
+def _build_sequence(typ: Any, origin: type) -> Encoder:
+    args = get_args(typ)
+    if origin is list or (len(args) == 2 and args[1] is Ellipsis):
+        item = _encoder(args[0]) if args else _encode_any
+
+        def encode_items(value: Any) -> bytes:
+            if value is None:
+                raise CodecError(f"None not permitted for {typ}")
+            return _frame(TAG_LIST, b"".join(map(item, value)))
+        return encode_items
+    items = tuple(_encoder(a) for a in args)
+
+    def encode_fixed(value: Any) -> bytes:
+        if value is None:
+            raise CodecError(f"None not permitted for {typ}")
+        if len(value) != len(items):
+            raise CodecError(f"tuple arity mismatch for {typ}")
+        return _frame(TAG_LIST, b"".join(map(call, items, value)))
+    return encode_fixed
+
+
+def _getter(names: list[str]) -> Callable[[Any], tuple]:
+    if len(names) == 1:
+        name = names[0]
+        return lambda value: (getattr(value, name),)
+    return attrgetter(*names) if names else lambda value: ()
+
+
+def _struct(cls: type, exclude: tuple[str, ...]) -> Encoder:
+    """Encoder of dataclass ``cls`` without the fields named in ``exclude``."""
+    key = (cls, exclude)
+    encode = _STRUCTS.get(key)
+    if encode is not None:
+        return encode
+    fields = [(name, typ) for name, typ in _hints(cls) if name not in exclude]
+    encoders: tuple[Encoder, ...] = ()
+
+    def encode_struct(value: Any) -> bytes:
+        if type(value) is not cls:
+            return _other(value, cls)
+        return _frame(TAG_STRUCT, b"".join(map(call, encoders, get(value))))
+
+    # Registered before its fields are built, so a type that contains
+    # itself finds this encoder.
+    _STRUCTS[key] = encode_struct
+    get = _getter([name for name, _ in fields])
+    encoders = tuple(_encoder(typ) for _, typ in fields)
+    return encode_struct
 
 
 def canonical_encode(value: Any) -> bytes:
     """Encode a domain value to its canonical, injective byte form."""
-    return _encode(value)
+    return _encode_any(value)
 
 
 def struct_bytes(value: Any, exclude: tuple[str, ...] = ()) -> bytes:
@@ -131,14 +298,66 @@ def struct_bytes(value: Any, exclude: tuple[str, ...] = ()) -> bytes:
     Used to compute signing input or content identifiers that must not
     cover the signature/identifier field itself.
     """
-    if not dataclasses.is_dataclass(value):
-        raise CodecError("struct_bytes requires a dataclass instance")
-    parts = []
-    for name, field_type in _hints(type(value)):
-        if name in exclude:
-            continue
-        parts.append(_encode(getattr(value, name), field_type))
-    return _frame(TAG_STRUCT, b"".join(parts))
+    encode = _STRUCTS.get((type(value), exclude))
+    if encode is None:
+        if not dataclasses.is_dataclass(type(value)):
+            raise CodecError("struct_bytes requires a dataclass instance")
+        encode = _struct(type(value), exclude)
+    return encode(value)
+
+
+def _around(typ: Any) -> Callable[[Any, bytes], bytes]:
+    """(value, canonical_encode(value)) -> the value's encoding as a field
+    declared ``typ``, reusing the given bytes where they are that encoding."""
+    full = _encoder(typ)
+    members = (_union_members(typ)[1] if get_origin(typ) in _UNION_ORIGINS
+               else [typ])
+    if len(members) > 1:
+        tags = _member_tags(members)
+
+        def around_union(value: Any, encoded: bytes) -> bytes:
+            tag = tags.get(type(value))
+            if tag is None:
+                return full(value)
+            return _frame(TAG_UNION, tag + encoded)
+        return around_union
+    member = members[0]
+    if isinstance(member, type):
+        return lambda value, encoded: encoded if type(value) is member \
+            else full(value)
+    return lambda value, encoded: full(value)
+
+
+def _build_around(cls: type, field: str) -> Callable[[Any, bytes], bytes]:
+    fields = _hints(cls)
+    names = [name for name, _ in fields]
+    if field not in names:
+        raise CodecError(f"{cls.__name__} has no field {field!r}")
+    at = names.index(field)
+    get = _getter(names)
+    encoders = [_encoder(typ) for _, typ in fields]
+    head, tail = encoders[:at], encoders[at + 1:]
+    around = _around(fields[at][1])
+
+    def encode_struct(value: Any, encoded: bytes) -> bytes:
+        values = get(value)
+        return _frame(TAG_STRUCT, b"".join(
+            [*map(call, head, values), around(values[at], encoded),
+             *map(call, tail, values[at + 1:])]))
+    return encode_struct
+
+
+def encode_around(value: Any, field: str, encoded: bytes) -> bytes:
+    """canonical_encode(value) for a dataclass whose field ``field`` is
+    already encoded: ``encoded`` must equal canonical_encode of that field's
+    value, and is framed into the struct instead of being encoded again."""
+    key = (type(value), field)
+    encode = _AROUND.get(key)
+    if encode is None:
+        if not dataclasses.is_dataclass(type(value)):
+            raise CodecError("encode_around requires a dataclass instance")
+        encode = _AROUND[key] = _build_around(type(value), field)
+    return encode(value, encoded)
 
 
 class _Reader:

@@ -67,14 +67,6 @@ class Node:
         return crypto.sign(self._identity_key.private_key, challenge)
 
 
-class DishonestNode(Node):
-    """Presents a certificate whose key it does not actually hold."""
-
-    def prove_possession(self, challenge: bytes) -> bytes:
-        wrong = crypto.generate_keypair(crypto.digest(b"wrong-key" + challenge))
-        return crypto.sign(wrong.private_key, challenge)
-
-
 @dataclass
 class PendingTransfer:
     payload: TravelRulePayload
@@ -555,8 +547,13 @@ class VaspNode(Node):
         for customer_id in sorted(self.supervision):
             supervision = self.supervision[customer_id]
             device = self.devices[supervision.device_id]
-            evidence = wallet.take_checkpoint(supervision, device,
-                                              self.sim.nonce(), now)
+            try:
+                evidence = wallet.take_checkpoint(supervision, device,
+                                                  self.sim.nonce(), now)
+            except wallet.AttestationFailed as exc:
+                self.sim.emit(self.name, "attest.checkpoint_refused",
+                              detail=f"device={device.device_id} reason={exc}")
+                continue
             self.sim.emit(self.name, "attest.checkpoint", payload=evidence,
                           detail=f"device={device.device_id} "
                                  f"count={len(supervision.checkpoints)}")

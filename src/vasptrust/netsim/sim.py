@@ -134,9 +134,17 @@ class Simulation:
         if handler is not None:
             self._handlers[name] = handler
 
-    def emit(self, actor: str, event: str, payload=None, detail: str = "") -> TraceEvent:
-        content = codec.canonical_encode(payload) if payload is not None \
-            else detail.encode("utf-8")
+    def emit(self, actor: str, event: str, payload=None, detail: str = "",
+             encoded: bytes | None = None) -> TraceEvent:
+        """Append a trace event whose digest covers ``payload``'s canonical
+        encoding (``encoded``, when the caller already has it), else the
+        detail text."""
+        if encoded is not None:
+            content = encoded
+        elif payload is not None:
+            content = codec.canonical_encode(payload)
+        else:
+            content = detail.encode("utf-8")
         ev = TraceEvent(self.now, actor, event,
                         crypto.digest(content)[:8].hex(), detail)
         self.trace.events.append(ev)
@@ -194,8 +202,12 @@ class Simulation:
         direction.next_seq += 1
         direction.queue.append(env)
         channel.transcript.append(env)
-        self.wire_log.append((type(body).__name__, codec.canonical_encode(env)))
-        self.emit(sender, "netsim.sent", payload=body,
+        # The body is encoded once: framed into the envelope for the wire
+        # log, and digested for the trace.
+        body_bytes = codec.canonical_encode(body)
+        self.wire_log.append((type(body).__name__,
+                              codec.encode_around(env, "body", body_bytes)))
+        self.emit(sender, "netsim.sent", encoded=body_bytes,
                   detail=f"msg={type(body).__name__} ch={channel.id} seq={env.seq}")
         return env
 

@@ -506,6 +506,9 @@ def offboard_customer(releasing_vasp_number: int,
 
 def take_checkpoint(supervision: SupervisionRecord, device: WalletDevice,
                     nonce: bytes, now: int) -> AttestationEvidence:
-    evidence = device.attest(nonce, now)
+    """Record fresh evidence from a supervised device; AttestationFailed,
+    with nothing recorded, unless it verifies under the attestation key the
+    supervision was set up with and answers ``nonce``."""
+    evidence = _fresh_evidence(device, nonce, now, supervision.attestation_key)
     supervision.checkpoints.append(evidence)
     return evidence

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import types
+import typing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -11,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vasptrust import codec
+from vasptrust.netsim import messages
+from vasptrust.netsim.sim import Envelope
 from vasptrust.travel_rule import (CorrelationHint, HintKind, IdentifyingInfo,
                                    IdentifyingKind, TravelRulePayload)
 
@@ -161,3 +166,220 @@ def test_nested_injectivity(items):
     for blob, value in encodings.items():
         assert codec.canonical_decode(blob, Inner) == value
     assert len(encodings) == len(set(values))
+
+
+# -- the compiled encoder against the interpreter it replaced ------------------
+
+def _ref_frame(tag: int, payload: bytes) -> bytes:
+    return bytes([tag]) + len(payload).to_bytes(4, "big") + payload
+
+
+def reference_encode(value, typ=None) -> bytes:
+    """The interpretive encoder the compiled one replaced: it dispatches every
+    value on its declared type's origin, then on an isinstance chain."""
+    if typ is not None:
+        origin = typing.get_origin(typ)
+        if origin in (typing.Union, types.UnionType):
+            args = typing.get_args(typ)
+            members = [a for a in args if a is not type(None)]
+            if value is None:
+                if len(members) == len(args):
+                    raise codec.CodecError(f"None not permitted for {typ}")
+                return _ref_frame(codec.TAG_NONE, b"")
+            if len(members) == 1:
+                return reference_encode(value, members[0])
+            cls = type(value)
+            if cls not in members:
+                raise codec.CodecError(f"{cls.__name__} is not a member of {typ}")
+            name = _ref_frame(codec.TAG_STR, cls.__name__.encode("utf-8"))
+            return _ref_frame(codec.TAG_UNION,
+                              name + reference_encode(value, cls))
+        if origin in (list, tuple):
+            args = typing.get_args(typ)
+            if origin is list:
+                items = [reference_encode(v, args[0] if args else None)
+                         for v in value]
+            elif len(args) == 2 and args[1] is Ellipsis:
+                items = [reference_encode(v, args[0]) for v in value]
+            else:
+                if len(args) != len(value):
+                    raise codec.CodecError(f"tuple arity mismatch for {typ}")
+                items = [reference_encode(v, t) for v, t in zip(value, args)]
+            return _ref_frame(codec.TAG_LIST, b"".join(items))
+    if value is None:
+        return _ref_frame(codec.TAG_NONE, b"")
+    if isinstance(value, bool):
+        return _ref_frame(codec.TAG_BOOL, b"\x01" if value else b"\x00")
+    if isinstance(value, int):
+        if value < 0:
+            raise codec.CodecError("negative integers are not encodable")
+        return _ref_frame(codec.TAG_UINT,
+                          value.to_bytes((value.bit_length() + 7) // 8, "big"))
+    if isinstance(value, (bytes, bytearray)):
+        return _ref_frame(codec.TAG_BYTES, bytes(value))
+    if isinstance(value, str):
+        return _ref_frame(codec.TAG_STR, value.encode("utf-8"))
+    if isinstance(value, Enum):
+        return _ref_frame(codec.TAG_ENUM, value.name.encode("utf-8"))
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        hints = typing.get_type_hints(type(value))
+        return _ref_frame(codec.TAG_STRUCT, b"".join(
+            reference_encode(getattr(value, f.name), hints[f.name])
+            for f in dataclasses.fields(value)))
+    if isinstance(value, (list, tuple)):
+        return _ref_frame(codec.TAG_LIST,
+                          b"".join(reference_encode(v) for v in value))
+    raise codec.CodecError(f"cannot canonically encode {type(value).__name__}")
+
+
+def values_of(typ) -> st.SearchStrategy:
+    """Valid values of a declared type, nested dataclasses included."""
+    origin = typing.get_origin(typ)
+    if origin in (typing.Union, types.UnionType):
+        return st.one_of(*[st.none() if a is type(None) else values_of(a)
+                           for a in typing.get_args(typ)])
+    if origin is list:
+        return st.lists(values_of(typing.get_args(typ)[0]), max_size=3)
+    if origin is tuple:
+        args = typing.get_args(typ)
+        if len(args) == 2 and args[1] is Ellipsis:
+            return st.lists(values_of(args[0]), max_size=3).map(tuple)
+        return st.tuples(*[values_of(a) for a in args])
+    if typ is bool:
+        return st.booleans()
+    if typ is int:
+        return st.integers(min_value=0, max_value=2**72)
+    if typ is bytes:
+        return st.binary(max_size=40)
+    if typ is str:
+        return st.text(max_size=12)
+    if isinstance(typ, type) and issubclass(typ, Enum):
+        return st.sampled_from(list(typ))
+    if dataclasses.is_dataclass(typ):
+        hints = typing.get_type_hints(typ)
+        return st.builds(typ, **{f.name: values_of(hints[f.name])
+                                 for f in dataclasses.fields(typ)})
+    raise TypeError(f"no strategy for {typ!r}")
+
+
+BODY_TYPES = typing.get_args(messages.MessageBody)
+
+
+@pytest.mark.parametrize("cls", [Sample, Envelope, *BODY_TYPES],
+                         ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compiled_encoder_matches_reference(cls, data):
+    value = data.draw(values_of(cls))
+    blob = codec.canonical_encode(value)
+    assert blob == reference_encode(value)
+    assert codec.struct_bytes(value) == blob
+    assert codec.canonical_decode(blob, cls) == value
+
+
+@pytest.mark.parametrize("body_type", BODY_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_encode_around_reuses_body_bytes(body_type, data):
+    body = data.draw(values_of(body_type))
+    env = Envelope(channel_id=3, seq=9, sender="vasp:7", body=body, sent_at=4)
+    around = codec.encode_around(env, "body", codec.canonical_encode(body))
+    assert around == codec.canonical_encode(env) == reference_encode(env)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=0) | st.binary()
+    | st.text() | st.sampled_from(list(Color)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple), max_leaves=12))
+def test_untyped_values_match_reference(value):
+    assert codec.canonical_encode(value) == reference_encode(value)
+
+
+def test_excluded_fields_match_reference():
+    value = sample()
+    partial = codec.struct_bytes(value, exclude=("blob", "pairs"))
+    hints = typing.get_type_hints(Sample)
+    expected = _ref_frame(codec.TAG_STRUCT, b"".join(
+        reference_encode(getattr(value, f.name), hints[f.name])
+        for f in dataclasses.fields(Sample) if f.name not in ("blob", "pairs")))
+    assert partial == expected
+
+
+# -- every refusal -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Either:
+    choice: Inner | Color
+
+
+class Flavour(str, Enum):
+    SWEET = "sweet"
+
+
+@dataclass(frozen=True)
+class Measured:
+    weight: float
+
+
+def test_negative_int_in_a_field_refused():
+    with pytest.raises(codec.CodecError, match="negative"):
+        codec.canonical_encode(sample(n=-1))
+
+
+@pytest.mark.parametrize("value", [
+    dataclasses.replace(sample(), name=None),
+    dataclasses.replace(sample(), count=None),
+    dataclasses.replace(sample(), color=None),
+    dataclasses.replace(sample(), pairs=None),
+    dataclasses.replace(sample(), pair=None),
+    Inner(None, ()),
+    Inner("x", (None,)),
+    Either(None),
+], ids=["str", "int", "enum", "list", "tuple", "nested-str", "tuple-item",
+        "union"])
+def test_none_in_a_field_that_is_not_optional_refused(value):
+    with pytest.raises(codec.CodecError, match="None not permitted"):
+        codec.canonical_encode(value)
+
+
+def test_none_in_an_optional_field_encodes():
+    assert codec.canonical_encode(sample(maybe=None)) \
+        == reference_encode(sample(maybe=None))
+
+
+def test_value_outside_the_union_refused():
+    with pytest.raises(codec.CodecError, match="not a member"):
+        codec.canonical_encode(Either("neither"))
+    assert codec.canonical_encode(Either(Color.BLUE)) \
+        == reference_encode(Either(Color.BLUE))
+
+
+def test_tuple_arity_mismatch_refused():
+    with pytest.raises(codec.CodecError, match="arity"):
+        codec.canonical_encode(dataclasses.replace(sample(), pair=("k",)))
+    with pytest.raises(codec.CodecError, match="arity"):
+        codec.canonical_encode(dataclasses.replace(sample(),
+                                                   pair=("k", b"v", "x")))
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": 1}, {1, 2}, object(), Measured(2.5), [1, 2.5], Sample,
+], ids=["float", "dict", "set", "object", "float-field", "list-item", "class"])
+def test_unencodable_types_refused(value):
+    with pytest.raises(codec.CodecError, match="cannot canonically encode"):
+        codec.canonical_encode(value)
+
+
+def test_struct_bytes_requires_a_dataclass_instance():
+    for value in (3, "x", Sample):
+        with pytest.raises(codec.CodecError):
+            codec.struct_bytes(value)
+
+
+def test_builtin_subclasses_encode_as_the_builtin():
+    # isinstance precedence of the interpreter: a str-valued enum is a str.
+    for value in (Flavour.SWEET, bytearray(b"ab"), True, [Flavour.SWEET, 0]):
+        assert codec.canonical_encode(value) == reference_encode(value)
+    assert codec.canonical_encode(Flavour.SWEET) == codec.canonical_encode("sweet")

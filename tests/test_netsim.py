@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_subject, seed
-from vasptrust import crypto, pki
+from vasptrust import codec, crypto, pki
 from vasptrust.netsim import (ActorKind, ChannelClosed, FaultConfig,
                               PeerCertInvalid, Simulation)
 from vasptrust.netsim.messages import LookupRequest
-from vasptrust.netsim.nodes import DishonestNode, Node
+from vasptrust.netsim.nodes import Node
+from vasptrust.netsim.scenarios import run_scenario_with_world
+from vasptrust.netsim.sim import Envelope
 
 
 class Recorder(Node):
@@ -22,6 +24,14 @@ class Recorder(Node):
 
     def handle(self, channel, envelope):
         self.received.append(envelope.body)
+
+
+class DishonestNode(Node):
+    """Presents a certificate whose key it does not actually hold."""
+
+    def prove_possession(self, challenge: bytes) -> bytes:
+        wrong = crypto.generate_keypair(crypto.digest(b"wrong-key" + challenge))
+        return crypto.sign(wrong.private_key, challenge)
 
 
 def make_pair(sim, root, node_cls_b=Recorder):
@@ -154,3 +164,24 @@ def test_duplicate_actor_ids_rejected(root):
     sim.register_actor("x", ActorKind.CUSTOMER)
     with pytest.raises(Exception):
         sim.register_actor("x", ActorKind.CUSTOMER)
+
+
+@pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4", "S5"])
+def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario):
+    # send encodes each body once and reuses the bytes for the wire
+    # envelope and the trace digest; both must be what encoding anew gives.
+    _, world = run_scenario_with_world(scenario, demo_config)
+    sim = world.sim
+    sent = {(env.channel_id, env.sender, env.seq): env
+            for channel in sim.channels for env in channel.transcript}
+    sent_events = sim.trace.find("netsim.sent")
+    assert len(sim.wire_log) == len(sent_events) == len(sent) > 0
+    for (kind, blob), event in zip(sim.wire_log, sent_events):
+        wire_env = codec.canonical_decode(blob, Envelope)
+        env = sent[(wire_env.channel_id, wire_env.sender, wire_env.seq)]
+        assert blob == codec.canonical_encode(env)
+        assert kind == type(env.body).__name__
+        assert event.actor == env.sender
+        assert event.detail == f"msg={kind} ch={env.channel_id} seq={env.seq}"
+        assert event.digest == \
+            crypto.digest(codec.canonical_encode(env.body))[:8].hex()

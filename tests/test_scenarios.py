@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from vasptrust import pki
@@ -380,3 +382,33 @@ def test_all_protocol_messages_ride_channels(demo_config):
         for channel in world.sim.channels:
             for envelope in channel.transcript:
                 assert envelope.sender in channel.endpoints()
+
+
+# SHA-256 of each scenario's trace text and of its wire log on the demo
+# config. The wire log digest covers, per entry in send order, the message
+# type name, a zero byte, the 4-byte big-endian length of the envelope
+# bytes and those bytes. Any change to a trace or wire byte must update
+# these values and say so.
+PINNED = {
+    "S1": ("88efc31d823861da879453ca4778da1062f0d74421afef5c7c0754f5dcad51c4",
+           "6c506aaeeaa0a29a4ee6bcd82dced7182cbb8adcfe59cc4f5de52c739bf938f2"),
+    "S2": ("01e05c9b7e0201927c4b6eb27a8b2744cb95acd17eef592b799787bf4c234715",
+           "33c2feafcc2efb40ca6a693fa678d888022742e871271ebf8140a9a4e9aca4e1"),
+    "S3": ("467989772df18971825e9ad4f0fddbc0aad8c2ab993809ed513249b54fbbab5b",
+           "87f9f40c86f5fdbdf1e3d612729956756bef04f0f92ba561a92be486ff326a08"),
+    "S4": ("4fa56280edf86880257cdea1648a8c1329e3488e51ca5650725d85a5ad5d40d6",
+           "4e1aec67d4ccd594a75b0f85a8eed4264f16fb2e3482582c299556d918c2b9cf"),
+    "S5": ("0de80e2eb265e8a913ca884c01957ef4a36d59eec46a7480fb4baafb76cddc39",
+           "57b0f575b3af441a53c8878a7020a1111ab1669b0969032039025d9de10f2626"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_trace_and_wire_bytes_pinned(demo_config, name):
+    trace, world = run_scenario_with_world(name, demo_config)
+    wire = hashlib.sha256()
+    for kind, blob in world.sim.wire_log:
+        wire.update(kind.encode() + b"\0" + len(blob).to_bytes(4, "big") + blob)
+    digests = (hashlib.sha256(trace.to_text().encode()).hexdigest(),
+               wire.hexdigest())
+    assert digests == PINNED[name]

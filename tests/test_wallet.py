@@ -11,6 +11,7 @@ from conftest import seed
 from vasptrust import codec, crypto, wallet
 from vasptrust.ledger import Ledger, make_transfer
 from vasptrust.netsim import build_world
+from vasptrust.netsim.world import CHECKPOINT_INTERVAL
 
 STACK = [("bootloader", crypto.digest(b"boot-1")),
          ("wallet-os", crypto.digest(b"os-1"))]
@@ -461,6 +462,43 @@ class TestBoarding:
                                      supervision, nonce(2), 9)
         assert registry.status(device.device_id).classification \
             is wallet.WalletClass.REGULATED
+
+    def test_impostor_device_refused_at_checkpoint(self, demo_config):
+        # After onboarding the genuine device, the VASP's handle to it is
+        # swapped for an emulator with an attestation key of its own.
+        world = build_world(demo_config)
+        vasp = world.vasps[7]
+        genuine = world.devices["wdev:alice@7"]
+        assert vasp.onboard("alice", genuine).accepted
+        supervision = vasp.supervision["alice"]
+        vasp.devices[genuine.device_id] = wallet.WalletDevice(
+            genuine.device_id, seed("impostor"), STACK)
+        recorded = len(supervision.checkpoints)
+        while world.sim.now % CHECKPOINT_INTERVAL != CHECKPOINT_INTERVAL - 1:
+            world.sim.step()
+        world.sim.step()  # the tick hook takes checkpoints; must not raise
+        assert len(supervision.checkpoints) == recorded
+        refused = world.sim.trace.find("attest.checkpoint_refused")
+        assert len(refused) == 1
+        assert f"device={genuine.device_id}" in refused[0].detail
+        assert not world.sim.trace.find("attest.checkpoint")
+
+    def test_checkpoint_verifies_signature_and_nonce(self):
+        device, ledger, registry, supervision = self._onboarded()
+        impostor = wallet.WalletDevice(device.device_id, seed("impostor"),
+                                       STACK)
+        with pytest.raises(wallet.AttestationFailed):
+            wallet.take_checkpoint(supervision, impostor, nonce(10), 10)
+
+        class Replaying:
+            """The genuine device's evidence, for a nonce issued earlier."""
+
+            def attest(self, nonce_, now=0):
+                return device.attest(nonce(99), now)
+
+        with pytest.raises(wallet.AttestationFailed):
+            wallet.take_checkpoint(supervision, Replaying(), nonce(11), 11)
+        assert len(supervision.checkpoints) == 1  # onboarding only
 
     def test_checkpoints_accumulate(self):
         device, ledger, registry, supervision = self._onboarded()
