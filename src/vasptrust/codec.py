@@ -22,7 +22,7 @@ import struct
 import types
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter, call
+from operator import attrgetter
 from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 _UNION_ORIGINS = (Union, types.UnionType)
@@ -83,7 +83,6 @@ _FALSE = _frame(TAG_BOOL, b"\x00")
 
 _ENCODERS: dict[Any, Encoder] = {}
 _STRUCTS: dict[tuple[type, tuple[str, ...]], Encoder] = {}
-_AROUND: dict[tuple[type, str], Callable[[Any, bytes], bytes]] = {}
 
 
 def _other(value: Any, typ: Any) -> bytes:
@@ -254,7 +253,8 @@ def _build_sequence(typ: Any, origin: type) -> Encoder:
             raise CodecError(f"None not permitted for {typ}")
         if len(value) != len(items):
             raise CodecError(f"tuple arity mismatch for {typ}")
-        return _frame(TAG_LIST, b"".join(map(call, items, value)))
+        return _frame(TAG_LIST, b"".join(
+            [encode(v) for encode, v in zip(items, value)]))
     return encode_fixed
 
 
@@ -277,7 +277,8 @@ def _struct(cls: type, exclude: tuple[str, ...]) -> Encoder:
     def encode_struct(value: Any) -> bytes:
         if type(value) is not cls:
             return _other(value, cls)
-        return _frame(TAG_STRUCT, b"".join(map(call, encoders, get(value))))
+        return _frame(TAG_STRUCT, b"".join(
+            [encode(v) for encode, v in zip(encoders, get(value))]))
 
     # Registered before its fields are built, so a type that contains
     # itself finds this encoder.
@@ -306,58 +307,31 @@ def struct_bytes(value: Any, exclude: tuple[str, ...] = ()) -> bytes:
     return encode(value)
 
 
-def _around(typ: Any) -> Callable[[Any, bytes], bytes]:
-    """(value, canonical_encode(value)) -> the value's encoding as a field
-    declared ``typ``, reusing the given bytes where they are that encoding."""
-    full = _encoder(typ)
-    members = (_union_members(typ)[1] if get_origin(typ) in _UNION_ORIGINS
-               else [typ])
-    if len(members) > 1:
-        tags = _member_tags(members)
-
-        def around_union(value: Any, encoded: bytes) -> bytes:
-            tag = tags.get(type(value))
-            if tag is None:
-                return full(value)
-            return _frame(TAG_UNION, tag + encoded)
-        return around_union
-    member = members[0]
-    if isinstance(member, type):
-        return lambda value, encoded: encoded if type(value) is member \
-            else full(value)
-    return lambda value, encoded: full(value)
+def encoder_for(typ: Any) -> Encoder:
+    """The compiled encoder of a value declared ``typ``; for a value whose
+    class is ``typ`` it gives what canonical_encode gives."""
+    return _encoder(typ)
 
 
-def _build_around(cls: type, field: str) -> Callable[[Any, bytes], bytes]:
-    fields = _hints(cls)
-    names = [name for name, _ in fields]
-    if field not in names:
-        raise CodecError(f"{cls.__name__} has no field {field!r}")
-    at = names.index(field)
-    get = _getter(names)
-    encoders = [_encoder(typ) for _, typ in fields]
-    head, tail = encoders[:at], encoders[at + 1:]
-    around = _around(fields[at][1])
-
-    def encode_struct(value: Any, encoded: bytes) -> bytes:
-        values = get(value)
-        return _frame(TAG_STRUCT, b"".join(
-            [*map(call, head, values), around(values[at], encoded),
-             *map(call, tail, values[at + 1:])]))
-    return encode_struct
+def struct_of(fields: list[bytes]) -> bytes:
+    """A struct's canonical encoding from its fields' canonical encodings,
+    given in declaration order."""
+    return _frame(TAG_STRUCT, b"".join(fields))
 
 
-def encode_around(value: Any, field: str, encoded: bytes) -> bytes:
-    """canonical_encode(value) for a dataclass whose field ``field`` is
-    already encoded: ``encoded`` must equal canonical_encode of that field's
-    value, and is framed into the struct instead of being encoded again."""
-    key = (type(value), field)
-    encode = _AROUND.get(key)
-    if encode is None:
-        if not dataclasses.is_dataclass(type(value)):
-            raise CodecError("encode_around requires a dataclass instance")
-        encode = _AROUND[key] = _build_around(type(value), field)
-    return encode(value, encoded)
+@lru_cache(maxsize=None)
+def _union_tags(union: Any) -> dict[type, bytes]:
+    return _member_tags(_union_members(union)[1])
+
+
+def union_member(union: Any, value: Any, encoded: bytes) -> bytes:
+    """The encoding of ``value`` in a field declared as the tagged union
+    ``union``, framed around ``encoded``, which must be canonical_encode of
+    ``value``, instead of encoding the value again."""
+    tag = _union_tags(union).get(type(value))
+    if tag is None:
+        raise CodecError(f"{type(value).__name__} is not a member of {union}")
+    return _frame(TAG_UNION, tag + encoded)
 
 
 class _Reader:

@@ -57,6 +57,20 @@ class Envelope:
     sent_at: int
 
 
+_encode_uint = codec.encoder_for(int)
+_encode_str = codec.encoder_for(str)
+
+
+def _wire_bytes(env: Envelope, body_bytes: bytes) -> bytes:
+    """canonical_encode(env), framed around ``body_bytes``, the body's
+    canonical encoding. The fields are Envelope's, in declaration order."""
+    return codec.struct_of([
+        _encode_uint(env.channel_id), _encode_uint(env.seq),
+        _encode_str(env.sender),
+        codec.union_member(MessageBody, env.body, body_bytes),
+        _encode_uint(env.sent_at)])
+
+
 @dataclass
 class _Direction:
     queue: list[Envelope] = field(default_factory=list)
@@ -206,7 +220,7 @@ class Simulation:
         # log, and digested for the trace.
         body_bytes = codec.canonical_encode(body)
         self.wire_log.append((type(body).__name__,
-                              codec.encode_around(env, "body", body_bytes)))
+                              _wire_bytes(env, body_bytes)))
         self.emit(sender, "netsim.sent", encoded=body_bytes,
                   detail=f"msg={type(body).__name__} ch={channel.id} seq={env.seq}")
         return env

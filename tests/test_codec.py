@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from vasptrust import codec
 from vasptrust.netsim import messages
-from vasptrust.netsim.sim import Envelope
+from vasptrust.netsim.sim import Envelope, _wire_bytes
 from vasptrust.travel_rule import (CorrelationHint, HintKind, IdentifyingInfo,
                                    IdentifyingKind, TravelRulePayload)
 
@@ -280,11 +280,11 @@ def test_compiled_encoder_matches_reference(cls, data):
 @pytest.mark.parametrize("body_type", BODY_TYPES, ids=lambda cls: cls.__name__)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_encode_around_reuses_body_bytes(body_type, data):
+def test_wire_bytes_frame_the_body_bytes(body_type, data):
     body = data.draw(values_of(body_type))
     env = Envelope(channel_id=3, seq=9, sender="vasp:7", body=body, sent_at=4)
-    around = codec.encode_around(env, "body", codec.canonical_encode(body))
-    assert around == codec.canonical_encode(env) == reference_encode(env)
+    wire = _wire_bytes(env, codec.canonical_encode(body))
+    assert wire == codec.canonical_encode(env) == reference_encode(env)
 
 
 @settings(max_examples=100, deadline=None)
@@ -354,6 +354,9 @@ def test_value_outside_the_union_refused():
         codec.canonical_encode(Either("neither"))
     assert codec.canonical_encode(Either(Color.BLUE)) \
         == reference_encode(Either(Color.BLUE))
+    with pytest.raises(codec.CodecError, match="not a member"):
+        codec.union_member(messages.MessageBody, "neither",
+                           codec.canonical_encode("neither"))
 
 
 def test_tuple_arity_mismatch_refused():
