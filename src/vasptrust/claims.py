@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import codec, crypto, pki
+from .pki import InvalidCert
 
 TOKEN_LIFETIME = 300  # simulated seconds; short so expiry paths get exercised
 
@@ -26,10 +27,6 @@ class ClaimsError(Exception):
 
 
 class NotOwner(ClaimsError):
-    pass
-
-
-class InvalidCert(ClaimsError):
     pass
 
 
@@ -275,13 +272,11 @@ class AuthorizationServer:
         return self._keypair.public_key
 
     def request_authorization(self, requester_cert: pki.EvIdentityCertificate,
-                              attributes: set[str], purpose: str, now: int,
-                              root_public_key: bytes,
-                              revocation_list: pki.RevocationList,
+                              attributes: set[str], purpose: str,
+                              trust: pki.TrustContext,
                               lifetime: int = TOKEN_LIFETIME
                               ) -> AuthorizationToken | Denial:
-        report = pki.validate_chain(requester_cert, root_public_key,
-                                    revocation_list, now)
+        report = trust.validate(requester_cert)
         if not report.valid:
             raise InvalidCert(f"requester certificate is {report.verdict.value}")
         if self._store is None:
@@ -304,8 +299,8 @@ class AuthorizationServer:
             audience_vasp_number=vasp_number,
             permitted_attributes=tuple(sorted(attributes)),
             purpose=purpose,
-            issued_at=now,
-            expires_at=now + lifetime,
+            issued_at=report.checked_at,
+            expires_at=report.checked_at + lifetime,
             signature=b"",
         )
         body = unsigned.signing_input()

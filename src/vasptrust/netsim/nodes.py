@@ -22,38 +22,6 @@ from . import messages as msg
 from .sim import Envelope, SecureChannel, Simulation
 
 
-@dataclass
-class VaspCerts:
-    identity: pki.EvIdentityCertificate
-    transaction: pki.SigningCertificate
-    claims: pki.SigningCertificate
-
-
-class ConsortiumDirectory:
-    """Membership list every node holds: certificates, provider and device
-    attestation public keys. Distribution is part of consortium operations;
-    authenticity still rests on the root signature inside each certificate."""
-
-    def __init__(self, root_public_key: bytes):
-        self.root_public_key = root_public_key
-        self.certs: dict[int, pki.Certificate] = {}
-        self.members: dict[int, VaspCerts] = {}  # entity number -> certs
-        self.provider_keys: dict[str, bytes] = {}
-        self.device_attestation_keys: dict[str, bytes] = {}
-
-    def add_member(self, certs: VaspCerts) -> None:
-        number = certs.identity.subject.vasp_number
-        self.members[number] = certs
-        for cert in (certs.identity, certs.transaction, certs.claims):
-            self.certs[cert.serial] = cert
-
-    def add_service_identity(self, cert: pki.EvIdentityCertificate) -> None:
-        self.certs[cert.serial] = cert
-
-    def member(self, number: int) -> VaspCerts:
-        return self.members[number]
-
-
 class Node:
     """Channel-capable actor bound to an EV identity certificate."""
 
@@ -65,6 +33,13 @@ class Node:
 
     def prove_possession(self, challenge: bytes) -> bytes:
         return crypto.sign(self._identity_key.private_key, challenge)
+
+
+def _sender_number(trust: pki.TrustContext, channel: SecureChannel,
+                   env: Envelope) -> int | None:
+    """Entity number in the certificate the sender opened ``channel`` with."""
+    cert = trust.certs.get(channel.peer_serial(env.sender))
+    return cert.subject.vasp_number if isinstance(cert, pki.EvIdentityCertificate) else None
 
 
 @dataclass
@@ -81,24 +56,21 @@ class VaspNode(Node):
     commingled-account treasury key, wallet supervision."""
 
     def __init__(self, sim: Simulation, vasp_number: int,
-                 certs: VaspCerts,
                  identity_key: crypto.KeyPair,
                  tx_key: crypto.KeyPair,
                  claims_key: crypto.KeyPair,
                  ledger: Ledger,
-                 directory: ConsortiumDirectory,
-                 revocation_list_source,
+                 trust: pki.TrustContext,
                  registry: wallet.WalletRegistry,
                  approved_stacks: set[bytes]):
-        super().__init__(f"vasp:{vasp_number}", certs.identity, identity_key)
+        self.certs = trust.members[vasp_number]
+        super().__init__(f"vasp:{vasp_number}", self.certs.identity, identity_key)
         self.sim = sim
         self.vasp_number = vasp_number
-        self.certs = certs
         self.tx_key = tx_key
         self.claims_key = claims_key
         self.ledger = ledger
-        self.directory = directory
-        self._revocation_list_source = revocation_list_source
+        self.trust = trust
         self.registry = registry
         self.approved_stacks = approved_stacks
 
@@ -125,10 +97,6 @@ class VaspNode(Node):
         self.claims_denial: str = ""
         self.fetched_claims: list[claims_mod.SignedClaim] = []
         self.consent_receipts: list[claims_mod.ConsentReceipt] = []
-
-    @property
-    def revocation_list(self) -> pki.RevocationList:
-        return self._revocation_list_source()
 
     # -- customer management ---------------------------------------------------
 
@@ -170,9 +138,7 @@ class VaspNode(Node):
 
     def local_lookup(self, identifier: CustomerIdentifier) -> list[int]:
         self._purge_revoked()
-        hits = self.resolver.lookup(identifier, self.certs.identity,
-                                    self.directory.root_public_key,
-                                    self.revocation_list, self.sim.now)
+        hits = self.resolver.lookup(identifier, self.certs.identity, self.trust)
         self.sim.emit(self.name, "resolver.lookup",
                       detail=f"identifier={identifier.render()} "
                              f"vasps={hits} count={len(hits)}")
@@ -182,13 +148,13 @@ class VaspNode(Node):
         """On a revocation list not seen before, drop the advertisements
         held from every origin whose identity or claims certificate it
         revokes, so a revoked member stops resolving."""
-        revocations = self.revocation_list
+        revocations = self.trust.revocation_list
         seen = (revocations.issued_at, len(revocations.entries))
         if seen == self._revocations_seen:
             return
         self._revocations_seen = seen
         for adv in self.resolver.known_advertisements():
-            origin = self.directory.member(adv.vasp_number)
+            origin = self.trust.members[adv.vasp_number]
             if revocations.covers(origin.identity.serial) \
                     or revocations.covers(origin.claims.serial):
                 self.resolver.drop_origin(adv.vasp_number)
@@ -232,14 +198,7 @@ class VaspNode(Node):
                 self.sim.send(channel, self.name, msg.AdvertisementFlood(adv))
 
     def _merge_advertisement(self, channel: SecureChannel, adv) -> None:
-        origin = self.directory.members.get(adv.vasp_number)
-        if origin is None:
-            outcome = MergeOutcome.REJECTED
-        else:
-            outcome = self.resolver.merge_advertisement(
-                adv, origin.claims, origin.identity,
-                self.directory.root_public_key, self.revocation_list,
-                self.sim.now)
+        outcome = self.resolver.merge_advertisement(adv, self.trust)
         pending = self._outbox.get(adv.vasp_number)
         if outcome is MergeOutcome.APPLIED:
             self._outbox[adv.vasp_number] = (adv, {channel.id})
@@ -264,25 +223,24 @@ class VaspNode(Node):
                       detail=f"direction=outbound present={report.summary()} "
                              f"payload={payload.payload_id.hex()[:16]}")
         signed = travel_rule.sign_payload(
-            self.claims_key.private_key, self.certs.claims, payload,
-            self.directory.root_public_key, self.revocation_list, self.sim.now)
+            self.claims_key.private_key, self.certs.claims, payload, self.trust)
         self.payload_store.append(("outbound", signed))
         self.pending[payload.payload_id] = PendingTransfer(
             payload, originator_id, beneficiary_vasp)
         self.sim.send(channel, self.name, msg.TravelRuleRequest(signed))
         return payload
 
+    def _transfer_refused(self, payload_id: bytes, reason: str) -> None:
+        self.sim.emit(self.name, "travel_rule.transfer_refused",
+                      detail=f"payload={payload_id.hex()[:16]} reason={reason}")
+
     def _verify_counterparty_payload(self, signed: SignedPayload,
-                                     direction: str) -> bool:
-        cert = self.directory.certs.get(signed.signer_cert_serial)
-        ok = (isinstance(cert, pki.SigningCertificate)
-              and travel_rule.verify_signed_payload(
-                  signed, cert, self.directory.root_public_key,
-                  self.revocation_list, self.sim.now))
+                                     signer: int) -> bool:
+        ok = travel_rule.verify_signed_payload(signed, self.trust, signer)
         report = travel_rule.validate_payload(signed.payload)
         self.sim.emit(self.name, "travel_rule.payload_validated",
                       payload=signed.payload,
-                      detail=f"direction={direction} present={report.summary()} "
+                      detail=f"direction=inbound present={report.summary()} "
                              f"signature={'ok' if ok else 'bad'} "
                              f"payload={signed.payload.payload_id.hex()[:16]}")
         return ok and report.passed
@@ -293,14 +251,20 @@ class VaspNode(Node):
         self.payload_store.append(("inbound", signed))
 
         def refuse(reason: str) -> None:
-            self.sim.emit(self.name, "travel_rule.transfer_refused",
-                          detail=f"payload={payload.payload_id.hex()[:16]} "
-                                 f"reason={reason}")
+            self._transfer_refused(payload.payload_id, reason)
             self.sim.send(channel, self.name, msg.TravelRuleResponse(
                 payload.payload_id, False, reason, None))
 
-        if not self._verify_counterparty_payload(signed, "inbound"):
+        # The signer is the originator the payload names; that originator
+        # is the channel peer, and the payload is addressed to us.
+        if not self._verify_counterparty_payload(
+                signed, payload.originating_vasp_number):
             refuse("invalid_payload")
+            return
+        if (payload.originating_vasp_number
+                != _sender_number(self.trust, channel, env)
+                or payload.beneficiary_vasp_number != self.vasp_number):
+            refuse("misaddressed_payload")
             return
         try:
             ident = parse_identifier(payload.beneficiary_account)
@@ -349,7 +313,7 @@ class VaspNode(Node):
                              f"payload={response_payload.payload_id.hex()[:16]}")
         response_signed = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims, response_payload,
-            self.directory.root_public_key, self.revocation_list, self.sim.now)
+            self.trust)
         self.payload_store.append(("outbound", response_signed))
         self.sim.send(channel, self.name, msg.TravelRuleResponse(
             payload.payload_id, True, "", response_signed))
@@ -357,16 +321,25 @@ class VaspNode(Node):
     def _on_travel_rule_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.TravelRuleResponse = env.body
         pending = self.pending.get(body.ack_payload_id)
-        if pending is None:
+        if pending is None or pending.state != "requested":
+            return  # not ours, or already answered
+        if _sender_number(self.trust, channel, env) != pending.beneficiary_vasp:
+            # Not an answer from the VASP asked: the transfer stays pending.
+            self._transfer_refused(body.ack_payload_id, "misaddressed_payload")
             return
         if not body.accepted or body.signed is None:
             pending.state = "refused"
-            self.sim.emit(self.name, "travel_rule.transfer_refused",
-                          detail=f"payload={body.ack_payload_id.hex()[:16]} "
-                                 f"reason={body.reason}")
+            self._transfer_refused(body.ack_payload_id, body.reason)
             return
-        if not self._verify_counterparty_payload(body.signed, "inbound"):
+        if not self._verify_counterparty_payload(body.signed,
+                                                 pending.beneficiary_vasp):
             pending.state = "refused"
+            return
+        answer = body.signed.payload
+        if (answer.beneficiary_vasp_number != pending.beneficiary_vasp
+                or answer.originating_vasp_number != self.vasp_number):
+            pending.state = "refused"
+            self._transfer_refused(body.ack_payload_id, "misaddressed_payload")
             return
         self.payload_store.append(("inbound", body.signed))
 
@@ -382,13 +355,12 @@ class VaspNode(Node):
                              f"beneficiary_accepted=True")
         if not originator_consent:
             pending.state = "refused"
-            self.sim.emit(self.name, "travel_rule.transfer_refused",
-                          detail=f"payload={body.ack_payload_id.hex()[:16]} "
-                                 f"reason=originator_consent_missing")
+            self._transfer_refused(body.ack_payload_id,
+                                   "originator_consent_missing")
             return
 
-        beneficiary_tx_key = self.directory.member(
-            pending.beneficiary_vasp).transaction.subject_public_key
+        beneficiary_tx_key = self.trust.members[
+            pending.beneficiary_vasp].transaction.subject_public_key
         tx = make_transfer(
             inputs=[(self.tx_key.public_key, pending.payload.amount)],
             outputs=[(beneficiary_tx_key, pending.payload.amount)],
@@ -427,15 +399,13 @@ class VaspNode(Node):
 
     def _on_lookup_request(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.LookupRequest = env.body
-        caller_serial = channel.peer_serial(env.sender)
-        caller_cert = self.directory.certs.get(caller_serial)
+        caller_cert = self.trust.certs.get(channel.peer_serial(env.sender))
         self._purge_revoked()
         try:
             if caller_cert is None:
                 raise Unauthorized("unknown caller certificate")
-            hits = self.resolver.lookup(
-                parse_identifier(body.identifier), caller_cert,
-                self.directory.root_public_key, self.revocation_list, self.sim.now)
+            hits = self.resolver.lookup(parse_identifier(body.identifier),
+                                        caller_cert, self.trust)
             response = msg.LookupResponse(body.request_seq, tuple(hits), "")
         except Unauthorized as exc:
             response = msg.LookupResponse(body.request_seq, (), str(exc))
@@ -486,7 +456,7 @@ class VaspNode(Node):
             return
         verified = 0
         for claim in body.claims:
-            provider_key = self.directory.provider_keys.get(claim.issuer)
+            provider_key = self.trust.provider_keys.get(claim.issuer)
             verdict = claims_mod.verify_claim(claim, provider_key or b"",
                                               self.sim.now)
             if verdict is claims_mod.ClaimVerdict.VALID:
@@ -506,7 +476,7 @@ class VaspNode(Node):
         report, supervision = wallet.onboard_customer(
             self.vasp_number, customer_id, device, self.ledger, self.registry,
             nonce, self.sim.now, policy,
-            attestation_key=self.directory.device_attestation_keys.get(
+            attestation_key=self.trust.device_attestation_keys.get(
                 device.device_id, b""))
         if supervision is not None:
             self.supervision[customer_id] = supervision
@@ -605,32 +575,31 @@ class AuthServerNode(Node):
                  identity_cert: pki.EvIdentityCertificate,
                  identity_key: crypto.KeyPair,
                  server: claims_mod.AuthorizationServer,
-                 directory: ConsortiumDirectory,
-                 revocation_list_source):
+                 trust: pki.TrustContext):
         super().__init__(f"authsrv:{owner}", identity_cert, identity_key)
         self.sim = sim
-        self.owner = owner
         self.server = server
-        self.directory = directory
-        self._revocation_list_source = revocation_list_source
+        self.trust = trust
 
     def handle(self, channel: SecureChannel, env: Envelope) -> None:
         if not isinstance(env.body, msg.ClaimsAuthRequest):
             return
-        caller_cert = self.directory.certs.get(channel.peer_serial(env.sender))
-        if not isinstance(caller_cert, pki.EvIdentityCertificate):
-            self.sim.send(channel, self.name,
-                          msg.ClaimsAuthResponse(None, "unknown_caller"))
-            return
-        result = self.server.request_authorization(
-            caller_cert, set(env.body.attributes), env.body.purpose,
-            self.sim.now, self.directory.root_public_key,
-            self._revocation_list_source())
+        caller_cert = self.trust.certs.get(channel.peer_serial(env.sender))
+        result = "unknown_caller"
+        if isinstance(caller_cert, pki.EvIdentityCertificate):
+            try:
+                result = self.server.request_authorization(
+                    caller_cert, set(env.body.attributes), env.body.purpose,
+                    self.trust)
+            except pki.InvalidCert:
+                result = "invalid_caller"
         if isinstance(result, claims_mod.Denial):
+            result = result.reason.value
+        if isinstance(result, str):
             self.sim.emit(self.name, "claims.token_denied",
-                          detail=f"caller={env.sender} reason={result.reason.value}")
+                          detail=f"caller={env.sender} reason={result}")
             self.sim.send(channel, self.name,
-                          msg.ClaimsAuthResponse(None, result.reason.value))
+                          msg.ClaimsAuthResponse(None, result))
         else:
             self.sim.emit(self.name, "claims.token_issued", payload=result,
                           detail=f"caller={env.sender} "
@@ -647,33 +616,35 @@ class ClaimsStoreNode(Node):
                  identity_cert: pki.EvIdentityCertificate,
                  identity_key: crypto.KeyPair,
                  store: claims_mod.ClaimsStore,
-                 directory: ConsortiumDirectory):
+                 trust: pki.TrustContext):
         super().__init__(f"store:{owner}", identity_cert, identity_key)
         self.sim = sim
-        self.owner = owner
         self.store = store
-        self.directory = directory
+        self.trust = trust
 
     def handle(self, channel: SecureChannel, env: Envelope) -> None:
         if not isinstance(env.body, msg.ClaimsFetchRequest):
             return
         body: msg.ClaimsFetchRequest = env.body
         token = body.token
-        signer_cert = self.directory.certs.get(body.vasp_claims_cert_serial)
+        audience = token.audience_vasp_number
         terms = codec.canonical_encode(("claims-terms", token.token_id,
                                         token.purpose))
-        if (not isinstance(signer_cert, pki.SigningCertificate)
-                or not crypto.verify(signer_cert.subject_public_key, terms,
-                                     body.terms_signature)):
-            self.sim.emit(self.name, "claims.fetch_refused",
-                          detail="reason=terms_not_countersigned")
-            self.sim.send(channel, self.name, msg.ClaimsFetchResponse(
-                (), None, "terms_not_countersigned"))
-            return
-        try:
-            released, receipt = self.store.fetch_claims(token, self.sim.now)
-        except claims_mod.ClaimsError as exc:
-            reason = type(exc).__name__
+        # The token binds to its audience: only that VASP, over its own
+        # channel and with its own claims key, may present it.
+        if _sender_number(self.trust, channel, env) != audience:
+            reason = "token_audience_mismatch"
+        elif not self.trust.verify_member_signature(
+                terms, body.terms_signature, body.vasp_claims_cert_serial,
+                pki.CertPurpose.CLAIMS_SIGNING, audience):
+            reason = "terms_not_countersigned"
+        else:
+            try:
+                released, receipt = self.store.fetch_claims(token, self.sim.now)
+                reason = ""
+            except claims_mod.ClaimsError as exc:
+                reason = type(exc).__name__
+        if reason:
             self.sim.emit(self.name, "claims.fetch_refused",
                           detail=f"reason={reason}")
             self.sim.send(channel, self.name,
@@ -696,11 +667,11 @@ class InsurerNode(Node):
     def __init__(self, sim: Simulation, name: str,
                  identity_cert: pki.EvIdentityCertificate,
                  identity_key: crypto.KeyPair,
-                 directory: ConsortiumDirectory,
+                 trust: pki.TrustContext,
                  approved_stacks: set[bytes]):
         super().__init__(f"insurer:{name}", identity_cert, identity_key)
         self.sim = sim
-        self.directory = directory
+        self.trust = trust
         self.approved_stacks = approved_stacks
         self.pending_nonces: dict[str, bytes] = {}
         self.audit_verdicts: dict[str, wallet.VerifierVerdict] = {}
@@ -723,7 +694,7 @@ class InsurerNode(Node):
                           detail=f"device={body.device_id} passed=False "
                                  f"reason={body.error or 'no_evidence'}")
             return
-        device_key = self.directory.device_attestation_keys.get(body.device_id, b"")
+        device_key = self.trust.device_attestation_keys.get(body.device_id, b"")
         verdict = wallet.verify_evidence(body.evidence, nonce, device_key,
                                          self.approved_stacks)
         self.audit_verdicts[body.device_id] = verdict

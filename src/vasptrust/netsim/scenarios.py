@@ -244,7 +244,7 @@ def scenario_s2(world: World, params: dict) -> None:
     world.assert_that("release_within_token_within_policy", release_ok)
     verified = all(
         claims_mod.verify_claim(
-            c, world.directory.provider_keys.get(c.issuer, b""), sim.now)
+            c, world.trust.provider_keys.get(c.issuer, b""), sim.now)
         is claims_mod.ClaimVerdict.VALID
         for c in released)
     world.assert_that("claim_signatures_valid",

@@ -176,8 +176,7 @@ class Simulation:
 
     # -- channels ---------------------------------------------------------------
 
-    def establish_channel(self, a, b, root_public_key: bytes,
-                          revocation_list: pki.RevocationList) -> SecureChannel:
+    def establish_channel(self, a, b, trust: pki.TrustContext) -> SecureChannel:
         """Mutual authentication: both certificates must chain-validate and
         both peers must prove possession of their certified keys."""
         if self.faults.partitioned:
@@ -185,8 +184,7 @@ class Simulation:
                       detail=f"a={a.name} b={b.name} reason=partitioned")
             raise PeerCertInvalid(b.name, None, "network partitioned")
         for us, peer in ((a, b), (b, a)):
-            report = pki.validate_chain(peer.identity_cert, root_public_key,
-                                        revocation_list, self.now)
+            report = trust.validate(peer.identity_cert)
             if not report.valid:
                 self.emit(us.name, "netsim.channel_refused",
                           detail=f"peer={peer.name} verdict={report.verdict.value}")

@@ -19,8 +19,7 @@ from ..config import TopologyConfig, VaspConfig
 from ..ledger import Ledger
 from ..resolver import IdpDirectory, parse_identifier
 from ..travel_rule import CustomerRecord
-from .nodes import (AuthServerNode, ClaimsStoreNode, ConsortiumDirectory,
-                    InsurerNode, VaspCerts, VaspNode)
+from .nodes import AuthServerNode, ClaimsStoreNode, InsurerNode, VaspNode
 from .sim import ActorKind, FaultConfig, SecureChannel, Simulation
 
 CERT_VALIDITY = 1_000_000
@@ -35,7 +34,7 @@ class World:
     root: pki.RootAuthority
     ledger: Ledger
     registry: wallet.WalletRegistry
-    directory: ConsortiumDirectory
+    trust: pki.TrustContext
     vasps: dict[int, VaspNode]
     idp_directories: dict[str, IdpDirectory]
     providers: dict[str, claims_mod.ClaimsProvider]
@@ -54,8 +53,7 @@ class World:
         """Establish (once) and return the channel between two nodes."""
         key = frozenset((a.name, b.name))
         if key not in self._channels:
-            self._channels[key] = self.sim.establish_channel(
-                a, b, self.root.public_key, self.root.revocation_list)
+            self._channels[key] = self.sim.establish_channel(a, b, self.trust)
         return self._channels[key]
 
     def federation_channels(self) -> dict[int, list[SecureChannel]]:
@@ -121,7 +119,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
 
     root = pki.create_consortium_root(config.consortium,
                                       crypto.derive_seed(master, "root"))
-    directory = ConsortiumDirectory(root.public_key)
+    trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
+                             lambda: sim.now)
     registry = wallet.WalletRegistry()
     sim.register_actor("sim", ActorKind.LEDGER_NODE)
     sim.register_actor("ledger", ActorKind.LEDGER_NODE)
@@ -161,8 +160,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                                 ccfg.wallet.imported_key_balance))
             devices[device_id] = device
             device_owner[device_id] = (vcfg.vasp_number, ccfg.id)
-            directory.device_attestation_keys[device_id] = \
-                device.attestation_public_key
+            trust.device_attestation_keys[device_id] = device.attestation_public_key
             registry.set_private(device_id, 0)
 
     vasp_keys: dict[int, tuple[crypto.KeyPair, crypto.KeyPair, crypto.KeyPair]] = {}
@@ -187,7 +185,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         claims_cert = root.issue_signing_cert(
             identity_cert, pki.CertPurpose.CLAIMS_SIGNING,
             claims_key.public_key, 0, CERT_VALIDITY)
-        directory.add_member(VaspCerts(identity_cert, tx_cert, claims_cert))
+        trust.add_member(pki.VaspCerts(identity_cert, tx_cert, claims_cert))
         sim.emit("sim", "pki.cert_issued",
                  detail=f"kind=identity serial={identity_cert.serial} "
                         f"vasp={n} org={vcfg.organization_name!r}")
@@ -206,15 +204,12 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         idp_directories[idp.domain.lower()] = directory_obj
         sim.register_actor(f"idp:{idp.domain.lower()}", ActorKind.IDENTITY_PROVIDER)
 
-    revocation_source = lambda: root.revocation_list  # noqa: E731
-
     vasps: dict[int, VaspNode] = {}
     for vcfg in config.vasps:
         n = vcfg.vasp_number
         identity, tx, claims_key = vasp_keys[n]
-        node = VaspNode(sim, n, directory.member(n), identity, tx, claims_key,
-                        ledger, directory, revocation_source, registry,
-                        approved_stacks)
+        node = VaspNode(sim, n, identity, tx, claims_key, ledger, trust,
+                        registry, approved_stacks)
         sim.register_actor(node.name, ActorKind.VASP, node.handle)
         vasps[n] = node
         for ccfg in vcfg.customers:
@@ -243,7 +238,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         provider = claims_mod.ClaimsProvider(
             name, crypto.derive_seed(master, f"provider:{name}"))
         providers[name] = provider
-        directory.provider_keys[name] = provider.public_key
+        trust.provider_keys[name] = provider.public_key
         sim.register_actor(f"cp:{name}", ActorKind.CLAIMS_PROVIDER)
 
     service_number = 1000
@@ -266,20 +261,20 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             store_cert = root.issue_identity_cert(
                 _service_subject(f"store:{owner}", service_number, config.consortium),
                 store_identity.public_key, 0, CERT_VALIDITY)
-            directory.add_service_identity(store_cert)
+            trust.add_service_identity(store_cert)
             service_number += 1
             srv_identity = crypto.generate_keypair(
                 crypto.derive_seed(master, f"authsrv-id:{owner}"))
             srv_cert = root.issue_identity_cert(
                 _service_subject(f"authsrv:{owner}", service_number, config.consortium),
                 srv_identity.public_key, 0, CERT_VALIDITY)
-            directory.add_service_identity(srv_cert)
+            trust.add_service_identity(srv_cert)
             service_number += 1
 
             store_node = ClaimsStoreNode(sim, owner, store_cert, store_identity,
-                                         store, directory)
+                                         store, trust)
             server_node = AuthServerNode(sim, owner, srv_cert, srv_identity,
-                                         server, directory, revocation_source)
+                                         server, trust)
             sim.register_actor(store_node.name, ActorKind.CLAIMS_STORE,
                                store_node.handle)
             sim.register_actor(server_node.name, ActorKind.AUTHORIZATION_SERVER,
@@ -304,15 +299,15 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             _service_subject(f"insurer:{config.insurer}", service_number,
                              config.consortium),
             insurer_key.public_key, 0, CERT_VALIDITY)
-        directory.add_service_identity(insurer_cert)
+        trust.add_service_identity(insurer_cert)
         service_number += 1
         insurer = InsurerNode(sim, config.insurer, insurer_cert, insurer_key,
-                              directory, approved_stacks)
+                              trust, approved_stacks)
         sim.register_actor(insurer.name, ActorKind.INSURER, insurer.handle)
 
     world = World(
         config=config, sim=sim, root=root, ledger=ledger, registry=registry,
-        directory=directory, vasps=vasps, idp_directories=idp_directories,
+        trust=trust, vasps=vasps, idp_directories=idp_directories,
         providers=providers, stores=stores, auth_servers=auth_servers,
         insurer=insurer, devices=devices, approved_stacks=approved_stacks,
         customer_keys=customer_keys)

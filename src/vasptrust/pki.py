@@ -14,6 +14,7 @@ the signature covers the canonical struct of every field before it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -49,6 +50,10 @@ class LinkTargetExpired(PkiError):
 
 class UnknownSerial(PkiError):
     pass
+
+
+class InvalidCert(PkiError):
+    """A certificate a protocol step relies on does not validate."""
 
 
 class BusinessActivity(Enum):
@@ -242,6 +247,68 @@ def validate_chain(cert: Certificate,
         linkage_ok=linkage_ok,
         checked_at=now,
     )
+
+
+@dataclass
+class VaspCerts:
+    identity: EvIdentityCertificate
+    transaction: SigningCertificate
+    claims: SigningCertificate
+
+
+class TrustContext:
+    """What a node trusts: the root key, the revocation list, the clock,
+    member and service certificates, provider and device attestation keys.
+
+    Every protocol check of a certificate or of a member's signature goes
+    through ``validate`` or ``verify_member_signature``. Certificates are
+    distributed by consortium operations; their authenticity rests on the
+    root signature inside each.
+    """
+
+    def __init__(self, root_public_key: bytes,
+                 revocations: Callable[[], RevocationList],
+                 clock: Callable[[], int]):
+        self.root_public_key = root_public_key
+        self._revocations = revocations
+        self._clock = clock
+        self.certs: dict[int, Certificate] = {}
+        self.members: dict[int, VaspCerts] = {}  # entity number -> certs
+        self.provider_keys: dict[str, bytes] = {}
+        self.device_attestation_keys: dict[str, bytes] = {}
+
+    @property
+    def revocation_list(self) -> RevocationList:
+        return self._revocations()
+
+    def add_member(self, certs: VaspCerts) -> None:
+        self.members[certs.identity.subject.vasp_number] = certs
+        for cert in (certs.identity, certs.transaction, certs.claims):
+            self.certs[cert.serial] = cert
+
+    def add_service_identity(self, cert: EvIdentityCertificate) -> None:
+        self.certs[cert.serial] = cert
+
+    def validate(self, cert: Certificate,
+                 identity_cert: EvIdentityCertificate | None = None
+                 ) -> ValidationReport:
+        return validate_chain(cert, self.root_public_key, self._revocations(),
+                              self._clock(), identity_cert)
+
+    def verify_member_signature(self, msg: bytes, sig: bytes, serial: int,
+                                purpose: CertPurpose,
+                                expected_entity: int) -> bool:
+        """True iff ``sig`` over ``msg`` verifies under the valid ``purpose``
+        certificate ``serial``, linked to the unrevoked identity of member
+        ``expected_entity`` (RFC 5280 §6, narrowed to one level)."""
+        cert = self.certs.get(serial)
+        member = self.members.get(expected_entity)
+        if (member is None or not isinstance(cert, SigningCertificate)
+                or cert.purpose is not purpose
+                or self._revocations().covers(member.identity.serial)
+                or not self.validate(cert, member.identity).valid):
+            return False
+        return crypto.verify(cert.subject_public_key, msg, sig)
 
 
 class RootAuthority:

@@ -178,15 +178,12 @@ class ResolverService:
 
     def lookup(self, identifier: CustomerIdentifier,
                caller_cert: pki.Certificate,
-               root_public_key: bytes,
-               revocation_list: pki.RevocationList,
-               now: int) -> list[int]:
+               trust: pki.TrustContext) -> list[int]:
         """Sorted VASP numbers known to serve the identifier.
 
         The response carries numbers only: never customer key material.
         """
-        report = pki.validate_chain(caller_cert, root_public_key,
-                                    revocation_list, now)
+        report = trust.validate(caller_cert)
         if not report.valid:
             raise Unauthorized(f"caller certificate is {report.verdict.value}")
         rendered = identifier.render()
@@ -212,11 +209,7 @@ class ResolverService:
         return replace(unsigned, signature=sig)
 
     def merge_advertisement(self, adv: IdentifierAdvertisement,
-                            origin_claims_cert: pki.SigningCertificate,
-                            origin_identity_cert: pki.EvIdentityCertificate,
-                            root_public_key: bytes,
-                            revocation_list: pki.RevocationList,
-                            now: int) -> MergeOutcome:
+                            trust: pki.TrustContext) -> MergeOutcome:
         """Apply an advertisement if authentic and newer than what we hold.
 
         Newest advertisement per origin is authoritative: the identifier
@@ -224,22 +217,16 @@ class ResolverService:
         stop resolving to that origin. Staleness is checked first, so a
         duplicate or replay costs no certificate or signature work; a
         resolver is authoritative for its own origin and never takes an
-        advertisement for it from the federation.
+        advertisement for it from the federation. The signer must be the
+        origin member's claims-signing certificate.
         """
         held = self._remote.get(adv.vasp_number)
         if adv.vasp_number == self.vasp_number or (
                 held is not None and adv.sequence <= held.sequence):
             return MergeOutcome.STALE
-        if origin_claims_cert.serial != adv.signer_cert_serial:
-            return MergeOutcome.REJECTED
-        if not pki.validate_chain(origin_claims_cert, root_public_key,
-                                  revocation_list, now,
-                                  identity_cert=origin_identity_cert).valid:
-            return MergeOutcome.REJECTED
-        if origin_identity_cert.subject.vasp_number != adv.vasp_number:
-            return MergeOutcome.REJECTED
-        if not crypto.verify(origin_claims_cert.subject_public_key,
-                             adv.signing_input(), adv.signature):
+        if not trust.verify_member_signature(
+                adv.signing_input(), adv.signature, adv.signer_cert_serial,
+                pki.CertPurpose.CLAIMS_SIGNING, adv.vasp_number):
             return MergeOutcome.REJECTED
         if len({i.render() for i in adv.identifiers}) != len(adv.identifiers):
             return MergeOutcome.REJECTED

@@ -19,7 +19,8 @@ from enum import Enum
 
 from . import codec, crypto, pki
 from .ledger import Ledger, LedgerTx
-from .resolver import CustomerIdentifier
+from .pki import InvalidCert
+from .resolver import CustomerIdentifier, UnknownCustomer
 
 
 class TravelRuleError(Exception):
@@ -30,15 +31,7 @@ class IncompleteOriginatorData(TravelRuleError):
     """Originator record lacks every accepted identifying detail."""
 
 
-class UnknownCustomer(TravelRuleError):
-    pass
-
-
 class WrongCertPurpose(TravelRuleError):
-    pass
-
-
-class InvalidCert(TravelRuleError):
     pass
 
 
@@ -224,14 +217,12 @@ class SignedPayload:
 def sign_payload(claims_private_key: bytes,
                  claims_cert: pki.SigningCertificate,
                  payload: TravelRulePayload,
-                 root_public_key: bytes,
-                 revocation_list: pki.RevocationList,
-                 now: int) -> SignedPayload:
+                 trust: pki.TrustContext) -> SignedPayload:
     if claims_cert.purpose is not pki.CertPurpose.CLAIMS_SIGNING:
         raise WrongCertPurpose(
             f"payloads must be signed with a claims-signing key, "
             f"not {claims_cert.purpose.value}")
-    report = pki.validate_chain(claims_cert, root_public_key, revocation_list, now)
+    report = trust.validate(claims_cert)
     if not report.valid:
         raise InvalidCert(f"claims certificate is {report.verdict.value}")
     signature = crypto.sign(claims_private_key, codec.canonical_encode(payload))
@@ -241,24 +232,16 @@ def sign_payload(claims_private_key: bytes,
     return SignedPayload(payload, claims_cert.serial, signature)
 
 
-def verify_signed_payload(signed: SignedPayload,
-                          claims_cert: pki.SigningCertificate,
-                          root_public_key: bytes,
-                          revocation_list: pki.RevocationList,
-                          now: int) -> bool:
-    """Bind the payload bytes to exactly one claims-signing certificate."""
-    if claims_cert.serial != signed.signer_cert_serial:
-        return False
-    if claims_cert.purpose is not pki.CertPurpose.CLAIMS_SIGNING:
-        return False
-    if not pki.validate_chain(claims_cert, root_public_key,
-                              revocation_list, now).valid:
-        return False
+def verify_signed_payload(signed: SignedPayload, trust: pki.TrustContext,
+                          signer_vasp_number: int) -> bool:
+    """Bind the payload bytes to a claims-signing certificate of member
+    ``signer_vasp_number``."""
     if signed.payload.payload_id != compute_payload_id(signed.payload):
         return False
-    return crypto.verify(claims_cert.subject_public_key,
-                         codec.canonical_encode(signed.payload),
-                         signed.signature)
+    return trust.verify_member_signature(
+        codec.canonical_encode(signed.payload), signed.signature,
+        signed.signer_cert_serial, pki.CertPurpose.CLAIMS_SIGNING,
+        signer_vasp_number)
 
 
 class ConsentDirection(Enum):

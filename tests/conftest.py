@@ -34,19 +34,31 @@ def make_subject(vasp_number: int, org: str | None = None) -> pki.EvSubjectInfo:
     )
 
 
+def trust_context(root: pki.RootAuthority, *members: dict,
+                  now: int = 1) -> pki.TrustContext:
+    """A node's trust context on ``root``'s consortium, with the clock
+    stopped at ``now``, holding the given members' certificates."""
+    trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
+                             lambda: now)
+    for m in members:
+        trust.add_member(pki.VaspCerts(m["identity_cert"], m["tx_cert"],
+                                       m["claims_cert"]))
+    return trust
+
+
 @pytest.fixture
 def root() -> pki.RootAuthority:
     return pki.create_consortium_root("TestNet", seed("root"))
 
 
-@pytest.fixture
-def member(root):
-    """One fully equipped member: identity + transaction + claims certs."""
-    identity = crypto.generate_keypair(seed("member:id"))
-    tx = crypto.generate_keypair(seed("member:tx"))
-    claims = crypto.generate_keypair(seed("member:claims"))
-    identity_cert = root.issue_identity_cert(make_subject(7), identity.public_key,
-                                             0, 10_000)
+def issue_member(root: pki.RootAuthority, number: int, label: str) -> dict:
+    """Keys and identity, transaction and claims certificates of member
+    ``number``, from the seeds ``label:id``, ``label:tx``, ``label:claims``."""
+    identity = crypto.generate_keypair(seed(f"{label}:id"))
+    tx = crypto.generate_keypair(seed(f"{label}:tx"))
+    claims = crypto.generate_keypair(seed(f"{label}:claims"))
+    identity_cert = root.issue_identity_cert(make_subject(number),
+                                             identity.public_key, 0, 10_000)
     tx_cert = root.issue_signing_cert(identity_cert,
                                       pki.CertPurpose.TRANSACTION_SIGNING,
                                       tx.public_key, 0, 10_000)
@@ -58,6 +70,12 @@ def member(root):
         "identity_cert": identity_cert, "tx_cert": tx_cert,
         "claims_cert": claims_cert,
     }
+
+
+@pytest.fixture
+def member(root):
+    """One fully equipped member, VASP 7."""
+    return issue_member(root, 7, "member")
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from dataclasses import replace
 import networkx as nx
 import pytest
 
-from conftest import make_subject, seed
+from conftest import issue_member, make_subject, seed, trust_context
 from vasptrust import claims, codec, crypto, pki, travel_rule as tr, wallet
 from vasptrust.config import parse_config
 from vasptrust.ledger import (BadSignature, InsufficientFunds, Ledger,
@@ -104,6 +104,12 @@ def _tamper_fixture():
     claims_cert = root.issue_signing_cert(member_cert,
                                           pki.CertPurpose.CLAIMS_SIGNING,
                                           claims_key.public_key, 0, 10_000)
+    tx_key = crypto.generate_keypair(seed("accept-tamper-tx"))
+    tx_cert = root.issue_signing_cert(member_cert,
+                                      pki.CertPurpose.TRANSACTION_SIGNING,
+                                      tx_key.public_key, 0, 10_000)
+    trust = trust_context(root, {"identity_cert": member_cert,
+                                 "tx_cert": tx_cert, "claims_cert": claims_cert})
     device = wallet.WalletDevice("wdev:tamper", seed("accept-tamper-dev"),
                                  [("fw", crypto.digest(b"fw"))])
 
@@ -125,14 +131,12 @@ def _tamper_fixture():
         payload = tr.build_payload(originator, "Bob Jones", "B-900", 9,
                                    rng.randint(1, 10**9), 7)
         signed = tr.sign_payload(claims_key.private_key, claims_cert, payload,
-                                 root.public_key, root.revocation_list, 1)
+                                 trust)
         blob = codec.canonical_encode(signed)
 
         def check(data: bytes) -> bool:
             decoded = codec.canonical_decode(data, tr.SignedPayload)
-            return tr.verify_signed_payload(decoded, claims_cert,
-                                            root.public_key,
-                                            root.revocation_list, 2)
+            return tr.verify_signed_payload(decoded, trust, 900)
         return blob, check
 
     def make_evidence(i):
@@ -306,28 +310,25 @@ def test_incremental_merge_equals_from_scratch_random_interleavings():
     rng = random.Random(RNG_SEED + 3)
     root = pki.create_consortium_root("Accept", seed("accept-lsa"))
     origins = {}
-    for idx, number in enumerate((3, 9, 12)):
-        identity = crypto.generate_keypair(seed(f"lsa:{number}:id"))
-        claims_key = crypto.generate_keypair(seed(f"lsa:{number}:claims"))
-        identity_cert = root.issue_identity_cert(make_subject(number),
-                                                 identity.public_key, 0, 10_000)
-        claims_cert = root.issue_signing_cert(identity_cert,
-                                              pki.CertPurpose.CLAIMS_SIGNING,
-                                              claims_key.public_key, 0, 10_000)
+    members = []
+    for number in (3, 9, 12):
+        member = issue_member(root, number, f"lsa:{number}")
+        members.append(member)
         service = ResolverServiceFactory(number)
         versions = []
         for k in range(6):
             service.register(f"u{k}$v{number}.example")
             versions.append(service.service.build_advertisement(
-                claims_key.private_key, claims_cert.serial))
-        origins[number] = (identity_cert, claims_cert, versions)
+                member["claims"].private_key, member["claims_cert"].serial))
+        origins[number] = versions
+    trust = trust_context(root, *members)
 
     for _ in range(60):
         from vasptrust.resolver import ResolverService
         receiver = ResolverService(99, set())
         delivered = []
         schedule = []
-        for number, (_, _, versions) in origins.items():
+        for number, versions in origins.items():
             schedule.extend((number, v) for v in range(len(versions)))
         rng.shuffle(schedule)
         schedule = schedule[:rng.randint(1, len(schedule))]
@@ -335,11 +336,8 @@ def test_incremental_merge_equals_from_scratch_random_interleavings():
         schedule += [rng.choice(schedule) for _ in range(rng.randint(0, 5))]
         rng.shuffle(schedule)
         for number, version in schedule:
-            identity_cert, claims_cert, versions = origins[number]
-            adv = versions[version]
-            receiver.merge_advertisement(adv, claims_cert, identity_cert,
-                                         root.public_key,
-                                         root.revocation_list, 1)
+            adv = origins[number][version]
+            receiver.merge_advertisement(adv, trust)
             delivered.append(adv)
 
         newest = {}
@@ -512,9 +510,7 @@ def test_claims_flow_receipts_and_scoping(demo_config):
     for i in range(10):
         result = server.request_authorization(
             world.vasps[7].certs.identity, {"driving_license_number"},
-            policy.usage_purpose, now=world.sim.now + i,
-            root_public_key=world.root.public_key,
-            revocation_list=world.root.revocation_list)
+            policy.usage_purpose, trust_context(world.root, now=world.sim.now + i))
         store.fetch_claims(result, now=world.sim.now + i + 1)
         successes += 1
     assert len(store.receipts) == successes

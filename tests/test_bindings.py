@@ -1,0 +1,207 @@
+"""Hostile members against the trust bindings, on the demo world.
+
+Each test plays one consortium member (or relays one member's message)
+breaking one binding the trust model relies on: a signed payload comes
+from the VASP it names, is addressed to the VASP that receives it, a claims
+token is usable only by its audience, and a revoked member neither resolves
+nor gets served.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from vasptrust import codec, crypto, pki
+from vasptrust import travel_rule as tr
+from vasptrust.netsim import build_world, run_scenario_with_world
+from vasptrust.netsim.messages import (ClaimsAuthRequest, ClaimsFetchRequest,
+                                       TravelRuleRequest, TravelRuleResponse)
+from vasptrust.netsim.scenarios import converge_federation, flood_round
+from vasptrust.resolver import parse_identifier
+from vasptrust.travel_rule import ConsentDirection
+
+
+@pytest.fixture
+def world(demo_config):
+    world = build_world(demo_config)
+    # Bob at VASP 9 accepts assets from anyone, and Alice at VASP 7 lets
+    # her data go anywhere: only the binding under test can refuse.
+    world.vasps[9].grant_consent("bob", ConsentDirection.RECEIVE_ASSETS, None)
+    world.vasps[7].grant_consent(
+        "alice", ConsentDirection.SEND_INFO_TO_COUNTERPARTY, None)
+    return world
+
+
+def signed_by(world, signer: int, originator: int, beneficiary: int,
+              amount: int = 10) -> tr.SignedPayload:
+    """A payload from Alice to Bob naming the given VASPs, signed with
+    VASP ``signer``'s own valid claims key."""
+    node = world.vasps[signer]
+    payload = tr.build_payload(world.vasps[7].customers["alice"], "Bob Jones",
+                               "bob@idp2.com", beneficiary, amount, originator)
+    return tr.sign_payload(node.claims_key.private_key, node.certs.claims,
+                           payload, world.trust)
+
+
+def send(world, sender: int, receiver: int, body) -> None:
+    a, b = world.vasps[sender], world.vasps[receiver]
+    world.sim.send(world.channel_between(a, b), a.name, body)
+
+
+def refusals(world, vasp: int) -> list[str]:
+    return [e.detail.split("reason=")[1]
+            for e in world.sim.trace.find("travel_rule.transfer_refused")
+            if e.actor == world.vasps[vasp].name]
+
+
+def accepted_responses(world, sender: int) -> list:
+    return [env.body for ch in world.sim.channels for env in ch.transcript
+            if env.sender == world.vasps[sender].name
+            and isinstance(env.body, TravelRuleResponse) and env.body.accepted]
+
+
+# -- a signed payload comes from the VASP it names ----------------------------
+
+def test_honest_request_passes_the_bindings(world):
+    # Control for the tests below: the same set-up, honestly signed and
+    # addressed, is accepted.
+    send(world, 7, 9, TravelRuleRequest(signed_by(world, 7, 7, 9)))
+    world.sim.run_until_quiet()
+    assert refusals(world, 9) == []
+    assert len(accepted_responses(world, 9)) == 1
+
+
+def test_payload_signed_by_another_vasp_than_its_originator_refused(world):
+    # VASP 3 signs, with its own valid claims key, a payload that names
+    # VASP 7 as its originator.
+    send(world, 3, 9, TravelRuleRequest(signed_by(world, 3, 7, 9)))
+    world.sim.run_until_quiet()
+    assert refusals(world, 9) == ["invalid_payload"]
+    assert accepted_responses(world, 9) == []
+
+
+# -- a payload is addressed to the VASP that receives it ----------------------
+
+def test_payload_for_another_beneficiary_vasp_refused(world):
+    send(world, 7, 9, TravelRuleRequest(signed_by(world, 7, 7, 3)))
+    world.sim.run_until_quiet()
+    assert refusals(world, 9) == ["misaddressed_payload"]
+    assert accepted_responses(world, 9) == []
+
+
+def test_payload_relayed_by_another_vasp_refused(world):
+    # VASP 3's genuine payload to VASP 9, sent by VASP 7.
+    send(world, 7, 9, TravelRuleRequest(signed_by(world, 3, 3, 9)))
+    world.sim.run_until_quiet()
+    assert refusals(world, 9) == ["misaddressed_payload"]
+    assert accepted_responses(world, 9) == []
+
+
+def _start_transfer(world) -> tr.TravelRulePayload:
+    channel = world.channel_between(world.vasps[7], world.vasps[9])
+    return world.vasps[7].initiate_transfer(channel, "alice", "Bob Jones",
+                                            "bob@idp2.com", 9, 125)
+
+
+def test_response_from_a_vasp_not_asked_is_ignored(world):
+    payload = _start_transfer(world)
+    # VASP 3 answers VASP 7's request to VASP 9 before VASP 9 does.
+    forged = signed_by(world, 3, 7, 3, amount=125)
+    send(world, 3, 7, TravelRuleResponse(payload.payload_id, True, "", forged))
+    world.sim.step()
+    pending = world.vasps[7].pending[payload.payload_id]
+    assert refusals(world, 7) == ["misaddressed_payload"]
+    assert pending.state == "requested"
+    assert not world.sim.trace.find("ledger.tx_submitted")
+    # The answer of the VASP asked still completes the transfer.
+    world.sim.run_until_quiet()
+    assert pending.state == "submitted"
+
+
+def test_response_naming_another_beneficiary_vasp_refused(world):
+    payload = _start_transfer(world)
+    # VASP 9 itself answers, but its signed answer names VASP 3.
+    answer = signed_by(world, 9, 7, 3, amount=125)
+    send(world, 9, 7, TravelRuleResponse(payload.payload_id, True, "", answer))
+    world.sim.run_until_quiet()
+    assert refusals(world, 7) == ["misaddressed_payload"]
+    assert world.vasps[7].pending[payload.payload_id].state == "refused"
+    assert not world.sim.trace.find("ledger.tx_submitted")
+
+
+# -- only its audience can use a claims token ---------------------------------
+
+def _terms(token) -> bytes:
+    return codec.canonical_encode(("claims-terms", token.token_id, token.purpose))
+
+
+def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
+    trace, world = run_scenario_with_world("S2", demo_config)
+    store = world.stores["alice"]
+    token = world.vasps[7].claims_token
+    thief = world.vasps[9]
+    receipts_before = len(store.store.receipts)
+    world.sim.send(world.channel_between(thief, store), thief.name,
+                   ClaimsFetchRequest(token, crypto.sign(
+                       thief.claims_key.private_key, _terms(token)),
+                       thief.certs.claims.serial))
+    world.sim.run_until_quiet()
+    assert thief.fetched_claims == [] and thief.consent_receipts == []
+    assert len(store.store.receipts) == receipts_before
+    assert trace.find("claims.fetch_refused")[-1].detail == \
+        "reason=token_audience_mismatch"
+
+
+def test_terms_signed_by_another_vasp_release_nothing(demo_config):
+    # VASP 7 presents its own token over its own channel, but the terms
+    # carry VASP 9's valid claims signature.
+    trace, world = run_scenario_with_world("S2", demo_config)
+    store, vasp, other = world.stores["alice"], world.vasps[7], world.vasps[9]
+    token = vasp.claims_token
+    fetched_before = len(vasp.fetched_claims)
+    world.sim.send(world.channel_between(vasp, store), vasp.name,
+                   ClaimsFetchRequest(token, crypto.sign(
+                       other.claims_key.private_key, _terms(token)),
+                       other.certs.claims.serial))
+    world.sim.run_until_quiet()
+    assert len(vasp.fetched_claims) == fetched_before
+    assert len(store.store.receipts) == 1
+    assert trace.find("claims.fetch_refused")[-1].detail == \
+        "reason=terms_not_countersigned"
+
+
+def test_revoked_caller_refused_not_raised(world):
+    vasp, server = world.vasps[7], world.auth_servers["alice"]
+    channel = world.channel_between(vasp, server)
+    world.root.revoke(vasp.certs.identity.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    world.sim.send(channel, vasp.name,
+                   ClaimsAuthRequest(("driving_license_number",), "kyc"))
+    world.sim.run_until_quiet()
+    assert vasp.claims_token is None
+    assert vasp.claims_denial == "invalid_caller"
+    denied = world.sim.trace.find("claims.token_denied")
+    assert [(e.actor, e.detail) for e in denied if e.actor == server.name] == \
+        [(server.name, f"caller={vasp.name} reason=invalid_caller")]
+
+
+# -- revocation removes a member from resolution ------------------------------
+
+def test_identity_revoked_member_cannot_readvertise(demo_config):
+    # Only VASP 3's identity certificate is revoked; its claims-signing
+    # certificate is not, and VASP 3 keeps flooding over its open channel.
+    world = build_world(demo_config)
+    converge_federation(world)
+    dave = parse_identifier("dave@idp2.com")
+    world.root.revoke(world.vasps[3].certs.identity.serial,
+                      pki.RevocationReason.CESSATION_OF_BUSINESS, world.sim.now)
+    world.vasps[3].resolver.register_identifier(
+        "dave", parse_identifier("dave$gammax.fi"))
+    events_before = len(world.sim.trace.events)
+    flood_round(world)
+    flood_round(world)
+    merged = [e.detail for e in world.sim.trace.events[events_before:]
+              if e.event == "resolver.adv_merged"]
+    assert merged == ["origin=vasp:3 seq=2 outcome=Rejected"]
+    assert world.vasps[7].local_lookup(dave) == [9]
+    assert world.vasps[9].local_lookup(dave) == [9]

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import seed
+from conftest import seed, trust_context
 from vasptrust import claims, codec, crypto, pki
 
 
@@ -88,8 +88,8 @@ class TestPolicy:
 
 
 def request(server, cert, root, attributes, purpose="kyc", now=1):
-    return server.request_authorization(cert, set(attributes), purpose, now,
-                                        root.public_key, root.revocation_list)
+    return server.request_authorization(cert, set(attributes), purpose,
+                                        trust_context(root, now=now))
 
 
 class TestAuthorization:
@@ -125,12 +125,12 @@ class TestAuthorization:
 
     def test_invalid_cert_raises(self, setup, member, root):
         _, server, _ = setup
-        revocation_list = root.revoke(member["identity_cert"].serial,
-                                      pki.RevocationReason.KEY_COMPROMISE, 1)
+        root.revoke(member["identity_cert"].serial,
+                    pki.RevocationReason.KEY_COMPROMISE, 1)
         with pytest.raises(claims.InvalidCert):
             server.request_authorization(member["identity_cert"],
-                                         {"driving_license_number"}, "kyc", 2,
-                                         root.public_key, revocation_list)
+                                         {"driving_license_number"}, "kyc",
+                                         trust_context(root, now=2))
 
 
 class TestFetch:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_subject, seed
+from conftest import make_subject, seed, trust_context
 from vasptrust import codec, crypto, pki
 from vasptrust.netsim import (ActorKind, ChannelClosed, FaultConfig,
                               PeerCertInvalid, Simulation)
@@ -53,7 +53,7 @@ def make_pair(sim, root, node_cls_b=Recorder):
 def test_channel_between_valid_members(root):
     sim = Simulation(seed=1)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, root.public_key, root.revocation_list)
+    channel = sim.establish_channel(a, b, trust_context(root))
     assert channel.endpoints() == (a.name, b.name)
     assert channel.peer_cert_serials == (a.identity_cert.serial,
                                          b.identity_cert.serial)
@@ -62,10 +62,9 @@ def test_channel_between_valid_members(root):
 def test_revoked_peer_refused(root):
     sim = Simulation(seed=2)
     a, b = make_pair(sim, root)
-    revocation_list = root.revoke(b.identity_cert.serial,
-                                  pki.RevocationReason.KEY_COMPROMISE, 1)
+    root.revoke(b.identity_cert.serial, pki.RevocationReason.KEY_COMPROMISE, 1)
     with pytest.raises(PeerCertInvalid) as err:
-        sim.establish_channel(a, b, root.public_key, revocation_list)
+        sim.establish_channel(a, b, trust_context(root))
     assert err.value.report.verdict is pki.Verdict.REVOKED
 
 
@@ -73,7 +72,7 @@ def test_possession_proof_failure_refused(root):
     sim = Simulation(seed=3)
     a, b = make_pair(sim, root, node_cls_b=DishonestNode)
     with pytest.raises(PeerCertInvalid):
-        sim.establish_channel(a, b, root.public_key, root.revocation_list)
+        sim.establish_channel(a, b, trust_context(root))
     refusals = sim.trace.find("netsim.channel_refused")
     assert refusals and "PossessionProofFailed" in refusals[-1].detail
 
@@ -82,13 +81,13 @@ def test_partition_fails_establishment(root):
     sim = Simulation(seed=4, faults=FaultConfig(partitioned=True))
     a, b = make_pair(sim, root)
     with pytest.raises(PeerCertInvalid):
-        sim.establish_channel(a, b, root.public_key, root.revocation_list)
+        sim.establish_channel(a, b, trust_context(root))
 
 
 def test_send_then_step_delivers_once(root):
     sim = Simulation(seed=5)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, root.public_key, root.revocation_list)
+    channel = sim.establish_channel(a, b, trust_context(root))
     sim.send(channel, a.name, LookupRequest(1, "x@y.com"))
     sim.run_until_quiet()
     assert b.received == [LookupRequest(1, "x@y.com")]
@@ -97,7 +96,7 @@ def test_send_then_step_delivers_once(root):
 def test_closed_channel_refuses_sends(root):
     sim = Simulation(seed=6)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, root.public_key, root.revocation_list)
+    channel = sim.establish_channel(a, b, trust_context(root))
     channel.close()
     with pytest.raises(ChannelClosed):
         sim.send(channel, a.name, LookupRequest(1, "x@y.com"))
@@ -113,7 +112,7 @@ def test_closed_channel_refuses_sends(root):
 def test_exactly_once_in_order_delivery(root, faults):
     sim = Simulation(seed=7, faults=faults)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, root.public_key, root.revocation_list)
+    channel = sim.establish_channel(a, b, trust_context(root))
     count = 1000
     for i in range(count):
         sim.send(channel, a.name, LookupRequest(i, "perm@check.com"))
@@ -124,7 +123,7 @@ def test_exactly_once_in_order_delivery(root, faults):
 def test_bidirectional_sequences_independent(root):
     sim = Simulation(seed=8)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, root.public_key, root.revocation_list)
+    channel = sim.establish_channel(a, b, trust_context(root))
     sim.send(channel, a.name, LookupRequest(10, "a@b.c"))
     sim.send(channel, b.name, LookupRequest(20, "d@e.f"))
     sim.run_until_quiet()
@@ -135,7 +134,7 @@ def test_bidirectional_sequences_independent(root):
 def test_every_wire_message_bound_to_channel(root):
     sim = Simulation(seed=9)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, root.public_key, root.revocation_list)
+    channel = sim.establish_channel(a, b, trust_context(root))
     for i in range(5):
         sim.send(channel, a.name, LookupRequest(i, "x@y.z"))
     sim.run_until_quiet()
@@ -149,8 +148,7 @@ def test_trace_is_deterministic():
         root = pki.create_consortium_root("TestNet", seed("det-root"))
         sim = Simulation(seed=11, faults=FaultConfig(drop_rate=0.2))
         a, b = make_pair(sim, root)
-        channel = sim.establish_channel(a, b, root.public_key,
-                                        root.revocation_list)
+        channel = sim.establish_channel(a, b, trust_context(root))
         for i in range(30):
             sim.send(channel, a.name, LookupRequest(i, "t@u.v"))
         sim.run_until_quiet()

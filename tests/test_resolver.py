@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_subject, seed
+from conftest import issue_member, seed, trust_context
 from vasptrust import crypto, pki
 from vasptrust.resolver import (CustomerIdentifier, IdentifierKind,
                                 IdpDirectory, IdpValidationFailed,
@@ -85,33 +85,31 @@ class TestRegistration:
 
 
 class FederationWorld:
-    """Three resolver services with certified claims keys."""
+    """Three resolver services with certified claims keys, and the trust
+    context they share at time 1."""
 
     def __init__(self, root):
         self.root = root
         self.services = {}
         self.creds = {}
+        self.tx_keys = {}
+        members = []
         for number in (3, 7, 9):
-            identity = crypto.generate_keypair(seed(f"fed:{number}:id"))
-            claims = crypto.generate_keypair(seed(f"fed:{number}:claims"))
-            identity_cert = root.issue_identity_cert(
-                make_subject(number), identity.public_key, 0, 10_000)
-            claims_cert = root.issue_signing_cert(
-                identity_cert, pki.CertPurpose.CLAIMS_SIGNING,
-                claims.public_key, 0, 10_000)
+            m = issue_member(root, number, f"fed:{number}")
             self.services[number] = ResolverService(number, {f"user{number}"})
-            self.creds[number] = (identity_cert, claims_cert, claims)
+            self.creds[number] = (m["identity_cert"], m["claims_cert"],
+                                  m["claims"])
+            self.tx_keys[number] = m["tx"]
+            members.append(m)
+        self.trust = trust_context(root, *members)
 
     def advertise(self, number):
         _, claims_cert, claims = self.creds[number]
         return self.services[number].build_advertisement(
             claims.private_key, claims_cert.serial)
 
-    def merge(self, into, adv, origin):
-        identity_cert, claims_cert, _ = self.creds[origin]
-        return self.services[into].merge_advertisement(
-            adv, claims_cert, identity_cert, self.root.public_key,
-            self.root.revocation_list, now=1)
+    def merge(self, into, adv):
+        return self.services[into].merge_advertisement(adv, self.trust)
 
 
 @pytest.fixture
@@ -122,8 +120,7 @@ def federation(root):
 class TestLookup:
     def test_single_hit(self, service, member, root):
         hits = service.lookup(parse_identifier("bob@idp2.com"),
-                              member["identity_cert"], root.public_key,
-                              root.revocation_list, now=1)
+                              member["identity_cert"], trust_context(root))
         assert hits == [9]
 
     def test_multi_vasp_hit(self, federation):
@@ -132,31 +129,28 @@ class TestLookup:
                                             parse_identifier("dave@idp2.com"))
         fed.services[9].register_identifier("user9",
                                             parse_identifier("dave@idp2.com"))
-        fed.merge(7, fed.advertise(3), 3)
-        fed.merge(7, fed.advertise(9), 9)
+        fed.merge(7, fed.advertise(3))
+        fed.merge(7, fed.advertise(9))
         identity_cert, _, _ = fed.creds[7]
         hits = fed.services[7].lookup(parse_identifier("dave@idp2.com"),
-                                      identity_cert, fed.root.public_key,
-                                      fed.root.revocation_list, 1)
+                                      identity_cert, fed.trust)
         assert hits == [3, 9]
 
     def test_unknown_identifier(self, service, member, root):
         assert service.lookup(parse_identifier("nobody@idp2.com"),
-                              member["identity_cert"], root.public_key,
-                              root.revocation_list, 1) == []
+                              member["identity_cert"],
+                              trust_context(root)) == []
 
     def test_revoked_caller_unauthorized(self, service, member, root):
-        revocation_list = root.revoke(member["identity_cert"].serial,
-                                      pki.RevocationReason.KEY_COMPROMISE, 2)
+        root.revoke(member["identity_cert"].serial,
+                    pki.RevocationReason.KEY_COMPROMISE, 2)
         with pytest.raises(Unauthorized):
             service.lookup(parse_identifier("bob@idp2.com"),
-                           member["identity_cert"], root.public_key,
-                           revocation_list, 3)
+                           member["identity_cert"], trust_context(root, now=3))
 
     def test_lookup_result_carries_numbers_only(self, service, member, root):
         hits = service.lookup(parse_identifier("bob@idp2.com"),
-                              member["identity_cert"], root.public_key,
-                              root.revocation_list, 1)
+                              member["identity_cert"], trust_context(root))
         assert all(isinstance(h, int) for h in hits)
 
 
@@ -173,7 +167,7 @@ class TestAdvertisements:
     def test_empty_list_still_signed(self, federation):
         adv = federation.advertise(3)
         assert adv.identifiers == ()
-        assert federation.merge(7, adv, 3) is MergeOutcome.APPLIED
+        assert federation.merge(7, adv) is MergeOutcome.APPLIED
 
     def test_sequences_increment(self, federation):
         first = federation.advertise(3)
@@ -182,19 +176,19 @@ class TestAdvertisements:
 
     def test_first_merge_applied_replay_stale(self, federation):
         adv = federation.advertise(3)
-        assert federation.merge(7, adv, 3) is MergeOutcome.APPLIED
-        assert federation.merge(7, adv, 3) is MergeOutcome.STALE
+        assert federation.merge(7, adv) is MergeOutcome.APPLIED
+        assert federation.merge(7, adv) is MergeOutcome.STALE
 
     def test_bad_signature_rejected(self, federation):
         adv = federation.advertise(3)
         forged = dataclasses.replace(adv, sequence=adv.sequence + 1)
-        assert federation.merge(7, forged, 3) is MergeOutcome.REJECTED
+        assert federation.merge(7, forged) is MergeOutcome.REJECTED
 
     def test_stale_forgery_is_stale_before_any_crypto(self, federation,
                                                       monkeypatch):
         fed = federation
         adv = fed.advertise(3)
-        assert fed.merge(7, adv, 3) is MergeOutcome.APPLIED
+        assert fed.merge(7, adv) is MergeOutcome.APPLIED
         receiver = fed.services[7]
         view_before = receiver.resolve_map()
         verifies = []
@@ -204,13 +198,13 @@ class TestAdvertisements:
         forged = dataclasses.replace(
             adv, identifiers=(parse_identifier("mallory$x.com"),),
             signature=b"\x00" * 64)
-        assert fed.merge(7, forged, 3) is MergeOutcome.STALE
+        assert fed.merge(7, forged) is MergeOutcome.STALE
         assert verifies == []
         assert receiver._remote[3] is adv
         assert receiver.resolve_map() == view_before
         # The counter does count: a newer forgery is verified and refused.
         newer = dataclasses.replace(forged, sequence=adv.sequence + 1)
-        assert fed.merge(7, newer, 3) is MergeOutcome.REJECTED
+        assert fed.merge(7, newer) is MergeOutcome.REJECTED
         assert len(verifies) > 0
         assert receiver._remote[3] is adv
 
@@ -219,52 +213,67 @@ class TestAdvertisements:
         fed.services[7].register_identifier("user7",
                                             parse_identifier("me$x.com"))
         echo = fed.advertise(7)
-        assert fed.merge(7, echo, 7) is MergeOutcome.STALE
+        assert fed.merge(7, echo) is MergeOutcome.STALE
         assert 7 not in fed.services[7]._remote
 
     def test_drop_origin_unindexes(self, federation):
         fed = federation
         fed.services[3].register_identifier("user3",
                                             parse_identifier("gone$x.com"))
-        fed.merge(7, fed.advertise(3), 3)
+        fed.merge(7, fed.advertise(3))
         fed.services[7].drop_origin(3)
         assert fed.services[7].resolve_map() == {}
         assert fed.services[7].known_advertisements() == []
 
     def test_origin_number_must_match_cert(self, federation):
-        adv = federation.advertise(3)
-        # present VASP 9's certificates for VASP 3's advertisement
-        identity_cert, claims_cert, _ = federation.creds[9]
-        outcome = federation.services[7].merge_advertisement(
-            adv, claims_cert, identity_cert, federation.root.public_key,
-            federation.root.revocation_list, 1)
-        assert outcome is MergeOutcome.REJECTED
+        # VASP 9 signs, with its own valid claims key, an advertisement
+        # that names VASP 3 as its origin.
+        _, claims_cert, claims = federation.creds[9]
+        unsigned = dataclasses.replace(federation.advertise(9), vasp_number=3)
+        adv = dataclasses.replace(unsigned, signature=crypto.sign(
+            claims.private_key, unsigned.signing_input()))
+        assert adv.signer_cert_serial == claims_cert.serial
+        assert federation.merge(7, adv) is MergeOutcome.REJECTED
 
     def test_revoked_origin_rejected(self, federation):
         adv = federation.advertise(3)
-        identity_cert, claims_cert, _ = federation.creds[3]
-        revocation_list = federation.root.revoke(
-            claims_cert.serial, pki.RevocationReason.KEY_COMPROMISE, 2)
-        outcome = federation.services[7].merge_advertisement(
-            adv, claims_cert, identity_cert, federation.root.public_key,
-            revocation_list, 3)
-        assert outcome is MergeOutcome.REJECTED
+        _, claims_cert, _ = federation.creds[3]
+        federation.root.revoke(claims_cert.serial,
+                               pki.RevocationReason.KEY_COMPROMISE, 2)
+        assert federation.merge(7, adv) is MergeOutcome.REJECTED
+
+    def test_revoked_origin_identity_rejected(self, federation):
+        # Only the identity certificate is revoked; the claims certificate
+        # that signed the advertisement is not.
+        adv = federation.advertise(3)
+        identity_cert, _, _ = federation.creds[3]
+        federation.root.revoke(identity_cert.serial,
+                               pki.RevocationReason.CESSATION_OF_BUSINESS, 1)
+        assert federation.merge(7, adv) is MergeOutcome.REJECTED
+
+    def test_transaction_key_cannot_sign_advertisements(self, federation):
+        # Signed by VASP 3's transaction key under its transaction-signing
+        # certificate: authentic, but not a claims-signing certificate.
+        tx_cert = federation.trust.members[3].transaction
+        unsigned = dataclasses.replace(federation.advertise(3),
+                                       signer_cert_serial=tx_cert.serial)
+        adv = dataclasses.replace(unsigned, signature=crypto.sign(
+            federation.tx_keys[3].private_key, unsigned.signing_input()))
+        assert federation.merge(7, adv) is MergeOutcome.REJECTED
 
     def test_newer_advertisement_withdraws_identifier(self, federation):
         fed = federation
         svc = fed.services[3]
         svc.register_identifier("user3", parse_identifier("old$x.com"))
-        fed.merge(7, fed.advertise(3), 3)
+        fed.merge(7, fed.advertise(3))
         identity_cert, _, _ = fed.creds[7]
         assert fed.services[7].lookup(parse_identifier("old$x.com"),
-                                      identity_cert, fed.root.public_key,
-                                      fed.root.revocation_list, 1) == [3]
+                                      identity_cert, fed.trust) == [3]
         # Withdraw by advertising a fresh full state without the identifier.
         svc._local.pop("old$x.com")
-        fed.merge(7, fed.advertise(3), 3)
+        fed.merge(7, fed.advertise(3))
         assert fed.services[7].lookup(parse_identifier("old$x.com"),
-                                      identity_cert, fed.root.public_key,
-                                      fed.root.revocation_list, 1) == []
+                                      identity_cert, fed.trust) == []
 
 
 def from_scratch_table(advertisements):
@@ -303,10 +312,10 @@ def test_incremental_merge_equals_from_scratch(schedule, rng):
     for origin, version in schedule:
         adv = versions[origin][version]
         seen.append(adv)
-        outcome = fed.merge(7, adv, origin)
+        outcome = fed.merge(7, adv)
         assert outcome in (MergeOutcome.APPLIED, MergeOutcome.STALE)
         if rng.random() < 0.3:  # duplicate delivery
-            assert fed.merge(7, adv, origin) is MergeOutcome.STALE
+            assert fed.merge(7, adv) is MergeOutcome.STALE
 
     expected = from_scratch_table(seen)
     remote_view = {}

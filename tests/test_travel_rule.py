@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import seed
+from conftest import issue_member, seed, trust_context
 from vasptrust import crypto, pki, travel_rule as tr
 from vasptrust.ledger import Ledger, make_transfer
 
@@ -127,43 +127,57 @@ class TestConsent:
 
 
 class TestSignedPayload:
+    # The conftest member is VASP 7, the originator ``build`` names.
     def test_sign_and_verify(self, root, member):
+        trust = trust_context(root, member)
         signed = tr.sign_payload(member["claims"].private_key,
-                                 member["claims_cert"], build(),
-                                 root.public_key, root.revocation_list, now=1)
-        assert tr.verify_signed_payload(signed, member["claims_cert"],
-                                        root.public_key, root.revocation_list, 2)
+                                 member["claims_cert"], build(), trust)
+        assert tr.verify_signed_payload(signed, trust, 7)
 
     def test_transaction_cert_refused(self, root, member):
         with pytest.raises(tr.WrongCertPurpose):
             tr.sign_payload(member["tx"].private_key, member["tx_cert"],
-                            build(), root.public_key, root.revocation_list, 1)
+                            build(), trust_context(root, member))
 
     def test_revoked_cert_refused(self, root, member):
-        revocation_list = root.revoke(member["claims_cert"].serial,
-                                      pki.RevocationReason.KEY_COMPROMISE, 5)
+        root.revoke(member["claims_cert"].serial,
+                    pki.RevocationReason.KEY_COMPROMISE, 5)
         with pytest.raises(tr.InvalidCert):
             tr.sign_payload(member["claims"].private_key,
                             member["claims_cert"], build(),
-                            root.public_key, revocation_list, 6)
+                            trust_context(root, member, now=6))
 
     def test_tampered_payload_fails(self, root, member):
+        trust = trust_context(root, member)
         signed = tr.sign_payload(member["claims"].private_key,
-                                 member["claims_cert"], build(),
-                                 root.public_key, root.revocation_list, 1)
+                                 member["claims_cert"], build(), trust)
         tampered = replace(signed, payload=replace(signed.payload, amount=999))
-        assert not tr.verify_signed_payload(tampered, member["claims_cert"],
-                                            root.public_key,
-                                            root.revocation_list, 2)
+        assert not tr.verify_signed_payload(tampered, trust, 7)
 
     def test_wrong_serial_fails(self, root, member):
+        trust = trust_context(root, member)
         signed = tr.sign_payload(member["claims"].private_key,
-                                 member["claims_cert"], build(),
-                                 root.public_key, root.revocation_list, 1)
+                                 member["claims_cert"], build(), trust)
         wrong = replace(signed, signer_cert_serial=999)
-        assert not tr.verify_signed_payload(wrong, member["claims_cert"],
-                                            root.public_key,
-                                            root.revocation_list, 2)
+        assert not tr.verify_signed_payload(wrong, trust, 7)
+
+    def test_signer_must_be_the_named_vasp(self, root, member):
+        # VASP 3 signs a payload that names VASP 7 as its originator.
+        vasp3 = issue_member(root, 3, "vasp3")
+        trust = trust_context(root, member, vasp3)
+        signed = tr.sign_payload(vasp3["claims"].private_key,
+                                 vasp3["claims_cert"], build(), trust)
+        assert signed.payload.originating_vasp_number == 7
+        assert tr.verify_signed_payload(signed, trust, 3)
+        assert not tr.verify_signed_payload(signed, trust, 7)
+
+    def test_revoked_identity_fails(self, root, member):
+        trust = trust_context(root, member)
+        signed = tr.sign_payload(member["claims"].private_key,
+                                 member["claims_cert"], build(), trust)
+        root.revoke(member["identity_cert"].serial,
+                    pki.RevocationReason.CESSATION_OF_BUSINESS, 1)
+        assert not tr.verify_signed_payload(signed, trust, 7)
 
 
 def brute_force_bipartite(payloads, outputs):
@@ -289,6 +303,6 @@ class TestCorrelation:
 def test_dump_payload_store(root, member):
     signed = tr.sign_payload(member["claims"].private_key,
                              member["claims_cert"], build(),
-                             root.public_key, root.revocation_list, 1)
+                             trust_context(root, member))
     text = tr.dump_payload_store([("outbound", signed)])
     assert "outbound" in text and signed.payload.payload_id.hex() in text
