@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .pki import BusinessActivity
@@ -83,12 +83,6 @@ class TopologyConfig:
     insurer: str | None = None
     federation_graph: dict[int, list[int]] = field(default_factory=dict)
     scenario_params: dict[str, dict] = field(default_factory=dict)
-
-    def vasp(self, number: int) -> VaspConfig:
-        for v in self.vasps:
-            if v.vasp_number == number:
-                return v
-        raise KeyError(number)
 
     def neighbors(self, number: int) -> list[int]:
         return sorted(self.federation_graph.get(number, []))
@@ -229,54 +223,11 @@ def load_config(path: str | Path) -> TopologyConfig:
 
 
 def config_to_dict(config: TopologyConfig) -> dict:
-    def wallet_dict(w: WalletSpec | None):
-        if w is None:
-            return None
-        return {"initial_balance": w.initial_balance,
-                "imported_key_balance": w.imported_key_balance}
-
-    return {
-        "consortium": config.consortium,
-        "seed": config.seed,
-        "vasps": [
-            {
-                "vasp_number": v.vasp_number,
-                "organization_name": v.organization_name,
-                "alt_domain_names": v.alt_domain_names,
-                "incorporation_number_or_lei": v.incorporation_number_or_lei,
-                "is_lei": v.is_lei,
-                "place_of_business": v.place_of_business,
-                "jurisdiction": v.jurisdiction,
-                "regulated_business_activity": v.regulated_business_activity,
-                "policy_object_identifier": v.policy_object_identifier,
-                "treasury": v.treasury,
-                "customers": [
-                    {
-                        "id": c.id,
-                        "legal_name": c.legal_name,
-                        "identifiers": c.identifiers,
-                        "geographic_address": c.geographic_address,
-                        "national_id": c.national_id,
-                        "customer_number": c.customer_number,
-                        "birth_date": c.birth_date,
-                        "birth_place": c.birth_place,
-                        "wallet": wallet_dict(c.wallet),
-                        "claims": [
-                            {"provider": s.provider, "attribute": s.attribute,
-                             "value": s.value} for s in c.claims
-                        ],
-                    } for c in v.customers
-                ],
-            } for v in config.vasps
-        ],
-        "idps": [{"domain": d.domain, "directory": d.directory}
-                 for d in config.idps],
-        "claims_providers": config.claims_providers,
-        "insurer": config.insurer,
-        "federation_graph": {str(k): sorted(v)
-                             for k, v in sorted(config.federation_graph.items())},
-        "scenario_params": config.scenario_params,
-    }
+    """The JSON form of ``config``, which ``parse_config`` reads back."""
+    data = asdict(config)
+    data["federation_graph"] = {str(k): sorted(v) for k, v in
+                                sorted(config.federation_graph.items())}
+    return data
 
 
 def default_config() -> dict:

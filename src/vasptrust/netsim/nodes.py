@@ -61,8 +61,7 @@ class VaspNode(Node):
                  claims_key: crypto.KeyPair,
                  ledger: Ledger,
                  trust: pki.TrustContext,
-                 registry: wallet.WalletRegistry,
-                 approved_stacks: set[bytes]):
+                 registry: wallet.WalletRegistry):
         self.certs = trust.members[vasp_number]
         super().__init__(f"vasp:{vasp_number}", self.certs.identity, identity_key)
         self.sim = sim
@@ -72,7 +71,6 @@ class VaspNode(Node):
         self.ledger = ledger
         self.trust = trust
         self.registry = registry
-        self.approved_stacks = approved_stacks
 
         self.customer_ids: set[str] = set()
         self.customers: dict[str, CustomerRecord] = {}
@@ -89,6 +87,7 @@ class VaspNode(Node):
         self._revocations_seen: tuple[int, int] | None = None
         self.consents = ConsentStore(self.customer_ids)
         self.correlations = CorrelationStore()
+        # Payloads sent, and received payloads that passed every check.
         self.payload_store: list[tuple[str, SignedPayload]] = []
         self.supervision: dict[str, wallet.SupervisionRecord] = {}
         self.pending: dict[bytes, PendingTransfer] = {}
@@ -109,10 +108,9 @@ class VaspNode(Node):
             idp = idp_directories.get(ident.domain_part.lower())
             self.resolver.register_identifier(record.customer_id, ident, idp)
             record.identifiers.append(ident)
-            self.sim.emit(self.name, "resolver.identifier_registered",
-                          detail=f"customer={record.customer_id} "
-                                 f"identifier={ident.render()}"
-                                 + (f" validated_by=idp:{idp.domain}" if idp else ""))
+            self.sim.emit(self.name, "resolver.identifier_registered", {
+                "customer": record.customer_id, "identifier": ident.render(),
+                "validated_by": f"idp:{idp.domain}" if idp else None})
 
     def attach_device(self, customer_id: str, device: wallet.WalletDevice) -> None:
         self.devices[device.device_id] = device
@@ -123,25 +121,23 @@ class VaspNode(Node):
     def grant_consent(self, customer_id: str, direction: ConsentDirection,
                       counterparty: int | None) -> None:
         self.consents.record(customer_id, direction, counterparty, self.sim.now)
-        scope = f" counterparty=vasp:{counterparty}" if counterparty else ""
-        self.sim.emit(f"customer:{customer_id}", "travel_rule.consent_recorded",
-                      detail=f"vasp={self.vasp_number} "
-                             f"direction={direction.value}{scope}")
+        self.sim.emit(f"customer:{customer_id}", "travel_rule.consent_recorded", {
+            "vasp": self.vasp_number, "direction": direction.value,
+            "counterparty": None if counterparty is None else f"vasp:{counterparty}"})
 
     def withdraw_consent(self, customer_id: str, direction: ConsentDirection,
                          counterparty: int | None) -> None:
         self.consents.withdraw(customer_id, direction, counterparty, self.sim.now)
         self.sim.emit(f"customer:{customer_id}", "travel_rule.consent_withdrawn",
-                      detail=f"vasp={self.vasp_number} direction={direction.value}")
+                      {"vasp": self.vasp_number, "direction": direction.value})
 
     # -- resolver -------------------------------------------------------------------
 
     def local_lookup(self, identifier: CustomerIdentifier) -> list[int]:
         self._purge_revoked()
         hits = self.resolver.lookup(identifier, self.certs.identity, self.trust)
-        self.sim.emit(self.name, "resolver.lookup",
-                      detail=f"identifier={identifier.render()} "
-                             f"vasps={hits} count={len(hits)}")
+        self.sim.emit(self.name, "resolver.lookup", {
+            "identifier": identifier.render(), "vasps": hits, "count": len(hits)})
         return hits
 
     def _purge_revoked(self) -> None:
@@ -159,15 +155,14 @@ class VaspNode(Node):
                     or revocations.covers(origin.claims.serial):
                 self.resolver.drop_origin(adv.vasp_number)
                 self._outbox.pop(adv.vasp_number, None)
-                self.sim.emit(self.name, "resolver.adv_purged",
-                              detail=f"origin=vasp:{adv.vasp_number} "
-                                     f"seq={adv.sequence}")
+                self.sim.emit(self.name, "resolver.adv_purged", {
+                    "origin": f"vasp:{adv.vasp_number}", "seq": adv.sequence})
 
     def build_own_advertisement(self):
         adv = self.resolver.build_advertisement(self.claims_key.private_key,
                                                 self.certs.claims.serial)
-        self.sim.emit(self.name, "resolver.adv_built", payload=adv,
-                      detail=f"seq={adv.sequence} identifiers={len(adv.identifiers)}")
+        self.sim.emit(self.name, "resolver.adv_built", {
+            "seq": adv.sequence, "identifiers": len(adv.identifiers)}, payload=adv)
         return adv
 
     def flood_advertisements(self, channels: list[SecureChannel]) -> None:
@@ -205,9 +200,9 @@ class VaspNode(Node):
         elif pending is not None and pending[0].sequence == adv.sequence:
             # The neighbour sent us this very advertisement: it has it.
             pending[1].add(channel.id)
-        self.sim.emit(self.name, "resolver.adv_merged",
-                      detail=f"origin=vasp:{adv.vasp_number} seq={adv.sequence} "
-                             f"outcome={outcome.value}")
+        self.sim.emit(self.name, "resolver.adv_merged", {
+            "origin": f"vasp:{adv.vasp_number}", "seq": adv.sequence,
+            "outcome": outcome.value})
 
     # -- travel rule exchange ---------------------------------------------------------
 
@@ -219,9 +214,9 @@ class VaspNode(Node):
             originator, beneficiary_name, beneficiary_identifier,
             beneficiary_vasp, amount, self.vasp_number)
         report = travel_rule.validate_payload(payload)
-        self.sim.emit(self.name, "travel_rule.payload_validated", payload=payload,
-                      detail=f"direction=outbound present={report.summary()} "
-                             f"payload={payload.payload_id.hex()[:16]}")
+        self.sim.emit(self.name, "travel_rule.payload_validated", {
+            "direction": "outbound", "present": report.summary(),
+            "payload": payload.payload_id.hex()[:16]}, payload=payload)
         signed = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims, payload, self.trust)
         self.payload_store.append(("outbound", signed))
@@ -232,23 +227,21 @@ class VaspNode(Node):
 
     def _transfer_refused(self, payload_id: bytes, reason: str) -> None:
         self.sim.emit(self.name, "travel_rule.transfer_refused",
-                      detail=f"payload={payload_id.hex()[:16]} reason={reason}")
+                      {"payload": payload_id.hex()[:16], "reason": reason})
 
     def _verify_counterparty_payload(self, signed: SignedPayload,
                                      signer: int) -> bool:
         ok = travel_rule.verify_signed_payload(signed, self.trust, signer)
         report = travel_rule.validate_payload(signed.payload)
-        self.sim.emit(self.name, "travel_rule.payload_validated",
-                      payload=signed.payload,
-                      detail=f"direction=inbound present={report.summary()} "
-                             f"signature={'ok' if ok else 'bad'} "
-                             f"payload={signed.payload.payload_id.hex()[:16]}")
+        self.sim.emit(self.name, "travel_rule.payload_validated", {
+            "direction": "inbound", "present": report.summary(),
+            "signature": "ok" if ok else "bad",
+            "payload": signed.payload.payload_id.hex()[:16]}, payload=signed.payload)
         return ok and report.passed
 
     def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
         signed: SignedPayload = env.body.signed
         payload = signed.payload
-        self.payload_store.append(("inbound", signed))
 
         def refuse(reason: str) -> None:
             self._transfer_refused(payload.payload_id, reason)
@@ -282,12 +275,13 @@ class VaspNode(Node):
         consent = self.consents.check(beneficiary.customer_id,
                                       ConsentDirection.RECEIVE_ASSETS,
                                       payload.originating_vasp_number, self.sim.now)
-        self.sim.emit(self.name, "travel_rule.consent_checked",
-                      detail=f"customer={beneficiary.customer_id} "
-                             f"direction=ReceiveAssets ok={consent}")
+        self.sim.emit(self.name, "travel_rule.consent_checked", {
+            "customer": beneficiary.customer_id,
+            "direction": ConsentDirection.RECEIVE_ASSETS.value, "ok": consent})
         if not consent:
             refuse("beneficiary_consent_missing")
             return
+        self.payload_store.append(("inbound", signed))
 
         response_payload = TravelRulePayload(
             originator_name=payload.originator_name,
@@ -307,10 +301,10 @@ class VaspNode(Node):
             response_payload,
             payload_id=travel_rule.compute_payload_id(response_payload))
         report = travel_rule.validate_payload(response_payload)
-        self.sim.emit(self.name, "travel_rule.payload_validated",
-                      payload=response_payload,
-                      detail=f"direction=outbound present={report.summary()} "
-                             f"payload={response_payload.payload_id.hex()[:16]}")
+        self.sim.emit(self.name, "travel_rule.payload_validated", {
+            "direction": "outbound", "present": report.summary(),
+            "payload": response_payload.payload_id.hex()[:16]},
+            payload=response_payload)
         response_signed = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims, response_payload,
             self.trust)
@@ -346,13 +340,14 @@ class VaspNode(Node):
         originator_consent = self.consents.check(
             pending.originator_id, ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
             pending.beneficiary_vasp, self.sim.now)
-        self.sim.emit(self.name, "travel_rule.consent_checked",
-                      detail=f"customer={pending.originator_id} "
-                             f"direction=SendInfoToCounterparty ok={originator_consent}")
-        self.sim.emit(self.name, "travel_rule.transfer_gate",
-                      detail=f"payload={body.ack_payload_id.hex()[:16]} "
-                             f"consent_originator={originator_consent} "
-                             f"beneficiary_accepted=True")
+        self.sim.emit(self.name, "travel_rule.consent_checked", {
+            "customer": pending.originator_id,
+            "direction": ConsentDirection.SEND_INFO_TO_COUNTERPARTY.value,
+            "ok": originator_consent})
+        self.sim.emit(self.name, "travel_rule.transfer_gate", {
+            "payload": body.ack_payload_id.hex()[:16],
+            "consent_originator": originator_consent,
+            "beneficiary_accepted": True})
         if not originator_consent:
             pending.state = "refused"
             self._transfer_refused(body.ack_payload_id,
@@ -370,9 +365,9 @@ class VaspNode(Node):
         self.ledger.submit_transfer(tx)
         pending.tx_id = tx.tx_id
         pending.state = "submitted"
-        self.sim.emit(self.name, "ledger.tx_submitted", payload=tx,
-                      detail=f"tx={tx.tx_id.hex()[:16]} kind=customer_transfer "
-                             f"amount={pending.payload.amount}")
+        self.sim.emit(self.name, "ledger.tx_submitted", {
+            "tx": tx.tx_id.hex()[:16], "kind": "customer_transfer",
+            "amount": pending.payload.amount}, payload=tx)
 
     def correlate_pending(self) -> list[travel_rule.CorrelationRecord]:
         records = []
@@ -383,11 +378,10 @@ class VaspNode(Node):
                 pending.payload, self.ledger, (1, self.ledger.height))
             pending.state = "correlated"
             records.append(record)
-            self.sim.emit(self.name, "travel_rule.correlated",
-                          detail=f"payload={record.payload_id.hex()[:16]} "
-                                 f"tx={record.tx_id.hex()[:16]} "
-                                 f"output={record.output_index} "
-                                 f"height={record.matched_at_height}")
+            self.sim.emit(self.name, "travel_rule.correlated", {
+                "payload": record.payload_id.hex()[:16],
+                "tx": record.tx_id.hex()[:16], "output": record.output_index,
+                "height": record.matched_at_height})
         return records
 
     # -- remote resolver API ---------------------------------------------------------
@@ -409,10 +403,9 @@ class VaspNode(Node):
             response = msg.LookupResponse(body.request_seq, tuple(hits), "")
         except Unauthorized as exc:
             response = msg.LookupResponse(body.request_seq, (), str(exc))
-        self.sim.emit(self.name, "resolver.remote_lookup",
-                      detail=f"caller={env.sender} "
-                             f"vasps={list(response.vasp_numbers)} "
-                             f"error={response.error or '-'}")
+        self.sim.emit(self.name, "resolver.remote_lookup", {
+            "caller": env.sender, "vasps": list(response.vasp_numbers),
+            "error": response.error or "-"})
         self.sim.send(channel, self.name, response)
 
     # -- claims gathering -------------------------------------------------------------
@@ -430,9 +423,8 @@ class VaspNode(Node):
         terms = codec.canonical_encode(("claims-terms", token.token_id,
                                         token.purpose))
         signature = crypto.sign(self.claims_key.private_key, terms)
-        self.sim.emit(self.name, "claims.terms_accepted",
-                      detail=f"token={token.token_id.hex()[:16]} "
-                             f"purpose={token.purpose}")
+        self.sim.emit(self.name, "claims.terms_accepted", {
+            "token": token.token_id.hex()[:16], "purpose": token.purpose})
         self.sim.send(channel, self.name, msg.ClaimsFetchRequest(
             token, signature, self.certs.claims.serial))
 
@@ -440,19 +432,19 @@ class VaspNode(Node):
         body: msg.ClaimsAuthResponse = env.body
         if body.token is not None:
             self.claims_token = body.token
-            self.sim.emit(self.name, "claims.token_received", payload=body.token,
-                          detail=f"token={body.token.token_id.hex()[:16]} "
-                                 f"attrs={list(body.token.permitted_attributes)}")
+            self.sim.emit(self.name, "claims.token_received", {
+                "token": body.token.token_id.hex()[:16],
+                "attrs": list(body.token.permitted_attributes)}, payload=body.token)
         else:
             self.claims_denial = body.denial_reason
             self.sim.emit(self.name, "claims.token_denied",
-                          detail=f"reason={body.denial_reason}")
+                          {"reason": body.denial_reason})
 
     def _on_claims_fetch_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.ClaimsFetchResponse = env.body
         if body.error:
             self.sim.emit(self.name, "claims.fetch_refused",
-                          detail=f"reason={body.error}")
+                          {"reason": body.error})
             return
         verified = 0
         for claim in body.claims:
@@ -464,9 +456,9 @@ class VaspNode(Node):
         self.fetched_claims.extend(body.claims)
         if body.receipt is not None:
             self.consent_receipts.append(body.receipt)
-        self.sim.emit(self.name, "claims.claims_fetched",
-                      detail=f"claims={len(body.claims)} verified={verified} "
-                             f"receipt={'yes' if body.receipt else 'no'}")
+        self.sim.emit(self.name, "claims.claims_fetched", {
+            "claims": len(body.claims), "verified": verified,
+            "receipt": "yes" if body.receipt else "no"})
 
     # -- wallet supervision -------------------------------------------------------------
 
@@ -481,18 +473,16 @@ class VaspNode(Node):
         if supervision is not None:
             self.supervision[customer_id] = supervision
             self.devices[device.device_id] = device
-            self.sim.emit(self.name, "attest.evidence_produced",
-                          payload=supervision.checkpoints[0],
-                          detail=f"device={device.device_id} purpose=onboarding")
-        transition = ""
-        if report.key_transition is not None:
-            transition = (f" old={list(report.key_transition.old_handles)} "
-                          f"new={report.key_transition.new_handle}")
-        self.sim.emit(self.name, "boarding.onboard",
-                      detail=f"customer={customer_id} device={device.device_id} "
-                             f"accepted={report.accepted}"
-                             f"{transition}"
-                             + (f" reason={report.reason}" if report.reason else ""))
+            self.sim.emit(self.name, "attest.evidence_produced", {
+                "device": device.device_id, "purpose": "onboarding"},
+                payload=supervision.checkpoints[0])
+        transition = report.key_transition
+        self.sim.emit(self.name, "boarding.onboard", {
+            "customer": customer_id, "device": device.device_id,
+            "accepted": report.accepted,
+            "old": None if transition is None else list(transition.old_handles),
+            "new": None if transition is None else transition.new_handle,
+            "reason": report.reason or None})
         return report
 
     def offboard(self, customer_id: str,
@@ -506,9 +496,9 @@ class VaspNode(Node):
             supervision, nonce, self.sim.now)
         erased = [r.handle for r in report.erasure_evidence.key_reports
                   if r.erased] if report.erasure_evidence else []
-        self.sim.emit(self.name, "boarding.offboard",
-                      detail=f"customer={customer_id} device={device.device_id} "
-                             f"accepted={report.accepted} erased_handles={erased}")
+        self.sim.emit(self.name, "boarding.offboard", {
+            "customer": customer_id, "device": device.device_id,
+            "accepted": report.accepted, "erased_handles": erased})
         del self.supervision[customer_id]
         return report
 
@@ -522,11 +512,11 @@ class VaspNode(Node):
                                                   self.sim.nonce(), now)
             except wallet.AttestationFailed as exc:
                 self.sim.emit(self.name, "attest.checkpoint_refused",
-                              detail=f"device={device.device_id} reason={exc}")
+                              {"device": device.device_id, "reason": str(exc)})
                 continue
-            self.sim.emit(self.name, "attest.checkpoint", payload=evidence,
-                          detail=f"device={device.device_id} "
-                                 f"count={len(supervision.checkpoints)}")
+            self.sim.emit(self.name, "attest.checkpoint", {
+                "device": device.device_id, "count": len(supervision.checkpoints)},
+                payload=evidence)
 
     def _on_attestation_challenge(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.AttestationChallenge = env.body
@@ -541,8 +531,8 @@ class VaspNode(Node):
             self.sim.send(channel, self.name, msg.AttestationResponse(
                 body.device_id, None, "attestation_refused"))
             return
-        self.sim.emit(self.name, "attest.evidence_produced", payload=evidence,
-                      detail=f"device={body.device_id} purpose=audit")
+        self.sim.emit(self.name, "attest.evidence_produced", {
+            "device": body.device_id, "purpose": "audit"}, payload=evidence)
         self.sim.send(channel, self.name,
                       msg.AttestationResponse(body.device_id, evidence, ""))
 
@@ -597,15 +587,14 @@ class AuthServerNode(Node):
             result = result.reason.value
         if isinstance(result, str):
             self.sim.emit(self.name, "claims.token_denied",
-                          detail=f"caller={env.sender} reason={result}")
+                          {"caller": env.sender, "reason": result})
             self.sim.send(channel, self.name,
                           msg.ClaimsAuthResponse(None, result))
         else:
-            self.sim.emit(self.name, "claims.token_issued", payload=result,
-                          detail=f"caller={env.sender} "
-                                 f"token={result.token_id.hex()[:16]} "
-                                 f"attrs={list(result.permitted_attributes)} "
-                                 f"expires={result.expires_at}")
+            self.sim.emit(self.name, "claims.token_issued", {
+                "caller": env.sender, "token": result.token_id.hex()[:16],
+                "attrs": list(result.permitted_attributes),
+                "expires": result.expires_at}, payload=result)
             self.sim.send(channel, self.name, msg.ClaimsAuthResponse(result, ""))
 
 
@@ -645,18 +634,17 @@ class ClaimsStoreNode(Node):
             except claims_mod.ClaimsError as exc:
                 reason = type(exc).__name__
         if reason:
-            self.sim.emit(self.name, "claims.fetch_refused",
-                          detail=f"reason={reason}")
+            self.sim.emit(self.name, "claims.fetch_refused", {"reason": reason})
             self.sim.send(channel, self.name,
                           msg.ClaimsFetchResponse((), None, reason))
             return
-        self.sim.emit(self.name, "claims.claims_released",
-                      detail=f"vasp={token.audience_vasp_number} "
-                             f"attrs={sorted({c.attribute_name for c in released})} "
-                             f"count={len(released)}")
-        self.sim.emit(self.name, "claims.receipt_issued", payload=receipt,
-                      detail=f"receipt={receipt.receipt_id.hex()[:16]} "
-                             f"token={receipt.token_id.hex()[:16]}")
+        self.sim.emit(self.name, "claims.claims_released", {
+            "vasp": token.audience_vasp_number,
+            "attrs": sorted({c.attribute_name for c in released}),
+            "count": len(released)})
+        self.sim.emit(self.name, "claims.receipt_issued", {
+            "receipt": receipt.receipt_id.hex()[:16],
+            "token": receipt.token_id.hex()[:16]}, payload=receipt)
         self.sim.send(channel, self.name, msg.ClaimsFetchResponse(
             tuple(released), receipt, ""))
 
@@ -680,7 +668,7 @@ class InsurerNode(Node):
         nonce = self.sim.nonce()
         self.pending_nonces[device_id] = nonce
         self.sim.emit(self.name, "attest.audit_requested",
-                      detail=f"device={device_id} via={channel.other(self.name)}")
+                      {"device": device_id, "via": channel.other(self.name)})
         self.sim.send(channel, self.name,
                       msg.AttestationChallenge(device_id, nonce))
 
@@ -690,18 +678,18 @@ class InsurerNode(Node):
         body: msg.AttestationResponse = env.body
         nonce = self.pending_nonces.get(body.device_id)
         if body.evidence is None or nonce is None:
-            self.sim.emit(self.name, "attest.audit_verdict",
-                          detail=f"device={body.device_id} passed=False "
-                                 f"reason={body.error or 'no_evidence'}")
+            self.sim.emit(self.name, "attest.audit_verdict", {
+                "device": body.device_id, "passed": False,
+                "reason": body.error or "no_evidence"})
             return
         device_key = self.trust.device_attestation_keys.get(body.device_id, b"")
         verdict = wallet.verify_evidence(body.evidence, nonce, device_key,
                                          self.approved_stacks)
         self.audit_verdicts[body.device_id] = verdict
         findings = "; ".join(verdict.key_findings) or "none"
-        self.sim.emit(self.name, "attest.audit_verdict",
-                      detail=f"device={body.device_id} passed={verdict.passed} "
-                             f"signature_ok={verdict.signature_ok} "
-                             f"nonce_fresh={verdict.nonce_fresh} "
-                             f"stack_approved={verdict.stack_approved} "
-                             f"findings=[{findings}]")
+        self.sim.emit(self.name, "attest.audit_verdict", {
+            "device": body.device_id, "passed": verdict.passed,
+            "signature_ok": verdict.signature_ok,
+            "nonce_fresh": verdict.nonce_fresh,
+            "stack_approved": verdict.stack_approved,
+            "findings": f"[{findings}]"})

@@ -91,8 +91,8 @@ def converge_federation(world: World, max_rounds: int | None = None) -> int:
         converged = sum(
             1 for n in sorted(world.vasps)
             if world.vasps[n].resolver.resolve_map() == truth)
-        world.sim.emit("sim", "federation.round",
-                       detail=f"round={round_no} converged={converged}/{len(world.vasps)}")
+        world.sim.emit("sim", "federation.round", {
+            "round": round_no, "converged": f"{converged}/{len(world.vasps)}"})
         if converged == len(world.vasps):
             break
     return rounds_used
@@ -104,7 +104,7 @@ def converge_federation(world: World, max_rounds: int | None = None) -> int:
 
 def scenario_s1(world: World, params: dict) -> None:
     sim = world.sim
-    ovasp = world.vasp(int(params["originator_vasp"]))
+    ovasp = world.vasps[int(params["originator_vasp"])]
     originator = params["originator_customer"]
     identifier = params["beneficiary_identifier"]
     beneficiary_name = params["beneficiary_name"]
@@ -120,15 +120,15 @@ def scenario_s1(world: World, params: dict) -> None:
     world.assert_that("lookup_hit", len(hits) == 1, f"vasps={hits}")
     if len(hits) != 1:
         reason = "beneficiary_unknown" if not hits else "multiple_vasps"
-        sim.emit(ovasp.name, "travel_rule.transfer_halted",
-                 detail=f"identifier={identifier} reason={reason} count={len(hits)}")
+        sim.emit(ovasp.name, "travel_rule.transfer_halted", {
+            "identifier": identifier, "reason": reason, "count": len(hits)})
         for name in ("payload_outbound_complete", "payload_inbound_complete",
                      "consent_originator", "consent_beneficiary",
                      "ledger_confirmed", "correlation_recorded_once"):
             world.assert_that(name, False, "transfer halted before this step")
         return
 
-    bvasp = world.vasp(hits[0])
+    bvasp = world.vasps[hits[0]]
     if params.get("grant_beneficiary_consent", True):
         beneficiary_ids = sorted(
             bvasp.resolver.local_customers_for(parse_identifier(identifier)))
@@ -143,13 +143,10 @@ def scenario_s1(world: World, params: dict) -> None:
     pending = ovasp.pending[payload.payload_id]
     records = ovasp.correlate_pending() if pending.state == "submitted" else []
 
-    outbound = [e for e in sim.trace.events
-                if e.event == "travel_rule.payload_validated"
-                and "direction=outbound" in e.detail and "present=5/5" in e.detail]
-    inbound = [e for e in sim.trace.events
-               if e.event == "travel_rule.payload_validated"
-               and "direction=inbound" in e.detail
-               and "present=5/5" in e.detail and "signature=ok" in e.detail]
+    outbound = sim.trace.find("travel_rule.payload_validated",
+                              direction="outbound", present="5/5")
+    inbound = sim.trace.find("travel_rule.payload_validated",
+                             direction="inbound", present="5/5", signature="ok")
     world.assert_that("payload_outbound_complete", len(outbound) >= 2,
                       f"validated_outbound={len(outbound)}")
     world.assert_that("payload_inbound_complete", len(inbound) >= 2,
@@ -204,9 +201,9 @@ def scenario_s2(world: World, params: dict) -> None:
         readable_attributes=frozenset(attributes),
         usage_purpose=purpose)
     store_node.store.set_policy(owner, policy, now=sim.now)
-    sim.emit(f"customer:{owner}", "claims.policy_set",
-             detail=f"store={store_node.name} vasps=[{vasp.vasp_number}] "
-                    f"attrs={sorted(attributes)} purpose={purpose}")
+    sim.emit(f"customer:{owner}", "claims.policy_set", {
+        "store": store_node.name, "vasps": [vasp.vasp_number],
+        "attrs": sorted(attributes), "purpose": purpose})
 
     auth_channel = world.channel_between(vasp, server_node)
     vasp.request_claims_authorization(auth_channel, attributes, purpose)
@@ -223,7 +220,7 @@ def scenario_s2(world: World, params: dict) -> None:
     if params.get("withdraw_before_fetch", False):
         store_node.store.revoke_consent(owner, sim.now)
         sim.emit(f"customer:{owner}", "claims.consent_revoked",
-                 detail=f"store={store_node.name}")
+                 {"store": store_node.name})
 
     store_channel = world.channel_between(vasp, store_node)
     if token is not None:
@@ -350,7 +347,7 @@ def scenario_s4(world: World, params: dict) -> None:
 
 def scenario_s5(world: World, params: dict) -> None:
     sim = world.sim
-    ovasp = world.vasp(int(params["originator_vasp"]))
+    ovasp = world.vasps[int(params["originator_vasp"])]
     identifier = params["beneficiary_identifier"]
 
     converge_federation(world)
@@ -359,9 +356,9 @@ def scenario_s5(world: World, params: dict) -> None:
 
     hits = ovasp.local_lookup(parse_identifier(identifier))
     world.assert_that("multi_match_detected", len(hits) > 1, f"vasps={hits}")
-    sim.emit(ovasp.name, "travel_rule.transfer_halted",
-             detail=f"identifier={identifier} reason=multiple_vasps "
-                    f"count={len(hits)} vasps={hits}")
+    sim.emit(ovasp.name, "travel_rule.transfer_halted", {
+        "identifier": identifier, "reason": "multiple_vasps",
+        "count": len(hits), "vasps": hits})
     world.assert_that(
         "transfer_halted",
         bool(sim.trace.find("travel_rule.transfer_halted")))

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .. import codec, crypto, pki
 from .messages import MessageBody
-from .trace import Assertion, ScenarioTrace, TraceEvent
+from .trace import Assertion, ScenarioTrace, TraceEvent, render_fields
 
 
 class NetsimError(Exception):
@@ -35,17 +34,6 @@ class PeerCertInvalid(NetsimError):
 
 class ChannelClosed(NetsimError):
     pass
-
-
-class ActorKind(Enum):
-    VASP = "Vasp"
-    IDENTITY_PROVIDER = "IdentityProvider"
-    CLAIMS_PROVIDER = "ClaimsProvider"
-    AUTHORIZATION_SERVER = "AuthorizationServer"
-    CLAIMS_STORE = "ClaimsStore"
-    INSURER = "Insurer"
-    CUSTOMER = "Customer"
-    LEDGER_NODE = "LedgerNode"
 
 
 @dataclass(frozen=True)
@@ -83,14 +71,12 @@ class SecureChannel:
     """Mutually authenticated, reliable, ordered message pipe."""
 
     def __init__(self, channel_id: int, a: str, b: str,
-                 peer_cert_serials: tuple[int, int], established_at: int):
+                 peer_cert_serials: tuple[int, int]):
         self.id = channel_id
         self.a = a
         self.b = b
         self.peer_cert_serials = peer_cert_serials
-        self.established_at = established_at
         self.open = True
-        self.transcript: list[Envelope] = []
         self._dirs = {a: _Direction(), b: _Direction()}  # keyed by sender
 
     def endpoints(self) -> tuple[str, str]:
@@ -135,32 +121,33 @@ class Simulation:
         self.trace = ScenarioTrace(scenario=scenario, seed=seed)
         self.channels: list[SecureChannel] = []
         self.wire_log: list[tuple[str, bytes]] = []
-        self._actors: dict[str, ActorKind] = {}
+        self._actors: set[str] = set()
         self._handlers: dict[str, object] = {}
         self._tick_hooks: list[object] = []
 
     # -- actors and trace -----------------------------------------------------
 
-    def register_actor(self, name: str, kind: ActorKind, handler=None) -> None:
+    def register_actor(self, name: str, handler=None) -> None:
         if name in self._actors:
             raise NetsimError(f"duplicate actor id {name!r}")
-        self._actors[name] = kind
+        self._actors.add(name)
         if handler is not None:
             self._handlers[name] = handler
 
-    def emit(self, actor: str, event: str, payload=None, detail: str = "",
-             encoded: bytes | None = None) -> TraceEvent:
-        """Append a trace event whose digest covers ``payload``'s canonical
-        encoding (``encoded``, when the caller already has it), else the
-        detail text."""
+    def emit(self, actor: str, event: str, fields: dict | None = None, *,
+             payload=None, encoded: bytes | None = None) -> TraceEvent:
+        """Append a trace event carrying ``fields`` in their given order.
+        Its digest covers ``payload``'s canonical encoding (``encoded``,
+        when the caller already has it), else the rendered fields."""
+        pairs = tuple(fields.items()) if fields else ()
         if encoded is not None:
             content = encoded
         elif payload is not None:
             content = codec.canonical_encode(payload)
         else:
-            content = detail.encode("utf-8")
+            content = render_fields(pairs).encode("utf-8")
         ev = TraceEvent(self.now, actor, event,
-                        crypto.digest(content)[:8].hex(), detail)
+                        crypto.digest(content)[:8].hex(), pairs)
         self.trace.events.append(ev)
         return ev
 
@@ -181,29 +168,28 @@ class Simulation:
         both peers must prove possession of their certified keys."""
         if self.faults.partitioned:
             self.emit("sim", "netsim.channel_refused",
-                      detail=f"a={a.name} b={b.name} reason=partitioned")
+                      {"a": a.name, "b": b.name, "reason": "partitioned"})
             raise PeerCertInvalid(b.name, None, "network partitioned")
         for us, peer in ((a, b), (b, a)):
             report = trust.validate(peer.identity_cert)
             if not report.valid:
                 self.emit(us.name, "netsim.channel_refused",
-                          detail=f"peer={peer.name} verdict={report.verdict.value}")
+                          {"peer": peer.name, "verdict": report.verdict.value})
                 raise PeerCertInvalid(peer.name, report)
             challenge = self.nonce()
             proof = peer.prove_possession(challenge)
             if not crypto.verify(peer.identity_cert.subject_public_key,
                                  challenge, proof):
                 self.emit(us.name, "netsim.channel_refused",
-                          detail=f"peer={peer.name} verdict=PossessionProofFailed")
+                          {"peer": peer.name, "verdict": "PossessionProofFailed"})
                 raise PeerCertInvalid(peer.name, None, "possession proof failed")
         channel = SecureChannel(
             channel_id=len(self.channels) + 1,
             a=a.name, b=b.name,
-            peer_cert_serials=(a.identity_cert.serial, b.identity_cert.serial),
-            established_at=self.now)
+            peer_cert_serials=(a.identity_cert.serial, b.identity_cert.serial))
         self.channels.append(channel)
         self.emit("sim", "netsim.channel_established",
-                  detail=f"ch={channel.id} a={a.name} b={b.name}")
+                  {"ch": channel.id, "a": a.name, "b": b.name})
         return channel
 
     def send(self, channel: SecureChannel, sender: str, body: MessageBody) -> Envelope:
@@ -213,14 +199,14 @@ class Simulation:
         env = Envelope(channel.id, direction.next_seq, sender, body, self.now)
         direction.next_seq += 1
         direction.queue.append(env)
-        channel.transcript.append(env)
         # The body is encoded once: framed into the envelope for the wire
         # log, and digested for the trace.
         body_bytes = codec.canonical_encode(body)
         self.wire_log.append((type(body).__name__,
                               _wire_bytes(env, body_bytes)))
-        self.emit(sender, "netsim.sent", encoded=body_bytes,
-                  detail=f"msg={type(body).__name__} ch={channel.id} seq={env.seq}")
+        self.emit(sender, "netsim.sent",
+                  {"msg": type(body).__name__, "ch": channel.id, "seq": env.seq},
+                  encoded=body_bytes)
         return env
 
     # -- event loop ---------------------------------------------------------------
@@ -260,8 +246,8 @@ class Simulation:
                     deliveries.append((channel, recipient, env))
         for channel, recipient, env in deliveries:
             self.emit(recipient, "netsim.delivered",
-                      detail=f"msg={type(env.body).__name__} ch={channel.id} "
-                             f"seq={env.seq} from={env.sender}")
+                      {"msg": type(env.body).__name__, "ch": channel.id,
+                       "seq": env.seq, "from": env.sender})
             handler = self._handlers.get(recipient)
             if handler is not None:
                 handler(channel, env)

@@ -1,12 +1,38 @@
 """Deterministic scenario traces: ordered events plus terminal assertions.
 
-A trace renders to line-oriented text with a stable field order, so the
-same (scenario, config, seed) always produces byte-identical output.
+This module is the one place that turns trace events into text and back.
+A trace renders to line-oriented text:
+
+    # scenario=<name> seed=<seed>
+    <time:06d> <actor> <event> <digest>[ <fields>]     one line per event
+    assert <name> PASS|FAIL[ <note>]                   one line per assertion
+    # result=PASS|FAIL
+
+An event's fields are an ordered tuple of ``(key, value)`` pairs. They
+render as ``key=value`` (the value as ``str`` gives it), in the order the
+emitter gave them, joined by single spaces; a field whose value is None is
+left out, and is treated as absent by ``TraceEvent.get`` and
+``ScenarioTrace.find``. The digest is the first 8 bytes, in hex, of the
+SHA-256 of the event's payload encoding, or, for an event with no payload,
+of its rendered fields in UTF-8. So the same (scenario, config, seed)
+always produces byte-identical output.
+
+``parse_trace_text`` reads that text back. Values then hold their rendered
+text, and a value that itself contains `` key=`` splits into two fields, so
+parsing is exact only for re-rendering: ``parse_trace_text(t).to_text()``
+equals ``t``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+Fields = tuple[tuple[str, object], ...]
+
+
+def render_fields(fields: Fields) -> str:
+    return " ".join([f"{key}={value}" for key, value in fields
+                     if value is not None])
 
 
 @dataclass(frozen=True)
@@ -15,10 +41,18 @@ class TraceEvent:
     actor: str
     event: str
     digest: str
-    detail: str
+    fields: Fields = ()
+
+    def get(self, key: str):
+        """The value of field ``key``; None when the event lacks it."""
+        for name, value in self.fields:
+            if name == key:
+                return value
+        return None
 
     def line(self) -> str:
-        detail = f" {self.detail}" if self.detail else ""
+        text = render_fields(self.fields)
+        detail = f" {text}" if text else ""
         return f"{self.time:06d} {self.actor} {self.event} {self.digest}{detail}"
 
 
@@ -45,8 +79,10 @@ class ScenarioTrace:
     def passed(self) -> bool:
         return bool(self.assertions) and all(a.passed for a in self.assertions)
 
-    def find(self, event: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.event == event]
+    def find(self, event: str, /, **fields) -> list[TraceEvent]:
+        """Events named ``event`` whose fields equal every given one."""
+        return [e for e in self.events if e.event == event
+                and all(e.get(k) == v for k, v in fields.items())]
 
     def assertion(self, name: str) -> Assertion:
         for a in self.assertions:
@@ -60,6 +96,21 @@ class ScenarioTrace:
         lines.extend(a.line() for a in self.assertions)
         lines.append(f"# result={'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
+
+
+def _parse_fields(text: str) -> Fields:
+    """Split rendered fields at each space followed by ``key=``; any other
+    space belongs to the value before it."""
+    fields: list[list[str]] = []
+    for token in text.split(" "):
+        key, eq, value = token.partition("=")
+        if eq and key.isidentifier():
+            fields.append([key, value])
+        elif fields:
+            fields[-1][1] += " " + token
+        else:
+            raise ValueError(f"trace fields must start with key=value: {text!r}")
+    return tuple((key, value) for key, value in fields)
 
 
 def parse_trace_text(text: str) -> ScenarioTrace:
@@ -80,5 +131,6 @@ def parse_trace_text(text: str) -> ScenarioTrace:
             parts = ln.split(" ", 4)
             trace.events.append(TraceEvent(
                 time=int(parts[0]), actor=parts[1], event=parts[2],
-                digest=parts[3], detail=parts[4] if len(parts) > 4 else ""))
+                digest=parts[3],
+                fields=_parse_fields(parts[4]) if len(parts) > 4 else ()))
     return trace

@@ -20,7 +20,7 @@ from ..ledger import Ledger
 from ..resolver import IdpDirectory, parse_identifier
 from ..travel_rule import CustomerRecord
 from .nodes import AuthServerNode, ClaimsStoreNode, InsurerNode, VaspNode
-from .sim import ActorKind, FaultConfig, SecureChannel, Simulation
+from .sim import FaultConfig, SecureChannel, Simulation
 
 CERT_VALIDITY = 1_000_000
 DEFAULT_STACK_COMPONENTS = ("bootloader", "wallet-os", "signer-app")
@@ -46,9 +46,6 @@ class World:
     customer_keys: list[bytes] = field(default_factory=list)
     _channels: dict[frozenset, SecureChannel] = field(default_factory=dict)
 
-    def vasp(self, number: int) -> VaspNode:
-        return self.vasps[number]
-
     def channel_between(self, a, b) -> SecureChannel:
         """Establish (once) and return the channel between two nodes."""
         key = frozenset((a.name, b.name))
@@ -69,9 +66,9 @@ class World:
 
     def confirm_block(self):
         block = self.ledger.confirm_block()
-        self.sim.emit("ledger", "ledger.block_confirmed",
-                      detail=f"height={block.height} txs={len(block.tx_ids)} "
-                             f"hash={block.block_hash.hex()[:16]}")
+        self.sim.emit("ledger", "ledger.block_confirmed", {
+            "height": block.height, "txs": len(block.tx_ids),
+            "hash": block.block_hash.hex()[:16]})
         return block
 
     def assert_that(self, name: str, passed: bool, note: str = "") -> bool:
@@ -122,11 +119,11 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
                              lambda: sim.now)
     registry = wallet.WalletRegistry()
-    sim.register_actor("sim", ActorKind.LEDGER_NODE)
-    sim.register_actor("ledger", ActorKind.LEDGER_NODE)
-    sim.emit("sim", "pki.root_created",
-             detail=f"consortium={config.consortium!r} "
-                    f"root_key={root.public_key.hex()[:16]}")
+    sim.register_actor("sim")
+    sim.register_actor("ledger")
+    sim.emit("sim", "pki.root_created", {
+        "consortium": repr(config.consortium),
+        "root_key": root.public_key.hex()[:16]})
 
     # Wallet devices and genesis funding are prepared before the ledger
     # exists; balances are fixed at genesis and conserved afterwards.
@@ -186,15 +183,13 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             identity_cert, pki.CertPurpose.CLAIMS_SIGNING,
             claims_key.public_key, 0, CERT_VALIDITY)
         trust.add_member(pki.VaspCerts(identity_cert, tx_cert, claims_cert))
-        sim.emit("sim", "pki.cert_issued",
-                 detail=f"kind=identity serial={identity_cert.serial} "
-                        f"vasp={n} org={vcfg.organization_name!r}")
-        sim.emit("sim", "pki.cert_issued",
-                 detail=f"kind=signing purpose=TransactionSigning "
-                        f"serial={tx_cert.serial} vasp={n}")
-        sim.emit("sim", "pki.cert_issued",
-                 detail=f"kind=signing purpose=ClaimsSigning "
-                        f"serial={claims_cert.serial} vasp={n}")
+        sim.emit("sim", "pki.cert_issued", {
+            "kind": "identity", "serial": identity_cert.serial, "vasp": n,
+            "org": repr(vcfg.organization_name)})
+        for cert in (tx_cert, claims_cert):
+            sim.emit("sim", "pki.cert_issued", {
+                "kind": "signing", "purpose": cert.purpose.value,
+                "serial": cert.serial, "vasp": n})
 
     idp_directories: dict[str, IdpDirectory] = {}
     for idp in config.idps:
@@ -202,15 +197,15 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         for identifier in idp.directory:
             directory_obj.add(identifier)
         idp_directories[idp.domain.lower()] = directory_obj
-        sim.register_actor(f"idp:{idp.domain.lower()}", ActorKind.IDENTITY_PROVIDER)
+        sim.register_actor(f"idp:{idp.domain.lower()}")
 
     vasps: dict[int, VaspNode] = {}
     for vcfg in config.vasps:
         n = vcfg.vasp_number
         identity, tx, claims_key = vasp_keys[n]
         node = VaspNode(sim, n, identity, tx, claims_key, ledger, trust,
-                        registry, approved_stacks)
-        sim.register_actor(node.name, ActorKind.VASP, node.handle)
+                        registry)
+        sim.register_actor(node.name, node.handle)
         vasps[n] = node
         for ccfg in vcfg.customers:
             record = CustomerRecord(
@@ -227,9 +222,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             device_id = f"wdev:{ccfg.id}@{n}"
             if device_id in devices:
                 node.attach_device(ccfg.id, devices[device_id])
-        sim.emit(node.name, "netsim.actor_ready",
-                 detail=f"customers={len(vcfg.customers)} "
-                        f"treasury={vcfg.treasury}")
+        sim.emit(node.name, "netsim.actor_ready", {
+            "customers": len(vcfg.customers), "treasury": vcfg.treasury})
 
     # Claims infrastructure: providers, then a personal store plus
     # authorization server for every customer holding claims.
@@ -239,7 +233,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             name, crypto.derive_seed(master, f"provider:{name}"))
         providers[name] = provider
         trust.provider_keys[name] = provider.public_key
-        sim.register_actor(f"cp:{name}", ActorKind.CLAIMS_PROVIDER)
+        sim.register_actor(f"cp:{name}")
 
     service_number = 1000
     stores: dict[str, ClaimsStoreNode] = {}
@@ -275,21 +269,18 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                                          store, trust)
             server_node = AuthServerNode(sim, owner, srv_cert, srv_identity,
                                          server, trust)
-            sim.register_actor(store_node.name, ActorKind.CLAIMS_STORE,
-                               store_node.handle)
-            sim.register_actor(server_node.name, ActorKind.AUTHORIZATION_SERVER,
-                               server_node.handle)
+            sim.register_actor(store_node.name, store_node.handle)
+            sim.register_actor(server_node.name, server_node.handle)
             stores[owner] = store_node
             auth_servers[owner] = server_node
-            sim.register_actor(f"customer:{owner}", ActorKind.CUSTOMER)
+            sim.register_actor(f"customer:{owner}")
 
             for spec in ccfg.claims:
                 claim = providers[spec.provider].issue_claim(
                     owner, spec.attribute, spec.value, 0, CERT_VALIDITY)
                 store.add_claim(claim)
-                sim.emit(f"cp:{spec.provider}", "claims.claim_issued",
-                         payload=claim,
-                         detail=f"subject={owner} attribute={spec.attribute}")
+                sim.emit(f"cp:{spec.provider}", "claims.claim_issued", {
+                    "subject": owner, "attribute": spec.attribute}, payload=claim)
 
     insurer = None
     if config.insurer:
@@ -303,7 +294,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         service_number += 1
         insurer = InsurerNode(sim, config.insurer, insurer_cert, insurer_key,
                               trust, approved_stacks)
-        sim.register_actor(insurer.name, ActorKind.INSURER, insurer.handle)
+        sim.register_actor(insurer.name, insurer.handle)
 
     world = World(
         config=config, sim=sim, root=root, ledger=ledger, registry=registry,

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from vasptrust import crypto, pki
+from vasptrust import codec, crypto, pki
 from vasptrust.config import default_config, parse_config
+from vasptrust.netsim import Envelope
 
 
 def pytest_runtest_logreport(report):
@@ -44,6 +45,11 @@ def trust_context(root: pki.RootAuthority, *members: dict,
         trust.add_member(pki.VaspCerts(m["identity_cert"], m["tx_cert"],
                                        m["claims_cert"]))
     return trust
+
+
+def wire_envelopes(sim) -> list[Envelope]:
+    """Every envelope of ``sim``'s wire log, decoded, in send order."""
+    return [codec.canonical_decode(blob, Envelope) for _, blob in sim.wire_log]
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import wire_envelopes
 from vasptrust import codec, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.netsim import build_world, run_scenario_with_world
@@ -49,13 +50,13 @@ def send(world, sender: int, receiver: int, body) -> None:
 
 
 def refusals(world, vasp: int) -> list[str]:
-    return [e.detail.split("reason=")[1]
+    return [e.get("reason")
             for e in world.sim.trace.find("travel_rule.transfer_refused")
             if e.actor == world.vasps[vasp].name]
 
 
 def accepted_responses(world, sender: int) -> list:
-    return [env.body for ch in world.sim.channels for env in ch.transcript
+    return [env.body for env in wire_envelopes(world.sim)
             if env.sender == world.vasps[sender].name
             and isinstance(env.body, TravelRuleResponse) and env.body.accepted]
 
@@ -69,6 +70,7 @@ def test_honest_request_passes_the_bindings(world):
     world.sim.run_until_quiet()
     assert refusals(world, 9) == []
     assert len(accepted_responses(world, 9)) == 1
+    assert [d for d, _ in world.vasps[9].payload_store] == ["inbound", "outbound"]
 
 
 def test_payload_signed_by_another_vasp_than_its_originator_refused(world):
@@ -78,6 +80,22 @@ def test_payload_signed_by_another_vasp_than_its_originator_refused(world):
     world.sim.run_until_quiet()
     assert refusals(world, 9) == ["invalid_payload"]
     assert accepted_responses(world, 9) == []
+
+
+@pytest.mark.parametrize("sender, signer, originator, beneficiary, reason", [
+    (3, 3, 7, 9, "invalid_payload"),
+    (7, 7, 7, 3, "misaddressed_payload"),
+    (7, 3, 3, 9, "misaddressed_payload"),
+])
+def test_refused_payload_is_not_stored(world, sender, signer, originator,
+                                       beneficiary, reason):
+    # The hostile payloads of this file: VASP 9 refuses each, and keeps
+    # nothing of it for the payload dump.
+    send(world, sender, 9, TravelRuleRequest(
+        signed_by(world, signer, originator, beneficiary)))
+    world.sim.run_until_quiet()
+    assert refusals(world, 9) == [reason]
+    assert world.vasps[9].payload_store == []
 
 
 # -- a payload is addressed to the VASP that receives it ----------------------
@@ -148,8 +166,8 @@ def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
     world.sim.run_until_quiet()
     assert thief.fetched_claims == [] and thief.consent_receipts == []
     assert len(store.store.receipts) == receipts_before
-    assert trace.find("claims.fetch_refused")[-1].detail == \
-        "reason=token_audience_mismatch"
+    assert trace.find("claims.fetch_refused")[-1].fields == \
+        (("reason", "token_audience_mismatch"),)
 
 
 def test_terms_signed_by_another_vasp_release_nothing(demo_config):
@@ -166,8 +184,8 @@ def test_terms_signed_by_another_vasp_release_nothing(demo_config):
     world.sim.run_until_quiet()
     assert len(vasp.fetched_claims) == fetched_before
     assert len(store.store.receipts) == 1
-    assert trace.find("claims.fetch_refused")[-1].detail == \
-        "reason=terms_not_countersigned"
+    assert trace.find("claims.fetch_refused")[-1].fields == \
+        (("reason", "terms_not_countersigned"),)
 
 
 def test_revoked_caller_refused_not_raised(world):
@@ -181,8 +199,8 @@ def test_revoked_caller_refused_not_raised(world):
     assert vasp.claims_token is None
     assert vasp.claims_denial == "invalid_caller"
     denied = world.sim.trace.find("claims.token_denied")
-    assert [(e.actor, e.detail) for e in denied if e.actor == server.name] == \
-        [(server.name, f"caller={vasp.name} reason=invalid_caller")]
+    assert [(e.actor, e.fields) for e in denied if e.actor == server.name] == \
+        [(server.name, (("caller", vasp.name), ("reason", "invalid_caller")))]
 
 
 # -- revocation removes a member from resolution ------------------------------
@@ -200,8 +218,8 @@ def test_identity_revoked_member_cannot_readvertise(demo_config):
     events_before = len(world.sim.trace.events)
     flood_round(world)
     flood_round(world)
-    merged = [e.detail for e in world.sim.trace.events[events_before:]
+    merged = [e.fields for e in world.sim.trace.events[events_before:]
               if e.event == "resolver.adv_merged"]
-    assert merged == ["origin=vasp:3 seq=2 outcome=Rejected"]
+    assert merged == [(("origin", "vasp:3"), ("seq", 2), ("outcome", "Rejected"))]
     assert world.vasps[7].local_lookup(dave) == [9]
     assert world.vasps[9].local_lookup(dave) == [9]

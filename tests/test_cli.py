@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from test_scenarios import line_config
 from vasptrust.cli import main
-from vasptrust.config import default_config
+from vasptrust.config import (config_to_dict, default_config, load_config,
+                              parse_config)
 from vasptrust.netsim.trace import parse_trace_text
 
 
@@ -29,6 +31,16 @@ def workspace(tmp_path):
     assert main(["init", "--config", str(config_path),
                  "--workspace", str(ws)]) == 0
     return ws
+
+
+@pytest.mark.parametrize("config", [
+    parse_config(default_config()), line_config(5, ring=True)],
+    ids=["demo", "ring"])
+def test_config_to_dict_round_trips_through_json(config, tmp_path):
+    data = config_to_dict(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data, indent=2))
+    assert config_to_dict(load_config(path)) == data
 
 
 class TestInit:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_subject, seed, trust_context
+from conftest import make_subject, seed, trust_context, wire_envelopes
 from vasptrust import codec, crypto, pki
-from vasptrust.netsim import (ActorKind, ChannelClosed, FaultConfig,
-                              PeerCertInvalid, Simulation)
+from vasptrust.netsim import (ChannelClosed, FaultConfig, PeerCertInvalid,
+                              Simulation)
 from vasptrust.netsim.messages import LookupRequest
 from vasptrust.netsim.nodes import Node
 from vasptrust.netsim.scenarios import run_scenario_with_world
@@ -44,8 +44,7 @@ def make_pair(sim, root, node_cls_b=Recorder):
             node = Recorder(sim, f"rec:{i}", cert, key)
         else:
             node = cls(f"rec:{i}", cert, key)
-        sim.register_actor(node.name, ActorKind.VASP,
-                           getattr(node, "handle", None))
+        sim.register_actor(node.name, getattr(node, "handle", None))
         nodes.append(node)
     return nodes
 
@@ -74,7 +73,7 @@ def test_possession_proof_failure_refused(root):
     with pytest.raises(PeerCertInvalid):
         sim.establish_channel(a, b, trust_context(root))
     refusals = sim.trace.find("netsim.channel_refused")
-    assert refusals and "PossessionProofFailed" in refusals[-1].detail
+    assert refusals and refusals[-1].get("verdict") == "PossessionProofFailed"
 
 
 def test_partition_fails_establishment(root):
@@ -138,9 +137,9 @@ def test_every_wire_message_bound_to_channel(root):
     for i in range(5):
         sim.send(channel, a.name, LookupRequest(i, "x@y.z"))
     sim.run_until_quiet()
-    assert len(sim.wire_log) == 5
-    assert len(channel.transcript) == 5
-    assert all(env.channel_id == channel.id for env in channel.transcript)
+    envelopes = wire_envelopes(sim)
+    assert len(envelopes) == 5
+    assert all(env.channel_id == channel.id for env in envelopes)
 
 
 def test_trace_is_deterministic():
@@ -159,19 +158,35 @@ def test_trace_is_deterministic():
 
 def test_duplicate_actor_ids_rejected(root):
     sim = Simulation(seed=12)
-    sim.register_actor("x", ActorKind.CUSTOMER)
+    sim.register_actor("x")
     with pytest.raises(Exception):
-        sim.register_actor("x", ActorKind.CUSTOMER)
+        sim.register_actor("x")
+
+
+@pytest.fixture
+def sent_envelopes(monkeypatch) -> list[Envelope]:
+    """Every envelope ``Simulation.send`` returns: the sender's own objects,
+    kept apart from the wire log."""
+    sent = []
+    send = Simulation.send
+
+    def recording_send(self, channel, sender, body):
+        env = send(self, channel, sender, body)
+        sent.append(env)
+        return env
+
+    monkeypatch.setattr(Simulation, "send", recording_send)
+    return sent
 
 
 @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4", "S5"])
-def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario):
+def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
+                                                 sent_envelopes):
     # send encodes each body once and reuses the bytes for the wire
     # envelope and the trace digest; both must be what encoding anew gives.
     _, world = run_scenario_with_world(scenario, demo_config)
     sim = world.sim
-    sent = {(env.channel_id, env.sender, env.seq): env
-            for channel in sim.channels for env in channel.transcript}
+    sent = {(env.channel_id, env.sender, env.seq): env for env in sent_envelopes}
     sent_events = sim.trace.find("netsim.sent")
     assert len(sim.wire_log) == len(sent_events) == len(sent) > 0
     for (kind, blob), event in zip(sim.wire_log, sent_events):
@@ -180,6 +195,7 @@ def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario):
         assert blob == codec.canonical_encode(env)
         assert kind == type(env.body).__name__
         assert event.actor == env.sender
-        assert event.detail == f"msg={kind} ch={env.channel_id} seq={env.seq}"
+        assert event.fields == (("msg", kind), ("ch", env.channel_id),
+                                ("seq", env.seq))
         assert event.digest == \
             crypto.digest(codec.canonical_encode(env.body))[:8].hex()

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from conftest import wire_envelopes
 from vasptrust import pki
 from vasptrust.config import parse_config
 from vasptrust.netsim import (ScenarioAssertionFailed, UnknownScenario,
@@ -61,8 +62,7 @@ class TestS1:
         trace = run_scenario("S1", demo_config)
         order = [
             trace.find("resolver.lookup")[0],
-            [e for e in trace.find("travel_rule.payload_validated")
-             if "direction=outbound" in e.detail][0],
+            trace.find("travel_rule.payload_validated", direction="outbound")[0],
             trace.find("travel_rule.transfer_gate")[0],
             trace.find("ledger.tx_submitted")[0],
             trace.find("ledger.block_confirmed")[-1],
@@ -88,16 +88,16 @@ class TestS1:
         trace, world = run_scenario_with_world(
             "S1", demo_config, overrides={"grant_beneficiary_consent": False})
         assert not trace.passed
-        refusals = trace.find("travel_rule.transfer_refused")
-        assert any("beneficiary_consent_missing" in e.detail for e in refusals)
+        assert trace.find("travel_rule.transfer_refused",
+                          reason="beneficiary_consent_missing")
         assert not trace.find("ledger.tx_submitted")
 
     def test_originator_consent_missing_blocks_ledger(self, demo_config):
         trace, _ = run_scenario_with_world(
             "S1", demo_config, overrides={"grant_originator_consent": False})
         assert not trace.passed
-        refusals = trace.find("travel_rule.transfer_refused")
-        assert any("originator_consent_missing" in e.detail for e in refusals)
+        assert trace.find("travel_rule.transfer_refused",
+                          reason="originator_consent_missing")
         assert not trace.find("ledger.tx_submitted")
 
     def test_gatekeeping_order_in_trace(self, demo_config):
@@ -105,16 +105,16 @@ class TestS1:
         # exchange and both consent checks.
         trace = run_scenario("S1", demo_config)
         for submitted in trace.find("ledger.tx_submitted"):
-            if "kind=customer_transfer" not in submitted.detail:
+            if submitted.get("kind") != "customer_transfer":
                 continue
             at = trace.events.index(submitted)
             before = trace.events[:at]
             validated = [e for e in before
                          if e.event == "travel_rule.payload_validated"
-                         and "present=5/5" in e.detail]
+                         and e.get("present") == "5/5"]
             consents = [e for e in before
                         if e.event == "travel_rule.consent_checked"
-                        and "ok=True" in e.detail]
+                        and e.get("ok") is True]
             gates = [e for e in before if e.event == "travel_rule.transfer_gate"]
             assert len(validated) >= 4  # both directions, both sides
             assert len(consents) >= 2
@@ -140,8 +140,7 @@ class TestS2:
         trace, world = run_scenario_with_world(
             "S2", demo_config, overrides={"withdraw_before_fetch": True})
         assert not trace.passed  # happy-path assertions fail by design
-        refusals = trace.find("claims.fetch_refused")
-        assert any("ConsentWithdrawn" in e.detail for e in refusals)
+        assert trace.find("claims.fetch_refused", reason="ConsentWithdrawn")
         assert not trace.find("claims.claims_released")
         assert world.stores["alice"].store.receipts == []
         assert world.vasps[7].fetched_claims == []
@@ -162,8 +161,8 @@ class TestS2Terms:
         world.sim.send(channel, vasp.name, ClaimsFetchRequest(
             vasp.claims_token, b"\x00" * 64, vasp.certs.claims.serial))
         world.sim.run_until_quiet()
-        refusals = trace.find("claims.fetch_refused")
-        assert any("terms_not_countersigned" in e.detail for e in refusals)
+        assert trace.find("claims.fetch_refused",
+                          reason="terms_not_countersigned")
         assert len(store_node.store.receipts) == receipts_before
 
 
@@ -179,9 +178,9 @@ class TestS3:
         assert trace.passed
         rounds = trace.find("federation.round")
         assert len(rounds) == 4
-        assert "converged=5/5" in rounds[-1].detail
+        assert rounds[-1].get("converged") == "5/5"
         # Not converged before the final round on a line.
-        assert "converged=5/5" not in rounds[-2].detail
+        assert rounds[-2].get("converged") != "5/5"
 
     def test_remote_lookup_exercised(self, demo_config):
         trace = run_scenario("S3", demo_config)
@@ -216,7 +215,7 @@ class TestDeltaFlooding:
         merged = [e for e in world.sim.trace.events[events_before:]
                   if e.event == "resolver.adv_merged"]
         assert merged
-        assert all("outcome=Stale" in e.detail for e in merged)
+        assert all(e.get("outcome") == "Stale" for e in merged)
         before = len(world.sim.wire_log)
         flood_round(world, channels)
         assert _flood_msgs(world, before) == 0
@@ -236,8 +235,8 @@ class TestDeltaFlooding:
         for _ in range(diameter):
             flood_round(world, channels)
         built = world.sim.trace.find("resolver.adv_built")[built_before:]
-        assert [(e.actor, e.detail.split()[0]) for e in built] == \
-            [("vasp:10", "seq=2")]
+        assert [(e.actor, e.fields[0]) for e in built] == \
+            [("vasp:10", ("seq", 2))]
         for number in sorted(world.vasps):
             assert world.vasps[number].resolver.resolve_map() == truth
 
@@ -255,7 +254,8 @@ class TestDeltaFlooding:
         assert _flood_msgs(world, before) == 10
         for node in (first, last):
             sent = [env.body.advertisement.vasp_number
-                    for env in shortcut.transcript if env.sender == node.name]
+                    for env in wire_envelopes(world.sim)
+                    if env.channel_id == shortcut.id and env.sender == node.name]
             assert sorted(sent) == sorted(world.vasps)
 
     def test_late_joiner_converges(self):
@@ -284,8 +284,8 @@ class TestDeltaFlooding:
         assert world.vasps[7].local_lookup(dave) == [9]
         assert world.vasps[9].local_lookup(dave) == [9]
         purged = world.sim.trace.find("resolver.adv_purged")
-        assert [(e.actor, e.detail.split()[0]) for e in purged] == \
-            [("vasp:7", "origin=vasp:3"), ("vasp:9", "origin=vasp:3")]
+        assert [(e.actor, e.fields[0]) for e in purged] == \
+            [("vasp:7", ("origin", "vasp:3")), ("vasp:9", ("origin", "vasp:3"))]
         # Further flooding does not bring the revoked member back.
         flood_round(world)
         flood_round(world)
@@ -308,8 +308,8 @@ class TestS4:
     def test_erased_handles_visible_in_trace(self, demo_config):
         trace, _ = run_scenario_with_world("S4", demo_config)
         offboard = trace.find("boarding.offboard")[0]
-        assert "accepted=True" in offboard.detail
-        assert "erased_handles=[" in offboard.detail
+        assert offboard.get("accepted") is True
+        assert isinstance(offboard.get("erased_handles"), list)
 
 
 class TestS5:
@@ -317,8 +317,8 @@ class TestS5:
         trace, world = run_scenario_with_world("S5", demo_config)
         assert trace.passed
         halt = trace.find("travel_rule.transfer_halted")[0]
-        assert "multiple_vasps" in halt.detail
-        assert "vasps=[3, 9]" in halt.detail
+        assert halt.get("reason") == "multiple_vasps"
+        assert halt.get("vasps") == [3, 9]
         assert world.ledger.confirmed_txs() == []
         assert not trace.find("ledger.tx_submitted")
 
@@ -377,11 +377,16 @@ def test_traces_reproducible_across_processes(demo_config, tmp_path):
 def test_all_protocol_messages_ride_channels(demo_config):
     for name in ("S1", "S2", "S3", "S4", "S5"):
         trace, world = run_scenario_with_world(name, demo_config)
-        total_transcribed = sum(len(ch.transcript) for ch in world.sim.channels)
-        assert total_transcribed == len(world.sim.wire_log)
-        for channel in world.sim.channels:
-            for envelope in channel.transcript:
-                assert envelope.sender in channel.endpoints()
+        channels = {ch.id: ch for ch in world.sim.channels}
+        seqs: dict[tuple[int, str], list[int]] = {}
+        for envelope in wire_envelopes(world.sim):
+            channel = channels[envelope.channel_id]
+            assert envelope.sender in channel.endpoints()
+            seqs.setdefault((channel.id, envelope.sender), []).append(envelope.seq)
+        # Every envelope a channel numbered is on the wire, once.
+        assert seqs == {(ch.id, sender): list(range(ch._dirs[sender].next_seq))
+                        for ch in channels.values() for sender in ch.endpoints()
+                        if ch._dirs[sender].next_seq}
 
 
 # SHA-256 of each scenario's trace text and of its wire log on the demo

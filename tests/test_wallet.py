@@ -480,7 +480,7 @@ class TestBoarding:
         assert len(supervision.checkpoints) == recorded
         refused = world.sim.trace.find("attest.checkpoint_refused")
         assert len(refused) == 1
-        assert f"device={genuine.device_id}" in refused[0].detail
+        assert refused[0].get("device") == genuine.device_id
         assert not world.sim.trace.find("attest.checkpoint")
 
     def test_checkpoint_verifies_signature_and_nonce(self):
