@@ -152,9 +152,11 @@ class ConsentReceipt:
 
 @dataclass(frozen=True)
 class AuditEntry:
+    """One audit row; ``fields`` are ordered ``(key, value)`` pairs."""
+
     at: int
     event: str
-    detail: str
+    fields: tuple[tuple[str, object], ...] = ()
 
 
 class ClaimsStore:
@@ -193,16 +195,16 @@ class ClaimsStore:
         if owner != self.owner or policy.owner_customer_ref != self.owner:
             raise NotOwner(f"{owner!r} does not own this store")
         self._policy = policy
-        self._audit.append(AuditEntry(now, "policy_set",
-                                      f"attrs={sorted(policy.readable_attributes)} "
-                                      f"vasps={sorted(policy.allowed_vasp_numbers)}"))
+        self._audit.append(AuditEntry(now, "policy_set", (
+            ("attrs", tuple(sorted(policy.readable_attributes))),
+            ("vasps", tuple(sorted(policy.allowed_vasp_numbers))))))
 
     def revoke_consent(self, owner: str, now: int) -> None:
         if owner != self.owner:
             raise NotOwner(f"{owner!r} does not own this store")
         if self._policy is not None and self._policy.active:
             self._policy.active = False
-            self._audit.append(AuditEntry(now, "consent_revoked", ""))
+            self._audit.append(AuditEntry(now, "consent_revoked"))
 
     def fetch_claims(self, token: AuthorizationToken,
                      now: int) -> tuple[list[SignedClaim], ConsentReceipt]:
@@ -218,7 +220,8 @@ class ClaimsStore:
         if now >= token.expires_at:
             raise TokenExpired(f"token expired at {token.expires_at}")
         if self._policy is None or not self._policy.active:
-            self._audit.append(AuditEntry(now, "fetch_refused", "consent withdrawn"))
+            self._audit.append(AuditEntry(now, "fetch_refused",
+                                          (("reason", "consent withdrawn"),)))
             raise ConsentWithdrawn("owner has withdrawn access consent")
 
         permitted = set(token.permitted_attributes)
@@ -227,10 +230,8 @@ class ClaimsStore:
             if c.attribute_name in permitted and c.not_before <= now < c.not_after
         ]
         receipt = self._issue_receipt(token, released, now)
-        self._audit.append(AuditEntry(
-            now, "claims_released",
-            f"token={token.token_id.hex()[:16]} "
-            f"attrs={sorted({c.attribute_name for c in released})}"))
+        self._audit.append(AuditEntry(now, "claims_released", (
+            ("token", token.token_id), ("attrs", receipt.attributes_released))))
         return released, receipt
 
     def _issue_receipt(self, token: AuthorizationToken,

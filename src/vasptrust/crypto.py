@@ -8,6 +8,7 @@ through the digest function.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -50,13 +51,23 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
     )
 
 
-def sign(private_key: bytes, message: bytes) -> bytes:
-    if len(private_key) != SEED_SIZE:
+@functools.lru_cache(maxsize=1024)
+def _private_key(seed: bytes) -> Ed25519PrivateKey:
+    """Deriving the key object costs as much as a signature, so keep it."""
+    if len(seed) != SEED_SIZE:
         raise MalformedKeyError("private key has wrong length")
     try:
-        return Ed25519PrivateKey.from_private_bytes(private_key).sign(message)
+        return Ed25519PrivateKey.from_private_bytes(seed)
     except ValueError as exc:
         raise MalformedKeyError(str(exc)) from exc
+
+
+def sign(private_key: bytes, message: bytes) -> bytes:
+    return _private_key(private_key).sign(message)
+
+
+def public_key_of(private_key: bytes) -> bytes:
+    return _private_key(private_key).public_key().public_bytes_raw()
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

@@ -36,13 +36,10 @@ class World:
     registry: wallet.WalletRegistry
     trust: pki.TrustContext
     vasps: dict[int, VaspNode]
-    idp_directories: dict[str, IdpDirectory]
-    providers: dict[str, claims_mod.ClaimsProvider]
     stores: dict[str, ClaimsStoreNode]
     auth_servers: dict[str, AuthServerNode]
     insurer: InsurerNode | None
     devices: dict[str, wallet.WalletDevice]
-    approved_stacks: set[bytes]
     customer_keys: list[bytes] = field(default_factory=list)
     _channels: dict[frozenset, SecureChannel] = field(default_factory=dict)
 
@@ -298,10 +295,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
 
     world = World(
         config=config, sim=sim, root=root, ledger=ledger, registry=registry,
-        trust=trust, vasps=vasps, idp_directories=idp_directories,
-        providers=providers, stores=stores, auth_servers=auth_servers,
-        insurer=insurer, devices=devices, approved_stacks=approved_stacks,
-        customer_keys=customer_keys)
+        trust=trust, vasps=vasps, stores=stores, auth_servers=auth_servers,
+        insurer=insurer, devices=devices, customer_keys=customer_keys)
 
     def checkpoint_hook(now: int) -> None:
         if now % CHECKPOINT_INTERVAL == 0:

@@ -199,32 +199,44 @@ def check_subject(subject: EvSubjectInfo) -> list[str]:
     return problems
 
 
+def cert_digest(cert: Certificate) -> bytes:
+    return crypto.digest(codec.canonical_encode(cert))
+
+
 def verify_linkage(signing_cert: SigningCertificate,
                    identity_cert: EvIdentityCertificate) -> bool:
     """True iff the signing certificate points at exactly this identity."""
-    return signing_cert.identity_linkage == crypto.digest(
-        codec.canonical_encode(identity_cert)
-    )
+    return signing_cert.identity_linkage == cert_digest(identity_cert)
 
 
 def validate_chain(cert: Certificate,
                    root_public_key: bytes,
                    revocation_list: RevocationList,
                    now: int,
-                   identity_cert: EvIdentityCertificate | None = None) -> ValidationReport:
-    """Pure validation of one certificate against the consortium root.
+                   identity_cert: EvIdentityCertificate | None = None,
+                   verified: dict[Certificate, bytes] | None = None) -> ValidationReport:
+    """Validation of one certificate against the consortium root; pure
+    unless a ``verified`` memo is given.
 
     For a SigningCertificate, pass the candidate identity certificate to
     have the linkage digest checked as part of the chain; linkage_ok stays
-    None when no candidate is supplied.
+    None when no candidate is supplied. ``verified`` maps certificates whose
+    root signature verified under ``root_public_key`` to their digest; it is
+    read in place of a verify and gains each certificate that verifies.
+    Revocation and the validity window are checked on every call.
     """
-    signature_ok = crypto.verify(root_public_key, cert.signing_input(),
-                                 cert.issuer_signature)
+    signature_ok = verified is not None and cert in verified
+    if not signature_ok:
+        signature_ok = crypto.verify(root_public_key, cert.signing_input(),
+                                     cert.issuer_signature)
+        if signature_ok and verified is not None:
+            verified[cert] = cert_digest(cert)
     revoked = revocation_list.covers(cert.serial)
     within = cert.not_before <= now < cert.not_after
     linkage_ok: bool | None = None
     if identity_cert is not None and isinstance(cert, SigningCertificate):
-        linkage_ok = verify_linkage(cert, identity_cert)
+        known = verified.get(identity_cert) if verified is not None else None
+        linkage_ok = cert.identity_linkage == (known or cert_digest(identity_cert))
 
     if not signature_ok:
         verdict = Verdict.BAD_SIGNATURE
@@ -276,6 +288,9 @@ class TrustContext:
         self.members: dict[int, VaspCerts] = {}  # entity number -> certs
         self.provider_keys: dict[str, bytes] = {}
         self.device_attestation_keys: dict[str, bytes] = {}
+        # Certificates whose root signature verified -> canonical digest.
+        # Keyed by value, signature included, so a forgery never hits.
+        self.verified: dict[Certificate, bytes] = {}
 
     @property
     def revocation_list(self) -> RevocationList:
@@ -293,7 +308,7 @@ class TrustContext:
                  identity_cert: EvIdentityCertificate | None = None
                  ) -> ValidationReport:
         return validate_chain(cert, self.root_public_key, self._revocations(),
-                              self._clock(), identity_cert)
+                              self._clock(), identity_cert, self.verified)
 
     def verify_member_signature(self, msg: bytes, sig: bytes, serial: int,
                                 purpose: CertPurpose,
@@ -409,7 +424,7 @@ class RootAuthority:
             serial=serial,
             purpose=purpose,
             subject_public_key=subject_public_key,
-            identity_linkage=crypto.digest(codec.canonical_encode(identity_cert)),
+            identity_linkage=cert_digest(identity_cert),
             issuer_id=self.name,
             not_before=not_before,
             not_after=not_after,

@@ -225,10 +225,9 @@ def sign_payload(claims_private_key: bytes,
     report = trust.validate(claims_cert)
     if not report.valid:
         raise InvalidCert(f"claims certificate is {report.verdict.value}")
-    signature = crypto.sign(claims_private_key, codec.canonical_encode(payload))
-    if not crypto.verify(claims_cert.subject_public_key,
-                         codec.canonical_encode(payload), signature):
+    if crypto.public_key_of(claims_private_key) != claims_cert.subject_public_key:
         raise InvalidCert("private key does not match the claims certificate")
+    signature = crypto.sign(claims_private_key, codec.canonical_encode(payload))
     return SignedPayload(payload, claims_cert.serial, signature)
 
 

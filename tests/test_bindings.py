@@ -223,3 +223,39 @@ def test_identity_revoked_member_cannot_readvertise(demo_config):
     assert merged == [(("origin", "vasp:3"), ("seq", 2), ("outcome", "Rejected"))]
     assert world.vasps[7].local_lookup(dave) == [9]
     assert world.vasps[9].local_lookup(dave) == [9]
+
+
+def test_claims_revoked_after_caching_refuses_next_payload(world):
+    # VASP 9 has accepted one payload under VASP 7's claims certificate,
+    # so the trust context holds that certificate; then it is revoked.
+    claims_cert = world.vasps[7].certs.claims
+    first, second = signed_by(world, 7, 7, 9), signed_by(world, 7, 7, 9, 11)
+    send(world, 7, 9, TravelRuleRequest(first))
+    world.sim.run_until_quiet()
+    assert refusals(world, 9) == [] and claims_cert in world.trust.verified
+    world.root.revoke(claims_cert.serial, pki.RevocationReason.KEY_COMPROMISE,
+                      world.sim.now)
+    send(world, 7, 9, TravelRuleRequest(second))
+    world.sim.run_until_quiet()
+    assert refusals(world, 9) == ["invalid_payload"]
+    assert len(accepted_responses(world, 9)) == 1
+
+
+def test_claims_revoked_after_caching_refuses_next_advertisement(demo_config):
+    # Convergence caches VASP 3's claims certificate; only that certificate
+    # is revoked, and VASP 3 keeps flooding over its open channel.
+    world = build_world(demo_config)
+    converge_federation(world)
+    claims_cert = world.vasps[3].certs.claims
+    assert claims_cert in world.trust.verified
+    world.root.revoke(claims_cert.serial, pki.RevocationReason.KEY_COMPROMISE,
+                      world.sim.now)
+    dave = parse_identifier("dave$gammax.fi")
+    world.vasps[3].resolver.register_identifier("dave", dave)
+    events_before = len(world.sim.trace.events)
+    flood_round(world)
+    flood_round(world)
+    merged = [e.fields for e in world.sim.trace.events[events_before:]
+              if e.event == "resolver.adv_merged"]
+    assert merged == [(("origin", "vasp:3"), ("seq", 2), ("outcome", "Rejected"))]
+    assert world.vasps[7].local_lookup(dave) == world.vasps[9].local_lookup(dave) == []

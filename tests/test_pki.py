@@ -273,3 +273,64 @@ def test_hex_export_import(member):
     for cert in (member["identity_cert"], member["tx_cert"]):
         kind = pki.cert_kind(cert)
         assert pki.cert_from_hex(kind, pki.cert_to_hex(cert)) == cert
+
+
+# -- the trust context's memo of verified root signatures ----------------------
+
+class TestVerifiedMemo:
+    """Each case runs on a certificate the context has already cached."""
+
+    @pytest.fixture
+    def clock(self):
+        return [1]
+
+    @pytest.fixture
+    def trust(self, root, member, clock):
+        trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
+                                 lambda: clock[0])
+        assert trust.validate(member["claims_cert"], member["identity_cert"]).valid
+        assert member["claims_cert"] in trust.verified
+        return trust
+
+    @pytest.fixture
+    def verifies(self, monkeypatch):
+        calls = []
+        real = crypto.verify
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(crypto, "verify", counting)
+        return calls
+
+    def test_cached_certificate_is_not_verified_again(self, trust, member, verifies):
+        report = trust.validate(member["claims_cert"], member["identity_cert"])
+        assert report.valid and report.linkage_ok
+        assert verifies == []
+
+    def test_revoked_after_caching(self, trust, root, member):
+        root.revoke(member["claims_cert"].serial,
+                    pki.RevocationReason.KEY_COMPROMISE, now=1)
+        report = trust.validate(member["claims_cert"], member["identity_cert"])
+        assert report.verdict is pki.Verdict.REVOKED
+
+    def test_expired_after_caching(self, trust, member, clock):
+        clock[0] = member["claims_cert"].not_after
+        report = trust.validate(member["claims_cert"], member["identity_cert"])
+        assert report.verdict is pki.Verdict.EXPIRED
+
+    @pytest.mark.parametrize("changes", [
+        {"subject_public_key": crypto.generate_keypair(seed("forger")).public_key},
+        {"not_after": 99_999},
+        {"purpose": pki.CertPurpose.TRANSACTION_SIGNING},
+    ])
+    def test_forgery_with_a_genuine_serial(self, trust, member, verifies, changes):
+        forged = dataclasses.replace(member["claims_cert"], **changes)
+        assert forged.serial == member["claims_cert"].serial
+        cached = dict(trust.verified)
+        for _ in range(2):
+            report = trust.validate(forged, member["identity_cert"])
+            assert report.verdict is pki.Verdict.BAD_SIGNATURE
+        assert len(verifies) == 2
+        assert trust.verified == cached

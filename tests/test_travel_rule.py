@@ -147,6 +147,13 @@ class TestSignedPayload:
                             member["claims_cert"], build(),
                             trust_context(root, member, now=6))
 
+    def test_key_must_match_the_claims_cert(self, root, member):
+        # VASP 3's own claims key under VASP 7's claims certificate.
+        vasp3 = issue_member(root, 3, "vasp3")
+        with pytest.raises(tr.InvalidCert, match="does not match"):
+            tr.sign_payload(vasp3["claims"].private_key, member["claims_cert"],
+                            build(), trust_context(root, member, vasp3))
+
     def test_tampered_payload_fails(self, root, member):
         trust = trust_context(root, member)
         signed = tr.sign_payload(member["claims"].private_key,
