@@ -198,12 +198,12 @@ class Ledger:
             raise TxNotFound(tx_id.hex()) from None
 
     def confirmed_txs(self, lo_height: int = 1, hi_height: int | None = None) -> list[LedgerTx]:
+        """Transactions of the blocks at heights ``lo_height..hi_height``,
+        genesis excluded; a block's height is its index in the chain."""
         hi = self.height if hi_height is None else hi_height
-        out = []
-        for block in self._blocks[1:]:
-            if lo_height <= block.height <= hi:
-                out.extend(self._tx_index[tx_id] for tx_id in block.tx_ids)
-        return out
+        return [self._tx_index[tx_id]
+                for block in self._blocks[max(lo_height, 1):max(hi + 1, 0)]
+                for tx_id in block.tx_ids]
 
     def dump_chain(self) -> str:
         """Chain as line-oriented text, transaction ids in hex."""

@@ -49,6 +49,7 @@ class PendingTransfer:
     beneficiary_vasp: int
     state: str = "requested"
     tx_id: bytes | None = None
+    submitted_height: int = 0  # ledger height when the tx entered the mempool
 
 
 class VaspNode(Node):
@@ -364,18 +365,24 @@ class VaspNode(Node):
             memo_tag=pending.payload.payload_id)
         self.ledger.submit_transfer(tx)
         pending.tx_id = tx.tx_id
+        pending.submitted_height = self.ledger.height
         pending.state = "submitted"
         self.sim.emit(self.name, "ledger.tx_submitted", {
             "tx": tx.tx_id.hex()[:16], "kind": "customer_transfer",
             "amount": pending.payload.amount}, payload=tx)
 
     def correlate_pending(self) -> list[travel_rule.CorrelationRecord]:
+        """Correlate every submitted transfer whose block is confirmed.
+        confirm_block confirms the whole mempool, so the transaction is in
+        a block above the height it was submitted at."""
         records = []
         for pending in self.pending.values():
-            if pending.state != "submitted":
+            if (pending.state != "submitted"
+                    or self.ledger.height <= pending.submitted_height):
                 continue
             record = self.correlations.correlate(
-                pending.payload, self.ledger, (1, self.ledger.height))
+                pending.payload, self.ledger,
+                (pending.submitted_height + 1, self.ledger.height))
             pending.state = "correlated"
             records.append(record)
             self.sim.emit(self.name, "travel_rule.correlated", {

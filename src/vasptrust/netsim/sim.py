@@ -121,6 +121,9 @@ class Simulation:
         self.trace = ScenarioTrace(scenario=scenario, seed=seed)
         self.channels: list[SecureChannel] = []
         self.wire_log: list[tuple[str, bytes]] = []
+        # Every direction holding a queued or out-of-order envelope, keyed
+        # by (channel id, endpoint index): the only ones with work to do.
+        self._busy: dict[tuple[int, int], tuple[SecureChannel, str]] = {}
         self._actors: set[str] = set()
         self._handlers: dict[str, object] = {}
         self._tick_hooks: list[object] = []
@@ -199,6 +202,7 @@ class Simulation:
         env = Envelope(channel.id, direction.next_seq, sender, body, self.now)
         direction.next_seq += 1
         direction.queue.append(env)
+        self._busy[channel.id, channel.endpoints().index(sender)] = (channel, sender)
         # The body is encoded once: framed into the envelope for the wire
         # log, and digested for the trace.
         body_bytes = codec.canonical_encode(body)
@@ -217,33 +221,37 @@ class Simulation:
         deliveries: list[tuple[SecureChannel, str, Envelope]] = []
         fault = (self.faults.drop_rate or self.faults.duplicate_rate
                  or self.faults.reorder_rate)
-        for channel in list(self.channels):
-            for sender in channel.endpoints():
-                direction = channel._dirs[sender]
-                if not direction.queue:
+        # Channel id order, then endpoint a before b, as a walk over every
+        # direction would go, so deliveries and fault draws keep its order.
+        for key in sorted(self._busy):
+            channel, sender = self._busy[key]
+            direction = channel._dirs[sender]
+            if not direction.queue:
+                continue
+            queue = list(direction.queue)
+            direction.queue.clear()
+            if fault and self.faults.reorder_rate and len(queue) > 1 \
+                    and self.rng.random() < self.faults.reorder_rate:
+                self.rng.shuffle(queue)
+            arrivals: list[Envelope] = []
+            for env in queue:
+                if fault and self.rng.random() < self.faults.drop_rate:
+                    direction.queue.append(env)  # retransmit next tick
                     continue
-                queue = list(direction.queue)
-                direction.queue.clear()
-                if fault and self.faults.reorder_rate and len(queue) > 1 \
-                        and self.rng.random() < self.faults.reorder_rate:
-                    self.rng.shuffle(queue)
-                arrivals: list[Envelope] = []
-                for env in queue:
-                    if fault and self.rng.random() < self.faults.drop_rate:
-                        direction.queue.append(env)  # retransmit next tick
-                        continue
+                arrivals.append(env)
+                if fault and self.rng.random() < self.faults.duplicate_rate:
                     arrivals.append(env)
-                    if fault and self.rng.random() < self.faults.duplicate_rate:
-                        arrivals.append(env)
-                recipient = channel.other(sender)
-                for env in arrivals:
-                    if env.seq < direction.expected:
-                        continue  # duplicate of something already delivered
-                    direction.pending.setdefault(env.seq, env)
-                while direction.expected in direction.pending:
-                    env = direction.pending.pop(direction.expected)
-                    direction.expected += 1
-                    deliveries.append((channel, recipient, env))
+            recipient = channel.other(sender)
+            for env in arrivals:
+                if env.seq < direction.expected:
+                    continue  # duplicate of something already delivered
+                direction.pending.setdefault(env.seq, env)
+            while direction.expected in direction.pending:
+                env = direction.pending.pop(direction.expected)
+                direction.expected += 1
+                deliveries.append((channel, recipient, env))
+            if not direction.queue and not direction.pending:
+                del self._busy[key]
         for channel, recipient, env in deliveries:
             self.emit(recipient, "netsim.delivered",
                       {"msg": type(env.body).__name__, "ch": channel.id,
@@ -257,7 +265,7 @@ class Simulation:
 
     def in_flight(self) -> int:
         return sum(len(ch._dirs[s].queue) + len(ch._dirs[s].pending)
-                   for ch in self.channels for s in ch.endpoints())
+                   for ch, s in self._busy.values())
 
     def run_until_quiet(self, max_steps: int = 1000) -> None:
         for _ in range(max_steps):

@@ -277,6 +277,8 @@ class ConsentStore:
     def __init__(self, customers: set[str]):
         self._customers = customers
         self._records: list[ConsentRecord] = []
+        self._by_customer: dict[tuple[str, ConsentDirection],
+                                list[ConsentRecord]] = {}
 
     @property
     def records(self) -> list[ConsentRecord]:
@@ -288,28 +290,22 @@ class ConsentStore:
             raise UnknownCustomer(customer_id)
         rec = ConsentRecord(customer_id, direction, counterparty, granted_at=now)
         self._records.append(rec)
+        self._by_customer.setdefault((customer_id, direction), []).append(rec)
         return rec
 
     def withdraw(self, customer_id: str, direction: ConsentDirection,
                  counterparty: int | None, now: int) -> None:
         if customer_id not in self._customers:
             raise UnknownCustomer(customer_id)
-        for rec in self._records:
-            if (rec.customer_id == customer_id and rec.direction is direction
-                    and rec.counterparty_vasp_number == counterparty
-                    and rec.active(now)):
+        for rec in self._by_customer.get((customer_id, direction), ()):
+            if rec.counterparty_vasp_number == counterparty and rec.active(now):
                 rec.withdrawn_at = now
 
     def check(self, customer_id: str, direction: ConsentDirection,
               counterparty: int | None, now: int) -> bool:
         """True iff an active, scope-matching consent record exists."""
-        return any(
-            rec.customer_id == customer_id
-            and rec.direction is direction
-            and rec.scope_matches(counterparty)
-            and rec.active(now)
-            for rec in self._records
-        )
+        return any(rec.scope_matches(counterparty) and rec.active(now)
+                   for rec in self._by_customer.get((customer_id, direction), ()))
 
 
 @dataclass(frozen=True)
@@ -338,7 +334,8 @@ class CorrelationStore:
         Memo-tagged transactions match on tag equality with the payload id,
         narrowed by amount if the transaction pays several outputs;
         otherwise the expected (key, amount) pair from the hint must select
-        exactly one unconsumed output inside the height window.
+        exactly one unconsumed output inside the height window. Only the
+        window's blocks are read, so the caller's window bounds the work.
         """
         if not validate_payload(payload).passed:
             raise ValueError("payload must be complete before correlation")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seed
 from vasptrust import crypto
@@ -174,6 +176,37 @@ def test_identical_op_sequences_identical_hashes():
         return [b.block_hash for b in ledger.blocks]
 
     assert run() == run()
+
+
+WINDOW_KEYS = keypairs(2, "window")
+
+
+def whole_chain_filter(ledger, lo, hi):
+    """The reference: every block of the chain, filtered by height."""
+    hi = ledger.height if hi is None else hi
+    return [ledger.query_tx(tx_id) for block in ledger.blocks[1:]
+            if lo <= block.height <= hi for tx_id in block.tx_ids]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=6))
+def test_confirmed_txs_window_matches_whole_chain_filter(block_sizes):
+    src, dst = WINDOW_KEYS
+    ledger = Ledger([(src.public_key, 1000)])
+    amount = 1
+    for size in block_sizes:
+        for _ in range(size):
+            ledger.submit_transfer(make_transfer(
+                [(src.public_key, amount)], [(dst.public_key, amount)],
+                {src.public_key: signer(src)}))
+            amount += 1
+        ledger.confirm_block()
+    heights = range(-2, ledger.height + 3)
+    assert ledger.confirmed_txs() == whole_chain_filter(ledger, 1, None)
+    for lo in heights:
+        for hi in [None, *heights]:
+            assert ledger.confirmed_txs(lo, hi) == \
+                whole_chain_filter(ledger, lo, hi), (lo, hi)
 
 
 def test_dump_chain_mentions_tx_hex(funded):

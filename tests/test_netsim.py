@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import make_subject, seed, trust_context, wire_envelopes
@@ -154,6 +156,65 @@ def test_trace_is_deterministic():
         return sim.trace.to_text()
 
     assert run() == run()
+
+
+class Echo(Recorder):
+    """Recorder that answers each first-hand request on the same channel,
+    so handlers send while a tick is being delivered."""
+
+    def handle(self, channel, envelope):
+        super().handle(channel, envelope)
+        body = envelope.body
+        if body.request_seq < 1000:
+            self.sim.send(channel, self.name,
+                          LookupRequest(body.request_seq + 1000, body.identifier))
+
+
+def brute_in_flight(sim) -> int:
+    """Queued plus out-of-order envelopes over every channel direction."""
+    return sum(len(ch._dirs[s].queue) + len(ch._dirs[s].pending)
+               for ch in sim.channels for s in ch.endpoints())
+
+
+# SHA-256 of the trace text of the faulty four-node run below, taken on a
+# simulator that stepped every channel direction on every tick: a busy-set
+# step must deliver in the same order and draw the same fault RNG values.
+FAULTY_MESH_TRACE_SHA256 = (
+    "f4ec81b127194ff205bcd9ff1b1b879f4359e2f3abc0b1e2e08bd19d29def083")
+
+
+def test_in_flight_tracks_busy_directions_under_faults():
+    root = pki.create_consortium_root("TestNet", seed("mesh-root"))
+    sim = Simulation(seed=13, faults=FaultConfig(
+        drop_rate=0.2, duplicate_rate=0.2, reorder_rate=0.5))
+    nodes = []
+    for i in range(4):
+        key = crypto.generate_keypair(seed(f"mesh:{i}"))
+        cert = root.issue_identity_cert(make_subject(600 + i), key.public_key,
+                                        0, 10_000)
+        node = Echo(sim, f"mesh:{i}", cert, key)
+        sim.register_actor(node.name, node.handle)
+        nodes.append(node)
+    trust = trust_context(root)
+    channels = [sim.establish_channel(nodes[a], nodes[b], trust)
+                for a, b in ((0, 1), (1, 2), (0, 2), (2, 3))]
+    seq = 0
+    for tick in range(30):
+        for ch in channels[tick % 2::2]:
+            sender = ch.endpoints()[(tick // 2) % 2]
+            for _ in range(1 + tick % 3):
+                sim.send(ch, sender, LookupRequest(seq, f"n{seq}@mesh.test"))
+                seq += 1
+        sim.step()
+        assert sim.in_flight() == brute_in_flight(sim)
+    while sim.in_flight():
+        sim.step()
+        assert sim.in_flight() == brute_in_flight(sim)
+    assert brute_in_flight(sim) == 0
+    received = sorted(m.request_seq for n in nodes for m in n.received)
+    assert received == list(range(seq)) + list(range(1000, 1000 + seq))
+    digest = hashlib.sha256(sim.trace.to_text().encode()).hexdigest()
+    assert digest == FAULTY_MESH_TRACE_SHA256
 
 
 def test_duplicate_actor_ids_rejected(root):

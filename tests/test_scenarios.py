@@ -9,12 +9,14 @@ import pytest
 from conftest import wire_envelopes
 from vasptrust import pki
 from vasptrust.config import parse_config
+from vasptrust.ledger import Ledger
 from vasptrust.netsim import (ScenarioAssertionFailed, UnknownScenario,
                               build_world, graph_diameter, run_scenario,
                               run_scenario_with_world)
 from vasptrust.netsim.scenarios import (converge_federation, flood_round,
                                         ground_truth_map)
 from vasptrust.resolver import parse_identifier
+from vasptrust.travel_rule import ConsentDirection
 
 
 def line_config(n, seed=11, ring=False):
@@ -387,6 +389,75 @@ def test_all_protocol_messages_ride_channels(demo_config):
         assert seqs == {(ch.id, sender): list(range(ch._dirs[sender].next_seq))
                         for ch in channels.values() for sender in ch.endpoints()
                         if ch._dirs[sender].next_seq}
+
+
+# ---------------------------------------------------------------------------
+# Correlation of one-at-a-time transfers
+# ---------------------------------------------------------------------------
+
+def transfer_world(config):
+    """The demo world with Alice at VASP 7 and Bob at VASP 9 consenting to
+    transfers between the two."""
+    world = build_world(config)
+    world.vasps[7].grant_consent(
+        "alice", ConsentDirection.SEND_INFO_TO_COUNTERPARTY, 9)
+    world.vasps[9].grant_consent("bob", ConsentDirection.RECEIVE_ASSETS, 7)
+    return world
+
+
+def transfer(world, amount):
+    """Alice sends Bob ``amount``; returns VASP 7's pending entry once the
+    exchange is quiet."""
+    ovasp, bvasp = world.vasps[7], world.vasps[9]
+    payload = ovasp.initiate_transfer(world.channel_between(ovasp, bvasp),
+                                      "alice", "Bob Jones", "bob@idp2.com",
+                                      9, amount)
+    world.sim.run_until_quiet()
+    return ovasp.pending[payload.payload_id]
+
+
+def test_correlate_pending_waits_for_the_block(demo_config):
+    world = transfer_world(demo_config)
+    pending = transfer(world, 125)
+    assert pending.state == "submitted" and world.ledger.height == 0
+    # Submitted but not yet in a block: nothing to correlate, no error.
+    assert world.vasps[7].correlate_pending() == []
+    assert pending.state == "submitted"
+    world.confirm_block()
+    records = world.vasps[7].correlate_pending()
+    assert [r.tx_id for r in records] == [pending.tx_id]
+    assert pending.state == "correlated"
+    assert world.vasps[7].correlate_pending() == []
+    assert len(world.sim.trace.find("travel_rule.correlated")) == 1
+
+
+def test_correlation_reads_a_bounded_window(demo_config, monkeypatch):
+    # Rows Ledger.confirmed_txs hands to correlation over k transfers, a
+    # block and a correlation pass every 5: linear in k, not quadratic.
+    rows = [0]
+    confirmed_txs = Ledger.confirmed_txs
+
+    def counting(self, *args, **kwargs):
+        out = confirmed_txs(self, *args, **kwargs)
+        rows[0] += len(out)
+        return out
+
+    monkeypatch.setattr(Ledger, "confirmed_txs", counting)
+
+    def run(k):
+        world = transfer_world(demo_config)
+        rows[0] = 0
+        entries = []
+        for i in range(1, k + 1):
+            entries.append(transfer(world, i))
+            if i % 5 == 0:
+                world.confirm_block()
+                world.vasps[7].correlate_pending()
+        assert all(p.state == "correlated" for p in entries)
+        return rows[0]
+
+    at_100, at_200 = run(100), run(200)
+    assert 0 < at_200 <= 2.2 * at_100
 
 
 # SHA-256 of each scenario's trace text and of its wire log on the demo

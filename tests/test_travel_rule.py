@@ -6,10 +6,13 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import issue_member, seed, trust_context
 from vasptrust import crypto, pki, travel_rule as tr
 from vasptrust.ledger import Ledger, make_transfer
+from vasptrust.netsim import build_world
 
 
 def alice(**overrides):
@@ -124,6 +127,77 @@ class TestConsent:
         assert store.check("alice",
                            tr.ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
                            None, 4)
+
+
+    @pytest.mark.parametrize("scope", [None, 0, 7])
+    def test_withdraw_leaves_other_scopes(self, store, scope):
+        recv = tr.ConsentDirection.RECEIVE_ASSETS
+        store.record("bob", recv, scope, now=1)
+        store.record("bob", recv, 9, now=1)
+        store.withdraw("bob", recv, scope, now=2)
+        assert not store.check("bob", recv, scope, 3)
+        assert store.check("bob", recv, 9, 3)
+
+    def test_node_withdraw_consent(self, demo_config):
+        world = build_world(demo_config)
+        vasp = world.vasps[9]
+        send = tr.ConsentDirection.SEND_INFO_TO_COUNTERPARTY
+        recv = tr.ConsentDirection.RECEIVE_ASSETS
+        vasp.grant_consent("bob", recv, 7)
+        vasp.grant_consent("bob", recv, 3)
+        vasp.grant_consent("bob", send, 7)
+        vasp.grant_consent("dave", recv, 7)
+        vasp.withdraw_consent("bob", recv, 7)
+        now = world.sim.now
+        assert not vasp.consents.check("bob", recv, 7, now)
+        # Another counterparty, the other direction, another customer.
+        assert vasp.consents.check("bob", recv, 3, now)
+        assert vasp.consents.check("bob", send, 7, now)
+        assert vasp.consents.check("dave", recv, 7, now)
+        [event] = world.sim.trace.find("travel_rule.consent_withdrawn")
+        assert (event.actor, event.get("vasp"), event.get("direction")) == \
+            ("customer:bob", 9, recv.value)
+
+
+class LinearConsents:
+    """The reference store: every question scans every record stored."""
+
+    def __init__(self):
+        self.records = []
+
+    def record(self, customer_id, direction, counterparty, now):
+        self.records.append(tr.ConsentRecord(customer_id, direction,
+                                             counterparty, granted_at=now))
+
+    def withdraw(self, customer_id, direction, counterparty, now):
+        for rec in self.records:
+            if (rec.customer_id == customer_id and rec.direction is direction
+                    and rec.counterparty_vasp_number == counterparty
+                    and rec.active(now)):
+                rec.withdrawn_at = now
+
+    def check(self, customer_id, direction, counterparty, now):
+        return any(rec.customer_id == customer_id and rec.direction is direction
+                   and rec.scope_matches(counterparty) and rec.active(now)
+                   for rec in self.records)
+
+
+CONSENT_QUESTIONS = list(itertools.product(
+    ["alice", "bob"], list(tr.ConsentDirection), [None, 0, 7]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["record", "withdraw"]),
+                          st.sampled_from(CONSENT_QUESTIONS)), max_size=24))
+def test_consent_store_matches_linear_scan(ops):
+    store, reference = tr.ConsentStore({"alice", "bob"}), LinearConsents()
+    for i, (op, question) in enumerate(ops):
+        now = i // 2  # pairs of operations share a tick
+        getattr(store, op)(*question, now)
+        getattr(reference, op)(*question, now)
+        for asked in CONSENT_QUESTIONS:
+            assert store.check(*asked, now) == reference.check(*asked, now)
+    assert store.records == reference.records
 
 
 class TestSignedPayload:
