@@ -129,15 +129,6 @@ class TestConsent:
                            None, 4)
 
 
-    @pytest.mark.parametrize("scope", [None, 0, 7])
-    def test_withdraw_leaves_other_scopes(self, store, scope):
-        recv = tr.ConsentDirection.RECEIVE_ASSETS
-        store.record("bob", recv, scope, now=1)
-        store.record("bob", recv, 9, now=1)
-        store.withdraw("bob", recv, scope, now=2)
-        assert not store.check("bob", recv, scope, 3)
-        assert store.check("bob", recv, 9, 3)
-
     def test_node_withdraw_consent(self, demo_config):
         world = build_world(demo_config)
         vasp = world.vasps[9]
