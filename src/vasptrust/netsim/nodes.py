@@ -92,6 +92,10 @@ class VaspNode(Node):
         self.payload_store: list[tuple[str, SignedPayload]] = []
         self.supervision: dict[str, wallet.SupervisionRecord] = {}
         self.pending: dict[bytes, PendingTransfer] = {}
+        # The pending entries still submitted, and each payload id's place
+        # in ``pending`` (a repeated id keeps its first place there).
+        self._submitted: dict[bytes, PendingTransfer] = {}
+        self._place: dict[bytes, int] = {}
         self.remote_lookups: list[msg.LookupResponse] = []
         self.claims_token: claims_mod.AuthorizationToken | None = None
         self.claims_denial: str = ""
@@ -221,6 +225,9 @@ class VaspNode(Node):
         signed = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims, payload, self.trust)
         self.payload_store.append(("outbound", signed))
+        self._place.setdefault(payload.payload_id, len(self._place))
+        # A repeated payload id replaces its entry, which is never correlated.
+        self._submitted.pop(payload.payload_id, None)
         self.pending[payload.payload_id] = PendingTransfer(
             payload, originator_id, beneficiary_vasp)
         self.sim.send(channel, self.name, msg.TravelRuleRequest(signed))
@@ -367,6 +374,7 @@ class VaspNode(Node):
         pending.tx_id = tx.tx_id
         pending.submitted_height = self.ledger.height
         pending.state = "submitted"
+        self._submitted[body.ack_payload_id] = pending
         self.sim.emit(self.name, "ledger.tx_submitted", {
             "tx": tx.tx_id.hex()[:16], "kind": "customer_transfer",
             "amount": pending.payload.amount}, payload=tx)
@@ -376,14 +384,16 @@ class VaspNode(Node):
         confirm_block confirms the whole mempool, so the transaction is in
         a block above the height it was submitted at."""
         records = []
-        for pending in self.pending.values():
-            if (pending.state != "submitted"
-                    or self.ledger.height <= pending.submitted_height):
+        # In the order of ``pending``, visiting only the submitted entries.
+        for payload_id in sorted(self._submitted, key=self._place.__getitem__):
+            pending = self._submitted[payload_id]
+            if self.ledger.height <= pending.submitted_height:
                 continue
             record = self.correlations.correlate(
                 pending.payload, self.ledger,
                 (pending.submitted_height + 1, self.ledger.height))
             pending.state = "correlated"
+            del self._submitted[payload_id]
             records.append(record)
             self.sim.emit(self.name, "travel_rule.correlated", {
                 "payload": record.payload_id.hex()[:16],

@@ -277,8 +277,10 @@ class ConsentStore:
     def __init__(self, customers: set[str]):
         self._customers = customers
         self._records: list[ConsentRecord] = []
-        self._by_customer: dict[tuple[str, ConsentDirection],
-                                list[ConsentRecord]] = {}
+        # Records by (customer, direction, counterparty scope); None is
+        # the unscoped grant that matches every counterparty.
+        self._by_scope: dict[tuple[str, ConsentDirection, int | None],
+                             list[ConsentRecord]] = {}
 
     @property
     def records(self) -> list[ConsentRecord]:
@@ -290,22 +292,26 @@ class ConsentStore:
             raise UnknownCustomer(customer_id)
         rec = ConsentRecord(customer_id, direction, counterparty, granted_at=now)
         self._records.append(rec)
-        self._by_customer.setdefault((customer_id, direction), []).append(rec)
+        self._by_scope.setdefault((customer_id, direction, counterparty),
+                                  []).append(rec)
         return rec
 
     def withdraw(self, customer_id: str, direction: ConsentDirection,
                  counterparty: int | None, now: int) -> None:
         if customer_id not in self._customers:
             raise UnknownCustomer(customer_id)
-        for rec in self._by_customer.get((customer_id, direction), ()):
-            if rec.counterparty_vasp_number == counterparty and rec.active(now):
+        for rec in self._by_scope.get((customer_id, direction, counterparty), ()):
+            if rec.active(now):
                 rec.withdrawn_at = now
 
     def check(self, customer_id: str, direction: ConsentDirection,
               counterparty: int | None, now: int) -> bool:
-        """True iff an active, scope-matching consent record exists."""
-        return any(rec.scope_matches(counterparty) and rec.active(now)
-                   for rec in self._by_customer.get((customer_id, direction), ()))
+        """True iff an active, scope-matching consent record exists: an
+        unscoped one or one scoped to ``counterparty``."""
+        scopes = (None,) if counterparty is None else (None, counterparty)
+        return any(rec.active(now)
+                   for scope in scopes
+                   for rec in self._by_scope.get((customer_id, direction, scope), ()))
 
 
 @dataclass(frozen=True)

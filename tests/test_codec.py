@@ -386,3 +386,89 @@ def test_builtin_subclasses_encode_as_the_builtin():
     for value in (Flavour.SWEET, bytearray(b"ab"), True, [Flavour.SWEET, 0]):
         assert codec.canonical_encode(value) == reference_encode(value)
     assert codec.canonical_encode(Flavour.SWEET) == codec.canonical_encode("sweet")
+
+
+# -- encodings kept on frozen values -------------------------------------------
+
+MEMO_TYPES = [Envelope, *BODY_TYPES]
+
+
+def _reference_struct(value, exclude) -> bytes:
+    hints = typing.get_type_hints(type(value))
+    return _ref_frame(codec.TAG_STRUCT, b"".join(
+        reference_encode(getattr(value, f.name), hints[f.name])
+        for f in dataclasses.fields(value) if f.name not in exclude))
+
+
+@pytest.mark.parametrize("cls", MEMO_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kept_encodings_match_reference(cls, data):
+    names = [f.name for f in dataclasses.fields(cls)]
+    value = data.draw(values_of(cls))
+    exclude = tuple(data.draw(st.lists(st.sampled_from(names), unique=True)))
+    exclude = tuple(n for n in names if n in exclude)  # declaration order
+    full, partial = reference_encode(value), _reference_struct(value, exclude)
+    if data.draw(st.booleans(), label="excluded first"):
+        assert codec.struct_bytes(value, exclude) == partial
+    for _ in range(2):
+        assert codec.canonical_encode(value) == full
+        assert codec.struct_bytes(value) == full
+        assert codec.struct_bytes(value, exclude) == partial
+    # A replaced copy is a new value with its own encoding.
+    name = data.draw(st.sampled_from(names), label="replaced field")
+    new = data.draw(values_of(typing.get_type_hints(cls)[name]))
+    copy = dataclasses.replace(value, **{name: new})
+    assert codec.canonical_encode(copy) == reference_encode(copy)
+    assert codec.struct_bytes(copy, exclude) == _reference_struct(copy, exclude)
+    assert codec.canonical_encode(value) == full
+
+
+def _tuple_fields(cls) -> list[str]:
+    return [name for name, typ in typing.get_type_hints(cls).items()
+            if typing.get_origin(typ) is tuple]
+
+
+@pytest.mark.parametrize("cls", [c for c in MEMO_TYPES if _tuple_fields(c)],
+                         ids=lambda cls: cls.__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_list_in_a_tuple_field_refused(cls, data):
+    value = data.draw(values_of(cls))
+    name = data.draw(st.sampled_from(_tuple_fields(cls)))
+    listed = dataclasses.replace(value, **{name: list(getattr(value, name))})
+    with pytest.raises(codec.CodecError, match="mutable list"):
+        codec.canonical_encode(listed)
+    with pytest.raises(codec.CodecError, match="mutable list"):
+        codec.canonical_encode(Envelope(1, 2, "vasp:7", listed, 3))
+
+
+@dataclass
+class Loose:
+    label: str
+
+
+def test_mutable_values_inside_frozen_values_refused():
+    # A non-frozen dataclass where a frozen one is declared, a bytearray
+    # where bytes are, and a list inside a tuple given for another type.
+    for value in (messages.AdvertisementFlood(Loose("x")),
+                  messages.AttestationChallenge("d", bytearray(b"n")),
+                  messages.LookupRequest(1, ("x", [1]))):
+        with pytest.raises(codec.CodecError, match="mutable"):
+            codec.canonical_encode(value)
+    # Outside a frozen value the same values encode as their own classes.
+    assert codec.canonical_encode([Loose("x"), bytearray(b"n")]) \
+        == reference_encode([Loose("x"), bytearray(b"n")])
+
+
+def test_only_deeply_immutable_dataclasses_keep_encodings():
+    assert all(codec._immutable(cls) for cls in MEMO_TYPES)
+    assert codec._immutable(Inner) and codec._immutable(Either)
+    assert not codec._immutable(Sample)     # list[Inner] field
+    assert not codec._immutable(Measured)   # float field
+    assert not codec._immutable(Loose)      # not frozen
+    kept = Inner("x", (True,))
+    assert codec.canonical_encode(kept) is codec.canonical_encode(kept)
+    value = sample()
+    codec.canonical_encode(value)
+    assert vars(value).keys() == {f.name for f in dataclasses.fields(Sample)}

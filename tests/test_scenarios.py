@@ -3,24 +3,28 @@
 from __future__ import annotations
 
 import hashlib
+import sys
+from collections import Counter
 
 import pytest
 
 from conftest import wire_envelopes
-from vasptrust import pki
+from vasptrust import codec, pki
 from vasptrust.config import parse_config
-from vasptrust.ledger import Ledger
+from vasptrust.ledger import Ledger, ValueMismatch
 from vasptrust.netsim import (ScenarioAssertionFailed, UnknownScenario,
                               build_world, graph_diameter, run_scenario,
                               run_scenario_with_world)
+from vasptrust.netsim.nodes import PendingTransfer
 from vasptrust.netsim.scenarios import (converge_federation, flood_round,
                                         ground_truth_map)
-from vasptrust.resolver import parse_identifier
+from vasptrust.resolver import IdentifierAdvertisement, parse_identifier
 from vasptrust.travel_rule import ConsentDirection
 
 
-def line_config(n, seed=11, ring=False):
-    """n VASPs in a line (or ring) federation topology, one customer each."""
+def line_config(n, seed=11, ring=False, chord=0):
+    """n VASPs in a line (or ring) federation topology, one customer each;
+    with ``chord``, position i also links to position i + chord (mod n)."""
     vasps = []
     for i in range(n):
         number = 10 + i
@@ -44,6 +48,9 @@ def line_config(n, seed=11, ring=False):
     graph = {str(10 + i): [10 + i + 1] for i in range(n - 1)}
     if ring:
         graph[str(10 + n - 1)] = [10]
+    if chord:
+        for i in range(n):
+            graph.setdefault(str(10 + i), []).append(10 + (i + chord) % n)
     return parse_config({
         "consortium": "line", "seed": seed, "vasps": vasps,
         "federation_graph": graph,
@@ -296,6 +303,37 @@ class TestDeltaFlooding:
             "dave@idp2.com", [])
 
 
+@pytest.mark.parametrize("chord", [0, 3], ids=["ring", "ring-with-chords"])
+def test_each_advertisement_is_encoded_at_most_twice(chord):
+    # Real struct encodings (memo misses) of each IdentifierAdvertisement
+    # value over a cold convergence: its signing input and its full value,
+    # however many channels it crosses. Each build makes two values, the
+    # unsigned draft (signing input only) and the signed advertisement.
+    world = build_world(line_config(10, ring=True, chord=chord))
+    encodings: Counter[int] = Counter()
+    counted = []  # keeps each counted value alive, so its id stays its own
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code.co_name == "encode_struct"
+                and frame.f_code.co_filename == codec.__file__):
+            value = frame.f_locals["value"]
+            if type(value) is IdentifierAdvertisement:
+                counted.append(value)
+                encodings[id(value)] += 1
+
+    sys.setprofile(profile)
+    try:
+        converge_federation(world)
+    finally:
+        sys.setprofile(None)
+    built = len(world.sim.trace.find("resolver.adv_built"))
+    sent = _flood_msgs(world, 0)
+    assert built == 10 and sent >= 10 * built
+    assert len(encodings) == 2 * built
+    assert max(encodings.values()) <= 2
+    assert sum(encodings.values()) == 3 * built
+
+
 class TestS4:
     def test_full_boarding_lifecycle(self, demo_config):
         trace, world = run_scenario_with_world("S4", demo_config)
@@ -458,6 +496,76 @@ def test_correlation_reads_a_bounded_window(demo_config, monkeypatch):
 
     at_100, at_200 = run(100), run(200)
     assert 0 < at_200 <= 2.2 * at_100
+
+
+def test_correlate_pending_visits_only_submitted_entries(demo_config,
+                                                        monkeypatch):
+    # Pending entries each correlate_pending call reads: the five submitted
+    # since the last pass, not every transfer the node has made.
+    visited = set()
+    read = PendingTransfer.__getattribute__
+
+    def counting(self, name):
+        visited.add(id(self))
+        return read(self, name)
+
+    world = transfer_world(demo_config)
+    per_call = []
+    for i in range(1, 31):
+        transfer(world, i)
+        if i % 5 == 0:
+            world.confirm_block()
+            visited.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(PendingTransfer, "__getattribute__", counting)
+                records = world.vasps[7].correlate_pending()
+            assert len(records) == 5
+            per_call.append(len(visited))
+    assert len(world.vasps[7].pending) == 30
+    assert per_call == [5] * 6
+
+
+def test_correlated_events_follow_the_pending_order(demo_config):
+    # Alice pays Bob at VASP 9, then Dave at VASP 3. The 7-3 channel has
+    # the lower id, so Dave's answer is handled, and his transfer
+    # submitted, first; correlation still follows the order of ``pending``.
+    world = transfer_world(demo_config)
+    ovasp = world.vasps[7]
+    to_dave = world.channel_between(ovasp, world.vasps[3])
+    to_bob = world.channel_between(ovasp, world.vasps[9])
+    assert to_dave.id < to_bob.id
+    ovasp.grant_consent("alice", ConsentDirection.SEND_INFO_TO_COUNTERPARTY, 3)
+    world.vasps[3].grant_consent("dave", ConsentDirection.RECEIVE_ASSETS, 7)
+    bob = ovasp.initiate_transfer(to_bob, "alice", "Bob Jones",
+                                  "bob@idp2.com", 9, 40)
+    dave = ovasp.initiate_transfer(to_dave, "alice", "Dave Osei",
+                                   "dave@idp2.com", 3, 60)
+    world.sim.run_until_quiet()
+    submitted = [e.get("amount")
+                 for e in world.sim.trace.find("ledger.tx_submitted")]
+    assert submitted == [60, 40]
+    world.confirm_block()
+    records = ovasp.correlate_pending()
+    assert [r.payload_id for r in records] == [bob.payload_id, dave.payload_id]
+    assert [e.get("payload") for e in world.sim.trace.find(
+        "travel_rule.correlated")] == [bob.payload_id.hex()[:16],
+                                        dave.payload_id.hex()[:16]]
+
+
+def test_repeated_payload_id_displaces_the_submitted_entry(demo_config):
+    # A repeat of the same transfer has the same payload id: its entry
+    # replaces the submitted one, whose transaction the ledger then holds,
+    # so the repeat's own transaction is refused and nothing correlates.
+    world = transfer_world(demo_config)
+    first = transfer(world, 7)
+    assert first.state == "submitted"
+    with pytest.raises(ValueMismatch):
+        transfer(world, 7)
+    repeat = world.vasps[7].pending[first.payload.payload_id]
+    assert repeat is not first and repeat.state == "requested"
+    world.confirm_block()
+    assert world.vasps[7].correlate_pending() == []
+    assert first.state == "submitted"
 
 
 # SHA-256 of each scenario's trace text and of its wire log on the demo
