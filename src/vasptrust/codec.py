@@ -397,33 +397,6 @@ def struct_bytes(value: Any, exclude: tuple[str, ...] = ()) -> bytes:
     return encode(value)
 
 
-def encoder_for(typ: Any) -> Encoder:
-    """The compiled encoder of a value declared ``typ``; for a value whose
-    class is ``typ`` it gives what canonical_encode gives."""
-    return _encoder(typ)
-
-
-def struct_of(fields: list[bytes]) -> bytes:
-    """A struct's canonical encoding from its fields' canonical encodings,
-    given in declaration order."""
-    return _frame(TAG_STRUCT, b"".join(fields))
-
-
-@lru_cache(maxsize=None)
-def _union_tags(union: Any) -> dict[type, bytes]:
-    return _member_tags(_union_members(union)[1])
-
-
-def union_member(union: Any, value: Any, encoded: bytes) -> bytes:
-    """The encoding of ``value`` in a field declared as the tagged union
-    ``union``, framed around ``encoded``, which must be canonical_encode of
-    ``value``, instead of encoding the value again."""
-    tag = _union_tags(union).get(type(value))
-    if tag is None:
-        raise CodecError(f"{type(value).__name__} is not a member of {union}")
-    return _frame(TAG_UNION, tag + encoded)
-
-
 class _Reader:
     __slots__ = ("data", "pos")
 

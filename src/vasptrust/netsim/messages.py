@@ -44,7 +44,12 @@ class LookupResponse:
 
 @dataclass(frozen=True)
 class AdvertisementFlood:
-    advertisement: IdentifierAdvertisement
+    """Every advertisement one flooding round sends over one channel, in
+    the order they are merged: many advertisements in one update, as OSPF
+    bundles the LSAs due on an interface into one Link State Update
+    packet (RFC 2328 §A.3.5)."""
+
+    advertisements: tuple[IdentifierAdvertisement, ...]
 
 
 @dataclass(frozen=True)

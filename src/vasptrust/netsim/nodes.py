@@ -177,7 +177,10 @@ class VaspNode(Node):
         local identifiers or the claims certificate) changed. Over a channel
         flooded before, only the advertisements applied since the previous
         round go out, each to every channel but the ones it arrived on; a
-        channel never flooded over gets everything held, once.
+        channel never flooded over gets everything held, once. What one
+        channel is due goes out as one AdvertisementFlood, in this order
+        (one Link State Update, RFC 2328 §13 and §A.3.5); a channel due
+        nothing gets no message.
         """
         self._purge_revoked()
         content = (tuple(self.resolver.local_identifiers()),
@@ -194,8 +197,9 @@ class VaspNode(Node):
             else:
                 self._synced.add(channel.id)
                 advs = [self._own_adv] + self.resolver.known_advertisements()
-            for adv in advs:
-                self.sim.send(channel, self.name, msg.AdvertisementFlood(adv))
+            if advs:
+                self.sim.send(channel, self.name,
+                              msg.AdvertisementFlood(tuple(advs)))
 
     def _merge_advertisement(self, channel: SecureChannel, adv) -> None:
         outcome = self.resolver.merge_advertisement(adv, self.trust)
@@ -566,7 +570,8 @@ class VaspNode(Node):
         elif isinstance(body, msg.LookupResponse):
             self.remote_lookups.append(body)
         elif isinstance(body, msg.AdvertisementFlood):
-            self._merge_advertisement(channel, body.advertisement)
+            for adv in body.advertisements:
+                self._merge_advertisement(channel, adv)
         elif isinstance(body, msg.ClaimsAuthResponse):
             self._on_claims_auth_response(channel, env)
         elif isinstance(body, msg.ClaimsFetchResponse):

@@ -78,9 +78,25 @@ def flood_round(world: World,
     world.sim.run_until_quiet()
 
 
+def federated_truth(truth: dict[str, list[int]],
+                    number: int) -> dict[str, set[int]]:
+    """What VASP ``number``'s resolver learns from a converged federation:
+    ``truth`` without its own origin, and without the identifiers only it
+    serves. Its resolve_map equals ``truth`` exactly when its federated
+    view equals this."""
+    view = {}
+    for rendered, owners in truth.items():
+        others = set(owners)
+        others.discard(number)
+        if others:
+            view[rendered] = others
+    return view
+
+
 def converge_federation(world: World, max_rounds: int | None = None) -> int:
     """Flood until every resolver equals the ground truth; returns rounds."""
     truth = ground_truth_map(world)
+    expected = {n: federated_truth(truth, n) for n in world.vasps}
     channels = world.federation_channels()
     limit = max_rounds if max_rounds is not None \
         else graph_diameter(world.config.federation_graph)
@@ -90,7 +106,7 @@ def converge_federation(world: World, max_rounds: int | None = None) -> int:
         rounds_used = round_no
         converged = sum(
             1 for n in sorted(world.vasps)
-            if world.vasps[n].resolver.resolve_map() == truth)
+            if world.vasps[n].resolver.holds_federated(expected[n]))
         world.sim.emit("sim", "federation.round", {
             "round": round_no, "converged": f"{converged}/{len(world.vasps)}"})
         if converged == len(world.vasps):

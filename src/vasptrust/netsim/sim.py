@@ -45,20 +45,6 @@ class Envelope:
     sent_at: int
 
 
-_encode_uint = codec.encoder_for(int)
-_encode_str = codec.encoder_for(str)
-
-
-def _wire_bytes(env: Envelope, body_bytes: bytes) -> bytes:
-    """canonical_encode(env), framed around ``body_bytes``, the body's
-    canonical encoding. The fields are Envelope's, in declaration order."""
-    return codec.struct_of([
-        _encode_uint(env.channel_id), _encode_uint(env.seq),
-        _encode_str(env.sender),
-        codec.union_member(MessageBody, env.body, body_bytes),
-        _encode_uint(env.sent_at)])
-
-
 @dataclass
 class _Direction:
     queue: list[Envelope] = field(default_factory=list)
@@ -203,11 +189,10 @@ class Simulation:
         direction.next_seq += 1
         direction.queue.append(env)
         self._busy[channel.id, channel.endpoints().index(sender)] = (channel, sender)
-        # The body is encoded once: framed into the envelope for the wire
-        # log, and digested for the trace.
+        # The body keeps its encoding, so the envelope's encoding frames
+        # those bytes rather than encoding the body again.
         body_bytes = codec.canonical_encode(body)
-        self.wire_log.append((type(body).__name__,
-                              _wire_bytes(env, body_bytes)))
+        self.wire_log.append((type(body).__name__, codec.canonical_encode(env)))
         self.emit(sender, "netsim.sent",
                   {"msg": type(body).__name__, "ch": channel.id, "seq": env.seq},
                   encoded=body_bytes)

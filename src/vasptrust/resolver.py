@@ -255,6 +255,12 @@ class ResolverService:
         neighbour."""
         return [self._remote[n] for n in sorted(self._remote)]
 
+    def holds_federated(self, index: dict[str, set[int]]) -> bool:
+        """Whether the identifier -> origins view learnt from the
+        federation is exactly ``index`` (never this resolver's own origin,
+        and no identifier with an empty set)."""
+        return self._remote_index == index
+
     def resolve_map(self) -> dict[str, list[int]]:
         """Full identifier -> sorted VASP numbers view (local + federated)."""
         out: dict[str, set[int]] = {}

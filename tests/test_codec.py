@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from vasptrust import codec
 from vasptrust.netsim import messages
-from vasptrust.netsim.sim import Envelope, _wire_bytes
+from vasptrust.netsim.sim import Envelope
 from vasptrust.travel_rule import (CorrelationHint, HintKind, IdentifyingInfo,
                                    IdentifyingKind, TravelRulePayload)
 
@@ -283,8 +283,12 @@ def test_compiled_encoder_matches_reference(cls, data):
 def test_wire_bytes_frame_the_body_bytes(body_type, data):
     body = data.draw(values_of(body_type))
     env = Envelope(channel_id=3, seq=9, sender="vasp:7", body=body, sent_at=4)
-    wire = _wire_bytes(env, codec.canonical_encode(body))
-    assert wire == codec.canonical_encode(env) == reference_encode(env)
+    # As in Simulation.send: the body is encoded first and keeps its bytes,
+    # which the envelope's encoding then frames.
+    body_bytes = codec.canonical_encode(body)
+    wire = codec.canonical_encode(env)
+    assert wire == reference_encode(env)
+    assert body_bytes in wire
 
 
 @settings(max_examples=100, deadline=None)
@@ -354,9 +358,6 @@ def test_value_outside_the_union_refused():
         codec.canonical_encode(Either("neither"))
     assert codec.canonical_encode(Either(Color.BLUE)) \
         == reference_encode(Either(Color.BLUE))
-    with pytest.raises(codec.CodecError, match="not a member"):
-        codec.union_member(messages.MessageBody, "neither",
-                           codec.canonical_encode("neither"))
 
 
 def test_tuple_arity_mismatch_refused():
@@ -451,7 +452,7 @@ class Loose:
 def test_mutable_values_inside_frozen_values_refused():
     # A non-frozen dataclass where a frozen one is declared, a bytearray
     # where bytes are, and a list inside a tuple given for another type.
-    for value in (messages.AdvertisementFlood(Loose("x")),
+    for value in (messages.AdvertisementFlood((Loose("x"),)),
                   messages.AttestationChallenge("d", bytearray(b"n")),
                   messages.LookupRequest(1, ("x", [1]))):
         with pytest.raises(codec.CodecError, match="mutable"):
