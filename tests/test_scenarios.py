@@ -346,6 +346,24 @@ class TestBatchedFlooding:
                         for env, _ in floods)
         assert max(slots.values()) == 1
 
+    def test_receiver_merges_in_message_order(self):
+        world = build_world(line_config(10, ring=True, chord=3))
+        converge_federation(world)
+        sent = {(env.channel_id, env.seq, env.sender):
+                [("vasp:%d" % a.vasp_number, a.sequence) for a in advs]
+                for env, advs in _flood_bodies(world)}
+        events = world.sim.trace.events
+        delivered = [i for i, e in enumerate(events) if e.event ==
+                     "netsim.delivered" and e.get("msg") == "AdvertisementFlood"]
+        assert len(delivered) == len(sent)
+        for i in delivered:
+            e = events[i]
+            advs = sent.pop((e.get("ch"), e.get("seq"), e.get("from")))
+            merged = events[i + 1:i + 1 + len(advs)]
+            assert [(m.actor, m.event) for m in merged] == \
+                [(e.actor, "resolver.adv_merged")] * len(advs)
+            assert [(m.get("origin"), m.get("seq")) for m in merged] == advs
+
     def test_faulty_transport_converges_to_the_same_maps(self):
         config = line_config(10, ring=True, chord=3)
         clean = build_world(config)
@@ -353,6 +371,7 @@ class TestBatchedFlooding:
             drop_rate=0.2, duplicate_rate=0.2, reorder_rate=0.5))
         rounds = [converge_federation(w) for w in (clean, faulty)]
         assert rounds[0] == rounds[1]
+        assert faulty.sim.now > clean.sim.now  # drops were retransmitted
         truth = ground_truth_map(clean)
         for number in sorted(clean.vasps):
             assert faulty.vasps[number].resolver.resolve_map() \
