@@ -19,10 +19,13 @@ dataclass, or a tuple or union of these; this is decided once per type,
 when its encoder is built. An instance of such a type keeps its encoding,
 and each struct_bytes encoding without some fields, in its own __dict__,
 and every later encode of that object returns those bytes. So that kept
-bytes are never stale, a value of a mutable class (a list where a tuple is
-declared, a bytearray, a non-frozen dataclass) inside such a value is
-refused with CodecError. dataclasses.replace builds a new instance, which
-is encoded afresh. Other types are encoded in full on every call.
+bytes are never stale, one rule holds for every value, kept or not: a
+value whose class is not its declared type must itself be deeply
+immutable, and a declared tuple must not hold a mutable sequence. A list
+where a tuple is declared, a bytearray where bytes are, or a non-frozen
+dataclass where a frozen one is, is refused with CodecError wherever it
+appears. dataclasses.replace builds a new instance, which is encoded
+afresh. Other types are encoded in full on every call.
 
 No floating point is representable on purpose.
 """
@@ -87,21 +90,19 @@ def _union_members(typ: Any) -> tuple[bool, list[Any]]:
 # checks the value's class first; a value of another class is encoded by its
 # own class's encoder, except None, which only an optional field admits.
 #
-# The fields of a memoised dataclass get a second set of encoders, built and
-# cached the same way, that refuse a value of a mutable class where they
-# would otherwise encode it by its own class: the bytes kept on a value must
-# stay its bytes for as long as it lives. A memoised dataclass's own encoder
-# refuses such a value given in its place, wherever it is declared.
+# One rule keeps a value's kept bytes right for as long as it lives:
+# wherever a value's class is not its declared type, it must be
+# deeply immutable (``_other``), and a declared tuple must hold a tuple or
+# another deeply immutable value (``_build_sequence``). A value of its
+# declared class never reaches either check.
 
 Encoder = Callable[[Any], bytes]
-Fallback = Callable[[Any, Any], bytes]  # (value, declared type) -> bytes
 
 _NONE = _frame(TAG_NONE, b"")
 _TRUE = _frame(TAG_BOOL, b"\x01")
 _FALSE = _frame(TAG_BOOL, b"\x00")
 
 _ENCODERS: dict[Any, Encoder] = {}
-_FROZEN_ENCODERS: dict[Any, Encoder] = {}  # inside a memoised dataclass
 _STRUCTS: dict[tuple[type, tuple[str, ...]], Encoder] = {}
 
 
@@ -109,24 +110,20 @@ def _other(value: Any, typ: Any) -> bytes:
     """Encode a value whose class is not its declared type ``typ``."""
     if value is None:
         raise CodecError(f"None not permitted for {typ}")
-    return _encode_any(value)
+    data = _encode_any(value)  # first, so an unencodable value says so
+    _require_immutable(value, typ)
+    return data
 
 
-def _other_frozen(value: Any, typ: Any) -> bytes:
-    """``_other`` inside a memoised dataclass."""
-    _check_frozen(value)
-    return _other(value, typ)
-
-
-def _check_frozen(value: Any) -> None:
-    if not _frozen_value(value):
+def _require_immutable(value: Any, typ: Any) -> None:
+    if not _immutable_value(value):
         raise CodecError(
-            f"mutable {type(value).__name__} inside a frozen value")
+            f"mutable {type(value).__name__} given for {typ}")
 
 
-def _frozen_value(value: Any) -> bool:
+def _immutable_value(value: Any) -> bool:
     if isinstance(value, tuple):
-        return all(map(_frozen_value, value))
+        return all(map(_immutable_value, value))
     return _immutable(type(value))
 
 
@@ -160,100 +157,94 @@ def _encode_any(value: Any) -> bytes:
     return encode(value)
 
 
-def _scalars(other: Fallback) -> dict[type, Encoder]:
-    """Encoders of None, bool, int, bytes and str that hand a value of
-    another class to ``other``."""
-    def encode_none(value: Any) -> bytes:
-        return _NONE if value is None else other(value, type(None))
-
-    def encode_bool(value: Any) -> bytes:
-        if value is True:
-            return _TRUE
-        if value is False:
-            return _FALSE
-        return other(value, bool)
-
-    def encode_int(value: Any) -> bytes:
-        if type(value) is not int:
-            return other(value, int)
-        if value < 0:
-            raise CodecError("negative integers are not encodable")
-        n = (value.bit_length() + 7) // 8
-        return _HEADER(TAG_UINT, n) + value.to_bytes(n, "big")
-
-    def encode_bytes(value: Any) -> bytes:
-        if type(value) is not bytes:
-            return other(value, bytes)
-        n = len(value)
-        if n > _MAX_LEN:
-            raise CodecError("payload too large for framing")
-        return _HEADER(TAG_BYTES, n) + value
-
-    def encode_str(value: Any) -> bytes:
-        if type(value) is not str:
-            return other(value, str)
-        data = value.encode("utf-8")
-        n = len(data)
-        if n > _MAX_LEN:
-            raise CodecError("payload too large for framing")
-        return _HEADER(TAG_STR, n) + data
-
-    return {type(None): encode_none, bool: encode_bool, int: encode_int,
-            bytes: encode_bytes, str: encode_str}
+def _encode_none(value: Any) -> bytes:
+    return _NONE if value is None else _other(value, type(None))
 
 
-_SCALARS = _scalars(_other)
-_FROZEN_SCALARS = _scalars(_other_frozen)
+def _encode_bool(value: Any) -> bytes:
+    if value is True:
+        return _TRUE
+    if value is False:
+        return _FALSE
+    return _other(value, bool)
 
 
-def _encoder(typ: Any, frozen: bool = False) -> Encoder:
-    cache = _FROZEN_ENCODERS if frozen else _ENCODERS
-    encode = cache.get(typ)
+def _encode_int(value: Any) -> bytes:
+    if type(value) is not int:
+        return _other(value, int)
+    if value < 0:
+        raise CodecError("negative integers are not encodable")
+    n = (value.bit_length() + 7) // 8
+    return _HEADER(TAG_UINT, n) + value.to_bytes(n, "big")
+
+
+def _encode_bytes(value: Any) -> bytes:
+    if type(value) is not bytes:
+        return _other(value, bytes)
+    n = len(value)
+    if n > _MAX_LEN:
+        raise CodecError("payload too large for framing")
+    return _HEADER(TAG_BYTES, n) + value
+
+
+def _encode_str(value: Any) -> bytes:
+    if type(value) is not str:
+        return _other(value, str)
+    data = value.encode("utf-8")
+    n = len(data)
+    if n > _MAX_LEN:
+        raise CodecError("payload too large for framing")
+    return _HEADER(TAG_STR, n) + data
+
+
+_SCALARS: dict[type, Encoder] = {
+    type(None): _encode_none, bool: _encode_bool, int: _encode_int,
+    bytes: _encode_bytes, str: _encode_str}
+
+
+def _encoder(typ: Any) -> Encoder:
+    encode = _ENCODERS.get(typ)
     if encode is None:
-        encode = cache[typ] = _build(typ, frozen)
+        encode = _ENCODERS[typ] = _build(typ)
     return encode
 
 
-def _build(typ: Any, frozen: bool) -> Encoder:
+def _build(typ: Any) -> Encoder:
     origin = get_origin(typ)
     if origin in _UNION_ORIGINS:
-        return _build_union(typ, frozen)
+        return _build_union(typ)
     if origin in (list, tuple):
-        return _build_sequence(typ, origin, frozen)
+        return _build_sequence(typ, origin)
     if isinstance(typ, type):
-        return _build_class(typ, frozen)
+        return _build_class(typ)
     return _encode_any
 
 
-def _checked(cls: type, encode: Encoder, other: Fallback) -> Encoder:
+def _checked(cls: type, encode: Encoder) -> Encoder:
     def encode_checked(value: Any) -> bytes:
         if type(value) is cls:
             return encode(value)
-        return other(value, cls)
+        return _other(value, cls)
     return encode_checked
 
 
-def _build_class(cls: type, frozen: bool) -> Encoder:
+def _build_class(cls: type) -> Encoder:
     # Same precedence as isinstance dispatch: bool before int, and a
     # subclass of a builtin encodes as that builtin.
-    scalars, other = ((_FROZEN_SCALARS, _other_frozen) if frozen
-                      else (_SCALARS, _other))
-    if cls in scalars:
-        return scalars[cls]
+    if cls in _SCALARS:
+        return _SCALARS[cls]
     if issubclass(cls, int):
-        encode_int = scalars[int]
-        return _checked(cls, lambda v: encode_int(int(v)), other)
+        return _checked(cls, lambda v: _encode_int(int(v)))
     if issubclass(cls, (bytes, bytearray)):
-        return _checked(cls, lambda v: _frame(TAG_BYTES, bytes(v)), other)
+        return _checked(cls, lambda v: _frame(TAG_BYTES, bytes(v)))
     if issubclass(cls, str):
-        return _checked(cls, lambda v: _frame(TAG_STR, str.encode(v, "utf-8")),
-                        other)
+        return _checked(cls, lambda v: _frame(TAG_STR, str.encode(v, "utf-8")))
     if issubclass(cls, Enum):
         names = {m._name_: _frame(TAG_ENUM, m._name_.encode("utf-8")) for m in cls}
 
         def encode_enum(value: Any) -> bytes:
             if type(value) is not cls:
-                return other(value, cls)
+                return _other(value, cls)
             return names[value._name_]
         return encode_enum
     if dataclasses.is_dataclass(cls):
@@ -268,7 +259,7 @@ def _build_class(cls: type, frozen: bool) -> Encoder:
     def unencodable(value: Any) -> bytes:
         if type(value) is cls:
             raise CodecError(f"cannot canonically encode {cls.__name__}")
-        return other(value, cls)
+        return _other(value, cls)
     return unencodable
 
 
@@ -279,13 +270,12 @@ def _member_tags(members: list[Any]) -> dict[type, bytes]:
             for m in members if isinstance(m, type)}
 
 
-def _build_union(typ: Any, frozen: bool) -> Encoder:
+def _build_union(typ: Any) -> Encoder:
     allows_none, members = _union_members(typ)
     if len(members) == 1:
-        inner = _encoder(members[0], frozen)
+        inner = _encoder(members[0])
         return lambda value: _NONE if value is None else inner(value)
-    tagged = {m: (tag, _encoder(m, frozen))
-              for m, tag in _member_tags(members).items()}
+    tagged = {m: (tag, _encoder(m)) for m, tag in _member_tags(members).items()}
 
     def encode_union(value: Any) -> bytes:
         entry = tagged.get(type(value))
@@ -301,27 +291,28 @@ def _build_union(typ: Any, frozen: bool) -> Encoder:
     return encode_union
 
 
-def _build_sequence(typ: Any, origin: type, frozen: bool) -> Encoder:
-    # Inside a memoised dataclass a declared tuple holds a tuple; a list
-    # (or any other mutable sequence) is refused.
+def _build_sequence(typ: Any, origin: type) -> Encoder:
+    # A declared tuple holds a tuple; a list (or any other mutable
+    # sequence) is refused.
     args = get_args(typ)
+    tuple_declared = origin is tuple
     if origin is list or (len(args) == 2 and args[1] is Ellipsis):
-        item = _encoder(args[0], frozen) if args else _encode_any
+        item = _encoder(args[0]) if args else _encode_any
 
         def encode_items(value: Any) -> bytes:
             if value is None:
                 raise CodecError(f"None not permitted for {typ}")
-            if frozen and type(value) is not tuple:
-                _check_frozen(value)
+            if tuple_declared and type(value) is not tuple:
+                _require_immutable(value, typ)
             return _frame(TAG_LIST, b"".join(map(item, value)))
         return encode_items
-    items = tuple(_encoder(a, frozen) for a in args)
+    items = tuple(_encoder(a) for a in args)
 
     def encode_fixed(value: Any) -> bytes:
         if value is None:
             raise CodecError(f"None not permitted for {typ}")
-        if frozen and type(value) is not tuple:
-            _check_frozen(value)
+        if type(value) is not tuple:
+            _require_immutable(value, typ)
         if len(value) != len(items):
             raise CodecError(f"tuple arity mismatch for {typ}")
         return _frame(TAG_LIST, b"".join(
@@ -344,12 +335,11 @@ def _struct(cls: type, exclude: tuple[str, ...]) -> Encoder:
         return encode
     fields = [(name, typ) for name, typ in _hints(cls) if name not in exclude]
     memoised = _immutable(cls)  # its instances keep their encodings
-    other = _other_frozen if memoised else _other
     encoders: tuple[Encoder, ...] = ()
 
     def encode_struct(value: Any) -> bytes:
         if type(value) is not cls:
-            return other(value, cls)
+            return _other(value, cls)
         return _frame(TAG_STRUCT, b"".join(
             [encode(v) for encode, v in zip(encoders, get(value))]))
 
@@ -358,7 +348,7 @@ def _struct(cls: type, exclude: tuple[str, ...]) -> Encoder:
     encode = _STRUCTS[key] = (_memo(cls, exclude, encode_struct) if memoised
                               else encode_struct)
     get = _getter([name for name, _ in fields])
-    encoders = tuple(_encoder(typ, memoised) for _, typ in fields)
+    encoders = tuple(_encoder(typ) for _, typ in fields)
     return encode
 
 

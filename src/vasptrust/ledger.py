@@ -64,9 +64,6 @@ class LedgerTx:
                 seen.append(entry.public_key)
         return seen
 
-    def is_batch(self) -> bool:
-        return len({o.public_key for o in self.outputs}) > 1
-
 
 @dataclass(frozen=True)
 class Block:

@@ -35,11 +35,9 @@ class Node:
         return crypto.sign(self._identity_key.private_key, challenge)
 
 
-def _sender_number(trust: pki.TrustContext, channel: SecureChannel,
-                   env: Envelope) -> int | None:
+def _sender_number(channel: SecureChannel, env: Envelope) -> int:
     """Entity number in the certificate the sender opened ``channel`` with."""
-    cert = trust.certs.get(channel.peer_serial(env.sender))
-    return cert.subject.vasp_number if isinstance(cert, pki.EvIdentityCertificate) else None
+    return channel.peer_cert(env.sender).subject.vasp_number
 
 
 @dataclass
@@ -267,7 +265,7 @@ class VaspNode(Node):
             refuse("invalid_payload")
             return
         if (payload.originating_vasp_number
-                != _sender_number(self.trust, channel, env)
+                != _sender_number(channel, env)
                 or payload.beneficiary_vasp_number != self.vasp_number):
             refuse("misaddressed_payload")
             return
@@ -329,7 +327,7 @@ class VaspNode(Node):
         pending = self.pending.get(body.ack_payload_id)
         if pending is None or pending.state != "requested":
             return  # not ours, or already answered
-        if _sender_number(self.trust, channel, env) != pending.beneficiary_vasp:
+        if _sender_number(channel, env) != pending.beneficiary_vasp:
             # Not an answer from the VASP asked: the transfer stays pending.
             self._transfer_refused(body.ack_payload_id, "misaddressed_payload")
             return
@@ -414,13 +412,11 @@ class VaspNode(Node):
 
     def _on_lookup_request(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.LookupRequest = env.body
-        caller_cert = self.trust.certs.get(channel.peer_serial(env.sender))
         self._purge_revoked()
         try:
-            if caller_cert is None:
-                raise Unauthorized("unknown caller certificate")
             hits = self.resolver.lookup(parse_identifier(body.identifier),
-                                        caller_cert, self.trust)
+                                        channel.peer_cert(env.sender),
+                                        self.trust)
             response = msg.LookupResponse(body.request_seq, tuple(hits), "")
         except Unauthorized as exc:
             response = msg.LookupResponse(body.request_seq, (), str(exc))
@@ -596,15 +592,12 @@ class AuthServerNode(Node):
     def handle(self, channel: SecureChannel, env: Envelope) -> None:
         if not isinstance(env.body, msg.ClaimsAuthRequest):
             return
-        caller_cert = self.trust.certs.get(channel.peer_serial(env.sender))
-        result = "unknown_caller"
-        if isinstance(caller_cert, pki.EvIdentityCertificate):
-            try:
-                result = self.server.request_authorization(
-                    caller_cert, set(env.body.attributes), env.body.purpose,
-                    self.trust)
-            except pki.InvalidCert:
-                result = "invalid_caller"
+        try:
+            result = self.server.request_authorization(
+                channel.peer_cert(env.sender), set(env.body.attributes),
+                env.body.purpose, self.trust)
+        except pki.InvalidCert:
+            result = "invalid_caller"
         if isinstance(result, claims_mod.Denial):
             result = result.reason.value
         if isinstance(result, str):
@@ -643,7 +636,7 @@ class ClaimsStoreNode(Node):
                                         token.purpose))
         # The token binds to its audience: only that VASP, over its own
         # channel and with its own claims key, may present it.
-        if _sender_number(self.trust, channel, env) != audience:
+        if _sender_number(channel, env) != audience:
             reason = "token_audience_mismatch"
         elif not self.trust.verify_member_signature(
                 terms, body.terms_signature, body.vasp_claims_cert_serial,

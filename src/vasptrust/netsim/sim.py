@@ -57,11 +57,12 @@ class SecureChannel:
     """Mutually authenticated, reliable, ordered message pipe."""
 
     def __init__(self, channel_id: int, a: str, b: str,
-                 peer_cert_serials: tuple[int, int]):
+                 peer_certs: tuple[pki.EvIdentityCertificate,
+                                   pki.EvIdentityCertificate]):
         self.id = channel_id
         self.a = a
         self.b = b
-        self.peer_cert_serials = peer_cert_serials
+        self.peer_certs = peer_certs
         self.open = True
         self._dirs = {a: _Direction(), b: _Direction()}  # keyed by sender
 
@@ -75,9 +76,10 @@ class SecureChannel:
             return self.a
         raise NetsimError(f"{name} is not an endpoint of channel {self.id}")
 
-    def peer_serial(self, name: str) -> int:
-        """Certificate serial of the endpoint ``name`` (its own serial)."""
-        return self.peer_cert_serials[0 if name == self.a else 1]
+    def peer_cert(self, name: str) -> pki.EvIdentityCertificate:
+        """The identity certificate the endpoint ``name`` opened this
+        channel with, validated when the channel was established."""
+        return self.peer_certs[0 if name == self.a else 1]
 
     def close(self) -> None:
         self.open = False
@@ -124,14 +126,12 @@ class Simulation:
             self._handlers[name] = handler
 
     def emit(self, actor: str, event: str, fields: dict | None = None, *,
-             payload=None, encoded: bytes | None = None) -> TraceEvent:
+             payload=None) -> TraceEvent:
         """Append a trace event carrying ``fields`` in their given order.
-        Its digest covers ``payload``'s canonical encoding (``encoded``,
-        when the caller already has it), else the rendered fields."""
+        Its digest covers ``payload``'s canonical encoding, else the
+        rendered fields."""
         pairs = tuple(fields.items()) if fields else ()
-        if encoded is not None:
-            content = encoded
-        elif payload is not None:
+        if payload is not None:
             content = codec.canonical_encode(payload)
         else:
             content = render_fields(pairs).encode("utf-8")
@@ -175,7 +175,7 @@ class Simulation:
         channel = SecureChannel(
             channel_id=len(self.channels) + 1,
             a=a.name, b=b.name,
-            peer_cert_serials=(a.identity_cert.serial, b.identity_cert.serial))
+            peer_certs=(a.identity_cert, b.identity_cert))
         self.channels.append(channel)
         self.emit("sim", "netsim.channel_established",
                   {"ch": channel.id, "a": a.name, "b": b.name})
@@ -189,13 +189,12 @@ class Simulation:
         direction.next_seq += 1
         direction.queue.append(env)
         self._busy[channel.id, channel.endpoints().index(sender)] = (channel, sender)
-        # The body keeps its encoding, so the envelope's encoding frames
-        # those bytes rather than encoding the body again.
-        body_bytes = codec.canonical_encode(body)
+        # Encoding the envelope leaves the body's bytes kept on the body,
+        # so the sent event's digest reads them without encoding it again.
         self.wire_log.append((type(body).__name__, codec.canonical_encode(env)))
         self.emit(sender, "netsim.sent",
                   {"msg": type(body).__name__, "ch": channel.id, "seq": env.seq},
-                  encoded=body_bytes)
+                  payload=body)
         return env
 
     # -- event loop ---------------------------------------------------------------

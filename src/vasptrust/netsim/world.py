@@ -252,14 +252,12 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             store_cert = root.issue_identity_cert(
                 _service_subject(f"store:{owner}", service_number, config.consortium),
                 store_identity.public_key, 0, CERT_VALIDITY)
-            trust.add_service_identity(store_cert)
             service_number += 1
             srv_identity = crypto.generate_keypair(
                 crypto.derive_seed(master, f"authsrv-id:{owner}"))
             srv_cert = root.issue_identity_cert(
                 _service_subject(f"authsrv:{owner}", service_number, config.consortium),
                 srv_identity.public_key, 0, CERT_VALIDITY)
-            trust.add_service_identity(srv_cert)
             service_number += 1
 
             store_node = ClaimsStoreNode(sim, owner, store_cert, store_identity,
@@ -287,7 +285,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             _service_subject(f"insurer:{config.insurer}", service_number,
                              config.consortium),
             insurer_key.public_key, 0, CERT_VALIDITY)
-        trust.add_service_identity(insurer_cert)
         service_number += 1
         insurer = InsurerNode(sim, config.insurer, insurer_cert, insurer_key,
                               trust, approved_stacks)

@@ -203,12 +203,6 @@ def cert_digest(cert: Certificate) -> bytes:
     return crypto.digest(codec.canonical_encode(cert))
 
 
-def verify_linkage(signing_cert: SigningCertificate,
-                   identity_cert: EvIdentityCertificate) -> bool:
-    """True iff the signing certificate points at exactly this identity."""
-    return signing_cert.identity_linkage == cert_digest(identity_cert)
-
-
 def validate_chain(cert: Certificate,
                    root_public_key: bytes,
                    revocation_list: RevocationList,
@@ -270,7 +264,7 @@ class VaspCerts:
 
 class TrustContext:
     """What a node trusts: the root key, the revocation list, the clock,
-    member and service certificates, provider and device attestation keys.
+    member certificates, provider and device attestation keys.
 
     Every protocol check of a certificate or of a member's signature goes
     through ``validate`` or ``verify_member_signature``. Certificates are
@@ -301,9 +295,6 @@ class TrustContext:
         for cert in (certs.identity, certs.transaction, certs.claims):
             self.certs[cert.serial] = cert
 
-    def add_service_identity(self, cert: EvIdentityCertificate) -> None:
-        self.certs[cert.serial] = cert
-
     def validate(self, cert: Certificate,
                  identity_cert: EvIdentityCertificate | None = None
                  ) -> ValidationReport:
@@ -314,13 +305,15 @@ class TrustContext:
                                 purpose: CertPurpose,
                                 expected_entity: int) -> bool:
         """True iff ``sig`` over ``msg`` verifies under the valid ``purpose``
-        certificate ``serial``, linked to the unrevoked identity of member
-        ``expected_entity`` (RFC 5280 §6, narrowed to one level)."""
+        certificate ``serial``, linked to the valid identity of member
+        ``expected_entity``: every certificate in the path is checked for
+        revocation and its validity window (RFC 5280 §6.1.3, narrowed to
+        one level)."""
         cert = self.certs.get(serial)
         member = self.members.get(expected_entity)
         if (member is None or not isinstance(cert, SigningCertificate)
                 or cert.purpose is not purpose
-                or self._revocations().covers(member.identity.serial)
+                or not self.validate(member.identity).valid
                 or not self.validate(cert, member.identity).valid):
             return False
         return crypto.verify(cert.subject_public_key, msg, sig)
@@ -347,10 +340,6 @@ class RootAuthority:
     @property
     def public_key(self) -> bytes:
         return self._keypair.public_key
-
-    @property
-    def next_serial(self) -> int:
-        return self._next_serial
 
     @property
     def revocation_list(self) -> RevocationList:
@@ -459,8 +448,3 @@ def cert_kind(cert: Certificate) -> str:
 
 def cert_to_hex(cert: Certificate) -> str:
     return codec.canonical_encode(cert).hex()
-
-
-def cert_from_hex(kind: str, data: str) -> Certificate:
-    cls = EvIdentityCertificate if kind == CERT_KIND_IDENTITY else SigningCertificate
-    return codec.canonical_decode(bytes.fromhex(data), cls)

@@ -261,11 +261,6 @@ class ConsentRecord:
             return False
         return self.withdrawn_at is None or self.withdrawn_at > now
 
-    def scope_matches(self, counterparty: int | None) -> bool:
-        if self.counterparty_vasp_number is None:
-            return True
-        return self.counterparty_vasp_number == counterparty
-
 
 class ConsentStore:
     """Append-only consent records for one VASP's customers.

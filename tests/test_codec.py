@@ -283,8 +283,8 @@ def test_compiled_encoder_matches_reference(cls, data):
 def test_wire_bytes_frame_the_body_bytes(body_type, data):
     body = data.draw(values_of(body_type))
     env = Envelope(channel_id=3, seq=9, sender="vasp:7", body=body, sent_at=4)
-    # As in Simulation.send: the body is encoded first and keeps its bytes,
-    # which the envelope's encoding then frames.
+    # The body keeps its bytes, which the envelope's encoding then frames;
+    # Simulation.send's trace digest reads them back from the body.
     body_bytes = codec.canonical_encode(body)
     wire = codec.canonical_encode(env)
     assert wire == reference_encode(env)
@@ -370,7 +370,9 @@ def test_tuple_arity_mismatch_refused():
 
 @pytest.mark.parametrize("value", [
     1.5, {"a": 1}, {1, 2}, object(), Measured(2.5), [1, 2.5], Sample,
-], ids=["float", "dict", "set", "object", "float-field", "list-item", "class"])
+    messages.LookupRequest(1.5, "x"),
+], ids=["float", "dict", "set", "object", "float-field", "list-item", "class",
+        "float-for-int"])
 def test_unencodable_types_refused(value):
     with pytest.raises(codec.CodecError, match="cannot canonically encode"):
         codec.canonical_encode(value)
@@ -442,6 +444,11 @@ def test_list_in_a_tuple_field_refused(cls, data):
         codec.canonical_encode(listed)
     with pytest.raises(codec.CodecError, match="mutable list"):
         codec.canonical_encode(Envelope(1, 2, "vasp:7", listed, 3))
+    # The path of every signing_input: a struct without its last field
+    # (or without none, where the tuple field is the last).
+    others = [f.name for f in dataclasses.fields(cls) if f.name != name]
+    with pytest.raises(codec.CodecError, match="mutable list"):
+        codec.struct_bytes(listed, exclude=tuple(others[-1:]))
 
 
 @dataclass
@@ -451,10 +458,12 @@ class Loose:
 
 def test_mutable_values_inside_frozen_values_refused():
     # A non-frozen dataclass where a frozen one is declared, a bytearray
-    # where bytes are, and a list inside a tuple given for another type.
+    # where bytes are, a list inside a tuple given for another type, and a
+    # list where a tuple is declared in a value that keeps no encoding.
     for value in (messages.AdvertisementFlood((Loose("x"),)),
                   messages.AttestationChallenge("d", bytearray(b"n")),
-                  messages.LookupRequest(1, ("x", [1]))):
+                  messages.LookupRequest(1, ("x", [1])),
+                  dataclasses.replace(sample(), pair=["k", b"v"])):
         with pytest.raises(codec.CodecError, match="mutable"):
             codec.canonical_encode(value)
     # Outside a frozen value the same values encode as their own classes.

@@ -56,8 +56,7 @@ def test_channel_between_valid_members(root):
     a, b = make_pair(sim, root)
     channel = sim.establish_channel(a, b, trust_context(root))
     assert channel.endpoints() == (a.name, b.name)
-    assert channel.peer_cert_serials == (a.identity_cert.serial,
-                                         b.identity_cert.serial)
+    assert channel.peer_certs == (a.identity_cert, b.identity_cert)
 
 
 def test_revoked_peer_refused(root):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import issue_member, seed, trust_context
+from conftest import issue_member, make_subject, seed, trust_context
 from vasptrust import crypto, pki
 from vasptrust.resolver import (CustomerIdentifier, IdentifierKind,
                                 IdpDirectory, IdpValidationFailed,
@@ -250,6 +250,34 @@ class TestAdvertisements:
         federation.root.revoke(identity_cert.serial,
                                pki.RevocationReason.CESSATION_OF_BUSINESS, 1)
         assert federation.merge(7, adv) is MergeOutcome.REJECTED
+
+    def test_expired_origin_identity_rejected(self, root):
+        # The identity certificate expired at 100; the claims certificate
+        # that signs stays valid until 1000. At 500 the member's signature
+        # counts for nothing (RFC 5280 §6.1.3: every certificate in the
+        # path must be within its validity period).
+        identity = crypto.generate_keypair(seed("expiring:id"))
+        claims = crypto.generate_keypair(seed("expiring:claims"))
+        tx = crypto.generate_keypair(seed("expiring:tx"))
+        identity_cert = root.issue_identity_cert(
+            make_subject(3), identity.public_key, 0, 100)
+        claims_cert, tx_cert = (
+            root.issue_signing_cert(identity_cert, purpose, key.public_key,
+                                    0, 1000)
+            for purpose, key in ((pki.CertPurpose.CLAIMS_SIGNING, claims),
+                                 (pki.CertPurpose.TRANSACTION_SIGNING, tx)))
+        trust = trust_context(root, {"identity_cert": identity_cert,
+                                     "tx_cert": tx_cert,
+                                     "claims_cert": claims_cert}, now=500)
+        assert trust.validate(identity_cert).verdict is pki.Verdict.EXPIRED
+        assert trust.validate(claims_cert, identity_cert).valid
+        adv = ResolverService(3, {"user3"}).build_advertisement(
+            claims.private_key, claims_cert.serial)
+        assert not trust.verify_member_signature(
+            adv.signing_input(), adv.signature, claims_cert.serial,
+            pki.CertPurpose.CLAIMS_SIGNING, 3)
+        assert ResolverService(7, set()).merge_advertisement(adv, trust) \
+            is MergeOutcome.REJECTED
 
     def test_transaction_key_cannot_sign_advertisements(self, federation):
         # Signed by VASP 3's transaction key under its transaction-signing

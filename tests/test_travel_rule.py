@@ -150,8 +150,14 @@ class TestConsent:
             ("customer:bob", 9, recv.value)
 
 
+def _live(rec, now):
+    return rec.granted_at <= now and (rec.withdrawn_at is None
+                                      or rec.withdrawn_at > now)
+
+
 class LinearConsents:
-    """The reference store: every question scans every record stored."""
+    """The reference store: every question scans every record stored. An
+    unscoped record (counterparty None) answers for every counterparty."""
 
     def __init__(self):
         self.records = []
@@ -164,12 +170,13 @@ class LinearConsents:
         for rec in self.records:
             if (rec.customer_id == customer_id and rec.direction is direction
                     and rec.counterparty_vasp_number == counterparty
-                    and rec.active(now)):
+                    and _live(rec, now)):
                 rec.withdrawn_at = now
 
     def check(self, customer_id, direction, counterparty, now):
         return any(rec.customer_id == customer_id and rec.direction is direction
-                   and rec.scope_matches(counterparty) and rec.active(now)
+                   and rec.counterparty_vasp_number in (None, counterparty)
+                   and _live(rec, now)
                    for rec in self.records)
 
 
