@@ -13,7 +13,7 @@ fetches release nothing; previously issued receipts remain on record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import codec, crypto, pki
@@ -82,9 +82,9 @@ class ClaimsProvider:
         unsigned = SignedClaim(b"", subject, attribute, value, self.name,
                                not_before, not_after, b"")
         body = unsigned.signing_input()
-        return replace(unsigned,
-                       claim_id=crypto.digest(body),
-                       issuer_signature=crypto.sign(self._keypair.private_key, body))
+        return codec.replace(unsigned,
+                             claim_id=crypto.digest(body),
+                             issuer_signature=crypto.sign(self._keypair.private_key, body))
 
 
 def verify_claim(claim: SignedClaim, provider_public_key: bytes,
@@ -246,9 +246,9 @@ class ClaimsStore:
             signature=b"",
         )
         body = unsigned.signing_input()
-        receipt = replace(unsigned,
-                          receipt_id=crypto.digest(body),
-                          signature=crypto.sign(self._keypair.private_key, body))
+        receipt = codec.replace(unsigned,
+                                receipt_id=crypto.digest(body),
+                                signature=crypto.sign(self._keypair.private_key, body))
         self._receipts.append(receipt)
         return receipt
 
@@ -305,6 +305,6 @@ class AuthorizationServer:
             signature=b"",
         )
         body = unsigned.signing_input()
-        return replace(unsigned,
-                       token_id=crypto.digest(body),
-                       signature=crypto.sign(self._keypair.private_key, body))
+        return codec.replace(unsigned,
+                             token_id=crypto.digest(body),
+                             signature=crypto.sign(self._keypair.private_key, body))

@@ -24,8 +24,15 @@ value whose class is not its declared type must itself be deeply
 immutable, and a declared tuple must not hold a mutable sequence. A list
 where a tuple is declared, a bytearray where bytes are, or a non-frozen
 dataclass where a frozen one is, is refused with CodecError wherever it
-appears. dataclasses.replace builds a new instance, which is encoded
-afresh. Other types are encoded in full on every call.
+appears. Other types are encoded in full on every call.
+
+``codec.replace`` builds a new instance as dataclasses.replace does, and
+carries over each kept encoding whose left-out fields include every
+changed field: a value signed without its signature field and then filled
+in keeps the signing input it was signed over. A full encoding is composed
+from a kept encoding that leaves out only trailing fields: the struct
+header, that encoding's field bytes, then the trailing fields' encodings.
+So a signed value's full encoding re-encodes only its signature.
 
 No floating point is representable on purpose.
 """
@@ -327,45 +334,92 @@ def _getter(names: list[str]) -> Callable[[Any], tuple]:
     return attrgetter(*names) if names else lambda value: ()
 
 
+def _fields(cls: type, names: list[str]) -> Callable[[Any], bytes]:
+    """Joined encodings of the named fields of a ``cls`` value, in order."""
+    get = _getter(names)
+    hints = dict(_hints(cls))
+    encoders = tuple(_encoder(hints[name]) for name in names)
+    return lambda value: b"".join(
+        [encode(v) for encode, v in zip(encoders, get(value))])
+
+
+def _slot(exclude: tuple[str, ...]) -> str:
+    """The __dict__ key of a kept encoding without the fields ``exclude``;
+    no field name holds a colon."""
+    return "codec:" + ",".join(exclude)
+
+
+# Kept-encoding slot -> the fields that encoding leaves out; read by replace.
+_EXCLUDED: dict[str, frozenset[str]] = {}
+# Class -> {slot of a kept encoding that leaves out only trailing fields:
+# the joined encodings of those fields}; read to compose a full encoding.
+_TAILS: dict[type, dict[str, Callable[[Any], bytes]]] = {}
+
+
 def _struct(cls: type, exclude: tuple[str, ...]) -> Encoder:
     """Encoder of dataclass ``cls`` without the fields named in ``exclude``."""
     key = (cls, exclude)
     encode = _STRUCTS.get(key)
     if encode is not None:
         return encode
-    fields = [(name, typ) for name, typ in _hints(cls) if name not in exclude]
+    names = [name for name, _ in _hints(cls)]
+    kept = [name for name in names if name not in exclude]
     memoised = _immutable(cls)  # its instances keep their encodings
-    encoders: tuple[Encoder, ...] = ()
+    encode_fields: Callable[[Any], bytes]  # built after registration
 
     def encode_struct(value: Any) -> bytes:
         if type(value) is not cls:
             return _other(value, cls)
-        return _frame(TAG_STRUCT, b"".join(
-            [encode(v) for encode, v in zip(encoders, get(value))]))
+        return _frame(TAG_STRUCT, encode_fields(value))
 
     # Registered before its fields are built, so a type that contains
     # itself finds this encoder.
     encode = _STRUCTS[key] = (_memo(cls, exclude, encode_struct) if memoised
                               else encode_struct)
-    get = _getter([name for name, _ in fields])
-    encoders = tuple(_encoder(typ) for _, typ in fields)
+    encode_fields = _fields(cls, kept)
+    trailing = names[len(kept):]
+    if memoised and trailing and names[:len(kept)] == kept:
+        _TAILS.setdefault(cls, {})[_slot(exclude)] = _fields(cls, trailing)
     return encode
 
 
 def _memo(cls: type, exclude: tuple[str, ...], encode: Encoder) -> Encoder:
     """``encode``, with each instance of ``cls`` keeping its result in its
-    own __dict__ under a key that is no field name."""
-    slot = "codec:" + ",".join(exclude)
+    own __dict__. A full encoding is composed, where the value keeps an
+    encoding without only trailing fields, from that encoding's field bytes
+    and the encodings of the trailing fields."""
+    slot = _slot(exclude)
+    _EXCLUDED[slot] = frozenset(exclude)
+    tails = {} if exclude else _TAILS.setdefault(cls, {})
 
     def encode_memo(value: Any) -> bytes:
         if type(value) is not cls:
             return encode(value)
         memo = value.__dict__
-        if slot in memo:
-            return memo[slot]
-        data = memo[slot] = encode(value)
+        data = memo.get(slot)
+        if data is None:
+            for tail_slot, tail in tails.items():
+                part = memo.get(tail_slot)
+                if part is not None:
+                    data = _frame(TAG_STRUCT, part[5:] + tail(value))
+                    break
+            else:
+                data = encode(value)
+            memo[slot] = data
         return data
     return encode_memo
+
+
+def replace(value: Any, /, **changes: Any) -> Any:
+    """``dataclasses.replace`` that carries over each encoding ``value``
+    keeps whose left-out fields include every changed field, so a value
+    filled in after signing keeps the signing input it was signed over."""
+    new = dataclasses.replace(value, **changes)
+    memo = getattr(value, "__dict__", {})
+    for slot, excluded in _EXCLUDED.items():
+        if slot in memo and changes.keys() <= excluded:
+            new.__dict__[slot] = memo[slot]
+    return new
 
 
 def canonical_encode(value: Any) -> bytes:

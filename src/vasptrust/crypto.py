@@ -43,31 +43,36 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
         seed = os.urandom(SEED_SIZE)
     if len(seed) != SEED_SIZE:
         raise MalformedKeyError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
-    private = Ed25519PrivateKey.from_private_bytes(seed)
-    return KeyPair(
-        scheme=SIGNATURE_SCHEME,
-        public_key=private.public_key().public_bytes_raw(),
-        private_key=seed,
-    )
+    return KeyPair(scheme=SIGNATURE_SCHEME, public_key=_private_key(seed)[1],
+                   private_key=seed)
 
 
 @functools.lru_cache(maxsize=1024)
-def _private_key(seed: bytes) -> Ed25519PrivateKey:
-    """Deriving the key object costs as much as a signature, so keep it."""
+def _private_key(seed: bytes) -> tuple[Ed25519PrivateKey, bytes]:
+    """The key object of a seed and its raw public key. Deriving them costs
+    as much as a signature, so keep them."""
     if len(seed) != SEED_SIZE:
         raise MalformedKeyError("private key has wrong length")
     try:
-        return Ed25519PrivateKey.from_private_bytes(seed)
+        private = Ed25519PrivateKey.from_private_bytes(seed)
     except ValueError as exc:
         raise MalformedKeyError(str(exc)) from exc
+    return private, private.public_key().public_bytes_raw()
+
+
+@functools.lru_cache(maxsize=1024)
+def _public_key(public_key: bytes) -> Ed25519PublicKey:
+    """Parsed public key objects, kept as ``_private_key`` keeps private
+    ones; the verify itself is never skipped."""
+    return Ed25519PublicKey.from_public_bytes(public_key)
 
 
 def sign(private_key: bytes, message: bytes) -> bytes:
-    return _private_key(private_key).sign(message)
+    return _private_key(private_key)[0].sign(message)
 
 
 def public_key_of(private_key: bytes) -> bytes:
-    return _private_key(private_key).public_key().public_bytes_raw()
+    return _private_key(private_key)[1]
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -77,7 +82,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     verifier treats garbage the same as a forgery.
     """
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+        _public_key(public_key).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False

@@ -9,7 +9,7 @@ applies them atomically; value is conserved after genesis. An optional
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import codec, crypto
@@ -96,7 +96,7 @@ def make_transfer(inputs: Iterable[tuple[bytes, int]],
     )
     unsigned = tx.unsigned_bytes()
     sigs = tuple(signers[key](unsigned) for key in tx.distinct_input_keys())
-    return replace(tx, tx_id=crypto.digest(unsigned), signatures=sigs)
+    return codec.replace(tx, tx_id=crypto.digest(unsigned), signatures=sigs)
 
 
 class Ledger:
@@ -173,7 +173,7 @@ class Ledger:
             for entry in tx.outputs:
                 self._balances[entry.public_key] = (
                     self._balances.get(entry.public_key, 0) + entry.amount)
-            confirmed = replace(tx, block_height=height)
+            confirmed = codec.replace(tx, block_height=height)
             self._tx_index[tx.tx_id] = confirmed
             confirmed_ids.append(tx.tx_id)
         self._mempool.clear()

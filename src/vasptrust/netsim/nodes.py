@@ -8,7 +8,7 @@ possession of its key during channel establishment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .. import claims as claims_mod
 from .. import codec, crypto, pki, travel_rule, wallet
@@ -78,12 +78,12 @@ class VaspNode(Node):
         # Delta flooding state: the content of our last own advertisement,
         # advertisements applied since the last flood with the channels
         # whose neighbour already has each, the channels flooded over once,
-        # and the revocation list last purged against.
+        # and the revoked serials last purged against.
         self._advertised: tuple | None = None
         self._own_adv: IdentifierAdvertisement | None = None
         self._outbox: dict[int, tuple[IdentifierAdvertisement, set[int]]] = {}
         self._synced: set[int] = set()
-        self._revocations_seen: tuple[int, int] | None = None
+        self._revocations_seen: frozenset[int] | None = None
         self.consents = ConsentStore(self.customer_ids)
         self.correlations = CorrelationStore()
         # Payloads sent, and received payloads that passed every check.
@@ -144,18 +144,17 @@ class VaspNode(Node):
         return hits
 
     def _purge_revoked(self) -> None:
-        """On a revocation list not seen before, drop the advertisements
-        held from every origin whose identity or claims certificate it
-        revokes, so a revoked member stops resolving."""
-        revocations = self.trust.revocation_list
-        seen = (revocations.issued_at, len(revocations.entries))
-        if seen == self._revocations_seen:
+        """On a set of revoked serials not seen before, drop the
+        advertisements held from every origin whose identity or claims
+        certificate it holds, so a revoked member stops resolving."""
+        revoked = self.trust.revocation_list.serials
+        if revoked == self._revocations_seen:
             return
-        self._revocations_seen = seen
+        self._revocations_seen = revoked
         for adv in self.resolver.known_advertisements():
             origin = self.trust.members[adv.vasp_number]
-            if revocations.covers(origin.identity.serial) \
-                    or revocations.covers(origin.claims.serial):
+            if origin.identity.serial in revoked \
+                    or origin.claims.serial in revoked:
                 self.resolver.drop_origin(adv.vasp_number)
                 self._outbox.pop(adv.vasp_number, None)
                 self.sim.emit(self.name, "resolver.adv_purged", {
@@ -307,7 +306,7 @@ class VaspNode(Node):
                 expected_key=self.tx_key.public_key,
                 expected_amount=payload.amount),
             payload_id=b"")
-        response_payload = replace(
+        response_payload = codec.replace(
             response_payload,
             payload_id=travel_rule.compute_payload_id(response_payload))
         report = travel_rule.validate_payload(response_payload)

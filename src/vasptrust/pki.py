@@ -15,8 +15,9 @@ the signature covers the canonical struct of every field before it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import codec, crypto
 from .crypto import KeyPair
@@ -158,8 +159,13 @@ class RevocationList:
     def signing_input(self) -> bytes:
         return codec.struct_bytes(self, exclude=("issuer_signature",))
 
+    @cached_property
+    def serials(self) -> frozenset[int]:
+        """Serials of every entry; kept on the list, which never changes."""
+        return frozenset(e.serial for e in self.entries)
+
     def covers(self, serial: int) -> bool:
-        return any(e.serial == serial for e in self.entries)
+        return serial in self.serials
 
 
 @dataclass(frozen=True)
@@ -225,13 +231,18 @@ def validate_chain(cert: Certificate,
                                      cert.issuer_signature)
         if signature_ok and verified is not None:
             verified[cert] = cert_digest(cert)
-    revoked = revocation_list.covers(cert.serial)
-    within = cert.not_before <= now < cert.not_after
     linkage_ok: bool | None = None
     if identity_cert is not None and isinstance(cert, SigningCertificate):
         known = verified.get(identity_cert) if verified is not None else None
         linkage_ok = cert.identity_linkage == (known or cert_digest(identity_cert))
+    return _report(cert, signature_ok, revocation_list.covers(cert.serial),
+                   linkage_ok, now)
 
+
+def _report(cert: Certificate, signature_ok: bool, revoked: bool,
+            linkage_ok: bool | None, now: int) -> ValidationReport:
+    """The report on ``cert`` at tick ``now``, given the checks that do not
+    depend on the tick."""
     if not signature_ok:
         verdict = Verdict.BAD_SIGNATURE
     elif revoked:
@@ -249,7 +260,7 @@ def validate_chain(cert: Certificate,
         serial=cert.serial,
         signature_ok=signature_ok,
         revoked=revoked,
-        within_validity=within,
+        within_validity=cert.not_before <= now < cert.not_after,
         linkage_ok=linkage_ok,
         checked_at=now,
     )
@@ -270,6 +281,15 @@ class TrustContext:
     through ``validate`` or ``verify_member_signature``. Certificates are
     distributed by consortium operations; their authenticity rests on the
     root signature inside each.
+
+    A certificate's root signature is verified once per context and kept
+    in ``verified``. Its revocation and its linkage to the identity
+    certificate given are decided once per (certificate, identity
+    certificate) under the revocation list the context reads: the object
+    ``revocations`` returns, so a new list (the root issues one on each
+    revocation) drops every kept decision. Only the validity window is
+    checked on every call, against the clock. A certificate whose
+    signature fails is never kept, so it is verified, and refused, anew.
     """
 
     def __init__(self, root_public_key: bytes,
@@ -285,6 +305,15 @@ class TrustContext:
         # Certificates whose root signature verified -> canonical digest.
         # Keyed by value, signature included, so a forgery never hits.
         self.verified: dict[Certificate, bytes] = {}
+        # The signatures of a (certificate, identity certificate) pair ->
+        # that pair and the latest report on it, under the revocation list
+        # ``_decided_under``. Signatures keep their hashes, where hashing a
+        # certificate walks every field; the pair itself is compared, so a
+        # forgery that copies a genuine signature never hits.
+        self._decided: dict[tuple[bytes, bytes | None], tuple[
+            tuple[Certificate, EvIdentityCertificate | None],
+            ValidationReport]] = {}
+        self._decided_under: RevocationList | None = None
 
     @property
     def revocation_list(self) -> RevocationList:
@@ -298,8 +327,27 @@ class TrustContext:
     def validate(self, cert: Certificate,
                  identity_cert: EvIdentityCertificate | None = None
                  ) -> ValidationReport:
-        return validate_chain(cert, self.root_public_key, self._revocations(),
-                              self._clock(), identity_cert, self.verified)
+        revocations = self._revocations()
+        now = self._clock()
+        if revocations is not self._decided_under:
+            self._decided = {}
+            self._decided_under = revocations
+        pair = (cert, identity_cert)
+        key = (cert.issuer_signature,
+               None if identity_cert is None else identity_cert.issuer_signature)
+        kept = self._decided.get(key)
+        if kept is None or kept[0] != pair:
+            report = validate_chain(cert, self.root_public_key, revocations,
+                                    now, identity_cert, self.verified)
+            if report.signature_ok:
+                self._decided[key] = (pair, report)
+            return report
+        report = kept[1]
+        if report.checked_at != now:
+            report = _report(cert, report.signature_ok, report.revoked,
+                             report.linkage_ok, now)
+            self._decided[key] = (pair, report)
+        return report
 
     def verify_member_signature(self, msg: bytes, sig: bytes, serial: int,
                                 purpose: CertPurpose,
@@ -358,7 +406,7 @@ class RootAuthority:
         entries = tuple(self._revocations[s] for s in sorted(self._revocations))
         unsigned = RevocationList(self.name, entries, issued_at, b"")
         sig = crypto.sign(self._keypair.private_key, unsigned.signing_input())
-        return replace(unsigned, issuer_signature=sig)
+        return codec.replace(unsigned, issuer_signature=sig)
 
     def _claim_key(self, public_key: bytes) -> None:
         if public_key in self._used_keys:
@@ -389,7 +437,7 @@ class RootAuthority:
             issuer_signature=b"",
         )
         sig = crypto.sign(self._keypair.private_key, unsigned.signing_input())
-        cert = replace(unsigned, issuer_signature=sig)
+        cert = codec.replace(unsigned, issuer_signature=sig)
         self._certs[serial] = cert
         return cert
 
@@ -420,7 +468,7 @@ class RootAuthority:
             issuer_signature=b"",
         )
         sig = crypto.sign(self._keypair.private_key, unsigned.signing_input())
-        cert = replace(unsigned, issuer_signature=sig)
+        cert = codec.replace(unsigned, issuer_signature=sig)
         self._certs[serial] = cert
         return cert
 

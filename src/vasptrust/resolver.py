@@ -13,8 +13,9 @@ caller, and callers must present a chain-valid consortium certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import codec, crypto, pki
 
@@ -62,6 +63,11 @@ class CustomerIdentifier:
     def render(self) -> str:
         """Canonical string form; domains compare case-insensitively,
         local parts are case-sensitive."""
+        return self._rendered
+
+    @cached_property
+    def _rendered(self) -> str:
+        # Kept on the instance, which never changes.
         if self.kind is IdentifierKind.EMAIL:
             return f"{self.local_part}@{self.domain_part.lower()}"
         if self.kind is IdentifierKind.PAY_ID:
@@ -130,7 +136,7 @@ class IdpDirectory:
 
     def __init__(self, domain: str, known: set[str] | None = None):
         self.domain = domain.lower()
-        self._known = {k for k in (known or set())}
+        self._known = {parse_identifier(k).render() for k in known or ()}
 
     def add(self, identifier: str) -> None:
         self._known.add(parse_identifier(identifier).render())
@@ -206,7 +212,7 @@ class ResolverService:
             signature=b"",
         )
         sig = crypto.sign(claims_private_key, unsigned.signing_input())
-        return replace(unsigned, signature=sig)
+        return codec.replace(unsigned, signature=sig)
 
     def merge_advertisement(self, adv: IdentifierAdvertisement,
                             trust: pki.TrustContext) -> MergeOutcome:

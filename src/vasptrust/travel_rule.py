@@ -14,7 +14,7 @@ Payload, consent and correlation stores are append-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import codec, crypto, pki
@@ -191,7 +191,7 @@ def build_payload(originator: CustomerRecord,
         correlation=hint or CorrelationHint(HintKind.MEMO_TAG),
         payload_id=b"",
     )
-    return replace(payload, payload_id=compute_payload_id(payload))
+    return codec.replace(payload, payload_id=compute_payload_id(payload))
 
 
 def validate_payload(payload: TravelRulePayload) -> CompletenessReport:

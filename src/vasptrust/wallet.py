@@ -199,7 +199,7 @@ class WalletDevice:
             signature=b"",
         )
         sig = crypto.sign(self._attestation.private_key, unsigned.signing_input())
-        return replace(unsigned, signature=sig)
+        return codec.replace(unsigned, signature=sig)
 
 
 @dataclass(frozen=True)

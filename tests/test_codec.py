@@ -13,11 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vasptrust import codec
+from conftest import seed, trust_context
+from vasptrust import claims, codec, crypto, pki, wallet
+from vasptrust.ledger import Ledger, make_transfer
 from vasptrust.netsim import messages
 from vasptrust.netsim.sim import Envelope
-from vasptrust.travel_rule import (CorrelationHint, HintKind, IdentifyingInfo,
-                                   IdentifyingKind, TravelRulePayload)
+from vasptrust.resolver import ResolverService, parse_identifier
+from vasptrust.travel_rule import (CorrelationHint, CustomerRecord, HintKind,
+                                   IdentifyingInfo, IdentifyingKind,
+                                   TravelRulePayload, build_payload)
 
 
 class Color(Enum):
@@ -425,6 +429,11 @@ def test_kept_encodings_match_reference(cls, data):
     assert codec.canonical_encode(copy) == reference_encode(copy)
     assert codec.struct_bytes(copy, exclude) == _reference_struct(copy, exclude)
     assert codec.canonical_encode(value) == full
+    # codec.replace carries over only the encodings the change leaves
+    # right, and composes a full encoding from one without trailing fields.
+    carried = codec.replace(value, **{name: new})
+    assert codec.struct_bytes(carried, exclude) == _reference_struct(copy, exclude)
+    assert codec.canonical_encode(carried) == reference_encode(copy)
 
 
 def _tuple_fields(cls) -> list[str]:
@@ -482,3 +491,67 @@ def test_only_deeply_immutable_dataclasses_keep_encodings():
     value = sample()
     codec.canonical_encode(value)
     assert vars(value).keys() == {f.name for f in dataclasses.fields(Sample)}
+
+
+# -- encodings carried from a signed draft -------------------------------------
+
+def _signed_values(root, member) -> list[tuple[object, tuple[str, ...]]]:
+    """A value of every signed type, each built where the program builds
+    it (the draft is signed, then filled in by codec.replace), with the
+    fields its signature leaves out."""
+    signature = ("signature",)
+    service = ResolverService(7, {"bob"})
+    service.register_identifier("bob", parse_identifier("bob@idp2.com"))
+    payload = build_payload(
+        CustomerRecord("A-1", "Alice", geographic_address="1 Main St"),
+        "Bob", "B-9", 9, 125, 7)
+    key = crypto.generate_keypair(seed("ledger:key"))
+    ledger = Ledger([(key.public_key, 100)])
+    tx = make_transfer([(key.public_key, 40)], [(b"\x02" * 32, 40)],
+                       {key.public_key: lambda m: crypto.sign(key.private_key, m)},
+                       memo_tag=b"\x01" * 32)
+    ledger.submit_transfer(tx)
+    ledger.confirm_block()
+    provider = claims.ClaimsProvider("dmv", seed("cp:dmv"))
+    server = claims.AuthorizationServer(seed("authsrv"))
+    store = claims.ClaimsStore("alice", seed("store:alice"), server.public_key)
+    server.bind_store(store)
+    claim = provider.issue_claim("alice", "dl", "DL-1", 0, 100)
+    store.add_claim(claim)
+    store.set_policy("alice", claims.AccessPolicy(
+        "alice", frozenset({7}), frozenset({"dl"}), "kyc"))
+    token = server.request_authorization(
+        member["identity_cert"], {"dl"}, "kyc", trust_context(root))
+    _, receipt = store.fetch_claims(token, now=5)
+    device = wallet.WalletDevice("wdev:a", seed("device:a"),
+                                 [("boot", crypto.digest(b"boot"))])
+    device.generate_key(migratable=False)
+    ledger_fields = ("tx_id", "signatures", "block_height")
+    return [
+        (member["identity_cert"], ("issuer_signature",)),
+        (member["claims_cert"], ("issuer_signature",)),
+        (root.revoke(member["tx_cert"].serial,
+                     pki.RevocationReason.SUPERSEDED, 2), ("issuer_signature",)),
+        (service.build_advertisement(member["claims"].private_key,
+                                     member["claims_cert"].serial), signature),
+        (payload, ("payload_id",)),
+        (tx, ledger_fields),
+        (ledger.query_tx(tx.tx_id), ledger_fields),
+        (claim, ("claim_id", "issuer_signature")),
+        (token, ("token_id", "signature")),
+        (receipt, ("receipt_id", "signature")),
+        (device.attest(b"\x03" * wallet.NONCE_SIZE, now=4), signature),
+    ]
+
+
+def test_carried_and_composed_encodings_match_fresh_ones(root, member):
+    values = _signed_values(root, member)
+    assert len({type(v) for v, _ in values}) == len(values) - 1  # tx twice
+    for value, exclude in values:
+        fresh = dataclasses.replace(value)  # equal, and keeps nothing yet
+        assert codec._slot(exclude) in vars(value)  # carried from the draft
+        assert codec.struct_bytes(value, exclude) \
+            == codec.struct_bytes(fresh, exclude) \
+            == _reference_struct(value, exclude)
+        assert codec.canonical_encode(value) == codec.canonical_encode(fresh) \
+            == reference_encode(value)

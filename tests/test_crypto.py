@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from vasptrust import crypto
 
@@ -15,6 +16,23 @@ def test_fixed_seed_gives_fixed_keypair():
     assert k0 == again
     assert len(k0.public_key) == crypto.PUBLIC_KEY_SIZE
     assert k0.scheme == "ed25519"
+
+
+def test_kept_derivation_matches_a_fresh_one():
+    rng = random.Random(7)
+    for seed in [b"\x00" * 32] + [rng.randbytes(32) for _ in range(5)]:
+        fresh = Ed25519PrivateKey.from_private_bytes(seed)
+        public = fresh.public_key().public_bytes_raw()
+        for _ in range(2):
+            pair = crypto.generate_keypair(seed)
+            assert pair == crypto.KeyPair("ed25519", public, seed)
+            assert crypto.public_key_of(seed) == public
+            assert crypto.sign(seed, b"m") == fresh.sign(b"m")
+    for bad in (b"", b"\x00" * 31, b"\x00" * 33):
+        with pytest.raises(crypto.MalformedKeyError):
+            crypto.generate_keypair(bad)
+    a, b = crypto.generate_keypair(None), crypto.generate_keypair(None)
+    assert a.private_key != b.private_key and a.public_key != b.public_key
 
 
 def test_distinct_seeds_distinct_keys():

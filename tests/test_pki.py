@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import make_subject, seed
+from conftest import issue_member, make_subject, seed
 from vasptrust import codec, crypto, pki
 
 
@@ -254,6 +254,7 @@ class TestRevocation:
                                       pki.RevocationReason.SUPERSEDED, now=4)
         serials = [e.serial for e in revocation_list.entries]
         assert serials == sorted(serials)
+        assert revocation_list.serials == set(serials)
         assert {member["claims_cert"].serial,
                 member["identity_cert"].serial} <= set(serials)
 
@@ -341,3 +342,84 @@ class TestVerifiedMemo:
             assert report.verdict is pki.Verdict.BAD_SIGNATURE
         assert len(verifies) == 2
         assert trust.verified == cached
+
+
+class TestDecidedOnce:
+    """A certificate's signature, revocation and linkage are decided once
+    per revocation list; the validity window is checked on every call."""
+
+    @pytest.fixture
+    def clock(self):
+        return [1]
+
+    @pytest.fixture
+    def trust(self, root, member, clock):
+        trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
+                                 lambda: clock[0])
+        trust.add_member(pki.VaspCerts(member["identity_cert"],
+                                       member["tx_cert"], member["claims_cert"]))
+        return trust
+
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        certs = []
+        real = pki.validate_chain
+
+        def counting(*args):
+            certs.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(pki, "validate_chain", counting)
+        return certs
+
+    def signs(self, trust, member) -> bool:
+        sig = crypto.sign(member["claims"].private_key, b"m")
+        return trust.verify_member_signature(
+            b"m", sig, member["claims_cert"].serial,
+            pki.CertPurpose.CLAIMS_SIGNING, 7)
+
+    def test_each_tick_reads_the_kept_decision(self, trust, member, clock,
+                                               decided):
+        for tick in (1, 2, 2, 5):
+            clock[0] = tick
+            assert self.signs(trust, member)
+            report = trust.validate(member["claims_cert"],
+                                    member["identity_cert"])
+            assert report.valid and report.checked_at == tick
+        assert decided == [member["identity_cert"], member["claims_cert"]]
+
+    def test_a_new_list_is_decided_anew(self, trust, root, member, decided):
+        assert self.signs(trust, member)
+        root.revoke(member["tx_cert"].serial,
+                    pki.RevocationReason.SUPERSEDED, now=1)
+        assert self.signs(trust, member)
+        assert len(decided) == 4
+        root.revoke(member["identity_cert"].serial,
+                    pki.RevocationReason.KEY_COMPROMISE, now=1)
+        assert not self.signs(trust, member)
+        report = trust.validate(member["identity_cert"])
+        assert report.verdict is pki.Verdict.REVOKED and report.revoked
+
+    def test_window_follows_the_clock(self, trust, member, clock):
+        assert self.signs(trust, member)
+        clock[0] = member["identity_cert"].not_after
+        assert not self.signs(trust, member)
+        report = trust.validate(member["identity_cert"])
+        assert report.verdict is pki.Verdict.EXPIRED
+        assert report.checked_at == clock[0] and not report.within_validity
+
+    def test_other_identity_is_decided_apart(self, trust, root, member):
+        other = issue_member(root, 8, "other")
+        assert trust.validate(member["claims_cert"],
+                              member["identity_cert"]).valid
+        # An identity certificate that copies the genuine one's signature
+        # finds the kept decision's key but not its value.
+        copied = dataclasses.replace(other["identity_cert"],
+                                     issuer_signature=member["identity_cert"]
+                                     .issuer_signature)
+        for identity in (other["identity_cert"], copied):
+            report = trust.validate(member["claims_cert"], identity)
+            assert report.verdict is pki.Verdict.BROKEN_LINKAGE
+        assert trust.validate(member["claims_cert"],
+                              member["identity_cert"]).valid
+        assert trust.validate(copied).verdict is pki.Verdict.BAD_SIGNATURE

@@ -64,6 +64,18 @@ class TestRegistration:
                                     directory)
         assert "dave@idp2.com" in service.local_identifiers()
 
+    def test_idp_directory_compares_rendered_forms(self, service):
+        # Domains compare case-insensitively, local parts case-sensitively,
+        # for the identifiers a directory starts with as for added ones.
+        directory = IdpDirectory("IDP2.com", {"Dave@IDP2.com"})
+        directory.add("Erin@Idp2.COM")
+        for known in ("Dave@IDP2.com", "Dave@idp2.com", "Erin@idp2.com"):
+            assert directory.knows(parse_identifier(known))
+        assert not directory.knows(parse_identifier("dave@idp2.com"))
+        service.register_identifier("dave", parse_identifier("Dave@Idp2.com"),
+                                    directory)
+        assert "Dave@idp2.com" in service.local_identifiers()
+
     def test_idp_rejects_unknown(self, service):
         directory = IdpDirectory("idp2.com", {"someoneelse@idp2.com"})
         with pytest.raises(IdpValidationFailed):

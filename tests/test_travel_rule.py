@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import issue_member, seed, trust_context
-from vasptrust import crypto, pki, travel_rule as tr
+from vasptrust import codec, crypto, pki, travel_rule as tr
 from vasptrust.ledger import Ledger, make_transfer
 from vasptrust.netsim import build_world
 
@@ -86,6 +86,11 @@ class TestBuildAndValidate:
         assert payload.payload_id == tr.compute_payload_id(payload)
         altered = replace(payload, amount=payload.amount + 1)
         assert tr.compute_payload_id(altered) != payload.payload_id
+        # The content bytes leave out only the payload id, so a replaced
+        # amount does not carry them over.
+        carried = codec.replace(payload, amount=payload.amount + 1)
+        assert carried.content_bytes() == altered.content_bytes()
+        assert tr.compute_payload_id(carried) == tr.compute_payload_id(altered)
 
 
 class TestConsent:
