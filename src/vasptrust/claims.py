@@ -89,8 +89,9 @@ class ClaimsProvider:
 
 def verify_claim(claim: SignedClaim, provider_public_key: bytes,
                  now: int) -> ClaimVerdict:
-    if not crypto.verify(provider_public_key, claim.signing_input(),
-                         claim.issuer_signature):
+    body = claim.signing_input()
+    if claim.claim_id != crypto.digest(body) or not crypto.verify(
+            provider_public_key, body, claim.issuer_signature):
         return ClaimVerdict.BAD_SIGNATURE
     if now < claim.not_before:
         return ClaimVerdict.NOT_YET_VALID
@@ -105,7 +106,6 @@ class AccessPolicy:
     allowed_vasp_numbers: frozenset[int]
     readable_attributes: frozenset[str]
     usage_purpose: str
-    withdrawable: bool = True
     active: bool = True
 
 
@@ -134,6 +134,13 @@ class AuthorizationToken:
 
     def signing_input(self) -> bytes:
         return codec.struct_bytes(self, exclude=("token_id", "signature"))
+
+
+def terms_bytes(token: AuthorizationToken) -> bytes:
+    """The terms of ``token`` that its audience VASP signs with its claims
+    key to present the token to the claims store."""
+    return codec.canonical_encode(("claims-terms", token.token_id,
+                                   token.purpose))
 
 
 @dataclass(frozen=True)
@@ -274,8 +281,7 @@ class AuthorizationServer:
 
     def request_authorization(self, requester_cert: pki.EvIdentityCertificate,
                               attributes: set[str], purpose: str,
-                              trust: pki.TrustContext,
-                              lifetime: int = TOKEN_LIFETIME
+                              trust: pki.TrustContext
                               ) -> AuthorizationToken | Denial:
         report = trust.validate(requester_cert)
         if not report.valid:
@@ -301,7 +307,7 @@ class AuthorizationServer:
             permitted_attributes=tuple(sorted(attributes)),
             purpose=purpose,
             issued_at=report.checked_at,
-            expires_at=report.checked_at + lifetime,
+            expires_at=report.checked_at + TOKEN_LIFETIME,
             signature=b"",
         )
         body = unsigned.signing_input()

@@ -1,9 +1,10 @@
 """Topology configuration: consortium, VASPs, customers, federation graph.
 
-Configs are JSON files with explicit keys. Parsing validates referential
-integrity (unique VASP numbers, federation edges between configured VASPs,
-parseable identifiers) and reports problems with their config path. All
-randomness in a run flows from the single ``seed`` value here.
+Configs are JSON files with explicit keys. Parsing validates integer
+fields and referential integrity (unique non-negative VASP numbers,
+federation edges between configured VASPs, claims from configured
+providers, parseable identifiers) and reports problems with their config
+path. All randomness in a run flows from the single ``seed`` value here.
 """
 
 from __future__ import annotations
@@ -94,13 +95,22 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
+def _int(value, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"expected an integer, got {value!r}") from None
+
+
 def _parse_customer(data: dict, path: str) -> CustomerConfig:
     wallet = None
     if data.get("wallet"):
         w = data["wallet"]
         wallet = WalletSpec(
-            initial_balance=int(w.get("initial_balance", 0)),
-            imported_key_balance=int(w.get("imported_key_balance", 0)))
+            initial_balance=_int(w.get("initial_balance", 0),
+                                 f"{path}.wallet.initial_balance"),
+            imported_key_balance=_int(w.get("imported_key_balance", 0),
+                                      f"{path}.wallet.imported_key_balance"))
     claim_specs = []
     for i, c in enumerate(data.get("claims", [])):
         claim_specs.append(ClaimSpec(
@@ -129,16 +139,17 @@ def _parse_customer(data: dict, path: str) -> CustomerConfig:
 def parse_config(data: dict, source: str = "config") -> TopologyConfig:
     if "seed" not in data:
         raise ConfigError(f"{source}.seed", "missing required field: seed")
-    try:
-        seed = int(data["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{source}.seed", "seed must be an integer") from None
+    seed = _int(data["seed"], f"{source}.seed")
+    providers = list(data.get("claims_providers", []))
 
     vasps = []
     numbers: set[int] = set()
     for i, v in enumerate(data.get("vasps", [])):
         path = f"{source}.vasps[{i}]"
-        number = int(_require(v, "vasp_number", path))
+        number = _int(_require(v, "vasp_number", path), f"{path}.vasp_number")
+        if number < 0:
+            raise ConfigError(f"{path}.vasp_number",
+                              f"negative value {number}")
         if number in numbers:
             raise ConfigError(f"{path}.vasp_number", f"duplicate value {number}")
         if number >= SERVICE_NUMBER_BASE:
@@ -153,6 +164,11 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
         customer_ids = set()
         for j, c in enumerate(v.get("customers", [])):
             customer = _parse_customer(c, f"{path}.customers[{j}]")
+            for k, claim in enumerate(customer.claims):
+                if claim.provider not in providers:
+                    raise ConfigError(
+                        f"{path}.customers[{j}].claims[{k}].provider",
+                        f"unknown claims provider {claim.provider!r}")
             if customer.id in customer_ids:
                 raise ConfigError(f"{path}.customers[{j}].id",
                                   f"duplicate customer id {customer.id!r}")
@@ -169,21 +185,20 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
             regulated_business_activity=activity,
             policy_object_identifier=v.get("policy_object_identifier", "1.3.6.1.4.1.0"),
             customers=customers,
-            treasury=int(v.get("treasury", 1_000_000))))
+            treasury=_int(v.get("treasury", 1_000_000), f"{path}.treasury")))
     if not vasps:
         raise ConfigError(f"{source}.vasps", "at least one VASP is required")
 
     graph: dict[int, list[int]] = {}
     for key, neighbors in data.get("federation_graph", {}).items():
-        a = int(key)
+        path = f"{source}.federation_graph.{key}"
+        a = _int(key, path)
         if a not in numbers:
-            raise ConfigError(f"{source}.federation_graph.{key}",
-                              "unknown vasp_number")
+            raise ConfigError(path, "unknown vasp_number")
         for b in neighbors:
-            b = int(b)
+            b = _int(b, path)
             if b not in numbers:
-                raise ConfigError(f"{source}.federation_graph.{key}",
-                                  f"unknown neighbor {b}")
+                raise ConfigError(path, f"unknown neighbor {b}")
             if b == a:
                 continue
             graph.setdefault(a, [])
@@ -204,7 +219,7 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
         seed=seed,
         vasps=vasps,
         idps=idps,
-        claims_providers=list(data.get("claims_providers", [])),
+        claims_providers=providers,
         insurer=data.get("insurer"),
         federation_graph=graph,
         scenario_params={k: dict(v) for k, v in

@@ -4,6 +4,9 @@ Each node owns its state and mutates it only from its message handler or
 its own public methods; there is no shared mutable state between nodes.
 Nodes that terminate channels carry an EV identity certificate and prove
 possession of its key during channel establishment.
+
+A VASP's ``pending`` table holds only its open transfers; a settled one
+stays on record in its payload and correlation stores and the trace.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import claims as claims_mod
-from .. import codec, crypto, pki, travel_rule, wallet
+from .. import crypto, pki, travel_rule, wallet
 from ..ledger import Ledger, make_transfer
 from ..resolver import (CustomerIdentifier, IdentifierAdvertisement,
                         IdpDirectory, MergeOutcome, ResolverService,
@@ -42,9 +45,10 @@ def _sender_number(channel: SecureChannel, env: Envelope) -> int:
 
 @dataclass
 class PendingTransfer:
+    """An open transfer this VASP originated, ``requested`` or ``submitted``.
+    It leaves ``VaspNode.pending`` as ``correlated`` or ``refused``."""
+
     payload: TravelRulePayload
-    originator_id: str
-    beneficiary_vasp: int
     state: str = "requested"
     tx_id: bytes | None = None
     submitted_height: int = 0  # ledger height when the tx entered the mempool
@@ -89,11 +93,8 @@ class VaspNode(Node):
         # Payloads sent, and received payloads that passed every check.
         self.payload_store: list[tuple[str, SignedPayload]] = []
         self.supervision: dict[str, wallet.SupervisionRecord] = {}
+        # Open transfers by payload id, in initiation order.
         self.pending: dict[bytes, PendingTransfer] = {}
-        # The pending entries still submitted, and each payload id's place
-        # in ``pending`` (a repeated id keeps its first place there).
-        self._submitted: dict[bytes, PendingTransfer] = {}
-        self._place: dict[bytes, int] = {}
         self.remote_lookups: list[msg.LookupResponse] = []
         self.claims_token: claims_mod.AuthorizationToken | None = None
         self.claims_denial: str = ""
@@ -219,6 +220,14 @@ class VaspNode(Node):
         payload = travel_rule.build_payload(
             originator, beneficiary_name, beneficiary_identifier,
             beneficiary_vasp, amount, self.vasp_number)
+        signed = self._sign_outbound(payload)
+        # A repeated payload id replaces its open entry, never correlated.
+        self.pending[payload.payload_id] = PendingTransfer(payload)
+        self.sim.send(channel, self.name, msg.TravelRuleRequest(signed))
+        return payload
+
+    def _sign_outbound(self, payload: TravelRulePayload) -> SignedPayload:
+        """Validate, sign and store a payload this VASP sends."""
         report = travel_rule.validate_payload(payload)
         self.sim.emit(self.name, "travel_rule.payload_validated", {
             "direction": "outbound", "present": report.summary(),
@@ -226,13 +235,12 @@ class VaspNode(Node):
         signed = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims, payload, self.trust)
         self.payload_store.append(("outbound", signed))
-        self._place.setdefault(payload.payload_id, len(self._place))
-        # A repeated payload id replaces its entry, which is never correlated.
-        self._submitted.pop(payload.payload_id, None)
-        self.pending[payload.payload_id] = PendingTransfer(
-            payload, originator_id, beneficiary_vasp)
-        self.sim.send(channel, self.name, msg.TravelRuleRequest(signed))
-        return payload
+        return signed
+
+    def _settle(self, pending: PendingTransfer, state: str) -> None:
+        """End an open transfer in ``state``: it leaves ``pending``."""
+        pending.state = state
+        del self.pending[pending.payload.payload_id]
 
     def _transfer_refused(self, payload_id: bytes, reason: str) -> None:
         self.sim.emit(self.name, "travel_rule.transfer_refused",
@@ -291,66 +299,42 @@ class VaspNode(Node):
             refuse("beneficiary_consent_missing")
             return
         self.payload_store.append(("inbound", signed))
-
-        response_payload = TravelRulePayload(
-            originator_name=payload.originator_name,
-            originator_account=payload.originator_account,
-            originator_identifying=payload.originator_identifying,
-            beneficiary_name=beneficiary.legal_name,
-            beneficiary_account=beneficiary.customer_id,
-            originating_vasp_number=payload.originating_vasp_number,
-            beneficiary_vasp_number=self.vasp_number,
-            amount=payload.amount,
-            correlation=travel_rule.CorrelationHint(
-                travel_rule.HintKind.KEY_AMOUNT,
-                expected_key=self.tx_key.public_key,
-                expected_amount=payload.amount),
-            payload_id=b"")
-        response_payload = codec.replace(
-            response_payload,
-            payload_id=travel_rule.compute_payload_id(response_payload))
-        report = travel_rule.validate_payload(response_payload)
-        self.sim.emit(self.name, "travel_rule.payload_validated", {
-            "direction": "outbound", "present": report.summary(),
-            "payload": response_payload.payload_id.hex()[:16]},
-            payload=response_payload)
-        response_signed = travel_rule.sign_payload(
-            self.claims_key.private_key, self.certs.claims, response_payload,
-            self.trust)
-        self.payload_store.append(("outbound", response_signed))
+        answer = self._sign_outbound(travel_rule.answer_payload(
+            payload, beneficiary, self.tx_key.public_key))
         self.sim.send(channel, self.name, msg.TravelRuleResponse(
-            payload.payload_id, True, "", response_signed))
+            payload.payload_id, True, "", answer))
 
     def _on_travel_rule_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.TravelRuleResponse = env.body
         pending = self.pending.get(body.ack_payload_id)
         if pending is None or pending.state != "requested":
             return  # not ours, or already answered
-        if _sender_number(channel, env) != pending.beneficiary_vasp:
-            # Not an answer from the VASP asked: the transfer stays pending.
+        asked = pending.payload.beneficiary_vasp_number
+        if _sender_number(channel, env) != asked:
+            # Not an answer from the VASP asked: the transfer stays open.
             self._transfer_refused(body.ack_payload_id, "misaddressed_payload")
             return
         if not body.accepted or body.signed is None:
-            pending.state = "refused"
+            self._settle(pending, "refused")
             self._transfer_refused(body.ack_payload_id, body.reason)
             return
-        if not self._verify_counterparty_payload(body.signed,
-                                                 pending.beneficiary_vasp):
-            pending.state = "refused"
+        if not self._verify_counterparty_payload(body.signed, asked):
+            self._settle(pending, "refused")
             return
         answer = body.signed.payload
-        if (answer.beneficiary_vasp_number != pending.beneficiary_vasp
+        if (answer.beneficiary_vasp_number != asked
                 or answer.originating_vasp_number != self.vasp_number):
-            pending.state = "refused"
+            self._settle(pending, "refused")
             self._transfer_refused(body.ack_payload_id, "misaddressed_payload")
             return
         self.payload_store.append(("inbound", body.signed))
 
+        originator = pending.payload.originator_account
         originator_consent = self.consents.check(
-            pending.originator_id, ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
-            pending.beneficiary_vasp, self.sim.now)
+            originator, ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
+            asked, self.sim.now)
         self.sim.emit(self.name, "travel_rule.consent_checked", {
-            "customer": pending.originator_id,
+            "customer": originator,
             "direction": ConsentDirection.SEND_INFO_TO_COUNTERPARTY.value,
             "ok": originator_consent})
         self.sim.emit(self.name, "travel_rule.transfer_gate", {
@@ -358,13 +342,13 @@ class VaspNode(Node):
             "consent_originator": originator_consent,
             "beneficiary_accepted": True})
         if not originator_consent:
-            pending.state = "refused"
+            self._settle(pending, "refused")
             self._transfer_refused(body.ack_payload_id,
                                    "originator_consent_missing")
             return
 
         beneficiary_tx_key = self.trust.members[
-            pending.beneficiary_vasp].transaction.subject_public_key
+            asked].transaction.subject_public_key
         tx = make_transfer(
             inputs=[(self.tx_key.public_key, pending.payload.amount)],
             outputs=[(beneficiary_tx_key, pending.payload.amount)],
@@ -375,26 +359,25 @@ class VaspNode(Node):
         pending.tx_id = tx.tx_id
         pending.submitted_height = self.ledger.height
         pending.state = "submitted"
-        self._submitted[body.ack_payload_id] = pending
         self.sim.emit(self.name, "ledger.tx_submitted", {
             "tx": tx.tx_id.hex()[:16], "kind": "customer_transfer",
             "amount": pending.payload.amount}, payload=tx)
 
     def correlate_pending(self) -> list[travel_rule.CorrelationRecord]:
-        """Correlate every submitted transfer whose block is confirmed.
-        confirm_block confirms the whole mempool, so the transaction is in
-        a block above the height it was submitted at."""
+        """Correlate, in initiation order, every open transfer whose
+        transaction is in a block, and retire it from ``pending``.
+        confirm_block confirms the whole mempool, so a submitted transaction
+        is in a block above the height it was submitted at. Entries not yet
+        submitted, or submitted since the last block, stay open."""
         records = []
-        # In the order of ``pending``, visiting only the submitted entries.
-        for payload_id in sorted(self._submitted, key=self._place.__getitem__):
-            pending = self._submitted[payload_id]
-            if self.ledger.height <= pending.submitted_height:
+        for pending in list(self.pending.values()):
+            if (pending.state != "submitted"
+                    or self.ledger.height <= pending.submitted_height):
                 continue
             record = self.correlations.correlate(
                 pending.payload, self.ledger,
                 (pending.submitted_height + 1, self.ledger.height))
-            pending.state = "correlated"
-            del self._submitted[payload_id]
+            self._settle(pending, "correlated")
             records.append(record)
             self.sim.emit(self.name, "travel_rule.correlated", {
                 "payload": record.payload_id.hex()[:16],
@@ -436,9 +419,8 @@ class VaspNode(Node):
         token = self.claims_token
         if token is None:
             raise claims_mod.BadToken("no authorization token held")
-        terms = codec.canonical_encode(("claims-terms", token.token_id,
-                                        token.purpose))
-        signature = crypto.sign(self.claims_key.private_key, terms)
+        signature = crypto.sign(self.claims_key.private_key,
+                                claims_mod.terms_bytes(token))
         self.sim.emit(self.name, "claims.terms_accepted", {
             "token": token.token_id.hex()[:16], "purpose": token.purpose})
         self.sim.send(channel, self.name, msg.ClaimsFetchRequest(
@@ -631,15 +613,14 @@ class ClaimsStoreNode(Node):
         body: msg.ClaimsFetchRequest = env.body
         token = body.token
         audience = token.audience_vasp_number
-        terms = codec.canonical_encode(("claims-terms", token.token_id,
-                                        token.purpose))
         # The token binds to its audience: only that VASP, over its own
         # channel and with its own claims key, may present it.
         if _sender_number(channel, env) != audience:
             reason = "token_audience_mismatch"
         elif not self.trust.verify_member_signature(
-                terms, body.terms_signature, body.vasp_claims_cert_serial,
-                pki.CertPurpose.CLAIMS_SIGNING, audience):
+                claims_mod.terms_bytes(token), body.terms_signature,
+                body.vasp_claims_cert_serial, pki.CertPurpose.CLAIMS_SIGNING,
+                audience):
             reason = "terms_not_countersigned"
         else:
             try:

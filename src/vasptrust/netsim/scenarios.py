@@ -120,8 +120,9 @@ def converge_federation(world: World, max_rounds: int | None = None) -> int:
 
 def scenario_s1(world: World, params: dict) -> None:
     sim = world.sim
-    ovasp = world.vasps[int(params["originator_vasp"])]
+    ovasp = _require_entity(world.vasps, int(params["originator_vasp"]), "VASP")
     originator = params["originator_customer"]
+    _require_entity(ovasp.customers, originator, f"a customer of {ovasp.name}")
     identifier = params["beneficiary_identifier"]
     beneficiary_name = params["beneficiary_name"]
     amount = int(params["amount"])
@@ -154,9 +155,10 @@ def scenario_s1(world: World, params: dict) -> None:
     channel = world.channel_between(ovasp, bvasp)
     payload = ovasp.initiate_transfer(channel, originator, beneficiary_name,
                                       identifier, bvasp.vasp_number, amount)
+    # Taken now: a refused transfer leaves the table.
+    pending = ovasp.pending[payload.payload_id]
     sim.run_until_quiet()
     world.confirm_block()
-    pending = ovasp.pending[payload.payload_id]
     records = ovasp.correlate_pending() if pending.state == "submitted" else []
 
     outbound = sim.trace.find("travel_rule.payload_validated",
@@ -363,7 +365,7 @@ def scenario_s4(world: World, params: dict) -> None:
 
 def scenario_s5(world: World, params: dict) -> None:
     sim = world.sim
-    ovasp = world.vasps[int(params["originator_vasp"])]
+    ovasp = _require_entity(world.vasps, int(params["originator_vasp"]), "VASP")
     identifier = params["beneficiary_identifier"]
 
     converge_federation(world)

@@ -126,7 +126,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     # exists; balances are fixed at genesis and conserved afterwards.
     approved_stacks: set[bytes] = set()
     devices: dict[str, wallet.WalletDevice] = {}
-    device_owner: dict[str, tuple[int, str]] = {}
     genesis: list[tuple[bytes, int]] = []
     customer_keys: list[bytes] = []
     stack = _default_stack(master)
@@ -153,7 +152,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 genesis.append((imported.public_key,
                                 ccfg.wallet.imported_key_balance))
             devices[device_id] = device
-            device_owner[device_id] = (vcfg.vasp_number, ccfg.id)
             trust.device_attestation_keys[device_id] = device.attestation_public_key
             registry.set_private(device_id, 0)
 

@@ -14,6 +14,7 @@ Payload, consent and correlation stores are append-only.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -192,6 +193,18 @@ def build_payload(originator: CustomerRecord,
         payload_id=b"",
     )
     return codec.replace(payload, payload_id=compute_payload_id(payload))
+
+
+def answer_payload(request: TravelRulePayload, beneficiary: CustomerRecord,
+                   beneficiary_tx_key: bytes) -> TravelRulePayload:
+    """The beneficiary VASP's answer to ``request``, naming ``beneficiary``;
+    it is matched on-chain by the amount paid to ``beneficiary_tx_key``."""
+    answer = dataclasses.replace(
+        request, beneficiary_name=beneficiary.legal_name,
+        beneficiary_account=beneficiary.customer_id,
+        correlation=CorrelationHint(HintKind.KEY_AMOUNT, beneficiary_tx_key,
+                                    request.amount))
+    return codec.replace(answer, payload_id=compute_payload_id(answer))
 
 
 def validate_payload(payload: TravelRulePayload) -> CompletenessReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import wire_envelopes
-from vasptrust import codec, crypto, pki
+from vasptrust import claims, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.netsim import build_world, run_scenario_with_world
 from vasptrust.netsim.messages import (ClaimsAuthRequest, ClaimsFetchRequest,
@@ -138,20 +138,19 @@ def test_response_from_a_vasp_not_asked_is_ignored(world):
 
 def test_response_naming_another_beneficiary_vasp_refused(world):
     payload = _start_transfer(world)
+    # Taken before the answer: a refused transfer leaves the table.
+    pending = world.vasps[7].pending[payload.payload_id]
     # VASP 9 itself answers, but its signed answer names VASP 3.
     answer = signed_by(world, 9, 7, 3, amount=125)
     send(world, 9, 7, TravelRuleResponse(payload.payload_id, True, "", answer))
     world.sim.run_until_quiet()
     assert refusals(world, 7) == ["misaddressed_payload"]
-    assert world.vasps[7].pending[payload.payload_id].state == "refused"
+    assert pending.state == "refused"
+    assert payload.payload_id not in world.vasps[7].pending
     assert not world.sim.trace.find("ledger.tx_submitted")
 
 
 # -- only its audience can use a claims token ---------------------------------
-
-def _terms(token) -> bytes:
-    return codec.canonical_encode(("claims-terms", token.token_id, token.purpose))
-
 
 def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
     trace, world = run_scenario_with_world("S2", demo_config)
@@ -161,7 +160,7 @@ def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
     receipts_before = len(store.store.receipts)
     world.sim.send(world.channel_between(thief, store), thief.name,
                    ClaimsFetchRequest(token, crypto.sign(
-                       thief.claims_key.private_key, _terms(token)),
+                       thief.claims_key.private_key, claims.terms_bytes(token)),
                        thief.certs.claims.serial))
     world.sim.run_until_quiet()
     assert thief.fetched_claims == [] and thief.consent_receipts == []
@@ -179,7 +178,7 @@ def test_terms_signed_by_another_vasp_release_nothing(demo_config):
     fetched_before = len(vasp.fetched_claims)
     world.sim.send(world.channel_between(vasp, store), vasp.name,
                    ClaimsFetchRequest(token, crypto.sign(
-                       other.claims_key.private_key, _terms(token)),
+                       other.claims_key.private_key, claims.terms_bytes(token)),
                        other.certs.claims.serial))
     world.sim.run_until_quiet()
     assert len(vasp.fetched_claims) == fetched_before

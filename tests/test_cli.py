@@ -8,8 +8,8 @@ import pytest
 
 from test_scenarios import line_config
 from vasptrust.cli import main
-from vasptrust.config import (config_to_dict, default_config, load_config,
-                              parse_config)
+from vasptrust.config import (ConfigError, config_to_dict, default_config,
+                              load_config, parse_config)
 from vasptrust.netsim.trace import parse_trace_text
 
 
@@ -41,6 +41,94 @@ def test_config_to_dict_round_trips_through_json(config, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data, indent=2))
     assert config_to_dict(load_config(path)) == data
+
+
+def _vasp(config, i=0):
+    return config["vasps"][i]
+
+
+def _alice(config):
+    return config["vasps"][0]["customers"][0]
+
+
+# Each edit of the demo config that parse_config refuses, with the path of
+# the ConfigError it raises.
+REFUSALS = {
+    "missing_seed": (lambda c: c.pop("seed"), "config.seed"),
+    "seed": (lambda c: c.update(seed="x"), "config.seed"),
+    "no_vasps": (lambda c: c.update(vasps=[]), "config.vasps"),
+    "missing_vasp_number": (lambda c: _vasp(c).pop("vasp_number"),
+                            "config.vasps[0].vasp_number"),
+    "vasp_number": (lambda c: _vasp(c).update(vasp_number="x"),
+                    "config.vasps[0].vasp_number"),
+    "negative_vasp_number": (lambda c: _vasp(c).update(vasp_number=-1),
+                             "config.vasps[0].vasp_number"),
+    "duplicate_vasp_number": (lambda c: _vasp(c, 1).update(vasp_number=7),
+                              "config.vasps[1].vasp_number"),
+    "reserved_vasp_number": (lambda c: _vasp(c).update(vasp_number=1000),
+                             "config.vasps[0].vasp_number"),
+    "activity": (lambda c: _vasp(c).update(
+        regulated_business_activity="Mining"),
+        "config.vasps[0].regulated_business_activity"),
+    "missing_organization_name": (
+        lambda c: _vasp(c).pop("organization_name"),
+        "config.vasps[0].organization_name"),
+    "missing_alt_domain_names": (lambda c: _vasp(c).pop("alt_domain_names"),
+                                 "config.vasps[0].alt_domain_names"),
+    "treasury": (lambda c: _vasp(c).update(treasury="lots"),
+                 "config.vasps[0].treasury"),
+    "missing_customer_id": (lambda c: _alice(c).pop("id"),
+                            "config.vasps[0].customers[0].id"),
+    "missing_legal_name": (lambda c: _alice(c).pop("legal_name"),
+                           "config.vasps[0].customers[0].legal_name"),
+    "duplicate_customer_id": (
+        lambda c: _vasp(c)["customers"][1].update(id="alice"),
+        "config.vasps[0].customers[1].id"),
+    "identifier": (lambda c: _alice(c).update(identifiers=["no separator"]),
+                   "config.vasps[0].customers[0].identifiers[0]"),
+    "wallet_balance": (
+        lambda c: _alice(c)["wallet"].update(initial_balance="x"),
+        "config.vasps[0].customers[0].wallet.initial_balance"),
+    "imported_key_balance": (
+        lambda c: _alice(c)["wallet"].update(imported_key_balance=None),
+        "config.vasps[0].customers[0].wallet.imported_key_balance"),
+    "missing_claim_attribute": (lambda c: _alice(c)["claims"][0].pop(
+        "attribute"), "config.vasps[0].customers[0].claims[0].attribute"),
+    "claims_provider": (lambda c: c.update(claims_providers=[]),
+                        "config.vasps[0].customers[0].claims[0].provider"),
+    "graph_key": (lambda c: c.update(federation_graph={"x": [9]}),
+                  "config.federation_graph.x"),
+    "graph_unknown_key": (lambda c: c.update(federation_graph={"5": [9]}),
+                          "config.federation_graph.5"),
+    "graph_neighbour": (lambda c: c.update(federation_graph={"7": ["x"]}),
+                        "config.federation_graph.7"),
+    "graph_unknown_neighbour": (
+        lambda c: c.update(federation_graph={"7": [5]}),
+        "config.federation_graph.7"),
+    "missing_idp_domain": (lambda c: c["idps"][0].pop("domain"),
+                           "config.idps[0].domain"),
+}
+
+
+@pytest.mark.parametrize("edit, path", REFUSALS.values(), ids=REFUSALS)
+def test_config_refusal_names_its_path(edit, path):
+    config = default_config()
+    parse_config(config)
+    edit(config)
+    with pytest.raises(ConfigError) as refused:
+        parse_config(config)
+    assert refused.value.path == path
+
+
+@pytest.mark.parametrize("text, where", [
+    (None, ""), ("{\n  \"seed\": 1,\n  oops\n}", ":3")])
+def test_load_config_refusal_names_its_path(tmp_path, text, where):
+    path = tmp_path / "topology.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError) as refused:
+        load_config(path)
+    assert refused.value.path == f"{path}{where}"
 
 
 class TestInit:
@@ -137,6 +225,20 @@ class TestRun:
         assert main(["run", "--scenario", "S2",
                      "--workspace", str(workspace)]) == 2
         assert "claims store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, override, named", [
+        ("S1", "originator_vasp=99", "VASP 99"),
+        ("S1", "originator_customer=zoe", "'zoe'"),
+        ("S5", "originator_vasp=99", "VASP 99"),
+    ])
+    def test_scenario_param_naming_unknown_party(self, workspace, capsys,
+                                                 scenario, override, named):
+        assert main(["run", "--scenario", scenario,
+                     "--workspace", str(workspace),
+                     "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "does not configure" in err
+        assert not (workspace / "traces" / f"{scenario}.trace").exists()
 
 
 class TestReport:

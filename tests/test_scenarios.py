@@ -15,7 +15,7 @@ from vasptrust.ledger import Ledger, ValueMismatch
 from vasptrust.netsim import (FaultConfig, ScenarioAssertionFailed,
                               UnknownScenario, build_world, graph_diameter,
                               run_scenario, run_scenario_with_world)
-from vasptrust.netsim.messages import AdvertisementFlood
+from vasptrust.netsim.messages import AdvertisementFlood, TravelRuleResponse
 from vasptrust.netsim.nodes import PendingTransfer
 from vasptrust.netsim import scenarios
 from vasptrust.netsim.scenarios import (converge_federation, flood_round,
@@ -624,7 +624,8 @@ def test_correlation_reads_a_bounded_window(demo_config, monkeypatch):
 def test_correlate_pending_visits_only_submitted_entries(demo_config,
                                                         monkeypatch):
     # Pending entries each correlate_pending call reads: the five submitted
-    # since the last pass, not every transfer the node has made.
+    # since the last pass, not every transfer the node has made, and a
+    # correlated transfer leaves the table.
     visited = set()
     read = PendingTransfer.__getattribute__
 
@@ -644,7 +645,7 @@ def test_correlate_pending_visits_only_submitted_entries(demo_config,
                 records = world.vasps[7].correlate_pending()
             assert len(records) == 5
             per_call.append(len(visited))
-    assert len(world.vasps[7].pending) == 30
+    assert len(world.vasps[7].pending) == 0
     assert per_call == [5] * 6
 
 
@@ -689,6 +690,58 @@ def test_repeated_payload_id_displaces_the_submitted_entry(demo_config):
     world.confirm_block()
     assert world.vasps[7].correlate_pending() == []
     assert first.state == "submitted"
+
+
+def test_settled_transfer_leaves_pending_and_stays_on_record(demo_config):
+    trace, world = run_scenario_with_world("S1", demo_config)
+    assert trace.passed
+    ovasp = world.vasps[7]
+    (record,) = ovasp.correlations.records
+    assert ovasp.pending == {}
+    assert [d for d, _ in ovasp.payload_store] == ["outbound", "inbound"]
+    assert ovasp.payload_store[0][1].payload.payload_id == record.payload_id
+
+
+def test_refused_transfer_leaves_pending(demo_config):
+    # Bob has not consented to receive: VASP 9 refuses the transfer.
+    world = build_world(demo_config)
+    ovasp = world.vasps[7]
+    ovasp.grant_consent("alice", ConsentDirection.SEND_INFO_TO_COUNTERPARTY, 9)
+    payload = ovasp.initiate_transfer(
+        world.channel_between(ovasp, world.vasps[9]),
+        "alice", "Bob Jones", "bob@idp2.com", 9, 125)
+    pending = ovasp.pending[payload.payload_id]
+    world.sim.run_until_quiet()
+    assert pending.state == "refused"
+    assert ovasp.pending == {}
+    assert [s.payload for _, s in ovasp.payload_store] == [payload]
+
+
+def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
+    # VASP 3 refuses VASP 7's request to VASP 9 before VASP 9 answers.
+    world = transfer_world(demo_config)
+    ovasp = world.vasps[7]
+    payload = ovasp.initiate_transfer(
+        world.channel_between(ovasp, world.vasps[9]),
+        "alice", "Bob Jones", "bob@idp2.com", 9, 125)
+    pending = ovasp.pending[payload.payload_id]
+    world.sim.send(world.channel_between(world.vasps[3], ovasp),
+                   world.vasps[3].name,
+                   TravelRuleResponse(payload.payload_id, False,
+                                      "beneficiary_unknown", None))
+    world.sim.step()
+    assert [e.get("reason") for e in world.sim.trace.find(
+        "travel_rule.transfer_refused")] == ["misaddressed_payload"]
+    assert ovasp.pending == {payload.payload_id: pending}
+    assert pending.state == "requested"
+    # VASP 9's answer still completes the transfer, which stays open until
+    # it is correlated.
+    world.sim.run_until_quiet()
+    assert ovasp.pending == {payload.payload_id: pending}
+    assert pending.state == "submitted"
+    world.confirm_block()
+    assert len(ovasp.correlate_pending()) == 1
+    assert pending.state == "correlated" and ovasp.pending == {}
 
 
 # SHA-256 of each scenario's trace text and of its wire log on the demo
