@@ -3,10 +3,11 @@
 Every wire format in this package is the canonical encoding of a declared
 dataclass. The encoding is deterministic and injective: values of the same
 type produce equal bytes iff they are equal, and decoding always reproduces
-the original value. Framing is one tag byte + 4-byte big-endian length +
-payload; integers are minimal big-endian; the decoder rejects every
-non-canonical form (oversized ints, bad UTF-8, unknown tags, trailing bytes)
-so that decode(encode(v)) == v and re-encoding reproduces the input bytes.
+the original value. Framing is one tag byte + the payload length as an
+unsigned LEB128 varint (1-5 bytes) + payload; lengths and integers are
+minimal, integers big-endian; the decoder rejects every non-canonical form
+(longer lengths or ints, bad UTF-8, unknown tags, trailing bytes) so that
+decode(encode(v)) == v and re-encoding reproduces the input bytes.
 
 Encoding runs through one closure per type, built on first use from the
 declared field types and cached, so the per-value cost is a class check and
@@ -40,7 +41,6 @@ No floating point is representable on purpose.
 from __future__ import annotations
 
 import dataclasses
-import struct
 import types
 from enum import Enum
 from functools import lru_cache
@@ -60,7 +60,8 @@ TAG_ENUM = 0x08
 TAG_UNION = 0x09
 
 _MAX_LEN = 2**32 - 1
-_HEADER = struct.Struct(">BI").pack  # tag byte + 4-byte big-endian length
+# tag -> length -> header, for each length a one-byte varint holds
+_SHORT = [[bytes((tag, n)) for n in range(0x80)] for tag in range(TAG_UNION + 1)]
 
 
 class CodecError(Exception):
@@ -72,9 +73,17 @@ class DecodeError(CodecError):
 
 
 def _frame(tag: int, payload: bytes) -> bytes:
-    if len(payload) > _MAX_LEN:
+    """Tag byte + the payload length as a minimal LEB128 varint + payload."""
+    n = len(payload)
+    if n < 0x80:
+        return _SHORT[tag][n] + payload
+    if n > _MAX_LEN:
         raise CodecError("payload too large for framing")
-    return _HEADER(tag, len(payload)) + payload
+    header = [tag]
+    while n >= 0x80:
+        header.append(n & 0x7F | 0x80)
+        n >>= 7
+    return bytes(header + [n]) + payload
 
 
 @lru_cache(maxsize=None)
@@ -182,26 +191,19 @@ def _encode_int(value: Any) -> bytes:
     if value < 0:
         raise CodecError("negative integers are not encodable")
     n = (value.bit_length() + 7) // 8
-    return _HEADER(TAG_UINT, n) + value.to_bytes(n, "big")
+    return _frame(TAG_UINT, value.to_bytes(n, "big"))
 
 
 def _encode_bytes(value: Any) -> bytes:
     if type(value) is not bytes:
         return _other(value, bytes)
-    n = len(value)
-    if n > _MAX_LEN:
-        raise CodecError("payload too large for framing")
-    return _HEADER(TAG_BYTES, n) + value
+    return _frame(TAG_BYTES, value)
 
 
 def _encode_str(value: Any) -> bytes:
     if type(value) is not str:
         return _other(value, str)
-    data = value.encode("utf-8")
-    n = len(data)
-    if n > _MAX_LEN:
-        raise CodecError("payload too large for framing")
-    return _HEADER(TAG_STR, n) + data
+    return _frame(TAG_STR, value.encode("utf-8"))
 
 
 _SCALARS: dict[type, Encoder] = {
@@ -401,7 +403,8 @@ def _memo(cls: type, exclude: tuple[str, ...], encode: Encoder) -> Encoder:
             for tail_slot, tail in tails.items():
                 part = memo.get(tail_slot)
                 if part is not None:
-                    data = _frame(TAG_STRUCT, part[5:] + tail(value))
+                    fields = part[_read_header(part, 0)[2]:]
+                    data = _frame(TAG_STRUCT, fields + tail(value))
                     break
             else:
                 data = encode(value)
@@ -449,11 +452,7 @@ class _Reader:
         self.pos = 0
 
     def take_frame(self) -> tuple[int, bytes]:
-        if self.pos + 5 > len(self.data):
-            raise DecodeError("truncated frame header")
-        tag = self.data[self.pos]
-        length = int.from_bytes(self.data[self.pos + 1 : self.pos + 5], "big")
-        start = self.pos + 5
+        tag, length, start = _read_header(self.data, self.pos)
         if start + length > len(self.data):
             raise DecodeError("truncated frame payload")
         self.pos = start + length
@@ -461,6 +460,22 @@ class _Reader:
 
     def done(self) -> bool:
         return self.pos == len(self.data)
+
+
+def _read_header(data: bytes, pos: int) -> tuple[int, int, int]:
+    """Tag and length of the frame at ``data[pos]``, and where its payload
+    starts. A length is read only from its minimal varint, up to _MAX_LEN."""
+    length = 0
+    for i in range(pos + 1, pos + 6):
+        if i >= len(data):
+            raise DecodeError("truncated frame header")
+        byte = data[i]
+        length |= (byte & 0x7F) << 7 * (i - pos - 1)
+        if byte < 0x80:
+            if (byte == 0 and i > pos + 1) or length > _MAX_LEN:
+                raise DecodeError("non-minimal or oversized frame length")
+            return data[pos], length, i + 1
+    raise DecodeError("frame length varint longer than 5 bytes")
 
 
 def _expect(reader: _Reader, tag: int) -> bytes:

@@ -1,8 +1,8 @@
 """Topology configuration: consortium, VASPs, customers, federation graph.
 
-Configs are JSON files with explicit keys. Parsing validates integer
-fields and referential integrity (unique non-negative VASP numbers,
-federation edges between configured VASPs, claims from configured
+Configs are JSON files with explicit keys. Parsing validates field types,
+non-negative numbers and balances, and referential integrity (unique VASP
+numbers, federation edges between configured VASPs, claims from configured
 providers, parseable identifiers) and reports problems with their config
 path. All randomness in a run flows from the single ``seed`` value here.
 """
@@ -102,15 +102,36 @@ def _int(value, path: str) -> int:
         raise ConfigError(path, f"expected an integer, got {value!r}") from None
 
 
+def _natural(value, path: str) -> int:
+    number = _int(value, path)
+    if number < 0:
+        raise ConfigError(path, f"negative value {number}")
+    return number
+
+
+def _typed(value, typ: type, path: str):
+    if not isinstance(value, typ):
+        raise ConfigError(path, f"expected {typ.__name__}, got {value!r}")
+    return value
+
+
+def _identifier(value, path: str) -> str:
+    try:
+        parse_identifier(_typed(value, str, path))
+    except Unparseable as exc:
+        raise ConfigError(path, str(exc)) from None
+    return value
+
+
 def _parse_customer(data: dict, path: str) -> CustomerConfig:
     wallet = None
     if data.get("wallet"):
         w = data["wallet"]
         wallet = WalletSpec(
-            initial_balance=_int(w.get("initial_balance", 0),
-                                 f"{path}.wallet.initial_balance"),
-            imported_key_balance=_int(w.get("imported_key_balance", 0),
-                                      f"{path}.wallet.imported_key_balance"))
+            initial_balance=_natural(w.get("initial_balance", 0),
+                                     f"{path}.wallet.initial_balance"),
+            imported_key_balance=_natural(w.get("imported_key_balance", 0),
+                                          f"{path}.wallet.imported_key_balance"))
     claim_specs = []
     for i, c in enumerate(data.get("claims", [])):
         claim_specs.append(ClaimSpec(
@@ -120,7 +141,8 @@ def _parse_customer(data: dict, path: str) -> CustomerConfig:
     customer = CustomerConfig(
         id=_require(data, "id", path),
         legal_name=_require(data, "legal_name", path),
-        identifiers=list(data.get("identifiers", [])),
+        identifiers=[_identifier(ident, f"{path}.identifiers[{i}]")
+                     for i, ident in enumerate(data.get("identifiers", []))],
         geographic_address=data.get("geographic_address", ""),
         national_id=data.get("national_id", ""),
         customer_number=data.get("customer_number", ""),
@@ -128,28 +150,18 @@ def _parse_customer(data: dict, path: str) -> CustomerConfig:
         birth_place=data.get("birth_place", ""),
         wallet=wallet,
         claims=claim_specs)
-    for i, ident in enumerate(customer.identifiers):
-        try:
-            parse_identifier(ident)
-        except Unparseable as exc:
-            raise ConfigError(f"{path}.identifiers[{i}]", str(exc)) from None
     return customer
 
 
 def parse_config(data: dict, source: str = "config") -> TopologyConfig:
-    if "seed" not in data:
-        raise ConfigError(f"{source}.seed", "missing required field: seed")
-    seed = _int(data["seed"], f"{source}.seed")
+    seed = _int(_require(data, "seed", source), f"{source}.seed")
     providers = list(data.get("claims_providers", []))
 
     vasps = []
     numbers: set[int] = set()
     for i, v in enumerate(data.get("vasps", [])):
         path = f"{source}.vasps[{i}]"
-        number = _int(_require(v, "vasp_number", path), f"{path}.vasp_number")
-        if number < 0:
-            raise ConfigError(f"{path}.vasp_number",
-                              f"negative value {number}")
+        number = _natural(_require(v, "vasp_number", path), f"{path}.vasp_number")
         if number in numbers:
             raise ConfigError(f"{path}.vasp_number", f"duplicate value {number}")
         if number >= SERVICE_NUMBER_BASE:
@@ -185,17 +197,18 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
             regulated_business_activity=activity,
             policy_object_identifier=v.get("policy_object_identifier", "1.3.6.1.4.1.0"),
             customers=customers,
-            treasury=_int(v.get("treasury", 1_000_000), f"{path}.treasury")))
+            treasury=_natural(v.get("treasury", 1_000_000), f"{path}.treasury")))
     if not vasps:
         raise ConfigError(f"{source}.vasps", "at least one VASP is required")
 
     graph: dict[int, list[int]] = {}
-    for key, neighbors in data.get("federation_graph", {}).items():
+    for key, neighbors in _typed(data.get("federation_graph", {}), dict,
+                                 f"{source}.federation_graph").items():
         path = f"{source}.federation_graph.{key}"
         a = _int(key, path)
         if a not in numbers:
             raise ConfigError(path, "unknown vasp_number")
-        for b in neighbors:
+        for b in _typed(neighbors, list, path):
             b = _int(b, path)
             if b not in numbers:
                 raise ConfigError(path, f"unknown neighbor {b}")
@@ -212,7 +225,8 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
     for i, d in enumerate(data.get("idps", [])):
         idps.append(IdpConfig(
             domain=_require(d, "domain", f"{source}.idps[{i}]"),
-            directory=list(d.get("directory", []))))
+            directory=[_identifier(ident, f"{source}.idps[{i}].directory[{k}]")
+                       for k, ident in enumerate(d.get("directory", []))]))
 
     return TopologyConfig(
         consortium=data.get("consortium", "vasp-consortium"),
@@ -222,8 +236,9 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
         claims_providers=providers,
         insurer=data.get("insurer"),
         federation_graph=graph,
-        scenario_params={k: dict(v) for k, v in
-                         data.get("scenario_params", {}).items()})
+        scenario_params={k: dict(_typed(v, dict, f"{source}.scenario_params.{k}"))
+                         for k, v in _typed(data.get("scenario_params", {}), dict,
+                                            f"{source}.scenario_params").items()})
 
 
 def load_config(path: str | Path) -> TopologyConfig:

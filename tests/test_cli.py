@@ -11,6 +11,7 @@ from vasptrust.cli import main
 from vasptrust.config import (ConfigError, config_to_dict, default_config,
                               load_config, parse_config)
 from vasptrust.netsim.trace import parse_trace_text
+from vasptrust.netsim.world import build_world
 
 
 def two_vasp_config():
@@ -77,6 +78,8 @@ REFUSALS = {
                                  "config.vasps[0].alt_domain_names"),
     "treasury": (lambda c: _vasp(c).update(treasury="lots"),
                  "config.vasps[0].treasury"),
+    "negative_treasury": (lambda c: _vasp(c).update(treasury=-5),
+                          "config.vasps[0].treasury"),
     "missing_customer_id": (lambda c: _alice(c).pop("id"),
                             "config.vasps[0].customers[0].id"),
     "missing_legal_name": (lambda c: _alice(c).pop("legal_name"),
@@ -86,11 +89,19 @@ REFUSALS = {
         "config.vasps[0].customers[1].id"),
     "identifier": (lambda c: _alice(c).update(identifiers=["no separator"]),
                    "config.vasps[0].customers[0].identifiers[0]"),
+    "identifier_type": (lambda c: _alice(c).update(identifiers=[5]),
+                        "config.vasps[0].customers[0].identifiers[0]"),
     "wallet_balance": (
         lambda c: _alice(c)["wallet"].update(initial_balance="x"),
         "config.vasps[0].customers[0].wallet.initial_balance"),
     "imported_key_balance": (
         lambda c: _alice(c)["wallet"].update(imported_key_balance=None),
+        "config.vasps[0].customers[0].wallet.imported_key_balance"),
+    "negative_wallet_balance": (
+        lambda c: _alice(c)["wallet"].update(initial_balance=-1),
+        "config.vasps[0].customers[0].wallet.initial_balance"),
+    "negative_imported_key_balance": (
+        lambda c: _alice(c)["wallet"].update(imported_key_balance=-1),
         "config.vasps[0].customers[0].wallet.imported_key_balance"),
     "missing_claim_attribute": (lambda c: _alice(c)["claims"][0].pop(
         "attribute"), "config.vasps[0].customers[0].claims[0].attribute"),
@@ -107,6 +118,19 @@ REFUSALS = {
         "config.federation_graph.7"),
     "missing_idp_domain": (lambda c: c["idps"][0].pop("domain"),
                            "config.idps[0].domain"),
+    "graph_value": (lambda c: c.update(federation_graph={"7": 9}),
+                    "config.federation_graph.7"),
+    "graph_type": (lambda c: c.update(federation_graph=[[7, 9]]),
+                   "config.federation_graph"),
+    "idp_directory": (lambda c: c["idps"][1].update(
+        directory=["bob@idp2.com", "nope"]), "config.idps[1].directory[1]"),
+    "idp_directory_type": (lambda c: c["idps"][0].update(directory=[None]),
+                           "config.idps[0].directory[0]"),
+    "scenario_params": (lambda c: c.update(scenario_params=["S1"]),
+                        "config.scenario_params"),
+    "scenario_params_entry": (
+        lambda c: c["scenario_params"].update(S2="alice"),
+        "config.scenario_params.S2"),
 }
 
 
@@ -118,6 +142,15 @@ def test_config_refusal_names_its_path(edit, path):
     with pytest.raises(ConfigError) as refused:
         parse_config(config)
     assert refused.value.path == path
+
+
+def test_zero_treasury_and_balances_are_allowed():
+    config = default_config()
+    _vasp(config)["treasury"] = 0
+    _alice(config)["wallet"].update(initial_balance=0, imported_key_balance=0)
+    world = build_world(parse_config(config), scenario="S2")
+    assert world.config.vasps[0].treasury == 0
+    assert world.config.vasps[0].customers[0].wallet.initial_balance == 0
 
 
 @pytest.mark.parametrize("text, where", [

@@ -17,6 +17,7 @@ from conftest import seed, trust_context
 from vasptrust import claims, codec, crypto, pki, wallet
 from vasptrust.ledger import Ledger, make_transfer
 from vasptrust.netsim import messages
+from vasptrust.netsim.scenarios import run_scenario_with_world
 from vasptrust.netsim.sim import Envelope
 from vasptrust.resolver import ResolverService, parse_identifier
 from vasptrust.travel_rule import (CorrelationHint, CustomerRecord, HintKind,
@@ -97,20 +98,51 @@ def test_strict_decode_rejects_damage(mutate):
 
 def test_strict_decode_rejects_non_minimal_int():
     # UINT 1 encoded with a leading zero byte is non-canonical.
-    bad = bytes([codec.TAG_UINT]) + (2).to_bytes(4, "big") + b"\x00\x01"
+    bad = bytes([codec.TAG_UINT, 2]) + b"\x00\x01"
     with pytest.raises(codec.DecodeError):
         codec.canonical_decode(bad, int)
-    good = bytes([codec.TAG_UINT]) + (1).to_bytes(4, "big") + b"\x01"
+    good = bytes([codec.TAG_UINT, 1]) + b"\x01"
     assert codec.canonical_decode(good, int) == 1
 
 
 def test_strict_decode_rejects_bad_bool_and_utf8():
-    bad_bool = bytes([codec.TAG_BOOL]) + (1).to_bytes(4, "big") + b"\x02"
+    bad_bool = bytes([codec.TAG_BOOL, 1]) + b"\x02"
     with pytest.raises(codec.DecodeError):
         codec.canonical_decode(bad_bool, bool)
-    bad_str = bytes([codec.TAG_STR]) + (1).to_bytes(4, "big") + b"\xff"
+    bad_str = bytes([codec.TAG_STR, 1]) + b"\xff"
     with pytest.raises(codec.DecodeError):
         codec.canonical_decode(bad_str, str)
+
+
+@pytest.mark.parametrize("header, payload, refusal", [
+    (b"\x80\x00", b"", "non-minimal"),          # 0 in two bytes
+    (b"\x81\x00", b"x", "non-minimal"),         # 1 in two bytes
+    (b"\x80" * 5 + b"\x00", b"", "longer than 5 bytes"),
+    (b"\x80\x80\x80\x80\x10", b"", "oversized"),  # 2**32
+    (b"\xff\xff\xff\xff\x0f", b"", "truncated frame payload"),  # 2**32 - 1
+    (b"\x80", b"", "truncated frame header"),
+    (b"", b"", "truncated frame header"),
+], ids=["zero_in_two_bytes", "one_in_two_bytes", "six_bytes", "over_cap",
+        "at_cap", "truncated_varint", "no_length"])
+def test_strict_decode_rejects_non_canonical_lengths(header, payload, refusal):
+    blob = bytes([codec.TAG_BYTES]) + header + payload
+    with pytest.raises(codec.DecodeError, match=refusal):
+        codec.canonical_decode(blob, bytes)
+
+
+def _varint_size(n: int) -> int:
+    return max(1, -(-n.bit_length() // 7))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([0, 127, 128, 16_383, 16_384])
+       | st.integers(min_value=0, max_value=2**21))
+def test_frame_lengths_are_minimal_varints(n):
+    payload = bytes(range(256)) * (n // 256) + bytes(n % 256)
+    blob = codec.canonical_encode(payload)
+    assert len(blob) == 1 + _varint_size(n) + n
+    assert blob == _ref_frame(codec.TAG_BYTES, payload)
+    assert codec.canonical_decode(blob, bytes) == payload
 
 
 def random_payload(rng: random.Random) -> TravelRulePayload:
@@ -172,10 +204,47 @@ def test_nested_injectivity(items):
     assert len(encodings) == len(set(values))
 
 
+def test_edited_wire_bytes_decode_canonically_or_raise_codec_error(
+        demo_config):
+    # An accepted byte string is the unique encoding of its value: each
+    # seeded 1-3 byte edit of an S1-S5 envelope is refused with CodecError
+    # or decodes to a value that re-encodes to exactly the edited bytes.
+    blobs = [blob for name in ("S1", "S2", "S3", "S4", "S5")
+             for _, blob in run_scenario_with_world(name, demo_config)[1]
+             .sim.wire_log]
+    rng = random.Random(0x1EB128)
+    decoded = 0
+    for _ in range(2000):
+        data = bytearray(rng.choice(blobs))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(data))
+            edit = rng.randrange(3)
+            if edit == 0:
+                data[i] ^= rng.randrange(1, 256)
+            elif edit == 1:
+                data.insert(i, rng.randrange(256))
+            else:
+                del data[i]
+        data = bytes(data)
+        try:
+            value = codec.canonical_decode(data, Envelope)
+        except codec.CodecError:
+            continue
+        decoded += 1
+        assert codec.canonical_encode(value) == data
+    assert decoded > 0
+
+
 # -- the compiled encoder against the interpreter it replaced ------------------
 
 def _ref_frame(tag: int, payload: bytes) -> bytes:
-    return bytes([tag]) + len(payload).to_bytes(4, "big") + payload
+    """Tag byte + the payload length in unsigned LEB128, low 7 bits first,
+    each byte but the last with its high bit set + the payload."""
+    n, header = len(payload), [tag]
+    while n > 0x7F:
+        header.append(0x80 | n % 128)
+        n //= 128
+    return bytes(header + [n]) + payload
 
 
 def reference_encode(value, typ=None) -> bytes:

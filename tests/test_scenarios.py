@@ -748,20 +748,21 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # config. The wire log digest covers, per entry in send order, the message
 # type name, a zero byte, the 4-byte big-endian length of the envelope
 # bytes and those bytes. Any change to a trace or wire byte must update
-# these values and say so. S1, S3 and S5 were last re-pinned when a flood
-# became a list of advertisements: with the AdvertisementFlood sent and
-# delivered lines removed, their traces are line for line the previous ones.
+# these values and say so. All five were last re-pinned when frame lengths
+# became minimal varints: with the digest column dropped and the hex values
+# of payload=, token=, tx=, hash= and receipt= renamed in order of first
+# appearance, their traces are line for line the previous ones.
 PINNED = {
-    "S1": ("04adab3e07778df5cb3e134ace9e8ef84921e8c3b9ab6f412bcb1eab47e65a04",
-           "ec10c445fed63ddee137d3475514d7edaac2fedd9b1d2e47e72324b17b806737"),
-    "S2": ("01e05c9b7e0201927c4b6eb27a8b2744cb95acd17eef592b799787bf4c234715",
-           "33c2feafcc2efb40ca6a693fa678d888022742e871271ebf8140a9a4e9aca4e1"),
-    "S3": ("4c34b0fb87fe610d410d85795c9f643f2d9e1cdb9a757ef5f8de3ed9b36dcc46",
-           "84b1dab3c423c903c7e7d3168c4285ca67f0022d8ab22e0232bb17e4626f419b"),
-    "S4": ("4fa56280edf86880257cdea1648a8c1329e3488e51ca5650725d85a5ad5d40d6",
-           "4e1aec67d4ccd594a75b0f85a8eed4264f16fb2e3482582c299556d918c2b9cf"),
-    "S5": ("70ef97e88b23e8c504ec776bf527824d488ce14f8542bb7da9a614bc171ddbc3",
-           "a126291167419f0cf07f1a0cc3faac29ff2201523cc1782e61459b8db526b702"),
+    "S1": ("40f75dd86ea6fd3b8fe93106fcb66493283af8bd128408cc65ff4001b734cec1",
+           "137a1bfb35dda2081d2ab16a713a060241d1d9694824283bd4f48b684b25babc"),
+    "S2": ("4bc822dfce769c17ceb4998f094fe8f04cb8e92c3f88b1cbd50fcf1029748fc9",
+           "6cab61ebbe0c7540d005f4a5616f7842310dfc41d42a83c0d02db59c8a866265"),
+    "S3": ("fbd1b692b67784c499c098d20e0e4993822ecb013da0343e58e5db0577eb75d5",
+           "e1ad94b875f1833b1aee505845ba529514beb9b685f175317733745c4db2b2cd"),
+    "S4": ("cd85c2f9d3a1eae9bc69819f493ddf4a3b2d6f27a9775b66cc9087df09deaf4c",
+           "81db75ef07da57de1122106281a8059b259a3c6bdb57b39603944e4f17690910"),
+    "S5": ("3372ccd2fbe5c143fa1cada7f367ab253a5a874998d34a86b7711d0a1eba9ba4",
+           "268d8f3afcce833d79dd8c142986a4db7b142e1233c87bd36b0719d257768b44"),
 }
 
 
