@@ -117,12 +117,6 @@ class DenialReason(Enum):
 
 
 @dataclass(frozen=True)
-class Denial:
-    reason: DenialReason
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class AuthorizationToken:
     token_id: bytes
     audience_vasp_number: int
@@ -282,32 +276,31 @@ class AuthorizationServer:
     def request_authorization(self, requester_cert: pki.EvIdentityCertificate,
                               attributes: set[str], purpose: str,
                               trust: pki.TrustContext
-                              ) -> AuthorizationToken | Denial:
-        report = trust.validate(requester_cert)
-        if not report.valid:
-            raise InvalidCert(f"requester certificate is {report.verdict.value}")
+                              ) -> AuthorizationToken | DenialReason:
+        """A token issued at the trust context's tick, or why none is."""
+        verdict = trust.validate(requester_cert)
+        if verdict is not pki.Verdict.VALID:
+            raise InvalidCert(f"requester certificate is {verdict.value}")
         if self._store is None:
             raise ClaimsError("no claims store bound to this server")
         policy = self._store.policy
         if policy is None or not policy.active:
-            return Denial(DenialReason.POLICY_INACTIVE)
+            return DenialReason.POLICY_INACTIVE
         vasp_number = requester_cert.subject.vasp_number
         if vasp_number not in policy.allowed_vasp_numbers:
-            return Denial(DenialReason.NOT_ALLOWED,
-                          f"vasp {vasp_number} is not an allowed reader")
+            return DenialReason.NOT_ALLOWED
         if not attributes <= policy.readable_attributes:
-            extra = sorted(attributes - policy.readable_attributes)
-            return Denial(DenialReason.SCOPE_EXCEEDED, f"not readable: {extra}")
+            return DenialReason.SCOPE_EXCEEDED
         if purpose != policy.usage_purpose:
-            return Denial(DenialReason.PURPOSE_MISMATCH,
-                          f"policy purpose is {policy.usage_purpose!r}")
+            return DenialReason.PURPOSE_MISMATCH
+        now = trust.clock()
         unsigned = AuthorizationToken(
             token_id=b"",
             audience_vasp_number=vasp_number,
             permitted_attributes=tuple(sorted(attributes)),
             purpose=purpose,
-            issued_at=report.checked_at,
-            expires_at=report.checked_at + TOKEN_LIFETIME,
+            issued_at=now,
+            expires_at=now + TOKEN_LIFETIME,
             signature=b"",
         )
         body = unsigned.signing_input()

@@ -155,7 +155,10 @@ def cmd_report(args) -> int:
     rows = []
     totals = {key: 0 for key in counted_events}
     for path in trace_files:
-        trace = parse_trace_text(path.read_text())
+        try:
+            trace = parse_trace_text(path.read_text())
+        except ValueError as exc:
+            raise ConfigError(str(path), f"malformed trace: {exc}") from None
         rows.append((trace.scenario, "PASS" if trace.passed else "FAIL",
                      len(trace.events),
                      sum(1 for a in trace.assertions if a.passed),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .. import claims as claims_mod
 from .. import crypto, pki, travel_rule, wallet
-from ..ledger import Ledger, make_transfer
+from ..ledger import InsufficientFunds, Ledger, make_transfer
 from ..resolver import (CustomerIdentifier, IdentifierAdvertisement,
                         IdpDirectory, MergeOutcome, ResolverService,
                         Unauthorized, parse_identifier)
@@ -41,6 +41,12 @@ class Node:
 def _sender_number(channel: SecureChannel, env: Envelope) -> int:
     """Entity number in the certificate the sender opened ``channel`` with."""
     return channel.peer_cert(env.sender).subject.vasp_number
+
+
+def _present(missing: tuple[str, ...]) -> str:
+    """How many required payload fields are present, as ``k/n``."""
+    required = len(travel_rule.REQUIRED_FIELDS)
+    return f"{required - len(missing)}/{required}"
 
 
 @dataclass
@@ -228,9 +234,9 @@ class VaspNode(Node):
 
     def _sign_outbound(self, payload: TravelRulePayload) -> SignedPayload:
         """Validate, sign and store a payload this VASP sends."""
-        report = travel_rule.validate_payload(payload)
+        missing = travel_rule.validate_payload(payload)
         self.sim.emit(self.name, "travel_rule.payload_validated", {
-            "direction": "outbound", "present": report.summary(),
+            "direction": "outbound", "present": _present(missing),
             "payload": payload.payload_id.hex()[:16]}, payload=payload)
         signed = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims, payload, self.trust)
@@ -249,12 +255,12 @@ class VaspNode(Node):
     def _verify_counterparty_payload(self, signed: SignedPayload,
                                      signer: int) -> bool:
         ok = travel_rule.verify_signed_payload(signed, self.trust, signer)
-        report = travel_rule.validate_payload(signed.payload)
+        missing = travel_rule.validate_payload(signed.payload)
         self.sim.emit(self.name, "travel_rule.payload_validated", {
-            "direction": "inbound", "present": report.summary(),
+            "direction": "inbound", "present": _present(missing),
             "signature": "ok" if ok else "bad",
             "payload": signed.payload.payload_id.hex()[:16]}, payload=signed.payload)
-        return ok and report.passed
+        return ok and not missing
 
     def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
         signed: SignedPayload = env.body.signed
@@ -355,7 +361,12 @@ class VaspNode(Node):
             signers={self.tx_key.public_key:
                      lambda m: crypto.sign(self.tx_key.private_key, m)},
             memo_tag=pending.payload.payload_id)
-        self.ledger.submit_transfer(tx)
+        try:
+            self.ledger.submit_transfer(tx)
+        except InsufficientFunds:
+            self._settle(pending, "refused")
+            self._transfer_refused(body.ack_payload_id, "insufficient_funds")
+            return
         pending.tx_id = tx.tx_id
         pending.submitted_height = self.ledger.height
         pending.state = "submitted"
@@ -497,7 +508,8 @@ class VaspNode(Node):
         self.sim.emit(self.name, "boarding.offboard", {
             "customer": customer_id, "device": device.device_id,
             "accepted": report.accepted, "erased_handles": erased})
-        del self.supervision[customer_id]
+        if report.accepted:
+            del self.supervision[customer_id]
         return report
 
     def take_checkpoints(self, now: int) -> None:
@@ -579,8 +591,8 @@ class AuthServerNode(Node):
                 env.body.purpose, self.trust)
         except pki.InvalidCert:
             result = "invalid_caller"
-        if isinstance(result, claims_mod.Denial):
-            result = result.reason.value
+        if isinstance(result, claims_mod.DenialReason):
+            result = result.value
         if isinstance(result, str):
             self.sim.emit(self.name, "claims.token_denied",
                           {"caller": env.sender, "reason": result})

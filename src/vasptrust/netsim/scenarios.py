@@ -7,13 +7,12 @@
   S4  wallet on-/off-boarding with attestation checkpoints and insurer audit
   S5  multi-match lookup: the transfer halts instead of guessing a VASP
 
-Each scenario appends terminal assertions to the trace; run_scenario is
-byte-reproducible for a fixed (name, config, seed).
+Each scenario appends terminal assertions to the trace. The one runner,
+run_scenario_with_world, is byte-reproducible for a fixed (name, config).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 
 from .. import claims as claims_mod
@@ -31,13 +30,6 @@ class ScenarioError(Exception):
 
 class UnknownScenario(ScenarioError):
     pass
-
-
-class ScenarioAssertionFailed(ScenarioError):
-    def __init__(self, trace: ScenarioTrace):
-        failed = [a.name for a in trace.assertions if not a.passed]
-        super().__init__(f"{trace.scenario}: failed assertions {failed}")
-        self.trace = trace
 
 
 def graph_diameter(graph: dict[int, list[int]]) -> int:
@@ -395,28 +387,12 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, config: TopologyConfig,
-                 seed: int | None = None,
-                 overrides: dict | None = None,
-                 check: bool = False) -> ScenarioTrace:
-    """Build the world and run one named scenario.
-
-    ``overrides`` are merged over the config's scenario parameters;
-    ``seed`` replaces the config seed. With ``check`` the call raises
-    ScenarioAssertionFailed (carrying the trace) on any failed assertion.
-    """
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    trace, _ = run_scenario_with_world(name, config, overrides)
-    if check and not trace.passed:
-        raise ScenarioAssertionFailed(trace)
-    return trace
-
-
 def run_scenario_with_world(name: str, config: TopologyConfig,
                             overrides: dict | None = None
                             ) -> tuple[ScenarioTrace, World]:
-    """run_scenario variant returning the world, for inspection."""
+    """Build the world and run one named scenario on it; returns the trace
+    and the world, for inspection. ``overrides`` are merged over the
+    config's scenario parameters."""
     if name not in SCENARIOS:
         raise UnknownScenario(
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")

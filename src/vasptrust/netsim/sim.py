@@ -25,11 +25,10 @@ class NetsimError(Exception):
 
 
 class PeerCertInvalid(NetsimError):
-    def __init__(self, peer: str, report: pki.ValidationReport | None, note: str = ""):
-        detail = report.verdict.value if report else note
-        super().__init__(f"peer {peer}: {detail}")
+    def __init__(self, peer: str, verdict: pki.Verdict | None, note: str = ""):
+        super().__init__(f"peer {peer}: {verdict.value if verdict else note}")
         self.peer = peer
-        self.report = report
+        self.verdict = verdict
 
 
 class ChannelClosed(NetsimError):
@@ -160,11 +159,11 @@ class Simulation:
                       {"a": a.name, "b": b.name, "reason": "partitioned"})
             raise PeerCertInvalid(b.name, None, "network partitioned")
         for us, peer in ((a, b), (b, a)):
-            report = trust.validate(peer.identity_cert)
-            if not report.valid:
+            verdict = trust.validate(peer.identity_cert)
+            if verdict is not pki.Verdict.VALID:
                 self.emit(us.name, "netsim.channel_refused",
-                          {"peer": peer.name, "verdict": report.verdict.value})
-                raise PeerCertInvalid(peer.name, report)
+                          {"peer": peer.name, "verdict": verdict.value})
+                raise PeerCertInvalid(peer.name, verdict)
             challenge = self.nonce()
             proof = peer.prove_possession(challenge)
             if not crypto.verify(peer.identity_cert.subject_public_key,

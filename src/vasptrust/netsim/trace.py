@@ -84,12 +84,6 @@ class ScenarioTrace:
         return [e for e in self.events if e.event == event
                 and all(e.get(k) == v for k, v in fields.items())]
 
-    def assertion(self, name: str) -> Assertion:
-        for a in self.assertions:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
     def to_text(self) -> str:
         lines = [f"# scenario={self.scenario} seed={self.seed}"]
         lines.extend(e.line() for e in self.events)
@@ -114,21 +108,32 @@ def _parse_fields(text: str) -> Fields:
 
 
 def parse_trace_text(text: str) -> ScenarioTrace:
-    """Rebuild a trace from its text form (used by report generation)."""
+    """Rebuild a trace from its text form (used by report generation).
+    Raises ValueError for empty text, a bad header line, an event line
+    with fewer than four columns or an assertion line with fewer than
+    three."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    fields = dict(part.split("=", 1) for part in header.lstrip("# ").split())
+    if not lines:
+        raise ValueError("empty trace")
+    header = lines[0].split()
+    fields = dict(part.split("=", 1) for part in header[1:] if "=" in part)
+    if header[0] != "#" or "scenario" not in fields or "seed" not in fields:
+        raise ValueError(f"bad trace header: {lines[0]!r}")
     trace = ScenarioTrace(scenario=fields["scenario"], seed=int(fields["seed"]))
     for ln in lines[1:]:
         if ln.startswith("# result="):
             continue
         if ln.startswith("assert "):
             parts = ln.split(" ", 3)
+            if len(parts) < 3:
+                raise ValueError(f"bad trace assertion line: {ln!r}")
             trace.assertions.append(Assertion(
                 name=parts[1], passed=parts[2] == "PASS",
                 note=parts[3] if len(parts) > 3 else ""))
         else:
             parts = ln.split(" ", 4)
+            if len(parts) < 4:
+                raise ValueError(f"bad trace event line: {ln!r}")
             trace.events.append(TraceEvent(
                 time=int(parts[0]), actor=parts[1], event=parts[2],
                 digest=parts[3],

@@ -168,21 +168,6 @@ class RevocationList:
         return serial in self.serials
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    verdict: Verdict
-    serial: int
-    signature_ok: bool
-    revoked: bool
-    within_validity: bool
-    linkage_ok: bool | None
-    checked_at: int
-
-    @property
-    def valid(self) -> bool:
-        return self.verdict is Verdict.VALID
-
-
 def check_subject(subject: EvSubjectInfo) -> list[str]:
     """Collect subject invariant violations; empty list means acceptable."""
     problems = []
@@ -214,56 +199,48 @@ def validate_chain(cert: Certificate,
                    revocation_list: RevocationList,
                    now: int,
                    identity_cert: EvIdentityCertificate | None = None,
-                   verified: dict[Certificate, bytes] | None = None) -> ValidationReport:
-    """Validation of one certificate against the consortium root; pure
+                   verified: dict[Certificate, bytes] | None = None) -> Verdict:
+    """The verdict on one certificate against the consortium root at tick
+    ``now``: VALID, or the first check that fails (RFC 5280 §6.1.6). Pure
     unless a ``verified`` memo is given.
 
     For a SigningCertificate, pass the candidate identity certificate to
-    have the linkage digest checked as part of the chain; linkage_ok stays
-    None when no candidate is supplied. ``verified`` maps certificates whose
-    root signature verified under ``root_public_key`` to their digest; it is
-    read in place of a verify and gains each certificate that verifies.
-    Revocation and the validity window are checked on every call.
+    have the linkage digest checked as part of the chain. ``verified`` maps
+    certificates whose root signature verified under ``root_public_key`` to
+    their digest; it is read in place of a verify and gains each
+    certificate that verifies.
     """
-    signature_ok = verified is not None and cert in verified
-    if not signature_ok:
-        signature_ok = crypto.verify(root_public_key, cert.signing_input(),
-                                     cert.issuer_signature)
-        if signature_ok and verified is not None:
-            verified[cert] = cert_digest(cert)
-    linkage_ok: bool | None = None
+    known = verified is not None and cert in verified
+    if not known and not crypto.verify(root_public_key, cert.signing_input(),
+                                       cert.issuer_signature):
+        return Verdict.BAD_SIGNATURE
+    if not known and verified is not None:
+        verified[cert] = cert_digest(cert)
+    if revocation_list.covers(cert.serial):
+        return Verdict.REVOKED
+    standing = Verdict.VALID
     if identity_cert is not None and isinstance(cert, SigningCertificate):
-        known = verified.get(identity_cert) if verified is not None else None
-        linkage_ok = cert.identity_linkage == (known or cert_digest(identity_cert))
-    return _report(cert, signature_ok, revocation_list.covers(cert.serial),
-                   linkage_ok, now)
+        digest = verified.get(identity_cert) if verified is not None else None
+        if cert.identity_linkage != (digest or cert_digest(identity_cert)):
+            standing = Verdict.BROKEN_LINKAGE
+    return _at_tick(cert, standing, now)
 
 
-def _report(cert: Certificate, signature_ok: bool, revoked: bool,
-            linkage_ok: bool | None, now: int) -> ValidationReport:
-    """The report on ``cert`` at tick ``now``, given the checks that do not
-    depend on the tick."""
-    if not signature_ok:
-        verdict = Verdict.BAD_SIGNATURE
-    elif revoked:
-        verdict = Verdict.REVOKED
-    elif now < cert.not_before:
-        verdict = Verdict.NOT_YET_VALID
-    elif now >= cert.not_after:
-        verdict = Verdict.EXPIRED
-    elif linkage_ok is False:
-        verdict = Verdict.BROKEN_LINKAGE
-    else:
-        verdict = Verdict.VALID
-    return ValidationReport(
-        verdict=verdict,
-        serial=cert.serial,
-        signature_ok=signature_ok,
-        revoked=revoked,
-        within_validity=cert.not_before <= now < cert.not_after,
-        linkage_ok=linkage_ok,
-        checked_at=now,
-    )
+def _at_tick(cert: Certificate, standing: Verdict, now: int) -> Verdict:
+    """The verdict on ``cert`` at tick ``now``, given ``standing``: the
+    verdict of its verified signature's revocation and linkage checks.
+    Revocation outranks the validity window, which outranks linkage."""
+    if standing is Verdict.REVOKED:
+        return standing
+    if now < cert.not_before:
+        return Verdict.NOT_YET_VALID
+    if now >= cert.not_after:
+        return Verdict.EXPIRED
+    return standing
+
+
+# The verdicts that hold at every tick inside the validity window.
+_KEPT = frozenset({Verdict.VALID, Verdict.REVOKED, Verdict.BROKEN_LINKAGE})
 
 
 @dataclass
@@ -278,9 +255,10 @@ class TrustContext:
     member certificates, provider and device attestation keys.
 
     Every protocol check of a certificate or of a member's signature goes
-    through ``validate`` or ``verify_member_signature``. Certificates are
-    distributed by consortium operations; their authenticity rests on the
-    root signature inside each.
+    through ``validate``, which returns a ``Verdict``, or
+    ``verify_member_signature``. Certificates are distributed by
+    consortium operations; their authenticity rests on the root signature
+    inside each.
 
     A certificate's root signature is verified once per context and kept
     in ``verified``. Its revocation and its linkage to the identity
@@ -288,8 +266,10 @@ class TrustContext:
     certificate) under the revocation list the context reads: the object
     ``revocations`` returns, so a new list (the root issues one on each
     revocation) drops every kept decision. Only the validity window is
-    checked on every call, against the clock. A certificate whose
-    signature fails is never kept, so it is verified, and refused, anew.
+    checked on every call, against ``clock``. A verdict that rests on the
+    signature or on the window is never kept: a certificate whose signature
+    fails is verified, and refused, anew, and one outside its window is
+    decided anew.
     """
 
     def __init__(self, root_public_key: bytes,
@@ -297,7 +277,7 @@ class TrustContext:
                  clock: Callable[[], int]):
         self.root_public_key = root_public_key
         self._revocations = revocations
-        self._clock = clock
+        self.clock = clock
         self.certs: dict[int, Certificate] = {}
         self.members: dict[int, VaspCerts] = {}  # entity number -> certs
         self.provider_keys: dict[str, bytes] = {}
@@ -306,13 +286,12 @@ class TrustContext:
         # Keyed by value, signature included, so a forgery never hits.
         self.verified: dict[Certificate, bytes] = {}
         # The signatures of a (certificate, identity certificate) pair ->
-        # that pair and the latest report on it, under the revocation list
-        # ``_decided_under``. Signatures keep their hashes, where hashing a
-        # certificate walks every field; the pair itself is compared, so a
-        # forgery that copies a genuine signature never hits.
+        # that pair and its verdict apart from the window, under the
+        # revocation list ``_decided_under``. Signatures keep their hashes,
+        # where hashing a certificate walks every field; the pair itself is
+        # compared, so a forgery that copies a genuine signature never hits.
         self._decided: dict[tuple[bytes, bytes | None], tuple[
-            tuple[Certificate, EvIdentityCertificate | None],
-            ValidationReport]] = {}
+            tuple[Certificate, EvIdentityCertificate | None], Verdict]] = {}
         self._decided_under: RevocationList | None = None
 
     @property
@@ -326,9 +305,9 @@ class TrustContext:
 
     def validate(self, cert: Certificate,
                  identity_cert: EvIdentityCertificate | None = None
-                 ) -> ValidationReport:
+                 ) -> Verdict:
         revocations = self._revocations()
-        now = self._clock()
+        now = self.clock()
         if revocations is not self._decided_under:
             self._decided = {}
             self._decided_under = revocations
@@ -336,18 +315,13 @@ class TrustContext:
         key = (cert.issuer_signature,
                None if identity_cert is None else identity_cert.issuer_signature)
         kept = self._decided.get(key)
-        if kept is None or kept[0] != pair:
-            report = validate_chain(cert, self.root_public_key, revocations,
-                                    now, identity_cert, self.verified)
-            if report.signature_ok:
-                self._decided[key] = (pair, report)
-            return report
-        report = kept[1]
-        if report.checked_at != now:
-            report = _report(cert, report.signature_ok, report.revoked,
-                             report.linkage_ok, now)
-            self._decided[key] = (pair, report)
-        return report
+        if kept is not None and kept[0] == pair:
+            return _at_tick(cert, kept[1], now)
+        verdict = validate_chain(cert, self.root_public_key, revocations,
+                                 now, identity_cert, self.verified)
+        if verdict in _KEPT:
+            self._decided[key] = (pair, verdict)
+        return verdict
 
     def verify_member_signature(self, msg: bytes, sig: bytes, serial: int,
                                 purpose: CertPurpose,
@@ -361,8 +335,8 @@ class TrustContext:
         member = self.members.get(expected_entity)
         if (member is None or not isinstance(cert, SigningCertificate)
                 or cert.purpose is not purpose
-                or not self.validate(member.identity).valid
-                or not self.validate(cert, member.identity).valid):
+                or self.validate(member.identity) is not Verdict.VALID
+                or self.validate(cert, member.identity) is not Verdict.VALID):
             return False
         return crypto.verify(cert.subject_public_key, msg, sig)
 
@@ -392,12 +366,6 @@ class RootAuthority:
     @property
     def revocation_list(self) -> RevocationList:
         return self._revocation_list
-
-    def certificate(self, serial: int) -> Certificate:
-        try:
-            return self._certs[serial]
-        except KeyError:
-            raise UnknownSerial(f"serial {serial} was never issued") from None
 
     def issued_certificates(self) -> list[Certificate]:
         return [self._certs[s] for s in sorted(self._certs)]

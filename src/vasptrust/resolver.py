@@ -189,9 +189,9 @@ class ResolverService:
 
         The response carries numbers only: never customer key material.
         """
-        report = trust.validate(caller_cert)
-        if not report.valid:
-            raise Unauthorized(f"caller certificate is {report.verdict.value}")
+        verdict = trust.validate(caller_cert)
+        if verdict is not pki.Verdict.VALID:
+            raise Unauthorized(f"caller certificate is {verdict.value}")
         rendered = identifier.render()
         hits = set(self._remote_index.get(rendered, ()))
         if rendered in self._local:

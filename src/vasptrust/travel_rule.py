@@ -140,28 +140,6 @@ REQUIRED_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class FieldStatus:
-    name: str
-    present: bool
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    fields: tuple[FieldStatus, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(f.present for f in self.fields)
-
-    def missing(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields if not f.present)
-
-    def summary(self) -> str:
-        present = sum(1 for f in self.fields if f.present)
-        return f"{present}/{len(self.fields)}"
-
-
 def compute_payload_id(payload: TravelRulePayload) -> bytes:
     return crypto.digest(payload.content_bytes())
 
@@ -207,17 +185,19 @@ def answer_payload(request: TravelRulePayload, beneficiary: CustomerRecord,
     return codec.replace(answer, payload_id=compute_payload_id(answer))
 
 
-def validate_payload(payload: TravelRulePayload) -> CompletenessReport:
-    """Check the five required information items; pure and total."""
-    statuses = []
+def validate_payload(payload: TravelRulePayload) -> tuple[str, ...]:
+    """The names of the required information items ``payload`` lacks, in
+    ``REQUIRED_FIELDS`` order; empty when it is complete. Pure and total."""
+    missing = []
     for name in REQUIRED_FIELDS:
         value = getattr(payload, name)
         if name == "originator_identifying":
             present = value is not None and value.present
         else:
             present = bool(value.strip())
-        statuses.append(FieldStatus(name, present))
-    return CompletenessReport(tuple(statuses))
+        if not present:
+            missing.append(name)
+    return tuple(missing)
 
 
 @dataclass(frozen=True)
@@ -235,9 +215,9 @@ def sign_payload(claims_private_key: bytes,
         raise WrongCertPurpose(
             f"payloads must be signed with a claims-signing key, "
             f"not {claims_cert.purpose.value}")
-    report = trust.validate(claims_cert)
-    if not report.valid:
-        raise InvalidCert(f"claims certificate is {report.verdict.value}")
+    verdict = trust.validate(claims_cert)
+    if verdict is not pki.Verdict.VALID:
+        raise InvalidCert(f"claims certificate is {verdict.value}")
     if crypto.public_key_of(claims_private_key) != claims_cert.subject_public_key:
         raise InvalidCert("private key does not match the claims certificate")
     signature = crypto.sign(claims_private_key, codec.canonical_encode(payload))
@@ -351,7 +331,7 @@ class CorrelationStore:
         exactly one unconsumed output inside the height window. Only the
         window's blocks are read, so the caller's window bounds the work.
         """
-        if not validate_payload(payload).passed:
+        if validate_payload(payload):
             raise ValueError("payload must be complete before correlation")
         if payload.payload_id in self._records:
             return self._records[payload.payload_id]

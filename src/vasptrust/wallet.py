@@ -270,33 +270,20 @@ class WalletRegistry:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class KeyTransition:
     old_handles: tuple[int, ...]
     new_handle: int
 
 
-class BoardingDirection(Enum):
-    ON_BOARD = "OnBoard"
-    OFF_BOARD = "OffBoard"
-
-
 @dataclass(frozen=True)
 class BoardingReport:
-    customer_id: str
-    direction: BoardingDirection
-    prior_status_check: CheckResult
-    key_history_check: CheckResult
-    migration_check: CheckResult
+    """The outcome of an on- or off-boarding; ``reason`` names the failed
+    checks of a refused one."""
+
+    accepted: bool
+    reason: str
     key_transition: KeyTransition | None
     erasure_evidence: AttestationEvidence | None
-    accepted: bool
-    reason: str = ""
 
 
 @dataclass
@@ -318,21 +305,17 @@ class SupervisionRecord:
     checkpoints: list[AttestationEvidence] = field(default_factory=list)
 
 
-def check_key_history(device: WalletDevice, ledger: Ledger) -> CheckResult:
-    """Re-verify that every confirmed spend from a wallet key was genuinely
+def check_key_history(device: WalletDevice, ledger: Ledger) -> bool:
+    """True iff every confirmed spend from a wallet key was genuinely
     signed by that key (the customer's historical transactions add up)."""
     wallet_keys = set(device.public_keys(include_erased=True))
-    checked = 0
     for tx in ledger.confirmed_txs():
         keys = tx.distinct_input_keys()
         for key, sig in zip(keys, tx.signatures):
-            if key in wallet_keys:
-                checked += 1
-                if not crypto.verify(key, tx.unsigned_bytes(), sig):
-                    return CheckResult(False,
-                                       f"tx {tx.tx_id.hex()[:16]} spend from "
-                                       f"wallet key has a bad signature")
-    return CheckResult(True, f"{checked} historical spends verified")
+            if key in wallet_keys and not crypto.verify(
+                    key, tx.unsigned_bytes(), sig):
+                return False
+    return True
 
 
 def _migration_findings(evidence: AttestationEvidence) -> list[KeyReport]:
@@ -379,40 +362,23 @@ def onboard_customer(acquiring_vasp_number: int,
     policy = policy or OnboardPolicy()
     evidence = _fresh_evidence(device, nonce, now, attestation_key)
 
+    failed = []
     prior = registry.status(device.device_id)
-    prior_check = CheckResult(
-        prior.classification is WalletClass.PRIVATE
-        or prior.supervising_vasp_number == acquiring_vasp_number,
-        f"prior status {prior.classification.value}"
-        + (f" under vasp {prior.supervising_vasp_number}"
-           if prior.supervising_vasp_number is not None else ""))
-    history_check = check_key_history(device, ledger)
-
-    flagged = _migration_findings(evidence)
-    flagged_with_assets = [r for r in flagged if ledger.balance(r.public_key) > 0]
-    rejects = []
-    if policy.reject_imported_with_assets:
-        rejects += [r for r in flagged_with_assets if r.origin is KeyOrigin.IMPORTED]
-    if policy.reject_migratable_with_assets:
-        rejects += [r for r in flagged_with_assets if r.migratable]
-    migration_check = CheckResult(
-        not rejects,
-        "clean" if not flagged else "; ".join(
-            f"handle {r.handle} {r.origin.value}"
-            f"{' migratable' if r.migratable else ''}"
-            f"{' holding assets' if r in flagged_with_assets else ''}"
-            for r in flagged))
-
-    if not (prior_check.passed and history_check.passed and migration_check.passed):
-        failed = [name for name, check in (
-            ("prior-status", prior_check), ("key-history", history_check),
-            ("migration", migration_check)) if not check.passed]
-        report = BoardingReport(
-            customer_id, BoardingDirection.ON_BOARD, prior_check,
-            history_check, migration_check, key_transition=None,
-            erasure_evidence=None, accepted=False,
-            reason=f"failed checks: {', '.join(failed)}")
-        return report, None
+    if (prior.classification is not WalletClass.PRIVATE
+            and prior.supervising_vasp_number != acquiring_vasp_number):
+        failed.append("prior-status")
+    if not check_key_history(device, ledger):
+        failed.append("key-history")
+    with_assets = [r for r in _migration_findings(evidence)
+                   if ledger.balance(r.public_key) > 0]
+    if any((policy.reject_imported_with_assets
+            and r.origin is KeyOrigin.IMPORTED)
+           or (policy.reject_migratable_with_assets and r.migratable)
+           for r in with_assets):
+        failed.append("migration")
+    if failed:
+        return BoardingReport(False, f"failed checks: {', '.join(failed)}",
+                              None, None), None
 
     old_handles = tuple(h for h in device.handles() if not device.slot(h).erased)
     new_handle = device.generate_key(migratable=False)
@@ -427,11 +393,8 @@ def onboard_customer(acquiring_vasp_number: int,
                 signers={old_key: device.signer(handle)}))
 
     registry.set_regulated(device.device_id, acquiring_vasp_number, now)
-    report = BoardingReport(
-        customer_id, BoardingDirection.ON_BOARD, prior_check, history_check,
-        migration_check,
-        key_transition=KeyTransition(old_handles, new_handle),
-        erasure_evidence=None, accepted=True)
+    report = BoardingReport(True, "", KeyTransition(old_handles, new_handle),
+                            None)
     supervision = SupervisionRecord(customer_id, device.device_id,
                                     [new_handle], now, attestation_key,
                                     [evidence])
@@ -452,7 +415,8 @@ def offboard_customer(releasing_vasp_number: int,
     Rule responsibility), every supervised non-migratable key is erased,
     and fresh evidence must prove the erasure before acceptance: signed by
     the attestation key the supervision was established with, over
-    ``nonce``.
+    ``nonce``. A wallet whose key history does not verify is refused with
+    nothing changed.
     """
     status = registry.status(device.device_id)
     if (status.classification is not WalletClass.REGULATED
@@ -462,15 +426,11 @@ def offboard_customer(releasing_vasp_number: int,
         raise NotSupervised(
             f"{device.device_id} is not supervised by vasp {releasing_vasp_number}")
 
-    prior_check = CheckResult(
-        True,
-        f"regulated since {supervision.since}, "
-        f"{len(supervision.checkpoints)} attestation checkpoints on record")
-    history_check = check_key_history(device, ledger)
+    if not check_key_history(device, ledger):
+        return BoardingReport(False, "failed checks: key-history", None, None)
 
     handoff_handle = device.generate_key(migratable=True)
     handoff_key = device.slot(handoff_handle).public_key
-    moved = 0
     for handle in supervision.supervised_handles:
         slot = device.slot(handle)
         balance = ledger.balance(slot.public_key)
@@ -479,7 +439,6 @@ def offboard_customer(releasing_vasp_number: int,
                 inputs=[(slot.public_key, balance)],
                 outputs=[(handoff_key, balance)],
                 signers={slot.public_key: device.signer(handle)}))
-            moved += balance
     ledger.confirm_block()
 
     to_erase = [h for h in supervision.supervised_handles
@@ -497,11 +456,8 @@ def offboard_customer(releasing_vasp_number: int,
 
     registry.set_private(device.device_id, now)
     return BoardingReport(
-        customer_id, BoardingDirection.OFF_BOARD, prior_check, history_check,
-        migration_check=CheckResult(True, f"moved {moved} units to handoff key"),
-        key_transition=KeyTransition(tuple(supervision.supervised_handles),
-                                     handoff_handle),
-        erasure_evidence=evidence, accepted=True)
+        True, "", KeyTransition(tuple(supervision.supervised_handles),
+                                handoff_handle), evidence)
 
 
 def take_checkpoint(supervision: SupervisionRecord, device: WalletDevice,

@@ -4,7 +4,7 @@ import pytest
 
 from vasptrust import codec, crypto, pki
 from vasptrust.config import default_config, parse_config
-from vasptrust.netsim import Envelope
+from vasptrust.netsim import Envelope, ScenarioTrace, run_scenario_with_world
 
 
 def pytest_runtest_logreport(report):
@@ -45,6 +45,12 @@ def trust_context(root: pki.RootAuthority, *members: dict,
         trust.add_member(pki.VaspCerts(m["identity_cert"], m["tx_cert"],
                                        m["claims_cert"]))
     return trust
+
+
+def scenario_trace(name: str, config, overrides: dict | None = None
+                   ) -> ScenarioTrace:
+    """The trace of scenario ``name`` run on ``config``."""
+    return run_scenario_with_world(name, config, overrides)[0]
 
 
 def wire_envelopes(sim) -> list[Envelope]:

@@ -15,12 +15,13 @@ from dataclasses import replace
 import networkx as nx
 import pytest
 
-from conftest import issue_member, make_subject, seed, trust_context
+from conftest import (issue_member, make_subject, scenario_trace, seed,
+                      trust_context)
 from vasptrust import claims, codec, crypto, pki, travel_rule as tr, wallet
 from vasptrust.config import parse_config
 from vasptrust.ledger import (BadSignature, InsufficientFunds, Ledger,
                               ValueMismatch, make_transfer)
-from vasptrust.netsim import run_scenario, run_scenario_with_world
+from vasptrust.netsim import run_scenario_with_world
 from vasptrust.netsim.messages import LookupResponse
 from vasptrust.netsim.scenarios import flood_round, ground_truth_map
 from vasptrust.netsim.world import build_world
@@ -45,9 +46,9 @@ def test_travel_rule_completeness_matrix():
                                     if bits[2] else None),
             beneficiary_name=complete.beneficiary_name if bits[3] else "",
             beneficiary_account=complete.beneficiary_account if bits[4] else "")
-        report = tr.validate_payload(payload)
-        assert report.passed == all(bits)
-        assert report.missing() == tuple(
+        missing = tr.validate_payload(payload)
+        assert (not missing) == all(bits)
+        assert missing == tuple(
             name for name, present in zip(tr.REQUIRED_FIELDS, bits)
             if not present)
 
@@ -122,7 +123,8 @@ def _tamper_fixture():
         def check(data: bytes) -> bool:
             decoded = codec.canonical_decode(data, pki.EvIdentityCertificate)
             return pki.validate_chain(decoded, root.public_key,
-                                      root.revocation_list, 5).valid
+                                      root.revocation_list, 5) \
+                is pki.Verdict.VALID
         return blob, check
 
     def make_payload(i):
@@ -371,8 +373,8 @@ class ResolverServiceFactory:
 # ---------------------------------------------------------------------------
 
 def test_end_to_end_transfer_scenario(demo_config):
-    first = run_scenario("S1", demo_config)
-    second = run_scenario("S1", demo_config)
+    first = scenario_trace("S1", demo_config)
+    second = scenario_trace("S1", demo_config)
     assert first.to_text() == second.to_text(), "trace must be byte-identical"
     assert first.passed
 

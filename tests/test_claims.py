@@ -107,6 +107,7 @@ class TestAuthorization:
                         {"driving_license_number"})
         assert isinstance(token, claims.AuthorizationToken)
         assert token.audience_vasp_number == 7
+        assert token.issued_at == 1  # the trust context's tick
         assert token.expires_at == token.issued_at + claims.TOKEN_LIFETIME
 
     def test_unlisted_vasp_denied(self, setup, root):
@@ -116,20 +117,19 @@ class TestAuthorization:
         other = root.issue_identity_cert(make_subject(9), other_key.public_key,
                                          0, 10_000)
         denial = request(server, other, root, {"driving_license_number"})
-        assert isinstance(denial, claims.Denial)
-        assert denial.reason is claims.DenialReason.NOT_ALLOWED
+        assert denial is claims.DenialReason.NOT_ALLOWED
 
     def test_scope_exceeded(self, setup, member, root):
         _, server, _ = setup
         denial = request(server, member["identity_cert"], root,
                          {"driving_license_number", "state_of_residence"})
-        assert denial.reason is claims.DenialReason.SCOPE_EXCEEDED
+        assert denial is claims.DenialReason.SCOPE_EXCEEDED
 
     def test_purpose_mismatch(self, setup, member, root):
         _, server, _ = setup
         denial = request(server, member["identity_cert"], root,
                          {"driving_license_number"}, purpose="marketing")
-        assert denial.reason is claims.DenialReason.PURPOSE_MISMATCH
+        assert denial is claims.DenialReason.PURPOSE_MISMATCH
 
     def test_invalid_cert_raises(self, setup, member, root):
         _, server, _ = setup

@@ -221,12 +221,12 @@ class TestRun:
         # Thin-shell property: the CLI writes exactly what the library
         # produces for the same config and seed.
         from vasptrust.config import load_config
-        from vasptrust.netsim import run_scenario
+        from conftest import scenario_trace
 
         main(["run", "--scenario", "S1", "--workspace", str(workspace)])
         written = (workspace / "traces" / "S1.trace").read_text()
         config = load_config(workspace / "config.json")
-        assert written == run_scenario("S1", config).to_text()
+        assert written == scenario_trace("S1", config).to_text()
 
     def test_consent_disabled_override_fails(self, workspace):
         code = main(["run", "--scenario", "S1", "--workspace", str(workspace),
@@ -294,6 +294,21 @@ class TestReport:
             trace = parse_trace_text(path.read_text())
             recount += len(trace.find("travel_rule.payload_validated"))
         assert f"payloads_validated: {recount}" in out
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "scenario=S1 seed=1\n", "# scenario=S1\n",
+        "# scenario=S1 seed=1\n000001 sim netsim.sent\n",
+        "# scenario=S1 seed=1\nassert lookup_hit\n"],
+        ids=["empty", "blank", "no_hash", "no_seed", "short_event",
+             "short_assertion"])
+    def test_malformed_trace_is_usage_error(self, workspace, capsys, text):
+        with pytest.raises(ValueError):
+            parse_trace_text(text)
+        path = workspace / "traces" / "S1.trace"
+        path.write_text(text)
+        assert main(["report", "--workspace", str(workspace)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "malformed trace" in err
 
     def test_report_reflects_failures(self, workspace, capsys):
         main(["run", "--scenario", "S1", "--workspace", str(workspace),

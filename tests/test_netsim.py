@@ -65,7 +65,7 @@ def test_revoked_peer_refused(root):
     root.revoke(b.identity_cert.serial, pki.RevocationReason.KEY_COMPROMISE, 1)
     with pytest.raises(PeerCertInvalid) as err:
         sim.establish_channel(a, b, trust_context(root))
-    assert err.value.report.verdict is pki.Verdict.REVOKED
+    assert err.value.verdict is pki.Verdict.REVOKED
 
 
 def test_possession_proof_failure_refused(root):

@@ -24,7 +24,8 @@ def test_first_issuance_serial_one(root):
     cert = root.issue_identity_cert(make_subject(7, "ACME VASP Ltd"), key, 0, 100)
     assert cert.serial == 1
     assert cert.subject.organization_name == "ACME VASP Ltd"
-    assert pki.validate_chain(cert, root.public_key, root.revocation_list, 5).valid
+    assert pki.validate_chain(cert, root.public_key, root.revocation_list,
+                              5) is pki.Verdict.VALID
 
 
 def test_duplicate_vasp_number_rejected(root):
@@ -67,17 +68,19 @@ def test_lei_checked_as_20_alnum(root):
                                  0, 100)
 
 
-def linkage_ok(root, signing_cert, identity_cert) -> bool:
-    """Whether the chain check finds ``signing_cert`` linked to exactly
-    ``identity_cert``."""
+def linkage(root, signing_cert, identity_cert) -> pki.Verdict:
+    """The chain check's verdict on ``signing_cert`` linked to
+    ``identity_cert``, at a tick inside both windows: VALID or
+    BROKEN_LINKAGE."""
     return pki.validate_chain(signing_cert, root.public_key,
                               root.revocation_list, 1,
-                              identity_cert=identity_cert).linkage_ok
+                              identity_cert=identity_cert)
 
 
 class TestSigningCerts:
     def test_linkage_holds(self, root, member):
-        assert linkage_ok(root, member["tx_cert"], member["identity_cert"])
+        assert linkage(root, member["tx_cert"], member["identity_cert"]) \
+            is pki.Verdict.VALID
 
     def test_reusing_identity_key_is_keyreuse(self, root, member):
         with pytest.raises(pki.KeyReuse):
@@ -91,10 +94,10 @@ class TestSigningCerts:
                                        pki.CertPurpose.TRANSACTION_SIGNING,
                                        extra.public_key, 0, 10_000)
         for c in (member["tx_cert"], cert):
-            report = pki.validate_chain(c, root.public_key,
-                                        root.revocation_list, 10,
-                                        identity_cert=member["identity_cert"])
-            assert report.valid
+            verdict = pki.validate_chain(c, root.public_key,
+                                         root.revocation_list, 10,
+                                         identity_cert=member["identity_cert"])
+            assert verdict is pki.Verdict.VALID
 
     def test_link_target_revoked(self, root, member):
         root.revoke(member["identity_cert"].serial,
@@ -134,49 +137,43 @@ class TestSigningCerts:
             mutated = dataclasses.replace(
                 identity, subject=dataclasses.replace(subject,
                                                       **{field_name: new_value}))
-            assert not linkage_ok(root, member["tx_cert"], mutated), field_name
+            assert linkage(root, member["tx_cert"], mutated) \
+                is pki.Verdict.BROKEN_LINKAGE, field_name
 
     def test_linkage_fails_for_other_identity(self, root, member):
         other_key = crypto.generate_keypair(seed("other-id"))
         other = root.issue_identity_cert(make_subject(11), other_key.public_key,
                                          0, 100)
-        report = pki.validate_chain(member["tx_cert"], root.public_key,
-                                    root.revocation_list, 1, identity_cert=other)
-        assert report.linkage_ok is False
-        assert report.verdict is pki.Verdict.BROKEN_LINKAGE
+        assert linkage(root, member["tx_cert"], other) \
+            is pki.Verdict.BROKEN_LINKAGE
 
 
 class TestValidation:
     def test_time_window(self, root, member):
         cert = member["identity_cert"]
-        assert pki.validate_chain(cert, root.public_key, root.revocation_list,
-                                  0).valid
-        assert pki.validate_chain(cert, root.public_key, root.revocation_list,
-                                  9_999).valid
-        report = pki.validate_chain(cert, root.public_key, root.revocation_list,
-                                    10_000)
-        assert report.verdict is pki.Verdict.EXPIRED
+        for now, verdict in ((0, pki.Verdict.VALID), (9_999, pki.Verdict.VALID),
+                             (10_000, pki.Verdict.EXPIRED)):
+            assert pki.validate_chain(cert, root.public_key,
+                                      root.revocation_list, now) is verdict
 
     def test_not_yet_valid(self, root):
         key = crypto.generate_keypair(seed("nyv"))
         cert = root.issue_identity_cert(make_subject(12), key.public_key, 50, 100)
-        report = pki.validate_chain(cert, root.public_key, root.revocation_list, 10)
-        assert report.verdict is pki.Verdict.NOT_YET_VALID
+        assert pki.validate_chain(cert, root.public_key, root.revocation_list,
+                                  10) is pki.Verdict.NOT_YET_VALID
 
     def test_revoked_cert(self, root, member):
         revocation_list = root.revoke(member["identity_cert"].serial,
                                       pki.RevocationReason.SUPERSEDED, now=7)
-        report = pki.validate_chain(member["identity_cert"], root.public_key,
-                                    revocation_list, 8)
-        assert report.verdict is pki.Verdict.REVOKED
+        assert pki.validate_chain(member["identity_cert"], root.public_key,
+                                  revocation_list, 8) is pki.Verdict.REVOKED
 
     def test_revocation_dominates_expiry(self, root, member):
         revocation_list = root.revoke(member["identity_cert"].serial,
                                       pki.RevocationReason.SUPERSEDED, now=7)
         for now in (7, 100, 9_999, 50_000):
-            report = pki.validate_chain(member["identity_cert"], root.public_key,
-                                        revocation_list, now)
-            assert report.verdict is pki.Verdict.REVOKED
+            assert pki.validate_chain(member["identity_cert"], root.public_key,
+                                      revocation_list, now) is pki.Verdict.REVOKED
 
     def test_every_byte_tamper_rejected(self, root, member):
         # Exhaustive single-byte corruption over the encoded certificate;
@@ -193,9 +190,9 @@ class TestValidation:
                                                  pki.EvIdentityCertificate)
             except codec.DecodeError:
                 continue
-            report = pki.validate_chain(decoded, root.public_key,
-                                        root.revocation_list, 5)
-            assert report.verdict is not pki.Verdict.VALID, f"byte {index}"
+            verdict = pki.validate_chain(decoded, root.public_key,
+                                         root.revocation_list, 5)
+            assert verdict is not pki.Verdict.VALID, f"byte {index}"
 
     def test_random_single_field_mutations_never_valid(self, root, member):
         rng = random.Random(77)
@@ -217,9 +214,9 @@ class TestValidation:
                                               getattr(cert, name))})
             if mutated == cert:
                 continue
-            report = pki.validate_chain(mutated, root.public_key,
-                                        root.revocation_list, 5)
-            assert report.verdict is not pki.Verdict.VALID
+            assert pki.validate_chain(mutated, root.public_key,
+                                      root.revocation_list, 5) \
+                is not pki.Verdict.VALID
             checked += 1
         assert checked > 9_000
 
@@ -296,7 +293,8 @@ class TestVerifiedMemo:
     def trust(self, root, member, clock):
         trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
                                  lambda: clock[0])
-        assert trust.validate(member["claims_cert"], member["identity_cert"]).valid
+        assert trust.validate(member["claims_cert"], member["identity_cert"]) \
+            is pki.Verdict.VALID
         assert member["claims_cert"] in trust.verified
         return trust
 
@@ -313,20 +311,20 @@ class TestVerifiedMemo:
         return calls
 
     def test_cached_certificate_is_not_verified_again(self, trust, member, verifies):
-        report = trust.validate(member["claims_cert"], member["identity_cert"])
-        assert report.valid and report.linkage_ok
+        assert trust.validate(member["claims_cert"], member["identity_cert"]) \
+            is pki.Verdict.VALID
         assert verifies == []
 
     def test_revoked_after_caching(self, trust, root, member):
         root.revoke(member["claims_cert"].serial,
                     pki.RevocationReason.KEY_COMPROMISE, now=1)
-        report = trust.validate(member["claims_cert"], member["identity_cert"])
-        assert report.verdict is pki.Verdict.REVOKED
+        assert trust.validate(member["claims_cert"], member["identity_cert"]) \
+            is pki.Verdict.REVOKED
 
     def test_expired_after_caching(self, trust, member, clock):
         clock[0] = member["claims_cert"].not_after
-        report = trust.validate(member["claims_cert"], member["identity_cert"])
-        assert report.verdict is pki.Verdict.EXPIRED
+        assert trust.validate(member["claims_cert"], member["identity_cert"]) \
+            is pki.Verdict.EXPIRED
 
     @pytest.mark.parametrize("changes", [
         {"subject_public_key": crypto.generate_keypair(seed("forger")).public_key},
@@ -338,8 +336,8 @@ class TestVerifiedMemo:
         assert forged.serial == member["claims_cert"].serial
         cached = dict(trust.verified)
         for _ in range(2):
-            report = trust.validate(forged, member["identity_cert"])
-            assert report.verdict is pki.Verdict.BAD_SIGNATURE
+            assert trust.validate(forged, member["identity_cert"]) \
+                is pki.Verdict.BAD_SIGNATURE
         assert len(verifies) == 2
         assert trust.verified == cached
 
@@ -383,9 +381,8 @@ class TestDecidedOnce:
         for tick in (1, 2, 2, 5):
             clock[0] = tick
             assert self.signs(trust, member)
-            report = trust.validate(member["claims_cert"],
-                                    member["identity_cert"])
-            assert report.valid and report.checked_at == tick
+            assert trust.validate(member["claims_cert"],
+                                  member["identity_cert"]) is pki.Verdict.VALID
         assert decided == [member["identity_cert"], member["claims_cert"]]
 
     def test_a_new_list_is_decided_anew(self, trust, root, member, decided):
@@ -397,29 +394,26 @@ class TestDecidedOnce:
         root.revoke(member["identity_cert"].serial,
                     pki.RevocationReason.KEY_COMPROMISE, now=1)
         assert not self.signs(trust, member)
-        report = trust.validate(member["identity_cert"])
-        assert report.verdict is pki.Verdict.REVOKED and report.revoked
+        assert trust.validate(member["identity_cert"]) is pki.Verdict.REVOKED
 
     def test_window_follows_the_clock(self, trust, member, clock):
         assert self.signs(trust, member)
         clock[0] = member["identity_cert"].not_after
         assert not self.signs(trust, member)
-        report = trust.validate(member["identity_cert"])
-        assert report.verdict is pki.Verdict.EXPIRED
-        assert report.checked_at == clock[0] and not report.within_validity
+        assert trust.validate(member["identity_cert"]) is pki.Verdict.EXPIRED
 
     def test_other_identity_is_decided_apart(self, trust, root, member):
         other = issue_member(root, 8, "other")
         assert trust.validate(member["claims_cert"],
-                              member["identity_cert"]).valid
+                              member["identity_cert"]) is pki.Verdict.VALID
         # An identity certificate that copies the genuine one's signature
         # finds the kept decision's key but not its value.
         copied = dataclasses.replace(other["identity_cert"],
                                      issuer_signature=member["identity_cert"]
                                      .issuer_signature)
         for identity in (other["identity_cert"], copied):
-            report = trust.validate(member["claims_cert"], identity)
-            assert report.verdict is pki.Verdict.BROKEN_LINKAGE
+            assert trust.validate(member["claims_cert"], identity) \
+                is pki.Verdict.BROKEN_LINKAGE
         assert trust.validate(member["claims_cert"],
-                              member["identity_cert"]).valid
-        assert trust.validate(copied).verdict is pki.Verdict.BAD_SIGNATURE
+                              member["identity_cert"]) is pki.Verdict.VALID
+        assert trust.validate(copied) is pki.Verdict.BAD_SIGNATURE

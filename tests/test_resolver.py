@@ -281,8 +281,8 @@ class TestAdvertisements:
         trust = trust_context(root, {"identity_cert": identity_cert,
                                      "tx_cert": tx_cert,
                                      "claims_cert": claims_cert}, now=500)
-        assert trust.validate(identity_cert).verdict is pki.Verdict.EXPIRED
-        assert trust.validate(claims_cert, identity_cert).valid
+        assert trust.validate(identity_cert) is pki.Verdict.EXPIRED
+        assert trust.validate(claims_cert, identity_cert) is pki.Verdict.VALID
         adv = ResolverService(3, {"user3"}).build_advertisement(
             claims.private_key, claims_cert.serial)
         assert not trust.verify_member_signature(

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 from collections import Counter
 
 import pytest
 
-from conftest import wire_envelopes
+from conftest import scenario_trace, wire_envelopes
 from vasptrust import codec, pki
-from vasptrust.config import parse_config
+from vasptrust.config import default_config, parse_config
 from vasptrust.ledger import Ledger, ValueMismatch
-from vasptrust.netsim import (FaultConfig, ScenarioAssertionFailed,
-                              UnknownScenario, build_world, graph_diameter,
-                              run_scenario, run_scenario_with_world)
+from vasptrust.netsim import (FaultConfig, UnknownScenario, build_world,
+                              graph_diameter, run_scenario_with_world)
 from vasptrust.netsim.messages import AdvertisementFlood, TravelRuleResponse
 from vasptrust.netsim.nodes import PendingTransfer
 from vasptrust.netsim import scenarios
@@ -61,7 +61,7 @@ def line_config(n, seed=11, ring=False, chord=0):
 
 class TestS1:
     def test_happy_path_assertions(self, demo_config):
-        trace = run_scenario("S1", demo_config)
+        trace = scenario_trace("S1", demo_config)
         assert trace.passed
         names = [a.name for a in trace.assertions]
         assert names == ["lookup_hit", "payload_outbound_complete",
@@ -70,7 +70,7 @@ class TestS1:
                          "correlation_recorded_once"]
 
     def test_trace_event_order(self, demo_config):
-        trace = run_scenario("S1", demo_config)
+        trace = scenario_trace("S1", demo_config)
         order = [
             trace.find("resolver.lookup")[0],
             trace.find("travel_rule.payload_validated", direction="outbound")[0],
@@ -83,8 +83,8 @@ class TestS1:
         assert positions == sorted(positions)
 
     def test_byte_identical_across_runs(self, demo_config):
-        assert run_scenario("S1", demo_config).to_text() == \
-            run_scenario("S1", demo_config).to_text()
+        assert scenario_trace("S1", demo_config).to_text() == \
+            scenario_trace("S1", demo_config).to_text()
 
     def test_unknown_beneficiary_refuses_transfer(self, demo_config):
         trace, world = run_scenario_with_world(
@@ -111,10 +111,29 @@ class TestS1:
                           reason="originator_consent_missing")
         assert not trace.find("ledger.tx_submitted")
 
+    def test_zero_treasury_refuses_the_transfer(self):
+        # The ledger refuses VASP 7's spend: the transfer ends refused, as
+        # a trace event, and nothing moves.
+        config = default_config()
+        config["vasps"][0]["treasury"] = 0
+        config = parse_config(config)
+        trace, world = run_scenario_with_world("S1", config)
+        (refused,) = trace.find("travel_rule.transfer_refused",
+                                reason="insufficient_funds")
+        assert refused.actor == "vasp:7"
+        assert trace.events.index(trace.find("travel_rule.transfer_gate")[0]) \
+            < trace.events.index(refused)
+        assert [a.passed for a in trace.assertions
+                if a.name == "ledger_confirmed"] == [False]
+        assert not trace.find("ledger.tx_submitted")
+        assert world.vasps[7].pending == {}
+        assert world.ledger.total_supply() == \
+            build_world(config, scenario="S1").ledger.total_supply()
+
     def test_gatekeeping_order_in_trace(self, demo_config):
         # Every customer transfer is preceded by a validated payload
         # exchange and both consent checks.
-        trace = run_scenario("S1", demo_config)
+        trace = scenario_trace("S1", demo_config)
         for submitted in trace.find("ledger.tx_submitted"):
             if submitted.get("kind") != "customer_transfer":
                 continue
@@ -130,13 +149,6 @@ class TestS1:
             assert len(validated) >= 4  # both directions, both sides
             assert len(consents) >= 2
             assert gates
-
-    def test_check_raises_on_failure(self, demo_config):
-        with pytest.raises(ScenarioAssertionFailed) as err:
-            run_scenario("S1", demo_config,
-                         overrides={"grant_beneficiary_consent": False},
-                         check=True)
-        assert err.value.trace.find("travel_rule.transfer_refused")
 
 
 class TestS2:
@@ -179,13 +191,13 @@ class TestS2Terms:
 
 class TestS3:
     def test_demo_topology_converges(self, demo_config):
-        trace = run_scenario("S3", demo_config)
+        trace = scenario_trace("S3", demo_config)
         assert trace.passed
 
     def test_line_of_five_needs_exactly_diameter_rounds(self):
         config = line_config(5)
         assert graph_diameter(config.federation_graph) == 4
-        trace = run_scenario("S3", config)
+        trace = scenario_trace("S3", config)
         assert trace.passed
         rounds = trace.find("federation.round")
         assert len(rounds) == 4
@@ -194,7 +206,7 @@ class TestS3:
         assert rounds[-2].get("converged") != "5/5"
 
     def test_remote_lookup_exercised(self, demo_config):
-        trace = run_scenario("S3", demo_config)
+        trace = scenario_trace("S3", demo_config)
         assert trace.find("resolver.remote_lookup")
 
 
@@ -488,12 +500,13 @@ class TestS5:
 
 def test_unknown_scenario(demo_config):
     with pytest.raises(UnknownScenario):
-        run_scenario("S99", demo_config)
+        scenario_trace("S99", demo_config)
 
 
 def test_seed_override_changes_trace(demo_config):
-    base = run_scenario("S1", demo_config).to_text()
-    other = run_scenario("S1", demo_config, seed=777).to_text()
+    base = scenario_trace("S1", demo_config).to_text()
+    other = scenario_trace(
+        "S1", dataclasses.replace(demo_config, seed=777)).to_text()
     assert base != other
 
 
@@ -510,10 +523,10 @@ def test_traces_reproducible_across_processes(demo_config, tmp_path):
     names = ("S1", "S2", "S3", "S4", "S5")
     snippet = (
         "from vasptrust.config import parse_config, default_config\n"
-        "from vasptrust.netsim import run_scenario\n"
+        "from vasptrust.netsim import run_scenario_with_world\n"
         "cfg = parse_config(default_config())\n"
         "import json, sys\n"
-        "json.dump({name: run_scenario(name, cfg).to_text()\n"
+        "json.dump({name: run_scenario_with_world(name, cfg)[0].to_text()\n"
         "           for name in sys.argv[1:]}, sys.stdout)\n"
     )
     package_root = str(Path(vasptrust.__file__).resolve().parents[1])
@@ -532,7 +545,7 @@ def test_traces_reproducible_across_processes(demo_config, tmp_path):
         assert result.returncode == 0, result.stderr
         outputs.append(json.loads(result.stdout))
     for name in names:
-        in_process = run_scenario(name, demo_config).to_text()
+        in_process = scenario_trace(name, demo_config).to_text()
         assert outputs[0][name] == outputs[1][name], name
         assert outputs[0][name] == in_process, name
 

@@ -5,20 +5,21 @@ from __future__ import annotations
 import pytest
 
 from vasptrust import crypto
-from vasptrust.netsim import Simulation, build_world, run_scenario
+from conftest import scenario_trace
+from vasptrust.netsim import Simulation, build_world
 from vasptrust.netsim.trace import ScenarioTrace, TraceEvent, parse_trace_text
 from vasptrust.travel_rule import ConsentDirection
 
 
 @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
 def test_parse_then_render_gives_the_same_text(demo_config, name):
-    text = run_scenario(name, demo_config).to_text()
+    text = scenario_trace(name, demo_config).to_text()
     assert parse_trace_text(text).to_text() == text
 
 
 def test_values_with_spaces_parse_as_one_field(demo_config):
     # org='ACME Digital Assets Ltd' and vasps=[3, 9] hold spaces.
-    text = run_scenario("S5", demo_config).to_text()
+    text = scenario_trace("S5", demo_config).to_text()
     parsed = parse_trace_text(text)
     assert parsed.find("pki.cert_issued", kind="identity", vasp="7",
                        org="'ACME Digital Assets Ltd'")

@@ -26,6 +26,14 @@ def nonce(i=0):
     return crypto.digest(f"nonce:{i}".encode())
 
 
+def corrupt_signature(ledger, tx_id) -> None:
+    """Flip one bit of the first recorded signature of confirmed ``tx_id``."""
+    stored = ledger.query_tx(tx_id)
+    forged = stored.signatures[0][:-1] + bytes([stored.signatures[0][-1] ^ 1])
+    ledger._tx_index[tx_id] = type(stored)(
+        stored.tx_id, stored.inputs, stored.outputs, stored.memo_tag,
+        (forged,), stored.block_height)
+
 class TestDevice:
     def test_fresh_device(self):
         device = fresh_device()
@@ -287,7 +295,7 @@ class TestBoarding:
             attestation_key=device.attestation_public_key)
         assert not report.accepted
         assert supervision is None
-        assert not report.migration_check.passed
+        assert report.reason == "failed checks: migration"
         assert registry.status(device.device_id).classification \
             is wallet.WalletClass.PRIVATE
 
@@ -328,14 +336,8 @@ class TestBoarding:
         ledger.confirm_block()
         # Corrupt the recorded signature after confirmation; the history
         # check must notice the spend no longer verifies.
-        stored = ledger.query_tx(tx.tx_id)
-        forged = stored.signatures[0][:-1] + bytes(
-            [stored.signatures[0][-1] ^ 1])
-        ledger._tx_index[tx.tx_id] = type(stored)(
-            stored.tx_id, stored.inputs, stored.outputs, stored.memo_tag,
-            (forged,), stored.block_height)
-        check = wallet.check_key_history(device, ledger)
-        assert not check.passed
+        corrupt_signature(ledger, tx.tx_id)
+        assert not wallet.check_key_history(device, ledger)
 
     def _onboarded(self):
         device, ledger, registry, _ = self.setup_world()
@@ -360,6 +362,21 @@ class TestBoarding:
         assert ledger.balance(device.slot(handoff).public_key) == 500
         assert registry.status(device.device_id).classification \
             is wallet.WalletClass.PRIVATE
+
+    def test_offboard_refused_on_bad_key_history(self):
+        device, ledger, registry, supervision = self._onboarded()
+        (cutover,) = [tx for tx in ledger.confirmed_txs() if tx.signatures]
+        corrupt_signature(ledger, cutover.tx_id)
+        handles = device.handles()
+        report = wallet.offboard_customer(7, "alice", device, ledger,
+                                          registry, supervision, nonce(9), 9)
+        assert not report.accepted
+        assert report.reason == "failed checks: key-history"
+        assert report.key_transition is None and report.erasure_evidence is None
+        assert device.handles() == handles  # no handoff key
+        assert not any(device.slot(h).erased for h in handles)
+        assert registry.status(device.device_id).classification \
+            is wallet.WalletClass.REGULATED
 
     def test_offboard_requires_supervision(self):
         device, ledger, registry, supervision = self._onboarded()
