@@ -221,11 +221,22 @@ class VaspNode(Node):
 
     def initiate_transfer(self, channel: SecureChannel, originator_id: str,
                           beneficiary_name: str, beneficiary_identifier: str,
-                          beneficiary_vasp: int, amount: int) -> TravelRulePayload:
+                          beneficiary_vasp: int, amount: int
+                          ) -> TravelRulePayload | None:
+        """Send a travel-rule request for a transfer to ``beneficiary_vasp``
+        and open it in ``pending``. Without the originator's consent to
+        send their data to that VASP, nothing leaves: the transfer is
+        refused as an event and None is returned."""
         originator = self.customers[originator_id]
         payload = travel_rule.build_payload(
             originator, beneficiary_name, beneficiary_identifier,
             beneficiary_vasp, amount, self.vasp_number)
+        if not self.consents.check(originator_id,
+                                   ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
+                                   beneficiary_vasp, self.sim.now):
+            self._transfer_refused(payload.payload_id,
+                                   "originator_consent_missing")
+            return None
         signed = self._sign_outbound(payload)
         # A repeated payload id replaces its open entry, never correlated.
         self.pending[payload.payload_id] = PendingTransfer(payload)

@@ -147,11 +147,13 @@ def scenario_s1(world: World, params: dict) -> None:
     channel = world.channel_between(ovasp, bvasp)
     payload = ovasp.initiate_transfer(channel, originator, beneficiary_name,
                                       identifier, bvasp.vasp_number, amount)
-    # Taken now: a refused transfer leaves the table.
-    pending = ovasp.pending[payload.payload_id]
+    # Taken now: a refused transfer leaves the table. None when the
+    # originator's consent is missing and nothing was sent.
+    pending = ovasp.pending[payload.payload_id] if payload else None
     sim.run_until_quiet()
     world.confirm_block()
-    records = ovasp.correlate_pending() if pending.state == "submitted" else []
+    submitted = pending is not None and pending.state == "submitted"
+    records = ovasp.correlate_pending() if submitted else []
 
     outbound = sim.trace.find("travel_rule.payload_validated",
                               direction="outbound", present="5/5")
@@ -173,10 +175,10 @@ def scenario_s1(world: World, params: dict) -> None:
         bool(beneficiary_ids) and bvasp.consents.check(
             beneficiary_ids[0], ConsentDirection.RECEIVE_ASSETS,
             ovasp.vasp_number, sim.now))
-    confirmed = (pending.tx_id is not None
+    confirmed = (pending is not None and pending.tx_id is not None
                  and world.ledger.query_tx(pending.tx_id).block_height > 0)
     world.assert_that("ledger_confirmed", confirmed,
-                      f"state={pending.state}")
+                      f"state={pending.state if pending else 'refused'}")
     world.assert_that("correlation_recorded_once",
                       len(records) == 1 and len(ovasp.correlations.records) == 1,
                       f"records={len(ovasp.correlations.records)}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .. import codec, crypto, pki
 from .messages import MessageBody
-from .trace import Assertion, ScenarioTrace, TraceEvent, render_fields
+from .trace import Assertion, ScenarioTrace, TraceEvent
 
 
 class NetsimError(Exception):
@@ -126,16 +126,13 @@ class Simulation:
 
     def emit(self, actor: str, event: str, fields: dict | None = None, *,
              payload=None) -> TraceEvent:
-        """Append a trace event carrying ``fields`` in their given order.
-        Its digest covers ``payload``'s canonical encoding, else the
-        rendered fields."""
-        pairs = tuple(fields.items()) if fields else ()
-        if payload is not None:
-            content = codec.canonical_encode(payload)
-        else:
-            content = render_fields(pairs).encode("utf-8")
-        ev = TraceEvent(self.now, actor, event,
-                        crypto.digest(content)[:8].hex(), pairs)
+        """Append a trace event carrying ``fields`` (kept, not copied) in
+        their given order. Its digest covers ``payload``'s canonical
+        encoding, computed now, else the rendered fields, computed when
+        the event is first rendered."""
+        digest = None if payload is None else \
+            crypto.digest(codec.canonical_encode(payload))[:8].hex()
+        ev = TraceEvent(self.now, actor, event, digest, fields or ())
         self.trace.events.append(ev)
         return ev
 

@@ -8,14 +8,20 @@ A trace renders to line-oriented text:
     assert <name> PASS|FAIL[ <note>]                   one line per assertion
     # result=PASS|FAIL
 
-An event's fields are an ordered tuple of ``(key, value)`` pairs. They
-render as ``key=value`` (the value as ``str`` gives it), in the order the
-emitter gave them, joined by single spaces; a field whose value is None is
-left out, and is treated as absent by ``TraceEvent.get`` and
-``ScenarioTrace.find``. The digest is the first 8 bytes, in hex, of the
-SHA-256 of the event's payload encoding, or, for an event with no payload,
-of its rendered fields in UTF-8. So the same (scenario, config, seed)
-always produces byte-identical output.
+An event holds its time, actor, event name, digest and fields, and
+nothing else. Its fields are ``(key, value)`` pairs: the dict the emitter
+passed, kept as it is (every emitter passes a fresh literal), or the pair
+tuple a parsed line gives. They render as ``key=value`` (the value as
+``str`` gives it), in the order the emitter gave them, joined by single
+spaces; a field whose value is None is left out, and is treated as absent
+by ``TraceEvent.get`` and ``ScenarioTrace.find``. The digest is the first
+8 bytes, in hex, of the SHA-256 of the event's payload encoding, or, for
+an event with no payload, of its rendered fields in UTF-8. A payload
+event's digest is computed when it is emitted, from the encoding the
+payload keeps. A field-only event's digest is computed the first time the
+event is rendered (or its digest read), from that same rendering, so
+``to_text`` renders each line once and emitting one hashes nothing. So
+the same (scenario, config, seed) always produces byte-identical output.
 
 ``parse_trace_text`` reads that text back. Values then hold their rendered
 text, and a value that itself contains `` key=`` splits into two fields, so
@@ -27,33 +33,60 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import crypto
+
 Fields = tuple[tuple[str, object], ...]
 
 
-def render_fields(fields: Fields) -> str:
-    return " ".join([f"{key}={value}" for key, value in fields
-                     if value is not None])
-
-
-@dataclass(frozen=True)
 class TraceEvent:
-    time: int
-    actor: str
-    event: str
-    digest: str
-    fields: Fields = ()
+    """One event line. ``digest`` may be None when the event is made: a
+    field-only event then derives it from its first rendering."""
+
+    __slots__ = ("time", "actor", "event", "_digest", "_fields")
+
+    def __init__(self, time: int, actor: str, event: str, digest: str | None,
+                 fields: dict | Fields = ()):
+        self.time = time
+        self.actor = actor
+        self.event = event
+        self._digest = digest
+        self._fields = fields
+
+    def __repr__(self) -> str:
+        return f"TraceEvent({self.line()!r})"
+
+    def _pairs(self):
+        fields = self._fields
+        return fields.items() if isinstance(fields, dict) else fields
+
+    @property
+    def fields(self) -> Fields:
+        """The ``(key, value)`` pairs, in the order the emitter gave them."""
+        return tuple(self._pairs())
+
+    @property
+    def digest(self) -> str:
+        if self._digest is None:
+            self.line()
+        return self._digest
 
     def get(self, key: str):
         """The value of field ``key``; None when the event lacks it."""
-        for name, value in self.fields:
+        fields = self._fields
+        if isinstance(fields, dict):
+            return fields.get(key)
+        for name, value in fields:
             if name == key:
                 return value
         return None
 
     def line(self) -> str:
-        text = render_fields(self.fields)
+        text = " ".join([f"{key}={value}" for key, value in self._pairs()
+                         if value is not None])
+        if self._digest is None:
+            self._digest = crypto.digest(text.encode("utf-8"))[:8].hex()
         detail = f" {text}" if text else ""
-        return f"{self.time:06d} {self.actor} {self.event} {self.digest}{detail}"
+        return f"{self.time:06d} {self.actor} {self.event} {self._digest}{detail}"
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Hostile members against the trust bindings, on the demo world.
 
 Each test plays one consortium member (or relays one member's message)
-breaking one binding the trust model relies on: a signed payload comes
-from the VASP it names, is addressed to the VASP that receives it, a claims
-token is usable only by its audience, and a revoked member neither resolves
-nor gets served.
+breaking one binding the trust model relies on: no originator data leaves
+before the originator consents, a signed payload comes from the VASP it
+names, is addressed to the VASP that receives it, a claims token is usable
+only by its audience, and a revoked member neither resolves nor gets
+served.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -18,7 +21,7 @@ from vasptrust.netsim import build_world, run_scenario_with_world
 from vasptrust.netsim.messages import (ClaimsAuthRequest, ClaimsFetchRequest,
                                        TravelRuleRequest, TravelRuleResponse)
 from vasptrust.netsim.scenarios import converge_federation, flood_round
-from vasptrust.resolver import parse_identifier
+from vasptrust.resolver import CustomerIdentifier, parse_identifier
 from vasptrust.travel_rule import ConsentDirection
 
 
@@ -59,6 +62,52 @@ def accepted_responses(world, sender: int) -> list:
     return [env.body for env in wire_envelopes(world.sim)
             if env.sender == world.vasps[sender].name
             and isinstance(env.body, TravelRuleResponse) and env.body.accepted]
+
+
+# -- no originator data leaves before the originator consents ---------------
+
+def strings_in(value) -> set[str]:
+    """Every string inside a decoded wire value, but for the payment
+    identifiers that advertisements carry by design (Alice's local part
+    is also her account name)."""
+    if isinstance(value, CustomerIdentifier):
+        return set()
+    if isinstance(value, str):
+        return {value}
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    elif not isinstance(value, (tuple, list, set, frozenset)):
+        return set()
+    return set().union(*map(strings_in, value))
+
+
+@pytest.mark.parametrize("consent", [True, False])
+def test_no_originator_data_on_the_wire_without_consent(demo_config, consent):
+    # With consent the walk finds Alice's data in the request, so finding
+    # none of it without consent is not a blind walk.
+    trace, world = run_scenario_with_world(
+        "S1", demo_config, {"grant_originator_consent": consent})
+    alice = world.vasps[7].customers["alice"]
+    originator = {alice.legal_name, alice.customer_id,
+                  alice.geographic_address}
+    envelopes = wire_envelopes(world.sim)
+    requests = [e for e in envelopes if isinstance(e.body, TravelRuleRequest)]
+    on_wire = set().union(*(strings_in(e.body) for e in envelopes))
+    if consent:
+        assert len(requests) == 1 and originator <= on_wire
+        return
+    assert requests == []
+    assert originator.isdisjoint(on_wire)
+    assert not any(alice.legal_name.encode() in blob
+                   or alice.geographic_address.encode() in blob
+                   for _, blob in world.sim.wire_log)
+    (refused,) = trace.find("travel_rule.transfer_refused")
+    assert (refused.actor, refused.get("reason")) == \
+        ("vasp:7", "originator_consent_missing")
+    assert world.vasps[7].pending == {} and world.vasps[7].payload_store == []
+    assert not trace.passed
 
 
 # -- a signed payload comes from the VASP it names ----------------------------

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from vasptrust import crypto
+from vasptrust import codec, crypto
 from conftest import scenario_trace
 from vasptrust.netsim import Simulation, build_world
+from vasptrust.netsim.messages import LookupRequest
 from vasptrust.netsim.trace import ScenarioTrace, TraceEvent, parse_trace_text
 from vasptrust.travel_rule import ConsentDirection
 
@@ -76,3 +77,87 @@ def test_consent_scope_in_trace(demo_config, counterparty, scope):
                                  counterparty)
     recorded = world.sim.trace.find("travel_rule.consent_recorded")
     assert [e.get("counterparty") for e in recorded] == [scope]
+
+
+# -- emitting without rendering --------------------------------------------------
+
+def old_line(time, actor, event, pairs, payload=None) -> str:
+    """An event line as emit rendered and hashed it when the event was made."""
+    text = " ".join(f"{k}={v}" for k, v in pairs if v is not None)
+    content = (codec.canonical_encode(payload) if payload is not None
+               else text.encode("utf-8"))
+    digest = crypto.digest(content)[:8].hex()
+    return f"{time:06d} {actor} {event} {digest}" + (f" {text}" if text else "")
+
+
+def counting_digest(monkeypatch) -> list[int]:
+    calls = [0]
+    digest = crypto.digest
+
+    def counted(data: bytes) -> bytes:
+        calls[0] += 1
+        return digest(data)
+
+    monkeypatch.setattr(crypto, "digest", counted)
+    return calls
+
+
+def test_field_only_events_hash_once_when_rendered(monkeypatch):
+    sim = Simulation(seed=1)
+    calls = counting_digest(monkeypatch)
+    for i in range(1000):
+        sim.emit("sim", "x", {"i": i, "gone": None})
+    assert calls == [0]
+    text = sim.trace.to_text()
+    assert calls == [1000]
+    assert sim.trace.to_text() == text
+    assert calls == [1000]
+
+
+EMITTED = [
+    ("vasp:7", "a", {"n": 7, "vasps": [3, 9], "org": "'ACME Ltd'", "ok": True}),
+    ("vasp:9", "b", {"counterparty": None, "direction": "ReceiveAssets"}),
+    ("sim", "c", {"only": None}),
+    ("sim", "d", {}),
+    ("sim", "e", None),
+]
+
+
+def test_events_equal_their_old_definitions():
+    sim = Simulation(seed=1)
+    sim.now = 42
+    events = [sim.emit(actor, event, fields) for actor, event, fields in EMITTED]
+    body = LookupRequest(3, "bob@idp2.com")
+    sent = sim.emit("vasp:7", "s", {"msg": "LookupRequest", "seq": 3},
+                    payload=body)
+    for ev, (actor, event, fields) in zip(events, EMITTED):
+        pairs = tuple((fields or {}).items())
+        assert ev.fields == pairs
+        assert ev.line() == old_line(42, actor, event, pairs)
+        assert ev.digest == old_line(42, actor, event, pairs).split()[3]
+        for key, value in pairs:
+            assert ev.get(key) == value
+        assert ev.get("absent") is None
+    assert events[1].get("counterparty") is None
+    assert sent.digest == crypto.digest(codec.canonical_encode(body))[:8].hex()
+    assert sent.line() == old_line(
+        42, "vasp:7", "s", (("msg", "LookupRequest"), ("seq", 3)), body)
+
+
+def test_digest_read_before_the_line_is_the_same():
+    sim = Simulation(seed=1)
+    first = sim.emit("sim", "x", {"a": 1})
+    second = sim.emit("sim", "x", {"a": 1})
+    assert first.digest == second.line().split()[3]
+    assert first.line() == second.line()
+
+
+def test_value_repeating_its_own_key_round_trips():
+    sim = Simulation(seed=1)
+    sim.emit("sim", "x", {"note": "a note=b", "n": 1})
+    text = sim.trace.to_text()
+    parsed = parse_trace_text(text)
+    (event,) = parsed.events
+    assert event.fields == (("note", "a"), ("note", "b"), ("n", "1"))
+    assert event.get("note") == "a"
+    assert parsed.to_text() == text
