@@ -9,6 +9,11 @@ the store; every successful retrieval atomically produces a consent receipt
 naming the released attributes, which the VASP keeps as exculpatory
 evidence. The customer can withdraw consent at any time, after which
 fetches release nothing; previously issued receipts remain on record.
+
+Claims share the consortium PKI's verdicts: ``verify_claim`` returns a
+``pki.Verdict``, and judges a claim's window by certificates' rule,
+``pki.at_tick``. Claims, tokens and receipts carry an id, the digest of
+their signed content, checked with their signature by one function.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import codec, crypto, pki
-from .pki import InvalidCert
 
 TOKEN_LIFETIME = 300  # simulated seconds; short so expiry paths get exercised
 
@@ -40,13 +44,6 @@ class ConsentWithdrawn(ClaimsError):
 
 class BadToken(ClaimsError):
     pass
-
-
-class ClaimVerdict(Enum):
-    VALID = "Valid"
-    EXPIRED = "Expired"
-    NOT_YET_VALID = "NotYetValid"
-    BAD_SIGNATURE = "BadSignature"
 
 
 @dataclass(frozen=True)
@@ -87,17 +84,22 @@ class ClaimsProvider:
                              issuer_signature=crypto.sign(self._keypair.private_key, body))
 
 
+def _sealed(signed, signed_id: bytes, signature: bytes,
+            public_key: bytes) -> bool:
+    """True iff ``signed_id`` digests the signed content of ``signed``
+    and ``signature`` over it verifies under ``public_key``."""
+    body = signed.signing_input()
+    return signed_id == crypto.digest(body) and crypto.verify(
+        public_key, body, signature)
+
+
 def verify_claim(claim: SignedClaim, provider_public_key: bytes,
-                 now: int) -> ClaimVerdict:
-    body = claim.signing_input()
-    if claim.claim_id != crypto.digest(body) or not crypto.verify(
-            provider_public_key, body, claim.issuer_signature):
-        return ClaimVerdict.BAD_SIGNATURE
-    if now < claim.not_before:
-        return ClaimVerdict.NOT_YET_VALID
-    if now >= claim.not_after:
-        return ClaimVerdict.EXPIRED
-    return ClaimVerdict.VALID
+                 now: int) -> pki.Verdict:
+    """BAD_SIGNATURE, or the verdict of the claim's window at ``now``."""
+    if not _sealed(claim, claim.claim_id, claim.issuer_signature,
+                   provider_public_key):
+        return pki.Verdict.BAD_SIGNATURE
+    return pki.at_tick(claim, now)
 
 
 @dataclass
@@ -114,6 +116,7 @@ class DenialReason(Enum):
     SCOPE_EXCEEDED = "ScopeExceeded"
     PURPOSE_MISMATCH = "PurposeMismatch"
     POLICY_INACTIVE = "PolicyInactive"
+    INVALID_CALLER = "invalid_caller"  # requester certificate not VALID
 
 
 @dataclass(frozen=True)
@@ -214,9 +217,8 @@ class ClaimsStore:
         The receipt is created atomically with the release; no attribute
         ever leaves the store without a receipt row and an audit entry.
         """
-        body = token.signing_input()
-        if token.token_id != crypto.digest(body) or not crypto.verify(
-                self._auth_server_key, body, token.signature):
+        if not _sealed(token, token.token_id, token.signature,
+                       self._auth_server_key):
             raise BadToken("token signature does not verify")
         if now >= token.expires_at:
             raise TokenExpired(f"token expired at {token.expires_at}")
@@ -228,7 +230,8 @@ class ClaimsStore:
         permitted = set(token.permitted_attributes)
         released = [
             c for c in self._claims
-            if c.attribute_name in permitted and c.not_before <= now < c.not_after
+            if c.attribute_name in permitted
+            and pki.at_tick(c, now) is pki.Verdict.VALID
         ]
         receipt = self._issue_receipt(token, released, now)
         self._audit.append(AuditEntry(now, "claims_released", (
@@ -254,17 +257,16 @@ class ClaimsStore:
         return receipt
 
     def verify_receipt(self, receipt: ConsentReceipt) -> bool:
-        return (receipt.receipt_id == crypto.digest(receipt.signing_input())
-                and crypto.verify(self._keypair.public_key,
-                                  receipt.signing_input(), receipt.signature))
+        return _sealed(receipt, receipt.receipt_id, receipt.signature,
+                       self._keypair.public_key)
 
 
 class AuthorizationServer:
     """Issues policy-scoped authorization tokens to authenticated VASPs."""
 
-    def __init__(self, seed: bytes, store: ClaimsStore | None = None):
+    def __init__(self, seed: bytes):
         self._keypair = crypto.generate_keypair(seed)
-        self._store = store
+        self._store: ClaimsStore | None = None
 
     def bind_store(self, store: ClaimsStore) -> None:
         self._store = store
@@ -278,9 +280,8 @@ class AuthorizationServer:
                               trust: pki.TrustContext
                               ) -> AuthorizationToken | DenialReason:
         """A token issued at the trust context's tick, or why none is."""
-        verdict = trust.validate(requester_cert)
-        if verdict is not pki.Verdict.VALID:
-            raise InvalidCert(f"requester certificate is {verdict.value}")
+        if trust.validate(requester_cert) is not pki.Verdict.VALID:
+            return DenialReason.INVALID_CALLER
         if self._store is None:
             raise ClaimsError("no claims store bound to this server")
         policy = self._store.policy

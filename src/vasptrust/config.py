@@ -1,10 +1,12 @@
 """Topology configuration: consortium, VASPs, customers, federation graph.
 
 Configs are JSON files with explicit keys. Parsing validates field types,
-non-negative numbers and balances, and referential integrity (unique VASP
+non-negative numbers and balances, each VASP's certificate subject (the
+consortium PKI's ``check_subject``), and referential integrity (unique VASP
 numbers, federation edges between configured VASPs, claims from configured
-providers, parseable identifiers) and reports problems with their config
-path. All randomness in a run flows from the single ``seed`` value here.
+providers, parseable identifiers, one claims store per customer id) and
+reports problems with their config path. All randomness in a run flows
+from the single ``seed`` value here.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .pki import BusinessActivity
+from .pki import BusinessActivity, EvSubjectInfo, check_subject
 from .resolver import Unparseable, parse_identifier
 
 SERVICE_NUMBER_BASE = 1000  # entity numbers >= this are reserved for services
@@ -67,6 +69,21 @@ class VaspConfig:
     customers: list[CustomerConfig] = field(default_factory=list)
     treasury: int = 1_000_000
 
+    def subject(self) -> EvSubjectInfo:
+        """The subject of this VASP's identity certificate."""
+        return EvSubjectInfo(
+            organization_name=self.organization_name,
+            alt_domain_names=tuple(self.alt_domain_names),
+            incorporation_number_or_lei=self.incorporation_number_or_lei,
+            is_lei=self.is_lei,
+            place_of_business=self.place_of_business,
+            jurisdiction=self.jurisdiction,
+            vasp_number=self.vasp_number,
+            regulated_business_activity=BusinessActivity(
+                self.regulated_business_activity),
+            policy_object_identifier=self.policy_object_identifier,
+        )
+
 
 @dataclass
 class IdpConfig:
@@ -115,6 +132,21 @@ def _typed(value, typ: type, path: str):
     return value
 
 
+def _get(data: dict, key: str, path: str, typ: type, default=None):
+    """``data[key]``, of type ``typ``; required unless ``default`` is given."""
+    value = _require(data, key, path) if default is None \
+        else data.get(key, default)
+    return _typed(value, typ, f"{path}.{key}")
+
+
+def _items(data: dict, key: str, path: str, typ: type = dict,
+           required: bool = False) -> list[tuple[str, object]]:
+    """The config path and value of each ``typ`` in the list ``data[key]``."""
+    items = _get(data, key, path, list, None if required else [])
+    return [(f"{path}.{key}[{i}]", _typed(item, typ, f"{path}.{key}[{i}]"))
+            for i, item in enumerate(items)]
+
+
 def _identifier(value, path: str) -> str:
     try:
         parse_identifier(_typed(value, str, path))
@@ -126,21 +158,19 @@ def _identifier(value, path: str) -> str:
 def _parse_customer(data: dict, path: str) -> CustomerConfig:
     wallet = None
     if data.get("wallet"):
-        w = data["wallet"]
+        w = _typed(data["wallet"], dict, f"{path}.wallet")
         wallet = WalletSpec(
             initial_balance=_natural(w.get("initial_balance", 0),
                                      f"{path}.wallet.initial_balance"),
             imported_key_balance=_natural(w.get("imported_key_balance", 0),
                                           f"{path}.wallet.imported_key_balance"))
-    claim_specs = []
-    for i, c in enumerate(data.get("claims", [])):
-        claim_specs.append(ClaimSpec(
-            provider=_require(c, "provider", f"{path}.claims[{i}]"),
-            attribute=_require(c, "attribute", f"{path}.claims[{i}]"),
-            value=_require(c, "value", f"{path}.claims[{i}]")))
-    customer = CustomerConfig(
-        id=_require(data, "id", path),
-        legal_name=_require(data, "legal_name", path),
+    claim_specs = [ClaimSpec(provider=_require(c, "provider", claim_path),
+                             attribute=_require(c, "attribute", claim_path),
+                             value=_require(c, "value", claim_path))
+                   for claim_path, c in _items(data, "claims", path)]
+    return CustomerConfig(
+        id=_get(data, "id", path, str),
+        legal_name=_get(data, "legal_name", path, str),
         identifiers=[_identifier(ident, f"{path}.identifiers[{i}]")
                      for i, ident in enumerate(data.get("identifiers", []))],
         geographic_address=data.get("geographic_address", ""),
@@ -150,17 +180,16 @@ def _parse_customer(data: dict, path: str) -> CustomerConfig:
         birth_place=data.get("birth_place", ""),
         wallet=wallet,
         claims=claim_specs)
-    return customer
 
 
 def parse_config(data: dict, source: str = "config") -> TopologyConfig:
     seed = _int(_require(data, "seed", source), f"{source}.seed")
-    providers = list(data.get("claims_providers", []))
+    providers = _get(data, "claims_providers", source, list, [])
 
     vasps = []
     numbers: set[int] = set()
-    for i, v in enumerate(data.get("vasps", [])):
-        path = f"{source}.vasps[{i}]"
+    claim_holders: dict[str, str] = {}  # customer id -> its config path
+    for path, v in _items(data, "vasps", source):
         number = _natural(_require(v, "vasp_number", path), f"{path}.vasp_number")
         if number in numbers:
             raise ConfigError(f"{path}.vasp_number", f"duplicate value {number}")
@@ -168,42 +197,55 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
             raise ConfigError(f"{path}.vasp_number",
                               f"values >= {SERVICE_NUMBER_BASE} are reserved")
         numbers.add(number)
-        activity = v.get("regulated_business_activity", "Exchange")
+        activity = _get(v, "regulated_business_activity", path, str, "Exchange")
         if activity not in {a.value for a in BusinessActivity}:
             raise ConfigError(f"{path}.regulated_business_activity",
                               f"unknown activity {activity!r}")
         customers = []
-        customer_ids = set()
-        for j, c in enumerate(v.get("customers", [])):
-            customer = _parse_customer(c, f"{path}.customers[{j}]")
+        seen_ids = set()
+        for customer_path, c in _items(v, "customers", path):
+            customer = _parse_customer(c, customer_path)
             for k, claim in enumerate(customer.claims):
                 if claim.provider not in providers:
                     raise ConfigError(
-                        f"{path}.customers[{j}].claims[{k}].provider",
+                        f"{customer_path}.claims[{k}].provider",
                         f"unknown claims provider {claim.provider!r}")
-            if customer.id in customer_ids:
-                raise ConfigError(f"{path}.customers[{j}].id",
+            if customer.id in seen_ids:
+                raise ConfigError(f"{customer_path}.id",
                                   f"duplicate customer id {customer.id!r}")
-            customer_ids.add(customer.id)
+            if customer.claims:  # held in one store, named by the id
+                if customer.id in claim_holders:
+                    raise ConfigError(
+                        f"{customer_path}.id", f"customer id {customer.id!r} "
+                        f"already holds claims at {claim_holders[customer.id]}")
+                claim_holders[customer.id] = customer_path
+            seen_ids.add(customer.id)
             customers.append(customer)
-        vasps.append(VaspConfig(
+        vasp = VaspConfig(
             vasp_number=number,
-            organization_name=_require(v, "organization_name", path),
-            alt_domain_names=list(_require(v, "alt_domain_names", path)),
-            incorporation_number_or_lei=v.get("incorporation_number_or_lei", ""),
+            organization_name=_get(v, "organization_name", path, str),
+            alt_domain_names=[d for _, d in _items(
+                v, "alt_domain_names", path, str, required=True)],
+            incorporation_number_or_lei=_get(
+                v, "incorporation_number_or_lei", path, str, ""),
             is_lei=bool(v.get("is_lei", False)),
-            place_of_business=v.get("place_of_business", ""),
-            jurisdiction=v.get("jurisdiction", ""),
+            place_of_business=_get(v, "place_of_business", path, str, ""),
+            jurisdiction=_get(v, "jurisdiction", path, str),
             regulated_business_activity=activity,
-            policy_object_identifier=v.get("policy_object_identifier", "1.3.6.1.4.1.0"),
+            policy_object_identifier=_get(v, "policy_object_identifier", path,
+                                          str, "1.3.6.1.4.1.0"),
             customers=customers,
-            treasury=_natural(v.get("treasury", 1_000_000), f"{path}.treasury")))
+            treasury=_natural(v.get("treasury", 1_000_000), f"{path}.treasury"))
+        problems = check_subject(vasp.subject())
+        if problems:
+            raise ConfigError(path, "; ".join(problems))
+        vasps.append(vasp)
     if not vasps:
         raise ConfigError(f"{source}.vasps", "at least one VASP is required")
 
     graph: dict[int, list[int]] = {}
-    for key, neighbors in _typed(data.get("federation_graph", {}), dict,
-                                 f"{source}.federation_graph").items():
+    for key, neighbors in _get(data, "federation_graph", source, dict,
+                               {}).items():
         path = f"{source}.federation_graph.{key}"
         a = _int(key, path)
         if a not in numbers:
@@ -222,10 +264,10 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
                 graph[b].append(a)
 
     idps = []
-    for i, d in enumerate(data.get("idps", [])):
+    for idp_path, d in _items(data, "idps", source):
         idps.append(IdpConfig(
-            domain=_require(d, "domain", f"{source}.idps[{i}]"),
-            directory=[_identifier(ident, f"{source}.idps[{i}].directory[{k}]")
+            domain=_get(d, "domain", idp_path, str),
+            directory=[_identifier(ident, f"{idp_path}.directory[{k}]")
                        for k, ident in enumerate(d.get("directory", []))]))
 
     return TopologyConfig(
@@ -237,8 +279,8 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
         insurer=data.get("insurer"),
         federation_graph=graph,
         scenario_params={k: dict(_typed(v, dict, f"{source}.scenario_params.{k}"))
-                         for k, v in _typed(data.get("scenario_params", {}), dict,
-                                            f"{source}.scenario_params").items()})
+                         for k, v in _get(data, "scenario_params", source, dict,
+                                          {}).items()})
 
 
 def load_config(path: str | Path) -> TopologyConfig:

@@ -81,10 +81,9 @@ class VaspNode(Node):
         self.trust = trust
         self.registry = registry
 
-        self.customer_ids: set[str] = set()
         self.customers: dict[str, CustomerRecord] = {}
         self.devices: dict[str, wallet.WalletDevice] = {}  # device_id -> device
-        self.resolver = ResolverService(vasp_number, self.customer_ids)
+        self.resolver = ResolverService(vasp_number, self.customers)
         # Delta flooding state: the content of our last own advertisement,
         # advertisements applied since the last flood with the channels
         # whose neighbour already has each, the channels flooded over once,
@@ -94,7 +93,7 @@ class VaspNode(Node):
         self._outbox: dict[int, tuple[IdentifierAdvertisement, set[int]]] = {}
         self._synced: set[int] = set()
         self._revocations_seen: frozenset[int] | None = None
-        self.consents = ConsentStore(self.customer_ids)
+        self.consents = ConsentStore(self.customers)
         self.correlations = CorrelationStore()
         # Payloads sent, and received payloads that passed every check.
         self.payload_store: list[tuple[str, SignedPayload]] = []
@@ -112,7 +111,6 @@ class VaspNode(Node):
     def add_customer(self, record: CustomerRecord,
                      identifiers: list[CustomerIdentifier],
                      idp_directories: dict[str, IdpDirectory]) -> None:
-        self.customer_ids.add(record.customer_id)
         self.customers[record.customer_id] = record
         for ident in identifiers:
             idp = idp_directories.get(ident.domain_part.lower())
@@ -263,6 +261,11 @@ class VaspNode(Node):
         self.sim.emit(self.name, "travel_rule.transfer_refused",
                       {"payload": payload_id.hex()[:16], "reason": reason})
 
+    def _refuse(self, pending: PendingTransfer, reason: str) -> None:
+        """End an open transfer as ``refused``, with its refusal event."""
+        self._settle(pending, "refused")
+        self._transfer_refused(pending.payload.payload_id, reason)
+
     def _verify_counterparty_payload(self, signed: SignedPayload,
                                      signer: int) -> bool:
         ok = travel_rule.verify_signed_payload(signed, self.trust, signer)
@@ -298,11 +301,11 @@ class VaspNode(Node):
         except Exception:
             refuse("unparseable_beneficiary")
             return
-        customer_ids = sorted(self.resolver.local_customers_for(ident))
-        if not customer_ids:
+        holders = sorted(self.resolver.local_customers_for(ident))
+        if not holders:
             refuse("beneficiary_unknown")
             return
-        beneficiary = self.customers[customer_ids[0]]
+        beneficiary = self.customers[holders[0]]
         if beneficiary.legal_name != payload.beneficiary_name:
             refuse("beneficiary_name_mismatch")
             return
@@ -332,17 +335,15 @@ class VaspNode(Node):
             self._transfer_refused(body.ack_payload_id, "misaddressed_payload")
             return
         if not body.accepted or body.signed is None:
-            self._settle(pending, "refused")
-            self._transfer_refused(body.ack_payload_id, body.reason)
+            self._refuse(pending, body.reason)
             return
         if not self._verify_counterparty_payload(body.signed, asked):
-            self._settle(pending, "refused")
+            self._refuse(pending, "invalid_payload")
             return
         answer = body.signed.payload
         if (answer.beneficiary_vasp_number != asked
                 or answer.originating_vasp_number != self.vasp_number):
-            self._settle(pending, "refused")
-            self._transfer_refused(body.ack_payload_id, "misaddressed_payload")
+            self._refuse(pending, "misaddressed_payload")
             return
         self.payload_store.append(("inbound", body.signed))
 
@@ -359,24 +360,26 @@ class VaspNode(Node):
             "consent_originator": originator_consent,
             "beneficiary_accepted": True})
         if not originator_consent:
-            self._settle(pending, "refused")
-            self._transfer_refused(body.ack_payload_id,
-                                   "originator_consent_missing")
+            self._refuse(pending, "originator_consent_missing")
+            return
+        # Pay only a transaction key whose certificate is valid now.
+        beneficiary = self.trust.members[asked]
+        if self.trust.validate(beneficiary.transaction,
+                               beneficiary.identity) is not pki.Verdict.VALID:
+            self._refuse(pending, "beneficiary_tx_cert_invalid")
             return
 
-        beneficiary_tx_key = self.trust.members[
-            asked].transaction.subject_public_key
         tx = make_transfer(
             inputs=[(self.tx_key.public_key, pending.payload.amount)],
-            outputs=[(beneficiary_tx_key, pending.payload.amount)],
+            outputs=[(beneficiary.transaction.subject_public_key,
+                      pending.payload.amount)],
             signers={self.tx_key.public_key:
                      lambda m: crypto.sign(self.tx_key.private_key, m)},
             memo_tag=pending.payload.payload_id)
         try:
             self.ledger.submit_transfer(tx)
         except InsufficientFunds:
-            self._settle(pending, "refused")
-            self._transfer_refused(body.ack_payload_id, "insufficient_funds")
+            self._refuse(pending, "insufficient_funds")
             return
         pending.tx_id = tx.tx_id
         pending.submitted_height = self.ledger.height
@@ -466,13 +469,9 @@ class VaspNode(Node):
             self.sim.emit(self.name, "claims.fetch_refused",
                           {"reason": body.error})
             return
-        verified = 0
-        for claim in body.claims:
-            provider_key = self.trust.provider_keys.get(claim.issuer)
-            verdict = claims_mod.verify_claim(claim, provider_key or b"",
-                                              self.sim.now)
-            if verdict is claims_mod.ClaimVerdict.VALID:
-                verified += 1
+        verified = sum(claims_mod.verify_claim(
+            c, self.trust.provider_keys.get(c.issuer, b""), self.sim.now)
+            is pki.Verdict.VALID for c in body.claims)
         self.fetched_claims.extend(body.claims)
         if body.receipt is not None:
             self.consent_receipts.append(body.receipt)
@@ -596,19 +595,14 @@ class AuthServerNode(Node):
     def handle(self, channel: SecureChannel, env: Envelope) -> None:
         if not isinstance(env.body, msg.ClaimsAuthRequest):
             return
-        try:
-            result = self.server.request_authorization(
-                channel.peer_cert(env.sender), set(env.body.attributes),
-                env.body.purpose, self.trust)
-        except pki.InvalidCert:
-            result = "invalid_caller"
+        result = self.server.request_authorization(
+            channel.peer_cert(env.sender), set(env.body.attributes),
+            env.body.purpose, self.trust)
         if isinstance(result, claims_mod.DenialReason):
-            result = result.value
-        if isinstance(result, str):
             self.sim.emit(self.name, "claims.token_denied",
-                          {"caller": env.sender, "reason": result})
+                          {"caller": env.sender, "reason": result.value})
             self.sim.send(channel, self.name,
-                          msg.ClaimsAuthResponse(None, result))
+                          msg.ClaimsAuthResponse(None, result.value))
         else:
             self.sim.emit(self.name, "claims.token_issued", {
                 "caller": env.sender, "token": result.token_id.hex()[:16],

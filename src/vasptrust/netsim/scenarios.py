@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from .. import claims as claims_mod
-from .. import wallet
+from .. import pki, wallet
 from ..config import TopologyConfig
 from ..resolver import parse_identifier
 from ..travel_rule import ConsentDirection
@@ -254,7 +254,7 @@ def scenario_s2(world: World, params: dict) -> None:
     verified = all(
         claims_mod.verify_claim(
             c, world.trust.provider_keys.get(c.issuer, b""), sim.now)
-        is claims_mod.ClaimVerdict.VALID
+        is pki.Verdict.VALID
         for c in released)
     world.assert_that("claim_signatures_valid",
                       bool(released) and verified)

@@ -12,10 +12,11 @@ the single config seed, so two builds of the same config are identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .. import claims as claims_mod
 from .. import crypto, pki, wallet
-from ..config import TopologyConfig, VaspConfig
+from ..config import SERVICE_NUMBER_BASE, TopologyConfig
 from ..ledger import Ledger
 from ..resolver import IdpDirectory, parse_identifier
 from ..travel_rule import CustomerRecord
@@ -77,35 +78,6 @@ def _default_stack(master: bytes) -> list[tuple[str, bytes]]:
             for name in DEFAULT_STACK_COMPONENTS]
 
 
-def _service_subject(name: str, number: int, consortium: str) -> pki.EvSubjectInfo:
-    return pki.EvSubjectInfo(
-        organization_name=name,
-        alt_domain_names=(f"{name.partition(':')[2] or name}.svc".lower(),),
-        incorporation_number_or_lei=f"SVC-{number}",
-        is_lei=False,
-        place_of_business=consortium,
-        jurisdiction=consortium,
-        vasp_number=number,
-        regulated_business_activity=pki.BusinessActivity.FINANCIAL_SERVICES,
-        policy_object_identifier="1.3.6.1.4.1.99999.1000",
-    )
-
-
-def _vasp_subject(cfg: VaspConfig) -> pki.EvSubjectInfo:
-    return pki.EvSubjectInfo(
-        organization_name=cfg.organization_name,
-        alt_domain_names=tuple(cfg.alt_domain_names),
-        incorporation_number_or_lei=cfg.incorporation_number_or_lei,
-        is_lei=cfg.is_lei,
-        place_of_business=cfg.place_of_business,
-        jurisdiction=cfg.jurisdiction,
-        vasp_number=cfg.vasp_number,
-        regulated_business_activity=pki.BusinessActivity(
-            cfg.regulated_business_activity),
-        policy_object_identifier=cfg.policy_object_identifier,
-    )
-
-
 def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 faults: FaultConfig | None = None) -> World:
     master = crypto.seed_from_int(config.seed)
@@ -113,6 +85,27 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
 
     root = pki.create_consortium_root(config.consortium,
                                       crypto.derive_seed(master, "root"))
+    service_numbers = count(SERVICE_NUMBER_BASE)
+
+    def service_identity(name: str, seed_label: str
+                         ) -> tuple[pki.EvIdentityCertificate, crypto.KeyPair]:
+        """Service actor ``name``'s identity certificate and key."""
+        key = crypto.generate_keypair(crypto.derive_seed(master, seed_label))
+        number = next(service_numbers)
+        subject = pki.EvSubjectInfo(
+            organization_name=name,
+            alt_domain_names=(f"{name.partition(':')[2] or name}.svc".lower(),),
+            incorporation_number_or_lei=f"SVC-{number}",
+            is_lei=False,
+            place_of_business=config.consortium,
+            jurisdiction=config.consortium,
+            vasp_number=number,
+            regulated_business_activity=pki.BusinessActivity.FINANCIAL_SERVICES,
+            policy_object_identifier="1.3.6.1.4.1.99999.1000",
+        )
+        return root.issue_identity_cert(subject, key.public_key, 0,
+                                        CERT_VALIDITY), key
+
     trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
                              lambda: sim.now)
     registry = wallet.WalletRegistry()
@@ -170,7 +163,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         n = vcfg.vasp_number
         identity, tx, claims_key = vasp_keys[n]
         identity_cert = root.issue_identity_cert(
-            _vasp_subject(vcfg), identity.public_key, 0, CERT_VALIDITY)
+            vcfg.subject(), identity.public_key, 0, CERT_VALIDITY)
         tx_cert = root.issue_signing_cert(
             identity_cert, pki.CertPurpose.TRANSACTION_SIGNING,
             tx.public_key, 0, CERT_VALIDITY)
@@ -230,7 +223,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         trust.provider_keys[name] = provider.public_key
         sim.register_actor(f"cp:{name}")
 
-    service_number = 1000
     stores: dict[str, ClaimsStoreNode] = {}
     auth_servers: dict[str, AuthServerNode] = {}
     for vcfg in config.vasps:
@@ -245,23 +237,10 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 authorization_server_key=server.public_key)
             server.bind_store(store)
 
-            store_identity = crypto.generate_keypair(
-                crypto.derive_seed(master, f"store-id:{owner}"))
-            store_cert = root.issue_identity_cert(
-                _service_subject(f"store:{owner}", service_number, config.consortium),
-                store_identity.public_key, 0, CERT_VALIDITY)
-            service_number += 1
-            srv_identity = crypto.generate_keypair(
-                crypto.derive_seed(master, f"authsrv-id:{owner}"))
-            srv_cert = root.issue_identity_cert(
-                _service_subject(f"authsrv:{owner}", service_number, config.consortium),
-                srv_identity.public_key, 0, CERT_VALIDITY)
-            service_number += 1
-
-            store_node = ClaimsStoreNode(sim, owner, store_cert, store_identity,
-                                         store, trust)
-            server_node = AuthServerNode(sim, owner, srv_cert, srv_identity,
-                                         server, trust)
+            store_node = ClaimsStoreNode(sim, owner, *service_identity(
+                f"store:{owner}", f"store-id:{owner}"), store, trust)
+            server_node = AuthServerNode(sim, owner, *service_identity(
+                f"authsrv:{owner}", f"authsrv-id:{owner}"), server, trust)
             sim.register_actor(store_node.name, store_node.handle)
             sim.register_actor(server_node.name, server_node.handle)
             stores[owner] = store_node
@@ -277,14 +256,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
 
     insurer = None
     if config.insurer:
-        insurer_key = crypto.generate_keypair(
-            crypto.derive_seed(master, f"insurer:{config.insurer}"))
-        insurer_cert = root.issue_identity_cert(
-            _service_subject(f"insurer:{config.insurer}", service_number,
-                             config.consortium),
-            insurer_key.public_key, 0, CERT_VALIDITY)
-        service_number += 1
-        insurer = InsurerNode(sim, config.insurer, insurer_cert, insurer_key,
+        name = f"insurer:{config.insurer}"
+        insurer = InsurerNode(sim, config.insurer, *service_identity(name, name),
                               trust, approved_stacks)
         sim.register_actor(insurer.name, insurer.handle)
 

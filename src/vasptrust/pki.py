@@ -223,18 +223,19 @@ def validate_chain(cert: Certificate,
         digest = verified.get(identity_cert) if verified is not None else None
         if cert.identity_linkage != (digest or cert_digest(identity_cert)):
             standing = Verdict.BROKEN_LINKAGE
-    return _at_tick(cert, standing, now)
+    return at_tick(cert, now, standing)
 
 
-def _at_tick(cert: Certificate, standing: Verdict, now: int) -> Verdict:
-    """The verdict on ``cert`` at tick ``now``, given ``standing``: the
-    verdict of its verified signature's revocation and linkage checks.
-    Revocation outranks the validity window, which outranks linkage."""
+def at_tick(signed, now: int, standing: Verdict = Verdict.VALID) -> Verdict:
+    """The verdict at tick ``now`` on ``signed`` (a certificate, a claim:
+    anything with a validity window [not_before, not_after) whose signature
+    verified), given ``standing``, the verdict of its other checks.
+    Revocation outranks the window, which outranks linkage."""
     if standing is Verdict.REVOKED:
         return standing
-    if now < cert.not_before:
+    if now < signed.not_before:
         return Verdict.NOT_YET_VALID
-    if now >= cert.not_after:
+    if now >= signed.not_after:
         return Verdict.EXPIRED
     return standing
 
@@ -316,7 +317,7 @@ class TrustContext:
                None if identity_cert is None else identity_cert.issuer_signature)
         kept = self._decided.get(key)
         if kept is not None and kept[0] == pair:
-            return _at_tick(cert, kept[1], now)
+            return at_tick(cert, now, kept[1])
         verdict = validate_chain(cert, self.root_public_key, revocations,
                                  now, identity_cert, self.verified)
         if verdict in _KEPT:
@@ -357,7 +358,8 @@ class RootAuthority:
         self._vasp_numbers: set[int] = set()
         self._used_keys: set[bytes] = {keypair.public_key}
         self._revocations: dict[int, RevocationEntry] = {}
-        self._revocation_list = self._sign_revocation_list(issued_at=0)
+        self._revocation_list = self._signed(RevocationList, entries=(),
+                                             issued_at=0)
 
     @property
     def public_key(self) -> bytes:
@@ -370,11 +372,19 @@ class RootAuthority:
     def issued_certificates(self) -> list[Certificate]:
         return [self._certs[s] for s in sorted(self._certs)]
 
-    def _sign_revocation_list(self, issued_at: int) -> RevocationList:
-        entries = tuple(self._revocations[s] for s in sorted(self._revocations))
-        unsigned = RevocationList(self.name, entries, issued_at, b"")
+    def _signed(self, kind: type, **fields):
+        """A ``kind`` of ``fields`` issued and signed by this root. A
+        certificate takes the next serial and is kept on record."""
+        numbered = kind is not RevocationList
+        if numbered:
+            fields["serial"] = self._next_serial
+            self._next_serial += 1
+        unsigned = kind(issuer_id=self.name, issuer_signature=b"", **fields)
         sig = crypto.sign(self._keypair.private_key, unsigned.signing_input())
-        return codec.replace(unsigned, issuer_signature=sig)
+        signed = codec.replace(unsigned, issuer_signature=sig)
+        if numbered:
+            self._certs[signed.serial] = signed
+        return signed
 
     def _claim_key(self, public_key: bytes) -> None:
         if public_key in self._used_keys:
@@ -392,22 +402,9 @@ class RootAuthority:
             raise DuplicateVaspNumber(f"vasp_number {subject.vasp_number} already issued")
         self._claim_key(subject_public_key)
         self._vasp_numbers.add(subject.vasp_number)
-
-        serial = self._next_serial
-        self._next_serial += 1
-        unsigned = EvIdentityCertificate(
-            serial=serial,
-            subject=subject,
-            subject_public_key=subject_public_key,
-            issuer_id=self.name,
-            not_before=not_before,
-            not_after=not_after,
-            issuer_signature=b"",
-        )
-        sig = crypto.sign(self._keypair.private_key, unsigned.signing_input())
-        cert = codec.replace(unsigned, issuer_signature=sig)
-        self._certs[serial] = cert
-        return cert
+        return self._signed(EvIdentityCertificate, subject=subject,
+                            subject_public_key=subject_public_key,
+                            not_before=not_before, not_after=not_after)
 
     def issue_signing_cert(self, identity_cert: EvIdentityCertificate,
                            purpose: CertPurpose, subject_public_key: bytes,
@@ -422,23 +419,10 @@ class RootAuthority:
         if not_before >= not_after:
             raise InvalidSubject(["validity interval is empty"])
         self._claim_key(subject_public_key)
-
-        serial = self._next_serial
-        self._next_serial += 1
-        unsigned = SigningCertificate(
-            serial=serial,
-            purpose=purpose,
-            subject_public_key=subject_public_key,
-            identity_linkage=cert_digest(identity_cert),
-            issuer_id=self.name,
-            not_before=not_before,
-            not_after=not_after,
-            issuer_signature=b"",
-        )
-        sig = crypto.sign(self._keypair.private_key, unsigned.signing_input())
-        cert = codec.replace(unsigned, issuer_signature=sig)
-        self._certs[serial] = cert
-        return cert
+        return self._signed(SigningCertificate, purpose=purpose,
+                            subject_public_key=subject_public_key,
+                            identity_linkage=cert_digest(identity_cert),
+                            not_before=not_before, not_after=not_after)
 
     def revoke(self, serial: int, reason: RevocationReason, now: int) -> RevocationList:
         """Add a revocation entry; idempotent, the earliest entry wins."""
@@ -446,7 +430,9 @@ class RootAuthority:
             raise UnknownSerial(f"serial {serial} was never issued")
         if serial not in self._revocations:
             self._revocations[serial] = RevocationEntry(serial, reason, now)
-        self._revocation_list = self._sign_revocation_list(issued_at=now)
+        self._revocation_list = self._signed(RevocationList, entries=tuple(
+            self._revocations[s] for s in sorted(self._revocations)),
+            issued_at=now)
         return self._revocation_list
 
 

@@ -13,6 +13,7 @@ caller, and callers must present a chain-valid consortium certificate.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -148,7 +149,7 @@ class IdpDirectory:
 class ResolverService:
     """One VASP's resolver: local registrations plus federated knowledge."""
 
-    def __init__(self, vasp_number: int, customers: set[str]):
+    def __init__(self, vasp_number: int, customers: Container[str]):
         self.vasp_number = vasp_number
         self._customers = customers
         self._local: dict[str, set[str]] = {}

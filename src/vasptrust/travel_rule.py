@@ -15,6 +15,7 @@ Payload, consent and correlation stores are append-only.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Container
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -258,11 +259,11 @@ class ConsentRecord:
 class ConsentStore:
     """Append-only consent records for one VASP's customers.
 
-    ``customers`` is a live reference to the owning VASP's customer-id set;
-    consent can only be recorded for known customers.
+    ``customers`` is a live view of the owning VASP's customer ids (its
+    customer table); consent can only be recorded for known customers.
     """
 
-    def __init__(self, customers: set[str]):
+    def __init__(self, customers: Container[str]):
         self._customers = customers
         self._records: list[ConsentRecord] = []
         # Records by (customer, direction, counterparty scope); None is

@@ -16,6 +16,7 @@ off-boarding before the wallet returns to private status.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -339,6 +340,20 @@ def _fresh_evidence(device: WalletDevice, nonce: bytes, now: int,
     return evidence
 
 
+def _move_assets(device: WalletDevice, handles: Iterable[int], to_key: bytes,
+                 ledger: Ledger) -> None:
+    """Submit one transfer of the whole balance of each live key among
+    ``handles`` to ``to_key``, signed on ``device``."""
+    for handle in handles:
+        slot = device.slot(handle)
+        balance = ledger.balance(slot.public_key)
+        if balance > 0 and not slot.erased:
+            ledger.submit_transfer(make_transfer(
+                inputs=[(slot.public_key, balance)],
+                outputs=[(to_key, balance)],
+                signers={slot.public_key: device.signer(handle)}))
+
+
 def onboard_customer(acquiring_vasp_number: int,
                      customer_id: str,
                      device: WalletDevice,
@@ -382,15 +397,8 @@ def onboard_customer(acquiring_vasp_number: int,
 
     old_handles = tuple(h for h in device.handles() if not device.slot(h).erased)
     new_handle = device.generate_key(migratable=False)
-    new_key = device.slot(new_handle).public_key
-    for handle in old_handles:
-        balance = ledger.balance(device.slot(handle).public_key)
-        if balance > 0:
-            old_key = device.slot(handle).public_key
-            ledger.submit_transfer(make_transfer(
-                inputs=[(old_key, balance)],
-                outputs=[(new_key, balance)],
-                signers={old_key: device.signer(handle)}))
+    _move_assets(device, old_handles, device.slot(new_handle).public_key,
+                 ledger)
 
     registry.set_regulated(device.device_id, acquiring_vasp_number, now)
     report = BoardingReport(True, "", KeyTransition(old_handles, new_handle),
@@ -430,15 +438,8 @@ def offboard_customer(releasing_vasp_number: int,
         return BoardingReport(False, "failed checks: key-history", None, None)
 
     handoff_handle = device.generate_key(migratable=True)
-    handoff_key = device.slot(handoff_handle).public_key
-    for handle in supervision.supervised_handles:
-        slot = device.slot(handle)
-        balance = ledger.balance(slot.public_key)
-        if balance > 0 and not slot.erased:
-            ledger.submit_transfer(make_transfer(
-                inputs=[(slot.public_key, balance)],
-                outputs=[(handoff_key, balance)],
-                signers={slot.public_key: device.signer(handle)}))
+    _move_assets(device, supervision.supervised_handles,
+                 device.slot(handoff_handle).public_key, ledger)
     ledger.confirm_block()
 
     to_erase = [h for h in supervision.supervised_handles

@@ -4,8 +4,8 @@ Each test plays one consortium member (or relays one member's message)
 breaking one binding the trust model relies on: no originator data leaves
 before the originator consents, a signed payload comes from the VASP it
 names, is addressed to the VASP that receives it, a claims token is usable
-only by its audience, and a revoked member neither resolves nor gets
-served.
+only by its audience, a revoked member neither resolves nor gets served,
+and a revoked transaction key is never paid.
 """
 
 from __future__ import annotations
@@ -197,6 +197,43 @@ def test_response_naming_another_beneficiary_vasp_refused(world):
     assert pending.state == "refused"
     assert payload.payload_id not in world.vasps[7].pending
     assert not world.sim.trace.find("ledger.tx_submitted")
+
+
+def test_answer_whose_signature_fails_refused(world):
+    payload = _start_transfer(world)
+    pending = world.vasps[7].pending[payload.payload_id]
+    # VASP 9's answer, one bit of its signature flipped on the way.
+    answer = signed_by(world, 9, 7, 9, amount=125)
+    signature = bytearray(answer.signature)
+    signature[0] ^= 1
+    forged = dataclasses.replace(answer, signature=bytes(signature))
+    send(world, 9, 7, TravelRuleResponse(payload.payload_id, True, "", forged))
+    world.sim.run_until_quiet()
+    assert refusals(world, 7) == ["invalid_payload"]
+    assert pending.state == "refused"
+    assert not world.sim.trace.find("ledger.tx_submitted")
+    world.confirm_block()
+    assert world.ledger.confirmed_txs() == []
+
+
+def test_revoked_beneficiary_transaction_key_not_paid(world):
+    # VASP 9's transaction certificate is revoked; its identity and
+    # claims certificates stay valid, so VASP 9 still answers.
+    beneficiary = world.vasps[9]
+    paid_before = world.ledger.balance(beneficiary.tx_key.public_key)
+    world.root.revoke(beneficiary.certs.transaction.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    payload = _start_transfer(world)
+    pending = world.vasps[7].pending[payload.payload_id]
+    world.sim.run_until_quiet()
+    assert len(accepted_responses(world, 9)) == 1
+    assert refusals(world, 7) == ["beneficiary_tx_cert_invalid"]
+    assert pending.state == "refused"
+    assert payload.payload_id not in world.vasps[7].pending
+    assert not world.sim.trace.find("ledger.tx_submitted")
+    world.confirm_block()
+    assert world.ledger.confirmed_txs() == []
+    assert world.ledger.balance(beneficiary.tx_key.public_key) == paid_before
 
 
 # -- only its audience can use a claims token ---------------------------------

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import seed, trust_context
+from conftest import make_subject, seed, trust_context
 from vasptrust import claims, codec, crypto, pki
 
 
@@ -39,13 +39,13 @@ class TestClaims:
     def test_issue_then_verify(self, provider):
         claim = provider.issue_claim("alice", "age_over_18", "true", 0, 100)
         assert claims.verify_claim(claim, provider.public_key, 50) \
-            is claims.ClaimVerdict.VALID
+            is pki.Verdict.VALID
 
     def test_tampered_value(self, provider):
         claim = provider.issue_claim("alice", "age_over_18", "true", 0, 100)
         forged = replace(claim, attribute_value="false")
         assert claims.verify_claim(forged, provider.public_key, 50) \
-            is claims.ClaimVerdict.BAD_SIGNATURE
+            is pki.Verdict.BAD_SIGNATURE
 
     def test_mismatched_claim_id(self, provider):
         # The signature still covers the content, but the id names another
@@ -53,14 +53,28 @@ class TestClaims:
         claim = provider.issue_claim("alice", "age_over_18", "true", 0, 100)
         forged = replace(claim, claim_id=b"\0" * 32)
         assert claims.verify_claim(forged, provider.public_key, 50) \
-            is claims.ClaimVerdict.BAD_SIGNATURE
+            is pki.Verdict.BAD_SIGNATURE
 
     def test_expired_and_not_yet_valid(self, provider):
         claim = provider.issue_claim("alice", "x", "1", 10, 20)
         assert claims.verify_claim(claim, provider.public_key, 20) \
-            is claims.ClaimVerdict.EXPIRED
+            is pki.Verdict.EXPIRED
         assert claims.verify_claim(claim, provider.public_key, 5) \
-            is claims.ClaimVerdict.NOT_YET_VALID
+            is pki.Verdict.NOT_YET_VALID
+
+    # Either side of each edge of the window [10, 20).
+    @pytest.mark.parametrize("now, expected", [
+        (9, pki.Verdict.NOT_YET_VALID), (10, pki.Verdict.VALID),
+        (19, pki.Verdict.VALID), (20, pki.Verdict.EXPIRED)])
+    def test_window_agrees_with_certificates(self, provider, root, now,
+                                             expected):
+        claim = provider.issue_claim("alice", "x", "1", 10, 20)
+        cert = root.issue_identity_cert(
+            make_subject(5), crypto.generate_keypair(seed("window")).public_key,
+            10, 20)
+        assert claims.verify_claim(claim, provider.public_key, now) \
+            is pki.validate_chain(cert, root.public_key, root.revocation_list,
+                                  now) is expected
 
     def test_every_bit_of_value_tamper_rejected(self, provider):
         claim = provider.issue_claim("alice", "code", "SECRET01", 0, 100)
@@ -73,7 +87,7 @@ class TestClaims:
                 if forged.attribute_value == claim.attribute_value:
                     continue
                 assert claims.verify_claim(forged, provider.public_key, 50) \
-                    is claims.ClaimVerdict.BAD_SIGNATURE
+                    is pki.Verdict.BAD_SIGNATURE
 
 
 class TestPolicy:
@@ -131,14 +145,15 @@ class TestAuthorization:
                          {"driving_license_number"}, purpose="marketing")
         assert denial is claims.DenialReason.PURPOSE_MISMATCH
 
-    def test_invalid_cert_raises(self, setup, member, root):
+    def test_invalid_cert_denied(self, setup, member, root):
         _, server, _ = setup
         root.revoke(member["identity_cert"].serial,
                     pki.RevocationReason.KEY_COMPROMISE, 1)
-        with pytest.raises(claims.InvalidCert):
-            server.request_authorization(member["identity_cert"],
-                                         {"driving_license_number"}, "kyc",
-                                         trust_context(root, now=2))
+        denial = server.request_authorization(member["identity_cert"],
+                                              {"driving_license_number"},
+                                              "kyc", trust_context(root, now=2))
+        assert denial is claims.DenialReason.INVALID_CALLER
+        assert denial.value == "invalid_caller"
 
 
 class TestFetch:

@@ -76,6 +76,28 @@ REFUSALS = {
         "config.vasps[0].organization_name"),
     "missing_alt_domain_names": (lambda c: _vasp(c).pop("alt_domain_names"),
                                  "config.vasps[0].alt_domain_names"),
+    "alt_domain_names_string": (
+        lambda c: _vasp(c).update(alt_domain_names="acmepay.com"),
+        "config.vasps[0].alt_domain_names"),
+    "alt_domain_name_type": (lambda c: _vasp(c).update(alt_domain_names=[5]),
+                             "config.vasps[0].alt_domain_names[0]"),
+    "vasp_entry": (lambda c: c["vasps"].append(5), "config.vasps[3]"),
+    "vasps_type": (lambda c: c.update(vasps={"7": {}}), "config.vasps"),
+    "customer_entry": (lambda c: _vasp(c)["customers"].append("erin"),
+                       "config.vasps[0].customers[2]"),
+    "missing_jurisdiction": (lambda c: _vasp(c).pop("jurisdiction"),
+                             "config.vasps[0].jurisdiction"),
+    "jurisdiction_type": (lambda c: _vasp(c).update(jurisdiction=5),
+                          "config.vasps[0].jurisdiction"),
+    "blank_jurisdiction": (lambda c: _vasp(c).update(jurisdiction=" "),
+                           "config.vasps[0]"),
+    "malformed_lei": (lambda c: _vasp(c).update(
+        incorporation_number_or_lei="5493-001"), "config.vasps[0]"),
+    "blank_organization_name": (
+        lambda c: _vasp(c).update(organization_name=" "), "config.vasps[0]"),
+    "claims_at_two_vasps": (
+        lambda c: _vasp(c, 1)["customers"].append(dict(_alice(c))),
+        "config.vasps[1].customers[2].id"),
     "treasury": (lambda c: _vasp(c).update(treasury="lots"),
                  "config.vasps[0].treasury"),
     "negative_treasury": (lambda c: _vasp(c).update(treasury=-5),
@@ -100,9 +122,13 @@ REFUSALS = {
     "negative_wallet_balance": (
         lambda c: _alice(c)["wallet"].update(initial_balance=-1),
         "config.vasps[0].customers[0].wallet.initial_balance"),
+    "wallet_type": (lambda c: _alice(c).update(wallet=5),
+                    "config.vasps[0].customers[0].wallet"),
     "negative_imported_key_balance": (
         lambda c: _alice(c)["wallet"].update(imported_key_balance=-1),
         "config.vasps[0].customers[0].wallet.imported_key_balance"),
+    "claim_entry": (lambda c: _alice(c)["claims"].append(None),
+                    "config.vasps[0].customers[0].claims[1]"),
     "missing_claim_attribute": (lambda c: _alice(c)["claims"][0].pop(
         "attribute"), "config.vasps[0].customers[0].claims[0].attribute"),
     "claims_provider": (lambda c: c.update(claims_providers=[]),
@@ -118,6 +144,7 @@ REFUSALS = {
         "config.federation_graph.7"),
     "missing_idp_domain": (lambda c: c["idps"][0].pop("domain"),
                            "config.idps[0].domain"),
+    "idp_entry": (lambda c: c["idps"].append("idp3.com"), "config.idps[2]"),
     "graph_value": (lambda c: c.update(federation_graph={"7": 9}),
                     "config.federation_graph.7"),
     "graph_type": (lambda c: c.update(federation_graph=[[7, 9]]),
