@@ -8,7 +8,8 @@
 The workspace defaults to $VTN_WORKSPACE. Every behavior here is a thin
 shell over the library; identical library calls produce identical results.
 Exit codes: 0 success / all assertions passed, 1 scenario assertion failed,
-2 configuration or usage error.
+2 configuration or usage error, which covers every refused config value,
+seed override and scenario parameter; no trace is written then.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import sys
 from pathlib import Path
 
 from . import pki, travel_rule
-from .config import ConfigError, TopologyConfig, config_to_dict, load_config
+from .config import (ConfigError, Seed, TopologyConfig, config_to_dict,
+                     load_config, read)
 from .netsim import run_scenario_with_world
 from .netsim.scenarios import ScenarioError
 from .netsim.trace import parse_trace_text
@@ -109,7 +111,8 @@ def cmd_run(args) -> int:
                           "workspace not initialized (run `vtn init` first)")
     config = load_config(config_path)
     if args.seed_override is not None:
-        config = dataclasses.replace(config, seed=args.seed_override)
+        config = dataclasses.replace(config, seed=read(
+            Seed, args.seed_override, "--seed-override"))
     overrides = _parse_overrides(args.override or [])
 
     trace, world = run_scenario_with_world(args.scenario, config,

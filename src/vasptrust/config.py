@@ -1,25 +1,35 @@
 """Topology configuration: consortium, VASPs, customers, federation graph.
 
-Configs are JSON files with explicit keys. Parsing validates field types,
-non-negative numbers and balances, each VASP's certificate subject (the
-consortium PKI's ``check_subject``), and referential integrity (unique VASP
-numbers, federation edges between configured VASPs, claims from configured
-providers, parseable identifiers, one claims store per customer id) and
-reports problems with their config path. All randomness in a run flows
-from the single ``seed`` value here.
+Configs are JSON files with explicit keys, read by one reader (``read``,
+also used for scenario parameters) that takes each type and default from
+the dataclasses below. Integers must be non-negative, except ``seed``;
+unknown keys are ignored. ``parse_config`` then checks the rules across
+fields: unique VASP numbers, known activities, identifiers on an IdP's
+domain that its directory lists, known claims providers, one claims store
+per customer id, each VASP's certificate subject (``pki.check_subject``)
+and federation edges between configured VASPs. Problems are reported with
+their config path. All randomness in a run flows from ``seed``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import asdict, dataclass, field
+import types
+from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import lru_cache
 from pathlib import Path
+from typing import Any, Callable, NewType, get_args, get_origin, get_type_hints
 
+from . import crypto
 from .pki import BusinessActivity, EvSubjectInfo, check_subject
-from .resolver import Unparseable, parse_identifier
+from .resolver import IdentifierKind, IdpDirectory, Unparseable, parse_identifier
 
 SERVICE_NUMBER_BASE = 1000  # entity numbers >= this are reserved for services
+
+Seed = NewType("Seed", int)  # any integer crypto.seed_from_int takes
+Identifier = NewType("Identifier", str)  # a str that parse_identifier takes
 
 
 class ConfigError(Exception):
@@ -45,7 +55,7 @@ class ClaimSpec:
 class CustomerConfig:
     id: str
     legal_name: str
-    identifiers: list[str] = field(default_factory=list)
+    identifiers: list[Identifier] = field(default_factory=list)
     geographic_address: str = ""
     national_id: str = ""
     customer_number: str = ""
@@ -55,17 +65,17 @@ class CustomerConfig:
     claims: list[ClaimSpec] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class VaspConfig:
     vasp_number: int
     organization_name: str
     alt_domain_names: list[str]
-    incorporation_number_or_lei: str
-    is_lei: bool
-    place_of_business: str
+    incorporation_number_or_lei: str = ""
+    is_lei: bool = False
+    place_of_business: str = ""
     jurisdiction: str
-    regulated_business_activity: str
-    policy_object_identifier: str
+    regulated_business_activity: str = "Exchange"
+    policy_object_identifier: str = "1.3.6.1.4.1.0"
     customers: list[CustomerConfig] = field(default_factory=list)
     treasury: int = 1_000_000
 
@@ -88,125 +98,150 @@ class VaspConfig:
 @dataclass
 class IdpConfig:
     domain: str
-    directory: list[str] = field(default_factory=list)
+    directory: list[Identifier] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TopologyConfig:
-    consortium: str
-    seed: int
+    consortium: str = "vasp-consortium"
+    seed: Seed
     vasps: list[VaspConfig]
     idps: list[IdpConfig] = field(default_factory=list)
     claims_providers: list[str] = field(default_factory=list)
     insurer: str | None = None
-    federation_graph: dict[int, list[int]] = field(default_factory=dict)
+    # Read as written; parse_config makes it symmetric, with int neighbors.
+    federation_graph: dict[int, list] = field(default_factory=dict)
     scenario_params: dict[str, dict] = field(default_factory=dict)
 
     def neighbors(self, number: int) -> list[int]:
         return sorted(self.federation_graph.get(number, []))
 
 
-def _require(data: dict, key: str, path: str):
-    if key not in data:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return data[key]
+Reader = Callable[[Any, str], Any]  # (JSON value, its config path) -> value
 
 
-def _int(value, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected an integer, got {value!r}") from None
+def read(typ: Any, value: Any, path: str) -> Any:
+    """``value`` read as ``typ``, or a ConfigError naming the path at fault.
+    A function is read as the dict of its keyword-only parameters."""
+    return _reader(typ)(value, path)
 
 
-def _natural(value, path: str) -> int:
-    number = _int(value, path)
-    if number < 0:
-        raise ConfigError(path, f"negative value {number}")
-    return number
-
-
-def _typed(value, typ: type, path: str):
+def _checked(value: Any, typ: type, path: str) -> Any:
     if not isinstance(value, typ):
         raise ConfigError(path, f"expected {typ.__name__}, got {value!r}")
     return value
 
 
-def _get(data: dict, key: str, path: str, typ: type, default=None):
-    """``data[key]``, of type ``typ``; required unless ``default`` is given."""
-    value = _require(data, key, path) if default is None \
-        else data.get(key, default)
-    return _typed(value, typ, f"{path}.{key}")
-
-
-def _items(data: dict, key: str, path: str, typ: type = dict,
-           required: bool = False) -> list[tuple[str, object]]:
-    """The config path and value of each ``typ`` in the list ``data[key]``."""
-    items = _get(data, key, path, list, None if required else [])
-    return [(f"{path}.{key}[{i}]", _typed(item, typ, f"{path}.{key}[{i}]"))
-            for i, item in enumerate(items)]
-
-
-def _identifier(value, path: str) -> str:
+def _read_natural(value: Any, path: str) -> int:
     try:
-        parse_identifier(_typed(value, str, path))
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"expected an integer, got {value!r}") from None
+    if number < 0:
+        raise ConfigError(path, f"negative value {number}")
+    return number
+
+
+def _read_seed(value: Any, path: str) -> int:
+    try:
+        crypto.seed_from_int(seed := int(value))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, "expected an integer in the signed 128-bit "
+                          f"range, got {value!r}") from None
+    return seed
+
+
+def _read_identifier(value: Any, path: str) -> str:
+    try:
+        parse_identifier(_checked(value, str, path))
     except Unparseable as exc:
         raise ConfigError(path, str(exc)) from None
     return value
 
 
-def _parse_customer(data: dict, path: str) -> CustomerConfig:
-    wallet = None
-    if data.get("wallet"):
-        w = _typed(data["wallet"], dict, f"{path}.wallet")
-        wallet = WalletSpec(
-            initial_balance=_natural(w.get("initial_balance", 0),
-                                     f"{path}.wallet.initial_balance"),
-            imported_key_balance=_natural(w.get("imported_key_balance", 0),
-                                          f"{path}.wallet.imported_key_balance"))
-    claim_specs = [ClaimSpec(provider=_require(c, "provider", claim_path),
-                             attribute=_require(c, "attribute", claim_path),
-                             value=_require(c, "value", claim_path))
-                   for claim_path, c in _items(data, "claims", path)]
-    return CustomerConfig(
-        id=_get(data, "id", path, str),
-        legal_name=_get(data, "legal_name", path, str),
-        identifiers=[_identifier(ident, f"{path}.identifiers[{i}]")
-                     for i, ident in enumerate(data.get("identifiers", []))],
-        geographic_address=data.get("geographic_address", ""),
-        national_id=data.get("national_id", ""),
-        customer_number=data.get("customer_number", ""),
-        birth_date=data.get("birth_date", ""),
-        birth_place=data.get("birth_place", ""),
-        wallet=wallet,
-        claims=claim_specs)
+_SCALAR_READERS = {int: _read_natural, Seed: _read_seed,
+                   Identifier: _read_identifier}
+
+
+@lru_cache(maxsize=None)
+def _reader(typ: Any) -> Reader:
+    origin = get_origin(typ)
+    if origin is types.UnionType:  # X | None, the one union declared
+        inner = _reader(next(a for a in get_args(typ) if a is not type(None)))
+        return lambda value, path: None if value is None else inner(value, path)
+    if origin is list:
+        item = _reader(get_args(typ)[0])
+        return lambda value, path: [item(v, f"{path}[{i}]") for i, v
+                                    in enumerate(_checked(value, list, path))]
+    if origin is dict:
+        key, item = map(_reader, get_args(typ))
+        return lambda value, path: {key(k, f"{path}.{k}"): item(v, f"{path}.{k}")
+                                    for k, v in _checked(value, dict, path).items()}
+    if typ in _SCALAR_READERS:
+        return _SCALAR_READERS[typ]
+    if is_dataclass(typ) or inspect.isfunction(typ):
+        return _read_record(typ)
+    # str and bool as they are; an untyped list or dict is copied
+    return lambda value, path: typ(_checked(value, typ, path))
+
+
+def _read_record(typ: Any) -> Reader:
+    """A dataclass, or a function's keyword-only parameters, read from a dict
+    field by field; a missing field keeps its declared default or is refused."""
+    hints = get_type_hints(typ)
+    is_class = isinstance(typ, type)
+    fields = [(p.name, _reader(hints[p.name]), p.default is p.empty)
+              for p in inspect.signature(typ).parameters.values()
+              if is_class or p.kind is p.KEYWORD_ONLY]
+    make = typ if is_class else dict
+
+    def read_record(value: Any, path: str) -> Any:
+        _checked(value, dict, path)
+        kwargs = {}
+        for name, read_field, required in fields:
+            if name in value:
+                kwargs[name] = read_field(value[name], f"{path}.{name}")
+            elif required:
+                raise ConfigError(f"{path}.{name}", "missing required field")
+        return make(**kwargs)
+    return read_record
 
 
 def parse_config(data: dict, source: str = "config") -> TopologyConfig:
-    seed = _int(_require(data, "seed", source), f"{source}.seed")
-    providers = _get(data, "claims_providers", source, list, [])
+    config = read(TopologyConfig, data, source)
+    if not config.vasps:
+        raise ConfigError(f"{source}.vasps", "at least one VASP is required")
+    directories = {idp.domain.lower(): IdpDirectory(idp.domain, set(idp.directory))
+                   for idp in config.idps}
 
-    vasps = []
+    activities = {a.value for a in BusinessActivity}
     numbers: set[int] = set()
     claim_holders: dict[str, str] = {}  # customer id -> its config path
-    for path, v in _items(data, "vasps", source):
-        number = _natural(_require(v, "vasp_number", path), f"{path}.vasp_number")
+    for i, vasp in enumerate(config.vasps):
+        path = f"{source}.vasps[{i}]"
+        number = vasp.vasp_number
         if number in numbers:
             raise ConfigError(f"{path}.vasp_number", f"duplicate value {number}")
         if number >= SERVICE_NUMBER_BASE:
             raise ConfigError(f"{path}.vasp_number",
                               f"values >= {SERVICE_NUMBER_BASE} are reserved")
         numbers.add(number)
-        activity = _get(v, "regulated_business_activity", path, str, "Exchange")
-        if activity not in {a.value for a in BusinessActivity}:
+        if vasp.regulated_business_activity not in activities:
             raise ConfigError(f"{path}.regulated_business_activity",
-                              f"unknown activity {activity!r}")
-        customers = []
+                              f"unknown activity {vasp.regulated_business_activity!r}")
         seen_ids = set()
-        for customer_path, c in _items(v, "customers", path):
-            customer = _parse_customer(c, customer_path)
+        for j, customer in enumerate(vasp.customers):
+            customer_path = f"{path}.customers[{j}]"
+            # The reader parsed each identifier; only an IdP needs it again.
+            for k, ident in enumerate(customer.identifiers if directories else ()):
+                parsed = parse_identifier(ident)
+                directory = directories.get(parsed.domain_part.lower())
+                if parsed.kind is IdentifierKind.EMAIL and directory \
+                        and not directory.knows(parsed):
+                    raise ConfigError(f"{customer_path}.identifiers[{k}]",
+                                      f"unknown at IdP {directory.domain}")
             for k, claim in enumerate(customer.claims):
-                if claim.provider not in providers:
+                if claim.provider not in config.claims_providers:
                     raise ConfigError(
                         f"{customer_path}.claims[{k}].provider",
                         f"unknown claims provider {claim.provider!r}")
@@ -220,67 +255,22 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
                         f"already holds claims at {claim_holders[customer.id]}")
                 claim_holders[customer.id] = customer_path
             seen_ids.add(customer.id)
-            customers.append(customer)
-        vasp = VaspConfig(
-            vasp_number=number,
-            organization_name=_get(v, "organization_name", path, str),
-            alt_domain_names=[d for _, d in _items(
-                v, "alt_domain_names", path, str, required=True)],
-            incorporation_number_or_lei=_get(
-                v, "incorporation_number_or_lei", path, str, ""),
-            is_lei=bool(v.get("is_lei", False)),
-            place_of_business=_get(v, "place_of_business", path, str, ""),
-            jurisdiction=_get(v, "jurisdiction", path, str),
-            regulated_business_activity=activity,
-            policy_object_identifier=_get(v, "policy_object_identifier", path,
-                                          str, "1.3.6.1.4.1.0"),
-            customers=customers,
-            treasury=_natural(v.get("treasury", 1_000_000), f"{path}.treasury"))
-        problems = check_subject(vasp.subject())
-        if problems:
+        if problems := check_subject(vasp.subject()):
             raise ConfigError(path, "; ".join(problems))
-        vasps.append(vasp)
-    if not vasps:
-        raise ConfigError(f"{source}.vasps", "at least one VASP is required")
 
     graph: dict[int, list[int]] = {}
-    for key, neighbors in _get(data, "federation_graph", source, dict,
-                               {}).items():
-        path = f"{source}.federation_graph.{key}"
-        a = _int(key, path)
+    for a, neighbors in config.federation_graph.items():
+        path = f"{source}.federation_graph.{a}"
         if a not in numbers:
             raise ConfigError(path, "unknown vasp_number")
-        for b in _typed(neighbors, list, path):
-            b = _int(b, path)
-            if b not in numbers:
+        for b in neighbors:
+            if (b := read(int, b, path)) not in numbers:
                 raise ConfigError(path, f"unknown neighbor {b}")
-            if b == a:
-                continue
-            graph.setdefault(a, [])
-            graph.setdefault(b, [])
-            if b not in graph[a]:
-                graph[a].append(b)
-            if a not in graph[b]:
-                graph[b].append(a)
-
-    idps = []
-    for idp_path, d in _items(data, "idps", source):
-        idps.append(IdpConfig(
-            domain=_get(d, "domain", idp_path, str),
-            directory=[_identifier(ident, f"{idp_path}.directory[{k}]")
-                       for k, ident in enumerate(d.get("directory", []))]))
-
-    return TopologyConfig(
-        consortium=data.get("consortium", "vasp-consortium"),
-        seed=seed,
-        vasps=vasps,
-        idps=idps,
-        claims_providers=providers,
-        insurer=data.get("insurer"),
-        federation_graph=graph,
-        scenario_params={k: dict(_typed(v, dict, f"{source}.scenario_params.{k}"))
-                         for k, v in _get(data, "scenario_params", source, dict,
-                                          {}).items()})
+            for x, y in ((a, b), (b, a)):
+                if x != y and y not in graph.setdefault(x, []):
+                    graph[x].append(y)
+    config.federation_graph = graph
+    return config
 
 
 def load_config(path: str | Path) -> TopologyConfig:

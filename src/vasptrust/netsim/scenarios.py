@@ -7,8 +7,11 @@
   S4  wallet on-/off-boarding with attestation checkpoints and insurer audit
   S5  multi-match lookup: the transfer halts instead of guessing a VASP
 
-Each scenario appends terminal assertions to the trace. The one runner,
-run_scenario_with_world, is byte-reproducible for a fixed (name, config).
+Each scenario declares its parameters once, as keyword-only parameters with
+defaults, and appends terminal assertions to the trace. The one runner,
+run_scenario_with_world, reads them with ``config.read`` before it builds
+the world (a missing or wrong-typed one is a ConfigError naming, say,
+``scenario_params.S1.amount``); it is byte-reproducible per (name, config).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections import deque
 
 from .. import claims as claims_mod
 from .. import pki, wallet
-from ..config import TopologyConfig
+from ..config import Identifier, TopologyConfig, read
 from ..resolver import parse_identifier
 from ..travel_rule import ConsentDirection
 from .trace import ScenarioTrace
@@ -110,27 +113,32 @@ def converge_federation(world: World, max_rounds: int | None = None) -> int:
 # S1: end-to-end transfer
 # ---------------------------------------------------------------------------
 
-def scenario_s1(world: World, params: dict) -> None:
+def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
+                beneficiary_identifier: Identifier, beneficiary_name: str,
+                amount: int, grant_originator_consent: bool = True,
+                grant_beneficiary_consent: bool = True) -> None:
+    if amount <= 0:
+        raise ScenarioError(f"scenario parameter amount is {amount}; a "
+                            "transfer moves a positive amount")
     sim = world.sim
-    ovasp = _require_entity(world.vasps, int(params["originator_vasp"]), "VASP")
-    originator = params["originator_customer"]
-    _require_entity(ovasp.customers, originator, f"a customer of {ovasp.name}")
-    identifier = params["beneficiary_identifier"]
-    beneficiary_name = params["beneficiary_name"]
-    amount = int(params["amount"])
+    ovasp = _require_entity(world.vasps, originator_vasp, "VASP")
+    _require_entity(ovasp.customers, originator_customer,
+                    f"a customer of {ovasp.name}")
+    target = parse_identifier(beneficiary_identifier)
 
     converge_federation(world)
 
-    if params.get("grant_originator_consent", True):
-        ovasp.grant_consent(originator,
+    if grant_originator_consent:
+        ovasp.grant_consent(originator_customer,
                             ConsentDirection.SEND_INFO_TO_COUNTERPARTY, None)
 
-    hits = ovasp.local_lookup(parse_identifier(identifier))
+    hits = ovasp.local_lookup(target)
     world.assert_that("lookup_hit", len(hits) == 1, f"vasps={hits}")
     if len(hits) != 1:
         reason = "beneficiary_unknown" if not hits else "multiple_vasps"
         sim.emit(ovasp.name, "travel_rule.transfer_halted", {
-            "identifier": identifier, "reason": reason, "count": len(hits)})
+            "identifier": beneficiary_identifier, "reason": reason,
+            "count": len(hits)})
         for name in ("payload_outbound_complete", "payload_inbound_complete",
                      "consent_originator", "consent_beneficiary",
                      "ledger_confirmed", "correlation_recorded_once"):
@@ -138,15 +146,15 @@ def scenario_s1(world: World, params: dict) -> None:
         return
 
     bvasp = world.vasps[hits[0]]
-    if params.get("grant_beneficiary_consent", True):
-        beneficiary_ids = sorted(
-            bvasp.resolver.local_customers_for(parse_identifier(identifier)))
+    if grant_beneficiary_consent:
+        beneficiary_ids = sorted(bvasp.resolver.local_customers_for(target))
         bvasp.grant_consent(beneficiary_ids[0], ConsentDirection.RECEIVE_ASSETS,
                             ovasp.vasp_number)
 
     channel = world.channel_between(ovasp, bvasp)
-    payload = ovasp.initiate_transfer(channel, originator, beneficiary_name,
-                                      identifier, bvasp.vasp_number, amount)
+    payload = ovasp.initiate_transfer(
+        channel, originator_customer, beneficiary_name, beneficiary_identifier,
+        bvasp.vasp_number, amount)
     # Taken now: a refused transfer leaves the table. None when the
     # originator's consent is missing and nothing was sent.
     pending = ovasp.pending[payload.payload_id] if payload else None
@@ -165,11 +173,10 @@ def scenario_s1(world: World, params: dict) -> None:
                       f"validated_inbound={len(inbound)}")
     world.assert_that(
         "consent_originator",
-        ovasp.consents.check(originator,
+        ovasp.consents.check(originator_customer,
                              ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
                              bvasp.vasp_number, sim.now))
-    beneficiary_ids = sorted(
-        bvasp.resolver.local_customers_for(parse_identifier(identifier)))
+    beneficiary_ids = sorted(bvasp.resolver.local_customers_for(target))
     world.assert_that(
         "consent_beneficiary",
         bool(beneficiary_ids) and bvasp.consents.check(
@@ -197,28 +204,28 @@ def _require_entity(mapping: dict, key, what: str):
 # S2: claims gathering with consent receipt
 # ---------------------------------------------------------------------------
 
-def scenario_s2(world: World, params: dict) -> None:
+def scenario_s2(world: World, *, owner_customer: str, requesting_vasp: int,
+                attributes: list[str], purpose: str,
+                withdraw_before_fetch: bool = False) -> None:
     sim = world.sim
-    owner = params["owner_customer"]
-    vasp = _require_entity(world.vasps, int(params["requesting_vasp"]), "VASP")
-    attributes = tuple(params["attributes"])
-    purpose = params["purpose"]
+    vasp = _require_entity(world.vasps, requesting_vasp, "VASP")
 
-    store_node = _require_entity(world.stores, owner, "a claims store for")
-    server_node = _require_entity(world.auth_servers, owner,
+    store_node = _require_entity(world.stores, owner_customer,
+                                 "a claims store for")
+    server_node = _require_entity(world.auth_servers, owner_customer,
                                   "an authorization server for")
     policy = claims_mod.AccessPolicy(
-        owner_customer_ref=owner,
+        owner_customer_ref=owner_customer,
         allowed_vasp_numbers=frozenset({vasp.vasp_number}),
         readable_attributes=frozenset(attributes),
         usage_purpose=purpose)
-    store_node.store.set_policy(owner, policy, now=sim.now)
-    sim.emit(f"customer:{owner}", "claims.policy_set", {
+    store_node.store.set_policy(owner_customer, policy, now=sim.now)
+    sim.emit(f"customer:{owner_customer}", "claims.policy_set", {
         "store": store_node.name, "vasps": [vasp.vasp_number],
         "attrs": sorted(attributes), "purpose": purpose})
 
     auth_channel = world.channel_between(vasp, server_node)
-    vasp.request_claims_authorization(auth_channel, attributes, purpose)
+    vasp.request_claims_authorization(auth_channel, tuple(attributes), purpose)
     sim.run_until_quiet()
 
     token = vasp.claims_token
@@ -229,9 +236,9 @@ def scenario_s2(world: World, params: dict) -> None:
         token is not None
         and set(token.permitted_attributes) <= policy.readable_attributes)
 
-    if params.get("withdraw_before_fetch", False):
-        store_node.store.revoke_consent(owner, sim.now)
-        sim.emit(f"customer:{owner}", "claims.consent_revoked",
+    if withdraw_before_fetch:
+        store_node.store.revoke_consent(owner_customer, sim.now)
+        sim.emit(f"customer:{owner_customer}", "claims.consent_revoked",
                  {"store": store_node.name})
 
     store_channel = world.channel_between(vasp, store_node)
@@ -266,7 +273,7 @@ def scenario_s2(world: World, params: dict) -> None:
 # S3: federation convergence
 # ---------------------------------------------------------------------------
 
-def scenario_s3(world: World, params: dict) -> None:
+def scenario_s3(world: World) -> None:
     sim = world.sim
     diameter = graph_diameter(world.config.federation_graph)
     rounds = converge_federation(world, max_rounds=diameter)
@@ -304,10 +311,10 @@ def scenario_s3(world: World, params: dict) -> None:
 # S4: wallet boarding with attestation and insurer audit
 # ---------------------------------------------------------------------------
 
-def scenario_s4(world: World, params: dict) -> None:
+def scenario_s4(world: World, *, customer: str, vasp: int,
+                insurer_audit: bool = True, supervision_steps: int = 25) -> None:
     sim = world.sim
-    vasp = _require_entity(world.vasps, int(params["vasp"]), "VASP")
-    customer = params["customer"]
+    vasp = _require_entity(world.vasps, vasp, "VASP")
     device_id = f"wdev:{customer}@{vasp.vasp_number}"
     device = _require_entity(world.devices, device_id, "a wallet device")
 
@@ -323,14 +330,14 @@ def scenario_s4(world: World, params: dict) -> None:
         is wallet.WalletClass.REGULATED
         and before.classification is wallet.WalletClass.PRIVATE)
 
-    for _ in range(int(params.get("supervision_steps", 25))):
+    for _ in range(supervision_steps):
         sim.step()
     supervision = vasp.supervision[customer]
     world.assert_that("attestation_checkpoints_taken",
                       len(supervision.checkpoints) >= 3,
                       f"checkpoints={len(supervision.checkpoints)}")
 
-    if params.get("insurer_audit", True) and world.insurer is not None:
+    if insurer_audit and world.insurer is not None:
         channel = world.channel_between(world.insurer, vasp)
         world.insurer.request_audit(channel, device_id)
         sim.run_until_quiet()
@@ -357,19 +364,20 @@ def scenario_s4(world: World, params: dict) -> None:
 # S5: ambiguous lookup halts the transfer
 # ---------------------------------------------------------------------------
 
-def scenario_s5(world: World, params: dict) -> None:
+def scenario_s5(world: World, *, originator_vasp: int,
+                beneficiary_identifier: Identifier) -> None:
     sim = world.sim
-    ovasp = _require_entity(world.vasps, int(params["originator_vasp"]), "VASP")
-    identifier = params["beneficiary_identifier"]
+    ovasp = _require_entity(world.vasps, originator_vasp, "VASP")
+    target = parse_identifier(beneficiary_identifier)
 
     converge_federation(world)
     supply_before = world.ledger.total_supply()
     height_before = world.ledger.height
 
-    hits = ovasp.local_lookup(parse_identifier(identifier))
+    hits = ovasp.local_lookup(target)
     world.assert_that("multi_match_detected", len(hits) > 1, f"vasps={hits}")
     sim.emit(ovasp.name, "travel_rule.transfer_halted", {
-        "identifier": identifier, "reason": "multiple_vasps",
+        "identifier": beneficiary_identifier, "reason": "multiple_vasps",
         "count": len(hits), "vasps": hits})
     world.assert_that(
         "transfer_halted",
@@ -398,9 +406,9 @@ def run_scenario_with_world(name: str, config: TopologyConfig,
     if name not in SCENARIOS:
         raise UnknownScenario(
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
-    params = dict(config.scenario_params.get(name, {}))
-    if overrides:
-        params.update(overrides)
+    scenario = SCENARIOS[name]
+    params = read(scenario, {**config.scenario_params.get(name, {}),
+                             **(overrides or {})}, f"scenario_params.{name}")
     world = build_world(config, scenario=name)
-    SCENARIOS[name](world, params)
+    scenario(world, **params)
     return world.sim.trace, world

@@ -181,10 +181,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
 
     idp_directories: dict[str, IdpDirectory] = {}
     for idp in config.idps:
-        directory_obj = IdpDirectory(idp.domain, set())
-        for identifier in idp.directory:
-            directory_obj.add(identifier)
-        idp_directories[idp.domain.lower()] = directory_obj
+        idp_directories[idp.domain.lower()] = IdpDirectory(idp.domain,
+                                                           set(idp.directory))
         sim.register_actor(f"idp:{idp.domain.lower()}")
 
     vasps: dict[int, VaspNode] = {}

@@ -158,6 +158,28 @@ REFUSALS = {
     "scenario_params_entry": (
         lambda c: c["scenario_params"].update(S2="alice"),
         "config.scenario_params.S2"),
+    "consortium_type": (lambda c: c.update(consortium=5), "config.consortium"),
+    "seed_range": (lambda c: c.update(seed=2**130), "config.seed"),
+    "negative_seed_range": (lambda c: c.update(seed=-2**127 - 1),
+                            "config.seed"),
+    "is_lei_type": (lambda c: _vasp(c).update(is_lei="no"),
+                    "config.vasps[0].is_lei"),
+    "insurer_type": (lambda c: c.update(insurer=5), "config.insurer"),
+    "geographic_address_type": (
+        lambda c: _alice(c).update(geographic_address=5),
+        "config.vasps[0].customers[0].geographic_address"),
+    "national_id_type": (lambda c: _alice(c).update(national_id=["DE-1"]),
+                         "config.vasps[0].customers[0].national_id"),
+    "identifiers_type": (lambda c: _alice(c).update(identifiers=None),
+                         "config.vasps[0].customers[0].identifiers"),
+    "claim_value_type": (lambda c: _alice(c)["claims"][0].update(value=None),
+                         "config.vasps[0].customers[0].claims[0].value"),
+    "graph_infinite_neighbour": (
+        lambda c: c.update(federation_graph={"7": [float("inf")]}),
+        "config.federation_graph.7"),
+    "idp_unlisted_identifier": (
+        lambda c: _alice(c)["identifiers"].append("zed@idp1.com"),
+        "config.vasps[0].customers[0].identifiers[2]"),
 }
 
 
@@ -169,6 +191,51 @@ def test_config_refusal_names_its_path(edit, path):
     with pytest.raises(ConfigError) as refused:
         parse_config(config)
     assert refused.value.path == path
+
+
+def _nodes(value, path=()):
+    """The key path of every value inside a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path + (key,)
+        if isinstance(item, (dict, list)):
+            yield from _nodes(item, path + (key,))
+
+
+@pytest.mark.parametrize("where", list(_nodes(default_config())),
+                         ids=lambda where: ".".join(map(str, where)))
+def test_every_config_value_is_refused_or_builds(where):
+    # Whatever a value of the demo config is replaced by, parse_config
+    # refuses it with a ConfigError or returns a config that builds.
+    for value in (None, 5, -1, "x", [], {}, True):
+        config = default_config()
+        node = config
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        try:
+            parsed = parse_config(config)
+        except ConfigError:
+            continue
+        build_world(parsed, scenario="any")
+
+
+def test_unlisted_idp_identifier_is_config_error(tmp_path, capsys):
+    config = two_vasp_config()
+    _alice(config)["identifiers"].append("zed@idp1.com")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["init", "--config", str(path),
+                 "--workspace", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert "customers[0].identifiers[2]" in err and "idp1.com" in err
+
+
+def test_empty_wallet_has_default_balances():
+    config = default_config()
+    _alice(config)["wallet"] = {}
+    world = build_world(parse_config(config), scenario="S4")
+    assert "wdev:alice@7" in world.devices
 
 
 def test_zero_treasury_and_balances_are_allowed():
@@ -299,6 +366,68 @@ class TestRun:
         err = capsys.readouterr().err
         assert named in err and "does not configure" in err
         assert not (workspace / "traces" / f"{scenario}.trace").exists()
+
+    @pytest.mark.parametrize("scenario, override", [
+        ("S1", "originator_vasp=x"), ("S1", "originator_customer=5"),
+        ("S1", "beneficiary_identifier=5"), ("S1", "beneficiary_name=5"),
+        ("S1", "amount=abc"), ("S1", "amount=-5"),
+        ("S1", "grant_originator_consent=5"),
+        ("S1", "grant_beneficiary_consent=yes"),
+        ("S2", "owner_customer=5"), ("S2", "requesting_vasp=x"),
+        ("S2", "attributes=5"), ("S2", "attributes=[5]"), ("S2", "purpose=5"),
+        ("S2", "withdraw_before_fetch=1"),
+        ("S4", "customer=5"), ("S4", "vasp=x"), ("S4", "insurer_audit=5"),
+        ("S4", "supervision_steps=x"),
+        ("S5", "originator_vasp=x"), ("S5", "beneficiary_identifier=5"),
+    ])
+    def test_wrong_typed_scenario_param_exit_two(self, workspace, capsys,
+                                                 scenario, override):
+        assert main(["run", "--scenario", scenario,
+                     "--workspace", str(workspace),
+                     "--override", override]) == 2
+        key = override.partition("=")[0]
+        assert f"scenario_params.{scenario}.{key}" in capsys.readouterr().err
+        assert not (workspace / "traces" / f"{scenario}.trace").exists()
+
+    @pytest.mark.parametrize("scenario, key", [
+        ("S1", "originator_vasp"), ("S1", "originator_customer"),
+        ("S1", "beneficiary_identifier"), ("S1", "beneficiary_name"),
+        ("S1", "amount"),
+        ("S2", "owner_customer"), ("S2", "requesting_vasp"),
+        ("S2", "attributes"), ("S2", "purpose"),
+        ("S4", "customer"), ("S4", "vasp"),
+        ("S5", "originator_vasp"), ("S5", "beneficiary_identifier"),
+    ])
+    def test_missing_scenario_param_exit_two(self, workspace, capsys,
+                                             scenario, key):
+        config_path = workspace / "config.json"
+        config = json.loads(config_path.read_text())
+        del config["scenario_params"][scenario][key]
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--scenario", scenario,
+                     "--workspace", str(workspace)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario_params.{scenario}.{key}: missing" in err
+        assert not (workspace / "traces" / f"{scenario}.trace").exists()
+
+    @pytest.mark.parametrize("scenario, override, named", [
+        ("S1", "amount=0", "amount"),
+        ("S1", "beneficiary_identifier=nobody", "beneficiary_identifier"),
+        ("S5", "beneficiary_identifier=nobody", "beneficiary_identifier"),
+    ])
+    def test_unusable_scenario_param_exit_two(self, workspace, capsys,
+                                              scenario, override, named):
+        assert main(["run", "--scenario", scenario,
+                     "--workspace", str(workspace),
+                     "--override", override]) == 2
+        assert named in capsys.readouterr().err
+        assert not (workspace / "traces" / f"{scenario}.trace").exists()
+
+    def test_seed_override_out_of_range_exit_two(self, workspace, capsys):
+        assert main(["run", "--scenario", "S1", "--workspace", str(workspace),
+                     "--seed-override", str(2**127)]) == 2
+        assert "--seed-override" in capsys.readouterr().err
+        assert not (workspace / "traces" / "S1.trace").exists()
 
 
 class TestReport:
