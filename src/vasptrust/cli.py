@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -178,7 +179,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a parser holds reference cycles, so one
+    built per ``main`` call would be left for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="vtn",
         description="Deterministic VASP trust-network simulator")

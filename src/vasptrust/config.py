@@ -2,13 +2,15 @@
 
 Configs are JSON files with explicit keys, read by one reader (``read``,
 also used for scenario parameters) that takes each type and default from
-the dataclasses below. Integers must be non-negative, except ``seed``;
-unknown keys are ignored. ``parse_config`` then checks the rules across
-fields: unique VASP numbers, known activities, identifiers on an IdP's
-domain that its directory lists, known claims providers, one claims store
-per customer id, each VASP's certificate subject (``pki.check_subject``)
-and federation edges between configured VASPs. Problems are reported with
-their config path. All randomness in a run flows from ``seed``.
+the dataclasses below. An integer is a JSON integer or a string of decimal
+digits, never a bool or a float, and must be non-negative, except
+``seed``; unknown keys are ignored. ``parse_config`` then checks the rules
+across fields: unique VASP numbers, IdP domains (in any case) and claims
+providers, known activities, identifiers on an IdP's domain that its
+directory lists, known claims providers, one claims store per customer id,
+each VASP's certificate subject (``pki.check_subject``) and federation
+edges between configured VASPs. Problems are reported with their config
+path. All randomness in a run flows from ``seed``.
 """
 
 from __future__ import annotations
@@ -132,22 +134,34 @@ def _checked(value: Any, typ: type, path: str) -> Any:
     return value
 
 
+def _read_int(value: Any, path: str, expected: str) -> int:
+    """An int, or a string of ASCII digits with an optional minus sign (JSON
+    object keys are strings); a bool, a float or anything else is refused,
+    not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() \
+            and value.removeprefix("-").isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ConfigError(path, f"expected {expected}, got {value!r}")
+
+
 def _read_natural(value: Any, path: str) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, f"expected an integer, got {value!r}") from None
+    number = _read_int(value, path, "an integer")
     if number < 0:
         raise ConfigError(path, f"negative value {number}")
     return number
 
 
 def _read_seed(value: Any, path: str) -> int:
+    expected = "an integer in the signed 128-bit range"
     try:
-        crypto.seed_from_int(seed := int(value))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, "expected an integer in the signed 128-bit "
-                          f"range, got {value!r}") from None
+        crypto.seed_from_int(seed := _read_int(value, path, expected))
+    except OverflowError:
+        raise ConfigError(path, f"expected {expected}, got {value!r}") from None
     return seed
 
 
@@ -211,8 +225,17 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
     config = read(TopologyConfig, data, source)
     if not config.vasps:
         raise ConfigError(f"{source}.vasps", "at least one VASP is required")
-    directories = {idp.domain.lower(): IdpDirectory(idp.domain, set(idp.directory))
-                   for idp in config.idps}
+    directories: dict[str, IdpDirectory] = {}
+    for i, idp in enumerate(config.idps):
+        if idp.domain.lower() in directories:
+            raise ConfigError(f"{source}.idps[{i}].domain",
+                              f"duplicate IdP domain {idp.domain!r}")
+        directories[idp.domain.lower()] = IdpDirectory(idp.domain,
+                                                       set(idp.directory))
+    for i, name in enumerate(config.claims_providers):
+        if name in config.claims_providers[:i]:
+            raise ConfigError(f"{source}.claims_providers[{i}]",
+                              f"duplicate claims provider {name!r}")
 
     activities = {a.value for a in BusinessActivity}
     numbers: set[int] = set()
@@ -276,9 +299,13 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
 def load_config(path: str | Path) -> TopologyConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(str(path), "config file not found") from None
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}", f"invalid JSON: {exc.msg}") from None
     return parse_config(data, source=str(path))

@@ -8,11 +8,19 @@ duplicate and reorder faults are recovered through retransmission and
 per-direction sequence numbers, so handlers always observe messages once
 and in order. Every send is logged to the trace and to a wire log holding
 the canonical envelope bytes.
+
+The world owns its actors; the simulator only refers to them. A handler or
+tick hook that is a bound method is kept as a weak reference to its object
+plus the function itself, so nothing the simulator holds points back at
+the world, and a dropped world is freed at once by reference counting.
+Delivering to an actor whose object was freed raises ``NetsimError``.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .. import codec, crypto, pki
@@ -94,8 +102,27 @@ class FaultConfig:
     partitioned: bool = False
 
 
+def _referred(callback, what: str):
+    """``callback`` without a strong reference to its object, if it is a
+    bound method: the function stays held as it was looked up, so a method
+    swapped on the class later does not change it. Calling it once its
+    object is freed raises NetsimError naming ``what``."""
+    if not inspect.ismethod(callback):
+        return callback
+    ref, func = weakref.ref(callback.__self__), callback.__func__
+
+    def call(*args):
+        owner = ref()
+        if owner is None:
+            raise NetsimError(
+                f"the object of {what} ({func.__qualname__}) was freed")
+        return func(owner, *args)
+    return call
+
+
 class Simulation:
-    """Single logical event loop owning actors, channels and the trace."""
+    """Single logical event loop owning channels and the trace; it refers
+    to its actors' handlers and tick hooks without keeping them alive."""
 
     def __init__(self, seed: int, scenario: str = "adhoc",
                  faults: FaultConfig | None = None):
@@ -122,7 +149,7 @@ class Simulation:
             raise NetsimError(f"duplicate actor id {name!r}")
         self._actors.add(name)
         if handler is not None:
-            self._handlers[name] = handler
+            self._handlers[name] = _referred(handler, f"actor {name!r}")
 
     def emit(self, actor: str, event: str, fields: dict | None = None, *,
              payload=None) -> TraceEvent:
@@ -144,7 +171,7 @@ class Simulation:
         return self.rng.getrandbits(256).to_bytes(32, "big")
 
     def add_tick_hook(self, hook) -> None:
-        self._tick_hooks.append(hook)
+        self._tick_hooks.append(_referred(hook, "a tick hook"))
 
     # -- channels ---------------------------------------------------------------
 

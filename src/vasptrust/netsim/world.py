@@ -30,6 +30,10 @@ CHECKPOINT_INTERVAL = 10  # attestation checkpoint every N ticks
 
 @dataclass
 class World:
+    """A built world. It and whoever built its nodes own them; its
+    simulator only refers to their handlers and to ``_on_tick``, so the
+    world holds no reference cycle and is freed as soon as it is dropped."""
+
     config: TopologyConfig
     sim: Simulation
     root: pki.RootAuthority
@@ -71,6 +75,12 @@ class World:
 
     def assert_that(self, name: str, passed: bool, note: str = "") -> bool:
         return self.sim.assert_that(name, passed, note)
+
+    def _on_tick(self, now: int) -> None:
+        if now % CHECKPOINT_INTERVAL == 0:
+            for number in sorted(self.vasps):
+                if self.vasps[number].supervision:
+                    self.vasps[number].take_checkpoints(now)
 
 
 def _default_stack(master: bytes) -> list[tuple[str, bytes]]:
@@ -263,12 +273,5 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         config=config, sim=sim, root=root, ledger=ledger, registry=registry,
         trust=trust, vasps=vasps, stores=stores, auth_servers=auth_servers,
         insurer=insurer, devices=devices, customer_keys=customer_keys)
-
-    def checkpoint_hook(now: int) -> None:
-        if now % CHECKPOINT_INTERVAL == 0:
-            for number in sorted(vasps):
-                if vasps[number].supervision:
-                    vasps[number].take_checkpoints(now)
-
-    sim.add_tick_hook(checkpoint_hook)
+    sim.add_tick_hook(world._on_tick)
     return world

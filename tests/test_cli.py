@@ -180,6 +180,27 @@ REFUSALS = {
     "idp_unlisted_identifier": (
         lambda c: _alice(c)["identifiers"].append("zed@idp1.com"),
         "config.vasps[0].customers[0].identifiers[2]"),
+    "duplicate_idp_domain": (
+        lambda c: c["idps"].append({"domain": "IDP1.com", "directory": []}),
+        "config.idps[2].domain"),
+    "duplicate_claims_provider": (
+        lambda c: c.update(claims_providers=["dmv", "dmv"]),
+        "config.claims_providers[1]"),
+    "float_treasury": (lambda c: _vasp(c).update(treasury=12.9),
+                       "config.vasps[0].treasury"),
+    "bool_vasp_number": (lambda c: _vasp(c).update(vasp_number=True),
+                         "config.vasps[0].vasp_number"),
+    "float_wallet_balance": (
+        lambda c: _alice(c)["wallet"].update(initial_balance=1.0),
+        "config.vasps[0].customers[0].wallet.initial_balance"),
+    "float_seed": (lambda c: c.update(seed=42.5), "config.seed"),
+    "bool_seed": (lambda c: c.update(seed=False), "config.seed"),
+    "float_graph_neighbour": (
+        lambda c: c.update(federation_graph={"7": [9.0]}),
+        "config.federation_graph.7"),
+    "graph_key_not_decimal": (
+        lambda c: c.update(federation_graph={" 0_7": [9]}),
+        "config.federation_graph. 0_7"),
 }
 
 
@@ -256,6 +277,32 @@ def test_load_config_refusal_names_its_path(tmp_path, text, where):
     with pytest.raises(ConfigError) as refused:
         load_config(path)
     assert refused.value.path == f"{path}{where}"
+
+
+def test_decimal_strings_read_as_integers():
+    # JSON object keys are strings, so a federation_graph key is read from
+    # one; any integer field reads a decimal string the same way.
+    config = default_config()
+    _vasp(config).update(treasury="12")
+    config["seed"] = "-3"
+    parsed = parse_config(config)
+    assert parsed.vasps[0].treasury == 12 and parsed.seed == -3
+    assert parsed.neighbors(7) == [9]
+
+
+def test_unreadable_config_file_is_config_error(tmp_path, capsys):
+    directory = tmp_path / "topology.d"
+    directory.mkdir()
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(bytes([0xFF, 0xFE, 0x7B]))
+    for path in (directory, not_utf8):
+        with pytest.raises(ConfigError) as refused:
+            load_config(path)
+        assert refused.value.path == str(path)
+        assert main(["init", "--config", str(path),
+                     "--workspace", str(tmp_path / "w")]) == 2
+        assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 class TestInit:
@@ -370,7 +417,8 @@ class TestRun:
     @pytest.mark.parametrize("scenario, override", [
         ("S1", "originator_vasp=x"), ("S1", "originator_customer=5"),
         ("S1", "beneficiary_identifier=5"), ("S1", "beneficiary_name=5"),
-        ("S1", "amount=abc"), ("S1", "amount=-5"),
+        ("S1", "amount=abc"), ("S1", "amount=-5"), ("S1", "amount=2.9"),
+        ("S1", "amount=true"), ("S4", "supervision_steps=2.5"),
         ("S1", "grant_originator_consent=5"),
         ("S1", "grant_beneficiary_consent=yes"),
         ("S2", "owner_customer=5"), ("S2", "requesting_vasp=x"),

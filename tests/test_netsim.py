@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import json
 
 import pytest
 
 from conftest import make_subject, seed, trust_context, wire_envelopes
-from vasptrust import codec, crypto, pki
+from test_scenarios import line_config, transfer, transfer_world
+from vasptrust import cli, codec, crypto, pki
+from vasptrust.config import default_config
 from vasptrust.netsim import (ChannelClosed, FaultConfig, PeerCertInvalid,
-                              Simulation)
+                              Simulation, build_world)
 from vasptrust.netsim.messages import LookupRequest
 from vasptrust.netsim.nodes import Node
-from vasptrust.netsim.scenarios import run_scenario_with_world
-from vasptrust.netsim.sim import Envelope
+from vasptrust.netsim.scenarios import (converge_federation,
+                                        run_scenario_with_world)
+from vasptrust.netsim.sim import Envelope, NetsimError
 
 
 class Recorder(Node):
@@ -261,3 +266,95 @@ def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
                                 ("seq", env.seq))
         assert event.digest == \
             crypto.digest(codec.canonical_encode(env.body))[:8].hex()
+
+
+# ---------------------------------------------------------------------------
+# The world owns its actors; the simulator only refers to them
+# ---------------------------------------------------------------------------
+
+def test_delivery_to_a_freed_actor_names_it(root):
+    sim = Simulation(seed=14)
+    a, b = make_pair(sim, root)
+    channel = sim.establish_channel(a, b, trust_context(root))
+    sim.send(channel, a.name, LookupRequest(1, "x@mesh.test"))
+    del b  # its handler was the only other reference
+    with pytest.raises(NetsimError, match="actor 'rec:1'"):
+        sim.step()
+
+
+def test_plain_function_handler_and_tick_hook_are_kept(root):
+    sim = Simulation(seed=15)
+    a = make_pair(sim, root)[0]
+    key = crypto.generate_keypair(seed("plain-function-actor"))
+    plain = Node("plain", root.issue_identity_cert(
+        make_subject(510), key.public_key, 0, 10_000), key)
+    delivered, ticks = [], []
+
+    def handler(channel, envelope):
+        delivered.append(envelope.body)
+
+    def hook(now):
+        ticks.append(now)
+
+    sim.register_actor(plain.name, handler)
+    sim.add_tick_hook(hook)
+    del handler, hook
+    gc.collect()
+    channel = sim.establish_channel(a, plain, trust_context(root))
+    body = LookupRequest(1, "x@mesh.test")
+    sim.send(channel, a.name, body)
+    sim.step()
+    assert delivered == [body] and ticks == [1]
+
+
+@pytest.fixture
+def no_gc():
+    """The cyclic collector off for the test: whatever a dropped world
+    leaves behind stays until the test's own gc.collect()."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("S1", None), ("S2", None), ("S3", None), ("S4", None), ("S5", None),
+    ("S2", {"withdraw_before_fetch": True})])
+def test_dropped_scenario_world_is_freed(demo_config, no_gc, scenario,
+                                         overrides):
+    trace, world = run_scenario_with_world(scenario, demo_config, overrides)
+    assert trace.assertions
+    del trace, world
+    assert gc.collect() == 0
+
+
+def test_dropped_federation_world_is_freed(no_gc):
+    world = build_world(line_config(6, ring=True, chord=2))
+    assert converge_federation(world) > 0
+    del world
+    assert gc.collect() == 0
+
+
+def test_dropped_transfer_world_is_freed(demo_config, no_gc):
+    world = transfer_world(demo_config)
+    for i in range(1, 51):
+        transfer(world, i)
+        if i % 5 == 0:
+            world.confirm_block()
+            assert len(world.vasps[7].correlate_pending()) == 5
+    assert world.ledger.height == 10
+    del world
+    assert gc.collect() == 0
+
+
+def test_cli_run_leaves_no_cyclic_garbage(tmp_path, no_gc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(default_config()))
+    workspace = str(tmp_path / "ws")
+    assert cli.main(["init", "--config", str(config),
+                     "--workspace", workspace]) == 0
+    gc.collect()
+    assert cli.main(["run", "--scenario", "S4", "--workspace", workspace]) == 0
+    assert gc.collect() == 0
