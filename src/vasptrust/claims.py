@@ -19,15 +19,16 @@ their signed content, checked with their signature by one function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from . import codec, crypto, pki
+from .pki import Refusal
 
 TOKEN_LIFETIME = 300  # simulated seconds; short so expiry paths get exercised
 
 
 class ClaimsError(Exception):
-    pass
+    """A refused claims operation; each error ``ClaimsStore.fetch_claims``
+    raises names its ``pki.Refusal`` as ``refusal``."""
 
 
 class NotOwner(ClaimsError):
@@ -35,15 +36,15 @@ class NotOwner(ClaimsError):
 
 
 class TokenExpired(ClaimsError):
-    pass
+    refusal = Refusal.TOKEN_EXPIRED
 
 
 class ConsentWithdrawn(ClaimsError):
-    pass
+    refusal = Refusal.CONSENT_WITHDRAWN
 
 
 class BadToken(ClaimsError):
-    pass
+    refusal = Refusal.BAD_TOKEN
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,6 @@ class AccessPolicy:
     readable_attributes: frozenset[str]
     usage_purpose: str
     active: bool = True
-
-
-class DenialReason(Enum):
-    NOT_ALLOWED = "NotAllowed"
-    SCOPE_EXCEEDED = "ScopeExceeded"
-    PURPOSE_MISMATCH = "PurposeMismatch"
-    POLICY_INACTIVE = "PolicyInactive"
-    INVALID_CALLER = "invalid_caller"  # requester certificate not VALID
 
 
 @dataclass(frozen=True)
@@ -224,7 +217,7 @@ class ClaimsStore:
             raise TokenExpired(f"token expired at {token.expires_at}")
         if self._policy is None or not self._policy.active:
             self._audit.append(AuditEntry(now, "fetch_refused",
-                                          (("reason", "consent withdrawn"),)))
+                                          (("reason", Refusal.CONSENT_WITHDRAWN),)))
             raise ConsentWithdrawn("owner has withdrawn access consent")
 
         permitted = set(token.permitted_attributes)
@@ -278,22 +271,22 @@ class AuthorizationServer:
     def request_authorization(self, requester_cert: pki.EvIdentityCertificate,
                               attributes: set[str], purpose: str,
                               trust: pki.TrustContext
-                              ) -> AuthorizationToken | DenialReason:
+                              ) -> AuthorizationToken | Refusal:
         """A token issued at the trust context's tick, or why none is."""
         if trust.validate(requester_cert) is not pki.Verdict.VALID:
-            return DenialReason.INVALID_CALLER
+            return Refusal.INVALID_CALLER
         if self._store is None:
             raise ClaimsError("no claims store bound to this server")
         policy = self._store.policy
         if policy is None or not policy.active:
-            return DenialReason.POLICY_INACTIVE
+            return Refusal.POLICY_INACTIVE
         vasp_number = requester_cert.subject.vasp_number
         if vasp_number not in policy.allowed_vasp_numbers:
-            return DenialReason.NOT_ALLOWED
+            return Refusal.NOT_ALLOWED
         if not attributes <= policy.readable_attributes:
-            return DenialReason.SCOPE_EXCEEDED
+            return Refusal.SCOPE_EXCEEDED
         if purpose != policy.usage_purpose:
-            return DenialReason.PURPOSE_MISMATCH
+            return Refusal.PURPOSE_MISMATCH
         now = trust.clock()
         unsigned = AuthorizationToken(
             token_id=b"",

@@ -7,9 +7,12 @@
 
 The workspace defaults to $VTN_WORKSPACE. Every behavior here is a thin
 shell over the library; identical library calls produce identical results.
+``vtn report`` counts events per kind and refusals per ``pki.Refusal``,
+read from the ``reason=`` fields of the workspace's traces.
 Exit codes: 0 success / all assertions passed, 1 scenario assertion failed,
 2 configuration or usage error, which covers every refused config value,
-seed override and scenario parameter; no trace is written then.
+seed override and scenario parameter, and a configured name the trace
+cannot hold as one field (``UnrenderableField``); no trace is written then.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import pki, travel_rule
@@ -27,7 +31,7 @@ from .config import (ConfigError, Seed, TopologyConfig, config_to_dict,
                      load_config, read)
 from .netsim import run_scenario_with_world
 from .netsim.scenarios import ScenarioError
-from .netsim.trace import parse_trace_text
+from .netsim.trace import UnrenderableField, parse_trace_text
 from .netsim.world import build_world
 
 EXIT_OK = 0
@@ -158,6 +162,7 @@ def cmd_report(args) -> int:
     }
     rows = []
     totals = {key: 0 for key in counted_events}
+    reasons = Counter()
     for path in trace_files:
         try:
             trace = parse_trace_text(path.read_text())
@@ -169,6 +174,7 @@ def cmd_report(args) -> int:
                      len(trace.assertions)))
         for key, event in counted_events.items():
             totals[key] += len(trace.find(event))
+        reasons.update(e.get("reason") for e in trace.events)
 
     print(f"{'scenario':<10} {'result':<7} {'events':>7} {'assertions':>11}")
     for scenario, result, events, ok, total in rows:
@@ -176,6 +182,10 @@ def cmd_report(args) -> int:
     print()
     for key in sorted(counted_events):
         print(f"{key}: {totals[key]}")
+    print("\nrefusals:")
+    for refusal in pki.Refusal:
+        if reasons[refusal.value]:
+            print(f"{refusal.value} {reasons[refusal.value]}")
     return EXIT_OK
 
 
@@ -216,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError) as exc:
+    except (ConfigError, ScenarioError, UnrenderableField) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -1,7 +1,11 @@
 """Protocol message bodies carried over authenticated channels.
 
 Every body is a frozen dataclass with a canonical encoding; the envelope
-body field is the tagged union of all of them.
+body field is the tagged union of all of them. An answer says why it
+refuses with a ``pki.Refusal`` and nothing else, and ``canonical_decode``
+refuses anything but a member's name there, so no peer text reaches the
+receiver's trace; the trace's rendering rule (``netsim.trace``) keeps its
+parsing exact. An answer whose ``refusal`` is None is not refused.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..claims import AuthorizationToken, ConsentReceipt, SignedClaim
+from ..pki import Refusal
 from ..resolver import IdentifierAdvertisement
 from ..travel_rule import SignedPayload
 from ..wallet import AttestationEvidence
@@ -23,8 +28,7 @@ class TravelRuleRequest:
 @dataclass(frozen=True)
 class TravelRuleResponse:
     ack_payload_id: bytes
-    accepted: bool
-    reason: str
+    refusal: Refusal | None
     signed: SignedPayload | None
 
 
@@ -39,7 +43,7 @@ class LookupResponse:
     # Numbers only: the shape of this message cannot carry key material.
     request_seq: int
     vasp_numbers: tuple[int, ...]
-    error: str
+    refusal: Refusal | None
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class ClaimsAuthRequest:
 @dataclass(frozen=True)
 class ClaimsAuthResponse:
     token: AuthorizationToken | None
-    denial_reason: str
+    refusal: Refusal | None
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ class ClaimsFetchRequest:
 class ClaimsFetchResponse:
     claims: tuple[SignedClaim, ...]
     receipt: ConsentReceipt | None
-    error: str
+    refusal: Refusal | None
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class AttestationChallenge:
 class AttestationResponse:
     device_id: str
     evidence: AttestationEvidence | None
-    error: str
+    refusal: Refusal | None
 
 
 MessageBody = Union[

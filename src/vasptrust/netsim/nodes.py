@@ -3,7 +3,10 @@
 Each node owns its state and mutates it only from its message handler or
 its own public methods; there is no shared mutable state between nodes.
 Nodes that terminate channels carry an EV identity certificate and prove
-possession of its key during channel establishment.
+possession of its key during channel establishment. ``Node.handle``
+looks a delivered body's type up in the class's ``HANDLERS``. A refusal
+names a ``pki.Refusal``; one a peer sends is recorded as
+``reason=peer_refused`` with the peer's member as ``peer_reason``.
 
 A VASP's ``pending`` table holds only its open transfers; a settled one
 stays on record in its payload and correlation stores and the trace.
@@ -11,14 +14,16 @@ stays on record in its payload and correlation stores and the trace.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .. import claims as claims_mod
 from .. import crypto, pki, travel_rule, wallet
 from ..ledger import InsufficientFunds, Ledger, make_transfer
+from ..pki import Refusal
 from ..resolver import (CustomerIdentifier, IdentifierAdvertisement,
                         IdpDirectory, MergeOutcome, ResolverService,
-                        Unauthorized, parse_identifier)
+                        Unauthorized, Unparseable, parse_identifier)
 from ..travel_rule import (ConsentDirection, ConsentStore, CorrelationStore,
                            CustomerRecord, SignedPayload, TravelRulePayload)
 from . import messages as msg
@@ -28,6 +33,9 @@ from .sim import Envelope, SecureChannel, Simulation
 class Node:
     """Channel-capable actor bound to an EV identity certificate."""
 
+    # Body type -> the method that handles it, per class.
+    HANDLERS: dict[type, Callable[..., None]] = {}
+
     def __init__(self, name: str, identity_cert: pki.EvIdentityCertificate,
                  identity_key: crypto.KeyPair):
         self.name = name
@@ -36,6 +44,24 @@ class Node:
 
     def prove_possession(self, challenge: bytes) -> bytes:
         return crypto.sign(self._identity_key.private_key, challenge)
+
+    def handle(self, channel: SecureChannel, env: Envelope) -> None:
+        handler = self.HANDLERS.get(type(env.body))
+        if handler is None:
+            self._refused("netsim.refused", {"msg": type(env.body).__name__,
+                                             "from": env.sender},
+                          Refusal.UNEXPECTED_MESSAGE)
+        else:
+            handler(self, channel, env)
+
+    def _refused(self, event: str, fields: dict, reason: Refusal, *,
+                 by_peer: bool = False) -> None:
+        """Emit ``event``: ``fields``, then ``reason``, or, when a peer
+        refused, ``peer_refused`` and then the peer's ``reason``."""
+        fields["reason"] = (Refusal.PEER_REFUSED if by_peer else reason).value
+        if by_peer:
+            fields["peer_reason"] = reason.value
+        self.sim.emit(self.name, event, fields)
 
 
 def _sender_number(channel: SecureChannel, env: Envelope) -> int:
@@ -102,7 +128,8 @@ class VaspNode(Node):
         self.pending: dict[bytes, PendingTransfer] = {}
         self.remote_lookups: list[msg.LookupResponse] = []
         self.claims_token: claims_mod.AuthorizationToken | None = None
-        self.claims_denial: str = ""
+        self.claims_denial: Refusal | None = None
+        self._claims_asked: dict[int, msg.ClaimsAuthRequest] = {}  # by channel
         self.fetched_claims: list[claims_mod.SignedClaim] = []
         self.consent_receipts: list[claims_mod.ConsentReceipt] = []
 
@@ -203,6 +230,10 @@ class VaspNode(Node):
                 self.sim.send(channel, self.name,
                               msg.AdvertisementFlood(tuple(advs)))
 
+    def _on_advertisement_flood(self, channel: SecureChannel, env: Envelope) -> None:
+        for adv in env.body.advertisements:
+            self._merge_advertisement(channel, adv)
+
     def _merge_advertisement(self, channel: SecureChannel, adv) -> None:
         outcome = self.resolver.merge_advertisement(adv, self.trust)
         pending = self._outbox.get(adv.vasp_number)
@@ -232,8 +263,7 @@ class VaspNode(Node):
         if not self.consents.check(originator_id,
                                    ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
                                    beneficiary_vasp, self.sim.now):
-            self._transfer_refused(payload.payload_id,
-                                   "originator_consent_missing")
+            self._refuse(payload.payload_id, Refusal.ORIGINATOR_CONSENT_MISSING)
             return None
         signed = self._sign_outbound(payload)
         # A repeated payload id replaces its open entry, never correlated.
@@ -257,14 +287,19 @@ class VaspNode(Node):
         pending.state = state
         del self.pending[pending.payload.payload_id]
 
-    def _transfer_refused(self, payload_id: bytes, reason: str) -> None:
-        self.sim.emit(self.name, "travel_rule.transfer_refused",
-                      {"payload": payload_id.hex()[:16], "reason": reason})
-
-    def _refuse(self, pending: PendingTransfer, reason: str) -> None:
-        """End an open transfer as ``refused``, with its refusal event."""
-        self._settle(pending, "refused")
-        self._transfer_refused(pending.payload.payload_id, reason)
+    def _refuse(self, payload_id: bytes, reason: Refusal,
+                pending: PendingTransfer | None = None, *,
+                answer: SecureChannel | None = None,
+                by_peer: bool = False) -> None:
+        """Emit the refusal of transfer ``payload_id``, after ending an open
+        ``pending`` entry ``refused``, before answering over ``answer``."""
+        if pending is not None:
+            self._settle(pending, "refused")
+        self._refused("travel_rule.transfer_refused",
+                      {"payload": payload_id.hex()[:16]}, reason, by_peer=by_peer)
+        if answer is not None:
+            self.sim.send(answer, self.name,
+                          msg.TravelRuleResponse(payload_id, reason, None))
 
     def _verify_counterparty_payload(self, signed: SignedPayload,
                                      signer: int) -> bool:
@@ -279,35 +314,30 @@ class VaspNode(Node):
     def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
         signed: SignedPayload = env.body.signed
         payload = signed.payload
-
-        def refuse(reason: str) -> None:
-            self._transfer_refused(payload.payload_id, reason)
-            self.sim.send(channel, self.name, msg.TravelRuleResponse(
-                payload.payload_id, False, reason, None))
-
+        pid = payload.payload_id
         # The signer is the originator the payload names; that originator
         # is the channel peer, and the payload is addressed to us.
         if not self._verify_counterparty_payload(
                 signed, payload.originating_vasp_number):
-            refuse("invalid_payload")
+            self._refuse(pid, Refusal.INVALID_PAYLOAD, answer=channel)
             return
         if (payload.originating_vasp_number
                 != _sender_number(channel, env)
                 or payload.beneficiary_vasp_number != self.vasp_number):
-            refuse("misaddressed_payload")
+            self._refuse(pid, Refusal.MISADDRESSED_PAYLOAD, answer=channel)
             return
         try:
             ident = parse_identifier(payload.beneficiary_account)
-        except Exception:
-            refuse("unparseable_beneficiary")
+        except Unparseable:
+            self._refuse(pid, Refusal.UNPARSEABLE_BENEFICIARY, answer=channel)
             return
         holders = sorted(self.resolver.local_customers_for(ident))
         if not holders:
-            refuse("beneficiary_unknown")
+            self._refuse(pid, Refusal.BENEFICIARY_UNKNOWN, answer=channel)
             return
         beneficiary = self.customers[holders[0]]
         if beneficiary.legal_name != payload.beneficiary_name:
-            refuse("beneficiary_name_mismatch")
+            self._refuse(pid, Refusal.BENEFICIARY_NAME_MISMATCH, answer=channel)
             return
         consent = self.consents.check(beneficiary.customer_id,
                                       ConsentDirection.RECEIVE_ASSETS,
@@ -316,13 +346,13 @@ class VaspNode(Node):
             "customer": beneficiary.customer_id,
             "direction": ConsentDirection.RECEIVE_ASSETS.value, "ok": consent})
         if not consent:
-            refuse("beneficiary_consent_missing")
+            self._refuse(pid, Refusal.BENEFICIARY_CONSENT_MISSING, answer=channel)
             return
         self.payload_store.append(("inbound", signed))
         answer = self._sign_outbound(travel_rule.answer_payload(
             payload, beneficiary, self.tx_key.public_key))
-        self.sim.send(channel, self.name, msg.TravelRuleResponse(
-            payload.payload_id, True, "", answer))
+        self.sim.send(channel, self.name,
+                      msg.TravelRuleResponse(pid, None, answer))
 
     def _on_travel_rule_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.TravelRuleResponse = env.body
@@ -330,20 +360,22 @@ class VaspNode(Node):
         if pending is None or pending.state != "requested":
             return  # not ours, or already answered
         asked = pending.payload.beneficiary_vasp_number
+        pid = body.ack_payload_id
         if _sender_number(channel, env) != asked:
             # Not an answer from the VASP asked: the transfer stays open.
-            self._transfer_refused(body.ack_payload_id, "misaddressed_payload")
+            self._refuse(pid, Refusal.MISADDRESSED_PAYLOAD)
             return
-        if not body.accepted or body.signed is None:
-            self._refuse(pending, body.reason)
+        if body.refusal is not None:
+            self._refuse(pid, body.refusal, pending, by_peer=True)
             return
-        if not self._verify_counterparty_payload(body.signed, asked):
-            self._refuse(pending, "invalid_payload")
+        if body.signed is None \
+                or not self._verify_counterparty_payload(body.signed, asked):
+            self._refuse(pid, Refusal.INVALID_PAYLOAD, pending)
             return
         answer = body.signed.payload
         if (answer.beneficiary_vasp_number != asked
                 or answer.originating_vasp_number != self.vasp_number):
-            self._refuse(pending, "misaddressed_payload")
+            self._refuse(pid, Refusal.MISADDRESSED_PAYLOAD, pending)
             return
         self.payload_store.append(("inbound", body.signed))
 
@@ -356,17 +388,17 @@ class VaspNode(Node):
             "direction": ConsentDirection.SEND_INFO_TO_COUNTERPARTY.value,
             "ok": originator_consent})
         self.sim.emit(self.name, "travel_rule.transfer_gate", {
-            "payload": body.ack_payload_id.hex()[:16],
+            "payload": pid.hex()[:16],
             "consent_originator": originator_consent,
             "beneficiary_accepted": True})
         if not originator_consent:
-            self._refuse(pending, "originator_consent_missing")
+            self._refuse(pid, Refusal.ORIGINATOR_CONSENT_MISSING, pending)
             return
         # Pay only a transaction key whose certificate is valid now.
         beneficiary = self.trust.members[asked]
         if self.trust.validate(beneficiary.transaction,
                                beneficiary.identity) is not pki.Verdict.VALID:
-            self._refuse(pending, "beneficiary_tx_cert_invalid")
+            self._refuse(pid, Refusal.BENEFICIARY_TX_CERT_INVALID, pending)
             return
 
         tx = make_transfer(
@@ -375,11 +407,11 @@ class VaspNode(Node):
                       pending.payload.amount)],
             signers={self.tx_key.public_key:
                      lambda m: crypto.sign(self.tx_key.private_key, m)},
-            memo_tag=pending.payload.payload_id)
+            memo_tag=pid)
         try:
             self.ledger.submit_transfer(tx)
         except InsufficientFunds:
-            self._refuse(pending, "insufficient_funds")
+            self._refuse(pid, Refusal.INSUFFICIENT_FUNDS, pending)
             return
         pending.tx_id = tx.tx_id
         pending.submitted_height = self.ledger.height
@@ -420,25 +452,39 @@ class VaspNode(Node):
     def _on_lookup_request(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.LookupRequest = env.body
         self._purge_revoked()
+        hits, refusal = [], None
         try:
             hits = self.resolver.lookup(parse_identifier(body.identifier),
                                         channel.peer_cert(env.sender),
                                         self.trust)
-            response = msg.LookupResponse(body.request_seq, tuple(hits), "")
-        except Unauthorized as exc:
-            response = msg.LookupResponse(body.request_seq, (), str(exc))
-        self.sim.emit(self.name, "resolver.remote_lookup", {
-            "caller": env.sender, "vasps": list(response.vasp_numbers),
-            "error": response.error or "-"})
-        self.sim.send(channel, self.name, response)
+        except Unparseable:
+            refusal = Refusal.UNPARSEABLE_IDENTIFIER
+        except Unauthorized:
+            refusal = Refusal.INVALID_CALLER
+        if refusal is None:
+            self.sim.emit(self.name, "resolver.remote_lookup", {
+                "caller": env.sender, "vasps": hits, "error": "-"})
+        else:
+            self._refused("resolver.remote_lookup",
+                          {"caller": env.sender, "vasps": hits}, refusal)
+        self.sim.send(channel, self.name,
+                      msg.LookupResponse(body.request_seq, tuple(hits), refusal))
+
+    def _on_lookup_response(self, channel: SecureChannel, env: Envelope) -> None:
+        if env.body.refusal is not None:
+            self._refused("resolver.lookup_refused", {"from": env.sender},
+                          env.body.refusal, by_peer=True)
+        self.remote_lookups.append(env.body)
 
     # -- claims gathering -------------------------------------------------------------
 
     def request_claims_authorization(self, channel: SecureChannel,
                                      attributes: tuple[str, ...],
                                      purpose: str) -> None:
-        self.sim.send(channel, self.name,
-                      msg.ClaimsAuthRequest(attributes, purpose))
+        """Ask for a token; only one scoped as asked is taken."""
+        request = msg.ClaimsAuthRequest(attributes, purpose)
+        self._claims_asked[channel.id] = request
+        self.sim.send(channel, self.name, request)
 
     def fetch_claims(self, channel: SecureChannel) -> None:
         token = self.claims_token
@@ -453,21 +499,26 @@ class VaspNode(Node):
 
     def _on_claims_auth_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.ClaimsAuthResponse = env.body
-        if body.token is not None:
-            self.claims_token = body.token
-            self.sim.emit(self.name, "claims.token_received", {
-                "token": body.token.token_id.hex()[:16],
-                "attrs": list(body.token.permitted_attributes)}, payload=body.token)
+        asked = self._claims_asked.pop(channel.id, None)
+        token = body.token
+        if body.refusal is not None:
+            self.claims_denial = body.refusal
+            self._refused("claims.token_denied", {}, body.refusal, by_peer=True)
+        elif (token is None or asked is None
+              or token.audience_vasp_number != self.vasp_number
+              or token.purpose != asked.purpose
+              or set(token.permitted_attributes) != set(asked.attributes)):
+            self._refused("claims.token_refused", {}, Refusal.TOKEN_SCOPE_MISMATCH)
         else:
-            self.claims_denial = body.denial_reason
-            self.sim.emit(self.name, "claims.token_denied",
-                          {"reason": body.denial_reason})
+            self.claims_token = token
+            self.sim.emit(self.name, "claims.token_received", {
+                "token": token.token_id.hex()[:16],
+                "attrs": list(token.permitted_attributes)}, payload=token)
 
     def _on_claims_fetch_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.ClaimsFetchResponse = env.body
-        if body.error:
-            self.sim.emit(self.name, "claims.fetch_refused",
-                          {"reason": body.error})
+        if body.refusal is not None:
+            self._refused("claims.fetch_refused", {}, body.refusal, by_peer=True)
             return
         verified = sum(claims_mod.verify_claim(
             c, self.trust.provider_keys.get(c.issuer, b""), self.sim.now)
@@ -541,42 +592,35 @@ class VaspNode(Node):
     def _on_attestation_challenge(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.AttestationChallenge = env.body
         device = self.devices.get(body.device_id)
+        evidence, refusal = None, None
         if device is None:
-            self.sim.send(channel, self.name, msg.AttestationResponse(
-                body.device_id, None, "unknown_device"))
-            return
-        try:
-            evidence = device.attest(body.nonce, self.sim.now)
-        except wallet.AttestationRefused:
-            self.sim.send(channel, self.name, msg.AttestationResponse(
-                body.device_id, None, "attestation_refused"))
-            return
-        self.sim.emit(self.name, "attest.evidence_produced", {
-            "device": body.device_id, "purpose": "audit"}, payload=evidence)
+            refusal = Refusal.UNKNOWN_DEVICE
+        else:
+            try:
+                evidence = device.attest(body.nonce, self.sim.now)
+            except wallet.AttestationRefused:
+                refusal = Refusal.ATTESTATION_REFUSED
+        if refusal is None:
+            self.sim.emit(self.name, "attest.evidence_produced", {
+                "device": body.device_id, "purpose": "audit"}, payload=evidence)
+        else:
+            self._refused("attest.challenge_refused", {"from": env.sender},
+                          refusal)
         self.sim.send(channel, self.name,
-                      msg.AttestationResponse(body.device_id, evidence, ""))
+                      msg.AttestationResponse(body.device_id, evidence, refusal))
 
-    # -- dispatch -----------------------------------------------------------------------
-
-    def handle(self, channel: SecureChannel, env: Envelope) -> None:
-        body = env.body
-        if isinstance(body, msg.TravelRuleRequest):
-            self._on_travel_rule_request(channel, env)
-        elif isinstance(body, msg.TravelRuleResponse):
-            self._on_travel_rule_response(channel, env)
-        elif isinstance(body, msg.LookupRequest):
-            self._on_lookup_request(channel, env)
-        elif isinstance(body, msg.LookupResponse):
-            self.remote_lookups.append(body)
-        elif isinstance(body, msg.AdvertisementFlood):
-            for adv in body.advertisements:
-                self._merge_advertisement(channel, adv)
-        elif isinstance(body, msg.ClaimsAuthResponse):
-            self._on_claims_auth_response(channel, env)
-        elif isinstance(body, msg.ClaimsFetchResponse):
-            self._on_claims_fetch_response(channel, env)
-        elif isinstance(body, msg.AttestationChallenge):
-            self._on_attestation_challenge(channel, env)
+    HANDLERS = {
+        msg.TravelRuleRequest: _on_travel_rule_request,
+        msg.TravelRuleResponse: _on_travel_rule_response,
+        msg.LookupRequest: _on_lookup_request,
+        msg.LookupResponse: _on_lookup_response,
+        msg.AdvertisementFlood: _on_advertisement_flood,
+        msg.ClaimsAuthResponse: _on_claims_auth_response,
+        msg.ClaimsFetchResponse: _on_claims_fetch_response,
+        msg.AttestationChallenge: _on_attestation_challenge,
+    }
+    # Node's dispatch, named on this class too: perfbench profiles per class.
+    handle = Node.handle
 
 
 class AuthServerNode(Node):
@@ -592,23 +636,23 @@ class AuthServerNode(Node):
         self.server = server
         self.trust = trust
 
-    def handle(self, channel: SecureChannel, env: Envelope) -> None:
-        if not isinstance(env.body, msg.ClaimsAuthRequest):
-            return
+    def _on_claims_auth_request(self, channel: SecureChannel, env: Envelope) -> None:
         result = self.server.request_authorization(
             channel.peer_cert(env.sender), set(env.body.attributes),
             env.body.purpose, self.trust)
-        if isinstance(result, claims_mod.DenialReason):
-            self.sim.emit(self.name, "claims.token_denied",
-                          {"caller": env.sender, "reason": result.value})
+        if isinstance(result, Refusal):
+            self._refused("claims.token_denied", {"caller": env.sender}, result)
             self.sim.send(channel, self.name,
-                          msg.ClaimsAuthResponse(None, result.value))
+                          msg.ClaimsAuthResponse(None, result))
         else:
             self.sim.emit(self.name, "claims.token_issued", {
                 "caller": env.sender, "token": result.token_id.hex()[:16],
                 "attrs": list(result.permitted_attributes),
                 "expires": result.expires_at}, payload=result)
-            self.sim.send(channel, self.name, msg.ClaimsAuthResponse(result, ""))
+            self.sim.send(channel, self.name,
+                          msg.ClaimsAuthResponse(result, None))
+
+    HANDLERS = {msg.ClaimsAuthRequest: _on_claims_auth_request}
 
 
 class ClaimsStoreNode(Node):
@@ -624,31 +668,29 @@ class ClaimsStoreNode(Node):
         self.store = store
         self.trust = trust
 
-    def handle(self, channel: SecureChannel, env: Envelope) -> None:
-        if not isinstance(env.body, msg.ClaimsFetchRequest):
-            return
+    def _on_claims_fetch_request(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.ClaimsFetchRequest = env.body
         token = body.token
         audience = token.audience_vasp_number
         # The token binds to its audience: only that VASP, over its own
         # channel and with its own claims key, may present it.
+        refusal = None
         if _sender_number(channel, env) != audience:
-            reason = "token_audience_mismatch"
+            refusal = Refusal.TOKEN_AUDIENCE_MISMATCH
         elif not self.trust.verify_member_signature(
                 claims_mod.terms_bytes(token), body.terms_signature,
                 body.vasp_claims_cert_serial, pki.CertPurpose.CLAIMS_SIGNING,
                 audience):
-            reason = "terms_not_countersigned"
+            refusal = Refusal.TERMS_NOT_COUNTERSIGNED
         else:
             try:
                 released, receipt = self.store.fetch_claims(token, self.sim.now)
-                reason = ""
             except claims_mod.ClaimsError as exc:
-                reason = type(exc).__name__
-        if reason:
-            self.sim.emit(self.name, "claims.fetch_refused", {"reason": reason})
+                refusal = exc.refusal
+        if refusal is not None:
+            self._refused("claims.fetch_refused", {}, refusal)
             self.sim.send(channel, self.name,
-                          msg.ClaimsFetchResponse((), None, reason))
+                          msg.ClaimsFetchResponse((), None, refusal))
             return
         self.sim.emit(self.name, "claims.claims_released", {
             "vasp": token.audience_vasp_number,
@@ -658,7 +700,9 @@ class ClaimsStoreNode(Node):
             "receipt": receipt.receipt_id.hex()[:16],
             "token": receipt.token_id.hex()[:16]}, payload=receipt)
         self.sim.send(channel, self.name, msg.ClaimsFetchResponse(
-            tuple(released), receipt, ""))
+            tuple(released), receipt, None))
+
+    HANDLERS = {msg.ClaimsFetchRequest: _on_claims_fetch_request}
 
 
 class InsurerNode(Node):
@@ -684,15 +728,20 @@ class InsurerNode(Node):
         self.sim.send(channel, self.name,
                       msg.AttestationChallenge(device_id, nonce))
 
-    def handle(self, channel: SecureChannel, env: Envelope) -> None:
-        if not isinstance(env.body, msg.AttestationResponse):
-            return
+    def _on_attestation_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.AttestationResponse = env.body
-        nonce = self.pending_nonces.get(body.device_id)
-        if body.evidence is None or nonce is None:
-            self.sim.emit(self.name, "attest.audit_verdict", {
-                "device": body.device_id, "passed": False,
-                "reason": body.error or "no_evidence"})
+        nonce = self.pending_nonces.pop(body.device_id, None)
+        if nonce is None:
+            # No challenge of ours names this device: the answer's text is
+            # not ours to record, so the refusal names its sender.
+            self._refused("attest.audit_refused", {"from": env.sender},
+                          Refusal.UNSOLICITED_ANSWER)
+            return
+        if body.refusal is not None or body.evidence is None:
+            self._refused("attest.audit_verdict",
+                          {"device": body.device_id, "passed": False},
+                          body.refusal or Refusal.NO_EVIDENCE,
+                          by_peer=body.refusal is not None)
             return
         device_key = self.trust.device_attestation_keys.get(body.device_id, b"")
         verdict = wallet.verify_evidence(body.evidence, nonce, device_key,
@@ -705,3 +754,5 @@ class InsurerNode(Node):
             "nonce_fresh": verdict.nonce_fresh,
             "stack_approved": verdict.stack_approved,
             "findings": f"[{findings}]"})
+
+    HANDLERS = {msg.AttestationResponse: _on_attestation_response}

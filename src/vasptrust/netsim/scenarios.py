@@ -21,6 +21,7 @@ from collections import deque
 from .. import claims as claims_mod
 from .. import pki, wallet
 from ..config import Identifier, TopologyConfig, read
+from ..pki import Refusal
 from ..resolver import parse_identifier
 from ..travel_rule import ConsentDirection
 from .trace import ScenarioTrace
@@ -135,9 +136,9 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
     hits = ovasp.local_lookup(target)
     world.assert_that("lookup_hit", len(hits) == 1, f"vasps={hits}")
     if len(hits) != 1:
-        reason = "beneficiary_unknown" if not hits else "multiple_vasps"
+        reason = Refusal.MULTIPLE_VASPS if hits else Refusal.BENEFICIARY_UNKNOWN
         sim.emit(ovasp.name, "travel_rule.transfer_halted", {
-            "identifier": beneficiary_identifier, "reason": reason,
+            "identifier": beneficiary_identifier, "reason": reason.value,
             "count": len(hits)})
         for name in ("payload_outbound_complete", "payload_inbound_complete",
                      "consent_originator", "consent_beneficiary",
@@ -230,7 +231,7 @@ def scenario_s2(world: World, *, owner_customer: str, requesting_vasp: int,
 
     token = vasp.claims_token
     world.assert_that("token_issued", token is not None,
-                      vasp.claims_denial or "")
+                      vasp.claims_denial.value if vasp.claims_denial else "")
     world.assert_that(
         "token_scope_within_policy",
         token is not None
@@ -377,7 +378,7 @@ def scenario_s5(world: World, *, originator_vasp: int,
     hits = ovasp.local_lookup(target)
     world.assert_that("multi_match_detected", len(hits) > 1, f"vasps={hits}")
     sim.emit(ovasp.name, "travel_rule.transfer_halted", {
-        "identifier": beneficiary_identifier, "reason": "multiple_vasps",
+        "identifier": beneficiary_identifier, "reason": Refusal.MULTIPLE_VASPS.value,
         "count": len(hits), "vasps": hits})
     world.assert_that(
         "transfer_halted",

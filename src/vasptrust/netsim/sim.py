@@ -24,8 +24,9 @@ import weakref
 from dataclasses import dataclass, field
 
 from .. import codec, crypto, pki
+from ..pki import Refusal
 from .messages import MessageBody
-from .trace import Assertion, ScenarioTrace, TraceEvent
+from .trace import Assertion, ScenarioTrace, TraceEvent, check_fields
 
 
 class NetsimError(Exception):
@@ -156,10 +157,13 @@ class Simulation:
         """Append a trace event carrying ``fields`` (kept, not copied) in
         their given order. Its digest covers ``payload``'s canonical
         encoding, computed now, else the rendered fields, computed when
-        the event is first rendered."""
+        the event is first rendered. A value that breaks the trace's
+        rendering rule raises UnrenderableField and records nothing."""
+        fields = fields or {}
+        check_fields(fields)
         digest = None if payload is None else \
             crypto.digest(codec.canonical_encode(payload))[:8].hex()
-        ev = TraceEvent(self.now, actor, event, digest, fields or ())
+        ev = TraceEvent(self.now, actor, event, digest, fields)
         self.trace.events.append(ev)
         return ev
 
@@ -180,7 +184,7 @@ class Simulation:
         both peers must prove possession of their certified keys."""
         if self.faults.partitioned:
             self.emit("sim", "netsim.channel_refused",
-                      {"a": a.name, "b": b.name, "reason": "partitioned"})
+                      {"a": a.name, "b": b.name, "reason": Refusal.PARTITIONED.value})
             raise PeerCertInvalid(b.name, None, "network partitioned")
         for us, peer in ((a, b), (b, a)):
             verdict = trust.validate(peer.identity_cert)
@@ -192,8 +196,9 @@ class Simulation:
             proof = peer.prove_possession(challenge)
             if not crypto.verify(peer.identity_cert.subject_public_key,
                                  challenge, proof):
-                self.emit(us.name, "netsim.channel_refused",
-                          {"peer": peer.name, "verdict": "PossessionProofFailed"})
+                self.emit(us.name, "netsim.channel_refused", {
+                    "peer": peer.name,
+                    "verdict": Refusal.POSSESSION_PROOF_FAILED.value})
                 raise PeerCertInvalid(peer.name, None, "possession proof failed")
         channel = SecureChannel(
             channel_id=len(self.channels) + 1,

@@ -9,24 +9,30 @@ A trace renders to line-oriented text:
     # result=PASS|FAIL
 
 An event holds its time, actor, event name, digest and fields, and
-nothing else. Its fields are ``(key, value)`` pairs: the dict the emitter
-passed, kept as it is (every emitter passes a fresh literal), or the pair
-tuple a parsed line gives. They render as ``key=value`` (the value as
-``str`` gives it), in the order the emitter gave them, joined by single
-spaces; a field whose value is None is left out, and is treated as absent
-by ``TraceEvent.get`` and ``ScenarioTrace.find``. The digest is the first
-8 bytes, in hex, of the SHA-256 of the event's payload encoding, or, for
-an event with no payload, of its rendered fields in UTF-8. A payload
-event's digest is computed when it is emitted, from the encoding the
-payload keeps. A field-only event's digest is computed the first time the
-event is rendered (or its digest read), from that same rendering, so
-``to_text`` renders each line once and emitting one hashes nothing. So
-the same (scenario, config, seed) always produces byte-identical output.
+nothing else. Its fields are a dict: the one the emitter passed, kept as
+it is (every emitter passes a fresh literal), or the one a parsed line
+gives. They render as ``key=value`` (the value as ``str`` gives it), in
+the order the emitter gave them, joined by single spaces; a field whose
+value is None is left out, and is treated as absent by ``TraceEvent.get``
+and ``ScenarioTrace.find``. The digest is the first 8 bytes, in hex, of
+the SHA-256 of the event's payload encoding, or, for an event with no
+payload, of its rendered fields in UTF-8. A payload event's digest is
+computed when it is emitted, from the encoding the payload keeps. A
+field-only event's digest is computed the first time the event is
+rendered (or its digest read), from that same rendering, so ``to_text``
+renders each line once and emitting one hashes nothing. So the same
+(scenario, config, seed) always produces byte-identical output.
 
-``parse_trace_text`` reads that text back. Values then hold their rendered
-text, and a value that itself contains `` key=`` splits into two fields, so
-parsing is exact only for re-rendering: ``parse_trace_text(t).to_text()``
-equals ``t``.
+One rendering rule keeps every line one event and every field one field:
+a ``str`` value, or a ``str`` item of a list value, may hold neither a
+character ``str.splitlines`` breaks on nor a space followed by
+``identifier=``. ``check_fields`` enforces it, and ``Simulation.emit``
+calls it, so an event that breaks it is never recorded: the emitter gets
+``UnrenderableField``. A list renders through ``repr``, which escapes line
+breaks but not `` key=``, hence the check on its items. So parsing is
+exact: ``parse_trace_text`` gives back every field with its rendered
+value as a ``str``, ``str(value)`` of what was emitted, and refuses a line
+that names a key twice.
 """
 
 from __future__ import annotations
@@ -35,34 +41,49 @@ from dataclasses import dataclass, field
 
 from .. import crypto
 
-Fields = tuple[tuple[str, object], ...]
+
+class UnrenderableField(ValueError):
+    """A field value whose rendering would not parse back as itself."""
+
+
+def _breaks_line(text: str) -> bool:
+    """Whether ``text`` as a rendered value would end its line or start
+    another field: the rendering rule of the module docstring."""
+    if not text.isprintable() and "".join(text.splitlines()) != text:
+        return True
+    return "=" in text and any(
+        sep and key.isidentifier()
+        for key, sep, _ in (token.partition("=")
+                            for token in text.split(" ")[1:]))
+
+
+def check_fields(fields: dict) -> None:
+    """Raise UnrenderableField if a value of ``fields`` breaks the
+    rendering rule."""
+    for key, value in fields.items():
+        kind = type(value)
+        if (kind is str and _breaks_line(value)) or (kind is list and any(
+                type(item) is str and _breaks_line(item) for item in value)):
+            raise UnrenderableField(f"field {key}={value!r} would not "
+                                    "parse back as one field")
 
 
 class TraceEvent:
     """One event line. ``digest`` may be None when the event is made: a
     field-only event then derives it from its first rendering."""
 
-    __slots__ = ("time", "actor", "event", "_digest", "_fields")
+    __slots__ = ("time", "actor", "event", "_digest", "fields")
 
     def __init__(self, time: int, actor: str, event: str, digest: str | None,
-                 fields: dict | Fields = ()):
+                 fields: dict):
         self.time = time
         self.actor = actor
         self.event = event
         self._digest = digest
-        self._fields = fields
+        self.fields = fields
 
     def __repr__(self) -> str:
         return f"TraceEvent({self.line()!r})"
-
-    def _pairs(self):
-        fields = self._fields
-        return fields.items() if isinstance(fields, dict) else fields
-
-    @property
-    def fields(self) -> Fields:
-        """The ``(key, value)`` pairs, in the order the emitter gave them."""
-        return tuple(self._pairs())
 
     @property
     def digest(self) -> str:
@@ -72,16 +93,10 @@ class TraceEvent:
 
     def get(self, key: str):
         """The value of field ``key``; None when the event lacks it."""
-        fields = self._fields
-        if isinstance(fields, dict):
-            return fields.get(key)
-        for name, value in fields:
-            if name == key:
-                return value
-        return None
+        return self.fields.get(key)
 
     def line(self) -> str:
-        text = " ".join([f"{key}={value}" for key, value in self._pairs()
+        text = " ".join([f"{key}={value}" for key, value in self.fields.items()
                          if value is not None])
         if self._digest is None:
             self._digest = crypto.digest(text.encode("utf-8"))[:8].hex()
@@ -125,26 +140,30 @@ class ScenarioTrace:
         return "\n".join(lines) + "\n"
 
 
-def _parse_fields(text: str) -> Fields:
+def _parse_fields(text: str) -> dict[str, str]:
     """Split rendered fields at each space followed by ``key=``; any other
-    space belongs to the value before it."""
-    fields: list[list[str]] = []
+    space belongs to the value before it. A key named twice is refused."""
+    fields: dict[str, str] = {}
+    key = None
     for token in text.split(" "):
-        key, eq, value = token.partition("=")
-        if eq and key.isidentifier():
-            fields.append([key, value])
-        elif fields:
-            fields[-1][1] += " " + token
+        name, eq, value = token.partition("=")
+        if eq and name.isidentifier():
+            if name in fields:
+                raise ValueError(f"trace field {name!r} repeated: {text!r}")
+            key = name
+            fields[key] = value
+        elif key is not None:
+            fields[key] += " " + token
         else:
             raise ValueError(f"trace fields must start with key=value: {text!r}")
-    return tuple((key, value) for key, value in fields)
+    return fields
 
 
 def parse_trace_text(text: str) -> ScenarioTrace:
     """Rebuild a trace from its text form (used by report generation).
     Raises ValueError for empty text, a bad header line, an event line
-    with fewer than four columns or an assertion line with fewer than
-    three."""
+    with fewer than four columns or a repeated field key, or an assertion
+    line with fewer than three."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trace")
@@ -170,5 +189,5 @@ def parse_trace_text(text: str) -> ScenarioTrace:
             trace.events.append(TraceEvent(
                 time=int(parts[0]), actor=parts[1], event=parts[2],
                 digest=parts[3],
-                fields=_parse_fields(parts[4]) if len(parts) > 4 else ()))
+                fields=_parse_fields(parts[4]) if len(parts) > 4 else {}))
     return trace

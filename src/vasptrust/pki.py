@@ -87,6 +87,42 @@ class Verdict(Enum):
     BROKEN_LINKAGE = "BrokenLinkage"
 
 
+class Refusal(Enum):
+    """Why a member refuses a transfer, a request, an answer or a channel:
+    the one vocabulary of refusal events, wire answers and audit rows."""
+
+    ORIGINATOR_CONSENT_MISSING = "originator_consent_missing"
+    INVALID_PAYLOAD = "invalid_payload"
+    MISADDRESSED_PAYLOAD = "misaddressed_payload"
+    UNPARSEABLE_BENEFICIARY = "unparseable_beneficiary"
+    BENEFICIARY_UNKNOWN = "beneficiary_unknown"
+    MULTIPLE_VASPS = "multiple_vasps"
+    BENEFICIARY_NAME_MISMATCH = "beneficiary_name_mismatch"
+    BENEFICIARY_CONSENT_MISSING = "beneficiary_consent_missing"
+    BENEFICIARY_TX_CERT_INVALID = "beneficiary_tx_cert_invalid"
+    INSUFFICIENT_FUNDS = "insufficient_funds"
+    UNPARSEABLE_IDENTIFIER = "unparseable_identifier"
+    INVALID_CALLER = "invalid_caller"  # caller's certificate is not VALID
+    NOT_ALLOWED = "NotAllowed"
+    SCOPE_EXCEEDED = "ScopeExceeded"
+    PURPOSE_MISMATCH = "PurposeMismatch"
+    POLICY_INACTIVE = "PolicyInactive"
+    TOKEN_SCOPE_MISMATCH = "token_scope_mismatch"
+    TOKEN_AUDIENCE_MISMATCH = "token_audience_mismatch"
+    TERMS_NOT_COUNTERSIGNED = "terms_not_countersigned"
+    BAD_TOKEN = "BadToken"
+    TOKEN_EXPIRED = "TokenExpired"
+    CONSENT_WITHDRAWN = "ConsentWithdrawn"
+    UNKNOWN_DEVICE = "unknown_device"
+    ATTESTATION_REFUSED = "attestation_refused"
+    NO_EVIDENCE = "no_evidence"
+    UNSOLICITED_ANSWER = "unsolicited_answer"
+    PARTITIONED = "partitioned"
+    POSSESSION_PROOF_FAILED = "PossessionProofFailed"
+    UNEXPECTED_MESSAGE = "unexpected_message"
+    PEER_REFUSED = "peer_refused"
+
+
 LEI_LENGTH = 20
 
 

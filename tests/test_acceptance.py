@@ -202,11 +202,11 @@ def test_tamper_rejection_thousand_blobs():
 def test_resolver_privacy_structural_and_traces(demo_config):
     import typing
 
-    # Structural: the response type is made of ints and a plain string
-    # error code; nothing can carry key bytes.
+    # Structural: the response type is made of ints and a closed refusal
+    # code; nothing can carry key bytes.
     hints = typing.get_type_hints(LookupResponse)
     assert hints == {"request_seq": int, "vasp_numbers": tuple[int, ...],
-                     "error": str}
+                     "refusal": pki.Refusal | None}
 
     carol_key_hex = next(
         i for v in demo_config.vasps for c in v.customers

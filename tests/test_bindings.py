@@ -61,7 +61,8 @@ def refusals(world, vasp: int) -> list[str]:
 def accepted_responses(world, sender: int) -> list:
     return [env.body for env in wire_envelopes(world.sim)
             if env.sender == world.vasps[sender].name
-            and isinstance(env.body, TravelRuleResponse) and env.body.accepted]
+            and isinstance(env.body, TravelRuleResponse)
+            and env.body.refusal is None]
 
 
 # -- no originator data leaves before the originator consents ---------------
@@ -174,7 +175,7 @@ def test_response_from_a_vasp_not_asked_is_ignored(world):
     payload = _start_transfer(world)
     # VASP 3 answers VASP 7's request to VASP 9 before VASP 9 does.
     forged = signed_by(world, 3, 7, 3, amount=125)
-    send(world, 3, 7, TravelRuleResponse(payload.payload_id, True, "", forged))
+    send(world, 3, 7, TravelRuleResponse(payload.payload_id, None, forged))
     world.sim.step()
     pending = world.vasps[7].pending[payload.payload_id]
     assert refusals(world, 7) == ["misaddressed_payload"]
@@ -191,7 +192,7 @@ def test_response_naming_another_beneficiary_vasp_refused(world):
     pending = world.vasps[7].pending[payload.payload_id]
     # VASP 9 itself answers, but its signed answer names VASP 3.
     answer = signed_by(world, 9, 7, 3, amount=125)
-    send(world, 9, 7, TravelRuleResponse(payload.payload_id, True, "", answer))
+    send(world, 9, 7, TravelRuleResponse(payload.payload_id, None, answer))
     world.sim.run_until_quiet()
     assert refusals(world, 7) == ["misaddressed_payload"]
     assert pending.state == "refused"
@@ -207,7 +208,7 @@ def test_answer_whose_signature_fails_refused(world):
     signature = bytearray(answer.signature)
     signature[0] ^= 1
     forged = dataclasses.replace(answer, signature=bytes(signature))
-    send(world, 9, 7, TravelRuleResponse(payload.payload_id, True, "", forged))
+    send(world, 9, 7, TravelRuleResponse(payload.payload_id, None, forged))
     world.sim.run_until_quiet()
     assert refusals(world, 7) == ["invalid_payload"]
     assert pending.state == "refused"
@@ -238,6 +239,12 @@ def test_revoked_beneficiary_transaction_key_not_paid(world):
 
 # -- only its audience can use a claims token ---------------------------------
 
+def fetch_refusals(trace) -> list:
+    """(actor, fields) of each claims.fetch_refused event: the store's own
+    refusal, then the refused VASP's record of it."""
+    return [(e.actor, e.fields) for e in trace.find("claims.fetch_refused")]
+
+
 def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
     trace, world = run_scenario_with_world("S2", demo_config)
     store = world.stores["alice"]
@@ -251,8 +258,10 @@ def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
     world.sim.run_until_quiet()
     assert thief.fetched_claims == [] and thief.consent_receipts == []
     assert len(store.store.receipts) == receipts_before
-    assert trace.find("claims.fetch_refused")[-1].fields == \
-        (("reason", "token_audience_mismatch"),)
+    assert fetch_refusals(trace) == [
+        (store.name, {"reason": "token_audience_mismatch"}),
+        (thief.name, {"reason": "peer_refused",
+                      "peer_reason": "token_audience_mismatch"})]
 
 
 def test_terms_signed_by_another_vasp_release_nothing(demo_config):
@@ -269,8 +278,10 @@ def test_terms_signed_by_another_vasp_release_nothing(demo_config):
     world.sim.run_until_quiet()
     assert len(vasp.fetched_claims) == fetched_before
     assert len(store.store.receipts) == 1
-    assert trace.find("claims.fetch_refused")[-1].fields == \
-        (("reason", "terms_not_countersigned"),)
+    assert fetch_refusals(trace) == [
+        (store.name, {"reason": "terms_not_countersigned"}),
+        (vasp.name, {"reason": "peer_refused",
+                     "peer_reason": "terms_not_countersigned"})]
 
 
 def test_revoked_caller_refused_not_raised(world):
@@ -282,9 +293,10 @@ def test_revoked_caller_refused_not_raised(world):
                    ClaimsAuthRequest(("driving_license_number",), "kyc"))
     world.sim.run_until_quiet()
     assert vasp.claims_token is None
-    assert vasp.claims_denial == "invalid_caller"
+    assert vasp.claims_denial is pki.Refusal.INVALID_CALLER
     denied = world.sim.trace.find("claims.token_denied")
-    assert [(e.actor, e.fields) for e in denied if e.actor == server.name] == \
+    assert [(e.actor, tuple(e.fields.items())) for e in denied
+            if e.actor == server.name] == \
         [(server.name, (("caller", vasp.name), ("reason", "invalid_caller")))]
 
 
@@ -303,7 +315,8 @@ def test_identity_revoked_member_cannot_readvertise(demo_config):
     events_before = len(world.sim.trace.events)
     flood_round(world)
     flood_round(world)
-    merged = [e.fields for e in world.sim.trace.events[events_before:]
+    merged = [tuple(e.fields.items())
+              for e in world.sim.trace.events[events_before:]
               if e.event == "resolver.adv_merged"]
     assert merged == [(("origin", "vasp:3"), ("seq", 2), ("outcome", "Rejected"))]
     assert world.vasps[7].local_lookup(dave) == [9]
@@ -340,7 +353,8 @@ def test_claims_revoked_after_caching_refuses_next_advertisement(demo_config):
     events_before = len(world.sim.trace.events)
     flood_round(world)
     flood_round(world)
-    merged = [e.fields for e in world.sim.trace.events[events_before:]
+    merged = [tuple(e.fields.items())
+              for e in world.sim.trace.events[events_before:]
               if e.event == "resolver.adv_merged"]
     assert merged == [(("origin", "vasp:3"), ("seq", 2), ("outcome", "Rejected"))]
     assert world.vasps[7].local_lookup(dave) == world.vasps[9].local_lookup(dave) == []

@@ -131,19 +131,19 @@ class TestAuthorization:
         other = root.issue_identity_cert(make_subject(9), other_key.public_key,
                                          0, 10_000)
         denial = request(server, other, root, {"driving_license_number"})
-        assert denial is claims.DenialReason.NOT_ALLOWED
+        assert denial is pki.Refusal.NOT_ALLOWED
 
     def test_scope_exceeded(self, setup, member, root):
         _, server, _ = setup
         denial = request(server, member["identity_cert"], root,
                          {"driving_license_number", "state_of_residence"})
-        assert denial is claims.DenialReason.SCOPE_EXCEEDED
+        assert denial is pki.Refusal.SCOPE_EXCEEDED
 
     def test_purpose_mismatch(self, setup, member, root):
         _, server, _ = setup
         denial = request(server, member["identity_cert"], root,
                          {"driving_license_number"}, purpose="marketing")
-        assert denial is claims.DenialReason.PURPOSE_MISMATCH
+        assert denial is pki.Refusal.PURPOSE_MISMATCH
 
     def test_invalid_cert_denied(self, setup, member, root):
         _, server, _ = setup
@@ -152,7 +152,7 @@ class TestAuthorization:
         denial = server.request_authorization(member["identity_cert"],
                                               {"driving_license_number"},
                                               "kyc", trust_context(root, now=2))
-        assert denial is claims.DenialReason.INVALID_CALLER
+        assert denial is pki.Refusal.INVALID_CALLER
         assert denial.value == "invalid_caller"
 
 

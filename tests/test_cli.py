@@ -305,6 +305,23 @@ def test_unreadable_config_file_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
+def test_name_the_trace_cannot_hold_is_usage_error(tmp_path, workspace,
+                                                   capsys):
+    # A configured name holding " key=" would read back as two trace
+    # fields: vtn refuses it as it emits it, with exit 2 and no trace.
+    config = default_config()
+    _alice(config)["id"] = "al ice=x"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["init", "--config", str(path),
+                 "--workspace", str(tmp_path / "w")]) == 2
+    assert "would not parse back" in capsys.readouterr().err
+    assert main(["run", "--scenario", "S1", "--workspace", str(workspace),
+                 "--override", "beneficiary_identifier=bob x=y@idp2.com"]) == 2
+    assert "would not parse back" in capsys.readouterr().err
+    assert not (workspace / "traces" / "S1.trace").exists()
+
+
 class TestInit:
     def test_manifest_counts(self, workspace):
         manifest = json.loads((workspace / "manifest.json").read_text())
@@ -513,6 +530,17 @@ class TestReport:
         assert main(["report", "--workspace", str(workspace)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "malformed trace" in err
+
+    def test_report_counts_refusals_per_reason(self, workspace, capsys):
+        # Bob has not consented: VASP 9 refuses, and VASP 7 records that
+        # its peer refused.
+        main(["run", "--scenario", "S1", "--workspace", str(workspace),
+              "--override", "grant_beneficiary_consent=false"])
+        capsys.readouterr()
+        assert main(["report", "--workspace", str(workspace)]) == 0
+        out = capsys.readouterr().out
+        refusals = out[out.index("\nrefusals:\n"):].split("\n")[2:-1]
+        assert refusals == ["beneficiary_consent_missing 1", "peer_refused 1"]
 
     def test_report_reflects_failures(self, workspace, capsys):
         main(["run", "--scenario", "S1", "--workspace", str(workspace),

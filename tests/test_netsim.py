@@ -262,8 +262,8 @@ def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
         assert blob == codec.canonical_encode(env)
         assert kind == type(env.body).__name__
         assert event.actor == env.sender
-        assert event.fields == (("msg", kind), ("ch", env.channel_id),
-                                ("seq", env.seq))
+        assert tuple(event.fields.items()) == (
+            ("msg", kind), ("ch", env.channel_id), ("seq", env.seq))
         assert event.digest == \
             crypto.digest(codec.canonical_encode(env.body))[:8].hex()
 

@@ -1,0 +1,318 @@
+"""The closed refusal vocabulary and the trace's rendering rule.
+
+A peer can refuse only with a ``pki.Refusal``: the wire cannot carry free
+text where one is declared, and a receiver records ``peer_refused`` with
+the peer's member apart. Every event a handler emits parses back exactly,
+whatever strings a hostile peer puts in a body, or the emit is refused;
+no handler raises anything else. A body of a type a node does not take
+is refused with one event.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import wire_envelopes
+from vasptrust import codec, pki
+from vasptrust import travel_rule as tr
+from vasptrust.claims import AuthorizationToken
+from vasptrust.config import default_config, parse_config
+from vasptrust.netsim import build_world, run_scenario_with_world
+from vasptrust.netsim.messages import (AttestationResponse, ClaimsAuthRequest,
+                                       ClaimsAuthResponse, ClaimsFetchRequest,
+                                       ClaimsFetchResponse, LookupResponse,
+                                       MessageBody, TravelRuleResponse)
+from vasptrust.netsim.nodes import PendingTransfer
+from vasptrust.netsim.trace import (ScenarioTrace, TraceEvent,
+                                    UnrenderableField, check_fields,
+                                    parse_trace_text)
+from vasptrust.travel_rule import ConsentDirection
+
+Refusal = pki.Refusal
+
+# The repro of a forged trace line: a refusal reason that ends its line
+# and writes a confirmed-transaction event of VASP 7 after it.
+FORGED = "x\n000099 vasp:7 ledger.tx_confirmed 00000000 tx=forged"
+
+
+def reparses_exactly(events) -> None:
+    """``events`` rendered and parsed back give the same events, field by
+    field: each value as the text ``str`` renders it to."""
+    text = ScenarioTrace("adhoc", 1, events=list(events)).to_text()
+    back = parse_trace_text(text).events
+    assert len(back) == len(events)
+    for event, parsed in zip(events, back):
+        assert (parsed.time, parsed.actor, parsed.event, parsed.digest) == \
+            (event.time, event.actor, event.event, event.digest)
+        assert parsed.fields == {key: str(value) for key, value
+                                 in event.fields.items() if value is not None}
+
+
+def events_of(world, actor: str, since: int) -> list:
+    return [e for e in world.sim.trace.events[since:] if e.actor == actor]
+
+
+@pytest.fixture
+def world(demo_config):
+    return build_world(demo_config)
+
+
+# -- the five answers a peer refuses with ---------------------------------------
+
+def refused_answer(world, kind: str, refusal: Refusal):
+    """(sender, receiver, answer): ``kind`` refusing with ``refusal``, to a
+    receiver that has asked, so it handles the answer in full."""
+    vasp7, vasp9 = world.vasps[7], world.vasps[9]
+    if kind == "TravelRuleResponse":
+        # An open transfer of VASP 7 to VASP 9, whose request never left.
+        payload = tr.build_payload(vasp7.customers["alice"], "Bob Jones",
+                                   "bob@idp2.com", 9, 10, 7)
+        vasp7.pending[payload.payload_id] = PendingTransfer(payload)
+        return vasp9, vasp7, TravelRuleResponse(payload.payload_id, refusal,
+                                                None)
+    if kind == "LookupResponse":
+        return vasp9, vasp7, LookupResponse(1, (), refusal)
+    if kind == "ClaimsAuthResponse":
+        return world.auth_servers["alice"], vasp7, \
+            ClaimsAuthResponse(None, refusal)
+    if kind == "ClaimsFetchResponse":
+        return world.stores["alice"], vasp7, \
+            ClaimsFetchResponse((), None, refusal)
+    device = "wdev:alice@7"
+    world.insurer.pending_nonces[device] = bytes(32)
+    return vasp7, world.insurer, AttestationResponse(device, None, refusal)
+
+
+ANSWERS = ["TravelRuleResponse", "LookupResponse", "ClaimsAuthResponse",
+           "ClaimsFetchResponse", "AttestationResponse"]
+
+
+def free_text_wire(body, text: str) -> bytes:
+    """``body``'s encoding with its refusal sent as free text, a TAG_STR
+    frame, the way a refusal reason travelled before it was a Refusal."""
+    fields = [codec._frame(codec.TAG_STR, text.encode())
+              if f.name == "refusal" else
+              codec.canonical_encode(getattr(body, f.name))
+              for f in dataclasses.fields(body)]
+    return codec._frame(codec.TAG_STRUCT, b"".join(fields))
+
+
+@pytest.mark.parametrize("kind", ANSWERS)
+def test_free_text_refusal_does_not_decode(world, kind):
+    _, _, answer = refused_answer(world, kind, Refusal.INVALID_PAYLOAD)
+    assert codec.canonical_decode(codec.canonical_encode(answer),
+                                  type(answer)) == answer
+    for text in (FORGED, "invalid_payload", "INVALID_PAYLOAD"):
+        with pytest.raises(codec.DecodeError):
+            codec.canonical_decode(free_text_wire(answer, text), type(answer))
+
+
+@pytest.mark.parametrize("kind", ANSWERS)
+def test_each_peer_refusal_is_recorded_apart_and_parses_back(world, kind):
+    # Every member, sent by a peer: the receiver handles the answer with
+    # one refusal event that names peer_refused as its own reason, and
+    # its events parse back exactly.
+    for refusal in Refusal:
+        sender, receiver, answer = refused_answer(world, kind, refusal)
+        channel = world.channel_between(sender, receiver)
+        since = len(world.sim.trace.events)
+        world.sim.send(channel, sender.name, answer)
+        world.sim.run_until_quiet()
+        delivered, refused = events_of(world, receiver.name, since)
+        assert delivered.event == "netsim.delivered"
+        assert refused.get("reason") == "peer_refused"
+        assert refused.get("peer_reason") == refusal.value
+        reparses_exactly(world.sim.trace.events[since:])
+
+
+# -- input checks ------------------------------------------------------------------
+
+def test_unparseable_lookup_is_refused_not_raised(world):
+    asker, server = world.vasps[3], world.vasps[9]
+    channel = world.channel_between(asker, server)
+    since = len(world.sim.trace.events)
+    asker.remote_lookup(channel, "not an identifier", 1)
+    world.sim.run_until_quiet()
+    (_, served) = events_of(world, server.name, since)[:2]
+    assert (served.event, served.fields) == ("resolver.remote_lookup", {
+        "caller": asker.name, "vasps": [], "reason": "unparseable_identifier"})
+    (response,) = asker.remote_lookups
+    assert response.refusal is Refusal.UNPARSEABLE_IDENTIFIER
+    assert [e.fields for e in events_of(world, asker.name, since)
+            if e.event == "resolver.lookup_refused"] == [
+        {"from": server.name, "reason": "peer_refused",
+         "peer_reason": "unparseable_identifier"}]
+
+
+@pytest.mark.parametrize("device_id", [FORGED, "wdev:alice@7"])
+def test_unsolicited_attestation_answer_names_its_sender(world, device_id):
+    # No challenge is pending: the device id the answer carries is the
+    # peer's text, and only the channel peer is recorded.
+    vasp, insurer = world.vasps[7], world.insurer
+    channel = world.channel_between(vasp, insurer)
+    since = len(world.sim.trace.events)
+    world.sim.send(channel, vasp.name, AttestationResponse(device_id, None, None))
+    world.sim.run_until_quiet()
+    _, refused = events_of(world, insurer.name, since)
+    assert (refused.event, refused.fields) == ("attest.audit_refused", {
+        "from": vasp.name, "reason": "unsolicited_answer"})
+    parsed = parse_trace_text(world.sim.trace.to_text())
+    assert not parsed.find("ledger.tx_confirmed")
+    reparses_exactly(world.sim.trace.events)
+
+
+def test_answered_challenge_is_not_pending(demo_config):
+    # S4's audit answers the insurer's one challenge; the same answer again
+    # is unsolicited.
+    trace, world = run_scenario_with_world("S4", demo_config)
+    answer = next(env.body for env in wire_envelopes(world.sim)
+                  if isinstance(env.body, AttestationResponse))
+    assert world.insurer.pending_nonces == {}
+    vasp = world.vasps[7]
+    world.sim.send(world.channel_between(vasp, world.insurer), vasp.name,
+                   answer)
+    world.sim.run_until_quiet()
+    assert [e.fields for e in trace.events if e.actor == world.insurer.name
+            and e.event == "attest.audit_refused"] == [
+        {"from": vasp.name, "reason": "unsolicited_answer"}]
+    assert len(trace.find("attest.audit_verdict")) == 1
+
+
+ASKED = (("driving_license_number",), "kyc")
+
+
+@pytest.mark.parametrize("audience, attributes, purpose, asked", [
+    (7, ("driving_license_number",), "kyc", True),
+    (7, ("driving_license_number",), "kyc", False),
+    (7, (FORGED,), "kyc", True),
+    (7, ("driving_license_number", "a b=c"), "kyc", True),
+    (7, ("driving_license_number",), FORGED, True),
+    (9, ("driving_license_number",), "kyc", True),
+], ids=["control", "not_asked", "attrs_forged", "attrs_added",
+        "purpose_forged", "audience"])
+def test_token_outside_the_request_is_refused(world, audience, attributes,
+                                              purpose, asked):
+    vasp, server = world.vasps[7], world.auth_servers["alice"]
+    channel = world.channel_between(vasp, server)
+    if asked:
+        vasp.request_claims_authorization(channel, *ASKED)
+    token = AuthorizationToken(b"t" * 32, audience, attributes, purpose, 0,
+                               300, b"s" * 64)
+    since = len(world.sim.trace.events)
+    world.sim.send(channel, server.name, ClaimsAuthResponse(token, None))
+    world.sim.step()
+    handled = [e for e in events_of(world, vasp.name, since)
+               if e.event.startswith("claims.token")]
+    if (audience, attributes, purpose, asked) == (7, *ASKED, True):
+        assert vasp.claims_token is token
+        assert [e.event for e in handled] == ["claims.token_received"]
+        return
+    assert vasp.claims_token is None
+    assert [(e.event, e.fields) for e in handled] == [
+        ("claims.token_refused", {"reason": "token_scope_mismatch"})]
+    world.sim.run_until_quiet()  # any answer of the server's own
+    reparses_exactly(world.sim.trace.events)
+
+
+# -- one dispatch per node -----------------------------------------------------------
+
+def test_unexpected_message_is_refused_once(world):
+    # Each kind of node, sent a body it does not take.
+    vasp, other = world.vasps[7], world.vasps[9]
+    token = AuthorizationToken(b"t" * 32, 7, (), "kyc", 0, 300, b"s" * 64)
+    stray = ClaimsFetchRequest(token, b"", 0)
+    for receiver in (other, world.auth_servers["alice"],
+                     world.stores["alice"], world.insurer):
+        body = ClaimsAuthRequest((), "kyc") \
+            if receiver is world.stores["alice"] else stray
+        channel = world.channel_between(vasp, receiver)
+        since = len(world.sim.trace.events)
+        world.sim.send(channel, vasp.name, body)
+        world.sim.run_until_quiet()
+        delivered, refused = events_of(world, receiver.name, since)
+        assert delivered.event == "netsim.delivered"
+        assert (refused.event, refused.fields) == ("netsim.refused", {
+            "msg": type(body).__name__, "from": vasp.name,
+            "reason": "unexpected_message"})
+        assert len(world.sim.trace.events) == since + 3  # sent, delivered, refused
+
+
+# -- the rendering rule ------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [
+    *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "a\r\nb", "a b=c", "a _=", "a ℘=x",
+    ["ok", "a b=c"], ["x\ny"],
+])
+def test_value_that_would_not_parse_back_is_refused(value):
+    with pytest.raises(UnrenderableField):
+        check_fields({"k": value})
+
+
+@pytest.mark.parametrize("value", [
+    "", "a b", "a=b", "a =b", "a = b", "a 1b=c", "a\tb", "a b-c=d", "x y",
+    ["a", "b c"], [1, 2], 7, True, None,
+])
+def test_value_that_parses_back_is_kept(value):
+    check_fields({"k": value})
+    reparses_exactly([TraceEvent(1, "sim", "x", "00", {"k": value, "n": 1})])
+
+
+# -- hostile strings in every body ----------------------------------------------------
+
+_TEMPLATES: dict[str, tuple] = {}
+
+
+def template(kind: str):
+    """(world, channel, sender, body): the first ``kind`` body sent in the
+    demo S1-S4 runs, with the world it ran in, after the run."""
+    if not _TEMPLATES:
+        config = parse_config(default_config())
+        for name in ("S1", "S2", "S3", "S4"):
+            _, world = run_scenario_with_world(name, config)
+            world.vasps[9].grant_consent("bob", ConsentDirection.RECEIVE_ASSETS,
+                                         None)
+            channels = {ch.id: ch for ch in world.sim.channels}
+            for env in wire_envelopes(world.sim):
+                _TEMPLATES.setdefault(type(env.body).__name__, (
+                    world, channels[env.channel_id], env.sender, env.body))
+    return _TEMPLATES[kind]
+
+
+BODY_TYPES = sorted(t.__name__ for t in MessageBody.__args__)
+
+
+def fill(value, draw):
+    """``value`` with every ``str`` in it, at any depth, drawn anew."""
+    if isinstance(value, str):
+        return draw(st.text(max_size=40))
+    if isinstance(value, tuple):
+        return tuple(fill(item, draw) for item in value)
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{
+            f.name: fill(getattr(value, f.name), draw)
+            for f in dataclasses.fields(value)})
+    return value
+
+
+def test_every_body_type_has_a_template():
+    assert all(template(kind) for kind in BODY_TYPES)
+
+
+@pytest.mark.parametrize("kind", BODY_TYPES)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_hostile_strings_parse_back_or_are_refused_at_emit(kind, data):
+    world, channel, sender, body = template(kind)
+    hostile = fill(body, data.draw)
+    since = len(world.sim.trace.events)
+    world.sim.send(channel, sender, hostile)
+    try:
+        world.sim.run_until_quiet()
+    except UnrenderableField:
+        pass  # refused at emit: nothing of that event was recorded
+    reparses_exactly(world.sim.trace.events[since:])

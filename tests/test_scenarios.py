@@ -266,7 +266,7 @@ class TestDeltaFlooding:
         for _ in range(diameter):
             flood_round(world, channels)
         built = world.sim.trace.find("resolver.adv_built")[built_before:]
-        assert [(e.actor, e.fields[0]) for e in built] == \
+        assert [(e.actor, list(e.fields.items())[0]) for e in built] == \
             [("vasp:10", ("seq", 2))]
         for number in sorted(world.vasps):
             assert world.vasps[number].resolver.resolve_map() == truth
@@ -318,7 +318,7 @@ class TestDeltaFlooding:
         assert world.vasps[7].local_lookup(dave) == [9]
         assert world.vasps[9].local_lookup(dave) == [9]
         purged = world.sim.trace.find("resolver.adv_purged")
-        assert [(e.actor, e.fields[0]) for e in purged] == \
+        assert [(e.actor, list(e.fields.items())[0]) for e in purged] == \
             [("vasp:7", ("origin", "vasp:3")), ("vasp:9", ("origin", "vasp:3"))]
         # Further flooding does not bring the revoked member back.
         flood_round(world)
@@ -740,8 +740,8 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
     pending = ovasp.pending[payload.payload_id]
     world.sim.send(world.channel_between(world.vasps[3], ovasp),
                    world.vasps[3].name,
-                   TravelRuleResponse(payload.payload_id, False,
-                                      "beneficiary_unknown", None))
+                   TravelRuleResponse(payload.payload_id,
+                                      pki.Refusal.BENEFICIARY_UNKNOWN, None))
     world.sim.step()
     assert [e.get("reason") for e in world.sim.trace.find(
         "travel_rule.transfer_refused")] == ["misaddressed_payload"]
@@ -761,19 +761,24 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # config. The wire log digest covers, per entry in send order, the message
 # type name, a zero byte, the 4-byte big-endian length of the envelope
 # bytes and those bytes. Any change to a trace or wire byte must update
-# these values and say so. All five were last re-pinned when frame lengths
+# these values and say so. All five were re-pinned when frame lengths
 # became minimal varints: with the digest column dropped and the hex values
 # of payload=, token=, tx=, hash= and receipt= renamed in order of first
-# appearance, their traces are line for line the previous ones.
+# appearance, their traces are line for line the previous ones. S1-S4 were
+# last re-pinned when the answers' refusals became pki.Refusal values (an
+# accepted answer's "" became None, and TravelRuleResponse lost its
+# accepted flag): with the digest column of the netsim.sent lines of the
+# five answer types dropped, their traces are line for line the previous
+# ones; S5 sends no answer and did not change.
 PINNED = {
-    "S1": ("40f75dd86ea6fd3b8fe93106fcb66493283af8bd128408cc65ff4001b734cec1",
-           "137a1bfb35dda2081d2ab16a713a060241d1d9694824283bd4f48b684b25babc"),
-    "S2": ("4bc822dfce769c17ceb4998f094fe8f04cb8e92c3f88b1cbd50fcf1029748fc9",
-           "6cab61ebbe0c7540d005f4a5616f7842310dfc41d42a83c0d02db59c8a866265"),
-    "S3": ("fbd1b692b67784c499c098d20e0e4993822ecb013da0343e58e5db0577eb75d5",
-           "e1ad94b875f1833b1aee505845ba529514beb9b685f175317733745c4db2b2cd"),
-    "S4": ("cd85c2f9d3a1eae9bc69819f493ddf4a3b2d6f27a9775b66cc9087df09deaf4c",
-           "81db75ef07da57de1122106281a8059b259a3c6bdb57b39603944e4f17690910"),
+    "S1": ("ea29effdd8aac696019366b8101e317f477ff4d0cc003b5aa5006520f3729d03",
+           "a4e730001368f4fb9a486ea424eca66544e8cf336a6e2c565f92424e23fbb146"),
+    "S2": ("e8fa18add9e2977659c5a424b837202d67135e0f8ee17132631340a01f647b86",
+           "fa12f5936b111efff5d2f0316f55713e5145af689ca1049d840068dd90f83f4f"),
+    "S3": ("db7be81ec1daf6e7652a4f055f1acf03fbdc5fef3cd816870133f0ae9dc7b0cc",
+           "381c0fd700b2e82ba2ff94049b5e38e7fa184cb2e80ef1fc7b31c954a3751e1b"),
+    "S4": ("c4dd41f7bd49aaabc9f6add636a0ef9b8163a1f36bc5f0d4dcd8dc7324e9369e",
+           "1eaf44906accc5cf34ac4e80a6e1a4cef9bf312fef73353134cdbb507fa65a94"),
     "S5": ("3372ccd2fbe5c143fa1cada7f367ab253a5a874998d34a86b7711d0a1eba9ba4",
            "268d8f3afcce833d79dd8c142986a4db7b142e1233c87bd36b0719d257768b44"),
 }
