@@ -35,6 +35,19 @@ from a kept encoding that leaves out only trailing fields: the struct
 header, that encoding's field bytes, then the trailing fields' encodings.
 So a signed value's full encoding re-encodes only its signature.
 
+Enum members and union members are tagged by declaration index, as ASN.1
+numbers the alternatives of a CHOICE and DER encodes an ENUMERATED value
+(ITU-T X.680, X.690 §8.4). An enum value is a TAG_ENUM frame around its
+member's 0-based index in the class's declared order, as a minimal
+big-endian uint (index 0 has an empty payload). A union value is a
+TAG_UNION frame holding its member's 0-based index among the union's
+non-None members, in declared order, as a TAG_UINT frame, followed by the
+value's encoding. Only a member of the declared enum encodes where that
+enum is declared, and the decoder refuses an index past the last member or
+one not written minimally. So new members go at the end: inserting or
+reordering a member changes the wire bytes of every later member, and the
+pinned wire and trace digests catch it.
+
 No floating point is representable on purpose.
 """
 
@@ -185,13 +198,17 @@ def _encode_bool(value: Any) -> bytes:
     return _other(value, bool)
 
 
+def _uint(value: int) -> bytes:
+    """Minimal big-endian bytes of a non-negative int; 0 is empty."""
+    return value.to_bytes((value.bit_length() + 7) // 8, "big")
+
+
 def _encode_int(value: Any) -> bytes:
     if type(value) is not int:
         return _other(value, int)
     if value < 0:
         raise CodecError("negative integers are not encodable")
-    n = (value.bit_length() + 7) // 8
-    return _frame(TAG_UINT, value.to_bytes(n, "big"))
+    return _frame(TAG_UINT, _uint(value))
 
 
 def _encode_bytes(value: Any) -> bytes:
@@ -249,12 +266,16 @@ def _build_class(cls: type) -> Encoder:
     if issubclass(cls, str):
         return _checked(cls, lambda v: _frame(TAG_STR, str.encode(v, "utf-8")))
     if issubclass(cls, Enum):
-        names = {m._name_: _frame(TAG_ENUM, m._name_.encode("utf-8")) for m in cls}
+        # Member name -> the frame of its declaration index.
+        names = {m._name_: _frame(TAG_ENUM, _uint(i)) for i, m in enumerate(cls)}
 
         def encode_enum(value: Any) -> bytes:
-            if type(value) is not cls:
+            if type(value) is cls:
+                return names[value._name_]
+            if value is None:
                 return _other(value, cls)
-            return names[value._name_]
+            raise CodecError(
+                f"{type(value).__name__} is not a member of {cls.__name__}")
         return encode_enum
     if dataclasses.is_dataclass(cls):
         return _struct(cls, ())
@@ -273,10 +294,10 @@ def _build_class(cls: type) -> Encoder:
 
 
 def _member_tags(members: list[Any]) -> dict[type, bytes]:
-    """Union member class -> the encoded name that tags its values. A
+    """Union member class -> the encoded index that tags its values. A
     member that is not a class (``list[int]``) matches no value's class."""
-    return {m: _frame(TAG_STR, m.__name__.encode("utf-8"))
-            for m in members if isinstance(m, type)}
+    return {m: _encode_int(i) for i, m in enumerate(members)
+            if isinstance(m, type)}
 
 
 def _build_union(typ: Any) -> Encoder:
@@ -491,6 +512,14 @@ def _decode_uint(payload: bytes) -> int:
     return int.from_bytes(payload, "big")
 
 
+def _decode_index(payload: bytes, count: int, typ: Any) -> int:
+    """A member's declaration index, which must name one of ``count``."""
+    index = _decode_uint(payload)
+    if index >= count:
+        raise DecodeError(f"index {index} past the last member of {typ}")
+    return index
+
+
 def _decode(reader: _Reader, typ: Any) -> Any:
     origin = get_origin(typ)
 
@@ -508,12 +537,8 @@ def _decode(reader: _Reader, typ: Any) -> Any:
             return _decode(reader, members[0])
         payload = _expect(reader, TAG_UNION)
         inner = _Reader(payload)
-        name_bytes = _expect(inner, TAG_STR)
-        name = _decode_str(name_bytes)
-        by_name = {m.__name__: m for m in members}
-        if name not in by_name:
-            raise DecodeError(f"unknown union member {name!r} for {typ}")
-        value = _decode(inner, by_name[name])
+        index = _decode_index(_expect(inner, TAG_UINT), len(members), typ)
+        value = _decode(inner, members[index])
         if not inner.done():
             raise DecodeError("trailing bytes inside union")
         return value
@@ -551,11 +576,9 @@ def _decode(reader: _Reader, typ: Any) -> Any:
     if typ is str:
         return _decode_str(_expect(reader, TAG_STR))
     if isinstance(typ, type) and issubclass(typ, Enum):
-        name = _decode_str(_expect(reader, TAG_ENUM))
-        try:
-            return typ[name]
-        except KeyError:
-            raise DecodeError(f"unknown {typ.__name__} member {name!r}") from None
+        members = list(typ)
+        return members[_decode_index(_expect(reader, TAG_ENUM), len(members),
+                                     typ)]
     if dataclasses.is_dataclass(typ):
         payload = _expect(reader, TAG_STRUCT)
         inner = _Reader(payload)

@@ -2,8 +2,9 @@
 
 Every body is a frozen dataclass with a canonical encoding; the envelope
 body field is the tagged union of all of them. An answer says why it
-refuses with a ``pki.Refusal`` and nothing else, and ``canonical_decode``
-refuses anything but a member's name there, so no peer text reaches the
+refuses with a ``pki.Refusal`` and nothing else: the codec refuses to
+encode anything but a member there, and ``canonical_decode`` refuses
+anything but a member's declaration index, so no peer text reaches the
 receiver's trace; the trace's rendering rule (``netsim.trace``) keeps its
 parsing exact. An answer whose ``refusal`` is None is not refused.
 """
@@ -97,6 +98,7 @@ class AttestationResponse:
     refusal: Refusal | None
 
 
+# The wire tags a body by its index in this list: a new type goes at the end.
 MessageBody = Union[
     TravelRuleRequest,
     TravelRuleResponse,

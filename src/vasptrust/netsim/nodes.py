@@ -130,6 +130,7 @@ class VaspNode(Node):
         self.claims_token: claims_mod.AuthorizationToken | None = None
         self.claims_denial: Refusal | None = None
         self._claims_asked: dict[int, msg.ClaimsAuthRequest] = {}  # by channel
+        self._claims_fetching: set[int] = set()  # channels with a fetch out
         self.fetched_claims: list[claims_mod.SignedClaim] = []
         self.consent_receipts: list[claims_mod.ConsentReceipt] = []
 
@@ -494,6 +495,7 @@ class VaspNode(Node):
                                 claims_mod.terms_bytes(token))
         self.sim.emit(self.name, "claims.terms_accepted", {
             "token": token.token_id.hex()[:16], "purpose": token.purpose})
+        self._claims_fetching.add(channel.id)
         self.sim.send(channel, self.name, msg.ClaimsFetchRequest(
             token, signature, self.certs.claims.serial))
 
@@ -517,6 +519,11 @@ class VaspNode(Node):
 
     def _on_claims_fetch_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.ClaimsFetchResponse = env.body
+        if channel.id not in self._claims_fetching:
+            self._refused("claims.fetch_refused", {"from": env.sender},
+                          Refusal.UNSOLICITED_ANSWER)
+            return
+        self._claims_fetching.remove(channel.id)
         if body.refusal is not None:
             self._refused("claims.fetch_refused", {}, body.refusal, by_peer=True)
             return
@@ -595,6 +602,8 @@ class VaspNode(Node):
         evidence, refusal = None, None
         if device is None:
             refusal = Refusal.UNKNOWN_DEVICE
+        elif len(body.nonce) != wallet.NONCE_SIZE:
+            refusal = Refusal.ATTESTATION_REFUSED
         else:
             try:
                 evidence = device.attest(body.nonce, self.sim.now)

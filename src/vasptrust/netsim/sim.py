@@ -214,12 +214,15 @@ class Simulation:
             raise ChannelClosed(f"channel {channel.id} is closed")
         direction = channel._dirs[sender]
         env = Envelope(channel.id, direction.next_seq, sender, body, self.now)
+        # Encoded before it is queued, so a body the codec refuses is never
+        # sent. Encoding the envelope leaves the body's bytes kept on the
+        # body, so the sent event's digest reads them without encoding it
+        # again.
+        wire = codec.canonical_encode(env)
         direction.next_seq += 1
         direction.queue.append(env)
         self._busy[channel.id, channel.endpoints().index(sender)] = (channel, sender)
-        # Encoding the envelope leaves the body's bytes kept on the body,
-        # so the sent event's digest reads them without encoding it again.
-        self.wire_log.append((type(body).__name__, codec.canonical_encode(env)))
+        self.wire_log.append((type(body).__name__, wire))
         self.emit(sender, "netsim.sent",
                   {"msg": type(body).__name__, "ch": channel.id, "seq": env.seq},
                   payload=body)

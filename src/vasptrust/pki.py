@@ -89,7 +89,8 @@ class Verdict(Enum):
 
 class Refusal(Enum):
     """Why a member refuses a transfer, a request, an answer or a channel:
-    the one vocabulary of refusal events, wire answers and audit rows."""
+    the one vocabulary of refusal events, wire answers and audit rows.
+    The wire carries a member's declaration index: new members go last."""
 
     ORIGINATOR_CONSENT_MISSING = "originator_consent_missing"
     INVALID_PAYLOAD = "invalid_payload"

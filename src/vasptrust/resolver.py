@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Container
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import codec, crypto, pki
 
@@ -146,6 +146,13 @@ class IdpDirectory:
         return identifier.render() in self._known
 
 
+@lru_cache(maxsize=1024)
+def _one_origin(vasp_number: int) -> frozenset[int]:
+    """The origin set of an identifier only ``vasp_number`` advertises,
+    shared by every resolver's index: nearly every identifier has one."""
+    return frozenset((vasp_number,))
+
+
 class ResolverService:
     """One VASP's resolver: local registrations plus federated knowledge."""
 
@@ -156,8 +163,10 @@ class ResolverService:
         self._identifiers: dict[str, CustomerIdentifier] = {}
         self._remote: dict[int, IdentifierAdvertisement] = {}
         # Incrementally maintained identifier -> origins index so lookups
-        # are plain map accesses, not scans over held advertisements.
-        self._remote_index: dict[str, set[int]] = {}
+        # are plain map accesses, not scans over held advertisements. A
+        # one-origin set is shared (_one_origin); a multi-origin identifier
+        # has its own frozenset.
+        self._remote_index: dict[str, frozenset[int]] = {}
         self._sequence = 0
 
     # -- local registration -------------------------------------------------
@@ -239,9 +248,11 @@ class ResolverService:
             return MergeOutcome.REJECTED
 
         self.drop_origin(adv.vasp_number)
+        index, origin = self._remote_index, _one_origin(adv.vasp_number)
         for ident in adv.identifiers:
-            self._remote_index.setdefault(ident.render(), set()).add(
-                adv.vasp_number)
+            rendered = ident.render()
+            owners = index.get(rendered)
+            index[rendered] = origin if owners is None else owners | origin
         self._remote[adv.vasp_number] = adv
         return MergeOutcome.APPLIED
 
@@ -250,12 +261,15 @@ class ResolverService:
         held = self._remote.pop(vasp_number, None)
         if held is None:
             return
+        index, origin = self._remote_index, _one_origin(vasp_number)
         for ident in held.identifiers:
-            owners = self._remote_index.get(ident.render())
-            if owners is not None:
-                owners.discard(vasp_number)
-                if not owners:
-                    del self._remote_index[ident.render()]
+            rendered = ident.render()
+            owners = index.get(rendered, origin) - origin
+            if not owners:
+                index.pop(rendered, None)
+            else:
+                index[rendered] = owners if len(owners) > 1 \
+                    else _one_origin(*owners)
 
     def known_advertisements(self) -> list[IdentifierAdvertisement]:
         """Latest advertisement held per remote origin, for syncing a new

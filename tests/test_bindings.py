@@ -251,7 +251,9 @@ def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
     token = world.vasps[7].claims_token
     thief = world.vasps[9]
     receipts_before = len(store.store.receipts)
-    world.sim.send(world.channel_between(thief, store), thief.name,
+    channel = world.channel_between(thief, store)
+    thief._claims_fetching.add(channel.id)  # as fetch_claims does
+    world.sim.send(channel, thief.name,
                    ClaimsFetchRequest(token, crypto.sign(
                        thief.claims_key.private_key, claims.terms_bytes(token)),
                        thief.certs.claims.serial))
@@ -271,7 +273,9 @@ def test_terms_signed_by_another_vasp_release_nothing(demo_config):
     store, vasp, other = world.stores["alice"], world.vasps[7], world.vasps[9]
     token = vasp.claims_token
     fetched_before = len(vasp.fetched_claims)
-    world.sim.send(world.channel_between(vasp, store), vasp.name,
+    channel = world.channel_between(vasp, store)
+    vasp._claims_fetching.add(channel.id)  # as fetch_claims does
+    world.sim.send(channel, vasp.name,
                    ClaimsFetchRequest(token, crypto.sign(
                        other.claims_key.private_key, claims.terms_bytes(token)),
                        other.certs.claims.serial))

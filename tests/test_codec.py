@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seed, trust_context
-from vasptrust import claims, codec, crypto, pki, wallet
+from vasptrust import claims, codec, crypto, pki, resolver, travel_rule, wallet
 from vasptrust.ledger import Ledger, make_transfer
 from vasptrust.netsim import messages
 from vasptrust.netsim.scenarios import run_scenario_with_world
@@ -247,9 +247,21 @@ def _ref_frame(tag: int, payload: bytes) -> bytes:
     return bytes(header + [n]) + payload
 
 
+def _ref_index(i: int) -> bytes:
+    """A declaration index as a minimal big-endian uint: 0 is empty."""
+    return i.to_bytes((i.bit_length() + 7) // 8, "big")
+
+
 def reference_encode(value, typ=None) -> bytes:
     """The interpretive encoder the compiled one replaced: it dispatches every
-    value on its declared type's origin, then on an isinstance chain."""
+    value on its declared type's origin, then on an isinstance chain. An
+    enum value is TAG_ENUM around its member's declaration index; a union
+    value is TAG_UNION around its member's index among the non-None
+    members, as a TAG_UINT, then the value."""
+    if (isinstance(typ, type) and issubclass(typ, Enum)
+            and not issubclass(typ, (int, str, bytes))
+            and value is not None and type(value) is not typ):
+        raise codec.CodecError(f"{type(value).__name__} is not a member")
     if typ is not None:
         origin = typing.get_origin(typ)
         if origin in (typing.Union, types.UnionType):
@@ -264,9 +276,9 @@ def reference_encode(value, typ=None) -> bytes:
             cls = type(value)
             if cls not in members:
                 raise codec.CodecError(f"{cls.__name__} is not a member of {typ}")
-            name = _ref_frame(codec.TAG_STR, cls.__name__.encode("utf-8"))
+            index = _ref_frame(codec.TAG_UINT, _ref_index(members.index(cls)))
             return _ref_frame(codec.TAG_UNION,
-                              name + reference_encode(value, cls))
+                              index + reference_encode(value, cls))
         if origin in (list, tuple):
             args = typing.get_args(typ)
             if origin is list:
@@ -293,7 +305,8 @@ def reference_encode(value, typ=None) -> bytes:
     if isinstance(value, str):
         return _ref_frame(codec.TAG_STR, value.encode("utf-8"))
     if isinstance(value, Enum):
-        return _ref_frame(codec.TAG_ENUM, value.name.encode("utf-8"))
+        return _ref_frame(codec.TAG_ENUM,
+                          _ref_index(list(type(value)).index(value)))
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         hints = typing.get_type_hints(type(value))
         return _ref_frame(codec.TAG_STRUCT, b"".join(
@@ -382,6 +395,62 @@ def test_excluded_fields_match_reference():
         reference_encode(getattr(value, f.name), hints[f.name])
         for f in dataclasses.fields(Sample) if f.name not in ("blob", "pairs")))
     assert partial == expected
+
+
+# -- members tagged by declaration index ----------------------------------------
+
+PROTOCOL_ENUMS = [cls for module in (pki, wallet, travel_rule, resolver)
+                  for cls in vars(module).values()
+                  if isinstance(cls, type) and issubclass(cls, Enum)
+                  and cls.__module__ == module.__name__]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PROTOCOL_ENUMS).flatmap(st.sampled_from))
+def test_enum_member_is_its_declaration_index(member):
+    cls = type(member)
+    index = list(cls).index(member)
+    blob = codec.canonical_encode(member)
+    assert blob == _ref_frame(codec.TAG_ENUM, _ref_index(index))
+    back = codec.canonical_decode(blob, cls)
+    assert back is member
+    assert codec.canonical_encode(back) == blob
+    for bad in (_ref_index(len(cls)), b"\x00" + _ref_index(index)):
+        with pytest.raises(codec.DecodeError):
+            codec.canonical_decode(_ref_frame(codec.TAG_ENUM, bad), cls)
+
+
+def envelope_wire(env: Envelope, index: bytes) -> bytes:
+    """``env``'s encoding with its body tagged by the uint payload ``index``."""
+    hints = typing.get_type_hints(Envelope)
+    return _ref_frame(codec.TAG_STRUCT, b"".join(
+        _ref_frame(codec.TAG_UNION, _ref_frame(codec.TAG_UINT, index)
+                   + reference_encode(env.body))
+        if f.name == "body" else
+        reference_encode(getattr(env, f.name), hints[f.name])
+        for f in dataclasses.fields(Envelope)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_message_body_is_tagged_by_its_union_index(data):
+    index = data.draw(st.integers(0, len(BODY_TYPES) - 1), label="member")
+    body = data.draw(values_of(BODY_TYPES[index]))
+    env = Envelope(channel_id=3, seq=9, sender="vasp:7", body=body, sent_at=4)
+    blob = codec.canonical_encode(env)
+    assert blob == envelope_wire(env, _ref_index(index))
+    back = codec.canonical_decode(blob, Envelope)
+    assert back == env
+    assert codec.canonical_encode(back) == blob
+    for bad in (_ref_index(len(BODY_TYPES)), b"\x00" + _ref_index(index)):
+        with pytest.raises(codec.DecodeError):
+            codec.canonical_decode(envelope_wire(env, bad), Envelope)
+
+
+def test_non_member_where_an_enum_is_declared_refused():
+    for value in ("Red", "RED", 0, Flavour.SWEET):
+        with pytest.raises(codec.CodecError, match="is not a member of Color"):
+            codec.canonical_encode(dataclasses.replace(sample(), color=value))
 
 
 # -- every refusal -------------------------------------------------------------

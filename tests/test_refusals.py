@@ -22,7 +22,8 @@ from vasptrust import travel_rule as tr
 from vasptrust.claims import AuthorizationToken
 from vasptrust.config import default_config, parse_config
 from vasptrust.netsim import build_world, run_scenario_with_world
-from vasptrust.netsim.messages import (AttestationResponse, ClaimsAuthRequest,
+from vasptrust.netsim.messages import (AttestationChallenge,
+                                       AttestationResponse, ClaimsAuthRequest,
                                        ClaimsAuthResponse, ClaimsFetchRequest,
                                        ClaimsFetchResponse, LookupResponse,
                                        MessageBody, TravelRuleResponse)
@@ -80,8 +81,9 @@ def refused_answer(world, kind: str, refusal: Refusal):
         return world.auth_servers["alice"], vasp7, \
             ClaimsAuthResponse(None, refusal)
     if kind == "ClaimsFetchResponse":
-        return world.stores["alice"], vasp7, \
-            ClaimsFetchResponse((), None, refusal)
+        store = world.stores["alice"]
+        vasp7._claims_fetching.add(world.channel_between(store, vasp7).id)
+        return store, vasp7, ClaimsFetchResponse((), None, refusal)
     device = "wdev:alice@7"
     world.insurer.pending_nonces[device] = bytes(32)
     return vasp7, world.insurer, AttestationResponse(device, None, refusal)
@@ -180,6 +182,60 @@ def test_answered_challenge_is_not_pending(demo_config):
             and e.event == "attest.audit_refused"] == [
         {"from": vasp.name, "reason": "unsolicited_answer"}]
     assert len(trace.find("attest.audit_verdict")) == 1
+
+
+def test_malformed_nonce_is_refused_not_raised(world):
+    # A challenge whose nonce is not NONCE_SIZE bytes is refused with one
+    # event and an answer carrying that refusal; the device is not asked.
+    vasp, insurer = world.vasps[7], world.insurer
+    device_id = "wdev:alice@7"
+    assert device_id in vasp.devices
+    since = len(world.sim.trace.events)
+    world.sim.send(world.channel_between(vasp, insurer), insurer.name,
+                   AttestationChallenge(device_id, b"short"))
+    world.sim.run_until_quiet()
+    assert [(e.event, e.fields) for e in events_of(world, vasp.name, since)
+            if e.event.startswith("attest.")] == [
+        ("attest.challenge_refused",
+         {"from": insurer.name, "reason": "attestation_refused"})]
+    (answer,) = [env.body for env in wire_envelopes(world.sim)
+                 if isinstance(env.body, AttestationResponse)]
+    assert answer == AttestationResponse(device_id, None,
+                                         Refusal.ATTESTATION_REFUSED)
+    reparses_exactly(world.sim.trace.events)
+
+
+def test_unsolicited_fetch_answer_is_refused(demo_config):
+    # After S2 the store sends its answer again: no fetch is outstanding,
+    # so nothing of it is taken.
+    trace, world = run_scenario_with_world("S2", demo_config)
+    vasp, store = world.vasps[7], world.stores["alice"]
+    answer = next(env.body for env in wire_envelopes(world.sim)
+                  if isinstance(env.body, ClaimsFetchResponse))
+    assert len(vasp.fetched_claims) == len(vasp.consent_receipts) == 1
+    since = len(trace.events)
+    world.sim.send(world.channel_between(vasp, store), store.name, answer)
+    world.sim.run_until_quiet()
+    assert [(e.event, e.fields) for e in events_of(world, vasp.name, since)
+            if e.event.startswith("claims.")] == [
+        ("claims.fetch_refused",
+         {"from": store.name, "reason": "unsolicited_answer"})]
+    assert len(vasp.fetched_claims) == len(vasp.consent_receipts) == 1
+
+
+def test_non_member_where_a_refusal_is_declared_is_refused_at_the_sender(world):
+    # Free text where a Refusal is declared does not encode, so it is never
+    # queued: the receiver cannot be handed it in process either.
+    answer = TravelRuleResponse(bytes(32), "free text", None)
+    with pytest.raises(codec.CodecError, match="str is not a member of Refusal"):
+        codec.canonical_encode(answer)
+    sender = world.vasps[9]
+    channel = world.channel_between(sender, world.vasps[7])
+    since = len(world.sim.trace.events)
+    with pytest.raises(codec.CodecError, match="not a member"):
+        world.sim.send(channel, sender.name, answer)
+    assert world.sim.in_flight() == 0
+    assert world.sim.trace.events[since:] == []
 
 
 ASKED = (("driving_license_number",), "kyc")

@@ -769,18 +769,23 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # accepted answer's "" became None, and TravelRuleResponse lost its
 # accepted flag): with the digest column of the netsim.sent lines of the
 # five answer types dropped, their traces are line for line the previous
-# ones; S5 sends no answer and did not change.
+# ones; S5 sends no answer and did not change. All five wire digests, and
+# the S1, S3, S4 and S5 trace digests, were last re-pinned when enum and
+# union members became declaration indexes on the wire: with the digest
+# column dropped and payload=, tx= and hash= values renamed consistently
+# (4 ids in S1, none elsewhere), the traces are line for line the previous
+# ones; S2's trace did not change.
 PINNED = {
-    "S1": ("ea29effdd8aac696019366b8101e317f477ff4d0cc003b5aa5006520f3729d03",
-           "a4e730001368f4fb9a486ea424eca66544e8cf336a6e2c565f92424e23fbb146"),
+    "S1": ("2832b4291b4d8a541cfd259ecddc895a294adf10448d0fb15761201a0b075fcc",
+           "0190549494518c66ce7029db4c9571d6ebfe795f4b3140959de487f5c375bd4a"),
     "S2": ("e8fa18add9e2977659c5a424b837202d67135e0f8ee17132631340a01f647b86",
-           "fa12f5936b111efff5d2f0316f55713e5145af689ca1049d840068dd90f83f4f"),
-    "S3": ("db7be81ec1daf6e7652a4f055f1acf03fbdc5fef3cd816870133f0ae9dc7b0cc",
-           "381c0fd700b2e82ba2ff94049b5e38e7fa184cb2e80ef1fc7b31c954a3751e1b"),
-    "S4": ("c4dd41f7bd49aaabc9f6add636a0ef9b8163a1f36bc5f0d4dcd8dc7324e9369e",
-           "1eaf44906accc5cf34ac4e80a6e1a4cef9bf312fef73353134cdbb507fa65a94"),
-    "S5": ("3372ccd2fbe5c143fa1cada7f367ab253a5a874998d34a86b7711d0a1eba9ba4",
-           "268d8f3afcce833d79dd8c142986a4db7b142e1233c87bd36b0719d257768b44"),
+           "f1c407b70f95c08e22c890c496c04993b00651a90ef70403fa32a002f31ad152"),
+    "S3": ("ecb5fd0f3c59e781505ccbbc225535056f862440e6ddf0223ca7194076931d9f",
+           "ba2164c0db0c0b1e8890780a4d0d27bc475515cf5bc05e91b25bcd2355574234"),
+    "S4": ("c2c61b1235858143b7736656ae9d656def124f85b6465ab54c404b969ebd6d49",
+           "a84621ef32f7ba8b69d0e864fd2838ab069e115b29380a3ca2a456427f924e65"),
+    "S5": ("348967c6bcf6939f7152fec36c32231f7c459e9366f238ba49ec3d1901549185",
+           "207e03b13c9a6bbb9397af08de14d18135323d1b732cb91a88416a9bd8b91687"),
 }
 
 
