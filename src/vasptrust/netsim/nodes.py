@@ -9,16 +9,24 @@ names a ``pki.Refusal``; one a peer sends is recorded as
 ``reason=peer_refused`` with the peer's member as ``peer_reason``.
 
 A VASP's ``pending`` table holds only its open transfers; a settled one
-stays on record in its payload and correlation stores and the trace.
+stays on record in its payload and correlation stores and the trace. The
+payload store is a list of records, not of live payloads: each is the
+direction and the canonical bytes of the ``SignedPayload`` sent or
+accepted, the bytes the codec already keeps for it, so a settled
+transfer's payload objects are freed; ``travel_rule.read_payload_record``
+decodes a record. Values the events of one transfer repeat (a
+payload's short id, ``k/n`` presence, and the ``vasp:N`` and
+``customer:ID`` names, interned) are built once and shared.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from .. import claims as claims_mod
-from .. import crypto, pki, travel_rule, wallet
+from .. import codec, crypto, pki, travel_rule, wallet
 from ..ledger import InsufficientFunds, Ledger, make_transfer
 from ..pki import Refusal
 from ..resolver import (CustomerIdentifier, IdentifierAdvertisement,
@@ -69,13 +77,28 @@ def _sender_number(channel: SecureChannel, env: Envelope) -> int:
     return channel.peer_cert(env.sender).subject.vasp_number
 
 
+# "k/n" for k of the n required payload fields present, indexed by k.
+_PRESENT = tuple(f"{k}/{len(travel_rule.REQUIRED_FIELDS)}"
+                 for k in range(len(travel_rule.REQUIRED_FIELDS) + 1))
+
+
 def _present(missing: tuple[str, ...]) -> str:
     """How many required payload fields are present, as ``k/n``."""
-    required = len(travel_rule.REQUIRED_FIELDS)
-    return f"{required - len(missing)}/{required}"
+    return _PRESENT[len(travel_rule.REQUIRED_FIELDS) - len(missing)]
 
 
-@dataclass
+def _name(kind: str, key) -> str:
+    """``kind:key`` (``vasp:9``, ``customer:alice``), interned: one string
+    shared by every event, of every node, that names it."""
+    return sys.intern(f"{kind}:{key}")
+
+
+def _short(digest: bytes) -> str:
+    """The 16-hex short id the trace names a payload or transaction by."""
+    return digest.hex()[:16]
+
+
+@dataclass(slots=True)
 class PendingTransfer:
     """An open transfer this VASP originated, ``requested`` or ``submitted``.
     It leaves ``VaspNode.pending`` as ``correlated`` or ``refused``."""
@@ -84,6 +107,7 @@ class PendingTransfer:
     state: str = "requested"
     tx_id: bytes | None = None
     submitted_height: int = 0  # ledger height when the tx entered the mempool
+    tx_short: str = ""  # the short id of tx_id, once submitted
 
 
 class VaspNode(Node):
@@ -121,8 +145,9 @@ class VaspNode(Node):
         self._revocations_seen: frozenset[int] | None = None
         self.consents = ConsentStore(self.customers)
         self.correlations = CorrelationStore()
-        # Payloads sent, and received payloads that passed every check.
-        self.payload_store: list[tuple[str, SignedPayload]] = []
+        # Payloads sent, and received payloads that passed every check, as
+        # (direction, canonical SignedPayload bytes) records.
+        self.payload_store: list[tuple[str, bytes]] = []
         self.supervision: dict[str, wallet.SupervisionRecord] = {}
         # Open transfers by payload id, in initiation order.
         self.pending: dict[bytes, PendingTransfer] = {}
@@ -133,6 +158,10 @@ class VaspNode(Node):
         self._claims_fetching: set[int] = set()  # channels with a fetch out
         self.fetched_claims: list[claims_mod.SignedClaim] = []
         self.consent_receipts: list[claims_mod.ConsentReceipt] = []
+
+    def _record(self, direction: str, signed: SignedPayload) -> None:
+        """Keep ``signed`` in the payload store as its canonical bytes."""
+        self.payload_store.append((direction, codec.canonical_encode(signed)))
 
     # -- customer management ---------------------------------------------------
 
@@ -157,14 +186,15 @@ class VaspNode(Node):
     def grant_consent(self, customer_id: str, direction: ConsentDirection,
                       counterparty: int | None) -> None:
         self.consents.record(customer_id, direction, counterparty, self.sim.now)
-        self.sim.emit(f"customer:{customer_id}", "travel_rule.consent_recorded", {
+        self.sim.emit(_name("customer", customer_id), "travel_rule.consent_recorded", {
             "vasp": self.vasp_number, "direction": direction.value,
-            "counterparty": None if counterparty is None else f"vasp:{counterparty}"})
+            "counterparty":
+                None if counterparty is None else _name("vasp", counterparty)})
 
     def withdraw_consent(self, customer_id: str, direction: ConsentDirection,
                          counterparty: int | None) -> None:
         self.consents.withdraw(customer_id, direction, counterparty, self.sim.now)
-        self.sim.emit(f"customer:{customer_id}", "travel_rule.consent_withdrawn",
+        self.sim.emit(_name("customer", customer_id), "travel_rule.consent_withdrawn",
                       {"vasp": self.vasp_number, "direction": direction.value})
 
     # -- resolver -------------------------------------------------------------------
@@ -191,7 +221,8 @@ class VaspNode(Node):
                 self.resolver.drop_origin(adv.vasp_number)
                 self._outbox.pop(adv.vasp_number, None)
                 self.sim.emit(self.name, "resolver.adv_purged", {
-                    "origin": f"vasp:{adv.vasp_number}", "seq": adv.sequence})
+                    "origin": _name("vasp", adv.vasp_number),
+                    "seq": adv.sequence})
 
     def build_own_advertisement(self):
         adv = self.resolver.build_advertisement(self.claims_key.private_key,
@@ -244,7 +275,7 @@ class VaspNode(Node):
             # The neighbour sent us this very advertisement: it has it.
             pending[1].add(channel.id)
         self.sim.emit(self.name, "resolver.adv_merged", {
-            "origin": f"vasp:{adv.vasp_number}", "seq": adv.sequence,
+            "origin": _name("vasp", adv.vasp_number), "seq": adv.sequence,
             "outcome": outcome.value})
 
     # -- travel rule exchange ---------------------------------------------------------
@@ -277,10 +308,10 @@ class VaspNode(Node):
         missing = travel_rule.validate_payload(payload)
         self.sim.emit(self.name, "travel_rule.payload_validated", {
             "direction": "outbound", "present": _present(missing),
-            "payload": payload.payload_id.hex()[:16]}, payload=payload)
+            "payload": payload.short_id}, payload=payload)
         signed = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims, payload, self.trust)
-        self.payload_store.append(("outbound", signed))
+        self._record("outbound", signed)
         return signed
 
     def _settle(self, pending: PendingTransfer, state: str) -> None:
@@ -297,7 +328,7 @@ class VaspNode(Node):
         if pending is not None:
             self._settle(pending, "refused")
         self._refused("travel_rule.transfer_refused",
-                      {"payload": payload_id.hex()[:16]}, reason, by_peer=by_peer)
+                      {"payload": _short(payload_id)}, reason, by_peer=by_peer)
         if answer is not None:
             self.sim.send(answer, self.name,
                           msg.TravelRuleResponse(payload_id, reason, None))
@@ -309,7 +340,7 @@ class VaspNode(Node):
         self.sim.emit(self.name, "travel_rule.payload_validated", {
             "direction": "inbound", "present": _present(missing),
             "signature": "ok" if ok else "bad",
-            "payload": signed.payload.payload_id.hex()[:16]}, payload=signed.payload)
+            "payload": signed.payload.short_id}, payload=signed.payload)
         return ok and not missing
 
     def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
@@ -349,7 +380,7 @@ class VaspNode(Node):
         if not consent:
             self._refuse(pid, Refusal.BENEFICIARY_CONSENT_MISSING, answer=channel)
             return
-        self.payload_store.append(("inbound", signed))
+        self._record("inbound", signed)
         answer = self._sign_outbound(travel_rule.answer_payload(
             payload, beneficiary, self.tx_key.public_key))
         self.sim.send(channel, self.name,
@@ -378,7 +409,7 @@ class VaspNode(Node):
                 or answer.originating_vasp_number != self.vasp_number):
             self._refuse(pid, Refusal.MISADDRESSED_PAYLOAD, pending)
             return
-        self.payload_store.append(("inbound", body.signed))
+        self._record("inbound", body.signed)
 
         originator = pending.payload.originator_account
         originator_consent = self.consents.check(
@@ -389,7 +420,7 @@ class VaspNode(Node):
             "direction": ConsentDirection.SEND_INFO_TO_COUNTERPARTY.value,
             "ok": originator_consent})
         self.sim.emit(self.name, "travel_rule.transfer_gate", {
-            "payload": pid.hex()[:16],
+            "payload": pending.payload.short_id,
             "consent_originator": originator_consent,
             "beneficiary_accepted": True})
         if not originator_consent:
@@ -415,10 +446,11 @@ class VaspNode(Node):
             self._refuse(pid, Refusal.INSUFFICIENT_FUNDS, pending)
             return
         pending.tx_id = tx.tx_id
+        pending.tx_short = _short(tx.tx_id)
         pending.submitted_height = self.ledger.height
         pending.state = "submitted"
         self.sim.emit(self.name, "ledger.tx_submitted", {
-            "tx": tx.tx_id.hex()[:16], "kind": "customer_transfer",
+            "tx": pending.tx_short, "kind": "customer_transfer",
             "amount": pending.payload.amount}, payload=tx)
 
     def correlate_pending(self) -> list[travel_rule.CorrelationRecord]:
@@ -437,9 +469,11 @@ class VaspNode(Node):
                 (pending.submitted_height + 1, self.ledger.height))
             self._settle(pending, "correlated")
             records.append(record)
+            tx = pending.tx_short if record.tx_id == pending.tx_id \
+                else _short(record.tx_id)
             self.sim.emit(self.name, "travel_rule.correlated", {
-                "payload": record.payload_id.hex()[:16],
-                "tx": record.tx_id.hex()[:16], "output": record.output_index,
+                "payload": pending.payload.short_id,
+                "tx": tx, "output": record.output_index,
                 "height": record.matched_at_height})
         return records
 
@@ -494,7 +528,7 @@ class VaspNode(Node):
         signature = crypto.sign(self.claims_key.private_key,
                                 claims_mod.terms_bytes(token))
         self.sim.emit(self.name, "claims.terms_accepted", {
-            "token": token.token_id.hex()[:16], "purpose": token.purpose})
+            "token": _short(token.token_id), "purpose": token.purpose})
         self._claims_fetching.add(channel.id)
         self.sim.send(channel, self.name, msg.ClaimsFetchRequest(
             token, signature, self.certs.claims.serial))
@@ -514,7 +548,7 @@ class VaspNode(Node):
         else:
             self.claims_token = token
             self.sim.emit(self.name, "claims.token_received", {
-                "token": token.token_id.hex()[:16],
+                "token": _short(token.token_id),
                 "attrs": list(token.permitted_attributes)}, payload=token)
 
     def _on_claims_fetch_response(self, channel: SecureChannel, env: Envelope) -> None:
@@ -527,14 +561,15 @@ class VaspNode(Node):
         if body.refusal is not None:
             self._refused("claims.fetch_refused", {}, body.refusal, by_peer=True)
             return
-        verified = sum(claims_mod.verify_claim(
+        # Only a claim its issuer's signature verifies is taken.
+        verified = [c for c in body.claims if claims_mod.verify_claim(
             c, self.trust.provider_keys.get(c.issuer, b""), self.sim.now)
-            is pki.Verdict.VALID for c in body.claims)
-        self.fetched_claims.extend(body.claims)
+            is pki.Verdict.VALID]
+        self.fetched_claims.extend(verified)
         if body.receipt is not None:
             self.consent_receipts.append(body.receipt)
         self.sim.emit(self.name, "claims.claims_fetched", {
-            "claims": len(body.claims), "verified": verified,
+            "claims": len(body.claims), "verified": len(verified),
             "receipt": "yes" if body.receipt else "no"})
 
     # -- wallet supervision -------------------------------------------------------------
@@ -655,7 +690,7 @@ class AuthServerNode(Node):
                           msg.ClaimsAuthResponse(None, result))
         else:
             self.sim.emit(self.name, "claims.token_issued", {
-                "caller": env.sender, "token": result.token_id.hex()[:16],
+                "caller": env.sender, "token": _short(result.token_id),
                 "attrs": list(result.permitted_attributes),
                 "expires": result.expires_at}, payload=result)
             self.sim.send(channel, self.name,
@@ -706,8 +741,8 @@ class ClaimsStoreNode(Node):
             "attrs": sorted({c.attribute_name for c in released}),
             "count": len(released)})
         self.sim.emit(self.name, "claims.receipt_issued", {
-            "receipt": receipt.receipt_id.hex()[:16],
-            "token": receipt.token_id.hex()[:16]}, payload=receipt)
+            "receipt": _short(receipt.receipt_id),
+            "token": _short(receipt.token_id)}, payload=receipt)
         self.sim.send(channel, self.name, msg.ClaimsFetchResponse(
             tuple(released), receipt, None))
 
@@ -726,12 +761,13 @@ class InsurerNode(Node):
         self.sim = sim
         self.trust = trust
         self.approved_stacks = approved_stacks
-        self.pending_nonces: dict[str, bytes] = {}
+        # Device id -> (id of the channel its challenge went out on, nonce).
+        self.pending_nonces: dict[str, tuple[int, bytes]] = {}
         self.audit_verdicts: dict[str, wallet.VerifierVerdict] = {}
 
     def request_audit(self, channel: SecureChannel, device_id: str) -> None:
         nonce = self.sim.nonce()
-        self.pending_nonces[device_id] = nonce
+        self.pending_nonces[device_id] = (channel.id, nonce)
         self.sim.emit(self.name, "attest.audit_requested",
                       {"device": device_id, "via": channel.other(self.name)})
         self.sim.send(channel, self.name,
@@ -739,13 +775,16 @@ class InsurerNode(Node):
 
     def _on_attestation_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.AttestationResponse = env.body
-        nonce = self.pending_nonces.pop(body.device_id, None)
-        if nonce is None:
-            # No challenge of ours names this device: the answer's text is
-            # not ours to record, so the refusal names its sender.
+        pending = self.pending_nonces.get(body.device_id)
+        if pending is None or pending[0] != channel.id:
+            # No challenge of ours names this device over this channel: the
+            # answer's text is not ours to record, so the refusal names its
+            # sender, and a challenge sent elsewhere stays pending.
             self._refused("attest.audit_refused", {"from": env.sender},
                           Refusal.UNSOLICITED_ANSWER)
             return
+        del self.pending_nonces[body.device_id]
+        nonce = pending[1]
         if body.refusal is not None or body.evidence is None:
             self._refused("attest.audit_verdict",
                           {"device": body.device_id, "passed": False},

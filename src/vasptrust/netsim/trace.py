@@ -23,6 +23,11 @@ rendered (or its digest read), from that same rendering, so ``to_text``
 renders each line once and emitting one hashes nothing. So the same
 (scenario, config, seed) always produces byte-identical output.
 
+``to_text`` renders the events in chunks of ``RENDER_CHUNK`` lines, each
+joined into one string, and joins the chunks: it never holds a list of
+every line, so rendering a trace takes about twice its text at most, the
+chunks and the result, not the text again as one string per line.
+
 One rendering rule keeps every line one event and every field one field:
 a ``str`` value, or a ``str`` item of a list value, may hold neither a
 character ``str.splitlines`` breaks on nor a space followed by
@@ -40,6 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import crypto
+
+
+# Event lines rendered and joined at a time by ScenarioTrace.to_text.
+RENDER_CHUNK = 512
 
 
 class UnrenderableField(ValueError):
@@ -133,11 +142,20 @@ class ScenarioTrace:
                 and all(e.get(k) == v for k, v in fields.items())]
 
     def to_text(self) -> str:
-        lines = [f"# scenario={self.scenario} seed={self.seed}"]
-        lines.extend(e.line() for e in self.events)
-        lines.extend(a.line() for a in self.assertions)
-        lines.append(f"# result={'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+        events = self.events
+        chunks = [f"# scenario={self.scenario} seed={self.seed}\n"]
+        chunks.extend(_joined_lines(events[start:start + RENDER_CHUNK])
+                      for start in range(0, len(events), RENDER_CHUNK))
+        chunks.append(_joined_lines(self.assertions))
+        chunks.append(f"# result={'PASS' if self.passed else 'FAIL'}\n")
+        return "".join(chunks)
+
+
+def _joined_lines(items: list) -> str:
+    """The lines of ``items``, each ended by a line break, as one string."""
+    lines = [item.line() for item in items]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _parse_fields(text: str) -> dict[str, str]:

@@ -9,7 +9,9 @@ exchanged before the on-chain transfer, and afterwards correlated to the
 confirmed ledger transaction, batch transfers included. Consent from both
 the originator and the beneficiary gates every exchange.
 
-Payload, consent and correlation stores are append-only.
+Payload, consent and correlation stores are append-only. A VASP keeps a
+payload on record as the canonical bytes of its ``SignedPayload``;
+``read_payload_record`` decodes one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import dataclasses
 from collections.abc import Container
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from . import codec, crypto, pki
 from .ledger import Ledger, LedgerTx
@@ -87,6 +90,10 @@ class CorrelationHint:
     expected_amount: int | None = None
 
 
+# The hint of every memo-tagged payload: one value, shared.
+MEMO_TAG_HINT = CorrelationHint(HintKind.MEMO_TAG)
+
+
 @dataclass
 class CustomerRecord:
     customer_id: str
@@ -131,6 +138,12 @@ class TravelRulePayload:
     def content_bytes(self) -> bytes:
         return codec.struct_bytes(self, exclude=("payload_id",))
 
+    @cached_property
+    def short_id(self) -> str:
+        """The 16-hex short id the trace names this payload by, built once
+        and shared by every event of its transfer."""
+        return self.payload_id.hex()[:16]
+
 
 REQUIRED_FIELDS = (
     "originator_name",
@@ -168,7 +181,7 @@ def build_payload(originator: CustomerRecord,
         originating_vasp_number=originating_vasp_number,
         beneficiary_vasp_number=beneficiary_vasp_number,
         amount=amount,
-        correlation=hint or CorrelationHint(HintKind.MEMO_TAG),
+        correlation=hint or MEMO_TAG_HINT,
         payload_id=b"",
     )
     return codec.replace(payload, payload_id=compute_payload_id(payload))
@@ -242,7 +255,7 @@ class ConsentDirection(Enum):
     RECEIVE_ASSETS = "ReceiveAssets"
 
 
-@dataclass
+@dataclass(slots=True)
 class ConsentRecord:
     customer_id: str
     direction: ConsentDirection
@@ -303,7 +316,7 @@ class ConsentStore:
                    for rec in self._by_scope.get((customer_id, direction, scope), ()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrelationRecord:
     payload_id: bytes
     tx_id: bytes
@@ -378,10 +391,17 @@ class CorrelationStore:
         return record
 
 
-def dump_payload_store(entries: list[tuple[str, SignedPayload]]) -> str:
-    """Payload store as line-oriented text (direction, id, parties, amount)."""
+def read_payload_record(data: bytes) -> SignedPayload:
+    """The ``SignedPayload`` a payload-store record keeps the bytes of."""
+    return codec.canonical_decode(data, SignedPayload)
+
+
+def dump_payload_store(entries: list[tuple[str, bytes]]) -> str:
+    """Payload-store records, (direction, canonical SignedPayload bytes),
+    as line-oriented text (direction, id, parties, amount)."""
     lines = []
-    for direction, signed in entries:
+    for direction, data in entries:
+        signed = read_payload_record(data)
         p = signed.payload
         lines.append(
             f"payload {direction} id={p.payload_id.hex()} "

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from test_scenarios import line_config
+from test_scenarios import PINNED, line_config
 from vasptrust.cli import main
 from vasptrust.config import (ConfigError, config_to_dict, default_config,
                               load_config, parse_config)
@@ -493,6 +494,30 @@ class TestRun:
                      "--seed-override", str(2**127)]) == 2
         assert "--seed-override" in capsys.readouterr().err
         assert not (workspace / "traces" / "S1.trace").exists()
+
+
+# SHA-256 of each .payloads.txt `vtn run` writes on the demo config: only
+# S1 exchanges travel-rule payloads, so the other files are empty.
+PAYLOAD_FILES = {
+    "S1": "97cd2cd3f99a99eef3bb04e1fba74dcf9b51501222b318302944f867d6671e15",
+    **dict.fromkeys(["S2", "S3", "S4", "S5"], hashlib.sha256(b"").hexdigest()),
+}
+
+
+def test_run_writes_the_pinned_trace_and_payload_files(tmp_path):
+    # The trace text and the payload dump, read back from the records the
+    # VASPs keep, are byte for byte what they were when the store held
+    # live payloads and the trace rendered as one join.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(default_config()))
+    ws = tmp_path / "ws"
+    assert main(["init", "--config", str(config_path), "--workspace", str(ws)]) == 0
+    for name in sorted(PAYLOAD_FILES):
+        assert main(["run", "--scenario", name, "--workspace", str(ws)]) == 0
+        digests = tuple(
+            hashlib.sha256((ws / "traces" / f"{name}{suffix}").read_bytes())
+            .hexdigest() for suffix in (".trace", ".payloads.txt"))
+        assert digests == (PINNED[name][0], PAYLOAD_FILES[name])
 
 
 class TestReport:

@@ -85,7 +85,8 @@ def refused_answer(world, kind: str, refusal: Refusal):
         vasp7._claims_fetching.add(world.channel_between(store, vasp7).id)
         return store, vasp7, ClaimsFetchResponse((), None, refusal)
     device = "wdev:alice@7"
-    world.insurer.pending_nonces[device] = bytes(32)
+    world.insurer.pending_nonces[device] = (
+        world.channel_between(vasp7, world.insurer).id, bytes(32))
     return vasp7, world.insurer, AttestationResponse(device, None, refusal)
 
 
@@ -221,6 +222,54 @@ def test_unsolicited_fetch_answer_is_refused(demo_config):
         ("claims.fetch_refused",
          {"from": store.name, "reason": "unsolicited_answer"})]
     assert len(vasp.fetched_claims) == len(vasp.consent_receipts) == 1
+
+
+def test_claim_failing_its_issuer_signature_is_not_taken(demo_config):
+    # After S2, with a fetch outstanding, the store's answer comes back
+    # holding S2's claim with its issuer signature zeroed: it is counted,
+    # not verified, and not taken.
+    trace, world = run_scenario_with_world("S2", demo_config)
+    vasp, store = world.vasps[7], world.stores["alice"]
+    answer = next(env.body for env in wire_envelopes(world.sim)
+                  if isinstance(env.body, ClaimsFetchResponse))
+    (claim,) = answer.claims
+    forged = dataclasses.replace(claim, issuer_signature=bytes(
+        len(claim.issuer_signature)))
+    assert vasp.fetched_claims == [claim]
+    channel = world.channel_between(vasp, store)
+    vasp._claims_fetching.add(channel.id)  # as fetch_claims does
+    since = len(trace.events)
+    world.sim.send(channel, store.name, ClaimsFetchResponse((forged,), None, None))
+    world.sim.run_until_quiet()
+    assert [(e.event, e.fields) for e in events_of(world, vasp.name, since)
+            if e.event.startswith("claims.")] == [
+        ("claims.claims_fetched", {"claims": 1, "verified": 0, "receipt": "no"})]
+    assert vasp.fetched_claims == [claim]
+
+
+def test_attestation_answer_over_another_channel_is_unsolicited(world):
+    # The insurer challenges VASP 7 for alice's device; VASP 9 answers
+    # first, naming that device. Its answer is refused as unsolicited, the
+    # challenge stays pending, and VASP 7's evidence is then verified.
+    insurer, vasp7, vasp9 = world.insurer, world.vasps[7], world.vasps[9]
+    device = "wdev:alice@7"
+    to_vasp7 = world.channel_between(vasp7, insurer)
+    insurer.request_audit(to_vasp7, device)
+    world.sim.send(world.channel_between(vasp9, insurer), vasp9.name,
+                   AttestationResponse(device, None, Refusal.UNKNOWN_DEVICE))
+    since = len(world.sim.trace.events)
+    world.sim.step()  # the challenge reaches VASP 7, VASP 9's answer the insurer
+    assert [(e.event, e.fields) for e in events_of(world, insurer.name, since)
+            if e.event.startswith("attest.")] == [
+        ("attest.audit_refused",
+         {"from": vasp9.name, "reason": "unsolicited_answer"})]
+    assert insurer.pending_nonces.keys() == {device}
+    world.sim.run_until_quiet()
+    (verdict,) = [e for e in events_of(world, insurer.name, since)
+                  if e.event == "attest.audit_verdict"]
+    assert verdict.get("device") == device and verdict.get("passed") is True
+    assert insurer.audit_verdicts[device].passed
+    assert insurer.pending_nonces == {}
 
 
 def test_non_member_where_a_refusal_is_declared_is_refused_at_the_sender(world):

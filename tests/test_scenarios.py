@@ -15,13 +15,14 @@ from vasptrust.config import default_config, parse_config
 from vasptrust.ledger import Ledger, ValueMismatch
 from vasptrust.netsim import (FaultConfig, UnknownScenario, build_world,
                               graph_diameter, run_scenario_with_world)
-from vasptrust.netsim.messages import AdvertisementFlood, TravelRuleResponse
+from vasptrust.netsim.messages import (AdvertisementFlood, TravelRuleRequest,
+                                       TravelRuleResponse)
 from vasptrust.netsim.nodes import PendingTransfer
 from vasptrust.netsim import scenarios
 from vasptrust.netsim.scenarios import (converge_federation, flood_round,
                                         ground_truth_map)
 from vasptrust.resolver import IdentifierAdvertisement, parse_identifier
-from vasptrust.travel_rule import ConsentDirection
+from vasptrust.travel_rule import ConsentDirection, read_payload_record
 
 
 def line_config(n, seed=11, ring=False, chord=0):
@@ -712,7 +713,26 @@ def test_settled_transfer_leaves_pending_and_stays_on_record(demo_config):
     (record,) = ovasp.correlations.records
     assert ovasp.pending == {}
     assert [d for d, _ in ovasp.payload_store] == ["outbound", "inbound"]
-    assert ovasp.payload_store[0][1].payload.payload_id == record.payload_id
+    sent = read_payload_record(ovasp.payload_store[0][1])
+    assert sent.payload.payload_id == record.payload_id
+
+
+def test_every_payload_record_decodes_to_the_payload_sent(demo_config):
+    # S1's request and answer, each kept by its sender (outbound) and its
+    # receiver (inbound) as bytes, decode to the SignedPayload that
+    # crossed the wire, and are that payload's canonical bytes.
+    _, world = run_scenario_with_world("S1", demo_config)
+    request, answer = [
+        env.body.signed for env in wire_envelopes(world.sim)
+        if isinstance(env.body, (TravelRuleRequest, TravelRuleResponse))]
+    records = {number: [(d, read_payload_record(data), data)
+                        for d, data in vasp.payload_store]
+               for number, vasp in world.vasps.items() if vasp.payload_store}
+    assert records == {
+        7: [("outbound", request, codec.canonical_encode(request)),
+            ("inbound", answer, codec.canonical_encode(answer))],
+        9: [("inbound", request, codec.canonical_encode(request)),
+            ("outbound", answer, codec.canonical_encode(answer))]}
 
 
 def test_refused_transfer_leaves_pending(demo_config):
@@ -727,7 +747,8 @@ def test_refused_transfer_leaves_pending(demo_config):
     world.sim.run_until_quiet()
     assert pending.state == "refused"
     assert ovasp.pending == {}
-    assert [s.payload for _, s in ovasp.payload_store] == [payload]
+    assert [read_payload_record(data).payload
+            for _, data in ovasp.payload_store] == [payload]
 
 
 def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):

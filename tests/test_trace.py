@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from vasptrust import codec, crypto
 from conftest import scenario_trace
 from vasptrust.netsim import Simulation, build_world
 from vasptrust.netsim.messages import LookupRequest
-from vasptrust.netsim.trace import (ScenarioTrace, TraceEvent, UnrenderableField,
-                                    parse_trace_text)
+from vasptrust.netsim.trace import (Assertion, ScenarioTrace, TraceEvent,
+                                    UnrenderableField, parse_trace_text)
 from vasptrust.travel_rule import ConsentDirection
 
 
@@ -162,3 +164,42 @@ def test_value_repeating_its_own_key_refused_at_emit():
     assert sim.trace.events == []
     with pytest.raises(ValueError, match="repeated"):
         parse_trace_text("# scenario=x seed=1\n000001 sim x 00 note=a note=b\n")
+
+
+def delivered_events(count: int) -> list[TraceEvent]:
+    """``count`` events shaped like a transfer's netsim.delivered lines."""
+    return [TraceEvent(i, "vasp:9", "netsim.delivered", f"{i:016x}",
+                       {"msg": "TravelRuleRequest", "ch": 3, "seq": i,
+                        "from": "vasp:7"})
+            for i in range(count)]
+
+
+def one_join_text(trace: ScenarioTrace) -> str:
+    """The trace text as one join over a list of every line: the
+    reference the chunked rendering must equal byte for byte."""
+    return "\n".join([f"# scenario={trace.scenario} seed={trace.seed}",
+                      *(e.line() for e in trace.events),
+                      *(a.line() for a in trace.assertions),
+                      f"# result={'PASS' if trace.passed else 'FAIL'}"]) + "\n"
+
+
+@pytest.mark.parametrize("assertions", [
+    (), (Assertion("first", True), Assertion("second", False, "a note"))],
+    ids=["no_assertions", "assertions"])
+@pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025])
+def test_chunked_text_equals_one_join(count, assertions):
+    trace = ScenarioTrace("adhoc", 3, events=delivered_events(count),
+                          assertions=list(assertions))
+    assert trace.to_text() == one_join_text(trace)
+
+
+def test_rendering_holds_about_twice_the_text():
+    # The chunks and the joined result, not one string per line besides.
+    trace = ScenarioTrace("adhoc", 1, events=delivered_events(5000))
+    tracemalloc.start()
+    try:
+        text = trace.to_text()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * len(text)

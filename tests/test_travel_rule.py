@@ -383,5 +383,5 @@ def test_dump_payload_store(root, member):
     signed = tr.sign_payload(member["claims"].private_key,
                              member["claims_cert"], build(),
                              trust_context(root, member))
-    text = tr.dump_payload_store([("outbound", signed)])
+    text = tr.dump_payload_store([("outbound", codec.canonical_encode(signed))])
     assert "outbound" in text and signed.payload.payload_id.hex() in text
