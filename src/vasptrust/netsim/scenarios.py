@@ -74,25 +74,30 @@ def flood_round(world: World,
     world.sim.run_until_quiet()
 
 
-def federated_truth(truth: dict[str, list[int]],
-                    number: int) -> dict[str, set[int]]:
+def federated_truth(truth: dict[str, frozenset[int] | list[int]], number: int,
+                    own: list[str] | None = None) -> dict[str, frozenset[int]]:
     """What VASP ``number``'s resolver learns from a converged federation:
     ``truth`` without its own origin, and without the identifiers only it
     serves. Its resolve_map equals ``truth`` exactly when its federated
-    view equals this."""
-    view = {}
-    for rendered, owners in truth.items():
-        others = set(owners)
-        others.discard(number)
+    view equals this. Given ``own`` (the identifiers it serves), ``truth``
+    must map to frozensets, and only ``own`` is patched."""
+    if own is None:
+        truth = {rendered: frozenset(owners) for rendered, owners in truth.items()}
+        own = [rendered for rendered, owners in truth.items() if number in owners]
+    view = dict(truth)
+    for rendered in own:
+        others = view.pop(rendered) - {number}
         if others:
             view[rendered] = others
     return view
 
 
 def converge_federation(world: World, max_rounds: int | None = None) -> int:
-    """Flood until every resolver equals the ground truth; returns rounds."""
-    truth = ground_truth_map(world)
-    expected = {n: federated_truth(truth, n) for n in world.vasps}
+    """Flood until every resolver equals the ground truth; returns rounds.
+    Each VASP's expected view is derived from the one truth map as needed."""
+    truth = {rendered: frozenset(owners)
+             for rendered, owners in ground_truth_map(world).items()}
+    own = {n: vasp.resolver.local_identifiers() for n, vasp in world.vasps.items()}
     channels = world.federation_channels()
     limit = max_rounds if max_rounds is not None \
         else graph_diameter(world.config.federation_graph)
@@ -102,7 +107,8 @@ def converge_federation(world: World, max_rounds: int | None = None) -> int:
         rounds_used = round_no
         converged = sum(
             1 for n in sorted(world.vasps)
-            if world.vasps[n].resolver.holds_federated(expected[n]))
+            if world.vasps[n].resolver.holds_federated(
+                federated_truth(truth, n, own[n])))
         world.sim.emit("sim", "federation.round", {
             "round": round_no, "converged": f"{converged}/{len(world.vasps)}"})
         if converged == len(world.vasps):

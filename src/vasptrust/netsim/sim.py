@@ -142,6 +142,7 @@ class Simulation:
         self._actors: set[str] = set()
         self._handlers: dict[str, object] = {}
         self._tick_hooks: list[object] = []
+        self._field_keys: dict[tuple, tuple] = {}
 
     # -- actors and trace -----------------------------------------------------
 
@@ -154,16 +155,19 @@ class Simulation:
 
     def emit(self, actor: str, event: str, fields: dict | None = None, *,
              payload=None) -> TraceEvent:
-        """Append a trace event carrying ``fields`` (kept, not copied) in
-        their given order. Its digest covers ``payload``'s canonical
-        encoding, computed now, else the rendered fields, computed when
-        the event is first rendered. A value that breaks the trace's
+        """Append a trace event carrying ``fields`` in their given order,
+        as one tuple (see ``trace``). Its digest covers ``payload``'s
+        canonical encoding, computed now, else the rendered fields,
+        derived at each rendering. A value that breaks the trace's
         rendering rule raises UnrenderableField and records nothing."""
         fields = fields or {}
         check_fields(fields)
         digest = None if payload is None else \
             crypto.digest(codec.canonical_encode(payload))[:8].hex()
-        ev = TraceEvent(self.now, actor, event, digest, fields)
+        keys = tuple(fields)
+        ev = tuple.__new__(TraceEvent, [
+            self.now, actor, event, digest,
+            self._field_keys.setdefault(keys, keys), *fields.values()])
         self.trace.events.append(ev)
         return ev
 

@@ -8,20 +8,21 @@ A trace renders to line-oriented text:
     assert <name> PASS|FAIL[ <note>]                   one line per assertion
     # result=PASS|FAIL
 
-An event holds its time, actor, event name, digest and fields, and
-nothing else. Its fields are a dict: the one the emitter passed, kept as
-it is (every emitter passes a fresh literal), or the one a parsed line
-gives. They render as ``key=value`` (the value as ``str`` gives it), in
-the order the emitter gave them, joined by single spaces; a field whose
-value is None is left out, and is treated as absent by ``TraceEvent.get``
-and ``ScenarioTrace.find``. The digest is the first 8 bytes, in hex, of
-the SHA-256 of the event's payload encoding, or, for an event with no
-payload, of its rendered fields in UTF-8. A payload event's digest is
-computed when it is emitted, from the encoding the payload keeps. A
-field-only event's digest is computed the first time the event is
-rendered (or its digest read), from that same rendering, so ``to_text``
-renders each line once and emitting one hashes nothing. So the same
-(scenario, config, seed) always produces byte-identical output.
+An event is one tuple, ``(time, actor, event, digest, keys, *values)``,
+with its field names as the tuple ``keys`` and their values after it, in
+the order the emitter gave them. ``Simulation.emit`` builds it from the
+emitter's dict, keeps no dict, and shares one ``keys`` tuple among events
+with the same names; a parsed event keeps its own. ``fields`` builds the
+ordered dict when read. Fields render as ``key=value`` (the value as
+``str`` gives it), joined by single spaces; a None value is left out, and
+is treated as absent by ``TraceEvent.get`` and ``ScenarioTrace.find``.
+The digest is the first 8 bytes, in hex, of the SHA-256 of the event's
+payload encoding, computed and stored at emit, or, for a field-only event
+(stored digest None), of its rendered fields in UTF-8, derived at each
+rendering: emitting one hashes nothing and ``to_text`` hashes it once. So
+the same (scenario, config, seed) always produces byte-identical output.
+Events compare by value, as tuples, without deriving a digest; no code
+hashes one (none is kept in a set or as a dict key).
 
 ``to_text`` renders the events in chunks of ``RENDER_CHUNK`` lines, each
 joined into one string, and joins the chunks: it never holds a list of
@@ -43,6 +44,7 @@ that names a key twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .. import crypto
 
@@ -77,40 +79,48 @@ def check_fields(fields: dict) -> None:
                                     "parse back as one field")
 
 
-class TraceEvent:
-    """One event line. ``digest`` may be None when the event is made: a
-    field-only event then derives it from its first rendering."""
+class TraceEvent(tuple):
+    """One event line: ``(time, actor, event, digest, keys, *values)``,
+    with ``digest`` None for a field-only event."""
 
-    __slots__ = ("time", "actor", "event", "_digest", "fields")
+    __slots__ = ()
 
-    def __init__(self, time: int, actor: str, event: str, digest: str | None,
-                 fields: dict):
-        self.time = time
-        self.actor = actor
-        self.event = event
-        self._digest = digest
-        self.fields = fields
+    time = property(itemgetter(0))
+    actor = property(itemgetter(1))
+    event = property(itemgetter(2))
+
+    def __new__(cls, time: int, actor: str, event: str, digest: str | None,
+                fields: dict):
+        return tuple.__new__(cls, (time, actor, event, digest, tuple(fields),
+                                   *fields.values()))
 
     def __repr__(self) -> str:
         return f"TraceEvent({self.line()!r})"
 
+    def __getnewargs__(self) -> tuple:
+        return (*self[:4], self.fields)
+
+    @property
+    def fields(self) -> dict:
+        return dict(zip(self[4], self[5:]))
+
     @property
     def digest(self) -> str:
-        if self._digest is None:
-            self.line()
-        return self._digest
+        return self.line().split(" ", 4)[3] if self[3] is None else self[3]
 
     def get(self, key: str):
         """The value of field ``key``; None when the event lacks it."""
-        return self.fields.get(key)
+        keys = self[4]
+        return self[5 + keys.index(key)] if key in keys else None
 
     def line(self) -> str:
-        text = " ".join([f"{key}={value}" for key, value in self.fields.items()
+        time, actor, event, digest, keys, *values = self
+        text = " ".join([f"{key}={value}" for key, value in zip(keys, values)
                          if value is not None])
-        if self._digest is None:
-            self._digest = crypto.digest(text.encode("utf-8"))[:8].hex()
+        if digest is None:
+            digest = crypto.digest(text.encode("utf-8"))[:8].hex()
         detail = f" {text}" if text else ""
-        return f"{self.time:06d} {self.actor} {self.event} {self._digest}{detail}"
+        return f"{time:06d} {actor} {event} {digest}{detail}"
 
 
 @dataclass(frozen=True)

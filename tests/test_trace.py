@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import tracemalloc
 
 import pytest
@@ -106,6 +109,8 @@ def counting_digest(monkeypatch) -> list[int]:
 
 
 def test_field_only_events_hash_once_when_rendered(monkeypatch):
+    # Emitting hashes nothing; each rendering derives every field-only
+    # digest once and keeps none of them.
     sim = Simulation(seed=1)
     calls = counting_digest(monkeypatch)
     for i in range(1000):
@@ -114,7 +119,7 @@ def test_field_only_events_hash_once_when_rendered(monkeypatch):
     text = sim.trace.to_text()
     assert calls == [1000]
     assert sim.trace.to_text() == text
-    assert calls == [1000]
+    assert calls == [2000]
 
 
 EMITTED = [
@@ -164,6 +169,65 @@ def test_value_repeating_its_own_key_refused_at_emit():
     assert sim.trace.events == []
     with pytest.raises(ValueError, match="repeated"):
         parse_trace_text("# scenario=x seed=1\n000001 sim x 00 note=a note=b\n")
+
+
+def test_emitted_events_keep_one_small_tuple_each():
+    # Three fields of shared values: the event tuple and its list slot.
+    sim = Simulation(seed=1)
+    count = 10_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(count):
+            sim.emit("vasp:9", "netsim.delivered", {
+                "msg": "TravelRuleRequest", "ch": i % 45, "from": "vasp:7"})
+        gc.collect()
+        emitted = tracemalloc.get_traced_memory()[0] - before
+        assert len(sim.trace.to_text()) > 0
+        gc.collect()
+        rendered = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert emitted <= 128 * count
+    assert rendered <= 128 * count
+    first, second = sim.trace.events[:2]
+    assert first[4] is second[4] == ("msg", "ch", "from")
+
+
+def test_emitted_fields_read_back_as_given():
+    sim = Simulation(seed=1)
+    first = sim.emit("vasp:7", "x", {"b": 2, "a": None, "c": [3, 9]})
+    second = sim.emit("vasp:7", "x", {"b": 3, "c": "s"})
+    sim.emit("vasp:9", "y", {})
+    assert list(first.fields.items()) == [("b", 2), ("a", None), ("c", [3, 9])]
+    assert (first.get("a"), first.get("absent"), first.get("c")) == \
+        (None, None, [3, 9])
+    assert (first.time, first.actor, first.event) == (0, "vasp:7", "x")
+    trace = sim.trace
+    assert trace.find("x") == [first, second]
+    assert trace.find("x", a=None) == [first, second]
+    assert trace.find("x", b=3) == [second]
+    assert trace.find("x", c=[3, 9], b=2) == [first]
+    assert trace.find("x", absent=1) == trace.find("z") == []
+
+
+def test_events_compare_by_value_without_hashing(monkeypatch):
+    # Events are tuples and compare as tuples do. No code hashes an event
+    # (none is kept in a set or as a dict key), and comparing two
+    # field-only events derives neither digest.
+    sim = Simulation(seed=1)
+    calls = counting_digest(monkeypatch)
+    first = sim.emit("sim", "x", {"a": 1, "b": [2]})
+    same = sim.emit("sim", "x", {"a": 1, "b": [2]})
+    other = sim.emit("sim", "x", {"a": 1, "b": [3]})
+    assert first == same and first is not same
+    assert first != other
+    assert sim.trace.events.index(same) == 0
+    assert calls == [0]
+    assert first.line() == same.line() != other.line()
+    assert copy.deepcopy(sim.trace) == sim.trace
+    assert pickle.loads(pickle.dumps(other)) == other
 
 
 def delivered_events(count: int) -> list[TraceEvent]:
