@@ -12,13 +12,16 @@ fetches release nothing; previously issued receipts remain on record.
 
 Claims share the consortium PKI's verdicts: ``verify_claim`` returns a
 ``pki.Verdict``, and judges a claim's window by certificates' rule,
-``pki.at_tick``. Claims, tokens and receipts carry an id, the digest of
-their signed content, checked with their signature by one function.
+``pki.at_tick``. A claim, token or receipt is signed over every field but
+its signature, its last; its id is the digest of those bytes, derived
+from the value and never carried in it, so no id can disagree with the
+content it names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import codec, crypto, pki
 from .pki import Refusal
@@ -49,7 +52,6 @@ class BadToken(ClaimsError):
 
 @dataclass(frozen=True)
 class SignedClaim:
-    claim_id: bytes
     subject_customer_ref: str
     attribute_name: str
     attribute_value: str
@@ -58,8 +60,9 @@ class SignedClaim:
     not_after: int
     issuer_signature: bytes
 
-    def signing_input(self) -> bytes:
-        return codec.struct_bytes(self, exclude=("claim_id", "issuer_signature"))
+    @cached_property
+    def claim_id(self) -> bytes:
+        return crypto.digest(codec.struct_bytes(self))
 
 
 class ClaimsProvider:
@@ -77,28 +80,22 @@ class ClaimsProvider:
                     not_before: int, not_after: int) -> SignedClaim:
         if not_before >= not_after:
             raise ValueError("claim validity interval is empty")
-        unsigned = SignedClaim(b"", subject, attribute, value, self.name,
+        unsigned = SignedClaim(subject, attribute, value, self.name,
                                not_before, not_after, b"")
-        body = unsigned.signing_input()
-        return codec.replace(unsigned,
-                             claim_id=crypto.digest(body),
-                             issuer_signature=crypto.sign(self._keypair.private_key, body))
+        return codec.replace(unsigned, issuer_signature=crypto.sign(
+            self._keypair.private_key, codec.struct_bytes(unsigned)))
 
 
-def _sealed(signed, signed_id: bytes, signature: bytes,
-            public_key: bytes) -> bool:
-    """True iff ``signed_id`` digests the signed content of ``signed``
-    and ``signature`` over it verifies under ``public_key``."""
-    body = signed.signing_input()
-    return signed_id == crypto.digest(body) and crypto.verify(
-        public_key, body, signature)
+def _sealed(signed, signature: bytes, public_key: bytes) -> bool:
+    """True iff ``signature`` over the signing input of ``signed``
+    verifies under ``public_key``."""
+    return crypto.verify(public_key, codec.struct_bytes(signed), signature)
 
 
 def verify_claim(claim: SignedClaim, provider_public_key: bytes,
                  now: int) -> pki.Verdict:
     """BAD_SIGNATURE, or the verdict of the claim's window at ``now``."""
-    if not _sealed(claim, claim.claim_id, claim.issuer_signature,
-                   provider_public_key):
+    if not _sealed(claim, claim.issuer_signature, provider_public_key):
         return pki.Verdict.BAD_SIGNATURE
     return pki.at_tick(claim, now)
 
@@ -114,7 +111,6 @@ class AccessPolicy:
 
 @dataclass(frozen=True)
 class AuthorizationToken:
-    token_id: bytes
     audience_vasp_number: int
     permitted_attributes: tuple[str, ...]
     purpose: str
@@ -122,8 +118,9 @@ class AuthorizationToken:
     expires_at: int
     signature: bytes
 
-    def signing_input(self) -> bytes:
-        return codec.struct_bytes(self, exclude=("token_id", "signature"))
+    @cached_property
+    def token_id(self) -> bytes:
+        return crypto.digest(codec.struct_bytes(self))
 
 
 def terms_bytes(token: AuthorizationToken) -> bytes:
@@ -135,7 +132,6 @@ def terms_bytes(token: AuthorizationToken) -> bytes:
 
 @dataclass(frozen=True)
 class ConsentReceipt:
-    receipt_id: bytes
     token_id: bytes
     vasp_number: int
     attributes_released: tuple[str, ...]
@@ -143,8 +139,9 @@ class ConsentReceipt:
     issued_at: int
     signature: bytes
 
-    def signing_input(self) -> bytes:
-        return codec.struct_bytes(self, exclude=("receipt_id", "signature"))
+    @cached_property
+    def receipt_id(self) -> bytes:
+        return crypto.digest(codec.struct_bytes(self))
 
 
 @dataclass(frozen=True)
@@ -210,8 +207,7 @@ class ClaimsStore:
         The receipt is created atomically with the release; no attribute
         ever leaves the store without a receipt row and an audit entry.
         """
-        if not _sealed(token, token.token_id, token.signature,
-                       self._auth_server_key):
+        if not _sealed(token, token.signature, self._auth_server_key):
             raise BadToken("token signature does not verify")
         if now >= token.expires_at:
             raise TokenExpired(f"token expired at {token.expires_at}")
@@ -234,7 +230,6 @@ class ClaimsStore:
     def _issue_receipt(self, token: AuthorizationToken,
                        released: list[SignedClaim], now: int) -> ConsentReceipt:
         unsigned = ConsentReceipt(
-            receipt_id=b"",
             token_id=token.token_id,
             vasp_number=token.audience_vasp_number,
             attributes_released=tuple(sorted({c.attribute_name for c in released})),
@@ -242,16 +237,13 @@ class ClaimsStore:
             issued_at=now,
             signature=b"",
         )
-        body = unsigned.signing_input()
-        receipt = codec.replace(unsigned,
-                                receipt_id=crypto.digest(body),
-                                signature=crypto.sign(self._keypair.private_key, body))
+        receipt = codec.replace(unsigned, signature=crypto.sign(
+            self._keypair.private_key, codec.struct_bytes(unsigned)))
         self._receipts.append(receipt)
         return receipt
 
     def verify_receipt(self, receipt: ConsentReceipt) -> bool:
-        return _sealed(receipt, receipt.receipt_id, receipt.signature,
-                       self._keypair.public_key)
+        return _sealed(receipt, receipt.signature, self._keypair.public_key)
 
 
 class AuthorizationServer:
@@ -289,7 +281,6 @@ class AuthorizationServer:
             return Refusal.PURPOSE_MISMATCH
         now = trust.clock()
         unsigned = AuthorizationToken(
-            token_id=b"",
             audience_vasp_number=vasp_number,
             permitted_attributes=tuple(sorted(attributes)),
             purpose=purpose,
@@ -297,7 +288,5 @@ class AuthorizationServer:
             expires_at=now + TOKEN_LIFETIME,
             signature=b"",
         )
-        body = unsigned.signing_input()
-        return codec.replace(unsigned,
-                             token_id=crypto.digest(body),
-                             signature=crypto.sign(self._keypair.private_key, body))
+        return codec.replace(unsigned, signature=crypto.sign(
+            self._keypair.private_key, codec.struct_bytes(unsigned)))

@@ -13,27 +13,31 @@ Encoding runs through one closure per type, built on first use from the
 declared field types and cached, so the per-value cost is a class check and
 the framing, not a walk over the type's annotations.
 
+Every signed value declares its signature as its last field, and its
+signing input is ``struct_bytes``: the canonical struct of every field but
+the last. A content id (of a payload, claim, token, receipt or ledger
+transaction) is the digest of those bytes, derived, never carried.
+
 A deeply immutable value is encoded once. A type is deeply immutable when
 it is a frozen dataclass (with an instance __dict__) whose declared fields
 are all immutable: int, str, bytes, bool, None, an Enum, a deeply immutable
 dataclass, or a tuple or union of these; this is decided once per type,
 when its encoder is built. An instance of such a type keeps its encoding,
-and each struct_bytes encoding without some fields, in its own __dict__,
-and every later encode of that object returns those bytes. So that kept
-bytes are never stale, one rule holds for every value, kept or not: a
-value whose class is not its declared type must itself be deeply
-immutable, and a declared tuple must not hold a mutable sequence. A list
-where a tuple is declared, a bytearray where bytes are, or a non-frozen
-dataclass where a frozen one is, is refused with CodecError wherever it
-appears. Other types are encoded in full on every call.
+and its signing input, in its own __dict__, and every later encode of that
+object returns those bytes. So that kept bytes are never stale, one rule
+holds for every value, kept or not: a value whose class is not its
+declared type must itself be deeply immutable, and a declared tuple must
+not hold a mutable sequence. A list where a tuple is declared, a bytearray
+where bytes are, or a non-frozen dataclass where a frozen one is, is
+refused with CodecError wherever it appears. Other types are encoded in
+full on every call.
 
 ``codec.replace`` builds a new instance as dataclasses.replace does, and
-carries over each kept encoding whose left-out fields include every
-changed field: a value signed without its signature field and then filled
-in keeps the signing input it was signed over. A full encoding is composed
-from a kept encoding that leaves out only trailing fields: the struct
-header, that encoding's field bytes, then the trailing fields' encodings.
-So a signed value's full encoding re-encodes only its signature.
+carries over the kept signing input when no field but the last changes: a
+draft signed with an empty signature and then filled in keeps the bytes it
+was signed over. A full encoding is composed from a kept signing input:
+the struct header, that input's field bytes, then the last field's
+encoding. So a signed value's full encoding re-encodes only its signature.
 
 Enum members and union members are tagged by declaration index, as ASN.1
 numbers the alternatives of a CHOICE and DER encodes an ENUMERATED value
@@ -132,7 +136,7 @@ _TRUE = _frame(TAG_BOOL, b"\x01")
 _FALSE = _frame(TAG_BOOL, b"\x00")
 
 _ENCODERS: dict[Any, Encoder] = {}
-_STRUCTS: dict[tuple[type, tuple[str, ...]], Encoder] = {}
+_STRUCTS: dict[tuple[type, bool], Encoder] = {}
 
 
 def _other(value: Any, typ: Any) -> bytes:
@@ -278,7 +282,7 @@ def _build_class(cls: type) -> Encoder:
                 f"{type(value).__name__} is not a member of {cls.__name__}")
         return encode_enum
     if dataclasses.is_dataclass(cls):
-        return _struct(cls, ())
+        return _struct(cls, False)
     if issubclass(cls, (list, tuple)):
         def encode_items(value: Any) -> bytes:
             if value is None:
@@ -366,83 +370,63 @@ def _fields(cls: type, names: list[str]) -> Callable[[Any], bytes]:
         [encode(v) for encode, v in zip(encoders, get(value))])
 
 
-def _slot(exclude: tuple[str, ...]) -> str:
-    """The __dict__ key of a kept encoding without the fields ``exclude``;
-    no field name holds a colon."""
-    return "codec:" + ",".join(exclude)
+# A deeply immutable value's kept encodings, in its own __dict__: in full,
+# and its signing input. No field name holds a colon.
+_FULL = "codec:full"
+_TBS = "codec:tbs"
 
 
-# Kept-encoding slot -> the fields that encoding leaves out; read by replace.
-_EXCLUDED: dict[str, frozenset[str]] = {}
-# Class -> {slot of a kept encoding that leaves out only trailing fields:
-# the joined encodings of those fields}; read to compose a full encoding.
-_TAILS: dict[type, dict[str, Callable[[Any], bytes]]] = {}
-
-
-def _struct(cls: type, exclude: tuple[str, ...]) -> Encoder:
-    """Encoder of dataclass ``cls`` without the fields named in ``exclude``."""
-    key = (cls, exclude)
+def _struct(cls: type, signing: bool) -> Encoder:
+    """Encoder of dataclass ``cls``: of every field, or, for its signing
+    input, of every field but the last. Where ``cls`` is deeply immutable,
+    each instance keeps the result in its own __dict__, and a full encoding
+    is composed, where the value keeps its signing input, from that input's
+    field bytes and the encoding of the last field."""
+    key = (cls, signing)
     encode = _STRUCTS.get(key)
     if encode is not None:
         return encode
     names = [name for name, _ in _hints(cls)]
-    kept = [name for name in names if name not in exclude]
-    memoised = _immutable(cls)  # its instances keep their encodings
     encode_fields: Callable[[Any], bytes]  # built after registration
+    encode_last: Callable[[Any], bytes]
+    slot = _TBS if signing else _FULL
 
     def encode_struct(value: Any) -> bytes:
         if type(value) is not cls:
             return _other(value, cls)
         return _frame(TAG_STRUCT, encode_fields(value))
 
-    # Registered before its fields are built, so a type that contains
-    # itself finds this encoder.
-    encode = _STRUCTS[key] = (_memo(cls, exclude, encode_struct) if memoised
-                              else encode_struct)
-    encode_fields = _fields(cls, kept)
-    trailing = names[len(kept):]
-    if memoised and trailing and names[:len(kept)] == kept:
-        _TAILS.setdefault(cls, {})[_slot(exclude)] = _fields(cls, trailing)
-    return encode
-
-
-def _memo(cls: type, exclude: tuple[str, ...], encode: Encoder) -> Encoder:
-    """``encode``, with each instance of ``cls`` keeping its result in its
-    own __dict__. A full encoding is composed, where the value keeps an
-    encoding without only trailing fields, from that encoding's field bytes
-    and the encodings of the trailing fields."""
-    slot = _slot(exclude)
-    _EXCLUDED[slot] = frozenset(exclude)
-    tails = {} if exclude else _TAILS.setdefault(cls, {})
-
     def encode_memo(value: Any) -> bytes:
         if type(value) is not cls:
-            return encode(value)
+            return encode_struct(value)
         memo = value.__dict__
         data = memo.get(slot)
         if data is None:
-            for tail_slot, tail in tails.items():
-                part = memo.get(tail_slot)
-                if part is not None:
-                    fields = part[_read_header(part, 0)[2]:]
-                    data = _frame(TAG_STRUCT, fields + tail(value))
-                    break
+            tbs = None if signing else memo.get(_TBS)
+            if tbs is None:
+                data = encode_struct(value)
             else:
-                data = encode(value)
+                data = _frame(TAG_STRUCT, tbs[_read_header(tbs, 0)[2]:]
+                              + encode_last(value))
             memo[slot] = data
         return data
-    return encode_memo
+
+    # Registered before its fields are built, so a type that contains
+    # itself finds this encoder.
+    encode = _STRUCTS[key] = encode_memo if _immutable(cls) else encode_struct
+    encode_fields = _fields(cls, names[:-1] if signing else names)
+    encode_last = _fields(cls, names[-1:])
+    return encode
 
 
 def replace(value: Any, /, **changes: Any) -> Any:
-    """``dataclasses.replace`` that carries over each encoding ``value``
-    keeps whose left-out fields include every changed field, so a value
-    filled in after signing keeps the signing input it was signed over."""
+    """``dataclasses.replace`` that carries over the signing input
+    ``value`` keeps when no field but the last changes, so a value filled
+    in with its signature keeps the bytes it was signed over."""
     new = dataclasses.replace(value, **changes)
-    memo = getattr(value, "__dict__", {})
-    for slot, excluded in _EXCLUDED.items():
-        if slot in memo and changes.keys() <= excluded:
-            new.__dict__[slot] = memo[slot]
+    tbs = getattr(value, "__dict__", {}).get(_TBS)
+    if tbs is not None and changes.keys() <= {_hints(type(value))[-1][0]}:
+        new.__dict__[_TBS] = tbs
     return new
 
 
@@ -451,17 +435,15 @@ def canonical_encode(value: Any) -> bytes:
     return _encode_any(value)
 
 
-def struct_bytes(value: Any, exclude: tuple[str, ...] = ()) -> bytes:
-    """Canonical struct of a dataclass with some fields omitted.
-
-    Used to compute signing input or content identifiers that must not
-    cover the signature/identifier field itself.
-    """
-    encode = _STRUCTS.get((type(value), exclude))
+def struct_bytes(value: Any) -> bytes:
+    """The signing input of a dataclass value: the canonical struct of
+    every field but the last. Every signed type declares its signature
+    last, and every content id is the digest of these bytes."""
+    encode = _STRUCTS.get((type(value), True))
     if encode is None:
         if not dataclasses.is_dataclass(type(value)):
             raise CodecError("struct_bytes requires a dataclass instance")
-        encode = _struct(type(value), exclude)
+        encode = _struct(type(value), True)
     return encode(value)
 
 

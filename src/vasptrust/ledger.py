@@ -5,11 +5,18 @@ single transaction can pay several beneficiaries (batch transfers from a
 commingled account). Transactions wait in a mempool until confirm_block()
 applies them atomically; value is conserved after genesis. An optional
 32-byte memo tag on a transaction carries an opaque correlation handle.
+
+Each input key signs every field of a transaction but its signatures, the
+last; the transaction id is the digest of those bytes, derived from the
+value and never carried in it. The height a transaction is confirmed at is
+the ledger's record (``Ledger.confirmed_height``), not a field of the
+signed value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from . import codec, crypto
@@ -46,16 +53,14 @@ class TxEntry:
 
 @dataclass(frozen=True)
 class LedgerTx:
-    tx_id: bytes
     inputs: tuple[TxEntry, ...]
     outputs: tuple[TxEntry, ...]
     memo_tag: bytes | None
     signatures: tuple[bytes, ...]
-    block_height: int  # 0 while unconfirmed
 
-    def unsigned_bytes(self) -> bytes:
-        return codec.struct_bytes(
-            self, exclude=("tx_id", "signatures", "block_height"))
+    @cached_property
+    def tx_id(self) -> bytes:
+        return crypto.digest(codec.struct_bytes(self))
 
     def distinct_input_keys(self) -> list[bytes]:
         seen: list[bytes] = []
@@ -87,16 +92,14 @@ def make_transfer(inputs: Iterable[tuple[bytes, int]],
     (a plain private key closure, or a trusted-hardware signing handle).
     """
     tx = LedgerTx(
-        tx_id=b"",
         inputs=tuple(TxEntry(k, a) for k, a in inputs),
         outputs=tuple(TxEntry(k, a) for k, a in outputs),
         memo_tag=memo_tag,
         signatures=(),
-        block_height=0,
     )
-    unsigned = tx.unsigned_bytes()
+    unsigned = codec.struct_bytes(tx)
     sigs = tuple(signers[key](unsigned) for key in tx.distinct_input_keys())
-    return codec.replace(tx, tx_id=crypto.digest(unsigned), signatures=sigs)
+    return codec.replace(tx, signatures=sigs)
 
 
 class Ledger:
@@ -112,6 +115,7 @@ class Ledger:
         self._mempool: list[LedgerTx] = []
         self._pending_spend: dict[bytes, int] = {}
         self._tx_index: dict[bytes, LedgerTx] = {}
+        self._heights: dict[bytes, int] = {}  # tx id -> confirmed height
 
     @property
     def height(self) -> int:
@@ -145,9 +149,7 @@ class Ledger:
             raise ValueMismatch(f"memo_tag must be {MEMO_TAG_SIZE} bytes")
         if tx.tx_id in self._tx_index:
             raise ValueMismatch("transaction already submitted")
-        unsigned = tx.unsigned_bytes()
-        if tx.tx_id != crypto.digest(unsigned):
-            raise BadSignature("tx_id does not hash the unsigned transaction")
+        unsigned = codec.struct_bytes(tx)
         keys = tx.distinct_input_keys()
         if len(tx.signatures) != len(keys):
             raise BadSignature("one signature per distinct input key required")
@@ -173,8 +175,7 @@ class Ledger:
             for entry in tx.outputs:
                 self._balances[entry.public_key] = (
                     self._balances.get(entry.public_key, 0) + entry.amount)
-            confirmed = codec.replace(tx, block_height=height)
-            self._tx_index[tx.tx_id] = confirmed
+            self._heights[tx.tx_id] = height
             confirmed_ids.append(tx.tx_id)
         self._mempool.clear()
         self._pending_spend.clear()
@@ -193,6 +194,12 @@ class Ledger:
             return self._tx_index[tx_id]
         except KeyError:
             raise TxNotFound(tx_id.hex()) from None
+
+    def confirmed_height(self, tx_id: bytes) -> int:
+        """The height of the block that confirmed ``tx_id``; 0 while it
+        waits in the mempool."""
+        self.query_tx(tx_id)
+        return self._heights.get(tx_id, 0)
 
     def confirmed_txs(self, lo_height: int = 1, hi_height: int | None = None) -> list[LedgerTx]:
         """Transactions of the blocks at heights ``lo_height..hi_height``,

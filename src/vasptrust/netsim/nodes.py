@@ -39,16 +39,21 @@ from .sim import Envelope, SecureChannel, Simulation
 
 
 class Node:
-    """Channel-capable actor bound to an EV identity certificate."""
+    """Channel-capable actor bound to an EV identity certificate, in
+    simulation ``sim``, trusting what ``trust`` holds."""
 
     # Body type -> the method that handles it, per class.
     HANDLERS: dict[type, Callable[..., None]] = {}
 
-    def __init__(self, name: str, identity_cert: pki.EvIdentityCertificate,
-                 identity_key: crypto.KeyPair):
+    def __init__(self, sim: Simulation, name: str,
+                 identity_cert: pki.EvIdentityCertificate,
+                 identity_key: crypto.KeyPair,
+                 trust: pki.TrustContext):
+        self.sim = sim
         self.name = name
         self.identity_cert = identity_cert
         self._identity_key = identity_key
+        self.trust = trust
 
     def prove_possession(self, challenge: bytes) -> bytes:
         return crypto.sign(self._identity_key.private_key, challenge)
@@ -122,13 +127,12 @@ class VaspNode(Node):
                  trust: pki.TrustContext,
                  registry: wallet.WalletRegistry):
         self.certs = trust.members[vasp_number]
-        super().__init__(f"vasp:{vasp_number}", self.certs.identity, identity_key)
-        self.sim = sim
+        super().__init__(sim, f"vasp:{vasp_number}", self.certs.identity,
+                         identity_key, trust)
         self.vasp_number = vasp_number
         self.tx_key = tx_key
         self.claims_key = claims_key
         self.ledger = ledger
-        self.trust = trust
         self.registry = registry
 
         self.customers: dict[str, CustomerRecord] = {}
@@ -149,8 +153,10 @@ class VaspNode(Node):
         # (direction, canonical SignedPayload bytes) records.
         self.payload_store: list[tuple[str, bytes]] = []
         self.supervision: dict[str, wallet.SupervisionRecord] = {}
-        # Open transfers by payload id, in initiation order.
+        # Open transfers by payload id, in initiation order, and the count
+        # of transfers started, which numbers each one's payload.
         self.pending: dict[bytes, PendingTransfer] = {}
+        self.transfers_started = 0
         self.remote_lookups: list[msg.LookupResponse] = []
         self.claims_token: claims_mod.AuthorizationToken | None = None
         self.claims_denial: Refusal | None = None
@@ -289,16 +295,16 @@ class VaspNode(Node):
         send their data to that VASP, nothing leaves: the transfer is
         refused as an event and None is returned."""
         originator = self.customers[originator_id]
+        self.transfers_started += 1
         payload = travel_rule.build_payload(
             originator, beneficiary_name, beneficiary_identifier,
-            beneficiary_vasp, amount, self.vasp_number)
+            beneficiary_vasp, amount, self.vasp_number, self.transfers_started)
         if not self.consents.check(originator_id,
                                    ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
                                    beneficiary_vasp, self.sim.now):
             self._refuse(payload.payload_id, Refusal.ORIGINATOR_CONSENT_MISSING)
             return None
         signed = self._sign_outbound(payload)
-        # A repeated payload id replaces its open entry, never correlated.
         self.pending[payload.payload_id] = PendingTransfer(payload)
         self.sim.send(channel, self.name, msg.TravelRuleRequest(signed))
         return payload
@@ -675,10 +681,9 @@ class AuthServerNode(Node):
                  identity_key: crypto.KeyPair,
                  server: claims_mod.AuthorizationServer,
                  trust: pki.TrustContext):
-        super().__init__(f"authsrv:{owner}", identity_cert, identity_key)
-        self.sim = sim
+        super().__init__(sim, f"authsrv:{owner}", identity_cert, identity_key,
+                         trust)
         self.server = server
-        self.trust = trust
 
     def _on_claims_auth_request(self, channel: SecureChannel, env: Envelope) -> None:
         result = self.server.request_authorization(
@@ -707,10 +712,9 @@ class ClaimsStoreNode(Node):
                  identity_key: crypto.KeyPair,
                  store: claims_mod.ClaimsStore,
                  trust: pki.TrustContext):
-        super().__init__(f"store:{owner}", identity_cert, identity_key)
-        self.sim = sim
+        super().__init__(sim, f"store:{owner}", identity_cert, identity_key,
+                         trust)
         self.store = store
-        self.trust = trust
 
     def _on_claims_fetch_request(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.ClaimsFetchRequest = env.body
@@ -757,9 +761,8 @@ class InsurerNode(Node):
                  identity_key: crypto.KeyPair,
                  trust: pki.TrustContext,
                  approved_stacks: set[bytes]):
-        super().__init__(f"insurer:{name}", identity_cert, identity_key)
-        self.sim = sim
-        self.trust = trust
+        super().__init__(sim, f"insurer:{name}", identity_cert, identity_key,
+                         trust)
         self.approved_stacks = approved_stacks
         # Device id -> (id of the channel its challenge went out on, nonce).
         self.pending_nonces: dict[str, tuple[int, bytes]] = {}

@@ -74,16 +74,13 @@ def flood_round(world: World,
     world.sim.run_until_quiet()
 
 
-def federated_truth(truth: dict[str, frozenset[int] | list[int]], number: int,
-                    own: list[str] | None = None) -> dict[str, frozenset[int]]:
+def federated_truth(truth: dict[str, frozenset[int]], number: int,
+                    own: list[str]) -> dict[str, frozenset[int]]:
     """What VASP ``number``'s resolver learns from a converged federation:
     ``truth`` without its own origin, and without the identifiers only it
     serves. Its resolve_map equals ``truth`` exactly when its federated
-    view equals this. Given ``own`` (the identifiers it serves), ``truth``
-    must map to frozensets, and only ``own`` is patched."""
-    if own is None:
-        truth = {rendered: frozenset(owners) for rendered, owners in truth.items()}
-        own = [rendered for rendered, owners in truth.items() if number in owners]
+    view equals this. ``own`` lists the identifiers it serves; only those
+    entries of ``truth`` are patched."""
     view = dict(truth)
     for rendered in own:
         others = view.pop(rendered) - {number}
@@ -190,7 +187,7 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
             beneficiary_ids[0], ConsentDirection.RECEIVE_ASSETS,
             ovasp.vasp_number, sim.now))
     confirmed = (pending is not None and pending.tx_id is not None
-                 and world.ledger.query_tx(pending.tx_id).block_height > 0)
+                 and world.ledger.confirmed_height(pending.tx_id) > 0)
     world.assert_that("ledger_confirmed", confirmed,
                       f"state={pending.state if pending else 'refused'}")
     world.assert_that("correlation_recorded_once",

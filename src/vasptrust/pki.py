@@ -157,9 +157,6 @@ class EvIdentityCertificate:
     not_after: int
     issuer_signature: bytes
 
-    def signing_input(self) -> bytes:
-        return codec.struct_bytes(self, exclude=("issuer_signature",))
-
 
 @dataclass(frozen=True)
 class SigningCertificate:
@@ -171,9 +168,6 @@ class SigningCertificate:
     not_before: int
     not_after: int
     issuer_signature: bytes
-
-    def signing_input(self) -> bytes:
-        return codec.struct_bytes(self, exclude=("issuer_signature",))
 
 
 Certificate = EvIdentityCertificate | SigningCertificate
@@ -192,9 +186,6 @@ class RevocationList:
     entries: tuple[RevocationEntry, ...]
     issued_at: int
     issuer_signature: bytes
-
-    def signing_input(self) -> bytes:
-        return codec.struct_bytes(self, exclude=("issuer_signature",))
 
     @cached_property
     def serials(self) -> frozenset[int]:
@@ -248,7 +239,7 @@ def validate_chain(cert: Certificate,
     certificate that verifies.
     """
     known = verified is not None and cert in verified
-    if not known and not crypto.verify(root_public_key, cert.signing_input(),
+    if not known and not crypto.verify(root_public_key, codec.struct_bytes(cert),
                                        cert.issuer_signature):
         return Verdict.BAD_SIGNATURE
     if not known and verified is not None:
@@ -417,7 +408,7 @@ class RootAuthority:
             fields["serial"] = self._next_serial
             self._next_serial += 1
         unsigned = kind(issuer_id=self.name, issuer_signature=b"", **fields)
-        sig = crypto.sign(self._keypair.private_key, unsigned.signing_input())
+        sig = crypto.sign(self._keypair.private_key, codec.struct_bytes(unsigned))
         signed = codec.replace(unsigned, issuer_signature=sig)
         if numbered:
             self._certs[signed.serial] = signed

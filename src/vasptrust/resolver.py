@@ -122,9 +122,6 @@ class IdentifierAdvertisement:
     signer_cert_serial: int
     signature: bytes
 
-    def signing_input(self) -> bytes:
-        return codec.struct_bytes(self, exclude=("signature",))
-
 
 class MergeOutcome(Enum):
     APPLIED = "Applied"
@@ -221,7 +218,7 @@ class ResolverService:
             signer_cert_serial=claims_cert_serial,
             signature=b"",
         )
-        sig = crypto.sign(claims_private_key, unsigned.signing_input())
+        sig = crypto.sign(claims_private_key, codec.struct_bytes(unsigned))
         return codec.replace(unsigned, signature=sig)
 
     def merge_advertisement(self, adv: IdentifierAdvertisement,
@@ -241,7 +238,7 @@ class ResolverService:
                 held is not None and adv.sequence <= held.sequence):
             return MergeOutcome.STALE
         if not trust.verify_member_signature(
-                adv.signing_input(), adv.signature, adv.signer_cert_serial,
+                codec.struct_bytes(adv), adv.signature, adv.signer_cert_serial,
                 pki.CertPurpose.CLAIMS_SIGNING, adv.vasp_number):
             return MergeOutcome.REJECTED
         if len({i.render() for i in adv.identifiers}) != len(adv.identifiers):

@@ -9,6 +9,11 @@ exchanged before the on-chain transfer, and afterwards correlated to the
 confirmed ledger transaction, batch transfers included. Consent from both
 the originator and the beneficiary gates every exchange.
 
+A payload's id is the digest of its canonical encoding, derived from the
+payload and never carried in it. A ``SignedPayload`` is signed over the
+payload and the signer's certificate serial, every field but its
+signature, the last.
+
 Payload, consent and correlation stores are append-only. A VASP keeps a
 payload on record as the canonical bytes of its ``SignedPayload``;
 ``read_payload_record`` decodes one.
@@ -130,13 +135,16 @@ class TravelRulePayload:
     beneficiary_name: str
     beneficiary_account: str
     originating_vasp_number: int
+    # The originating VASP's count of the transfers it has started: with
+    # that VASP's number, it makes every payload id of a run unique.
+    transfer_number: int
     beneficiary_vasp_number: int
     amount: int
     correlation: CorrelationHint
-    payload_id: bytes
 
-    def content_bytes(self) -> bytes:
-        return codec.struct_bytes(self, exclude=("payload_id",))
+    @cached_property
+    def payload_id(self) -> bytes:
+        return crypto.digest(codec.canonical_encode(self))
 
     @cached_property
     def short_id(self) -> str:
@@ -154,16 +162,13 @@ REQUIRED_FIELDS = (
 )
 
 
-def compute_payload_id(payload: TravelRulePayload) -> bytes:
-    return crypto.digest(payload.content_bytes())
-
-
 def build_payload(originator: CustomerRecord,
                   beneficiary_name: str,
                   beneficiary_account: str,
                   beneficiary_vasp_number: int,
                   amount: int,
                   originating_vasp_number: int,
+                  transfer_number: int,
                   hint: CorrelationHint | None = None) -> TravelRulePayload:
     identifying = pick_identifying(originator)
     if identifying is None:
@@ -172,31 +177,29 @@ def build_payload(originator: CustomerRecord,
             "number, or date and place of birth")
     if amount <= 0:
         raise ValueError("amount must be a positive number of minor units")
-    payload = TravelRulePayload(
+    return TravelRulePayload(
         originator_name=originator.legal_name,
         originator_account=originator.customer_id,
         originator_identifying=identifying,
         beneficiary_name=beneficiary_name,
         beneficiary_account=beneficiary_account,
         originating_vasp_number=originating_vasp_number,
+        transfer_number=transfer_number,
         beneficiary_vasp_number=beneficiary_vasp_number,
         amount=amount,
         correlation=hint or MEMO_TAG_HINT,
-        payload_id=b"",
     )
-    return codec.replace(payload, payload_id=compute_payload_id(payload))
 
 
 def answer_payload(request: TravelRulePayload, beneficiary: CustomerRecord,
                    beneficiary_tx_key: bytes) -> TravelRulePayload:
     """The beneficiary VASP's answer to ``request``, naming ``beneficiary``;
     it is matched on-chain by the amount paid to ``beneficiary_tx_key``."""
-    answer = dataclasses.replace(
+    return dataclasses.replace(
         request, beneficiary_name=beneficiary.legal_name,
         beneficiary_account=beneficiary.customer_id,
         correlation=CorrelationHint(HintKind.KEY_AMOUNT, beneficiary_tx_key,
                                     request.amount))
-    return codec.replace(answer, payload_id=compute_payload_id(answer))
 
 
 def validate_payload(payload: TravelRulePayload) -> tuple[str, ...]:
@@ -234,18 +237,17 @@ def sign_payload(claims_private_key: bytes,
         raise InvalidCert(f"claims certificate is {verdict.value}")
     if crypto.public_key_of(claims_private_key) != claims_cert.subject_public_key:
         raise InvalidCert("private key does not match the claims certificate")
-    signature = crypto.sign(claims_private_key, codec.canonical_encode(payload))
-    return SignedPayload(payload, claims_cert.serial, signature)
+    unsigned = SignedPayload(payload, claims_cert.serial, b"")
+    return codec.replace(unsigned, signature=crypto.sign(
+        claims_private_key, codec.struct_bytes(unsigned)))
 
 
 def verify_signed_payload(signed: SignedPayload, trust: pki.TrustContext,
                           signer_vasp_number: int) -> bool:
-    """Bind the payload bytes to a claims-signing certificate of member
-    ``signer_vasp_number``."""
-    if signed.payload.payload_id != compute_payload_id(signed.payload):
-        return False
+    """Bind the payload and its signer's serial to a claims-signing
+    certificate of member ``signer_vasp_number``."""
     return trust.verify_member_signature(
-        codec.canonical_encode(signed.payload), signed.signature,
+        codec.struct_bytes(signed), signed.signature,
         signed.signer_cert_serial, pki.CertPurpose.CLAIMS_SIGNING,
         signer_vasp_number)
 

@@ -88,9 +88,6 @@ class AttestationEvidence:
     signed_at: int
     signature: bytes
 
-    def signing_input(self) -> bytes:
-        return codec.struct_bytes(self, exclude=("signature",))
-
 
 def fold_boot_digest(log: tuple[tuple[str, bytes], ...]) -> bytes:
     acc = BOOT_DIGEST_SEED
@@ -199,7 +196,7 @@ class WalletDevice:
             signed_at=now,
             signature=b"",
         )
-        sig = crypto.sign(self._attestation.private_key, unsigned.signing_input())
+        sig = crypto.sign(self._attestation.private_key, codec.struct_bytes(unsigned))
         return codec.replace(unsigned, signature=sig)
 
 
@@ -225,7 +222,7 @@ def verify_evidence(evidence: AttestationEvidence,
     not fail the verdict; the risk decision belongs to the caller.
     """
     signature_ok = crypto.verify(device_attestation_public_key,
-                                 evidence.signing_input(), evidence.signature)
+                                 codec.struct_bytes(evidence), evidence.signature)
     nonce_fresh = evidence.nonce == expected_nonce
     stack = evidence.stack_report
     stack_approved = (fold_boot_digest(stack.measurement_log) == stack.boot_digest
@@ -314,7 +311,7 @@ def check_key_history(device: WalletDevice, ledger: Ledger) -> bool:
         keys = tx.distinct_input_keys()
         for key, sig in zip(keys, tx.signatures):
             if key in wallet_keys and not crypto.verify(
-                    key, tx.unsigned_bytes(), sig):
+                    key, codec.struct_bytes(tx), sig):
                 return False
     return True
 
@@ -332,7 +329,7 @@ def _fresh_evidence(device: WalletDevice, nonce: bytes, now: int,
         evidence = device.attest(nonce, now)
     except AttestationRefused as exc:
         raise AttestationFailed(str(exc)) from exc
-    if not crypto.verify(attestation_key, evidence.signing_input(),
+    if not crypto.verify(attestation_key, codec.struct_bytes(evidence),
                          evidence.signature):
         raise AttestationFailed("attestation evidence does not verify")
     if evidence.nonce != nonce:

@@ -36,7 +36,7 @@ RNG_SEED = 0xACCE97
 def test_travel_rule_completeness_matrix():
     originator = tr.CustomerRecord("A-001", "Alice Example",
                                    geographic_address="1 Main St")
-    complete = tr.build_payload(originator, "Bob Jones", "B-900", 9, 125, 7)
+    complete = tr.build_payload(originator, "Bob Jones", "B-900", 9, 125, 7, 1)
     for bits in itertools.product((True, False), repeat=5):
         payload = replace(
             complete,
@@ -131,7 +131,7 @@ def _tamper_fixture():
         originator = tr.CustomerRecord(f"A-{i}", f"Customer {i}",
                                        national_id=f"ID-{rng.randint(0, 10**9)}")
         payload = tr.build_payload(originator, "Bob Jones", "B-900", 9,
-                                   rng.randint(1, 10**9), 7)
+                                   rng.randint(1, 10**9), 7, i)
         signed = tr.sign_payload(claims_key.private_key, claims_cert, payload,
                                  trust)
         blob = codec.canonical_encode(signed)
@@ -440,11 +440,11 @@ def test_batch_correlation_bijective_and_never_wrong():
     originator = tr.CustomerRecord("A-1", "Alice Example",
                                    geographic_address="1 Main St")
     payloads = [
-        tr.build_payload(originator, "Bob Jones", "B-9", 9, amount, 7,
+        tr.build_payload(originator, "Bob Jones", "B-9", 9, amount, 7, n,
                          hint=tr.CorrelationHint(tr.HintKind.KEY_AMOUNT,
                                                  expected_key=k.public_key,
                                                  expected_amount=amount))
-        for k, amount in zip(beneficiaries, amounts)]
+        for n, (k, amount) in enumerate(zip(beneficiaries, amounts), 1)]
 
     outputs = [(o.public_key, o.amount) for o in tx.outputs]
     matchings = _enumerate_matchings(payloads, outputs)
@@ -467,7 +467,7 @@ def test_batch_correlation_bijective_and_never_wrong():
     dup.submit_transfer(twin)
     dup.confirm_block()
     ambiguous = tr.build_payload(
-        originator, "Bob Jones", "B-9", 9, 50, 7,
+        originator, "Bob Jones", "B-9", 9, 50, 7, 4,
         hint=tr.CorrelationHint(tr.HintKind.KEY_AMOUNT,
                                 expected_key=beneficiaries[0].public_key,
                                 expected_amount=50))

@@ -42,7 +42,8 @@ def signed_by(world, signer: int, originator: int, beneficiary: int,
     VASP ``signer``'s own valid claims key."""
     node = world.vasps[signer]
     payload = tr.build_payload(world.vasps[7].customers["alice"], "Bob Jones",
-                               "bob@idp2.com", beneficiary, amount, originator)
+                               "bob@idp2.com", beneficiary, amount, originator,
+                               1)
     return tr.sign_payload(node.claims_key.private_key, node.certs.claims,
                            payload, world.trust)
 

@@ -497,9 +497,11 @@ class TestRun:
 
 
 # SHA-256 of each .payloads.txt `vtn run` writes on the demo config: only
-# S1 exchanges travel-rule payloads, so the other files are empty.
+# S1 exchanges travel-rule payloads, so the other files are empty. S1's was
+# re-pinned when payloads gained their originator's transfer number: only
+# the two id= values changed.
 PAYLOAD_FILES = {
-    "S1": "97cd2cd3f99a99eef3bb04e1fba74dcf9b51501222b318302944f867d6671e15",
+    "S1": "1ceaa16062c937dabf9e019a752e4cf82bd4c715d174ea113010e648adf7f58c",
     **dict.fromkeys(["S2", "S3", "S4", "S5"], hashlib.sha256(b"").hexdigest()),
 }
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import types
 import typing
 from dataclasses import dataclass
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seed, trust_context
+from conftest import seed, trust_context, wire_envelopes
 from vasptrust import claims, codec, crypto, pki, resolver, travel_rule, wallet
-from vasptrust.ledger import Ledger, make_transfer
+from vasptrust.ledger import make_transfer
 from vasptrust.netsim import messages
 from vasptrust.netsim.scenarios import run_scenario_with_world
 from vasptrust.netsim.sim import Envelope
@@ -78,11 +79,14 @@ def test_negative_ints_refused():
         codec.canonical_encode(-1)
 
 
-def test_struct_bytes_excludes_fields():
+def test_struct_bytes_leaves_out_the_last_field():
     full = codec.canonical_encode(sample())
-    partial = codec.struct_bytes(sample(), exclude=("blob",))
+    partial = codec.struct_bytes(sample())
     assert partial != full
-    assert codec.struct_bytes(sample(), exclude=()) == full
+    # The full struct is the signing input's fields, then the last field.
+    last = codec.canonical_encode(sample().pair)
+    assert full[-len(last):] == last
+    assert full[2:-len(last)] == partial[2:]
 
 
 @pytest.mark.parametrize("mutate", [
@@ -163,10 +167,10 @@ def random_payload(rng: random.Random) -> TravelRulePayload:
         originator_identifying=identifying,
         beneficiary_name=text(), beneficiary_account=text(),
         originating_vasp_number=rng.randint(0, 999),
+        transfer_number=rng.randint(1, 10**6),
         beneficiary_vasp_number=rng.randint(0, 999),
         amount=rng.randint(1, 10**12),
         correlation=hint,
-        payload_id=rng.randbytes(32),
     )
 
 
@@ -318,6 +322,14 @@ def reference_encode(value, typ=None) -> bytes:
     raise codec.CodecError(f"cannot canonically encode {type(value).__name__}")
 
 
+def _reference_signing_input(value) -> bytes:
+    """The reference struct of every field of ``value`` but the last."""
+    hints = typing.get_type_hints(type(value))
+    return _ref_frame(codec.TAG_STRUCT, b"".join(
+        reference_encode(getattr(value, f.name), hints[f.name])
+        for f in dataclasses.fields(value)[:-1]))
+
+
 def values_of(typ) -> st.SearchStrategy:
     """Valid values of a declared type, nested dataclasses included."""
     origin = typing.get_origin(typ)
@@ -359,7 +371,7 @@ def test_compiled_encoder_matches_reference(cls, data):
     value = data.draw(values_of(cls))
     blob = codec.canonical_encode(value)
     assert blob == reference_encode(value)
-    assert codec.struct_bytes(value) == blob
+    assert codec.struct_bytes(value) == _reference_signing_input(value)
     assert codec.canonical_decode(blob, cls) == value
 
 
@@ -387,14 +399,13 @@ def test_untyped_values_match_reference(value):
     assert codec.canonical_encode(value) == reference_encode(value)
 
 
-def test_excluded_fields_match_reference():
+def test_signing_input_matches_reference():
     value = sample()
-    partial = codec.struct_bytes(value, exclude=("blob", "pairs"))
     hints = typing.get_type_hints(Sample)
     expected = _ref_frame(codec.TAG_STRUCT, b"".join(
         reference_encode(getattr(value, f.name), hints[f.name])
-        for f in dataclasses.fields(Sample) if f.name not in ("blob", "pairs")))
-    assert partial == expected
+        for f in dataclasses.fields(Sample)[:-1]))
+    assert codec.struct_bytes(value) == expected
 
 
 # -- members tagged by declaration index ----------------------------------------
@@ -538,40 +549,31 @@ def test_builtin_subclasses_encode_as_the_builtin():
 MEMO_TYPES = [Envelope, *BODY_TYPES]
 
 
-def _reference_struct(value, exclude) -> bytes:
-    hints = typing.get_type_hints(type(value))
-    return _ref_frame(codec.TAG_STRUCT, b"".join(
-        reference_encode(getattr(value, f.name), hints[f.name])
-        for f in dataclasses.fields(value) if f.name not in exclude))
-
-
 @pytest.mark.parametrize("cls", MEMO_TYPES, ids=lambda cls: cls.__name__)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_kept_encodings_match_reference(cls, data):
     names = [f.name for f in dataclasses.fields(cls)]
     value = data.draw(values_of(cls))
-    exclude = tuple(data.draw(st.lists(st.sampled_from(names), unique=True)))
-    exclude = tuple(n for n in names if n in exclude)  # declaration order
-    full, partial = reference_encode(value), _reference_struct(value, exclude)
-    if data.draw(st.booleans(), label="excluded first"):
-        assert codec.struct_bytes(value, exclude) == partial
+    full, partial = reference_encode(value), _reference_signing_input(value)
+    if data.draw(st.booleans(), label="signing input first"):
+        assert codec.struct_bytes(value) == partial
     for _ in range(2):
         assert codec.canonical_encode(value) == full
-        assert codec.struct_bytes(value) == full
-        assert codec.struct_bytes(value, exclude) == partial
+        assert codec.struct_bytes(value) == partial
     # A replaced copy is a new value with its own encoding.
     name = data.draw(st.sampled_from(names), label="replaced field")
     new = data.draw(values_of(typing.get_type_hints(cls)[name]))
     copy = dataclasses.replace(value, **{name: new})
     assert codec.canonical_encode(copy) == reference_encode(copy)
-    assert codec.struct_bytes(copy, exclude) == _reference_struct(copy, exclude)
+    assert codec.struct_bytes(copy) == _reference_signing_input(copy)
     assert codec.canonical_encode(value) == full
-    # codec.replace carries over only the encodings the change leaves
-    # right, and composes a full encoding from one without trailing fields.
+    # codec.replace carries the signing input over only when the last
+    # field changes, and a full encoding is composed from it.
     carried = codec.replace(value, **{name: new})
-    assert codec.struct_bytes(carried, exclude) == _reference_struct(copy, exclude)
+    assert (codec._TBS in vars(carried)) == (name == names[-1])
     assert codec.canonical_encode(carried) == reference_encode(copy)
+    assert codec.struct_bytes(carried) == _reference_signing_input(copy)
 
 
 def _tuple_fields(cls) -> list[str]:
@@ -591,11 +593,10 @@ def test_list_in_a_tuple_field_refused(cls, data):
         codec.canonical_encode(listed)
     with pytest.raises(codec.CodecError, match="mutable list"):
         codec.canonical_encode(Envelope(1, 2, "vasp:7", listed, 3))
-    # The path of every signing_input: a struct without its last field
-    # (or without none, where the tuple field is the last).
-    others = [f.name for f in dataclasses.fields(cls) if f.name != name]
-    with pytest.raises(codec.CodecError, match="mutable list"):
-        codec.struct_bytes(listed, exclude=tuple(others[-1:]))
+    # The path of every signing input: a struct without its last field.
+    if name != dataclasses.fields(cls)[-1].name:
+        with pytest.raises(codec.CodecError, match="mutable list"):
+            codec.struct_bytes(listed)
 
 
 @dataclass
@@ -633,23 +634,19 @@ def test_only_deeply_immutable_dataclasses_keep_encodings():
 
 # -- encodings carried from a signed draft -------------------------------------
 
-def _signed_values(root, member) -> list[tuple[object, tuple[str, ...]]]:
+def _signed_values(root, member) -> list:
     """A value of every signed type, each built where the program builds
-    it (the draft is signed, then filled in by codec.replace), with the
-    fields its signature leaves out."""
-    signature = ("signature",)
+    it: the draft is signed, then filled in by codec.replace."""
     service = ResolverService(7, {"bob"})
     service.register_identifier("bob", parse_identifier("bob@idp2.com"))
+    trust = trust_context(root, member)
     payload = build_payload(
         CustomerRecord("A-1", "Alice", geographic_address="1 Main St"),
-        "Bob", "B-9", 9, 125, 7)
+        "Bob", "B-9", 9, 125, 7, 1)
     key = crypto.generate_keypair(seed("ledger:key"))
-    ledger = Ledger([(key.public_key, 100)])
     tx = make_transfer([(key.public_key, 40)], [(b"\x02" * 32, 40)],
                        {key.public_key: lambda m: crypto.sign(key.private_key, m)},
                        memo_tag=b"\x01" * 32)
-    ledger.submit_transfer(tx)
-    ledger.confirm_block()
     provider = claims.ClaimsProvider("dmv", seed("cp:dmv"))
     server = claims.AuthorizationServer(seed("authsrv"))
     store = claims.ClaimsStore("alice", seed("store:alice"), server.public_key)
@@ -659,37 +656,82 @@ def _signed_values(root, member) -> list[tuple[object, tuple[str, ...]]]:
     store.set_policy("alice", claims.AccessPolicy(
         "alice", frozenset({7}), frozenset({"dl"}), "kyc"))
     token = server.request_authorization(
-        member["identity_cert"], {"dl"}, "kyc", trust_context(root))
+        member["identity_cert"], {"dl"}, "kyc", trust)
     _, receipt = store.fetch_claims(token, now=5)
     device = wallet.WalletDevice("wdev:a", seed("device:a"),
                                  [("boot", crypto.digest(b"boot"))])
     device.generate_key(migratable=False)
-    ledger_fields = ("tx_id", "signatures", "block_height")
     return [
-        (member["identity_cert"], ("issuer_signature",)),
-        (member["claims_cert"], ("issuer_signature",)),
-        (root.revoke(member["tx_cert"].serial,
-                     pki.RevocationReason.SUPERSEDED, 2), ("issuer_signature",)),
-        (service.build_advertisement(member["claims"].private_key,
-                                     member["claims_cert"].serial), signature),
-        (payload, ("payload_id",)),
-        (tx, ledger_fields),
-        (ledger.query_tx(tx.tx_id), ledger_fields),
-        (claim, ("claim_id", "issuer_signature")),
-        (token, ("token_id", "signature")),
-        (receipt, ("receipt_id", "signature")),
-        (device.attest(b"\x03" * wallet.NONCE_SIZE, now=4), signature),
+        member["identity_cert"],
+        member["claims_cert"],
+        root.revoke(member["tx_cert"].serial,
+                    pki.RevocationReason.SUPERSEDED, 2),
+        service.build_advertisement(member["claims"].private_key,
+                                    member["claims_cert"].serial),
+        travel_rule.sign_payload(member["claims"].private_key,
+                                 member["claims_cert"], payload, trust),
+        tx,
+        claim,
+        token,
+        receipt,
+        device.attest(b"\x03" * wallet.NONCE_SIZE, now=4),
     ]
 
 
 def test_carried_and_composed_encodings_match_fresh_ones(root, member):
     values = _signed_values(root, member)
-    assert len({type(v) for v, _ in values}) == len(values) - 1  # tx twice
-    for value, exclude in values:
+    assert len({type(v) for v in values}) == len(values)
+    for value in values:
         fresh = dataclasses.replace(value)  # equal, and keeps nothing yet
-        assert codec._slot(exclude) in vars(value)  # carried from the draft
-        assert codec.struct_bytes(value, exclude) \
-            == codec.struct_bytes(fresh, exclude) \
-            == _reference_struct(value, exclude)
+        assert codec._TBS in vars(value)  # carried from the draft
+        assert codec.struct_bytes(value) == codec.struct_bytes(fresh) \
+            == _reference_signing_input(value)
         assert codec.canonical_encode(value) == codec.canonical_encode(fresh) \
             == reference_encode(value)
+
+
+SIGNATURE_FIELDS = {"signature", "issuer_signature", "signatures"}
+
+
+def test_every_signed_type_ends_in_its_signature(root, member, demo_config,
+                                                  monkeypatch):
+    # Every type the program passes to struct_bytes, over a value of each
+    # signed type and S1-S5, declares its signature last: the one rule
+    # that makes struct_bytes its signing input.
+    signed_types = set()
+    struct_bytes = codec.struct_bytes
+
+    def recording(value):
+        signed_types.add(type(value))
+        return struct_bytes(value)
+
+    monkeypatch.setattr(codec, "struct_bytes", recording)
+    values = _signed_values(root, member)
+    for name in ("S1", "S2", "S3", "S4", "S5"):
+        assert run_scenario_with_world(name, demo_config)[0].passed
+    assert signed_types == {type(v) for v in values}
+    for cls in signed_types:
+        assert dataclasses.fields(cls)[-1].name in SIGNATURE_FIELDS, cls
+
+
+@pytest.mark.parametrize("name", ["S1", "S2"])
+def test_ids_derived_from_the_wire_are_the_ones_the_trace_names(
+        demo_config, name):
+    # Ids are never carried: each receiver derives them from the values
+    # it decodes, and they are the short ids the sender's trace names.
+    trace, world = run_scenario_with_world(name, demo_config)
+    derived = {"payload": set(), "token": set(), "receipt": set()}
+    for env in wire_envelopes(world.sim):
+        body = env.body
+        if getattr(body, "signed", None) is not None:
+            derived["payload"].add(body.signed.payload.payload_id.hex()[:16])
+        if getattr(body, "token", None) is not None:
+            derived["token"].add(body.token.token_id.hex()[:16])
+        if getattr(body, "receipt", None) is not None:
+            derived["receipt"].add(body.receipt.receipt_id.hex()[:16])
+    # The short ids the trace names (claims_fetched's receipt=yes is none).
+    named = {key: {e.get(key) for e in trace.events
+                   if re.fullmatch("[0-9a-f]{16}", e.get(key) or "")}
+             for key in derived}
+    assert any(derived.values())
+    assert derived == named

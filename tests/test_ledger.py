@@ -37,7 +37,7 @@ def test_simple_transfer(funded):
     assert ledger.balance(b.public_key) == 50  # unchanged until confirmation
     ledger.confirm_block()
     assert ledger.balance(b.public_key) == 150
-    assert ledger.query_tx(tx_id).block_height == 1
+    assert ledger.confirmed_height(tx_id) == 1
 
 
 def test_insufficient_funds(funded):
@@ -161,11 +161,13 @@ def test_confirmed_height_never_changes():
     tx = make_transfer([(pairs[0].public_key, 10)], [(pairs[1].public_key, 10)],
                        {pairs[0].public_key: signer(pairs[0])})
     ledger.submit_transfer(tx)
+    assert ledger.confirmed_height(tx.tx_id) == 0  # in the mempool
     ledger.confirm_block()
-    height = ledger.query_tx(tx.tx_id).block_height
+    height = ledger.confirmed_height(tx.tx_id)
     for _ in range(5):
         ledger.confirm_block()
-    assert ledger.query_tx(tx.tx_id).block_height == height == 1
+    assert ledger.confirmed_height(tx.tx_id) == height == 1
+    assert ledger.query_tx(tx.tx_id) is tx
 
 
 def test_identical_op_sequences_identical_hashes():

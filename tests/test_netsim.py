@@ -24,9 +24,8 @@ from vasptrust.netsim.sim import Envelope, NetsimError
 class Recorder(Node):
     """Channel endpoint that records every delivered body in order."""
 
-    def __init__(self, sim, name, identity_cert, identity_key):
-        super().__init__(name, identity_cert, identity_key)
-        self.sim = sim
+    def __init__(self, sim, name, identity_cert, identity_key, trust):
+        super().__init__(sim, name, identity_cert, identity_key, trust)
         self.received = []
 
     def handle(self, channel, envelope):
@@ -47,10 +46,7 @@ def make_pair(sim, root, node_cls_b=Recorder):
         key = crypto.generate_keypair(seed(f"node{i}:{cls.__name__}"))
         cert = root.issue_identity_cert(make_subject(500 + i), key.public_key,
                                         0, 10_000)
-        if cls is Recorder:
-            node = Recorder(sim, f"rec:{i}", cert, key)
-        else:
-            node = cls(f"rec:{i}", cert, key)
+        node = cls(sim, f"rec:{i}", cert, key, trust_context(root))
         sim.register_actor(node.name, getattr(node, "handle", None))
         nodes.append(node)
     return nodes
@@ -198,7 +194,7 @@ def test_in_flight_tracks_busy_directions_under_faults():
         key = crypto.generate_keypair(seed(f"mesh:{i}"))
         cert = root.issue_identity_cert(make_subject(600 + i), key.public_key,
                                         0, 10_000)
-        node = Echo(sim, f"mesh:{i}", cert, key)
+        node = Echo(sim, f"mesh:{i}", cert, key, trust_context(root))
         sim.register_actor(node.name, node.handle)
         nodes.append(node)
     trust = trust_context(root)
@@ -286,8 +282,9 @@ def test_plain_function_handler_and_tick_hook_are_kept(root):
     sim = Simulation(seed=15)
     a = make_pair(sim, root)[0]
     key = crypto.generate_keypair(seed("plain-function-actor"))
-    plain = Node("plain", root.issue_identity_cert(
-        make_subject(510), key.public_key, 0, 10_000), key)
+    plain = Node(sim, "plain", root.issue_identity_cert(
+        make_subject(510), key.public_key, 0, 10_000), key,
+        trust_context(root))
     delivered, ticks = [], []
 
     def handler(channel, envelope):

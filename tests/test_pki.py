@@ -226,7 +226,7 @@ class TestRevocation:
         revocation_list = root.revoke(member["tx_cert"].serial,
                                       pki.RevocationReason.KEY_COMPROMISE, now=3)
         assert revocation_list.covers(member["tx_cert"].serial)
-        assert crypto.verify(root.public_key, revocation_list.signing_input(),
+        assert crypto.verify(root.public_key, codec.struct_bytes(revocation_list),
                              revocation_list.issuer_signature)
 
     def test_unknown_serial(self, root):

@@ -71,7 +71,7 @@ def refused_answer(world, kind: str, refusal: Refusal):
     if kind == "TravelRuleResponse":
         # An open transfer of VASP 7 to VASP 9, whose request never left.
         payload = tr.build_payload(vasp7.customers["alice"], "Bob Jones",
-                                   "bob@idp2.com", 9, 10, 7)
+                                   "bob@idp2.com", 9, 10, 7, 1)
         vasp7.pending[payload.payload_id] = PendingTransfer(payload)
         return vasp9, vasp7, TravelRuleResponse(payload.payload_id, refusal,
                                                 None)
@@ -305,8 +305,8 @@ def test_token_outside_the_request_is_refused(world, audience, attributes,
     channel = world.channel_between(vasp, server)
     if asked:
         vasp.request_claims_authorization(channel, *ASKED)
-    token = AuthorizationToken(b"t" * 32, audience, attributes, purpose, 0,
-                               300, b"s" * 64)
+    token = AuthorizationToken(audience, attributes, purpose, 0, 300,
+                               b"s" * 64)
     since = len(world.sim.trace.events)
     world.sim.send(channel, server.name, ClaimsAuthResponse(token, None))
     world.sim.step()
@@ -328,7 +328,7 @@ def test_token_outside_the_request_is_refused(world, audience, attributes,
 def test_unexpected_message_is_refused_once(world):
     # Each kind of node, sent a body it does not take.
     vasp, other = world.vasps[7], world.vasps[9]
-    token = AuthorizationToken(b"t" * 32, 7, (), "kyc", 0, 300, b"s" * 64)
+    token = AuthorizationToken(7, (), "kyc", 0, 300, b"s" * 64)
     stray = ClaimsFetchRequest(token, b"", 0)
     for receiver in (other, world.auth_servers["alice"],
                      world.stores["alice"], world.insurer):

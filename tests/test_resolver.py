@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import issue_member, make_subject, seed, trust_context
-from vasptrust import crypto, pki
+from vasptrust import codec, crypto, pki
 from vasptrust.resolver import (CustomerIdentifier, IdentifierKind,
                                 IdpDirectory, IdpValidationFailed,
                                 MergeOutcome, ResolverService, Unauthorized,
@@ -243,7 +243,7 @@ class TestAdvertisements:
         _, claims_cert, claims = federation.creds[9]
         unsigned = dataclasses.replace(federation.advertise(9), vasp_number=3)
         adv = dataclasses.replace(unsigned, signature=crypto.sign(
-            claims.private_key, unsigned.signing_input()))
+            claims.private_key, codec.struct_bytes(unsigned)))
         assert adv.signer_cert_serial == claims_cert.serial
         assert federation.merge(7, adv) is MergeOutcome.REJECTED
 
@@ -286,7 +286,7 @@ class TestAdvertisements:
         adv = ResolverService(3, {"user3"}).build_advertisement(
             claims.private_key, claims_cert.serial)
         assert not trust.verify_member_signature(
-            adv.signing_input(), adv.signature, claims_cert.serial,
+            codec.struct_bytes(adv), adv.signature, claims_cert.serial,
             pki.CertPurpose.CLAIMS_SIGNING, 3)
         assert ResolverService(7, set()).merge_advertisement(adv, trust) \
             is MergeOutcome.REJECTED
@@ -298,7 +298,7 @@ class TestAdvertisements:
         unsigned = dataclasses.replace(federation.advertise(3),
                                        signer_cert_serial=tx_cert.serial)
         adv = dataclasses.replace(unsigned, signature=crypto.sign(
-            federation.tx_keys[3].private_key, unsigned.signing_input()))
+            federation.tx_keys[3].private_key, codec.struct_bytes(unsigned)))
         assert federation.merge(7, adv) is MergeOutcome.REJECTED
 
     def test_newer_advertisement_withdraws_identifier(self, federation):

@@ -12,7 +12,7 @@ import pytest
 from conftest import scenario_trace, wire_envelopes
 from vasptrust import codec, pki
 from vasptrust.config import default_config, parse_config
-from vasptrust.ledger import Ledger, ValueMismatch
+from vasptrust.ledger import Ledger
 from vasptrust.netsim import (FaultConfig, UnknownScenario, build_world,
                               graph_diameter, run_scenario_with_world)
 from vasptrust.netsim.messages import (AdvertisementFlood, TravelRuleRequest,
@@ -396,12 +396,13 @@ def _agrees_with_resolve_map(world, truth):
     """Whether, for every VASP, the federated-view check gives what
     comparing its resolve_map with ``truth`` gives; returns the count of
     converged VASPs as federation.round reports it."""
+    origins = {rendered: frozenset(owners) for rendered, owners in truth.items()}
     converged = 0
     for n in sorted(world.vasps):
         resolver = world.vasps[n].resolver
         same = resolver.resolve_map() == truth
-        assert resolver.holds_federated(
-            scenarios.federated_truth(truth, n)) == same
+        assert resolver.holds_federated(scenarios.federated_truth(
+            origins, n, resolver.local_identifiers())) == same
         converged += same
     return f"{converged}/{len(world.vasps)}"
 
@@ -690,20 +691,23 @@ def test_correlated_events_follow_the_pending_order(demo_config):
                                         dave.payload_id.hex()[:16]]
 
 
-def test_repeated_payload_id_displaces_the_submitted_entry(demo_config):
-    # A repeat of the same transfer has the same payload id: its entry
-    # replaces the submitted one, whose transaction the ledger then holds,
-    # so the repeat's own transaction is refused and nothing correlates.
+def test_repeated_transfer_settles_twice(demo_config):
+    # The same (originator, beneficiary, amount) twice: VASP 7 numbers
+    # each transfer it starts, so each has its own payload id, memo tag
+    # and transaction, and each correlates once.
     world = transfer_world(demo_config)
-    first = transfer(world, 7)
-    assert first.state == "submitted"
-    with pytest.raises(ValueMismatch):
-        transfer(world, 7)
-    repeat = world.vasps[7].pending[first.payload.payload_id]
-    assert repeat is not first and repeat.state == "requested"
+    first, second = transfer(world, 7), transfer(world, 7)
+    assert first.state == second.state == "submitted"
+    assert first.payload.transfer_number + 1 == second.payload.transfer_number
+    assert first.payload.payload_id != second.payload.payload_id
+    assert first.tx_id != second.tx_id
     world.confirm_block()
-    assert world.vasps[7].correlate_pending() == []
-    assert first.state == "submitted"
+    records = world.vasps[7].correlate_pending()
+    assert [(r.payload_id, r.tx_id) for r in records] == [
+        (first.payload.payload_id, first.tx_id),
+        (second.payload.payload_id, second.tx_id)]
+    assert first.state == second.state == "correlated"
+    assert world.vasps[7].correlations.records == records
 
 
 def test_settled_transfer_leaves_pending_and_stays_on_record(demo_config):
@@ -795,17 +799,24 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # union members became declaration indexes on the wire: with the digest
 # column dropped and payload=, tx= and hash= values renamed consistently
 # (4 ids in S1, none elsewhere), the traces are line for line the previous
-# ones; S2's trace did not change.
+# ones; S2's trace did not change. All five trace digests, and the S1 and
+# S2 wire digests, were last re-pinned when content ids became derived
+# (payloads, claims, tokens, receipts and transactions no longer carry
+# theirs, a SignedPayload signs its signer's serial too, and a payload
+# carries its originator's transfer number): with the digest column
+# dropped and payload=, tx= and hash= values renamed consistently, the
+# traces are line for line the previous ones; the S3, S4 and S5 wire
+# bytes did not change.
 PINNED = {
-    "S1": ("2832b4291b4d8a541cfd259ecddc895a294adf10448d0fb15761201a0b075fcc",
-           "0190549494518c66ce7029db4c9571d6ebfe795f4b3140959de487f5c375bd4a"),
-    "S2": ("e8fa18add9e2977659c5a424b837202d67135e0f8ee17132631340a01f647b86",
-           "f1c407b70f95c08e22c890c496c04993b00651a90ef70403fa32a002f31ad152"),
-    "S3": ("ecb5fd0f3c59e781505ccbbc225535056f862440e6ddf0223ca7194076931d9f",
+    "S1": ("fee14f64672f32b1ffbc2702ebf6ce26644ed4fcc1b9dca64f68dfcdbf7765cd",
+           "d83d0c2ee65153dc561197fbc68f9ffc3427fe5ca0e14a05c9f788544b7d4969"),
+    "S2": ("a1ceaff6f2b81fb63ee59f78dd511d095f0a13444fc773525a5d45fe0561f8cc",
+           "84a4d3d41913d5e48a7656d6b69b1a6a6302d690403097c0f1e03d4c234bde71"),
+    "S3": ("5192d8995faa273bf0a89136608d4d9c1aabade1b213b3625d5f7c88e78215da",
            "ba2164c0db0c0b1e8890780a4d0d27bc475515cf5bc05e91b25bcd2355574234"),
-    "S4": ("c2c61b1235858143b7736656ae9d656def124f85b6465ab54c404b969ebd6d49",
+    "S4": ("bb4f1ce7e4248a6cdb0139dfeebb3c2ad0a212d87fee7a1af2b6176418b1fd0f",
            "a84621ef32f7ba8b69d0e864fd2838ab069e115b29380a3ca2a456427f924e65"),
-    "S5": ("348967c6bcf6939f7152fec36c32231f7c459e9366f238ba49ec3d1901549185",
+    "S5": ("63380160f50adf2ebdf573dc93800e7400d1537972a2d48b3f8df234cffca850",
            "207e03b13c9a6bbb9397af08de14d18135323d1b732cb91a88416a9bd8b91687"),
 }
 

@@ -24,7 +24,7 @@ def alice(**overrides):
 
 def build(originator=None, amount=125):
     return tr.build_payload(originator or alice(), "Bob Jones", "B-900",
-                            9, amount, 7)
+                            9, amount, 7, 1)
 
 
 class TestBuildAndValidate:
@@ -77,15 +77,14 @@ class TestBuildAndValidate:
             assert tr.validate_payload(payload) == expected_missing
 
     def test_payload_id_binds_content(self):
+        # The id is derived from the payload, never carried in it.
         payload = build()
-        assert payload.payload_id == tr.compute_payload_id(payload)
+        assert payload.payload_id \
+            == crypto.digest(codec.canonical_encode(payload))
         altered = replace(payload, amount=payload.amount + 1)
-        assert tr.compute_payload_id(altered) != payload.payload_id
-        # The content bytes leave out only the payload id, so a replaced
-        # amount does not carry them over.
-        carried = codec.replace(payload, amount=payload.amount + 1)
-        assert carried.content_bytes() == altered.content_bytes()
-        assert tr.compute_payload_id(carried) == tr.compute_payload_id(altered)
+        assert altered.payload_id != payload.payload_id
+        renumbered = replace(payload, transfer_number=2)
+        assert renumbered.payload_id != payload.payload_id
 
 
 class TestConsent:
@@ -313,12 +312,12 @@ class TestCorrelation:
 
     def _batch_payloads(self, keys, amounts):
         payloads = []
-        for key, amount in zip(keys, amounts):
+        for n, (key, amount) in enumerate(zip(keys, amounts), 1):
             hint = tr.CorrelationHint(tr.HintKind.KEY_AMOUNT,
                                       expected_key=key.public_key,
                                       expected_amount=amount)
             payloads.append(tr.build_payload(alice(), "Bob Jones", "B-900", 9,
-                                             amount, 7, hint=hint))
+                                             amount, 7, n, hint=hint))
         return payloads
 
     def test_batch_three_outputs_bijective(self):
@@ -347,7 +346,7 @@ class TestCorrelation:
         hint = tr.CorrelationHint(tr.HintKind.KEY_AMOUNT,
                                   expected_key=key.public_key,
                                   expected_amount=50)
-        payload = tr.build_payload(alice(), "Bob Jones", "B-900", 9, 50, 7,
+        payload = tr.build_payload(alice(), "Bob Jones", "B-900", 9, 50, 7, 1,
                                    hint=hint)
         oracle = brute_force_bipartite(
             [payload], [(o.public_key, o.amount) for o in tx.outputs])
@@ -361,10 +360,10 @@ class TestCorrelation:
         hint = tr.CorrelationHint(tr.HintKind.KEY_AMOUNT,
                                   expected_key=key.public_key,
                                   expected_amount=50)
-        first = tr.build_payload(alice(), "Bob Jones", "B-900", 9, 50, 7,
+        first = tr.build_payload(alice(), "Bob Jones", "B-900", 9, 50, 7, 1,
                                  hint=hint)
         second = tr.build_payload(alice(customer_id="A-002"), "Bob Jones",
-                                  "B-900", 9, 50, 7, hint=hint)
+                                  "B-900", 9, 50, 7, 2, hint=hint)
         store = tr.CorrelationStore()
         store.correlate(first, ledger, (1, ledger.height))
         with pytest.raises(tr.NoMatch):

@@ -31,8 +31,7 @@ def corrupt_signature(ledger, tx_id) -> None:
     stored = ledger.query_tx(tx_id)
     forged = stored.signatures[0][:-1] + bytes([stored.signatures[0][-1] ^ 1])
     ledger._tx_index[tx_id] = type(stored)(
-        stored.tx_id, stored.inputs, stored.outputs, stored.memo_tag,
-        (forged,), stored.block_height)
+        stored.inputs, stored.outputs, stored.memo_tag, (forged,))
 
 class TestDevice:
     def test_fresh_device(self):
@@ -442,7 +441,7 @@ class TestBoarding:
                 claimed = replace(evidence, key_reports=tuple(
                     replace(r, erased=True) for r in evidence.key_reports))
                 return replace(claimed, signature=crypto.sign(
-                    forger.private_key, claimed.signing_input()))
+                    forger.private_key, codec.struct_bytes(claimed)))
 
         device = ForgingDevice("wdev:forging", seed("forging"), STACK)
         handle = device.generate_key(migratable=False)
