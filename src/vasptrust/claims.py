@@ -60,10 +60,6 @@ class SignedClaim:
     not_after: int
     issuer_signature: bytes
 
-    @cached_property
-    def claim_id(self) -> bytes:
-        return crypto.digest(codec.struct_bytes(self))
-
 
 class ClaimsProvider:
     """Authoritative issuer of signed attribute claims."""
@@ -164,10 +160,6 @@ class ClaimsStore:
         self._policy: AccessPolicy | None = None
         self._receipts: list[ConsentReceipt] = []
         self._audit: list[AuditEntry] = []
-
-    @property
-    def public_key(self) -> bytes:
-        return self._keypair.public_key
 
     @property
     def policy(self) -> AccessPolicy | None:

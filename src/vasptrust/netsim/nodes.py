@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import claims as claims_mod
 from .. import codec, crypto, pki, travel_rule, wallet
@@ -98,6 +98,12 @@ def _name(kind: str, key) -> str:
     return sys.intern(f"{kind}:{key}")
 
 
+def _lapses_at(member: pki.VaspCerts) -> int:
+    """The tick at which ``member``'s identity or claims certificate
+    expires, whichever comes first."""
+    return min(member.identity.not_after, member.claims.not_after)
+
+
 def _short(digest: bytes) -> str:
     """The 16-hex short id the trace names a payload or transaction by."""
     return digest.hex()[:16]
@@ -141,12 +147,14 @@ class VaspNode(Node):
         # Delta flooding state: the content of our last own advertisement,
         # advertisements applied since the last flood with the channels
         # whose neighbour already has each, the channels flooded over once,
-        # and the revoked serials last purged against.
+        # the revoked serials last purged against, and the earliest tick at
+        # which a held origin lapses.
         self._advertised: tuple | None = None
         self._own_adv: IdentifierAdvertisement | None = None
         self._outbox: dict[int, tuple[IdentifierAdvertisement, set[int]]] = {}
         self._synced: set[int] = set()
         self._revocations_seen: frozenset[int] | None = None
+        self._lapse_at = 0
         self.consents = ConsentStore(self.customers)
         self.correlations = CorrelationStore()
         # Payloads sent, and received payloads that passed every check, as
@@ -206,29 +214,38 @@ class VaspNode(Node):
     # -- resolver -------------------------------------------------------------------
 
     def local_lookup(self, identifier: CustomerIdentifier) -> list[int]:
-        self._purge_revoked()
+        self._purge_lapsed()
         hits = self.resolver.lookup(identifier, self.certs.identity, self.trust)
         self.sim.emit(self.name, "resolver.lookup", {
             "identifier": identifier.render(), "vasps": hits, "count": len(hits)})
         return hits
 
-    def _purge_revoked(self) -> None:
-        """On a set of revoked serials not seen before, drop the
-        advertisements held from every origin whose identity or claims
-        certificate it holds, so a revoked member stops resolving."""
+    def _purge_lapsed(self) -> None:
+        """Drop the advertisements held from every origin whose identity or
+        claims certificate is revoked, or expired at ``trust.clock()``, so
+        a lapsed member stops resolving. Held origins are rescanned only on
+        a set of revoked serials not seen before, or once the earliest
+        tick at which one of them lapses has come."""
         revoked = self.trust.revocation_list.serials
-        if revoked == self._revocations_seen:
+        now = self.trust.clock()
+        if revoked == self._revocations_seen and now < self._lapse_at:
             return
-        self._revocations_seen = revoked
+        self._revocations_seen, self._lapse_at = revoked, sys.maxsize
         for adv in self.resolver.known_advertisements():
             origin = self.trust.members[adv.vasp_number]
             if origin.identity.serial in revoked \
                     or origin.claims.serial in revoked:
-                self.resolver.drop_origin(adv.vasp_number)
-                self._outbox.pop(adv.vasp_number, None)
-                self.sim.emit(self.name, "resolver.adv_purged", {
-                    "origin": _name("vasp", adv.vasp_number),
-                    "seq": adv.sequence})
+                verdict = pki.Verdict.REVOKED
+            elif now >= _lapses_at(origin):
+                verdict = pki.Verdict.EXPIRED
+            else:
+                self._lapse_at = min(self._lapse_at, _lapses_at(origin))
+                continue
+            self.resolver.drop_origin(adv.vasp_number)
+            self._outbox.pop(adv.vasp_number, None)
+            self.sim.emit(self.name, "resolver.adv_purged", {
+                "origin": _name("vasp", adv.vasp_number),
+                "seq": adv.sequence, "verdict": verdict.value})
 
     def build_own_advertisement(self):
         adv = self.resolver.build_advertisement(self.claims_key.private_key,
@@ -249,7 +266,7 @@ class VaspNode(Node):
         (one Link State Update, RFC 2328 §13 and §A.3.5); a channel due
         nothing gets no message.
         """
-        self._purge_revoked()
+        self._purge_lapsed()
         content = (tuple(self.resolver.local_identifiers()),
                    self.certs.claims.serial)
         if content != self._advertised:
@@ -277,6 +294,8 @@ class VaspNode(Node):
         pending = self._outbox.get(adv.vasp_number)
         if outcome is MergeOutcome.APPLIED:
             self._outbox[adv.vasp_number] = (adv, {channel.id})
+            self._lapse_at = min(
+                self._lapse_at, _lapses_at(self.trust.members[adv.vasp_number]))
         elif pending is not None and pending[0].sequence == adv.sequence:
             # The neighbour sent us this very advertisement: it has it.
             pending[1].add(channel.id)
@@ -410,9 +429,12 @@ class VaspNode(Node):
                 or not self._verify_counterparty_payload(body.signed, asked):
             self._refuse(pid, Refusal.INVALID_PAYLOAD, pending)
             return
-        answer = body.signed.payload
-        if (answer.beneficiary_vasp_number != asked
-                or answer.originating_vasp_number != self.vasp_number):
+        # An answer is the request itself, but for the beneficiary account
+        # it names and how its payment is matched on-chain.
+        request = pending.payload
+        if replace(body.signed.payload,
+                   beneficiary_account=request.beneficiary_account,
+                   correlation=request.correlation) != request:
             self._refuse(pid, Refusal.MISADDRESSED_PAYLOAD, pending)
             return
         self._record("inbound", body.signed)
@@ -492,7 +514,7 @@ class VaspNode(Node):
 
     def _on_lookup_request(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.LookupRequest = env.body
-        self._purge_revoked()
+        self._purge_lapsed()
         hits, refusal = [], None
         try:
             hits = self.resolver.lookup(parse_identifier(body.identifier),

@@ -5,7 +5,10 @@ payment identifiers with the "@" replaced by "$" (local$domain), or bare
 public keys. Each VASP's resolver keeps a local table of its own customers'
 identifiers and learns about other VASPs' customers through signed,
 sequence-numbered full-state advertisements flooded over the federation,
-newest advertisement per origin winning (link-state semantics).
+newest advertisement per origin winning (link-state semantics). An
+advertisement carries each identifier as its canonical string (``render()``),
+the key every resolver indexes by; receivers treat the strings as opaque
+keys, and a non-canonical one matches no lookup, which renders first.
 
 Lookups answer with VASP numbers only; key material never flows back to a
 caller, and callers must present a chain-valid consortium certificate.
@@ -114,11 +117,12 @@ def parse_identifier(s: str) -> CustomerIdentifier:
 @dataclass(frozen=True)
 class IdentifierAdvertisement:
     """Full-state advertisement: one VASP number plus every customer
-    identifier it currently serves, strictly increasing sequence."""
+    identifier it currently serves, as sorted canonical strings, strictly
+    increasing sequence."""
 
     vasp_number: int
     sequence: int
-    identifiers: tuple[CustomerIdentifier, ...]
+    identifiers: tuple[str, ...]
     signer_cert_serial: int
     signature: bytes
 
@@ -157,7 +161,6 @@ class ResolverService:
         self.vasp_number = vasp_number
         self._customers = customers
         self._local: dict[str, set[str]] = {}
-        self._identifiers: dict[str, CustomerIdentifier] = {}
         self._remote: dict[int, IdentifierAdvertisement] = {}
         # Incrementally maintained identifier -> origins index so lookups
         # are plain map accesses, not scans over held advertisements. A
@@ -177,9 +180,7 @@ class ResolverService:
             if not idp_directory.knows(identifier):
                 raise IdpValidationFailed(
                     f"{identifier.render()} is unknown at {idp_directory.domain}")
-        rendered = identifier.render()
-        self._local.setdefault(rendered, set()).add(customer_id)
-        self._identifiers[rendered] = identifier
+        self._local.setdefault(identifier.render(), set()).add(customer_id)
 
     def local_identifiers(self) -> list[str]:
         return sorted(self._local)
@@ -210,11 +211,10 @@ class ResolverService:
     def build_advertisement(self, claims_private_key: bytes,
                             claims_cert_serial: int) -> IdentifierAdvertisement:
         self._sequence += 1
-        identifiers = tuple(self._identifiers[r] for r in sorted(self._local))
         unsigned = IdentifierAdvertisement(
             vasp_number=self.vasp_number,
             sequence=self._sequence,
-            identifiers=identifiers,
+            identifiers=tuple(sorted(self._local)),
             signer_cert_serial=claims_cert_serial,
             signature=b"",
         )
@@ -241,13 +241,12 @@ class ResolverService:
                 codec.struct_bytes(adv), adv.signature, adv.signer_cert_serial,
                 pki.CertPurpose.CLAIMS_SIGNING, adv.vasp_number):
             return MergeOutcome.REJECTED
-        if len({i.render() for i in adv.identifiers}) != len(adv.identifiers):
+        if len(set(adv.identifiers)) != len(adv.identifiers):
             return MergeOutcome.REJECTED
 
         self.drop_origin(adv.vasp_number)
         index, origin = self._remote_index, _one_origin(adv.vasp_number)
-        for ident in adv.identifiers:
-            rendered = ident.render()
+        for rendered in adv.identifiers:
             owners = index.get(rendered)
             index[rendered] = origin if owners is None else owners | origin
         self._remote[adv.vasp_number] = adv
@@ -259,8 +258,7 @@ class ResolverService:
         if held is None:
             return
         index, origin = self._remote_index, _one_origin(vasp_number)
-        for ident in held.identifiers:
-            rendered = ident.render()
+        for rendered in held.identifiers:
             owners = index.get(rendered, origin) - origin
             if not owners:
                 index.pop(rendered, None)

@@ -349,8 +349,8 @@ def test_incremental_merge_equals_from_scratch_random_interleavings():
                 newest[adv.vasp_number] = adv
         expected = {}
         for origin, adv in newest.items():
-            for ident in adv.identifiers:
-                expected.setdefault(ident.render(), set()).add(origin)
+            for rendered in adv.identifiers:
+                expected.setdefault(rendered, set()).add(origin)
         expected = {k: sorted(v) for k, v in sorted(expected.items())}
         assert receiver.resolve_map() == expected
 

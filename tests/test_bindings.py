@@ -3,9 +3,10 @@
 Each test plays one consortium member (or relays one member's message)
 breaking one binding the trust model relies on: no originator data leaves
 before the originator consents, a signed payload comes from the VASP it
-names, is addressed to the VASP that receives it, a claims token is usable
-only by its audience, a revoked member neither resolves nor gets served,
-and a revoked transaction key is never paid.
+names, is addressed to the VASP that receives it, is answered only with
+that request's own answer, a claims token is usable only by its audience,
+a revoked or expired member neither resolves nor gets served, and a
+revoked transaction key is never paid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from vasptrust.netsim import build_world, run_scenario_with_world
 from vasptrust.netsim.messages import (ClaimsAuthRequest, ClaimsFetchRequest,
                                        TravelRuleRequest, TravelRuleResponse)
 from vasptrust.netsim.scenarios import converge_federation, flood_round
-from vasptrust.resolver import CustomerIdentifier, parse_identifier
+from vasptrust.resolver import parse_identifier
 from vasptrust.travel_rule import ConsentDirection
 
 
@@ -69,11 +70,9 @@ def accepted_responses(world, sender: int) -> list:
 # -- no originator data leaves before the originator consents ---------------
 
 def strings_in(value) -> set[str]:
-    """Every string inside a decoded wire value, but for the payment
-    identifiers that advertisements carry by design (Alice's local part
-    is also her account name)."""
-    if isinstance(value, CustomerIdentifier):
-        return set()
+    """Every string inside a decoded wire value. Advertisements carry
+    Alice's identifiers by design, whole (``alice$acmepay.com``), so
+    her account name is found only where her data is."""
     if isinstance(value, str):
         return {value}
     if dataclasses.is_dataclass(value):
@@ -201,6 +200,28 @@ def test_response_naming_another_beneficiary_vasp_refused(world):
     assert not world.sim.trace.find("ledger.tx_submitted")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("amount", 999), ("originator_name", "Mallory Mole"),
+    ("originator_account", "mallory"), ("transfer_number", 2)])
+def test_answer_to_another_request_refused(world, field, value):
+    payload = _start_transfer(world)
+    pending = world.vasps[7].pending[payload.payload_id]
+    # VASP 9, the VASP asked, answers first with a validly signed answer to
+    # a request that differs from VASP 7's in one field.
+    vasp9 = world.vasps[9]
+    answer = tr.answer_payload(dataclasses.replace(payload, **{field: value}),
+                               vasp9.customers["bob"], vasp9.tx_key.public_key)
+    forged = tr.sign_payload(vasp9.claims_key.private_key, vasp9.certs.claims,
+                             answer, world.trust)
+    send(world, 9, 7, TravelRuleResponse(payload.payload_id, None, forged))
+    world.sim.run_until_quiet()
+    assert refusals(world, 7) == ["misaddressed_payload"]
+    assert pending.state == "refused"
+    assert payload.payload_id not in world.vasps[7].pending
+    assert not world.sim.trace.find("ledger.tx_submitted")
+    assert [d for d, _ in world.vasps[7].payload_store] == ["outbound"]
+
+
 def test_answer_whose_signature_fails_refused(world):
     payload = _start_transfer(world)
     pending = world.vasps[7].pending[payload.payload_id]
@@ -305,7 +326,7 @@ def test_revoked_caller_refused_not_raised(world):
         [(server.name, (("caller", vasp.name), ("reason", "invalid_caller")))]
 
 
-# -- revocation removes a member from resolution ------------------------------
+# -- revocation and expiry remove a member from resolution --------------------
 
 def test_identity_revoked_member_cannot_readvertise(demo_config):
     # Only VASP 3's identity certificate is revoked; its claims-signing
@@ -326,6 +347,43 @@ def test_identity_revoked_member_cannot_readvertise(demo_config):
     assert merged == [(("origin", "vasp:3"), ("seq", 2), ("outcome", "Rejected"))]
     assert world.vasps[7].local_lookup(dave) == [9]
     assert world.vasps[9].local_lookup(dave) == [9]
+
+
+def test_expired_member_stops_resolving(demo_config, monkeypatch):
+    # VASP 3's claims-signing certificate is issued with not_after=20; the
+    # federation converges before then.
+    issue = pki.RootAuthority.issue_signing_cert
+
+    def short_lived(root, identity_cert, purpose, key, not_before, not_after):
+        if identity_cert.subject.vasp_number == 3 \
+                and purpose is pki.CertPurpose.CLAIMS_SIGNING:
+            not_after = 20
+        return issue(root, identity_cert, purpose, key, not_before, not_after)
+
+    monkeypatch.setattr(pki.RootAuthority, "issue_signing_cert", short_lived)
+    world = build_world(demo_config)
+    converge_federation(world)
+    dave = parse_identifier("dave@idp2.com")
+    assert world.vasps[7].local_lookup(dave) == [3, 9]
+    while world.sim.now < 19:
+        world.sim.step()
+    assert world.vasps[9].local_lookup(dave) == [3, 9]
+    world.sim.step()
+    assert world.trust.validate(world.vasps[3].certs.claims,
+                                world.vasps[3].certs.identity) \
+        is pki.Verdict.EXPIRED
+    # From tick 20 on, no other member resolves dave to VASP 3, at its
+    # first lookup or flood; VASP 3 still serves its own customer.
+    assert world.vasps[7].local_lookup(dave) == [9]
+    flood_round(world)
+    assert world.vasps[9].local_lookup(dave) == [9]
+    assert world.vasps[3].local_lookup(dave) == [3, 9]
+    purged = world.sim.trace.find("resolver.adv_purged")
+    assert [(e.actor, e.get("origin"), e.get("verdict")) for e in purged] == \
+        [("vasp:7", "vasp:3", "Expired"), ("vasp:9", "vasp:3", "Expired")]
+    flood_round(world)
+    assert world.vasps[7].local_lookup(dave) == world.vasps[9].local_lookup(dave) \
+        == [9]
 
 
 def test_claims_revoked_after_caching_refuses_next_payload(world):

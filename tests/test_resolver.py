@@ -129,6 +129,15 @@ def federation(root):
     return FederationWorld(root)
 
 
+def signed_as(fed, origin, **changes):
+    """Origin ``origin``'s next advertisement with ``changes``, validly
+    signed with its own claims key."""
+    _, _, claims = fed.creds[origin]
+    unsigned = dataclasses.replace(fed.advertise(origin), **changes)
+    return dataclasses.replace(unsigned, signature=crypto.sign(
+        claims.private_key, codec.struct_bytes(unsigned)))
+
+
 class TestLookup:
     def test_single_hit(self, service, member, root):
         hits = service.lookup(parse_identifier("bob@idp2.com"),
@@ -173,13 +182,28 @@ class TestAdvertisements:
         svc.register_identifier("user3", parse_identifier("b$x.com"))
         svc.register_identifier("user3", parse_identifier("c$x.com"))
         adv = federation.advertise(3)
-        assert [i.render() for i in adv.identifiers] == \
-            ["a$x.com", "b$x.com", "c$x.com"]
+        assert adv.identifiers == ("a$x.com", "b$x.com", "c$x.com")
 
     def test_empty_list_still_signed(self, federation):
         adv = federation.advertise(3)
         assert adv.identifiers == ()
         assert federation.merge(7, adv) is MergeOutcome.APPLIED
+
+    def test_repeated_identifier_rejected(self, federation):
+        # Validly signed by VASP 3, but listing one string twice.
+        adv = signed_as(federation, 3, identifiers=("a$x.com", "a$x.com"))
+        assert federation.merge(7, adv) is MergeOutcome.REJECTED
+        assert federation.services[7].resolve_map() == {}
+
+    def test_non_canonical_identifier_answers_no_lookup(self, federation):
+        # Receivers index the strings as they come; a lookup renders its
+        # argument first, so a non-canonical string never matches.
+        adv = signed_as(federation, 3, identifiers=("Alice@IDP1.COM",))
+        assert federation.merge(7, adv) is MergeOutcome.APPLIED
+        identity_cert, _, _ = federation.creds[7]
+        for asked in ("Alice@IDP1.COM", "Alice@idp1.com"):
+            assert federation.services[7].lookup(
+                parse_identifier(asked), identity_cert, federation.trust) == []
 
     def test_sequences_increment(self, federation):
         first = federation.advertise(3)
@@ -208,7 +232,7 @@ class TestAdvertisements:
         monkeypatch.setattr(crypto, "verify", lambda *args: (
             verifies.append(args), real_verify(*args))[1])
         forged = dataclasses.replace(
-            adv, identifiers=(parse_identifier("mallory$x.com"),),
+            adv, identifiers=("mallory$x.com",),
             signature=b"\x00" * 64)
         assert fed.merge(7, forged) is MergeOutcome.STALE
         assert verifies == []
@@ -240,10 +264,8 @@ class TestAdvertisements:
     def test_origin_number_must_match_cert(self, federation):
         # VASP 9 signs, with its own valid claims key, an advertisement
         # that names VASP 3 as its origin.
-        _, claims_cert, claims = federation.creds[9]
-        unsigned = dataclasses.replace(federation.advertise(9), vasp_number=3)
-        adv = dataclasses.replace(unsigned, signature=crypto.sign(
-            claims.private_key, codec.struct_bytes(unsigned)))
+        _, claims_cert, _ = federation.creds[9]
+        adv = signed_as(federation, 9, vasp_number=3)
         assert adv.signer_cert_serial == claims_cert.serial
         assert federation.merge(7, adv) is MergeOutcome.REJECTED
 
@@ -326,8 +348,8 @@ def from_scratch_table(advertisements):
             newest[adv.vasp_number] = adv
     table = {}
     for origin, adv in newest.items():
-        for ident in adv.identifiers:
-            table.setdefault(ident.render(), set()).add(origin)
+        for rendered in adv.identifiers:
+            table.setdefault(rendered, set()).add(origin)
     return {k: sorted(v) for k, v in sorted(table.items())}
 
 
@@ -360,8 +382,8 @@ def test_incremental_merge_equals_from_scratch(schedule, rng):
     expected = from_scratch_table(seen)
     remote_view = {}
     for origin, adv in receiver._remote.items():
-        for ident in adv.identifiers:
-            remote_view.setdefault(ident.render(), set()).add(origin)
+        for rendered in adv.identifiers:
+            remote_view.setdefault(rendered, set()).add(origin)
     remote_view = {k: sorted(v) for k, v in sorted(remote_view.items())}
     assert remote_view == expected
     # The incrementally maintained lookup index must agree as well.

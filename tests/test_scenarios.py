@@ -319,14 +319,33 @@ class TestDeltaFlooding:
         assert world.vasps[7].local_lookup(dave) == [9]
         assert world.vasps[9].local_lookup(dave) == [9]
         purged = world.sim.trace.find("resolver.adv_purged")
-        assert [(e.actor, list(e.fields.items())[0]) for e in purged] == \
-            [("vasp:7", ("origin", "vasp:3")), ("vasp:9", ("origin", "vasp:3"))]
+        assert [(e.actor, e.get("origin"), e.get("verdict")) for e in purged] \
+            == [("vasp:7", "vasp:3", "Revoked"), ("vasp:9", "vasp:3", "Revoked")]
         # Further flooding does not bring the revoked member back.
         flood_round(world)
         flood_round(world)
         assert world.vasps[7].local_lookup(dave) == [9]
         assert 3 not in world.vasps[9].resolver.resolve_map().get(
             "dave@idp2.com", [])
+
+    def test_advertisements_carry_the_canonical_identifiers(self, demo_config):
+        # Each origin advertises the canonical strings of the identifiers
+        # its config lists (a bare key as key:<hex>), sorted and once each,
+        # and every other member holds that very list.
+        world = build_world(demo_config)
+        converge_federation(world)
+        for vcfg in demo_config.vasps:
+            expected = tuple(sorted({parse_identifier(s).render()
+                                     for c in vcfg.customers
+                                     for s in c.identifiers}))
+            own = world.vasps[vcfg.vasp_number]._own_adv
+            assert own.identifiers == expected
+            for other in sorted(set(world.vasps) - {vcfg.vasp_number}):
+                held = {adv.vasp_number: adv for adv in
+                        world.vasps[other].resolver.known_advertisements()}
+                assert held[vcfg.vasp_number].identifiers == expected
+        assert any(rendered.startswith("key:")
+                   for rendered in world.vasps[7]._own_adv.identifiers)
 
 
 def _applied(world):
@@ -806,18 +825,22 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # carries its originator's transfer number): with the digest column
 # dropped and payload=, tx= and hash= values renamed consistently, the
 # traces are line for line the previous ones; the S3, S4 and S5 wire
-# bytes did not change.
+# bytes did not change. The S1, S3 and S5 trace and wire digests were last
+# re-pinned when advertisements began to carry identifiers as their
+# canonical strings: with the digest column dropped, the traces are line
+# for line the previous ones (only resolver.adv_built and AdvertisementFlood
+# netsim.sent digests changed); S2 and S4 flood nothing and did not change.
 PINNED = {
-    "S1": ("fee14f64672f32b1ffbc2702ebf6ce26644ed4fcc1b9dca64f68dfcdbf7765cd",
-           "d83d0c2ee65153dc561197fbc68f9ffc3427fe5ca0e14a05c9f788544b7d4969"),
+    "S1": ("91301eb1cd2838653626cb82b3eb8570853a8de1e43ef884f3fe88c3548de57a",
+           "fa125b498f0c581b13dca093e70ef05e806193d75135a282ba551f553c9077a1"),
     "S2": ("a1ceaff6f2b81fb63ee59f78dd511d095f0a13444fc773525a5d45fe0561f8cc",
            "84a4d3d41913d5e48a7656d6b69b1a6a6302d690403097c0f1e03d4c234bde71"),
-    "S3": ("5192d8995faa273bf0a89136608d4d9c1aabade1b213b3625d5f7c88e78215da",
-           "ba2164c0db0c0b1e8890780a4d0d27bc475515cf5bc05e91b25bcd2355574234"),
+    "S3": ("21ecce694b995ba3a43f1d6678fbbc7d704249a5b43bd7826444484c8c2891c9",
+           "e226b9c22ce60208c8c4572cbdeea2057e9bf437429d2402710d0eea6d4697b5"),
     "S4": ("bb4f1ce7e4248a6cdb0139dfeebb3c2ad0a212d87fee7a1af2b6176418b1fd0f",
            "a84621ef32f7ba8b69d0e864fd2838ab069e115b29380a3ca2a456427f924e65"),
-    "S5": ("63380160f50adf2ebdf573dc93800e7400d1537972a2d48b3f8df234cffca850",
-           "207e03b13c9a6bbb9397af08de14d18135323d1b732cb91a88416a9bd8b91687"),
+    "S5": ("6192886de1d6c832be34628471df8b90715679841af7266c1ef48668370d7fcf",
+           "b1f0fa63d18e334012d8dadc72340f0ecd3a08f28a5602634b3e4bccf6ef4b1b"),
 }
 
 
