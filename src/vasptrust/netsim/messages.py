@@ -17,7 +17,7 @@ from typing import Union
 from ..claims import AuthorizationToken, ConsentReceipt, SignedClaim
 from ..pki import Refusal
 from ..resolver import IdentifierAdvertisement
-from ..travel_rule import SignedPayload
+from ..travel_rule import SignedAnswer, SignedPayload
 from ..wallet import AttestationEvidence
 
 
@@ -28,9 +28,11 @@ class TravelRuleRequest:
 
 @dataclass(frozen=True)
 class TravelRuleResponse:
+    """Only what an answer changes in request ``ack_payload_id`` travels."""
+
     ack_payload_id: bytes
     refusal: Refusal | None
-    signed: SignedPayload | None
+    answer: SignedAnswer | None
 
 
 @dataclass(frozen=True)

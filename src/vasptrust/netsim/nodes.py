@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .. import claims as claims_mod
 from .. import codec, crypto, pki, travel_rule, wallet
@@ -408,8 +408,8 @@ class VaspNode(Node):
         self._record("inbound", signed)
         answer = self._sign_outbound(travel_rule.answer_payload(
             payload, beneficiary, self.tx_key.public_key))
-        self.sim.send(channel, self.name,
-                      msg.TravelRuleResponse(pid, None, answer))
+        self.sim.send(channel, self.name, msg.TravelRuleResponse(
+            pid, None, travel_rule.answer_delta(answer)))
 
     def _on_travel_rule_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.TravelRuleResponse = env.body
@@ -425,19 +425,13 @@ class VaspNode(Node):
         if body.refusal is not None:
             self._refuse(pid, body.refusal, pending, by_peer=True)
             return
-        if body.signed is None \
-                or not self._verify_counterparty_payload(body.signed, asked):
+        # Rebuilt on its request, an answer to any other fails its signature.
+        answer = body.answer and travel_rule.rebuild_answer(
+            pending.payload, body.answer)
+        if answer is None or not self._verify_counterparty_payload(answer, asked):
             self._refuse(pid, Refusal.INVALID_PAYLOAD, pending)
             return
-        # An answer is the request itself, but for the beneficiary account
-        # it names and how its payment is matched on-chain.
-        request = pending.payload
-        if replace(body.signed.payload,
-                   beneficiary_account=request.beneficiary_account,
-                   correlation=request.correlation) != request:
-            self._refuse(pid, Refusal.MISADDRESSED_PAYLOAD, pending)
-            return
-        self._record("inbound", body.signed)
+        self._record("inbound", answer)
 
         originator = pending.payload.originator_account
         originator_consent = self.consents.check(

@@ -12,7 +12,8 @@ the originator and the beneficiary gates every exchange.
 A payload's id is the digest of its canonical encoding, derived from the
 payload and never carried in it. A ``SignedPayload`` is signed over the
 payload and the signer's certificate serial, every field but its
-signature, the last.
+signature, the last. An answer travels as a ``SignedAnswer``, its delta
+from its request, and is verified once rebuilt on that request.
 
 Payload, consent and correlation stores are append-only. A VASP keeps a
 payload on record as the canonical bytes of its ``SignedPayload``;
@@ -193,11 +194,11 @@ def build_payload(originator: CustomerRecord,
 
 def answer_payload(request: TravelRulePayload, beneficiary: CustomerRecord,
                    beneficiary_tx_key: bytes) -> TravelRulePayload:
-    """The beneficiary VASP's answer to ``request``, naming ``beneficiary``;
-    it is matched on-chain by the amount paid to ``beneficiary_tx_key``."""
+    """The beneficiary VASP's answer to ``request``: ``beneficiary``'s
+    account, matched on-chain by the amount paid to ``beneficiary_tx_key``;
+    the rest is the request's."""
     return dataclasses.replace(
-        request, beneficiary_name=beneficiary.legal_name,
-        beneficiary_account=beneficiary.customer_id,
+        request, beneficiary_account=beneficiary.customer_id,
         correlation=CorrelationHint(HintKind.KEY_AMOUNT, beneficiary_tx_key,
                                     request.amount))
 
@@ -240,6 +241,29 @@ def sign_payload(claims_private_key: bytes,
     unsigned = SignedPayload(payload, claims_cert.serial, b"")
     return codec.replace(unsigned, signature=crypto.sign(
         claims_private_key, codec.struct_bytes(unsigned)))
+
+
+@dataclass(frozen=True)
+class SignedAnswer:
+    """A signed answer as it travels: the fields it changes in its request."""
+
+    beneficiary_account: str
+    correlation: CorrelationHint
+    signer_cert_serial: int
+    signature: bytes
+
+
+def answer_delta(signed: SignedPayload) -> SignedAnswer:
+    return SignedAnswer(signed.payload.beneficiary_account, signed.payload.correlation,
+                        signed.signer_cert_serial, signed.signature)
+
+
+def rebuild_answer(request: TravelRulePayload, answer: SignedAnswer) -> SignedPayload:
+    """The signed answer to ``request`` whose delta is ``answer``."""
+    return SignedPayload(dataclasses.replace(
+        request, beneficiary_account=answer.beneficiary_account,
+        correlation=answer.correlation), answer.signer_cert_serial,
+        answer.signature)
 
 
 def verify_signed_payload(signed: SignedPayload, trust: pki.TrustContext,

@@ -171,10 +171,21 @@ def _start_transfer(world) -> tr.TravelRulePayload:
                                             "bob@idp2.com", 9, 125)
 
 
+def answer_to(world, request: tr.TravelRulePayload,
+              **changes) -> tr.SignedAnswer:
+    """What VASP 9 sends for its validly signed answer to ``request``,
+    changed in the given fields: the answer's delta from that request."""
+    vasp9 = world.vasps[9]
+    answer = tr.answer_payload(dataclasses.replace(request, **changes),
+                               vasp9.customers["bob"], vasp9.tx_key.public_key)
+    return tr.answer_delta(tr.sign_payload(
+        vasp9.claims_key.private_key, vasp9.certs.claims, answer, world.trust))
+
+
 def test_response_from_a_vasp_not_asked_is_ignored(world):
     payload = _start_transfer(world)
     # VASP 3 answers VASP 7's request to VASP 9 before VASP 9 does.
-    forged = signed_by(world, 3, 7, 3, amount=125)
+    forged = tr.answer_delta(signed_by(world, 3, 7, 3, amount=125))
     send(world, 3, 7, TravelRuleResponse(payload.payload_id, None, forged))
     world.sim.step()
     pending = world.vasps[7].pending[payload.payload_id]
@@ -186,36 +197,20 @@ def test_response_from_a_vasp_not_asked_is_ignored(world):
     assert pending.state == "submitted"
 
 
-def test_response_naming_another_beneficiary_vasp_refused(world):
-    payload = _start_transfer(world)
-    # Taken before the answer: a refused transfer leaves the table.
-    pending = world.vasps[7].pending[payload.payload_id]
-    # VASP 9 itself answers, but its signed answer names VASP 3.
-    answer = signed_by(world, 9, 7, 3, amount=125)
-    send(world, 9, 7, TravelRuleResponse(payload.payload_id, None, answer))
-    world.sim.run_until_quiet()
-    assert refusals(world, 7) == ["misaddressed_payload"]
-    assert pending.state == "refused"
-    assert payload.payload_id not in world.vasps[7].pending
-    assert not world.sim.trace.find("ledger.tx_submitted")
-
-
 @pytest.mark.parametrize("field, value", [
     ("amount", 999), ("originator_name", "Mallory Mole"),
-    ("originator_account", "mallory"), ("transfer_number", 2)])
+    ("originator_account", "mallory"), ("transfer_number", 2),
+    ("beneficiary_vasp_number", 3)])
 def test_answer_to_another_request_refused(world, field, value):
     payload = _start_transfer(world)
     pending = world.vasps[7].pending[payload.payload_id]
-    # VASP 9, the VASP asked, answers first with a validly signed answer to
-    # a request that differs from VASP 7's in one field.
-    vasp9 = world.vasps[9]
-    answer = tr.answer_payload(dataclasses.replace(payload, **{field: value}),
-                               vasp9.customers["bob"], vasp9.tx_key.public_key)
-    forged = tr.sign_payload(vasp9.claims_key.private_key, vasp9.certs.claims,
-                             answer, world.trust)
+    # VASP 9, the VASP asked, answers first with the delta of a validly
+    # signed answer to a request that differs from VASP 7's in one field:
+    # a delta cannot name another request, so the signature fails.
+    forged = answer_to(world, payload, **{field: value})
     send(world, 9, 7, TravelRuleResponse(payload.payload_id, None, forged))
     world.sim.run_until_quiet()
-    assert refusals(world, 7) == ["misaddressed_payload"]
+    assert refusals(world, 7) == ["invalid_payload"]
     assert pending.state == "refused"
     assert payload.payload_id not in world.vasps[7].pending
     assert not world.sim.trace.find("ledger.tx_submitted")
@@ -226,7 +221,7 @@ def test_answer_whose_signature_fails_refused(world):
     payload = _start_transfer(world)
     pending = world.vasps[7].pending[payload.payload_id]
     # VASP 9's answer, one bit of its signature flipped on the way.
-    answer = signed_by(world, 9, 7, 9, amount=125)
+    answer = answer_to(world, payload)
     signature = bytearray(answer.signature)
     signature[0] ^= 1
     forged = dataclasses.replace(answer, signature=bytes(signature))
@@ -237,6 +232,38 @@ def test_answer_whose_signature_fails_refused(world):
     assert not world.sim.trace.find("ledger.tx_submitted")
     world.confirm_block()
     assert world.ledger.confirmed_txs() == []
+
+
+def test_answer_replayed_onto_another_transfer_refused(world):
+    # VASP 9's valid answer to transfer A, sent again as the answer to
+    # transfer B of the same parties, before VASP 9 answers B.
+    first = _start_transfer(world)
+    world.sim.run_until_quiet()
+    (answer,) = [body.answer for body in accepted_responses(world, 9)]
+    second = _start_transfer(world)
+    pending = world.vasps[7].pending[second.payload_id]
+    send(world, 9, 7, TravelRuleResponse(second.payload_id, None, answer))
+    world.sim.run_until_quiet()
+    assert refusals(world, 7) == ["invalid_payload"]
+    assert pending.state == "refused"
+    assert second.payload_id not in world.vasps[7].pending
+    (paid,) = world.sim.trace.find("ledger.tx_submitted")
+    assert world.vasps[7].pending[first.payload_id].tx_short == paid.get("tx")
+    assert [d for d, _ in world.vasps[7].payload_store] == \
+        ["outbound", "inbound", "outbound"]
+
+
+def test_no_originator_data_in_an_answer(demo_config):
+    # An answer carries only what it changes in its request: none of
+    # Alice's name, account or identifying detail travels back.
+    _, world = run_scenario_with_world("S1", demo_config)
+    alice = world.vasps[7].customers["alice"]
+    answers = [env.body for env in wire_envelopes(world.sim)
+               if isinstance(env.body, TravelRuleResponse)]
+    assert len(answers) == 1 and answers[0].refusal is None
+    assert {alice.legal_name, alice.customer_id,
+            alice.geographic_address}.isdisjoint(
+                set().union(*map(strings_in, answers)))
 
 
 def test_revoked_beneficiary_transaction_key_not_paid(world):

@@ -718,13 +718,20 @@ def test_every_signed_type_ends_in_its_signature(root, member, demo_config,
 def test_ids_derived_from_the_wire_are_the_ones_the_trace_names(
         demo_config, name):
     # Ids are never carried: each receiver derives them from the values
-    # it decodes, and they are the short ids the sender's trace names.
+    # it decodes, and they are the short ids the sender's trace names. An
+    # answer's id is derived once it is rebuilt on the request it answers.
     trace, world = run_scenario_with_world(name, demo_config)
     derived = {"payload": set(), "token": set(), "receipt": set()}
+    requests = {}
     for env in wire_envelopes(world.sim):
         body = env.body
         if getattr(body, "signed", None) is not None:
+            requests[body.signed.payload.payload_id] = body.signed.payload
             derived["payload"].add(body.signed.payload.payload_id.hex()[:16])
+        if getattr(body, "answer", None) is not None:
+            answer = travel_rule.rebuild_answer(requests[body.ack_payload_id],
+                                                body.answer)
+            derived["payload"].add(answer.payload.payload_id.hex()[:16])
         if getattr(body, "token", None) is not None:
             derived["token"].add(body.token.token_id.hex()[:16])
         if getattr(body, "receipt", None) is not None:

@@ -378,6 +378,41 @@ class TestCorrelation:
             tr.CorrelationStore().correlate(payload, ledger, (2, 10))
 
 
+TX_KEY = bytes(range(32))
+
+
+@pytest.mark.parametrize("request_payload", [
+    build(),
+    build(alice(geographic_address=None, national_id="ID-1")),
+    build(alice(geographic_address=None,
+                birth_info=("1990-01-02", "Springfield"))),
+    tr.build_payload(alice(), "Bob Jones", "B-900", 9, 125, 7, 1,
+                     tr.CorrelationHint(tr.HintKind.KEY_AMOUNT, TX_KEY, 125)),
+], ids=["geographic_address", "national_id", "birth_info", "key_amount"])
+def test_answer_rebuilt_from_its_delta(root, member, request_payload):
+    # The originator rebuilds the signed answer, byte for byte, from the
+    # request it holds and the delta it receives, which carries none of
+    # the request's originator data; rebuilt on another request, the
+    # answer fails its signature.
+    trust = trust_context(root, member)
+    bob = tr.CustomerRecord("B-901", "Bob Jones")
+    signed = tr.sign_payload(member["claims"].private_key, member["claims_cert"],
+                             tr.answer_payload(request_payload, bob, TX_KEY),
+                             trust)
+    delta = tr.answer_delta(signed)
+    rebuilt = tr.rebuild_answer(request_payload, delta)
+    assert rebuilt == signed
+    assert codec.canonical_encode(rebuilt) == codec.canonical_encode(signed)
+    assert tr.verify_signed_payload(rebuilt, trust, 7)
+    wire = codec.canonical_encode(delta)
+    identifying = request_payload.originator_identifying
+    assert not any(text.encode() in wire for text in (
+        request_payload.originator_name, request_payload.originator_account,
+        identifying.value, identifying.extra) if text)
+    other = tr.rebuild_answer(replace(request_payload, amount=126), delta)
+    assert not tr.verify_signed_payload(other, trust, 7)
+
+
 def test_dump_payload_store(root, member):
     signed = tr.sign_payload(member["claims"].private_key,
                              member["claims_cert"], build(),
