@@ -25,12 +25,12 @@ dataclass, or a tuple or union of these; this is decided once per type,
 when its encoder is built. An instance of such a type keeps its encoding,
 and its signing input, in its own __dict__, and every later encode of that
 object returns those bytes. So that kept bytes are never stale, one rule
-holds for every value, kept or not: a value whose class is not its
-declared type must itself be deeply immutable, and a declared tuple must
-not hold a mutable sequence. A list where a tuple is declared, a bytearray
-where bytes are, or a non-frozen dataclass where a frozen one is, is
-refused with CodecError wherever it appears. Other types are encoded in
-full on every call.
+holds for every value, kept or not: where a dataclass is declared, only
+that class encodes; where another type is declared, a value of another
+class must itself be deeply immutable; and a declared tuple must not hold
+a mutable sequence. So a list where a tuple is declared, or a bytearray
+where bytes are, is refused with CodecError wherever it appears. Other
+types are encoded in full on every call.
 
 ``codec.replace`` builds a new instance as dataclasses.replace does, and
 carries over the kept signing input when no field but the last changes: a
@@ -120,14 +120,16 @@ def _union_members(typ: Any) -> tuple[bool, list[Any]]:
 # Each type gets one encoder closure, built on first use and cached: a class
 # by the class (the encoder used for an undeclared value of that class), a
 # declared union, list or tuple type by the annotation. A class's encoder
-# checks the value's class first; a value of another class is encoded by its
-# own class's encoder, except None, which only an optional field admits.
+# checks the value's class first. A dataclass's refuses any other class
+# (``_struct``); another class's encodes a value of another class with that
+# value's own class's encoder, except None, which only an optional field
+# admits.
 #
 # One rule keeps a value's kept bytes right for as long as it lives:
-# wherever a value's class is not its declared type, it must be
-# deeply immutable (``_other``), and a declared tuple must hold a tuple or
-# another deeply immutable value (``_build_sequence``). A value of its
-# declared class never reaches either check.
+# wherever a value's class is not its declared type, it must be deeply
+# immutable (``_other``), and a declared tuple must hold a tuple or another
+# deeply immutable value (``_build_sequence``). A value of its declared
+# class never reaches either check.
 
 Encoder = Callable[[Any], bytes]
 
@@ -393,7 +395,9 @@ def _struct(cls: type, signing: bool) -> Encoder:
 
     def encode_struct(value: Any) -> bytes:
         if type(value) is not cls:
-            return _other(value, cls)
+            if value is None or not _immutable_value(value):
+                return _other(value, cls)  # refused as None, or as mutable
+            raise CodecError(f"{type(value).__name__} given for {cls.__name__}")
         return _frame(TAG_STRUCT, encode_fields(value))
 
     def encode_memo(value: Any) -> bytes:

@@ -28,9 +28,10 @@ class TravelRuleRequest:
 
 @dataclass(frozen=True)
 class TravelRuleResponse:
-    """Only what an answer changes in request ``ack_payload_id`` travels."""
+    """Answers, on the channel it came in on, the request of transfer number
+    ``ack_transfer_number``; only what it changes in that request travels."""
 
-    ack_payload_id: bytes
+    ack_transfer_number: int
     refusal: Refusal | None
     answer: SignedAnswer | None
 

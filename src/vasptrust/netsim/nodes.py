@@ -62,7 +62,7 @@ class Node:
         handler = self.HANDLERS.get(type(env.body))
         if handler is None:
             self._refused("netsim.refused", {"msg": type(env.body).__name__,
-                                             "from": env.sender},
+                                             "from": channel.other(self.name)},
                           Refusal.UNEXPECTED_MESSAGE)
         else:
             handler(self, channel, env)
@@ -76,10 +76,10 @@ class Node:
             fields["peer_reason"] = reason.value
         self.sim.emit(self.name, event, fields)
 
-
-def _sender_number(channel: SecureChannel, env: Envelope) -> int:
-    """Entity number in the certificate the sender opened ``channel`` with."""
-    return channel.peer_cert(env.sender).subject.vasp_number
+    def _peer_number(self, channel: SecureChannel) -> int:
+        """Entity number in the certificate our peer, the sender of all we
+        receive over ``channel``, opened it with."""
+        return channel.peer_cert(channel.other(self.name)).subject.vasp_number
 
 
 # "k/n" for k of the n required payload fields present, indexed by k.
@@ -161,9 +161,10 @@ class VaspNode(Node):
         # (direction, canonical SignedPayload bytes) records.
         self.payload_store: list[tuple[str, bytes]] = []
         self.supervision: dict[str, wallet.SupervisionRecord] = {}
-        # Open transfers by payload id, in initiation order, and the count
-        # of transfers started, which numbers each one's payload.
+        # Open transfers by payload id, in initiation order, and by the
+        # transfer number answers name; the count of transfers started.
         self.pending: dict[bytes, PendingTransfer] = {}
+        self._numbered: dict[int, PendingTransfer] = {}
         self.transfers_started = 0
         self.remote_lookups: list[msg.LookupResponse] = []
         self.claims_token: claims_mod.AuthorizationToken | None = None
@@ -321,10 +322,11 @@ class VaspNode(Node):
         if not self.consents.check(originator_id,
                                    ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
                                    beneficiary_vasp, self.sim.now):
-            self._refuse(payload.payload_id, Refusal.ORIGINATOR_CONSENT_MISSING)
+            self._refuse(payload, Refusal.ORIGINATOR_CONSENT_MISSING)
             return None
         signed = self._sign_outbound(payload)
-        self.pending[payload.payload_id] = PendingTransfer(payload)
+        self.pending[payload.payload_id] = \
+            self._numbered[payload.transfer_number] = PendingTransfer(payload)
         self.sim.send(channel, self.name, msg.TravelRuleRequest(signed))
         return payload
 
@@ -343,20 +345,21 @@ class VaspNode(Node):
         """End an open transfer in ``state``: it leaves ``pending``."""
         pending.state = state
         del self.pending[pending.payload.payload_id]
+        del self._numbered[pending.payload.transfer_number]
 
-    def _refuse(self, payload_id: bytes, reason: Refusal,
+    def _refuse(self, payload: TravelRulePayload, reason: Refusal,
                 pending: PendingTransfer | None = None, *,
                 answer: SecureChannel | None = None,
                 by_peer: bool = False) -> None:
-        """Emit the refusal of transfer ``payload_id``, after ending an open
-        ``pending`` entry ``refused``, before answering over ``answer``."""
+        """Emit the refusal of the transfer of ``payload``, after ending an
+        open ``pending`` entry ``refused``, before answering over ``answer``."""
         if pending is not None:
             self._settle(pending, "refused")
         self._refused("travel_rule.transfer_refused",
-                      {"payload": _short(payload_id)}, reason, by_peer=by_peer)
+                      {"payload": payload.short_id}, reason, by_peer=by_peer)
         if answer is not None:
-            self.sim.send(answer, self.name,
-                          msg.TravelRuleResponse(payload_id, reason, None))
+            self.sim.send(answer, self.name, msg.TravelRuleResponse(
+                payload.transfer_number, reason, None))
 
     def _verify_counterparty_payload(self, signed: SignedPayload,
                                      signer: int) -> bool:
@@ -371,30 +374,29 @@ class VaspNode(Node):
     def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
         signed: SignedPayload = env.body.signed
         payload = signed.payload
-        pid = payload.payload_id
         # The signer is the originator the payload names; that originator
         # is the channel peer, and the payload is addressed to us.
         if not self._verify_counterparty_payload(
                 signed, payload.originating_vasp_number):
-            self._refuse(pid, Refusal.INVALID_PAYLOAD, answer=channel)
+            self._refuse(payload, Refusal.INVALID_PAYLOAD, answer=channel)
             return
         if (payload.originating_vasp_number
-                != _sender_number(channel, env)
+                != self._peer_number(channel)
                 or payload.beneficiary_vasp_number != self.vasp_number):
-            self._refuse(pid, Refusal.MISADDRESSED_PAYLOAD, answer=channel)
+            self._refuse(payload, Refusal.MISADDRESSED_PAYLOAD, answer=channel)
             return
         try:
             ident = parse_identifier(payload.beneficiary_account)
         except Unparseable:
-            self._refuse(pid, Refusal.UNPARSEABLE_BENEFICIARY, answer=channel)
+            self._refuse(payload, Refusal.UNPARSEABLE_BENEFICIARY, answer=channel)
             return
         holders = sorted(self.resolver.local_customers_for(ident))
         if not holders:
-            self._refuse(pid, Refusal.BENEFICIARY_UNKNOWN, answer=channel)
+            self._refuse(payload, Refusal.BENEFICIARY_UNKNOWN, answer=channel)
             return
         beneficiary = self.customers[holders[0]]
         if beneficiary.legal_name != payload.beneficiary_name:
-            self._refuse(pid, Refusal.BENEFICIARY_NAME_MISMATCH, answer=channel)
+            self._refuse(payload, Refusal.BENEFICIARY_NAME_MISMATCH, answer=channel)
             return
         consent = self.consents.check(beneficiary.customer_id,
                                       ConsentDirection.RECEIVE_ASSETS,
@@ -403,37 +405,36 @@ class VaspNode(Node):
             "customer": beneficiary.customer_id,
             "direction": ConsentDirection.RECEIVE_ASSETS.value, "ok": consent})
         if not consent:
-            self._refuse(pid, Refusal.BENEFICIARY_CONSENT_MISSING, answer=channel)
+            self._refuse(payload, Refusal.BENEFICIARY_CONSENT_MISSING, answer=channel)
             return
         self._record("inbound", signed)
         answer = self._sign_outbound(travel_rule.answer_payload(
             payload, beneficiary, self.tx_key.public_key))
         self.sim.send(channel, self.name, msg.TravelRuleResponse(
-            pid, None, travel_rule.answer_delta(answer)))
+            payload.transfer_number, None, travel_rule.answer_delta(answer)))
 
     def _on_travel_rule_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.TravelRuleResponse = env.body
-        pending = self.pending.get(body.ack_payload_id)
+        pending = self._numbered.get(body.ack_transfer_number)
         if pending is None or pending.state != "requested":
             return  # not ours, or already answered
-        asked = pending.payload.beneficiary_vasp_number
-        pid = body.ack_payload_id
-        if _sender_number(channel, env) != asked:
-            # Not an answer from the VASP asked: the transfer stays open.
-            self._refuse(pid, Refusal.MISADDRESSED_PAYLOAD)
+        payload = pending.payload
+        asked = payload.beneficiary_vasp_number
+        # Not from the VASP asked (a number is easily guessed): it stays open.
+        if self._peer_number(channel) != asked:
+            self._refuse(payload, Refusal.MISADDRESSED_PAYLOAD)
             return
         if body.refusal is not None:
-            self._refuse(pid, body.refusal, pending, by_peer=True)
+            self._refuse(payload, body.refusal, pending, by_peer=True)
             return
         # Rebuilt on its request, an answer to any other fails its signature.
-        answer = body.answer and travel_rule.rebuild_answer(
-            pending.payload, body.answer)
+        answer = body.answer and travel_rule.rebuild_answer(payload, body.answer)
         if answer is None or not self._verify_counterparty_payload(answer, asked):
-            self._refuse(pid, Refusal.INVALID_PAYLOAD, pending)
+            self._refuse(payload, Refusal.INVALID_PAYLOAD, pending)
             return
         self._record("inbound", answer)
 
-        originator = pending.payload.originator_account
+        originator = payload.originator_account
         originator_consent = self.consents.check(
             originator, ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
             asked, self.sim.now)
@@ -442,30 +443,30 @@ class VaspNode(Node):
             "direction": ConsentDirection.SEND_INFO_TO_COUNTERPARTY.value,
             "ok": originator_consent})
         self.sim.emit(self.name, "travel_rule.transfer_gate", {
-            "payload": pending.payload.short_id,
+            "payload": payload.short_id,
             "consent_originator": originator_consent,
             "beneficiary_accepted": True})
         if not originator_consent:
-            self._refuse(pid, Refusal.ORIGINATOR_CONSENT_MISSING, pending)
+            self._refuse(payload, Refusal.ORIGINATOR_CONSENT_MISSING, pending)
             return
         # Pay only a transaction key whose certificate is valid now.
         beneficiary = self.trust.members[asked]
         if self.trust.validate(beneficiary.transaction,
                                beneficiary.identity) is not pki.Verdict.VALID:
-            self._refuse(pid, Refusal.BENEFICIARY_TX_CERT_INVALID, pending)
+            self._refuse(payload, Refusal.BENEFICIARY_TX_CERT_INVALID, pending)
             return
 
         tx = make_transfer(
-            inputs=[(self.tx_key.public_key, pending.payload.amount)],
+            inputs=[(self.tx_key.public_key, payload.amount)],
             outputs=[(beneficiary.transaction.subject_public_key,
-                      pending.payload.amount)],
+                      payload.amount)],
             signers={self.tx_key.public_key:
                      lambda m: crypto.sign(self.tx_key.private_key, m)},
-            memo_tag=pid)
+            memo_tag=payload.payload_id)
         try:
             self.ledger.submit_transfer(tx)
         except InsufficientFunds:
-            self._refuse(pid, Refusal.INSUFFICIENT_FUNDS, pending)
+            self._refuse(payload, Refusal.INSUFFICIENT_FUNDS, pending)
             return
         pending.tx_id = tx.tx_id
         pending.tx_short = _short(tx.tx_id)
@@ -473,7 +474,7 @@ class VaspNode(Node):
         pending.state = "submitted"
         self.sim.emit(self.name, "ledger.tx_submitted", {
             "tx": pending.tx_short, "kind": "customer_transfer",
-            "amount": pending.payload.amount}, payload=tx)
+            "amount": payload.amount}, payload=tx)
 
     def correlate_pending(self) -> list[travel_rule.CorrelationRecord]:
         """Correlate, in initiation order, every open transfer whose
@@ -509,27 +510,27 @@ class VaspNode(Node):
     def _on_lookup_request(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.LookupRequest = env.body
         self._purge_lapsed()
+        caller = channel.other(self.name)
         hits, refusal = [], None
         try:
             hits = self.resolver.lookup(parse_identifier(body.identifier),
-                                        channel.peer_cert(env.sender),
-                                        self.trust)
+                                        channel.peer_cert(caller), self.trust)
         except Unparseable:
             refusal = Refusal.UNPARSEABLE_IDENTIFIER
         except Unauthorized:
             refusal = Refusal.INVALID_CALLER
         if refusal is None:
             self.sim.emit(self.name, "resolver.remote_lookup", {
-                "caller": env.sender, "vasps": hits, "error": "-"})
+                "caller": caller, "vasps": hits, "error": "-"})
         else:
             self._refused("resolver.remote_lookup",
-                          {"caller": env.sender, "vasps": hits}, refusal)
+                          {"caller": caller, "vasps": hits}, refusal)
         self.sim.send(channel, self.name,
                       msg.LookupResponse(body.request_seq, tuple(hits), refusal))
 
     def _on_lookup_response(self, channel: SecureChannel, env: Envelope) -> None:
         if env.body.refusal is not None:
-            self._refused("resolver.lookup_refused", {"from": env.sender},
+            self._refused("resolver.lookup_refused", {"from": channel.other(self.name)},
                           env.body.refusal, by_peer=True)
         self.remote_lookups.append(env.body)
 
@@ -576,7 +577,7 @@ class VaspNode(Node):
     def _on_claims_fetch_response(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.ClaimsFetchResponse = env.body
         if channel.id not in self._claims_fetching:
-            self._refused("claims.fetch_refused", {"from": env.sender},
+            self._refused("claims.fetch_refused", {"from": channel.other(self.name)},
                           Refusal.UNSOLICITED_ANSWER)
             return
         self._claims_fetching.remove(channel.id)
@@ -670,8 +671,8 @@ class VaspNode(Node):
             self.sim.emit(self.name, "attest.evidence_produced", {
                 "device": body.device_id, "purpose": "audit"}, payload=evidence)
         else:
-            self._refused("attest.challenge_refused", {"from": env.sender},
-                          refusal)
+            self._refused("attest.challenge_refused",
+                          {"from": channel.other(self.name)}, refusal)
         self.sim.send(channel, self.name,
                       msg.AttestationResponse(body.device_id, evidence, refusal))
 
@@ -702,16 +703,17 @@ class AuthServerNode(Node):
         self.server = server
 
     def _on_claims_auth_request(self, channel: SecureChannel, env: Envelope) -> None:
+        caller = channel.other(self.name)
         result = self.server.request_authorization(
-            channel.peer_cert(env.sender), set(env.body.attributes),
+            channel.peer_cert(caller), set(env.body.attributes),
             env.body.purpose, self.trust)
         if isinstance(result, Refusal):
-            self._refused("claims.token_denied", {"caller": env.sender}, result)
+            self._refused("claims.token_denied", {"caller": caller}, result)
             self.sim.send(channel, self.name,
                           msg.ClaimsAuthResponse(None, result))
         else:
             self.sim.emit(self.name, "claims.token_issued", {
-                "caller": env.sender, "token": _short(result.token_id),
+                "caller": caller, "token": _short(result.token_id),
                 "attrs": list(result.permitted_attributes),
                 "expires": result.expires_at}, payload=result)
             self.sim.send(channel, self.name,
@@ -739,7 +741,7 @@ class ClaimsStoreNode(Node):
         # The token binds to its audience: only that VASP, over its own
         # channel and with its own claims key, may present it.
         refusal = None
-        if _sender_number(channel, env) != audience:
+        if self._peer_number(channel) != audience:
             refusal = Refusal.TOKEN_AUDIENCE_MISMATCH
         elif not self.trust.verify_member_signature(
                 claims_mod.terms_bytes(token), body.terms_signature,
@@ -799,7 +801,7 @@ class InsurerNode(Node):
             # No challenge of ours names this device over this channel: the
             # answer's text is not ours to record, so the refusal names its
             # sender, and a challenge sent elsewhere stays pending.
-            self._refused("attest.audit_refused", {"from": env.sender},
+            self._refused("attest.audit_refused", {"from": channel.other(self.name)},
                           Refusal.UNSOLICITED_ANSWER)
             return
         del self.pending_nonces[body.device_id]

@@ -7,7 +7,8 @@ challenge. Per-channel delivery is FIFO exactly-once: injected drop,
 duplicate and reorder faults are recovered through retransmission and
 per-direction sequence numbers, so handlers always observe messages once
 and in order. Every send is logged to the trace and to a wire log holding
-the canonical envelope bytes.
+the canonical envelope bytes. An envelope is ``(channel_id, seq, body)``:
+its sender is the channel's other endpoint, never a wire field.
 
 The world owns its actors; the simulator only refers to them. A handler or
 tick hook that is a bound method is kept as a weak reference to its object
@@ -46,11 +47,12 @@ class ChannelClosed(NetsimError):
 
 @dataclass(frozen=True)
 class Envelope:
+    """The frame ``(channel_id, seq, body)``: as in a TLS record (RFC 8446
+    §5.1), no sender (the channel's other endpoint) and no send tick."""
+
     channel_id: int
     seq: int
-    sender: str
     body: MessageBody
-    sent_at: int
 
 
 @dataclass
@@ -217,7 +219,7 @@ class Simulation:
         if not channel.open:
             raise ChannelClosed(f"channel {channel.id} is closed")
         direction = channel._dirs[sender]
-        env = Envelope(channel.id, direction.next_seq, sender, body, self.now)
+        env = Envelope(channel.id, direction.next_seq, body)
         # Encoded before it is queued, so a body the codec refuses is never
         # sent. Encoding the envelope leaves the body's bytes kept on the
         # body, so the sent event's digest reads them without encoding it
@@ -237,7 +239,7 @@ class Simulation:
     def step(self) -> int:
         """Advance one tick; deliver in-flight messages, run handlers."""
         self.now += 1
-        deliveries: list[tuple[SecureChannel, str, Envelope]] = []
+        deliveries: list[tuple[SecureChannel, str, str, Envelope]] = []
         fault = (self.faults.drop_rate or self.faults.duplicate_rate
                  or self.faults.reorder_rate)
         # Channel id order, then endpoint a before b, as a walk over every
@@ -268,13 +270,13 @@ class Simulation:
             while direction.expected in direction.pending:
                 env = direction.pending.pop(direction.expected)
                 direction.expected += 1
-                deliveries.append((channel, recipient, env))
+                deliveries.append((channel, sender, recipient, env))
             if not direction.queue and not direction.pending:
                 del self._busy[key]
-        for channel, recipient, env in deliveries:
+        for channel, sender, recipient, env in deliveries:
             self.emit(recipient, "netsim.delivered",
                       {"msg": type(env.body).__name__, "ch": channel.id,
-                       "seq": env.seq, "from": env.sender})
+                       "seq": env.seq, "from": sender})
             handler = self._handlers.get(recipient)
             if handler is not None:
                 handler(channel, env)

@@ -5,6 +5,7 @@ import pytest
 from vasptrust import codec, crypto, pki
 from vasptrust.config import default_config, parse_config
 from vasptrust.netsim import Envelope, ScenarioTrace, run_scenario_with_world
+from vasptrust.netsim.trace import TraceEvent
 
 
 def pytest_runtest_logreport(report):
@@ -56,6 +57,18 @@ def scenario_trace(name: str, config, overrides: dict | None = None
 def wire_envelopes(sim) -> list[Envelope]:
     """Every envelope of ``sim``'s wire log, decoded, in send order."""
     return [codec.canonical_decode(blob, Envelope) for _, blob in sim.wire_log]
+
+
+def sent_envelopes(sim) -> list[tuple[TraceEvent, Envelope]]:
+    """Every envelope of ``sim``'s wire log, decoded, in send order, with
+    the ``netsim.sent`` event that logged it. An envelope names neither
+    its sender nor its send tick; the event's actor and time do."""
+    sent = sim.trace.find("netsim.sent")
+    envelopes = wire_envelopes(sim)
+    assert len(sent) == len(envelopes)
+    for event, env in zip(sent, envelopes):
+        assert (event.get("ch"), event.get("seq")) == (env.channel_id, env.seq)
+    return list(zip(sent, envelopes))
 
 
 @pytest.fixture

@@ -3,10 +3,10 @@
 Each test plays one consortium member (or relays one member's message)
 breaking one binding the trust model relies on: no originator data leaves
 before the originator consents, a signed payload comes from the VASP it
-names, is addressed to the VASP that receives it, is answered only with
-that request's own answer, a claims token is usable only by its audience,
-a revoked or expired member neither resolves nor gets served, and a
-revoked transaction key is never paid.
+names, is addressed to the VASP that receives it, is answered only by
+the VASP asked and only with that request's own answer, a claims token is
+usable only by its audience, a revoked or expired member neither resolves
+nor gets served, and a revoked transaction key is never paid.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from conftest import wire_envelopes
+from conftest import sent_envelopes, wire_envelopes
 from vasptrust import claims, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.netsim import build_world, run_scenario_with_world
@@ -61,8 +61,8 @@ def refusals(world, vasp: int) -> list[str]:
 
 
 def accepted_responses(world, sender: int) -> list:
-    return [env.body for env in wire_envelopes(world.sim)
-            if env.sender == world.vasps[sender].name
+    return [env.body for sent, env in sent_envelopes(world.sim)
+            if sent.actor == world.vasps[sender].name
             and isinstance(env.body, TravelRuleResponse)
             and env.body.refusal is None]
 
@@ -186,7 +186,7 @@ def test_response_from_a_vasp_not_asked_is_ignored(world):
     payload = _start_transfer(world)
     # VASP 3 answers VASP 7's request to VASP 9 before VASP 9 does.
     forged = tr.answer_delta(signed_by(world, 3, 7, 3, amount=125))
-    send(world, 3, 7, TravelRuleResponse(payload.payload_id, None, forged))
+    send(world, 3, 7, TravelRuleResponse(payload.transfer_number, None, forged))
     world.sim.step()
     pending = world.vasps[7].pending[payload.payload_id]
     assert refusals(world, 7) == ["misaddressed_payload"]
@@ -194,6 +194,35 @@ def test_response_from_a_vasp_not_asked_is_ignored(world):
     assert not world.sim.trace.find("ledger.tx_submitted")
     # The answer of the VASP asked still completes the transfer.
     world.sim.run_until_quiet()
+    assert pending.state == "submitted"
+
+
+def test_transfer_number_of_another_counterparty_is_refused(world):
+    # VASP 7 has open transfers to VASP 9 (n) and to VASP 3 (m). VASP 9
+    # refuses, then answers, naming m. A transfer number can be guessed
+    # where a payload id could not: only the channel binding, which takes
+    # an answer to m only from VASP 3, keeps m open.
+    vasp7 = world.vasps[7]
+    world.vasps[3].grant_consent("dave", ConsentDirection.RECEIVE_ASSETS, None)
+    n = _start_transfer(world)
+    m = vasp7.initiate_transfer(world.channel_between(vasp7, world.vasps[3]),
+                                "alice", "Dave Osei", "dave@idp2.com", 3, 60)
+    assert (n.transfer_number, m.transfer_number) == (1, 2)
+    pending = vasp7.pending[m.payload_id]
+    send(world, 9, 7, TravelRuleResponse(
+        m.transfer_number, pki.Refusal.BENEFICIARY_UNKNOWN, None))
+    send(world, 9, 7, TravelRuleResponse(m.transfer_number, None,
+                                         answer_to(world, m)))
+    world.sim.step()
+    assert refusals(world, 7) == ["misaddressed_payload"] * 2
+    assert pending.state == "requested" and m.payload_id in vasp7.pending
+    assert not world.sim.trace.find("ledger.tx_submitted")
+    assert [d for d, _ in vasp7.payload_store] == ["outbound", "outbound"]
+    # The answers of the VASPs asked still complete both transfers.
+    world.sim.run_until_quiet()
+    assert refusals(world, 7) == ["misaddressed_payload"] * 2
+    assert [e.get("amount") for e in world.sim.trace.find(
+        "ledger.tx_submitted")] == [125, 60]
     assert pending.state == "submitted"
 
 
@@ -208,7 +237,7 @@ def test_answer_to_another_request_refused(world, field, value):
     # signed answer to a request that differs from VASP 7's in one field:
     # a delta cannot name another request, so the signature fails.
     forged = answer_to(world, payload, **{field: value})
-    send(world, 9, 7, TravelRuleResponse(payload.payload_id, None, forged))
+    send(world, 9, 7, TravelRuleResponse(payload.transfer_number, None, forged))
     world.sim.run_until_quiet()
     assert refusals(world, 7) == ["invalid_payload"]
     assert pending.state == "refused"
@@ -225,7 +254,7 @@ def test_answer_whose_signature_fails_refused(world):
     signature = bytearray(answer.signature)
     signature[0] ^= 1
     forged = dataclasses.replace(answer, signature=bytes(signature))
-    send(world, 9, 7, TravelRuleResponse(payload.payload_id, None, forged))
+    send(world, 9, 7, TravelRuleResponse(payload.transfer_number, None, forged))
     world.sim.run_until_quiet()
     assert refusals(world, 7) == ["invalid_payload"]
     assert pending.state == "refused"
@@ -242,7 +271,7 @@ def test_answer_replayed_onto_another_transfer_refused(world):
     (answer,) = [body.answer for body in accepted_responses(world, 9)]
     second = _start_transfer(world)
     pending = world.vasps[7].pending[second.payload_id]
-    send(world, 9, 7, TravelRuleResponse(second.payload_id, None, answer))
+    send(world, 9, 7, TravelRuleResponse(second.transfer_number, None, answer))
     world.sim.run_until_quiet()
     assert refusals(world, 7) == ["invalid_payload"]
     assert pending.state == "refused"

@@ -380,7 +380,7 @@ def test_compiled_encoder_matches_reference(cls, data):
 @given(data=st.data())
 def test_wire_bytes_frame_the_body_bytes(body_type, data):
     body = data.draw(values_of(body_type))
-    env = Envelope(channel_id=3, seq=9, sender="vasp:7", body=body, sent_at=4)
+    env = Envelope(channel_id=3, seq=9, body=body)
     # The body keeps its bytes, which the envelope's encoding then frames;
     # Simulation.send's trace digest reads them back from the body.
     body_bytes = codec.canonical_encode(body)
@@ -447,7 +447,7 @@ def envelope_wire(env: Envelope, index: bytes) -> bytes:
 def test_message_body_is_tagged_by_its_union_index(data):
     index = data.draw(st.integers(0, len(BODY_TYPES) - 1), label="member")
     body = data.draw(values_of(BODY_TYPES[index]))
-    env = Envelope(channel_id=3, seq=9, sender="vasp:7", body=body, sent_at=4)
+    env = Envelope(channel_id=3, seq=9, body=body)
     blob = codec.canonical_encode(env)
     assert blob == envelope_wire(env, _ref_index(index))
     back = codec.canonical_decode(blob, Envelope)
@@ -592,7 +592,7 @@ def test_list_in_a_tuple_field_refused(cls, data):
     with pytest.raises(codec.CodecError, match="mutable list"):
         codec.canonical_encode(listed)
     with pytest.raises(codec.CodecError, match="mutable list"):
-        codec.canonical_encode(Envelope(1, 2, "vasp:7", listed, 3))
+        codec.canonical_encode(Envelope(1, 2, listed))
     # The path of every signing input: a struct without its last field.
     if name != dataclasses.fields(cls)[-1].name:
         with pytest.raises(codec.CodecError, match="mutable list"):
@@ -722,15 +722,16 @@ def test_ids_derived_from_the_wire_are_the_ones_the_trace_names(
     # answer's id is derived once it is rebuilt on the request it answers.
     trace, world = run_scenario_with_world(name, demo_config)
     derived = {"payload": set(), "token": set(), "receipt": set()}
-    requests = {}
+    requests = {}  # by channel and transfer number, which answers name
     for env in wire_envelopes(world.sim):
         body = env.body
         if getattr(body, "signed", None) is not None:
-            requests[body.signed.payload.payload_id] = body.signed.payload
-            derived["payload"].add(body.signed.payload.payload_id.hex()[:16])
+            payload = body.signed.payload
+            requests[env.channel_id, payload.transfer_number] = payload
+            derived["payload"].add(payload.payload_id.hex()[:16])
         if getattr(body, "answer", None) is not None:
-            answer = travel_rule.rebuild_answer(requests[body.ack_payload_id],
-                                                body.answer)
+            answer = travel_rule.rebuild_answer(
+                requests[env.channel_id, body.ack_transfer_number], body.answer)
             derived["payload"].add(answer.payload.payload_id.hex()[:16])
         if getattr(body, "token", None) is not None:
             derived["token"].add(body.token.token_id.hex()[:16])

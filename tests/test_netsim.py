@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import make_subject, seed, trust_context, wire_envelopes
+from conftest import (make_subject, seed, sent_envelopes, trust_context,
+                      wire_envelopes)
 from test_scenarios import line_config, transfer, transfer_world
 from vasptrust import cli, codec, crypto, pki
 from vasptrust.config import default_config
@@ -227,15 +230,15 @@ def test_duplicate_actor_ids_rejected(root):
 
 
 @pytest.fixture
-def sent_envelopes(monkeypatch) -> list[Envelope]:
-    """Every envelope ``Simulation.send`` returns: the sender's own objects,
-    kept apart from the wire log."""
+def returned_envelopes(monkeypatch) -> list[tuple[str, Envelope]]:
+    """(sender, envelope) of every envelope ``Simulation.send`` returns:
+    the sender's own objects, kept apart from the wire log."""
     sent = []
     send = Simulation.send
 
     def recording_send(self, channel, sender, body):
         env = send(self, channel, sender, body)
-        sent.append(env)
+        sent.append((sender, env))
         return env
 
     monkeypatch.setattr(Simulation, "send", recording_send)
@@ -244,20 +247,21 @@ def sent_envelopes(monkeypatch) -> list[Envelope]:
 
 @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4", "S5"])
 def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
-                                                 sent_envelopes):
+                                                 returned_envelopes):
     # send encodes each body once and reuses the bytes for the wire
     # envelope and the trace digest; both must be what encoding anew gives.
+    # The envelope names no sender: the sent event's actor is the one send
+    # was called with.
     _, world = run_scenario_with_world(scenario, demo_config)
     sim = world.sim
-    sent = {(env.channel_id, env.sender, env.seq): env for env in sent_envelopes}
-    sent_events = sim.trace.find("netsim.sent")
-    assert len(sim.wire_log) == len(sent_events) == len(sent) > 0
-    for (kind, blob), event in zip(sim.wire_log, sent_events):
-        wire_env = codec.canonical_decode(blob, Envelope)
-        env = sent[(wire_env.channel_id, wire_env.sender, wire_env.seq)]
+    sent = {(env.channel_id, sender, env.seq): env
+            for sender, env in returned_envelopes}
+    logged = sent_envelopes(sim)
+    assert len(sim.wire_log) == len(logged) == len(sent) > 0
+    for (kind, blob), (event, wire_env) in zip(sim.wire_log, logged):
+        env = sent[(wire_env.channel_id, event.actor, wire_env.seq)]
         assert blob == codec.canonical_encode(env)
         assert kind == type(env.body).__name__
-        assert event.actor == env.sender
         assert tuple(event.fields.items()) == (
             ("msg", kind), ("ch", env.channel_id), ("seq", env.seq))
         assert event.digest == \
@@ -355,3 +359,61 @@ def test_cli_run_leaves_no_cyclic_garbage(tmp_path, no_gc):
     gc.collect()
     assert cli.main(["run", "--scenario", "S4", "--workspace", workspace]) == 0
     assert gc.collect() == 0
+
+
+# -- the frame carries only what the channel does not say ----------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+FRAME = ("channel_id", "seq", "body")
+
+
+@pytest.fixture(scope="module")
+def federation_unit():
+    """The world of a seed-1 ``federation`` benchmark unit, converged."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        import workloads
+    world = workloads.federation_setup(1)
+    converge_federation(world, max_rounds=len(world.vasps))
+    return world
+
+
+@pytest.mark.parametrize("run", ["S1", "S2", "S3", "S4", "S5", "federation"])
+def test_every_envelope_is_channel_seq_and_body(demo_config, run, request):
+    # On the wire an envelope is one struct of three frames: the channel
+    # id, the sequence number and the tagged body; no sender, no send tick.
+    world = request.getfixturevalue("federation_unit") if run == "federation" \
+        else run_scenario_with_world(run, demo_config)[1]
+    assert tuple(f.name for f in dataclasses.fields(Envelope)) == FRAME
+    assert len(wire_envelopes(world.sim)) == len(world.sim.wire_log) > 0
+    for _, blob in world.sim.wire_log:
+        reader = codec._Reader(blob)
+        tag, payload = reader.take_frame()
+        assert tag == codec.TAG_STRUCT and reader.done()
+        inner, tags = codec._Reader(payload), []
+        while not inner.done():
+            tags.append(inner.take_frame()[0])
+        assert tags == [codec.TAG_UINT, codec.TAG_UINT, codec.TAG_UNION]
+
+
+@pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4", "S5"])
+def test_every_sender_named_is_the_channels_other_endpoint(demo_config,
+                                                           scenario):
+    # A delivery's from, and each from or caller its handler then names,
+    # is the other endpoint of the channel the message came in on.
+    _, world = run_scenario_with_world(scenario, demo_config)
+    channels = {ch.id: ch for ch in world.sim.channels}
+    delivered, named = None, 0
+    for event in world.sim.trace.events:
+        if event.event == "netsim.delivered":
+            delivered = event
+        for key in ("from", "caller"):
+            if event.get(key) is not None:
+                assert delivered is not None and delivered.actor == event.actor
+                assert event.get(key) == \
+                    channels[delivered.get("ch")].other(event.actor)
+                named += 1
+    # Every delivery names its sender; S2's token grant and S3's remote
+    # lookup name their caller as well.
+    assert named == len(world.sim.trace.find("netsim.delivered")) \
+        + (scenario in ("S2", "S3")) > 1

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import wire_envelopes
+from conftest import sent_envelopes, wire_envelopes
 from vasptrust import codec, pki
 from vasptrust import travel_rule as tr
 from vasptrust.claims import AuthorizationToken
@@ -72,9 +72,9 @@ def refused_answer(world, kind: str, refusal: Refusal):
         # An open transfer of VASP 7 to VASP 9, whose request never left.
         payload = tr.build_payload(vasp7.customers["alice"], "Bob Jones",
                                    "bob@idp2.com", 9, 10, 7, 1)
-        vasp7.pending[payload.payload_id] = PendingTransfer(payload)
-        return vasp9, vasp7, TravelRuleResponse(payload.payload_id, refusal,
-                                                None)
+        vasp7.pending[payload.payload_id] = vasp7._numbered[1] = \
+            PendingTransfer(payload)
+        return vasp9, vasp7, TravelRuleResponse(1, refusal, None)
     if kind == "LookupResponse":
         return vasp9, vasp7, LookupResponse(1, (), refusal)
     if kind == "ClaimsAuthResponse":
@@ -275,7 +275,7 @@ def test_attestation_answer_over_another_channel_is_unsolicited(world):
 def test_non_member_where_a_refusal_is_declared_is_refused_at_the_sender(world):
     # Free text where a Refusal is declared does not encode, so it is never
     # queued: the receiver cannot be handed it in process either.
-    answer = TravelRuleResponse(bytes(32), "free text", None)
+    answer = TravelRuleResponse(1, "free text", None)
     with pytest.raises(codec.CodecError, match="str is not a member of Refusal"):
         codec.canonical_encode(answer)
     sender = world.vasps[9]
@@ -285,6 +285,29 @@ def test_non_member_where_a_refusal_is_declared_is_refused_at_the_sender(world):
         world.sim.send(channel, sender.name, answer)
     assert world.sim.in_flight() == 0
     assert world.sim.trace.events[since:] == []
+
+
+def test_other_class_where_an_answer_is_declared_is_refused_at_the_sender(
+        world):
+    # A whole SignedPayload where an answer's delta is declared does not
+    # encode, so it is never queued or logged: the originator, whose
+    # transfer is open, is never handed it.
+    vasp9, vasp7, _ = refused_answer(world, "TravelRuleResponse", None)
+    (pending,) = vasp7.pending.values()
+    signed = tr.sign_payload(
+        vasp9.claims_key.private_key, vasp9.certs.claims,
+        tr.answer_payload(pending.payload, vasp9.customers["bob"],
+                          vasp9.tx_key.public_key), world.trust)
+    channel = world.channel_between(vasp9, vasp7)
+    since, logged = len(world.sim.trace.events), len(world.sim.wire_log)
+    with pytest.raises(codec.CodecError,
+                       match="SignedPayload given for SignedAnswer"):
+        world.sim.send(channel, vasp9.name, TravelRuleResponse(1, None, signed))
+    assert world.sim.in_flight() == 0
+    assert len(world.sim.wire_log) == logged
+    assert world.sim.trace.events[since:] == []
+    world.sim.run_until_quiet()
+    assert pending.state == "requested"
 
 
 ASKED = (("driving_license_number",), "kyc")
@@ -381,9 +404,9 @@ def template(kind: str):
             world.vasps[9].grant_consent("bob", ConsentDirection.RECEIVE_ASSETS,
                                          None)
             channels = {ch.id: ch for ch in world.sim.channels}
-            for env in wire_envelopes(world.sim):
+            for sent, env in sent_envelopes(world.sim):
                 _TEMPLATES.setdefault(type(env.body).__name__, (
-                    world, channels[env.channel_id], env.sender, env.body))
+                    world, channels[env.channel_id], sent.actor, env.body))
     return _TEMPLATES[kind]
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import scenario_trace, wire_envelopes
+from conftest import scenario_trace, sent_envelopes, wire_envelopes
 from vasptrust import codec, pki
 from vasptrust.config import default_config, parse_config
 from vasptrust.ledger import Ledger
@@ -218,10 +218,10 @@ def _flood_msgs(world, since):
 
 
 def _flood_bodies(world, since=0):
-    """(envelope, its advertisements) of each flood sent from wire log
-    entry ``since`` on, decoded from the wire."""
-    return [(env, env.body.advertisements)
-            for env in wire_envelopes(world.sim)[since:]
+    """(sent event, envelope, its advertisements) of each flood sent from
+    wire log entry ``since`` on, decoded from the wire."""
+    return [(sent, env, env.body.advertisements)
+            for sent, env in sent_envelopes(world.sim)[since:]
             if isinstance(env.body, AdvertisementFlood)]
 
 
@@ -287,10 +287,10 @@ class TestDeltaFlooding:
         # The 10 advertisements go out in one message per direction.
         floods = _flood_bodies(world, before)
         assert len(floods) == 2
-        assert sum(len(advs) for _, advs in floods) == 10
+        assert sum(len(advs) for _, _, advs in floods) == 10
         for node in (first, last):
-            sent = [adv.vasp_number for env, advs in floods
-                    if env.channel_id == shortcut.id and env.sender == node.name
+            sent = [adv.vasp_number for event, env, advs in floods
+                    if env.channel_id == shortcut.id and event.actor == node.name
                     for adv in advs]
             assert sorted(sent) == sorted(world.vasps)
 
@@ -366,7 +366,7 @@ class TestBatchedFlooding:
         converge_federation(world)
         floods = _flood_bodies(world)
         assert len(floods) == msgs
-        assert sum(len(a) for _, a in floods) == advs
+        assert sum(len(a) for _, _, a in floods) == advs
         assert _applied(world) == 90  # each of 10 VASPs learns 9 origins
 
     def test_no_empty_flood_and_one_per_channel_direction_and_tick(self):
@@ -374,17 +374,17 @@ class TestBatchedFlooding:
         converge_federation(world)
         flood_round(world)  # after convergence: only crossing forwards
         floods = _flood_bodies(world)
-        assert all(advs for _, advs in floods)
-        slots = Counter((env.channel_id, env.sender, env.sent_at)
-                        for env, _ in floods)
+        assert all(advs for _, _, advs in floods)
+        slots = Counter((env.channel_id, sent.actor, sent.time)
+                        for sent, env, _ in floods)
         assert max(slots.values()) == 1
 
     def test_receiver_merges_in_message_order(self):
         world = build_world(line_config(10, ring=True, chord=3))
         converge_federation(world)
-        sent = {(env.channel_id, env.seq, env.sender):
+        sent = {(env.channel_id, env.seq, event.actor):
                 [("vasp:%d" % a.vasp_number, a.sequence) for a in advs]
-                for env, advs in _flood_bodies(world)}
+                for event, env, advs in _flood_bodies(world)}
         events = world.sim.trace.events
         delivered = [i for i, e in enumerate(events) if e.event ==
                      "netsim.delivered" and e.get("msg") == "AdvertisementFlood"]
@@ -577,10 +577,10 @@ def test_all_protocol_messages_ride_channels(demo_config):
         trace, world = run_scenario_with_world(name, demo_config)
         channels = {ch.id: ch for ch in world.sim.channels}
         seqs: dict[tuple[int, str], list[int]] = {}
-        for envelope in wire_envelopes(world.sim):
+        for sent, envelope in sent_envelopes(world.sim):
             channel = channels[envelope.channel_id]
-            assert envelope.sender in channel.endpoints()
-            seqs.setdefault((channel.id, envelope.sender), []).append(envelope.seq)
+            assert sent.actor in channel.endpoints()
+            seqs.setdefault((channel.id, sent.actor), []).append(envelope.seq)
         # Every envelope a channel numbered is on the wire, once.
         assert seqs == {(ch.id, sender): list(range(ch._dirs[sender].next_seq))
                         for ch in channels.values() for sender in ch.endpoints()
@@ -789,7 +789,7 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
     pending = ovasp.pending[payload.payload_id]
     world.sim.send(world.channel_between(world.vasps[3], ovasp),
                    world.vasps[3].name,
-                   TravelRuleResponse(payload.payload_id,
+                   TravelRuleResponse(payload.transfer_number,
                                       pki.Refusal.BENEFICIARY_UNKNOWN, None))
     world.sim.step()
     assert [e.get("reason") for e in world.sim.trace.find(
@@ -839,18 +839,24 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # answer began to travel as its delta from the request (a SignedAnswer):
 # with the digest column dropped, the trace is line for line the previous
 # one (only the TravelRuleResponse netsim.sent digest changed); S2-S5 send
-# no accepted answer and did not change.
+# no accepted answer and did not change. All five wire digests were last
+# re-pinned when an envelope became (channel_id, seq, body), without its
+# sender and send tick, and the S1 wire and trace digests when an answer
+# began to name its request by the originator's transfer number instead of
+# the payload id. With the digest column dropped, S1's trace is line for
+# line the previous one (only the TravelRuleResponse netsim.sent digest
+# changed); S2-S5 send no answer, and their traces did not change.
 PINNED = {
-    "S1": ("d9509cf61dfac24a136871b15233a6e8d994dceb9fb9270a32d78d9f27c6d02c",
-           "084b742f3b4d3e11987ddac932b3f9297fa9948ea6e5e8d56db4f06bf939f6b1"),
+    "S1": ("e01420cdeedec9d79c16201bbf24966be547f96051598d094117b7600e552cd7",
+           "1b659ae448fe6f8be866e7d6be65c64a7e621affb7fb1bda644300b89181d086"),
     "S2": ("a1ceaff6f2b81fb63ee59f78dd511d095f0a13444fc773525a5d45fe0561f8cc",
-           "84a4d3d41913d5e48a7656d6b69b1a6a6302d690403097c0f1e03d4c234bde71"),
+           "2438b69174487061271ca5d4bcd2a5c549e375fbc5d5e1343384e55d1c402965"),
     "S3": ("21ecce694b995ba3a43f1d6678fbbc7d704249a5b43bd7826444484c8c2891c9",
-           "e226b9c22ce60208c8c4572cbdeea2057e9bf437429d2402710d0eea6d4697b5"),
+           "7ffd4b79fc7dca4bb341563f0b41591860d5b59b0ef84b4b3c585fe7088fc714"),
     "S4": ("bb4f1ce7e4248a6cdb0139dfeebb3c2ad0a212d87fee7a1af2b6176418b1fd0f",
-           "a84621ef32f7ba8b69d0e864fd2838ab069e115b29380a3ca2a456427f924e65"),
+           "4e96687960140c6115a727182dcc19f19776ea15d01c15c95b4c4ab7710827e4"),
     "S5": ("6192886de1d6c832be34628471df8b90715679841af7266c1ef48668370d7fcf",
-           "b1f0fa63d18e334012d8dadc72340f0ecd3a08f28a5602634b3e4bccf6ef4b1b"),
+           "724946f142c89ef7ee68339e8f6dc54025bfca3d06597901f17620fad2143f8a"),
 }
 
 
