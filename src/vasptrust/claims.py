@@ -12,10 +12,10 @@ fetches release nothing; previously issued receipts remain on record.
 
 Claims share the consortium PKI's verdicts: ``verify_claim`` returns a
 ``pki.Verdict``, and judges a claim's window by certificates' rule,
-``pki.at_tick``. A claim, token or receipt is signed over every field but
-its signature, its last; its id is the digest of those bytes, derived
-from the value and never carried in it, so no id can disagree with the
-content it names.
+``pki.at_tick``. ``codec.seal`` signs a claim, token or receipt over every
+field but its signature, its last; its id is the digest of those bytes,
+derived from the value and never carried in it, so no id can disagree
+with the content it names.
 """
 
 from __future__ import annotations
@@ -76,22 +76,16 @@ class ClaimsProvider:
                     not_before: int, not_after: int) -> SignedClaim:
         if not_before >= not_after:
             raise ValueError("claim validity interval is empty")
-        unsigned = SignedClaim(subject, attribute, value, self.name,
-                               not_before, not_after, b"")
-        return codec.replace(unsigned, issuer_signature=crypto.sign(
-            self._keypair.private_key, codec.struct_bytes(unsigned)))
-
-
-def _sealed(signed, signature: bytes, public_key: bytes) -> bool:
-    """True iff ``signature`` over the signing input of ``signed``
-    verifies under ``public_key``."""
-    return crypto.verify(public_key, codec.struct_bytes(signed), signature)
+        return codec.seal(
+            SignedClaim(subject, attribute, value, self.name, not_before,
+                        not_after, b""),
+            lambda tbs: crypto.sign(self._keypair.private_key, tbs))
 
 
 def verify_claim(claim: SignedClaim, provider_public_key: bytes,
                  now: int) -> pki.Verdict:
     """BAD_SIGNATURE, or the verdict of the claim's window at ``now``."""
-    if not _sealed(claim, claim.issuer_signature, provider_public_key):
+    if not crypto.verify(provider_public_key, *codec.unseal(claim)):
         return pki.Verdict.BAD_SIGNATURE
     return pki.at_tick(claim, now)
 
@@ -199,7 +193,7 @@ class ClaimsStore:
         The receipt is created atomically with the release; no attribute
         ever leaves the store without a receipt row and an audit entry.
         """
-        if not _sealed(token, token.signature, self._auth_server_key):
+        if not crypto.verify(self._auth_server_key, *codec.unseal(token)):
             raise BadToken("token signature does not verify")
         if now >= token.expires_at:
             raise TokenExpired(f"token expired at {token.expires_at}")
@@ -221,21 +215,19 @@ class ClaimsStore:
 
     def _issue_receipt(self, token: AuthorizationToken,
                        released: list[SignedClaim], now: int) -> ConsentReceipt:
-        unsigned = ConsentReceipt(
+        receipt = codec.seal(ConsentReceipt(
             token_id=token.token_id,
             vasp_number=token.audience_vasp_number,
             attributes_released=tuple(sorted({c.attribute_name for c in released})),
             purpose=token.purpose,
             issued_at=now,
             signature=b"",
-        )
-        receipt = codec.replace(unsigned, signature=crypto.sign(
-            self._keypair.private_key, codec.struct_bytes(unsigned)))
+        ), lambda tbs: crypto.sign(self._keypair.private_key, tbs))
         self._receipts.append(receipt)
         return receipt
 
     def verify_receipt(self, receipt: ConsentReceipt) -> bool:
-        return _sealed(receipt, receipt.signature, self._keypair.public_key)
+        return crypto.verify(self._keypair.public_key, *codec.unseal(receipt))
 
 
 class AuthorizationServer:
@@ -272,13 +264,11 @@ class AuthorizationServer:
         if purpose != policy.usage_purpose:
             return Refusal.PURPOSE_MISMATCH
         now = trust.clock()
-        unsigned = AuthorizationToken(
+        return codec.seal(AuthorizationToken(
             audience_vasp_number=vasp_number,
             permitted_attributes=tuple(sorted(attributes)),
             purpose=purpose,
             issued_at=now,
             expires_at=now + TOKEN_LIFETIME,
             signature=b"",
-        )
-        return codec.replace(unsigned, signature=crypto.sign(
-            self._keypair.private_key, codec.struct_bytes(unsigned)))
+        ), lambda tbs: crypto.sign(self._keypair.private_key, tbs))

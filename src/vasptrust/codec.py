@@ -13,10 +13,22 @@ Encoding runs through one closure per type, built on first use from the
 declared field types and cached, so the per-value cost is a class check and
 the framing, not a walk over the type's annotations.
 
+One rule decides what encodes: a value encodes only as its declared type.
+Where a class is declared the value must be exactly that class, where an
+enum or a union is declared a member of it, and None only where the type
+is optional; the decoder requires the same. So a bool for an int, an enum
+member for a str, a bytearray for bytes or a list for a tuple is refused
+with CodecError wherever it appears. A value with no declared type (the
+argument of ``canonical_encode``, an item of an untyped sequence) is
+declared as its own class, and a value of a subclass of int, str or bytes
+(or a bytearray) encodes as that builtin.
+
 Every signed value declares its signature as its last field, and its
 signing input is ``struct_bytes``: the canonical struct of every field but
-the last. A content id (of a payload, claim, token, receipt or ledger
-transaction) is the digest of those bytes, derived, never carried.
+the last. ``seal`` signs a draft over those bytes into its last field, and
+``unseal`` gives back a signed value's signing input and signature. A
+content id (of a payload, claim, token, receipt or ledger transaction) is
+the digest of those bytes, derived, never carried.
 
 A deeply immutable value is encoded once. A type is deeply immutable when
 it is a frozen dataclass (with an instance __dict__) whose declared fields
@@ -24,20 +36,7 @@ are all immutable: int, str, bytes, bool, None, an Enum, a deeply immutable
 dataclass, or a tuple or union of these; this is decided once per type,
 when its encoder is built. An instance of such a type keeps its encoding,
 and its signing input, in its own __dict__, and every later encode of that
-object returns those bytes. So that kept bytes are never stale, one rule
-holds for every value, kept or not: where a dataclass is declared, only
-that class encodes; where another type is declared, a value of another
-class must itself be deeply immutable; and a declared tuple must not hold
-a mutable sequence. So a list where a tuple is declared, or a bytearray
-where bytes are, is refused with CodecError wherever it appears. Other
-types are encoded in full on every call.
-
-``codec.replace`` builds a new instance as dataclasses.replace does, and
-carries over the kept signing input when no field but the last changes: a
-draft signed with an empty signature and then filled in keeps the bytes it
-was signed over. A full encoding is composed from a kept signing input:
-the struct header, that input's field bytes, then the last field's
-encoding. So a signed value's full encoding re-encodes only its signature.
+object returns those bytes. Other types are encoded in full on every call.
 
 Enum members and union members are tagged by declaration index, as ASN.1
 numbers the alternatives of a CHOICE and DER encodes an ENUMERATED value
@@ -119,17 +118,8 @@ def _union_members(typ: Any) -> tuple[bool, list[Any]]:
 #
 # Each type gets one encoder closure, built on first use and cached: a class
 # by the class (the encoder used for an undeclared value of that class), a
-# declared union, list or tuple type by the annotation. A class's encoder
-# checks the value's class first. A dataclass's refuses any other class
-# (``_struct``); another class's encodes a value of another class with that
-# value's own class's encoder, except None, which only an optional field
-# admits.
-#
-# One rule keeps a value's kept bytes right for as long as it lives:
-# wherever a value's class is not its declared type, it must be deeply
-# immutable (``_other``), and a declared tuple must hold a tuple or another
-# deeply immutable value (``_build_sequence``). A value of its declared
-# class never reaches either check.
+# declared union, list or tuple type by the annotation. Each checks the
+# value's class first and refuses (``_refuse``) a value of any other class.
 
 Encoder = Callable[[Any], bytes]
 
@@ -141,25 +131,11 @@ _ENCODERS: dict[Any, Encoder] = {}
 _STRUCTS: dict[tuple[type, bool], Encoder] = {}
 
 
-def _other(value: Any, typ: Any) -> bytes:
-    """Encode a value whose class is not its declared type ``typ``."""
+def _refuse(value: Any, typ: Any) -> bytes:
+    """Refuse ``value``, which is not of its declared type ``typ``."""
     if value is None:
         raise CodecError(f"None not permitted for {typ}")
-    data = _encode_any(value)  # first, so an unencodable value says so
-    _require_immutable(value, typ)
-    return data
-
-
-def _require_immutable(value: Any, typ: Any) -> None:
-    if not _immutable_value(value):
-        raise CodecError(
-            f"mutable {type(value).__name__} given for {typ}")
-
-
-def _immutable_value(value: Any) -> bool:
-    if isinstance(value, tuple):
-        return all(map(_immutable_value, value))
-    return _immutable(type(value))
+    raise CodecError(f"{type(value).__name__} given for {typ}")
 
 
 def _immutable(typ: Any, seen: frozenset[type] = frozenset()) -> bool:
@@ -193,7 +169,7 @@ def _encode_any(value: Any) -> bytes:
 
 
 def _encode_none(value: Any) -> bytes:
-    return _NONE if value is None else _other(value, type(None))
+    return _NONE if value is None else _refuse(value, "None")
 
 
 def _encode_bool(value: Any) -> bytes:
@@ -201,7 +177,7 @@ def _encode_bool(value: Any) -> bytes:
         return _TRUE
     if value is False:
         return _FALSE
-    return _other(value, bool)
+    return _refuse(value, "bool")
 
 
 def _uint(value: int) -> bytes:
@@ -211,7 +187,7 @@ def _uint(value: int) -> bytes:
 
 def _encode_int(value: Any) -> bytes:
     if type(value) is not int:
-        return _other(value, int)
+        return _refuse(value, "int")
     if value < 0:
         raise CodecError("negative integers are not encodable")
     return _frame(TAG_UINT, _uint(value))
@@ -219,13 +195,13 @@ def _encode_int(value: Any) -> bytes:
 
 def _encode_bytes(value: Any) -> bytes:
     if type(value) is not bytes:
-        return _other(value, bytes)
+        return _refuse(value, "bytes")
     return _frame(TAG_BYTES, value)
 
 
 def _encode_str(value: Any) -> bytes:
     if type(value) is not str:
-        return _other(value, str)
+        return _refuse(value, "str")
     return _frame(TAG_STR, value.encode("utf-8"))
 
 
@@ -253,11 +229,17 @@ def _build(typ: Any) -> Encoder:
 
 
 def _checked(cls: type, encode: Encoder) -> Encoder:
+    name = cls.__name__
+
     def encode_checked(value: Any) -> bytes:
         if type(value) is cls:
             return encode(value)
-        return _other(value, cls)
+        return _refuse(value, name)
     return encode_checked
+
+
+def _unencodable(value: Any) -> bytes:
+    raise CodecError(f"cannot canonically encode {type(value).__name__}")
 
 
 def _build_class(cls: type) -> Encoder:
@@ -279,24 +261,16 @@ def _build_class(cls: type) -> Encoder:
             if type(value) is cls:
                 return names[value._name_]
             if value is None:
-                return _other(value, cls)
+                return _refuse(value, cls.__name__)
             raise CodecError(
                 f"{type(value).__name__} is not a member of {cls.__name__}")
         return encode_enum
     if dataclasses.is_dataclass(cls):
         return _struct(cls, False)
     if issubclass(cls, (list, tuple)):
-        def encode_items(value: Any) -> bytes:
-            if value is None:
-                raise CodecError(f"None not permitted for {cls.__name__}")
-            return _frame(TAG_LIST, b"".join(map(_encode_any, value)))
-        return encode_items
-
-    def unencodable(value: Any) -> bytes:
-        if type(value) is cls:
-            raise CodecError(f"cannot canonically encode {cls.__name__}")
-        return _other(value, cls)
-    return unencodable
+        return _checked(cls, lambda v: _frame(
+            TAG_LIST, b"".join(map(_encode_any, v))))
+    return _checked(cls, _unencodable)
 
 
 def _member_tags(members: list[Any]) -> dict[type, bytes]:
@@ -328,27 +302,20 @@ def _build_union(typ: Any) -> Encoder:
 
 
 def _build_sequence(typ: Any, origin: type) -> Encoder:
-    # A declared tuple holds a tuple; a list (or any other mutable
-    # sequence) is refused.
     args = get_args(typ)
-    tuple_declared = origin is tuple
     if origin is list or (len(args) == 2 and args[1] is Ellipsis):
         item = _encoder(args[0]) if args else _encode_any
 
         def encode_items(value: Any) -> bytes:
-            if value is None:
-                raise CodecError(f"None not permitted for {typ}")
-            if tuple_declared and type(value) is not tuple:
-                _require_immutable(value, typ)
+            if type(value) is not origin:
+                return _refuse(value, typ)
             return _frame(TAG_LIST, b"".join(map(item, value)))
         return encode_items
     items = tuple(_encoder(a) for a in args)
 
     def encode_fixed(value: Any) -> bytes:
-        if value is None:
-            raise CodecError(f"None not permitted for {typ}")
         if type(value) is not tuple:
-            _require_immutable(value, typ)
+            return _refuse(value, typ)
         if len(value) != len(items):
             raise CodecError(f"tuple arity mismatch for {typ}")
         return _frame(TAG_LIST, b"".join(
@@ -381,57 +348,34 @@ _TBS = "codec:tbs"
 def _struct(cls: type, signing: bool) -> Encoder:
     """Encoder of dataclass ``cls``: of every field, or, for its signing
     input, of every field but the last. Where ``cls`` is deeply immutable,
-    each instance keeps the result in its own __dict__, and a full encoding
-    is composed, where the value keeps its signing input, from that input's
-    field bytes and the encoding of the last field."""
+    each instance keeps the result in its own __dict__."""
     key = (cls, signing)
     encode = _STRUCTS.get(key)
     if encode is not None:
         return encode
     names = [name for name, _ in _hints(cls)]
     encode_fields: Callable[[Any], bytes]  # built after registration
-    encode_last: Callable[[Any], bytes]
     slot = _TBS if signing else _FULL
 
     def encode_struct(value: Any) -> bytes:
         if type(value) is not cls:
-            if value is None or not _immutable_value(value):
-                return _other(value, cls)  # refused as None, or as mutable
-            raise CodecError(f"{type(value).__name__} given for {cls.__name__}")
+            return _refuse(value, cls.__name__)
         return _frame(TAG_STRUCT, encode_fields(value))
 
     def encode_memo(value: Any) -> bytes:
         if type(value) is not cls:
-            return encode_struct(value)
+            return _refuse(value, cls.__name__)
         memo = value.__dict__
         data = memo.get(slot)
         if data is None:
-            tbs = None if signing else memo.get(_TBS)
-            if tbs is None:
-                data = encode_struct(value)
-            else:
-                data = _frame(TAG_STRUCT, tbs[_read_header(tbs, 0)[2]:]
-                              + encode_last(value))
-            memo[slot] = data
+            data = memo[slot] = encode_struct(value)
         return data
 
     # Registered before its fields are built, so a type that contains
     # itself finds this encoder.
     encode = _STRUCTS[key] = encode_memo if _immutable(cls) else encode_struct
     encode_fields = _fields(cls, names[:-1] if signing else names)
-    encode_last = _fields(cls, names[-1:])
     return encode
-
-
-def replace(value: Any, /, **changes: Any) -> Any:
-    """``dataclasses.replace`` that carries over the signing input
-    ``value`` keeps when no field but the last changes, so a value filled
-    in with its signature keeps the bytes it was signed over."""
-    new = dataclasses.replace(value, **changes)
-    tbs = getattr(value, "__dict__", {}).get(_TBS)
-    if tbs is not None and changes.keys() <= {_hints(type(value))[-1][0]}:
-        new.__dict__[_TBS] = tbs
-    return new
 
 
 def canonical_encode(value: Any) -> bytes:
@@ -449,6 +393,18 @@ def struct_bytes(value: Any) -> bytes:
             raise CodecError("struct_bytes requires a dataclass instance")
         encode = _struct(type(value), True)
     return encode(value)
+
+
+def seal(draft: Any, sign: Callable[[bytes], Any]) -> Any:
+    """``draft`` with its last field, its signature, set to ``sign`` of
+    its signing input."""
+    last = _hints(type(draft))[-1][0]
+    return dataclasses.replace(draft, **{last: sign(struct_bytes(draft))})
+
+
+def unseal(value: Any) -> tuple[bytes, Any]:
+    """The signing input of signed ``value``, and its signature."""
+    return struct_bytes(value), getattr(value, _hints(type(value))[-1][0])
 
 
 class _Reader:

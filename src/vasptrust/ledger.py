@@ -6,11 +6,11 @@ commingled account). Transactions wait in a mempool until confirm_block()
 applies them atomically; value is conserved after genesis. An optional
 32-byte memo tag on a transaction carries an opaque correlation handle.
 
-Each input key signs every field of a transaction but its signatures, the
-last; the transaction id is the digest of those bytes, derived from the
-value and never carried in it. The height a transaction is confirmed at is
-the ledger's record (``Ledger.confirmed_height``), not a field of the
-signed value.
+Through ``codec.seal``, each input key signs every field of a transaction
+but its signatures, the last; the transaction id is the digest of those
+bytes, derived from the value and never carried in it. The height a
+transaction is confirmed at is the ledger's record
+(``Ledger.confirmed_height``), not a field of the signed value.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ def make_transfer(inputs: Iterable[tuple[bytes, int]],
         memo_tag=memo_tag,
         signatures=(),
     )
-    unsigned = codec.struct_bytes(tx)
-    sigs = tuple(signers[key](unsigned) for key in tx.distinct_input_keys())
-    return codec.replace(tx, signatures=sigs)
+    return codec.seal(tx, lambda tbs: tuple(
+        signers[key](tbs) for key in tx.distinct_input_keys()))
 
 
 class Ledger:
@@ -149,11 +148,11 @@ class Ledger:
             raise ValueMismatch(f"memo_tag must be {MEMO_TAG_SIZE} bytes")
         if tx.tx_id in self._tx_index:
             raise ValueMismatch("transaction already submitted")
-        unsigned = codec.struct_bytes(tx)
+        unsigned, signatures = codec.unseal(tx)
         keys = tx.distinct_input_keys()
-        if len(tx.signatures) != len(keys):
+        if len(signatures) != len(keys):
             raise BadSignature("one signature per distinct input key required")
-        for key, sig in zip(keys, tx.signatures):
+        for key, sig in zip(keys, signatures):
             if not crypto.verify(key, unsigned, sig):
                 raise BadSignature("input key signature does not verify")
         spend: dict[bytes, int] = {}

@@ -417,7 +417,12 @@ class VaspNode(Node):
         body: msg.TravelRuleResponse = env.body
         pending = self._numbered.get(body.ack_transfer_number)
         if pending is None or pending.state != "requested":
-            return  # not ours, or already answered
+            # No open transfer of ours has that number: the refusal names
+            # the sender and the number, as no payload of ours is answered.
+            self._refused("travel_rule.transfer_refused", {
+                "from": channel.other(self.name),
+                "transfer": body.ack_transfer_number}, Refusal.UNSOLICITED_ANSWER)
+            return
         payload = pending.payload
         asked = payload.beneficiary_vasp_number
         # Not from the VASP asked (a number is easily guessed): it stays open.

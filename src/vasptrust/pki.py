@@ -9,7 +9,8 @@ in at most one certificate, ever, so an entity's identity, transaction and
 claims keys are provably distinct.
 
 Certificates use the package's canonical encoding rather than ASN.1 DER;
-the signature covers the canonical struct of every field before it.
+``codec.seal`` signs the canonical struct of every field before the
+signature, the last.
 """
 
 from __future__ import annotations
@@ -238,12 +239,11 @@ def validate_chain(cert: Certificate,
     their digest; it is read in place of a verify and gains each
     certificate that verifies.
     """
-    known = verified is not None and cert in verified
-    if not known and not crypto.verify(root_public_key, codec.struct_bytes(cert),
-                                       cert.issuer_signature):
-        return Verdict.BAD_SIGNATURE
-    if not known and verified is not None:
-        verified[cert] = cert_digest(cert)
+    if verified is None or cert not in verified:
+        if not crypto.verify(root_public_key, *codec.unseal(cert)):
+            return Verdict.BAD_SIGNATURE
+        if verified is not None:
+            verified[cert] = cert_digest(cert)
     if revocation_list.covers(cert.serial):
         return Verdict.REVOKED
     standing = Verdict.VALID
@@ -407,9 +407,9 @@ class RootAuthority:
         if numbered:
             fields["serial"] = self._next_serial
             self._next_serial += 1
-        unsigned = kind(issuer_id=self.name, issuer_signature=b"", **fields)
-        sig = crypto.sign(self._keypair.private_key, codec.struct_bytes(unsigned))
-        signed = codec.replace(unsigned, issuer_signature=sig)
+        signed = codec.seal(
+            kind(issuer_id=self.name, issuer_signature=b"", **fields),
+            lambda tbs: crypto.sign(self._keypair.private_key, tbs))
         if numbered:
             self._certs[signed.serial] = signed
         return signed

@@ -211,15 +211,13 @@ class ResolverService:
     def build_advertisement(self, claims_private_key: bytes,
                             claims_cert_serial: int) -> IdentifierAdvertisement:
         self._sequence += 1
-        unsigned = IdentifierAdvertisement(
+        return codec.seal(IdentifierAdvertisement(
             vasp_number=self.vasp_number,
             sequence=self._sequence,
             identifiers=tuple(sorted(self._local)),
             signer_cert_serial=claims_cert_serial,
             signature=b"",
-        )
-        sig = crypto.sign(claims_private_key, codec.struct_bytes(unsigned))
-        return codec.replace(unsigned, signature=sig)
+        ), lambda tbs: crypto.sign(claims_private_key, tbs))
 
     def merge_advertisement(self, adv: IdentifierAdvertisement,
                             trust: pki.TrustContext) -> MergeOutcome:
@@ -238,7 +236,7 @@ class ResolverService:
                 held is not None and adv.sequence <= held.sequence):
             return MergeOutcome.STALE
         if not trust.verify_member_signature(
-                codec.struct_bytes(adv), adv.signature, adv.signer_cert_serial,
+                *codec.unseal(adv), adv.signer_cert_serial,
                 pki.CertPurpose.CLAIMS_SIGNING, adv.vasp_number):
             return MergeOutcome.REJECTED
         if len(set(adv.identifiers)) != len(adv.identifiers):

@@ -10,8 +10,8 @@ confirmed ledger transaction, batch transfers included. Consent from both
 the originator and the beneficiary gates every exchange.
 
 A payload's id is the digest of its canonical encoding, derived from the
-payload and never carried in it. A ``SignedPayload`` is signed over the
-payload and the signer's certificate serial, every field but its
+payload and never carried in it. ``codec.seal`` signs a ``SignedPayload``
+over the payload and the signer's certificate serial, every field but its
 signature, the last. An answer travels as a ``SignedAnswer``, its delta
 from its request, and is verified once rebuilt on that request.
 
@@ -238,9 +238,8 @@ def sign_payload(claims_private_key: bytes,
         raise InvalidCert(f"claims certificate is {verdict.value}")
     if crypto.public_key_of(claims_private_key) != claims_cert.subject_public_key:
         raise InvalidCert("private key does not match the claims certificate")
-    unsigned = SignedPayload(payload, claims_cert.serial, b"")
-    return codec.replace(unsigned, signature=crypto.sign(
-        claims_private_key, codec.struct_bytes(unsigned)))
+    return codec.seal(SignedPayload(payload, claims_cert.serial, b""),
+                      lambda tbs: crypto.sign(claims_private_key, tbs))
 
 
 @dataclass(frozen=True)
@@ -271,9 +270,8 @@ def verify_signed_payload(signed: SignedPayload, trust: pki.TrustContext,
     """Bind the payload and its signer's serial to a claims-signing
     certificate of member ``signer_vasp_number``."""
     return trust.verify_member_signature(
-        codec.struct_bytes(signed), signed.signature,
-        signed.signer_cert_serial, pki.CertPurpose.CLAIMS_SIGNING,
-        signer_vasp_number)
+        *codec.unseal(signed), signed.signer_cert_serial,
+        pki.CertPurpose.CLAIMS_SIGNING, signer_vasp_number)
 
 
 class ConsentDirection(Enum):

@@ -188,16 +188,14 @@ class WalletDevice:
             raise AttestationRefused(f"{self.device_id} will not attest")
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
-        unsigned = AttestationEvidence(
+        return codec.seal(AttestationEvidence(
             device_id=self.device_id,
             nonce=nonce,
             key_reports=tuple(self._slots[h] for h in sorted(self._slots)),
             stack_report=StackReport(self.measurement_log, self.boot_digest),
             signed_at=now,
             signature=b"",
-        )
-        sig = crypto.sign(self._attestation.private_key, codec.struct_bytes(unsigned))
-        return codec.replace(unsigned, signature=sig)
+        ), lambda tbs: crypto.sign(self._attestation.private_key, tbs))
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,7 @@ def verify_evidence(evidence: AttestationEvidence,
     not fail the verdict; the risk decision belongs to the caller.
     """
     signature_ok = crypto.verify(device_attestation_public_key,
-                                 codec.struct_bytes(evidence), evidence.signature)
+                                 *codec.unseal(evidence))
     nonce_fresh = evidence.nonce == expected_nonce
     stack = evidence.stack_report
     stack_approved = (fold_boot_digest(stack.measurement_log) == stack.boot_digest
@@ -329,8 +327,7 @@ def _fresh_evidence(device: WalletDevice, nonce: bytes, now: int,
         evidence = device.attest(nonce, now)
     except AttestationRefused as exc:
         raise AttestationFailed(str(exc)) from exc
-    if not crypto.verify(attestation_key, codec.struct_bytes(evidence),
-                         evidence.signature):
+    if not crypto.verify(attestation_key, *codec.unseal(evidence)):
         raise AttestationFailed("attestation evidence does not verify")
     if evidence.nonce != nonce:
         raise AttestationFailed("attestation evidence answers another nonce")

@@ -239,7 +239,8 @@ def test_answer_to_another_request_refused(world, field, value):
     forged = answer_to(world, payload, **{field: value})
     send(world, 9, 7, TravelRuleResponse(payload.transfer_number, None, forged))
     world.sim.run_until_quiet()
-    assert refusals(world, 7) == ["invalid_payload"]
+    # VASP 9's own answer comes after it, to a transfer no longer open.
+    assert refusals(world, 7) == ["invalid_payload", "unsolicited_answer"]
     assert pending.state == "refused"
     assert payload.payload_id not in world.vasps[7].pending
     assert not world.sim.trace.find("ledger.tx_submitted")
@@ -256,7 +257,8 @@ def test_answer_whose_signature_fails_refused(world):
     forged = dataclasses.replace(answer, signature=bytes(signature))
     send(world, 9, 7, TravelRuleResponse(payload.transfer_number, None, forged))
     world.sim.run_until_quiet()
-    assert refusals(world, 7) == ["invalid_payload"]
+    # VASP 9's own answer comes after it, to a transfer no longer open.
+    assert refusals(world, 7) == ["invalid_payload", "unsolicited_answer"]
     assert pending.state == "refused"
     assert not world.sim.trace.find("ledger.tx_submitted")
     world.confirm_block()
@@ -273,7 +275,8 @@ def test_answer_replayed_onto_another_transfer_refused(world):
     pending = world.vasps[7].pending[second.payload_id]
     send(world, 9, 7, TravelRuleResponse(second.transfer_number, None, answer))
     world.sim.run_until_quiet()
-    assert refusals(world, 7) == ["invalid_payload"]
+    # VASP 9's own answer to B comes after it, to a transfer no longer open.
+    assert refusals(world, 7) == ["invalid_payload", "unsolicited_answer"]
     assert pending.state == "refused"
     assert second.payload_id not in world.vasps[7].pending
     (paid,) = world.sim.trace.find("ledger.tx_submitted")

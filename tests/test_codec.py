@@ -521,13 +521,18 @@ def test_tuple_arity_mismatch_refused():
                                                    pair=("k", b"v", "x")))
 
 
-@pytest.mark.parametrize("value", [
-    1.5, {"a": 1}, {1, 2}, object(), Measured(2.5), [1, 2.5], Sample,
-    messages.LookupRequest(1.5, "x"),
+UNENCODABLE = "cannot canonically encode"
+
+
+@pytest.mark.parametrize("value, refusal", [
+    (1.5, UNENCODABLE), ({"a": 1}, UNENCODABLE), ({1, 2}, UNENCODABLE),
+    (object(), UNENCODABLE), (Measured(2.5), UNENCODABLE),
+    ([1, 2.5], UNENCODABLE), (Sample, UNENCODABLE),
+    (messages.LookupRequest(1.5, "x"), "float given for int"),
 ], ids=["float", "dict", "set", "object", "float-field", "list-item", "class",
         "float-for-int"])
-def test_unencodable_types_refused(value):
-    with pytest.raises(codec.CodecError, match="cannot canonically encode"):
+def test_unencodable_types_refused(value, refusal):
+    with pytest.raises(codec.CodecError, match=refusal):
         codec.canonical_encode(value)
 
 
@@ -542,6 +547,60 @@ def test_builtin_subclasses_encode_as_the_builtin():
     for value in (Flavour.SWEET, bytearray(b"ab"), True, [Flavour.SWEET, 0]):
         assert codec.canonical_encode(value) == reference_encode(value)
     assert codec.canonical_encode(Flavour.SWEET) == codec.canonical_encode("sweet")
+
+
+# -- a value encodes only as its declared type ---------------------------------
+
+# A value of each encodable class, for the fields that declare another.
+OTHER_CLASSES = [True, 7, "x", b"x", bytearray(b"x"), Color.RED, Flavour.SWEET,
+                 pki.Refusal.INVALID_CALLER, (), ["x"], Inner("x", ())]
+STRICT_TYPES = [Sample, Envelope, *BODY_TYPES]
+
+
+def _declared_classes(typ) -> set:
+    """The classes of the values that encode where ``typ`` is declared."""
+    if typing.get_origin(typ) in (typing.Union, types.UnionType):
+        return set().union(*map(_declared_classes, typing.get_args(typ)))
+    return {typing.get_origin(typ) or typ}
+
+
+@pytest.mark.parametrize("cls", STRICT_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_other_class_where_a_type_is_declared_refused(cls, data):
+    # A bool for an int, an enum member for a str (a str-valued one too),
+    # an int for bytes, a tuple for a list, a list for a tuple, and so on.
+    value = data.draw(values_of(cls))
+    refused = 0
+    for name, typ in typing.get_type_hints(cls).items():
+        for other in OTHER_CLASSES:
+            if type(other) in _declared_classes(typ):
+                continue
+            wrong = dataclasses.replace(value, **{name: other})
+            with pytest.raises(codec.CodecError):
+                codec.canonical_encode(wrong)
+            if cls in BODY_TYPES:
+                with pytest.raises(codec.CodecError):
+                    codec.canonical_encode(Envelope(1, 2, wrong))
+            refused += 1
+    assert refused >= len(dataclasses.fields(cls))
+
+
+@pytest.mark.parametrize("cls", STRICT_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_encoding_decodes_to_its_value(cls, data):
+    # Whatever a field is given, the value is refused, or its bytes decode
+    # as the declared type back to it.
+    value = data.draw(values_of(cls))
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]))
+    mutated = dataclasses.replace(
+        value, **{name: data.draw(st.sampled_from(OTHER_CLASSES))})
+    try:
+        blob = codec.canonical_encode(mutated)
+    except codec.CodecError:
+        return
+    assert codec.canonical_decode(blob, cls) == mutated
 
 
 # -- encodings kept on frozen values -------------------------------------------
@@ -568,12 +627,6 @@ def test_kept_encodings_match_reference(cls, data):
     assert codec.canonical_encode(copy) == reference_encode(copy)
     assert codec.struct_bytes(copy) == _reference_signing_input(copy)
     assert codec.canonical_encode(value) == full
-    # codec.replace carries the signing input over only when the last
-    # field changes, and a full encoding is composed from it.
-    carried = codec.replace(value, **{name: new})
-    assert (codec._TBS in vars(carried)) == (name == names[-1])
-    assert codec.canonical_encode(carried) == reference_encode(copy)
-    assert codec.struct_bytes(carried) == _reference_signing_input(copy)
 
 
 def _tuple_fields(cls) -> list[str]:
@@ -589,13 +642,13 @@ def test_list_in_a_tuple_field_refused(cls, data):
     value = data.draw(values_of(cls))
     name = data.draw(st.sampled_from(_tuple_fields(cls)))
     listed = dataclasses.replace(value, **{name: list(getattr(value, name))})
-    with pytest.raises(codec.CodecError, match="mutable list"):
+    with pytest.raises(codec.CodecError, match="list given for tuple"):
         codec.canonical_encode(listed)
-    with pytest.raises(codec.CodecError, match="mutable list"):
+    with pytest.raises(codec.CodecError, match="list given for tuple"):
         codec.canonical_encode(Envelope(1, 2, listed))
     # The path of every signing input: a struct without its last field.
     if name != dataclasses.fields(cls)[-1].name:
-        with pytest.raises(codec.CodecError, match="mutable list"):
+        with pytest.raises(codec.CodecError, match="list given for tuple"):
             codec.struct_bytes(listed)
 
 
@@ -606,13 +659,13 @@ class Loose:
 
 def test_mutable_values_inside_frozen_values_refused():
     # A non-frozen dataclass where a frozen one is declared, a bytearray
-    # where bytes are, a list inside a tuple given for another type, and a
-    # list where a tuple is declared in a value that keeps no encoding.
+    # where bytes are, a tuple holding a list where a str is, and a list
+    # where a tuple is declared in a value that keeps no encoding.
     for value in (messages.AdvertisementFlood((Loose("x"),)),
                   messages.AttestationChallenge("d", bytearray(b"n")),
                   messages.LookupRequest(1, ("x", [1])),
                   dataclasses.replace(sample(), pair=["k", b"v"])):
-        with pytest.raises(codec.CodecError, match="mutable"):
+        with pytest.raises(codec.CodecError, match="given for"):
             codec.canonical_encode(value)
     # Outside a frozen value the same values encode as their own classes.
     assert codec.canonical_encode([Loose("x"), bytearray(b"n")]) \
@@ -632,11 +685,12 @@ def test_only_deeply_immutable_dataclasses_keep_encodings():
     assert vars(value).keys() == {f.name for f in dataclasses.fields(Sample)}
 
 
-# -- encodings carried from a signed draft -------------------------------------
+# -- signed values, sealed and unsealed ----------------------------------------
 
 def _signed_values(root, member) -> list:
     """A value of every signed type, each built where the program builds
-    it: the draft is signed, then filled in by codec.replace."""
+    it by ``codec.seal``, with the public key its signature verifies
+    under."""
     service = ResolverService(7, {"bob"})
     service.register_identifier("bob", parse_identifier("bob@idp2.com"))
     trust = trust_context(root, member)
@@ -661,33 +715,74 @@ def _signed_values(root, member) -> list:
     device = wallet.WalletDevice("wdev:a", seed("device:a"),
                                  [("boot", crypto.digest(b"boot"))])
     device.generate_key(migratable=False)
+    claims_key = member["claims"].public_key
     return [
-        member["identity_cert"],
-        member["claims_cert"],
-        root.revoke(member["tx_cert"].serial,
-                    pki.RevocationReason.SUPERSEDED, 2),
-        service.build_advertisement(member["claims"].private_key,
-                                    member["claims_cert"].serial),
-        travel_rule.sign_payload(member["claims"].private_key,
-                                 member["claims_cert"], payload, trust),
-        tx,
-        claim,
-        token,
-        receipt,
-        device.attest(b"\x03" * wallet.NONCE_SIZE, now=4),
+        (member["identity_cert"], root.public_key),
+        (member["claims_cert"], root.public_key),
+        (root.revoke(member["tx_cert"].serial,
+                     pki.RevocationReason.SUPERSEDED, 2), root.public_key),
+        (service.build_advertisement(member["claims"].private_key,
+                                     member["claims_cert"].serial), claims_key),
+        (travel_rule.sign_payload(member["claims"].private_key,
+                                  member["claims_cert"], payload, trust),
+         claims_key),
+        (tx, key.public_key),
+        (claim, provider.public_key),
+        (token, server.public_key),
+        (receipt, store._keypair.public_key),
+        (device.attest(b"\x03" * wallet.NONCE_SIZE, now=4),
+         device.attestation_public_key),
     ]
 
 
-def test_carried_and_composed_encodings_match_fresh_ones(root, member):
-    values = _signed_values(root, member)
-    assert len({type(v) for v in values}) == len(values)
-    for value in values:
+def _verifies(public_key: bytes, value) -> bool:
+    """Whether ``value``'s signature (each of a ledger transaction's
+    signatures) verifies under ``public_key``."""
+    tbs, signature = codec.unseal(value)
+    signatures = signature if isinstance(signature, tuple) else (signature,)
+    return bool(signatures) and all(
+        crypto.verify(public_key, tbs, sig) for sig in signatures)
+
+
+def _changed(value):
+    """A value of ``value``'s class that encodes to other bytes."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, Enum):
+        members = list(type(value))
+        return members[(members.index(value) + 1) % len(members)]
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, bytes):
+        return value + b"x"
+    if isinstance(value, tuple) and value:
+        return value[:-1]
+    if dataclasses.is_dataclass(value):
+        first = dataclasses.fields(value)[0].name
+        return dataclasses.replace(
+            value, **{first: _changed(getattr(value, first))})
+    raise AssertionError(f"no change of {value!r} is defined")
+
+
+def test_signed_values_unseal_and_verify(root, member):
+    signed = _signed_values(root, member)
+    assert len({type(v) for v, _ in signed}) == len(signed) == 10
+    for value, public_key in signed:
+        last = dataclasses.fields(value)[-1].name
+        assert codec.unseal(value) == (codec.struct_bytes(value),
+                                       getattr(value, last))
         fresh = dataclasses.replace(value)  # equal, and keeps nothing yet
-        assert codec._TBS in vars(value)  # carried from the draft
         assert codec.struct_bytes(value) == codec.struct_bytes(fresh) \
             == _reference_signing_input(value)
         assert codec.canonical_encode(value) == codec.canonical_encode(fresh) \
             == reference_encode(value)
+        assert _verifies(public_key, value), type(value).__name__
+        for f in dataclasses.fields(value)[:-1]:
+            forged = dataclasses.replace(
+                value, **{f.name: _changed(getattr(value, f.name))})
+            assert not _verifies(public_key, forged), (type(value), f.name)
 
 
 SIGNATURE_FIELDS = {"signature", "issuer_signature", "signatures"}
@@ -706,7 +801,7 @@ def test_every_signed_type_ends_in_its_signature(root, member, demo_config,
         return struct_bytes(value)
 
     monkeypatch.setattr(codec, "struct_bytes", recording)
-    values = _signed_values(root, member)
+    values = [value for value, _ in _signed_values(root, member)]
     for name in ("S1", "S2", "S3", "S4", "S5"):
         assert run_scenario_with_world(name, demo_config)[0].passed
     assert signed_types == {type(v) for v in values}

@@ -25,8 +25,9 @@ from vasptrust.netsim import build_world, run_scenario_with_world
 from vasptrust.netsim.messages import (AttestationChallenge,
                                        AttestationResponse, ClaimsAuthRequest,
                                        ClaimsAuthResponse, ClaimsFetchRequest,
-                                       ClaimsFetchResponse, LookupResponse,
-                                       MessageBody, TravelRuleResponse)
+                                       ClaimsFetchResponse, LookupRequest,
+                                       LookupResponse, MessageBody,
+                                       TravelRuleResponse)
 from vasptrust.netsim.nodes import PendingTransfer
 from vasptrust.netsim.trace import (ScenarioTrace, TraceEvent,
                                     UnrenderableField, check_fields,
@@ -224,6 +225,27 @@ def test_unsolicited_fetch_answer_is_refused(demo_config):
     assert len(vasp.fetched_claims) == len(vasp.consent_receipts) == 1
 
 
+def test_unsolicited_travel_rule_answer_is_refused(demo_config):
+    # After S1, VASP 9 answers transfer 1 again, which is settled, and
+    # transfer 77, which VASP 7 never started: each is refused once, naming
+    # its sender and the number it gave.
+    trace, world = run_scenario_with_world("S1", demo_config)
+    vasp7, vasp9 = world.vasps[7], world.vasps[9]
+    settled = {key: pending.state for key, pending in vasp7.pending.items()}
+    since = len(trace.events)
+    for number in (1, 77):
+        world.sim.send(world.channel_between(vasp9, vasp7), vasp9.name,
+                       TravelRuleResponse(number, None, None))
+    world.sim.run_until_quiet()
+    assert [(e.event, e.fields) for e in events_of(world, vasp7.name, since)
+            if e.event.startswith("travel_rule.")] == [
+        ("travel_rule.transfer_refused",
+         {"from": vasp9.name, "transfer": number,
+          "reason": "unsolicited_answer"}) for number in (1, 77)]
+    assert {key: p.state for key, p in vasp7.pending.items()} == settled
+    reparses_exactly(world.sim.trace.events)
+
+
 def test_claim_failing_its_issuer_signature_is_not_taken(demo_config):
     # After S2, with a fetch outstanding, the store's answer comes back
     # holding S2's claim with its issuer signature zeroed: it is counted,
@@ -289,9 +311,10 @@ def test_non_member_where_a_refusal_is_declared_is_refused_at_the_sender(world):
 
 def test_other_class_where_an_answer_is_declared_is_refused_at_the_sender(
         world):
-    # A whole SignedPayload where an answer's delta is declared does not
-    # encode, so it is never queued or logged: the originator, whose
-    # transfer is open, is never handed it.
+    # A whole SignedPayload where an answer's delta is declared, or a
+    # Refusal member where an identifier's string is, does not encode, so
+    # it is never queued or logged: the originator, whose transfer is
+    # open, is never handed it.
     vasp9, vasp7, _ = refused_answer(world, "TravelRuleResponse", None)
     (pending,) = vasp7.pending.values()
     signed = tr.sign_payload(
@@ -300,9 +323,12 @@ def test_other_class_where_an_answer_is_declared_is_refused_at_the_sender(
                           vasp9.tx_key.public_key), world.trust)
     channel = world.channel_between(vasp9, vasp7)
     since, logged = len(world.sim.trace.events), len(world.sim.wire_log)
-    with pytest.raises(codec.CodecError,
-                       match="SignedPayload given for SignedAnswer"):
-        world.sim.send(channel, vasp9.name, TravelRuleResponse(1, None, signed))
+    for body, refusal in (
+            (TravelRuleResponse(1, None, signed),
+             "SignedPayload given for SignedAnswer"),
+            (LookupRequest(1, Refusal.INVALID_CALLER), "Refusal given for str")):
+        with pytest.raises(codec.CodecError, match=refusal):
+            world.sim.send(channel, vasp9.name, body)
     assert world.sim.in_flight() == 0
     assert len(world.sim.wire_log) == logged
     assert world.sim.trace.events[since:] == []
