@@ -11,7 +11,10 @@ decode(encode(v)) == v and re-encoding reproduces the input bytes.
 
 Encoding runs through one closure per type, built on first use from the
 declared field types and cached, so the per-value cost is a class check and
-the framing, not a walk over the type's annotations.
+the framing, not a walk over the type's annotations. Encoding keeps
+nothing on a value: every encode walks the value again, and no receiver
+verifies over bytes its sender's object holds. Where bytes already hold a
+value's encoding, ``union_tail`` reads an envelope's body out of them.
 
 One rule decides what encodes: a value encodes only as its declared type.
 Where a class is declared the value must be exactly that class, where an
@@ -20,8 +23,9 @@ is optional; the decoder requires the same. So a bool for an int, an enum
 member for a str, a bytearray for bytes or a list for a tuple is refused
 with CodecError wherever it appears. A value with no declared type (the
 argument of ``canonical_encode``, an item of an untyped sequence) is
-declared as its own class, and a value of a subclass of int, str or bytes
-(or a bytearray) encodes as that builtin.
+declared as its own class: a member of a str- or int-valued enum encodes
+as that enum, and a bytearray, or another subclass of a builtin that is
+no enum, is refused.
 
 Every signed value declares its signature as its last field, and its
 signing input is ``struct_bytes``: the canonical struct of every field but
@@ -29,14 +33,6 @@ the last. ``seal`` signs a draft over those bytes into its last field, and
 ``unseal`` gives back a signed value's signing input and signature. A
 content id (of a payload, claim, token, receipt or ledger transaction) is
 the digest of those bytes, derived, never carried.
-
-A deeply immutable value is encoded once. A type is deeply immutable when
-it is a frozen dataclass (with an instance __dict__) whose declared fields
-are all immutable: int, str, bytes, bool, None, an Enum, a deeply immutable
-dataclass, or a tuple or union of these; this is decided once per type,
-when its encoder is built. An instance of such a type keeps its encoding,
-and its signing input, in its own __dict__, and every later encode of that
-object returns those bytes. Other types are encoded in full on every call.
 
 Enum members and union members are tagged by declaration index, as ASN.1
 numbers the alternatives of a CHOICE and DER encodes an ENUMERATED value
@@ -138,29 +134,6 @@ def _refuse(value: Any, typ: Any) -> bytes:
     raise CodecError(f"{type(value).__name__} given for {typ}")
 
 
-def _immutable(typ: Any, seen: frozenset[type] = frozenset()) -> bool:
-    """Whether every value of declared type ``typ`` is deeply immutable:
-    int, str, bytes, bool, None, an Enum, a frozen dataclass whose fields
-    are all declared immutable, or a tuple or union of these. ``seen``
-    holds the dataclasses being decided, so a type that holds itself is
-    decided by its other fields."""
-    origin = get_origin(typ)
-    if origin in _UNION_ORIGINS or origin is tuple:
-        return all(_immutable(a, seen) for a in get_args(typ) if a is not Ellipsis)
-    if origin is not None or not isinstance(typ, type):
-        return False
-    if typ is type(None) or issubclass(typ, (int, str, bytes, Enum)):
-        return True
-    if typ in seen:
-        return True
-    params = getattr(typ, "__dataclass_params__", None)
-    # A class whose instances have no __dict__ (slots) cannot keep a memo.
-    if params is None or not params.frozen or not typ.__dictoffset__:
-        return False
-    seen = seen | {typ}
-    return all(_immutable(t, seen) for _, t in _hints(typ))
-
-
 def _encode_any(value: Any) -> bytes:
     encode = _ENCODERS.get(type(value))
     if encode is None:
@@ -228,31 +201,9 @@ def _build(typ: Any) -> Encoder:
     return _encode_any
 
 
-def _checked(cls: type, encode: Encoder) -> Encoder:
-    name = cls.__name__
-
-    def encode_checked(value: Any) -> bytes:
-        if type(value) is cls:
-            return encode(value)
-        return _refuse(value, name)
-    return encode_checked
-
-
-def _unencodable(value: Any) -> bytes:
-    raise CodecError(f"cannot canonically encode {type(value).__name__}")
-
-
 def _build_class(cls: type) -> Encoder:
-    # Same precedence as isinstance dispatch: bool before int, and a
-    # subclass of a builtin encodes as that builtin.
     if cls in _SCALARS:
         return _SCALARS[cls]
-    if issubclass(cls, int):
-        return _checked(cls, lambda v: _encode_int(int(v)))
-    if issubclass(cls, (bytes, bytearray)):
-        return _checked(cls, lambda v: _frame(TAG_BYTES, bytes(v)))
-    if issubclass(cls, str):
-        return _checked(cls, lambda v: _frame(TAG_STR, str.encode(v, "utf-8")))
     if issubclass(cls, Enum):
         # Member name -> the frame of its declaration index.
         names = {m._name_: _frame(TAG_ENUM, _uint(i)) for i, m in enumerate(cls)}
@@ -267,10 +218,14 @@ def _build_class(cls: type) -> Encoder:
         return encode_enum
     if dataclasses.is_dataclass(cls):
         return _struct(cls, False)
-    if issubclass(cls, (list, tuple)):
-        return _checked(cls, lambda v: _frame(
-            TAG_LIST, b"".join(map(_encode_any, v))))
-    return _checked(cls, _unencodable)
+
+    def encode_other(value: Any) -> bytes:
+        if type(value) is not cls:
+            return _refuse(value, cls.__name__)
+        if cls is list or cls is tuple:
+            return _frame(TAG_LIST, b"".join(map(_encode_any, value)))
+        raise CodecError(f"cannot canonically encode {cls.__name__}")
+    return encode_other
 
 
 def _member_tags(members: list[Any]) -> dict[type, bytes]:
@@ -339,41 +294,24 @@ def _fields(cls: type, names: list[str]) -> Callable[[Any], bytes]:
         [encode(v) for encode, v in zip(encoders, get(value))])
 
 
-# A deeply immutable value's kept encodings, in its own __dict__: in full,
-# and its signing input. No field name holds a colon.
-_FULL = "codec:full"
-_TBS = "codec:tbs"
-
-
 def _struct(cls: type, signing: bool) -> Encoder:
     """Encoder of dataclass ``cls``: of every field, or, for its signing
-    input, of every field but the last. Where ``cls`` is deeply immutable,
-    each instance keeps the result in its own __dict__."""
+    input, of every field but the last."""
     key = (cls, signing)
     encode = _STRUCTS.get(key)
     if encode is not None:
         return encode
     names = [name for name, _ in _hints(cls)]
     encode_fields: Callable[[Any], bytes]  # built after registration
-    slot = _TBS if signing else _FULL
 
     def encode_struct(value: Any) -> bytes:
         if type(value) is not cls:
             return _refuse(value, cls.__name__)
         return _frame(TAG_STRUCT, encode_fields(value))
 
-    def encode_memo(value: Any) -> bytes:
-        if type(value) is not cls:
-            return _refuse(value, cls.__name__)
-        memo = value.__dict__
-        data = memo.get(slot)
-        if data is None:
-            data = memo[slot] = encode_struct(value)
-        return data
-
     # Registered before its fields are built, so a type that contains
     # itself finds this encoder.
-    encode = _STRUCTS[key] = encode_memo if _immutable(cls) else encode_struct
+    encode = _STRUCTS[key] = encode_struct
     encode_fields = _fields(cls, names[:-1] if signing else names)
     return encode
 
@@ -547,3 +485,21 @@ def canonical_decode(data: bytes, cls: Any) -> Any:
     if not reader.done():
         raise DecodeError("trailing bytes after value")
     return value
+
+
+def union_tail(data: bytes) -> bytes:
+    """The encoding of the value held by the union that ends the canonical
+    struct ``data`` (an envelope's body), read out of ``data`` without
+    decoding or encoding anything."""
+    outer = _Reader(data)
+    fields = _Reader(_expect(outer, TAG_STRUCT))
+    if not outer.done():
+        raise DecodeError("trailing bytes after value")
+    tag, payload = None, b""
+    while not fields.done():
+        tag, payload = fields.take_frame()
+    if tag != TAG_UNION:
+        raise DecodeError("struct does not end in a union")
+    member = _Reader(payload)
+    _expect(member, TAG_UINT)
+    return payload[member.pos:]

@@ -12,9 +12,10 @@ A VASP's ``pending`` table holds only its open transfers; a settled one
 stays on record in its payload and correlation stores and the trace. The
 payload store is a list of records, not of live payloads: each is the
 direction and the canonical bytes of the ``SignedPayload`` sent or
-accepted, the bytes the codec already keeps for it, so a settled
-transfer's payload objects are freed; ``travel_rule.read_payload_record``
-decodes a record. Values the events of one transfer repeat (a
+accepted, so a settled transfer's payload objects are freed;
+``travel_rule.read_payload_record`` decodes a record. A payload's trace
+digest is its ``payload_id``, the SHA-256 of its canonical bytes, so no
+event encodes it again. Values the events of one transfer repeat (a
 payload's short id, ``k/n`` presence, and the ``vasp:N`` and
 ``customer:ID`` names, interned) are built once and shared.
 """
@@ -167,6 +168,7 @@ class VaspNode(Node):
         self._numbered: dict[int, PendingTransfer] = {}
         self.transfers_started = 0
         self.remote_lookups: list[msg.LookupResponse] = []
+        self._lookups_out: set[tuple[int, int]] = set()  # (channel, request)
         self.claims_token: claims_mod.AuthorizationToken | None = None
         self.claims_denial: Refusal | None = None
         self._claims_asked: dict[int, msg.ClaimsAuthRequest] = {}  # by channel
@@ -335,7 +337,7 @@ class VaspNode(Node):
         missing = travel_rule.validate_payload(payload)
         self.sim.emit(self.name, "travel_rule.payload_validated", {
             "direction": "outbound", "present": _present(missing),
-            "payload": payload.short_id}, payload=payload)
+            "payload": payload.short_id}, digest=payload.payload_id)
         signed = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims, payload, self.trust)
         self._record("outbound", signed)
@@ -368,7 +370,7 @@ class VaspNode(Node):
         self.sim.emit(self.name, "travel_rule.payload_validated", {
             "direction": "inbound", "present": _present(missing),
             "signature": "ok" if ok else "bad",
-            "payload": signed.payload.short_id}, payload=signed.payload)
+            "payload": signed.payload.short_id}, digest=signed.payload.payload_id)
         return ok and not missing
 
     def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
@@ -509,6 +511,7 @@ class VaspNode(Node):
 
     def remote_lookup(self, channel: SecureChannel, identifier: str,
                       request_seq: int) -> None:
+        self._lookups_out.add((channel.id, request_seq))
         self.sim.send(channel, self.name,
                       msg.LookupRequest(request_seq, identifier))
 
@@ -534,10 +537,18 @@ class VaspNode(Node):
                       msg.LookupResponse(body.request_seq, tuple(hits), refusal))
 
     def _on_lookup_response(self, channel: SecureChannel, env: Envelope) -> None:
-        if env.body.refusal is not None:
-            self._refused("resolver.lookup_refused", {"from": channel.other(self.name)},
-                          env.body.refusal, by_peer=True)
-        self.remote_lookups.append(env.body)
+        body: msg.LookupResponse = env.body
+        sender = channel.other(self.name)
+        if (channel.id, body.request_seq) not in self._lookups_out:
+            self._refused("resolver.lookup_refused", {
+                "from": sender, "request": body.request_seq},
+                Refusal.UNSOLICITED_ANSWER)
+            return
+        self._lookups_out.remove((channel.id, body.request_seq))
+        if body.refusal is not None:
+            self._refused("resolver.lookup_refused", {"from": sender},
+                          body.refusal, by_peer=True)
+        self.remote_lookups.append(body)
 
     # -- claims gathering -------------------------------------------------------------
 

@@ -156,19 +156,21 @@ class Simulation:
             self._handlers[name] = _referred(handler, f"actor {name!r}")
 
     def emit(self, actor: str, event: str, fields: dict | None = None, *,
-             payload=None) -> TraceEvent:
+             payload=None, digest: bytes | None = None) -> TraceEvent:
         """Append a trace event carrying ``fields`` in their given order,
-        as one tuple (see ``trace``). Its digest covers ``payload``'s
-        canonical encoding, computed now, else the rendered fields,
-        derived at each rendering. A value that breaks the trace's
-        rendering rule raises UnrenderableField and records nothing."""
+        as one tuple (see ``trace``). Its digest is ``digest``, the SHA-256
+        of a value's canonical encoding that the caller already has, else
+        that of ``payload``'s encoding, computed now, else one of the
+        rendered fields, derived at each rendering. A value that breaks the
+        trace's rendering rule raises UnrenderableField and records
+        nothing."""
         fields = fields or {}
         check_fields(fields)
-        digest = None if payload is None else \
-            crypto.digest(codec.canonical_encode(payload))[:8].hex()
+        if payload is not None:
+            digest = crypto.digest(codec.canonical_encode(payload))
         keys = tuple(fields)
         ev = tuple.__new__(TraceEvent, [
-            self.now, actor, event, digest,
+            self.now, actor, event, digest and digest[:8].hex(),
             self._field_keys.setdefault(keys, keys), *fields.values()])
         self.trace.events.append(ev)
         return ev
@@ -220,10 +222,9 @@ class Simulation:
             raise ChannelClosed(f"channel {channel.id} is closed")
         direction = channel._dirs[sender]
         env = Envelope(channel.id, direction.next_seq, body)
-        # Encoded before it is queued, so a body the codec refuses is never
-        # sent. Encoding the envelope leaves the body's bytes kept on the
-        # body, so the sent event's digest reads them without encoding it
-        # again.
+        # Encoded once, before it is queued, so a body the codec refuses is
+        # never sent; the sent event's digest covers the body's bytes read
+        # out of this encoding.
         wire = codec.canonical_encode(env)
         direction.next_seq += 1
         direction.queue.append(env)
@@ -231,7 +232,7 @@ class Simulation:
         self.wire_log.append((type(body).__name__, wire))
         self.emit(sender, "netsim.sent",
                   {"msg": type(body).__name__, "ch": channel.id, "seq": env.seq},
-                  payload=body)
+                  digest=crypto.digest(codec.union_tail(wire)))
         return env
 
     # -- event loop ---------------------------------------------------------------

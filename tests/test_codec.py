@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import re
 import types
@@ -263,7 +264,6 @@ def reference_encode(value, typ=None) -> bytes:
     value is TAG_UNION around its member's index among the non-None
     members, as a TAG_UINT, then the value."""
     if (isinstance(typ, type) and issubclass(typ, Enum)
-            and not issubclass(typ, (int, str, bytes))
             and value is not None and type(value) is not typ):
         raise codec.CodecError(f"{type(value).__name__} is not a member")
     if typ is not None:
@@ -297,6 +297,9 @@ def reference_encode(value, typ=None) -> bytes:
             return _ref_frame(codec.TAG_LIST, b"".join(items))
     if value is None:
         return _ref_frame(codec.TAG_NONE, b"")
+    if isinstance(value, Enum):
+        return _ref_frame(codec.TAG_ENUM,
+                          _ref_index(list(type(value)).index(value)))
     if isinstance(value, bool):
         return _ref_frame(codec.TAG_BOOL, b"\x01" if value else b"\x00")
     if isinstance(value, int):
@@ -304,13 +307,10 @@ def reference_encode(value, typ=None) -> bytes:
             raise codec.CodecError("negative integers are not encodable")
         return _ref_frame(codec.TAG_UINT,
                           value.to_bytes((value.bit_length() + 7) // 8, "big"))
-    if isinstance(value, (bytes, bytearray)):
-        return _ref_frame(codec.TAG_BYTES, bytes(value))
+    if isinstance(value, bytes):
+        return _ref_frame(codec.TAG_BYTES, value)
     if isinstance(value, str):
         return _ref_frame(codec.TAG_STR, value.encode("utf-8"))
-    if isinstance(value, Enum):
-        return _ref_frame(codec.TAG_ENUM,
-                          _ref_index(list(type(value)).index(value)))
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         hints = typing.get_type_hints(type(value))
         return _ref_frame(codec.TAG_STRUCT, b"".join(
@@ -381,12 +381,39 @@ def test_compiled_encoder_matches_reference(cls, data):
 def test_wire_bytes_frame_the_body_bytes(body_type, data):
     body = data.draw(values_of(body_type))
     env = Envelope(channel_id=3, seq=9, body=body)
-    # The body keeps its bytes, which the envelope's encoding then frames;
-    # Simulation.send's trace digest reads them back from the body.
-    body_bytes = codec.canonical_encode(body)
+    # Simulation.send's trace digest covers the body's bytes, read out of
+    # the envelope's encoding: they are the body's own encoding.
     wire = codec.canonical_encode(env)
     assert wire == reference_encode(env)
-    assert body_bytes in wire
+    assert codec.union_tail(wire) == codec.canonical_encode(body)
+
+
+@pytest.mark.parametrize("body_type", BODY_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_body_bytes_of_damaged_wire_bytes_raise_only_decode_error(
+        body_type, data):
+    # Truncated or extended wire bytes are refused; edited ones give some
+    # bytes or are refused, and with DecodeError, never another error.
+    wire = codec.canonical_encode(
+        Envelope(3, 9, data.draw(values_of(body_type))))
+    cut = data.draw(st.integers(0, len(wire) - 1), label="bytes kept")
+    for damaged in (wire[:cut], wire + wire[cut:cut + 1]):
+        with pytest.raises(codec.DecodeError):
+            codec.union_tail(damaged)
+    edited = bytearray(wire)
+    i = data.draw(st.integers(0, len(wire) - 1), label="edited byte")
+    edit = data.draw(st.sampled_from(["flip", "insert", "delete"]))
+    if edit == "flip":
+        edited[i] ^= data.draw(st.integers(1, 255), label="flipped bits")
+    elif edit == "insert":
+        edited.insert(i, data.draw(st.integers(0, 255), label="inserted"))
+    else:
+        del edited[i]
+    try:
+        codec.union_tail(bytes(edited))
+    except codec.DecodeError:
+        pass
 
 
 @settings(max_examples=100, deadline=None)
@@ -475,6 +502,19 @@ class Flavour(str, Enum):
     SWEET = "sweet"
 
 
+class Tasted(Enum):
+    SWEET = "sweet"
+
+
+@dataclass(frozen=True)
+class Cake:
+    flavour: Flavour
+
+
+class Strings(list):
+    pass
+
+
 @dataclass(frozen=True)
 class Measured:
     weight: float
@@ -543,10 +583,21 @@ def test_struct_bytes_requires_a_dataclass_instance():
 
 
 def test_builtin_subclasses_encode_as_the_builtin():
-    # isinstance precedence of the interpreter: a str-valued enum is a str.
-    for value in (Flavour.SWEET, bytearray(b"ab"), True, [Flavour.SWEET, 0]):
+    # Only bool, of the builtins' subclasses, encodes as a builtin (its
+    # own): a member of a str-valued enum encodes as that enum, and a
+    # bytearray or a subclass of list with no declared type is refused.
+    for value in (True, Flavour.SWEET, [Flavour.SWEET, 0]):
         assert codec.canonical_encode(value) == reference_encode(value)
-    assert codec.canonical_encode(Flavour.SWEET) == codec.canonical_encode("sweet")
+    assert codec.canonical_encode(Flavour.SWEET) == codec.canonical_encode(
+        Tasted.SWEET) != codec.canonical_encode("sweet")
+    for value in (bytearray(b"ab"), Strings(["x"]), [Strings()]):
+        with pytest.raises(codec.CodecError, match=UNENCODABLE):
+            codec.canonical_encode(value)
+
+
+def test_str_valued_enum_where_it_is_declared_round_trips():
+    value = Cake(Flavour.SWEET)
+    assert codec.canonical_decode(codec.canonical_encode(value), Cake) == value
 
 
 # -- a value encodes only as its declared type ---------------------------------
@@ -603,12 +654,12 @@ def test_every_encoding_decodes_to_its_value(cls, data):
     assert codec.canonical_decode(blob, cls) == mutated
 
 
-# -- encodings kept on frozen values -------------------------------------------
+# -- encoding keeps nothing on a value -----------------------------------------
 
-MEMO_TYPES = [Envelope, *BODY_TYPES]
+WIRE_TYPES = [Envelope, *BODY_TYPES]
 
 
-@pytest.mark.parametrize("cls", MEMO_TYPES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", WIRE_TYPES, ids=lambda cls: cls.__name__)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_kept_encodings_match_reference(cls, data):
@@ -634,7 +685,7 @@ def _tuple_fields(cls) -> list[str]:
             if typing.get_origin(typ) is tuple]
 
 
-@pytest.mark.parametrize("cls", [c for c in MEMO_TYPES if _tuple_fields(c)],
+@pytest.mark.parametrize("cls", [c for c in WIRE_TYPES if _tuple_fields(c)],
                          ids=lambda cls: cls.__name__)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -667,22 +718,45 @@ def test_mutable_values_inside_frozen_values_refused():
                   dataclasses.replace(sample(), pair=["k", b"v"])):
         with pytest.raises(codec.CodecError, match="given for"):
             codec.canonical_encode(value)
-    # Outside a frozen value the same values encode as their own classes.
-    assert codec.canonical_encode([Loose("x"), bytearray(b"n")]) \
-        == reference_encode([Loose("x"), bytearray(b"n")])
+    # Outside a frozen value the dataclass encodes as its own class, and
+    # the bytearray, a subclass of no declared type, is refused.
+    assert codec.canonical_encode([Loose("x")]) == reference_encode([Loose("x")])
+    with pytest.raises(codec.CodecError, match=UNENCODABLE):
+        codec.canonical_encode([Loose("x"), bytearray(b"n")])
 
 
-def test_only_deeply_immutable_dataclasses_keep_encodings():
-    assert all(codec._immutable(cls) for cls in MEMO_TYPES)
-    assert codec._immutable(Inner) and codec._immutable(Either)
-    assert not codec._immutable(Sample)     # list[Inner] field
-    assert not codec._immutable(Measured)   # float field
-    assert not codec._immutable(Loose)      # not frozen
-    kept = Inner("x", (True,))
-    assert codec.canonical_encode(kept) is codec.canonical_encode(kept)
-    value = sample()
-    codec.canonical_encode(value)
-    assert vars(value).keys() == {f.name for f in dataclasses.fields(Sample)}
+def _fields_and_ids(cls) -> set[str]:
+    """The names of ``cls``'s fields and of its own cached ids."""
+    return {f.name for f in dataclasses.fields(cls)} | {
+        name for name, attr in vars(cls).items()
+        if isinstance(attr, functools.cached_property)}
+
+
+def _dataclass_values(value):
+    """``value`` and every dataclass value it holds, at any depth."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        for f in dataclasses.fields(value):
+            yield from _dataclass_values(getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _dataclass_values(item)
+
+
+@pytest.mark.parametrize("cls", WIRE_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_codec_keeps_nothing_on_a_value(cls, data):
+    # Encoding, signing input, sealing and unsealing write nothing to any
+    # value they read, nested ones included.
+    value = data.draw(values_of(cls))
+    last = dataclasses.fields(cls)[-1].name
+    codec.canonical_encode(Envelope(1, 2, value) if cls in BODY_TYPES else value)
+    codec.struct_bytes(value)
+    sealed = codec.seal(value, lambda tbs: getattr(value, last))
+    assert codec.unseal(sealed) == (codec.struct_bytes(value), getattr(value, last))
+    for held in [*_dataclass_values(value), *_dataclass_values(sealed)]:
+        assert vars(held).keys() <= _fields_and_ids(type(held))
 
 
 # -- signed values, sealed and unsealed ----------------------------------------

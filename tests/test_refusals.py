@@ -77,6 +77,8 @@ def refused_answer(world, kind: str, refusal: Refusal):
             PendingTransfer(payload)
         return vasp9, vasp7, TravelRuleResponse(1, refusal, None)
     if kind == "LookupResponse":
+        # As remote_lookup does for the request it sends.
+        vasp7._lookups_out.add((world.channel_between(vasp9, vasp7).id, 1))
         return vasp9, vasp7, LookupResponse(1, (), refusal)
     if kind == "ClaimsAuthResponse":
         return world.auth_servers["alice"], vasp7, \
@@ -243,6 +245,32 @@ def test_unsolicited_travel_rule_answer_is_refused(demo_config):
          {"from": vasp9.name, "transfer": number,
           "reason": "unsolicited_answer"}) for number in (1, 77)]
     assert {key: p.state for key, p in vasp7.pending.items()} == settled
+    reparses_exactly(world.sim.trace.events)
+
+
+def test_unsolicited_lookup_answer_is_refused(world):
+    # VASP 9 answers lookup 77, which VASP 7 never asked; then, with VASP
+    # 7's lookup 1 out to VASP 3, answers lookup 1 before VASP 3 does and
+    # again after. Only VASP 3's answer is taken; each other is refused
+    # once, naming its sender and the number it gave.
+    vasp3, vasp7, vasp9 = world.vasps[3], world.vasps[7], world.vasps[9]
+    hostile = world.channel_between(vasp9, vasp7)
+    since = len(world.sim.trace.events)
+    world.sim.send(hostile, vasp9.name, LookupResponse(77, (3, 9), None))
+    world.sim.run_until_quiet()
+    vasp7.remote_lookup(world.channel_between(vasp7, vasp3), "bob@idp2.com", 1)
+    world.sim.send(hostile, vasp9.name, LookupResponse(1, (9,), None))
+    world.sim.run_until_quiet()
+    world.sim.send(hostile, vasp9.name, LookupResponse(1, (9,), None))
+    world.sim.run_until_quiet()
+    assert [(e.event, e.fields) for e in events_of(world, vasp7.name, since)
+            if e.event.startswith("resolver.")] == [
+        ("resolver.lookup_refused",
+         {"from": vasp9.name, "request": number,
+          "reason": "unsolicited_answer"}) for number in (77, 1, 1)]
+    # VASP 3, not federated yet, knows no holder of Bob's identifier.
+    assert vasp7.remote_lookups == [LookupResponse(1, (), None)]
+    assert vasp7._lookups_out == set()
     reparses_exactly(world.sim.trace.events)
 
 
