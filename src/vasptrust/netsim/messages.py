@@ -7,6 +7,11 @@ encode anything but a member there, and ``canonical_decode`` refuses
 anything but a member's declaration index, so no peer text reaches the
 receiver's trace; the trace's rendering rule (``netsim.trace``) keeps its
 parsing exact. An answer whose ``refusal`` is None is not refused.
+
+An answer's first field, ``answers``, is the ``seq`` of its request's
+envelope on the same channel, as a DNS response names its query by ID
+(RFC 1035 §4.1.1); ``ANSWER`` gives each request type its answer type.
+``Node.handle`` refuses any other answer once.
 """
 
 from __future__ import annotations
@@ -28,24 +33,22 @@ class TravelRuleRequest:
 
 @dataclass(frozen=True)
 class TravelRuleResponse:
-    """Answers, on the channel it came in on, the request of transfer number
-    ``ack_transfer_number``; only what it changes in that request travels."""
+    """Only what the answer changes in its request travels."""
 
-    ack_transfer_number: int
+    answers: int
     refusal: Refusal | None
     answer: SignedAnswer | None
 
 
 @dataclass(frozen=True)
 class LookupRequest:
-    request_seq: int
     identifier: str
 
 
 @dataclass(frozen=True)
 class LookupResponse:
     # Numbers only: the shape of this message cannot carry key material.
-    request_seq: int
+    answers: int
     vasp_numbers: tuple[int, ...]
     refusal: Refusal | None
 
@@ -68,6 +71,7 @@ class ClaimsAuthRequest:
 
 @dataclass(frozen=True)
 class ClaimsAuthResponse:
+    answers: int
     token: AuthorizationToken | None
     refusal: Refusal | None
 
@@ -83,6 +87,7 @@ class ClaimsFetchRequest:
 
 @dataclass(frozen=True)
 class ClaimsFetchResponse:
+    answers: int
     claims: tuple[SignedClaim, ...]
     receipt: ConsentReceipt | None
     refusal: Refusal | None
@@ -96,7 +101,7 @@ class AttestationChallenge:
 
 @dataclass(frozen=True)
 class AttestationResponse:
-    device_id: str
+    answers: int
     evidence: AttestationEvidence | None
     refusal: Refusal | None
 
@@ -115,3 +120,8 @@ MessageBody = Union[
     AttestationChallenge,
     AttestationResponse,
 ]
+
+ANSWER = {TravelRuleRequest: TravelRuleResponse, LookupRequest: LookupResponse,
+          ClaimsAuthRequest: ClaimsAuthResponse,
+          ClaimsFetchRequest: ClaimsFetchResponse,
+          AttestationChallenge: AttestationResponse}

@@ -8,6 +8,11 @@ looks a delivered body's type up in the class's ``HANDLERS``. A refusal
 names a ``pki.Refusal``; one a peer sends is recorded as
 ``reason=peer_refused`` with the peer's member as ``peer_reason``.
 
+A node sends each request with ``Node.ask``, which keeps it in the one
+table ``asked`` by channel and envelope seq. An answer names its
+request's seq on the same channel: ``Node.handle`` takes the entry out
+before the answer's handler runs, and refuses any other answer once.
+
 A VASP's ``pending`` table holds only its open transfers; a settled one
 stays on record in its payload and correlation stores and the trace. The
 payload store is a list of records, not of live payloads: each is the
@@ -43,7 +48,8 @@ class Node:
     """Channel-capable actor bound to an EV identity certificate, in
     simulation ``sim``, trusting what ``trust`` holds."""
 
-    # Body type -> the method that handles it, per class.
+    # Body type -> the method that handles it, per class. An answer's
+    # handler also takes the context its request was asked with.
     HANDLERS: dict[type, Callable[..., None]] = {}
 
     def __init__(self, sim: Simulation, name: str,
@@ -55,18 +61,34 @@ class Node:
         self.identity_cert = identity_cert
         self._identity_key = identity_key
         self.trust = trust
+        # (channel id, seq of a request sent) -> (its answer type, context).
+        self.asked: dict[tuple[int, int], tuple[type, object]] = {}
 
     def prove_possession(self, challenge: bytes) -> bytes:
         return crypto.sign(self._identity_key.private_key, challenge)
 
+    def ask(self, channel: SecureChannel, body: msg.MessageBody,
+            context: object) -> None:
+        """Send the request ``body`` and await its answer over ``channel``,
+        to be handled with ``context``."""
+        env = self.sim.send(channel, self.name, body)
+        self.asked[channel.id, env.seq] = (msg.ANSWER[type(body)], context)
+
     def handle(self, channel: SecureChannel, env: Envelope) -> None:
-        handler = self.HANDLERS.get(type(env.body))
+        kind = type(env.body)
+        handler = self.HANDLERS.get(kind)
         if handler is None:
-            self._refused("netsim.refused", {"msg": type(env.body).__name__,
+            self._refused("netsim.refused", {"msg": kind.__name__,
                                              "from": channel.other(self.name)},
                           Refusal.UNEXPECTED_MESSAGE)
-        else:
+        elif kind not in _ANSWERS:
             handler(self, channel, env)
+        elif self.asked.get(key := (channel.id, env.body.answers), (None,))[0] is kind:
+            handler(self, channel, env, self.asked.pop(key)[1])
+        else:
+            self._refused("netsim.refused", {
+                "msg": kind.__name__, "from": channel.other(self.name),
+                "answers": env.body.answers}, Refusal.UNSOLICITED_ANSWER)
 
     def _refused(self, event: str, fields: dict, reason: Refusal, *,
                  by_peer: bool = False) -> None:
@@ -82,6 +104,8 @@ class Node:
         receive over ``channel``, opened it with."""
         return channel.peer_cert(channel.other(self.name)).subject.vasp_number
 
+
+_ANSWERS = frozenset(msg.ANSWER.values())
 
 # "k/n" for k of the n required payload fields present, indexed by k.
 _PRESENT = tuple(f"{k}/{len(travel_rule.REQUIRED_FIELDS)}"
@@ -162,17 +186,13 @@ class VaspNode(Node):
         # (direction, canonical SignedPayload bytes) records.
         self.payload_store: list[tuple[str, bytes]] = []
         self.supervision: dict[str, wallet.SupervisionRecord] = {}
-        # Open transfers by payload id, in initiation order, and by the
-        # transfer number answers name; the count of transfers started.
+        # Open transfers by payload id, in initiation order; the count of
+        # transfers started.
         self.pending: dict[bytes, PendingTransfer] = {}
-        self._numbered: dict[int, PendingTransfer] = {}
         self.transfers_started = 0
         self.remote_lookups: list[msg.LookupResponse] = []
-        self._lookups_out: set[tuple[int, int]] = set()  # (channel, request)
         self.claims_token: claims_mod.AuthorizationToken | None = None
         self.claims_denial: Refusal | None = None
-        self._claims_asked: dict[int, msg.ClaimsAuthRequest] = {}  # by channel
-        self._claims_fetching: set[int] = set()  # channels with a fetch out
         self.fetched_claims: list[claims_mod.SignedClaim] = []
         self.consent_receipts: list[claims_mod.ConsentReceipt] = []
 
@@ -327,9 +347,8 @@ class VaspNode(Node):
             self._refuse(payload, Refusal.ORIGINATOR_CONSENT_MISSING)
             return None
         signed = self._sign_outbound(payload)
-        self.pending[payload.payload_id] = \
-            self._numbered[payload.transfer_number] = PendingTransfer(payload)
-        self.sim.send(channel, self.name, msg.TravelRuleRequest(signed))
+        pending = self.pending[payload.payload_id] = PendingTransfer(payload)
+        self.ask(channel, msg.TravelRuleRequest(signed), pending)
         return payload
 
     def _sign_outbound(self, payload: TravelRulePayload) -> SignedPayload:
@@ -347,21 +366,16 @@ class VaspNode(Node):
         """End an open transfer in ``state``: it leaves ``pending``."""
         pending.state = state
         del self.pending[pending.payload.payload_id]
-        del self._numbered[pending.payload.transfer_number]
 
     def _refuse(self, payload: TravelRulePayload, reason: Refusal,
                 pending: PendingTransfer | None = None, *,
-                answer: SecureChannel | None = None,
                 by_peer: bool = False) -> None:
         """Emit the refusal of the transfer of ``payload``, after ending an
-        open ``pending`` entry ``refused``, before answering over ``answer``."""
+        open ``pending`` entry ``refused``."""
         if pending is not None:
             self._settle(pending, "refused")
         self._refused("travel_rule.transfer_refused",
                       {"payload": payload.short_id}, reason, by_peer=by_peer)
-        if answer is not None:
-            self.sim.send(answer, self.name, msg.TravelRuleResponse(
-                payload.transfer_number, reason, None))
 
     def _verify_counterparty_payload(self, signed: SignedPayload,
                                      signer: int) -> bool:
@@ -375,31 +389,39 @@ class VaspNode(Node):
 
     def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
         signed: SignedPayload = env.body.signed
+        answer = self._answer(channel, signed)
+        if isinstance(answer, Refusal):
+            self._refuse(signed.payload, answer)
+            self.sim.send(channel, self.name,
+                          msg.TravelRuleResponse(env.seq, answer, None))
+        else:
+            self.sim.send(channel, self.name, msg.TravelRuleResponse(
+                env.seq, None, travel_rule.answer_delta(answer)))
+
+    def _answer(self, channel: SecureChannel,
+                signed: SignedPayload) -> SignedPayload | Refusal:
+        """Our signed answer to the request ``signed``, stored, or why the
+        request is refused."""
         payload = signed.payload
         # The signer is the originator the payload names; that originator
         # is the channel peer, and the payload is addressed to us.
         if not self._verify_counterparty_payload(
                 signed, payload.originating_vasp_number):
-            self._refuse(payload, Refusal.INVALID_PAYLOAD, answer=channel)
-            return
+            return Refusal.INVALID_PAYLOAD
         if (payload.originating_vasp_number
                 != self._peer_number(channel)
                 or payload.beneficiary_vasp_number != self.vasp_number):
-            self._refuse(payload, Refusal.MISADDRESSED_PAYLOAD, answer=channel)
-            return
+            return Refusal.MISADDRESSED_PAYLOAD
         try:
             ident = parse_identifier(payload.beneficiary_account)
         except Unparseable:
-            self._refuse(payload, Refusal.UNPARSEABLE_BENEFICIARY, answer=channel)
-            return
+            return Refusal.UNPARSEABLE_BENEFICIARY
         holders = sorted(self.resolver.local_customers_for(ident))
         if not holders:
-            self._refuse(payload, Refusal.BENEFICIARY_UNKNOWN, answer=channel)
-            return
+            return Refusal.BENEFICIARY_UNKNOWN
         beneficiary = self.customers[holders[0]]
         if beneficiary.legal_name != payload.beneficiary_name:
-            self._refuse(payload, Refusal.BENEFICIARY_NAME_MISMATCH, answer=channel)
-            return
+            return Refusal.BENEFICIARY_NAME_MISMATCH
         consent = self.consents.check(beneficiary.customer_id,
                                       ConsentDirection.RECEIVE_ASSETS,
                                       payload.originating_vasp_number, self.sim.now)
@@ -407,30 +429,16 @@ class VaspNode(Node):
             "customer": beneficiary.customer_id,
             "direction": ConsentDirection.RECEIVE_ASSETS.value, "ok": consent})
         if not consent:
-            self._refuse(payload, Refusal.BENEFICIARY_CONSENT_MISSING, answer=channel)
-            return
+            return Refusal.BENEFICIARY_CONSENT_MISSING
         self._record("inbound", signed)
-        answer = self._sign_outbound(travel_rule.answer_payload(
+        return self._sign_outbound(travel_rule.answer_payload(
             payload, beneficiary, self.tx_key.public_key))
-        self.sim.send(channel, self.name, msg.TravelRuleResponse(
-            payload.transfer_number, None, travel_rule.answer_delta(answer)))
 
-    def _on_travel_rule_response(self, channel: SecureChannel, env: Envelope) -> None:
+    def _on_travel_rule_response(self, channel: SecureChannel, env: Envelope,
+                                 pending: PendingTransfer) -> None:
         body: msg.TravelRuleResponse = env.body
-        pending = self._numbered.get(body.ack_transfer_number)
-        if pending is None or pending.state != "requested":
-            # No open transfer of ours has that number: the refusal names
-            # the sender and the number, as no payload of ours is answered.
-            self._refused("travel_rule.transfer_refused", {
-                "from": channel.other(self.name),
-                "transfer": body.ack_transfer_number}, Refusal.UNSOLICITED_ANSWER)
-            return
         payload = pending.payload
         asked = payload.beneficiary_vasp_number
-        # Not from the VASP asked (a number is easily guessed): it stays open.
-        if self._peer_number(channel) != asked:
-            self._refuse(payload, Refusal.MISADDRESSED_PAYLOAD)
-            return
         if body.refusal is not None:
             self._refuse(payload, body.refusal, pending, by_peer=True)
             return
@@ -509,11 +517,8 @@ class VaspNode(Node):
 
     # -- remote resolver API ---------------------------------------------------------
 
-    def remote_lookup(self, channel: SecureChannel, identifier: str,
-                      request_seq: int) -> None:
-        self._lookups_out.add((channel.id, request_seq))
-        self.sim.send(channel, self.name,
-                      msg.LookupRequest(request_seq, identifier))
+    def remote_lookup(self, channel: SecureChannel, identifier: str) -> None:
+        self.ask(channel, msg.LookupRequest(identifier), None)
 
     def _on_lookup_request(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.LookupRequest = env.body
@@ -534,19 +539,14 @@ class VaspNode(Node):
             self._refused("resolver.remote_lookup",
                           {"caller": caller, "vasps": hits}, refusal)
         self.sim.send(channel, self.name,
-                      msg.LookupResponse(body.request_seq, tuple(hits), refusal))
+                      msg.LookupResponse(env.seq, tuple(hits), refusal))
 
-    def _on_lookup_response(self, channel: SecureChannel, env: Envelope) -> None:
+    def _on_lookup_response(self, channel: SecureChannel, env: Envelope,
+                            _: None) -> None:
         body: msg.LookupResponse = env.body
-        sender = channel.other(self.name)
-        if (channel.id, body.request_seq) not in self._lookups_out:
-            self._refused("resolver.lookup_refused", {
-                "from": sender, "request": body.request_seq},
-                Refusal.UNSOLICITED_ANSWER)
-            return
-        self._lookups_out.remove((channel.id, body.request_seq))
         if body.refusal is not None:
-            self._refused("resolver.lookup_refused", {"from": sender},
+            self._refused("resolver.lookup_refused",
+                          {"from": channel.other(self.name)},
                           body.refusal, by_peer=True)
         self.remote_lookups.append(body)
 
@@ -557,8 +557,7 @@ class VaspNode(Node):
                                      purpose: str) -> None:
         """Ask for a token; only one scoped as asked is taken."""
         request = msg.ClaimsAuthRequest(attributes, purpose)
-        self._claims_asked[channel.id] = request
-        self.sim.send(channel, self.name, request)
+        self.ask(channel, request, request)
 
     def fetch_claims(self, channel: SecureChannel) -> None:
         token = self.claims_token
@@ -568,18 +567,17 @@ class VaspNode(Node):
                                 claims_mod.terms_bytes(token))
         self.sim.emit(self.name, "claims.terms_accepted", {
             "token": _short(token.token_id), "purpose": token.purpose})
-        self._claims_fetching.add(channel.id)
-        self.sim.send(channel, self.name, msg.ClaimsFetchRequest(
-            token, signature, self.certs.claims.serial))
+        self.ask(channel, msg.ClaimsFetchRequest(
+            token, signature, self.certs.claims.serial), None)
 
-    def _on_claims_auth_response(self, channel: SecureChannel, env: Envelope) -> None:
+    def _on_claims_auth_response(self, channel: SecureChannel, env: Envelope,
+                                 asked: msg.ClaimsAuthRequest) -> None:
         body: msg.ClaimsAuthResponse = env.body
-        asked = self._claims_asked.pop(channel.id, None)
         token = body.token
         if body.refusal is not None:
             self.claims_denial = body.refusal
             self._refused("claims.token_denied", {}, body.refusal, by_peer=True)
-        elif (token is None or asked is None
+        elif (token is None
               or token.audience_vasp_number != self.vasp_number
               or token.purpose != asked.purpose
               or set(token.permitted_attributes) != set(asked.attributes)):
@@ -590,13 +588,9 @@ class VaspNode(Node):
                 "token": _short(token.token_id),
                 "attrs": list(token.permitted_attributes)}, payload=token)
 
-    def _on_claims_fetch_response(self, channel: SecureChannel, env: Envelope) -> None:
+    def _on_claims_fetch_response(self, channel: SecureChannel, env: Envelope,
+                                  _: None) -> None:
         body: msg.ClaimsFetchResponse = env.body
-        if channel.id not in self._claims_fetching:
-            self._refused("claims.fetch_refused", {"from": channel.other(self.name)},
-                          Refusal.UNSOLICITED_ANSWER)
-            return
-        self._claims_fetching.remove(channel.id)
         if body.refusal is not None:
             self._refused("claims.fetch_refused", {}, body.refusal, by_peer=True)
             return
@@ -690,7 +684,7 @@ class VaspNode(Node):
             self._refused("attest.challenge_refused",
                           {"from": channel.other(self.name)}, refusal)
         self.sim.send(channel, self.name,
-                      msg.AttestationResponse(body.device_id, evidence, refusal))
+                      msg.AttestationResponse(env.seq, evidence, refusal))
 
     HANDLERS = {
         msg.TravelRuleRequest: _on_travel_rule_request,
@@ -726,14 +720,14 @@ class AuthServerNode(Node):
         if isinstance(result, Refusal):
             self._refused("claims.token_denied", {"caller": caller}, result)
             self.sim.send(channel, self.name,
-                          msg.ClaimsAuthResponse(None, result))
+                          msg.ClaimsAuthResponse(env.seq, None, result))
         else:
             self.sim.emit(self.name, "claims.token_issued", {
                 "caller": caller, "token": _short(result.token_id),
                 "attrs": list(result.permitted_attributes),
                 "expires": result.expires_at}, payload=result)
             self.sim.send(channel, self.name,
-                          msg.ClaimsAuthResponse(result, None))
+                          msg.ClaimsAuthResponse(env.seq, result, None))
 
     HANDLERS = {msg.ClaimsAuthRequest: _on_claims_auth_request}
 
@@ -772,7 +766,7 @@ class ClaimsStoreNode(Node):
         if refusal is not None:
             self._refused("claims.fetch_refused", {}, refusal)
             self.sim.send(channel, self.name,
-                          msg.ClaimsFetchResponse((), None, refusal))
+                          msg.ClaimsFetchResponse(env.seq, (), None, refusal))
             return
         self.sim.emit(self.name, "claims.claims_released", {
             "vasp": token.audience_vasp_number,
@@ -782,7 +776,7 @@ class ClaimsStoreNode(Node):
             "receipt": _short(receipt.receipt_id),
             "token": _short(receipt.token_id)}, payload=receipt)
         self.sim.send(channel, self.name, msg.ClaimsFetchResponse(
-            tuple(released), receipt, None))
+            env.seq, tuple(released), receipt, None))
 
     HANDLERS = {msg.ClaimsFetchRequest: _on_claims_fetch_request}
 
@@ -798,43 +792,32 @@ class InsurerNode(Node):
         super().__init__(sim, f"insurer:{name}", identity_cert, identity_key,
                          trust)
         self.approved_stacks = approved_stacks
-        # Device id -> (id of the channel its challenge went out on, nonce).
-        self.pending_nonces: dict[str, tuple[int, bytes]] = {}
         self.audit_verdicts: dict[str, wallet.VerifierVerdict] = {}
 
     def request_audit(self, channel: SecureChannel, device_id: str) -> None:
         nonce = self.sim.nonce()
-        self.pending_nonces[device_id] = (channel.id, nonce)
         self.sim.emit(self.name, "attest.audit_requested",
                       {"device": device_id, "via": channel.other(self.name)})
-        self.sim.send(channel, self.name,
-                      msg.AttestationChallenge(device_id, nonce))
+        self.ask(channel, msg.AttestationChallenge(device_id, nonce),
+                 (device_id, nonce))
 
-    def _on_attestation_response(self, channel: SecureChannel, env: Envelope) -> None:
+    def _on_attestation_response(self, channel: SecureChannel, env: Envelope,
+                                 asked: tuple[str, bytes]) -> None:
         body: msg.AttestationResponse = env.body
-        pending = self.pending_nonces.get(body.device_id)
-        if pending is None or pending[0] != channel.id:
-            # No challenge of ours names this device over this channel: the
-            # answer's text is not ours to record, so the refusal names its
-            # sender, and a challenge sent elsewhere stays pending.
-            self._refused("attest.audit_refused", {"from": channel.other(self.name)},
-                          Refusal.UNSOLICITED_ANSWER)
-            return
-        del self.pending_nonces[body.device_id]
-        nonce = pending[1]
+        device_id, nonce = asked
         if body.refusal is not None or body.evidence is None:
             self._refused("attest.audit_verdict",
-                          {"device": body.device_id, "passed": False},
+                          {"device": device_id, "passed": False},
                           body.refusal or Refusal.NO_EVIDENCE,
                           by_peer=body.refusal is not None)
             return
-        device_key = self.trust.device_attestation_keys.get(body.device_id, b"")
+        device_key = self.trust.device_attestation_keys.get(device_id, b"")
         verdict = wallet.verify_evidence(body.evidence, nonce, device_key,
                                          self.approved_stacks)
-        self.audit_verdicts[body.device_id] = verdict
+        self.audit_verdicts[device_id] = verdict
         findings = "; ".join(verdict.key_findings) or "none"
         self.sim.emit(self.name, "attest.audit_verdict", {
-            "device": body.device_id, "passed": verdict.passed,
+            "device": device_id, "passed": verdict.passed,
             "signature_ok": verdict.signature_ok,
             "nonce_fresh": verdict.nonce_fresh,
             "stack_approved": verdict.stack_approved,

@@ -300,7 +300,7 @@ def scenario_s3(world: World) -> None:
             break
     if target is not None and requester is not responder:
         channel = world.channel_between(requester, responder)
-        requester.remote_lookup(channel, target, request_seq=1)
+        requester.remote_lookup(channel, target)
         sim.run_until_quiet()
         responses = requester.remote_lookups
         world.assert_that(

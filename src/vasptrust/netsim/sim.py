@@ -8,7 +8,8 @@ duplicate and reorder faults are recovered through retransmission and
 per-direction sequence numbers, so handlers always observe messages once
 and in order. Every send is logged to the trace and to a wire log holding
 the canonical envelope bytes. An envelope is ``(channel_id, seq, body)``:
-its sender is the channel's other endpoint, never a wire field.
+its sender is the channel's other endpoint, never a wire field. An answer
+names its request's seq on the same channel (``Node.handle``).
 
 The world owns its actors; the simulator only refers to them. A handler or
 tick hook that is a bound method is kept as a weak reference to its object

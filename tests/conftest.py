@@ -71,6 +71,14 @@ def sent_envelopes(sim) -> list[tuple[TraceEvent, Envelope]]:
     return list(zip(sent, envelopes))
 
 
+def asked_seq(node, context) -> int:
+    """The seq of the one open request ``node`` asked with ``context``:
+    the number its answer must name."""
+    (seq,) = [seq for (_, seq), (_, asked) in node.asked.items()
+              if asked is context]
+    return seq
+
+
 @pytest.fixture
 def root() -> pki.RootAuthority:
     return pki.create_consortium_root("TestNet", seed("root"))

@@ -205,7 +205,7 @@ def test_resolver_privacy_structural_and_traces(demo_config):
     # Structural: the response type is made of ints and a closed refusal
     # code; nothing can carry key bytes.
     hints = typing.get_type_hints(LookupResponse)
-    assert hints == {"request_seq": int, "vasp_numbers": tuple[int, ...],
+    assert hints == {"answers": int, "vasp_numbers": tuple[int, ...],
                      "refusal": pki.Refusal | None}
 
     carol_key_hex = next(
@@ -223,7 +223,7 @@ def test_resolver_privacy_structural_and_traces(demo_config):
     _, world = run_scenario_with_world("S3", demo_config)
     requester, responder = world.vasps[9], world.vasps[7]
     channel = world.channel_between(requester, responder)
-    requester.remote_lookup(channel, f"key:{carol_key_hex}", request_seq=99)
+    requester.remote_lookup(channel, f"key:{carol_key_hex}")
     world.sim.run_until_quiet()
     assert [list(r.vasp_numbers) for r in requester.remote_lookups[-1:]] == [[7]]
     worlds.append(world)

@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from conftest import sent_envelopes, wire_envelopes
+from conftest import asked_seq, sent_envelopes, wire_envelopes
 from vasptrust import claims, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.netsim import build_world, run_scenario_with_world
@@ -38,13 +38,13 @@ def world(demo_config):
 
 
 def signed_by(world, signer: int, originator: int, beneficiary: int,
-              amount: int = 10) -> tr.SignedPayload:
-    """A payload from Alice to Bob naming the given VASPs, signed with
-    VASP ``signer``'s own valid claims key."""
+              amount: int = 10, name: str = "Bob Jones",
+              account: str = "bob@idp2.com") -> tr.SignedPayload:
+    """A payload from Alice to ``name`` at ``account`` (Bob's), naming the
+    given VASPs, signed with VASP ``signer``'s own valid claims key."""
     node = world.vasps[signer]
-    payload = tr.build_payload(world.vasps[7].customers["alice"], "Bob Jones",
-                               "bob@idp2.com", beneficiary, amount, originator,
-                               1)
+    payload = tr.build_payload(world.vasps[7].customers["alice"], name,
+                               account, beneficiary, amount, originator, 1)
     return tr.sign_payload(node.claims_key.private_key, node.certs.claims,
                            payload, world.trust)
 
@@ -54,10 +54,15 @@ def send(world, sender: int, receiver: int, body) -> None:
     world.sim.send(world.channel_between(a, b), a.name, body)
 
 
-def refusals(world, vasp: int) -> list[str]:
-    return [e.get("reason")
-            for e in world.sim.trace.find("travel_rule.transfer_refused")
+def refusals(world, vasp: int, event: str = "travel_rule.transfer_refused"
+             ) -> list[str]:
+    return [e.get("reason") for e in world.sim.trace.find(event)
             if e.actor == world.vasps[vasp].name]
+
+
+def unsolicited(world, vasp: int) -> list[str]:
+    """The reasons of the answers VASP ``vasp`` refused before handling."""
+    return refusals(world, vasp, "netsim.refused")
 
 
 def accepted_responses(world, sender: int) -> list:
@@ -157,6 +162,26 @@ def test_payload_for_another_beneficiary_vasp_refused(world):
     assert accepted_responses(world, 9) == []
 
 
+@pytest.mark.parametrize("name, account, reason", [
+    ("Bob Jones", "not an identifier", "unparseable_beneficiary"),
+    ("Bob Jones", "nobody@idp2.com", "beneficiary_unknown"),
+    ("Bob Jonas", "bob@idp2.com", "beneficiary_name_mismatch"),
+], ids=["unparseable", "unknown", "name_mismatch"])
+def test_beneficiary_vasp_refuses_a_beneficiary_it_cannot_name(
+        world, name, account, reason):
+    # VASP 7's own payload to VASP 9, validly signed and addressed, names
+    # an account that does not parse, one no customer of VASP 9 holds, or
+    # Bob's account under another name: VASP 9 refuses it, answers that
+    # refusal once, raises nothing, and keeps nothing of the payload.
+    send(world, 7, 9, TravelRuleRequest(
+        signed_by(world, 7, 7, 9, name=name, account=account)))
+    world.sim.run_until_quiet()
+    assert refusals(world, 9) == [reason]
+    assert [env.body.refusal.value for sent, env in sent_envelopes(world.sim)
+            if sent.actor == world.vasps[9].name] == [reason]
+    assert world.vasps[9].payload_store == []
+
+
 def test_payload_relayed_by_another_vasp_refused(world):
     # VASP 3's genuine payload to VASP 9, sent by VASP 7.
     send(world, 7, 9, TravelRuleRequest(signed_by(world, 3, 3, 9)))
@@ -169,6 +194,12 @@ def _start_transfer(world) -> tr.TravelRulePayload:
     channel = world.channel_between(world.vasps[7], world.vasps[9])
     return world.vasps[7].initiate_transfer(channel, "alice", "Bob Jones",
                                             "bob@idp2.com", 9, 125)
+
+
+def seq_of(world, payload: tr.TravelRulePayload) -> int:
+    """The seq VASP 7's open request for ``payload`` went out with."""
+    vasp7 = world.vasps[7]
+    return asked_seq(vasp7, vasp7.pending[payload.payload_id])
 
 
 def answer_to(world, request: tr.TravelRulePayload,
@@ -184,12 +215,14 @@ def answer_to(world, request: tr.TravelRulePayload,
 
 def test_response_from_a_vasp_not_asked_is_ignored(world):
     payload = _start_transfer(world)
-    # VASP 3 answers VASP 7's request to VASP 9 before VASP 9 does.
+    # VASP 3 answers VASP 7's request to VASP 9 before VASP 9 does, naming
+    # its seq over VASP 3's own channel, where VASP 7 asked nothing.
     forged = tr.answer_delta(signed_by(world, 3, 7, 3, amount=125))
-    send(world, 3, 7, TravelRuleResponse(payload.transfer_number, None, forged))
+    send(world, 3, 7, TravelRuleResponse(seq_of(world, payload), None, forged))
     world.sim.step()
     pending = world.vasps[7].pending[payload.payload_id]
-    assert refusals(world, 7) == ["misaddressed_payload"]
+    assert refusals(world, 7) == []
+    assert unsolicited(world, 7) == ["unsolicited_answer"]
     assert pending.state == "requested"
     assert not world.sim.trace.find("ledger.tx_submitted")
     # The answer of the VASP asked still completes the transfer.
@@ -198,29 +231,34 @@ def test_response_from_a_vasp_not_asked_is_ignored(world):
 
 
 def test_transfer_number_of_another_counterparty_is_refused(world):
-    # VASP 7 has open transfers to VASP 9 (n) and to VASP 3 (m). VASP 9
-    # refuses, then answers, naming m. A transfer number can be guessed
-    # where a payload id could not: only the channel binding, which takes
-    # an answer to m only from VASP 3, keeps m open.
+    # VASP 7 has open transfers to VASP 9 (n) and, after a lookup, to VASP
+    # 3 (m). VASP 9 refuses, then answers, naming m's seq, which is easily
+    # guessed: over VASP 9's channel VASP 7 asked nothing under that seq,
+    # so both are refused once and m stays open.
     vasp7 = world.vasps[7]
     world.vasps[3].grant_consent("dave", ConsentDirection.RECEIVE_ASSETS, None)
     n = _start_transfer(world)
-    m = vasp7.initiate_transfer(world.channel_between(vasp7, world.vasps[3]),
-                                "alice", "Dave Osei", "dave@idp2.com", 3, 60)
+    to_vasp3 = world.channel_between(vasp7, world.vasps[3])
+    vasp7.remote_lookup(to_vasp3, "dave@idp2.com")
+    m = vasp7.initiate_transfer(to_vasp3, "alice", "Dave Osei",
+                                "dave@idp2.com", 3, 60)
     assert (n.transfer_number, m.transfer_number) == (1, 2)
+    assert (seq_of(world, n), seq_of(world, m)) == (0, 1)
     pending = vasp7.pending[m.payload_id]
     send(world, 9, 7, TravelRuleResponse(
-        m.transfer_number, pki.Refusal.BENEFICIARY_UNKNOWN, None))
-    send(world, 9, 7, TravelRuleResponse(m.transfer_number, None,
+        seq_of(world, m), pki.Refusal.BENEFICIARY_UNKNOWN, None))
+    send(world, 9, 7, TravelRuleResponse(seq_of(world, m), None,
                                          answer_to(world, m)))
     world.sim.step()
-    assert refusals(world, 7) == ["misaddressed_payload"] * 2
+    assert refusals(world, 7) == []
+    assert unsolicited(world, 7) == ["unsolicited_answer"] * 2
     assert pending.state == "requested" and m.payload_id in vasp7.pending
     assert not world.sim.trace.find("ledger.tx_submitted")
     assert [d for d, _ in vasp7.payload_store] == ["outbound", "outbound"]
     # The answers of the VASPs asked still complete both transfers.
     world.sim.run_until_quiet()
-    assert refusals(world, 7) == ["misaddressed_payload"] * 2
+    assert refusals(world, 7) == []
+    assert unsolicited(world, 7) == ["unsolicited_answer"] * 2
     assert [e.get("amount") for e in world.sim.trace.find(
         "ledger.tx_submitted")] == [125, 60]
     assert pending.state == "submitted"
@@ -237,10 +275,11 @@ def test_answer_to_another_request_refused(world, field, value):
     # signed answer to a request that differs from VASP 7's in one field:
     # a delta cannot name another request, so the signature fails.
     forged = answer_to(world, payload, **{field: value})
-    send(world, 9, 7, TravelRuleResponse(payload.transfer_number, None, forged))
+    send(world, 9, 7, TravelRuleResponse(seq_of(world, payload), None, forged))
     world.sim.run_until_quiet()
-    # VASP 9's own answer comes after it, to a transfer no longer open.
-    assert refusals(world, 7) == ["invalid_payload", "unsolicited_answer"]
+    # VASP 9's own answer comes after it, a second answer to one request.
+    assert refusals(world, 7) == ["invalid_payload"]
+    assert unsolicited(world, 7) == ["unsolicited_answer"]
     assert pending.state == "refused"
     assert payload.payload_id not in world.vasps[7].pending
     assert not world.sim.trace.find("ledger.tx_submitted")
@@ -255,10 +294,11 @@ def test_answer_whose_signature_fails_refused(world):
     signature = bytearray(answer.signature)
     signature[0] ^= 1
     forged = dataclasses.replace(answer, signature=bytes(signature))
-    send(world, 9, 7, TravelRuleResponse(payload.transfer_number, None, forged))
+    send(world, 9, 7, TravelRuleResponse(seq_of(world, payload), None, forged))
     world.sim.run_until_quiet()
-    # VASP 9's own answer comes after it, to a transfer no longer open.
-    assert refusals(world, 7) == ["invalid_payload", "unsolicited_answer"]
+    # VASP 9's own answer comes after it, a second answer to one request.
+    assert refusals(world, 7) == ["invalid_payload"]
+    assert unsolicited(world, 7) == ["unsolicited_answer"]
     assert pending.state == "refused"
     assert not world.sim.trace.find("ledger.tx_submitted")
     world.confirm_block()
@@ -273,16 +313,32 @@ def test_answer_replayed_onto_another_transfer_refused(world):
     (answer,) = [body.answer for body in accepted_responses(world, 9)]
     second = _start_transfer(world)
     pending = world.vasps[7].pending[second.payload_id]
-    send(world, 9, 7, TravelRuleResponse(second.transfer_number, None, answer))
+    send(world, 9, 7, TravelRuleResponse(seq_of(world, second), None, answer))
     world.sim.run_until_quiet()
-    # VASP 9's own answer to B comes after it, to a transfer no longer open.
-    assert refusals(world, 7) == ["invalid_payload", "unsolicited_answer"]
+    # VASP 9's own answer to B comes after it, a second answer to B.
+    assert refusals(world, 7) == ["invalid_payload"]
+    assert unsolicited(world, 7) == ["unsolicited_answer"]
     assert pending.state == "refused"
     assert second.payload_id not in world.vasps[7].pending
     (paid,) = world.sim.trace.find("ledger.tx_submitted")
     assert world.vasps[7].pending[first.payload_id].tx_short == paid.get("tx")
     assert [d for d, _ in world.vasps[7].payload_store] == \
         ["outbound", "inbound", "outbound"]
+
+
+def test_consent_withdrawn_before_the_answer_ends_the_transfer(world):
+    # Alice withdraws her consent while VASP 7's request is out: VASP 9
+    # accepts, but the answer finds no consent, so nothing is paid.
+    payload = _start_transfer(world)
+    vasp7 = world.vasps[7]
+    pending = vasp7.pending[payload.payload_id]
+    vasp7.withdraw_consent("alice", ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
+                           None)
+    world.sim.run_until_quiet()
+    assert len(accepted_responses(world, 9)) == 1
+    assert refusals(world, 7) == ["originator_consent_missing"]
+    assert pending.state == "refused" and vasp7.pending == {}
+    assert not world.sim.trace.find("ledger.tx_submitted")
 
 
 def test_no_originator_data_in_an_answer(demo_config):
@@ -333,11 +389,9 @@ def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
     thief = world.vasps[9]
     receipts_before = len(store.store.receipts)
     channel = world.channel_between(thief, store)
-    thief._claims_fetching.add(channel.id)  # as fetch_claims does
-    world.sim.send(channel, thief.name,
-                   ClaimsFetchRequest(token, crypto.sign(
-                       thief.claims_key.private_key, claims.terms_bytes(token)),
-                       thief.certs.claims.serial))
+    thief.ask(channel, ClaimsFetchRequest(token, crypto.sign(
+        thief.claims_key.private_key, claims.terms_bytes(token)),
+        thief.certs.claims.serial), None)
     world.sim.run_until_quiet()
     assert thief.fetched_claims == [] and thief.consent_receipts == []
     assert len(store.store.receipts) == receipts_before
@@ -355,11 +409,9 @@ def test_terms_signed_by_another_vasp_release_nothing(demo_config):
     token = vasp.claims_token
     fetched_before = len(vasp.fetched_claims)
     channel = world.channel_between(vasp, store)
-    vasp._claims_fetching.add(channel.id)  # as fetch_claims does
-    world.sim.send(channel, vasp.name,
-                   ClaimsFetchRequest(token, crypto.sign(
-                       other.claims_key.private_key, claims.terms_bytes(token)),
-                       other.certs.claims.serial))
+    vasp.ask(channel, ClaimsFetchRequest(token, crypto.sign(
+        other.claims_key.private_key, claims.terms_bytes(token)),
+        other.certs.claims.serial), None)
     world.sim.run_until_quiet()
     assert len(vasp.fetched_claims) == fetched_before
     assert len(store.store.receipts) == 1
@@ -374,8 +426,8 @@ def test_revoked_caller_refused_not_raised(world):
     channel = world.channel_between(vasp, server)
     world.root.revoke(vasp.certs.identity.serial,
                       pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
-    world.sim.send(channel, vasp.name,
-                   ClaimsAuthRequest(("driving_license_number",), "kyc"))
+    vasp.request_claims_authorization(channel, ("driving_license_number",),
+                                      "kyc")
     world.sim.run_until_quiet()
     assert vasp.claims_token is None
     assert vasp.claims_denial is pki.Refusal.INVALID_CALLER

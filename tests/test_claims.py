@@ -137,6 +137,13 @@ class TestAuthorization:
                          {"driving_license_number"}, purpose="marketing")
         assert denial is pki.Refusal.PURPOSE_MISMATCH
 
+    def test_inactive_policy_denied(self, setup, member, root):
+        store, server, policy = setup
+        store.set_policy("alice", replace(policy, active=False))
+        denial = request(server, member["identity_cert"], root,
+                         {"driving_license_number"})
+        assert denial is pki.Refusal.POLICY_INACTIVE
+
     def test_invalid_cert_denied(self, setup, member, root):
         _, server, _ = setup
         root.revoke(member["identity_cert"].serial,
@@ -174,8 +181,9 @@ class TestFetch:
         store, server, _ = setup
         token = request(server, member["identity_cert"], root,
                         {"driving_license_number"}, now=1)
-        with pytest.raises(claims.TokenExpired):
+        with pytest.raises(claims.TokenExpired) as err:
             store.fetch_claims(token, now=1 + claims.TOKEN_LIFETIME)
+        assert err.value.refusal is pki.Refusal.TOKEN_EXPIRED
 
     def test_forged_token(self, setup, member, root):
         store, server, _ = setup
@@ -184,8 +192,9 @@ class TestFetch:
         forged = replace(token,
                          permitted_attributes=("driving_license_number",
                                                "state_of_residence"))
-        with pytest.raises(claims.BadToken):
+        with pytest.raises(claims.BadToken) as err:
             store.fetch_claims(forged, now=5)
+        assert err.value.refusal is pki.Refusal.BAD_TOKEN
 
     def test_revoke_twice_idempotent(self, setup):
         store, _, _ = setup

@@ -568,7 +568,7 @@ UNENCODABLE = "cannot canonically encode"
     (1.5, UNENCODABLE), ({"a": 1}, UNENCODABLE), ({1, 2}, UNENCODABLE),
     (object(), UNENCODABLE), (Measured(2.5), UNENCODABLE),
     ([1, 2.5], UNENCODABLE), (Sample, UNENCODABLE),
-    (messages.LookupRequest(1.5, "x"), "float given for int"),
+    (messages.LookupResponse(1.5, (), None), "float given for int"),
 ], ids=["float", "dict", "set", "object", "float-field", "list-item", "class",
         "float-for-int"])
 def test_unencodable_types_refused(value, refusal):
@@ -714,7 +714,7 @@ def test_mutable_values_inside_frozen_values_refused():
     # where a tuple is declared in a value that keeps no encoding.
     for value in (messages.AdvertisementFlood((Loose("x"),)),
                   messages.AttestationChallenge("d", bytearray(b"n")),
-                  messages.LookupRequest(1, ("x", [1])),
+                  messages.LookupRequest(("x", [1])),
                   dataclasses.replace(sample(), pair=["k", b"v"])):
         with pytest.raises(codec.CodecError, match="given for"):
             codec.canonical_encode(value)
@@ -723,6 +723,22 @@ def test_mutable_values_inside_frozen_values_refused():
     assert codec.canonical_encode([Loose("x")]) == reference_encode([Loose("x")])
     with pytest.raises(codec.CodecError, match=UNENCODABLE):
         codec.canonical_encode([Loose("x"), bytearray(b"n")])
+
+
+@dataclass(frozen=True)
+class Bare:
+    items: tuple
+
+
+def test_other_sequence_class_where_a_bare_one_is_declared_refused():
+    # A list and a tuple both encode as a list frame, so a list given for
+    # a bare ``tuple`` would encode as the tuple does: two values, one
+    # encoding, and what decodes is the tuple. Only the declared class
+    # encodes.
+    assert codec.canonical_encode(Bare((1, "x"))) == \
+        reference_encode(Bare((1, "x")))
+    with pytest.raises(codec.CodecError, match="list given for tuple"):
+        codec.canonical_encode(Bare([1, "x"]))
 
 
 def _fields_and_ids(cls) -> set[str]:
@@ -891,16 +907,16 @@ def test_ids_derived_from_the_wire_are_the_ones_the_trace_names(
     # answer's id is derived once it is rebuilt on the request it answers.
     trace, world = run_scenario_with_world(name, demo_config)
     derived = {"payload": set(), "token": set(), "receipt": set()}
-    requests = {}  # by channel and transfer number, which answers name
+    requests = {}  # by channel and envelope seq, which answers name
     for env in wire_envelopes(world.sim):
         body = env.body
         if getattr(body, "signed", None) is not None:
             payload = body.signed.payload
-            requests[env.channel_id, payload.transfer_number] = payload
+            requests[env.channel_id, env.seq] = payload
             derived["payload"].add(payload.payload_id.hex()[:16])
         if getattr(body, "answer", None) is not None:
             answer = travel_rule.rebuild_answer(
-                requests[env.channel_id, body.ack_transfer_number], body.answer)
+                requests[env.channel_id, body.answers], body.answer)
             derived["payload"].add(answer.payload.payload_id.hex()[:16])
         if getattr(body, "token", None) is not None:
             derived["token"].add(body.token.token_id.hex()[:16])

@@ -5,18 +5,21 @@ text where one is declared, and a receiver records ``peer_refused`` with
 the peer's member apart. Every event a handler emits parses back exactly,
 whatever strings a hostile peer puts in a body, or the emit is refused;
 no handler raises anything else. A body of a type a node does not take
-is refused with one event.
+is refused with one event, and so is an answer that names no open
+request of its receiver's, of its type, on its channel.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import sent_envelopes, wire_envelopes
+from conftest import asked_seq, sent_envelopes, wire_envelopes
 from vasptrust import codec, pki
 from vasptrust import travel_rule as tr
 from vasptrust.claims import AuthorizationToken
@@ -27,7 +30,7 @@ from vasptrust.netsim.messages import (AttestationChallenge,
                                        ClaimsAuthResponse, ClaimsFetchRequest,
                                        ClaimsFetchResponse, LookupRequest,
                                        LookupResponse, MessageBody,
-                                       TravelRuleResponse)
+                                       TravelRuleRequest, TravelRuleResponse)
 from vasptrust.netsim.nodes import PendingTransfer
 from vasptrust.netsim.trace import (ScenarioTrace, TraceEvent,
                                     UnrenderableField, check_fields,
@@ -65,32 +68,49 @@ def world(demo_config):
 
 # -- the five answers a peer refuses with ---------------------------------------
 
+SEQ = 5  # the seq of a request held open below, which never left
+
+
 def refused_answer(world, kind: str, refusal: Refusal):
     """(sender, receiver, answer): ``kind`` refusing with ``refusal``, to a
-    receiver that has asked, so it handles the answer in full."""
+    receiver that has asked, so it handles the answer in full. The request
+    is held open in the receiver's table, as ``Node.ask`` keeps it, but
+    never sent, so no other answer comes."""
     vasp7, vasp9 = world.vasps[7], world.vasps[9]
     if kind == "TravelRuleResponse":
-        # An open transfer of VASP 7 to VASP 9, whose request never left.
         payload = tr.build_payload(vasp7.customers["alice"], "Bob Jones",
                                    "bob@idp2.com", 9, 10, 7, 1)
-        vasp7.pending[payload.payload_id] = vasp7._numbered[1] = \
-            PendingTransfer(payload)
-        return vasp9, vasp7, TravelRuleResponse(1, refusal, None)
-    if kind == "LookupResponse":
-        # As remote_lookup does for the request it sends.
-        vasp7._lookups_out.add((world.channel_between(vasp9, vasp7).id, 1))
-        return vasp9, vasp7, LookupResponse(1, (), refusal)
-    if kind == "ClaimsAuthResponse":
-        return world.auth_servers["alice"], vasp7, \
-            ClaimsAuthResponse(None, refusal)
-    if kind == "ClaimsFetchResponse":
-        store = world.stores["alice"]
-        vasp7._claims_fetching.add(world.channel_between(store, vasp7).id)
-        return store, vasp7, ClaimsFetchResponse((), None, refusal)
-    device = "wdev:alice@7"
-    world.insurer.pending_nonces[device] = (
-        world.channel_between(vasp7, world.insurer).id, bytes(32))
-    return vasp7, world.insurer, AttestationResponse(device, None, refusal)
+        context = vasp7.pending[payload.payload_id] = PendingTransfer(payload)
+        sender, receiver = vasp9, vasp7
+        answer = TravelRuleResponse(SEQ, refusal, None)
+    elif kind == "LookupResponse":
+        sender, receiver, context = vasp9, vasp7, None
+        answer = LookupResponse(SEQ, (), refusal)
+    elif kind == "ClaimsAuthResponse":
+        sender, receiver = world.auth_servers["alice"], vasp7
+        context = ClaimsAuthRequest(("driving_license_number",), "kyc")
+        answer = ClaimsAuthResponse(SEQ, None, refusal)
+    elif kind == "ClaimsFetchResponse":
+        sender, receiver, context = world.stores["alice"], vasp7, None
+        answer = ClaimsFetchResponse(SEQ, (), None, refusal)
+    else:
+        sender, receiver = vasp7, world.insurer
+        context = ("wdev:alice@7", bytes(32))
+        answer = AttestationResponse(SEQ, None, refusal)
+    channel = world.channel_between(sender, receiver)
+    receiver.asked[channel.id, SEQ] = (type(answer), context)
+    return sender, receiver, answer
+
+
+def unsolicited(world, receiver, since: int) -> list:
+    """(event, fields) of each answer ``receiver`` refused unhandled."""
+    return [(e.event, e.fields) for e in events_of(world, receiver.name, since)
+            if e.get("reason") == "unsolicited_answer"]
+
+
+def refused_fields(kind: str, sender, answers: int) -> dict:
+    return {"msg": kind, "from": sender.name, "answers": answers,
+            "reason": "unsolicited_answer"}
 
 
 ANSWERS = ["TravelRuleResponse", "LookupResponse", "ClaimsAuthResponse",
@@ -135,13 +155,93 @@ def test_each_peer_refusal_is_recorded_apart_and_parses_back(world, kind):
         reparses_exactly(world.sim.trace.events[since:])
 
 
+def test_every_refusal_member_is_named_by_a_test():
+    # Each member is named in some file of this suite: as ``Refusal.`` and
+    # its name, or by its value as a string in double quotes.
+    suite = "".join(path.read_text()
+                    for path in Path(__file__).parent.rglob("*.py"))
+    assert [m for m in Refusal if f"Refusal.{m.name}" not in suite
+            and f'"{m.value}"' not in suite] == []
+
+
+# -- one request/answer table per node ---------------------------------------------
+
+BODIES = {t.__name__: t for t in MessageBody.__args__}
+# What an answer could change at its receiver.
+STATE = ("pending", "claims_token", "claims_denial", "fetched_claims",
+         "remote_lookups", "audit_verdicts", "asked")
+
+
+def state(node) -> dict:
+    """A copy of every part of ``node``'s ``STATE`` it has."""
+    return copy.deepcopy({name: getattr(node, name) for name in STATE
+                          if hasattr(node, name)})
+
+
+def another_sender(world, kind: str):
+    """A peer of ``kind``'s receiver other than the one it asked."""
+    return {"ClaimsAuthResponse": world.stores["alice"],
+            "ClaimsFetchResponse": world.auth_servers["alice"],
+            "AttestationResponse": world.vasps[9]}.get(kind, world.vasps[3])
+
+
+@pytest.mark.parametrize("case", ["unsolicited", "duplicate",
+                                  "another_channel", "wrong_type"])
+@pytest.mark.parametrize("kind", ANSWERS)
+def test_answer_to_no_open_request_is_refused_once(world, kind, case):
+    # The receiver's request is open at SEQ over the channel of the peer
+    # it asked. The hostile answer names SEQ, with nothing open there, a
+    # second time, over another peer's channel, or where a request of
+    # another type is open: one refusal, and nothing changes.
+    sender, receiver, answer = refused_answer(world, kind, Refusal.NOT_ALLOWED)
+    channel = world.channel_between(sender, receiver)
+    key = (channel.id, SEQ)
+    if case == "unsolicited":
+        del receiver.asked[key]
+    elif case == "duplicate":
+        world.sim.send(channel, sender.name, dataclasses.replace(
+            answer, refusal=Refusal.SCOPE_EXCEEDED))
+        world.sim.run_until_quiet()
+        assert key not in receiver.asked
+    elif case == "another_channel":
+        sender = another_sender(world, kind)
+        channel = world.channel_between(sender, receiver)
+    else:
+        other = ANSWERS[(ANSWERS.index(kind) + 1) % len(ANSWERS)]
+        receiver.asked[key] = (BODIES[other], receiver.asked[key][1])
+    before = state(receiver)
+    since = len(world.sim.trace.events)
+    world.sim.send(channel, sender.name, answer)
+    world.sim.run_until_quiet()
+    delivered, refused = events_of(world, receiver.name, since)
+    assert delivered.event == "netsim.delivered"
+    assert (refused.event, refused.fields) == (
+        "netsim.refused", refused_fields(kind, sender, SEQ))
+    assert state(receiver) == before
+    reparses_exactly(world.sim.trace.events[since:])
+
+
+def test_unasked_claims_denial_is_refused(world):
+    # VASP 9, which is no authorization server and was asked nothing,
+    # tells VASP 7 it is not allowed any claims: VASP 7 records no denial.
+    vasp7, vasp9 = world.vasps[7], world.vasps[9]
+    world.sim.send(world.channel_between(vasp9, vasp7), vasp9.name,
+                   ClaimsAuthResponse(0, None, Refusal.NOT_ALLOWED))
+    world.sim.run_until_quiet()
+    assert vasp7.claims_denial is None
+    assert [(e.actor, e.fields) for e in world.sim.trace.find(
+        "netsim.refused")] == [
+        (vasp7.name, refused_fields("ClaimsAuthResponse", vasp9, 0))]
+    assert not world.sim.trace.find("claims.token_denied")
+
+
 # -- input checks ------------------------------------------------------------------
 
 def test_unparseable_lookup_is_refused_not_raised(world):
     asker, server = world.vasps[3], world.vasps[9]
     channel = world.channel_between(asker, server)
     since = len(world.sim.trace.events)
-    asker.remote_lookup(channel, "not an identifier", 1)
+    asker.remote_lookup(channel, "not an identifier")
     world.sim.run_until_quiet()
     (_, served) = events_of(world, server.name, since)[:2]
     assert (served.event, served.fields) == ("resolver.remote_lookup", {
@@ -156,16 +256,21 @@ def test_unparseable_lookup_is_refused_not_raised(world):
 
 @pytest.mark.parametrize("device_id", [FORGED, "wdev:alice@7"])
 def test_unsolicited_attestation_answer_names_its_sender(world, device_id):
-    # No challenge is pending: the device id the answer carries is the
-    # peer's text, and only the channel peer is recorded.
+    # No challenge is pending: the device id the answer's evidence carries
+    # is the peer's text, and only the channel peer and the number it
+    # gave are recorded.
     vasp, insurer = world.vasps[7], world.insurer
+    evidence = dataclasses.replace(
+        vasp.devices["wdev:alice@7"].attest(bytes(32), world.sim.now),
+        device_id=device_id)
     channel = world.channel_between(vasp, insurer)
     since = len(world.sim.trace.events)
-    world.sim.send(channel, vasp.name, AttestationResponse(device_id, None, None))
+    world.sim.send(channel, vasp.name, AttestationResponse(0, evidence, None))
     world.sim.run_until_quiet()
     _, refused = events_of(world, insurer.name, since)
-    assert (refused.event, refused.fields) == ("attest.audit_refused", {
-        "from": vasp.name, "reason": "unsolicited_answer"})
+    assert (refused.event, refused.fields) == (
+        "netsim.refused", refused_fields("AttestationResponse", vasp, 0))
+    assert insurer.audit_verdicts == {}
     parsed = parse_trace_text(world.sim.trace.to_text())
     assert not parsed.find("ledger.tx_confirmed")
     reparses_exactly(world.sim.trace.events)
@@ -177,14 +282,14 @@ def test_answered_challenge_is_not_pending(demo_config):
     trace, world = run_scenario_with_world("S4", demo_config)
     answer = next(env.body for env in wire_envelopes(world.sim)
                   if isinstance(env.body, AttestationResponse))
-    assert world.insurer.pending_nonces == {}
+    assert world.insurer.asked == {}
     vasp = world.vasps[7]
     world.sim.send(world.channel_between(vasp, world.insurer), vasp.name,
                    answer)
     world.sim.run_until_quiet()
     assert [e.fields for e in trace.events if e.actor == world.insurer.name
-            and e.event == "attest.audit_refused"] == [
-        {"from": vasp.name, "reason": "unsolicited_answer"}]
+            and e.event == "netsim.refused"] == [
+        refused_fields("AttestationResponse", vasp, answer.answers)]
     assert len(trace.find("attest.audit_verdict")) == 1
 
 
@@ -195,8 +300,9 @@ def test_malformed_nonce_is_refused_not_raised(world):
     device_id = "wdev:alice@7"
     assert device_id in vasp.devices
     since = len(world.sim.trace.events)
-    world.sim.send(world.channel_between(vasp, insurer), insurer.name,
-                   AttestationChallenge(device_id, b"short"))
+    challenge = world.sim.send(world.channel_between(vasp, insurer),
+                               insurer.name,
+                               AttestationChallenge(device_id, b"short"))
     world.sim.run_until_quiet()
     assert [(e.event, e.fields) for e in events_of(world, vasp.name, since)
             if e.event.startswith("attest.")] == [
@@ -204,7 +310,7 @@ def test_malformed_nonce_is_refused_not_raised(world):
          {"from": insurer.name, "reason": "attestation_refused"})]
     (answer,) = [env.body for env in wire_envelopes(world.sim)
                  if isinstance(env.body, AttestationResponse)]
-    assert answer == AttestationResponse(device_id, None,
+    assert answer == AttestationResponse(challenge.seq, None,
                                          Refusal.ATTESTATION_REFUSED)
     reparses_exactly(world.sim.trace.events)
 
@@ -220,57 +326,59 @@ def test_unsolicited_fetch_answer_is_refused(demo_config):
     since = len(trace.events)
     world.sim.send(world.channel_between(vasp, store), store.name, answer)
     world.sim.run_until_quiet()
-    assert [(e.event, e.fields) for e in events_of(world, vasp.name, since)
-            if e.event.startswith("claims.")] == [
-        ("claims.fetch_refused",
-         {"from": store.name, "reason": "unsolicited_answer"})]
+    assert [e.event for e in events_of(world, vasp.name, since)] == [
+        "netsim.delivered", "netsim.refused"]
+    assert unsolicited(world, vasp, since) == [
+        ("netsim.refused",
+         refused_fields("ClaimsFetchResponse", store, answer.answers))]
     assert len(vasp.fetched_claims) == len(vasp.consent_receipts) == 1
 
 
 def test_unsolicited_travel_rule_answer_is_refused(demo_config):
-    # After S1, VASP 9 answers transfer 1 again, which is settled, and
-    # transfer 77, which VASP 7 never started: each is refused once, naming
-    # its sender and the number it gave.
+    # After S1, VASP 9 answers VASP 7's request again, whose transfer is
+    # settled, and answers seq 77, which VASP 7 never sent: each is refused
+    # once, naming its sender and the number it gave.
     trace, world = run_scenario_with_world("S1", demo_config)
     vasp7, vasp9 = world.vasps[7], world.vasps[9]
+    (answered,) = [env.body.answers for env in wire_envelopes(world.sim)
+                   if isinstance(env.body, TravelRuleResponse)]
     settled = {key: pending.state for key, pending in vasp7.pending.items()}
     since = len(trace.events)
-    for number in (1, 77):
+    for number in (answered, 77):
         world.sim.send(world.channel_between(vasp9, vasp7), vasp9.name,
                        TravelRuleResponse(number, None, None))
     world.sim.run_until_quiet()
-    assert [(e.event, e.fields) for e in events_of(world, vasp7.name, since)
-            if e.event.startswith("travel_rule.")] == [
-        ("travel_rule.transfer_refused",
-         {"from": vasp9.name, "transfer": number,
-          "reason": "unsolicited_answer"}) for number in (1, 77)]
+    assert [e.event for e in events_of(world, vasp7.name, since)
+            if not e.event.startswith("netsim.")] == []
+    assert unsolicited(world, vasp7, since) == [
+        ("netsim.refused", refused_fields("TravelRuleResponse", vasp9, number))
+        for number in (answered, 77)]
     assert {key: p.state for key, p in vasp7.pending.items()} == settled
     reparses_exactly(world.sim.trace.events)
 
 
 def test_unsolicited_lookup_answer_is_refused(world):
     # VASP 9 answers lookup 77, which VASP 7 never asked; then, with VASP
-    # 7's lookup 1 out to VASP 3, answers lookup 1 before VASP 3 does and
-    # again after. Only VASP 3's answer is taken; each other is refused
-    # once, naming its sender and the number it gave.
+    # 7's lookup out to VASP 3, answers that lookup's seq before VASP 3
+    # does and again after. Only VASP 3's answer is taken; each other is
+    # refused once, naming its sender and the number it gave.
     vasp3, vasp7, vasp9 = world.vasps[3], world.vasps[7], world.vasps[9]
     hostile = world.channel_between(vasp9, vasp7)
     since = len(world.sim.trace.events)
     world.sim.send(hostile, vasp9.name, LookupResponse(77, (3, 9), None))
     world.sim.run_until_quiet()
-    vasp7.remote_lookup(world.channel_between(vasp7, vasp3), "bob@idp2.com", 1)
-    world.sim.send(hostile, vasp9.name, LookupResponse(1, (9,), None))
+    vasp7.remote_lookup(world.channel_between(vasp7, vasp3), "bob@idp2.com")
+    (seq,) = [seq for _, seq in vasp7.asked]
+    world.sim.send(hostile, vasp9.name, LookupResponse(seq, (9,), None))
     world.sim.run_until_quiet()
-    world.sim.send(hostile, vasp9.name, LookupResponse(1, (9,), None))
+    world.sim.send(hostile, vasp9.name, LookupResponse(seq, (9,), None))
     world.sim.run_until_quiet()
-    assert [(e.event, e.fields) for e in events_of(world, vasp7.name, since)
-            if e.event.startswith("resolver.")] == [
-        ("resolver.lookup_refused",
-         {"from": vasp9.name, "request": number,
-          "reason": "unsolicited_answer"}) for number in (77, 1, 1)]
+    assert unsolicited(world, vasp7, since) == [
+        ("netsim.refused", refused_fields("LookupResponse", vasp9, number))
+        for number in (77, seq, seq)]
     # VASP 3, not federated yet, knows no holder of Bob's identifier.
-    assert vasp7.remote_lookups == [LookupResponse(1, (), None)]
-    assert vasp7._lookups_out == set()
+    assert vasp7.remote_lookups == [LookupResponse(seq, (), None)]
+    assert vasp7.asked == {}
     reparses_exactly(world.sim.trace.events)
 
 
@@ -287,9 +395,10 @@ def test_claim_failing_its_issuer_signature_is_not_taken(demo_config):
         len(claim.issuer_signature)))
     assert vasp.fetched_claims == [claim]
     channel = world.channel_between(vasp, store)
-    vasp._claims_fetching.add(channel.id)  # as fetch_claims does
+    vasp.asked[channel.id, SEQ] = (ClaimsFetchResponse, None)  # a fetch out
     since = len(trace.events)
-    world.sim.send(channel, store.name, ClaimsFetchResponse((forged,), None, None))
+    world.sim.send(channel, store.name,
+                   ClaimsFetchResponse(SEQ, (forged,), None, None))
     world.sim.run_until_quiet()
     assert [(e.event, e.fields) for e in events_of(world, vasp.name, since)
             if e.event.startswith("claims.")] == [
@@ -299,33 +408,55 @@ def test_claim_failing_its_issuer_signature_is_not_taken(demo_config):
 
 def test_attestation_answer_over_another_channel_is_unsolicited(world):
     # The insurer challenges VASP 7 for alice's device; VASP 9 answers
-    # first, naming that device. Its answer is refused as unsolicited, the
-    # challenge stays pending, and VASP 7's evidence is then verified.
+    # first, naming that challenge's seq over its own channel. Its answer
+    # is refused as unsolicited, the challenge stays open, and VASP 7's
+    # evidence is then verified.
     insurer, vasp7, vasp9 = world.insurer, world.vasps[7], world.vasps[9]
     device = "wdev:alice@7"
     to_vasp7 = world.channel_between(vasp7, insurer)
     insurer.request_audit(to_vasp7, device)
+    asked = dict(insurer.asked)
+    ((_, seq),) = asked
     world.sim.send(world.channel_between(vasp9, insurer), vasp9.name,
-                   AttestationResponse(device, None, Refusal.UNKNOWN_DEVICE))
+                   AttestationResponse(seq, None, Refusal.UNKNOWN_DEVICE))
     since = len(world.sim.trace.events)
     world.sim.step()  # the challenge reaches VASP 7, VASP 9's answer the insurer
     assert [(e.event, e.fields) for e in events_of(world, insurer.name, since)
-            if e.event.startswith("attest.")] == [
-        ("attest.audit_refused",
-         {"from": vasp9.name, "reason": "unsolicited_answer"})]
-    assert insurer.pending_nonces.keys() == {device}
+            if e.event != "netsim.delivered"] == [
+        ("netsim.refused", refused_fields("AttestationResponse", vasp9, seq))]
+    assert insurer.asked == asked
     world.sim.run_until_quiet()
     (verdict,) = [e for e in events_of(world, insurer.name, since)
                   if e.event == "attest.audit_verdict"]
     assert verdict.get("device") == device and verdict.get("passed") is True
     assert insurer.audit_verdicts[device].passed
-    assert insurer.pending_nonces == {}
+    assert insurer.asked == {}
+
+
+def test_answer_with_no_evidence_is_recorded_no_evidence(world):
+    # The insurer challenges VASP 7; VASP 7's first answer to that
+    # challenge, solicited, carries neither evidence nor a refusal. The
+    # audit fails as no_evidence, and the device's own answer after it is
+    # a second answer, refused once.
+    insurer, vasp7 = world.insurer, world.vasps[7]
+    channel = world.channel_between(vasp7, insurer)
+    insurer.request_audit(channel, "wdev:alice@7")
+    ((_, seq),) = insurer.asked
+    world.sim.send(channel, vasp7.name, AttestationResponse(seq, None, None))
+    since = len(world.sim.trace.events)
+    world.sim.run_until_quiet()
+    assert [(e.event, e.fields) for e in events_of(world, insurer.name, since)
+            if e.event != "netsim.delivered"] == [
+        ("attest.audit_verdict", {"device": "wdev:alice@7", "passed": False,
+                                  "reason": "no_evidence"}),
+        ("netsim.refused", refused_fields("AttestationResponse", vasp7, seq))]
+    assert insurer.audit_verdicts == {} and insurer.asked == {}
 
 
 def test_non_member_where_a_refusal_is_declared_is_refused_at_the_sender(world):
     # Free text where a Refusal is declared does not encode, so it is never
     # queued: the receiver cannot be handed it in process either.
-    answer = TravelRuleResponse(1, "free text", None)
+    answer = TravelRuleResponse(SEQ, "free text", None)
     with pytest.raises(codec.CodecError, match="str is not a member of Refusal"):
         codec.canonical_encode(answer)
     sender = world.vasps[9]
@@ -352,9 +483,9 @@ def test_other_class_where_an_answer_is_declared_is_refused_at_the_sender(
     channel = world.channel_between(vasp9, vasp7)
     since, logged = len(world.sim.trace.events), len(world.sim.wire_log)
     for body, refusal in (
-            (TravelRuleResponse(1, None, signed),
+            (TravelRuleResponse(SEQ, None, signed),
              "SignedPayload given for SignedAnswer"),
-            (LookupRequest(1, Refusal.INVALID_CALLER), "Refusal given for str")):
+            (LookupRequest(Refusal.INVALID_CALLER), "Refusal given for str")):
         with pytest.raises(codec.CodecError, match=refusal):
             world.sim.send(channel, vasp9.name, body)
     assert world.sim.in_flight() == 0
@@ -378,24 +509,30 @@ ASKED = (("driving_license_number",), "kyc")
         "purpose_forged", "audience"])
 def test_token_outside_the_request_is_refused(world, audience, attributes,
                                               purpose, asked):
+    # The server's answer to the request, or, when none was asked, to the
+    # seq the request would have had, carries a token of its own making.
     vasp, server = world.vasps[7], world.auth_servers["alice"]
     channel = world.channel_between(vasp, server)
     if asked:
         vasp.request_claims_authorization(channel, *ASKED)
+        assert [seq for _, seq in vasp.asked] == [0]
     token = AuthorizationToken(audience, attributes, purpose, 0, 300,
                                b"s" * 64)
     since = len(world.sim.trace.events)
-    world.sim.send(channel, server.name, ClaimsAuthResponse(token, None))
+    world.sim.send(channel, server.name, ClaimsAuthResponse(0, token, None))
     world.sim.step()
     handled = [e for e in events_of(world, vasp.name, since)
-               if e.event.startswith("claims.token")]
+               if e.event.startswith("claims.token")
+               or e.event == "netsim.refused"]
     if (audience, attributes, purpose, asked) == (7, *ASKED, True):
         assert vasp.claims_token is token
         assert [e.event for e in handled] == ["claims.token_received"]
         return
     assert vasp.claims_token is None
     assert [(e.event, e.fields) for e in handled] == [
-        ("claims.token_refused", {"reason": "token_scope_mismatch"})]
+        ("claims.token_refused", {"reason": "token_scope_mismatch"})
+        if asked else
+        ("netsim.refused", refused_fields("ClaimsAuthResponse", server, 0))]
     world.sim.run_until_quiet()  # any answer of the server's own
     reparses_exactly(world.sim.trace.events)
 

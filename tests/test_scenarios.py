@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import scenario_trace, sent_envelopes, wire_envelopes
+from conftest import asked_seq, scenario_trace, sent_envelopes, wire_envelopes
 from vasptrust import codec, pki
 from vasptrust.config import default_config, parse_config
 from vasptrust.ledger import Ledger
@@ -772,20 +772,25 @@ def test_refused_transfer_leaves_pending(demo_config):
 
 
 def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
-    # VASP 3 refuses VASP 7's request to VASP 9 before VASP 9 answers.
+    # VASP 3 refuses VASP 7's request to VASP 9 before VASP 9 answers,
+    # naming that request's seq over its own channel, where VASP 7 asked
+    # nothing: it is refused once, and the transfer stays open.
     world = transfer_world(demo_config)
     ovasp = world.vasps[7]
     payload = ovasp.initiate_transfer(
         world.channel_between(ovasp, world.vasps[9]),
         "alice", "Bob Jones", "bob@idp2.com", 9, 125)
     pending = ovasp.pending[payload.payload_id]
+    asked = dict(ovasp.asked)
     world.sim.send(world.channel_between(world.vasps[3], ovasp),
                    world.vasps[3].name,
-                   TravelRuleResponse(payload.transfer_number,
+                   TravelRuleResponse(asked_seq(ovasp, pending),
                                       pki.Refusal.BENEFICIARY_UNKNOWN, None))
     world.sim.step()
+    assert not world.sim.trace.find("travel_rule.transfer_refused")
     assert [e.get("reason") for e in world.sim.trace.find(
-        "travel_rule.transfer_refused")] == ["misaddressed_payload"]
+        "netsim.refused")] == ["unsolicited_answer"]
+    assert ovasp.asked == asked
     assert ovasp.pending == {payload.payload_id: pending}
     assert pending.state == "requested"
     # VASP 9's answer still completes the transfer, which stays open until
@@ -837,16 +842,23 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # began to name its request by the originator's transfer number instead of
 # the payload id. With the digest column dropped, S1's trace is line for
 # line the previous one (only the TravelRuleResponse netsim.sent digest
-# changed); S2-S5 send no answer, and their traces did not change.
+# changed); S2-S5 send no answer, and their traces did not change. The
+# S2, S3 and S4 trace and wire digests were last re-pinned when every
+# answer began to name its request by the request envelope's seq (the
+# claims and attestation answers gained it, LookupRequest lost its request
+# number, and AttestationResponse its device id): with the digest column
+# dropped, their traces are line for line the previous ones, and only the
+# netsim.sent digests of the changed bodies differ; S1 and S5 did not
+# change.
 PINNED = {
     "S1": ("e01420cdeedec9d79c16201bbf24966be547f96051598d094117b7600e552cd7",
            "1b659ae448fe6f8be866e7d6be65c64a7e621affb7fb1bda644300b89181d086"),
-    "S2": ("a1ceaff6f2b81fb63ee59f78dd511d095f0a13444fc773525a5d45fe0561f8cc",
-           "2438b69174487061271ca5d4bcd2a5c549e375fbc5d5e1343384e55d1c402965"),
-    "S3": ("21ecce694b995ba3a43f1d6678fbbc7d704249a5b43bd7826444484c8c2891c9",
-           "7ffd4b79fc7dca4bb341563f0b41591860d5b59b0ef84b4b3c585fe7088fc714"),
-    "S4": ("bb4f1ce7e4248a6cdb0139dfeebb3c2ad0a212d87fee7a1af2b6176418b1fd0f",
-           "4e96687960140c6115a727182dcc19f19776ea15d01c15c95b4c4ab7710827e4"),
+    "S2": ("2861bced91258e52742541855dbb621a5946e23633cd48fb8395e0fe8d93b30c",
+           "9dd68c09bdd000d02b0ea74dce95ca11cc75a4e2c95f104ba4e758bf1a198d45"),
+    "S3": ("42ad474d43c7e1411e88ba19094649291ca748e2dacc79b4d945d43c4dd753cf",
+           "fe464c626d97cd8223a8faa4c7e15f9f0b1cd5c75b91dc10cf9df5e1d92ce402"),
+    "S4": ("a2671750da8e314b8c3e9be800898211eb4c26fe8ff180c729b9a6db50fc8675",
+           "4e888d26c62c20fc3042ca29693eef45740da0efef7ddbe762d833a7bfcd2962"),
     "S5": ("6192886de1d6c832be34628471df8b90715679841af7266c1ef48668370d7fcf",
            "724946f142c89ef7ee68339e8f6dc54025bfca3d06597901f17620fad2143f8a"),
 }

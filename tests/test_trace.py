@@ -135,7 +135,7 @@ def test_events_equal_their_old_definitions():
     sim = Simulation(seed=1)
     sim.now = 42
     events = [sim.emit(actor, event, fields) for actor, event, fields in EMITTED]
-    body = LookupRequest(3, "bob@idp2.com")
+    body = LookupRequest("bob@idp2.com")
     sent = sim.emit("vasp:7", "s", {"msg": "LookupRequest", "seq": 3},
                     payload=body)
     for ev, (actor, event, fields) in zip(events, EMITTED):
