@@ -409,8 +409,7 @@ def _decode(reader: _Reader, typ: Any) -> Any:
         if tag == TAG_NONE:
             if not allows_none:
                 raise DecodeError(f"unexpected None for {typ}")
-            payload = _expect(reader, TAG_NONE)
-            if payload:
+            if _expect(reader, TAG_NONE):
                 raise DecodeError("None carries no payload")
             return None
         if len(members) == 1:
@@ -427,16 +426,11 @@ def _decode(reader: _Reader, typ: Any) -> Any:
         payload = _expect(reader, TAG_LIST)
         inner = _Reader(payload)
         args = get_args(typ)
-        if origin is list:
+        if origin is list or (len(args) == 2 and args[1] is Ellipsis):
             items = []
             while not inner.done():
                 items.append(_decode(inner, args[0] if args else bytes))
-            return items
-        if len(args) == 2 and args[1] is Ellipsis:
-            items = []
-            while not inner.done():
-                items.append(_decode(inner, args[0]))
-            return tuple(items)
+            return items if origin is list else tuple(items)
         items = [_decode(inner, t) for t in args]
         if not inner.done():
             raise DecodeError("trailing bytes inside tuple")
@@ -444,17 +438,18 @@ def _decode(reader: _Reader, typ: Any) -> Any:
 
     if typ is bool:
         payload = _expect(reader, TAG_BOOL)
-        if payload == b"\x00":
-            return False
-        if payload == b"\x01":
-            return True
-        raise DecodeError("non-canonical bool")
+        if payload not in (b"\x00", b"\x01"):
+            raise DecodeError("non-canonical bool")
+        return payload == b"\x01"
     if typ is int:
         return _decode_uint(_expect(reader, TAG_UINT))
     if typ is bytes:
         return _expect(reader, TAG_BYTES)
     if typ is str:
-        return _decode_str(_expect(reader, TAG_STR))
+        try:
+            return _expect(reader, TAG_STR).decode("utf-8", errors="strict")
+        except UnicodeDecodeError as exc:
+            raise DecodeError("invalid UTF-8 in string") from exc
     if isinstance(typ, type) and issubclass(typ, Enum):
         members = list(typ)
         return members[_decode_index(_expect(reader, TAG_ENUM), len(members),
@@ -462,20 +457,11 @@ def _decode(reader: _Reader, typ: Any) -> Any:
     if dataclasses.is_dataclass(typ):
         payload = _expect(reader, TAG_STRUCT)
         inner = _Reader(payload)
-        kwargs = {}
-        for name, field_type in _hints(typ):
-            kwargs[name] = _decode(inner, field_type)
+        kwargs = {name: _decode(inner, field_type) for name, field_type in _hints(typ)}
         if not inner.done():
             raise DecodeError(f"trailing bytes inside {typ.__name__}")
         return typ(**kwargs)
     raise DecodeError(f"no decoder for type {typ!r}")
-
-
-def _decode_str(payload: bytes) -> str:
-    try:
-        return payload.decode("utf-8", errors="strict")
-    except UnicodeDecodeError as exc:
-        raise DecodeError("invalid UTF-8 in string") from exc
 
 
 def canonical_decode(data: bytes, cls: Any) -> Any:

@@ -33,7 +33,8 @@ class TravelRuleRequest:
 
 @dataclass(frozen=True)
 class TravelRuleResponse:
-    """Only what the answer changes in its request travels."""
+    """Only the answer's account travels: the originator rebuilds the rest
+    from its request, the hint from the certificate it pays."""
 
     answers: int
     refusal: Refusal | None

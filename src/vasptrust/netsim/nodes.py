@@ -432,7 +432,7 @@ class VaspNode(Node):
             return Refusal.BENEFICIARY_CONSENT_MISSING
         self._record("inbound", signed)
         return self._sign_outbound(travel_rule.answer_payload(
-            payload, beneficiary, self.tx_key.public_key))
+            payload, beneficiary.customer_id, self.tx_key.public_key))
 
     def _on_travel_rule_response(self, channel: SecureChannel, env: Envelope,
                                  pending: PendingTransfer) -> None:
@@ -442,8 +442,11 @@ class VaspNode(Node):
         if body.refusal is not None:
             self._refuse(payload, body.refusal, pending, by_peer=True)
             return
-        # Rebuilt on its request, an answer to any other fails its signature.
-        answer = body.answer and travel_rule.rebuild_answer(payload, body.answer)
+        # Rebuilt on its request and the key we pay, an answer to another
+        # request, key or amount fails its signature.
+        beneficiary = self.trust.members[asked]
+        answer = body.answer and travel_rule.rebuild_answer(
+            payload, body.answer, beneficiary.transaction.subject_public_key)
         if answer is None or not self._verify_counterparty_payload(answer, asked):
             self._refuse(payload, Refusal.INVALID_PAYLOAD, pending)
             return
@@ -465,7 +468,6 @@ class VaspNode(Node):
             self._refuse(payload, Refusal.ORIGINATOR_CONSENT_MISSING, pending)
             return
         # Pay only a transaction key whose certificate is valid now.
-        beneficiary = self.trust.members[asked]
         if self.trust.validate(beneficiary.transaction,
                                beneficiary.identity) is not pki.Verdict.VALID:
             self._refuse(payload, Refusal.BENEFICIARY_TX_CERT_INVALID, pending)

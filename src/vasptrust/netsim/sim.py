@@ -9,7 +9,8 @@ per-direction sequence numbers, so handlers always observe messages once
 and in order. Every send is logged to the trace and to a wire log holding
 the canonical envelope bytes. An envelope is ``(channel_id, seq, body)``:
 its sender is the channel's other endpoint, never a wire field. An answer
-names its request's seq on the same channel (``Node.handle``).
+names its request's seq on the same channel (``Node.handle``), and so
+does its ``netsim.sent`` event (``answers``): the trace pairs them too.
 
 The world owns its actors; the simulator only refers to them. A handler or
 tick hook that is a bound method is kept as a weak reference to its object
@@ -232,7 +233,8 @@ class Simulation:
         self._busy[channel.id, channel.endpoints().index(sender)] = (channel, sender)
         self.wire_log.append((type(body).__name__, wire))
         self.emit(sender, "netsim.sent",
-                  {"msg": type(body).__name__, "ch": channel.id, "seq": env.seq},
+                  {"msg": type(body).__name__, "ch": channel.id, "seq": env.seq,
+                   "answers": getattr(body, "answers", None)},
                   digest=crypto.digest(codec.union_tail(wire)))
         return env
 

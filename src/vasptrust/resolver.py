@@ -6,9 +6,11 @@ public keys. Each VASP's resolver keeps a local table of its own customers'
 identifiers and learns about other VASPs' customers through signed,
 sequence-numbered full-state advertisements flooded over the federation,
 newest advertisement per origin winning (link-state semantics). An
-advertisement carries each identifier as its canonical string (``render()``),
-the key every resolver indexes by; receivers treat the strings as opaque
-keys, and a non-canonical one matches no lookup, which renders first.
+advertisement carries the canonical strings (``render()``) grouped under
+their suffix, separator and domain ("$acmepay.com"; "" for bare keys), so
+each travels as its local part, as DNS name compression sends a domain
+once (RFC 1035 §4.1.4). A receiver refuses any other grouping, and indexes
+each string interned: every resolver shares one object per identifier.
 
 Lookups answer with VASP numbers only; key material never flows back to a
 caller, and callers must present a chain-valid consortium certificate.
@@ -16,7 +18,8 @@ caller, and callers must present a chain-valid consortium certificate.
 
 from __future__ import annotations
 
-from collections.abc import Container
+import sys
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -114,17 +117,51 @@ def parse_identifier(s: str) -> CustomerIdentifier:
     return ident
 
 
+def group_identifiers(rendered: Iterable[str]) -> tuple[tuple[str, ...], ...]:
+    """Canonical strings as an advertisement carries them: one group per
+    suffix, split off where ``parse_identifier`` splits, suffix first and
+    then its local parts; groups and local parts strictly increasing."""
+    groups: dict[str, set[str]] = {}
+    for s in rendered:
+        sep = "$" if "$" in s else "@" if "@" in s else None
+        local, sep, domain = s.rpartition(sep) if sep else (s, "", "")
+        groups.setdefault(sep + domain, set()).add(local)
+    return tuple((suffix, *sorted(groups[suffix])) for suffix in sorted(groups))
+
+
+@lru_cache(maxsize=4096)
+def _renders_as_itself(s: str) -> bool:
+    try:
+        return parse_identifier(s).render() == s
+    except Unparseable:
+        return False
+
+
+def _canonical(domains: tuple[tuple[str, ...], ...], expanded: tuple[str, ...]) -> bool:
+    """Whether ``domains`` (expanding to ``expanded``) groups canonical
+    strings. A suffix is parsed (and cached) alone: under it, any non-empty
+    local part that ``group_identifiers`` splits off is canonical too."""
+    return group_identifiers(expanded) == domains and all(
+        all(group[1:]) and all(map(_renders_as_itself, (
+            ("x" + group[0],) if group[0] else group[1:]))) for group in domains)
+
+
 @dataclass(frozen=True)
 class IdentifierAdvertisement:
     """Full-state advertisement: one VASP number plus every customer
-    identifier it currently serves, as sorted canonical strings, strictly
-    increasing sequence."""
+    identifier it serves (``group_identifiers``), strictly increasing sequence."""
 
     vasp_number: int
     sequence: int
-    identifiers: tuple[str, ...]
+    domains: tuple[tuple[str, ...], ...]
     signer_cert_serial: int
     signature: bytes
+
+    @property
+    def identifiers(self) -> tuple[str, ...]:
+        """The canonical strings, each interned."""
+        return tuple(sys.intern(local + group[0])
+                     for group in self.domains for local in group[1:])
 
 
 class MergeOutcome(Enum):
@@ -214,7 +251,7 @@ class ResolverService:
         return codec.seal(IdentifierAdvertisement(
             vasp_number=self.vasp_number,
             sequence=self._sequence,
-            identifiers=tuple(sorted(self._local)),
+            domains=group_identifiers(self._local),
             signer_cert_serial=claims_cert_serial,
             signature=b"",
         ), lambda tbs: crypto.sign(claims_private_key, tbs))
@@ -229,7 +266,7 @@ class ResolverService:
         duplicate or replay costs no certificate or signature work; a
         resolver is authoritative for its own origin and never takes an
         advertisement for it from the federation. The signer must be the
-        origin member's claims-signing certificate.
+        origin's claims-signing certificate, and the grouping canonical.
         """
         held = self._remote.get(adv.vasp_number)
         if adv.vasp_number == self.vasp_number or (
@@ -239,12 +276,12 @@ class ResolverService:
                 *codec.unseal(adv), adv.signer_cert_serial,
                 pki.CertPurpose.CLAIMS_SIGNING, adv.vasp_number):
             return MergeOutcome.REJECTED
-        if len(set(adv.identifiers)) != len(adv.identifiers):
+        if not _canonical(adv.domains, identifiers := adv.identifiers):
             return MergeOutcome.REJECTED
 
         self.drop_origin(adv.vasp_number)
         index, origin = self._remote_index, _one_origin(adv.vasp_number)
-        for rendered in adv.identifiers:
+        for rendered in identifiers:
             owners = index.get(rendered)
             index[rendered] = origin if owners is None else owners | origin
         self._remote[adv.vasp_number] = adv

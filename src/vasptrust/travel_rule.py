@@ -12,8 +12,8 @@ the originator and the beneficiary gates every exchange.
 A payload's id is the digest of its canonical encoding, derived from the
 payload and never carried in it. ``codec.seal`` signs a ``SignedPayload``
 over the payload and the signer's certificate serial, every field but its
-signature, the last. An answer travels as a ``SignedAnswer``, its delta
-from its request, and is verified once rebuilt on that request.
+signature, the last. An answer travels as a ``SignedAnswer``, its account
+alone, and is verified once rebuilt on its request and the key paid.
 
 Payload, consent and correlation stores are append-only. A VASP keeps a
 payload on record as the canonical bytes of its ``SignedPayload``;
@@ -192,13 +192,13 @@ def build_payload(originator: CustomerRecord,
     )
 
 
-def answer_payload(request: TravelRulePayload, beneficiary: CustomerRecord,
+def answer_payload(request: TravelRulePayload, beneficiary_account: str,
                    beneficiary_tx_key: bytes) -> TravelRulePayload:
-    """The beneficiary VASP's answer to ``request``: ``beneficiary``'s
+    """The beneficiary VASP's answer to ``request``: the beneficiary's
     account, matched on-chain by the amount paid to ``beneficiary_tx_key``;
     the rest is the request's."""
     return dataclasses.replace(
-        request, beneficiary_account=beneficiary.customer_id,
+        request, beneficiary_account=beneficiary_account,
         correlation=CorrelationHint(HintKind.KEY_AMOUNT, beneficiary_tx_key,
                                     request.amount))
 
@@ -244,25 +244,25 @@ def sign_payload(claims_private_key: bytes,
 
 @dataclass(frozen=True)
 class SignedAnswer:
-    """A signed answer as it travels: the fields it changes in its request."""
+    """A signed answer as it travels: the account it names, no hint."""
 
     beneficiary_account: str
-    correlation: CorrelationHint
     signer_cert_serial: int
     signature: bytes
 
 
 def answer_delta(signed: SignedPayload) -> SignedAnswer:
-    return SignedAnswer(signed.payload.beneficiary_account, signed.payload.correlation,
+    return SignedAnswer(signed.payload.beneficiary_account,
                         signed.signer_cert_serial, signed.signature)
 
 
-def rebuild_answer(request: TravelRulePayload, answer: SignedAnswer) -> SignedPayload:
-    """The signed answer to ``request`` whose delta is ``answer``."""
-    return SignedPayload(dataclasses.replace(
-        request, beneficiary_account=answer.beneficiary_account,
-        correlation=answer.correlation), answer.signer_cert_serial,
-        answer.signature)
+def rebuild_answer(request: TravelRulePayload, answer: SignedAnswer,
+                   beneficiary_tx_key: bytes) -> SignedPayload:
+    """The signed answer to ``request`` whose delta is ``answer``, for the
+    transaction key the originator pays."""
+    return SignedPayload(answer_payload(request, answer.beneficiary_account,
+                                        beneficiary_tx_key),
+                         answer.signer_cert_serial, answer.signature)
 
 
 def verify_signed_payload(signed: SignedPayload, trust: pki.TrustContext,

@@ -22,7 +22,7 @@ from vasptrust.netsim import build_world, run_scenario_with_world
 from vasptrust.netsim.messages import (ClaimsAuthRequest, ClaimsFetchRequest,
                                        TravelRuleRequest, TravelRuleResponse)
 from vasptrust.netsim.scenarios import converge_federation, flood_round
-from vasptrust.resolver import parse_identifier
+from vasptrust.resolver import IdentifierAdvertisement, parse_identifier
 from vasptrust.travel_rule import ConsentDirection
 
 
@@ -76,10 +76,13 @@ def accepted_responses(world, sender: int) -> list:
 
 def strings_in(value) -> set[str]:
     """Every string inside a decoded wire value. Advertisements carry
-    Alice's identifiers by design, whole (``alice$acmepay.com``), so
-    her account name is found only where her data is."""
+    Alice's identifiers by design, grouped under their domain; each is
+    taken whole (``alice$acmepay.com``), not as its local part, so her
+    account name is found only where her data is."""
     if isinstance(value, str):
         return {value}
+    if isinstance(value, IdentifierAdvertisement):
+        return set(value.identifiers)
     if dataclasses.is_dataclass(value):
         value = [getattr(value, f.name) for f in dataclasses.fields(value)]
     elif isinstance(value, dict):
@@ -208,7 +211,7 @@ def answer_to(world, request: tr.TravelRulePayload,
     changed in the given fields: the answer's delta from that request."""
     vasp9 = world.vasps[9]
     answer = tr.answer_payload(dataclasses.replace(request, **changes),
-                               vasp9.customers["bob"], vasp9.tx_key.public_key)
+                               "bob", vasp9.tx_key.public_key)
     return tr.answer_delta(tr.sign_payload(
         vasp9.claims_key.private_key, vasp9.certs.claims, answer, world.trust))
 
@@ -284,6 +287,36 @@ def test_answer_to_another_request_refused(world, field, value):
     assert payload.payload_id not in world.vasps[7].pending
     assert not world.sim.trace.find("ledger.tx_submitted")
     assert [d for d, _ in world.vasps[7].payload_store] == ["outbound"]
+
+
+@pytest.mark.parametrize("hint", ["claims_key", "amount_plus_one"])
+def test_answer_naming_another_key_or_amount_refused(world, hint):
+    # VASP 9, the VASP asked, signs an answer whose correlation hint names
+    # a key other than the transaction key VASP 7 pays (its claims key),
+    # or one more than the amount. The hint does not travel: VASP 7
+    # rebuilds it from the certificate it pays, so the signature fails.
+    payload = _start_transfer(world)
+    pending = world.vasps[7].pending[payload.payload_id]
+    vasp9 = world.vasps[9]
+    key, amount = vasp9.tx_key.public_key, payload.amount
+    if hint == "claims_key":
+        key = vasp9.claims_key.public_key
+    else:
+        amount += 1
+    assert key != world.trust.members[9].transaction.subject_public_key \
+        or amount != payload.amount
+    answer = dataclasses.replace(
+        tr.answer_payload(payload, "bob", key),
+        correlation=tr.CorrelationHint(tr.HintKind.KEY_AMOUNT, key, amount))
+    forged = tr.answer_delta(tr.sign_payload(
+        vasp9.claims_key.private_key, vasp9.certs.claims, answer, world.trust))
+    send(world, 9, 7, TravelRuleResponse(seq_of(world, payload), None, forged))
+    world.sim.run_until_quiet()
+    # VASP 9's own answer comes after it, a second answer to one request.
+    assert refusals(world, 7) == ["invalid_payload"]
+    assert unsolicited(world, 7) == ["unsolicited_answer"]
+    assert pending.state == "refused"
+    assert not world.sim.trace.find("ledger.tx_submitted")
 
 
 def test_answer_whose_signature_fails_refused(world):

@@ -904,7 +904,8 @@ def test_ids_derived_from_the_wire_are_the_ones_the_trace_names(
         demo_config, name):
     # Ids are never carried: each receiver derives them from the values
     # it decodes, and they are the short ids the sender's trace names. An
-    # answer's id is derived once it is rebuilt on the request it answers.
+    # answer's id is derived once it is rebuilt on the request it answers
+    # and the transaction key its originator pays.
     trace, world = run_scenario_with_world(name, demo_config)
     derived = {"payload": set(), "token": set(), "receipt": set()}
     requests = {}  # by channel and envelope seq, which answers name
@@ -915,8 +916,10 @@ def test_ids_derived_from_the_wire_are_the_ones_the_trace_names(
             requests[env.channel_id, env.seq] = payload
             derived["payload"].add(payload.payload_id.hex()[:16])
         if getattr(body, "answer", None) is not None:
+            request = requests[env.channel_id, body.answers]
+            paid = world.trust.members[request.beneficiary_vasp_number]
             answer = travel_rule.rebuild_answer(
-                requests[env.channel_id, body.answers], body.answer)
+                request, body.answer, paid.transaction.subject_public_key)
             derived["payload"].add(answer.payload.payload_id.hex()[:16])
         if getattr(body, "token", None) is not None:
             derived["token"].add(body.token.token_id.hex()[:16])

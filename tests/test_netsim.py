@@ -257,7 +257,8 @@ def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
     # send encodes each body once and reuses the bytes for the wire
     # envelope and the trace digest; both must be what encoding anew gives.
     # The envelope names no sender: the sent event's actor is the one send
-    # was called with.
+    # was called with. An answer's event names the seq it answers; any
+    # other's holds None there, which the rendered line leaves out.
     _, world = run_scenario_with_world(scenario, demo_config)
     sim = world.sim
     sent = {(env.channel_id, sender, env.seq): env
@@ -269,7 +270,8 @@ def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
         assert blob == codec.canonical_encode(env)
         assert kind == type(env.body).__name__
         assert tuple(event.fields.items()) == (
-            ("msg", kind), ("ch", env.channel_id), ("seq", env.seq))
+            ("msg", kind), ("ch", env.channel_id), ("seq", env.seq),
+            ("answers", getattr(env.body, "answers", None)))
         assert event.digest == \
             crypto.digest(codec.canonical_encode(env.body))[:8].hex()
 

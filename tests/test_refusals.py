@@ -478,8 +478,8 @@ def test_other_class_where_an_answer_is_declared_is_refused_at_the_sender(
     (pending,) = vasp7.pending.values()
     signed = tr.sign_payload(
         vasp9.claims_key.private_key, vasp9.certs.claims,
-        tr.answer_payload(pending.payload, vasp9.customers["bob"],
-                          vasp9.tx_key.public_key), world.trust)
+        tr.answer_payload(pending.payload, "bob", vasp9.tx_key.public_key),
+        world.trust)
     channel = world.channel_between(vasp9, vasp7)
     since, logged = len(world.sim.trace.events), len(world.sim.wire_log)
     for body, refusal in (

@@ -14,7 +14,8 @@ from vasptrust import codec, crypto, pki
 from vasptrust.resolver import (CustomerIdentifier, IdentifierKind,
                                 IdpDirectory, IdpValidationFailed,
                                 MergeOutcome, ResolverService, Unauthorized,
-                                UnknownCustomer, Unparseable, parse_identifier)
+                                UnknownCustomer, Unparseable, group_identifiers,
+                                parse_identifier)
 
 
 class TestParsing:
@@ -182,6 +183,7 @@ class TestAdvertisements:
         svc.register_identifier("user3", parse_identifier("b$x.com"))
         svc.register_identifier("user3", parse_identifier("c$x.com"))
         adv = federation.advertise(3)
+        assert adv.domains == (("$x.com", "a", "b", "c"),)
         assert adv.identifiers == ("a$x.com", "b$x.com", "c$x.com")
 
     def test_empty_list_still_signed(self, federation):
@@ -190,16 +192,18 @@ class TestAdvertisements:
         assert federation.merge(7, adv) is MergeOutcome.APPLIED
 
     def test_repeated_identifier_rejected(self, federation):
-        # Validly signed by VASP 3, but listing one string twice.
-        adv = signed_as(federation, 3, identifiers=("a$x.com", "a$x.com"))
+        # Validly signed by VASP 3, but listing one local part twice.
+        adv = signed_as(federation, 3, domains=(("$x.com", "a", "a"),))
         assert federation.merge(7, adv) is MergeOutcome.REJECTED
         assert federation.services[7].resolve_map() == {}
 
     def test_non_canonical_identifier_answers_no_lookup(self, federation):
-        # Receivers index the strings as they come; a lookup renders its
-        # argument first, so a non-canonical string never matches.
-        adv = signed_as(federation, 3, identifiers=("Alice@IDP1.COM",))
-        assert federation.merge(7, adv) is MergeOutcome.APPLIED
+        # A lookup renders its argument first, so a non-canonical string
+        # could never match: the merge refuses it, and indexes nothing.
+        adv = signed_as(federation, 3, domains=(("@IDP1.COM", "Alice"),))
+        assert adv.identifiers == ("Alice@IDP1.COM",)
+        assert federation.merge(7, adv) is MergeOutcome.REJECTED
+        assert federation.services[7]._remote_index == {}
         identity_cert, _, _ = federation.creds[7]
         for asked in ("Alice@IDP1.COM", "Alice@idp1.com"):
             assert federation.services[7].lookup(
@@ -232,7 +236,7 @@ class TestAdvertisements:
         monkeypatch.setattr(crypto, "verify", lambda *args: (
             verifies.append(args), real_verify(*args))[1])
         forged = dataclasses.replace(
-            adv, identifiers=("mallory$x.com",),
+            adv, domains=(("$x.com", "mallory"),),
             signature=b"\x00" * 64)
         assert fed.merge(7, forged) is MergeOutcome.STALE
         assert verifies == []
@@ -388,3 +392,83 @@ def test_incremental_merge_equals_from_scratch(schedule, rng):
     assert remote_view == expected
     # The incrementally maintained lookup index must agree as well.
     assert receiver.resolve_map() == expected
+
+
+KEY_HEX = bytes(range(32)).hex()
+
+
+NON_CANONICAL = {  # name -> a grouping group_identifiers never makes
+    "groups_unsorted": (("@x.com", "b"), ("$x.com", "a")),
+    "locals_unsorted": (("$x.com", "b", "a"),),
+    "suffix_twice": (("$x.com", "a"), ("$x.com", "b")),
+    "no_local_part": (("$x.com",),),
+    "empty_group": ((),),
+    "named_under_bare_key_suffix": (("", "a$x.com"),),
+    "dollar_under_at": (("@x.com", "a$b"),),
+    "suffix_split_at_the_wrong_separator": (("@a$x.com", "b"),),
+    "no_separator": (("x.com", "a"),),
+    "domain_not_lowercase": (("$X.COM", "a"),),
+    "invalid_domain": (("$.x.com", "a"),),
+    "no_domain": (("$", "a"),),
+    "empty_local": (("$x.com", ""),),
+    "key_without_prefix": (("", KEY_HEX),),
+    "key_upper_case": (("", "key:" + KEY_HEX.upper()),),
+    "bare_key_not_hex": (("", "zz"),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+def test_non_canonical_grouping_rejected(federation, name):
+    # Validly signed by VASP 3, newer than what VASP 7 holds, but grouped
+    # as group_identifiers would never group canonical strings: refused,
+    # and VASP 7 keeps the advertisement and index it had.
+    fed = federation
+    fed.services[3].register_identifier("user3", parse_identifier("kept$x.com"))
+    held = fed.advertise(3)
+    assert fed.merge(7, held) is MergeOutcome.APPLIED
+    receiver = fed.services[7]
+    index = dict(receiver._remote_index)
+    assert fed.merge(7, signed_as(fed, 3, domains=NON_CANONICAL[name])) \
+        is MergeOutcome.REJECTED
+    assert receiver._remote == {3: held}
+    assert receiver._remote_index == index
+
+
+_LOCAL = st.text("abAB09._-@$", min_size=1, max_size=6)
+_DOMAIN = st.text("ab0.-", min_size=1, max_size=5).filter(
+    lambda d: not d.startswith("."))
+_CANONICAL = st.one_of(
+    st.builds(lambda local, domain: f"{local}${domain}", _LOCAL, _DOMAIN),
+    st.builds(lambda local, domain: f"{local}@{domain}",
+              _LOCAL.filter(lambda local: "$" not in local), _DOMAIN),
+    st.binary(min_size=32, max_size=32).map(lambda key: f"key:{key.hex()}"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(_CANONICAL, max_size=12))
+def test_grouping_expands_back_and_costs_at_most_a_suffix_per_group(rendered):
+    assert all(parse_identifier(s).render() == s for s in rendered)
+    grouped = group_identifiers(rendered)
+    expanded = [local + group[0] for group in grouped for local in group[1:]]
+    assert len(expanded) == len(rendered) and set(expanded) == rendered
+    # A group pays its suffix's frame (2 B) and its own (2 B under 128 B),
+    # so 4 B over the flat form for a group of one, and saves its suffix
+    # for every further identifier. A group of 128 B or more, which only
+    # bare keys under "" reach here, has a longer frame header.
+    def size(values):
+        return sum(len(codec.canonical_encode(v)) for v in values)
+
+    for group in grouped:
+        items = size(group)
+        assert items <= size(local + group[0] for local in group[1:]) + 2
+        assert len(codec.canonical_encode(group)) - items == 2 or items >= 128
+    # What group_identifiers builds, a receiver takes: a resolver that
+    # registers these strings advertises them, and another merges them.
+    fed = FederationWorld(pki.create_consortium_root("TestNet", seed("group-root")))
+    for s in rendered:
+        fed.services[3].register_identifier("user3", parse_identifier(s))
+    adv = fed.advertise(3)
+    assert adv.domains == grouped
+    assert fed.merge(7, adv) is MergeOutcome.APPLIED
+    assert set(fed.services[7].resolve_map()) == rendered

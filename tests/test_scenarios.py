@@ -21,7 +21,7 @@ from vasptrust.netsim.nodes import PendingTransfer
 from vasptrust.netsim import scenarios
 from vasptrust.netsim.scenarios import (converge_federation, flood_round,
                                         ground_truth_map)
-from vasptrust.resolver import parse_identifier
+from vasptrust.resolver import group_identifiers, parse_identifier
 from vasptrust.travel_rule import (ConsentDirection, read_payload_record,
                                    rebuild_answer)
 
@@ -331,20 +331,22 @@ class TestDeltaFlooding:
 
     def test_advertisements_carry_the_canonical_identifiers(self, demo_config):
         # Each origin advertises the canonical strings of the identifiers
-        # its config lists (a bare key as key:<hex>), sorted and once each,
-        # and every other member holds that very list.
+        # its config lists (a bare key as key:<hex>), once each, grouped
+        # under their suffix, and every other member holds that very
+        # grouping.
         world = build_world(demo_config)
         converge_federation(world)
         for vcfg in demo_config.vasps:
-            expected = tuple(sorted({parse_identifier(s).render()
-                                     for c in vcfg.customers
-                                     for s in c.identifiers}))
+            rendered = {parse_identifier(s).render()
+                        for c in vcfg.customers for s in c.identifiers}
+            expected = group_identifiers(rendered)
             own = world.vasps[vcfg.vasp_number]._own_adv
-            assert own.identifiers == expected
+            assert own.domains == expected
+            assert sorted(own.identifiers) == sorted(rendered)
             for other in sorted(set(world.vasps) - {vcfg.vasp_number}):
                 held = {adv.vasp_number: adv for adv in
                         world.vasps[other].resolver.known_advertisements()}
-                assert held[vcfg.vasp_number].identifiers == expected
+                assert held[vcfg.vasp_number].domains == expected
         assert any(rendered.startswith("key:")
                    for rendered in world.vasps[7]._own_adv.identifiers)
 
@@ -737,14 +739,16 @@ def test_every_payload_record_decodes_to_the_payload_sent(demo_config):
     # S1's request and answer, each kept by its sender (outbound) and its
     # receiver (inbound) as bytes, decode to the SignedPayload sent, and
     # are that payload's canonical bytes. The answer crossed the wire as
-    # its delta; rebuilt on the request, it is the answer VASP 9 signed,
-    # so VASP 7 keeps the very bytes VASP 9 does.
+    # its delta; rebuilt on the request and the transaction key of VASP 9's
+    # certificate, it is the answer VASP 9 signed, so VASP 7 keeps the
+    # very bytes VASP 9 does.
     _, world = run_scenario_with_world("S1", demo_config)
     request, response = [
         env.body for env in wire_envelopes(world.sim)
         if isinstance(env.body, (TravelRuleRequest, TravelRuleResponse))]
     request = request.signed
-    answer = rebuild_answer(request.payload, response.answer)
+    answer = rebuild_answer(request.payload, response.answer,
+                            world.trust.members[9].transaction.subject_public_key)
     records = {number: [(d, read_payload_record(data), data)
                         for d, data in vasp.payload_store]
                for number, vasp in world.vasps.items() if vasp.payload_store}
@@ -849,18 +853,24 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # number, and AttestationResponse its device id): with the digest column
 # dropped, their traces are line for line the previous ones, and only the
 # netsim.sent digests of the changed bodies differ; S1 and S5 did not
-# change.
+# change. All five trace digests, and the S1, S3 and S5 wire digests, were
+# last re-pinned when advertisements began to carry identifiers grouped
+# under their suffix, an answer lost its correlation hint, and an answer's
+# netsim.sent event began to name the seq it answers (answers=): with the
+# digest column and the answers= field dropped, each trace is line for
+# line the previous one; S2 and S4 flood nothing and send no travel-rule
+# answer, so their wire bytes did not change.
 PINNED = {
-    "S1": ("e01420cdeedec9d79c16201bbf24966be547f96051598d094117b7600e552cd7",
-           "1b659ae448fe6f8be866e7d6be65c64a7e621affb7fb1bda644300b89181d086"),
-    "S2": ("2861bced91258e52742541855dbb621a5946e23633cd48fb8395e0fe8d93b30c",
+    "S1": ("4cebaa5d8e5ef13e1608a698d9aa1485f5ae68918dad1ed03ad2a886998e464f",
+           "38ee2e8147b39f2946c43c508530fb1d3cdeb675b3e5eced3d41ac279599504b"),
+    "S2": ("01b79094b3447a8364dbeb90400bf38f6a1d54ff6c7b7a474b15e6b5df4c64ce",
            "9dd68c09bdd000d02b0ea74dce95ca11cc75a4e2c95f104ba4e758bf1a198d45"),
-    "S3": ("42ad474d43c7e1411e88ba19094649291ca748e2dacc79b4d945d43c4dd753cf",
-           "fe464c626d97cd8223a8faa4c7e15f9f0b1cd5c75b91dc10cf9df5e1d92ce402"),
-    "S4": ("a2671750da8e314b8c3e9be800898211eb4c26fe8ff180c729b9a6db50fc8675",
+    "S3": ("ab60e93a882f09258c00e423d97db9188d0455bca5845218807704e75c1b2418",
+           "aecb0b9e85eafbb1d899a508a395755d12a33ef824ce03024cb8e8625a953812"),
+    "S4": ("a647a1928ece32641d49b981f8e78e835fdf00b54e97294b5462f4fb4e9d35ab",
            "4e888d26c62c20fc3042ca29693eef45740da0efef7ddbe762d833a7bfcd2962"),
-    "S5": ("6192886de1d6c832be34628471df8b90715679841af7266c1ef48668370d7fcf",
-           "724946f142c89ef7ee68339e8f6dc54025bfca3d06597901f17620fad2143f8a"),
+    "S5": ("ee5629dd8875bb077597b078754e252878e4a30abf2e90bf5fe2739fdbe334ec",
+           "dcf1a068073c7a97d38530642bdc13e28f071cff3521ef5a1a19d593b08dba7c"),
 }
 
 

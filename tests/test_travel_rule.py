@@ -391,16 +391,16 @@ TX_KEY = bytes(range(32))
 ], ids=["geographic_address", "national_id", "birth_info", "key_amount"])
 def test_answer_rebuilt_from_its_delta(root, member, request_payload):
     # The originator rebuilds the signed answer, byte for byte, from the
-    # request it holds and the delta it receives, which carries none of
-    # the request's originator data; rebuilt on another request, the
-    # answer fails its signature.
+    # request it holds, the transaction key it pays and the delta it
+    # receives, which carries none of the request's originator data and
+    # no hint; rebuilt on another request or key, the answer fails its
+    # signature.
     trust = trust_context(root, member)
-    bob = tr.CustomerRecord("B-901", "Bob Jones")
     signed = tr.sign_payload(member["claims"].private_key, member["claims_cert"],
-                             tr.answer_payload(request_payload, bob, TX_KEY),
+                             tr.answer_payload(request_payload, "B-901", TX_KEY),
                              trust)
     delta = tr.answer_delta(signed)
-    rebuilt = tr.rebuild_answer(request_payload, delta)
+    rebuilt = tr.rebuild_answer(request_payload, delta, TX_KEY)
     assert rebuilt == signed
     assert codec.canonical_encode(rebuilt) == codec.canonical_encode(signed)
     assert tr.verify_signed_payload(rebuilt, trust, 7)
@@ -409,8 +409,10 @@ def test_answer_rebuilt_from_its_delta(root, member, request_payload):
     assert not any(text.encode() in wire for text in (
         request_payload.originator_name, request_payload.originator_account,
         identifying.value, identifying.extra) if text)
-    other = tr.rebuild_answer(replace(request_payload, amount=126), delta)
-    assert not tr.verify_signed_payload(other, trust, 7)
+    assert TX_KEY not in wire
+    for other in (tr.rebuild_answer(replace(request_payload, amount=126), delta, TX_KEY),
+                  tr.rebuild_answer(request_payload, delta, bytes(32))):
+        assert not tr.verify_signed_payload(other, trust, 7)
 
 
 def test_dump_payload_store(root, member):
