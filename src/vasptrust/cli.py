@@ -50,17 +50,14 @@ def _build_manifest(config: TopologyConfig) -> dict:
     world = build_world(config, scenario="init")
     certificates = []
     for cert in world.root.issued_certificates():
-        entry = {
-            "serial": cert.serial,
-            "kind": pki.cert_kind(cert),
-            "hex": pki.cert_to_hex(cert),
-        }
         if isinstance(cert, pki.EvIdentityCertificate):
-            entry["subject_organization"] = cert.subject.organization_name
-            entry["entity_number"] = cert.subject.vasp_number
+            kind, about = "identity", {
+                "subject_organization": cert.subject.organization_name,
+                "entity_number": cert.subject.vasp_number}
         else:
-            entry["purpose"] = cert.purpose.value
-        certificates.append(entry)
+            kind, about = "signing", {"purpose": cert.purpose.value}
+        certificates.append({"serial": cert.serial, "kind": kind,
+                             "hex": pki.cert_to_hex(cert), **about})
     devices = [
         {"device_id": device_id,
          "boot_digest": device.boot_digest.hex(),

@@ -13,8 +13,7 @@ Encoding runs through one closure per type, built on first use from the
 declared field types and cached, so the per-value cost is a class check and
 the framing, not a walk over the type's annotations. Encoding keeps
 nothing on a value: every encode walks the value again, and no receiver
-verifies over bytes its sender's object holds. Where bytes already hold a
-value's encoding, ``union_tail`` reads an envelope's body out of them.
+verifies over bytes its sender's object holds.
 
 One rule decides what encodes: a value encodes only as its declared type.
 Where a class is declared the value must be exactly that class, where an
@@ -472,20 +471,3 @@ def canonical_decode(data: bytes, cls: Any) -> Any:
         raise DecodeError("trailing bytes after value")
     return value
 
-
-def union_tail(data: bytes) -> bytes:
-    """The encoding of the value held by the union that ends the canonical
-    struct ``data`` (an envelope's body), read out of ``data`` without
-    decoding or encoding anything."""
-    outer = _Reader(data)
-    fields = _Reader(_expect(outer, TAG_STRUCT))
-    if not outer.done():
-        raise DecodeError("trailing bytes after value")
-    tag, payload = None, b""
-    while not fields.done():
-        tag, payload = fields.take_frame()
-    if tag != TAG_UNION:
-        raise DecodeError("struct does not end in a union")
-    member = _Reader(payload)
-    _expect(member, TAG_UINT)
-    return payload[member.pos:]

@@ -3,16 +3,20 @@
 Time is an integer tick counter. Channels come into existence only after
 both endpoints' identity certificates validate against the consortium root
 and each side proves possession of its certified key by signing a fresh
-challenge. Per-channel delivery is FIFO exactly-once: injected drop,
-duplicate and reorder faults are recovered through retransmission and
-per-direction sequence numbers, so handlers always observe messages once
-and in order. Every send is logged to the trace and to a wire log holding
-the canonical envelope bytes. An envelope is ``(channel_id, seq, body)``:
+challenge. Each channel direction is a FIFO pipe with loss, made reliable
+by Go-Back-N retransmission: a tick delivers a direction's queue up to its
+first dropped envelope, which goes again, with all after it, next tick. So
+handlers observe every message exactly once and in order, as over TLS on
+TCP. Every send is logged to the trace and to a wire log holding the
+canonical envelope bytes; its ``netsim.sent`` digest is that of those
+bytes. An envelope is ``(channel_id, seq, body)``:
 its sender is the channel's other endpoint, never a wire field. An answer
 names its request's seq on the same channel (``Node.handle``), and so
 does its ``netsim.sent`` event (``answers``): the trace pairs them too.
 
-The world owns its actors; the simulator only refers to them. A handler or
+An actor is a name with the handler its deliveries go to; a name that
+only emits trace events (``sim``, ``ledger``) is not registered. The
+world owns its actors; the simulator only refers to them. A handler or
 tick hook that is a bound method is kept as a weak reference to its object
 plus the function itself, so nothing the simulator holds points back at
 the world, and a dropped world is freed at once by reference counting.
@@ -61,8 +65,6 @@ class Envelope:
 class _Direction:
     queue: list[Envelope] = field(default_factory=list)
     next_seq: int = 0
-    expected: int = 0
-    pending: dict[int, Envelope] = field(default_factory=dict)
 
 
 class SecureChannel:
@@ -99,11 +101,11 @@ class SecureChannel:
 
 @dataclass
 class FaultConfig:
-    """Per-message transport faults; recovery keeps delivery exactly-once."""
+    """Transport faults: each envelope sent is lost with ``drop_rate`` and
+    retransmitted (Go-Back-N), so delivery stays exactly-once and in order;
+    ``partitioned`` refuses every channel."""
 
     drop_rate: float = 0.0
-    duplicate_rate: float = 0.0
-    reorder_rate: float = 0.0
     partitioned: bool = False
 
 
@@ -140,22 +142,19 @@ class Simulation:
         self.trace = ScenarioTrace(scenario=scenario, seed=seed)
         self.channels: list[SecureChannel] = []
         self.wire_log: list[tuple[str, bytes]] = []
-        # Every direction holding a queued or out-of-order envelope, keyed
-        # by (channel id, endpoint index): the only ones with work to do.
+        # Every direction holding a queued envelope, keyed by (channel id,
+        # endpoint index): the only ones with work to do.
         self._busy: dict[tuple[int, int], tuple[SecureChannel, str]] = {}
-        self._actors: set[str] = set()
         self._handlers: dict[str, object] = {}
         self._tick_hooks: list[object] = []
         self._field_keys: dict[tuple, tuple] = {}
 
     # -- actors and trace -----------------------------------------------------
 
-    def register_actor(self, name: str, handler=None) -> None:
-        if name in self._actors:
+    def register_actor(self, name: str, handler) -> None:
+        if name in self._handlers:
             raise NetsimError(f"duplicate actor id {name!r}")
-        self._actors.add(name)
-        if handler is not None:
-            self._handlers[name] = _referred(handler, f"actor {name!r}")
+        self._handlers[name] = _referred(handler, f"actor {name!r}")
 
     def emit(self, actor: str, event: str, fields: dict | None = None, *,
              payload=None, digest: bytes | None = None) -> TraceEvent:
@@ -208,7 +207,7 @@ class Simulation:
                                  challenge, proof):
                 self.emit(us.name, "netsim.channel_refused", {
                     "peer": peer.name,
-                    "verdict": Refusal.POSSESSION_PROOF_FAILED.value})
+                    "reason": Refusal.POSSESSION_PROOF_FAILED.value})
                 raise PeerCertInvalid(peer.name, None, "possession proof failed")
         channel = SecureChannel(
             channel_id=len(self.channels) + 1,
@@ -225,8 +224,7 @@ class Simulation:
         direction = channel._dirs[sender]
         env = Envelope(channel.id, direction.next_seq, body)
         # Encoded once, before it is queued, so a body the codec refuses is
-        # never sent; the sent event's digest covers the body's bytes read
-        # out of this encoding.
+        # never sent; the sent event's digest is that of these bytes.
         wire = codec.canonical_encode(env)
         direction.next_seq += 1
         direction.queue.append(env)
@@ -235,7 +233,7 @@ class Simulation:
         self.emit(sender, "netsim.sent",
                   {"msg": type(body).__name__, "ch": channel.id, "seq": env.seq,
                    "answers": getattr(body, "answers", None)},
-                  digest=crypto.digest(codec.union_tail(wire)))
+                  digest=crypto.digest(wire))
         return env
 
     # -- event loop ---------------------------------------------------------------
@@ -244,53 +242,36 @@ class Simulation:
         """Advance one tick; deliver in-flight messages, run handlers."""
         self.now += 1
         deliveries: list[tuple[SecureChannel, str, str, Envelope]] = []
-        fault = (self.faults.drop_rate or self.faults.duplicate_rate
-                 or self.faults.reorder_rate)
+        drop_rate = self.faults.drop_rate
         # Channel id order, then endpoint a before b, as a walk over every
-        # direction would go, so deliveries and fault draws keep its order.
+        # direction would go, so deliveries and drop draws keep its order.
         for key in sorted(self._busy):
             channel, sender = self._busy[key]
-            direction = channel._dirs[sender]
-            if not direction.queue:
-                continue
-            queue = list(direction.queue)
-            direction.queue.clear()
-            if fault and self.faults.reorder_rate and len(queue) > 1 \
-                    and self.rng.random() < self.faults.reorder_rate:
-                self.rng.shuffle(queue)
-            arrivals: list[Envelope] = []
-            for env in queue:
-                if fault and self.rng.random() < self.faults.drop_rate:
-                    direction.queue.append(env)  # retransmit next tick
-                    continue
-                arrivals.append(env)
-                if fault and self.rng.random() < self.faults.duplicate_rate:
-                    arrivals.append(env)
+            queue = channel._dirs[sender].queue
             recipient = channel.other(sender)
-            for env in arrivals:
-                if env.seq < direction.expected:
-                    continue  # duplicate of something already delivered
-                direction.pending.setdefault(env.seq, env)
-            while direction.expected in direction.pending:
-                env = direction.pending.pop(direction.expected)
-                direction.expected += 1
-                deliveries.append((channel, sender, recipient, env))
-            if not direction.queue and not direction.pending:
+            sent = len(queue)
+            if drop_rate:
+                # Go-Back-N: the first dropped envelope and every one after
+                # it stay queued, to be sent again next tick.
+                sent = 0
+                while sent < len(queue) and self.rng.random() >= drop_rate:
+                    sent += 1
+            deliveries.extend((channel, sender, recipient, env)
+                              for env in queue[:sent])
+            del queue[:sent]
+            if not queue:
                 del self._busy[key]
         for channel, sender, recipient, env in deliveries:
             self.emit(recipient, "netsim.delivered",
                       {"msg": type(env.body).__name__, "ch": channel.id,
                        "seq": env.seq, "from": sender})
-            handler = self._handlers.get(recipient)
-            if handler is not None:
-                handler(channel, env)
+            self._handlers[recipient](channel, env)
         for hook in self._tick_hooks:
             hook(self.now)
         return len(deliveries)
 
     def in_flight(self) -> int:
-        return sum(len(ch._dirs[s].queue) + len(ch._dirs[s].pending)
-                   for ch, s in self._busy.values())
+        return sum(len(ch._dirs[s].queue) for ch, s in self._busy.values())
 
     def run_until_quiet(self, max_steps: int = 1000) -> None:
         for _ in range(max_steps):

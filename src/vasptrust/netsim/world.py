@@ -119,8 +119,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
                              lambda: sim.now)
     registry = wallet.WalletRegistry()
-    sim.register_actor("sim")
-    sim.register_actor("ledger")
     sim.emit("sim", "pki.root_created", {
         "consortium": repr(config.consortium),
         "root_key": root.public_key.hex()[:16]})
@@ -193,7 +191,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     for idp in config.idps:
         idp_directories[idp.domain.lower()] = IdpDirectory(idp.domain,
                                                            set(idp.directory))
-        sim.register_actor(f"idp:{idp.domain.lower()}")
 
     vasps: dict[int, VaspNode] = {}
     for vcfg in config.vasps:
@@ -229,7 +226,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             name, crypto.derive_seed(master, f"provider:{name}"))
         providers[name] = provider
         trust.provider_keys[name] = provider.public_key
-        sim.register_actor(f"cp:{name}")
 
     stores: dict[str, ClaimsStoreNode] = {}
     auth_servers: dict[str, AuthServerNode] = {}
@@ -253,7 +249,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             sim.register_actor(server_node.name, server_node.handle)
             stores[owner] = store_node
             auth_servers[owner] = server_node
-            sim.register_actor(f"customer:{owner}")
 
             for spec in ccfg.claims:
                 claim = providers[spec.provider].issue_claim(

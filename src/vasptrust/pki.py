@@ -468,13 +468,5 @@ def create_consortium_root(name: str, seed: bytes) -> RootAuthority:
     return RootAuthority(name, crypto.generate_keypair(seed))
 
 
-CERT_KIND_IDENTITY = "identity"
-CERT_KIND_SIGNING = "signing"
-
-
-def cert_kind(cert: Certificate) -> str:
-    return CERT_KIND_IDENTITY if isinstance(cert, EvIdentityCertificate) else CERT_KIND_SIGNING
-
-
 def cert_to_hex(cert: Certificate) -> str:
     return codec.canonical_encode(cert).hex()

@@ -381,11 +381,11 @@ def test_compiled_encoder_matches_reference(cls, data):
 def test_wire_bytes_frame_the_body_bytes(body_type, data):
     body = data.draw(values_of(body_type))
     env = Envelope(channel_id=3, seq=9, body=body)
-    # Simulation.send's trace digest covers the body's bytes, read out of
-    # the envelope's encoding: they are the body's own encoding.
+    # The envelope's last frame is the body's union member: its bytes end
+    # with the body's own encoding.
     wire = codec.canonical_encode(env)
     assert wire == reference_encode(env)
-    assert codec.union_tail(wire) == codec.canonical_encode(body)
+    assert wire.endswith(codec.canonical_encode(body))
 
 
 @pytest.mark.parametrize("body_type", BODY_TYPES, ids=lambda cls: cls.__name__)
@@ -393,14 +393,15 @@ def test_wire_bytes_frame_the_body_bytes(body_type, data):
 @given(data=st.data())
 def test_body_bytes_of_damaged_wire_bytes_raise_only_decode_error(
         body_type, data):
-    # Truncated or extended wire bytes are refused; edited ones give some
-    # bytes or are refused, and with DecodeError, never another error.
+    # Truncated or extended wire bytes are refused; edited ones decode to
+    # some envelope or are refused, and with DecodeError, never another
+    # error.
     wire = codec.canonical_encode(
         Envelope(3, 9, data.draw(values_of(body_type))))
     cut = data.draw(st.integers(0, len(wire) - 1), label="bytes kept")
     for damaged in (wire[:cut], wire + wire[cut:cut + 1]):
         with pytest.raises(codec.DecodeError):
-            codec.union_tail(damaged)
+            codec.canonical_decode(damaged, Envelope)
     edited = bytearray(wire)
     i = data.draw(st.integers(0, len(wire) - 1), label="edited byte")
     edit = data.draw(st.sampled_from(["flip", "insert", "delete"]))
@@ -411,7 +412,7 @@ def test_body_bytes_of_damaged_wire_bytes_raise_only_decode_error(
     else:
         del edited[i]
     try:
-        codec.union_tail(bytes(edited))
+        codec.canonical_decode(bytes(edited), Envelope)
     except codec.DecodeError:
         pass
 
