@@ -79,7 +79,7 @@ class ClaimsProvider:
         return codec.seal(
             SignedClaim(subject, attribute, value, self.name, not_before,
                         not_after, b""),
-            lambda tbs: crypto.sign(self._keypair.private_key, tbs))
+            lambda tbs: crypto.sign(self._keypair.private_key, tbs))[0]
 
 
 def verify_claim(claim: SignedClaim, provider_public_key: bytes,
@@ -215,7 +215,7 @@ class ClaimsStore:
 
     def _issue_receipt(self, token: AuthorizationToken,
                        released: list[SignedClaim], now: int) -> ConsentReceipt:
-        receipt = codec.seal(ConsentReceipt(
+        receipt, _ = codec.seal(ConsentReceipt(
             token_id=token.token_id,
             vasp_number=token.audience_vasp_number,
             attributes_released=tuple(sorted({c.attribute_name for c in released})),
@@ -271,4 +271,4 @@ class AuthorizationServer:
             issued_at=now,
             expires_at=now + TOKEN_LIFETIME,
             signature=b"",
-        ), lambda tbs: crypto.sign(self._keypair.private_key, tbs))
+        ), lambda tbs: crypto.sign(self._keypair.private_key, tbs))[0]

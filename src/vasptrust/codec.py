@@ -12,8 +12,9 @@ decode(encode(v)) == v and re-encoding reproduces the input bytes.
 Encoding runs through one closure per type, built on first use from the
 declared field types and cached, so the per-value cost is a class check and
 the framing, not a walk over the type's annotations. Encoding keeps
-nothing on a value: every encode walks the value again, and no receiver
-verifies over bytes its sender's object holds.
+nothing on a value: ``seal`` gives back its signing input, and a party
+derives ids and records from the signing input it holds (``sealed_bytes``,
+``first_field``), never from its sender's object.
 
 One rule decides what encodes: a value encodes only as its declared type.
 Where a class is declared the value must be exactly that class, where an
@@ -121,6 +122,7 @@ Encoder = Callable[[Any], bytes]
 _NONE = _frame(TAG_NONE, b"")
 _TRUE = _frame(TAG_BOOL, b"\x01")
 _FALSE = _frame(TAG_BOOL, b"\x00")
+_SMALL_INTS = tuple(_frame(TAG_UINT, bytes([i]) if i else b"") for i in range(256))
 
 _ENCODERS: dict[Any, Encoder] = {}
 _STRUCTS: dict[tuple[type, bool], Encoder] = {}
@@ -160,6 +162,8 @@ def _uint(value: int) -> bytes:
 def _encode_int(value: Any) -> bytes:
     if type(value) is not int:
         return _refuse(value, "int")
+    if 0 <= value < 256:
+        return _SMALL_INTS[value]
     if value < 0:
         raise CodecError("negative integers are not encodable")
     return _frame(TAG_UINT, _uint(value))
@@ -168,13 +172,15 @@ def _encode_int(value: Any) -> bytes:
 def _encode_bytes(value: Any) -> bytes:
     if type(value) is not bytes:
         return _refuse(value, "bytes")
-    return _frame(TAG_BYTES, value)
+    n = len(value)
+    return _SHORT[TAG_BYTES][n] + value if n < 0x80 else _frame(TAG_BYTES, value)
 
 
 def _encode_str(value: Any) -> bytes:
     if type(value) is not str:
         return _refuse(value, "str")
-    return _frame(TAG_STR, value.encode("utf-8"))
+    n = len(data := value.encode("utf-8"))  # UTF-8 bytes, not characters
+    return _SHORT[TAG_STR][n] + data if n < 0x80 else _frame(TAG_STR, data)
 
 
 _SCALARS: dict[type, Encoder] = {
@@ -277,22 +283,6 @@ def _build_sequence(typ: Any, origin: type) -> Encoder:
     return encode_fixed
 
 
-def _getter(names: list[str]) -> Callable[[Any], tuple]:
-    if len(names) == 1:
-        name = names[0]
-        return lambda value: (getattr(value, name),)
-    return attrgetter(*names) if names else lambda value: ()
-
-
-def _fields(cls: type, names: list[str]) -> Callable[[Any], bytes]:
-    """Joined encodings of the named fields of a ``cls`` value, in order."""
-    get = _getter(names)
-    hints = dict(_hints(cls))
-    encoders = tuple(_encoder(hints[name]) for name in names)
-    return lambda value: b"".join(
-        [encode(v) for encode, v in zip(encoders, get(value))])
-
-
 def _struct(cls: type, signing: bool) -> Encoder:
     """Encoder of dataclass ``cls``: of every field, or, for its signing
     input, of every field but the last."""
@@ -300,18 +290,23 @@ def _struct(cls: type, signing: bool) -> Encoder:
     encode = _STRUCTS.get(key)
     if encode is not None:
         return encode
-    names = [name for name, _ in _hints(cls)]
-    encode_fields: Callable[[Any], bytes]  # built after registration
+    hints = _hints(cls)[:-1] if signing else _hints(cls)
+    names = [name for name, _ in hints]
+    get = attrgetter(*names) if len(names) > 1 else (
+        lambda value: tuple(getattr(value, n) for n in names))
+    encoders: tuple[Encoder, ...]  # built after registration
 
     def encode_struct(value: Any) -> bytes:
         if type(value) is not cls:
             return _refuse(value, cls.__name__)
-        return _frame(TAG_STRUCT, encode_fields(value))
+        body = b"".join([encode(v) for encode, v in zip(encoders, get(value))])
+        n = len(body)
+        return _SHORT[TAG_STRUCT][n] + body if n < 0x80 else _frame(TAG_STRUCT, body)
 
     # Registered before its fields are built, so a type that contains
     # itself finds this encoder.
     encode = _STRUCTS[key] = encode_struct
-    encode_fields = _fields(cls, names[:-1] if signing else names)
+    encoders = tuple(_encoder(typ) for _, typ in hints)
     return encode
 
 
@@ -332,11 +327,25 @@ def struct_bytes(value: Any) -> bytes:
     return encode(value)
 
 
-def seal(draft: Any, sign: Callable[[bytes], Any]) -> Any:
+def seal(draft: Any, sign: Callable[[bytes], Any]) -> tuple[Any, bytes]:
     """``draft`` with its last field, its signature, set to ``sign`` of
-    its signing input."""
+    its signing input; and that signing input."""
+    tbs = struct_bytes(draft)
     last = _hints(type(draft))[-1][0]
-    return dataclasses.replace(draft, **{last: sign(struct_bytes(draft))})
+    return dataclasses.replace(draft, **{last: sign(tbs)}), tbs
+
+
+def sealed_bytes(value: Any, tbs: bytes) -> bytes:
+    """Signed ``value``'s canonical bytes, re-headed from its signing input."""
+    last, typ = _hints(type(value))[-1]
+    return _frame(TAG_STRUCT, tbs[_read_header(tbs, 0)[2]:]
+                  + _encoder(typ)(getattr(value, last)))
+
+
+def first_field(data: bytes) -> bytes:
+    """The bytes of the first field of the struct, or signing input, ``data``."""
+    _, length, end = _read_header(data, start := _read_header(data, 0)[2])
+    return data[start:end + length]
 
 
 def unseal(value: Any) -> tuple[bytes, Any]:

@@ -223,6 +223,8 @@ def _read_record(typ: Any) -> Reader:
 
 def parse_config(data: dict, source: str = "config") -> TopologyConfig:
     config = read(TopologyConfig, data, source)
+    if not config.consortium.strip():  # it names the services' subjects
+        raise ConfigError(f"{source}.consortium", "a name is required")
     if not config.vasps:
         raise ConfigError(f"{source}.vasps", "at least one VASP is required")
     directories: dict[str, IdpDirectory] = {}

@@ -98,7 +98,7 @@ def make_transfer(inputs: Iterable[tuple[bytes, int]],
         signatures=(),
     )
     return codec.seal(tx, lambda tbs: tuple(
-        signers[key](tbs) for key in tx.distinct_input_keys()))
+        signers[key](tbs) for key in tx.distinct_input_keys()))[0]
 
 
 class Ledger:
@@ -111,7 +111,7 @@ class Ledger:
         self._blocks: list[Block] = [
             Block(0, GENESIS_PREV_HASH, (), _block_hash(0, GENESIS_PREV_HASH, ()))
         ]
-        self._mempool: list[LedgerTx] = []
+        self._mempool: list[bytes] = []  # tx ids, in submission order
         self._pending_spend: dict[bytes, int] = {}
         self._tx_index: dict[bytes, LedgerTx] = {}
         self._heights: dict[bytes, int] = {}  # tx id -> confirmed height
@@ -131,24 +131,25 @@ class Ledger:
         return sum(self._balances.values())
 
     def submit_transfer(self, tx: LedgerTx) -> bytes:
-        self._validate(tx)
-        self._mempool.append(tx)
-        self._tx_index[tx.tx_id] = tx
+        tx_id = self._validate(tx)
+        self._mempool.append(tx_id)
+        self._tx_index[tx_id] = tx
         for entry in tx.inputs:
             self._pending_spend[entry.public_key] = (
                 self._pending_spend.get(entry.public_key, 0) + entry.amount)
-        return tx.tx_id
+        return tx_id
 
-    def _validate(self, tx: LedgerTx) -> None:
+    def _validate(self, tx: LedgerTx) -> bytes:
+        """The id of ``tx``: the digest of the signing input it verifies."""
         if any(e.amount <= 0 for e in tx.inputs) or any(e.amount <= 0 for e in tx.outputs):
             raise ValueMismatch("amounts must be positive")
         if sum(e.amount for e in tx.inputs) != sum(e.amount for e in tx.outputs):
             raise ValueMismatch("inputs and outputs must sum to the same value")
         if tx.memo_tag is not None and len(tx.memo_tag) != MEMO_TAG_SIZE:
             raise ValueMismatch(f"memo_tag must be {MEMO_TAG_SIZE} bytes")
-        if tx.tx_id in self._tx_index:
-            raise ValueMismatch("transaction already submitted")
         unsigned, signatures = codec.unseal(tx)
+        if (tx_id := crypto.digest(unsigned)) in self._tx_index:
+            raise ValueMismatch("transaction already submitted")
         keys = tx.distinct_input_keys()
         if len(signatures) != len(keys):
             raise BadSignature("one signature per distinct input key required")
@@ -163,27 +164,28 @@ class Ledger:
             if amount > available:
                 raise InsufficientFunds(
                     f"spend {amount} exceeds available balance {available}")
+        return tx_id
 
     def confirm_block(self) -> Block:
         """Confirm every mempool transaction at a new height, atomically."""
         height = self.height + 1
-        confirmed_ids = []
-        for tx in self._mempool:
+        confirmed_ids = tuple(self._mempool)
+        for tx_id in confirmed_ids:
+            tx = self._tx_index[tx_id]
             for entry in tx.inputs:
                 self._balances[entry.public_key] -= entry.amount
             for entry in tx.outputs:
                 self._balances[entry.public_key] = (
                     self._balances.get(entry.public_key, 0) + entry.amount)
-            self._heights[tx.tx_id] = height
-            confirmed_ids.append(tx.tx_id)
+            self._heights[tx_id] = height
         self._mempool.clear()
         self._pending_spend.clear()
         block = Block(
             height=height,
             prev_hash=self._blocks[-1].block_hash,
-            tx_ids=tuple(confirmed_ids),
+            tx_ids=confirmed_ids,
             block_hash=_block_hash(height, self._blocks[-1].block_hash,
-                                   tuple(confirmed_ids)),
+                                   confirmed_ids),
         )
         self._blocks.append(block)
         return block

@@ -18,11 +18,11 @@ stays on record in its payload and correlation stores and the trace. The
 payload store is a list of records, not of live payloads: each is the
 direction and the canonical bytes of the ``SignedPayload`` sent or
 accepted, so a settled transfer's payload objects are freed;
-``travel_rule.read_payload_record`` decodes a record. A payload's trace
-digest is its ``payload_id``, the SHA-256 of its canonical bytes, so no
-event encodes it again. Values the events of one transfer repeat (a
-payload's short id, ``k/n`` presence, and the ``vasp:N`` and
-``customer:ID`` names, interned) are built once and shared.
+``travel_rule.read_payload_record`` decodes a record. A VASP encodes a
+``SignedPayload`` it signs or verifies once: its record and payload id
+come from that signing input. Values the events of one transfer repeat
+(``k/n`` presence, and the ``vasp:N`` and ``customer:ID`` names,
+interned) are built once and shared.
 """
 
 from __future__ import annotations
@@ -196,9 +196,9 @@ class VaspNode(Node):
         self.fetched_claims: list[claims_mod.SignedClaim] = []
         self.consent_receipts: list[claims_mod.ConsentReceipt] = []
 
-    def _record(self, direction: str, signed: SignedPayload) -> None:
-        """Keep ``signed`` in the payload store as its canonical bytes."""
-        self.payload_store.append((direction, codec.canonical_encode(signed)))
+    def _record(self, direction: str, signed: SignedPayload, tbs: bytes) -> None:
+        """Keep ``signed``, signing input ``tbs``, as its canonical bytes."""
+        self.payload_store.append((direction, codec.sealed_bytes(signed, tbs)))
 
     # -- customer management ---------------------------------------------------
 
@@ -354,12 +354,13 @@ class VaspNode(Node):
     def _sign_outbound(self, payload: TravelRulePayload) -> SignedPayload:
         """Validate, sign and store a payload this VASP sends."""
         missing = travel_rule.validate_payload(payload)
+        signed, tbs = travel_rule.sign_payload(
+            self.claims_key.private_key, self.certs.claims, payload, self.trust)
+        payload_id = crypto.digest(codec.first_field(tbs))
         self.sim.emit(self.name, "travel_rule.payload_validated", {
             "direction": "outbound", "present": _present(missing),
-            "payload": payload.short_id}, digest=payload.payload_id)
-        signed = travel_rule.sign_payload(
-            self.claims_key.private_key, self.certs.claims, payload, self.trust)
-        self._record("outbound", signed)
+            "payload": _short(payload_id)}, digest=payload_id)
+        self._record("outbound", signed, tbs)
         return signed
 
     def _settle(self, pending: PendingTransfer, state: str) -> None:
@@ -375,38 +376,41 @@ class VaspNode(Node):
         if pending is not None:
             self._settle(pending, "refused")
         self._refused("travel_rule.transfer_refused",
-                      {"payload": payload.short_id}, reason, by_peer=by_peer)
+                      {"payload": _short(payload.payload_id)}, reason, by_peer=by_peer)
 
-    def _verify_counterparty_payload(self, signed: SignedPayload,
+    def _verify_counterparty_payload(self, signed: SignedPayload, tbs: bytes,
                                      signer: int) -> bool:
-        ok = travel_rule.verify_signed_payload(signed, self.trust, signer)
+        ok = travel_rule.verify_signed_payload(signed, self.trust, signer, tbs)
         missing = travel_rule.validate_payload(signed.payload)
+        payload_id = crypto.digest(codec.first_field(tbs))
         self.sim.emit(self.name, "travel_rule.payload_validated", {
             "direction": "inbound", "present": _present(missing),
             "signature": "ok" if ok else "bad",
-            "payload": signed.payload.short_id}, digest=signed.payload.payload_id)
+            "payload": _short(payload_id)}, digest=payload_id)
         return ok and not missing
 
     def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
         signed: SignedPayload = env.body.signed
-        answer = self._answer(channel, signed)
+        tbs = codec.struct_bytes(signed)
+        answer = self._answer(channel, signed, tbs)
         if isinstance(answer, Refusal):
-            self._refuse(signed.payload, answer)
+            self._refused("travel_rule.transfer_refused", {"payload": _short(
+                crypto.digest(codec.first_field(tbs)))}, answer)
             self.sim.send(channel, self.name,
                           msg.TravelRuleResponse(env.seq, answer, None))
         else:
             self.sim.send(channel, self.name, msg.TravelRuleResponse(
                 env.seq, None, travel_rule.answer_delta(answer)))
 
-    def _answer(self, channel: SecureChannel,
-                signed: SignedPayload) -> SignedPayload | Refusal:
-        """Our signed answer to the request ``signed``, stored, or why the
-        request is refused."""
+    def _answer(self, channel: SecureChannel, signed: SignedPayload,
+                tbs: bytes) -> SignedPayload | Refusal:
+        """Our signed answer to the request ``signed`` (signing input
+        ``tbs``), stored, or why the request is refused."""
         payload = signed.payload
         # The signer is the originator the payload names; that originator
         # is the channel peer, and the payload is addressed to us.
         if not self._verify_counterparty_payload(
-                signed, payload.originating_vasp_number):
+                signed, tbs, payload.originating_vasp_number):
             return Refusal.INVALID_PAYLOAD
         if (payload.originating_vasp_number
                 != self._peer_number(channel)
@@ -430,7 +434,7 @@ class VaspNode(Node):
             "direction": ConsentDirection.RECEIVE_ASSETS.value, "ok": consent})
         if not consent:
             return Refusal.BENEFICIARY_CONSENT_MISSING
-        self._record("inbound", signed)
+        self._record("inbound", signed, tbs)
         return self._sign_outbound(travel_rule.answer_payload(
             payload, beneficiary.customer_id, self.tx_key.public_key))
 
@@ -447,10 +451,11 @@ class VaspNode(Node):
         beneficiary = self.trust.members[asked]
         answer = body.answer and travel_rule.rebuild_answer(
             payload, body.answer, beneficiary.transaction.subject_public_key)
-        if answer is None or not self._verify_counterparty_payload(answer, asked):
+        tbs = answer and codec.struct_bytes(answer)
+        if not (tbs and self._verify_counterparty_payload(answer, tbs, asked)):
             self._refuse(payload, Refusal.INVALID_PAYLOAD, pending)
             return
-        self._record("inbound", answer)
+        self._record("inbound", answer, tbs)
 
         originator = payload.originator_account
         originator_consent = self.consents.check(
@@ -461,7 +466,7 @@ class VaspNode(Node):
             "direction": ConsentDirection.SEND_INFO_TO_COUNTERPARTY.value,
             "ok": originator_consent})
         self.sim.emit(self.name, "travel_rule.transfer_gate", {
-            "payload": payload.short_id,
+            "payload": _short(payload.payload_id),
             "consent_originator": originator_consent,
             "beneficiary_accepted": True})
         if not originator_consent:
@@ -473,25 +478,27 @@ class VaspNode(Node):
             self._refuse(payload, Refusal.BENEFICIARY_TX_CERT_INVALID, pending)
             return
 
+        signed_over = []  # the transaction's signing input, as signed
         tx = make_transfer(
             inputs=[(self.tx_key.public_key, payload.amount)],
             outputs=[(beneficiary.transaction.subject_public_key,
                       payload.amount)],
-            signers={self.tx_key.public_key:
-                     lambda m: crypto.sign(self.tx_key.private_key, m)},
+            signers={self.tx_key.public_key: lambda m: signed_over.append(m)
+                     or crypto.sign(self.tx_key.private_key, m)},
             memo_tag=payload.payload_id)
         try:
             self.ledger.submit_transfer(tx)
         except InsufficientFunds:
             self._refuse(payload, Refusal.INSUFFICIENT_FUNDS, pending)
             return
-        pending.tx_id = tx.tx_id
-        pending.tx_short = _short(tx.tx_id)
+        pending.tx_id = crypto.digest(signed_over[0])
+        pending.tx_short = _short(pending.tx_id)
         pending.submitted_height = self.ledger.height
         pending.state = "submitted"
         self.sim.emit(self.name, "ledger.tx_submitted", {
             "tx": pending.tx_short, "kind": "customer_transfer",
-            "amount": payload.amount}, payload=tx)
+            "amount": payload.amount},
+            digest=crypto.digest(codec.sealed_bytes(tx, signed_over[0])))
 
     def correlate_pending(self) -> list[travel_rule.CorrelationRecord]:
         """Correlate, in initiation order, every open transfer whose
@@ -512,7 +519,7 @@ class VaspNode(Node):
             tx = pending.tx_short if record.tx_id == pending.tx_id \
                 else _short(record.tx_id)
             self.sim.emit(self.name, "travel_rule.correlated", {
-                "payload": pending.payload.short_id,
+                "payload": _short(pending.payload.payload_id),
                 "tx": tx, "output": record.output_index,
                 "height": record.matched_at_height})
         return records

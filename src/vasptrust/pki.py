@@ -407,7 +407,7 @@ class RootAuthority:
         if numbered:
             fields["serial"] = self._next_serial
             self._next_serial += 1
-        signed = codec.seal(
+        signed, _ = codec.seal(
             kind(issuer_id=self.name, issuer_signature=b"", **fields),
             lambda tbs: crypto.sign(self._keypair.private_key, tbs))
         if numbered:

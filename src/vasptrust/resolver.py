@@ -254,7 +254,7 @@ class ResolverService:
             domains=group_identifiers(self._local),
             signer_cert_serial=claims_cert_serial,
             signature=b"",
-        ), lambda tbs: crypto.sign(claims_private_key, tbs))
+        ), lambda tbs: crypto.sign(claims_private_key, tbs))[0]
 
     def merge_advertisement(self, adv: IdentifierAdvertisement,
                             trust: pki.TrustContext) -> MergeOutcome:

@@ -16,8 +16,8 @@ signature, the last. An answer travels as a ``SignedAnswer``, its account
 alone, and is verified once rebuilt on its request and the key paid.
 
 Payload, consent and correlation stores are append-only. A VASP keeps a
-payload on record as the canonical bytes of its ``SignedPayload``;
-``read_payload_record`` decodes one.
+payload on record as its ``SignedPayload``'s canonical bytes, re-headed from
+the signing input it signed or verified; ``read_payload_record`` decodes one.
 """
 
 from __future__ import annotations
@@ -147,12 +147,6 @@ class TravelRulePayload:
     def payload_id(self) -> bytes:
         return crypto.digest(codec.canonical_encode(self))
 
-    @cached_property
-    def short_id(self) -> str:
-        """The 16-hex short id the trace names this payload by, built once
-        and shared by every event of its transfer."""
-        return self.payload_id.hex()[:16]
-
 
 REQUIRED_FIELDS = (
     "originator_name",
@@ -228,7 +222,7 @@ class SignedPayload:
 def sign_payload(claims_private_key: bytes,
                  claims_cert: pki.SigningCertificate,
                  payload: TravelRulePayload,
-                 trust: pki.TrustContext) -> SignedPayload:
+                 trust: pki.TrustContext) -> tuple[SignedPayload, bytes]:
     if claims_cert.purpose is not pki.CertPurpose.CLAIMS_SIGNING:
         raise WrongCertPurpose(
             f"payloads must be signed with a claims-signing key, "
@@ -266,11 +260,11 @@ def rebuild_answer(request: TravelRulePayload, answer: SignedAnswer,
 
 
 def verify_signed_payload(signed: SignedPayload, trust: pki.TrustContext,
-                          signer_vasp_number: int) -> bool:
+                          signer_vasp_number: int, tbs: bytes = b"") -> bool:
     """Bind the payload and its signer's serial to a claims-signing
-    certificate of member ``signer_vasp_number``."""
+    certificate of member ``signer_vasp_number``; ``tbs``, if given, is its signing input."""
     return trust.verify_member_signature(
-        *codec.unseal(signed), signed.signer_cert_serial,
+        tbs or codec.struct_bytes(signed), signed.signature, signed.signer_cert_serial,
         pki.CertPurpose.CLAIMS_SIGNING, signer_vasp_number)
 
 

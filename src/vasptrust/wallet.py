@@ -195,7 +195,7 @@ class WalletDevice:
             stack_report=StackReport(self.measurement_log, self.boot_digest),
             signed_at=now,
             signature=b"",
-        ), lambda tbs: crypto.sign(self._attestation.private_key, tbs))
+        ), lambda tbs: crypto.sign(self._attestation.private_key, tbs))[0]
 
 
 @dataclass(frozen=True)

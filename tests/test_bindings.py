@@ -16,7 +16,7 @@ import dataclasses
 import pytest
 
 from conftest import asked_seq, sent_envelopes, wire_envelopes
-from vasptrust import claims, crypto, pki
+from vasptrust import claims, codec, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.netsim import build_world, run_scenario_with_world
 from vasptrust.netsim.messages import (ClaimsAuthRequest, ClaimsFetchRequest,
@@ -46,7 +46,7 @@ def signed_by(world, signer: int, originator: int, beneficiary: int,
     payload = tr.build_payload(world.vasps[7].customers["alice"], name,
                                account, beneficiary, amount, originator, 1)
     return tr.sign_payload(node.claims_key.private_key, node.certs.claims,
-                           payload, world.trust)
+                           payload, world.trust)[0]
 
 
 def send(world, sender: int, receiver: int, body) -> None:
@@ -199,6 +199,56 @@ def _start_transfer(world) -> tr.TravelRulePayload:
                                             "bob@idp2.com", 9, 125)
 
 
+# -- each party names a payload by the bytes it signed or received -----------
+
+def test_beneficiary_derives_the_payload_id_from_the_bytes_received(world):
+    # Once VASP 7 has sent its request, the id cached on its own payload
+    # object is overwritten. VASP 9 still logs the request by the id of
+    # the payload bytes that crossed the wire: it reads no id off another
+    # party's object.
+    payload = _start_transfer(world)
+    vars(payload)["payload_id"] = bytes(32)
+    world.sim.step()
+    (request,) = [env.body for env in wire_envelopes(world.sim)
+                  if isinstance(env.body, TravelRuleRequest)]
+    payload_id = crypto.digest(codec.canonical_encode(request.signed.payload))
+    (validated,) = [e for e in world.sim.trace.find(
+        "travel_rule.payload_validated")
+        if e.actor == "vasp:9" and e.get("direction") == "inbound"]
+    assert validated.digest == payload_id[:8].hex()
+    assert validated.get("payload") == payload_id.hex()[:16]
+
+
+def test_a_transfer_encodes_each_signed_value_once_per_party(
+        world, monkeypatch):
+    # From the request to correlation, the payload and its answer are
+    # encoded at most 6 times: the originator's id, its signing input and
+    # the request envelope; the beneficiary's signing inputs of the
+    # request and of its answer; the originator's of the rebuilt answer.
+    # The ledger transaction at most 3: make_transfer's signing input, the
+    # ledger's, and correlation's id.
+    outputs = []
+    for name in ("canonical_encode", "struct_bytes"):
+        def recording(value, encode=getattr(codec, name)):
+            outputs.append(encode(value))
+            return outputs[-1]
+        monkeypatch.setattr(codec, name, recording)
+    payload = _start_transfer(world)
+    world.sim.run_until_quiet()
+    pending = world.vasps[7].pending[payload.payload_id]
+    world.confirm_block()
+    assert world.vasps[7].correlate_pending()
+    assert pending.state == "correlated"
+    monkeypatch.undo()
+    (_, answer), = [r for r in world.vasps[9].payload_store if r[0] == "outbound"]
+    payloads = (codec.canonical_encode(payload),
+                codec.canonical_encode(tr.read_payload_record(answer).payload))
+    tx = codec.first_field(codec.struct_bytes(
+        world.ledger.query_tx(pending.tx_id)))
+    assert sum(any(p in out for p in payloads) for out in outputs) <= 6
+    assert sum(tx in out for out in outputs) <= 3
+
+
 def seq_of(world, payload: tr.TravelRulePayload) -> int:
     """The seq VASP 7's open request for ``payload`` went out with."""
     vasp7 = world.vasps[7]
@@ -213,7 +263,7 @@ def answer_to(world, request: tr.TravelRulePayload,
     answer = tr.answer_payload(dataclasses.replace(request, **changes),
                                "bob", vasp9.tx_key.public_key)
     return tr.answer_delta(tr.sign_payload(
-        vasp9.claims_key.private_key, vasp9.certs.claims, answer, world.trust))
+        vasp9.claims_key.private_key, vasp9.certs.claims, answer, world.trust)[0])
 
 
 def test_response_from_a_vasp_not_asked_is_ignored(world):
@@ -309,7 +359,7 @@ def test_answer_naming_another_key_or_amount_refused(world, hint):
         tr.answer_payload(payload, "bob", key),
         correlation=tr.CorrelationHint(tr.HintKind.KEY_AMOUNT, key, amount))
     forged = tr.answer_delta(tr.sign_payload(
-        vasp9.claims_key.private_key, vasp9.certs.claims, answer, world.trust))
+        vasp9.claims_key.private_key, vasp9.certs.claims, answer, world.trust)[0])
     send(world, 9, 7, TravelRuleResponse(seq_of(world, payload), None, forged))
     world.sim.run_until_quiet()
     # VASP 9's own answer comes after it, a second answer to one request.

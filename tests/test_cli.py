@@ -59,6 +59,9 @@ REFUSALS = {
     "missing_seed": (lambda c: c.pop("seed"), "config.seed"),
     "seed": (lambda c: c.update(seed="x"), "config.seed"),
     "no_vasps": (lambda c: c.update(vasps=[]), "config.vasps"),
+    "empty_consortium": (lambda c: c.update(consortium=""), "config.consortium"),
+    "blank_consortium": (lambda c: c.update(consortium=" \t"),
+                         "config.consortium"),
     "missing_vasp_number": (lambda c: _vasp(c).pop("vasp_number"),
                             "config.vasps[0].vasp_number"),
     "vasp_number": (lambda c: _vasp(c).update(vasp_number="x"),
@@ -251,6 +254,28 @@ def test_unlisted_idp_identifier_is_config_error(tmp_path, capsys):
                  "--workspace", str(tmp_path / "w")]) == 2
     err = capsys.readouterr().err
     assert "customers[0].identifiers[2]" in err and "idp1.com" in err
+
+
+@pytest.mark.parametrize("command", ["init", "run"])
+def test_empty_consortium_is_config_error(tmp_path, capsys, command):
+    # Every service's subject is named after the consortium: a blank name
+    # is refused as a config error, exit 2, not a certificate traceback.
+    config, workspace = default_config(), tmp_path / "w"
+    path = tmp_path / "topology.json"
+    path.write_text(json.dumps(config))
+    assert main(["init", "--config", str(path),
+                 "--workspace", str(workspace)]) == 0
+    config["consortium"] = ""
+    if command == "init":
+        path.write_text(json.dumps(config))
+        args = ["init", "--config", str(path)]
+    else:
+        (workspace / "config.json").write_text(json.dumps(config))
+        args = ["run", "--scenario", "S1"]
+    capsys.readouterr()
+    assert main([*args, "--workspace", str(workspace)]) == 2
+    err = capsys.readouterr().err
+    assert ".consortium" in err and "Traceback" not in err
 
 
 def test_empty_wallet_has_default_balances():

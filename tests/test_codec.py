@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import seed, trust_context, wire_envelopes
 from vasptrust import claims, codec, crypto, pki, resolver, travel_rule, wallet
-from vasptrust.ledger import make_transfer
+from vasptrust.ledger import LedgerTx, make_transfer
 from vasptrust.netsim import messages
 from vasptrust.netsim.scenarios import run_scenario_with_world
 from vasptrust.netsim.sim import Envelope
@@ -73,6 +73,23 @@ def test_zero_and_none_distinct():
     assert codec.canonical_encode(0) != codec.canonical_encode(None)
     assert codec.canonical_encode(b"") != codec.canonical_encode("")
     assert codec.canonical_encode(False) != codec.canonical_encode(0)
+
+
+@pytest.mark.parametrize("value", [
+    255, 256, 65_535, 65_536,
+    # 126 and 128 UTF-8 bytes: a one- and a two-byte length, though both
+    # are fewer than 0x80 characters.
+    "é" * 63, "é" * 64,
+    b"b" * 127, b"b" * 128,
+    # Struct bodies of 127 and 128 bytes: a str frame and an empty list.
+    Inner("x" * 123, ()), Inner("x" * 124, ()),
+], ids=repr)
+def test_header_and_small_int_boundaries_match_reference(value):
+    blob = codec.canonical_encode(value)
+    assert blob == reference_encode(value)
+    if isinstance(value, Inner):  # the struct's tag and length header
+        body = 4 + len(value.label)
+        assert blob[:-body] == (b"\x07\x7f" if body < 0x80 else b"\x07\x80\x01")
 
 
 def test_negative_ints_refused():
@@ -770,7 +787,7 @@ def test_the_codec_keeps_nothing_on_a_value(cls, data):
     last = dataclasses.fields(cls)[-1].name
     codec.canonical_encode(Envelope(1, 2, value) if cls in BODY_TYPES else value)
     codec.struct_bytes(value)
-    sealed = codec.seal(value, lambda tbs: getattr(value, last))
+    sealed, _ = codec.seal(value, lambda tbs: getattr(value, last))
     assert codec.unseal(sealed) == (codec.struct_bytes(value), getattr(value, last))
     for held in [*_dataclass_values(value), *_dataclass_values(sealed)]:
         assert vars(held).keys() <= _fields_and_ids(type(held))
@@ -815,7 +832,7 @@ def _signed_values(root, member) -> list:
         (service.build_advertisement(member["claims"].private_key,
                                      member["claims_cert"].serial), claims_key),
         (travel_rule.sign_payload(member["claims"].private_key,
-                                  member["claims_cert"], payload, trust),
+                                  member["claims_cert"], payload, trust)[0],
          claims_key),
         (tx, key.public_key),
         (claim, provider.public_key),
@@ -874,6 +891,39 @@ def test_signed_values_unseal_and_verify(root, member):
             forged = dataclasses.replace(
                 value, **{f.name: _changed(getattr(value, f.name))})
             assert not _verifies(public_key, forged), (type(value), f.name)
+
+
+# Every type whose last field is its signature: each type sealed, and the
+# answer delta, which its originator rebuilds and verifies as a payload.
+SIGNED_TYPES = [pki.EvIdentityCertificate, pki.SigningCertificate,
+                pki.RevocationList, resolver.IdentifierAdvertisement,
+                travel_rule.SignedPayload, travel_rule.SignedAnswer, LedgerTx,
+                claims.SignedClaim, claims.AuthorizationToken,
+                claims.ConsentReceipt, wallet.AttestationEvidence]
+
+
+def test_signed_types_list_every_sealed_type(root, member):
+    assert {type(v) for v, _ in _signed_values(root, member)} == \
+        set(SIGNED_TYPES) - {travel_rule.SignedAnswer}
+
+
+@pytest.mark.parametrize("cls", SIGNED_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_signing_input_reheads_to_the_value_and_slices_its_first_field(
+        cls, data):
+    # The signing input a party sealed or verified is all it needs of the
+    # value: re-headed, it is the value's canonical bytes, and its first
+    # field's slice is that field's encoding (a payload id's input).
+    value = data.draw(values_of(cls))
+    first, *_, last = dataclasses.fields(cls)
+    sealed, tbs = codec.seal(value, lambda _: getattr(value, last.name))
+    assert sealed == value and tbs == _reference_signing_input(value)
+    full = reference_encode(value)
+    assert codec.sealed_bytes(value, tbs) == full
+    field = reference_encode(getattr(value, first.name),
+                             typing.get_type_hints(cls)[first.name])
+    assert codec.first_field(tbs) == codec.first_field(full) == field
 
 
 SIGNATURE_FIELDS = {"signature", "issuer_signature", "signatures"}

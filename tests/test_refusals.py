@@ -476,7 +476,7 @@ def test_other_class_where_an_answer_is_declared_is_refused_at_the_sender(
     # open, is never handed it.
     vasp9, vasp7, _ = refused_answer(world, "TravelRuleResponse", None)
     (pending,) = vasp7.pending.values()
-    signed = tr.sign_payload(
+    signed, _ = tr.sign_payload(
         vasp9.claims_key.private_key, vasp9.certs.claims,
         tr.answer_payload(pending.payload, "bob", vasp9.tx_key.public_key),
         world.trust)

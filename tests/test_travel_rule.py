@@ -201,7 +201,7 @@ class TestSignedPayload:
     # The conftest member is VASP 7, the originator ``build`` names.
     def test_sign_and_verify(self, root, member):
         trust = trust_context(root, member)
-        signed = tr.sign_payload(member["claims"].private_key,
+        signed, _ = tr.sign_payload(member["claims"].private_key,
                                  member["claims_cert"], build(), trust)
         assert tr.verify_signed_payload(signed, trust, 7)
 
@@ -227,14 +227,14 @@ class TestSignedPayload:
 
     def test_tampered_payload_fails(self, root, member):
         trust = trust_context(root, member)
-        signed = tr.sign_payload(member["claims"].private_key,
+        signed, _ = tr.sign_payload(member["claims"].private_key,
                                  member["claims_cert"], build(), trust)
         tampered = replace(signed, payload=replace(signed.payload, amount=999))
         assert not tr.verify_signed_payload(tampered, trust, 7)
 
     def test_wrong_serial_fails(self, root, member):
         trust = trust_context(root, member)
-        signed = tr.sign_payload(member["claims"].private_key,
+        signed, _ = tr.sign_payload(member["claims"].private_key,
                                  member["claims_cert"], build(), trust)
         wrong = replace(signed, signer_cert_serial=999)
         assert not tr.verify_signed_payload(wrong, trust, 7)
@@ -243,7 +243,7 @@ class TestSignedPayload:
         # VASP 3 signs a payload that names VASP 7 as its originator.
         vasp3 = issue_member(root, 3, "vasp3")
         trust = trust_context(root, member, vasp3)
-        signed = tr.sign_payload(vasp3["claims"].private_key,
+        signed, _ = tr.sign_payload(vasp3["claims"].private_key,
                                  vasp3["claims_cert"], build(), trust)
         assert signed.payload.originating_vasp_number == 7
         assert tr.verify_signed_payload(signed, trust, 3)
@@ -251,7 +251,7 @@ class TestSignedPayload:
 
     def test_revoked_identity_fails(self, root, member):
         trust = trust_context(root, member)
-        signed = tr.sign_payload(member["claims"].private_key,
+        signed, _ = tr.sign_payload(member["claims"].private_key,
                                  member["claims_cert"], build(), trust)
         root.revoke(member["identity_cert"].serial,
                     pki.RevocationReason.CESSATION_OF_BUSINESS, 1)
@@ -302,6 +302,19 @@ class TestCorrelation:
         assert record.tx_id == tx.tx_id and record.output_index == 0
         # Re-correlating the same payload is idempotent.
         assert store.correlate(payload, ledger, (1, ledger.height)) == record
+
+    def test_memo_tag_match_narrowed_by_amount(self):
+        # A memo-tagged transaction paying the beneficiary and a second
+        # output: the output paying the payload's amount is the match.
+        beneficiary = crypto.generate_keypair(seed("corr:bene"))
+        change = crypto.generate_keypair(seed("corr:change"))
+        payload = build()
+        ledger, tx = self._ledger_with_tx(
+            [(change.public_key, 40), (beneficiary.public_key, payload.amount)],
+            memo=payload.payload_id)
+        record = tr.CorrelationStore().correlate(payload, ledger,
+                                                 (1, ledger.height))
+        assert (record.tx_id, record.output_index) == (tx.tx_id, 1)
 
     def test_no_match(self):
         beneficiary = crypto.generate_keypair(seed("corr:none"))
@@ -396,9 +409,10 @@ def test_answer_rebuilt_from_its_delta(root, member, request_payload):
     # no hint; rebuilt on another request or key, the answer fails its
     # signature.
     trust = trust_context(root, member)
-    signed = tr.sign_payload(member["claims"].private_key, member["claims_cert"],
-                             tr.answer_payload(request_payload, "B-901", TX_KEY),
-                             trust)
+    signed, _ = tr.sign_payload(member["claims"].private_key,
+                                member["claims_cert"],
+                                tr.answer_payload(request_payload, "B-901", TX_KEY),
+                                trust)
     delta = tr.answer_delta(signed)
     rebuilt = tr.rebuild_answer(request_payload, delta, TX_KEY)
     assert rebuilt == signed
@@ -416,7 +430,7 @@ def test_answer_rebuilt_from_its_delta(root, member, request_payload):
 
 
 def test_dump_payload_store(root, member):
-    signed = tr.sign_payload(member["claims"].private_key,
+    signed, _ = tr.sign_payload(member["claims"].private_key,
                              member["claims_cert"], build(),
                              trust_context(root, member))
     text = tr.dump_payload_store([("outbound", codec.canonical_encode(signed))])
