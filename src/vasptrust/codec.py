@@ -9,12 +9,17 @@ minimal, integers big-endian; the decoder rejects every non-canonical form
 (longer lengths or ints, bad UTF-8, unknown tags, trailing bytes) so that
 decode(encode(v)) == v and re-encoding reproduces the input bytes.
 
-Encoding runs through one closure per type, built on first use from the
-declared field types and cached, so the per-value cost is a class check and
-the framing, not a walk over the type's annotations. Encoding keeps
-nothing on a value: ``seal`` gives back its signing input, and a party
-derives ids and records from the signing input it holds (``sealed_bytes``,
-``first_field``), never from its sender's object.
+Each declared type encodes through one function, generated on first use
+as source from the declared field types, compiled and cached, as
+``dataclasses`` generates ``__init__``. Its one expression encodes
+scalars, enums and optionals in line, so such a field costs no call; a
+nested dataclass, a union and a sequence's item each call the one cached
+encoder of their own type, so each type's source is written and compiled
+once. Every class check stays in the generated code: each value is
+checked against its declared class before it is framed. Encoding keeps nothing on a value: ``seal`` gives back
+its signing input, and a party derives ids and records from the signing
+input it holds (``sealed_bytes``, ``first_field``), never from its
+sender's object.
 
 One rule decides what encodes: a value encodes only as its declared type.
 Where a class is declared the value must be exactly that class, where an
@@ -56,7 +61,6 @@ import dataclasses
 import types
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
 from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 _UNION_ORIGINS = (Union, types.UnionType)
@@ -112,10 +116,11 @@ def _union_members(typ: Any) -> tuple[bool, list[Any]]:
 
 # -- encoding ------------------------------------------------------------------
 #
-# Each type gets one encoder closure, built on first use and cached: a class
-# by the class (the encoder used for an undeclared value of that class), a
-# declared union, list or tuple type by the annotation. Each checks the
-# value's class first and refuses (``_refuse``) a value of any other class.
+# Each declared type, and each dataclass's signing input, gets one encoder
+# (``_generate``). A class is its own declared type, so its encoder is also
+# the one for an undeclared value of it. A value of a class other than the
+# declared one goes to the helper that refuses it with the type's message
+# (``_refuse``, ``_stranger``, ``_arity``, ``_cannot``).
 
 Encoder = Callable[[Any], bytes]
 
@@ -124,8 +129,8 @@ _TRUE = _frame(TAG_BOOL, b"\x01")
 _FALSE = _frame(TAG_BOOL, b"\x00")
 _SMALL_INTS = tuple(_frame(TAG_UINT, bytes([i]) if i else b"") for i in range(256))
 
-_ENCODERS: dict[Any, Encoder] = {}
-_STRUCTS: dict[tuple[type, bool], Encoder] = {}
+_ENCODERS: dict[Any, Encoder] = {}  # declared type -> encoder
+_SIGNING_INPUTS: dict[type, Encoder] = {}  # dataclass -> its signing input's
 
 
 def _refuse(value: Any, typ: Any) -> bytes:
@@ -135,23 +140,29 @@ def _refuse(value: Any, typ: Any) -> bytes:
     raise CodecError(f"{type(value).__name__} given for {typ}")
 
 
+def _stranger(value: Any, typ: Any) -> bytes:
+    """Refuse ``value``, which is no member of its declared enum or union."""
+    if value is None:
+        raise CodecError(f"None not permitted for {typ}")
+    raise CodecError(f"{type(value).__name__} is not a member of {typ}")
+
+
+def _arity(value: Any, typ: Any) -> bytes:
+    """Refuse ``value`` where the fixed tuple type ``typ`` is declared."""
+    if type(value) is not tuple:
+        return _refuse(value, typ)
+    raise CodecError(f"tuple arity mismatch for {typ}")
+
+
+def _cannot(value: Any, cls: type) -> bytes:
+    """Refuse ``value`` where ``cls``, a class with no encoding, is declared."""
+    if type(value) is not cls:
+        return _refuse(value, cls.__name__)
+    raise CodecError(f"cannot canonically encode {cls.__name__}")
+
+
 def _encode_any(value: Any) -> bytes:
-    encode = _ENCODERS.get(type(value))
-    if encode is None:
-        encode = _encoder(type(value))
-    return encode(value)
-
-
-def _encode_none(value: Any) -> bytes:
-    return _NONE if value is None else _refuse(value, "None")
-
-
-def _encode_bool(value: Any) -> bytes:
-    if value is True:
-        return _TRUE
-    if value is False:
-        return _FALSE
-    return _refuse(value, "bool")
+    return (_ENCODERS.get(type(value)) or _encoder(type(value)))(value)
 
 
 def _uint(value: int) -> bytes:
@@ -162,8 +173,6 @@ def _uint(value: int) -> bytes:
 def _encode_int(value: Any) -> bytes:
     if type(value) is not int:
         return _refuse(value, "int")
-    if 0 <= value < 256:
-        return _SMALL_INTS[value]
     if value < 0:
         raise CodecError("negative integers are not encodable")
     return _frame(TAG_UINT, _uint(value))
@@ -172,142 +181,121 @@ def _encode_int(value: Any) -> bytes:
 def _encode_bytes(value: Any) -> bytes:
     if type(value) is not bytes:
         return _refuse(value, "bytes")
-    n = len(value)
-    return _SHORT[TAG_BYTES][n] + value if n < 0x80 else _frame(TAG_BYTES, value)
+    return _frame(TAG_BYTES, value)
 
 
 def _encode_str(value: Any) -> bytes:
     if type(value) is not str:
         return _refuse(value, "str")
-    n = len(data := value.encode("utf-8"))  # UTF-8 bytes, not characters
-    return _SHORT[TAG_STR][n] + data if n < 0x80 else _frame(TAG_STR, data)
+    return _frame(TAG_STR, value.encode())
 
 
-_SCALARS: dict[type, Encoder] = {
-    type(None): _encode_none, bool: _encode_bool, int: _encode_int,
-    bytes: _encode_bytes, str: _encode_str}
-
-
-def _encoder(typ: Any) -> Encoder:
-    encode = _ENCODERS.get(typ)
+def _encoder(typ: Any, signing: bool = False) -> Encoder:
+    cache = _SIGNING_INPUTS if signing else _ENCODERS
+    encode = cache.get(typ)
     if encode is None:
-        encode = _ENCODERS[typ] = _build(typ)
+        # The stand-in a type that contains itself calls, while its own
+        # encoder is generated.
+        cache[typ] = lambda value: cache[typ](value)
+        try:
+            encode = _generate(typ, signing)
+        finally:
+            del cache[typ]
+        cache[typ] = encode
     return encode
 
 
-def _build(typ: Any) -> Encoder:
-    origin = get_origin(typ)
-    if origin in _UNION_ORIGINS:
-        return _build_union(typ)
-    if origin in (list, tuple):
-        return _build_sequence(typ, origin)
-    if isinstance(typ, type):
-        return _build_class(typ)
-    return _encode_any
+# Expressions of a scalar held in ``{var}``, evaluated first as ``{val}``.
+_SCALARS = {
+    type(None): "(_NONE if {val} is None else _refuse({var}, 'None'))",
+    bool: "(_TRUE if {val} is True else _FALSE if {var} is False "
+          "else _refuse({var}, 'bool'))",
+    int: "(_SMALL_INTS[{var}] if type({val}) is int and 0 <= {var} < 256 "
+         "else _encode_int({var}))",
+    bytes: f"(_S{TAG_BYTES}[n] + {{var}} if type({{val}}) is bytes and "
+           "(n := len({var})) < 128 else _encode_bytes({var}))",
+    # The length of a str is counted in UTF-8 bytes, not characters.
+    str: f"(_S{TAG_STR}[n] + d if type({{val}}) is str and "
+         "(n := len(d := {var}.encode())) < 128 else _encode_str({var}))"}
 
 
-def _build_class(cls: type) -> Encoder:
-    if cls in _SCALARS:
-        return _SCALARS[cls]
-    if issubclass(cls, Enum):
-        # Member name -> the frame of its declaration index.
-        names = {m._name_: _frame(TAG_ENUM, _uint(i)) for i, m in enumerate(cls)}
+def _generate(typ: Any, signing: bool) -> Encoder:
+    """Compile the encoder of declared type ``typ``, or of the signing input
+    of dataclass ``typ``: one expression, which encodes scalars, enums and
+    optionals in line and calls the encoder of any other type it contains
+    (a dataclass, a union, a sequence's item). The source is built from
+    declared types and field names alone, never from a value."""
+    env = {**globals(), **{f"_S{tag}": row for tag, row in enumerate(_SHORT)}}
 
-        def encode_enum(value: Any) -> bytes:
-            if type(value) is cls:
-                return names[value._name_]
-            if value is None:
-                return _refuse(value, cls.__name__)
-            raise CodecError(
-                f"{type(value).__name__} is not a member of {cls.__name__}")
-        return encode_enum
-    if dataclasses.is_dataclass(cls):
-        return _struct(cls, False)
+    def const(obj: Any) -> str:
+        env[name := f"_k{len(env)}"] = obj
+        return name
 
-    def encode_other(value: Any) -> bytes:
-        if type(value) is not cls:
-            return _refuse(value, cls.__name__)
-        if cls is list or cls is tuple:
-            return _frame(TAG_LIST, b"".join(map(_encode_any, value)))
-        raise CodecError(f"cannot canonically encode {cls.__name__}")
-    return encode_other
+    def framed(tag: int, parts: list[str]) -> str:
+        body = f"b''.join(({', '.join(parts)},))" if len(parts) > 1 else \
+            parts[0] if parts else "b''"
+        return (f"(_S{tag}[n] + b if (n := len(b := {body})) < 128 "
+                f"else _frame({tag}, b))")
 
+    def inline(typ: Any, expr: str, var: str = "x") -> str:
+        """The expression encoding the value of ``expr`` as declared type
+        ``typ``; where that value is read more than once, from ``var``."""
+        val = expr if expr == var else f"({var} := {expr})"
+        if typ in _SCALARS:
+            return _SCALARS[typ].format(val=val, var=var)
+        if isinstance(typ, type) and issubclass(typ, Enum):
+            names = {m._name_: _frame(TAG_ENUM, _uint(i)) for i, m in enumerate(typ)}
+            return (f"({const(names)}[{var}._name_] if type({val}) is "
+                    f"{const(typ)} else _stranger({var}, {typ.__name__!r}))")
+        if get_origin(typ) in _UNION_ORIGINS and \
+                len(members := _union_members(typ)[1]) == 1:
+            return f"(_NONE if {val} is None else {inline(members[0], var, var)})"
+        return f"{const(_encoder(typ))}({expr})"
 
-def _member_tags(members: list[Any]) -> dict[type, bytes]:
-    """Union member class -> the encoded index that tags its values. A
-    member that is not a class (``list[int]``) matches no value's class."""
-    return {m: _encode_int(i) for i, m in enumerate(members)
-            if isinstance(m, type)}
+    def struct(cls: type, hints) -> str:
+        parts = [inline(t, f"v.{name}") for name, t in hints]
+        return (f"({framed(TAG_STRUCT, parts)} if type(v) is {const(cls)} "
+                f"else _refuse(v, {cls.__name__!r}))")
 
+    def body(typ: Any) -> str:
+        """The expression encoding ``v`` as declared type ``typ``."""
+        origin, args = get_origin(typ), get_args(typ)
+        if origin in _UNION_ORIGINS:
+            allows_none, members = _union_members(typ)
+            if len(members) == 1:
+                return inline(typ, "v", "v")
+            arms, test = "", "(t := type(v))"
+            for i, member in enumerate(members):
+                if isinstance(member, type):  # a class a value can have
+                    arm = framed(TAG_UNION, [
+                        f"{const(_encode_int(i))} + {const(_encoder(member))}(v)"])
+                    arms += f"{arm} if {test} is {const(member)} else "
+                    test = "t"
+            none = "_NONE if v is None else " if allows_none else ""
+            return f"({arms}{none}_stranger(v, {const(typ)}))"
+        if origin is tuple and not (len(args) == 2 and args[1] is Ellipsis):
+            items = [inline(t, f"v[{i}]") for i, t in enumerate(args)]
+            return (f"({framed(TAG_LIST, items)} if type(v) is tuple and "
+                    f"len(v) == {len(args)} else _arity(v, {const(typ)}))")
+        if origin in (list, tuple) or typ in (list, tuple):
+            item = const(_encoder(args[0]) if args else _encode_any)
+            items = f"b''.join(map({item}, v))"
+            return (f"({framed(TAG_LIST, [items])} if type(v) is "
+                    f"{(origin or typ).__name__} else "
+                    f"_refuse(v, {const(typ if args else typ.__name__)}))")
+        if dataclasses.is_dataclass(typ):
+            return struct(typ, _hints(typ))
+        if typ in _SCALARS or isinstance(typ, type) and issubclass(typ, Enum):
+            return inline(typ, "v", "v")
+        if isinstance(typ, type):
+            return f"_cannot(v, {const(typ)})"
+        return "_encode_any(v)"
 
-def _build_union(typ: Any) -> Encoder:
-    allows_none, members = _union_members(typ)
-    if len(members) == 1:
-        inner = _encoder(members[0])
-        return lambda value: _NONE if value is None else inner(value)
-    tagged = {m: (tag, _encoder(m)) for m, tag in _member_tags(members).items()}
-
-    def encode_union(value: Any) -> bytes:
-        entry = tagged.get(type(value))
-        if entry is None:
-            if value is not None:
-                raise CodecError(
-                    f"{type(value).__name__} is not a member of {typ}")
-            if not allows_none:
-                raise CodecError(f"None not permitted for {typ}")
-            return _NONE
-        tag, encode = entry
-        return _frame(TAG_UNION, tag + encode(value))
-    return encode_union
-
-
-def _build_sequence(typ: Any, origin: type) -> Encoder:
-    args = get_args(typ)
-    if origin is list or (len(args) == 2 and args[1] is Ellipsis):
-        item = _encoder(args[0]) if args else _encode_any
-
-        def encode_items(value: Any) -> bytes:
-            if type(value) is not origin:
-                return _refuse(value, typ)
-            return _frame(TAG_LIST, b"".join(map(item, value)))
-        return encode_items
-    items = tuple(_encoder(a) for a in args)
-
-    def encode_fixed(value: Any) -> bytes:
-        if type(value) is not tuple:
-            return _refuse(value, typ)
-        if len(value) != len(items):
-            raise CodecError(f"tuple arity mismatch for {typ}")
-        return _frame(TAG_LIST, b"".join(
-            [encode(v) for encode, v in zip(items, value)]))
-    return encode_fixed
-
-
-def _struct(cls: type, signing: bool) -> Encoder:
-    """Encoder of dataclass ``cls``: of every field, or, for its signing
-    input, of every field but the last."""
-    key = (cls, signing)
-    encode = _STRUCTS.get(key)
-    if encode is not None:
-        return encode
-    hints = _hints(cls)[:-1] if signing else _hints(cls)
-    names = [name for name, _ in hints]
-    get = attrgetter(*names) if len(names) > 1 else (
-        lambda value: tuple(getattr(value, n) for n in names))
-    encoders: tuple[Encoder, ...]  # built after registration
-
-    def encode_struct(value: Any) -> bytes:
-        if type(value) is not cls:
-            return _refuse(value, cls.__name__)
-        body = b"".join([encode(v) for encode, v in zip(encoders, get(value))])
-        n = len(body)
-        return _SHORT[TAG_STRUCT][n] + body if n < 0x80 else _frame(TAG_STRUCT, body)
-
-    # Registered before its fields are built, so a type that contains
-    # itself finds this encoder.
-    encode = _STRUCTS[key] = encode_struct
-    encoders = tuple(_encoder(typ) for _, typ in hints)
-    return encode
+    source = struct(typ, _hints(typ)[:-1]) if signing else body(typ)
+    kind = "signing_input" if signing else "encode"
+    name = f"{kind}_{getattr(typ, '__name__', 'value')}"
+    exec(compile(f"def {name}(v):\n    return {source}\n", __file__, "exec"), env)
+    return env[name]
 
 
 def canonical_encode(value: Any) -> bytes:
@@ -319,11 +307,11 @@ def struct_bytes(value: Any) -> bytes:
     """The signing input of a dataclass value: the canonical struct of
     every field but the last. Every signed type declares its signature
     last, and every content id is the digest of these bytes."""
-    encode = _STRUCTS.get((type(value), True))
+    encode = _SIGNING_INPUTS.get(type(value))
     if encode is None:
         if not dataclasses.is_dataclass(type(value)):
             raise CodecError("struct_bytes requires a dataclass instance")
-        encode = _struct(type(value), True)
+        encode = _encoder(type(value), True)
     return encode(value)
 
 
@@ -331,8 +319,8 @@ def seal(draft: Any, sign: Callable[[bytes], Any]) -> tuple[Any, bytes]:
     """``draft`` with its last field, its signature, set to ``sign`` of
     its signing input; and that signing input."""
     tbs = struct_bytes(draft)
-    last = _hints(type(draft))[-1][0]
-    return dataclasses.replace(draft, **{last: sign(tbs)}), tbs
+    fields = [getattr(draft, name) for name, _ in _hints(type(draft))[:-1]]
+    return type(draft)(*fields, sign(tbs)), tbs
 
 
 def sealed_bytes(value: Any, tbs: bytes) -> bytes:

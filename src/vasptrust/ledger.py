@@ -8,15 +8,16 @@ applies them atomically; value is conserved after genesis. An optional
 
 Through ``codec.seal``, each input key signs every field of a transaction
 but its signatures, the last; the transaction id is the digest of those
-bytes, derived from the value and never carried in it. The height a
-transaction is confirmed at is the ledger's record
-(``Ledger.confirmed_height``), not a field of the signed value.
+bytes, never carried in the value. The ledger derives it once, from the
+signing input it verifies at submit, and hands each confirmed transaction
+out with its id (``confirmed_txs``). The height a transaction is
+confirmed at is the ledger's record (``Ledger.confirmed_height``), not a
+field of the signed value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from . import codec, crypto
@@ -57,10 +58,6 @@ class LedgerTx:
     outputs: tuple[TxEntry, ...]
     memo_tag: bytes | None
     signatures: tuple[bytes, ...]
-
-    @cached_property
-    def tx_id(self) -> bytes:
-        return crypto.digest(codec.struct_bytes(self))
 
     def distinct_input_keys(self) -> list[bytes]:
         seen: list[bytes] = []
@@ -202,11 +199,13 @@ class Ledger:
         self.query_tx(tx_id)
         return self._heights.get(tx_id, 0)
 
-    def confirmed_txs(self, lo_height: int = 1, hi_height: int | None = None) -> list[LedgerTx]:
-        """Transactions of the blocks at heights ``lo_height..hi_height``,
-        genesis excluded; a block's height is its index in the chain."""
+    def confirmed_txs(self, lo_height: int = 1, hi_height: int | None = None
+                      ) -> list[tuple[bytes, LedgerTx]]:
+        """(id, transaction) of each transaction of the blocks at heights
+        ``lo_height..hi_height``, genesis excluded; a block's height is its
+        index in the chain."""
         hi = self.height if hi_height is None else hi_height
-        return [self._tx_index[tx_id]
+        return [(tx_id, self._tx_index[tx_id])
                 for block in self._blocks[max(lo_height, 1):max(hi + 1, 0)]
                 for tx_id in block.tx_ids]
 

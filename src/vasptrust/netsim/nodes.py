@@ -487,11 +487,10 @@ class VaspNode(Node):
                      or crypto.sign(self.tx_key.private_key, m)},
             memo_tag=payload.payload_id)
         try:
-            self.ledger.submit_transfer(tx)
+            pending.tx_id = self.ledger.submit_transfer(tx)
         except InsufficientFunds:
             self._refuse(payload, Refusal.INSUFFICIENT_FUNDS, pending)
             return
-        pending.tx_id = crypto.digest(signed_over[0])
         pending.tx_short = _short(pending.tx_id)
         pending.submitted_height = self.ledger.height
         pending.state = "submitted"

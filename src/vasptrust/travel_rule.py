@@ -22,14 +22,13 @@ the signing input it signed or verified; ``read_payload_record`` decodes one.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Container
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 from . import codec, crypto, pki
-from .ledger import Ledger, LedgerTx
+from .ledger import Ledger
 from .pki import InvalidCert
 from .resolver import CustomerIdentifier, UnknownCustomer
 
@@ -191,8 +190,16 @@ def answer_payload(request: TravelRulePayload, beneficiary_account: str,
     """The beneficiary VASP's answer to ``request``: the beneficiary's
     account, matched on-chain by the amount paid to ``beneficiary_tx_key``;
     the rest is the request's."""
-    return dataclasses.replace(
-        request, beneficiary_account=beneficiary_account,
+    return TravelRulePayload(
+        originator_name=request.originator_name,
+        originator_account=request.originator_account,
+        originator_identifying=request.originator_identifying,
+        beneficiary_name=request.beneficiary_name,
+        beneficiary_account=beneficiary_account,
+        originating_vasp_number=request.originating_vasp_number,
+        transfer_number=request.transfer_number,
+        beneficiary_vasp_number=request.beneficiary_vasp_number,
+        amount=request.amount,
         correlation=CorrelationHint(HintKind.KEY_AMOUNT, beneficiary_tx_key,
                                     request.amount))
 
@@ -370,41 +377,41 @@ class CorrelationStore:
 
         lo, hi = window
         hint = payload.correlation
-        candidates: list[tuple[LedgerTx, int]] = []
-        for tx in ledger.confirmed_txs(lo, hi):
+        candidates: list[tuple[bytes, int]] = []  # (tx id, output index)
+        for tx_id, tx in ledger.confirmed_txs(lo, hi):
             if hint.kind is HintKind.MEMO_TAG:
                 if tx.memo_tag != payload.payload_id:
                     continue
                 indexed = [
-                    (tx, i) for i, out in enumerate(tx.outputs)
-                    if (tx.tx_id, i) not in self._consumed
+                    (tx_id, i) for i, out in enumerate(tx.outputs)
+                    if (tx_id, i) not in self._consumed
                 ]
                 if len(indexed) > 1:
                     narrowed = [(t, i) for t, i in indexed
-                                if t.outputs[i].amount == payload.amount]
+                                if tx.outputs[i].amount == payload.amount]
                     indexed = narrowed or indexed
                 candidates.extend(indexed)
             else:
                 for i, out in enumerate(tx.outputs):
-                    if (tx.tx_id, i) in self._consumed:
+                    if (tx_id, i) in self._consumed:
                         continue
                     if (out.public_key == hint.expected_key
                             and out.amount == hint.expected_amount):
-                        candidates.append((tx, i))
+                        candidates.append((tx_id, i))
 
         if not candidates:
             raise NoMatch("no confirmed output matches this payload")
         if len(candidates) > 1:
             raise AmbiguousMatch(
                 f"{len(candidates)} outputs match and no tag disambiguates")
-        tx, index = candidates[0]
+        tx_id, index = candidates[0]
         record = CorrelationRecord(
             payload_id=payload.payload_id,
-            tx_id=tx.tx_id,
+            tx_id=tx_id,
             output_index=index,
             matched_at_height=ledger.height,
         )
-        self._consumed.add((tx.tx_id, index))
+        self._consumed.add((tx_id, index))
         self._records[payload.payload_id] = record
         return record
 

@@ -305,7 +305,7 @@ def check_key_history(device: WalletDevice, ledger: Ledger) -> bool:
     """True iff every confirmed spend from a wallet key was genuinely
     signed by that key (the customer's historical transactions add up)."""
     wallet_keys = set(device.public_keys(include_erased=True))
-    for tx in ledger.confirmed_txs():
+    for _, tx in ledger.confirmed_txs():
         keys = tx.distinct_input_keys()
         for key, sig in zip(keys, tx.signatures):
             if key in wallet_keys and not crypto.verify(

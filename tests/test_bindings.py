@@ -225,8 +225,8 @@ def test_a_transfer_encodes_each_signed_value_once_per_party(
     # encoded at most 6 times: the originator's id, its signing input and
     # the request envelope; the beneficiary's signing inputs of the
     # request and of its answer; the originator's of the rebuilt answer.
-    # The ledger transaction at most 3: make_transfer's signing input, the
-    # ledger's, and correlation's id.
+    # The ledger transaction at most 2: make_transfer's signing input and
+    # the ledger's; correlation reads the id the ledger derived from it.
     outputs = []
     for name in ("canonical_encode", "struct_bytes"):
         def recording(value, encode=getattr(codec, name)):
@@ -246,7 +246,7 @@ def test_a_transfer_encodes_each_signed_value_once_per_party(
     tx = codec.first_field(codec.struct_bytes(
         world.ledger.query_tx(pending.tx_id)))
     assert sum(any(p in out for p in payloads) for out in outputs) <= 6
-    assert sum(tx in out for out in outputs) <= 3
+    assert sum(tx in out for out in outputs) <= 2
 
 
 def seq_of(world, payload: tr.TravelRulePayload) -> int:

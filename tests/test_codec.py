@@ -982,3 +982,164 @@ def test_ids_derived_from_the_wire_are_the_ones_the_trace_names(
              for key in derived}
     assert any(derived.values())
     assert derived == named
+
+
+# -- generated encoders: refusals at depth, header boundaries, recursion --------
+
+class Stranger(Enum):
+    X = "x"
+
+
+def _declared_name(typ) -> str:
+    return typ.__name__ if isinstance(typ, type) else str(typ)
+
+
+def _wrong_values(typ) -> list:
+    """(wrong value, the codec's refusal) for a field declared ``typ``: None
+    where it is not optional, a bool for an int, a bytearray for bytes, and
+    a non-member for an enum or a union."""
+    args = typing.get_args(typ)
+    union = typing.get_origin(typ) in (typing.Union, types.UnionType)
+    members = [a for a in args if a is not type(None)] if union else [typ]
+    wrong = []
+    if not union or len(members) == len(args):
+        wrong.append((None, f"None not permitted for {_declared_name(typ)}"))
+    if union and len(members) > 1:
+        wrong.append((Stranger.X, f"Stranger is not a member of {typ}"))
+    if len(members) == 1:  # an optional type refuses as its member does
+        member = members[0]
+        if member is int:
+            wrong.append((True, "bool given for int"))
+        if member is bytes:
+            wrong.append((bytearray(b"x"), "bytearray given for bytes"))
+        if isinstance(member, type) and issubclass(member, Enum):
+            wrong.append((Stranger.X,
+                          f"Stranger is not a member of {member.__name__}"))
+    return wrong
+
+
+def _field_paths(value, path=()):
+    """(path, declared type) of every dataclass field held in ``value``, at
+    every depth; a path names fields and sequence indexes."""
+    if dataclasses.is_dataclass(value):
+        hints = typing.get_type_hints(type(value))
+        for f in dataclasses.fields(value):
+            yield path + (f.name,), hints[f.name]
+            yield from _field_paths(getattr(value, f.name), path + (f.name,))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _field_paths(item, path + (i,))
+
+
+def _replace_at(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(head, int):
+        items = list(value)
+        items[head] = _replace_at(items[head], rest, new)
+        return type(value)(items)
+    return dataclasses.replace(
+        value, **{head: _replace_at(getattr(value, head), rest, new)})
+
+
+@pytest.mark.parametrize("body_type", BODY_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_wrong_typed_field_at_each_depth_refused_where_declared(body_type,
+                                                                 data):
+    # Each wrong value, in each field of an envelope holding the body, at
+    # every depth, is refused with the message naming that field's declared
+    # type. The reference refuses the bytearray and the non-members too; it
+    # encodes None and a bool as themselves, being untyped there.
+    env = Envelope(3, 9, data.draw(values_of(body_type)))
+    assert codec.canonical_encode(env) == reference_encode(env)
+    refused = 0
+    for path, typ in _field_paths(env):
+        for wrong, refusal in _wrong_values(typ):
+            bad = _replace_at(env, path, wrong)
+            with pytest.raises(codec.CodecError) as raised:
+                codec.canonical_encode(bad)
+            assert str(raised.value) == refusal, path
+            if path[1:]:  # the body alone, encoded as its own class
+                with pytest.raises(codec.CodecError, match=re.escape(refusal)):
+                    codec.canonical_encode(bad.body)
+            if wrong is Stranger.X or type(wrong) is bytearray:
+                with pytest.raises(codec.CodecError):
+                    reference_encode(bad)
+            refused += 1
+    assert refused >= len(dataclasses.fields(body_type)) + 3
+
+
+@dataclass(frozen=True)
+class Blobs:
+    items: list[bytes]
+
+
+def _payload_of(n: int, header_and_rest: int) -> int:
+    """The length of a str or bytes whose frame plus ``header_and_rest``
+    other bytes make ``n``: its header is 2 bytes below 128, else 3."""
+    return n - header_and_rest - 2 if n - header_and_rest - 2 < 128 \
+        else n - header_and_rest - 3
+
+
+@pytest.mark.parametrize("n", [127, 128, 16_383, 16_384])
+def test_frame_length_boundaries_match_reference(n):
+    # Frames whose payload is n bytes, for a str, bytes, a struct and a
+    # list: one length byte below 128, two below 16,384, else three.
+    header = 2 if n < 128 else 3 if n < 16_384 else 4
+    values = ["é" * (n // 2) + "x" * (n % 2), b"b" * n,
+              Inner("x" * _payload_of(n, 2), ()),  # a str and an empty list
+              [b"b" * _payload_of(n, 0)]]
+    for value in values:
+        blob = codec.canonical_encode(value)
+        assert blob == reference_encode(value)
+        assert len(blob) == header + n
+        assert codec.canonical_decode(blob, type(value) if not isinstance(
+            value, list) else list[bytes]) == value
+    for value in (Blobs(values[3]), Blobs([b"b" * n])):
+        assert codec.canonical_encode(value) == reference_encode(value)
+    # The signing input's header and its first field's are read back too.
+    inner = values[2]
+    tbs = codec.struct_bytes(inner)
+    assert codec.sealed_bytes(inner, tbs) == codec.canonical_encode(inner)
+    assert codec.first_field(tbs) == codec.first_field(
+        codec.canonical_encode(inner)) == codec.canonical_encode(inner.label)
+
+
+@dataclass(frozen=True)
+class Node:
+    label: str
+    children: tuple[Node, ...]
+    parent: Node | None
+
+
+def test_self_referential_dataclass_encodes():
+    leaf = Node("leaf", (), None)
+    tree = Node("root", (leaf, Node("mid", (leaf,), leaf)), Node("up", (), None))
+    blob = codec.canonical_encode(tree)
+    assert blob == reference_encode(tree)
+    assert codec.canonical_decode(blob, Node) == tree
+    assert codec.struct_bytes(tree) == _reference_signing_input(tree)
+    with pytest.raises(codec.CodecError, match="^int given for str$"):
+        codec.canonical_encode(Node("root", (Node(5, (), None),), None))
+    with pytest.raises(codec.CodecError, match="^str given for Node$"):
+        codec.canonical_encode(Node("root", (), Node("up", (), "leaf")))
+
+
+def test_each_type_is_compiled_once_into_its_own_encoder(monkeypatch):
+    # A nested dataclass, a union and a sequence's item each call their own
+    # type's encoder, so a type's source is written and compiled once
+    # however many types hold it: generating the envelope's encoder frames
+    # one struct per compiled source, and compiles each dataclass once.
+    sources = []
+
+    def recording(source, *rest):
+        sources.append(source)
+        return compile(source, *rest)
+    monkeypatch.setattr(codec, "_ENCODERS", {})
+    monkeypatch.setattr(codec, "compile", recording, raising=False)
+    codec._encoder(Envelope)
+    structs = [s.split("(")[0] for s in sources if "_frame(7, " in s]
+    assert all(s.count("_frame(7, ") <= 1 for s in sources)
+    assert len(structs) == len(set(structs)) > len(BODY_TYPES)

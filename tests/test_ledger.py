@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seed
-from vasptrust import crypto
+from vasptrust import codec, crypto
 from vasptrust.ledger import (BadSignature, InsufficientFunds, Ledger,
                               TxNotFound, ValueMismatch, make_transfer)
 
@@ -99,9 +99,9 @@ def test_batch_outputs_intact(funded):
                        [(b.public_key, 30), (c.public_key, 60)],
                        {a.public_key: signer(a)})
     assert len({o.public_key for o in tx.outputs}) == 2
-    ledger.submit_transfer(tx)
+    tx_id = ledger.submit_transfer(tx)
     ledger.confirm_block()
-    stored = ledger.query_tx(tx.tx_id)
+    stored = ledger.query_tx(tx_id)
     assert [(o.public_key, o.amount) for o in stored.outputs] == \
         [(b.public_key, 30), (c.public_key, 60)]
 
@@ -160,14 +160,15 @@ def test_confirmed_height_never_changes():
     ledger = Ledger([(pairs[0].public_key, 10)])
     tx = make_transfer([(pairs[0].public_key, 10)], [(pairs[1].public_key, 10)],
                        {pairs[0].public_key: signer(pairs[0])})
-    ledger.submit_transfer(tx)
-    assert ledger.confirmed_height(tx.tx_id) == 0  # in the mempool
+    tx_id = ledger.submit_transfer(tx)
+    assert tx_id == crypto.digest(codec.struct_bytes(tx))
+    assert ledger.confirmed_height(tx_id) == 0  # in the mempool
     ledger.confirm_block()
-    height = ledger.confirmed_height(tx.tx_id)
+    height = ledger.confirmed_height(tx_id)
     for _ in range(5):
         ledger.confirm_block()
-    assert ledger.confirmed_height(tx.tx_id) == height == 1
-    assert ledger.query_tx(tx.tx_id) is tx
+    assert ledger.confirmed_height(tx_id) == height == 1
+    assert ledger.query_tx(tx_id) is tx
 
 
 def test_identical_op_sequences_identical_hashes():
@@ -186,7 +187,7 @@ WINDOW_KEYS = keypairs(2, "window")
 def whole_chain_filter(ledger, lo, hi):
     """The reference: every block of the chain, filtered by height."""
     hi = ledger.height if hi is None else hi
-    return [ledger.query_tx(tx_id) for block in ledger.blocks[1:]
+    return [(tx_id, ledger.query_tx(tx_id)) for block in ledger.blocks[1:]
             if lo <= block.height <= hi for tx_id in block.tx_ids]
 
 
@@ -215,8 +216,8 @@ def test_dump_chain_mentions_tx_hex(funded):
     ledger, a, b, _ = funded
     tx = make_transfer([(a.public_key, 5)], [(b.public_key, 5)],
                        {a.public_key: signer(a)})
-    ledger.submit_transfer(tx)
+    tx_id = ledger.submit_transfer(tx)
     ledger.confirm_block()
     dump = ledger.dump_chain()
-    assert tx.tx_id.hex() in dump
+    assert tx_id.hex() in dump
     assert "height=1" in dump

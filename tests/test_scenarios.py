@@ -461,18 +461,27 @@ def test_federated_view_check_agrees_while_a_member_lags():
     assert counts[:3] == ["0/5"] * 3 and counts[-1] == "5/5"
 
 
+def _carries_flood(value) -> bool:
+    """``value`` is an AdvertisementFlood, or a dataclass holding one."""
+    return type(value) is AdvertisementFlood or (
+        dataclasses.is_dataclass(value) and any(
+            _carries_flood(getattr(value, f.name))
+            for f in dataclasses.fields(value)))
+
+
 @pytest.mark.parametrize("chord", [0, 3], ids=["ring", "ring-with-chords"])
 def test_each_flood_is_encoded_once(chord):
-    # Struct encodings of AdvertisementFlood bodies over a cold convergence:
-    # Simulation.send encodes each envelope once and digests the body's
-    # bytes read out of that encoding, so no flood is encoded again.
+    # Encodes, at the codec's public boundary (canonical_encode and
+    # struct_bytes), of a value that is or carries an AdvertisementFlood,
+    # over a cold convergence: Simulation.send encodes each envelope once
+    # and digests the bytes of that encoding, so no flood is encoded again.
     world = build_world(line_config(10, ring=True, chord=chord))
     encoded = [0]
+    boundary = (codec.canonical_encode.__code__, codec.struct_bytes.__code__)
 
     def profile(frame, event, arg):
-        if (event == "call" and frame.f_code.co_name == "encode_struct"
-                and frame.f_code.co_filename == codec.__file__
-                and type(frame.f_locals["value"]) is AdvertisementFlood):
+        if (event == "call" and frame.f_code in boundary
+                and _carries_flood(frame.f_locals["value"])):
             encoded[0] += 1
 
     sys.setprofile(profile)

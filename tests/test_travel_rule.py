@@ -279,6 +279,11 @@ def brute_force_bipartite(payloads, outputs):
     return set(solutions)
 
 
+def tx_id(tx) -> bytes:
+    """A transaction's id: the digest of its signing input."""
+    return crypto.digest(codec.struct_bytes(tx))
+
+
 class TestCorrelation:
     def _ledger_with_tx(self, outputs, memo=None):
         src = crypto.generate_keypair(seed("corr:src"))
@@ -299,7 +304,7 @@ class TestCorrelation:
                                           memo=payload.payload_id)
         store = tr.CorrelationStore()
         record = store.correlate(payload, ledger, (1, ledger.height))
-        assert record.tx_id == tx.tx_id and record.output_index == 0
+        assert record.tx_id == tx_id(tx) and record.output_index == 0
         # Re-correlating the same payload is idempotent.
         assert store.correlate(payload, ledger, (1, ledger.height)) == record
 
@@ -314,7 +319,7 @@ class TestCorrelation:
             memo=payload.payload_id)
         record = tr.CorrelationStore().correlate(payload, ledger,
                                                  (1, ledger.height))
-        assert (record.tx_id, record.output_index) == (tx.tx_id, 1)
+        assert (record.tx_id, record.output_index) == (tx_id(tx), 1)
 
     def test_no_match(self):
         beneficiary = crypto.generate_keypair(seed("corr:none"))

@@ -331,11 +331,11 @@ class TestBoarding:
         other = crypto.generate_keypair(seed("spender"))
         tx = make_transfer([(key, 100)], [(other.public_key, 100)],
                            {key: device.signer(handle)})
-        ledger.submit_transfer(tx)
+        tx_id = ledger.submit_transfer(tx)
         ledger.confirm_block()
         # Corrupt the recorded signature after confirmation; the history
         # check must notice the spend no longer verifies.
-        corrupt_signature(ledger, tx.tx_id)
+        corrupt_signature(ledger, tx_id)
         assert not wallet.check_key_history(device, ledger)
 
     def _onboarded(self):
@@ -364,8 +364,9 @@ class TestBoarding:
 
     def test_offboard_refused_on_bad_key_history(self):
         device, ledger, registry, supervision = self._onboarded()
-        (cutover,) = [tx for tx in ledger.confirmed_txs() if tx.signatures]
-        corrupt_signature(ledger, cutover.tx_id)
+        (cutover,) = [tx_id for tx_id, tx in ledger.confirmed_txs()
+                      if tx.signatures]
+        corrupt_signature(ledger, cutover)
         handles = device.handles()
         report = wallet.offboard_customer(7, "alice", device, ledger,
                                           registry, supervision, nonce(9), 9)
