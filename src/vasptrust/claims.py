@@ -208,13 +208,6 @@ class ClaimsStore:
             if c.attribute_name in permitted
             and pki.at_tick(c, now) is pki.Verdict.VALID
         ]
-        receipt = self._issue_receipt(token, released, now)
-        self._audit.append(AuditEntry(now, "claims_released", (
-            ("token", token.token_id), ("attrs", receipt.attributes_released))))
-        return released, receipt
-
-    def _issue_receipt(self, token: AuthorizationToken,
-                       released: list[SignedClaim], now: int) -> ConsentReceipt:
         receipt, _ = codec.seal(ConsentReceipt(
             token_id=token.token_id,
             vasp_number=token.audience_vasp_number,
@@ -224,7 +217,9 @@ class ClaimsStore:
             signature=b"",
         ), lambda tbs: crypto.sign(self._keypair.private_key, tbs))
         self._receipts.append(receipt)
-        return receipt
+        self._audit.append(AuditEntry(now, "claims_released", (
+            ("token", token.token_id), ("attrs", receipt.attributes_released))))
+        return released, receipt
 
     def verify_receipt(self, receipt: ConsentReceipt) -> bool:
         return crypto.verify(self._keypair.public_key, *codec.unseal(receipt))

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import pki, travel_rule
 from .config import (ConfigError, Seed, TopologyConfig, config_to_dict,
                      load_config, read)
-from .netsim import run_scenario_with_world
+from .netsim import events, run_scenario_with_world
 from .netsim.scenarios import ScenarioError
 from .netsim.trace import UnrenderableField, parse_trace_text
 from .netsim.world import build_world
@@ -80,8 +80,7 @@ def cmd_init(args) -> int:
     if not args.config:
         raise ConfigError("init", "--config is required")
     config = load_config(args.config)
-    workspace.mkdir(parents=True, exist_ok=True)
-    (workspace / "traces").mkdir(exist_ok=True)
+    (workspace / "traces").mkdir(parents=True, exist_ok=True)
     (workspace / "config.json").write_text(
         json.dumps(config_to_dict(config), indent=2) + "\n")
     manifest = _build_manifest(config)
@@ -126,14 +125,9 @@ def cmd_run(args) -> int:
 
     chain_path = workspace / "traces" / f"{args.scenario}.chain.txt"
     chain_path.write_text(world.ledger.dump_chain())
-    payload_lines = []
-    for number in sorted(world.vasps):
-        store = world.vasps[number].payload_store
-        if store:
-            payload_lines.append(f"# vasp:{number}")
-            payload_lines.append(travel_rule.dump_payload_store(store).rstrip("\n"))
-    (workspace / "traces" / f"{args.scenario}.payloads.txt").write_text(
-        "\n".join(payload_lines) + ("\n" if payload_lines else ""))
+    (workspace / "traces" / f"{args.scenario}.payloads.txt").write_text("".join(
+        f"# vasp:{number}\n" + travel_rule.dump_payload_store(vasp.payload_store)
+        for number, vasp in sorted(world.vasps.items()) if vasp.payload_store))
 
     for assertion in trace.assertions:
         print(assertion.line())
@@ -148,14 +142,14 @@ def cmd_report(args) -> int:
     if not trace_files:
         raise ConfigError(str(trace_dir), "no traces found; run a scenario first")
 
-    counted_events = {
-        "payloads_validated": "travel_rule.payload_validated",
-        "consents_recorded": "travel_rule.consent_recorded",
-        "correlations": "travel_rule.correlated",
-        "consent_receipts": "claims.receipt_issued",
-        "attestation_evidence": "attest.evidence_produced",
-        "attestation_checkpoints": "attest.checkpoint",
-        "blocks_confirmed": "ledger.block_confirmed",
+    counted_events = {  # by name: every shape declared under it counts
+        "payloads_validated": events.PAYLOAD_VERIFIED,
+        "consents_recorded": events.CONSENT_RECORDED,
+        "correlations": events.CORRELATED,
+        "consent_receipts": events.RECEIPT_ISSUED,
+        "attestation_evidence": events.EVIDENCE_PRODUCED,
+        "attestation_checkpoints": events.CHECKPOINT,
+        "blocks_confirmed": events.BLOCK_CONFIRMED,
     }
     rows = []
     totals = {key: 0 for key in counted_events}
@@ -170,12 +164,12 @@ def cmd_report(args) -> int:
                      sum(1 for a in trace.assertions if a.passed),
                      len(trace.assertions)))
         for key, event in counted_events.items():
-            totals[key] += len(trace.find(event))
+            totals[key] += len(trace.find(event.name))
         reasons.update(e.get("reason") for e in trace.events)
 
     print(f"{'scenario':<10} {'result':<7} {'events':>7} {'assertions':>11}")
-    for scenario, result, events, ok, total in rows:
-        print(f"{scenario:<10} {result:<7} {events:>7} {f'{ok}/{total}':>11}")
+    for scenario, result, lines, ok, total in rows:
+        print(f"{scenario:<10} {result:<7} {lines:>7} {f'{ok}/{total}':>11}")
     print()
     for key in sorted(counted_events):
         print(f"{key}: {totals[key]}")

@@ -120,7 +120,7 @@ def _union_members(typ: Any) -> tuple[bool, list[Any]]:
 # (``_generate``). A class is its own declared type, so its encoder is also
 # the one for an undeclared value of it. A value of a class other than the
 # declared one goes to the helper that refuses it with the type's message
-# (``_refuse``, ``_stranger``, ``_arity``, ``_cannot``).
+# (``_refuse``, ``_arity``, ``_cannot``).
 
 Encoder = Callable[[Any], bytes]
 
@@ -133,18 +133,12 @@ _ENCODERS: dict[Any, Encoder] = {}  # declared type -> encoder
 _SIGNING_INPUTS: dict[type, Encoder] = {}  # dataclass -> its signing input's
 
 
-def _refuse(value: Any, typ: Any) -> bytes:
-    """Refuse ``value``, which is not of its declared type ``typ``."""
+def _refuse(value: Any, typ: Any, why: str = "given for") -> bytes:
+    """Refuse ``value``, which is not of its declared type ``typ``: ``why``
+    is "is not a member of" where ``typ`` is an enum or a union."""
     if value is None:
         raise CodecError(f"None not permitted for {typ}")
-    raise CodecError(f"{type(value).__name__} given for {typ}")
-
-
-def _stranger(value: Any, typ: Any) -> bytes:
-    """Refuse ``value``, which is no member of its declared enum or union."""
-    if value is None:
-        raise CodecError(f"None not permitted for {typ}")
-    raise CodecError(f"{type(value).__name__} is not a member of {typ}")
+    raise CodecError(f"{type(value).__name__} {why} {typ}")
 
 
 def _arity(value: Any, typ: Any) -> bytes:
@@ -245,8 +239,8 @@ def _generate(typ: Any, signing: bool) -> Encoder:
             return _SCALARS[typ].format(val=val, var=var)
         if isinstance(typ, type) and issubclass(typ, Enum):
             names = {m._name_: _frame(TAG_ENUM, _uint(i)) for i, m in enumerate(typ)}
-            return (f"({const(names)}[{var}._name_] if type({val}) is "
-                    f"{const(typ)} else _stranger({var}, {typ.__name__!r}))")
+            return (f"({const(names)}[{var}._name_] if type({val}) is {const(typ)} "
+                    f"else _refuse({var}, {typ.__name__!r}, 'is not a member of'))")
         if get_origin(typ) in _UNION_ORIGINS and \
                 len(members := _union_members(typ)[1]) == 1:
             return f"(_NONE if {val} is None else {inline(members[0], var, var)})"
@@ -272,7 +266,7 @@ def _generate(typ: Any, signing: bool) -> Encoder:
                     arms += f"{arm} if {test} is {const(member)} else "
                     test = "t"
             none = "_NONE if v is None else " if allows_none else ""
-            return f"({arms}{none}_stranger(v, {const(typ)}))"
+            return f"({arms}{none}_refuse(v, {const(typ)}, 'is not a member of'))"
         if origin is tuple and not (len(args) == 2 and args[1] is Ellipsis):
             items = [inline(t, f"v[{i}]") for i, t in enumerate(args)]
             return (f"({framed(TAG_LIST, items)} if type(v) is tuple and "

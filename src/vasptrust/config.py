@@ -4,13 +4,15 @@ Configs are JSON files with explicit keys, read by one reader (``read``,
 also used for scenario parameters) that takes each type and default from
 the dataclasses below. An integer is a JSON integer or a string of decimal
 digits, never a bool or a float, and must be non-negative, except
-``seed``; unknown keys are ignored. ``parse_config`` then checks the rules
-across fields: unique VASP numbers, IdP domains (in any case) and claims
-providers, known activities, identifiers on an IdP's domain that its
-directory lists, known claims providers, one claims store per customer id,
-each VASP's certificate subject (``pki.check_subject``) and federation
-edges between configured VASPs. Problems are reported with their config
-path. All randomness in a run flows from ``seed``.
+``seed``; a customer id, claims provider or insurer names a trace actor,
+so it holds no space or line break; unknown keys are ignored.
+``parse_config`` then checks the rules across fields: unique VASP numbers,
+IdP domains (in any case) and claims providers, known activities,
+identifiers on an IdP's domain that its directory lists, known claims
+providers, one claims store per customer id, each VASP's certificate
+subject (``pki.check_subject``) and federation edges between configured
+VASPs. Problems are reported with their config path. All randomness in a
+run flows from ``seed``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import types
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, NewType, get_args, get_origin, get_type_hints
+from typing import (Any, Callable, NewType, Union, get_args, get_origin,
+                    get_type_hints)
 
 from . import crypto
 from .pki import BusinessActivity, EvSubjectInfo, check_subject
@@ -32,6 +35,7 @@ SERVICE_NUMBER_BASE = 1000  # entity numbers >= this are reserved for services
 
 Seed = NewType("Seed", int)  # any integer crypto.seed_from_int takes
 Identifier = NewType("Identifier", str)  # a str that parse_identifier takes
+Name = NewType("Name", str)  # a str with no space or line break: it names actors
 
 
 class ConfigError(Exception):
@@ -55,7 +59,7 @@ class ClaimSpec:
 
 @dataclass
 class CustomerConfig:
-    id: str
+    id: Name
     legal_name: str
     identifiers: list[Identifier] = field(default_factory=list)
     geographic_address: str = ""
@@ -109,8 +113,8 @@ class TopologyConfig:
     seed: Seed
     vasps: list[VaspConfig]
     idps: list[IdpConfig] = field(default_factory=list)
-    claims_providers: list[str] = field(default_factory=list)
-    insurer: str | None = None
+    claims_providers: list[Name] = field(default_factory=list)
+    insurer: Name | None = None
     # Read as written; parse_config makes it symmetric, with int neighbors.
     federation_graph: dict[int, list] = field(default_factory=dict)
     scenario_params: dict[str, dict] = field(default_factory=dict)
@@ -173,14 +177,21 @@ def _read_identifier(value: Any, path: str) -> str:
     return value
 
 
+def _read_name(value: Any, path: str) -> str:
+    """A name that the trace can hold as (part of) an actor column."""
+    if " " in _checked(value, str, path) or "".join(value.splitlines()) != value:
+        raise ConfigError(path, f"{value!r} would not parse back as one actor name")
+    return value
+
+
 _SCALAR_READERS = {int: _read_natural, Seed: _read_seed,
-                   Identifier: _read_identifier}
+                   Identifier: _read_identifier, Name: _read_name}
 
 
 @lru_cache(maxsize=None)
 def _reader(typ: Any) -> Reader:
     origin = get_origin(typ)
-    if origin is types.UnionType:  # X | None, the one union declared
+    if origin in (types.UnionType, Union):  # X | None, the one union declared
         inner = _reader(next(a for a in get_args(typ) if a is not type(None)))
         return lambda value, path: None if value is None else inner(value, path)
     if origin is list:

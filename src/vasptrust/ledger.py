@@ -60,11 +60,7 @@ class LedgerTx:
     signatures: tuple[bytes, ...]
 
     def distinct_input_keys(self) -> list[bytes]:
-        seen: list[bytes] = []
-        for entry in self.inputs:
-            if entry.public_key not in seen:
-                seen.append(entry.public_key)
-        return seen
+        return list(dict.fromkeys(entry.public_key for entry in self.inputs))
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,15 @@ from ..resolver import (CustomerIdentifier, IdentifierAdvertisement,
                         Unauthorized, Unparseable, parse_identifier)
 from ..travel_rule import (ConsentDirection, ConsentStore, CorrelationStore,
                            CustomerRecord, SignedPayload, TravelRulePayload)
+from . import events
 from . import messages as msg
 from .sim import Envelope, SecureChannel, Simulation
 
 
 class Node:
     """Channel-capable actor bound to an EV identity certificate, in
-    simulation ``sim``, trusting what ``trust`` holds."""
+    simulation ``sim``, trusting what ``trust`` holds. A service node
+    takes its service first, then these arguments."""
 
     # Body type -> the method that handles it, per class. An answer's
     # handler also takes the context its request was asked with.
@@ -78,26 +80,23 @@ class Node:
         kind = type(env.body)
         handler = self.HANDLERS.get(kind)
         if handler is None:
-            self._refused("netsim.refused", {"msg": kind.__name__,
-                                             "from": channel.other(self.name)},
-                          Refusal.UNEXPECTED_MESSAGE)
+            self._refused(events.UNEXPECTED, Refusal.UNEXPECTED_MESSAGE,
+                          kind.__name__, channel.other(self.name))
         elif kind not in _ANSWERS:
             handler(self, channel, env)
         elif self.asked.get(key := (channel.id, env.body.answers), (None,))[0] is kind:
             handler(self, channel, env, self.asked.pop(key)[1])
         else:
-            self._refused("netsim.refused", {
-                "msg": kind.__name__, "from": channel.other(self.name),
-                "answers": env.body.answers}, Refusal.UNSOLICITED_ANSWER)
+            self._refused(events.UNSOLICITED, Refusal.UNSOLICITED_ANSWER,
+                          kind.__name__, channel.other(self.name), env.body.answers)
 
-    def _refused(self, event: str, fields: dict, reason: Refusal, *,
+    def _refused(self, event: events.Event, reason: Refusal, *values,
                  by_peer: bool = False) -> None:
-        """Emit ``event``: ``fields``, then ``reason``, or, when a peer
+        """Emit ``event``: ``values``, then ``reason``, or, when a peer
         refused, ``peer_refused`` and then the peer's ``reason``."""
-        fields["reason"] = (Refusal.PEER_REFUSED if by_peer else reason).value
-        if by_peer:
-            fields["peer_reason"] = reason.value
-        self.sim.emit(self.name, event, fields)
+        tail = (Refusal.PEER_REFUSED.value, reason.value) if by_peer \
+            else (reason.value, None)
+        self.sim.emit(self.name, event, *values, *tail)
 
     def _peer_number(self, channel: SecureChannel) -> int:
         """Entity number in the certificate our peer, the sender of all we
@@ -210,37 +209,30 @@ class VaspNode(Node):
             idp = idp_directories.get(ident.domain_part.lower())
             self.resolver.register_identifier(record.customer_id, ident, idp)
             record.identifiers.append(ident)
-            self.sim.emit(self.name, "resolver.identifier_registered", {
-                "customer": record.customer_id, "identifier": ident.render(),
-                "validated_by": f"idp:{idp.domain}" if idp else None})
-
-    def attach_device(self, customer_id: str, device: wallet.WalletDevice) -> None:
-        self.devices[device.device_id] = device
-        self.customers[customer_id].wallet_ref = device.device_id
+            self.sim.emit(self.name, events.IDENTIFIER_REGISTERED, record.customer_id,
+                          ident.render(), f"idp:{idp.domain}" if idp else None)
 
     # -- consent -------------------------------------------------------------------
 
     def grant_consent(self, customer_id: str, direction: ConsentDirection,
                       counterparty: int | None) -> None:
         self.consents.record(customer_id, direction, counterparty, self.sim.now)
-        self.sim.emit(_name("customer", customer_id), "travel_rule.consent_recorded", {
-            "vasp": self.vasp_number, "direction": direction.value,
-            "counterparty":
-                None if counterparty is None else _name("vasp", counterparty)})
+        self.sim.emit(_name("customer", customer_id), events.CONSENT_RECORDED,
+                      self.vasp_number, direction.value,
+                      None if counterparty is None else _name("vasp", counterparty))
 
     def withdraw_consent(self, customer_id: str, direction: ConsentDirection,
                          counterparty: int | None) -> None:
         self.consents.withdraw(customer_id, direction, counterparty, self.sim.now)
-        self.sim.emit(_name("customer", customer_id), "travel_rule.consent_withdrawn",
-                      {"vasp": self.vasp_number, "direction": direction.value})
+        self.sim.emit(_name("customer", customer_id), events.CONSENT_WITHDRAWN,
+                      self.vasp_number, direction.value)
 
     # -- resolver -------------------------------------------------------------------
 
     def local_lookup(self, identifier: CustomerIdentifier) -> list[int]:
         self._purge_lapsed()
         hits = self.resolver.lookup(identifier, self.certs.identity, self.trust)
-        self.sim.emit(self.name, "resolver.lookup", {
-            "identifier": identifier.render(), "vasps": hits, "count": len(hits)})
+        self.sim.emit(self.name, events.LOOKUP, identifier.render(), hits, len(hits))
         return hits
 
     def _purge_lapsed(self) -> None:
@@ -266,16 +258,8 @@ class VaspNode(Node):
                 continue
             self.resolver.drop_origin(adv.vasp_number)
             self._outbox.pop(adv.vasp_number, None)
-            self.sim.emit(self.name, "resolver.adv_purged", {
-                "origin": _name("vasp", adv.vasp_number),
-                "seq": adv.sequence, "verdict": verdict.value})
-
-    def build_own_advertisement(self):
-        adv = self.resolver.build_advertisement(self.claims_key.private_key,
-                                                self.certs.claims.serial)
-        self.sim.emit(self.name, "resolver.adv_built", {
-            "seq": adv.sequence, "identifiers": len(adv.identifiers)}, payload=adv)
-        return adv
+            self.sim.emit(self.name, events.ADV_PURGED, _name("vasp", adv.vasp_number),
+                          adv.sequence, verdict.value)
 
     def flood_advertisements(self, channels: list[SecureChannel]) -> None:
         """One flooding round of the link-state exchange (RFC 2328 §13).
@@ -293,9 +277,12 @@ class VaspNode(Node):
         content = (tuple(self.resolver.local_identifiers()),
                    self.certs.claims.serial)
         if content != self._advertised:
-            self._own_adv = self.build_own_advertisement()
+            adv = self._own_adv = self.resolver.build_advertisement(
+                self.claims_key.private_key, self.certs.claims.serial)
+            self.sim.emit(self.name, events.ADV_BUILT, adv.sequence,
+                          len(adv.identifiers), payload=adv)
             self._advertised = content
-            self._outbox[self.vasp_number] = (self._own_adv, set())
+            self._outbox[self.vasp_number] = (adv, set())
         outbox, self._outbox = self._outbox, {}
         for channel in channels:
             if channel.id in self._synced:
@@ -310,21 +297,17 @@ class VaspNode(Node):
 
     def _on_advertisement_flood(self, channel: SecureChannel, env: Envelope) -> None:
         for adv in env.body.advertisements:
-            self._merge_advertisement(channel, adv)
-
-    def _merge_advertisement(self, channel: SecureChannel, adv) -> None:
-        outcome = self.resolver.merge_advertisement(adv, self.trust)
-        pending = self._outbox.get(adv.vasp_number)
-        if outcome is MergeOutcome.APPLIED:
-            self._outbox[adv.vasp_number] = (adv, {channel.id})
-            self._lapse_at = min(
-                self._lapse_at, _lapses_at(self.trust.members[adv.vasp_number]))
-        elif pending is not None and pending[0].sequence == adv.sequence:
-            # The neighbour sent us this very advertisement: it has it.
-            pending[1].add(channel.id)
-        self.sim.emit(self.name, "resolver.adv_merged", {
-            "origin": _name("vasp", adv.vasp_number), "seq": adv.sequence,
-            "outcome": outcome.value})
+            outcome = self.resolver.merge_advertisement(adv, self.trust)
+            pending = self._outbox.get(adv.vasp_number)
+            if outcome is MergeOutcome.APPLIED:
+                self._outbox[adv.vasp_number] = (adv, {channel.id})
+                self._lapse_at = min(
+                    self._lapse_at, _lapses_at(self.trust.members[adv.vasp_number]))
+            elif pending is not None and pending[0].sequence == adv.sequence:
+                # The neighbour sent us this very advertisement: it has it.
+                pending[1].add(channel.id)
+            self.sim.emit(self.name, events.ADV_MERGED, _name("vasp", adv.vasp_number),
+                          adv.sequence, outcome.value)
 
     # -- travel rule exchange ---------------------------------------------------------
 
@@ -357,9 +340,8 @@ class VaspNode(Node):
         signed, tbs = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims, payload, self.trust)
         payload_id = crypto.digest(codec.first_field(tbs))
-        self.sim.emit(self.name, "travel_rule.payload_validated", {
-            "direction": "outbound", "present": _present(missing),
-            "payload": _short(payload_id)}, digest=payload_id)
+        self.sim.emit(self.name, events.PAYLOAD_SIGNED, "outbound",
+                      _present(missing), _short(payload_id), digest=payload_id)
         self._record("outbound", signed, tbs)
         return signed
 
@@ -375,18 +357,16 @@ class VaspNode(Node):
         open ``pending`` entry ``refused``."""
         if pending is not None:
             self._settle(pending, "refused")
-        self._refused("travel_rule.transfer_refused",
-                      {"payload": _short(payload.payload_id)}, reason, by_peer=by_peer)
+        self._refused(events.TRANSFER_REFUSED, reason, _short(payload.payload_id),
+                      by_peer=by_peer)
 
     def _verify_counterparty_payload(self, signed: SignedPayload, tbs: bytes,
                                      signer: int) -> bool:
         ok = travel_rule.verify_signed_payload(signed, self.trust, signer, tbs)
         missing = travel_rule.validate_payload(signed.payload)
         payload_id = crypto.digest(codec.first_field(tbs))
-        self.sim.emit(self.name, "travel_rule.payload_validated", {
-            "direction": "inbound", "present": _present(missing),
-            "signature": "ok" if ok else "bad",
-            "payload": _short(payload_id)}, digest=payload_id)
+        self.sim.emit(self.name, events.PAYLOAD_VERIFIED, "inbound", _present(missing),
+                      "ok" if ok else "bad", _short(payload_id), digest=payload_id)
         return ok and not missing
 
     def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
@@ -394,8 +374,8 @@ class VaspNode(Node):
         tbs = codec.struct_bytes(signed)
         answer = self._answer(channel, signed, tbs)
         if isinstance(answer, Refusal):
-            self._refused("travel_rule.transfer_refused", {"payload": _short(
-                crypto.digest(codec.first_field(tbs)))}, answer)
+            self._refused(events.TRANSFER_REFUSED, answer,
+                          _short(crypto.digest(codec.first_field(tbs))))
             self.sim.send(channel, self.name,
                           msg.TravelRuleResponse(env.seq, answer, None))
         else:
@@ -429,9 +409,8 @@ class VaspNode(Node):
         consent = self.consents.check(beneficiary.customer_id,
                                       ConsentDirection.RECEIVE_ASSETS,
                                       payload.originating_vasp_number, self.sim.now)
-        self.sim.emit(self.name, "travel_rule.consent_checked", {
-            "customer": beneficiary.customer_id,
-            "direction": ConsentDirection.RECEIVE_ASSETS.value, "ok": consent})
+        self.sim.emit(self.name, events.CONSENT_CHECKED, beneficiary.customer_id,
+                      ConsentDirection.RECEIVE_ASSETS.value, consent)
         if not consent:
             return Refusal.BENEFICIARY_CONSENT_MISSING
         self._record("inbound", signed, tbs)
@@ -461,14 +440,11 @@ class VaspNode(Node):
         originator_consent = self.consents.check(
             originator, ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
             asked, self.sim.now)
-        self.sim.emit(self.name, "travel_rule.consent_checked", {
-            "customer": originator,
-            "direction": ConsentDirection.SEND_INFO_TO_COUNTERPARTY.value,
-            "ok": originator_consent})
-        self.sim.emit(self.name, "travel_rule.transfer_gate", {
-            "payload": _short(payload.payload_id),
-            "consent_originator": originator_consent,
-            "beneficiary_accepted": True})
+        self.sim.emit(self.name, events.CONSENT_CHECKED, originator,
+                      ConsentDirection.SEND_INFO_TO_COUNTERPARTY.value,
+                      originator_consent)
+        self.sim.emit(self.name, events.TRANSFER_GATE, _short(payload.payload_id),
+                      originator_consent, True)
         if not originator_consent:
             self._refuse(payload, Refusal.ORIGINATOR_CONSENT_MISSING, pending)
             return
@@ -494,10 +470,9 @@ class VaspNode(Node):
         pending.tx_short = _short(pending.tx_id)
         pending.submitted_height = self.ledger.height
         pending.state = "submitted"
-        self.sim.emit(self.name, "ledger.tx_submitted", {
-            "tx": pending.tx_short, "kind": "customer_transfer",
-            "amount": payload.amount},
-            digest=crypto.digest(codec.sealed_bytes(tx, signed_over[0])))
+        self.sim.emit(self.name, events.TX_SUBMITTED, pending.tx_short,
+                      "customer_transfer", payload.amount,
+                      digest=crypto.digest(codec.sealed_bytes(tx, signed_over[0])))
 
     def correlate_pending(self) -> list[travel_rule.CorrelationRecord]:
         """Correlate, in initiation order, every open transfer whose
@@ -517,10 +492,9 @@ class VaspNode(Node):
             records.append(record)
             tx = pending.tx_short if record.tx_id == pending.tx_id \
                 else _short(record.tx_id)
-            self.sim.emit(self.name, "travel_rule.correlated", {
-                "payload": _short(pending.payload.payload_id),
-                "tx": tx, "output": record.output_index,
-                "height": record.matched_at_height})
+            self.sim.emit(self.name, events.CORRELATED,
+                          _short(pending.payload.payload_id), tx,
+                          record.output_index, record.matched_at_height)
         return records
 
     # -- remote resolver API ---------------------------------------------------------
@@ -541,11 +515,9 @@ class VaspNode(Node):
         except Unauthorized:
             refusal = Refusal.INVALID_CALLER
         if refusal is None:
-            self.sim.emit(self.name, "resolver.remote_lookup", {
-                "caller": caller, "vasps": hits, "error": "-"})
+            self.sim.emit(self.name, events.REMOTE_LOOKUP, caller, hits, "-")
         else:
-            self._refused("resolver.remote_lookup",
-                          {"caller": caller, "vasps": hits}, refusal)
+            self._refused(events.REMOTE_LOOKUP_REFUSED, refusal, caller, hits)
         self.sim.send(channel, self.name,
                       msg.LookupResponse(env.seq, tuple(hits), refusal))
 
@@ -553,9 +525,8 @@ class VaspNode(Node):
                             _: None) -> None:
         body: msg.LookupResponse = env.body
         if body.refusal is not None:
-            self._refused("resolver.lookup_refused",
-                          {"from": channel.other(self.name)},
-                          body.refusal, by_peer=True)
+            self._refused(events.LOOKUP_REFUSED, body.refusal,
+                          channel.other(self.name), by_peer=True)
         self.remote_lookups.append(body)
 
     # -- claims gathering -------------------------------------------------------------
@@ -573,8 +544,8 @@ class VaspNode(Node):
             raise claims_mod.BadToken("no authorization token held")
         signature = crypto.sign(self.claims_key.private_key,
                                 claims_mod.terms_bytes(token))
-        self.sim.emit(self.name, "claims.terms_accepted", {
-            "token": _short(token.token_id), "purpose": token.purpose})
+        self.sim.emit(self.name, events.TERMS_ACCEPTED, _short(token.token_id),
+                      token.purpose)
         self.ask(channel, msg.ClaimsFetchRequest(
             token, signature, self.certs.claims.serial), None)
 
@@ -584,23 +555,22 @@ class VaspNode(Node):
         token = body.token
         if body.refusal is not None:
             self.claims_denial = body.refusal
-            self._refused("claims.token_denied", {}, body.refusal, by_peer=True)
+            self._refused(events.TOKEN_DENIED_BY_PEER, body.refusal, by_peer=True)
         elif (token is None
               or token.audience_vasp_number != self.vasp_number
               or token.purpose != asked.purpose
               or set(token.permitted_attributes) != set(asked.attributes)):
-            self._refused("claims.token_refused", {}, Refusal.TOKEN_SCOPE_MISMATCH)
+            self._refused(events.TOKEN_REFUSED, Refusal.TOKEN_SCOPE_MISMATCH)
         else:
             self.claims_token = token
-            self.sim.emit(self.name, "claims.token_received", {
-                "token": _short(token.token_id),
-                "attrs": list(token.permitted_attributes)}, payload=token)
+            self.sim.emit(self.name, events.TOKEN_RECEIVED, _short(token.token_id),
+                          list(token.permitted_attributes), payload=token)
 
     def _on_claims_fetch_response(self, channel: SecureChannel, env: Envelope,
                                   _: None) -> None:
         body: msg.ClaimsFetchResponse = env.body
         if body.refusal is not None:
-            self._refused("claims.fetch_refused", {}, body.refusal, by_peer=True)
+            self._refused(events.FETCH_REFUSED, body.refusal, by_peer=True)
             return
         # Only a claim its issuer's signature verifies is taken.
         verified = [c for c in body.claims if claims_mod.verify_claim(
@@ -609,9 +579,8 @@ class VaspNode(Node):
         self.fetched_claims.extend(verified)
         if body.receipt is not None:
             self.consent_receipts.append(body.receipt)
-        self.sim.emit(self.name, "claims.claims_fetched", {
-            "claims": len(body.claims), "verified": len(verified),
-            "receipt": "yes" if body.receipt else "no"})
+        self.sim.emit(self.name, events.CLAIMS_FETCHED, len(body.claims),
+                      len(verified), "yes" if body.receipt else "no")
 
     # -- wallet supervision -------------------------------------------------------------
 
@@ -626,16 +595,14 @@ class VaspNode(Node):
         if supervision is not None:
             self.supervision[customer_id] = supervision
             self.devices[device.device_id] = device
-            self.sim.emit(self.name, "attest.evidence_produced", {
-                "device": device.device_id, "purpose": "onboarding"},
-                payload=supervision.checkpoints[0])
+            self.sim.emit(self.name, events.EVIDENCE_PRODUCED, device.device_id,
+                          "onboarding", payload=supervision.checkpoints[0])
         transition = report.key_transition
-        self.sim.emit(self.name, "boarding.onboard", {
-            "customer": customer_id, "device": device.device_id,
-            "accepted": report.accepted,
-            "old": None if transition is None else list(transition.old_handles),
-            "new": None if transition is None else transition.new_handle,
-            "reason": report.reason or None})
+        self.sim.emit(self.name, events.ONBOARD, customer_id, device.device_id,
+                      report.accepted,
+                      None if transition is None else list(transition.old_handles),
+                      None if transition is None else transition.new_handle,
+                      report.reason or None)
         return report
 
     def offboard(self, customer_id: str,
@@ -649,9 +616,8 @@ class VaspNode(Node):
             supervision, nonce, self.sim.now)
         erased = [r.handle for r in report.erasure_evidence.key_reports
                   if r.erased] if report.erasure_evidence else []
-        self.sim.emit(self.name, "boarding.offboard", {
-            "customer": customer_id, "device": device.device_id,
-            "accepted": report.accepted, "erased_handles": erased})
+        self.sim.emit(self.name, events.OFFBOARD, customer_id, device.device_id,
+                      report.accepted, erased)
         if report.accepted:
             del self.supervision[customer_id]
         return report
@@ -665,12 +631,11 @@ class VaspNode(Node):
                 evidence = wallet.take_checkpoint(supervision, device,
                                                   self.sim.nonce(), now)
             except wallet.AttestationFailed as exc:
-                self.sim.emit(self.name, "attest.checkpoint_refused",
-                              {"device": device.device_id, "reason": str(exc)})
+                self.sim.emit(self.name, events.CHECKPOINT_REFUSED,
+                              device.device_id, exc.refusal.value)
                 continue
-            self.sim.emit(self.name, "attest.checkpoint", {
-                "device": device.device_id, "count": len(supervision.checkpoints)},
-                payload=evidence)
+            self.sim.emit(self.name, events.CHECKPOINT, device.device_id,
+                          len(supervision.checkpoints), payload=evidence)
 
     def _on_attestation_challenge(self, channel: SecureChannel, env: Envelope) -> None:
         body: msg.AttestationChallenge = env.body
@@ -686,11 +651,10 @@ class VaspNode(Node):
             except wallet.AttestationRefused:
                 refusal = Refusal.ATTESTATION_REFUSED
         if refusal is None:
-            self.sim.emit(self.name, "attest.evidence_produced", {
-                "device": body.device_id, "purpose": "audit"}, payload=evidence)
+            self.sim.emit(self.name, events.EVIDENCE_PRODUCED, body.device_id,
+                          "audit", payload=evidence)
         else:
-            self._refused("attest.challenge_refused",
-                          {"from": channel.other(self.name)}, refusal)
+            self._refused(events.CHALLENGE_REFUSED, refusal, channel.other(self.name))
         self.sim.send(channel, self.name,
                       msg.AttestationResponse(env.seq, evidence, refusal))
 
@@ -711,13 +675,8 @@ class VaspNode(Node):
 class AuthServerNode(Node):
     """Authorization server for one customer's claims store."""
 
-    def __init__(self, sim: Simulation, owner: str,
-                 identity_cert: pki.EvIdentityCertificate,
-                 identity_key: crypto.KeyPair,
-                 server: claims_mod.AuthorizationServer,
-                 trust: pki.TrustContext):
-        super().__init__(sim, f"authsrv:{owner}", identity_cert, identity_key,
-                         trust)
+    def __init__(self, server: claims_mod.AuthorizationServer, *node_args):
+        super().__init__(*node_args)
         self.server = server
 
     def _on_claims_auth_request(self, channel: SecureChannel, env: Envelope) -> None:
@@ -726,14 +685,13 @@ class AuthServerNode(Node):
             channel.peer_cert(caller), set(env.body.attributes),
             env.body.purpose, self.trust)
         if isinstance(result, Refusal):
-            self._refused("claims.token_denied", {"caller": caller}, result)
+            self._refused(events.TOKEN_DENIED, result, caller)
             self.sim.send(channel, self.name,
                           msg.ClaimsAuthResponse(env.seq, None, result))
         else:
-            self.sim.emit(self.name, "claims.token_issued", {
-                "caller": caller, "token": _short(result.token_id),
-                "attrs": list(result.permitted_attributes),
-                "expires": result.expires_at}, payload=result)
+            self.sim.emit(self.name, events.TOKEN_ISSUED, caller,
+                          _short(result.token_id), list(result.permitted_attributes),
+                          result.expires_at, payload=result)
             self.sim.send(channel, self.name,
                           msg.ClaimsAuthResponse(env.seq, result, None))
 
@@ -743,13 +701,8 @@ class AuthServerNode(Node):
 class ClaimsStoreNode(Node):
     """Network face of one customer's claims store."""
 
-    def __init__(self, sim: Simulation, owner: str,
-                 identity_cert: pki.EvIdentityCertificate,
-                 identity_key: crypto.KeyPair,
-                 store: claims_mod.ClaimsStore,
-                 trust: pki.TrustContext):
-        super().__init__(sim, f"store:{owner}", identity_cert, identity_key,
-                         trust)
+    def __init__(self, store: claims_mod.ClaimsStore, *node_args):
+        super().__init__(*node_args)
         self.store = store
 
     def _on_claims_fetch_request(self, channel: SecureChannel, env: Envelope) -> None:
@@ -772,17 +725,14 @@ class ClaimsStoreNode(Node):
             except claims_mod.ClaimsError as exc:
                 refusal = exc.refusal
         if refusal is not None:
-            self._refused("claims.fetch_refused", {}, refusal)
+            self._refused(events.FETCH_REFUSED, refusal)
             self.sim.send(channel, self.name,
                           msg.ClaimsFetchResponse(env.seq, (), None, refusal))
             return
-        self.sim.emit(self.name, "claims.claims_released", {
-            "vasp": token.audience_vasp_number,
-            "attrs": sorted({c.attribute_name for c in released}),
-            "count": len(released)})
-        self.sim.emit(self.name, "claims.receipt_issued", {
-            "receipt": _short(receipt.receipt_id),
-            "token": _short(receipt.token_id)}, payload=receipt)
+        self.sim.emit(self.name, events.CLAIMS_RELEASED, token.audience_vasp_number,
+                      sorted({c.attribute_name for c in released}), len(released))
+        self.sim.emit(self.name, events.RECEIPT_ISSUED, _short(receipt.receipt_id),
+                      _short(receipt.token_id), payload=receipt)
         self.sim.send(channel, self.name, msg.ClaimsFetchResponse(
             env.seq, tuple(released), receipt, None))
 
@@ -792,20 +742,15 @@ class ClaimsStoreNode(Node):
 class InsurerNode(Node):
     """Asset insurer: audits regulated wallets via attestation evidence."""
 
-    def __init__(self, sim: Simulation, name: str,
-                 identity_cert: pki.EvIdentityCertificate,
-                 identity_key: crypto.KeyPair,
-                 trust: pki.TrustContext,
-                 approved_stacks: set[bytes]):
-        super().__init__(sim, f"insurer:{name}", identity_cert, identity_key,
-                         trust)
+    def __init__(self, approved_stacks: set[bytes], *node_args):
+        super().__init__(*node_args)
         self.approved_stacks = approved_stacks
         self.audit_verdicts: dict[str, wallet.VerifierVerdict] = {}
 
     def request_audit(self, channel: SecureChannel, device_id: str) -> None:
         nonce = self.sim.nonce()
-        self.sim.emit(self.name, "attest.audit_requested",
-                      {"device": device_id, "via": channel.other(self.name)})
+        self.sim.emit(self.name, events.AUDIT_REQUESTED, device_id,
+                      channel.other(self.name))
         self.ask(channel, msg.AttestationChallenge(device_id, nonce),
                  (device_id, nonce))
 
@@ -814,21 +759,16 @@ class InsurerNode(Node):
         body: msg.AttestationResponse = env.body
         device_id, nonce = asked
         if body.refusal is not None or body.evidence is None:
-            self._refused("attest.audit_verdict",
-                          {"device": device_id, "passed": False},
-                          body.refusal or Refusal.NO_EVIDENCE,
-                          by_peer=body.refusal is not None)
+            self._refused(events.AUDIT_REFUSED, body.refusal or Refusal.NO_EVIDENCE,
+                          device_id, False, by_peer=body.refusal is not None)
             return
         device_key = self.trust.device_attestation_keys.get(device_id, b"")
         verdict = wallet.verify_evidence(body.evidence, nonce, device_key,
                                          self.approved_stacks)
         self.audit_verdicts[device_id] = verdict
         findings = "; ".join(verdict.key_findings) or "none"
-        self.sim.emit(self.name, "attest.audit_verdict", {
-            "device": device_id, "passed": verdict.passed,
-            "signature_ok": verdict.signature_ok,
-            "nonce_fresh": verdict.nonce_fresh,
-            "stack_approved": verdict.stack_approved,
-            "findings": f"[{findings}]"})
+        self.sim.emit(self.name, events.AUDIT_VERDICT, device_id, verdict.passed,
+                      verdict.signature_ok, verdict.nonce_fresh,
+                      verdict.stack_approved, f"[{findings}]")
 
     HANDLERS = {msg.AttestationResponse: _on_attestation_response}

@@ -23,9 +23,10 @@ from .. import pki, wallet
 from ..config import Identifier, TopologyConfig, read
 from ..pki import Refusal
 from ..resolver import parse_identifier
-from ..travel_rule import ConsentDirection
+from ..travel_rule import ConsentDirection, pick_identifying
+from . import events
 from .trace import ScenarioTrace
-from .world import World, build_world
+from .world import CERT_VALIDITY, World, build_world
 
 
 class ScenarioError(Exception):
@@ -106,8 +107,8 @@ def converge_federation(world: World, max_rounds: int | None = None) -> int:
             1 for n in sorted(world.vasps)
             if world.vasps[n].resolver.holds_federated(
                 federated_truth(truth, n, own[n])))
-        world.sim.emit("sim", "federation.round", {
-            "round": round_no, "converged": f"{converged}/{len(world.vasps)}"})
+        world.sim.emit("sim", events.FEDERATION_ROUND, round_no,
+                       f"{converged}/{len(world.vasps)}")
         if converged == len(world.vasps):
             break
     return rounds_used
@@ -126,8 +127,11 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
                             "transfer moves a positive amount")
     sim = world.sim
     ovasp = _require_entity(world.vasps, originator_vasp, "VASP")
-    _require_entity(ovasp.customers, originator_customer,
-                    f"a customer of {ovasp.name}")
+    originator = _require_entity(ovasp.customers, originator_customer,
+                                 f"a customer of {ovasp.name}")
+    if pick_identifying(originator) is None:
+        raise ScenarioError(f"scenario parameter originator_customer "
+                            f"{originator_customer!r} has no identifying detail")
     target = parse_identifier(beneficiary_identifier)
 
     converge_federation(world)
@@ -140,9 +144,8 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
     world.assert_that("lookup_hit", len(hits) == 1, f"vasps={hits}")
     if len(hits) != 1:
         reason = Refusal.MULTIPLE_VASPS if hits else Refusal.BENEFICIARY_UNKNOWN
-        sim.emit(ovasp.name, "travel_rule.transfer_halted", {
-            "identifier": beneficiary_identifier, "reason": reason.value,
-            "count": len(hits)})
+        sim.emit(ovasp.name, events.TRANSFER_HALTED, beneficiary_identifier,
+                 reason.value, len(hits))
         for name in ("payload_outbound_complete", "payload_inbound_complete",
                      "consent_originator", "consent_beneficiary",
                      "ledger_confirmed", "correlation_recorded_once"):
@@ -150,8 +153,8 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
         return
 
     bvasp = world.vasps[hits[0]]
+    beneficiary_ids = sorted(bvasp.resolver.local_customers_for(target))
     if grant_beneficiary_consent:
-        beneficiary_ids = sorted(bvasp.resolver.local_customers_for(target))
         bvasp.grant_consent(beneficiary_ids[0], ConsentDirection.RECEIVE_ASSETS,
                             ovasp.vasp_number)
 
@@ -167,9 +170,9 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
     submitted = pending is not None and pending.state == "submitted"
     records = ovasp.correlate_pending() if submitted else []
 
-    outbound = sim.trace.find("travel_rule.payload_validated",
+    outbound = sim.trace.find(events.PAYLOAD_SIGNED.name,
                               direction="outbound", present="5/5")
-    inbound = sim.trace.find("travel_rule.payload_validated",
+    inbound = sim.trace.find(events.PAYLOAD_VERIFIED.name,
                              direction="inbound", present="5/5", signature="ok")
     world.assert_that("payload_outbound_complete", len(outbound) >= 2,
                       f"validated_outbound={len(outbound)}")
@@ -180,7 +183,6 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
         ovasp.consents.check(originator_customer,
                              ConsentDirection.SEND_INFO_TO_COUNTERPARTY,
                              bvasp.vasp_number, sim.now))
-    beneficiary_ids = sorted(bvasp.resolver.local_customers_for(target))
     world.assert_that(
         "consent_beneficiary",
         bool(beneficiary_ids) and bvasp.consents.check(
@@ -224,9 +226,8 @@ def scenario_s2(world: World, *, owner_customer: str, requesting_vasp: int,
         readable_attributes=frozenset(attributes),
         usage_purpose=purpose)
     store_node.store.set_policy(owner_customer, policy, now=sim.now)
-    sim.emit(f"customer:{owner_customer}", "claims.policy_set", {
-        "store": store_node.name, "vasps": [vasp.vasp_number],
-        "attrs": sorted(attributes), "purpose": purpose})
+    sim.emit(f"customer:{owner_customer}", events.POLICY_SET, store_node.name,
+             [vasp.vasp_number], sorted(attributes), purpose)
 
     auth_channel = world.channel_between(vasp, server_node)
     vasp.request_claims_authorization(auth_channel, tuple(attributes), purpose)
@@ -242,8 +243,7 @@ def scenario_s2(world: World, *, owner_customer: str, requesting_vasp: int,
 
     if withdraw_before_fetch:
         store_node.store.revoke_consent(owner_customer, sim.now)
-        sim.emit(f"customer:{owner_customer}", "claims.consent_revoked",
-                 {"store": store_node.name})
+        sim.emit(f"customer:{owner_customer}", events.CONSENT_REVOKED, store_node.name)
 
     store_channel = world.channel_between(vasp, store_node)
     if token is not None:
@@ -293,11 +293,8 @@ def scenario_s3(world: World) -> None:
     # Exercise the protected remote lookup API across the federation.
     numbers = sorted(world.vasps)
     requester, responder = world.vasps[numbers[0]], world.vasps[numbers[-1]]
-    target = None
-    for rendered, owners in truth.items():
-        if owners == [numbers[-1]]:
-            target = rendered
-            break
+    target = next((rendered for rendered, owners in truth.items()
+                   if owners == [numbers[-1]]), None)
     if target is not None and requester is not responder:
         channel = world.channel_between(requester, responder)
         requester.remote_lookup(channel, target)
@@ -317,6 +314,10 @@ def scenario_s3(world: World) -> None:
 
 def scenario_s4(world: World, *, customer: str, vasp: int,
                 insurer_audit: bool = True, supervision_steps: int = 25) -> None:
+    if supervision_steps >= CERT_VALIDITY:
+        raise ScenarioError(f"scenario parameter supervision_steps is "
+                            f"{supervision_steps}; the audit must come before "
+                            "the certificates expire")
     sim = world.sim
     vasp = _require_entity(world.vasps, vasp, "VASP")
     device_id = f"wdev:{customer}@{vasp.vasp_number}"
@@ -333,6 +334,13 @@ def scenario_s4(world: World, *, customer: str, vasp: int,
         world.registry.status(device_id).classification
         is wallet.WalletClass.REGULATED
         and before.classification is wallet.WalletClass.PRIVATE)
+    audit = insurer_audit and world.insurer is not None
+    if not report.accepted:  # nothing to supervise: report the rest failed
+        for name in ("attestation_checkpoints_taken",
+                     *(["insurer_audit_pass"] if audit else []), "offboard_accepted",
+                     "erasure_proven", "registry_private_after_offboard"):
+            world.assert_that(name, False, "onboarding refused")
+        return
 
     for _ in range(supervision_steps):
         sim.step()
@@ -341,7 +349,7 @@ def scenario_s4(world: World, *, customer: str, vasp: int,
                       len(supervision.checkpoints) >= 3,
                       f"checkpoints={len(supervision.checkpoints)}")
 
-    if insurer_audit and world.insurer is not None:
+    if audit:
         channel = world.channel_between(world.insurer, vasp)
         world.insurer.request_audit(channel, device_id)
         sim.run_until_quiet()
@@ -380,15 +388,13 @@ def scenario_s5(world: World, *, originator_vasp: int,
 
     hits = ovasp.local_lookup(target)
     world.assert_that("multi_match_detected", len(hits) > 1, f"vasps={hits}")
-    sim.emit(ovasp.name, "travel_rule.transfer_halted", {
-        "identifier": beneficiary_identifier, "reason": Refusal.MULTIPLE_VASPS.value,
-        "count": len(hits), "vasps": hits})
-    world.assert_that(
-        "transfer_halted",
-        bool(sim.trace.find("travel_rule.transfer_halted")))
+    sim.emit(ovasp.name, events.MULTI_MATCH_HALTED, beneficiary_identifier,
+             Refusal.MULTIPLE_VASPS.value, len(hits), hits)
+    world.assert_that("transfer_halted",
+                      bool(sim.trace.find(events.TRANSFER_HALTED.name)))
     no_tx = (world.ledger.height == height_before
              and world.ledger.total_supply() == supply_before
-             and not sim.trace.find("ledger.tx_submitted"))
+             and not sim.trace.find(events.TX_SUBMITTED.name))
     world.assert_that("no_ledger_transfer", no_tx)
 
 

@@ -14,6 +14,9 @@ its sender is the channel's other endpoint, never a wire field. An answer
 names its request's seq on the same channel (``Node.handle``), and so
 does its ``netsim.sent`` event (``answers``): the trace pairs them too.
 
+Every trace event is declared once in ``events``, and ``emit`` takes an
+event's values in its declared order: the one path into the trace.
+
 An actor is a name with the handler its deliveries go to; a name that
 only emits trace events (``sim``, ``ledger``) is not registered. The
 world owns its actors; the simulator only refers to them. A handler or
@@ -33,7 +36,8 @@ from dataclasses import dataclass, field
 from .. import codec, crypto, pki
 from ..pki import Refusal
 from .messages import MessageBody
-from .trace import Assertion, ScenarioTrace, TraceEvent, check_fields
+from . import events
+from .trace import ScenarioTrace, TraceEvent, check_field
 
 
 class NetsimError(Exception):
@@ -147,7 +151,6 @@ class Simulation:
         self._busy: dict[tuple[int, int], tuple[SecureChannel, str]] = {}
         self._handlers: dict[str, object] = {}
         self._tick_hooks: list[object] = []
-        self._field_keys: dict[tuple, tuple] = {}
 
     # -- actors and trace -----------------------------------------------------
 
@@ -156,29 +159,30 @@ class Simulation:
             raise NetsimError(f"duplicate actor id {name!r}")
         self._handlers[name] = _referred(handler, f"actor {name!r}")
 
-    def emit(self, actor: str, event: str, fields: dict | None = None, *,
-             payload=None, digest: bytes | None = None) -> TraceEvent:
-        """Append a trace event carrying ``fields`` in their given order,
-        as one tuple (see ``trace``). Its digest is ``digest``, the SHA-256
-        of a value's canonical encoding that the caller already has, else
-        that of ``payload``'s encoding, computed now, else one of the
-        rendered fields, derived at each rendering. A value that breaks the
-        trace's rendering rule raises UnrenderableField and records
+    def emit(self, actor: str, event: events.Event, *values, payload=None,
+             digest: bytes | None = None) -> TraceEvent:
+        """Append ``event`` with one value per declared field, in order, as
+        one tuple (see ``trace``). Its digest is ``digest``, the SHA-256 of
+        a value's canonical encoding that the caller already has, else that
+        of ``payload``'s encoding, computed now, else one of the rendered
+        fields, derived at each rendering. An undeclared event or a wrong
+        number of values raises TypeError, and a free-text value that
+        breaks the trace's rendering rule UnrenderableField; either records
         nothing."""
-        fields = fields or {}
-        check_fields(fields)
+        if type(event) is not events.Event:
+            raise TypeError(f"{event!r} is not a declared trace event")
+        if len(values) != len(event.keys):
+            raise TypeError(f"{event.name} takes {len(event.keys)} values, "
+                            f"one per field, not {len(values)}")
+        for i in event.text:
+            check_field(event.keys[i], values[i])
         if payload is not None:
             digest = crypto.digest(codec.canonical_encode(payload))
-        keys = tuple(fields)
-        ev = tuple.__new__(TraceEvent, [
-            self.now, actor, event, digest and digest[:8].hex(),
-            self._field_keys.setdefault(keys, keys), *fields.values()])
+        ev = tuple.__new__(TraceEvent, (
+            self.now, actor, event.name, digest and digest[:8].hex(),
+            event.keys, *values))
         self.trace.events.append(ev)
         return ev
-
-    def assert_that(self, name: str, passed: bool, note: str = "") -> bool:
-        self.trace.assertions.append(Assertion(name, bool(passed), note))
-        return bool(passed)
 
     def nonce(self) -> bytes:
         return self.rng.getrandbits(256).to_bytes(32, "big")
@@ -192,30 +196,28 @@ class Simulation:
         """Mutual authentication: both certificates must chain-validate and
         both peers must prove possession of their certified keys."""
         if self.faults.partitioned:
-            self.emit("sim", "netsim.channel_refused",
-                      {"a": a.name, "b": b.name, "reason": Refusal.PARTITIONED.value})
+            self.emit("sim", events.CHANNEL_PARTITIONED, a.name, b.name,
+                      Refusal.PARTITIONED.value)
             raise PeerCertInvalid(b.name, None, "network partitioned")
         for us, peer in ((a, b), (b, a)):
             verdict = trust.validate(peer.identity_cert)
             if verdict is not pki.Verdict.VALID:
-                self.emit(us.name, "netsim.channel_refused",
-                          {"peer": peer.name, "verdict": verdict.value})
+                self.emit(us.name, events.PEER_CERT_INVALID, peer.name,
+                          verdict.value)
                 raise PeerCertInvalid(peer.name, verdict)
             challenge = self.nonce()
             proof = peer.prove_possession(challenge)
             if not crypto.verify(peer.identity_cert.subject_public_key,
                                  challenge, proof):
-                self.emit(us.name, "netsim.channel_refused", {
-                    "peer": peer.name,
-                    "reason": Refusal.POSSESSION_PROOF_FAILED.value})
+                self.emit(us.name, events.PEER_PROOF_FAILED, peer.name,
+                          Refusal.POSSESSION_PROOF_FAILED.value)
                 raise PeerCertInvalid(peer.name, None, "possession proof failed")
         channel = SecureChannel(
             channel_id=len(self.channels) + 1,
             a=a.name, b=b.name,
             peer_certs=(a.identity_cert, b.identity_cert))
         self.channels.append(channel)
-        self.emit("sim", "netsim.channel_established",
-                  {"ch": channel.id, "a": a.name, "b": b.name})
+        self.emit("sim", events.CHANNEL_ESTABLISHED, channel.id, a.name, b.name)
         return channel
 
     def send(self, channel: SecureChannel, sender: str, body: MessageBody) -> Envelope:
@@ -230,10 +232,8 @@ class Simulation:
         direction.queue.append(env)
         self._busy[channel.id, channel.endpoints().index(sender)] = (channel, sender)
         self.wire_log.append((type(body).__name__, wire))
-        self.emit(sender, "netsim.sent",
-                  {"msg": type(body).__name__, "ch": channel.id, "seq": env.seq,
-                   "answers": getattr(body, "answers", None)},
-                  digest=crypto.digest(wire))
+        self.emit(sender, events.SENT, type(body).__name__, channel.id, env.seq,
+                  getattr(body, "answers", None), digest=crypto.digest(wire))
         return env
 
     # -- event loop ---------------------------------------------------------------
@@ -262,9 +262,8 @@ class Simulation:
             if not queue:
                 del self._busy[key]
         for channel, sender, recipient, env in deliveries:
-            self.emit(recipient, "netsim.delivered",
-                      {"msg": type(env.body).__name__, "ch": channel.id,
-                       "seq": env.seq, "from": sender})
+            self.emit(recipient, events.DELIVERED, type(env.body).__name__,
+                      channel.id, env.seq, sender)
             self._handlers[recipient](channel, env)
         for hook in self._tick_hooks:
             hook(self.now)

@@ -9,11 +9,11 @@ A trace renders to line-oriented text:
     # result=PASS|FAIL
 
 An event is one tuple, ``(time, actor, event, digest, keys, *values)``,
-with its field names as the tuple ``keys`` and their values after it, in
-the order the emitter gave them. ``Simulation.emit`` builds it from the
-emitter's dict, keeps no dict, and shares one ``keys`` tuple among events
-with the same names; a parsed event keeps its own. ``fields`` builds the
-ordered dict when read. Fields render as ``key=value`` (the value as
+with its field names as the tuple ``keys`` and their values after it.
+``Simulation.emit`` builds it from an ``events`` declaration, whose one
+``keys`` tuple its events share, and the values given in its order; a
+parsed event keeps its own. ``fields`` builds the ordered dict of what
+the line shows when read. Fields render as ``key=value`` (the value as
 ``str`` gives it), joined by single spaces; a None value is left out, and
 is treated as absent by ``TraceEvent.get`` and ``ScenarioTrace.find``.
 The digest is the first 8 bytes, in hex, of the SHA-256 of the event's
@@ -32,13 +32,15 @@ chunks and the result, not the text again as one string per line.
 One rendering rule keeps every line one event and every field one field:
 a ``str`` value, or a ``str`` item of a list value, may hold neither a
 character ``str.splitlines`` breaks on nor a space followed by
-``identifier=``. ``check_fields`` enforces it, and ``Simulation.emit``
-calls it, so an event that breaks it is never recorded: the emitter gets
-``UnrenderableField``. A list renders through ``repr``, which escapes line
-breaks but not `` key=``, hence the check on its items. So parsing is
-exact: ``parse_trace_text`` gives back every field with its rendered
-value as a ``str``, ``str(value)`` of what was emitted, and refuses a line
-that names a key twice.
+``identifier=``. ``Simulation.emit`` calls ``check_field`` on each field
+declared free text, the only ones that can break it, so an event that
+breaks it is never recorded: the emitter gets ``UnrenderableField``. A
+list renders through ``repr``, which escapes line breaks but not
+`` key=``, hence the check on its items. So parsing is exact:
+``parse_trace_text`` gives back every field with its rendered value as a
+``str``, ``str(value)`` of what was emitted, and refuses a line that
+names a key twice. The config reader keeps spaces and line breaks out of
+actor names.
 """
 
 from __future__ import annotations
@@ -68,15 +70,14 @@ def _breaks_line(text: str) -> bool:
                             for token in text.split(" ")[1:]))
 
 
-def check_fields(fields: dict) -> None:
-    """Raise UnrenderableField if a value of ``fields`` breaks the
+def check_field(key: str, value) -> None:
+    """Raise UnrenderableField if ``value``, a ``str`` or a list, breaks the
     rendering rule."""
-    for key, value in fields.items():
-        kind = type(value)
-        if (kind is str and _breaks_line(value)) or (kind is list and any(
-                type(item) is str and _breaks_line(item) for item in value)):
-            raise UnrenderableField(f"field {key}={value!r} would not "
-                                    "parse back as one field")
+    kind = type(value)
+    if (kind is str and _breaks_line(value)) or (kind is list and any(
+            type(item) is str and _breaks_line(item) for item in value)):
+        raise UnrenderableField(f"field {key}={value!r} would not "
+                                "parse back as one field")
 
 
 class TraceEvent(tuple):
@@ -89,20 +90,14 @@ class TraceEvent(tuple):
     actor = property(itemgetter(1))
     event = property(itemgetter(2))
 
-    def __new__(cls, time: int, actor: str, event: str, digest: str | None,
-                fields: dict):
-        return tuple.__new__(cls, (time, actor, event, digest, tuple(fields),
-                                   *fields.values()))
-
     def __repr__(self) -> str:
         return f"TraceEvent({self.line()!r})"
 
-    def __getnewargs__(self) -> tuple:
-        return (*self[:4], self.fields)
-
     @property
     def fields(self) -> dict:
-        return dict(zip(self[4], self[5:]))
+        """The fields the line shows, in order: None values left out."""
+        return {key: value for key, value in zip(self[4], self[5:])
+                if value is not None}
 
     @property
     def digest(self) -> str:
@@ -214,8 +209,7 @@ def parse_trace_text(text: str) -> ScenarioTrace:
             parts = ln.split(" ", 4)
             if len(parts) < 4:
                 raise ValueError(f"bad trace event line: {ln!r}")
-            trace.events.append(TraceEvent(
-                time=int(parts[0]), actor=parts[1], event=parts[2],
-                digest=parts[3],
-                fields=_parse_fields(parts[4]) if len(parts) > 4 else {}))
+            fields = _parse_fields(parts[4]) if len(parts) > 4 else {}
+            trace.events.append(TraceEvent((int(parts[0]), *parts[1:4],
+                                            tuple(fields), *fields.values())))
     return trace

@@ -20,8 +20,10 @@ from ..config import SERVICE_NUMBER_BASE, TopologyConfig
 from ..ledger import Ledger
 from ..resolver import IdpDirectory, parse_identifier
 from ..travel_rule import CustomerRecord
+from . import events
 from .nodes import AuthServerNode, ClaimsStoreNode, InsurerNode, VaspNode
 from .sim import FaultConfig, SecureChannel, Simulation
+from .trace import Assertion
 
 CERT_VALIDITY = 1_000_000
 DEFAULT_STACK_COMPONENTS = ("bootloader", "wallet-os", "signer-app")
@@ -68,24 +70,18 @@ class World:
 
     def confirm_block(self):
         block = self.ledger.confirm_block()
-        self.sim.emit("ledger", "ledger.block_confirmed", {
-            "height": block.height, "txs": len(block.tx_ids),
-            "hash": block.block_hash.hex()[:16]})
+        self.sim.emit("ledger", events.BLOCK_CONFIRMED, block.height,
+                      len(block.tx_ids), block.block_hash.hex()[:16])
         return block
 
     def assert_that(self, name: str, passed: bool, note: str = "") -> bool:
-        return self.sim.assert_that(name, passed, note)
+        self.sim.trace.assertions.append(Assertion(name, bool(passed), note))
+        return bool(passed)
 
     def _on_tick(self, now: int) -> None:
         if now % CHECKPOINT_INTERVAL == 0:
             for number in sorted(self.vasps):
-                if self.vasps[number].supervision:
-                    self.vasps[number].take_checkpoints(now)
-
-
-def _default_stack(master: bytes) -> list[tuple[str, bytes]]:
-    return [(name, crypto.digest(crypto.derive_seed(master, f"stack:{name}")))
-            for name in DEFAULT_STACK_COMPONENTS]
+                self.vasps[number].take_checkpoints(now)
 
 
 def build_world(config: TopologyConfig, scenario: str = "adhoc",
@@ -98,8 +94,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     service_numbers = count(SERVICE_NUMBER_BASE)
 
     def service_identity(name: str, seed_label: str
-                         ) -> tuple[pki.EvIdentityCertificate, crypto.KeyPair]:
-        """Service actor ``name``'s identity certificate and key."""
+                         ) -> tuple[str, pki.EvIdentityCertificate, crypto.KeyPair]:
+        """Service actor ``name``, its identity certificate and key."""
         key = crypto.generate_keypair(crypto.derive_seed(master, seed_label))
         number = next(service_numbers)
         subject = pki.EvSubjectInfo(
@@ -113,15 +109,14 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             regulated_business_activity=pki.BusinessActivity.FINANCIAL_SERVICES,
             policy_object_identifier="1.3.6.1.4.1.99999.1000",
         )
-        return root.issue_identity_cert(subject, key.public_key, 0,
-                                        CERT_VALIDITY), key
+        return name, root.issue_identity_cert(subject, key.public_key, 0,
+                                              CERT_VALIDITY), key
 
     trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
                              lambda: sim.now)
     registry = wallet.WalletRegistry()
-    sim.emit("sim", "pki.root_created", {
-        "consortium": repr(config.consortium),
-        "root_key": root.public_key.hex()[:16]})
+    sim.emit("sim", events.ROOT_CREATED, repr(config.consortium),
+             root.public_key.hex()[:16])
 
     # Wallet devices and genesis funding are prepared before the ledger
     # exists; balances are fixed at genesis and conserved afterwards.
@@ -129,7 +124,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     devices: dict[str, wallet.WalletDevice] = {}
     genesis: list[tuple[bytes, int]] = []
     customer_keys: list[bytes] = []
-    stack = _default_stack(master)
+    stack = [(name, crypto.digest(crypto.derive_seed(master, f"stack:{name}")))
+             for name in DEFAULT_STACK_COMPONENTS]
     for vcfg in config.vasps:
         for ccfg in vcfg.customers:
             if ccfg.wallet is None:
@@ -156,20 +152,15 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             trust.device_attestation_keys[device_id] = device.attestation_public_key
             registry.set_private(device_id, 0)
 
-    vasp_keys: dict[int, tuple[crypto.KeyPair, crypto.KeyPair, crypto.KeyPair]] = {}
+    # Each VASP's keys, its treasury at genesis, and its certificates:
+    # identity plus the two signing certificates.
+    vasp_keys: dict[int, tuple[crypto.KeyPair, ...]] = {}
     for vcfg in config.vasps:
         n = vcfg.vasp_number
-        identity = crypto.generate_keypair(crypto.derive_seed(master, f"vasp:{n}:identity"))
-        tx = crypto.generate_keypair(crypto.derive_seed(master, f"vasp:{n}:transaction"))
-        claims_key = crypto.generate_keypair(crypto.derive_seed(master, f"vasp:{n}:claims"))
-        vasp_keys[n] = (identity, tx, claims_key)
+        identity, tx, claims_key = vasp_keys[n] = tuple(
+            crypto.generate_keypair(crypto.derive_seed(master, f"vasp:{n}:{role}"))
+            for role in ("identity", "transaction", "claims"))
         genesis.append((tx.public_key, vcfg.treasury))
-    ledger = Ledger(genesis)
-
-    # Certificates: identity + the two signing certificates per VASP.
-    for vcfg in config.vasps:
-        n = vcfg.vasp_number
-        identity, tx, claims_key = vasp_keys[n]
         identity_cert = root.issue_identity_cert(
             vcfg.subject(), identity.public_key, 0, CERT_VALIDITY)
         tx_cert = root.issue_signing_cert(
@@ -179,18 +170,15 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             identity_cert, pki.CertPurpose.CLAIMS_SIGNING,
             claims_key.public_key, 0, CERT_VALIDITY)
         trust.add_member(pki.VaspCerts(identity_cert, tx_cert, claims_cert))
-        sim.emit("sim", "pki.cert_issued", {
-            "kind": "identity", "serial": identity_cert.serial, "vasp": n,
-            "org": repr(vcfg.organization_name)})
+        sim.emit("sim", events.IDENTITY_CERT_ISSUED, "identity",
+                 identity_cert.serial, n, repr(vcfg.organization_name))
         for cert in (tx_cert, claims_cert):
-            sim.emit("sim", "pki.cert_issued", {
-                "kind": "signing", "purpose": cert.purpose.value,
-                "serial": cert.serial, "vasp": n})
+            sim.emit("sim", events.SIGNING_CERT_ISSUED, "signing",
+                     cert.purpose.value, cert.serial, n)
+    ledger = Ledger(genesis)
 
-    idp_directories: dict[str, IdpDirectory] = {}
-    for idp in config.idps:
-        idp_directories[idp.domain.lower()] = IdpDirectory(idp.domain,
-                                                           set(idp.directory))
+    idp_directories = {idp.domain.lower(): IdpDirectory(idp.domain, set(idp.directory))
+                       for idp in config.idps}
 
     vasps: dict[int, VaspNode] = {}
     for vcfg in config.vasps:
@@ -214,9 +202,9 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             node.add_customer(record, identifiers, idp_directories)
             device_id = f"wdev:{ccfg.id}@{n}"
             if device_id in devices:
-                node.attach_device(ccfg.id, devices[device_id])
-        sim.emit(node.name, "netsim.actor_ready", {
-            "customers": len(vcfg.customers), "treasury": vcfg.treasury})
+                node.devices[device_id] = devices[device_id]
+                record.wallet_ref = device_id
+        sim.emit(node.name, events.ACTOR_READY, len(vcfg.customers), vcfg.treasury)
 
     # Claims infrastructure: providers, then a personal store plus
     # authorization server for every customer holding claims.
@@ -241,10 +229,10 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 authorization_server_key=server.public_key)
             server.bind_store(store)
 
-            store_node = ClaimsStoreNode(sim, owner, *service_identity(
-                f"store:{owner}", f"store-id:{owner}"), store, trust)
-            server_node = AuthServerNode(sim, owner, *service_identity(
-                f"authsrv:{owner}", f"authsrv-id:{owner}"), server, trust)
+            store_node = ClaimsStoreNode(store, sim, *service_identity(
+                f"store:{owner}", f"store-id:{owner}"), trust)
+            server_node = AuthServerNode(server, sim, *service_identity(
+                f"authsrv:{owner}", f"authsrv-id:{owner}"), trust)
             sim.register_actor(store_node.name, store_node.handle)
             sim.register_actor(server_node.name, server_node.handle)
             stores[owner] = store_node
@@ -254,14 +242,14 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 claim = providers[spec.provider].issue_claim(
                     owner, spec.attribute, spec.value, 0, CERT_VALIDITY)
                 store.add_claim(claim)
-                sim.emit(f"cp:{spec.provider}", "claims.claim_issued", {
-                    "subject": owner, "attribute": spec.attribute}, payload=claim)
+                sim.emit(f"cp:{spec.provider}", events.CLAIM_ISSUED, owner,
+                         spec.attribute, payload=claim)
 
     insurer = None
     if config.insurer:
         name = f"insurer:{config.insurer}"
-        insurer = InsurerNode(sim, config.insurer, *service_identity(name, name),
-                              trust, approved_stacks)
+        insurer = InsurerNode(approved_stacks, sim, *service_identity(name, name),
+                              trust)
         sim.register_actor(insurer.name, insurer.handle)
 
     world = World(

@@ -123,6 +123,7 @@ class Refusal(Enum):
     POSSESSION_PROOF_FAILED = "PossessionProofFailed"
     UNEXPECTED_MESSAGE = "unexpected_message"
     PEER_REFUSED = "peer_refused"
+    EVIDENCE_INVALID = "evidence_invalid"  # its signature or nonce fails
 
 
 LEI_LENGTH = 20

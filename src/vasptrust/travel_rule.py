@@ -113,17 +113,14 @@ class CustomerRecord:
 
 def pick_identifying(customer: CustomerRecord) -> IdentifyingInfo | None:
     """First identifying detail present, in the required listing order."""
-    if customer.geographic_address and customer.geographic_address.strip():
-        return IdentifyingInfo(IdentifyingKind.GEOGRAPHIC_ADDRESS,
-                               customer.geographic_address)
-    if customer.national_id and customer.national_id.strip():
-        return IdentifyingInfo(IdentifyingKind.NATIONAL_ID, customer.national_id)
-    if customer.customer_number and customer.customer_number.strip():
-        return IdentifyingInfo(IdentifyingKind.CUSTOMER_NUMBER,
-                               customer.customer_number)
-    if customer.birth_info and customer.birth_info[0].strip() and customer.birth_info[1].strip():
-        return IdentifyingInfo(IdentifyingKind.BIRTH_INFO,
-                               customer.birth_info[0], customer.birth_info[1])
+    date, place = customer.birth_info or ("", "")
+    for kind, value, extra in (
+            (IdentifyingKind.GEOGRAPHIC_ADDRESS, customer.geographic_address, ""),
+            (IdentifyingKind.NATIONAL_ID, customer.national_id, ""),
+            (IdentifyingKind.CUSTOMER_NUMBER, customer.customer_number, ""),
+            (IdentifyingKind.BIRTH_INFO, date, place)):
+        if (info := IdentifyingInfo(kind, value or "", extra)).present:
+            return info
     return None
 
 
@@ -377,27 +374,19 @@ class CorrelationStore:
 
         lo, hi = window
         hint = payload.correlation
+        memo = hint.kind is HintKind.MEMO_TAG
+        wanted = (hint.expected_key, hint.expected_amount)
         candidates: list[tuple[bytes, int]] = []  # (tx id, output index)
         for tx_id, tx in ledger.confirmed_txs(lo, hi):
-            if hint.kind is HintKind.MEMO_TAG:
-                if tx.memo_tag != payload.payload_id:
-                    continue
-                indexed = [
-                    (tx_id, i) for i, out in enumerate(tx.outputs)
+            if memo and tx.memo_tag != payload.payload_id:
+                continue
+            fits = [(tx_id, i) for i, out in enumerate(tx.outputs)
                     if (tx_id, i) not in self._consumed
-                ]
-                if len(indexed) > 1:
-                    narrowed = [(t, i) for t, i in indexed
-                                if tx.outputs[i].amount == payload.amount]
-                    indexed = narrowed or indexed
-                candidates.extend(indexed)
-            else:
-                for i, out in enumerate(tx.outputs):
-                    if (tx_id, i) in self._consumed:
-                        continue
-                    if (out.public_key == hint.expected_key
-                            and out.amount == hint.expected_amount):
-                        candidates.append((tx_id, i))
+                    and (memo or (out.public_key, out.amount) == wanted)]
+            if memo and len(fits) > 1:
+                fits = [(t, i) for t, i in fits
+                        if tx.outputs[i].amount == payload.amount] or fits
+            candidates.extend(fits)
 
         if not candidates:
             raise NoMatch("no confirmed output matches this payload")

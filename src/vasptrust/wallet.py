@@ -22,6 +22,7 @@ from enum import Enum
 
 from . import codec, crypto
 from .ledger import Ledger, make_transfer
+from .pki import Refusal
 
 NONCE_SIZE = 32
 BOOT_DIGEST_SEED = b"\x00" * crypto.DIGEST_SIZE
@@ -43,12 +44,14 @@ class UnknownHandle(WalletError):
     pass
 
 
-class AttestationRefused(WalletError):
-    pass
-
-
 class AttestationFailed(WalletError):
-    pass
+    """No evidence taken; ``refusal`` is why, as the trace records it."""
+
+    refusal = Refusal.EVIDENCE_INVALID
+
+
+class AttestationRefused(AttestationFailed):
+    refusal = Refusal.ATTESTATION_REFUSED
 
 
 class NotSupervised(WalletError):
@@ -131,31 +134,23 @@ class WalletDevice:
         except KeyError:
             raise UnknownHandle(f"no key slot {handle}") from None
 
-    def public_keys(self, include_erased: bool = False) -> list[bytes]:
-        return [s.public_key for h, s in sorted(self._slots.items())
-                if include_erased or not s.erased]
-
-    def generate_key(self, migratable: bool) -> int:
-        self._counter += 1
-        handle = self._counter
-        pair = crypto.generate_keypair(
-            crypto.derive_seed(self._seed, f"slot:{handle}"))
-        self._slots[handle] = KeyReport(
-            handle, pair.public_key, KeyOrigin.GENERATED_INTERNALLY,
-            migratable, erased=False)
+    def _add_slot(self, pair: crypto.KeyPair, origin: KeyOrigin,
+                  migratable: bool) -> int:
+        handle = self._counter = self._counter + 1
+        self._slots[handle] = KeyReport(handle, pair.public_key, origin,
+                                        migratable, erased=False)
         self._private[handle] = pair.private_key
         return handle
+
+    def generate_key(self, migratable: bool) -> int:
+        seed = crypto.derive_seed(self._seed, f"slot:{self._counter + 1}")
+        return self._add_slot(crypto.generate_keypair(seed),
+                              KeyOrigin.GENERATED_INTERNALLY, migratable)
 
     def import_key(self, keypair: crypto.KeyPair) -> int:
         # Imported private material existed outside the hardware, so the
         # slot is unconditionally migratable.
-        self._counter += 1
-        handle = self._counter
-        self._slots[handle] = KeyReport(
-            handle, keypair.public_key, KeyOrigin.IMPORTED,
-            migratable=True, erased=False)
-        self._private[handle] = keypair.private_key
-        return handle
+        return self._add_slot(keypair, KeyOrigin.IMPORTED, migratable=True)
 
     def export_key(self, handle: int) -> crypto.KeyPair:
         slot = self.slot(handle)
@@ -304,7 +299,7 @@ class SupervisionRecord:
 def check_key_history(device: WalletDevice, ledger: Ledger) -> bool:
     """True iff every confirmed spend from a wallet key was genuinely
     signed by that key (the customer's historical transactions add up)."""
-    wallet_keys = set(device.public_keys(include_erased=True))
+    wallet_keys = {device.slot(h).public_key for h in device.handles()}
     for _, tx in ledger.confirmed_txs():
         keys = tx.distinct_input_keys()
         for key, sig in zip(keys, tx.signatures):
@@ -314,19 +309,12 @@ def check_key_history(device: WalletDevice, ledger: Ledger) -> bool:
     return True
 
 
-def _migration_findings(evidence: AttestationEvidence) -> list[KeyReport]:
-    return [r for r in evidence.key_reports
-            if not r.erased and (r.origin is KeyOrigin.IMPORTED or r.migratable)]
-
-
 def _fresh_evidence(device: WalletDevice, nonce: bytes, now: int,
                     attestation_key: bytes) -> AttestationEvidence:
     """Evidence from the device, signed by the expected attestation key
-    over the nonce just issued; AttestationFailed otherwise."""
-    try:
-        evidence = device.attest(nonce, now)
-    except AttestationRefused as exc:
-        raise AttestationFailed(str(exc)) from exc
+    over the nonce just issued; AttestationFailed otherwise, as
+    AttestationRefused if the device will not attest."""
+    evidence = device.attest(nonce, now)
     if not crypto.verify(attestation_key, *codec.unseal(evidence)):
         raise AttestationFailed("attestation evidence does not verify")
     if evidence.nonce != nonce:
@@ -378,8 +366,9 @@ def onboard_customer(acquiring_vasp_number: int,
         failed.append("prior-status")
     if not check_key_history(device, ledger):
         failed.append("key-history")
-    with_assets = [r for r in _migration_findings(evidence)
-                   if ledger.balance(r.public_key) > 0]
+    with_assets = [r for r in evidence.key_reports if not r.erased
+                   and (r.origin is KeyOrigin.IMPORTED or r.migratable)
+                   and ledger.balance(r.public_key) > 0]
     if any((policy.reject_imported_with_assets
             and r.origin is KeyOrigin.IMPORTED)
            or (policy.reject_migratable_with_assets and r.migratable)

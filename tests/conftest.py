@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from vasptrust import codec, crypto, pki
 from vasptrust.config import default_config, parse_config
@@ -14,6 +17,16 @@ def pytest_runtest_logreport(report):
         name = report.nodeid.split("::")[-1]
         outcome = "PASS" if report.passed else "FAIL"
         print(f"\n[ACCEPTANCE] {name}: {outcome}", flush=True)
+
+# Hypothesis profiles, chosen by HYPOTHESIS_PROFILE: tier-1 runs "tier-1",
+# and CI's config-fuzz step sets "config-fuzz". Each gives the example
+# count of the one test that sets none of its own, the config fuzz
+# (tests/test_config_fuzz.py). Under "tier-1" every Hypothesis test draws
+# the same examples on each run, so a tier-1 failure reproduces; the CI
+# step keeps drawing new ones.
+settings.register_profile("tier-1", max_examples=200, derandomize=True)
+settings.register_profile("config-fuzz", max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier-1"))
 
 MASTER = crypto.seed_from_int(20260810)
 

@@ -12,7 +12,8 @@ from vasptrust.cli import main
 from vasptrust.config import (ConfigError, config_to_dict, default_config,
                               load_config, parse_config)
 from vasptrust.netsim.trace import parse_trace_text
-from vasptrust.netsim.world import build_world
+from vasptrust.netsim.world import CHECKPOINT_INTERVAL, build_world
+from vasptrust.wallet import WalletDevice
 
 
 def two_vasp_config():
@@ -593,6 +594,31 @@ class TestReport:
         out = capsys.readouterr().out
         refusals = out[out.index("\nrefusals:\n"):].split("\n")[2:-1]
         assert refusals == ["beneficiary_consent_missing 1", "peer_refused 1"]
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("impostor", "evidence_invalid"), ("mute", "attestation_refused")])
+    def test_report_counts_refused_checkpoints(self, demo_config, tmp_path,
+                                               capsys, fault, reason):
+        # After Alice's wallet is onboarded, VASP 7's handle to it answers
+        # with evidence signed by another key, or the device stops
+        # attesting: the next checkpoint is refused under a Refusal member.
+        world = build_world(demo_config)
+        vasp, device = world.vasps[7], world.devices["wdev:alice@7"]
+        assert vasp.onboard("alice", device).accepted
+        if fault == "impostor":
+            vasp.devices[device.device_id] = WalletDevice(
+                device.device_id, b"\x01" * 32, [("stack", b"\x02" * 32)])
+        else:
+            device.attestation_enabled = False
+        for _ in range(CHECKPOINT_INTERVAL):
+            world.sim.step()
+        (tmp_path / "traces").mkdir()
+        (tmp_path / "traces" / "S4.trace").write_text(world.sim.trace.to_text())
+        capsys.readouterr()
+        assert main(["report", "--workspace", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out[out.index("\nrefusals:\n"):].split("\n")[2:-1] == [
+            f"{reason} 1"]
 
     def test_report_reflects_failures(self, workspace, capsys):
         main(["run", "--scenario", "S1", "--workspace", str(workspace),

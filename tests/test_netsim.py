@@ -267,7 +267,8 @@ def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
     # anew gives, and the sent event's digest is that of those bytes.
     # The envelope names no sender: the sent event's actor is the one send
     # was called with. An answer's event names the seq it answers; any
-    # other's holds None there, which the rendered line leaves out.
+    # other's holds None there, which the rendered line and ``fields``
+    # leave out.
     _, world = run_scenario_with_world(scenario, demo_config)
     sim = world.sim
     sent = {(env.channel_id, sender, env.seq): env
@@ -278,9 +279,11 @@ def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
         env = sent[(wire_env.channel_id, event.actor, wire_env.seq)]
         assert blob == codec.canonical_encode(env)
         assert kind == type(env.body).__name__
+        answers = getattr(env.body, "answers", None)
         assert tuple(event.fields.items()) == (
             ("msg", kind), ("ch", env.channel_id), ("seq", env.seq),
-            ("answers", getattr(env.body, "answers", None)))
+            *((("answers", answers),) if answers is not None else ()))
+        assert event.get("answers") == answers
         assert event.digest == crypto.digest(blob)[:8].hex()
 
 

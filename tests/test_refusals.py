@@ -32,8 +32,9 @@ from vasptrust.netsim.messages import (AttestationChallenge,
                                        LookupResponse, MessageBody,
                                        TravelRuleRequest, TravelRuleResponse)
 from vasptrust.netsim.nodes import PendingTransfer
-from vasptrust.netsim.trace import (ScenarioTrace, TraceEvent,
-                                    UnrenderableField, check_fields,
+from vasptrust.netsim.events import Event
+from vasptrust.netsim.sim import Simulation
+from vasptrust.netsim.trace import (ScenarioTrace, UnrenderableField,
                                     parse_trace_text)
 from vasptrust.travel_rule import ConsentDirection
 
@@ -254,6 +255,25 @@ def test_unparseable_lookup_is_refused_not_raised(world):
          "peer_reason": "unparseable_identifier"}]
 
 
+def test_lookup_from_a_revoked_caller_is_refused(world):
+    # VASP 3's identity certificate is revoked after its channel to VASP 9
+    # opened. Over that open channel, its lookup is refused once, and the
+    # answer names no VASP.
+    asker, server = world.vasps[3], world.vasps[9]
+    channel = world.channel_between(asker, server)
+    world.root.revoke(asker.certs.identity.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    since = len(world.sim.trace.events)
+    asker.remote_lookup(channel, "bob@idp2.com")
+    world.sim.run_until_quiet()
+    assert [e.fields for e in events_of(world, server.name, since)
+            if e.event == "resolver.remote_lookup"] == [
+        {"caller": asker.name, "vasps": [], "reason": "invalid_caller"}]
+    (response,) = asker.remote_lookups
+    assert (response.refusal, response.vasp_numbers) == \
+        (Refusal.INVALID_CALLER, ())
+
+
 @pytest.mark.parametrize("device_id", [FORGED, "wdev:alice@7"])
 def test_unsolicited_attestation_answer_names_its_sender(world, device_id):
     # No challenge is pending: the device id the answer's evidence carries
@@ -313,6 +333,23 @@ def test_malformed_nonce_is_refused_not_raised(world):
     assert answer == AttestationResponse(challenge.seq, None,
                                          Refusal.ATTESTATION_REFUSED)
     reparses_exactly(world.sim.trace.events)
+
+
+def test_device_that_will_not_attest_fails_the_audit(world):
+    # The insurer's challenge reaches a device that refuses to attest: its
+    # VASP refuses the challenge once, and the insurer records the refusal.
+    vasp, insurer = world.vasps[7], world.insurer
+    vasp.devices["wdev:alice@7"].attestation_enabled = False
+    since = len(world.sim.trace.events)
+    insurer.request_audit(world.channel_between(insurer, vasp), "wdev:alice@7")
+    world.sim.run_until_quiet()
+    assert [e.fields for e in events_of(world, vasp.name, since)
+            if e.event == "attest.challenge_refused"] == [
+        {"from": insurer.name, "reason": "attestation_refused"}]
+    assert [e.fields for e in world.sim.trace.find("attest.audit_verdict")] == [
+        {"device": "wdev:alice@7", "passed": False, "reason": "peer_refused",
+         "peer_reason": "attestation_refused"}]
+    assert insurer.audit_verdicts == {}
 
 
 def test_unsolicited_fetch_answer_is_refused(demo_config):
@@ -562,13 +599,19 @@ def test_unexpected_message_is_refused_once(world):
 
 # -- the rendering rule ------------------------------------------------------------
 
+# A free-text field ``k`` and a field ``n`` that is not.
+TEXT_EVENT = Event("test.text", "k* n")
+
+
 @pytest.mark.parametrize("value", [
     *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "a\r\nb", "a b=c", "a _=", "a ℘=x",
     ["ok", "a b=c"], ["x\ny"],
 ])
 def test_value_that_would_not_parse_back_is_refused(value):
+    sim = Simulation(seed=1)
     with pytest.raises(UnrenderableField):
-        check_fields({"k": value})
+        sim.emit("sim", TEXT_EVENT, value, 1)
+    assert sim.trace.events == []
 
 
 @pytest.mark.parametrize("value", [
@@ -576,8 +619,9 @@ def test_value_that_would_not_parse_back_is_refused(value):
     ["a", "b c"], [1, 2], 7, True, None,
 ])
 def test_value_that_parses_back_is_kept(value):
-    check_fields({"k": value})
-    reparses_exactly([TraceEvent(1, "sim", "x", "00", {"k": value, "n": 1})])
+    sim = Simulation(seed=1)
+    sim.emit("sim", TEXT_EVENT, value, 1)
+    reparses_exactly(sim.trace.events)
 
 
 # -- hostile strings in every body ----------------------------------------------------

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from conftest import asked_seq, scenario_trace, sent_envelopes, wire_envelopes
-from vasptrust import codec, pki
+from vasptrust import codec, pki, wallet
 from vasptrust.config import default_config, parse_config
 from vasptrust.ledger import Ledger
 from vasptrust.netsim import (FaultConfig, UnknownScenario, build_world,
@@ -509,6 +509,41 @@ class TestS4:
         offboard = trace.find("boarding.offboard")[0]
         assert offboard.get("accepted") is True
         assert isinstance(offboard.get("erased_handles"), list)
+
+    @staticmethod
+    def imported_key_config():
+        """The demo config with a key imported into Alice's wallet, funded
+        at genesis with 40 beside the 500 of the key it generated."""
+        config = default_config()
+        config["vasps"][0]["customers"][0]["wallet"]["imported_key_balance"] = 40
+        return parse_config(config)
+
+    def test_imported_key_is_funded_at_genesis_and_held_by_the_device(self):
+        config = self.imported_key_config()
+        world = build_world(config)
+        device = world.devices["wdev:alice@7"]
+        slots = [device.slot(handle) for handle in device.handles()]
+        assert [slot.origin for slot in slots] == [
+            wallet.KeyOrigin.GENERATED_INTERNALLY, wallet.KeyOrigin.IMPORTED]
+        assert world.customer_keys == [slot.public_key for slot in slots]
+        assert [world.ledger.balance(slot.public_key) for slot in slots] == \
+            [500, 40]
+        assert world.ledger.total_supply() == \
+            sum(vasp.treasury for vasp in config.vasps) + 500 + 40
+
+    def test_refused_onboarding_fails_s4_without_raising(self):
+        # The default policy refuses a wallet whose imported key holds
+        # assets: S4 records the refusal and supervises nothing. Every
+        # assertion it did not reach is reported as failed, as on a pass.
+        config = self.imported_key_config()
+        trace, world = run_scenario_with_world("S4", config)
+        passing = scenario_trace("S4", parse_config(default_config()))
+        assert [a.name for a in trace.assertions] == [
+            a.name for a in passing.assertions]
+        assert [a.name for a in trace.assertions if a.passed] == []
+        assert {a.note for a in trace.assertions[3:]} == {"onboarding refused"}
+        assert world.vasps[7].supervision == {}
+        assert not trace.find("attest.checkpoint")
 
 
 class TestS5:

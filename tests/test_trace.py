@@ -11,7 +11,8 @@ import pytest
 
 from vasptrust import codec, crypto
 from conftest import scenario_trace
-from vasptrust.netsim import Simulation, build_world
+from vasptrust.netsim import Simulation, build_world, events
+from vasptrust.netsim.events import Event
 from vasptrust.netsim.messages import LookupRequest
 from vasptrust.netsim.trace import (Assertion, ScenarioTrace, TraceEvent,
                                     UnrenderableField, parse_trace_text)
@@ -36,13 +37,19 @@ def test_values_with_spaces_parse_as_one_field(demo_config):
         ("count", "2"), ("vasps", "[3, 9]"))
 
 
+def event_of(time: int, actor: str, name: str, digest: str,
+             fields: dict) -> TraceEvent:
+    """The event of one line, built from its fields as a parsed one is."""
+    return TraceEvent((time, actor, name, digest, tuple(fields), *fields.values()))
+
+
 def test_find_matches_on_field_equality():
     trace = ScenarioTrace("adhoc", 1, events=[
-        TraceEvent(1, "vasp:7", "resolver.lookup", "00",
-                   {"identifier": "bob@idp2.com", "vasps": [9], "count": 1}),
-        TraceEvent(2, "vasp:7", "resolver.lookup", "00",
-                   {"identifier": "dave@idp2.com", "vasps": [3, 9], "count": 2}),
-        TraceEvent(3, "vasp:9", "resolver.adv_merged", "00", {"count": 1}),
+        event_of(1, "vasp:7", "resolver.lookup", "00",
+                 {"identifier": "bob@idp2.com", "vasps": [9], "count": 1}),
+        event_of(2, "vasp:7", "resolver.lookup", "00",
+                 {"identifier": "dave@idp2.com", "vasps": [3, 9], "count": 2}),
+        event_of(3, "vasp:9", "resolver.adv_merged", "00", {"count": 1}),
     ])
     first, second, _ = trace.events
     assert trace.find("resolver.lookup") == [first, second]
@@ -56,19 +63,19 @@ def test_find_matches_on_field_equality():
 
 
 def test_none_field_is_left_out():
-    event = TraceEvent(5, "vasp:9", "resolver.identifier_registered", "ab",
-                       {"customer": "dave", "identifier": "dave@idp2.com",
-                        "validated_by": None})
+    event = event_of(5, "vasp:9", "resolver.identifier_registered", "ab",
+                     {"customer": "dave", "identifier": "dave@idp2.com",
+                      "validated_by": None})
     assert event.line() == ("000005 vasp:9 resolver.identifier_registered ab "
                             "customer=dave identifier=dave@idp2.com")
     assert event.get("validated_by") is None
-    assert TraceEvent(5, "sim", "x", "ab", {"a": None}).line() == "000005 sim x ab"
+    assert event_of(5, "sim", "x", "ab", {"a": None}).line() == "000005 sim x ab"
 
 
 def test_digest_without_payload_covers_the_rendered_fields():
     sim = Simulation(seed=1)
-    event = sim.emit("vasp:7", "travel_rule.consent_recorded", {
-        "vasp": 7, "direction": "ReceiveAssets", "counterparty": None})
+    event = sim.emit("vasp:7", events.CONSENT_RECORDED, 7, "ReceiveAssets",
+                     None)
     rendered = "vasp=7 direction=ReceiveAssets"
     assert event.line().endswith(f" {rendered}")
     assert event.digest == crypto.digest(rendered.encode("utf-8"))[:8].hex()
@@ -108,13 +115,18 @@ def counting_digest(monkeypatch) -> list[int]:
     return calls
 
 
+# Events declared for these tests only.
+X = Event("x", "a")
+X2 = Event("x", "a b")
+
+
 def test_field_only_events_hash_once_when_rendered(monkeypatch):
     # Emitting hashes nothing; each rendering derives every field-only
     # digest once and keeps none of them.
     sim = Simulation(seed=1)
     calls = counting_digest(monkeypatch)
     for i in range(1000):
-        sim.emit("sim", "x", {"i": i, "gone": None})
+        sim.emit("sim", X2, i, None)
     assert calls == [0]
     text = sim.trace.to_text()
     assert calls == [1000]
@@ -123,30 +135,31 @@ def test_field_only_events_hash_once_when_rendered(monkeypatch):
 
 
 EMITTED = [
-    ("vasp:7", "a", {"n": 7, "vasps": [3, 9], "org": "'ACME Ltd'", "ok": True}),
-    ("vasp:9", "b", {"counterparty": None, "direction": "ReceiveAssets"}),
-    ("sim", "c", {"only": None}),
-    ("sim", "d", {}),
-    ("sim", "e", None),
+    ("vasp:7", Event("a", "n vasps org* ok"), (7, [3, 9], "'ACME Ltd'", True)),
+    ("vasp:9", Event("b", "counterparty direction"), (None, "ReceiveAssets")),
+    ("sim", Event("c", "only"), (None,)),
+    ("sim", Event("d"), ()),
 ]
 
 
 def test_events_equal_their_old_definitions():
     sim = Simulation(seed=1)
     sim.now = 42
-    events = [sim.emit(actor, event, fields) for actor, event, fields in EMITTED]
+    emitted = [sim.emit(actor, event, *values)
+               for actor, event, values in EMITTED]
     body = LookupRequest("bob@idp2.com")
-    sent = sim.emit("vasp:7", "s", {"msg": "LookupRequest", "seq": 3},
+    sent = sim.emit("vasp:7", Event("s", "msg seq"), "LookupRequest", 3,
                     payload=body)
-    for ev, (actor, event, fields) in zip(events, EMITTED):
-        pairs = tuple((fields or {}).items())
-        assert tuple(ev.fields.items()) == pairs
-        assert ev.line() == old_line(42, actor, event, pairs)
-        assert ev.digest == old_line(42, actor, event, pairs).split()[3]
+    for ev, (actor, event, values) in zip(emitted, EMITTED):
+        pairs = tuple(zip(event.keys, values))
+        assert tuple(ev.fields.items()) == tuple(
+            (key, value) for key, value in pairs if value is not None)
+        assert ev.line() == old_line(42, actor, event.name, pairs)
+        assert ev.digest == old_line(42, actor, event.name, pairs).split()[3]
         for key, value in pairs:
             assert ev.get(key) == value
         assert ev.get("absent") is None
-    assert events[1].get("counterparty") is None
+    assert emitted[1].get("counterparty") is None
     assert sent.digest == crypto.digest(codec.canonical_encode(body))[:8].hex()
     assert sent.line() == old_line(
         42, "vasp:7", "s", (("msg", "LookupRequest"), ("seq", 3)), body)
@@ -154,8 +167,8 @@ def test_events_equal_their_old_definitions():
 
 def test_digest_read_before_the_line_is_the_same():
     sim = Simulation(seed=1)
-    first = sim.emit("sim", "x", {"a": 1})
-    second = sim.emit("sim", "x", {"a": 1})
+    first = sim.emit("sim", X, 1)
+    second = sim.emit("sim", X, 1)
     assert first.digest == second.line().split()[3]
     assert first.line() == second.line()
 
@@ -165,7 +178,7 @@ def test_value_repeating_its_own_key_refused_at_emit():
     # it and records nothing, and a line that repeats a key is not parsed.
     sim = Simulation(seed=1)
     with pytest.raises(UnrenderableField):
-        sim.emit("sim", "x", {"note": "a note=b", "n": 1})
+        sim.emit("sim", Event("x", "note* n"), "a note=b", 1)
     assert sim.trace.events == []
     with pytest.raises(ValueError, match="repeated"):
         parse_trace_text("# scenario=x seed=1\n000001 sim x 00 note=a note=b\n")
@@ -173,6 +186,7 @@ def test_value_repeating_its_own_key_refused_at_emit():
 
 def test_emitted_events_keep_one_small_tuple_each():
     # Three fields of shared values: the event tuple and its list slot.
+    delivered = Event("test.delivered", "msg ch from*")
     sim = Simulation(seed=1)
     count = 10_000
     gc.collect()
@@ -180,8 +194,7 @@ def test_emitted_events_keep_one_small_tuple_each():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(count):
-            sim.emit("vasp:9", "netsim.delivered", {
-                "msg": "TravelRuleRequest", "ch": i % 45, "from": "vasp:7"})
+            sim.emit("vasp:9", delivered, "TravelRuleRequest", i % 45, "vasp:7")
         gc.collect()
         emitted = tracemalloc.get_traced_memory()[0] - before
         assert len(sim.trace.to_text()) > 0
@@ -192,15 +205,16 @@ def test_emitted_events_keep_one_small_tuple_each():
     assert emitted <= 128 * count
     assert rendered <= 128 * count
     first, second = sim.trace.events[:2]
-    assert first[4] is second[4] == ("msg", "ch", "from")
+    assert first[4] is second[4] is delivered.keys == ("msg", "ch", "from")
 
 
 def test_emitted_fields_read_back_as_given():
     sim = Simulation(seed=1)
-    first = sim.emit("vasp:7", "x", {"b": 2, "a": None, "c": [3, 9]})
-    second = sim.emit("vasp:7", "x", {"b": 3, "c": "s"})
-    sim.emit("vasp:9", "y", {})
-    assert list(first.fields.items()) == [("b", 2), ("a", None), ("c", [3, 9])]
+    x = Event("x", "b a c")
+    first = sim.emit("vasp:7", x, 2, None, [3, 9])
+    second = sim.emit("vasp:7", x, 3, None, "s")
+    sim.emit("vasp:9", Event("y"))
+    assert list(first.fields.items()) == [("b", 2), ("c", [3, 9])]
     assert (first.get("a"), first.get("absent"), first.get("c")) == \
         (None, None, [3, 9])
     assert (first.time, first.actor, first.event) == (0, "vasp:7", "x")
@@ -218,9 +232,9 @@ def test_events_compare_by_value_without_hashing(monkeypatch):
     # field-only events derives neither digest.
     sim = Simulation(seed=1)
     calls = counting_digest(monkeypatch)
-    first = sim.emit("sim", "x", {"a": 1, "b": [2]})
-    same = sim.emit("sim", "x", {"a": 1, "b": [2]})
-    other = sim.emit("sim", "x", {"a": 1, "b": [3]})
+    first = sim.emit("sim", X2, 1, [2])
+    same = sim.emit("sim", X2, 1, [2])
+    other = sim.emit("sim", X2, 1, [3])
     assert first == same and first is not same
     assert first != other
     assert sim.trace.events.index(same) == 0
@@ -232,9 +246,9 @@ def test_events_compare_by_value_without_hashing(monkeypatch):
 
 def delivered_events(count: int) -> list[TraceEvent]:
     """``count`` events shaped like a transfer's netsim.delivered lines."""
-    return [TraceEvent(i, "vasp:9", "netsim.delivered", f"{i:016x}",
-                       {"msg": "TravelRuleRequest", "ch": 3, "seq": i,
-                        "from": "vasp:7"})
+    return [event_of(i, "vasp:9", "netsim.delivered", f"{i:016x}",
+                     {"msg": "TravelRuleRequest", "ch": 3, "seq": i,
+                      "from": "vasp:7"})
             for i in range(count)]
 
 
