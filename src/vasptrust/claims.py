@@ -239,26 +239,22 @@ class AuthorizationServer:
     def public_key(self) -> bytes:
         return self._keypair.public_key
 
-    def request_authorization(self, requester_cert: pki.EvIdentityCertificate,
-                              attributes: set[str], purpose: str,
-                              trust: pki.TrustContext
+    def request_authorization(self, vasp_number: int, attributes: set[str],
+                              purpose: str, now: int
                               ) -> AuthorizationToken | Refusal:
-        """A token issued at the trust context's tick, or why none is."""
-        if trust.validate(requester_cert) is not pki.Verdict.VALID:
-            return Refusal.INVALID_CALLER
+        """A token for member ``vasp_number``, which the server's node has
+        authenticated, issued at tick ``now``; or why none is."""
         if self._store is None:
             raise ClaimsError("no claims store bound to this server")
         policy = self._store.policy
         if policy is None or not policy.active:
             return Refusal.POLICY_INACTIVE
-        vasp_number = requester_cert.subject.vasp_number
         if vasp_number not in policy.allowed_vasp_numbers:
             return Refusal.NOT_ALLOWED
         if not attributes <= policy.readable_attributes:
             return Refusal.SCOPE_EXCEEDED
         if purpose != policy.usage_purpose:
             return Refusal.PURPOSE_MISMATCH
-        now = trust.clock()
         return codec.seal(AuthorizationToken(
             audience_vasp_number=vasp_number,
             permitted_attributes=tuple(sorted(attributes)),

@@ -90,7 +90,7 @@ FETCH_REFUSED = Event("claims.fetch_refused", "reason peer_reason")
 CLAIMS_FETCHED = Event("claims.claims_fetched", "claims verified receipt")
 
 # Wallet boarding and attestation.
-ONBOARD = Event("boarding.onboard", "customer* device* accepted old new reason*")
+ONBOARD = Event("boarding.onboard", "customer* device* accepted old new reason")
 OFFBOARD = Event("boarding.offboard", "customer* device* accepted erased_handles")
 EVIDENCE_PRODUCED = Event("attest.evidence_produced", "device* purpose")
 CHECKPOINT = Event("attest.checkpoint", "device* count")

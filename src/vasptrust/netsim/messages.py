@@ -10,8 +10,9 @@ parsing exact. An answer whose ``refusal`` is None is not refused.
 
 An answer's first field, ``answers``, is the ``seq`` of its request's
 envelope on the same channel, as a DNS response names its query by ID
-(RFC 1035 §4.1.1); ``ANSWER`` gives each request type its answer type.
-``Node.handle`` refuses any other answer once.
+(RFC 1035 §4.1.1); ``ANSWER`` gives each request type its answer type,
+whose other fields default to none; ``Node.handle`` refuses any other
+answer once.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class TravelRuleResponse:
     from its request, the hint from the certificate it pays."""
 
     answers: int
-    refusal: Refusal | None
-    answer: SignedAnswer | None
+    refusal: Refusal | None = None
+    answer: SignedAnswer | None = None
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class LookupRequest:
 class LookupResponse:
     # Numbers only: the shape of this message cannot carry key material.
     answers: int
-    vasp_numbers: tuple[int, ...]
-    refusal: Refusal | None
+    vasp_numbers: tuple[int, ...] = ()
+    refusal: Refusal | None = None
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ class ClaimsAuthRequest:
 @dataclass(frozen=True)
 class ClaimsAuthResponse:
     answers: int
-    token: AuthorizationToken | None
-    refusal: Refusal | None
+    token: AuthorizationToken | None = None
+    refusal: Refusal | None = None
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,9 @@ class ClaimsFetchRequest:
 @dataclass(frozen=True)
 class ClaimsFetchResponse:
     answers: int
-    claims: tuple[SignedClaim, ...]
-    receipt: ConsentReceipt | None
-    refusal: Refusal | None
+    claims: tuple[SignedClaim, ...] = ()
+    receipt: ConsentReceipt | None = None
+    refusal: Refusal | None = None
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,8 @@ class AttestationChallenge:
 @dataclass(frozen=True)
 class AttestationResponse:
     answers: int
-    evidence: AttestationEvidence | None
-    refusal: Refusal | None
+    evidence: AttestationEvidence | None = None
+    refusal: Refusal | None = None
 
 
 # The wire tags a body by its index in this list: a new type goes at the end.

@@ -1,11 +1,12 @@
 """Actor state machines: VASPs, claims services, insurer.
 
-Each node owns its state and mutates it only from its message handler or
-its own public methods; there is no shared mutable state between nodes.
-Nodes that terminate channels carry an EV identity certificate and prove
-possession of its key during channel establishment. ``Node.handle``
-looks a delivered body's type up in the class's ``HANDLERS``. A refusal
-names a ``pki.Refusal``; one a peer sends is recorded as
+A node mutates its state only from its message handler or its own
+public methods. Nodes share the ledger, the wallet registry and, until
+each gets its own trust view, one ``TrustContext``. Nodes that terminate
+channels carry an EV identity certificate and prove possession of its
+key during channel establishment. ``Node.handle`` looks a delivered
+body's type up in the class's ``HANDLERS``. A refusal names a
+``pki.Refusal``; one a peer sends is recorded as
 ``reason=peer_refused`` with the peer's member as ``peer_reason``.
 
 A node sends each request with ``Node.ask``, which keeps it in the one
@@ -37,12 +38,13 @@ from ..ledger import InsufficientFunds, Ledger, make_transfer
 from ..pki import Refusal
 from ..resolver import (CustomerIdentifier, IdentifierAdvertisement,
                         IdpDirectory, MergeOutcome, ResolverService,
-                        Unauthorized, Unparseable, parse_identifier)
+                        Unparseable, parse_identifier)
 from ..travel_rule import (ConsentDirection, ConsentStore, CorrelationStore,
                            CustomerRecord, SignedPayload, TravelRulePayload)
 from . import events
 from . import messages as msg
 from .sim import Envelope, SecureChannel, Simulation
+from .trace import check_actor
 
 
 class Node:
@@ -77,18 +79,28 @@ class Node:
         self.asked[channel.id, env.seq] = (msg.ANSWER[type(body)], context)
 
     def handle(self, channel: SecureChannel, env: Envelope) -> None:
+        """Run the handler of the body's type. A request (a key of
+        ``msg.ANSWER``) is served only if the certificate its sender opened
+        the channel with validates now (RFC 5280 §6.1.3); else it is refused
+        ``invalid_caller``, with one event and a refused answer."""
         kind = type(env.body)
         handler = self.HANDLERS.get(kind)
+        peer = channel.other(self.name)
         if handler is None:
             self._refused(events.UNEXPECTED, Refusal.UNEXPECTED_MESSAGE,
-                          kind.__name__, channel.other(self.name))
+                          kind.__name__, peer)
+        elif kind in msg.ANSWER and self.trust.validate(
+                channel.peer_cert(peer)) is not pki.Verdict.VALID:
+            self._refused(events.UNEXPECTED, Refusal.INVALID_CALLER, kind.__name__, peer)
+            self.sim.send(channel, self.name,
+                          msg.ANSWER[kind](env.seq, refusal=Refusal.INVALID_CALLER))
         elif kind not in _ANSWERS:
             handler(self, channel, env)
         elif self.asked.get(key := (channel.id, env.body.answers), (None,))[0] is kind:
             handler(self, channel, env, self.asked.pop(key)[1])
         else:
             self._refused(events.UNSOLICITED, Refusal.UNSOLICITED_ANSWER,
-                          kind.__name__, channel.other(self.name), env.body.answers)
+                          kind.__name__, peer, env.body.answers)
 
     def _refused(self, event: events.Event, reason: Refusal, *values,
                  by_peer: bool = False) -> None:
@@ -204,11 +216,11 @@ class VaspNode(Node):
     def add_customer(self, record: CustomerRecord,
                      identifiers: list[CustomerIdentifier],
                      idp_directories: dict[str, IdpDirectory]) -> None:
+        check_actor(_name("customer", record.customer_id))  # its events' actor
         self.customers[record.customer_id] = record
         for ident in identifiers:
             idp = idp_directories.get(ident.domain_part.lower())
             self.resolver.register_identifier(record.customer_id, ident, idp)
-            record.identifiers.append(ident)
             self.sim.emit(self.name, events.IDENTIFIER_REGISTERED, record.customer_id,
                           ident.render(), f"idp:{idp.domain}" if idp else None)
 
@@ -231,29 +243,27 @@ class VaspNode(Node):
 
     def local_lookup(self, identifier: CustomerIdentifier) -> list[int]:
         self._purge_lapsed()
-        hits = self.resolver.lookup(identifier, self.certs.identity, self.trust)
+        hits = self.resolver.lookup(identifier)
         self.sim.emit(self.name, events.LOOKUP, identifier.render(), hits, len(hits))
         return hits
 
     def _purge_lapsed(self) -> None:
         """Drop the advertisements held from every origin whose identity or
-        claims certificate is revoked, or expired at ``trust.clock()``, so
-        a lapsed member stops resolving. Held origins are rescanned only on
+        claims certificate ``trust.validate`` finds revoked (first) or
+        expired, so a lapsed member stops resolving. Held origins are rescanned only on
         a set of revoked serials not seen before, or once the earliest
         tick at which one of them lapses has come."""
         revoked = self.trust.revocation_list.serials
-        now = self.trust.clock()
-        if revoked == self._revocations_seen and now < self._lapse_at:
+        if revoked == self._revocations_seen and self.trust.clock() < self._lapse_at:
             return
         self._revocations_seen, self._lapse_at = revoked, sys.maxsize
         for adv in self.resolver.known_advertisements():
             origin = self.trust.members[adv.vasp_number]
-            if origin.identity.serial in revoked \
-                    or origin.claims.serial in revoked:
-                verdict = pki.Verdict.REVOKED
-            elif now >= _lapses_at(origin):
-                verdict = pki.Verdict.EXPIRED
-            else:
+            identity = self.trust.validate(origin.identity)
+            verdict = self.trust.validate(origin.claims, origin.identity)
+            if verdict is pki.Verdict.VALID or identity is pki.Verdict.REVOKED:
+                verdict = identity
+            if verdict is pki.Verdict.VALID:
                 self._lapse_at = min(self._lapse_at, _lapses_at(origin))
                 continue
             self.resolver.drop_origin(adv.vasp_number)
@@ -376,11 +386,10 @@ class VaspNode(Node):
         if isinstance(answer, Refusal):
             self._refused(events.TRANSFER_REFUSED, answer,
                           _short(crypto.digest(codec.first_field(tbs))))
-            self.sim.send(channel, self.name,
-                          msg.TravelRuleResponse(env.seq, answer, None))
+            self.sim.send(channel, self.name, msg.TravelRuleResponse(env.seq, answer))
         else:
             self.sim.send(channel, self.name, msg.TravelRuleResponse(
-                env.seq, None, travel_rule.answer_delta(answer)))
+                env.seq, answer=travel_rule.answer_delta(answer)))
 
     def _answer(self, channel: SecureChannel, signed: SignedPayload,
                 tbs: bytes) -> SignedPayload | Refusal:
@@ -503,23 +512,17 @@ class VaspNode(Node):
         self.ask(channel, msg.LookupRequest(identifier), None)
 
     def _on_lookup_request(self, channel: SecureChannel, env: Envelope) -> None:
-        body: msg.LookupRequest = env.body
         self._purge_lapsed()
         caller = channel.other(self.name)
-        hits, refusal = [], None
         try:
-            hits = self.resolver.lookup(parse_identifier(body.identifier),
-                                        channel.peer_cert(caller), self.trust)
+            hits = self.resolver.lookup(parse_identifier(env.body.identifier))
         except Unparseable:
-            refusal = Refusal.UNPARSEABLE_IDENTIFIER
-        except Unauthorized:
-            refusal = Refusal.INVALID_CALLER
-        if refusal is None:
-            self.sim.emit(self.name, events.REMOTE_LOOKUP, caller, hits, "-")
+            answer = msg.LookupResponse(env.seq, refusal=Refusal.UNPARSEABLE_IDENTIFIER)
+            self._refused(events.REMOTE_LOOKUP_REFUSED, answer.refusal, caller, [])
         else:
-            self._refused(events.REMOTE_LOOKUP_REFUSED, refusal, caller, hits)
-        self.sim.send(channel, self.name,
-                      msg.LookupResponse(env.seq, tuple(hits), refusal))
+            self.sim.emit(self.name, events.REMOTE_LOOKUP, caller, hits, "-")
+            answer = msg.LookupResponse(env.seq, tuple(hits))
+        self.sim.send(channel, self.name, answer)
 
     def _on_lookup_response(self, channel: SecureChannel, env: Envelope,
                             _: None) -> None:
@@ -602,7 +605,7 @@ class VaspNode(Node):
                       report.accepted,
                       None if transition is None else list(transition.old_handles),
                       None if transition is None else transition.new_handle,
-                      report.reason or None)
+                      report.reason and report.reason.value)
         return report
 
     def offboard(self, customer_id: str,
@@ -682,18 +685,17 @@ class AuthServerNode(Node):
     def _on_claims_auth_request(self, channel: SecureChannel, env: Envelope) -> None:
         caller = channel.other(self.name)
         result = self.server.request_authorization(
-            channel.peer_cert(caller), set(env.body.attributes),
-            env.body.purpose, self.trust)
+            self._peer_number(channel), set(env.body.attributes),
+            env.body.purpose, self.sim.now)
         if isinstance(result, Refusal):
             self._refused(events.TOKEN_DENIED, result, caller)
             self.sim.send(channel, self.name,
-                          msg.ClaimsAuthResponse(env.seq, None, result))
+                          msg.ClaimsAuthResponse(env.seq, refusal=result))
         else:
             self.sim.emit(self.name, events.TOKEN_ISSUED, caller,
                           _short(result.token_id), list(result.permitted_attributes),
                           result.expires_at, payload=result)
-            self.sim.send(channel, self.name,
-                          msg.ClaimsAuthResponse(env.seq, result, None))
+            self.sim.send(channel, self.name, msg.ClaimsAuthResponse(env.seq, result))
 
     HANDLERS = {msg.ClaimsAuthRequest: _on_claims_auth_request}
 
@@ -727,14 +729,14 @@ class ClaimsStoreNode(Node):
         if refusal is not None:
             self._refused(events.FETCH_REFUSED, refusal)
             self.sim.send(channel, self.name,
-                          msg.ClaimsFetchResponse(env.seq, (), None, refusal))
+                          msg.ClaimsFetchResponse(env.seq, refusal=refusal))
             return
         self.sim.emit(self.name, events.CLAIMS_RELEASED, token.audience_vasp_number,
                       sorted({c.attribute_name for c in released}), len(released))
         self.sim.emit(self.name, events.RECEIPT_ISSUED, _short(receipt.receipt_id),
                       _short(receipt.token_id), payload=receipt)
-        self.sim.send(channel, self.name, msg.ClaimsFetchResponse(
-            env.seq, tuple(released), receipt, None))
+        self.sim.send(channel, self.name,
+                      msg.ClaimsFetchResponse(env.seq, tuple(released), receipt))
 
     HANDLERS = {msg.ClaimsFetchRequest: _on_claims_fetch_request}
 

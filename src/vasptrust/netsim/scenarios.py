@@ -326,7 +326,8 @@ def scenario_s4(world: World, *, customer: str, vasp: int,
     before = world.registry.status(device_id)
     report = vasp.onboard(customer, device)
     world.confirm_block()
-    world.assert_that("onboard_accepted", report.accepted, report.reason)
+    world.assert_that("onboard_accepted", report.accepted,
+                      report.reason.value if report.reason else "")
     world.assert_that("key_transition_recorded",
                       report.key_transition is not None)
     world.assert_that(

@@ -1,28 +1,29 @@
 """Discrete-event core: actors, authenticated channels, reliable delivery.
 
-Time is an integer tick counter. Channels come into existence only after
-both endpoints' identity certificates validate against the consortium root
-and each side proves possession of its certified key by signing a fresh
-challenge. Each channel direction is a FIFO pipe with loss, made reliable
-by Go-Back-N retransmission: a tick delivers a direction's queue up to its
-first dropped envelope, which goes again, with all after it, next tick. So
+Time is an integer tick counter. A channel opens only once each endpoint
+validates the other's identity certificate through its own ``trust`` and
+proves possession of its certified key by signing a fresh challenge. Each
+channel direction is a FIFO pipe with loss, made reliable by Go-Back-N
+retransmission: a tick delivers a direction's queue up to its first
+dropped envelope, which goes again, with all after it, next tick. So
 handlers observe every message exactly once and in order, as over TLS on
 TCP. Every send is logged to the trace and to a wire log holding the
 canonical envelope bytes; its ``netsim.sent`` digest is that of those
-bytes. An envelope is ``(channel_id, seq, body)``:
-its sender is the channel's other endpoint, never a wire field. An answer
-names its request's seq on the same channel (``Node.handle``), and so
-does its ``netsim.sent`` event (``answers``): the trace pairs them too.
+bytes. An envelope is ``(channel_id, seq, body)``: its sender is the
+channel's other endpoint, never a wire field. An answer names its
+request's seq on the same channel (``Node.handle``), and so does its
+``netsim.sent`` event (``answers``): the trace pairs them too.
 
 Every trace event is declared once in ``events``, and ``emit`` takes an
 event's values in its declared order: the one path into the trace.
 
 An actor is a name with the handler its deliveries go to; a name that
-only emits trace events (``sim``, ``ledger``) is not registered. The
-world owns its actors; the simulator only refers to them. A handler or
-tick hook that is a bound method is kept as a weak reference to its object
-plus the function itself, so nothing the simulator holds points back at
-the world, and a dropped world is freed at once by reference counting.
+only emits trace events (``sim``, ``ledger``) is not registered, and
+one the trace cannot hold as an actor is refused. The world owns its
+actors; the simulator only refers to them. A handler or tick hook that
+is a bound method is kept as a weak reference to its object plus the
+function itself, so nothing the simulator holds points back at the
+world, and a dropped world is freed at once by reference counting.
 Delivering to an actor whose object was freed raises ``NetsimError``.
 """
 
@@ -37,7 +38,7 @@ from .. import codec, crypto, pki
 from ..pki import Refusal
 from .messages import MessageBody
 from . import events
-from .trace import ScenarioTrace, TraceEvent, check_field
+from .trace import ScenarioTrace, TraceEvent, check_actor, check_field
 
 
 class NetsimError(Exception):
@@ -155,6 +156,7 @@ class Simulation:
     # -- actors and trace -----------------------------------------------------
 
     def register_actor(self, name: str, handler) -> None:
+        check_actor(name)
         if name in self._handlers:
             raise NetsimError(f"duplicate actor id {name!r}")
         self._handlers[name] = _referred(handler, f"actor {name!r}")
@@ -192,15 +194,16 @@ class Simulation:
 
     # -- channels ---------------------------------------------------------------
 
-    def establish_channel(self, a, b, trust: pki.TrustContext) -> SecureChannel:
-        """Mutual authentication: both certificates must chain-validate and
-        both peers must prove possession of their certified keys."""
+    def establish_channel(self, a, b) -> SecureChannel:
+        """Mutual authentication: each endpoint's certificate must validate
+        through the other endpoint's ``trust``, and both peers must prove
+        possession of their certified keys."""
         if self.faults.partitioned:
             self.emit("sim", events.CHANNEL_PARTITIONED, a.name, b.name,
                       Refusal.PARTITIONED.value)
             raise PeerCertInvalid(b.name, None, "network partitioned")
         for us, peer in ((a, b), (b, a)):
-            verdict = trust.validate(peer.identity_cert)
+            verdict = us.trust.validate(peer.identity_cert)
             if verdict is not pki.Verdict.VALID:
                 self.emit(us.name, events.PEER_CERT_INVALID, peer.name,
                           verdict.value)

@@ -39,8 +39,8 @@ list renders through ``repr``, which escapes line breaks but not
 `` key=``, hence the check on its items. So parsing is exact:
 ``parse_trace_text`` gives back every field with its rendered value as a
 ``str``, ``str(value)`` of what was emitted, and refuses a line that
-names a key twice. The config reader keeps spaces and line breaks out of
-actor names.
+names a key twice. ``check_actor`` keeps spaces and line breaks out of
+actor names where they enter the simulator, as the config reader does.
 """
 
 from __future__ import annotations
@@ -68,6 +68,12 @@ def _breaks_line(text: str) -> bool:
         sep and key.isidentifier()
         for key, sep, _ in (token.partition("=")
                             for token in text.split(" ")[1:]))
+
+
+def check_actor(name: str) -> None:
+    """Raise UnrenderableField if ``name`` holds a space or a line break."""
+    if " " in name or "".join(name.splitlines()) != name:
+        raise UnrenderableField(f"actor {name!r} would not parse back as one")
 
 
 def check_field(key: str, value) -> None:

@@ -23,7 +23,7 @@ from ..travel_rule import CustomerRecord
 from . import events
 from .nodes import AuthServerNode, ClaimsStoreNode, InsurerNode, VaspNode
 from .sim import FaultConfig, SecureChannel, Simulation
-from .trace import Assertion
+from .trace import Assertion, check_actor
 
 CERT_VALIDITY = 1_000_000
 DEFAULT_STACK_COMPONENTS = ("bootloader", "wallet-os", "signer-app")
@@ -54,7 +54,7 @@ class World:
         """Establish (once) and return the channel between two nodes."""
         key = frozenset((a.name, b.name))
         if key not in self._channels:
-            self._channels[key] = self.sim.establish_channel(a, b, self.trust)
+            self._channels[key] = self.sim.establish_channel(a, b)
         return self._channels[key]
 
     def federation_channels(self) -> dict[int, list[SecureChannel]]:
@@ -203,13 +203,13 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             device_id = f"wdev:{ccfg.id}@{n}"
             if device_id in devices:
                 node.devices[device_id] = devices[device_id]
-                record.wallet_ref = device_id
         sim.emit(node.name, events.ACTOR_READY, len(vcfg.customers), vcfg.treasury)
 
     # Claims infrastructure: providers, then a personal store plus
     # authorization server for every customer holding claims.
     providers: dict[str, claims_mod.ClaimsProvider] = {}
     for name in config.claims_providers:
+        check_actor(f"cp:{name}")  # the actor of its claims' events
         provider = claims_mod.ClaimsProvider(
             name, crypto.derive_seed(master, f"provider:{name}"))
         providers[name] = provider

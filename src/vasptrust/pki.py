@@ -124,6 +124,9 @@ class Refusal(Enum):
     UNEXPECTED_MESSAGE = "unexpected_message"
     PEER_REFUSED = "peer_refused"
     EVIDENCE_INVALID = "evidence_invalid"  # its signature or nonce fails
+    WALLET_SUPERVISED_ELSEWHERE = "wallet_supervised_elsewhere"
+    KEY_HISTORY_INVALID = "key_history_invalid"
+    FUNDED_KEY_NOT_MIGRATED = "funded_key_not_migrated"
 
 
 LEI_LENGTH = 20
@@ -284,11 +287,11 @@ class TrustContext:
     """What a node trusts: the root key, the revocation list, the clock,
     member certificates, provider and device attestation keys.
 
-    Every protocol check of a certificate or of a member's signature goes
-    through ``validate``, which returns a ``Verdict``, or
-    ``verify_member_signature``. Certificates are distributed by
-    consortium operations; their authenticity rests on the root signature
-    inside each.
+    Every certificate decision a node makes (on a channel peer, a caller,
+    a signer, a held origin) goes through its context, which one world's
+    nodes share today: ``validate``, which returns a ``Verdict``, or
+    ``verify_member_signature``. Certificates are distributed by consortium
+    operations; their authenticity rests on the root signature inside each.
 
     A certificate's root signature is verified once per context and kept
     in ``verified``. Its revocation and its linkage to the identity

@@ -13,7 +13,8 @@ once (RFC 1035 §4.1.4). A receiver refuses any other grouping, and indexes
 each string interned: every resolver shares one object per identifier.
 
 Lookups answer with VASP numbers only; key material never flows back to a
-caller, and callers must present a chain-valid consortium certificate.
+caller. Who may ask is not decided here: ``Node.handle`` serves a request
+only to a caller whose certificate validates.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class IdpValidationFailed(ResolverError):
 
 class UnknownCustomer(ResolverError):
     pass
-
-
-class Unauthorized(ResolverError):
-    """Caller certificate is missing, invalid or revoked."""
 
 
 class IdentifierKind(Enum):
@@ -227,16 +224,11 @@ class ResolverService:
 
     # -- lookup ---------------------------------------------------------------
 
-    def lookup(self, identifier: CustomerIdentifier,
-               caller_cert: pki.Certificate,
-               trust: pki.TrustContext) -> list[int]:
+    def lookup(self, identifier: CustomerIdentifier) -> list[int]:
         """Sorted VASP numbers known to serve the identifier.
 
         The response carries numbers only: never customer key material.
         """
-        verdict = trust.validate(caller_cert)
-        if verdict is not pki.Verdict.VALID:
-            raise Unauthorized(f"caller certificate is {verdict.value}")
         rendered = identifier.render()
         hits = set(self._remote_index.get(rendered, ()))
         if rendered in self._local:

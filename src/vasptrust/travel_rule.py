@@ -23,14 +23,14 @@ the signing input it signed or verified; ``read_payload_record`` decodes one.
 from __future__ import annotations
 
 from collections.abc import Container
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from . import codec, crypto, pki
 from .ledger import Ledger
 from .pki import InvalidCert
-from .resolver import CustomerIdentifier, UnknownCustomer
+from .resolver import UnknownCustomer
 
 
 class TravelRuleError(Exception):
@@ -107,8 +107,6 @@ class CustomerRecord:
     national_id: str | None = None
     customer_number: str | None = None
     birth_info: tuple[str, str] | None = None  # (date, place)
-    identifiers: list[CustomerIdentifier] = field(default_factory=list)
-    wallet_ref: str | None = None
 
 
 def pick_identifying(customer: CustomerRecord) -> IdentifyingInfo | None:

@@ -268,11 +268,11 @@ class KeyTransition:
 
 @dataclass(frozen=True)
 class BoardingReport:
-    """The outcome of an on- or off-boarding; ``reason`` names the failed
-    checks of a refused one."""
+    """The outcome of an on- or off-boarding; ``reason`` names the first
+    check that failed of a refused one, and is None for an accepted one."""
 
     accepted: bool
-    reason: str
+    reason: Refusal | None
     key_transition: KeyTransition | None
     erasure_evidence: AttestationEvidence | None
 
@@ -350,33 +350,30 @@ def onboard_customer(acquiring_vasp_number: int,
 
     ``attestation_key`` is the device's attestation key as the consortium
     directory records it; the device's own claim about its key is not
-    trusted. Validates prior status and key history, evaluates
-    migratable/imported keys against policy, then cuts assets over to a
-    freshly generated non-migratable key so responsibility starts on a clean
-    key. The asset move is submitted to the ledger mempool; the caller
-    confirms the block.
+    trusted. Checks prior status, key history, then migratable/imported
+    keys against policy, and refuses under the first that fails; else cuts
+    assets over to a freshly generated non-migratable key so responsibility
+    starts on a clean key. The asset move is submitted to the ledger
+    mempool; the caller confirms the block.
     """
     policy = policy or OnboardPolicy()
     evidence = _fresh_evidence(device, nonce, now, attestation_key)
 
-    failed = []
     prior = registry.status(device.device_id)
     if (prior.classification is not WalletClass.PRIVATE
             and prior.supervising_vasp_number != acquiring_vasp_number):
-        failed.append("prior-status")
-    if not check_key_history(device, ledger):
-        failed.append("key-history")
-    with_assets = [r for r in evidence.key_reports if not r.erased
-                   and (r.origin is KeyOrigin.IMPORTED or r.migratable)
-                   and ledger.balance(r.public_key) > 0]
-    if any((policy.reject_imported_with_assets
-            and r.origin is KeyOrigin.IMPORTED)
-           or (policy.reject_migratable_with_assets and r.migratable)
-           for r in with_assets):
-        failed.append("migration")
-    if failed:
-        return BoardingReport(False, f"failed checks: {', '.join(failed)}",
-                              None, None), None
+        refusal = Refusal.WALLET_SUPERVISED_ELSEWHERE
+    elif not check_key_history(device, ledger):
+        refusal = Refusal.KEY_HISTORY_INVALID
+    elif any((policy.reject_imported_with_assets and r.origin is KeyOrigin.IMPORTED
+              or policy.reject_migratable_with_assets and r.migratable)
+             and not r.erased and ledger.balance(r.public_key) > 0
+             for r in evidence.key_reports):
+        refusal = Refusal.FUNDED_KEY_NOT_MIGRATED
+    else:
+        refusal = None
+    if refusal is not None:
+        return BoardingReport(False, refusal, None, None), None
 
     old_handles = tuple(h for h in device.handles() if not device.slot(h).erased)
     new_handle = device.generate_key(migratable=False)
@@ -384,7 +381,7 @@ def onboard_customer(acquiring_vasp_number: int,
                  ledger)
 
     registry.set_regulated(device.device_id, acquiring_vasp_number, now)
-    report = BoardingReport(True, "", KeyTransition(old_handles, new_handle),
+    report = BoardingReport(True, None, KeyTransition(old_handles, new_handle),
                             None)
     supervision = SupervisionRecord(customer_id, device.device_id,
                                     [new_handle], now, attestation_key,
@@ -418,7 +415,7 @@ def offboard_customer(releasing_vasp_number: int,
             f"{device.device_id} is not supervised by vasp {releasing_vasp_number}")
 
     if not check_key_history(device, ledger):
-        return BoardingReport(False, "failed checks: key-history", None, None)
+        return BoardingReport(False, Refusal.KEY_HISTORY_INVALID, None, None)
 
     handoff_handle = device.generate_key(migratable=True)
     _move_assets(device, supervision.supervised_handles,
@@ -440,8 +437,8 @@ def offboard_customer(releasing_vasp_number: int,
 
     registry.set_private(device.device_id, now)
     return BoardingReport(
-        True, "", KeyTransition(tuple(supervision.supervised_handles),
-                                handoff_handle), evidence)
+        True, None, KeyTransition(tuple(supervision.supervised_handles),
+                                  handoff_handle), evidence)
 
 
 def take_checkpoint(supervision: SupervisionRecord, device: WalletDevice,

@@ -509,8 +509,8 @@ def test_claims_flow_receipts_and_scoping(demo_config):
     successes = len(fetches)
     for i in range(10):
         result = server.request_authorization(
-            world.vasps[7].certs.identity, {"driving_license_number"},
-            policy.usage_purpose, trust_context(world.root, now=world.sim.now + i))
+            7, {"driving_license_number"}, policy.usage_purpose,
+            world.sim.now + i)
         store.fetch_claims(result, now=world.sim.now + i + 1)
         successes += 1
     assert len(store.receipts) == successes

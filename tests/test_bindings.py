@@ -18,7 +18,7 @@ import pytest
 from conftest import asked_seq, sent_envelopes, wire_envelopes
 from vasptrust import claims, codec, crypto, pki
 from vasptrust import travel_rule as tr
-from vasptrust.netsim import build_world, run_scenario_with_world
+from vasptrust.netsim import build_world, messages, run_scenario_with_world
 from vasptrust.netsim.messages import (ClaimsAuthRequest, ClaimsFetchRequest,
                                        TravelRuleRequest, TravelRuleResponse)
 from vasptrust.netsim.scenarios import converge_federation, flood_round
@@ -514,10 +514,69 @@ def test_revoked_caller_refused_not_raised(world):
     world.sim.run_until_quiet()
     assert vasp.claims_token is None
     assert vasp.claims_denial is pki.Refusal.INVALID_CALLER
-    denied = world.sim.trace.find("claims.token_denied")
-    assert [(e.actor, tuple(e.fields.items())) for e in denied
-            if e.actor == server.name] == \
-        [(server.name, (("caller", vasp.name), ("reason", "invalid_caller")))]
+    # Refused at the server's door: the authorization server is never asked.
+    assert [(e.event, tuple(e.fields.items())) for e in world.sim.trace.events
+            if e.actor == server.name and e.event.startswith(
+                ("netsim.refused", "claims."))] == \
+        [("netsim.refused", (("msg", "ClaimsAuthRequest"), ("from", vasp.name),
+                             ("reason", "invalid_caller")))]
+
+
+# -- revocation removes a member from open channels ---------------------------
+
+# Per request type: (requester, answerer) in a world after S2, and how the
+# requester asks over its channel to the answerer.
+DOOR_CASES = {
+    "LookupRequest": (lambda w: (w.vasps[9], w.vasps[7]),
+                      lambda node, ch: node.remote_lookup(ch, "bob@idp2.com")),
+    "ClaimsAuthRequest": (
+        lambda w: (w.vasps[7], w.auth_servers["alice"]),
+        lambda node, ch: node.request_claims_authorization(
+            ch, ("driving_license_number",), "kyc")),
+    "ClaimsFetchRequest": (lambda w: (w.vasps[7], w.stores["alice"]),
+                           lambda node, ch: node.fetch_claims(ch)),
+    "AttestationChallenge": (lambda w: (w.insurer, w.vasps[7]),
+                             lambda node, ch: node.request_audit(ch, "wdev:alice@7")),
+    "TravelRuleRequest": (lambda w: (w.vasps[7], w.vasps[9]),
+                          lambda node, ch: node.initiate_transfer(
+                              ch, "alice", "Bob Jones", "bob@idp2.com", 9, 10)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DOOR_CASES))
+def test_request_from_a_revoked_caller_is_refused_at_the_door(demo_config, kind):
+    # The requester's identity certificate is revoked after its channel
+    # opened. Over that open channel, its request is refused before any
+    # handler runs: one refusal event, then a refused answer, and nothing
+    # the handler would have done.
+    _, world = run_scenario_with_world("S2", demo_config)
+    world.vasps[7].grant_consent(
+        "alice", ConsentDirection.SEND_INFO_TO_COUNTERPARTY, None)
+    nodes, ask = DOOR_CASES[kind]
+    requester, answerer = nodes(world)
+    channel = world.channel_between(requester, answerer)
+    held = (len(world.stores["alice"].store.receipts),
+            len(world.vasps[9].payload_store), len(world.vasps[7].fetched_claims))
+    world.root.revoke(requester.identity_cert.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    since = len(world.sim.trace.events)
+    ask(requester, channel)
+    world.sim.run_until_quiet()
+    served = [(e.event, e.fields) for e in world.sim.trace.events[since:]
+              if e.actor == answerer.name]
+    assert [event for event, _ in served] == \
+        ["netsim.delivered", "netsim.refused", "netsim.sent"]
+    assert served[0][1]["msg"] == kind
+    assert served[1][1] == {"msg": kind, "from": requester.name,
+                            "reason": "invalid_caller"}
+    assert (len(world.stores["alice"].store.receipts),
+            len(world.vasps[9].payload_store),
+            len(world.vasps[7].fetched_claims)) == held
+    assert world.insurer.audit_verdicts == {}
+    answer = sent_envelopes(world.sim)[-1][1].body
+    assert type(answer) is messages.ANSWER[getattr(messages, kind)]
+    assert answer.refusal is pki.Refusal.INVALID_CALLER
+    assert getattr(answer, "vasp_numbers", ()) == ()
 
 
 # -- revocation and expiry remove a member from resolution --------------------
@@ -578,6 +637,30 @@ def test_expired_member_stops_resolving(demo_config, monkeypatch):
     flood_round(world)
     assert world.vasps[7].local_lookup(dave) == world.vasps[9].local_lookup(dave) \
         == [9]
+
+
+def test_purge_names_revocation_before_expiry(demo_config, monkeypatch):
+    # The identity certificates of VASPs 3 and 9 expire at tick 20, after
+    # the federation converges, and VASP 3's claims certificate is revoked
+    # too: VASP 7 purges VASP 3 as revoked and VASP 9 as expired.
+    issue = pki.RootAuthority.issue_identity_cert
+
+    def short_lived(root, subject, key, not_before, not_after):
+        if subject.vasp_number in (3, 9):
+            not_after = 20
+        return issue(root, subject, key, not_before, not_after)
+
+    monkeypatch.setattr(pki.RootAuthority, "issue_identity_cert", short_lived)
+    world = build_world(demo_config)
+    converge_federation(world)
+    world.root.revoke(world.vasps[3].certs.claims.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    while world.sim.now < 20:
+        world.sim.step()
+    assert world.vasps[7].local_lookup(parse_identifier("dave@idp2.com")) == []
+    assert [(e.actor, e.get("origin"), e.get("verdict"))
+            for e in world.sim.trace.find("resolver.adv_purged")] == \
+        [("vasp:7", "vasp:3", "Revoked"), ("vasp:7", "vasp:9", "Expired")]
 
 
 def test_claims_revoked_after_caching_refuses_next_payload(world):

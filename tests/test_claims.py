@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_subject, seed, trust_context
+from conftest import make_subject, seed
 from vasptrust import claims, codec, crypto, pki
 
 
@@ -101,65 +101,50 @@ class TestPolicy:
         assert store.policy is wider
 
 
-def request(server, cert, root, attributes, purpose="kyc", now=1):
-    return server.request_authorization(cert, set(attributes), purpose,
-                                        trust_context(root, now=now))
+def request(server, vasp_number, attributes, purpose="kyc", now=1):
+    """Member ``vasp_number``'s token request at tick ``now``; the node in
+    front of the server has authorized the caller (``Node.handle``)."""
+    return server.request_authorization(vasp_number, set(attributes), purpose,
+                                        now)
 
 
 class TestAuthorization:
-    def test_allowed_vasp_gets_token(self, setup, member, root):
+    def test_allowed_vasp_gets_token(self, setup):
         _, server, _ = setup
-        token = request(server, member["identity_cert"], root,
-                        {"driving_license_number"})
+        token = request(server, 7, {"driving_license_number"})
         assert isinstance(token, claims.AuthorizationToken)
         assert token.audience_vasp_number == 7
-        assert token.issued_at == 1  # the trust context's tick
+        assert token.issued_at == 1  # the tick it was asked at
         assert token.expires_at == token.issued_at + claims.TOKEN_LIFETIME
 
-    def test_unlisted_vasp_denied(self, setup, root):
+    def test_unlisted_vasp_denied(self, setup):
         _, server, _ = setup
-        from conftest import make_subject
-        other_key = crypto.generate_keypair(seed("vasp9"))
-        other = root.issue_identity_cert(make_subject(9), other_key.public_key,
-                                         0, 10_000)
-        denial = request(server, other, root, {"driving_license_number"})
+        denial = request(server, 9, {"driving_license_number"})
         assert denial is pki.Refusal.NOT_ALLOWED
 
-    def test_scope_exceeded(self, setup, member, root):
+    def test_scope_exceeded(self, setup):
         _, server, _ = setup
-        denial = request(server, member["identity_cert"], root,
+        denial = request(server, 7,
                          {"driving_license_number", "state_of_residence"})
         assert denial is pki.Refusal.SCOPE_EXCEEDED
 
-    def test_purpose_mismatch(self, setup, member, root):
+    def test_purpose_mismatch(self, setup):
         _, server, _ = setup
-        denial = request(server, member["identity_cert"], root,
-                         {"driving_license_number"}, purpose="marketing")
+        denial = request(server, 7, {"driving_license_number"},
+                         purpose="marketing")
         assert denial is pki.Refusal.PURPOSE_MISMATCH
 
-    def test_inactive_policy_denied(self, setup, member, root):
+    def test_inactive_policy_denied(self, setup):
         store, server, policy = setup
         store.set_policy("alice", replace(policy, active=False))
-        denial = request(server, member["identity_cert"], root,
-                         {"driving_license_number"})
+        denial = request(server, 7, {"driving_license_number"})
         assert denial is pki.Refusal.POLICY_INACTIVE
-
-    def test_invalid_cert_denied(self, setup, member, root):
-        _, server, _ = setup
-        root.revoke(member["identity_cert"].serial,
-                    pki.RevocationReason.KEY_COMPROMISE, 1)
-        denial = server.request_authorization(member["identity_cert"],
-                                              {"driving_license_number"},
-                                              "kyc", trust_context(root, now=2))
-        assert denial is pki.Refusal.INVALID_CALLER
-        assert denial.value == "invalid_caller"
 
 
 class TestFetch:
-    def test_fetch_releases_claim_and_receipt(self, setup, member, root):
+    def test_fetch_releases_claim_and_receipt(self, setup):
         store, server, policy = setup
-        token = request(server, member["identity_cert"], root,
-                        {"driving_license_number"})
+        token = request(server, 7, {"driving_license_number"})
         released, receipt = store.fetch_claims(token, now=5)
         assert [c.attribute_name for c in released] == ["driving_license_number"]
         assert receipt.attributes_released == ("driving_license_number",)
@@ -168,27 +153,24 @@ class TestFetch:
             <= set(token.permitted_attributes) <= policy.readable_attributes
         assert store.verify_receipt(receipt)
 
-    def test_fetch_after_withdrawal(self, setup, member, root):
+    def test_fetch_after_withdrawal(self, setup):
         store, server, _ = setup
-        token = request(server, member["identity_cert"], root,
-                        {"driving_license_number"})
+        token = request(server, 7, {"driving_license_number"})
         store.revoke_consent("alice", now=3)
         with pytest.raises(claims.ConsentWithdrawn):
             store.fetch_claims(token, now=5)
         assert store.receipts == []
 
-    def test_expired_token(self, setup, member, root):
+    def test_expired_token(self, setup):
         store, server, _ = setup
-        token = request(server, member["identity_cert"], root,
-                        {"driving_license_number"}, now=1)
+        token = request(server, 7, {"driving_license_number"}, now=1)
         with pytest.raises(claims.TokenExpired) as err:
             store.fetch_claims(token, now=1 + claims.TOKEN_LIFETIME)
         assert err.value.refusal is pki.Refusal.TOKEN_EXPIRED
 
-    def test_forged_token(self, setup, member, root):
+    def test_forged_token(self, setup):
         store, server, _ = setup
-        token = request(server, member["identity_cert"], root,
-                        {"driving_license_number"})
+        token = request(server, 7, {"driving_license_number"})
         forged = replace(token,
                          permitted_attributes=("driving_license_number",
                                                "state_of_residence"))
@@ -203,31 +185,28 @@ class TestFetch:
         revocations = [e for e in store.audit_log if e.event == "consent_revoked"]
         assert len(revocations) == 1
 
-    def test_receipts_survive_withdrawal(self, setup, member, root):
+    def test_receipts_survive_withdrawal(self, setup):
         store, server, _ = setup
-        token = request(server, member["identity_cert"], root,
-                        {"driving_license_number"})
+        token = request(server, 7, {"driving_license_number"})
         _, receipt = store.fetch_claims(token, now=2)
         store.revoke_consent("alice", now=3)
         assert store.verify_receipt(receipt)
 
-    def test_expired_claims_not_released(self, setup, member, root, provider):
+    def test_expired_claims_not_released(self, setup, provider):
         store, server, _ = setup
         store.add_claim(provider.issue_claim("alice", "driving_license_number",
                                              "OLD", 0, 4))
-        token = request(server, member["identity_cert"], root,
-                        {"driving_license_number"})
+        token = request(server, 7, {"driving_license_number"})
         released, _ = store.fetch_claims(token, now=5)
         assert [c.attribute_value for c in released] == ["DL-555-0101"]
 
 
-def test_receipt_count_equals_successful_fetches(setup, member, root):
+def test_receipt_count_equals_successful_fetches(setup):
     store, server, _ = setup
     rng = random.Random(6)
     successes = 0
     for i in range(30):
-        token = request(server, member["identity_cert"], root,
-                        {"driving_license_number"}, now=i)
+        token = request(server, 7, {"driving_license_number"}, now=i)
         when = i + rng.randint(0, 2 * claims.TOKEN_LIFETIME)
         try:
             store.fetch_claims(token, now=when)
@@ -240,19 +219,17 @@ def test_receipt_count_equals_successful_fetches(setup, member, root):
     assert len(released_events) == successes
 
 
-def test_no_release_without_token_in_audit(setup, member, root):
+def test_no_release_without_token_in_audit(setup):
     store, server, _ = setup
-    token = request(server, member["identity_cert"], root,
-                    {"driving_license_number"})
+    token = request(server, 7, {"driving_license_number"})
     store.fetch_claims(token, now=2)
     released = [e for e in store.audit_log if e.event == "claims_released"]
     assert [dict(e.fields)["token"] for e in released] == [token.token_id]
 
 
-def test_token_and_receipt_round_trip_wire(setup, member, root):
+def test_token_and_receipt_round_trip_wire(setup):
     store, server, _ = setup
-    token = request(server, member["identity_cert"], root,
-                    {"driving_license_number"})
+    token = request(server, 7, {"driving_license_number"})
     assert codec.canonical_decode(codec.canonical_encode(token),
                                   claims.AuthorizationToken) == token
     _, receipt = store.fetch_claims(token, now=2)

@@ -620,6 +620,26 @@ class TestReport:
         assert out[out.index("\nrefusals:\n"):].split("\n")[2:-1] == [
             f"{reason} 1"]
 
+    def test_report_counts_a_refused_onboarding(self, tmp_path, capsys):
+        # Alice's wallet also holds an imported key with assets on it, which
+        # the default policy refuses to take on: S4's onboarding is refused,
+        # under the Refusal member of the check that failed.
+        config = default_config()
+        config["vasps"][0]["customers"][0]["wallet"]["imported_key_balance"] = 50
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        ws = tmp_path / "ws"
+        assert main(["init", "--config", str(config_path),
+                     "--workspace", str(ws)]) == 0
+        main(["run", "--scenario", "S4", "--workspace", str(ws)])
+        assert "assert onboard_accepted FAIL funded_key_not_migrated\n" in \
+            (ws / "traces" / "S4.trace").read_text()
+        capsys.readouterr()
+        assert main(["report", "--workspace", str(ws)]) == 0
+        out = capsys.readouterr().out
+        assert out[out.index("\nrefusals:\n"):].split("\n")[2:-1] == [
+            "funded_key_not_migrated 1"]
+
     def test_report_reflects_failures(self, workspace, capsys):
         main(["run", "--scenario", "S1", "--workspace", str(workspace),
               "--override", "grant_beneficiary_consent=false"])

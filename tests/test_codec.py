@@ -817,8 +817,7 @@ def _signed_values(root, member) -> list:
     store.add_claim(claim)
     store.set_policy("alice", claims.AccessPolicy(
         "alice", frozenset({7}), frozenset({"dl"}), "kyc"))
-    token = server.request_authorization(
-        member["identity_cert"], {"dl"}, "kyc", trust)
+    token = server.request_authorization(7, {"dl"}, "kyc", 1)
     _, receipt = store.fetch_claims(token, now=5)
     device = wallet.WalletDevice("wdev:a", seed("device:a"),
                                  [("boot", crypto.digest(b"boot"))])

@@ -58,7 +58,7 @@ def make_pair(sim, root, node_cls_b=Recorder):
 def test_channel_between_valid_members(root):
     sim = Simulation(seed=1)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, trust_context(root))
+    channel = sim.establish_channel(a, b)
     assert channel.endpoints() == (a.name, b.name)
     assert channel.peer_certs == (a.identity_cert, b.identity_cert)
 
@@ -68,7 +68,7 @@ def test_revoked_peer_refused(root):
     a, b = make_pair(sim, root)
     root.revoke(b.identity_cert.serial, pki.RevocationReason.KEY_COMPROMISE, 1)
     with pytest.raises(PeerCertInvalid) as err:
-        sim.establish_channel(a, b, trust_context(root))
+        sim.establish_channel(a, b)
     assert err.value.verdict is pki.Verdict.REVOKED
 
 
@@ -76,7 +76,7 @@ def test_possession_proof_failure_refused(root, tmp_path, capsys):
     sim = Simulation(seed=3)
     a, b = make_pair(sim, root, node_cls_b=DishonestNode)
     with pytest.raises(PeerCertInvalid):
-        sim.establish_channel(a, b, trust_context(root))
+        sim.establish_channel(a, b)
     (refused,) = sim.trace.find("netsim.channel_refused")
     # A pki.Refusal member, so a reason=, never a verdict=: vtn report
     # counts it.
@@ -93,7 +93,7 @@ def test_partition_fails_establishment(root):
     sim = Simulation(seed=4, faults=FaultConfig(partitioned=True))
     a, b = make_pair(sim, root)
     with pytest.raises(PeerCertInvalid):
-        sim.establish_channel(a, b, trust_context(root))
+        sim.establish_channel(a, b)
     (refused,) = sim.trace.find("netsim.channel_refused")
     assert refused.get("reason") == pki.Refusal.PARTITIONED.value
 
@@ -101,7 +101,7 @@ def test_partition_fails_establishment(root):
 def test_send_then_step_delivers_once(root):
     sim = Simulation(seed=5)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, trust_context(root))
+    channel = sim.establish_channel(a, b)
     sim.send(channel, a.name, LookupRequest("x@y.com"))
     sim.run_until_quiet()
     assert b.received == [LookupRequest("x@y.com")]
@@ -110,7 +110,7 @@ def test_send_then_step_delivers_once(root):
 def test_closed_channel_refuses_sends(root):
     sim = Simulation(seed=6)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, trust_context(root))
+    channel = sim.establish_channel(a, b)
     channel.close()
     with pytest.raises(ChannelClosed):
         sim.send(channel, a.name, LookupRequest("x@y.com"))
@@ -123,7 +123,7 @@ def test_closed_channel_refuses_sends(root):
 def test_exactly_once_in_order_delivery(root, faults):
     sim = Simulation(seed=7, faults=faults)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, trust_context(root))
+    channel = sim.establish_channel(a, b)
     count = 1000
     for i in range(count):
         sim.send(channel, a.name, LookupRequest(f"{i}@perm.check"))
@@ -135,7 +135,7 @@ def test_exactly_once_in_order_delivery(root, faults):
 def test_bidirectional_sequences_independent(root):
     sim = Simulation(seed=8)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, trust_context(root))
+    channel = sim.establish_channel(a, b)
     sim.send(channel, a.name, LookupRequest("a@b.c"))
     sim.send(channel, b.name, LookupRequest("d@e.f"))
     sim.run_until_quiet()
@@ -146,7 +146,7 @@ def test_bidirectional_sequences_independent(root):
 def test_every_wire_message_bound_to_channel(root):
     sim = Simulation(seed=9)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, trust_context(root))
+    channel = sim.establish_channel(a, b)
     for i in range(5):
         sim.send(channel, a.name, LookupRequest("x@y.z"))
     sim.run_until_quiet()
@@ -160,7 +160,7 @@ def test_trace_is_deterministic():
         root = pki.create_consortium_root("TestNet", seed("det-root"))
         sim = Simulation(seed=11, faults=FaultConfig(drop_rate=0.2))
         a, b = make_pair(sim, root)
-        channel = sim.establish_channel(a, b, trust_context(root))
+        channel = sim.establish_channel(a, b)
         for i in range(30):
             sim.send(channel, a.name, LookupRequest(f"{i}@u.v"))
         sim.run_until_quiet()
@@ -205,8 +205,7 @@ def test_in_flight_tracks_busy_directions_under_faults():
         node = Echo(sim, f"mesh:{i}", cert, key, trust_context(root))
         sim.register_actor(node.name, node.handle)
         nodes.append(node)
-    trust = trust_context(root)
-    channels = [sim.establish_channel(nodes[a], nodes[b], trust)
+    channels = [sim.establish_channel(nodes[a], nodes[b])
                 for a, b in ((0, 1), (1, 2), (0, 2), (2, 3))]
     seq = 0
     for tick in range(30):
@@ -294,7 +293,7 @@ def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
 def test_delivery_to_a_freed_actor_names_it(root):
     sim = Simulation(seed=14)
     a, b = make_pair(sim, root)
-    channel = sim.establish_channel(a, b, trust_context(root))
+    channel = sim.establish_channel(a, b)
     sim.send(channel, a.name, LookupRequest("x@mesh.test"))
     del b  # its handler was the only other reference
     with pytest.raises(NetsimError, match="actor 'rec:1'"):
@@ -320,7 +319,7 @@ def test_plain_function_handler_and_tick_hook_are_kept(root):
     sim.add_tick_hook(hook)
     del handler, hook
     gc.collect()
-    channel = sim.establish_channel(a, plain, trust_context(root))
+    channel = sim.establish_channel(a, plain)
     body = LookupRequest("x@mesh.test")
     sim.send(channel, a.name, body)
     sim.step()

@@ -257,8 +257,8 @@ def test_unparseable_lookup_is_refused_not_raised(world):
 
 def test_lookup_from_a_revoked_caller_is_refused(world):
     # VASP 3's identity certificate is revoked after its channel to VASP 9
-    # opened. Over that open channel, its lookup is refused once, and the
-    # answer names no VASP.
+    # opened. Over that open channel, its lookup is refused once, at VASP
+    # 9's door, before the resolver is asked, and the answer names no VASP.
     asker, server = world.vasps[3], world.vasps[9]
     channel = world.channel_between(asker, server)
     world.root.revoke(asker.certs.identity.serial,
@@ -266,9 +266,12 @@ def test_lookup_from_a_revoked_caller_is_refused(world):
     since = len(world.sim.trace.events)
     asker.remote_lookup(channel, "bob@idp2.com")
     world.sim.run_until_quiet()
-    assert [e.fields for e in events_of(world, server.name, since)
-            if e.event == "resolver.remote_lookup"] == [
-        {"caller": asker.name, "vasps": [], "reason": "invalid_caller"}]
+    assert [(e.event, e.fields) for e in events_of(world, server.name, since)
+            if e.event != "netsim.sent"] == [
+        ("netsim.delivered", {"msg": "LookupRequest", "ch": channel.id,
+                              "seq": 0, "from": asker.name}),
+        ("netsim.refused", {"msg": "LookupRequest", "from": asker.name,
+                            "reason": "invalid_caller"})]
     (response,) = asker.remote_lookups
     assert (response.refusal, response.vasp_numbers) == \
         (Refusal.INVALID_CALLER, ())

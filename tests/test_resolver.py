@@ -13,7 +13,7 @@ from conftest import issue_member, make_subject, seed, trust_context
 from vasptrust import codec, crypto, pki
 from vasptrust.resolver import (CustomerIdentifier, IdentifierKind,
                                 IdpDirectory, IdpValidationFailed,
-                                MergeOutcome, ResolverService, Unauthorized,
+                                MergeOutcome, ResolverService,
                                 UnknownCustomer, Unparseable, group_identifiers,
                                 parse_identifier)
 
@@ -140,9 +140,8 @@ def signed_as(fed, origin, **changes):
 
 
 class TestLookup:
-    def test_single_hit(self, service, member, root):
-        hits = service.lookup(parse_identifier("bob@idp2.com"),
-                              member["identity_cert"], trust_context(root))
+    def test_single_hit(self, service):
+        hits = service.lookup(parse_identifier("bob@idp2.com"))
         assert hits == [9]
 
     def test_multi_vasp_hit(self, federation):
@@ -153,26 +152,14 @@ class TestLookup:
                                             parse_identifier("dave@idp2.com"))
         fed.merge(7, fed.advertise(3))
         fed.merge(7, fed.advertise(9))
-        identity_cert, _, _ = fed.creds[7]
-        hits = fed.services[7].lookup(parse_identifier("dave@idp2.com"),
-                                      identity_cert, fed.trust)
+        hits = fed.services[7].lookup(parse_identifier("dave@idp2.com"))
         assert hits == [3, 9]
 
-    def test_unknown_identifier(self, service, member, root):
-        assert service.lookup(parse_identifier("nobody@idp2.com"),
-                              member["identity_cert"],
-                              trust_context(root)) == []
+    def test_unknown_identifier(self, service):
+        assert service.lookup(parse_identifier("nobody@idp2.com")) == []
 
-    def test_revoked_caller_unauthorized(self, service, member, root):
-        root.revoke(member["identity_cert"].serial,
-                    pki.RevocationReason.KEY_COMPROMISE, 2)
-        with pytest.raises(Unauthorized):
-            service.lookup(parse_identifier("bob@idp2.com"),
-                           member["identity_cert"], trust_context(root, now=3))
-
-    def test_lookup_result_carries_numbers_only(self, service, member, root):
-        hits = service.lookup(parse_identifier("bob@idp2.com"),
-                              member["identity_cert"], trust_context(root))
+    def test_lookup_result_carries_numbers_only(self, service):
+        hits = service.lookup(parse_identifier("bob@idp2.com"))
         assert all(isinstance(h, int) for h in hits)
 
 
@@ -204,10 +191,8 @@ class TestAdvertisements:
         assert adv.identifiers == ("Alice@IDP1.COM",)
         assert federation.merge(7, adv) is MergeOutcome.REJECTED
         assert federation.services[7]._remote_index == {}
-        identity_cert, _, _ = federation.creds[7]
         for asked in ("Alice@IDP1.COM", "Alice@idp1.com"):
-            assert federation.services[7].lookup(
-                parse_identifier(asked), identity_cert, federation.trust) == []
+            assert federation.services[7].lookup(parse_identifier(asked)) == []
 
     def test_sequences_increment(self, federation):
         first = federation.advertise(3)
@@ -332,14 +317,11 @@ class TestAdvertisements:
         svc = fed.services[3]
         svc.register_identifier("user3", parse_identifier("old$x.com"))
         fed.merge(7, fed.advertise(3))
-        identity_cert, _, _ = fed.creds[7]
-        assert fed.services[7].lookup(parse_identifier("old$x.com"),
-                                      identity_cert, fed.trust) == [3]
+        assert fed.services[7].lookup(parse_identifier("old$x.com")) == [3]
         # Withdraw by advertising a fresh full state without the identifier.
         svc._local.pop("old$x.com")
         fed.merge(7, fed.advertise(3))
-        assert fed.services[7].lookup(parse_identifier("old$x.com"),
-                                      identity_cert, fed.trust) == []
+        assert fed.services[7].lookup(parse_identifier("old$x.com")) == []
 
 
 def from_scratch_table(advertisements):

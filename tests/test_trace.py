@@ -184,6 +184,24 @@ def test_value_repeating_its_own_key_refused_at_emit():
         parse_trace_text("# scenario=x seed=1\n000001 sim x 00 note=a note=b\n")
 
 
+@pytest.mark.parametrize("name", ["a b", "a\nb"])
+def test_actor_name_the_trace_cannot_hold_is_refused(demo_config, name):
+    # Past parse_config, which refuses such a name with its path: a
+    # customer id or a claims provider names the actor of its events, and
+    # is refused where it enters the simulator, as is an actor registered
+    # under such a name.
+    demo_config.vasps[0].customers[0].id = name
+    with pytest.raises(UnrenderableField, match="actor 'customer:a"):
+        build_world(demo_config)
+    demo_config.vasps[0].customers[0].id = "alice"
+    demo_config.claims_providers[0] = name
+    with pytest.raises(UnrenderableField, match="actor 'cp:a"):
+        build_world(demo_config)
+    sim = Simulation(seed=1)
+    with pytest.raises(UnrenderableField, match="actor 'vasp:a"):
+        sim.register_actor(f"vasp:{name}", lambda channel, envelope: None)
+
+
 def test_emitted_events_keep_one_small_tuple_each():
     # Three fields of shared values: the event tuple and its list slot.
     delivered = Event("test.delivered", "msg ch from*")

@@ -12,6 +12,7 @@ from vasptrust import codec, crypto, wallet
 from vasptrust.ledger import Ledger, make_transfer
 from vasptrust.netsim import build_world
 from vasptrust.netsim.world import CHECKPOINT_INTERVAL
+from vasptrust.pki import Refusal
 
 STACK = [("bootloader", crypto.digest(b"boot-1")),
          ("wallet-os", crypto.digest(b"os-1"))]
@@ -294,9 +295,31 @@ class TestBoarding:
             attestation_key=device.attestation_public_key)
         assert not report.accepted
         assert supervision is None
-        assert report.reason == "failed checks: migration"
+        assert report.reason is Refusal.FUNDED_KEY_NOT_MIGRATED
         assert registry.status(device.device_id).classification \
             is wallet.WalletClass.PRIVATE
+
+    def test_refusal_names_the_first_failing_check(self):
+        # Each wallet also holds a funded imported key, the last check's
+        # failure: the check before it is the one named.
+        device, ledger, registry, _ = self.setup_world(imported_balance=50)
+        registry.set_regulated(device.device_id, 3, 0)
+        report, _ = wallet.onboard_customer(
+            7, "alice", device, ledger, registry, nonce(), now=1,
+            attestation_key=device.attestation_public_key)
+        assert report.reason is Refusal.WALLET_SUPERVISED_ELSEWHERE
+
+        device, ledger, registry, handle = self.setup_world(imported_balance=50)
+        key = device.slot(handle).public_key
+        tx_id = ledger.submit_transfer(make_transfer(
+            [(key, 100)], [(b"\x02" * 32, 100)], {key: device.signer(handle)}))
+        ledger.confirm_block()
+        corrupt_signature(ledger, tx_id)
+        report, supervision = wallet.onboard_customer(
+            7, "alice", device, ledger, registry, nonce(), now=1,
+            attestation_key=device.attestation_public_key)
+        assert (report.accepted, report.reason, supervision) == \
+            (False, Refusal.KEY_HISTORY_INVALID, None)
 
     def test_onboard_policy_matrix(self):
         # (imported balance, reject_imported, reject_migratable) -> accepted
@@ -371,7 +394,7 @@ class TestBoarding:
         report = wallet.offboard_customer(7, "alice", device, ledger,
                                           registry, supervision, nonce(9), 9)
         assert not report.accepted
-        assert report.reason == "failed checks: key-history"
+        assert report.reason is Refusal.KEY_HISTORY_INVALID
         assert report.key_transition is None and report.erasure_evidence is None
         assert device.handles() == handles  # no handoff key
         assert not any(device.slot(h).erased for h in handles)
