@@ -104,7 +104,6 @@ class AuthorizationToken:
     audience_vasp_number: int
     permitted_attributes: tuple[str, ...]
     purpose: str
-    issued_at: int
     expires_at: int
     signature: bytes
 
@@ -259,7 +258,6 @@ class AuthorizationServer:
             audience_vasp_number=vasp_number,
             permitted_attributes=tuple(sorted(attributes)),
             purpose=purpose,
-            issued_at=now,
             expires_at=now + TOKEN_LIFETIME,
             signature=b"",
         ), lambda tbs: crypto.sign(self._keypair.private_key, tbs))[0]

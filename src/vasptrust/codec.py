@@ -148,10 +148,8 @@ def _arity(value: Any, typ: Any) -> bytes:
     raise CodecError(f"tuple arity mismatch for {typ}")
 
 
-def _cannot(value: Any, cls: type) -> bytes:
-    """Refuse ``value`` where ``cls``, a class with no encoding, is declared."""
-    if type(value) is not cls:
-        return _refuse(value, cls.__name__)
+def _cannot(cls: type) -> bytes:
+    """Refuse any value where ``cls``, a class with no encoding, is declared."""
     raise CodecError(f"cannot canonically encode {cls.__name__}")
 
 
@@ -282,7 +280,7 @@ def _generate(typ: Any, signing: bool) -> Encoder:
         if typ in _SCALARS or isinstance(typ, type) and issubclass(typ, Enum):
             return inline(typ, "v", "v")
         if isinstance(typ, type):
-            return f"_cannot(v, {const(typ)})"
+            return f"_cannot({const(typ)})"
         return "_encode_any(v)"
 
     source = struct(typ, _hints(typ)[:-1]) if signing else body(typ)

@@ -19,7 +19,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-SIGNATURE_SCHEME = "ed25519"
 SEED_SIZE = 32
 DIGEST_SIZE = 32
 PUBLIC_KEY_SIZE = 32
@@ -27,12 +26,11 @@ SIGNATURE_SIZE = 64
 
 
 class MalformedKeyError(Exception):
-    """Key bytes are not a well-formed key for the configured scheme."""
+    """Key bytes are not a well-formed Ed25519 key."""
 
 
 @dataclass(frozen=True)
 class KeyPair:
-    scheme: str
     public_key: bytes
     private_key: bytes
 
@@ -43,8 +41,7 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
         seed = os.urandom(SEED_SIZE)
     if len(seed) != SEED_SIZE:
         raise MalformedKeyError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
-    return KeyPair(scheme=SIGNATURE_SCHEME, public_key=_private_key(seed)[1],
-                   private_key=seed)
+    return KeyPair(public_key=_private_key(seed)[1], private_key=seed)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -625,14 +625,14 @@ class VaspNode(Node):
             del self.supervision[customer_id]
         return report
 
-    def take_checkpoints(self, now: int) -> None:
+    def take_checkpoints(self) -> None:
         """Tick hook: attestation checkpoint for every supervised wallet."""
         for customer_id in sorted(self.supervision):
             supervision = self.supervision[customer_id]
             device = self.devices[supervision.device_id]
             try:
                 evidence = wallet.take_checkpoint(supervision, device,
-                                                  self.sim.nonce(), now)
+                                                  self.sim.nonce())
             except wallet.AttestationFailed as exc:
                 self.sim.emit(self.name, events.CHECKPOINT_REFUSED,
                               device.device_id, exc.refusal.value)
@@ -650,7 +650,7 @@ class VaspNode(Node):
             refusal = Refusal.ATTESTATION_REFUSED
         else:
             try:
-                evidence = device.attest(body.nonce, self.sim.now)
+                evidence = device.attest(body.nonce)
             except wallet.AttestationRefused:
                 refusal = Refusal.ATTESTATION_REFUSED
         if refusal is None:

@@ -48,7 +48,6 @@ class NetsimError(Exception):
 class PeerCertInvalid(NetsimError):
     def __init__(self, peer: str, verdict: pki.Verdict | None, note: str = ""):
         super().__init__(f"peer {peer}: {verdict.value if verdict else note}")
-        self.peer = peer
         self.verdict = verdict
 
 

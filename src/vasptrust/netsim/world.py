@@ -47,7 +47,6 @@ class World:
     auth_servers: dict[str, AuthServerNode]
     insurer: InsurerNode | None
     devices: dict[str, wallet.WalletDevice]
-    customer_keys: list[bytes] = field(default_factory=list)
     _channels: dict[frozenset, SecureChannel] = field(default_factory=dict)
 
     def channel_between(self, a, b) -> SecureChannel:
@@ -81,7 +80,7 @@ class World:
     def _on_tick(self, now: int) -> None:
         if now % CHECKPOINT_INTERVAL == 0:
             for number in sorted(self.vasps):
-                self.vasps[number].take_checkpoints(now)
+                self.vasps[number].take_checkpoints()
 
 
 def build_world(config: TopologyConfig, scenario: str = "adhoc",
@@ -89,8 +88,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     master = crypto.seed_from_int(config.seed)
     sim = Simulation(config.seed, scenario=scenario, faults=faults)
 
-    root = pki.create_consortium_root(config.consortium,
-                                      crypto.derive_seed(master, "root"))
+    root = pki.create_consortium_root(crypto.derive_seed(master, "root"))
     service_numbers = count(SERVICE_NUMBER_BASE)
 
     def service_identity(name: str, seed_label: str
@@ -123,7 +121,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     approved_stacks: set[bytes] = set()
     devices: dict[str, wallet.WalletDevice] = {}
     genesis: list[tuple[bytes, int]] = []
-    customer_keys: list[bytes] = []
     stack = [(name, crypto.digest(crypto.derive_seed(master, f"stack:{name}")))
              for name in DEFAULT_STACK_COMPONENTS]
     for vcfg in config.vasps:
@@ -138,14 +135,12 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             approved_stacks.add(device.boot_digest)
             handle = device.generate_key(migratable=False)
             key = device.slot(handle).public_key
-            customer_keys.append(key)
             if ccfg.wallet.initial_balance > 0:
                 genesis.append((key, ccfg.wallet.initial_balance))
             if ccfg.wallet.imported_key_balance > 0:
                 imported = crypto.generate_keypair(
                     crypto.derive_seed(master, f"imported:{device_id}"))
-                ih = device.import_key(imported)
-                customer_keys.append(device.slot(ih).public_key)
+                device.import_key(imported)
                 genesis.append((imported.public_key,
                                 ccfg.wallet.imported_key_balance))
             devices[device_id] = device
@@ -255,6 +250,6 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     world = World(
         config=config, sim=sim, root=root, ledger=ledger, registry=registry,
         trust=trust, vasps=vasps, stores=stores, auth_servers=auth_servers,
-        insurer=insurer, devices=devices, customer_keys=customer_keys)
+        insurer=insurer, devices=devices)
     sim.add_tick_hook(world._on_tick)
     return world

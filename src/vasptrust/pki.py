@@ -8,6 +8,9 @@ leaves, no intermediates. The root enforces that every public key appears
 in at most one certificate, ever, so an entity's identity, transaction and
 claims keys are provably distinct.
 
+One root issues every certificate and the revocation list, so none of
+them names an issuer: RFC 5280 §6.1.3's name check has nothing to compare.
+
 Certificates use the package's canonical encoding rather than ASN.1 DER;
 ``codec.seal`` signs the canonical struct of every field before the
 signature, the last.
@@ -39,7 +42,6 @@ class KeyReuse(PkiError):
 class InvalidSubject(PkiError):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
-        self.problems = problems
 
 
 class LinkTargetRevoked(PkiError):
@@ -157,7 +159,6 @@ class EvIdentityCertificate:
     serial: int
     subject: EvSubjectInfo
     subject_public_key: bytes
-    issuer_id: str
     not_before: int
     not_after: int
     issuer_signature: bytes
@@ -169,7 +170,6 @@ class SigningCertificate:
     purpose: CertPurpose
     subject_public_key: bytes
     identity_linkage: bytes
-    issuer_id: str
     not_before: int
     not_after: int
     issuer_signature: bytes
@@ -187,7 +187,6 @@ class RevocationEntry:
 
 @dataclass(frozen=True)
 class RevocationList:
-    issuer_id: str
     entries: tuple[RevocationEntry, ...]
     issued_at: int
     issuer_signature: bytes
@@ -382,8 +381,7 @@ class RootAuthority:
     so key reuse is refused at issuance.
     """
 
-    def __init__(self, name: str, keypair: KeyPair):
-        self.name = name
+    def __init__(self, keypair: KeyPair):
         self._keypair = keypair
         self._next_serial = 1
         self._certs: dict[int, Certificate] = {}
@@ -412,7 +410,7 @@ class RootAuthority:
             fields["serial"] = self._next_serial
             self._next_serial += 1
         signed, _ = codec.seal(
-            kind(issuer_id=self.name, issuer_signature=b"", **fields),
+            kind(issuer_signature=b"", **fields),
             lambda tbs: crypto.sign(self._keypair.private_key, tbs))
         if numbered:
             self._certs[signed.serial] = signed
@@ -468,8 +466,8 @@ class RootAuthority:
         return self._revocation_list
 
 
-def create_consortium_root(name: str, seed: bytes) -> RootAuthority:
-    return RootAuthority(name, crypto.generate_keypair(seed))
+def create_consortium_root(seed: bytes) -> RootAuthority:
+    return RootAuthority(crypto.generate_keypair(seed))
 
 
 def cert_to_hex(cert: Certificate) -> str:

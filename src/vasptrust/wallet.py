@@ -88,7 +88,6 @@ class AttestationEvidence:
     nonce: bytes
     key_reports: tuple[KeyReport, ...]
     stack_report: StackReport
-    signed_at: int
     signature: bytes
 
 
@@ -158,8 +157,7 @@ class WalletDevice:
             raise ErasedKey(f"slot {handle} is erased")
         if not slot.migratable:
             raise NonMigratable(f"slot {handle} cannot be extracted")
-        return crypto.KeyPair(crypto.SIGNATURE_SCHEME, slot.public_key,
-                              self._private[handle])
+        return crypto.KeyPair(slot.public_key, self._private[handle])
 
     def erase_key(self, handle: int) -> None:
         """Destroy the private half; the slot stays visible, flagged erased."""
@@ -177,8 +175,10 @@ class WalletDevice:
     def signer(self, handle: int):
         return lambda message: self.sign(handle, message)
 
-    def attest(self, nonce: bytes, now: int = 0) -> AttestationEvidence:
-        """Signed, truthful report of every slot and the measured stack."""
+    def attest(self, nonce: bytes) -> AttestationEvidence:
+        """Signed, truthful report of every slot and the measured stack.
+        It carries no time: its freshness is the verifier's ``nonce``
+        (RFC 9334 §10)."""
         if not self.attestation_enabled:
             raise AttestationRefused(f"{self.device_id} will not attest")
         if len(nonce) != NONCE_SIZE:
@@ -188,7 +188,6 @@ class WalletDevice:
             nonce=nonce,
             key_reports=tuple(self._slots[h] for h in sorted(self._slots)),
             stack_report=StackReport(self.measurement_log, self.boot_digest),
-            signed_at=now,
             signature=b"",
         ), lambda tbs: crypto.sign(self._attestation.private_key, tbs))[0]
 
@@ -309,12 +308,12 @@ def check_key_history(device: WalletDevice, ledger: Ledger) -> bool:
     return True
 
 
-def _fresh_evidence(device: WalletDevice, nonce: bytes, now: int,
+def _fresh_evidence(device: WalletDevice, nonce: bytes,
                     attestation_key: bytes) -> AttestationEvidence:
     """Evidence from the device, signed by the expected attestation key
     over the nonce just issued; AttestationFailed otherwise, as
     AttestationRefused if the device will not attest."""
-    evidence = device.attest(nonce, now)
+    evidence = device.attest(nonce)
     if not crypto.verify(attestation_key, *codec.unseal(evidence)):
         raise AttestationFailed("attestation evidence does not verify")
     if evidence.nonce != nonce:
@@ -357,7 +356,7 @@ def onboard_customer(acquiring_vasp_number: int,
     mempool; the caller confirms the block.
     """
     policy = policy or OnboardPolicy()
-    evidence = _fresh_evidence(device, nonce, now, attestation_key)
+    evidence = _fresh_evidence(device, nonce, attestation_key)
 
     prior = registry.status(device.device_id)
     if (prior.classification is not WalletClass.PRIVATE
@@ -427,7 +426,7 @@ def offboard_customer(releasing_vasp_number: int,
     for handle in to_erase:
         device.erase_key(handle)
 
-    evidence = _fresh_evidence(device, nonce, now, supervision.attestation_key)
+    evidence = _fresh_evidence(device, nonce, supervision.attestation_key)
     reported = {r.handle: r for r in evidence.key_reports}
     still_live = [h for h in to_erase
                   if h not in reported or not reported[h].erased]
@@ -442,10 +441,10 @@ def offboard_customer(releasing_vasp_number: int,
 
 
 def take_checkpoint(supervision: SupervisionRecord, device: WalletDevice,
-                    nonce: bytes, now: int) -> AttestationEvidence:
+                    nonce: bytes) -> AttestationEvidence:
     """Record fresh evidence from a supervised device; AttestationFailed,
     with nothing recorded, unless it verifies under the attestation key the
     supervision was set up with and answers ``nonce``."""
-    evidence = _fresh_evidence(device, nonce, now, supervision.attestation_key)
+    evidence = _fresh_evidence(device, nonce, supervision.attestation_key)
     supervision.checkpoints.append(evidence)
     return evidence

@@ -94,7 +94,7 @@ def asked_seq(node, context) -> int:
 
 @pytest.fixture
 def root() -> pki.RootAuthority:
-    return pki.create_consortium_root("TestNet", seed("root"))
+    return pki.create_consortium_root(seed("root"))
 
 
 def issue_member(root: pki.RootAuthority, number: int, label: str) -> dict:

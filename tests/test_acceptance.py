@@ -59,7 +59,7 @@ def test_travel_rule_completeness_matrix():
 
 def test_three_key_distinctness_hundred_vasps():
     rng = random.Random(RNG_SEED)
-    root = pki.create_consortium_root("Accept", seed("accept-distinct"))
+    root = pki.create_consortium_root(seed("accept-distinct"))
     identity_certs = []
     for n in range(100):
         identity = crypto.generate_keypair(rng.randbytes(32))
@@ -97,7 +97,7 @@ def test_three_key_distinctness_hundred_vasps():
 
 def _tamper_fixture():
     rng = random.Random(RNG_SEED + 1)
-    root = pki.create_consortium_root("Accept", seed("accept-tamper"))
+    root = pki.create_consortium_root(seed("accept-tamper"))
     member_id = crypto.generate_keypair(seed("accept-tamper-id"))
     member_cert = root.issue_identity_cert(make_subject(900),
                                            member_id.public_key, 0, 10_000)
@@ -145,7 +145,7 @@ def _tamper_fixture():
         if rng.random() < 0.3:
             device.generate_key(migratable=rng.random() < 0.5)
         nonce = rng.randbytes(32)
-        evidence = device.attest(nonce, now=i)
+        evidence = device.attest(nonce)
         blob = codec.canonical_encode(evidence)
 
         def check(data: bytes) -> bool:
@@ -230,7 +230,9 @@ def test_resolver_privacy_structural_and_traces(demo_config):
 
     registered_keys = set()
     for world in worlds:
-        registered_keys.update(world.customer_keys)
+        registered_keys.update(device.slot(handle).public_key
+                               for device in world.devices.values()
+                               for handle in device.handles())
         registered_keys.add(carol_key)
 
     responses_seen = 0
@@ -310,7 +312,7 @@ def test_federation_convergence_fifty_random_topologies():
 
 def test_incremental_merge_equals_from_scratch_random_interleavings():
     rng = random.Random(RNG_SEED + 3)
-    root = pki.create_consortium_root("Accept", seed("accept-lsa"))
+    root = pki.create_consortium_root(seed("accept-lsa"))
     origins = {}
     members = []
     for number in (3, 9, 12):
@@ -584,7 +586,7 @@ def test_attestation_truthfulness_thousand_sequences():
                     outputs.append(device.export_key(handle).private_key)
 
         nonce = rng.randbytes(32)
-        evidence = device.attest(nonce, now=trial)
+        evidence = device.attest(nonce)
         reported = [(r.handle, r.public_key, r.origin.value, r.migratable,
                      r.erased) for r in evidence.key_reports]
         assert reported == shadow.expected(), f"trial {trial}"

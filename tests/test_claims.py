@@ -114,8 +114,7 @@ class TestAuthorization:
         token = request(server, 7, {"driving_license_number"})
         assert isinstance(token, claims.AuthorizationToken)
         assert token.audience_vasp_number == 7
-        assert token.issued_at == 1  # the tick it was asked at
-        assert token.expires_at == token.issued_at + claims.TOKEN_LIFETIME
+        assert token.expires_at == 1 + claims.TOKEN_LIFETIME  # asked at 1
 
     def test_unlisted_vasp_denied(self, setup):
         _, server, _ = setup

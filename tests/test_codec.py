@@ -837,7 +837,7 @@ def _signed_values(root, member) -> list:
         (claim, provider.public_key),
         (token, server.public_key),
         (receipt, store._keypair.public_key),
-        (device.attest(b"\x03" * wallet.NONCE_SIZE, now=4),
+        (device.attest(b"\x03" * wallet.NONCE_SIZE),
          device.attestation_public_key),
     ]
 

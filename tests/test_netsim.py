@@ -157,7 +157,7 @@ def test_every_wire_message_bound_to_channel(root):
 
 def test_trace_is_deterministic():
     def run():
-        root = pki.create_consortium_root("TestNet", seed("det-root"))
+        root = pki.create_consortium_root(seed("det-root"))
         sim = Simulation(seed=11, faults=FaultConfig(drop_rate=0.2))
         a, b = make_pair(sim, root)
         channel = sim.establish_channel(a, b)
@@ -195,7 +195,7 @@ FAULTY_MESH_TRACE_SHA256 = (
 
 
 def test_in_flight_tracks_busy_directions_under_faults():
-    root = pki.create_consortium_root("TestNet", seed("mesh-root"))
+    root = pki.create_consortium_root(seed("mesh-root"))
     sim = Simulation(seed=13, faults=FaultConfig(drop_rate=0.2))
     nodes = []
     for i in range(4):

@@ -13,9 +13,9 @@ from vasptrust import codec, crypto, pki
 
 def test_fresh_root_state(root):
     assert root.revocation_list.entries == ()
-    again = pki.create_consortium_root("TestNet", seed("root"))
+    again = pki.create_consortium_root(seed("root"))
     assert again.public_key == root.public_key
-    other = pki.create_consortium_root("TestNet", seed("other-root"))
+    other = pki.create_consortium_root(seed("other-root"))
     assert other.public_key != root.public_key
 
 
@@ -203,7 +203,6 @@ class TestValidation:
             "not_before": lambda v: v + rng.randint(1, 50),
             "not_after": lambda v: v + rng.randint(1, 50),
             "subject_public_key": lambda v: rng.randbytes(32),
-            "issuer_id": lambda v: v + "x",
         }
         checked = 0
         for _ in range(10_000):

@@ -284,7 +284,7 @@ def test_unsolicited_attestation_answer_names_its_sender(world, device_id):
     # gave are recorded.
     vasp, insurer = world.vasps[7], world.insurer
     evidence = dataclasses.replace(
-        vasp.devices["wdev:alice@7"].attest(bytes(32), world.sim.now),
+        vasp.devices["wdev:alice@7"].attest(bytes(32)),
         device_id=device_id)
     channel = world.channel_between(vasp, insurer)
     since = len(world.sim.trace.events)
@@ -556,8 +556,7 @@ def test_token_outside_the_request_is_refused(world, audience, attributes,
     if asked:
         vasp.request_claims_authorization(channel, *ASKED)
         assert [seq for _, seq in vasp.asked] == [0]
-    token = AuthorizationToken(audience, attributes, purpose, 0, 300,
-                               b"s" * 64)
+    token = AuthorizationToken(audience, attributes, purpose, 300, b"s" * 64)
     since = len(world.sim.trace.events)
     world.sim.send(channel, server.name, ClaimsAuthResponse(0, token, None))
     world.sim.step()
@@ -582,7 +581,7 @@ def test_token_outside_the_request_is_refused(world, audience, attributes,
 def test_unexpected_message_is_refused_once(world):
     # Each kind of node, sent a body it does not take.
     vasp, other = world.vasps[7], world.vasps[9]
-    token = AuthorizationToken(7, (), "kyc", 0, 300, b"s" * 64)
+    token = AuthorizationToken(7, (), "kyc", 300, b"s" * 64)
     stray = ClaimsFetchRequest(token, b"", 0)
     for receiver in (other, world.auth_servers["alice"],
                      world.stores["alice"], world.insurer):

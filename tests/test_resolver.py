@@ -343,7 +343,7 @@ def from_scratch_table(advertisements):
 @given(st.lists(st.tuples(st.sampled_from([3, 9]), st.integers(0, 4)),
                 min_size=1, max_size=20), st.randoms(use_true_random=False))
 def test_incremental_merge_equals_from_scratch(schedule, rng):
-    root = pki.create_consortium_root("TestNet", seed("lsa-root"))
+    root = pki.create_consortium_root(seed("lsa-root"))
     fed = FederationWorld(root)
     # Pre-generate advertisement versions per origin: each version adds an
     # identifier, so sequence k has k identifiers.
@@ -447,7 +447,7 @@ def test_grouping_expands_back_and_costs_at_most_a_suffix_per_group(rendered):
         assert len(codec.canonical_encode(group)) - items == 2 or items >= 128
     # What group_identifiers builds, a receiver takes: a resolver that
     # registers these strings advertises them, and another merges them.
-    fed = FederationWorld(pki.create_consortium_root("TestNet", seed("group-root")))
+    fed = FederationWorld(pki.create_consortium_root(seed("group-root")))
     for s in rendered:
         fed.services[3].register_identifier("user3", parse_identifier(s))
     adv = fed.advertise(3)

@@ -525,7 +525,6 @@ class TestS4:
         slots = [device.slot(handle) for handle in device.handles()]
         assert [slot.origin for slot in slots] == [
             wallet.KeyOrigin.GENERATED_INTERNALLY, wallet.KeyOrigin.IMPORTED]
-        assert world.customer_keys == [slot.public_key for slot in slots]
         assert [world.ledger.balance(slot.public_key) for slot in slots] == \
             [500, 40]
         assert world.ledger.total_supply() == \
@@ -860,12 +859,12 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 PINNED = {
     "S1": ("3d00671cabbe2a3e7de18ffa53e1ca01e13d7b1f8d73311097a5b99feb1119c5",
            "38ee2e8147b39f2946c43c508530fb1d3cdeb675b3e5eced3d41ac279599504b"),
-    "S2": ("60240717dc8922dd579b57f2e45dcff325f900e7c80ec8c5f83ab2e9ec64926c",
-           "9dd68c09bdd000d02b0ea74dce95ca11cc75a4e2c95f104ba4e758bf1a198d45"),
+    "S2": ("bbf20a596924fd62c72cd1c7a16212ace660f02a54698a83eba517ea98fe4876",
+           "896c36736df498edd798b91c577b9f697978068519fa4fddce18509aa78d2f65"),
     "S3": ("95354964b86a77b9502797b5c551cbf5a0c2690c806a41a39950cb1d1afb01ef",
            "aecb0b9e85eafbb1d899a508a395755d12a33ef824ce03024cb8e8625a953812"),
-    "S4": ("ab13519ae96c1ed01858273e874628d5aaefd1f82d8887c3140797a0dd64b282",
-           "4e888d26c62c20fc3042ca29693eef45740da0efef7ddbe762d833a7bfcd2962"),
+    "S4": ("4dbc4f2116fc3ef70da7e13e278201243478298ad3003b44d3f288c3ec317cc5",
+           "41f4d928790f967e8199c5a21644c338e7fd37759e1461d3096806ff3318fdd9"),
     "S5": ("ad8b6e3fd30981638fc44d369a9d169bd7a44a87298ce8f9a3dd9fb55f0a2675",
            "dcf1a068073c7a97d38530642bdc13e28f071cff3521ef5a1a19d593b08dba7c"),
 }

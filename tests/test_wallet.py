@@ -93,7 +93,7 @@ class TestDevice:
         device.erase_key(handle)  # idempotent
         with pytest.raises(wallet.ErasedKey):
             device.sign(handle, b"x")
-        evidence = device.attest(nonce(), now=1)
+        evidence = device.attest(nonce())
         report = next(r for r in evidence.key_reports if r.handle == handle)
         assert report.erased is True
 
@@ -105,7 +105,7 @@ class TestDevice:
 class TestAttestation:
     def test_fresh_device_attests_empty(self):
         device = fresh_device()
-        evidence = device.attest(nonce(), now=3)
+        evidence = device.attest(nonce())
         assert evidence.key_reports == ()
         assert evidence.nonce == nonce()
         verdict = wallet.verify_evidence(evidence, nonce(),
@@ -115,7 +115,7 @@ class TestAttestation:
 
     def test_replay_against_new_nonce_rejected(self):
         device = fresh_device()
-        evidence = device.attest(nonce(1), now=1)
+        evidence = device.attest(nonce(1))
         verdict = wallet.verify_evidence(evidence, nonce(2),
                                          device.attestation_public_key,
                                          {device.boot_digest})
@@ -123,7 +123,7 @@ class TestAttestation:
 
     def test_unapproved_stack_fails(self):
         device = fresh_device()
-        evidence = device.attest(nonce(), now=1)
+        evidence = device.attest(nonce())
         verdict = wallet.verify_evidence(evidence, nonce(),
                                          device.attestation_public_key,
                                          {crypto.digest(b"other stack")})
@@ -132,7 +132,7 @@ class TestAttestation:
     def test_imported_key_is_finding_not_failure(self):
         device = fresh_device()
         device.import_key(crypto.generate_keypair(seed("imp")))
-        evidence = device.attest(nonce(), now=1)
+        evidence = device.attest(nonce())
         verdict = wallet.verify_evidence(evidence, nonce(),
                                          device.attestation_public_key,
                                          {device.boot_digest})
@@ -142,7 +142,7 @@ class TestAttestation:
     def test_every_byte_tamper_breaks_evidence(self):
         device = fresh_device()
         device.generate_key(migratable=False)
-        evidence = device.attest(nonce(), now=1)
+        evidence = device.attest(nonce())
         blob = codec.canonical_encode(evidence)
         rng = random.Random(9)
         for index in range(len(blob)):
@@ -230,7 +230,7 @@ def test_attestation_matches_shadow_model_over_random_sequences():
                         device.sign(handle, b"m")
                 else:
                     device.sign(handle, b"m")
-        evidence = device.attest(nonce(trial), now=trial)
+        evidence = device.attest(nonce(trial))
         reported = [(r.handle, r.public_key, r.origin.value, r.migratable,
                      r.erased) for r in evidence.key_reports]
         assert reported == shadow.expected_reports()
@@ -246,7 +246,7 @@ def test_no_operation_output_leaks_nonmigratable_private_key():
     attestation_private = crypto.derive_seed(device_seed, "attestation-key")
 
     outputs: list[bytes] = []
-    outputs.append(codec.canonical_encode(device.attest(nonce(), now=1)))
+    outputs.append(codec.canonical_encode(device.attest(nonce())))
     outputs.append(device.sign(handle, b"message"))
     outputs.append(device.slot(handle).public_key)
     try:
@@ -457,8 +457,8 @@ class TestBoarding:
                 if not self.forging:
                     super().erase_key(handle)
 
-            def attest(self, nonce, now=0):
-                evidence = super().attest(nonce, now)
+            def attest(self, nonce):
+                evidence = super().attest(nonce)
                 if not self.forging:
                     return evidence
                 forger = crypto.generate_keypair(seed("forger"))
@@ -486,8 +486,8 @@ class TestBoarding:
         class ReplayingDevice(wallet.WalletDevice):
             """Answers every challenge with one fixed nonce."""
 
-            def attest(self, nonce_, now=0):
-                return super().attest(nonce(99), now)
+            def attest(self, nonce_):
+                return super().attest(nonce(99))
 
         device = ReplayingDevice("wdev:replay", seed("replay"), STACK)
         handle = device.generate_key(migratable=False)
@@ -528,20 +528,20 @@ class TestBoarding:
         impostor = wallet.WalletDevice(device.device_id, seed("impostor"),
                                        STACK)
         with pytest.raises(wallet.AttestationFailed):
-            wallet.take_checkpoint(supervision, impostor, nonce(10), 10)
+            wallet.take_checkpoint(supervision, impostor, nonce(10))
 
         class Replaying:
             """The genuine device's evidence, for a nonce issued earlier."""
 
-            def attest(self, nonce_, now=0):
-                return device.attest(nonce(99), now)
+            def attest(self, nonce_):
+                return device.attest(nonce(99))
 
         with pytest.raises(wallet.AttestationFailed):
-            wallet.take_checkpoint(supervision, Replaying(), nonce(11), 11)
+            wallet.take_checkpoint(supervision, Replaying(), nonce(11))
         assert len(supervision.checkpoints) == 1  # onboarding only
 
     def test_checkpoints_accumulate(self):
         device, ledger, registry, supervision = self._onboarded()
         for i in range(3):
-            wallet.take_checkpoint(supervision, device, nonce(i + 10), 10 + i)
+            wallet.take_checkpoint(supervision, device, nonce(i + 10))
         assert len(supervision.checkpoints) == 4  # onboarding + 3
