@@ -68,10 +68,6 @@ def sign(private_key: bytes, message: bytes) -> bytes:
     return _private_key(private_key)[0].sign(message)
 
 
-def public_key_of(private_key: bytes) -> bytes:
-    return _private_key(private_key)[1]
-
-
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff the signature binds the message to the public key.
 

@@ -4,9 +4,11 @@ A node mutates its state only from its message handler or its own
 public methods. Nodes share the ledger, the wallet registry and, until
 each gets its own trust view, one ``TrustContext``. Nodes that terminate
 channels carry an EV identity certificate and prove possession of its
-key during channel establishment. ``Node.handle`` looks a delivered
-body's type up in the class's ``HANDLERS``. A refusal names a
-``pki.Refusal``; one a peer sends is recorded as
+key during channel establishment. ``Node.handle``, the door, hands a
+delivered body, never its envelope, to its type's handler in the class's
+``HANDLERS``. A request's handler returns a ``pki.Refusal`` or its
+answer's fields after ``answers``, and the door sends that one answer.
+A refusal names a ``pki.Refusal``; one a peer sends is recorded as
 ``reason=peer_refused`` with the peer's member as ``peer_reason``.
 
 A node sends each request with ``Node.ask``, which keeps it in the one
@@ -54,7 +56,7 @@ class Node:
 
     # Body type -> the method that handles it, per class. An answer's
     # handler also takes the context its request was asked with.
-    HANDLERS: dict[type, Callable[..., None]] = {}
+    HANDLERS: dict[type, Callable[..., object]] = {}
 
     def __init__(self, sim: Simulation, name: str,
                  identity_cert: pki.EvIdentityCertificate,
@@ -79,28 +81,35 @@ class Node:
         self.asked[channel.id, env.seq] = (msg.ANSWER[type(body)], context)
 
     def handle(self, channel: SecureChannel, env: Envelope) -> None:
-        """Run the handler of the body's type. A request (a key of
-        ``msg.ANSWER``) is served only if the certificate its sender opened
-        the channel with validates now (RFC 5280 §6.1.3); else it is refused
-        ``invalid_caller``, with one event and a refused answer."""
-        kind = type(env.body)
+        """Run the handler of the body's type on the body. A request (a key
+        of ``msg.ANSWER``) gets one answer, sent here, naming its seq: the
+        fields after ``answers`` or the Refusal its handler returns. It is
+        refused ``invalid_caller``, with one event and no handler, unless
+        the certificate its sender opened the channel with validates now
+        (RFC 5280 §6.1.3)."""
+        body = env.body
+        kind = type(body)
         handler = self.HANDLERS.get(kind)
         peer = channel.other(self.name)
         if handler is None:
             self._refused(events.UNEXPECTED, Refusal.UNEXPECTED_MESSAGE,
                           kind.__name__, peer)
-        elif kind in msg.ANSWER and self.trust.validate(
-                channel.peer_cert(peer)) is not pki.Verdict.VALID:
-            self._refused(events.UNEXPECTED, Refusal.INVALID_CALLER, kind.__name__, peer)
-            self.sim.send(channel, self.name,
-                          msg.ANSWER[kind](env.seq, refusal=Refusal.INVALID_CALLER))
+        elif kind in msg.ANSWER:
+            if self.trust.validate(channel.peer_cert(peer)) is pki.Verdict.VALID:
+                answer = handler(self, channel, body)
+            else:
+                answer = Refusal.INVALID_CALLER
+                self._refused(events.UNEXPECTED, answer, kind.__name__, peer)
+            reply = msg.ANSWER[kind]
+            self.sim.send(channel, self.name, reply(env.seq, refusal=answer)
+                          if isinstance(answer, Refusal) else reply(env.seq, *answer))
         elif kind not in _ANSWERS:
-            handler(self, channel, env)
-        elif self.asked.get(key := (channel.id, env.body.answers), (None,))[0] is kind:
-            handler(self, channel, env, self.asked.pop(key)[1])
+            handler(self, channel, body)
+        elif self.asked.get(key := (channel.id, body.answers), (None,))[0] is kind:
+            handler(self, channel, body, self.asked.pop(key)[1])
         else:
             self._refused(events.UNSOLICITED, Refusal.UNSOLICITED_ANSWER,
-                          kind.__name__, peer, env.body.answers)
+                          kind.__name__, peer, body.answers)
 
     def _refused(self, event: events.Event, reason: Refusal, *values,
                  by_peer: bool = False) -> None:
@@ -117,6 +126,7 @@ class Node:
 
 
 _ANSWERS = frozenset(msg.ANSWER.values())
+_CLAIMS = pki.CertPurpose.CLAIMS_SIGNING
 
 # "k/n" for k of the n required payload fields present, indexed by k.
 _PRESENT = tuple(f"{k}/{len(travel_rule.REQUIRED_FIELDS)}"
@@ -248,10 +258,10 @@ class VaspNode(Node):
         return hits
 
     def _purge_lapsed(self) -> None:
-        """Drop the advertisements held from every origin whose identity or
-        claims certificate ``trust.validate`` finds revoked (first) or
-        expired, so a lapsed member stops resolving. Held origins are rescanned only on
-        a set of revoked serials not seen before, or once the earliest
+        """Drop the advertisements held from every origin whose standing
+        as a claims signer (``trust.standing``) is not VALID, so a revoked
+        or expired member stops resolving. Held origins are rescanned only
+        on a set of revoked serials not seen before, or once the earliest
         tick at which one of them lapses has come."""
         revoked = self.trust.revocation_list.serials
         if revoked == self._revocations_seen and self.trust.clock() < self._lapse_at:
@@ -259,10 +269,7 @@ class VaspNode(Node):
         self._revocations_seen, self._lapse_at = revoked, sys.maxsize
         for adv in self.resolver.known_advertisements():
             origin = self.trust.members[adv.vasp_number]
-            identity = self.trust.validate(origin.identity)
-            verdict = self.trust.validate(origin.claims, origin.identity)
-            if verdict is pki.Verdict.VALID or identity is pki.Verdict.REVOKED:
-                verdict = identity
+            verdict = self.trust.standing(origin, _CLAIMS)
             if verdict is pki.Verdict.VALID:
                 self._lapse_at = min(self._lapse_at, _lapses_at(origin))
                 continue
@@ -305,8 +312,9 @@ class VaspNode(Node):
                 self.sim.send(channel, self.name,
                               msg.AdvertisementFlood(tuple(advs)))
 
-    def _on_advertisement_flood(self, channel: SecureChannel, env: Envelope) -> None:
-        for adv in env.body.advertisements:
+    def _on_advertisement_flood(self, channel: SecureChannel,
+                                body: msg.AdvertisementFlood) -> None:
+        for adv in body.advertisements:
             outcome = self.resolver.merge_advertisement(adv, self.trust)
             pending = self._outbox.get(adv.vasp_number)
             if outcome is MergeOutcome.APPLIED:
@@ -327,8 +335,9 @@ class VaspNode(Node):
                           ) -> TravelRulePayload | None:
         """Send a travel-rule request for a transfer to ``beneficiary_vasp``
         and open it in ``pending``. Without the originator's consent to
-        send their data to that VASP, nothing leaves: the transfer is
-        refused as an event and None is returned."""
+        send their data to that VASP, or while this VASP may not sign,
+        nothing leaves: the transfer is refused as an event and None is
+        returned."""
         originator = self.customers[originator_id]
         self.transfers_started += 1
         payload = travel_rule.build_payload(
@@ -339,6 +348,9 @@ class VaspNode(Node):
                                    beneficiary_vasp, self.sim.now):
             self._refuse(payload, Refusal.ORIGINATOR_CONSENT_MISSING)
             return None
+        if self.trust.standing(self.certs, _CLAIMS) is not pki.Verdict.VALID:
+            self._refuse(payload, Refusal.OWN_CERT_INVALID)
+            return None
         signed = self._sign_outbound(payload)
         pending = self.pending[payload.payload_id] = PendingTransfer(payload)
         self.ask(channel, msg.TravelRuleRequest(signed), pending)
@@ -348,7 +360,7 @@ class VaspNode(Node):
         """Validate, sign and store a payload this VASP sends."""
         missing = travel_rule.validate_payload(payload)
         signed, tbs = travel_rule.sign_payload(
-            self.claims_key.private_key, self.certs.claims, payload, self.trust)
+            self.claims_key.private_key, self.certs.claims.serial, payload)
         payload_id = crypto.digest(codec.first_field(tbs))
         self.sim.emit(self.name, events.PAYLOAD_SIGNED, "outbound",
                       _present(missing), _short(payload_id), digest=payload_id)
@@ -379,22 +391,23 @@ class VaspNode(Node):
                       "ok" if ok else "bad", _short(payload_id), digest=payload_id)
         return ok and not missing
 
-    def _on_travel_rule_request(self, channel: SecureChannel, env: Envelope) -> None:
-        signed: SignedPayload = env.body.signed
+    def _on_travel_rule_request(self, channel: SecureChannel,
+                                body: msg.TravelRuleRequest) -> Refusal | tuple:
+        signed = body.signed
         tbs = codec.struct_bytes(signed)
         answer = self._answer(channel, signed, tbs)
         if isinstance(answer, Refusal):
             self._refused(events.TRANSFER_REFUSED, answer,
                           _short(crypto.digest(codec.first_field(tbs))))
-            self.sim.send(channel, self.name, msg.TravelRuleResponse(env.seq, answer))
-        else:
-            self.sim.send(channel, self.name, msg.TravelRuleResponse(
-                env.seq, answer=travel_rule.answer_delta(answer)))
+            return answer
+        return None, travel_rule.answer_delta(answer)  # no refusal, the answer
 
     def _answer(self, channel: SecureChannel, signed: SignedPayload,
                 tbs: bytes) -> SignedPayload | Refusal:
         """Our signed answer to the request ``signed`` (signing input
         ``tbs``), stored, or why the request is refused."""
+        if self.trust.standing(self.certs, _CLAIMS) is not pki.Verdict.VALID:
+            return Refusal.OWN_CERT_INVALID  # we may not sign an answer
         payload = signed.payload
         # The signer is the originator the payload names; that originator
         # is the channel peer, and the payload is addressed to us.
@@ -426,9 +439,9 @@ class VaspNode(Node):
         return self._sign_outbound(travel_rule.answer_payload(
             payload, beneficiary.customer_id, self.tx_key.public_key))
 
-    def _on_travel_rule_response(self, channel: SecureChannel, env: Envelope,
+    def _on_travel_rule_response(self, channel: SecureChannel,
+                                 body: msg.TravelRuleResponse,
                                  pending: PendingTransfer) -> None:
-        body: msg.TravelRuleResponse = env.body
         payload = pending.payload
         asked = payload.beneficiary_vasp_number
         if body.refusal is not None:
@@ -457,9 +470,9 @@ class VaspNode(Node):
         if not originator_consent:
             self._refuse(payload, Refusal.ORIGINATOR_CONSENT_MISSING, pending)
             return
-        # Pay only a transaction key whose certificate is valid now.
-        if self.trust.validate(beneficiary.transaction,
-                               beneficiary.identity) is not pki.Verdict.VALID:
+        # Pay only a transaction key the beneficiary may sign with now.
+        if self.trust.standing(beneficiary, pki.CertPurpose.TRANSACTION_SIGNING) \
+                is not pki.Verdict.VALID:
             self._refuse(payload, Refusal.BENEFICIARY_TX_CERT_INVALID, pending)
             return
 
@@ -511,22 +524,21 @@ class VaspNode(Node):
     def remote_lookup(self, channel: SecureChannel, identifier: str) -> None:
         self.ask(channel, msg.LookupRequest(identifier), None)
 
-    def _on_lookup_request(self, channel: SecureChannel, env: Envelope) -> None:
+    def _on_lookup_request(self, channel: SecureChannel,
+                           body: msg.LookupRequest) -> Refusal | tuple:
         self._purge_lapsed()
         caller = channel.other(self.name)
         try:
-            hits = self.resolver.lookup(parse_identifier(env.body.identifier))
+            hits = self.resolver.lookup(parse_identifier(body.identifier))
         except Unparseable:
-            answer = msg.LookupResponse(env.seq, refusal=Refusal.UNPARSEABLE_IDENTIFIER)
-            self._refused(events.REMOTE_LOOKUP_REFUSED, answer.refusal, caller, [])
-        else:
-            self.sim.emit(self.name, events.REMOTE_LOOKUP, caller, hits, "-")
-            answer = msg.LookupResponse(env.seq, tuple(hits))
-        self.sim.send(channel, self.name, answer)
+            self._refused(events.REMOTE_LOOKUP_REFUSED,
+                          Refusal.UNPARSEABLE_IDENTIFIER, caller, [])
+            return Refusal.UNPARSEABLE_IDENTIFIER
+        self.sim.emit(self.name, events.REMOTE_LOOKUP, caller, hits, "-")
+        return (tuple(hits),)
 
-    def _on_lookup_response(self, channel: SecureChannel, env: Envelope,
-                            _: None) -> None:
-        body: msg.LookupResponse = env.body
+    def _on_lookup_response(self, channel: SecureChannel,
+                            body: msg.LookupResponse, _: None) -> None:
         if body.refusal is not None:
             self._refused(events.LOOKUP_REFUSED, body.refusal,
                           channel.other(self.name), by_peer=True)
@@ -552,9 +564,9 @@ class VaspNode(Node):
         self.ask(channel, msg.ClaimsFetchRequest(
             token, signature, self.certs.claims.serial), None)
 
-    def _on_claims_auth_response(self, channel: SecureChannel, env: Envelope,
+    def _on_claims_auth_response(self, channel: SecureChannel,
+                                 body: msg.ClaimsAuthResponse,
                                  asked: msg.ClaimsAuthRequest) -> None:
-        body: msg.ClaimsAuthResponse = env.body
         token = body.token
         if body.refusal is not None:
             self.claims_denial = body.refusal
@@ -569,9 +581,8 @@ class VaspNode(Node):
             self.sim.emit(self.name, events.TOKEN_RECEIVED, _short(token.token_id),
                           list(token.permitted_attributes), payload=token)
 
-    def _on_claims_fetch_response(self, channel: SecureChannel, env: Envelope,
-                                  _: None) -> None:
-        body: msg.ClaimsFetchResponse = env.body
+    def _on_claims_fetch_response(self, channel: SecureChannel,
+                                  body: msg.ClaimsFetchResponse, _: None) -> None:
         if body.refusal is not None:
             self._refused(events.FETCH_REFUSED, body.refusal, by_peer=True)
             return
@@ -640,10 +651,10 @@ class VaspNode(Node):
             self.sim.emit(self.name, events.CHECKPOINT, device.device_id,
                           len(supervision.checkpoints), payload=evidence)
 
-    def _on_attestation_challenge(self, channel: SecureChannel, env: Envelope) -> None:
-        body: msg.AttestationChallenge = env.body
+    def _on_attestation_challenge(self, channel: SecureChannel,
+                                  body: msg.AttestationChallenge) -> Refusal | tuple:
         device = self.devices.get(body.device_id)
-        evidence, refusal = None, None
+        refusal = None
         if device is None:
             refusal = Refusal.UNKNOWN_DEVICE
         elif len(body.nonce) != wallet.NONCE_SIZE:
@@ -653,13 +664,12 @@ class VaspNode(Node):
                 evidence = device.attest(body.nonce)
             except wallet.AttestationRefused:
                 refusal = Refusal.ATTESTATION_REFUSED
-        if refusal is None:
-            self.sim.emit(self.name, events.EVIDENCE_PRODUCED, body.device_id,
-                          "audit", payload=evidence)
-        else:
+        if refusal is not None:
             self._refused(events.CHALLENGE_REFUSED, refusal, channel.other(self.name))
-        self.sim.send(channel, self.name,
-                      msg.AttestationResponse(env.seq, evidence, refusal))
+            return refusal
+        self.sim.emit(self.name, events.EVIDENCE_PRODUCED, body.device_id,
+                      "audit", payload=evidence)
+        return (evidence,)
 
     HANDLERS = {
         msg.TravelRuleRequest: _on_travel_rule_request,
@@ -682,20 +692,19 @@ class AuthServerNode(Node):
         super().__init__(*node_args)
         self.server = server
 
-    def _on_claims_auth_request(self, channel: SecureChannel, env: Envelope) -> None:
+    def _on_claims_auth_request(self, channel: SecureChannel,
+                                body: msg.ClaimsAuthRequest) -> Refusal | tuple:
         caller = channel.other(self.name)
         result = self.server.request_authorization(
-            self._peer_number(channel), set(env.body.attributes),
-            env.body.purpose, self.sim.now)
+            self._peer_number(channel), set(body.attributes),
+            body.purpose, self.sim.now)
         if isinstance(result, Refusal):
             self._refused(events.TOKEN_DENIED, result, caller)
-            self.sim.send(channel, self.name,
-                          msg.ClaimsAuthResponse(env.seq, refusal=result))
-        else:
-            self.sim.emit(self.name, events.TOKEN_ISSUED, caller,
-                          _short(result.token_id), list(result.permitted_attributes),
-                          result.expires_at, payload=result)
-            self.sim.send(channel, self.name, msg.ClaimsAuthResponse(env.seq, result))
+            return result
+        self.sim.emit(self.name, events.TOKEN_ISSUED, caller,
+                      _short(result.token_id), list(result.permitted_attributes),
+                      result.expires_at, payload=result)
+        return (result,)
 
     HANDLERS = {msg.ClaimsAuthRequest: _on_claims_auth_request}
 
@@ -707,8 +716,8 @@ class ClaimsStoreNode(Node):
         super().__init__(*node_args)
         self.store = store
 
-    def _on_claims_fetch_request(self, channel: SecureChannel, env: Envelope) -> None:
-        body: msg.ClaimsFetchRequest = env.body
+    def _on_claims_fetch_request(self, channel: SecureChannel,
+                                 body: msg.ClaimsFetchRequest) -> Refusal | tuple:
         token = body.token
         audience = token.audience_vasp_number
         # The token binds to its audience: only that VASP, over its own
@@ -718,8 +727,7 @@ class ClaimsStoreNode(Node):
             refusal = Refusal.TOKEN_AUDIENCE_MISMATCH
         elif not self.trust.verify_member_signature(
                 claims_mod.terms_bytes(token), body.terms_signature,
-                body.vasp_claims_cert_serial, pki.CertPurpose.CLAIMS_SIGNING,
-                audience):
+                body.vasp_claims_cert_serial, _CLAIMS, audience):
             refusal = Refusal.TERMS_NOT_COUNTERSIGNED
         else:
             try:
@@ -728,15 +736,12 @@ class ClaimsStoreNode(Node):
                 refusal = exc.refusal
         if refusal is not None:
             self._refused(events.FETCH_REFUSED, refusal)
-            self.sim.send(channel, self.name,
-                          msg.ClaimsFetchResponse(env.seq, refusal=refusal))
-            return
-        self.sim.emit(self.name, events.CLAIMS_RELEASED, token.audience_vasp_number,
+            return refusal
+        self.sim.emit(self.name, events.CLAIMS_RELEASED, audience,
                       sorted({c.attribute_name for c in released}), len(released))
         self.sim.emit(self.name, events.RECEIPT_ISSUED, _short(receipt.receipt_id),
                       _short(receipt.token_id), payload=receipt)
-        self.sim.send(channel, self.name,
-                      msg.ClaimsFetchResponse(env.seq, tuple(released), receipt))
+        return tuple(released), receipt
 
     HANDLERS = {msg.ClaimsFetchRequest: _on_claims_fetch_request}
 
@@ -756,9 +761,9 @@ class InsurerNode(Node):
         self.ask(channel, msg.AttestationChallenge(device_id, nonce),
                  (device_id, nonce))
 
-    def _on_attestation_response(self, channel: SecureChannel, env: Envelope,
+    def _on_attestation_response(self, channel: SecureChannel,
+                                 body: msg.AttestationResponse,
                                  asked: tuple[str, bytes]) -> None:
-        body: msg.AttestationResponse = env.body
         device_id, nonce = asked
         if body.refusal is not None or body.evidence is None:
             self._refused(events.AUDIT_REFUSED, body.refusal or Refusal.NO_EVIDENCE,

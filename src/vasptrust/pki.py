@@ -56,10 +56,6 @@ class UnknownSerial(PkiError):
     pass
 
 
-class InvalidCert(PkiError):
-    """A certificate a protocol step relies on does not validate."""
-
-
 class BusinessActivity(Enum):
     # Provisional taxonomy; no formal VASP activity definition exists yet.
     EXCHANGE = "Exchange"
@@ -129,6 +125,7 @@ class Refusal(Enum):
     WALLET_SUPERVISED_ELSEWHERE = "wallet_supervised_elsewhere"
     KEY_HISTORY_INVALID = "key_history_invalid"
     FUNDED_KEY_NOT_MIGRATED = "funded_key_not_migrated"
+    OWN_CERT_INVALID = "own_cert_invalid"  # this member may not sign now
 
 
 LEI_LENGTH = 20
@@ -281,16 +278,20 @@ class VaspCerts:
     transaction: SigningCertificate
     claims: SigningCertificate
 
+    def signing(self, purpose: CertPurpose) -> SigningCertificate:
+        return self.claims if purpose is CertPurpose.CLAIMS_SIGNING else self.transaction
+
 
 class TrustContext:
     """What a node trusts: the root key, the revocation list, the clock,
     member certificates, provider and device attestation keys.
 
-    Every certificate decision a node makes (on a channel peer, a caller,
-    a signer, a held origin) goes through its context, which one world's
-    nodes share today: ``validate``, which returns a ``Verdict``, or
-    ``verify_member_signature``. Certificates are distributed by consortium
-    operations; their authenticity rests on the root signature inside each.
+    Every certificate decision a node makes goes through its context,
+    which one world's nodes share today. ``validate`` gives the ``Verdict``
+    on a channel peer's identity; ``standing`` makes every member-as-signer
+    check, and ``verify_member_signature`` rests on it. Certificates are
+    distributed by consortium operations; their authenticity rests on the
+    root signature inside each.
 
     A certificate's root signature is verified once per context and kept
     in ``verified``. Its revocation and its linkage to the identity
@@ -310,7 +311,6 @@ class TrustContext:
         self.root_public_key = root_public_key
         self._revocations = revocations
         self.clock = clock
-        self.certs: dict[int, Certificate] = {}
         self.members: dict[int, VaspCerts] = {}  # entity number -> certs
         self.provider_keys: dict[str, bytes] = {}
         self.device_attestation_keys: dict[str, bytes] = {}
@@ -332,8 +332,6 @@ class TrustContext:
 
     def add_member(self, certs: VaspCerts) -> None:
         self.members[certs.identity.subject.vasp_number] = certs
-        for cert in (certs.identity, certs.transaction, certs.claims):
-            self.certs[cert.serial] = cert
 
     def validate(self, cert: Certificate,
                  identity_cert: EvIdentityCertificate | None = None
@@ -355,20 +353,27 @@ class TrustContext:
             self._decided[key] = (pair, verdict)
         return verdict
 
+    def standing(self, member: VaspCerts, purpose: CertPurpose) -> Verdict:
+        """Whether ``member`` may sign as ``purpose`` now, checking each
+        certificate on its path at each use (RFC 5280 §6.1.3): the verdict
+        on its linked ``purpose`` certificate unless that is VALID, then its
+        identity certificate's; a revoked identity comes first."""
+        identity = self.validate(member.identity)
+        if identity is Verdict.REVOKED:
+            return identity
+        verdict = self.validate(member.signing(purpose), member.identity)
+        return identity if verdict is Verdict.VALID else verdict
+
     def verify_member_signature(self, msg: bytes, sig: bytes, serial: int,
                                 purpose: CertPurpose,
                                 expected_entity: int) -> bool:
-        """True iff ``sig`` over ``msg`` verifies under the valid ``purpose``
-        certificate ``serial``, linked to the valid identity of member
-        ``expected_entity``: every certificate in the path is checked for
-        revocation and its validity window (RFC 5280 §6.1.3, narrowed to
-        one level)."""
-        cert = self.certs.get(serial)
+        """True iff ``sig`` over ``msg`` verifies under ``serial``, the
+        ``purpose`` certificate of member ``expected_entity``, whose
+        ``standing`` as ``purpose`` is VALID."""
         member = self.members.get(expected_entity)
-        if (member is None or not isinstance(cert, SigningCertificate)
-                or cert.purpose is not purpose
-                or self.validate(member.identity) is not Verdict.VALID
-                or self.validate(cert, member.identity) is not Verdict.VALID):
+        cert = member and member.signing(purpose)
+        if (cert is None or cert.serial != serial
+                or self.standing(member, purpose) is not Verdict.VALID):
             return False
         return crypto.verify(cert.subject_public_key, msg, sig)
 

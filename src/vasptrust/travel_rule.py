@@ -14,6 +14,8 @@ payload and never carried in it. ``codec.seal`` signs a ``SignedPayload``
 over the payload and the signer's certificate serial, every field but its
 signature, the last. An answer travels as a ``SignedAnswer``, its account
 alone, and is verified once rebuilt on its request and the key paid.
+The signer checks nothing in ``sign_payload``, and a receiver checks
+everything in ``verify_signed_payload``.
 
 Payload, consent and correlation stores are append-only. A VASP keeps a
 payload on record as its ``SignedPayload``'s canonical bytes, re-headed from
@@ -29,7 +31,6 @@ from functools import cached_property
 
 from . import codec, crypto, pki
 from .ledger import Ledger
-from .pki import InvalidCert
 from .resolver import UnknownCustomer
 
 
@@ -39,10 +40,6 @@ class TravelRuleError(Exception):
 
 class IncompleteOriginatorData(TravelRuleError):
     """Originator record lacks every accepted identifying detail."""
-
-
-class WrongCertPurpose(TravelRuleError):
-    pass
 
 
 class NoMatch(TravelRuleError):
@@ -221,20 +218,11 @@ class SignedPayload:
     signature: bytes
 
 
-def sign_payload(claims_private_key: bytes,
-                 claims_cert: pki.SigningCertificate,
-                 payload: TravelRulePayload,
-                 trust: pki.TrustContext) -> tuple[SignedPayload, bytes]:
-    if claims_cert.purpose is not pki.CertPurpose.CLAIMS_SIGNING:
-        raise WrongCertPurpose(
-            f"payloads must be signed with a claims-signing key, "
-            f"not {claims_cert.purpose.value}")
-    verdict = trust.validate(claims_cert)
-    if verdict is not pki.Verdict.VALID:
-        raise InvalidCert(f"claims certificate is {verdict.value}")
-    if crypto.public_key_of(claims_private_key) != claims_cert.subject_public_key:
-        raise InvalidCert("private key does not match the claims certificate")
-    return codec.seal(SignedPayload(payload, claims_cert.serial, b""),
+def sign_payload(claims_private_key: bytes, signer_cert_serial: int,
+                 payload: TravelRulePayload) -> tuple[SignedPayload, bytes]:
+    """``payload`` sealed, unchecked, under the claims key of certificate
+    ``signer_cert_serial``, with its signing input."""
+    return codec.seal(SignedPayload(payload, signer_cert_serial, b""),
                       lambda tbs: crypto.sign(claims_private_key, tbs))
 
 

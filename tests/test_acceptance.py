@@ -132,8 +132,8 @@ def _tamper_fixture():
                                        national_id=f"ID-{rng.randint(0, 10**9)}")
         payload = tr.build_payload(originator, "Bob Jones", "B-900", 9,
                                    rng.randint(1, 10**9), 7, i)
-        signed, _ = tr.sign_payload(claims_key.private_key, claims_cert,
-                                    payload, trust)
+        signed, _ = tr.sign_payload(claims_key.private_key, claims_cert.serial,
+                                    payload)
         blob = codec.canonical_encode(signed)
 
         def check(data: bytes) -> bool:

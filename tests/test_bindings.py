@@ -6,7 +6,8 @@ before the originator consents, a signed payload comes from the VASP it
 names, is addressed to the VASP that receives it, is answered only by
 the VASP asked and only with that request's own answer, a claims token is
 usable only by its audience, a revoked or expired member neither resolves
-nor gets served, and a revoked transaction key is never paid.
+nor gets served, a revoked transaction key is never paid, and a VASP that
+may not sign refuses rather than raises or sends.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def signed_by(world, signer: int, originator: int, beneficiary: int,
     node = world.vasps[signer]
     payload = tr.build_payload(world.vasps[7].customers["alice"], name,
                                account, beneficiary, amount, originator, 1)
-    return tr.sign_payload(node.claims_key.private_key, node.certs.claims,
-                           payload, world.trust)[0]
+    return tr.sign_payload(node.claims_key.private_key,
+                           node.certs.claims.serial, payload)[0]
 
 
 def send(world, sender: int, receiver: int, body) -> None:
@@ -263,7 +264,7 @@ def answer_to(world, request: tr.TravelRulePayload,
     answer = tr.answer_payload(dataclasses.replace(request, **changes),
                                "bob", vasp9.tx_key.public_key)
     return tr.answer_delta(tr.sign_payload(
-        vasp9.claims_key.private_key, vasp9.certs.claims, answer, world.trust)[0])
+        vasp9.claims_key.private_key, vasp9.certs.claims.serial, answer)[0])
 
 
 def test_response_from_a_vasp_not_asked_is_ignored(world):
@@ -359,7 +360,7 @@ def test_answer_naming_another_key_or_amount_refused(world, hint):
         tr.answer_payload(payload, "bob", key),
         correlation=tr.CorrelationHint(tr.HintKind.KEY_AMOUNT, key, amount))
     forged = tr.answer_delta(tr.sign_payload(
-        vasp9.claims_key.private_key, vasp9.certs.claims, answer, world.trust)[0])
+        vasp9.claims_key.private_key, vasp9.certs.claims.serial, answer)[0])
     send(world, 9, 7, TravelRuleResponse(seq_of(world, payload), None, forged))
     world.sim.run_until_quiet()
     # VASP 9's own answer comes after it, a second answer to one request.
@@ -457,6 +458,46 @@ def test_revoked_beneficiary_transaction_key_not_paid(world):
     assert world.ledger.balance(beneficiary.tx_key.public_key) == paid_before
 
 
+# -- a VASP that may not sign refuses: it neither raises nor sends -----------
+
+def test_beneficiary_that_may_not_sign_refuses_the_request(world):
+    # VASP 9's claims certificate is revoked while VASP 7's request is in
+    # flight: VASP 9 may not sign an answer, so it refuses the request
+    # once, raises nothing and records nothing, and VASP 7 records the
+    # peer's refusal.
+    payload = _start_transfer(world)
+    pending = world.vasps[7].pending[payload.payload_id]
+    world.root.revoke(world.vasps[9].certs.claims.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    world.sim.run_until_quiet()
+    assert refusals(world, 9) == ["own_cert_invalid"]
+    assert [e.fields for e in world.sim.trace.find("travel_rule.transfer_refused")
+            if e.actor == "vasp:7"] == [{
+                "payload": payload.payload_id.hex()[:16],
+                "reason": "peer_refused", "peer_reason": "own_cert_invalid"}]
+    assert world.vasps[9].payload_store == []
+    assert accepted_responses(world, 9) == []
+    assert pending.state == "refused"
+    assert not world.sim.trace.find("ledger.tx_submitted")
+
+
+def test_originator_that_may_not_sign_sends_nothing(world):
+    # VASP 7's identity certificate is revoked; its claims certificate is
+    # not. No request leaves, and the transfer is refused as an event.
+    vasp7 = world.vasps[7]
+    channel = world.channel_between(vasp7, world.vasps[9])
+    world.root.revoke(vasp7.certs.identity.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    assert vasp7.initiate_transfer(channel, "alice", "Bob Jones",
+                                   "bob@idp2.com", 9, 125) is None
+    world.sim.run_until_quiet()
+    assert not any(isinstance(env.body, TravelRuleRequest)
+                   for env in wire_envelopes(world.sim))
+    assert not world.sim.trace.find("travel_rule.payload_signed")
+    assert refusals(world, 7) == ["own_cert_invalid"]
+    assert vasp7.pending == {} and vasp7.payload_store == []
+
+
 # -- only its audience can use a claims token ---------------------------------
 
 def fetch_refusals(trace) -> list:
@@ -538,9 +579,19 @@ DOOR_CASES = {
     "AttestationChallenge": (lambda w: (w.insurer, w.vasps[7]),
                              lambda node, ch: node.request_audit(ch, "wdev:alice@7")),
     "TravelRuleRequest": (lambda w: (w.vasps[7], w.vasps[9]),
-                          lambda node, ch: node.initiate_transfer(
-                              ch, "alice", "Bob Jones", "bob@idp2.com", 9, 10)),
+                          lambda node, ch: request_by_hand(node, ch)),
 }
+
+
+def request_by_hand(node, channel) -> None:
+    """Send VASP ``node``'s signed request for Alice's transfer to Bob at
+    VASP 9 over ``channel``: a VASP whose identity is revoked sends none
+    itself."""
+    payload = tr.build_payload(node.customers["alice"], "Bob Jones",
+                               "bob@idp2.com", 9, 10, node.vasp_number, 1)
+    signed, _ = tr.sign_payload(node.claims_key.private_key,
+                                node.certs.claims.serial, payload)
+    node.sim.send(channel, node.name, TravelRuleRequest(signed))
 
 
 @pytest.mark.parametrize("kind", sorted(DOOR_CASES))

@@ -801,7 +801,6 @@ def _signed_values(root, member) -> list:
     under."""
     service = ResolverService(7, {"bob"})
     service.register_identifier("bob", parse_identifier("bob@idp2.com"))
-    trust = trust_context(root, member)
     payload = build_payload(
         CustomerRecord("A-1", "Alice", geographic_address="1 Main St"),
         "Bob", "B-9", 9, 125, 7, 1)
@@ -831,7 +830,7 @@ def _signed_values(root, member) -> list:
         (service.build_advertisement(member["claims"].private_key,
                                      member["claims_cert"].serial), claims_key),
         (travel_rule.sign_payload(member["claims"].private_key,
-                                  member["claims_cert"], payload, trust)[0],
+                                  member["claims_cert"].serial, payload)[0],
          claims_key),
         (tx, key.public_key),
         (claim, provider.public_key),

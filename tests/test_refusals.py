@@ -517,9 +517,8 @@ def test_other_class_where_an_answer_is_declared_is_refused_at_the_sender(
     vasp9, vasp7, _ = refused_answer(world, "TravelRuleResponse", None)
     (pending,) = vasp7.pending.values()
     signed, _ = tr.sign_payload(
-        vasp9.claims_key.private_key, vasp9.certs.claims,
-        tr.answer_payload(pending.payload, "bob", vasp9.tx_key.public_key),
-        world.trust)
+        vasp9.claims_key.private_key, vasp9.certs.claims.serial,
+        tr.answer_payload(pending.payload, "bob", vasp9.tx_key.public_key))
     channel = world.channel_between(vasp9, vasp7)
     since, logged = len(world.sim.trace.events), len(world.sim.wire_log)
     for body, refusal in (

@@ -202,40 +202,37 @@ class TestSignedPayload:
     def test_sign_and_verify(self, root, member):
         trust = trust_context(root, member)
         signed, _ = tr.sign_payload(member["claims"].private_key,
-                                 member["claims_cert"], build(), trust)
+                                    member["claims_cert"].serial, build())
         assert tr.verify_signed_payload(signed, trust, 7)
 
-    def test_transaction_cert_refused(self, root, member):
-        with pytest.raises(tr.WrongCertPurpose):
-            tr.sign_payload(member["tx"].private_key, member["tx_cert"],
-                            build(), trust_context(root, member))
-
-    def test_revoked_cert_refused(self, root, member):
-        root.revoke(member["claims_cert"].serial,
-                    pki.RevocationReason.KEY_COMPROMISE, 5)
-        with pytest.raises(tr.InvalidCert):
-            tr.sign_payload(member["claims"].private_key,
-                            member["claims_cert"], build(),
-                            trust_context(root, member, now=6))
-
-    def test_key_must_match_the_claims_cert(self, root, member):
-        # VASP 3's own claims key under VASP 7's claims certificate.
+    @pytest.mark.parametrize("signer, serial", [
+        ("tx", "tx_cert"), ("vasp3_claims", "claims_cert")],
+        ids=["transaction_key_and_cert", "other_members_claims_key"])
+    def test_signer_is_not_checked_but_the_receiver_refuses(
+            self, root, member, signer, serial):
+        # sign_payload seals whatever it is given. The receiver refuses a
+        # payload signed with VASP 7's transaction key under its transaction
+        # certificate's serial, and one signed with VASP 3's claims key
+        # under VASP 7's claims certificate's serial.
         vasp3 = issue_member(root, 3, "vasp3")
-        with pytest.raises(tr.InvalidCert, match="does not match"):
-            tr.sign_payload(vasp3["claims"].private_key, member["claims_cert"],
-                            build(), trust_context(root, member, vasp3))
+        key = {"tx": member["tx"], "vasp3_claims": vasp3["claims"]}[signer]
+        signed, _ = tr.sign_payload(key.private_key, member[serial].serial,
+                                    build())
+        trust = trust_context(root, member, vasp3)
+        assert not tr.verify_signed_payload(signed, trust, 7)
+        assert not tr.verify_signed_payload(signed, trust, 3)
 
     def test_tampered_payload_fails(self, root, member):
         trust = trust_context(root, member)
         signed, _ = tr.sign_payload(member["claims"].private_key,
-                                 member["claims_cert"], build(), trust)
+                                    member["claims_cert"].serial, build())
         tampered = replace(signed, payload=replace(signed.payload, amount=999))
         assert not tr.verify_signed_payload(tampered, trust, 7)
 
     def test_wrong_serial_fails(self, root, member):
         trust = trust_context(root, member)
         signed, _ = tr.sign_payload(member["claims"].private_key,
-                                 member["claims_cert"], build(), trust)
+                                    member["claims_cert"].serial, build())
         wrong = replace(signed, signer_cert_serial=999)
         assert not tr.verify_signed_payload(wrong, trust, 7)
 
@@ -244,7 +241,7 @@ class TestSignedPayload:
         vasp3 = issue_member(root, 3, "vasp3")
         trust = trust_context(root, member, vasp3)
         signed, _ = tr.sign_payload(vasp3["claims"].private_key,
-                                 vasp3["claims_cert"], build(), trust)
+                                    vasp3["claims_cert"].serial, build())
         assert signed.payload.originating_vasp_number == 7
         assert tr.verify_signed_payload(signed, trust, 3)
         assert not tr.verify_signed_payload(signed, trust, 7)
@@ -252,7 +249,7 @@ class TestSignedPayload:
     def test_revoked_identity_fails(self, root, member):
         trust = trust_context(root, member)
         signed, _ = tr.sign_payload(member["claims"].private_key,
-                                 member["claims_cert"], build(), trust)
+                                    member["claims_cert"].serial, build())
         root.revoke(member["identity_cert"].serial,
                     pki.RevocationReason.CESSATION_OF_BUSINESS, 1)
         assert not tr.verify_signed_payload(signed, trust, 7)
@@ -415,9 +412,8 @@ def test_answer_rebuilt_from_its_delta(root, member, request_payload):
     # signature.
     trust = trust_context(root, member)
     signed, _ = tr.sign_payload(member["claims"].private_key,
-                                member["claims_cert"],
-                                tr.answer_payload(request_payload, "B-901", TX_KEY),
-                                trust)
+                                member["claims_cert"].serial,
+                                tr.answer_payload(request_payload, "B-901", TX_KEY))
     delta = tr.answer_delta(signed)
     rebuilt = tr.rebuild_answer(request_payload, delta, TX_KEY)
     assert rebuilt == signed
@@ -436,7 +432,6 @@ def test_answer_rebuilt_from_its_delta(root, member, request_payload):
 
 def test_dump_payload_store(root, member):
     signed, _ = tr.sign_payload(member["claims"].private_key,
-                             member["claims_cert"], build(),
-                             trust_context(root, member))
+                                member["claims_cert"].serial, build())
     text = tr.dump_payload_store([("outbound", codec.canonical_encode(signed))])
     assert "outbound" in text and signed.payload.payload_id.hex() in text
