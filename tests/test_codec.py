@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seed, trust_context, wire_envelopes
+from conftest import seed, wire_envelopes
 from vasptrust import claims, codec, crypto, pki, resolver, travel_rule, wallet
 from vasptrust.ledger import LedgerTx, make_transfer
 from vasptrust.netsim import messages
