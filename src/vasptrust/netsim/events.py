@@ -57,6 +57,7 @@ LOOKUP_REFUSED = Event("resolver.lookup_refused", "from* reason peer_reason")
 ADV_BUILT = Event("resolver.adv_built", "seq identifiers")
 ADV_MERGED = Event("resolver.adv_merged", "origin seq outcome")
 ADV_PURGED = Event("resolver.adv_purged", "origin seq verdict")
+ADV_REFUSED = Event("resolver.adv_refused", "reason peer_reason")
 FEDERATION_ROUND = Event("federation.round", "round converged")
 
 # The travel-rule exchange.

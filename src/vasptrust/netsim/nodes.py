@@ -288,18 +288,22 @@ class VaspNode(Node):
         channel never flooded over gets everything held, once. What one
         channel is due goes out as one AdvertisementFlood, in this order
         (one Link State Update, RFC 2328 §13 and §A.3.5); a channel due
-        nothing gets no message.
+        nothing gets no message. While this VASP may not sign, it builds
+        no advertisement: the round it would is refused as an event.
         """
         self._purge_lapsed()
         content = (tuple(self.resolver.local_identifiers()),
                    self.certs.claims.serial)
         if content != self._advertised:
-            adv = self._own_adv = self.resolver.build_advertisement(
-                self.claims_key.private_key, self.certs.claims.serial)
-            self.sim.emit(self.name, events.ADV_BUILT, adv.sequence,
-                          len(adv.identifiers), payload=adv)
-            self._advertised = content
-            self._outbox[self.vasp_number] = (adv, set())
+            if self.trust.standing(self.certs, _CLAIMS) is not pki.Verdict.VALID:
+                self._refused(events.ADV_REFUSED, Refusal.OWN_CERT_INVALID)
+            else:
+                adv = self._own_adv = self.resolver.build_advertisement(
+                    self.claims_key.private_key, self.certs.claims.serial)
+                self.sim.emit(self.name, events.ADV_BUILT, adv.sequence,
+                              len(adv.identifiers), payload=adv)
+                self._advertised = content
+                self._outbox[self.vasp_number] = (adv, set())
         outbox, self._outbox = self._outbox, {}
         for channel in channels:
             if channel.id in self._synced:
@@ -307,7 +311,8 @@ class VaspNode(Node):
                         if channel.id not in seen_on]
             else:
                 self._synced.add(channel.id)
-                advs = [self._own_adv] + self.resolver.known_advertisements()
+                advs = [adv for adv in (self._own_adv,) if adv] \
+                    + self.resolver.known_advertisements()
             if advs:
                 self.sim.send(channel, self.name,
                               msg.AdvertisementFlood(tuple(advs)))
@@ -554,9 +559,15 @@ class VaspNode(Node):
         self.ask(channel, request, request)
 
     def fetch_claims(self, channel: SecureChannel) -> None:
+        """Countersign the held token's terms and fetch its claims; while
+        this VASP may not sign, nothing is sent and the fetch is refused
+        as an event."""
         token = self.claims_token
         if token is None:
             raise claims_mod.BadToken("no authorization token held")
+        if self.trust.standing(self.certs, _CLAIMS) is not pki.Verdict.VALID:
+            self._refused(events.FETCH_REFUSED, Refusal.OWN_CERT_INVALID)
+            return
         signature = crypto.sign(self.claims_key.private_key,
                                 claims_mod.terms_bytes(token))
         self.sim.emit(self.name, events.TERMS_ACCEPTED, _short(token.token_id),

@@ -1,9 +1,10 @@
 """Build a ready-to-run simulated world from a topology configuration.
 
-Creates the consortium root, issues identity plus transaction- and
-claims-signing certificates for every VASP, identity certificates for the
-remote service actors (authorization servers, claims stores, insurer),
-provisions customer wallet devices, funds the ledger genesis, registers
+Creates the consortium root, drafts identity plus transaction- and
+claims-signing certificates for every VASP and identity certificates for
+the remote service actors (claims stores, authorization servers, insurer),
+and issues them all as one batch under one signed tree head. Provisions
+customer wallet devices, funds the ledger genesis, registers
 identifiers (validated against the issuing IdP's directory where one is
 configured), and wires claims providers and stores. Everything derives from
 the single config seed, so two builds of the same config are identical.
@@ -90,10 +91,10 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
 
     root = pki.create_consortium_root(crypto.derive_seed(master, "root"))
     service_numbers = count(SERVICE_NUMBER_BASE)
+    drafts: list[pki.Certificate] = []
 
-    def service_identity(name: str, seed_label: str
-                         ) -> tuple[str, pki.EvIdentityCertificate, crypto.KeyPair]:
-        """Service actor ``name``, its identity certificate and key."""
+    def draft_service(name: str, seed_label: str) -> crypto.KeyPair:
+        """Draft service actor ``name``'s identity certificate; its key."""
         key = crypto.generate_keypair(crypto.derive_seed(master, seed_label))
         number = next(service_numbers)
         subject = pki.EvSubjectInfo(
@@ -107,8 +108,9 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             regulated_business_activity=pki.BusinessActivity.FINANCIAL_SERVICES,
             policy_object_identifier="1.3.6.1.4.1.99999.1000",
         )
-        return name, root.issue_identity_cert(subject, key.public_key, 0,
-                                              CERT_VALIDITY), key
+        drafts.append(root.draft_identity_cert(subject, key.public_key, 0,
+                                               CERT_VALIDITY))
+        return key
 
     trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
                              lambda: sim.now)
@@ -147,8 +149,10 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             trust.device_attestation_keys[device_id] = device.attestation_public_key
             registry.set_private(device_id, 0)
 
-    # Each VASP's keys, its treasury at genesis, and its certificates:
-    # identity plus the two signing certificates.
+    # Every certificate is drafted in serial order and issued as one
+    # batch: each VASP's identity, transaction and claims certificates,
+    # then the identity certificates of each claims holder's store and
+    # authorization server, and of the insurer.
     vasp_keys: dict[int, tuple[crypto.KeyPair, ...]] = {}
     for vcfg in config.vasps:
         n = vcfg.vasp_number
@@ -156,20 +160,35 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             crypto.generate_keypair(crypto.derive_seed(master, f"vasp:{n}:{role}"))
             for role in ("identity", "transaction", "claims"))
         genesis.append((tx.public_key, vcfg.treasury))
-        identity_cert = root.issue_identity_cert(
+        identity_cert = root.draft_identity_cert(
             vcfg.subject(), identity.public_key, 0, CERT_VALIDITY)
-        tx_cert = root.issue_signing_cert(
-            identity_cert, pki.CertPurpose.TRANSACTION_SIGNING,
-            tx.public_key, 0, CERT_VALIDITY)
-        claims_cert = root.issue_signing_cert(
-            identity_cert, pki.CertPurpose.CLAIMS_SIGNING,
-            claims_key.public_key, 0, CERT_VALIDITY)
-        trust.add_member(pki.VaspCerts(identity_cert, tx_cert, claims_cert))
+        drafts.append(identity_cert)
+        for purpose, key in ((pki.CertPurpose.TRANSACTION_SIGNING, tx),
+                             (pki.CertPurpose.CLAIMS_SIGNING, claims_key)):
+            drafts.append(root.draft_signing_cert(
+                identity_cert, purpose, key.public_key, 0, CERT_VALIDITY))
+    service_keys = {name: draft_service(name, seed_label)
+                    for vcfg in config.vasps for ccfg in vcfg.customers
+                    if ccfg.claims for name, seed_label in (
+                        (f"store:{ccfg.id}", f"store-id:{ccfg.id}"),
+                        (f"authsrv:{ccfg.id}", f"authsrv-id:{ccfg.id}"))}
+    if config.insurer:
+        name = f"insurer:{config.insurer}"
+        service_keys[name] = draft_service(name, name)
+    issued = iter(root.issue(drafts))
+    for vcfg in config.vasps:
+        member = pki.VaspCerts(next(issued), next(issued), next(issued))
+        trust.add_member(member)
         sim.emit("sim", events.IDENTITY_CERT_ISSUED, "identity",
-                 identity_cert.serial, n, repr(vcfg.organization_name))
-        for cert in (tx_cert, claims_cert):
+                 member.identity.serial, vcfg.vasp_number,
+                 repr(vcfg.organization_name))
+        for cert in (member.transaction, member.claims):
             sim.emit("sim", events.SIGNING_CERT_ISSUED, "signing",
-                     cert.purpose.value, cert.serial, n)
+                     cert.purpose.value, cert.serial, vcfg.vasp_number)
+    # Service actor name -> (name, identity certificate, key), a Node's
+    # arguments after its simulation.
+    services = {name: (name, next(issued), key)
+                for name, key in service_keys.items()}
     ledger = Ledger(genesis)
 
     idp_directories = {idp.domain.lower(): IdpDirectory(idp.domain, set(idp.directory))
@@ -224,10 +243,10 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 authorization_server_key=server.public_key)
             server.bind_store(store)
 
-            store_node = ClaimsStoreNode(store, sim, *service_identity(
-                f"store:{owner}", f"store-id:{owner}"), trust)
-            server_node = AuthServerNode(server, sim, *service_identity(
-                f"authsrv:{owner}", f"authsrv-id:{owner}"), trust)
+            store_node = ClaimsStoreNode(store, sim, *services[f"store:{owner}"],
+                                         trust)
+            server_node = AuthServerNode(server, sim, *services[f"authsrv:{owner}"],
+                                         trust)
             sim.register_actor(store_node.name, store_node.handle)
             sim.register_actor(server_node.name, server_node.handle)
             stores[owner] = store_node
@@ -242,9 +261,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
 
     insurer = None
     if config.insurer:
-        name = f"insurer:{config.insurer}"
-        insurer = InsurerNode(approved_stacks, sim, *service_identity(name, name),
-                              trust)
+        insurer = InsurerNode(approved_stacks, sim,
+                              *services[f"insurer:{config.insurer}"], trust)
         sim.register_actor(insurer.name, insurer.handle)
 
     world = World(

@@ -3,21 +3,32 @@
 One root authority per consortium issues extended-validation identity
 certificates carrying verified business fields, plus purpose-bound signing
 certificates (transaction signing, claims signing) linked back to the
-identity certificate by digest. The hierarchy is one level deep: root over
-leaves, no intermediates. The root enforces that every public key appears
-in at most one certificate, ever, so an entity's identity, transaction and
-claims keys are provably distinct.
+identity certificate by its leaf hash. The hierarchy is one level deep:
+root over leaves, no intermediates. The root enforces that every public key
+appears in at most one certificate, ever, so an entity's identity,
+transaction and claims keys are provably distinct.
 
 One root issues every certificate and the revocation list, so none of
 them names an issuer: RFC 5280 §6.1.3's name check has nothing to compare.
 
+The root issues certificates in batches, as a Merkle tree certificate
+authority does (draft-davidben-tls-merkle-tree-certs). It drafts each
+certificate, then ``RootAuthority.issue`` hashes the batch into one tree
+(RFC 6962 §2.1: a leaf is SHA-256(0x00 ‖ signing input), a node
+SHA-256(0x01 ‖ left ‖ right)) and signs one ``TreeHead``. A certificate's
+last field, its ``IssuerProof``, holds its leaf's index, its audit path and
+the head signature: a verifier recomputes the root hash from the leaf and
+the path (RFC 9162 §2.1.3.2) and verifies the head, once per head where it
+keeps the heads it verified.
+
 Certificates use the package's canonical encoding rather than ASN.1 DER;
-``codec.seal`` signs the canonical struct of every field before the
-signature, the last.
+a certificate's signing input is ``codec.struct_bytes``, the canonical
+struct of every field before its proof, the last.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -152,13 +163,40 @@ class EvSubjectInfo:
 
 
 @dataclass(frozen=True)
+class IssuerProof:
+    """A certificate's proof of issue: its leaf's index in a batch of
+    ``tree_size``, the audit path from that leaf to the batch's root hash
+    (RFC 6962 §2.1.1), leaf side first, and the root's signature over the
+    batch's ``TreeHead``."""
+
+    tree_size: int
+    leaf_index: int
+    audit_path: tuple[bytes, ...]
+    head_signature: bytes
+
+
+@dataclass(frozen=True)
+class TreeHead:
+    """What the root signs for a batch. ``label`` is ``HEAD_LABEL``: a
+    head's signing input opens with a string, where every other input the
+    root signs (a revocation list's) opens with a list."""
+
+    label: str
+    tree_size: int
+    root_hash: bytes
+
+
+HEAD_LABEL = "vasptrust certificate tree head"
+
+
+@dataclass(frozen=True)
 class EvIdentityCertificate:
     serial: int
     subject: EvSubjectInfo
     subject_public_key: bytes
     not_before: int
     not_after: int
-    issuer_signature: bytes
+    issuer_proof: IssuerProof
 
 
 @dataclass(frozen=True)
@@ -166,10 +204,10 @@ class SigningCertificate:
     serial: int
     purpose: CertPurpose
     subject_public_key: bytes
-    identity_linkage: bytes
+    identity_linkage: bytes  # the identity certificate's leaf hash
     not_before: int
     not_after: int
-    issuer_signature: bytes
+    issuer_proof: IssuerProof
 
 
 Certificate = EvIdentityCertificate | SigningCertificate
@@ -219,8 +257,58 @@ def check_subject(subject: EvSubjectInfo) -> list[str]:
     return problems
 
 
-def cert_digest(cert: Certificate) -> bytes:
-    return crypto.digest(codec.canonical_encode(cert))
+def leaf_hash(cert: Certificate) -> bytes:
+    """The Merkle leaf hash of ``cert``'s signing input, every field but
+    its proof (RFC 6962 §2.1)."""
+    return crypto.digest(b"\x00" + codec.struct_bytes(cert))
+
+
+def _node_hash(left: bytes, right: bytes) -> bytes:
+    return crypto.digest(b"\x01" + left + right)
+
+
+def _head_bytes(tree_size: int, root_hash: bytes) -> bytes:
+    return codec.canonical_encode(TreeHead(HEAD_LABEL, tree_size, root_hash))
+
+
+def _tree(leaves: list[bytes]) -> tuple[bytes, list[list[bytes]]]:
+    """The Merkle tree hash of ``leaves`` and each leaf's audit path, leaf
+    side first (RFC 6962 §2.1), hashing each node once."""
+    if len(leaves) == 1:
+        return leaves[0], [[]]
+    split = 1 << ((len(leaves) - 1).bit_length() - 1)  # largest power of 2 below
+    left, left_paths = _tree(leaves[:split])
+    right, right_paths = _tree(leaves[split:])
+    for path in left_paths:
+        path.append(right)
+    for path in right_paths:
+        path.append(left)
+    return _node_hash(left, right), left_paths + right_paths
+
+
+def proven_head(cert: Certificate) -> tuple[int, bytes, bytes] | None:
+    """The head ``cert``'s proof places it under: (tree size, the root hash
+    recomputed from its leaf and audit path, head signature); or None where
+    the index lies outside the tree or the path is not exactly as long as
+    that index needs (RFC 9162 §2.1.3.2)."""
+    proof = cert.issuer_proof
+    index, last = proof.leaf_index, proof.tree_size - 1
+    if not 0 <= index <= last:
+        return None
+    node = leaf_hash(cert)
+    for sibling in proof.audit_path:
+        if last == 0:
+            return None  # a hash past the root
+        if index & 1 or index == last:
+            node = _node_hash(sibling, node)
+            while not index & 1 and index:
+                index, last = index >> 1, last >> 1
+        else:
+            node = _node_hash(node, sibling)
+        index, last = index >> 1, last >> 1
+    if last:
+        return None  # a hash short of the root
+    return proof.tree_size, node, proof.head_signature
 
 
 def validate_chain(cert: Certificate,
@@ -228,29 +316,37 @@ def validate_chain(cert: Certificate,
                    revocation_list: RevocationList,
                    now: int,
                    identity_cert: EvIdentityCertificate | None = None,
-                   verified: dict[Certificate, bytes] | None = None) -> Verdict:
+                   verified: set[tuple[int, bytes, bytes]] | None = None
+                   ) -> Verdict:
     """The verdict on one certificate against the consortium root at tick
-    ``now``: VALID, or the first check that fails (RFC 5280 §6.1.6). Pure
-    unless a ``verified`` memo is given.
+    ``now``: VALID, or the first check that fails (RFC 5280 §6.1.6). A
+    proof that places the certificate under no head the root signed is
+    BAD_SIGNATURE. Pure unless a ``verified`` memo is given.
 
     For a SigningCertificate, pass the candidate identity certificate to
-    have the linkage digest checked as part of the chain. ``verified`` maps
-    certificates whose root signature verified under ``root_public_key`` to
-    their digest; it is read in place of a verify and gains each
-    certificate that verifies.
+    have the linkage checked as part of the chain. ``verified`` holds the
+    heads, as ``proven_head`` gives them, whose signature verified under
+    ``root_public_key``; it is read in place of a verify and gains each
+    head that verifies. A head is found by the root hash recomputed from
+    the certificate at hand, so a certificate that copies a genuine proof
+    never finds one.
     """
-    if verified is None or cert not in verified:
-        if not crypto.verify(root_public_key, *codec.unseal(cert)):
+    head = proven_head(cert)
+    if head is None:
+        return Verdict.BAD_SIGNATURE
+    if verified is None or head not in verified:
+        size, root_hash, signature = head
+        if not crypto.verify(root_public_key, _head_bytes(size, root_hash),
+                             signature):
             return Verdict.BAD_SIGNATURE
         if verified is not None:
-            verified[cert] = cert_digest(cert)
+            verified.add(head)
     if revocation_list.covers(cert.serial):
         return Verdict.REVOKED
     standing = Verdict.VALID
-    if identity_cert is not None and isinstance(cert, SigningCertificate):
-        digest = verified.get(identity_cert) if verified is not None else None
-        if cert.identity_linkage != (digest or cert_digest(identity_cert)):
-            standing = Verdict.BROKEN_LINKAGE
+    if identity_cert is not None and isinstance(cert, SigningCertificate) \
+            and cert.identity_linkage != leaf_hash(identity_cert):
+        standing = Verdict.BROKEN_LINKAGE
     return at_tick(cert, now, standing)
 
 
@@ -291,18 +387,18 @@ class TrustContext:
     on a channel peer's identity; ``standing`` makes every member-as-signer
     check, and ``verify_member_signature`` rests on it. Certificates are
     distributed by consortium operations; their authenticity rests on the
-    root signature inside each.
+    root's signed tree head their proofs lead to.
 
-    A certificate's root signature is verified once per context and kept
-    in ``verified``. Its revocation and its linkage to the identity
-    certificate given are decided once per (certificate, identity
-    certificate) under the revocation list the context reads: the object
-    ``revocations`` returns, so a new list (the root issues one on each
-    revocation) drops every kept decision. Only the validity window is
-    checked on every call, against ``clock``. A verdict that rests on the
-    signature or on the window is never kept: a certificate whose signature
-    fails is verified, and refused, anew, and one outside its window is
-    decided anew.
+    A tree head's signature is verified once per context and kept in
+    ``verified``, so a batch costs one verify. A certificate's revocation
+    and its linkage to the identity certificate given are decided once per
+    (certificate, identity certificate) under the revocation list the
+    context reads: the object ``revocations`` returns, so a new list (the
+    root issues one on each revocation) drops every kept decision. Only the
+    validity window is checked on every call, against ``clock``. A verdict
+    that rests on the proof or on the window is never kept: a certificate
+    whose proof fails is checked, and refused, anew, and one outside its
+    window is decided anew.
     """
 
     def __init__(self, root_public_key: bytes,
@@ -314,15 +410,16 @@ class TrustContext:
         self.members: dict[int, VaspCerts] = {}  # entity number -> certs
         self.provider_keys: dict[str, bytes] = {}
         self.device_attestation_keys: dict[str, bytes] = {}
-        # Certificates whose root signature verified -> canonical digest.
-        # Keyed by value, signature included, so a forgery never hits.
-        self.verified: dict[Certificate, bytes] = {}
-        # The signatures of a (certificate, identity certificate) pair ->
-        # that pair and its verdict apart from the window, under the
-        # revocation list ``_decided_under``. Signatures keep their hashes,
-        # where hashing a certificate walks every field; the pair itself is
-        # compared, so a forgery that copies a genuine signature never hits.
-        self._decided: dict[tuple[bytes, bytes | None], tuple[
+        # Tree heads whose signature verified, as ``proven_head`` gives
+        # them: keyed by the recomputed root hash and the signature, so a
+        # forgery that copies a genuine proof never hits.
+        self.verified: set[tuple[int, bytes, bytes]] = set()
+        # The serials of a (certificate, identity certificate) pair -> that
+        # pair and its verdict apart from the window, under the revocation
+        # list ``_decided_under``. Serials keep their hashes, where hashing
+        # a certificate walks every field; the pair itself is compared, so
+        # a forgery that copies a genuine serial never hits.
+        self._decided: dict[tuple[int, int | None], tuple[
             tuple[Certificate, EvIdentityCertificate | None], Verdict]] = {}
         self._decided_under: RevocationList | None = None
 
@@ -342,8 +439,7 @@ class TrustContext:
             self._decided = {}
             self._decided_under = revocations
         pair = (cert, identity_cert)
-        key = (cert.issuer_signature,
-               None if identity_cert is None else identity_cert.issuer_signature)
+        key = (cert.serial, None if identity_cert is None else identity_cert.serial)
         kept = self._decided.get(key)
         if kept is not None and kept[0] == pair:
             return at_tick(cert, now, kept[1])
@@ -379,22 +475,26 @@ class TrustContext:
 
 
 class RootAuthority:
-    """Single-writer consortium root: issues, links and revokes certificates.
+    """Single-writer consortium root: drafts, issues and revokes
+    certificates.
 
-    The serial registry is shared across identity and signing certificates;
-    the used-key registry spans every certificate (and the root key itself)
-    so key reuse is refused at issuance.
+    A certificate is drafted first, under the next serial, and issued in a
+    batch of drafts under one signed tree head. The serial registry is
+    shared across identity and signing certificates; the used-key registry
+    spans every certificate (and the root key itself) so key reuse is
+    refused when a certificate is drafted.
     """
 
     def __init__(self, keypair: KeyPair):
         self._keypair = keypair
         self._next_serial = 1
-        self._certs: dict[int, Certificate] = {}
+        self._certs: dict[int, Certificate] = {}  # issued, by serial
+        self._drafts: dict[int, Certificate] = {}  # drafted, not yet issued
+        self._leaves: dict[int, bytes] = {}  # every drafted serial's leaf hash
         self._vasp_numbers: set[int] = set()
         self._used_keys: set[bytes] = {keypair.public_key}
         self._revocations: dict[int, RevocationEntry] = {}
-        self._revocation_list = self._signed(RevocationList, entries=(),
-                                             issued_at=0)
+        self._revocation_list = self._signed_list((), issued_at=0)
 
     @property
     def public_key(self) -> bytes:
@@ -407,27 +507,28 @@ class RootAuthority:
     def issued_certificates(self) -> list[Certificate]:
         return [self._certs[s] for s in sorted(self._certs)]
 
-    def _signed(self, kind: type, **fields):
-        """A ``kind`` of ``fields`` issued and signed by this root. A
-        certificate takes the next serial and is kept on record."""
-        numbered = kind is not RevocationList
-        if numbered:
-            fields["serial"] = self._next_serial
-            self._next_serial += 1
-        signed, _ = codec.seal(
-            kind(issuer_signature=b"", **fields),
-            lambda tbs: crypto.sign(self._keypair.private_key, tbs))
-        if numbered:
-            self._certs[signed.serial] = signed
-        return signed
+    def _signed_list(self, entries: tuple[RevocationEntry, ...],
+                     issued_at: int) -> RevocationList:
+        return codec.seal(RevocationList(entries, issued_at, b""), lambda tbs:
+                          crypto.sign(self._keypair.private_key, tbs))[0]
+
+    def _draft(self, kind: type, **fields) -> Certificate:
+        """A ``kind`` of ``fields`` under the next serial, with no proof
+        yet, kept as a draft with its leaf hash."""
+        draft = kind(serial=self._next_serial, issuer_proof=None, **fields)
+        self._next_serial += 1
+        self._drafts[draft.serial] = draft
+        self._leaves[draft.serial] = leaf_hash(draft)
+        return draft
 
     def _claim_key(self, public_key: bytes) -> None:
         if public_key in self._used_keys:
             raise KeyReuse("public key already bound to another certificate")
         self._used_keys.add(public_key)
 
-    def issue_identity_cert(self, subject: EvSubjectInfo, subject_public_key: bytes,
-                            not_before: int, not_after: int) -> EvIdentityCertificate:
+    def draft_identity_cert(self, subject: EvSubjectInfo,
+                            subject_public_key: bytes, not_before: int,
+                            not_after: int) -> EvIdentityCertificate:
         problems = check_subject(subject)
         if problems:
             raise InvalidSubject(problems)
@@ -437,15 +538,17 @@ class RootAuthority:
             raise DuplicateVaspNumber(f"vasp_number {subject.vasp_number} already issued")
         self._claim_key(subject_public_key)
         self._vasp_numbers.add(subject.vasp_number)
-        return self._signed(EvIdentityCertificate, subject=subject,
-                            subject_public_key=subject_public_key,
-                            not_before=not_before, not_after=not_after)
+        return self._draft(EvIdentityCertificate, subject=subject,
+                           subject_public_key=subject_public_key,
+                           not_before=not_before, not_after=not_after)
 
-    def issue_signing_cert(self, identity_cert: EvIdentityCertificate,
+    def draft_signing_cert(self, identity_cert: EvIdentityCertificate,
                            purpose: CertPurpose, subject_public_key: bytes,
                            not_before: int, not_after: int) -> SigningCertificate:
-        registered = self._certs.get(identity_cert.serial)
-        if registered != identity_cert:
+        """A signing certificate linked to ``identity_cert``, which this
+        root drafted: issued already, or a draft of the same batch."""
+        linkage = leaf_hash(identity_cert)
+        if self._leaves.get(identity_cert.serial) != linkage:
             raise UnknownSerial("identity certificate was not issued by this root")
         if identity_cert.serial in self._revocations:
             raise LinkTargetRevoked(f"identity serial {identity_cert.serial} is revoked")
@@ -454,10 +557,39 @@ class RootAuthority:
         if not_before >= not_after:
             raise InvalidSubject(["validity interval is empty"])
         self._claim_key(subject_public_key)
-        return self._signed(SigningCertificate, purpose=purpose,
-                            subject_public_key=subject_public_key,
-                            identity_linkage=cert_digest(identity_cert),
-                            not_before=not_before, not_after=not_after)
+        return self._draft(SigningCertificate, purpose=purpose,
+                           subject_public_key=subject_public_key,
+                           identity_linkage=linkage,
+                           not_before=not_before, not_after=not_after)
+
+    def issue(self, drafts: list[Certificate]) -> list[Certificate]:
+        """Issue ``drafts``, each a draft of this root not yet issued, as
+        one batch, in their order: one Merkle tree over their leaves, each
+        node hashed once, and one signed head."""
+        if len({d.serial for d in drafts}) < len(drafts) or any(
+                self._drafts.get(d.serial) != d for d in drafts):
+            raise UnknownSerial("a batch holds each of its drafts once, "
+                                "each drafted by this root and not issued")
+        if not drafts:
+            return []
+        root_hash, paths = _tree([self._leaves[d.serial] for d in drafts])
+        size = len(drafts)
+        signature = crypto.sign(self._keypair.private_key,
+                                _head_bytes(size, root_hash))
+        for index, (draft, path) in enumerate(zip(drafts, paths)):
+            del self._drafts[draft.serial]
+            self._certs[draft.serial] = dataclasses.replace(
+                draft, issuer_proof=IssuerProof(size, index, tuple(path),
+                                                signature))
+        return [self._certs[d.serial] for d in drafts]
+
+    def issue_identity_cert(self, *draft_args) -> EvIdentityCertificate:
+        """``draft_identity_cert(*draft_args)``, issued as a batch of one."""
+        return self.issue([self.draft_identity_cert(*draft_args)])[0]
+
+    def issue_signing_cert(self, *draft_args) -> SigningCertificate:
+        """``draft_signing_cert(*draft_args)``, issued as a batch of one."""
+        return self.issue([self.draft_signing_cert(*draft_args)])[0]
 
     def revoke(self, serial: int, reason: RevocationReason, now: int) -> RevocationList:
         """Add a revocation entry; idempotent, the earliest entry wins."""
@@ -465,9 +597,8 @@ class RootAuthority:
             raise UnknownSerial(f"serial {serial} was never issued")
         if serial not in self._revocations:
             self._revocations[serial] = RevocationEntry(serial, reason, now)
-        self._revocation_list = self._signed(RevocationList, entries=tuple(
-            self._revocations[s] for s in sorted(self._revocations)),
-            issued_at=now)
+        self._revocation_list = self._signed_list(tuple(
+            self._revocations[s] for s in sorted(self._revocations)), now)
         return self._revocation_list
 
 

@@ -99,18 +99,17 @@ def root() -> pki.RootAuthority:
 
 def issue_member(root: pki.RootAuthority, number: int, label: str) -> dict:
     """Keys and identity, transaction and claims certificates of member
-    ``number``, from the seeds ``label:id``, ``label:tx``, ``label:claims``."""
+    ``number``, from the seeds ``label:id``, ``label:tx``, ``label:claims``;
+    the three certificates are issued as one batch, in that order."""
     identity = crypto.generate_keypair(seed(f"{label}:id"))
     tx = crypto.generate_keypair(seed(f"{label}:tx"))
     claims = crypto.generate_keypair(seed(f"{label}:claims"))
-    identity_cert = root.issue_identity_cert(make_subject(number),
-                                             identity.public_key, 0, 10_000)
-    tx_cert = root.issue_signing_cert(identity_cert,
-                                      pki.CertPurpose.TRANSACTION_SIGNING,
-                                      tx.public_key, 0, 10_000)
-    claims_cert = root.issue_signing_cert(identity_cert,
-                                          pki.CertPurpose.CLAIMS_SIGNING,
-                                          claims.public_key, 0, 10_000)
+    draft = root.draft_identity_cert(make_subject(number), identity.public_key,
+                                     0, 10_000)
+    identity_cert, tx_cert, claims_cert = root.issue([draft] + [
+        root.draft_signing_cert(draft, purpose, key.public_key, 0, 10_000)
+        for purpose, key in ((pki.CertPurpose.TRANSACTION_SIGNING, tx),
+                             (pki.CertPurpose.CLAIMS_SIGNING, claims))])
     return {
         "identity": identity, "tx": tx, "claims": claims,
         "identity_cert": identity_cert, "tx_cert": tx_cert,

@@ -498,6 +498,63 @@ def test_originator_that_may_not_sign_sends_nothing(world):
     assert vasp7.pending == {} and vasp7.payload_store == []
 
 
+def test_member_that_may_not_sign_builds_no_advertisement(demo_config):
+    # VASP 3's claims certificate is revoked after convergence, and a new
+    # identifier is registered: its next round builds and floods nothing
+    # of its own, with one refusal event.
+    world = build_world(demo_config)
+    converge_federation(world)
+    vasp3 = world.vasps[3]
+    world.root.revoke(vasp3.certs.claims.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    vasp3.resolver.register_identifier("dave", parse_identifier("dave$gammax.fi"))
+    since, sent_before = len(world.sim.trace.events), len(world.sim.wire_log)
+    flood_round(world)
+    own = [(e.event, e.fields) for e in world.sim.trace.events[since:]
+           if e.actor == vasp3.name]
+    assert own == [("resolver.adv_refused", {"reason": "own_cert_invalid"})]
+    assert len(world.sim.wire_log) == sent_before
+    assert world.vasps[9].local_lookup(parse_identifier("dave$gammax.fi")) == []
+
+
+def test_member_revoked_before_its_first_flood_sends_only_what_it_holds(
+        demo_config):
+    # VASP 3's claims certificate is revoked before the federation floods
+    # at all: it never builds an advertisement, still forwards the others',
+    # and no member resolves its customers.
+    world = build_world(demo_config)
+    world.root.revoke(world.vasps[3].certs.claims.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    converge_federation(world)
+    assert not [e for e in world.sim.trace.find("resolver.adv_built")
+                if e.actor == "vasp:3"]
+    assert [e.get("reason") for e in world.sim.trace.find("resolver.adv_refused")
+            if e.actor == "vasp:3"][:1] == ["own_cert_invalid"]
+    dave = parse_identifier("dave@idp2.com")
+    assert world.vasps[7].local_lookup(dave) == world.vasps[9].local_lookup(
+        dave) == [9]
+    assert world.vasps[3].local_lookup(dave) == [3, 9]
+
+
+def test_member_that_may_not_sign_fetches_no_claims(demo_config):
+    # After S2, VASP 7 holds a token for Alice's claims; its claims
+    # certificate is then revoked. It sends no countersigned fetch, and
+    # refuses the fetch once, as an event.
+    trace, world = run_scenario_with_world("S2", demo_config)
+    vasp, store = world.vasps[7], world.stores["alice"]
+    assert vasp.claims_token is not None
+    world.root.revoke(vasp.certs.claims.serial,
+                      pki.RevocationReason.KEY_COMPROMISE, world.sim.now)
+    fetched, sent_before = len(vasp.fetched_claims), len(world.sim.wire_log)
+    since = len(trace.events)
+    vasp.fetch_claims(world.channel_between(vasp, store))
+    world.sim.run_until_quiet()
+    assert len(world.sim.wire_log) == sent_before
+    assert len(vasp.fetched_claims) == fetched
+    assert [(e.actor, e.event, e.fields) for e in trace.events[since:]] == [
+        (vasp.name, "claims.fetch_refused", {"reason": "own_cert_invalid"})]
+
+
 # -- only its audience can use a claims token ---------------------------------
 
 def fetch_refusals(trace) -> list:
@@ -575,7 +632,7 @@ DOOR_CASES = {
         lambda node, ch: node.request_claims_authorization(
             ch, ("driving_license_number",), "kyc")),
     "ClaimsFetchRequest": (lambda w: (w.vasps[7], w.stores["alice"]),
-                           lambda node, ch: node.fetch_claims(ch)),
+                           lambda node, ch: fetch_by_hand(node, ch)),
     "AttestationChallenge": (lambda w: (w.insurer, w.vasps[7]),
                              lambda node, ch: node.request_audit(ch, "wdev:alice@7")),
     "TravelRuleRequest": (lambda w: (w.vasps[7], w.vasps[9]),
@@ -592,6 +649,16 @@ def request_by_hand(node, channel) -> None:
     signed, _ = tr.sign_payload(node.claims_key.private_key,
                                 node.certs.claims.serial, payload)
     node.sim.send(channel, node.name, TravelRuleRequest(signed))
+
+
+def fetch_by_hand(node, channel) -> None:
+    """Ask for VASP ``node``'s claims with its held token, its terms
+    countersigned, over ``channel``: a VASP that may not sign asks
+    nothing itself."""
+    token = node.claims_token
+    node.ask(channel, ClaimsFetchRequest(token, crypto.sign(
+        node.claims_key.private_key, claims.terms_bytes(token)),
+        node.certs.claims.serial), None)
 
 
 @pytest.mark.parametrize("kind", sorted(DOOR_CASES))
@@ -632,9 +699,20 @@ def test_request_from_a_revoked_caller_is_refused_at_the_door(demo_config, kind)
 
 # -- revocation and expiry remove a member from resolution --------------------
 
+def flood_by_hand(world, number: int) -> None:
+    """VASP ``number`` builds its own next advertisement and floods it over
+    each of its federation channels, whatever its standing: a member that
+    may not sign builds none itself."""
+    node = world.vasps[number]
+    adv = node.resolver.build_advertisement(node.claims_key.private_key,
+                                            node.certs.claims.serial)
+    for channel in world.federation_channels()[number]:
+        world.sim.send(channel, node.name, messages.AdvertisementFlood((adv,)))
+
+
 def test_identity_revoked_member_cannot_readvertise(demo_config):
     # Only VASP 3's identity certificate is revoked; its claims-signing
-    # certificate is not, and VASP 3 keeps flooding over its open channel.
+    # certificate is not, and VASP 3 floods by hand over its open channel.
     world = build_world(demo_config)
     converge_federation(world)
     dave = parse_identifier("dave@idp2.com")
@@ -643,6 +721,7 @@ def test_identity_revoked_member_cannot_readvertise(demo_config):
     world.vasps[3].resolver.register_identifier(
         "dave", parse_identifier("dave$gammax.fi"))
     events_before = len(world.sim.trace.events)
+    flood_by_hand(world, 3)
     flood_round(world)
     flood_round(world)
     merged = [tuple(e.fields.items())
@@ -656,15 +735,15 @@ def test_identity_revoked_member_cannot_readvertise(demo_config):
 def test_expired_member_stops_resolving(demo_config, monkeypatch):
     # VASP 3's claims-signing certificate is issued with not_after=20; the
     # federation converges before then.
-    issue = pki.RootAuthority.issue_signing_cert
+    draft = pki.RootAuthority.draft_signing_cert
 
     def short_lived(root, identity_cert, purpose, key, not_before, not_after):
         if identity_cert.subject.vasp_number == 3 \
                 and purpose is pki.CertPurpose.CLAIMS_SIGNING:
             not_after = 20
-        return issue(root, identity_cert, purpose, key, not_before, not_after)
+        return draft(root, identity_cert, purpose, key, not_before, not_after)
 
-    monkeypatch.setattr(pki.RootAuthority, "issue_signing_cert", short_lived)
+    monkeypatch.setattr(pki.RootAuthority, "draft_signing_cert", short_lived)
     world = build_world(demo_config)
     converge_federation(world)
     dave = parse_identifier("dave@idp2.com")
@@ -694,14 +773,14 @@ def test_purge_names_revocation_before_expiry(demo_config, monkeypatch):
     # The identity certificates of VASPs 3 and 9 expire at tick 20, after
     # the federation converges, and VASP 3's claims certificate is revoked
     # too: VASP 7 purges VASP 3 as revoked and VASP 9 as expired.
-    issue = pki.RootAuthority.issue_identity_cert
+    draft = pki.RootAuthority.draft_identity_cert
 
     def short_lived(root, subject, key, not_before, not_after):
         if subject.vasp_number in (3, 9):
             not_after = 20
-        return issue(root, subject, key, not_before, not_after)
+        return draft(root, subject, key, not_before, not_after)
 
-    monkeypatch.setattr(pki.RootAuthority, "issue_identity_cert", short_lived)
+    monkeypatch.setattr(pki.RootAuthority, "draft_identity_cert", short_lived)
     world = build_world(demo_config)
     converge_federation(world)
     world.root.revoke(world.vasps[3].certs.claims.serial,
@@ -721,7 +800,8 @@ def test_claims_revoked_after_caching_refuses_next_payload(world):
     first, second = signed_by(world, 7, 7, 9), signed_by(world, 7, 7, 9, 11)
     send(world, 7, 9, TravelRuleRequest(first))
     world.sim.run_until_quiet()
-    assert refusals(world, 9) == [] and claims_cert in world.trust.verified
+    assert refusals(world, 9) == []
+    assert pki.proven_head(claims_cert) in world.trust.verified
     world.root.revoke(claims_cert.serial, pki.RevocationReason.KEY_COMPROMISE,
                       world.sim.now)
     send(world, 7, 9, TravelRuleRequest(second))
@@ -732,16 +812,17 @@ def test_claims_revoked_after_caching_refuses_next_payload(world):
 
 def test_claims_revoked_after_caching_refuses_next_advertisement(demo_config):
     # Convergence caches VASP 3's claims certificate; only that certificate
-    # is revoked, and VASP 3 keeps flooding over its open channel.
+    # is revoked, and VASP 3 floods by hand over its open channel.
     world = build_world(demo_config)
     converge_federation(world)
     claims_cert = world.vasps[3].certs.claims
-    assert claims_cert in world.trust.verified
+    assert pki.proven_head(claims_cert) in world.trust.verified
     world.root.revoke(claims_cert.serial, pki.RevocationReason.KEY_COMPROMISE,
                       world.sim.now)
     dave = parse_identifier("dave$gammax.fi")
     world.vasps[3].resolver.register_identifier("dave", dave)
     events_before = len(world.sim.trace.events)
+    flood_by_hand(world, 3)
     flood_round(world)
     flood_round(world)
     merged = [tuple(e.fields.items())

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from test_scenarios import PINNED, line_config
+from vasptrust import codec, pki
 from vasptrust.cli import main
 from vasptrust.config import (ConfigError, config_to_dict, default_config,
                               load_config, parse_config)
@@ -357,6 +358,33 @@ class TestInit:
         assert kinds.count("signing") == 4
         assert manifest["vasp_numbers"] == [7, 9]
         assert all("hex" in c for c in manifest["certificates"])
+
+    def test_every_manifest_certificate_validates_offline(self, tmp_path):
+        # From manifest.json alone: each certificate decodes and is VALID at
+        # tick 0 under the manifest's root key, a signing certificate
+        # linked to the identity certificate whose leaf hash it names.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(default_config()))
+        ws = tmp_path / "ws"
+        assert main(["init", "--config", str(path), "--workspace", str(ws)]) == 0
+        manifest = json.loads((ws / "manifest.json").read_text())
+        root_key = bytes.fromhex(manifest["root_public_key"])
+        no_revocations = pki.RevocationList((), 0, b"")
+        kinds = {"identity": pki.EvIdentityCertificate,
+                 "signing": pki.SigningCertificate}
+        certs = [codec.canonical_decode(bytes.fromhex(c["hex"]), kinds[c["kind"]])
+                 for c in manifest["certificates"]]
+        assert [c.serial for c in certs] == [c["serial"]
+                                             for c in manifest["certificates"]]
+        identities = {pki.leaf_hash(c): c for c in certs
+                      if isinstance(c, pki.EvIdentityCertificate)}
+        signing = [c for c in certs if isinstance(c, pki.SigningCertificate)]
+        assert len(identities) + len(signing) == len(certs) > 6
+        for cert in certs:
+            identity = identities.get(getattr(cert, "identity_linkage", None))
+            assert (identity is None) is (cert not in signing)
+            assert pki.validate_chain(cert, root_key, no_revocations, 0,
+                                      identity) is pki.Verdict.VALID
 
     def test_duplicate_vasp_number_is_config_error(self, tmp_path, capsys):
         config = two_vasp_config()

@@ -843,7 +843,11 @@ def _signed_values(root, member) -> list:
 
 def _verifies(public_key: bytes, value) -> bool:
     """Whether ``value``'s signature (each of a ledger transaction's
-    signatures) verifies under ``public_key``."""
+    signatures; a certificate's proof and its head's) verifies under
+    ``public_key``."""
+    if isinstance(value, (pki.EvIdentityCertificate, pki.SigningCertificate)):
+        return pki.validate_chain(value, public_key, pki.RevocationList(
+            (), 0, b""), value.not_before) is not pki.Verdict.BAD_SIGNATURE
     tbs, signature = codec.unseal(value)
     signatures = signature if isinstance(signature, tuple) else (signature,)
     return bool(signatures) and all(
@@ -924,7 +928,8 @@ def test_signing_input_reheads_to_the_value_and_slices_its_first_field(
     assert codec.first_field(tbs) == codec.first_field(full) == field
 
 
-SIGNATURE_FIELDS = {"signature", "issuer_signature", "signatures"}
+SIGNATURE_FIELDS = {"signature", "issuer_signature", "signatures",
+                    "issuer_proof"}
 
 
 def test_every_signed_type_ends_in_its_signature(root, member, demo_config,

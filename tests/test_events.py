@@ -19,7 +19,7 @@ def test_each_event_shape_is_declared_once():
     # An event written in several shapes declares each under its one name.
     shapes = [(event.name, event.keys) for event in DECLARED]
     assert len(shapes) == len(set(shapes))
-    assert len({event.name for event in DECLARED}) == 46
+    assert len({event.name for event in DECLARED}) == 47
     for event in DECLARED:
         assert len(event.keys) == len(set(event.keys))
 

@@ -13,11 +13,17 @@ SRC = Path(vasptrust.__file__).parent
 _VERIFIER = "signed; the planned offline verifier (vtn verify) reads it"
 _RECORD = "a record kept to be read out whole"
 _DETAIL = "an exception's detail for its caller"
+_HEAD = "signed; the codec encodes it into a tree head's signing input"
+_SEALED = "a signature; codec.unseal reads the last field by position"
 
 UNREAD = {
     "ConsentReceipt.issued_at": _VERIFIER,
     "RevocationEntry.revoked_at": _VERIFIER,
     "RevocationList.issued_at": _VERIFIER,
+    "RevocationList.issuer_signature": _VERIFIER,
+    "SignedClaim.issuer_signature": _SEALED,
+    "TreeHead.label": _HEAD,
+    "TreeHead.root_hash": _HEAD,
     "SignedClaim.subject_customer_ref":
         "signed; the check of a claims answer will match it to the customer",
     "SignedClaim.attribute_value": "the released claim itself",

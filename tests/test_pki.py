@@ -6,6 +6,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import issue_member, make_subject, seed
 from vasptrust import codec, crypto, pki
@@ -87,6 +89,16 @@ class TestSigningCerts:
             root.issue_signing_cert(member["identity_cert"],
                                     pki.CertPurpose.TRANSACTION_SIGNING,
                                     member["identity"].public_key, 0, 100)
+
+    def test_identity_this_root_never_drafted(self, root, member):
+        other_root = pki.create_consortium_root(seed("other-root"))
+        foreign = issue_member(other_root, 8, "foreign")["identity_cert"]
+        forged = dataclasses.replace(member["identity_cert"], subject=make_subject(8))
+        for identity in (foreign, forged):
+            with pytest.raises(pki.UnknownSerial):
+                root.draft_signing_cert(identity, pki.CertPurpose.CLAIMS_SIGNING,
+                                        crypto.generate_keypair(seed("v")).public_key,
+                                        0, 100)
 
     def test_multiple_transaction_certs_allowed(self, root, member):
         extra = crypto.generate_keypair(seed("extra-tx"))
@@ -195,29 +207,54 @@ class TestValidation:
             assert verdict is not pki.Verdict.VALID, f"byte {index}"
 
     def test_random_single_field_mutations_never_valid(self, root, member):
+        # The member's three certificates share one batch, so each proof
+        # has a non-empty audit path to mutate.
         rng = random.Random(77)
         certs = [member["identity_cert"], member["tx_cert"],
                  member["claims_cert"]]
+        assert all(c.issuer_proof.audit_path for c in certs)
+
+        def path(hashes):
+            i = rng.randrange(len(hashes))
+            return rng.choice([
+                hashes[:i] + hashes[i + 1:],  # one hash short
+                hashes[:i] + (rng.randbytes(32),) + hashes[i:],  # one long
+                hashes[:i] + (rng.randbytes(32),) + hashes[i + 1:],
+                hashes[::-1]])
+
         scalar_fields = {
             "serial": lambda v: v + rng.randint(1, 100),
             "not_before": lambda v: v + rng.randint(1, 50),
             "not_after": lambda v: v + rng.randint(1, 50),
             "subject_public_key": lambda v: rng.randbytes(32),
         }
-        checked = 0
+        proof_fields = {
+            "tree_size": lambda v: v + rng.randint(1, 100),
+            "leaf_index": lambda v: v + rng.randint(1, 100),
+            "audit_path": path,
+            "head_signature": lambda v: rng.randbytes(64),
+        }
+        checked, names = 0, set()
         for _ in range(10_000):
             cert = rng.choice(certs)
-            name = rng.choice(sorted(scalar_fields))
-            mutated = dataclasses.replace(cert,
-                                          **{name: scalar_fields[name](
-                                              getattr(cert, name))})
+            name = rng.choice(sorted(scalar_fields) + sorted(proof_fields))
+            if name in proof_fields:
+                proof = cert.issuer_proof
+                mutated = dataclasses.replace(
+                    cert, issuer_proof=dataclasses.replace(proof, **{
+                        name: proof_fields[name](getattr(proof, name))}))
+            else:
+                mutated = dataclasses.replace(cert, **{
+                    name: scalar_fields[name](getattr(cert, name))})
             if mutated == cert:
                 continue
             assert pki.validate_chain(mutated, root.public_key,
                                       root.revocation_list, 5) \
-                is not pki.Verdict.VALID
+                is not pki.Verdict.VALID, (name, mutated)
             checked += 1
+            names.add(name)
         assert checked > 9_000
+        assert names == {*scalar_fields, *proof_fields}
 
 
 class TestRevocation:
@@ -255,6 +292,22 @@ class TestRevocation:
                 member["identity_cert"].serial} <= set(serials)
 
 
+def test_issue_takes_each_pending_draft_once(root):
+    key = crypto.generate_keypair(seed("once")).public_key
+    draft = root.draft_identity_cert(make_subject(30), key, 0, 100)
+    altered = dataclasses.replace(draft, not_after=10_000)
+    for batch in ([draft, draft], [altered]):
+        with pytest.raises(pki.UnknownSerial):
+            root.issue(batch)
+    assert root.issue([]) == [] and root.issued_certificates() == []
+    (cert,) = root.issue([draft])
+    with pytest.raises(pki.UnknownSerial):
+        root.issue([draft])
+    assert root.issued_certificates() == [cert]
+    assert pki.validate_chain(cert, root.public_key, root.revocation_list,
+                              5) is pki.Verdict.VALID
+
+
 def test_registry_has_no_duplicate_keys(root):
     rng = random.Random(31)
     for n in range(20):
@@ -279,7 +332,139 @@ def test_hex_export_import(member):
         assert codec.canonical_decode(data, type(cert)) == cert
 
 
-# -- the trust context's memo of verified root signatures ----------------------
+# -- issuer proofs: a batch's Merkle tree and its signed head --------------------
+
+class TestProof:
+    """Each hostile proof is refused BAD_SIGNATURE. A proof that places its
+    leaf at no index of its tree, or whose audit path is not exactly as
+    long as that index needs, is refused before any verify."""
+
+    @pytest.fixture
+    def verifies(self, monkeypatch):
+        calls = []
+        real = crypto.verify
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(crypto, "verify", counting)
+        return calls
+
+    @staticmethod
+    def verdict(root, cert, verified=None) -> pki.Verdict:
+        return pki.validate_chain(cert, root.public_key, root.revocation_list,
+                                  5, verified=verified)
+
+    @staticmethod
+    def with_proof(cert, **changes):
+        return dataclasses.replace(cert, issuer_proof=dataclasses.replace(
+            cert.issuer_proof, **changes))
+
+    def test_the_batch_shares_one_head(self, root, member, verifies):
+        certs = [member[k] for k in ("identity_cert", "tx_cert", "claims_cert")]
+        assert [c.issuer_proof.leaf_index for c in certs] == [0, 1, 2]
+        verified = set()
+        assert all(self.verdict(root, c, verified) is pki.Verdict.VALID
+                   for c in certs)
+        assert len(verifies) == len(verified) == 1
+
+    def test_flipped_byte_in_the_signing_input(self, root, member):
+        cert = member["tx_cert"]
+        key = bytearray(cert.subject_public_key)
+        key[5] ^= 0x01
+        forged = dataclasses.replace(cert, subject_public_key=bytes(key))
+        assert self.verdict(root, forged) is pki.Verdict.BAD_SIGNATURE
+
+    def test_another_certificate_proof_from_the_same_batch(self, root, member):
+        for cert, other in (("tx_cert", "claims_cert"),
+                            ("claims_cert", "identity_cert")):
+            forged = dataclasses.replace(
+                member[cert], issuer_proof=member[other].issuer_proof)
+            assert self.verdict(root, forged) is pki.Verdict.BAD_SIGNATURE
+
+    def test_index_past_the_tree(self, root, member, verifies):
+        # In a tree of 3, index 4 walks leaf 0's path to the genuine root:
+        # only the index check refuses it.
+        cert = member["identity_cert"]
+        assert cert.issuer_proof.tree_size == 3
+        for index in (3, 4):
+            forged = self.with_proof(cert, leaf_index=index)
+            assert pki.proven_head(forged) is None
+            assert self.verdict(root, forged) is pki.Verdict.BAD_SIGNATURE
+        assert verifies == []
+
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_audit_path_one_hash_off(self, root, member, verifies, change):
+        for name in ("identity_cert", "claims_cert"):
+            path = member[name].issuer_proof.audit_path
+            forged = self.with_proof(member[name], audit_path=path[:-1]
+                                     if change == "short" else path + path[:1])
+            assert pki.proven_head(forged) is None
+            assert self.verdict(root, forged) is pki.Verdict.BAD_SIGNATURE
+        assert verifies == []
+
+    def test_head_signed_by_a_member_key(self, root, member):
+        cert = member["claims_cert"]
+        size, root_hash, _ = pki.proven_head(cert)
+        head = codec.canonical_encode(pki.TreeHead(pki.HEAD_LABEL, size,
+                                                   root_hash))
+        forged = self.with_proof(cert, head_signature=crypto.sign(
+            member["identity"].private_key, head))
+        assert self.verdict(root, forged) is pki.Verdict.BAD_SIGNATURE
+        assert pki.validate_chain(forged, member["identity"].public_key,
+                                  root.revocation_list, 5) is pki.Verdict.VALID
+
+    def test_forgery_reusing_a_head_in_the_memo(self, root, member, verifies):
+        verified = set()
+        assert self.verdict(root, member["claims_cert"], verified) \
+            is pki.Verdict.VALID
+        cached = set(verified)
+        forged = dataclasses.replace(
+            member["claims_cert"],
+            subject_public_key=crypto.generate_keypair(seed("forger")).public_key)
+        assert forged.issuer_proof == member["claims_cert"].issuer_proof
+        assert self.verdict(root, forged, verified) is pki.Verdict.BAD_SIGNATURE
+        assert verified == cached and len(verifies) == 2
+
+
+def merkle_tree_hash(leaves: list[bytes]) -> bytes:
+    """MTH of RFC 6962 §2.1, as defined there, over leaf hashes."""
+    if len(leaves) == 1:
+        return leaves[0]
+    k = 1
+    while 2 * k < len(leaves):
+        k *= 2
+    return crypto.digest(b"\x01" + merkle_tree_hash(leaves[:k])
+                         + merkle_tree_hash(leaves[k:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 64), data=st.data())
+def test_every_leaf_proves_and_no_changed_proof_does(size, data):
+    root = pki.create_consortium_root(seed("batch-root"))
+    batch = root.issue([root.draft_identity_cert(
+        make_subject(n), n.to_bytes(32, "big"), 0, 100) for n in range(size)])
+    verified = set()
+    for cert in batch:
+        assert pki.validate_chain(cert, root.public_key, root.revocation_list,
+                                  1, verified=verified) is pki.Verdict.VALID
+    assert verified == {(size, merkle_tree_hash([pki.leaf_hash(c) for c in batch]),
+                         batch[0].issuer_proof.head_signature)}
+    cert = data.draw(st.sampled_from(batch))
+    blob = bytearray(codec.canonical_encode(cert.issuer_proof))
+    blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(
+        st.integers(1, 255))
+    try:
+        proof = codec.canonical_decode(bytes(blob), pki.IssuerProof)
+    except codec.DecodeError:
+        return  # a proof that does not decode is never checked
+    forged = dataclasses.replace(cert, issuer_proof=proof)
+    assert pki.validate_chain(forged, root.public_key, root.revocation_list,
+                              1, verified=verified) is pki.Verdict.BAD_SIGNATURE
+
+
+# -- the trust context's memo of verified tree heads ----------------------
 
 class TestVerifiedMemo:
     """Each case runs on a certificate the context has already cached."""
@@ -294,7 +479,7 @@ class TestVerifiedMemo:
                                  lambda: clock[0])
         assert trust.validate(member["claims_cert"], member["identity_cert"]) \
             is pki.Verdict.VALID
-        assert member["claims_cert"] in trust.verified
+        assert trust.verified == {pki.proven_head(member["claims_cert"])}
         return trust
 
     @pytest.fixture
@@ -333,7 +518,7 @@ class TestVerifiedMemo:
     def test_forgery_with_a_genuine_serial(self, trust, member, verifies, changes):
         forged = dataclasses.replace(member["claims_cert"], **changes)
         assert forged.serial == member["claims_cert"].serial
-        cached = dict(trust.verified)
+        cached = set(trust.verified)
         for _ in range(2):
             assert trust.validate(forged, member["identity_cert"]) \
                 is pki.Verdict.BAD_SIGNATURE
@@ -405,11 +590,12 @@ class TestDecidedOnce:
         other = issue_member(root, 8, "other")
         assert trust.validate(member["claims_cert"],
                               member["identity_cert"]) is pki.Verdict.VALID
-        # An identity certificate that copies the genuine one's signature
-        # finds the kept decision's key but not its value.
+        # An identity certificate that copies the genuine one's serial and
+        # proof finds the kept decision's key but not its value.
+        genuine = member["identity_cert"]
         copied = dataclasses.replace(other["identity_cert"],
-                                     issuer_signature=member["identity_cert"]
-                                     .issuer_signature)
+                                     serial=genuine.serial,
+                                     issuer_proof=genuine.issuer_proof)
         for identity in (other["identity_cert"], copied):
             assert trust.validate(member["claims_cert"], identity) \
                 is pki.Verdict.BROKEN_LINKAGE
