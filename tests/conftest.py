@@ -126,3 +126,14 @@ def member(root):
 @pytest.fixture
 def demo_config():
     return parse_config(default_config())
+
+
+@pytest.fixture(params=["openssl", "libsodium"])
+def ed25519_path(request, monkeypatch):
+    """Runs the test once through each library ``crypto`` can sign and
+    verify with; the libsodium leg is skipped where it does not load."""
+    path = {"openssl": crypto._OPENSSL, "libsodium": crypto._SODIUM}[request.param]
+    if path is None:
+        pytest.skip("libsodium does not load on this host")
+    monkeypatch.setattr(crypto, "_path", path)
+    return path

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vasptrust import crypto
 
@@ -101,3 +104,115 @@ def test_signature_soundness_random_samples():
         sig = crypto.sign(signer.private_key, message)
         expected = signer.public_key == verifier.public_key
         assert crypto.verify(verifier.public_key, message, sig) == expected
+
+
+# -- libsodium and OpenSSL give the same keys, signatures and verdicts -----
+
+L = 2 ** 252 + 27742317777372353535851937790883648493  # the group order
+P = 2 ** 255 - 19
+BASE = bytes.fromhex(  # the base point B
+    "5866666666666666666666666666666666666666666666666666666666666666")
+
+needs_sodium = pytest.mark.skipif(crypto._SODIUM is None,
+                                  reason="libsodium does not load on this host")
+
+
+@needs_sodium
+@settings(max_examples=1000, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32),
+       message=st.binary(max_size=600), bit=st.integers(0, 511))
+def test_libsodium_signs_and_verifies_as_openssl(seed, message, bit):
+    openssl, sodium = crypto._OPENSSL, crypto._SODIUM
+    public = openssl.public_key(seed)
+    assert sodium.public_key(seed) == public
+    signature = openssl.sign(seed, message)
+    assert sodium.sign(seed, message) == signature
+    flipped = bytearray(signature)
+    flipped[bit // 8] ^= 1 << bit % 8
+    changed = message[:-1] + bytes((message[-1] ^ 1,)) if message else b"\x00"
+    for args, verdict in (((public, message, signature), True),
+                          ((public, message, bytes(flipped)), False),
+                          ((public, changed, signature), False)):
+        assert openssl.verify(*args) is sodium.verify(*args) is verdict
+
+
+def with_sign_bit(point: bytes) -> bytes:
+    return point[:31] + bytes((point[31] | 0x80,))
+
+
+def refused_corpus() -> list[tuple[bytes, bytes, bytes]]:
+    """(public key, message, signature) triples that RFC 8032 verification
+    with canonical S and A and no small-order A or R refuses. Bare OpenSSL
+    takes those where [S]B = R + [k]A holds: a small-order A with R = [S]B,
+    or an honest A with R the identity and S = k·a."""
+    small = sorted(crypto._SMALL_ORDER)
+    small += [with_sign_bit(point) for point in small]
+    identity = b"\x01" + bytes(31)
+    seed = b"\x05" * 32
+    honest = crypto._OPENSSL.public_key(seed)
+    h = hashlib.sha512(seed).digest()
+    a = int.from_bytes(h[:32], "little") & (2 ** 254 - 8) | 2 ** 254
+    messages = [b"", b"m", bytes(range(256)) * 2]
+    corpus = []
+    for message in messages:
+        signature = crypto._OPENSSL.sign(seed, message)
+        for point in small:
+            for s in (0, 1):
+                tail = s.to_bytes(32, "little")
+                corpus.append((point, message, identity + tail))
+                corpus += [(key, message, point + tail)
+                           for key in (honest, identity)]
+            corpus.append((point, message, signature))
+            corpus.append((point, message, BASE + (1).to_bytes(32, "little")))
+        k = int.from_bytes(hashlib.sha512(identity + honest + message).digest(),
+                           "little")
+        corpus.append((honest, message,
+                       identity + (k * a % L).to_bytes(32, "little")))
+        # y + p for every y it can be: y >= p is not canonical.
+        for key in non_canonical_keys():
+            corpus.append((key, message, identity + bytes(32)))
+        s = int.from_bytes(signature[32:], "little")
+        corpus.append((honest, message,
+                       signature[:32] + (s + L).to_bytes(32, "little")))
+    return corpus
+
+
+def non_canonical_keys() -> list[bytes]:
+    keys = [(y + P).to_bytes(32, "little") for y in range(2 ** 255 - P)]
+    return keys + [with_sign_bit(key) for key in keys]
+
+
+def test_refused_corpus_is_refused(ed25519_path):
+    corpus = refused_corpus()
+    assert len(corpus) == 3 * (14 * 8 + 1 + 19 * 2 + 1)
+    accepted = [case for case in corpus if crypto.verify(*case)]
+    assert accepted == []
+    # The honest signatures the corpus bends still verify.
+    for message in (b"", b"m"):
+        assert crypto.verify(crypto._OPENSSL.public_key(b"\x05" * 32), message,
+                             crypto._OPENSSL.sign(b"\x05" * 32, message))
+
+
+def test_fallback_refuses_non_canonical_keys_before_openssl():
+    # No signature under y + p is known to OpenSSL's verify, so refusal is
+    # seen where the key is parsed.
+    for key in non_canonical_keys():
+        with pytest.raises(ValueError):
+            crypto._openssl_public(key)
+
+
+def test_verify_keeps_its_contract(ed25519_path):
+    pair = crypto.generate_keypair(b"\x06" * 32)
+    key, message = pair.public_key, b"hello"
+    signature = crypto.sign(pair.private_key, message)
+    assert crypto.verify(key, message, signature)
+    for bad_key in (bytearray(key), memoryview(key), key.decode("latin-1"),
+                    None, key[:31], key + b"\x00"):
+        assert crypto.verify(bad_key, message, signature) is False
+    for bad_signature in (bytearray(signature), memoryview(signature),
+                          signature.decode("latin-1"), None, signature[:63],
+                          signature + b"\x00"):
+        assert crypto.verify(key, message, bad_signature) is False
+    assert crypto.verify(key, "hello", signature) is False
+    with pytest.raises(TypeError):
+        crypto.sign(pair.private_key, "hello")

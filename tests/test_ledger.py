@@ -76,6 +76,23 @@ def test_bad_signature(funded):
         ledger.submit_transfer(tx)
 
 
+def test_forged_spend_from_small_order_key_is_refused(ed25519_path):
+    # The identity point, and its encoding with the sign bit set, funded as
+    # keys. With R the identity and S = 0, [S]B = R + [k]A holds for every
+    # message, and bare OpenSSL takes the "signature".
+    identity = b"\x01" + b"\x00" * 31
+    keys = [identity, identity[:31] + b"\x80"]
+    thief = keypairs(1, "thief")[0].public_key
+    ledger = Ledger([(key, 100) for key in keys])
+    for key in keys:
+        tx = make_transfer([(key, 100)], [(thief, 100)],
+                           {key: lambda tbs: identity + b"\x00" * 32})
+        with pytest.raises(BadSignature):
+            ledger.submit_transfer(tx)
+    ledger.confirm_block()
+    assert [ledger.balance(k) for k in keys + [thief]] == [100, 100, 0]
+
+
 def test_genesis_then_confirm(funded):
     ledger, *_ = funded
     genesis = ledger.blocks[0]
