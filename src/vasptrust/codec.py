@@ -307,12 +307,16 @@ def struct_bytes(value: Any) -> bytes:
     return encode(value)
 
 
+def with_last(value: Any, last: Any) -> Any:
+    """Dataclass ``value`` with its last field set to ``last``."""
+    return type(value)(*[getattr(value, n) for n, _ in _hints(type(value))[:-1]], last)
+
+
 def seal(draft: Any, sign: Callable[[bytes], Any]) -> tuple[Any, bytes]:
     """``draft`` with its last field, its signature, set to ``sign`` of
     its signing input; and that signing input."""
     tbs = struct_bytes(draft)
-    fields = [getattr(draft, name) for name, _ in _hints(type(draft))[:-1]]
-    return type(draft)(*fields, sign(tbs)), tbs
+    return with_last(draft, sign(tbs)), tbs
 
 
 def sealed_bytes(value: Any, tbs: bytes) -> bytes:

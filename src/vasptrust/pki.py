@@ -28,7 +28,6 @@ struct of every field before its proof, the last.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -487,10 +486,8 @@ class RootAuthority:
 
     def __init__(self, keypair: KeyPair):
         self._keypair = keypair
-        self._next_serial = 1
         self._certs: dict[int, Certificate] = {}  # issued, by serial
-        self._drafts: dict[int, Certificate] = {}  # drafted, not yet issued
-        self._leaves: dict[int, bytes] = {}  # every drafted serial's leaf hash
+        self._drafted: dict[int, tuple[Certificate, bytes]] = {}  # draft, leaf
         self._vasp_numbers: set[int] = set()
         self._used_keys: set[bytes] = {keypair.public_key}
         self._revocations: dict[int, RevocationEntry] = {}
@@ -515,10 +512,8 @@ class RootAuthority:
     def _draft(self, kind: type, **fields) -> Certificate:
         """A ``kind`` of ``fields`` under the next serial, with no proof
         yet, kept as a draft with its leaf hash."""
-        draft = kind(serial=self._next_serial, issuer_proof=None, **fields)
-        self._next_serial += 1
-        self._drafts[draft.serial] = draft
-        self._leaves[draft.serial] = leaf_hash(draft)
+        draft = kind(serial=len(self._drafted) + 1, issuer_proof=None, **fields)
+        self._drafted[draft.serial] = draft, leaf_hash(draft)
         return draft
 
     def _claim_key(self, public_key: bytes) -> None:
@@ -545,10 +540,11 @@ class RootAuthority:
     def draft_signing_cert(self, identity_cert: EvIdentityCertificate,
                            purpose: CertPurpose, subject_public_key: bytes,
                            not_before: int, not_after: int) -> SigningCertificate:
-        """A signing certificate linked to ``identity_cert``, which this
-        root drafted: issued already, or a draft of the same batch."""
-        linkage = leaf_hash(identity_cert)
-        if self._leaves.get(identity_cert.serial) != linkage:
+        """A signing certificate linked to ``identity_cert``, issued or
+        drafted by this root. The linkage is the leaf hash kept with the
+        draft; any other object than that draft is hashed to compare."""
+        draft, linkage = self._drafted.get(identity_cert.serial, (None, None))
+        if identity_cert is not draft and leaf_hash(identity_cert) != linkage:
             raise UnknownSerial("identity certificate was not issued by this root")
         if identity_cert.serial in self._revocations:
             raise LinkTargetRevoked(f"identity serial {identity_cert.serial} is revoked")
@@ -567,20 +563,19 @@ class RootAuthority:
         one batch, in their order: one Merkle tree over their leaves, each
         node hashed once, and one signed head."""
         if len({d.serial for d in drafts}) < len(drafts) or any(
-                self._drafts.get(d.serial) != d for d in drafts):
+                d.serial in self._certs
+                or self._drafted.get(d.serial, (None,))[0] != d for d in drafts):
             raise UnknownSerial("a batch holds each of its drafts once, "
                                 "each drafted by this root and not issued")
         if not drafts:
             return []
-        root_hash, paths = _tree([self._leaves[d.serial] for d in drafts])
+        root_hash, paths = _tree([self._drafted[d.serial][1] for d in drafts])
         size = len(drafts)
         signature = crypto.sign(self._keypair.private_key,
                                 _head_bytes(size, root_hash))
         for index, (draft, path) in enumerate(zip(drafts, paths)):
-            del self._drafts[draft.serial]
-            self._certs[draft.serial] = dataclasses.replace(
-                draft, issuer_proof=IssuerProof(size, index, tuple(path),
-                                                signature))
+            self._certs[draft.serial] = codec.with_last(
+                draft, IssuerProof(size, index, tuple(path), signature))
         return [self._certs[d.serial] for d in drafts]
 
     def issue_identity_cert(self, *draft_args) -> EvIdentityCertificate:

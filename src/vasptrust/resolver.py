@@ -50,11 +50,11 @@ class IdentifierKind(Enum):
     BARE_PUBLIC_KEY = "BarePublicKey"
 
 
-_DOMAIN_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.-")
+_DOMAIN_OK = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.-")
 
 
 def _valid_domain(domain: str) -> bool:
-    return bool(domain) and not domain.startswith(".") and all(c in _DOMAIN_OK for c in domain)
+    return bool(domain) and not domain.startswith(".") and _DOMAIN_OK.issuperset(domain)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import issue_member, make_subject, seed
 from vasptrust import codec, crypto, pki
+from vasptrust.netsim.world import build_world
 
 
 def test_fresh_root_state(root):
@@ -99,6 +100,23 @@ class TestSigningCerts:
                 root.draft_signing_cert(identity, pki.CertPurpose.CLAIMS_SIGNING,
                                         crypto.generate_keypair(seed("v")).public_key,
                                         0, 100)
+
+    def test_identity_copy_or_issued_draft_accepted(self, root, member):
+        # An equal copy of an issued identity, and a draft whose batch was
+        # issued, link by the identity's leaf hash, as the draft's does.
+        key = crypto.generate_keypair(seed("later-id")).public_key
+        draft = root.draft_identity_cert(make_subject(8), key, 0, 10_000)
+        (issued,) = root.issue([draft])
+        for identity, target in (
+                (dataclasses.replace(member["identity_cert"]),
+                 member["identity_cert"]),
+                (draft, issued)):
+            cert = root.issue_signing_cert(
+                identity, pki.CertPurpose.CLAIMS_SIGNING,
+                crypto.generate_keypair(seed(f"link:{identity.serial}")).public_key,
+                0, 100)
+            assert cert.identity_linkage == pki.leaf_hash(identity)
+            assert linkage(root, cert, target) is pki.Verdict.VALID
 
     def test_multiple_transaction_certs_allowed(self, root, member):
         extra = crypto.generate_keypair(seed("extra-tx"))
@@ -306,6 +324,26 @@ def test_issue_takes_each_pending_draft_once(root):
     assert root.issued_certificates() == [cert]
     assert pki.validate_chain(cert, root.public_key, root.revocation_list,
                               5) is pki.Verdict.VALID
+
+
+def test_building_a_world_encodes_each_certificate_once(demo_config,
+                                                        monkeypatch):
+    # A certificate's signing input is encoded once, for its leaf hash when
+    # it is drafted: a signing certificate takes its linkage from the leaf
+    # hash kept with its identity's draft, and the issued certificate is
+    # the draft with its proof.
+    encoded = []
+
+    def recording(value, encode=codec.struct_bytes):
+        encoded.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(codec, "struct_bytes", recording)
+    world = build_world(demo_config)
+    monkeypatch.undo()
+    certs = [v for v in encoded if isinstance(
+        v, (pki.EvIdentityCertificate, pki.SigningCertificate))]
+    assert len(certs) == len(world.root.issued_certificates()) == 12
 
 
 def test_registry_has_no_duplicate_keys(root):

@@ -6,7 +6,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import issue_member, make_subject, seed, trust_context
@@ -14,8 +14,8 @@ from vasptrust import codec, crypto, pki
 from vasptrust.resolver import (CustomerIdentifier, IdentifierKind,
                                 IdpDirectory, IdpValidationFailed,
                                 MergeOutcome, ResolverService,
-                                UnknownCustomer, Unparseable, group_identifiers,
-                                parse_identifier)
+                                UnknownCustomer, Unparseable, _valid_domain,
+                                group_identifiers, parse_identifier)
 
 
 class TestParsing:
@@ -49,6 +49,35 @@ class TestParsing:
     def test_unparseable_strings(self, bad):
         with pytest.raises(Unparseable):
             parse_identifier(bad)
+
+
+DOMAIN_CHARS = ("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                "0123456789.-")
+
+
+def reference_valid_domain(domain: str) -> bool:
+    """A domain is non-empty, opens with no dot, and each of its characters
+    is an ASCII letter, a digit, a dot or a hyphen."""
+    if not domain or domain[0] == ".":
+        return False
+    for c in domain:
+        if c not in DOMAIN_CHARS:
+            return False
+    return True
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.text(), st.text(alphabet=DOMAIN_CHARS),
+                 st.text(alphabet=DOMAIN_CHARS).map(lambda s: "." + s),
+                 st.just("")))
+@example(".")
+@example(".idp1.com")
+@example("IDP1.COM.")
+@example("idp 1.com")
+@example("idp1.cöm")
+@example("idp1.com\n")
+def test_valid_domain_agrees_with_a_per_character_check(domain):
+    assert _valid_domain(domain) == reference_valid_domain(domain)
 
 
 @pytest.fixture
