@@ -6,13 +6,14 @@ the dataclasses below. An integer is a JSON integer or a string of decimal
 digits, never a bool or a float, and must be non-negative, except
 ``seed``; a customer id, claims provider or insurer names a trace actor,
 so it holds no space or line break; unknown keys are ignored.
-``parse_config`` then checks the rules across fields: unique VASP numbers,
-IdP domains (in any case) and claims providers, known activities,
-identifiers on an IdP's domain that its directory lists, known claims
-providers, one claims store per customer id, each VASP's certificate
-subject (``pki.check_subject``) and federation edges between configured
-VASPs. Problems are reported with their config path. All randomness in a
-run flows from ``seed``.
+``parse_config`` then parses each customer identifier, once, for the world
+to register, and checks the rules across fields: unique VASP numbers, IdP
+domains (in any case) and claims providers, known activities, identifiers
+on an IdP's domain that its directory lists, known claims providers, one
+claims store per customer id, each VASP's certificate subject
+(``pki.check_subject``) and federation edges between configured VASPs. A
+problem names its config path, a str the reader makes only on refusal.
+All randomness in a run flows from ``seed``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import (Any, Callable, NewType, Union, get_args, get_origin,
 
 from . import crypto
 from .pki import BusinessActivity, EvSubjectInfo, check_subject
-from .resolver import IdentifierKind, IdpDirectory, Unparseable, parse_identifier
+from .resolver import (CustomerIdentifier, IdentifierKind, IdpDirectory,
+                       Unparseable, parse_identifier)
 
 SERVICE_NUMBER_BASE = 1000  # entity numbers >= this are reserved for services
 
@@ -39,9 +41,13 @@ Name = NewType("Name", str)  # a str with no space or line break: it names actor
 
 
 class ConfigError(Exception):
-    def __init__(self, path: str, message: str):
+    def __init__(self, path: Any, message: str):
+        suffix = ""  # a reader's path nests (parent, ".{}" or "[{}]", part)
+        while not isinstance(path, str):
+            path, template, part = path
+            suffix = template.format(part) + suffix
+        self.path = path = path + suffix
         super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 @dataclass
@@ -61,7 +67,7 @@ class ClaimSpec:
 class CustomerConfig:
     id: Name
     legal_name: str
-    identifiers: list[Identifier] = field(default_factory=list)
+    identifiers: list[str] = field(default_factory=list)
     geographic_address: str = ""
     national_id: str = ""
     customer_number: str = ""
@@ -69,6 +75,8 @@ class CustomerConfig:
     birth_place: str = ""
     wallet: WalletSpec | None = None
     claims: list[ClaimSpec] = field(default_factory=list)
+    # Set by parse_config for build_world; no field, so not in config.json.
+    parsed_identifiers = ()
 
 
 @dataclass(kw_only=True)
@@ -123,7 +131,7 @@ class TopologyConfig:
         return sorted(self.federation_graph.get(number, []))
 
 
-Reader = Callable[[Any, str], Any]  # (JSON value, its config path) -> value
+Reader = Callable[[Any, Any], Any]  # (JSON value, its config path) -> value
 
 
 def read(typ: Any, value: Any, path: str) -> Any:
@@ -132,13 +140,13 @@ def read(typ: Any, value: Any, path: str) -> Any:
     return _reader(typ)(value, path)
 
 
-def _checked(value: Any, typ: type, path: str) -> Any:
+def _checked(value: Any, typ: type, path: Any) -> Any:
     if not isinstance(value, typ):
         raise ConfigError(path, f"expected {typ.__name__}, got {value!r}")
     return value
 
 
-def _read_int(value: Any, path: str, expected: str) -> int:
+def _read_int(value: Any, path: Any, expected: str) -> int:
     """An int, or a string of ASCII digits with an optional minus sign (JSON
     object keys are strings); a bool, a float or anything else is refused,
     not truncated."""
@@ -153,14 +161,14 @@ def _read_int(value: Any, path: str, expected: str) -> int:
     raise ConfigError(path, f"expected {expected}, got {value!r}")
 
 
-def _read_natural(value: Any, path: str) -> int:
+def _read_natural(value: Any, path: Any) -> int:
     number = _read_int(value, path, "an integer")
     if number < 0:
         raise ConfigError(path, f"negative value {number}")
     return number
 
 
-def _read_seed(value: Any, path: str) -> int:
+def _read_seed(value: Any, path: Any) -> int:
     expected = "an integer in the signed 128-bit range"
     try:
         crypto.seed_from_int(seed := _read_int(value, path, expected))
@@ -169,23 +177,22 @@ def _read_seed(value: Any, path: str) -> int:
     return seed
 
 
-def _read_identifier(value: Any, path: str) -> str:
+def _parsed(value: Any, path: Any) -> CustomerIdentifier:
     try:
-        parse_identifier(_checked(value, str, path))
+        return parse_identifier(_checked(value, str, path))
     except Unparseable as exc:
         raise ConfigError(path, str(exc)) from None
-    return value
 
 
-def _read_name(value: Any, path: str) -> str:
+def _read_name(value: Any, path: Any) -> str:
     """A name that the trace can hold as (part of) an actor column."""
     if " " in _checked(value, str, path) or "".join(value.splitlines()) != value:
         raise ConfigError(path, f"{value!r} would not parse back as one actor name")
     return value
 
 
-_SCALAR_READERS = {int: _read_natural, Seed: _read_seed,
-                   Identifier: _read_identifier, Name: _read_name}
+_SCALAR_READERS = {int: _read_natural, Seed: _read_seed, Name: _read_name,
+                   Identifier: lambda value, path: _parsed(value, path) and value}
 
 
 @lru_cache(maxsize=None)
@@ -196,11 +203,11 @@ def _reader(typ: Any) -> Reader:
         return lambda value, path: None if value is None else inner(value, path)
     if origin is list:
         item = _reader(get_args(typ)[0])
-        return lambda value, path: [item(v, f"{path}[{i}]") for i, v
+        return lambda value, path: [item(v, (path, "[{}]", i)) for i, v
                                     in enumerate(_checked(value, list, path))]
     if origin is dict:
         key, item = map(_reader, get_args(typ))
-        return lambda value, path: {key(k, f"{path}.{k}"): item(v, f"{path}.{k}")
+        return lambda value, path: {key(k, (path, ".{}", k)): item(v, (path, ".{}", k))
                                     for k, v in _checked(value, dict, path).items()}
     if typ in _SCALAR_READERS:
         return _SCALAR_READERS[typ]
@@ -220,14 +227,14 @@ def _read_record(typ: Any) -> Reader:
               if is_class or p.kind is p.KEYWORD_ONLY]
     make = typ if is_class else dict
 
-    def read_record(value: Any, path: str) -> Any:
+    def read_record(value: Any, path: Any) -> Any:
         _checked(value, dict, path)
         kwargs = {}
         for name, read_field, required in fields:
             if name in value:
-                kwargs[name] = read_field(value[name], f"{path}.{name}")
+                kwargs[name] = read_field(value[name], (path, ".{}", name))
             elif required:
-                raise ConfigError(f"{path}.{name}", "missing required field")
+                raise ConfigError((path, ".{}", name), "missing required field")
         return make(**kwargs)
     return read_record
 
@@ -268,14 +275,14 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
         seen_ids = set()
         for j, customer in enumerate(vasp.customers):
             customer_path = f"{path}.customers[{j}]"
-            # The reader parsed each identifier; only an IdP needs it again.
-            for k, ident in enumerate(customer.identifiers if directories else ()):
-                parsed = parse_identifier(ident)
+            customer.parsed_identifiers = []
+            for k, ident in enumerate(customer.identifiers):
+                parsed = _parsed(ident, where := (customer_path, ".identifiers[{}]", k))
                 directory = directories.get(parsed.domain_part.lower())
                 if parsed.kind is IdentifierKind.EMAIL and directory \
                         and not directory.knows(parsed):
-                    raise ConfigError(f"{customer_path}.identifiers[{k}]",
-                                      f"unknown at IdP {directory.domain}")
+                    raise ConfigError(where, f"unknown at IdP {directory.domain}")
+                customer.parsed_identifiers.append(parsed)
             for k, claim in enumerate(customer.claims):
                 if claim.provider not in config.claims_providers:
                     raise ConfigError(

@@ -4,10 +4,10 @@ Creates the consortium root, drafts identity plus transaction- and
 claims-signing certificates for every VASP and identity certificates for
 the remote service actors (claims stores, authorization servers, insurer),
 and issues them all as one batch under one signed tree head. Provisions
-customer wallet devices, funds the ledger genesis, registers
-identifiers (validated against the issuing IdP's directory where one is
-configured), and wires claims providers and stores. Everything derives from
-the single config seed, so two builds of the same config are identical.
+customer wallet devices, funds the ledger genesis, registers the identifiers
+``parse_config`` parsed (each checked against its IdP's directory, if any),
+and wires claims providers and stores. Everything derives from the single
+config seed, so two builds of the same config are identical.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .. import claims as claims_mod
 from .. import crypto, pki, wallet
 from ..config import SERVICE_NUMBER_BASE, TopologyConfig
 from ..ledger import Ledger
-from ..resolver import IdpDirectory, parse_identifier
+from ..resolver import IdpDirectory
 from ..travel_rule import CustomerRecord
 from . import events
 from .nodes import AuthServerNode, ClaimsStoreNode, InsurerNode, VaspNode
@@ -212,8 +212,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 birth_info=((ccfg.birth_date, ccfg.birth_place)
                             if ccfg.birth_date and ccfg.birth_place else None),
             )
-            identifiers = [parse_identifier(s) for s in ccfg.identifiers]
-            node.add_customer(record, identifiers, idp_directories)
+            node.add_customer(record, ccfg.parsed_identifiers, idp_directories)
             device_id = f"wdev:{ccfg.id}@{n}"
             if device_id in devices:
                 node.devices[device_id] = devices[device_id]

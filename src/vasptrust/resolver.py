@@ -23,7 +23,7 @@ import sys
 from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import codec, crypto, pki
 
@@ -59,34 +59,32 @@ def _valid_domain(domain: str) -> bool:
 
 @dataclass(frozen=True)
 class CustomerIdentifier:
+    """A customer identifier whose rules hold from construction: a value
+    that breaks them raises Unparseable, and the rendering is made once."""
+
     kind: IdentifierKind
     local_part: str = ""
     domain_part: str = ""
     key_bytes: bytes = b""
 
+    def __post_init__(self) -> None:
+        if self.kind is IdentifierKind.BARE_PUBLIC_KEY:
+            if not self.key_bytes or self.local_part or self.domain_part:
+                raise Unparseable("bare-key identifier carries only key bytes")
+            rendered = f"key:{self.key_bytes.hex()}"
+        elif self.key_bytes:
+            raise Unparseable("named identifier must not carry key bytes")
+        elif not self.local_part or not _valid_domain(self.domain_part):
+            raise Unparseable("identifier needs local and domain parts")
+        else:
+            separator = "@" if self.kind is IdentifierKind.EMAIL else "$"
+            rendered = f"{self.local_part}{separator}{self.domain_part.lower()}"
+        object.__setattr__(self, "_rendered", rendered)
+
     def render(self) -> str:
         """Canonical string form; domains compare case-insensitively,
         local parts are case-sensitive."""
         return self._rendered
-
-    @cached_property
-    def _rendered(self) -> str:
-        # Kept on the instance, which never changes.
-        if self.kind is IdentifierKind.EMAIL:
-            return f"{self.local_part}@{self.domain_part.lower()}"
-        if self.kind is IdentifierKind.PAY_ID:
-            return f"{self.local_part}${self.domain_part.lower()}"
-        return f"key:{self.key_bytes.hex()}"
-
-    def check(self) -> None:
-        if self.kind is IdentifierKind.BARE_PUBLIC_KEY:
-            if not self.key_bytes or self.local_part or self.domain_part:
-                raise Unparseable("bare-key identifier carries only key bytes")
-        else:
-            if self.key_bytes:
-                raise Unparseable("named identifier must not carry key bytes")
-            if not self.local_part or not _valid_domain(self.domain_part):
-                raise Unparseable("identifier needs local and domain parts")
 
 
 def parse_identifier(s: str) -> CustomerIdentifier:
@@ -97,21 +95,18 @@ def parse_identifier(s: str) -> CustomerIdentifier:
     """
     if "$" in s:
         local, _, domain = s.rpartition("$")
-        ident = CustomerIdentifier(IdentifierKind.PAY_ID, local, domain)
-    elif "@" in s:
+        return CustomerIdentifier(IdentifierKind.PAY_ID, local, domain)
+    if "@" in s:
         local, _, domain = s.rpartition("@")
-        ident = CustomerIdentifier(IdentifierKind.EMAIL, local, domain)
-    else:
-        hexpart = s[4:] if s.startswith("key:") else s
-        try:
-            key = bytes.fromhex(hexpart)
-        except ValueError:
-            raise Unparseable(f"not an identifier: {s!r}") from None
-        if len(key) != crypto.PUBLIC_KEY_SIZE:
-            raise Unparseable("bare key must be a 32-byte public key in hex")
-        ident = CustomerIdentifier(IdentifierKind.BARE_PUBLIC_KEY, key_bytes=key)
-    ident.check()
-    return ident
+        return CustomerIdentifier(IdentifierKind.EMAIL, local, domain)
+    hexpart = s[4:] if s.startswith("key:") else s
+    try:
+        key = bytes.fromhex(hexpart)
+    except ValueError:
+        raise Unparseable(f"not an identifier: {s!r}") from None
+    if len(key) != crypto.PUBLIC_KEY_SIZE:
+        raise Unparseable("bare key must be a 32-byte public key in hex")
+    return CustomerIdentifier(IdentifierKind.BARE_PUBLIC_KEY, key_bytes=key)
 
 
 def group_identifiers(rendered: Iterable[str]) -> tuple[tuple[str, ...], ...]:
@@ -209,7 +204,6 @@ class ResolverService:
                             idp_directory: IdpDirectory | None = None) -> None:
         if customer_id not in self._customers:
             raise UnknownCustomer(customer_id)
-        identifier.check()
         if idp_directory is not None and identifier.kind is IdentifierKind.EMAIL:
             if not idp_directory.knows(identifier):
                 raise IdpValidationFailed(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -10,10 +11,11 @@ import pytest
 from test_scenarios import PINNED, line_config
 from vasptrust import codec, pki
 from vasptrust.cli import main
-from vasptrust.config import (ConfigError, config_to_dict, default_config,
-                              load_config, parse_config)
+from vasptrust.config import (ConfigError, CustomerConfig, config_to_dict,
+                              default_config, load_config, parse_config)
 from vasptrust.netsim.trace import parse_trace_text
 from vasptrust.netsim.world import CHECKPOINT_INTERVAL, build_world
+from vasptrust.resolver import parse_identifier
 from vasptrust.wallet import WalletDevice
 
 
@@ -45,6 +47,31 @@ def test_config_to_dict_round_trips_through_json(config, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data, indent=2))
     assert config_to_dict(load_config(path)) == data
+
+
+def test_config_to_dict_holds_no_parsed_identifier():
+    # parse_config keeps each customer's parsed identifiers for
+    # build_world, but config.json holds only the fields a config is read
+    # from, and reads back to an equal config.
+    config = parse_config(default_config())
+    data = config_to_dict(config)
+    fields = {f.name for f in dataclasses.fields(CustomerConfig)}
+    assert all(set(customer) == fields for vasp in data["vasps"]
+               for customer in vasp["customers"])
+    assert "parsed" not in json.dumps(data)
+    assert config_to_dict(parse_config(data)) == data
+
+
+def test_config_with_another_seed_registers_every_identifier():
+    # vtn run --seed-override and perfbench's scenarios set-up both build a
+    # world from dataclasses.replace(config, seed=...).
+    config = dataclasses.replace(parse_config(default_config()), seed=777)
+    world = build_world(config)
+    for vcfg in config.vasps:
+        assert world.vasps[vcfg.vasp_number].resolver.local_identifiers() \
+            == sorted({parse_identifier(s).render() for ccfg in vcfg.customers
+                       for s in ccfg.identifiers})
+    assert len(world.sim.trace.find("resolver.identifier_registered")) == 8
 
 
 def _vasp(config, i=0):
@@ -208,6 +235,38 @@ REFUSALS = {
         lambda c: c.update(federation_graph={" 0_7": [9]}),
         "config.federation_graph. 0_7"),
 }
+
+
+# Refusals deep in the config, each with its whole message.
+MESSAGES = {
+    "deep_identifier": (
+        lambda c: c["vasps"][1]["customers"][1].update(identifiers=["dave@"]),
+        "config.vasps[1].customers[1].identifiers[0]: "
+        "identifier needs local and domain parts"),
+    "graph_key": (lambda c: c.update(federation_graph={"x": [9]}),
+                  "config.federation_graph.x: expected an integer, got 'x'"),
+    "graph_unknown_key": (lambda c: c.update(federation_graph={"5": [9]}),
+                          "config.federation_graph.5: unknown vasp_number"),
+    "idp_directory": (
+        lambda c: c["idps"][1].update(directory=["bob@idp2.com", "nope"]),
+        "config.idps[1].directory[1]: not an identifier: 'nope'"),
+    "missing_legal_name": (
+        lambda c: c["vasps"][1]["customers"][1].pop("legal_name"),
+        "config.vasps[1].customers[1].legal_name: missing required field"),
+    "claim_value_type": (
+        lambda c: c["vasps"][0]["customers"][0]["claims"][0].update(value=None),
+        "config.vasps[0].customers[0].claims[0].value: expected str, got None"),
+}
+
+
+@pytest.mark.parametrize("edit, message", MESSAGES.values(), ids=MESSAGES)
+def test_config_refusal_says_where_and_why(edit, message):
+    config = default_config()
+    edit(config)
+    with pytest.raises(ConfigError) as refused:
+        parse_config(config)
+    assert str(refused.value) == message
+    assert refused.value.path == message.partition(": ")[0]
 
 
 @pytest.mark.parametrize("edit, path", REFUSALS.values(), ids=REFUSALS)

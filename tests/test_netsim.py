@@ -13,8 +13,8 @@ import pytest
 from conftest import (make_subject, seed, sent_envelopes, trust_context,
                       wire_envelopes)
 from test_scenarios import line_config, transfer, transfer_world
-from vasptrust import cli, codec, crypto, pki
-from vasptrust.config import default_config
+from vasptrust import cli, codec, config, crypto, pki, resolver
+from vasptrust.config import default_config, parse_config
 from vasptrust.netsim import (ChannelClosed, FaultConfig, PeerCertInvalid,
                               Simulation, build_world)
 from vasptrust.netsim.messages import LookupRequest
@@ -22,6 +22,7 @@ from vasptrust.netsim.nodes import Node
 from vasptrust.netsim.scenarios import (converge_federation,
                                         run_scenario_with_world)
 from vasptrust.netsim.sim import Envelope, NetsimError
+from vasptrust.resolver import CustomerIdentifier, parse_identifier
 
 
 class Recorder(Node):
@@ -386,11 +387,17 @@ FRAME = ("channel_id", "seq", "body")
 
 
 @pytest.fixture(scope="module")
-def federation_unit():
-    """The world of a seed-1 ``federation`` benchmark unit, converged."""
+def workloads():
+    """perfbench's workloads module."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(PERFBENCH))
         import workloads
+    return workloads
+
+
+@pytest.fixture(scope="module")
+def federation_unit(workloads):
+    """The world of a seed-1 ``federation`` benchmark unit, converged."""
     world = workloads.federation_setup(1)
     converge_federation(world, max_rounds=len(world.vasps))
     return world
@@ -435,3 +442,50 @@ def test_every_sender_named_is_the_channels_other_endpoint(demo_config,
     # lookup name their caller as well.
     assert named == len(world.sim.trace.find("netsim.delivered")) \
         + (scenario in ("S2", "S3")) > 1
+
+
+# -- set-up parses and checks each customer identifier once --------------------
+
+def counted(calls: list, function):
+    """``function``, appending the arguments of each call to ``calls``."""
+    def call(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+    return call
+
+
+def test_setup_parses_and_checks_each_customer_identifier_once(workloads,
+                                                               monkeypatch):
+    # A federation unit's set-up, parse_config and then build_world, parses
+    # each customer identifier once, in parse_config, and validates its
+    # domain once, when the CustomerIdentifier is made: build_world
+    # registers the values parse_config made and checks none again.
+    parses, made, domains = [], [], []
+    monkeypatch.setattr(config, "parse_identifier",
+                        counted(parses, parse_identifier))
+    monkeypatch.setattr(CustomerIdentifier, "__init__",
+                        counted(made, CustomerIdentifier.__init__))
+    monkeypatch.setattr(resolver, "_valid_domain",
+                        counted(domains, resolver._valid_domain))
+    world = workloads.federation_setup(1)
+    identifiers = [s for vcfg in world.config.vasps
+                   for ccfg in vcfg.customers for s in ccfg.identifiers]
+    assert len(identifiers) == workloads.FEDERATION_VASPS \
+        * workloads.FEDERATION_CUSTOMERS == 125
+    assert len(parses) == len(made) == len(domains) == len(identifiers)
+    assert sum(len(node.resolver.local_identifiers())
+               for node in world.vasps.values()) == len(identifiers)
+
+
+def test_configured_identifiers_render_as_written(workloads):
+    # Each identifier of the demo config and of a perfbench topology is
+    # written canonically, so it renders as written; a bare key gains its
+    # "key:" prefix.
+    configs = [parse_config(default_config()),
+               parse_config(workloads.generate_topology(25, 5, 1))]
+    written = [s for c in configs for vcfg in c.vasps
+               for ccfg in vcfg.customers for s in ccfg.identifiers]
+    assert len(written) == 8 + 125
+    for s in written:
+        assert parse_identifier(s).render() == \
+            (s if "$" in s or "@" in s else f"key:{s}")

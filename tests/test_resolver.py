@@ -80,6 +80,51 @@ def test_valid_domain_agrees_with_a_per_character_check(domain):
     assert _valid_domain(domain) == reference_valid_domain(domain)
 
 
+def reference_refuses(kind: IdentifierKind, local: str, domain: str,
+                      key: bytes) -> bool:
+    """The identifier rules: a bare key carries its key bytes and nothing
+    else; an email or payment identifier carries a local part and a valid
+    domain, and no key bytes."""
+    if kind is IdentifierKind.BARE_PUBLIC_KEY:
+        return not key or bool(local) or bool(domain)
+    return bool(key) or not local or not reference_valid_domain(domain)
+
+
+def reference_render(kind: IdentifierKind, local: str, domain: str,
+                     key: bytes) -> str:
+    if kind is IdentifierKind.BARE_PUBLIC_KEY:
+        return "key:" + key.hex()
+    separator = "@" if kind is IdentifierKind.EMAIL else "$"
+    return local + separator + domain.lower()
+
+
+PARTS = st.one_of(st.just(""), st.text(max_size=6),
+                  st.text(alphabet=DOMAIN_CHARS, max_size=10),
+                  st.text(alphabet=DOMAIN_CHARS, max_size=10).map(lambda s: "." + s))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(IdentifierKind), PARTS, PARTS,
+       st.one_of(st.just(b""), st.binary(max_size=33)))
+@example(IdentifierKind.BARE_PUBLIC_KEY, "", "", b"")
+@example(IdentifierKind.BARE_PUBLIC_KEY, "", "x.com", b"k")
+@example(IdentifierKind.EMAIL, "bob", "idp2.com", b"k")
+@example(IdentifierKind.PAY_ID, "alice", "AcmePay.COM", b"")
+@example(IdentifierKind.PAY_ID, "alice", ".acmepay.com", b"")
+def test_construction_refuses_what_the_rules_refuse(kind, local, domain, key):
+    # Every CustomerIdentifier is valid: construction refuses exactly the
+    # combinations the rules refuse, and renders the rest canonically.
+    refused = reference_refuses(kind, local, domain, key)
+    try:
+        ident = CustomerIdentifier(kind, local, domain, key)
+    except Unparseable:
+        assert refused
+        return
+    assert not refused
+    assert ident.render() == reference_render(kind, local, domain, key)
+    assert dataclasses.replace(ident) == ident
+
+
 @pytest.fixture
 def service():
     svc = ResolverService(9, {"bob", "dave"})
