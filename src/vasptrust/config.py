@@ -6,13 +6,15 @@ the dataclasses below. An integer is a JSON integer or a string of decimal
 digits, never a bool or a float, and must be non-negative, except
 ``seed``; a customer id, claims provider or insurer names a trace actor,
 so it holds no space or line break; unknown keys are ignored.
-``parse_config`` then parses each customer identifier, once, for the world
-to register, and checks the rules across fields: unique VASP numbers, IdP
-domains (in any case) and claims providers, known activities, identifiers
-on an IdP's domain that its directory lists, known claims providers, one
-claims store per customer id, each VASP's certificate subject
-(``pki.check_subject``) and federation edges between configured VASPs. A
-problem names its config path, a str the reader makes only on refusal.
+``parse_config`` then parses each customer identifier and IdP directory
+entry once, and checks the rules across fields: unique VASP numbers, IdP
+domains (in any case) and claims providers, known activities, e-mail
+identifiers on an IdP's domain that its directory lists, one customer per
+identifier within a VASP, known claims providers, one claims store per
+customer id, each VASP's certificate subject (``pki.check_subject``) and
+federation edges between configured VASPs. It alone admits identifiers:
+``build_world`` checks none again. A problem names its config path, a str
+the reader makes only on refusal.
 All randomness in a run flows from ``seed``.
 """
 
@@ -23,15 +25,15 @@ import inspect
 import json
 import types
 from dataclasses import asdict, dataclass, field, is_dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import (Any, Callable, NewType, Union, get_args, get_origin,
                     get_type_hints)
 
 from . import crypto
 from .pki import BusinessActivity, EvSubjectInfo, check_subject
-from .resolver import (CustomerIdentifier, IdentifierKind, IdpDirectory,
-                       Unparseable, parse_identifier)
+from .resolver import (CustomerIdentifier, IdentifierKind, Unparseable,
+                       parse_identifier)
 
 SERVICE_NUMBER_BASE = 1000  # entity numbers >= this are reserved for services
 
@@ -75,8 +77,10 @@ class CustomerConfig:
     birth_place: str = ""
     wallet: WalletSpec | None = None
     claims: list[ClaimSpec] = field(default_factory=list)
-    # Set by parse_config for build_world; no field, so not in config.json.
-    parsed_identifiers = ()
+
+    @cached_property  # set by parse_config; no field, so not in config.json
+    def parsed_identifiers(self) -> list[CustomerIdentifier]:
+        return [parse_identifier(s) for s in self.identifiers]
 
 
 @dataclass(kw_only=True)
@@ -112,7 +116,7 @@ class VaspConfig:
 @dataclass
 class IdpConfig:
     domain: str
-    directory: list[Identifier] = field(default_factory=list)
+    directory: list[str] = field(default_factory=list)
 
 
 @dataclass(kw_only=True)
@@ -241,17 +245,19 @@ def _read_record(typ: Any) -> Reader:
 
 def parse_config(data: dict, source: str = "config") -> TopologyConfig:
     config = read(TopologyConfig, data, source)
+    directories: dict[str, frozenset[str]] = {}  # IdP domain -> rendered entries
+    for i, idp in enumerate(config.idps):
+        idp_path = f"{source}.idps[{i}]"
+        listed = frozenset(_parsed(entry, (idp_path, ".directory[{}]", k)).render()
+                           for k, entry in enumerate(idp.directory))
+        if idp.domain.lower() in directories:
+            raise ConfigError(f"{idp_path}.domain",
+                              f"duplicate IdP domain {idp.domain!r}")
+        directories[idp.domain.lower()] = listed
     if not config.consortium.strip():  # it names the services' subjects
         raise ConfigError(f"{source}.consortium", "a name is required")
     if not config.vasps:
         raise ConfigError(f"{source}.vasps", "at least one VASP is required")
-    directories: dict[str, IdpDirectory] = {}
-    for i, idp in enumerate(config.idps):
-        if idp.domain.lower() in directories:
-            raise ConfigError(f"{source}.idps[{i}].domain",
-                              f"duplicate IdP domain {idp.domain!r}")
-        directories[idp.domain.lower()] = IdpDirectory(idp.domain,
-                                                       set(idp.directory))
     for i, name in enumerate(config.claims_providers):
         if name in config.claims_providers[:i]:
             raise ConfigError(f"{source}.claims_providers[{i}]",
@@ -273,15 +279,19 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
             raise ConfigError(f"{path}.regulated_business_activity",
                               f"unknown activity {vasp.regulated_business_activity!r}")
         seen_ids = set()
+        holders: dict[str, str] = {}  # rendered identifier -> customer id
         for j, customer in enumerate(vasp.customers):
             customer_path = f"{path}.customers[{j}]"
             customer.parsed_identifiers = []
             for k, ident in enumerate(customer.identifiers):
                 parsed = _parsed(ident, where := (customer_path, ".identifiers[{}]", k))
-                directory = directories.get(parsed.domain_part.lower())
-                if parsed.kind is IdentifierKind.EMAIL and directory \
-                        and not directory.knows(parsed):
-                    raise ConfigError(where, f"unknown at IdP {directory.domain}")
+                rendered, domain = parsed.render(), parsed.domain_part.lower()
+                if parsed.kind is IdentifierKind.EMAIL and domain in directories \
+                        and rendered not in directories[domain]:
+                    raise ConfigError(where, f"unknown at IdP {domain}")
+                if holders.setdefault(rendered, customer.id) != customer.id:
+                    raise ConfigError(where, f"{rendered!r} already names "
+                                      f"customer {holders[rendered]!r}")
                 customer.parsed_identifiers.append(parsed)
             for k, claim in enumerate(customer.claims):
                 if claim.provider not in config.claims_providers:

@@ -31,7 +31,7 @@ interned) are built once and shared.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from dataclasses import dataclass
 
 from .. import claims as claims_mod
@@ -39,8 +39,8 @@ from .. import codec, crypto, pki, travel_rule, wallet
 from ..ledger import InsufficientFunds, Ledger, make_transfer
 from ..pki import Refusal
 from ..resolver import (CustomerIdentifier, IdentifierAdvertisement,
-                        IdpDirectory, MergeOutcome, ResolverService,
-                        Unparseable, parse_identifier)
+                        MergeOutcome, ResolverService, Unparseable,
+                        parse_identifier)
 from ..travel_rule import (ConsentDirection, ConsentStore, CorrelationStore,
                            CustomerRecord, SignedPayload, TravelRulePayload)
 from . import events
@@ -225,14 +225,14 @@ class VaspNode(Node):
 
     def add_customer(self, record: CustomerRecord,
                      identifiers: list[CustomerIdentifier],
-                     idp_directories: dict[str, IdpDirectory]) -> None:
+                     idp_domains: Container[str]) -> None:
         check_actor(_name("customer", record.customer_id))  # its events' actor
         self.customers[record.customer_id] = record
         for ident in identifiers:
-            idp = idp_directories.get(ident.domain_part.lower())
-            self.resolver.register_identifier(record.customer_id, ident, idp)
+            self.resolver.register_identifier(record.customer_id, ident)
+            idp = ident.domain_part.lower()
             self.sim.emit(self.name, events.IDENTIFIER_REGISTERED, record.customer_id,
-                          ident.render(), f"idp:{idp.domain}" if idp else None)
+                          ident.render(), f"idp:{idp}" if idp in idp_domains else None)
 
     # -- consent -------------------------------------------------------------------
 
@@ -427,10 +427,10 @@ class VaspNode(Node):
             ident = parse_identifier(payload.beneficiary_account)
         except Unparseable:
             return Refusal.UNPARSEABLE_BENEFICIARY
-        holders = sorted(self.resolver.local_customers_for(ident))
-        if not holders:
+        holder = self.resolver.local_customer_for(ident)
+        if holder is None:
             return Refusal.BENEFICIARY_UNKNOWN
-        beneficiary = self.customers[holders[0]]
+        beneficiary = self.customers[holder]
         if beneficiary.legal_name != payload.beneficiary_name:
             return Refusal.BENEFICIARY_NAME_MISMATCH
         consent = self.consents.check(beneficiary.customer_id,

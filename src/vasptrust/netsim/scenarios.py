@@ -26,7 +26,7 @@ from ..resolver import parse_identifier
 from ..travel_rule import ConsentDirection, pick_identifying
 from . import events
 from .trace import ScenarioTrace
-from .world import CERT_VALIDITY, World, build_world
+from .world import CERT_VALIDITY, World, build_world, wallet_device_id
 
 
 class ScenarioError(Exception):
@@ -153,9 +153,9 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
         return
 
     bvasp = world.vasps[hits[0]]
-    beneficiary_ids = sorted(bvasp.resolver.local_customers_for(target))
+    beneficiary_id = bvasp.resolver.local_customer_for(target)
     if grant_beneficiary_consent:
-        bvasp.grant_consent(beneficiary_ids[0], ConsentDirection.RECEIVE_ASSETS,
+        bvasp.grant_consent(beneficiary_id, ConsentDirection.RECEIVE_ASSETS,
                             ovasp.vasp_number)
 
     channel = world.channel_between(ovasp, bvasp)
@@ -185,8 +185,8 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
                              bvasp.vasp_number, sim.now))
     world.assert_that(
         "consent_beneficiary",
-        bool(beneficiary_ids) and bvasp.consents.check(
-            beneficiary_ids[0], ConsentDirection.RECEIVE_ASSETS,
+        beneficiary_id is not None and bvasp.consents.check(
+            beneficiary_id, ConsentDirection.RECEIVE_ASSETS,
             ovasp.vasp_number, sim.now))
     confirmed = (pending is not None and pending.tx_id is not None
                  and world.ledger.confirmed_height(pending.tx_id) > 0)
@@ -320,7 +320,7 @@ def scenario_s4(world: World, *, customer: str, vasp: int,
                             "the certificates expire")
     sim = world.sim
     vasp = _require_entity(world.vasps, vasp, "VASP")
-    device_id = f"wdev:{customer}@{vasp.vasp_number}"
+    device_id = wallet_device_id(customer, vasp.vasp_number)
     device = _require_entity(world.devices, device_id, "a wallet device")
 
     before = world.registry.status(device_id)

@@ -5,9 +5,9 @@ claims-signing certificates for every VASP and identity certificates for
 the remote service actors (claims stores, authorization servers, insurer),
 and issues them all as one batch under one signed tree head. Provisions
 customer wallet devices, funds the ledger genesis, registers the identifiers
-``parse_config`` parsed (each checked against its IdP's directory, if any),
-and wires claims providers and stores. Everything derives from the single
-config seed, so two builds of the same config are identical.
+``parse_config`` admitted (checking none again: of the IdPs it needs only
+their domains), and wires claims providers and stores. Everything derives
+from the single config seed, so two builds of the same config are identical.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .. import claims as claims_mod
 from .. import crypto, pki, wallet
 from ..config import SERVICE_NUMBER_BASE, TopologyConfig
 from ..ledger import Ledger
-from ..resolver import IdpDirectory
 from ..travel_rule import CustomerRecord
 from . import events
 from .nodes import AuthServerNode, ClaimsStoreNode, InsurerNode, VaspNode
@@ -29,6 +28,11 @@ from .trace import Assertion, check_actor
 CERT_VALIDITY = 1_000_000
 DEFAULT_STACK_COMPONENTS = ("bootloader", "wallet-os", "signer-app")
 CHECKPOINT_INTERVAL = 10  # attestation checkpoint every N ticks
+
+
+def wallet_device_id(customer_id: str, vasp_number: int) -> str:
+    """The id of the wallet device a customer holds at a VASP."""
+    return f"wdev:{customer_id}@{vasp_number}"
 
 
 @dataclass
@@ -129,7 +133,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         for ccfg in vcfg.customers:
             if ccfg.wallet is None:
                 continue
-            device_id = f"wdev:{ccfg.id}@{vcfg.vasp_number}"
+            device_id = wallet_device_id(ccfg.id, vcfg.vasp_number)
             device = wallet.WalletDevice(
                 device_id,
                 crypto.derive_seed(master, f"device:{device_id}"),
@@ -191,8 +195,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 for name, key in service_keys.items()}
     ledger = Ledger(genesis)
 
-    idp_directories = {idp.domain.lower(): IdpDirectory(idp.domain, set(idp.directory))
-                       for idp in config.idps}
+    idp_domains = {idp.domain.lower() for idp in config.idps}
 
     vasps: dict[int, VaspNode] = {}
     for vcfg in config.vasps:
@@ -212,9 +215,9 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 birth_info=((ccfg.birth_date, ccfg.birth_place)
                             if ccfg.birth_date and ccfg.birth_place else None),
             )
-            node.add_customer(record, ccfg.parsed_identifiers, idp_directories)
-            device_id = f"wdev:{ccfg.id}@{n}"
-            if device_id in devices:
+            node.add_customer(record, ccfg.parsed_identifiers, idp_domains)
+            if ccfg.wallet is not None:
+                device_id = wallet_device_id(ccfg.id, n)
                 node.devices[device_id] = devices[device_id]
         sim.emit(node.name, events.ACTOR_READY, len(vcfg.customers), vcfg.treasury)
 

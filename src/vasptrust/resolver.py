@@ -36,10 +36,6 @@ class Unparseable(ResolverError):
     pass
 
 
-class IdpValidationFailed(ResolverError):
-    """Identifier is not known to the identity provider that issued it."""
-
-
 class UnknownCustomer(ResolverError):
     pass
 
@@ -162,20 +158,6 @@ class MergeOutcome(Enum):
     REJECTED = "Rejected"
 
 
-class IdpDirectory:
-    """An identity provider's view of the identifiers it has issued."""
-
-    def __init__(self, domain: str, known: set[str] | None = None):
-        self.domain = domain.lower()
-        self._known = {parse_identifier(k).render() for k in known or ()}
-
-    def add(self, identifier: str) -> None:
-        self._known.add(parse_identifier(identifier).render())
-
-    def knows(self, identifier: CustomerIdentifier) -> bool:
-        return identifier.render() in self._known
-
-
 @lru_cache(maxsize=1024)
 def _one_origin(vasp_number: int) -> frozenset[int]:
     """The origin set of an identifier only ``vasp_number`` advertises,
@@ -189,7 +171,7 @@ class ResolverService:
     def __init__(self, vasp_number: int, customers: Container[str]):
         self.vasp_number = vasp_number
         self._customers = customers
-        self._local: dict[str, set[str]] = {}
+        self._local: dict[str, str] = {}  # rendered identifier -> customer id
         self._remote: dict[int, IdentifierAdvertisement] = {}
         # Incrementally maintained identifier -> origins index so lookups
         # are plain map accesses, not scans over held advertisements. A
@@ -200,21 +182,19 @@ class ResolverService:
 
     # -- local registration -------------------------------------------------
 
-    def register_identifier(self, customer_id: str, identifier: CustomerIdentifier,
-                            idp_directory: IdpDirectory | None = None) -> None:
+    def register_identifier(self, customer_id: str,
+                            identifier: CustomerIdentifier) -> None:
+        """Serve ``identifier`` for ``customer_id``; ``config.parse_config``
+        decides which identifiers a customer may hold."""
         if customer_id not in self._customers:
             raise UnknownCustomer(customer_id)
-        if idp_directory is not None and identifier.kind is IdentifierKind.EMAIL:
-            if not idp_directory.knows(identifier):
-                raise IdpValidationFailed(
-                    f"{identifier.render()} is unknown at {idp_directory.domain}")
-        self._local.setdefault(identifier.render(), set()).add(customer_id)
+        self._local[identifier.render()] = customer_id
 
     def local_identifiers(self) -> list[str]:
         return sorted(self._local)
 
-    def local_customers_for(self, identifier: CustomerIdentifier) -> set[str]:
-        return set(self._local.get(identifier.render(), set()))
+    def local_customer_for(self, identifier: CustomerIdentifier) -> str | None:
+        return self._local.get(identifier.render())
 
     # -- lookup ---------------------------------------------------------------
 

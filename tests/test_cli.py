@@ -74,6 +74,48 @@ def test_config_with_another_seed_registers_every_identifier():
     assert len(world.sim.trace.find("resolver.identifier_registered")) == 8
 
 
+def test_copied_customer_record_registers_its_identifiers():
+    # A customer record copied after parse_config, or built by hand, still
+    # registers the identifiers it lists.
+    config = parse_config(default_config())
+    vasp9 = config.vasps[1]
+    vasp9.customers[0] = dataclasses.replace(vasp9.customers[0],
+                                             legal_name="Bob Jones")
+    vasp9.customers.append(CustomerConfig(id="erin", legal_name="Erin Ruiz",
+                                          identifiers=["Erin$BetaEx.com"]))
+    resolver = build_world(config).vasps[9].resolver
+    assert resolver.local_identifiers() == \
+        ["Erin$betaex.com", "bob$betaex.com", "bob@idp2.com", "dave@idp2.com"]
+    assert resolver.local_customer_for(parse_identifier("bob@idp2.com")) == "bob"
+
+
+def test_idp_directory_compares_rendered_forms():
+    # An IdP directory entry and a customer's identifier compare as
+    # rendered: domains in any case, local parts as written.
+    config = default_config()
+    config["idps"][1]["directory"].append("Dave@IDP2.com")
+    _vasp(config, 1)["customers"][1]["identifiers"].append("Dave@Idp2.com")
+    admitted = parse_config(config).vasps[1].customers[1].parsed_identifiers
+    assert [i.render() for i in admitted] == ["dave@idp2.com", "Dave@idp2.com"]
+    config["idps"][1]["directory"] = ["bob@idp2.com", "Dave@IDP2.com"]
+    with pytest.raises(ConfigError) as refused:
+        parse_config(config)
+    assert str(refused.value) == \
+        "config.vasps[1].customers[1].identifiers[0]: unknown at IdP idp2.com"
+    config["idps"][0]["directory"] = []  # an empty directory lists no one
+    with pytest.raises(ConfigError) as refused:
+        parse_config(config)
+    assert refused.value.path == "config.vasps[0].customers[0].identifiers[0]"
+
+
+def test_identifier_listed_twice_for_one_customer_is_admitted():
+    config = default_config()
+    _alice(config)["identifiers"].append("alice$ACMEPAY.com")
+    world = build_world(parse_config(config))
+    assert world.vasps[7].resolver.local_customer_for(
+        parse_identifier("alice$acmepay.com")) == "alice"
+
+
 def _vasp(config, i=0):
     return config["vasps"][i]
 
@@ -243,6 +285,11 @@ MESSAGES = {
         lambda c: c["vasps"][1]["customers"][1].update(identifiers=["dave@"]),
         "config.vasps[1].customers[1].identifiers[0]: "
         "identifier needs local and domain parts"),
+    "identifier_at_two_customers": (
+        lambda c: c["vasps"][1]["customers"][1]["identifiers"].append(
+            "bob$BetaEx.com"),
+        "config.vasps[1].customers[1].identifiers[1]: "
+        "'bob$betaex.com' already names customer 'bob'"),
     "graph_key": (lambda c: c.update(federation_graph={"x": [9]}),
                   "config.federation_graph.x: expected an integer, got 'x'"),
     "graph_unknown_key": (lambda c: c.update(federation_graph={"5": [9]}),

@@ -477,6 +477,19 @@ def test_setup_parses_and_checks_each_customer_identifier_once(workloads,
                for node in world.vasps.values()) == len(identifiers)
 
 
+def test_default_config_is_admitted_once_and_built_without_parsing(monkeypatch):
+    # parse_config makes one CustomerIdentifier per customer identifier (8)
+    # and per IdP directory entry (3); build_world registers the values
+    # parse_config admitted and makes none.
+    made = []
+    monkeypatch.setattr(CustomerIdentifier, "__init__",
+                        counted(made, CustomerIdentifier.__init__))
+    parsed = parse_config(default_config())
+    assert len(made) == 11
+    build_world(parsed)
+    assert len(made) == 11
+
+
 def test_configured_identifiers_render_as_written(workloads):
     # Each identifier of the demo config and of a perfbench topology is
     # written canonically, so it renders as written; a bare key gains its
