@@ -9,6 +9,8 @@ the store; every successful retrieval atomically produces a consent receipt
 naming the released attributes, which the VASP keeps as exculpatory
 evidence. The customer can withdraw consent at any time, after which
 fetches release nothing; previously issued receipts remain on record.
+The store and the authorization server return a refusal as the
+``pki.Refusal`` member naming it, never as an exception.
 
 Claims share the consortium PKI's verdicts: ``verify_claim`` returns a
 ``pki.Verdict``, and judges a claim's window by certificates' rule,
@@ -30,24 +32,12 @@ TOKEN_LIFETIME = 300  # simulated seconds; short so expiry paths get exercised
 
 
 class ClaimsError(Exception):
-    """A refused claims operation; each error ``ClaimsStore.fetch_claims``
-    raises names its ``pki.Refusal`` as ``refusal``."""
+    """A claims operation called wrongly: by someone not the store's owner,
+    on a server bound to no store, or with no token held."""
 
 
 class NotOwner(ClaimsError):
     pass
-
-
-class TokenExpired(ClaimsError):
-    refusal = Refusal.TOKEN_EXPIRED
-
-
-class ConsentWithdrawn(ClaimsError):
-    refusal = Refusal.CONSENT_WITHDRAWN
-
-
-class BadToken(ClaimsError):
-    refusal = Refusal.BAD_TOKEN
 
 
 @dataclass(frozen=True)
@@ -185,21 +175,23 @@ class ClaimsStore:
             self._policy.active = False
             self._audit.append(AuditEntry(now, "consent_revoked"))
 
-    def fetch_claims(self, token: AuthorizationToken,
-                     now: int) -> tuple[list[SignedClaim], ConsentReceipt]:
-        """Release the permitted, currently valid claims and issue a receipt.
+    def fetch_claims(self, token: AuthorizationToken, now: int
+                     ) -> tuple[list[SignedClaim], ConsentReceipt] | Refusal:
+        """Release the permitted, currently valid claims and issue a receipt;
+        or why nothing is released: BAD_TOKEN, TOKEN_EXPIRED or, with a
+        ``fetch_refused`` audit row, CONSENT_WITHDRAWN.
 
         The receipt is created atomically with the release; no attribute
         ever leaves the store without a receipt row and an audit entry.
         """
         if not crypto.verify(self._auth_server_key, *codec.unseal(token)):
-            raise BadToken("token signature does not verify")
+            return Refusal.BAD_TOKEN
         if now >= token.expires_at:
-            raise TokenExpired(f"token expired at {token.expires_at}")
+            return Refusal.TOKEN_EXPIRED
         if self._policy is None or not self._policy.active:
             self._audit.append(AuditEntry(now, "fetch_refused",
                                           (("reason", Refusal.CONSENT_WITHDRAWN),)))
-            raise ConsentWithdrawn("owner has withdrawn access consent")
+            return Refusal.CONSENT_WITHDRAWN
 
         permitted = set(token.permitted_attributes)
         released = [

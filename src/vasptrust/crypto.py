@@ -24,7 +24,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -50,10 +49,8 @@ class KeyPair:
     private_key: bytes
 
 
-def generate_keypair(seed: bytes | None = None) -> KeyPair:
-    """Create a key pair, deterministically when a 32-byte seed is given."""
-    if seed is None:
-        seed = os.urandom(SEED_SIZE)
+def generate_keypair(seed: bytes) -> KeyPair:
+    """The key pair of a 32-byte seed."""
     _check_seed(seed)
     return KeyPair(public_key=_path.public_key(seed), private_key=seed)
 

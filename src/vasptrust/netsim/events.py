@@ -92,7 +92,8 @@ CLAIMS_FETCHED = Event("claims.claims_fetched", "claims verified receipt")
 
 # Wallet boarding and attestation.
 ONBOARD = Event("boarding.onboard", "customer* device* accepted old new reason")
-OFFBOARD = Event("boarding.offboard", "customer* device* accepted erased_handles")
+OFFBOARD = Event("boarding.offboard",
+                 "customer* device* accepted erased_handles reason")
 EVIDENCE_PRODUCED = Event("attest.evidence_produced", "device* purpose")
 CHECKPOINT = Event("attest.checkpoint", "device* count")
 CHECKPOINT_REFUSED = Event("attest.checkpoint_refused", "device* reason")

@@ -564,7 +564,7 @@ class VaspNode(Node):
         as an event."""
         token = self.claims_token
         if token is None:
-            raise claims_mod.BadToken("no authorization token held")
+            raise claims_mod.ClaimsError("no authorization token held")
         if self.trust.standing(self.certs, _CLAIMS) is not pki.Verdict.VALID:
             self._refused(events.FETCH_REFUSED, Refusal.OWN_CERT_INVALID)
             return
@@ -609,12 +609,12 @@ class VaspNode(Node):
 
     # -- wallet supervision -------------------------------------------------------------
 
-    def onboard(self, customer_id: str, device: wallet.WalletDevice,
-                policy: wallet.OnboardPolicy | None = None) -> wallet.BoardingReport:
+    def onboard(self, customer_id: str,
+                device: wallet.WalletDevice) -> wallet.BoardingReport:
         nonce = self.sim.nonce()
         report, supervision = wallet.onboard_customer(
             self.vasp_number, customer_id, device, self.ledger, self.registry,
-            nonce, self.sim.now, policy,
+            nonce, self.sim.now,
             attestation_key=self.trust.device_attestation_keys.get(
                 device.device_id, b""))
         if supervision is not None:
@@ -642,7 +642,7 @@ class VaspNode(Node):
         erased = [r.handle for r in report.erasure_evidence.key_reports
                   if r.erased] if report.erasure_evidence else []
         self.sim.emit(self.name, events.OFFBOARD, customer_id, device.device_id,
-                      report.accepted, erased)
+                      report.accepted, erased, report.reason and report.reason.value)
         if report.accepted:
             del self.supervision[customer_id]
         return report
@@ -652,12 +652,11 @@ class VaspNode(Node):
         for customer_id in sorted(self.supervision):
             supervision = self.supervision[customer_id]
             device = self.devices[supervision.device_id]
-            try:
-                evidence = wallet.take_checkpoint(supervision, device,
-                                                  self.sim.nonce())
-            except wallet.AttestationFailed as exc:
+            evidence = wallet.take_checkpoint(supervision, device,
+                                              self.sim.nonce())
+            if isinstance(evidence, Refusal):
                 self.sim.emit(self.name, events.CHECKPOINT_REFUSED,
-                              device.device_id, exc.refusal.value)
+                              device.device_id, evidence.value)
                 continue
             self.sim.emit(self.name, events.CHECKPOINT, device.device_id,
                           len(supervision.checkpoints), payload=evidence)
@@ -665,19 +664,13 @@ class VaspNode(Node):
     def _on_attestation_challenge(self, channel: SecureChannel,
                                   body: msg.AttestationChallenge) -> Refusal | tuple:
         device = self.devices.get(body.device_id)
-        refusal = None
         if device is None:
-            refusal = Refusal.UNKNOWN_DEVICE
-        elif len(body.nonce) != wallet.NONCE_SIZE:
-            refusal = Refusal.ATTESTATION_REFUSED
+            evidence = Refusal.UNKNOWN_DEVICE
         else:
-            try:
-                evidence = device.attest(body.nonce)
-            except wallet.AttestationRefused:
-                refusal = Refusal.ATTESTATION_REFUSED
-        if refusal is not None:
-            self._refused(events.CHALLENGE_REFUSED, refusal, channel.other(self.name))
-            return refusal
+            evidence = wallet.challenge(device, body.nonce)
+        if isinstance(evidence, Refusal):
+            self._refused(events.CHALLENGE_REFUSED, evidence, channel.other(self.name))
+            return evidence
         self.sim.emit(self.name, events.EVIDENCE_PRODUCED, body.device_id,
                       "audit", payload=evidence)
         return (evidence,)
@@ -733,21 +726,18 @@ class ClaimsStoreNode(Node):
         audience = token.audience_vasp_number
         # The token binds to its audience: only that VASP, over its own
         # channel and with its own claims key, may present it.
-        refusal = None
         if self._peer_number(channel) != audience:
-            refusal = Refusal.TOKEN_AUDIENCE_MISMATCH
+            result = Refusal.TOKEN_AUDIENCE_MISMATCH
         elif not self.trust.verify_member_signature(
                 claims_mod.terms_bytes(token), body.terms_signature,
                 body.vasp_claims_cert_serial, _CLAIMS, audience):
-            refusal = Refusal.TERMS_NOT_COUNTERSIGNED
+            result = Refusal.TERMS_NOT_COUNTERSIGNED
         else:
-            try:
-                released, receipt = self.store.fetch_claims(token, self.sim.now)
-            except claims_mod.ClaimsError as exc:
-                refusal = exc.refusal
-        if refusal is not None:
-            self._refused(events.FETCH_REFUSED, refusal)
-            return refusal
+            result = self.store.fetch_claims(token, self.sim.now)
+        if isinstance(result, Refusal):
+            self._refused(events.FETCH_REFUSED, result)
+            return result
+        released, receipt = result
         self.sim.emit(self.name, events.CLAIMS_RELEASED, audience,
                       sorted({c.attribute_name for c in released}), len(released))
         self.sim.emit(self.name, events.RECEIPT_ISSUED, _short(receipt.receipt_id),

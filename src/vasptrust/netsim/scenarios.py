@@ -280,7 +280,7 @@ def scenario_s2(world: World, *, owner_customer: str, requesting_vasp: int,
 def scenario_s3(world: World) -> None:
     sim = world.sim
     diameter = graph_diameter(world.config.federation_graph)
-    rounds = converge_federation(world, max_rounds=diameter)
+    rounds = converge_federation(world, max_rounds=len(world.vasps))
 
     truth = ground_truth_map(world)
     converged = all(world.vasps[n].resolver.resolve_map() == truth
@@ -362,7 +362,9 @@ def scenario_s4(world: World, *, customer: str, vasp: int,
 
     supervised = list(supervision.supervised_handles)
     off_report = vasp.offboard(customer, device)
-    world.assert_that("offboard_accepted", off_report.accepted)
+    world.confirm_block()
+    world.assert_that("offboard_accepted", off_report.accepted,
+                      off_report.reason.value if off_report.reason else "")
     evidence = off_report.erasure_evidence
     erased_ok = evidence is not None and all(
         r.erased for r in evidence.key_reports

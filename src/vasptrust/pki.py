@@ -97,9 +97,11 @@ class Verdict(Enum):
 
 
 class Refusal(Enum):
-    """Why a member refuses a transfer, a request, an answer or a channel:
-    the one vocabulary of refusal events, wire answers and audit rows.
-    The wire carries a member's declaration index: new members go last."""
+    """Why a member refuses a transfer, a request, an answer, a channel, a
+    claims fetch or a wallet's boarding or checkpoint: the one vocabulary
+    of refusal events, wire answers and audit rows, returned by the check
+    that refuses, never raised. The wire carries a member's declaration
+    index: new members go last."""
 
     ORIGINATOR_CONSENT_MISSING = "originator_consent_missing"
     INVALID_PAYLOAD = "invalid_payload"
@@ -136,6 +138,7 @@ class Refusal(Enum):
     KEY_HISTORY_INVALID = "key_history_invalid"
     FUNDED_KEY_NOT_MIGRATED = "funded_key_not_migrated"
     OWN_CERT_INVALID = "own_cert_invalid"  # this member may not sign now
+    ERASURE_NOT_PROVEN = "erasure_not_proven"  # a supervised key is live
 
 
 LEI_LENGTH = 20

@@ -11,7 +11,8 @@ Boarding procedures implement the acquiring/releasing VASP duties: check
 prior wallet status against the shared registry, re-verify the keys'
 on-chain history, flag migratable or imported keys, cut over to fresh
 non-migratable keys on on-boarding, and prove erasure of supervised keys on
-off-boarding before the wallet returns to private status.
+off-boarding before the wallet returns to private status. A refused
+boarding or checkpoint returns the ``pki.Refusal`` member naming why.
 """
 
 from __future__ import annotations
@@ -44,22 +45,12 @@ class UnknownHandle(WalletError):
     pass
 
 
-class AttestationFailed(WalletError):
-    """No evidence taken; ``refusal`` is why, as the trace records it."""
-
-    refusal = Refusal.EVIDENCE_INVALID
-
-
-class AttestationRefused(AttestationFailed):
-    refusal = Refusal.ATTESTATION_REFUSED
+class AttestationRefused(WalletError):
+    """The device will not attest."""
 
 
 class NotSupervised(WalletError):
     pass
-
-
-class ErasureNotProven(WalletError):
-    """Post-erasure evidence still shows live supervised keys."""
 
 
 class KeyOrigin(Enum):
@@ -107,8 +98,7 @@ class WalletDevice:
     """
 
     def __init__(self, device_id: str, seed: bytes,
-                 initial_stack: list[tuple[str, bytes]],
-                 attestation_enabled: bool = True):
+                 initial_stack: list[tuple[str, bytes]]):
         self.device_id = device_id
         self._seed = seed
         self._counter = 0
@@ -118,7 +108,7 @@ class WalletDevice:
         self._private: dict[int, bytes] = {}
         self.measurement_log: tuple[tuple[str, bytes], ...] = tuple(initial_stack)
         self.boot_digest = fold_boot_digest(self.measurement_log)
-        self.attestation_enabled = attestation_enabled
+        self.attestation_enabled = True
 
     @property
     def attestation_public_key(self) -> bytes:
@@ -277,13 +267,6 @@ class BoardingReport:
 
 
 @dataclass
-class OnboardPolicy:
-    # Default: refuse wallets whose imported keys still hold assets.
-    reject_imported_with_assets: bool = True
-    reject_migratable_with_assets: bool = False
-
-
-@dataclass
 class SupervisionRecord:
     """A VASP's record of one supervised wallet."""
 
@@ -308,16 +291,30 @@ def check_key_history(device: WalletDevice, ledger: Ledger) -> bool:
     return True
 
 
+def challenge(device: WalletDevice, nonce: bytes
+              ) -> AttestationEvidence | Refusal:
+    """The device's evidence over ``nonce``; ATTESTATION_REFUSED if the
+    device will not attest or ``nonce`` is not NONCE_SIZE bytes."""
+    if len(nonce) != NONCE_SIZE:
+        return Refusal.ATTESTATION_REFUSED
+    try:
+        return device.attest(nonce)
+    except AttestationRefused:
+        return Refusal.ATTESTATION_REFUSED
+
+
 def _fresh_evidence(device: WalletDevice, nonce: bytes,
-                    attestation_key: bytes) -> AttestationEvidence:
+                    attestation_key: bytes) -> AttestationEvidence | Refusal:
     """Evidence from the device, signed by the expected attestation key
-    over the nonce just issued; AttestationFailed otherwise, as
-    AttestationRefused if the device will not attest."""
-    evidence = device.attest(nonce)
+    over the nonce just issued; or ATTESTATION_REFUSED, or
+    EVIDENCE_INVALID."""
+    evidence = challenge(device, nonce)
+    if isinstance(evidence, Refusal):
+        return evidence
     if not crypto.verify(attestation_key, *codec.unseal(evidence)):
-        raise AttestationFailed("attestation evidence does not verify")
+        return Refusal.EVIDENCE_INVALID
     if evidence.nonce != nonce:
-        raise AttestationFailed("attestation evidence answers another nonce")
+        return Refusal.EVIDENCE_INVALID
     return evidence
 
 
@@ -342,32 +339,29 @@ def onboard_customer(acquiring_vasp_number: int,
                      registry: WalletRegistry,
                      nonce: bytes,
                      now: int,
-                     policy: OnboardPolicy | None = None,
                      *, attestation_key: bytes
                      ) -> tuple[BoardingReport, SupervisionRecord | None]:
     """Acquire a customer's wallet under supervision.
 
     ``attestation_key`` is the device's attestation key as the consortium
     directory records it; the device's own claim about its key is not
-    trusted. Checks prior status, key history, then migratable/imported
-    keys against policy, and refuses under the first that fails; else cuts
-    assets over to a freshly generated non-migratable key so responsibility
-    starts on a clean key. The asset move is submitted to the ledger
-    mempool; the caller confirms the block.
+    trusted. Checks the device's evidence, prior status, key history, then
+    that no imported key still holds assets, and refuses under the first
+    that fails; else cuts assets over to a freshly generated non-migratable
+    key so responsibility starts on a clean key. The asset move is
+    submitted to the ledger mempool; the caller confirms the block.
     """
-    policy = policy or OnboardPolicy()
     evidence = _fresh_evidence(device, nonce, attestation_key)
-
     prior = registry.status(device.device_id)
-    if (prior.classification is not WalletClass.PRIVATE
+    if isinstance(evidence, Refusal):
+        refusal = evidence
+    elif (prior.classification is not WalletClass.PRIVATE
             and prior.supervising_vasp_number != acquiring_vasp_number):
         refusal = Refusal.WALLET_SUPERVISED_ELSEWHERE
     elif not check_key_history(device, ledger):
         refusal = Refusal.KEY_HISTORY_INVALID
-    elif any((policy.reject_imported_with_assets and r.origin is KeyOrigin.IMPORTED
-              or policy.reject_migratable_with_assets and r.migratable)
-             and not r.erased and ledger.balance(r.public_key) > 0
-             for r in evidence.key_reports):
+    elif any(r.origin is KeyOrigin.IMPORTED and not r.erased
+             and ledger.balance(r.public_key) > 0 for r in evidence.key_reports):
         refusal = Refusal.FUNDED_KEY_NOT_MIGRATED
     else:
         refusal = None
@@ -403,7 +397,9 @@ def offboard_customer(releasing_vasp_number: int,
     and fresh evidence must prove the erasure before acceptance: signed by
     the attestation key the supervision was established with, over
     ``nonce``. A wallet whose key history does not verify is refused with
-    nothing changed.
+    nothing changed; one whose evidence fails, or shows a supervised key
+    live (ERASURE_NOT_PROVEN), is refused and stays regulated. The asset
+    move is submitted to the ledger mempool; the caller confirms the block.
     """
     status = registry.status(device.device_id)
     if (status.classification is not WalletClass.REGULATED
@@ -419,7 +415,6 @@ def offboard_customer(releasing_vasp_number: int,
     handoff_handle = device.generate_key(migratable=True)
     _move_assets(device, supervision.supervised_handles,
                  device.slot(handoff_handle).public_key, ledger)
-    ledger.confirm_block()
 
     to_erase = [h for h in supervision.supervised_handles
                 if not device.slot(h).migratable]
@@ -427,12 +422,11 @@ def offboard_customer(releasing_vasp_number: int,
         device.erase_key(handle)
 
     evidence = _fresh_evidence(device, nonce, supervision.attestation_key)
+    if isinstance(evidence, Refusal):
+        return BoardingReport(False, evidence, None, None)
     reported = {r.handle: r for r in evidence.key_reports}
-    still_live = [h for h in to_erase
-                  if h not in reported or not reported[h].erased]
-    if still_live:
-        raise ErasureNotProven(
-            f"supervised non-migratable handles still live: {still_live}")
+    if any(h not in reported or not reported[h].erased for h in to_erase):
+        return BoardingReport(False, Refusal.ERASURE_NOT_PROVEN, None, None)
 
     registry.set_private(device.device_id, now)
     return BoardingReport(
@@ -441,10 +435,11 @@ def offboard_customer(releasing_vasp_number: int,
 
 
 def take_checkpoint(supervision: SupervisionRecord, device: WalletDevice,
-                    nonce: bytes) -> AttestationEvidence:
-    """Record fresh evidence from a supervised device; AttestationFailed,
-    with nothing recorded, unless it verifies under the attestation key the
-    supervision was set up with and answers ``nonce``."""
+                    nonce: bytes) -> AttestationEvidence | Refusal:
+    """Record and return fresh evidence from a supervised device if it
+    verifies under the attestation key the supervision was set up with and
+    answers ``nonce``; else record nothing and return why not."""
     evidence = _fresh_evidence(device, nonce, supervision.attestation_key)
-    supervision.checkpoints.append(evidence)
+    if not isinstance(evidence, Refusal):
+        supervision.checkpoints.append(evidence)
     return evidence

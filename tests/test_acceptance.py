@@ -643,9 +643,12 @@ def test_offboarding_soundness(demo_config):
         7, "alice", bad, ledger2, registry2, seed("n3"), now=1,
         attestation_key=bad.attestation_public_key)
     ledger2.confirm_block()
-    with pytest.raises(wallet.ErasureNotProven):
-        wallet.offboard_customer(7, "alice", bad, ledger2, registry2,
-                                 supervision2, seed("n4"), now=9)
+    refused = wallet.offboard_customer(7, "alice", bad, ledger2, registry2,
+                                       supervision2, seed("n4"), now=9)
+    assert (refused.accepted, refused.reason, refused.erasure_evidence) == \
+        (False, pki.Refusal.ERASURE_NOT_PROVEN, None)
+    assert registry2.status(bad.device_id).classification \
+        is wallet.WalletClass.REGULATED
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_subject, seed
 from vasptrust import claims, codec, crypto, pki
+from vasptrust.netsim import build_world
 
 
 @pytest.fixture
@@ -156,16 +157,17 @@ class TestFetch:
         store, server, _ = setup
         token = request(server, 7, {"driving_license_number"})
         store.revoke_consent("alice", now=3)
-        with pytest.raises(claims.ConsentWithdrawn):
-            store.fetch_claims(token, now=5)
+        assert store.fetch_claims(token, now=5) is pki.Refusal.CONSENT_WITHDRAWN
         assert store.receipts == []
+        assert store.audit_log[-1] == claims.AuditEntry(
+            5, "fetch_refused", (("reason", pki.Refusal.CONSENT_WITHDRAWN),))
 
     def test_expired_token(self, setup):
         store, server, _ = setup
         token = request(server, 7, {"driving_license_number"}, now=1)
-        with pytest.raises(claims.TokenExpired) as err:
-            store.fetch_claims(token, now=1 + claims.TOKEN_LIFETIME)
-        assert err.value.refusal is pki.Refusal.TOKEN_EXPIRED
+        assert store.fetch_claims(token, now=1 + claims.TOKEN_LIFETIME) \
+            is pki.Refusal.TOKEN_EXPIRED
+        assert store.receipts == []
 
     def test_forged_token(self, setup):
         store, server, _ = setup
@@ -173,9 +175,8 @@ class TestFetch:
         forged = replace(token,
                          permitted_attributes=("driving_license_number",
                                                "state_of_residence"))
-        with pytest.raises(claims.BadToken) as err:
-            store.fetch_claims(forged, now=5)
-        assert err.value.refusal is pki.Refusal.BAD_TOKEN
+        assert store.fetch_claims(forged, now=5) is pki.Refusal.BAD_TOKEN
+        assert store.receipts == []
 
     def test_revoke_twice_idempotent(self, setup):
         store, _, _ = setup
@@ -207,11 +208,11 @@ def test_receipt_count_equals_successful_fetches(setup):
     for i in range(30):
         token = request(server, 7, {"driving_license_number"}, now=i)
         when = i + rng.randint(0, 2 * claims.TOKEN_LIFETIME)
-        try:
-            store.fetch_claims(token, now=when)
-            successes += 1
-        except claims.TokenExpired:
-            pass
+        result = store.fetch_claims(token, now=when)
+        if result is pki.Refusal.TOKEN_EXPIRED:
+            continue
+        assert not isinstance(result, pki.Refusal)
+        successes += 1
     assert successes > 0
     assert len(store.receipts) == successes
     released_events = [e for e in store.audit_log if e.event == "claims_released"]
@@ -234,3 +235,15 @@ def test_token_and_receipt_round_trip_wire(setup):
     _, receipt = store.fetch_claims(token, now=2)
     assert codec.canonical_decode(codec.canonical_encode(receipt),
                                   claims.ConsentReceipt) == receipt
+
+
+def test_node_fetch_without_a_token_is_a_caller_error(demo_config):
+    # A fetch needs the token it presents: asking for one with none held is
+    # a programming error, not a refusal, and nothing is sent.
+    world = build_world(demo_config)
+    vasp = world.vasps[7]
+    channel = world.channel_between(vasp, world.stores["alice"])
+    sent = len(world.sim.wire_log)
+    with pytest.raises(claims.ClaimsError):
+        vasp.fetch_claims(channel)
+    assert len(world.sim.wire_log) == sent

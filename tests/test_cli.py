@@ -9,6 +9,7 @@ import json
 import pytest
 
 from test_scenarios import PINNED, line_config
+from test_wallet import corrupt_signature
 from vasptrust import codec, pki
 from vasptrust.cli import main
 from vasptrust.config import (ConfigError, CustomerConfig, config_to_dict,
@@ -756,8 +757,8 @@ class TestReport:
 
     def test_report_counts_a_refused_onboarding(self, tmp_path, capsys):
         # Alice's wallet also holds an imported key with assets on it, which
-        # the default policy refuses to take on: S4's onboarding is refused,
-        # under the Refusal member of the check that failed.
+        # onboarding refuses to take on: S4's onboarding is refused, under
+        # the Refusal member of the check that failed.
         config = default_config()
         config["vasps"][0]["customers"][0]["wallet"]["imported_key_balance"] = 50
         config_path = tmp_path / "config.json"
@@ -773,6 +774,27 @@ class TestReport:
         out = capsys.readouterr().out
         assert out[out.index("\nrefusals:\n"):].split("\n")[2:-1] == [
             "funded_key_not_migrated 1"]
+
+    def test_report_counts_a_refused_offboarding(self, demo_config, tmp_path,
+                                                capsys):
+        # After Alice's wallet is onboarded, the cut-over's recorded
+        # signature is corrupted: the offboarding is refused under
+        # key_history_invalid, and the report counts it.
+        world = build_world(demo_config)
+        vasp, device = world.vasps[7], world.devices["wdev:alice@7"]
+        assert vasp.onboard("alice", device).accepted
+        world.confirm_block()
+        (cutover,) = [tx_id for tx_id, tx in world.ledger.confirmed_txs()
+                      if tx.signatures]
+        corrupt_signature(world.ledger, cutover)
+        assert not vasp.offboard("alice", device).accepted
+        (tmp_path / "traces").mkdir()
+        (tmp_path / "traces" / "S4.trace").write_text(world.sim.trace.to_text())
+        capsys.readouterr()
+        assert main(["report", "--workspace", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out[out.index("\nrefusals:\n"):].split("\n")[2:-1] == [
+            "key_history_invalid 1"]
 
     def test_report_reflects_failures(self, workspace, capsys):
         main(["run", "--scenario", "S1", "--workspace", str(workspace),

@@ -863,7 +863,7 @@ PINNED = {
            "896c36736df498edd798b91c577b9f697978068519fa4fddce18509aa78d2f65"),
     "S3": ("95354964b86a77b9502797b5c551cbf5a0c2690c806a41a39950cb1d1afb01ef",
            "aecb0b9e85eafbb1d899a508a395755d12a33ef824ce03024cb8e8625a953812"),
-    "S4": ("4dbc4f2116fc3ef70da7e13e278201243478298ad3003b44d3f288c3ec317cc5",
+    "S4": ("484d125f00190c1d5bbf5bce86635125c0e27f4e10b2c2b62e7013ff590aa77c",
            "41f4d928790f967e8199c5a21644c338e7fd37759e1461d3096806ff3318fdd9"),
     "S5": ("ad8b6e3fd30981638fc44d369a9d169bd7a44a87298ce8f9a3dd9fb55f0a2675",
            "dcf1a068073c7a97d38530642bdc13e28f071cff3521ef5a1a19d593b08dba7c"),

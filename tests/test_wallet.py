@@ -34,6 +34,15 @@ def corrupt_signature(ledger, tx_id) -> None:
     ledger._tx_index[tx_id] = type(stored)(
         stored.inputs, stored.outputs, stored.memo_tag, (forged,))
 
+
+def boarding_events(world, since=0) -> list[tuple]:
+    """(event, accepted, reason) of each ``boarding.*`` event from the
+    ``since``-th on."""
+    return [(e.event, e.get("accepted"), e.get("reason"))
+            for e in world.sim.trace.events[since:]
+            if e.event.startswith("boarding.")]
+
+
 class TestDevice:
     def test_fresh_device(self):
         device = fresh_device()
@@ -163,6 +172,7 @@ class TestAttestation:
         device.attestation_enabled = False
         with pytest.raises(wallet.AttestationRefused):
             device.attest(nonce())
+        assert wallet.challenge(device, nonce()) is Refusal.ATTESTATION_REFUSED
 
 
 class ShadowModel:
@@ -322,31 +332,26 @@ class TestBoarding:
             (False, Refusal.KEY_HISTORY_INVALID, None)
 
     def test_onboard_policy_matrix(self):
-        # (imported balance, reject_imported, reject_migratable) -> accepted
-        cases = [
-            (0, True, False, True),
-            (50, True, False, False),
-            (50, False, False, True),
-            (50, False, True, False),   # imported keys are always migratable
-            (0, True, True, True),
-        ]
-        for imported, rej_imp, rej_mig, expect in cases:
+        # imported balance -> accepted: an imported key holding assets is
+        # refused, an empty one is not.
+        for imported, expect in [(0, True), (50, False)]:
             device, ledger, registry, _ = self.setup_world(
                 imported_balance=imported)
-            policy = wallet.OnboardPolicy(reject_imported_with_assets=rej_imp,
-                                          reject_migratable_with_assets=rej_mig)
             report, _ = wallet.onboard_customer(
-                7, "a", device, ledger, registry, nonce(), 1, policy,
+                7, "a", device, ledger, registry, nonce(), 1,
                 attestation_key=device.attestation_public_key)
-            assert report.accepted == expect, (imported, rej_imp, rej_mig)
+            assert report.accepted == expect, imported
 
     def test_attestation_refusal_fails_onboarding(self):
         device, ledger, registry, _ = self.setup_world()
         device.attestation_enabled = False
-        with pytest.raises(wallet.AttestationFailed):
-            wallet.onboard_customer(
-                7, "alice", device, ledger, registry, nonce(), 1,
-                attestation_key=device.attestation_public_key)
+        report, supervision = wallet.onboard_customer(
+            7, "alice", device, ledger, registry, nonce(), 1,
+            attestation_key=device.attestation_public_key)
+        assert (report.accepted, report.reason, supervision) == \
+            (False, Refusal.ATTESTATION_REFUSED, None)
+        assert registry.status(device.device_id).classification \
+            is wallet.WalletClass.PRIVATE
 
     def test_inconsistent_key_history_detected(self):
         device, ledger, registry, handle = self.setup_world()
@@ -372,9 +377,12 @@ class TestBoarding:
     def test_offboard_accepted_with_erasure_evidence(self):
         device, ledger, registry, supervision = self._onboarded()
         supervised = list(supervision.supervised_handles)
+        height = ledger.height
         report = wallet.offboard_customer(7, "alice", device, ledger,
                                           registry, supervision, nonce(9), 9)
         assert report.accepted
+        assert ledger.height == height  # the caller confirms the asset move
+        ledger.confirm_block()
         evidence = report.erasure_evidence
         reported = {r.handle: r for r in evidence.key_reports}
         assert all(reported[h].erased for h in supervised
@@ -420,9 +428,12 @@ class TestBoarding:
             7, "alice", device, ledger, registry, nonce(), 1,
             attestation_key=device.attestation_public_key)
         ledger.confirm_block()
-        with pytest.raises(wallet.ErasureNotProven):
-            wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                     supervision, nonce(2), 9)
+        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
+                                          supervision, nonce(2), 9)
+        assert (report.accepted, report.reason) == \
+            (False, Refusal.ERASURE_NOT_PROVEN)
+        assert registry.status(device.device_id).classification \
+            is wallet.WalletClass.REGULATED
 
     def test_impostor_device_refused_at_onboarding(self):
         # An emulator answers under the registered device's id with an
@@ -430,21 +441,62 @@ class TestBoarding:
         device, ledger, registry, _ = self.setup_world()
         impostor = wallet.WalletDevice(device.device_id, seed("impostor"),
                                        STACK)
-        with pytest.raises(wallet.AttestationFailed):
-            wallet.onboard_customer(
-                7, "alice", impostor, ledger, registry, nonce(), 1,
-                attestation_key=device.attestation_public_key)
+        report, supervision = wallet.onboard_customer(
+            7, "alice", impostor, ledger, registry, nonce(), 1,
+            attestation_key=device.attestation_public_key)
+        assert (report.accepted, report.reason, supervision) == \
+            (False, Refusal.EVIDENCE_INVALID, None)
         assert registry.status(device.device_id).classification \
             is wallet.WalletClass.PRIVATE
 
-    def test_impostor_device_refused_by_vasp_node(self, demo_config):
+    @pytest.mark.parametrize("fault, reason", [
+        ("impostor", "evidence_invalid"), ("mute", "attestation_refused")])
+    def test_device_fault_refuses_onboarding_by_vasp_node(
+            self, demo_config, fault, reason):
+        # An emulator answers under the registered device's id with an
+        # attestation key of its own, or the device will not attest: the
+        # onboarding is refused, and the wallet stays private.
         world = build_world(demo_config)
-        genuine = world.devices["wdev:alice@7"]
-        impostor = wallet.WalletDevice(genuine.device_id, seed("impostor"),
-                                       STACK)
-        with pytest.raises(wallet.AttestationFailed):
-            world.vasps[7].onboard("alice", impostor)
-        assert "alice" not in world.vasps[7].supervision
+        vasp, genuine = world.vasps[7], world.devices["wdev:alice@7"]
+        if fault == "impostor":
+            device = wallet.WalletDevice(genuine.device_id, seed("impostor"),
+                                         STACK)
+        else:
+            device = genuine
+            device.attestation_enabled = False
+        report = vasp.onboard("alice", device)
+        assert (report.accepted, report.reason) == (False, Refusal(reason))
+        assert boarding_events(world) == [("boarding.onboard", False, reason)]
+        assert "alice" not in vasp.supervision
+        assert vasp.devices[genuine.device_id] is genuine
+        assert world.registry.status(genuine.device_id).classification \
+            is wallet.WalletClass.PRIVATE
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("mute", "attestation_refused"), ("stubborn", "erasure_not_proven")])
+    def test_device_fault_refuses_offboarding_by_vasp_node(
+            self, demo_config, monkeypatch, fault, reason):
+        # After onboarding, the device stops attesting, or ignores erasure
+        # and attests truthfully: the offboarding is refused, and the wallet
+        # stays supervised and regulated.
+        world = build_world(demo_config)
+        vasp, device = world.vasps[7], world.devices["wdev:alice@7"]
+        assert vasp.onboard("alice", device).accepted
+        world.confirm_block()
+        supervision = vasp.supervision["alice"]
+        if fault == "mute":
+            device.attestation_enabled = False
+        else:
+            monkeypatch.setattr(device, "erase_key", lambda handle: None)
+        since = len(world.sim.trace.events)
+        report = vasp.offboard("alice", device)
+        assert (report.accepted, report.reason) == (False, Refusal(reason))
+        assert boarding_events(world, since) == [
+            ("boarding.offboard", False, reason)]
+        assert vasp.supervision["alice"] is supervision
+        status = world.registry.status(device.device_id)
+        assert (status.classification, status.supervising_vasp_number) == \
+            (wallet.WalletClass.REGULATED, 7)
 
     def test_forged_erasure_evidence_refused(self):
         class ForgingDevice(wallet.WalletDevice):
@@ -476,9 +528,10 @@ class TestBoarding:
             attestation_key=device.attestation_public_key)
         ledger.confirm_block()
         device.forging = True
-        with pytest.raises(wallet.AttestationFailed):
-            wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                     supervision, nonce(2), 9)
+        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
+                                          supervision, nonce(2), 9)
+        assert (report.accepted, report.reason) == \
+            (False, Refusal.EVIDENCE_INVALID)
         assert registry.status(device.device_id).classification \
             is wallet.WalletClass.REGULATED
 
@@ -497,9 +550,10 @@ class TestBoarding:
             7, "alice", device, ledger, registry, nonce(99), 1,
             attestation_key=device.attestation_public_key)
         ledger.confirm_block()
-        with pytest.raises(wallet.AttestationFailed):
-            wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                     supervision, nonce(2), 9)
+        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
+                                          supervision, nonce(2), 9)
+        assert (report.accepted, report.reason) == \
+            (False, Refusal.EVIDENCE_INVALID)
         assert registry.status(device.device_id).classification \
             is wallet.WalletClass.REGULATED
 
@@ -527,8 +581,8 @@ class TestBoarding:
         device, ledger, registry, supervision = self._onboarded()
         impostor = wallet.WalletDevice(device.device_id, seed("impostor"),
                                        STACK)
-        with pytest.raises(wallet.AttestationFailed):
-            wallet.take_checkpoint(supervision, impostor, nonce(10))
+        assert wallet.take_checkpoint(supervision, impostor, nonce(10)) \
+            is Refusal.EVIDENCE_INVALID
 
         class Replaying:
             """The genuine device's evidence, for a nonce issued earlier."""
@@ -536,8 +590,8 @@ class TestBoarding:
             def attest(self, nonce_):
                 return device.attest(nonce(99))
 
-        with pytest.raises(wallet.AttestationFailed):
-            wallet.take_checkpoint(supervision, Replaying(), nonce(11))
+        assert wallet.take_checkpoint(supervision, Replaying(), nonce(11)) \
+            is Refusal.EVIDENCE_INVALID
         assert len(supervision.checkpoints) == 1  # onboarding only
 
     def test_checkpoints_accumulate(self):
