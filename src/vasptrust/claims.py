@@ -178,20 +178,23 @@ class ClaimsStore:
     def fetch_claims(self, token: AuthorizationToken, now: int
                      ) -> tuple[list[SignedClaim], ConsentReceipt] | Refusal:
         """Release the permitted, currently valid claims and issue a receipt;
-        or why nothing is released: BAD_TOKEN, TOKEN_EXPIRED or, with a
-        ``fetch_refused`` audit row, CONSENT_WITHDRAWN.
+        or why nothing is released, BAD_TOKEN, TOKEN_EXPIRED or
+        CONSENT_WITHDRAWN, with a ``fetch_refused`` audit row naming it.
 
         The receipt is created atomically with the release; no attribute
         ever leaves the store without a receipt row and an audit entry.
         """
         if not crypto.verify(self._auth_server_key, *codec.unseal(token)):
-            return Refusal.BAD_TOKEN
-        if now >= token.expires_at:
-            return Refusal.TOKEN_EXPIRED
-        if self._policy is None or not self._policy.active:
-            self._audit.append(AuditEntry(now, "fetch_refused",
-                                          (("reason", Refusal.CONSENT_WITHDRAWN),)))
-            return Refusal.CONSENT_WITHDRAWN
+            refusal = Refusal.BAD_TOKEN
+        elif now >= token.expires_at:
+            refusal = Refusal.TOKEN_EXPIRED
+        elif self._policy is None or not self._policy.active:
+            refusal = Refusal.CONSENT_WITHDRAWN
+        else:
+            refusal = None
+        if refusal is not None:
+            self._audit.append(AuditEntry(now, "fetch_refused", (("reason", refusal),)))
+            return refusal
 
         permitted = set(token.permitted_attributes)
         released = [

@@ -26,8 +26,8 @@ Where a class is declared the value must be exactly that class, where an
 enum or a union is declared a member of it, and None only where the type
 is optional; the decoder requires the same. So a bool for an int, an enum
 member for a str, a bytearray for bytes or a list for a tuple is refused
-with CodecError wherever it appears. A value with no declared type (the
-argument of ``canonical_encode``, an item of an untyped sequence) is
+with CodecError wherever it appears. A value with no declared type (an
+untyped argument of ``canonical_encode``, an item of an untyped sequence) is
 declared as its own class: a member of a str- or int-valued enum encodes
 as that enum, and a bytearray, or another subclass of a builtin that is
 no enum, is refused.
@@ -290,9 +290,10 @@ def _generate(typ: Any, signing: bool) -> Encoder:
     return env[name]
 
 
-def canonical_encode(value: Any) -> bytes:
-    """Encode a domain value to its canonical, injective byte form."""
-    return _encode_any(value)
+def canonical_encode(value: Any, cls: Any = None) -> bytes:
+    """Encode a domain value to its canonical, injective byte form, as
+    declared type ``cls``, by default its own class."""
+    return _encode_any(value) if cls is None else _encoder(cls)(value)
 
 
 def struct_bytes(value: Any) -> bytes:

@@ -9,12 +9,13 @@ so it holds no space or line break; unknown keys are ignored.
 ``parse_config`` then parses each customer identifier and IdP directory
 entry once, and checks the rules across fields: unique VASP numbers, IdP
 domains (in any case) and claims providers, known activities, e-mail
-identifiers on an IdP's domain that its directory lists, one customer per
-identifier within a VASP, known claims providers, one claims store per
-customer id, each VASP's certificate subject (``pki.check_subject``) and
-federation edges between configured VASPs. It alone admits identifiers:
-``build_world`` checks none again. A problem names its config path, a str
-the reader makes only on refusal.
+identifiers on an IdP's domain that its directory lists, PayIDs on one
+of their VASP's domains, one customer per identifier within a VASP,
+known claims providers, one claims store per customer id, each VASP's
+certificate subject (``pki.check_subject``) and federation edges between
+configured VASPs. It alone admits identifiers: ``build_world`` checks
+none again. A problem names its config path, a str the reader makes only
+on refusal.
 All randomness in a run flows from ``seed``.
 """
 
@@ -279,6 +280,7 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
             raise ConfigError(f"{path}.regulated_business_activity",
                               f"unknown activity {vasp.regulated_business_activity!r}")
         seen_ids = set()
+        domains = {domain.lower() for domain in vasp.alt_domain_names}
         holders: dict[str, str] = {}  # rendered identifier -> customer id
         for j, customer in enumerate(vasp.customers):
             customer_path = f"{path}.customers[{j}]"
@@ -289,6 +291,8 @@ def parse_config(data: dict, source: str = "config") -> TopologyConfig:
                 if parsed.kind is IdentifierKind.EMAIL and domain in directories \
                         and rendered not in directories[domain]:
                     raise ConfigError(where, f"unknown at IdP {domain}")
+                if parsed.kind is IdentifierKind.PAY_ID and domain not in domains:
+                    raise ConfigError(where, f"{domain} is not a domain of this VASP")
                 if holders.setdefault(rendered, customer.id) != customer.id:
                     raise ConfigError(where, f"{rendered!r} already names "
                                       f"customer {holders[rendered]!r}")

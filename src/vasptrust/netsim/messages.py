@@ -1,18 +1,18 @@
 """Protocol message bodies carried over authenticated channels.
 
-Every body is a frozen dataclass with a canonical encoding; the envelope
-body field is the tagged union of all of them. An answer says why it
-refuses with a ``pki.Refusal`` and nothing else: the codec refuses to
-encode anything but a member there, and ``canonical_decode`` refuses
-anything but a member's declaration index, so no peer text reaches the
-receiver's trace; the trace's rendering rule (``netsim.trace``) keeps its
-parsing exact. An answer whose ``refusal`` is None is not refused.
+Every body is a frozen dataclass with a canonical encoding; a frame is
+one body tagged as its member of ``MessageBody``, with no channel or seq
+(RFC 8446 §5.3). An answer says why it refuses with a ``pki.Refusal``
+and nothing else: the codec refuses to encode anything but a member
+there, and ``canonical_decode`` refuses anything but a member's
+declaration index, so no peer text reaches the receiver's trace; the
+trace's rendering rule (``netsim.trace``) keeps its parsing exact. An
+answer whose ``refusal`` is None is not refused.
 
-An answer's first field, ``answers``, is the ``seq`` of its request's
-envelope on the same channel, as a DNS response names its query by ID
-(RFC 1035 §4.1.1); ``ANSWER`` gives each request type its answer type,
-whose other fields default to none; ``Node.handle`` refuses any other
-answer once.
+An answer's first field, ``answers``, is the seq of its request on the
+same channel, as a DNS response names its query by ID (RFC 1035
+§4.1.1); ``ANSWER`` gives each request type its answer type, whose other
+fields default to none; ``Node.handle`` refuses any other answer once.
 """
 
 from __future__ import annotations

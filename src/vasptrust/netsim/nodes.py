@@ -5,16 +5,17 @@ public methods. Nodes share the ledger, the wallet registry and, until
 each gets its own trust view, one ``TrustContext``. Nodes that terminate
 channels carry an EV identity certificate and prove possession of its
 key during channel establishment. ``Node.handle``, the door, hands a
-delivered body, never its envelope, to its type's handler in the class's
+delivered body, never its seq, to its type's handler in the class's
 ``HANDLERS``. A request's handler returns a ``pki.Refusal`` or its
 answer's fields after ``answers``, and the door sends that one answer.
 A refusal names a ``pki.Refusal``; one a peer sends is recorded as
 ``reason=peer_refused`` with the peer's member as ``peer_reason``.
 
 A node sends each request with ``Node.ask``, which keeps it in the one
-table ``asked`` by channel and envelope seq. An answer names its
-request's seq on the same channel: ``Node.handle`` takes the entry out
-before the answer's handler runs, and refuses any other answer once.
+table ``asked`` by channel and seq, both the channel's own (RFC 8446
+§5.3). An answer names its request's seq on the same channel:
+``Node.handle`` takes the entry out before the answer's handler runs,
+and refuses any other answer once.
 
 A VASP's ``pending`` table holds only its open transfers; a settled one
 stays on record in its payload and correlation stores and the trace. The
@@ -45,7 +46,7 @@ from ..travel_rule import (ConsentDirection, ConsentStore, CorrelationStore,
                            CustomerRecord, SignedPayload, TravelRulePayload)
 from . import events
 from . import messages as msg
-from .sim import Envelope, SecureChannel, Simulation
+from .sim import SecureChannel, Simulation
 from .trace import check_actor
 
 
@@ -77,17 +78,17 @@ class Node:
             context: object) -> None:
         """Send the request ``body`` and await its answer over ``channel``,
         to be handled with ``context``."""
-        env = self.sim.send(channel, self.name, body)
-        self.asked[channel.id, env.seq] = (msg.ANSWER[type(body)], context)
+        seq = self.sim.send(channel, self.name, body)
+        self.asked[channel.id, seq] = (msg.ANSWER[type(body)], context)
 
-    def handle(self, channel: SecureChannel, env: Envelope) -> None:
+    def handle(self, channel: SecureChannel, seq: int,
+               body: msg.MessageBody) -> None:
         """Run the handler of the body's type on the body. A request (a key
         of ``msg.ANSWER``) gets one answer, sent here, naming its seq: the
         fields after ``answers`` or the Refusal its handler returns. It is
         refused ``invalid_caller``, with one event and no handler, unless
         the certificate its sender opened the channel with validates now
         (RFC 5280 §6.1.3)."""
-        body = env.body
         kind = type(body)
         handler = self.HANDLERS.get(kind)
         peer = channel.other(self.name)
@@ -101,8 +102,8 @@ class Node:
                 answer = Refusal.INVALID_CALLER
                 self._refused(events.UNEXPECTED, answer, kind.__name__, peer)
             reply = msg.ANSWER[kind]
-            self.sim.send(channel, self.name, reply(env.seq, refusal=answer)
-                          if isinstance(answer, Refusal) else reply(env.seq, *answer))
+            self.sim.send(channel, self.name, reply(seq, refusal=answer)
+                          if isinstance(answer, Refusal) else reply(seq, *answer))
         elif kind not in _ANSWERS:
             handler(self, channel, body)
         elif self.asked.get(key := (channel.id, body.answers), (None,))[0] is kind:
@@ -635,10 +636,9 @@ class VaspNode(Node):
         supervision = self.supervision.get(customer_id)
         if supervision is None:
             raise wallet.NotSupervised(customer_id)
-        nonce = self.sim.nonce()
         report = wallet.offboard_customer(
             self.vasp_number, customer_id, device, self.ledger, self.registry,
-            supervision, nonce, self.sim.now)
+            supervision, self.sim.nonce(), self.sim.nonce(), self.sim.now)
         erased = [r.handle for r in report.erasure_evidence.key_reports
                   if r.erased] if report.erasure_evidence else []
         self.sim.emit(self.name, events.OFFBOARD, customer_id, device.device_id,

@@ -5,14 +5,18 @@ validates the other's identity certificate through its own ``trust`` and
 proves possession of its certified key by signing a fresh challenge. Each
 channel direction is a FIFO pipe with loss, made reliable by Go-Back-N
 retransmission: a tick delivers a direction's queue up to its first
-dropped envelope, which goes again, with all after it, next tick. So
+dropped message, which goes again, with all after it, next tick. So
 handlers observe every message exactly once and in order, as over TLS on
-TCP. Every send is logged to the trace and to a wire log holding the
-canonical envelope bytes; its ``netsim.sent`` digest is that of those
-bytes. An envelope is ``(channel_id, seq, body)``: its sender is the
-channel's other endpoint, never a wire field. An answer names its
-request's seq on the same channel (``Node.handle``), and so does its
-``netsim.sent`` event (``answers``): the trace pairs them too.
+TCP. A frame is its body alone, encoded as its member of
+``messages.MessageBody``: its union tag, then its fields. Its sender is
+the channel's other endpoint and its seq the count of messages sent
+before it in its direction, which both endpoints keep, so neither is a
+wire field, as a TLS record names no connection and carries its sequence
+number implicitly (RFC 8446 §5.1, §5.3). Every send is logged to the
+trace and to a wire log holding the frame; its ``netsim.sent`` digest is
+that of the frame, and its event names the channel and seq. An answer
+names its request's seq on the same channel (``Node.handle``), and so
+does its ``netsim.sent`` event (``answers``): the trace pairs them too.
 
 Every trace event is declared once in ``events``, and ``emit`` takes an
 event's values in its declared order: the one path into the trace.
@@ -55,19 +59,9 @@ class ChannelClosed(NetsimError):
     pass
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """The frame ``(channel_id, seq, body)``: as in a TLS record (RFC 8446
-    §5.1), no sender (the channel's other endpoint) and no send tick."""
-
-    channel_id: int
-    seq: int
-    body: MessageBody
-
-
 @dataclass
 class _Direction:
-    queue: list[Envelope] = field(default_factory=list)
+    queue: list[tuple[int, MessageBody]] = field(default_factory=list)  # seq, body
     next_seq: int = 0
 
 
@@ -105,7 +99,7 @@ class SecureChannel:
 
 @dataclass
 class FaultConfig:
-    """Transport faults: each envelope sent is lost with ``drop_rate`` and
+    """Transport faults: each message sent is lost with ``drop_rate`` and
     retransmitted (Go-Back-N), so delivery stays exactly-once and in order;
     ``partitioned`` refuses every channel."""
 
@@ -146,7 +140,7 @@ class Simulation:
         self.trace = ScenarioTrace(scenario=scenario, seed=seed)
         self.channels: list[SecureChannel] = []
         self.wire_log: list[tuple[str, bytes]] = []
-        # Every direction holding a queued envelope, keyed by (channel id,
+        # Every direction holding a queued message, keyed by (channel id,
         # endpoint index): the only ones with work to do.
         self._busy: dict[tuple[int, int], tuple[SecureChannel, str]] = {}
         self._handlers: dict[str, object] = {}
@@ -222,28 +216,31 @@ class Simulation:
         self.emit("sim", events.CHANNEL_ESTABLISHED, channel.id, a.name, b.name)
         return channel
 
-    def send(self, channel: SecureChannel, sender: str, body: MessageBody) -> Envelope:
+    def send(self, channel: SecureChannel, sender: str, body: MessageBody) -> int:
+        """Queue ``body`` on ``sender``'s direction of ``channel``; return
+        its seq there."""
         if not channel.open:
             raise ChannelClosed(f"channel {channel.id} is closed")
         direction = channel._dirs[sender]
-        env = Envelope(channel.id, direction.next_seq, body)
+        seq = direction.next_seq
         # Encoded once, before it is queued, so a body the codec refuses is
         # never sent; the sent event's digest is that of these bytes.
-        wire = codec.canonical_encode(env)
+        wire = codec.canonical_encode(body, MessageBody)
         direction.next_seq += 1
-        direction.queue.append(env)
+        direction.queue.append((seq, body))
         self._busy[channel.id, channel.endpoints().index(sender)] = (channel, sender)
         self.wire_log.append((type(body).__name__, wire))
-        self.emit(sender, events.SENT, type(body).__name__, channel.id, env.seq,
+        self.emit(sender, events.SENT, type(body).__name__, channel.id, seq,
                   getattr(body, "answers", None), digest=crypto.digest(wire))
-        return env
+        return seq
 
     # -- event loop ---------------------------------------------------------------
 
     def step(self) -> int:
-        """Advance one tick; deliver in-flight messages, run handlers."""
+        """Advance one tick; deliver in-flight messages, handing each
+        recipient's handler its channel, seq and body."""
         self.now += 1
-        deliveries: list[tuple[SecureChannel, str, str, Envelope]] = []
+        deliveries: list[tuple[SecureChannel, str, str, int, MessageBody]] = []
         drop_rate = self.faults.drop_rate
         # Channel id order, then endpoint a before b, as a walk over every
         # direction would go, so deliveries and drop draws keep its order.
@@ -253,20 +250,20 @@ class Simulation:
             recipient = channel.other(sender)
             sent = len(queue)
             if drop_rate:
-                # Go-Back-N: the first dropped envelope and every one after
+                # Go-Back-N: the first dropped message and every one after
                 # it stay queued, to be sent again next tick.
                 sent = 0
                 while sent < len(queue) and self.rng.random() >= drop_rate:
                     sent += 1
-            deliveries.extend((channel, sender, recipient, env)
-                              for env in queue[:sent])
+            deliveries.extend((channel, sender, recipient, seq, body)
+                              for seq, body in queue[:sent])
             del queue[:sent]
             if not queue:
                 del self._busy[key]
-        for channel, sender, recipient, env in deliveries:
-            self.emit(recipient, events.DELIVERED, type(env.body).__name__,
-                      channel.id, env.seq, sender)
-            self._handlers[recipient](channel, env)
+        for channel, sender, recipient, seq, body in deliveries:
+            self.emit(recipient, events.DELIVERED, type(body).__name__,
+                      channel.id, seq, sender)
+            self._handlers[recipient](channel, seq, body)
         for hook in self._tick_hooks:
             hook(self.now)
         return len(deliveries)

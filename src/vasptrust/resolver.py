@@ -232,7 +232,10 @@ class ResolverService:
         duplicate or replay costs no certificate or signature work; a
         resolver is authoritative for its own origin and never takes an
         advertisement for it from the federation. The signer must be the
-        origin's claims-signing certificate, and the grouping canonical.
+        origin's claims-signing certificate, the grouping canonical, and
+        every PayID on a domain its identity certificate lists: only a
+        domain's holder serves its PayIDs, as a route origin authorization
+        names who may originate a prefix (RFC 6811).
         """
         held = self._remote.get(adv.vasp_number)
         if adv.vasp_number == self.vasp_number or (
@@ -242,7 +245,11 @@ class ResolverService:
                 *codec.unseal(adv), adv.signer_cert_serial,
                 pki.CertPurpose.CLAIMS_SIGNING, adv.vasp_number):
             return MergeOutcome.REJECTED
-        if not _canonical(adv.domains, identifiers := adv.identifiers):
+        payid_suffixes = {"$" + domain.lower() for domain in trust.members[
+            adv.vasp_number].identity.subject.alt_domain_names}
+        if not _canonical(adv.domains, identifiers := adv.identifiers) or any(
+                group[0].startswith("$") and group[0] not in payid_suffixes
+                for group in adv.domains):
             return MergeOutcome.REJECTED
 
         self.drop_origin(adv.vasp_number)

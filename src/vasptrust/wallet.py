@@ -389,17 +389,21 @@ def offboard_customer(releasing_vasp_number: int,
                       registry: WalletRegistry,
                       supervision: SupervisionRecord,
                       nonce: bytes,
+                      erasure_nonce: bytes,
                       now: int) -> BoardingReport:
     """Release a supervised wallet back to private status.
 
-    Assets move to one migratable handoff key (ending the VASP's Travel
-    Rule responsibility), every supervised non-migratable key is erased,
-    and fresh evidence must prove the erasure before acceptance: signed by
-    the attestation key the supervision was established with, over
-    ``nonce``. A wallet whose key history does not verify is refused with
-    nothing changed; one whose evidence fails, or shows a supervised key
-    live (ERASURE_NOT_PROVEN), is refused and stays regulated. The asset
-    move is submitted to the ledger mempool; the caller confirms the block.
+    The device is challenged first, over ``nonce``: a wallet that will not
+    attest, or whose evidence fails, or whose key history does not verify,
+    is refused with nothing changed. Else assets move to one migratable
+    handoff key (ending the VASP's Travel Rule responsibility), every
+    supervised non-migratable key is erased, and fresh evidence over
+    ``erasure_nonce`` must prove the erasure before acceptance. Both
+    evidences are signed by the attestation key the supervision was
+    established with. A wallet whose erasure evidence fails, or shows a
+    supervised key live (ERASURE_NOT_PROVEN), is refused and stays
+    regulated. The asset move is submitted to the ledger mempool; the
+    caller confirms the block.
     """
     status = registry.status(device.device_id)
     if (status.classification is not WalletClass.REGULATED
@@ -409,6 +413,9 @@ def offboard_customer(releasing_vasp_number: int,
         raise NotSupervised(
             f"{device.device_id} is not supervised by vasp {releasing_vasp_number}")
 
+    evidence = _fresh_evidence(device, nonce, supervision.attestation_key)
+    if isinstance(evidence, Refusal):
+        return BoardingReport(False, evidence, None, None)
     if not check_key_history(device, ledger):
         return BoardingReport(False, Refusal.KEY_HISTORY_INVALID, None, None)
 
@@ -421,7 +428,7 @@ def offboard_customer(releasing_vasp_number: int,
     for handle in to_erase:
         device.erase_key(handle)
 
-    evidence = _fresh_evidence(device, nonce, supervision.attestation_key)
+    evidence = _fresh_evidence(device, erasure_nonce, supervision.attestation_key)
     if isinstance(evidence, Refusal):
         return BoardingReport(False, evidence, None, None)
     reported = {r.handle: r for r in evidence.key_reports}

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
 
 from vasptrust import codec, crypto, pki
 from vasptrust.config import default_config, parse_config
-from vasptrust.netsim import Envelope, ScenarioTrace, run_scenario_with_world
+from vasptrust.netsim import ScenarioTrace, run_scenario_with_world
+from vasptrust.netsim.messages import MessageBody
 from vasptrust.netsim.trace import TraceEvent
 
 
@@ -35,10 +37,13 @@ def seed(label: str) -> bytes:
     return crypto.derive_seed(MASTER, label)
 
 
-def make_subject(vasp_number: int, org: str | None = None) -> pki.EvSubjectInfo:
+def make_subject(vasp_number: int, org: str | None = None,
+                 domains: tuple[str, ...] = ()) -> pki.EvSubjectInfo:
+    """Member ``vasp_number``'s subject, listing ``vaspN.example`` and
+    ``domains``: the domains whose PayIDs it may advertise."""
     return pki.EvSubjectInfo(
         organization_name=org or f"VASP {vasp_number} Ltd",
-        alt_domain_names=(f"vasp{vasp_number}.example",),
+        alt_domain_names=(f"vasp{vasp_number}.example", *domains),
         incorporation_number_or_lei=f"INC-{vasp_number:05d}",
         is_lei=False,
         place_of_business="1 Test Way",
@@ -67,21 +72,34 @@ def scenario_trace(name: str, config, overrides: dict | None = None
     return run_scenario_with_world(name, config, overrides)[0]
 
 
-def wire_envelopes(sim) -> list[Envelope]:
-    """Every envelope of ``sim``'s wire log, decoded, in send order."""
-    return [codec.canonical_decode(blob, Envelope) for _, blob in sim.wire_log]
+@dataclass(frozen=True)
+class Frame:
+    """A logged frame's body, decoded, with the channel and seq that the
+    ``netsim.sent`` event logging it names: the wire carries neither."""
+
+    ch: int
+    seq: int
+    body: MessageBody
 
 
-def sent_envelopes(sim) -> list[tuple[TraceEvent, Envelope]]:
-    """Every envelope of ``sim``'s wire log, decoded, in send order, with
-    the ``netsim.sent`` event that logged it. An envelope names neither
-    its sender nor its send tick; the event's actor and time do."""
+def sent_frames(sim) -> list[tuple[TraceEvent, Frame]]:
+    """Every frame of ``sim``'s wire log, decoded as a ``MessageBody``, in
+    send order, with the ``netsim.sent`` event that logged it, paired by
+    order. A frame names neither its sender, its send tick, its channel
+    nor its seq; the event's actor, time, ``ch`` and ``seq`` do."""
     sent = sim.trace.find("netsim.sent")
-    envelopes = wire_envelopes(sim)
-    assert len(sent) == len(envelopes)
-    for event, env in zip(sent, envelopes):
-        assert (event.get("ch"), event.get("seq")) == (env.channel_id, env.seq)
-    return list(zip(sent, envelopes))
+    assert len(sent) == len(sim.wire_log)
+    frames = []
+    for event, (kind, blob) in zip(sent, sim.wire_log):
+        body = codec.canonical_decode(blob, MessageBody)
+        assert event.get("msg") == kind == type(body).__name__
+        frames.append((event, Frame(event.get("ch"), event.get("seq"), body)))
+    return frames
+
+
+def wire_frames(sim) -> list[Frame]:
+    """Every frame of ``sim``'s wire log, as ``sent_frames`` gives it."""
+    return [frame for _, frame in sent_frames(sim)]
 
 
 def asked_seq(node, context) -> int:
@@ -97,15 +115,17 @@ def root() -> pki.RootAuthority:
     return pki.create_consortium_root(seed("root"))
 
 
-def issue_member(root: pki.RootAuthority, number: int, label: str) -> dict:
+def issue_member(root: pki.RootAuthority, number: int, label: str,
+                 domains: tuple[str, ...] = ()) -> dict:
     """Keys and identity, transaction and claims certificates of member
-    ``number``, from the seeds ``label:id``, ``label:tx``, ``label:claims``;
-    the three certificates are issued as one batch, in that order."""
+    ``number``, its subject listing ``domains`` too, from the seeds
+    ``label:id``, ``label:tx``, ``label:claims``; the three certificates
+    are issued as one batch, in that order."""
     identity = crypto.generate_keypair(seed(f"{label}:id"))
     tx = crypto.generate_keypair(seed(f"{label}:tx"))
     claims = crypto.generate_keypair(seed(f"{label}:claims"))
-    draft = root.draft_identity_cert(make_subject(number), identity.public_key,
-                                     0, 10_000)
+    draft = root.draft_identity_cert(make_subject(number, domains=domains),
+                                     identity.public_key, 0, 10_000)
     identity_cert, tx_cert, claims_cert = root.issue([draft] + [
         root.draft_signing_cert(draft, purpose, key.public_key, 0, 10_000)
         for purpose, key in ((pki.CertPurpose.TRANSACTION_SIGNING, tx),

@@ -321,7 +321,7 @@ def test_incremental_merge_equals_from_scratch_random_interleavings():
         service = ResolverServiceFactory(number)
         versions = []
         for k in range(6):
-            service.register(f"u{k}$v{number}.example")
+            service.register(f"u{k}$vasp{number}.example")  # its own domain
             versions.append(service.service.build_advertisement(
                 member["claims"].private_key, member["claims_cert"].serial))
         origins[number] = versions
@@ -624,7 +624,8 @@ def test_offboarding_soundness(demo_config):
     ledger.confirm_block()
     supervised = list(supervision.supervised_handles)
     report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                      supervision, seed("n2"), now=9)
+                                      supervision, seed("n2"), seed("n2e"),
+                                      now=9)
     assert report.accepted
     reported = {r.handle: r for r in report.erasure_evidence.key_reports}
     assert all(reported[h].erased for h in supervised
@@ -644,7 +645,8 @@ def test_offboarding_soundness(demo_config):
         attestation_key=bad.attestation_public_key)
     ledger2.confirm_block()
     refused = wallet.offboard_customer(7, "alice", bad, ledger2, registry2,
-                                       supervision2, seed("n4"), now=9)
+                                       supervision2, seed("n4"), seed("n4e"),
+                                       now=9)
     assert (refused.accepted, refused.reason, refused.erasure_evidence) == \
         (False, pki.Refusal.ERASURE_NOT_PROVEN, None)
     assert registry2.status(bad.device_id).classification \

@@ -16,14 +16,16 @@ import dataclasses
 
 import pytest
 
-from conftest import asked_seq, sent_envelopes, wire_envelopes
+from conftest import asked_seq, sent_frames, wire_frames
 from vasptrust import claims, codec, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.netsim import build_world, messages, run_scenario_with_world
 from vasptrust.netsim.messages import (ClaimsAuthRequest, ClaimsFetchRequest,
                                        TravelRuleRequest, TravelRuleResponse)
+from vasptrust.netsim import scenarios
 from vasptrust.netsim.scenarios import converge_federation, flood_round
-from vasptrust.resolver import IdentifierAdvertisement, parse_identifier
+from vasptrust.resolver import (IdentifierAdvertisement, MergeOutcome,
+                                parse_identifier)
 from vasptrust.travel_rule import ConsentDirection
 
 
@@ -67,10 +69,10 @@ def unsolicited(world, vasp: int) -> list[str]:
 
 
 def accepted_responses(world, sender: int) -> list:
-    return [env.body for sent, env in sent_envelopes(world.sim)
+    return [frame.body for sent, frame in sent_frames(world.sim)
             if sent.actor == world.vasps[sender].name
-            and isinstance(env.body, TravelRuleResponse)
-            and env.body.refusal is None]
+            and isinstance(frame.body, TravelRuleResponse)
+            and frame.body.refusal is None]
 
 
 # -- no originator data leaves before the originator consents ---------------
@@ -102,9 +104,9 @@ def test_no_originator_data_on_the_wire_without_consent(demo_config, consent):
     alice = world.vasps[7].customers["alice"]
     originator = {alice.legal_name, alice.customer_id,
                   alice.geographic_address}
-    envelopes = wire_envelopes(world.sim)
-    requests = [e for e in envelopes if isinstance(e.body, TravelRuleRequest)]
-    on_wire = set().union(*(strings_in(e.body) for e in envelopes))
+    frames = wire_frames(world.sim)
+    requests = [f for f in frames if isinstance(f.body, TravelRuleRequest)]
+    on_wire = set().union(*(strings_in(f.body) for f in frames))
     if consent:
         assert len(requests) == 1 and originator <= on_wire
         return
@@ -181,7 +183,7 @@ def test_beneficiary_vasp_refuses_a_beneficiary_it_cannot_name(
         signed_by(world, 7, 7, 9, name=name, account=account)))
     world.sim.run_until_quiet()
     assert refusals(world, 9) == [reason]
-    assert [env.body.refusal.value for sent, env in sent_envelopes(world.sim)
+    assert [frame.body.refusal.value for sent, frame in sent_frames(world.sim)
             if sent.actor == world.vasps[9].name] == [reason]
     assert world.vasps[9].payload_store == []
 
@@ -210,8 +212,8 @@ def test_beneficiary_derives_the_payload_id_from_the_bytes_received(world):
     payload = _start_transfer(world)
     vars(payload)["payload_id"] = bytes(32)
     world.sim.step()
-    (request,) = [env.body for env in wire_envelopes(world.sim)
-                  if isinstance(env.body, TravelRuleRequest)]
+    (request,) = [frame.body for frame in wire_frames(world.sim)
+                  if isinstance(frame.body, TravelRuleRequest)]
     payload_id = crypto.digest(codec.canonical_encode(request.signed.payload))
     (validated,) = [e for e in world.sim.trace.find(
         "travel_rule.payload_validated")
@@ -224,14 +226,14 @@ def test_a_transfer_encodes_each_signed_value_once_per_party(
         world, monkeypatch):
     # From the request to correlation, the payload and its answer are
     # encoded at most 6 times: the originator's id, its signing input and
-    # the request envelope; the beneficiary's signing inputs of the
+    # the request frame; the beneficiary's signing inputs of the
     # request and of its answer; the originator's of the rebuilt answer.
     # The ledger transaction at most 2: make_transfer's signing input and
     # the ledger's; correlation reads the id the ledger derived from it.
     outputs = []
     for name in ("canonical_encode", "struct_bytes"):
-        def recording(value, encode=getattr(codec, name)):
-            outputs.append(encode(value))
+        def recording(value, *declared, encode=getattr(codec, name)):
+            outputs.append(encode(value, *declared))
             return outputs[-1]
         monkeypatch.setattr(codec, name, recording)
     payload = _start_transfer(world)
@@ -430,8 +432,8 @@ def test_no_originator_data_in_an_answer(demo_config):
     # Alice's name, account or identifying detail travels back.
     _, world = run_scenario_with_world("S1", demo_config)
     alice = world.vasps[7].customers["alice"]
-    answers = [env.body for env in wire_envelopes(world.sim)
-               if isinstance(env.body, TravelRuleResponse)]
+    answers = [frame.body for frame in wire_frames(world.sim)
+               if isinstance(frame.body, TravelRuleResponse)]
     assert len(answers) == 1 and answers[0].refusal is None
     assert {alice.legal_name, alice.customer_id,
             alice.geographic_address}.isdisjoint(
@@ -491,11 +493,45 @@ def test_originator_that_may_not_sign_sends_nothing(world):
     assert vasp7.initiate_transfer(channel, "alice", "Bob Jones",
                                    "bob@idp2.com", 9, 125) is None
     world.sim.run_until_quiet()
-    assert not any(isinstance(env.body, TravelRuleRequest)
-                   for env in wire_envelopes(world.sim))
+    assert not any(isinstance(frame.body, TravelRuleRequest)
+                   for frame in wire_frames(world.sim))
     assert not world.sim.trace.find("travel_rule.payload_signed")
     assert refusals(world, 7) == ["own_cert_invalid"]
     assert vasp7.pending == {} and vasp7.payload_store == []
+
+
+def test_payid_squatted_by_another_member_rejected_everywhere(demo_config,
+                                                              monkeypatch):
+    # VASP 3 registers bob$betaex.com, a PayID on betaex.com, which only
+    # VASP 9's identity certificate lists, and signs its advertisement with
+    # its own valid claims key. Every receiver refuses the advertisement
+    # whole, with no state change, so the PayID resolves to VASP 9 alone
+    # and S1 to it passes.
+    def squatted_world(config, scenario):
+        world = build_world(config, scenario=scenario)
+        world.vasps[3].resolver.register_identifier(
+            "dave", parse_identifier("bob$betaex.com"))
+        return world
+
+    squatter = squatted_world(demo_config, "adhoc").vasps[3]
+    squat = squatter.resolver.build_advertisement(
+        squatter.claims_key.private_key, squatter.certs.claims.serial)
+    world = build_world(demo_config)
+    for number in (7, 9):
+        receiver = world.vasps[number].resolver
+        assert receiver.merge_advertisement(squat, world.trust) \
+            is MergeOutcome.REJECTED
+        assert receiver.known_advertisements() == []
+        assert receiver.lookup(parse_identifier("dave@idp2.com")) == \
+            ([9] if number == 9 else [])
+    monkeypatch.setattr(scenarios, "build_world", squatted_world)
+    trace, world = run_scenario_with_world(
+        "S1", demo_config, {"beneficiary_identifier": "bob$betaex.com"})
+    assert trace.passed
+    merged = [e.get("outcome") for e in trace.find("resolver.adv_merged")
+              if e.get("origin") == "vasp:3"]
+    assert merged and set(merged) == {MergeOutcome.REJECTED.value}
+    assert world.vasps[7].local_lookup(parse_identifier("bob$betaex.com")) == [9]
 
 
 def test_member_that_may_not_sign_builds_no_advertisement(demo_config):
@@ -691,7 +727,7 @@ def test_request_from_a_revoked_caller_is_refused_at_the_door(demo_config, kind)
             len(world.vasps[9].payload_store),
             len(world.vasps[7].fetched_claims)) == held
     assert world.insurer.audit_verdicts == {}
-    answer = sent_envelopes(world.sim)[-1][1].body
+    answer = sent_frames(world.sim)[-1][1].body
     assert type(answer) is messages.ANSWER[getattr(messages, kind)]
     assert answer.refusal is pki.Refusal.INVALID_CALLER
     assert getattr(answer, "vasp_numbers", ()) == ()

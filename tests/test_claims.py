@@ -178,6 +178,22 @@ class TestFetch:
         assert store.fetch_claims(forged, now=5) is pki.Refusal.BAD_TOKEN
         assert store.receipts == []
 
+    def test_every_refused_fetch_is_audited(self, setup):
+        # The audit trail holds every access: a refused fetch writes one
+        # fetch_refused row naming its refusal, whichever check refused it.
+        store, server, _ = setup
+        token = request(server, 7, {"driving_license_number"}, now=1)
+        expired = 1 + claims.TOKEN_LIFETIME
+        assert store.fetch_claims(token, now=expired) is pki.Refusal.TOKEN_EXPIRED
+        assert store.audit_log[-1] == claims.AuditEntry(
+            expired, "fetch_refused", (("reason", pki.Refusal.TOKEN_EXPIRED),))
+        forged = replace(token, purpose="marketing")
+        rows = len(store.audit_log)
+        assert store.fetch_claims(forged, now=5) is pki.Refusal.BAD_TOKEN
+        assert store.audit_log[rows:] == [claims.AuditEntry(
+            5, "fetch_refused", (("reason", pki.Refusal.BAD_TOKEN),))]
+        assert store.receipts == []
+
     def test_revoke_twice_idempotent(self, setup):
         store, _, _ = setup
         store.revoke_consent("alice", now=3)

@@ -172,7 +172,8 @@ REFUSALS = {
     "blank_organization_name": (
         lambda c: _vasp(c).update(organization_name=" "), "config.vasps[0]"),
     "claims_at_two_vasps": (
-        lambda c: _vasp(c, 1)["customers"].append(dict(_alice(c))),
+        lambda c: _vasp(c, 1)["customers"].append(
+            dict(_alice(c), identifiers=["alice@idp1.com"])),
         "config.vasps[1].customers[2].id"),
     "treasury": (lambda c: _vasp(c).update(treasury="lots"),
                  "config.vasps[0].treasury"),
@@ -291,6 +292,11 @@ MESSAGES = {
             "bob$BetaEx.com"),
         "config.vasps[1].customers[1].identifiers[1]: "
         "'bob$betaex.com' already names customer 'bob'"),
+    "payid_on_another_vasps_domain": (
+        lambda c: c["vasps"][2]["customers"][0]["identifiers"].append(
+            "bob$BetaEx.com"),
+        "config.vasps[2].customers[0].identifiers[1]: "
+        "betaex.com is not a domain of this VASP"),
     "graph_key": (lambda c: c.update(federation_graph={"x": [9]}),
                   "config.federation_graph.x: expected an integer, got 'x'"),
     "graph_unknown_key": (lambda c: c.update(federation_graph={"5": [9]}),
@@ -423,6 +429,24 @@ def test_decimal_strings_read_as_integers():
     parsed = parse_config(config)
     assert parsed.vasps[0].treasury == 12 and parsed.seed == -3
     assert parsed.neighbors(7) == [9]
+
+
+def test_init_refuses_a_payid_on_another_vasps_domain(tmp_path, capsys):
+    # Only a domain's holder serves its PayIDs: VASP 3 may not list one on
+    # betaex.com, which only VASP 9's subject names, in any case. A PayID
+    # on one of its own domains, in another case, is admitted.
+    config = default_config()
+    config["vasps"][1]["customers"][1]["identifiers"].append("dave$BETAEX.de")
+    parse_config(config)
+    config["vasps"][2]["customers"][0]["identifiers"].append("bob$betaex.com")
+    path = tmp_path / "squat.json"
+    path.write_text(json.dumps(config))
+    assert main(["init", "--config", str(path),
+                 "--workspace", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}.vasps[2].customers[0].identifiers[1]: betaex.com" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "w").exists()
 
 
 def test_unreadable_config_file_is_config_error(tmp_path, capsys):

@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seed, wire_envelopes
+from conftest import seed, wire_frames
 from vasptrust import claims, codec, crypto, pki, resolver, travel_rule, wallet
 from vasptrust.ledger import LedgerTx, make_transfer
 from vasptrust.netsim import messages
 from vasptrust.netsim.scenarios import run_scenario_with_world
-from vasptrust.netsim.sim import Envelope
 from vasptrust.resolver import ResolverService, parse_identifier
 from vasptrust.travel_rule import (CorrelationHint, CustomerRecord, HintKind,
                                    IdentifyingInfo, IdentifyingKind,
@@ -229,8 +228,8 @@ def test_nested_injectivity(items):
 def test_edited_wire_bytes_decode_canonically_or_raise_codec_error(
         demo_config):
     # An accepted byte string is the unique encoding of its value: each
-    # seeded 1-3 byte edit of an S1-S5 envelope is refused with CodecError
-    # or decodes to a value that re-encodes to exactly the edited bytes.
+    # seeded 1-3 byte edit of an S1-S5 frame is refused with CodecError
+    # or decodes to a body that re-encodes to exactly the edited bytes.
     blobs = [blob for name in ("S1", "S2", "S3", "S4", "S5")
              for _, blob in run_scenario_with_world(name, demo_config)[1]
              .sim.wire_log]
@@ -249,11 +248,11 @@ def test_edited_wire_bytes_decode_canonically_or_raise_codec_error(
                 del data[i]
         data = bytes(data)
         try:
-            value = codec.canonical_decode(data, Envelope)
+            value = codec.canonical_decode(data, messages.MessageBody)
         except codec.CodecError:
             continue
         decoded += 1
-        assert codec.canonical_encode(value) == data
+        assert codec.canonical_encode(value, messages.MessageBody) == data
     assert decoded > 0
 
 
@@ -380,7 +379,7 @@ def values_of(typ) -> st.SearchStrategy:
 BODY_TYPES = typing.get_args(messages.MessageBody)
 
 
-@pytest.mark.parametrize("cls", [Sample, Envelope, *BODY_TYPES],
+@pytest.mark.parametrize("cls", [Sample, *BODY_TYPES],
                          ids=lambda cls: cls.__name__)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -397,11 +396,10 @@ def test_compiled_encoder_matches_reference(cls, data):
 @given(data=st.data())
 def test_wire_bytes_frame_the_body_bytes(body_type, data):
     body = data.draw(values_of(body_type))
-    env = Envelope(channel_id=3, seq=9, body=body)
-    # The envelope's last frame is the body's union member: its bytes end
-    # with the body's own encoding.
-    wire = codec.canonical_encode(env)
-    assert wire == reference_encode(env)
+    # A frame is the body as its union member: its bytes end with the
+    # body's own encoding.
+    wire = codec.canonical_encode(body, messages.MessageBody)
+    assert wire == reference_encode(body, messages.MessageBody)
     assert wire.endswith(codec.canonical_encode(body))
 
 
@@ -411,14 +409,13 @@ def test_wire_bytes_frame_the_body_bytes(body_type, data):
 def test_body_bytes_of_damaged_wire_bytes_raise_only_decode_error(
         body_type, data):
     # Truncated or extended wire bytes are refused; edited ones decode to
-    # some envelope or are refused, and with DecodeError, never another
-    # error.
-    wire = codec.canonical_encode(
-        Envelope(3, 9, data.draw(values_of(body_type))))
+    # some body or are refused, and with DecodeError, never another error.
+    wire = codec.canonical_encode(data.draw(values_of(body_type)),
+                                  messages.MessageBody)
     cut = data.draw(st.integers(0, len(wire) - 1), label="bytes kept")
     for damaged in (wire[:cut], wire + wire[cut:cut + 1]):
         with pytest.raises(codec.DecodeError):
-            codec.canonical_decode(damaged, Envelope)
+            codec.canonical_decode(damaged, messages.MessageBody)
     edited = bytearray(wire)
     i = data.draw(st.integers(0, len(wire) - 1), label="edited byte")
     edit = data.draw(st.sampled_from(["flip", "insert", "delete"]))
@@ -429,7 +426,7 @@ def test_body_bytes_of_damaged_wire_bytes_raise_only_decode_error(
     else:
         del edited[i]
     try:
-        codec.canonical_decode(bytes(edited), Envelope)
+        codec.canonical_decode(bytes(edited), messages.MessageBody)
     except codec.DecodeError:
         pass
 
@@ -476,15 +473,10 @@ def test_enum_member_is_its_declaration_index(member):
             codec.canonical_decode(_ref_frame(codec.TAG_ENUM, bad), cls)
 
 
-def envelope_wire(env: Envelope, index: bytes) -> bytes:
-    """``env``'s encoding with its body tagged by the uint payload ``index``."""
-    hints = typing.get_type_hints(Envelope)
-    return _ref_frame(codec.TAG_STRUCT, b"".join(
-        _ref_frame(codec.TAG_UNION, _ref_frame(codec.TAG_UINT, index)
-                   + reference_encode(env.body))
-        if f.name == "body" else
-        reference_encode(getattr(env, f.name), hints[f.name])
-        for f in dataclasses.fields(Envelope)))
+def frame_wire(body, index: bytes) -> bytes:
+    """``body``'s frame with the body tagged by the uint payload ``index``."""
+    return _ref_frame(codec.TAG_UNION, _ref_frame(codec.TAG_UINT, index)
+                      + reference_encode(body))
 
 
 @settings(max_examples=100, deadline=None)
@@ -492,15 +484,14 @@ def envelope_wire(env: Envelope, index: bytes) -> bytes:
 def test_message_body_is_tagged_by_its_union_index(data):
     index = data.draw(st.integers(0, len(BODY_TYPES) - 1), label="member")
     body = data.draw(values_of(BODY_TYPES[index]))
-    env = Envelope(channel_id=3, seq=9, body=body)
-    blob = codec.canonical_encode(env)
-    assert blob == envelope_wire(env, _ref_index(index))
-    back = codec.canonical_decode(blob, Envelope)
-    assert back == env
-    assert codec.canonical_encode(back) == blob
+    blob = codec.canonical_encode(body, messages.MessageBody)
+    assert blob == frame_wire(body, _ref_index(index))
+    back = codec.canonical_decode(blob, messages.MessageBody)
+    assert back == body
+    assert codec.canonical_encode(back, messages.MessageBody) == blob
     for bad in (_ref_index(len(BODY_TYPES)), b"\x00" + _ref_index(index)):
         with pytest.raises(codec.DecodeError):
-            codec.canonical_decode(envelope_wire(env, bad), Envelope)
+            codec.canonical_decode(frame_wire(body, bad), messages.MessageBody)
 
 
 def test_non_member_where_an_enum_is_declared_refused():
@@ -623,7 +614,7 @@ def test_str_valued_enum_where_it_is_declared_round_trips():
 # A value of each encodable class, for the fields that declare another.
 OTHER_CLASSES = [True, 7, "x", b"x", bytearray(b"x"), Color.RED, Flavour.SWEET,
                  pki.Refusal.INVALID_CALLER, (), ["x"], Inner("x", ())]
-STRICT_TYPES = [Sample, Envelope, *BODY_TYPES]
+STRICT_TYPES = [Sample, *BODY_TYPES]
 
 
 def _declared_classes(typ) -> set:
@@ -650,7 +641,7 @@ def test_other_class_where_a_type_is_declared_refused(cls, data):
                 codec.canonical_encode(wrong)
             if cls in BODY_TYPES:
                 with pytest.raises(codec.CodecError):
-                    codec.canonical_encode(Envelope(1, 2, wrong))
+                    codec.canonical_encode(wrong, messages.MessageBody)
             refused += 1
     assert refused >= len(dataclasses.fields(cls))
 
@@ -674,10 +665,7 @@ def test_every_encoding_decodes_to_its_value(cls, data):
 
 # -- encoding keeps nothing on a value -----------------------------------------
 
-WIRE_TYPES = [Envelope, *BODY_TYPES]
-
-
-@pytest.mark.parametrize("cls", WIRE_TYPES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", BODY_TYPES, ids=lambda cls: cls.__name__)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_kept_encodings_match_reference(cls, data):
@@ -703,7 +691,7 @@ def _tuple_fields(cls) -> list[str]:
             if typing.get_origin(typ) is tuple]
 
 
-@pytest.mark.parametrize("cls", [c for c in WIRE_TYPES if _tuple_fields(c)],
+@pytest.mark.parametrize("cls", [c for c in BODY_TYPES if _tuple_fields(c)],
                          ids=lambda cls: cls.__name__)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -714,7 +702,7 @@ def test_list_in_a_tuple_field_refused(cls, data):
     with pytest.raises(codec.CodecError, match="list given for tuple"):
         codec.canonical_encode(listed)
     with pytest.raises(codec.CodecError, match="list given for tuple"):
-        codec.canonical_encode(Envelope(1, 2, listed))
+        codec.canonical_encode(listed, messages.MessageBody)
     # The path of every signing input: a struct without its last field.
     if name != dataclasses.fields(cls)[-1].name:
         with pytest.raises(codec.CodecError, match="list given for tuple"):
@@ -777,7 +765,7 @@ def _dataclass_values(value):
             yield from _dataclass_values(item)
 
 
-@pytest.mark.parametrize("cls", WIRE_TYPES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", BODY_TYPES, ids=lambda cls: cls.__name__)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_the_codec_keeps_nothing_on_a_value(cls, data):
@@ -785,7 +773,7 @@ def test_the_codec_keeps_nothing_on_a_value(cls, data):
     # value they read, nested ones included.
     value = data.draw(values_of(cls))
     last = dataclasses.fields(cls)[-1].name
-    codec.canonical_encode(Envelope(1, 2, value) if cls in BODY_TYPES else value)
+    codec.canonical_encode(value, messages.MessageBody)
     codec.struct_bytes(value)
     sealed, _ = codec.seal(value, lambda tbs: getattr(value, last))
     assert codec.unseal(sealed) == (codec.struct_bytes(value), getattr(value, last))
@@ -962,15 +950,15 @@ def test_ids_derived_from_the_wire_are_the_ones_the_trace_names(
     # and the transaction key its originator pays.
     trace, world = run_scenario_with_world(name, demo_config)
     derived = {"payload": set(), "token": set(), "receipt": set()}
-    requests = {}  # by channel and envelope seq, which answers name
-    for env in wire_envelopes(world.sim):
-        body = env.body
+    requests = {}  # by channel and seq, which answers name
+    for frame in wire_frames(world.sim):
+        body = frame.body
         if getattr(body, "signed", None) is not None:
             payload = body.signed.payload
-            requests[env.channel_id, env.seq] = payload
+            requests[frame.ch, frame.seq] = payload
             derived["payload"].add(payload.payload_id.hex()[:16])
         if getattr(body, "answer", None) is not None:
-            request = requests[env.channel_id, body.answers]
+            request = requests[frame.ch, body.answers]
             paid = world.trust.members[request.beneficiary_vasp_number]
             answer = travel_rule.rebuild_answer(
                 request, body.answer, paid.transaction.subject_public_key)
@@ -1051,27 +1039,28 @@ def _replace_at(value, path, new):
 @given(data=st.data())
 def test_wrong_typed_field_at_each_depth_refused_where_declared(body_type,
                                                                  data):
-    # Each wrong value, in each field of an envelope holding the body, at
-    # every depth, is refused with the message naming that field's declared
-    # type. The reference refuses the bytearray and the non-members too; it
+    # Each wrong value, in the frame or in any field of its body, at every
+    # depth, is refused with the message naming the declared type there.
+    # The reference refuses the bytearray and the non-members too; it
     # encodes None and a bool as themselves, being untyped there.
-    env = Envelope(3, 9, data.draw(values_of(body_type)))
-    assert codec.canonical_encode(env) == reference_encode(env)
+    body = data.draw(values_of(body_type))
+    frame = messages.MessageBody
+    assert codec.canonical_encode(body, frame) == reference_encode(body, frame)
     refused = 0
-    for path, typ in _field_paths(env):
+    for path, typ in [((), frame), *_field_paths(body)]:
         for wrong, refusal in _wrong_values(typ):
-            bad = _replace_at(env, path, wrong)
+            bad = _replace_at(body, path, wrong)
             with pytest.raises(codec.CodecError) as raised:
-                codec.canonical_encode(bad)
+                codec.canonical_encode(bad, frame)
             assert str(raised.value) == refusal, path
-            if path[1:]:  # the body alone, encoded as its own class
+            if path:  # the body alone, encoded as its own class
                 with pytest.raises(codec.CodecError, match=re.escape(refusal)):
-                    codec.canonical_encode(bad.body)
+                    codec.canonical_encode(bad)
             if wrong is Stranger.X or type(wrong) is bytearray:
                 with pytest.raises(codec.CodecError):
-                    reference_encode(bad)
+                    reference_encode(bad, frame)
             refused += 1
-    assert refused >= len(dataclasses.fields(body_type)) + 3
+    assert refused >= len(dataclasses.fields(body_type)) + 2
 
 
 @dataclass(frozen=True)
@@ -1133,7 +1122,7 @@ def test_self_referential_dataclass_encodes():
 def test_each_type_is_compiled_once_into_its_own_encoder(monkeypatch):
     # A nested dataclass, a union and a sequence's item each call their own
     # type's encoder, so a type's source is written and compiled once
-    # however many types hold it: generating the envelope's encoder frames
+    # however many types hold it: generating the frame's encoder frames
     # one struct per compiled source, and compiles each dataclass once.
     sources = []
 
@@ -1142,7 +1131,7 @@ def test_each_type_is_compiled_once_into_its_own_encoder(monkeypatch):
         return compile(source, *rest)
     monkeypatch.setattr(codec, "_ENCODERS", {})
     monkeypatch.setattr(codec, "compile", recording, raising=False)
-    codec._encoder(Envelope)
+    codec._encoder(messages.MessageBody)
     structs = [s.split("(")[0] for s in sources if "_frame(7, " in s]
     assert all(s.count("_frame(7, ") <= 1 for s in sources)
     assert len(structs) == len(set(structs)) > len(BODY_TYPES)

@@ -1,6 +1,6 @@
 """The node's door: ``Node.handle`` sends every request's one answer.
 
-A handler takes the delivered body, never its envelope, and sends
+A handler takes the delivered body, never its seq, and sends
 nothing. A request's handler returns a refusal or its answer's fields,
 and the door builds the answer naming the request's seq and sends it.
 """
@@ -13,7 +13,7 @@ import textwrap
 
 import pytest
 
-from conftest import sent_envelopes
+from conftest import sent_frames
 from vasptrust import claims, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.netsim import build_world, messages, nodes
@@ -48,7 +48,8 @@ def test_every_request_type_has_a_handler():
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
 def test_no_handler_sends_or_takes_an_envelope(cls):
     # Nothing a handler runs, its own methods included, calls ``.send(``
-    # or reads a ``.seq``, and no handler has an Envelope parameter.
+    # or reads a ``.seq``, and no handler has a seq parameter: the door
+    # alone takes a delivery's seq.
     found = []
     for handler in cls.HANDLERS.values():
         for fn in reached(cls, handler):
@@ -56,8 +57,7 @@ def test_no_handler_sends_or_takes_an_envelope(cls):
                       if isinstance(node, ast.Attribute)
                       and node.attr in ("send", "seq")]
             found += [(fn.name, arg.arg) for arg in fn.args.args
-                      if arg.arg == "env" or arg.annotation is not None
-                      and "Envelope" in ast.unparse(arg.annotation)]
+                      if arg.arg == "seq"]
     assert found == []
 
 
@@ -111,8 +111,8 @@ def test_request_refused_by_its_handler_gets_one_answer(demo_config, kind):
     world = build_world(demo_config)
     requester, answerer, body, refusal = REFUSED[kind](world)
     channel = world.channel_between(requester, answerer)
-    request = world.sim.send(channel, requester.name, body)
+    seq = world.sim.send(channel, requester.name, body)
     world.sim.run_until_quiet()
-    assert [env.body for sent, env in sent_envelopes(world.sim)
+    assert [frame.body for sent, frame in sent_frames(world.sim)
             if sent.actor == answerer.name] == \
-        [messages.ANSWER[type(body)](request.seq, refusal=refusal)]
+        [messages.ANSWER[type(body)](seq, refusal=refusal)]

@@ -27,8 +27,6 @@ UNREAD = {
     "SignedClaim.subject_customer_ref":
         "signed; the check of a claims answer will match it to the customer",
     "SignedClaim.attribute_value": "the released claim itself",
-    "Envelope.channel_id":
-        "the codec encodes it; a check on delivered wire bytes will read it",
     "AuditEntry.at": _RECORD,
     "ConsentRecord.direction": _RECORD,
     "ConsentRecord.counterparty_vasp_number": _RECORD,

@@ -2,26 +2,26 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import hashlib
 import json
+import typing
 from pathlib import Path
 
 import pytest
 
-from conftest import (make_subject, seed, sent_envelopes, trust_context,
-                      wire_envelopes)
+from conftest import (make_subject, seed, sent_frames, trust_context,
+                      wire_frames)
 from test_scenarios import line_config, transfer, transfer_world
 from vasptrust import cli, codec, config, crypto, pki, resolver
 from vasptrust.config import default_config, parse_config
 from vasptrust.netsim import (ChannelClosed, FaultConfig, PeerCertInvalid,
                               Simulation, build_world)
-from vasptrust.netsim.messages import LookupRequest
+from vasptrust.netsim.messages import LookupRequest, MessageBody
 from vasptrust.netsim.nodes import Node
 from vasptrust.netsim.scenarios import (converge_federation,
                                         run_scenario_with_world)
-from vasptrust.netsim.sim import Envelope, NetsimError
+from vasptrust.netsim.sim import NetsimError
 from vasptrust.resolver import CustomerIdentifier, parse_identifier
 
 
@@ -32,8 +32,8 @@ class Recorder(Node):
         super().__init__(sim, name, identity_cert, identity_key, trust)
         self.received = []
 
-    def handle(self, channel, envelope):
-        self.received.append(envelope.body)
+    def handle(self, channel, seq, body):
+        self.received.append(body)
 
 
 class DishonestNode(Node):
@@ -151,9 +151,12 @@ def test_every_wire_message_bound_to_channel(root):
     for i in range(5):
         sim.send(channel, a.name, LookupRequest("x@y.z"))
     sim.run_until_quiet()
-    envelopes = wire_envelopes(sim)
-    assert len(envelopes) == 5
-    assert all(env.channel_id == channel.id for env in envelopes)
+    # The frame carries no channel id: the channel it is sent and delivered
+    # on is the one named.
+    assert len(wire_frames(sim)) == 5
+    assert [(e.event, e.get("ch")) for e in sim.trace.events
+            if e.event in ("netsim.sent", "netsim.delivered")] == \
+        [("netsim.sent", channel.id)] * 5 + [("netsim.delivered", channel.id)] * 5
 
 
 def test_trace_is_deterministic():
@@ -174,15 +177,15 @@ class Echo(Recorder):
     """Recorder that echoes each first-hand request on the same channel,
     marked ``re:``, so handlers send while a tick is being delivered."""
 
-    def handle(self, channel, envelope):
-        super().handle(channel, envelope)
-        identifier = envelope.body.identifier
+    def handle(self, channel, seq, body):
+        super().handle(channel, seq, body)
+        identifier = body.identifier
         if not identifier.startswith("re:"):
             self.sim.send(channel, self.name, LookupRequest("re:" + identifier))
 
 
 def brute_in_flight(sim) -> int:
-    """Queued envelopes over every channel direction."""
+    """Queued messages over every channel direction."""
     return sum(len(ch._dirs[s].queue)
                for ch in sim.channels for s in ch.endpoints())
 
@@ -192,7 +195,7 @@ def brute_in_flight(sim) -> int:
 # as a step over every channel direction, in channel id order and endpoint
 # a before b, would.
 FAULTY_MESH_TRACE_SHA256 = (
-    "a1f775f416d8a1ec6add7a6e4c170949b783865d79b413063a1ad1f97ed8b5a7")
+    "0f0978ee674f2adf812643df97d713249f9c4a419d3486ceb7908ed42c033c07")
 
 
 def test_in_flight_tracks_busy_directions_under_faults():
@@ -236,7 +239,7 @@ def test_in_flight_tracks_busy_directions_under_faults():
 def test_duplicate_actor_ids_rejected(root):
     sim = Simulation(seed=12)
 
-    def handler(channel, envelope):
+    def handler(channel, seq, body):
         pass
 
     sim.register_actor("x", handler)
@@ -245,43 +248,59 @@ def test_duplicate_actor_ids_rejected(root):
 
 
 @pytest.fixture
-def returned_envelopes(monkeypatch) -> list[tuple[str, Envelope]]:
-    """(sender, envelope) of every envelope ``Simulation.send`` returns:
-    the sender's own objects, kept apart from the wire log."""
+def returned_frames(monkeypatch) -> list[tuple[str, int, int, MessageBody]]:
+    """(sender, channel id, seq, body) of every ``Simulation.send`` call,
+    with the seq it returns: the sender's own objects, kept apart from
+    the wire log."""
     sent = []
     send = Simulation.send
 
     def recording_send(self, channel, sender, body):
-        env = send(self, channel, sender, body)
-        sent.append((sender, env))
-        return env
+        seq = send(self, channel, sender, body)
+        sent.append((sender, channel.id, seq, body))
+        return seq
 
     monkeypatch.setattr(Simulation, "send", recording_send)
     return sent
 
 
-@pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4", "S5"])
-def test_wire_log_and_sent_digests_are_canonical(demo_config, scenario,
-                                                 returned_envelopes):
-    # send encodes each envelope once: the wire log holds what encoding
-    # anew gives, and the sent event's digest is that of those bytes.
-    # The envelope names no sender: the sent event's actor is the one send
-    # was called with. An answer's event names the seq it answers; any
-    # other's holds None there, which the rendered line and ``fields``
-    # leave out.
-    _, world = run_scenario_with_world(scenario, demo_config)
-    sim = world.sim
-    sent = {(env.channel_id, sender, env.seq): env
-            for sender, env in returned_envelopes}
-    logged = sent_envelopes(sim)
-    assert len(sim.wire_log) == len(logged) == len(sent) > 0
-    for (kind, blob), (event, wire_env) in zip(sim.wire_log, logged):
-        env = sent[(wire_env.channel_id, event.actor, wire_env.seq)]
-        assert blob == codec.canonical_encode(env)
-        assert kind == type(env.body).__name__
-        answers = getattr(env.body, "answers", None)
+def run_sim(run: str, demo_config, workloads) -> Simulation:
+    """The simulation of scenario ``run`` on the demo config, or of a
+    seed-1 unit of the perfbench workload ``run``."""
+    if run == "federation":
+        world = workloads.federation_setup(1)
+        converge_federation(world, max_rounds=len(world.vasps))
+        return world.sim
+    if run == "transfers":
+        setup = workloads.transfers_setup(1)
+        assert not workloads.transfers_work(setup).problems
+        return setup.world.sim
+    return run_scenario_with_world(run, demo_config)[1].sim
+
+
+@pytest.mark.parametrize("run", ["S1", "S2", "S3", "S4", "S5", "federation",
+                                 "transfers"])
+def test_wire_log_and_sent_digests_are_canonical(demo_config, run, workloads,
+                                                 returned_frames):
+    # send encodes each body once, as its member of MessageBody: each
+    # logged frame decodes to exactly the body sent and re-encodes to its
+    # own bytes, and the sent event's digest is that of those bytes. The
+    # frame names no sender, channel or seq: the sent event's actor, ch
+    # and seq are the ones send was called with and returned. An answer's
+    # event names the seq it answers; any other's holds None there, which
+    # the rendered line and ``fields`` leave out.
+    sim = run_sim(run, demo_config, workloads)
+    logged = sim.trace.find("netsim.sent")
+    assert len(sim.wire_log) == len(logged) == len(returned_frames) > 0
+    for (kind, blob), event, (sender, ch, seq, body) in zip(
+            sim.wire_log, logged, returned_frames):
+        assert codec.canonical_decode(blob, MessageBody) == body
+        assert codec.canonical_encode(body, MessageBody) == blob
+        assert kind == type(body).__name__
+        answers = getattr(body, "answers", None)
+        assert event.actor == sender
         assert tuple(event.fields.items()) == (
-            ("msg", kind), ("ch", env.channel_id), ("seq", env.seq),
+            ("msg", kind), ("ch", ch), ("seq", seq),
             *((("answers", answers),) if answers is not None else ()))
         assert event.get("answers") == answers
         assert event.digest == crypto.digest(blob)[:8].hex()
@@ -310,8 +329,8 @@ def test_plain_function_handler_and_tick_hook_are_kept(root):
         trust_context(root))
     delivered, ticks = [], []
 
-    def handler(channel, envelope):
-        delivered.append(envelope.body)
+    def handler(channel, seq, body):
+        delivered.append(body)
 
     def hook(now):
         ticks.append(now)
@@ -383,7 +402,6 @@ def test_cli_run_leaves_no_cyclic_garbage(tmp_path, no_gc):
 # -- the frame carries only what the channel does not say ----------------------
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-FRAME = ("channel_id", "seq", "body")
 
 
 @pytest.fixture(scope="module")
@@ -405,20 +423,26 @@ def federation_unit(workloads):
 
 @pytest.mark.parametrize("run", ["S1", "S2", "S3", "S4", "S5", "federation"])
 def test_every_envelope_is_channel_seq_and_body(demo_config, run, request):
-    # On the wire an envelope is one struct of three frames: the channel
-    # id, the sequence number and the tagged body; no sender, no send tick.
+    # An envelope is still a channel, a seq and a body, but only the body
+    # travels: each frame is one union frame, the body's member index and
+    # then the body's struct, and nothing else; no sender, no send tick.
+    # Its channel and seq are the channel's own count (RFC 8446 §5.3): the
+    # sent events of each channel direction number 0, 1, 2, ... in order.
     world = request.getfixturevalue("federation_unit") if run == "federation" \
         else run_scenario_with_world(run, demo_config)[1]
-    assert tuple(f.name for f in dataclasses.fields(Envelope)) == FRAME
-    assert len(wire_envelopes(world.sim)) == len(world.sim.wire_log) > 0
-    for _, blob in world.sim.wire_log:
+    members = typing.get_args(MessageBody)
+    seqs: dict[tuple[int, str], list[int]] = {}
+    for (kind, blob), (event, frame) in zip(world.sim.wire_log,
+                                            sent_frames(world.sim)):
         reader = codec._Reader(blob)
         tag, payload = reader.take_frame()
-        assert tag == codec.TAG_STRUCT and reader.done()
-        inner, tags = codec._Reader(payload), []
-        while not inner.done():
-            tags.append(inner.take_frame()[0])
-        assert tags == [codec.TAG_UINT, codec.TAG_UINT, codec.TAG_UNION]
+        assert tag == codec.TAG_UNION and reader.done()
+        inner = codec._Reader(payload)
+        assert inner.take_frame() == (
+            codec.TAG_UINT, codec._uint(members.index(type(frame.body))))
+        assert inner.take_frame()[0] == codec.TAG_STRUCT and inner.done()
+        seqs.setdefault((frame.ch, event.actor), []).append(frame.seq)
+    assert seqs and all(s == list(range(len(s))) for s in seqs.values())
 
 
 @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4", "S5"])

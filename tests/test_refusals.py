@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import asked_seq, sent_envelopes, wire_envelopes
+from conftest import asked_seq, sent_frames, wire_frames
 from vasptrust import codec, pki
 from vasptrust import travel_rule as tr
 from vasptrust.claims import AuthorizationToken
@@ -303,8 +303,8 @@ def test_answered_challenge_is_not_pending(demo_config):
     # S4's audit answers the insurer's one challenge; the same answer again
     # is unsolicited.
     trace, world = run_scenario_with_world("S4", demo_config)
-    answer = next(env.body for env in wire_envelopes(world.sim)
-                  if isinstance(env.body, AttestationResponse))
+    answer = next(frame.body for frame in wire_frames(world.sim)
+                  if isinstance(frame.body, AttestationResponse))
     assert world.insurer.asked == {}
     vasp = world.vasps[7]
     world.sim.send(world.channel_between(vasp, world.insurer), vasp.name,
@@ -323,17 +323,16 @@ def test_malformed_nonce_is_refused_not_raised(world):
     device_id = "wdev:alice@7"
     assert device_id in vasp.devices
     since = len(world.sim.trace.events)
-    challenge = world.sim.send(world.channel_between(vasp, insurer),
-                               insurer.name,
-                               AttestationChallenge(device_id, b"short"))
+    seq = world.sim.send(world.channel_between(vasp, insurer), insurer.name,
+                         AttestationChallenge(device_id, b"short"))
     world.sim.run_until_quiet()
     assert [(e.event, e.fields) for e in events_of(world, vasp.name, since)
             if e.event.startswith("attest.")] == [
         ("attest.challenge_refused",
          {"from": insurer.name, "reason": "attestation_refused"})]
-    (answer,) = [env.body for env in wire_envelopes(world.sim)
-                 if isinstance(env.body, AttestationResponse)]
-    assert answer == AttestationResponse(challenge.seq, None,
+    (answer,) = [frame.body for frame in wire_frames(world.sim)
+                 if isinstance(frame.body, AttestationResponse)]
+    assert answer == AttestationResponse(seq, None,
                                          Refusal.ATTESTATION_REFUSED)
     reparses_exactly(world.sim.trace.events)
 
@@ -360,8 +359,8 @@ def test_unsolicited_fetch_answer_is_refused(demo_config):
     # so nothing of it is taken.
     trace, world = run_scenario_with_world("S2", demo_config)
     vasp, store = world.vasps[7], world.stores["alice"]
-    answer = next(env.body for env in wire_envelopes(world.sim)
-                  if isinstance(env.body, ClaimsFetchResponse))
+    answer = next(frame.body for frame in wire_frames(world.sim)
+                  if isinstance(frame.body, ClaimsFetchResponse))
     assert len(vasp.fetched_claims) == len(vasp.consent_receipts) == 1
     since = len(trace.events)
     world.sim.send(world.channel_between(vasp, store), store.name, answer)
@@ -380,8 +379,8 @@ def test_unsolicited_travel_rule_answer_is_refused(demo_config):
     # once, naming its sender and the number it gave.
     trace, world = run_scenario_with_world("S1", demo_config)
     vasp7, vasp9 = world.vasps[7], world.vasps[9]
-    (answered,) = [env.body.answers for env in wire_envelopes(world.sim)
-                   if isinstance(env.body, TravelRuleResponse)]
+    (answered,) = [frame.body.answers for frame in wire_frames(world.sim)
+                   if isinstance(frame.body, TravelRuleResponse)]
     settled = {key: pending.state for key, pending in vasp7.pending.items()}
     since = len(trace.events)
     for number in (answered, 77):
@@ -428,8 +427,8 @@ def test_claim_failing_its_issuer_signature_is_not_taken(demo_config):
     # not verified, and not taken.
     trace, world = run_scenario_with_world("S2", demo_config)
     vasp, store = world.vasps[7], world.stores["alice"]
-    answer = next(env.body for env in wire_envelopes(world.sim)
-                  if isinstance(env.body, ClaimsFetchResponse))
+    answer = next(frame.body for frame in wire_frames(world.sim)
+                  if isinstance(frame.body, ClaimsFetchResponse))
     (claim,) = answer.claims
     forged = dataclasses.replace(claim, issuer_signature=bytes(
         len(claim.issuer_signature)))
@@ -640,9 +639,9 @@ def template(kind: str):
             world.vasps[9].grant_consent("bob", ConsentDirection.RECEIVE_ASSETS,
                                          None)
             channels = {ch.id: ch for ch in world.sim.channels}
-            for sent, env in sent_envelopes(world.sim):
-                _TEMPLATES.setdefault(type(env.body).__name__, (
-                    world, channels[env.channel_id], sent.actor, env.body))
+            for sent, frame in sent_frames(world.sim):
+                _TEMPLATES.setdefault(type(frame.body).__name__, (
+                    world, channels[frame.ch], sent.actor, frame.body))
     return _TEMPLATES[kind]
 
 

@@ -147,16 +147,18 @@ class TestRegistration:
 
 class FederationWorld:
     """Three resolver services with certified claims keys, and the trust
-    context they share at time 1."""
+    context they share at time 1. Member N's certificate lists ``vN.com``
+    and ``domains``, so it may advertise PayIDs on them."""
 
-    def __init__(self, root):
+    def __init__(self, root, domains: tuple[str, ...] = ("x.com",)):
         self.root = root
         self.services = {}
         self.creds = {}
         self.tx_keys = {}
         members = []
         for number in (3, 7, 9):
-            m = issue_member(root, number, f"fed:{number}")
+            m = issue_member(root, number, f"fed:{number}",
+                             (f"v{number}.com", *domains))
             self.services[number] = ResolverService(number, {f"user{number}"})
             self.creds[number] = (m["identity_cert"], m["claims_cert"],
                                   m["claims"])
@@ -464,6 +466,34 @@ def test_non_canonical_grouping_rejected(federation, name):
     assert receiver._remote_index == index
 
 
+@pytest.mark.parametrize("domain", ["v9.com", "nobody.com"])
+def test_payid_on_a_domain_the_origin_does_not_hold_rejected(federation,
+                                                             domain):
+    # Validly signed by VASP 3 and canonically grouped, but with a PayID on
+    # a domain its identity certificate does not list (VASP 9's, or no
+    # member's): refused whole, and VASP 7 keeps the advertisement and
+    # index it had.
+    fed = federation
+    fed.services[3].register_identifier("user3", parse_identifier("kept$x.com"))
+    held = fed.advertise(3)
+    assert fed.merge(7, held) is MergeOutcome.APPLIED
+    receiver = fed.services[7]
+    index = dict(receiver._remote_index)
+    squat = group_identifiers(["kept$x.com", f"bob${domain}"])
+    assert fed.merge(7, signed_as(fed, 3, domains=squat)) \
+        is MergeOutcome.REJECTED
+    assert receiver._remote == {3: held}
+    assert receiver._remote_index == index
+
+
+def test_payid_domain_held_in_another_case_is_applied(root):
+    # A certificate's domains compare in lower case, as rendered PayIDs do.
+    fed = FederationWorld(root, domains=("X.Com",))
+    fed.services[3].register_identifier("user3", parse_identifier("a$x.COM"))
+    assert fed.merge(7, fed.advertise(3)) is MergeOutcome.APPLIED
+    assert fed.services[7].lookup(parse_identifier("a$x.com")) == [3]
+
+
 _LOCAL = st.text("abAB09._-@$", min_size=1, max_size=6)
 _DOMAIN = st.text("ab0.-", min_size=1, max_size=5).filter(
     lambda d: not d.startswith("."))
@@ -495,7 +525,9 @@ def test_grouping_expands_back_and_costs_at_most_a_suffix_per_group(rendered):
         assert len(codec.canonical_encode(group)) - items == 2 or items >= 128
     # What group_identifiers builds, a receiver takes: a resolver that
     # registers these strings advertises them, and another merges them.
-    fed = FederationWorld(pki.create_consortium_root(seed("group-root")))
+    fed = FederationWorld(pki.create_consortium_root(seed("group-root")),
+                          tuple(sorted({parse_identifier(s).domain_part
+                                        for s in rendered if "$" in s})))
     for s in rendered:
         fed.services[3].register_identifier("user3", parse_identifier(s))
     adv = fed.advertise(3)

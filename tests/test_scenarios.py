@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import asked_seq, scenario_trace, sent_envelopes, wire_envelopes
+from conftest import asked_seq, scenario_trace, sent_frames, wire_frames
 from vasptrust import codec, pki, wallet
 from vasptrust.config import default_config, parse_config
 from vasptrust.ledger import Ledger
@@ -218,11 +218,11 @@ def _flood_msgs(world, since):
 
 
 def _flood_bodies(world, since=0):
-    """(sent event, envelope, its advertisements) of each flood sent from
+    """(sent event, frame, its advertisements) of each flood sent from
     wire log entry ``since`` on, decoded from the wire."""
-    return [(sent, env, env.body.advertisements)
-            for sent, env in sent_envelopes(world.sim)[since:]
-            if isinstance(env.body, AdvertisementFlood)]
+    return [(sent, frame, frame.body.advertisements)
+            for sent, frame in sent_frames(world.sim)[since:]
+            if isinstance(frame.body, AdvertisementFlood)]
 
 
 class TestDeltaFlooding:
@@ -289,8 +289,8 @@ class TestDeltaFlooding:
         assert len(floods) == 2
         assert sum(len(advs) for _, _, advs in floods) == 10
         for node in (first, last):
-            sent = [adv.vasp_number for event, env, advs in floods
-                    if env.channel_id == shortcut.id and event.actor == node.name
+            sent = [adv.vasp_number for event, frame, advs in floods
+                    if frame.ch == shortcut.id and event.actor == node.name
                     for adv in advs]
             assert sorted(sent) == sorted(world.vasps)
 
@@ -377,16 +377,16 @@ class TestBatchedFlooding:
         flood_round(world)  # after convergence: only crossing forwards
         floods = _flood_bodies(world)
         assert all(advs for _, _, advs in floods)
-        slots = Counter((env.channel_id, sent.actor, sent.time)
-                        for sent, env, _ in floods)
+        slots = Counter((frame.ch, sent.actor, sent.time)
+                        for sent, frame, _ in floods)
         assert max(slots.values()) == 1
 
     def test_receiver_merges_in_message_order(self):
         world = build_world(line_config(10, ring=True, chord=3))
         converge_federation(world)
-        sent = {(env.channel_id, env.seq, event.actor):
+        sent = {(frame.ch, frame.seq, event.actor):
                 [("vasp:%d" % a.vasp_number, a.sequence) for a in advs]
-                for event, env, advs in _flood_bodies(world)}
+                for event, frame, advs in _flood_bodies(world)}
         events = world.sim.trace.events
         delivered = [i for i, e in enumerate(events) if e.event ==
                      "netsim.delivered" and e.get("msg") == "AdvertisementFlood"]
@@ -473,7 +473,7 @@ def _carries_flood(value) -> bool:
 def test_each_flood_is_encoded_once(chord):
     # Encodes, at the codec's public boundary (canonical_encode and
     # struct_bytes), of a value that is or carries an AdvertisementFlood,
-    # over a cold convergence: Simulation.send encodes each envelope once
+    # over a cold convergence: Simulation.send encodes each frame once
     # and digests the bytes of that encoding, so no flood is encoded again.
     world = build_world(line_config(10, ring=True, chord=chord))
     encoded = [0]
@@ -613,11 +613,11 @@ def test_all_protocol_messages_ride_channels(demo_config):
         trace, world = run_scenario_with_world(name, demo_config)
         channels = {ch.id: ch for ch in world.sim.channels}
         seqs: dict[tuple[int, str], list[int]] = {}
-        for sent, envelope in sent_envelopes(world.sim):
-            channel = channels[envelope.channel_id]
+        for sent, frame in sent_frames(world.sim):
+            channel = channels[frame.ch]
             assert sent.actor in channel.endpoints()
-            seqs.setdefault((channel.id, sent.actor), []).append(envelope.seq)
-        # Every envelope a channel numbered is on the wire, once.
+            seqs.setdefault((channel.id, sent.actor), []).append(frame.seq)
+        # Every message a channel numbered is on the wire, once.
         assert seqs == {(ch.id, sender): list(range(ch._dirs[sender].next_seq))
                         for ch in channels.values() for sender in ch.endpoints()
                         if ch._dirs[sender].next_seq}
@@ -786,8 +786,8 @@ def test_every_payload_record_decodes_to_the_payload_sent(demo_config):
     # very bytes VASP 9 does.
     _, world = run_scenario_with_world("S1", demo_config)
     request, response = [
-        env.body for env in wire_envelopes(world.sim)
-        if isinstance(env.body, (TravelRuleRequest, TravelRuleResponse))]
+        frame.body for frame in wire_frames(world.sim)
+        if isinstance(frame.body, (TravelRuleRequest, TravelRuleResponse))]
     request = request.signed
     answer = rebuild_answer(request.payload, response.answer,
                             world.trust.members[9].transaction.subject_public_key)
@@ -851,22 +851,22 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 
 # SHA-256 of each scenario's trace text and of its wire log on the demo
 # config. The wire log digest covers, per entry in send order, the message
-# type name, a zero byte, the 4-byte big-endian length of the envelope
+# type name, a zero byte, the 4-byte big-endian length of the frame
 # bytes and those bytes. Any change to a trace or wire byte must update
 # these values and say so (the history is in CHANGES.md). They hold
 # because every key, nonce and id is derived from the seed, and a run
 # without faults makes no fault draw.
 PINNED = {
-    "S1": ("3d00671cabbe2a3e7de18ffa53e1ca01e13d7b1f8d73311097a5b99feb1119c5",
-           "38ee2e8147b39f2946c43c508530fb1d3cdeb675b3e5eced3d41ac279599504b"),
-    "S2": ("bbf20a596924fd62c72cd1c7a16212ace660f02a54698a83eba517ea98fe4876",
-           "896c36736df498edd798b91c577b9f697978068519fa4fddce18509aa78d2f65"),
-    "S3": ("95354964b86a77b9502797b5c551cbf5a0c2690c806a41a39950cb1d1afb01ef",
-           "aecb0b9e85eafbb1d899a508a395755d12a33ef824ce03024cb8e8625a953812"),
-    "S4": ("484d125f00190c1d5bbf5bce86635125c0e27f4e10b2c2b62e7013ff590aa77c",
-           "41f4d928790f967e8199c5a21644c338e7fd37759e1461d3096806ff3318fdd9"),
-    "S5": ("ad8b6e3fd30981638fc44d369a9d169bd7a44a87298ce8f9a3dd9fb55f0a2675",
-           "dcf1a068073c7a97d38530642bdc13e28f071cff3521ef5a1a19d593b08dba7c"),
+    "S1": ("a3ac9b1f0ca21696e2456cb02c147b6df641256a682165e92305ad79c65dc8a6",
+           "b8f34d7dd1b7fe123ff24f2923615ffeec444d2894e2a56fc7f701ffd8d3fbcd"),
+    "S2": ("5f04ab886523465e1f7bfa43ef234735feb32f4f3ba42ed810964542ea97a375",
+           "482606d78feb8c82889de70cc17286bf3b0777f837810ac7965fd20ba93b39c1"),
+    "S3": ("78e08085a0d5f1e2131f9548f1d2733cab8804c6fe0f566e138e6b1738f2da28",
+           "fdbe7ced9f6faeb2f36386602e698be0357985810a9818e3d30632b408f7810d"),
+    "S4": ("ffd4159948cdda0aa3879ee99f396b5719756dda656b0d7594bf0e8a46753555",
+           "97355912607651b112807419414bc7b3e75dfff12b97a5f03df120780f42b671"),
+    "S5": ("d0270c157dbd96a411b517bb20d13f9303a49fa54bd3ea49e51f7601767d4a39",
+           "1f25328505601becbe1dc62ea52da6356eb9ff91f9f4a7628fc5569a47f57744"),
 }
 
 

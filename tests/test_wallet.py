@@ -378,8 +378,8 @@ class TestBoarding:
         device, ledger, registry, supervision = self._onboarded()
         supervised = list(supervision.supervised_handles)
         height = ledger.height
-        report = wallet.offboard_customer(7, "alice", device, ledger,
-                                          registry, supervision, nonce(9), 9)
+        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
+                                          supervision, nonce(9), nonce(10), 9)
         assert report.accepted
         assert ledger.height == height  # the caller confirms the asset move
         ledger.confirm_block()
@@ -399,8 +399,8 @@ class TestBoarding:
                       if tx.signatures]
         corrupt_signature(ledger, cutover)
         handles = device.handles()
-        report = wallet.offboard_customer(7, "alice", device, ledger,
-                                          registry, supervision, nonce(9), 9)
+        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
+                                          supervision, nonce(9), nonce(10), 9)
         assert not report.accepted
         assert report.reason is Refusal.KEY_HISTORY_INVALID
         assert report.key_transition is None and report.erasure_evidence is None
@@ -413,7 +413,7 @@ class TestBoarding:
         device, ledger, registry, supervision = self._onboarded()
         with pytest.raises(wallet.NotSupervised):
             wallet.offboard_customer(9, "alice", device, ledger, registry,
-                                     supervision, nonce(), 9)
+                                     supervision, nonce(), nonce(1), 9)
 
     def test_device_skipping_erasure_yields_erasure_not_proven(self):
         class StubbornDevice(wallet.WalletDevice):
@@ -429,7 +429,7 @@ class TestBoarding:
             attestation_key=device.attestation_public_key)
         ledger.confirm_block()
         report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                          supervision, nonce(2), 9)
+                                          supervision, nonce(2), nonce(3), 9)
         assert (report.accepted, report.reason) == \
             (False, Refusal.ERASURE_NOT_PROVEN)
         assert registry.status(device.device_id).classification \
@@ -498,20 +498,59 @@ class TestBoarding:
         assert (status.classification, status.supervising_vasp_number) == \
             (wallet.WalletClass.REGULATED, 7)
 
+    def test_offboarding_a_mute_device_changes_nothing(self, demo_config):
+        # The device is challenged before anything changes: one that will
+        # not attest is refused with no key made, no asset moved and no key
+        # erased, and once it attests again the retry makes exactly one
+        # handoff key.
+        world = build_world(demo_config)
+        vasp, device = world.vasps[7], world.devices["wdev:alice@7"]
+        assert vasp.onboard("alice", device).accepted
+        world.confirm_block()
+        supervision = vasp.supervision["alice"]
+        (supervised,) = supervision.supervised_handles
+        handles, slots = device.handles(), [device.slot(h)
+                                            for h in device.handles()]
+        balances = [world.ledger.balance(r.public_key) for r in slots]
+        assert balances[handles.index(supervised)] == 500
+        device.attestation_enabled = False
+        report = vasp.offboard("alice", device)
+        world.confirm_block()
+        assert (report.accepted, report.reason, report.key_transition) == \
+            (False, Refusal.ATTESTATION_REFUSED, None)
+        assert device.handles() == handles
+        assert [device.slot(h) for h in handles] == slots
+        assert [world.ledger.balance(r.public_key) for r in slots] == balances
+        status = world.registry.status(device.device_id)
+        assert (status.classification, status.supervising_vasp_number) == \
+            (wallet.WalletClass.REGULATED, 7)
+        assert vasp.supervision["alice"] is supervision
+        device.attestation_enabled = True
+        report = vasp.offboard("alice", device)
+        world.confirm_block()
+        assert report.accepted
+        (handoff,) = set(device.handles()) - set(handles)
+        assert report.key_transition == wallet.KeyTransition((supervised,),
+                                                             handoff)
+        assert device.slot(supervised).erased
+        assert world.ledger.balance(device.slot(handoff).public_key) == 500
+
     def test_forged_erasure_evidence_refused(self):
         class ForgingDevice(wallet.WalletDevice):
-            """Once forging, keeps its keys and claims their erasure in
-            evidence signed by a key of its own."""
+            """Once forging, keeps its keys and, from the first erasure it
+            skips, claims their erasure in evidence signed by a key of its
+            own: it attests truthfully until asked to erase."""
 
-            forging = False
+            forging = skipped = False
 
             def erase_key(self, handle):
                 if not self.forging:
                     super().erase_key(handle)
+                self.skipped = self.forging
 
             def attest(self, nonce):
                 evidence = super().attest(nonce)
-                if not self.forging:
+                if not self.skipped:
                     return evidence
                 forger = crypto.generate_keypair(seed("forger"))
                 claimed = replace(evidence, key_reports=tuple(
@@ -529,7 +568,7 @@ class TestBoarding:
         ledger.confirm_block()
         device.forging = True
         report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                          supervision, nonce(2), 9)
+                                          supervision, nonce(2), nonce(3), 9)
         assert (report.accepted, report.reason) == \
             (False, Refusal.EVIDENCE_INVALID)
         assert registry.status(device.device_id).classification \
@@ -537,10 +576,12 @@ class TestBoarding:
 
     def test_replayed_erasure_evidence_refused(self):
         class ReplayingDevice(wallet.WalletDevice):
-            """Answers every challenge with one fixed nonce."""
+            """Answers every challenge once a key is erased with one fixed
+            nonce, its onboarding's: it attests truthfully until then."""
 
             def attest(self, nonce_):
-                return super().attest(nonce(99))
+                erased = any(self.slot(h).erased for h in self.handles())
+                return super().attest(nonce(99) if erased else nonce_)
 
         device = ReplayingDevice("wdev:replay", seed("replay"), STACK)
         handle = device.generate_key(migratable=False)
@@ -551,7 +592,7 @@ class TestBoarding:
             attestation_key=device.attestation_public_key)
         ledger.confirm_block()
         report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                          supervision, nonce(2), 9)
+                                          supervision, nonce(2), nonce(3), 9)
         assert (report.accepted, report.reason) == \
             (False, Refusal.EVIDENCE_INVALID)
         assert registry.status(device.device_id).classification \
