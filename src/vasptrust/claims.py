@@ -102,11 +102,19 @@ class AuthorizationToken:
         return crypto.digest(codec.struct_bytes(self))
 
 
-def terms_bytes(token: AuthorizationToken) -> bytes:
-    """The terms of ``token`` that its audience VASP signs with its claims
+@dataclass(frozen=True)
+class ClaimsTerms:
+    """The terms of a token that its audience VASP signs with its claims
     key to present the token to the claims store."""
-    return codec.canonical_encode(("claims-terms", token.token_id,
-                                   token.purpose))
+
+    token_id: bytes
+    purpose: str
+    signature: bytes
+
+
+def terms_bytes(token: AuthorizationToken) -> bytes:
+    """The signing input of ``token``'s terms."""
+    return codec.struct_bytes(ClaimsTerms(token.token_id, token.purpose, b""))
 
 
 @dataclass(frozen=True)

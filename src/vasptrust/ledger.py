@@ -72,7 +72,8 @@ class Block:
 
 
 def _block_hash(height: int, prev_hash: bytes, tx_ids: tuple[bytes, ...]) -> bytes:
-    return crypto.digest(codec.canonical_encode((height, prev_hash, list(tx_ids))))
+    return crypto.digest(codec.canonical_encode(
+        (height, prev_hash, tx_ids), tuple[int, bytes, tuple[bytes, ...]]))
 
 
 def make_transfer(inputs: Iterable[tuple[bytes, int]],

@@ -1,7 +1,7 @@
 """Protocol message bodies carried over authenticated channels.
 
 Every body is a frozen dataclass with a canonical encoding; a frame is
-one body tagged as its member of ``MessageBody``, with no channel or seq
+one body as its member of ``MessageBody``, with no channel or seq
 (RFC 8446 §5.3). An answer says why it refuses with a ``pki.Refusal``
 and nothing else: the codec refuses to encode anything but a member
 there, and ``canonical_decode`` refuses anything but a member's
@@ -108,7 +108,7 @@ class AttestationResponse:
     refusal: Refusal | None = None
 
 
-# The wire tags a body by its index in this list: a new type goes at the end.
+# A frame opens with its body's index in this list: a new type goes last.
 MessageBody = Union[
     TravelRuleRequest,
     TravelRuleResponse,

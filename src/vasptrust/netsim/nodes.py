@@ -46,7 +46,7 @@ from ..travel_rule import (ConsentDirection, ConsentStore, CorrelationStore,
                            CustomerRecord, SignedPayload, TravelRulePayload)
 from . import events
 from . import messages as msg
-from .sim import SecureChannel, Simulation
+from .sim import PossessionProof, SecureChannel, Simulation
 from .trace import check_actor
 
 
@@ -72,7 +72,8 @@ class Node:
         self.asked: dict[tuple[int, int], tuple[type, object]] = {}
 
     def prove_possession(self, challenge: bytes) -> bytes:
-        return crypto.sign(self._identity_key.private_key, challenge)
+        return codec.seal(PossessionProof(challenge, b""), lambda tbs: crypto.sign(
+            self._identity_key.private_key, tbs))[0].signature
 
     def ask(self, channel: SecureChannel, body: msg.MessageBody,
             context: object) -> None:
@@ -367,7 +368,7 @@ class VaspNode(Node):
         missing = travel_rule.validate_payload(payload)
         signed, tbs = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims.serial, payload)
-        payload_id = crypto.digest(codec.first_field(tbs))
+        payload_id = crypto.digest(codec.first_field(SignedPayload, tbs))
         self.sim.emit(self.name, events.PAYLOAD_SIGNED, "outbound",
                       _present(missing), _short(payload_id), digest=payload_id)
         self._record("outbound", signed, tbs)
@@ -392,7 +393,7 @@ class VaspNode(Node):
                                      signer: int) -> bool:
         ok = travel_rule.verify_signed_payload(signed, self.trust, signer, tbs)
         missing = travel_rule.validate_payload(signed.payload)
-        payload_id = crypto.digest(codec.first_field(tbs))
+        payload_id = crypto.digest(codec.first_field(SignedPayload, tbs))
         self.sim.emit(self.name, events.PAYLOAD_VERIFIED, "inbound", _present(missing),
                       "ok" if ok else "bad", _short(payload_id), digest=payload_id)
         return ok and not missing
@@ -404,7 +405,7 @@ class VaspNode(Node):
         answer = self._answer(channel, signed, tbs)
         if isinstance(answer, Refusal):
             self._refused(events.TRANSFER_REFUSED, answer,
-                          _short(crypto.digest(codec.first_field(tbs))))
+                          _short(crypto.digest(codec.first_field(SignedPayload, tbs))))
             return answer
         return None, travel_rule.answer_delta(answer)  # no refusal, the answer
 

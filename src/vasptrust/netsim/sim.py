@@ -8,7 +8,7 @@ retransmission: a tick delivers a direction's queue up to its first
 dropped message, which goes again, with all after it, next tick. So
 handlers observe every message exactly once and in order, as over TLS on
 TCP. A frame is its body alone, encoded as its member of
-``messages.MessageBody``: its union tag, then its fields. Its sender is
+``messages.MessageBody``: its member index, then its struct. Its sender is
 the channel's other endpoint and its seq the count of messages sent
 before it in its direction, which both endpoints keep, so neither is a
 wire field, as a TLS record names no connection and carries its sequence
@@ -57,6 +57,14 @@ class PeerCertInvalid(NetsimError):
 
 class ChannelClosed(NetsimError):
     pass
+
+
+@dataclass(frozen=True)
+class PossessionProof:
+    """An endpoint's signature, with its certified key, over a challenge."""
+
+    nonce: bytes
+    signature: bytes
 
 
 @dataclass
@@ -202,9 +210,9 @@ class Simulation:
                           verdict.value)
                 raise PeerCertInvalid(peer.name, verdict)
             challenge = self.nonce()
-            proof = peer.prove_possession(challenge)
+            proof = PossessionProof(challenge, peer.prove_possession(challenge))
             if not crypto.verify(peer.identity_cert.subject_public_key,
-                                 challenge, proof):
+                                 *codec.unseal(proof)):
                 self.emit(us.name, events.PEER_PROOF_FAILED, peer.name,
                           Refusal.POSSESSION_PROOF_FAILED.value)
                 raise PeerCertInvalid(peer.name, None, "possession proof failed")

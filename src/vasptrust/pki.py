@@ -22,8 +22,9 @@ the path (RFC 9162 §2.1.3.2) and verifies the head, once per head where it
 keeps the heads it verified.
 
 Certificates use the package's canonical encoding rather than ASN.1 DER;
-a certificate's signing input is ``codec.struct_bytes``, the canonical
-struct of every field before its proof, the last.
+a certificate's signing input is ``codec.struct_bytes``: its type's
+label, then the canonical struct of every field before its proof, the
+last.
 """
 
 from __future__ import annotations
@@ -179,16 +180,12 @@ class IssuerProof:
 
 @dataclass(frozen=True)
 class TreeHead:
-    """What the root signs for a batch. ``label`` is ``HEAD_LABEL``: a
-    head's signing input opens with a string, where every other input the
-    root signs (a revocation list's) opens with a list."""
+    """What the root signs for a batch; its signature travels in each
+    certificate's ``IssuerProof``."""
 
-    label: str
     tree_size: int
     root_hash: bytes
-
-
-HEAD_LABEL = "vasptrust certificate tree head"
+    signature: bytes
 
 
 @dataclass(frozen=True)
@@ -269,10 +266,6 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
     return crypto.digest(b"\x01" + left + right)
 
 
-def _head_bytes(tree_size: int, root_hash: bytes) -> bytes:
-    return codec.canonical_encode(TreeHead(HEAD_LABEL, tree_size, root_hash))
-
-
 def _tree(leaves: list[bytes]) -> tuple[bytes, list[list[bytes]]]:
     """The Merkle tree hash of ``leaves`` and each leaf's audit path, leaf
     side first (RFC 6962 §2.1), hashing each node once."""
@@ -337,9 +330,7 @@ def validate_chain(cert: Certificate,
     if head is None:
         return Verdict.BAD_SIGNATURE
     if verified is None or head not in verified:
-        size, root_hash, signature = head
-        if not crypto.verify(root_public_key, _head_bytes(size, root_hash),
-                             signature):
+        if not crypto.verify(root_public_key, *codec.unseal(TreeHead(*head))):
             return Verdict.BAD_SIGNATURE
         if verified is not None:
             verified.add(head)
@@ -574,11 +565,11 @@ class RootAuthority:
             return []
         root_hash, paths = _tree([self._drafted[d.serial][1] for d in drafts])
         size = len(drafts)
-        signature = crypto.sign(self._keypair.private_key,
-                                _head_bytes(size, root_hash))
+        head = codec.seal(TreeHead(size, root_hash, b""), lambda tbs:
+                          crypto.sign(self._keypair.private_key, tbs))[0]
         for index, (draft, path) in enumerate(zip(drafts, paths)):
             self._certs[draft.serial] = codec.with_last(
-                draft, IssuerProof(size, index, tuple(path), signature))
+                draft, IssuerProof(size, index, tuple(path), head.signature))
         return [self._certs[d.serial] for d in drafts]
 
     def issue_identity_cert(self, *draft_args) -> EvIdentityCertificate:

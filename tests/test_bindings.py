@@ -19,6 +19,7 @@ import pytest
 from conftest import asked_seq, sent_frames, wire_frames
 from vasptrust import claims, codec, crypto, pki
 from vasptrust import travel_rule as tr
+from vasptrust.ledger import LedgerTx
 from vasptrust.netsim import build_world, messages, run_scenario_with_world
 from vasptrust.netsim.messages import (ClaimsAuthRequest, ClaimsFetchRequest,
                                        TravelRuleRequest, TravelRuleResponse)
@@ -246,7 +247,7 @@ def test_a_transfer_encodes_each_signed_value_once_per_party(
     (_, answer), = [r for r in world.vasps[9].payload_store if r[0] == "outbound"]
     payloads = (codec.canonical_encode(payload),
                 codec.canonical_encode(tr.read_payload_record(answer).payload))
-    tx = codec.first_field(codec.struct_bytes(
+    tx = codec.first_field(LedgerTx, codec.struct_bytes(
         world.ledger.query_tx(pending.tx_id)))
     assert sum(any(p in out for p in payloads) for out in outputs) <= 6
     assert sum(tx in out for out in outputs) <= 2

@@ -686,7 +686,7 @@ class TestRun:
 # re-pinned when payloads gained their originator's transfer number: only
 # the two id= values changed.
 PAYLOAD_FILES = {
-    "S1": "1ceaa16062c937dabf9e019a752e4cf82bd4c715d174ea113010e648adf7f58c",
+    "S1": "2b65d665d5c761c23b47df92fd39a5a71afe2749ed144ddc09592db0f73fb0d5",
     **dict.fromkeys(["S2", "S3", "S4", "S5"], hashlib.sha256(b"").hexdigest()),
 }
 

@@ -22,7 +22,6 @@ UNREAD = {
     "RevocationList.issued_at": _VERIFIER,
     "RevocationList.issuer_signature": _VERIFIER,
     "SignedClaim.issuer_signature": _SEALED,
-    "TreeHead.label": _HEAD,
     "TreeHead.root_hash": _HEAD,
     "SignedClaim.subject_customer_ref":
         "signed; the check of a claims answer will match it to the customer",

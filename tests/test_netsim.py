@@ -44,6 +44,14 @@ class DishonestNode(Node):
         return crypto.sign(wrong.private_key, challenge)
 
 
+class RawSigner(Node):
+    """Holds its certified key, but signs the raw challenge, not the
+    labelled possession proof."""
+
+    def prove_possession(self, challenge: bytes) -> bytes:
+        return crypto.sign(self._identity_key.private_key, challenge)
+
+
 def make_pair(sim, root, node_cls_b=Recorder):
     nodes = []
     for i, cls in enumerate((Recorder, node_cls_b)):
@@ -88,6 +96,17 @@ def test_possession_proof_failure_refused(root, tmp_path, capsys):
     assert cli.main(["report", "--workspace", str(tmp_path)]) == 0
     assert capsys.readouterr().out.endswith(
         "\nrefusals:\nPossessionProofFailed 1\n")
+
+
+def test_signature_over_the_raw_challenge_is_no_possession_proof(root):
+    # The certified key's signature over the bare challenge is what any
+    # signer of chosen bytes gives; only one over the labelled proof counts.
+    sim = Simulation(seed=6)
+    a, b = make_pair(sim, root, node_cls_b=RawSigner)
+    with pytest.raises(PeerCertInvalid, match="possession proof failed"):
+        sim.establish_channel(a, b)
+    assert [e.get("reason") for e in sim.trace.find("netsim.channel_refused")] \
+        == [pki.Refusal.POSSESSION_PROOF_FAILED.value]
 
 
 def test_partition_fails_establishment(root):
@@ -195,7 +214,7 @@ def brute_in_flight(sim) -> int:
 # as a step over every channel direction, in channel id order and endpoint
 # a before b, would.
 FAULTY_MESH_TRACE_SHA256 = (
-    "0f0978ee674f2adf812643df97d713249f9c4a419d3486ceb7908ed42c033c07")
+    "b93ea8bc37732c172042dd7676447a07a7069225a3fc33bf4de2cea5a75a5a7c")
 
 
 def test_in_flight_tracks_busy_directions_under_faults():
@@ -424,7 +443,7 @@ def federation_unit(workloads):
 @pytest.mark.parametrize("run", ["S1", "S2", "S3", "S4", "S5", "federation"])
 def test_every_envelope_is_channel_seq_and_body(demo_config, run, request):
     # An envelope is still a channel, a seq and a body, but only the body
-    # travels: each frame is one union frame, the body's member index and
+    # travels: each frame is the body's member index, as a varint, and
     # then the body's struct, and nothing else; no sender, no send tick.
     # Its channel and seq are the channel's own count (RFC 8446 §5.3): the
     # sent events of each channel direction number 0, 1, 2, ... in order.
@@ -434,13 +453,10 @@ def test_every_envelope_is_channel_seq_and_body(demo_config, run, request):
     seqs: dict[tuple[int, str], list[int]] = {}
     for (kind, blob), (event, frame) in zip(world.sim.wire_log,
                                             sent_frames(world.sim)):
-        reader = codec._Reader(blob)
-        tag, payload = reader.take_frame()
-        assert tag == codec.TAG_UNION and reader.done()
-        inner = codec._Reader(payload)
-        assert inner.take_frame() == (
-            codec.TAG_UINT, codec._uint(members.index(type(frame.body))))
-        assert inner.take_frame()[0] == codec.TAG_STRUCT and inner.done()
+        index, start = codec._varint_at(blob, 0, len(blob))
+        assert index == members.index(type(frame.body))
+        assert codec._length_at(blob, start, len(blob))[1] == len(blob)
+        assert blob[start:] == codec.canonical_encode(frame.body)
         seqs.setdefault((frame.ch, event.actor), []).append(frame.seq)
     assert seqs and all(s == list(range(len(s))) for s in seqs.values())
 

@@ -445,8 +445,7 @@ class TestProof:
     def test_head_signed_by_a_member_key(self, root, member):
         cert = member["claims_cert"]
         size, root_hash, _ = pki.proven_head(cert)
-        head = codec.canonical_encode(pki.TreeHead(pki.HEAD_LABEL, size,
-                                                   root_hash))
+        head = codec.struct_bytes(pki.TreeHead(size, root_hash, b""))
         forged = self.with_proof(cert, head_signature=crypto.sign(
             member["identity"].private_key, head))
         assert self.verdict(root, forged) is pki.Verdict.BAD_SIGNATURE

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import typing
 from pathlib import Path
 
 import pytest
@@ -119,13 +120,15 @@ ANSWERS = ["TravelRuleResponse", "LookupResponse", "ClaimsAuthResponse",
 
 
 def free_text_wire(body, text: str) -> bytes:
-    """``body``'s encoding with its refusal sent as free text, a TAG_STR
-    frame, the way a refusal reason travelled before it was a Refusal."""
-    fields = [codec._frame(codec.TAG_STR, text.encode())
-              if f.name == "refusal" else
-              codec.canonical_encode(getattr(body, f.name))
-              for f in dataclasses.fields(body)]
-    return codec._frame(codec.TAG_STRUCT, b"".join(fields))
+    """``body``'s encoding with its refusal sent as free text, present and
+    then a str, the way a refusal reason travelled before it was a
+    Refusal."""
+    hints = typing.get_type_hints(type(body))
+    fields = b"".join(b"\x01" + codec.canonical_encode(text)
+                      if f.name == "refusal" else
+                      codec.canonical_encode(getattr(body, f.name), hints[f.name])
+                      for f in dataclasses.fields(body))
+    return codec.canonical_encode(len(fields)) + fields
 
 
 @pytest.mark.parametrize("kind", ANSWERS)

@@ -512,17 +512,18 @@ def test_grouping_expands_back_and_costs_at_most_a_suffix_per_group(rendered):
     grouped = group_identifiers(rendered)
     expanded = [local + group[0] for group in grouped for local in group[1:]]
     assert len(expanded) == len(rendered) and set(expanded) == rendered
-    # A group pays its suffix's frame (2 B) and its own (2 B under 128 B),
-    # so 4 B over the flat form for a group of one, and saves its suffix
+    # A group pays its suffix's length (1 B) and its own (1 B under 128 B),
+    # so 2 B over the flat form for a group of one, and saves its suffix
     # for every further identifier. A group of 128 B or more, which only
-    # bare keys under "" reach here, has a longer frame header.
+    # bare keys under "" reach here, has a longer length.
     def size(values):
         return sum(len(codec.canonical_encode(v)) for v in values)
 
     for group in grouped:
         items = size(group)
-        assert items <= size(local + group[0] for local in group[1:]) + 2
-        assert len(codec.canonical_encode(group)) - items == 2 or items >= 128
+        assert items <= size(local + group[0] for local in group[1:]) + 1
+        assert len(codec.canonical_encode(group, tuple[str, ...])) - items == 1 \
+            or items >= 128
     # What group_identifiers builds, a receiver takes: a resolver that
     # registers these strings advertises them, and another merges them.
     fed = FederationWorld(pki.create_consortium_root(seed("group-root")),

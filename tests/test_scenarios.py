@@ -857,16 +857,16 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # because every key, nonce and id is derived from the seed, and a run
 # without faults makes no fault draw.
 PINNED = {
-    "S1": ("a3ac9b1f0ca21696e2456cb02c147b6df641256a682165e92305ad79c65dc8a6",
-           "b8f34d7dd1b7fe123ff24f2923615ffeec444d2894e2a56fc7f701ffd8d3fbcd"),
-    "S2": ("5f04ab886523465e1f7bfa43ef234735feb32f4f3ba42ed810964542ea97a375",
-           "482606d78feb8c82889de70cc17286bf3b0777f837810ac7965fd20ba93b39c1"),
-    "S3": ("78e08085a0d5f1e2131f9548f1d2733cab8804c6fe0f566e138e6b1738f2da28",
-           "fdbe7ced9f6faeb2f36386602e698be0357985810a9818e3d30632b408f7810d"),
-    "S4": ("ffd4159948cdda0aa3879ee99f396b5719756dda656b0d7594bf0e8a46753555",
-           "97355912607651b112807419414bc7b3e75dfff12b97a5f03df120780f42b671"),
-    "S5": ("d0270c157dbd96a411b517bb20d13f9303a49fa54bd3ea49e51f7601767d4a39",
-           "1f25328505601becbe1dc62ea52da6356eb9ff91f9f4a7628fc5569a47f57744"),
+    "S1": ("d3a6f89a1b7cf14715902020b7dee25dee3a7846126ffa28c29e35b796fda19b",
+           "22e3372d306dbe78298a799841eeb2ec8cd7b24a92f3fc91c559fa98bcaf1145"),
+    "S2": ("2979c96f49651e1eadafe3ec643b1a974325fee98b5c9f6e8168b574085afe5f",
+           "e5fa076cd598cfa3c17dab866034524abfed6ba898aed06ae04b1aa3df295679"),
+    "S3": ("233a15a2cf2bb54cc524a2482f455b1a0d7da4ab38fbf29b06717a7f8d1b7f39",
+           "52dcce41a0f2057d60949f8d2f2121975ececa67e790ae1243abfdb356ca0422"),
+    "S4": ("18fc4c57b78b5bb7c7146dbbe87e4fdcbf3108f5cb4cbef2fa42ae56bc847a1f",
+           "2532048b38daf89b4f06cdf454b409fff671412f8664abea71e223128c9bb911"),
+    "S5": ("bc14e22f79f06364baf6d653f098965e79d39e209998448c6110ed0e7918351b",
+           "8855782532c3c094b153f0330d2ef605b1db123ccd0676378f2ff184c098e708"),
 }
 
 
