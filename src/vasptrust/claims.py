@@ -17,7 +17,8 @@ Claims share the consortium PKI's verdicts: ``verify_claim`` returns a
 ``pki.at_tick``. ``codec.seal`` signs a claim, token or receipt over every
 field but its signature, its last; its id is the digest of those bytes,
 derived from the value and never carried in it, so no id can disagree
-with the content it names.
+with the content it names. A node passes each check here the signer's
+key that ``TrustContext.certified_key`` gives.
 """
 
 from __future__ import annotations
@@ -143,10 +144,9 @@ class AuditEntry:
 class ClaimsStore:
     """One customer's claims plus the audit trail of every access."""
 
-    def __init__(self, owner: str, seed: bytes, authorization_server_key: bytes):
+    def __init__(self, owner: str, keypair: crypto.KeyPair):
         self.owner = owner
-        self._keypair = crypto.generate_keypair(seed)
-        self._auth_server_key = authorization_server_key
+        self._keypair = keypair
         self._claims: list[SignedClaim] = []
         self._policy: AccessPolicy | None = None
         self._receipts: list[ConsentReceipt] = []
@@ -183,16 +183,18 @@ class ClaimsStore:
             self._policy.active = False
             self._audit.append(AuditEntry(now, "consent_revoked"))
 
-    def fetch_claims(self, token: AuthorizationToken, now: int
+    def fetch_claims(self, token: AuthorizationToken,
+                     server_key: bytes, now: int
                      ) -> tuple[list[SignedClaim], ConsentReceipt] | Refusal:
         """Release the permitted, currently valid claims and issue a receipt;
-        or why nothing is released, BAD_TOKEN, TOKEN_EXPIRED or
+        or why nothing is released, BAD_TOKEN (its signature fails under
+        ``server_key``, the authorization server's), TOKEN_EXPIRED or
         CONSENT_WITHDRAWN, with a ``fetch_refused`` audit row naming it.
 
         The receipt is created atomically with the release; no attribute
         ever leaves the store without a receipt row and an audit entry.
         """
-        if not crypto.verify(self._auth_server_key, *codec.unseal(token)):
+        if not crypto.verify(server_key, *codec.unseal(token)):
             refusal = Refusal.BAD_TOKEN
         elif now >= token.expires_at:
             refusal = Refusal.TOKEN_EXPIRED
@@ -223,23 +225,16 @@ class ClaimsStore:
             ("token", token.token_id), ("attrs", receipt.attributes_released))))
         return released, receipt
 
-    def verify_receipt(self, receipt: ConsentReceipt) -> bool:
-        return crypto.verify(self._keypair.public_key, *codec.unseal(receipt))
-
 
 class AuthorizationServer:
     """Issues policy-scoped authorization tokens to authenticated VASPs."""
 
-    def __init__(self, seed: bytes):
-        self._keypair = crypto.generate_keypair(seed)
+    def __init__(self, keypair: crypto.KeyPair):
+        self._keypair = keypair
         self._store: ClaimsStore | None = None
 
     def bind_store(self, store: ClaimsStore) -> None:
         self._store = store
-
-    @property
-    def public_key(self) -> bytes:
-        return self._keypair.public_key
 
     def request_authorization(self, vasp_number: int, attributes: set[str],
                               purpose: str, now: int

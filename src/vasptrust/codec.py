@@ -280,12 +280,10 @@ def _generate(typ: Any, signing: bool) -> Encoder:
             items = [inline(t, f"v[{i}]") for i, t in enumerate(args)]
             return (f"({framed(items)} if type(v) is tuple and "
                     f"len(v) == {len(args)} else _arity(v, {const(typ)}))")
-        if origin in (list, tuple) or typ in (list, tuple):
-            name = (origin or typ).__name__
-            items = f"b''.join(map({const(_encoder(args[0]))}, v))" if args \
-                else f"_cannot({name!r})"  # items of no declared type
-            return (f"({framed([items])} if type(v) is {name} else "
-                    f"_refuse(v, {const(typ if args else name)}))")
+        if origin in (list, tuple) and args:  # a bare one falls to _cannot
+            items = f"b''.join(map({const(_encoder(args[0]))}, v))"
+            return (f"({framed([items])} if type(v) is {origin.__name__} "
+                    f"else _refuse(v, {const(typ)}))")
         if dataclasses.is_dataclass(typ):
             return struct(typ, _hints(typ))
         if typ in _SCALARS or isinstance(typ, type) and issubclass(typ, Enum):

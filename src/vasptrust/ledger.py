@@ -121,6 +121,11 @@ class Ledger:
     def balance(self, public_key: bytes) -> int:
         return self._balances.get(public_key, 0)
 
+    def available(self, public_key: bytes) -> int:
+        """The confirmed balance less what the mempool already spends."""
+        return self._balances.get(public_key, 0) - self._pending_spend.get(
+            public_key, 0)
+
     def total_supply(self) -> int:
         return sum(self._balances.values())
 
@@ -154,8 +159,7 @@ class Ledger:
         for entry in tx.inputs:
             spend[entry.public_key] = spend.get(entry.public_key, 0) + entry.amount
         for key, amount in spend.items():
-            available = self._balances.get(key, 0) - self._pending_spend.get(key, 0)
-            if amount > available:
+            if amount > (available := self.available(key)):
                 raise InsufficientFunds(
                     f"spend {amount} exceeds available balance {available}")
         return tx_id

@@ -10,6 +10,7 @@ delivered body, never its seq, to its type's handler in the class's
 answer's fields after ``answers``, and the door sends that one answer.
 A refusal names a ``pki.Refusal``; one a peer sends is recorded as
 ``reason=peer_refused`` with the peer's member as ``peer_reason``.
+A node keeps no party's key: it asks ``TrustContext.certified_key``.
 
 A node sends each request with ``Node.ask``, which keeps it in the one
 table ``asked`` by channel and seq, both the channel's own (RFC 8446
@@ -88,8 +89,7 @@ class Node:
         of ``msg.ANSWER``) gets one answer, sent here, naming its seq: the
         fields after ``answers`` or the Refusal its handler returns. It is
         refused ``invalid_caller``, with one event and no handler, unless
-        the certificate its sender opened the channel with validates now
-        (RFC 5280 §6.1.3)."""
+        ``_admits`` the certificate its sender opened the channel with."""
         kind = type(body)
         handler = self.HANDLERS.get(kind)
         peer = channel.other(self.name)
@@ -97,7 +97,7 @@ class Node:
             self._refused(events.UNEXPECTED, Refusal.UNEXPECTED_MESSAGE,
                           kind.__name__, peer)
         elif kind in msg.ANSWER:
-            if self.trust.validate(channel.peer_cert(peer)) is pki.Verdict.VALID:
+            if self._admits(channel.peer_cert(peer)):
                 answer = handler(self, channel, body)
             else:
                 answer = Refusal.INVALID_CALLER
@@ -112,6 +112,18 @@ class Node:
         else:
             self._refused(events.UNSOLICITED, Refusal.UNSOLICITED_ANSWER,
                           kind.__name__, peer, body.answers)
+
+    def _admits(self, cert: pki.EvIdentityCertificate) -> bool:
+        """Whether a peer that opened its channel with ``cert`` may ask: a
+        member or the insurer, the only parties that send requests, while
+        ``cert`` validates (RFC 5280 §6.1.3); a claims provider or a wallet
+        device, certified only to sign, may not."""
+        member = self.trust.members.get(cert.subject.vasp_number)
+        name = cert.subject.organization_name
+        known = member.identity if member else (
+            self.trust.identities.get(name) if name.startswith("insurer:")
+            else None)
+        return cert == known and self.trust.validate(cert) is pki.Verdict.VALID
 
     def _refused(self, event: events.Event, reason: Refusal, *values,
                  by_peer: bool = False) -> None:
@@ -575,7 +587,7 @@ class VaspNode(Node):
         self.sim.emit(self.name, events.TERMS_ACCEPTED, _short(token.token_id),
                       token.purpose)
         self.ask(channel, msg.ClaimsFetchRequest(
-            token, signature, self.certs.claims.serial), None)
+            token, signature, self.certs.claims.serial), token)
 
     def _on_claims_auth_response(self, channel: SecureChannel,
                                  body: msg.ClaimsAuthResponse,
@@ -595,19 +607,28 @@ class VaspNode(Node):
                           list(token.permitted_attributes), payload=token)
 
     def _on_claims_fetch_response(self, channel: SecureChannel,
-                                  body: msg.ClaimsFetchResponse, _: None) -> None:
+                                  body: msg.ClaimsFetchResponse,
+                                  token: claims_mod.AuthorizationToken) -> None:
+        """Keep the answer to the fetch of ``token`` only if its receipt
+        names that token and this VASP and verifies under the store's
+        certified key; and of its claims, those whose issuer's verifies."""
         if body.refusal is not None:
             self._refused(events.FETCH_REFUSED, body.refusal, by_peer=True)
             return
-        # Only a claim its issuer's signature verifies is taken.
+        receipt = body.receipt
+        if (receipt is None or receipt.token_id != token.token_id
+                or receipt.vasp_number != self.vasp_number
+                or not crypto.verify(self.trust.certified_key(channel.other(
+                    self.name)), *codec.unseal(receipt))):
+            self._refused(events.FETCH_REFUSED, Refusal.RECEIPT_INVALID)
+            return
         verified = [c for c in body.claims if claims_mod.verify_claim(
-            c, self.trust.provider_keys.get(c.issuer, b""), self.sim.now)
+            c, self.trust.certified_key(f"cp:{c.issuer}"), self.sim.now)
             is pki.Verdict.VALID]
         self.fetched_claims.extend(verified)
-        if body.receipt is not None:
-            self.consent_receipts.append(body.receipt)
+        self.consent_receipts.append(receipt)
         self.sim.emit(self.name, events.CLAIMS_FETCHED, len(body.claims),
-                      len(verified), "yes" if body.receipt else "no")
+                      len(verified), "yes")
 
     # -- wallet supervision -------------------------------------------------------------
 
@@ -617,8 +638,7 @@ class VaspNode(Node):
         report, supervision = wallet.onboard_customer(
             self.vasp_number, customer_id, device, self.ledger, self.registry,
             nonce, self.sim.now,
-            attestation_key=self.trust.device_attestation_keys.get(
-                device.device_id, b""))
+            attestation_key=self.trust.certified_key(device.device_id))
         if supervision is not None:
             self.supervision[customer_id] = supervision
             self.devices[device.device_id] = device
@@ -639,7 +659,8 @@ class VaspNode(Node):
             raise wallet.NotSupervised(customer_id)
         report = wallet.offboard_customer(
             self.vasp_number, customer_id, device, self.ledger, self.registry,
-            supervision, self.sim.nonce(), self.sim.nonce(), self.sim.now)
+            supervision, self.sim.nonce(), self.sim.nonce(), self.sim.now,
+            attestation_key=self.trust.certified_key(device.device_id))
         erased = [r.handle for r in report.erasure_evidence.key_reports
                   if r.erased] if report.erasure_evidence else []
         self.sim.emit(self.name, events.OFFBOARD, customer_id, device.device_id,
@@ -653,8 +674,9 @@ class VaspNode(Node):
         for customer_id in sorted(self.supervision):
             supervision = self.supervision[customer_id]
             device = self.devices[supervision.device_id]
-            evidence = wallet.take_checkpoint(supervision, device,
-                                              self.sim.nonce())
+            evidence = wallet.take_checkpoint(
+                supervision, device, self.sim.nonce(),
+                self.trust.certified_key(device.device_id))
             if isinstance(evidence, Refusal):
                 self.sim.emit(self.name, events.CHECKPOINT_REFUSED,
                               device.device_id, evidence.value)
@@ -734,7 +756,8 @@ class ClaimsStoreNode(Node):
                 body.vasp_claims_cert_serial, _CLAIMS, audience):
             result = Refusal.TERMS_NOT_COUNTERSIGNED
         else:
-            result = self.store.fetch_claims(token, self.sim.now)
+            result = self.store.fetch_claims(token, self.trust.certified_key(
+                f"authsrv:{self.store.owner}"), self.sim.now)
         if isinstance(result, Refusal):
             self._refused(events.FETCH_REFUSED, result)
             return result
@@ -771,8 +794,8 @@ class InsurerNode(Node):
             self._refused(events.AUDIT_REFUSED, body.refusal or Refusal.NO_EVIDENCE,
                           device_id, False, by_peer=body.refusal is not None)
             return
-        device_key = self.trust.device_attestation_keys.get(device_id, b"")
-        verdict = wallet.verify_evidence(body.evidence, nonce, device_key,
+        verdict = wallet.verify_evidence(body.evidence, nonce,
+                                         self.trust.certified_key(device_id),
                                          self.approved_stacks)
         self.audit_verdicts[device_id] = verdict
         findings = "; ".join(verdict.key_findings) or "none"

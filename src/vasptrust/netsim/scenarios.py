@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from .. import claims as claims_mod
-from .. import pki, wallet
+from .. import codec, crypto, pki, wallet
 from ..config import Identifier, TopologyConfig, read
 from ..pki import Refusal
 from ..resolver import parse_identifier
@@ -264,13 +264,13 @@ def scenario_s2(world: World, *, owner_customer: str, requesting_vasp: int,
     world.assert_that("release_within_token_within_policy", release_ok)
     verified = all(
         claims_mod.verify_claim(
-            c, world.trust.provider_keys.get(c.issuer, b""), sim.now)
+            c, world.trust.certified_key(f"cp:{c.issuer}"), sim.now)
         is pki.Verdict.VALID
         for c in released)
     world.assert_that("claim_signatures_valid",
                       bool(released) and verified)
-    world.assert_that("receipt_verifies",
-                      bool(receipts) and store_node.store.verify_receipt(receipts[0]))
+    world.assert_that("receipt_verifies", bool(receipts) and crypto.verify(
+        world.trust.certified_key(store_node.name), *codec.unseal(receipts[0])))
 
 
 # ---------------------------------------------------------------------------

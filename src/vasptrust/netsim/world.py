@@ -1,10 +1,11 @@
 """Build a ready-to-run simulated world from a topology configuration.
 
 Creates the consortium root, drafts identity plus transaction- and
-claims-signing certificates for every VASP and identity certificates for
-the remote service actors (claims stores, authorization servers, insurer),
-and issues them all as one batch under one signed tree head. Provisions
-customer wallet devices, funds the ledger genesis, registers the identifiers
+claims-signing certificates for every VASP and an identity certificate
+for every other party (store, authorization server, insurer, claims
+provider, wallet device) over the one key it signs with, and issues them
+all as one batch under one signed tree head. Provisions customer wallet
+devices, funds the ledger genesis, registers the identifiers
 ``parse_config`` admitted (checking none again: of the IdPs it needs only
 their domains), and wires claims providers and stores. Everything derives
 from the single config seed, so two builds of the same config are identical.
@@ -97,9 +98,11 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
     service_numbers = count(SERVICE_NUMBER_BASE)
     drafts: list[pki.Certificate] = []
 
-    def draft_service(name: str, seed_label: str) -> crypto.KeyPair:
-        """Draft service actor ``name``'s identity certificate; its key."""
-        key = crypto.generate_keypair(crypto.derive_seed(master, seed_label))
+    def keypair(label: str) -> crypto.KeyPair:
+        return crypto.generate_keypair(crypto.derive_seed(master, label))
+
+    def draft_party(name: str, public_key: bytes) -> pki.EvIdentityCertificate:
+        """The drafted identity certificate of party ``name``, over its key."""
         number = next(service_numbers)
         subject = pki.EvSubjectInfo(
             organization_name=name,
@@ -112,9 +115,7 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             regulated_business_activity=pki.BusinessActivity.FINANCIAL_SERVICES,
             policy_object_identifier="1.3.6.1.4.1.99999.1000",
         )
-        drafts.append(root.draft_identity_cert(subject, key.public_key, 0,
-                                               CERT_VALIDITY))
-        return key
+        return root.draft_identity_cert(subject, public_key, 0, CERT_VALIDITY)
 
     trust = pki.TrustContext(root.public_key, lambda: root.revocation_list,
                              lambda: sim.now)
@@ -144,25 +145,23 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             if ccfg.wallet.initial_balance > 0:
                 genesis.append((key, ccfg.wallet.initial_balance))
             if ccfg.wallet.imported_key_balance > 0:
-                imported = crypto.generate_keypair(
-                    crypto.derive_seed(master, f"imported:{device_id}"))
+                imported = keypair(f"imported:{device_id}")
                 device.import_key(imported)
                 genesis.append((imported.public_key,
                                 ccfg.wallet.imported_key_balance))
             devices[device_id] = device
-            trust.device_attestation_keys[device_id] = device.attestation_public_key
             registry.set_private(device_id, 0)
 
     # Every certificate is drafted in serial order and issued as one
     # batch: each VASP's identity, transaction and claims certificates,
     # then the identity certificates of each claims holder's store and
-    # authorization server, and of the insurer.
+    # authorization server, of the insurer, of each claims provider and of
+    # each wallet device.
     vasp_keys: dict[int, tuple[crypto.KeyPair, ...]] = {}
     for vcfg in config.vasps:
         n = vcfg.vasp_number
-        identity, tx, claims_key = vasp_keys[n] = tuple(
-            crypto.generate_keypair(crypto.derive_seed(master, f"vasp:{n}:{role}"))
-            for role in ("identity", "transaction", "claims"))
+        identity, tx, claims_key = vasp_keys[n] = tuple(keypair(
+            f"vasp:{n}:{role}") for role in ("identity", "transaction", "claims"))
         genesis.append((tx.public_key, vcfg.treasury))
         identity_cert = root.draft_identity_cert(
             vcfg.subject(), identity.public_key, 0, CERT_VALIDITY)
@@ -171,14 +170,23 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                              (pki.CertPurpose.CLAIMS_SIGNING, claims_key)):
             drafts.append(root.draft_signing_cert(
                 identity_cert, purpose, key.public_key, 0, CERT_VALIDITY))
-    service_keys = {name: draft_service(name, seed_label)
+    service_keys = {name: keypair(seed_label)
                     for vcfg in config.vasps for ccfg in vcfg.customers
                     if ccfg.claims for name, seed_label in (
-                        (f"store:{ccfg.id}", f"store-id:{ccfg.id}"),
-                        (f"authsrv:{ccfg.id}", f"authsrv-id:{ccfg.id}"))}
+                        (f"store:{ccfg.id}", f"store:{ccfg.id}"),
+                        (f"authsrv:{ccfg.id}", f"authsrv-sign:{ccfg.id}"))}
     if config.insurer:
         name = f"insurer:{config.insurer}"
-        service_keys[name] = draft_service(name, name)
+        service_keys[name] = keypair(name)
+    providers: dict[str, claims_mod.ClaimsProvider] = {}
+    for name in config.claims_providers:
+        check_actor(f"cp:{name}")  # the actor of its claims' events
+        providers[name] = claims_mod.ClaimsProvider(
+            name, crypto.derive_seed(master, f"provider:{name}"))
+    parties = {**{name: key.public_key for name, key in service_keys.items()},
+               **{f"cp:{name}": p.public_key for name, p in providers.items()},
+               **{d: device.attestation_public_key for d, device in devices.items()}}
+    drafts += [draft_party(name, key) for name, key in parties.items()]
     issued = iter(root.issue(drafts))
     for vcfg in config.vasps:
         member = pki.VaspCerts(next(issued), next(issued), next(issued))
@@ -189,9 +197,10 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
         for cert in (member.transaction, member.claims):
             sim.emit("sim", events.SIGNING_CERT_ISSUED, "signing",
                      cert.purpose.value, cert.serial, vcfg.vasp_number)
+    trust.identities.update(zip(parties, issued))
     # Service actor name -> (name, identity certificate, key), a Node's
     # arguments after its simulation.
-    services = {name: (name, next(issued), key)
+    services = {name: (name, trust.identities[name], key)
                 for name, key in service_keys.items()}
     ledger = Ledger(genesis)
 
@@ -221,16 +230,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
                 node.devices[device_id] = devices[device_id]
         sim.emit(node.name, events.ACTOR_READY, len(vcfg.customers), vcfg.treasury)
 
-    # Claims infrastructure: providers, then a personal store plus
-    # authorization server for every customer holding claims.
-    providers: dict[str, claims_mod.ClaimsProvider] = {}
-    for name in config.claims_providers:
-        check_actor(f"cp:{name}")  # the actor of its claims' events
-        provider = claims_mod.ClaimsProvider(
-            name, crypto.derive_seed(master, f"provider:{name}"))
-        providers[name] = provider
-        trust.provider_keys[name] = provider.public_key
-
+    # Claims infrastructure: a personal store plus authorization server
+    # for every customer holding claims.
     stores: dict[str, ClaimsStoreNode] = {}
     auth_servers: dict[str, AuthServerNode] = {}
     for vcfg in config.vasps:
@@ -238,11 +239,8 @@ def build_world(config: TopologyConfig, scenario: str = "adhoc",
             if not ccfg.claims:
                 continue
             owner = ccfg.id
-            server = claims_mod.AuthorizationServer(
-                crypto.derive_seed(master, f"authsrv-sign:{owner}"))
-            store = claims_mod.ClaimsStore(
-                owner, crypto.derive_seed(master, f"store:{owner}"),
-                authorization_server_key=server.public_key)
+            server = claims_mod.AuthorizationServer(service_keys[f"authsrv:{owner}"])
+            store = claims_mod.ClaimsStore(owner, service_keys[f"store:{owner}"])
             server.bind_store(store)
 
             store_node = ClaimsStoreNode(store, sim, *services[f"store:{owner}"],

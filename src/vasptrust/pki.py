@@ -140,6 +140,7 @@ class Refusal(Enum):
     FUNDED_KEY_NOT_MIGRATED = "funded_key_not_migrated"
     OWN_CERT_INVALID = "own_cert_invalid"  # this member may not sign now
     ERASURE_NOT_PROVEN = "erasure_not_proven"  # a supervised key is live
+    RECEIPT_INVALID = "receipt_invalid"  # a claims answer's receipt fails
 
 
 LEI_LENGTH = 20
@@ -373,14 +374,18 @@ class VaspCerts:
 
 class TrustContext:
     """What a node trusts: the root key, the revocation list, the clock,
-    member certificates, provider and device attestation keys.
+    member certificates, and every other party's identity certificate by
+    the name it certifies (``cp:dmv``, ``wdev:alice@7``, ``store:alice``,
+    ``authsrv:alice``, ``insurer:…``). Every key a signature is checked
+    under is a certificate's subject key, looked up at each use.
 
     Every certificate decision a node makes goes through its context,
     which one world's nodes share today. ``validate`` gives the ``Verdict``
     on a channel peer's identity; ``standing`` makes every member-as-signer
-    check, and ``verify_member_signature`` rests on it. Certificates are
-    distributed by consortium operations; their authenticity rests on the
-    root's signed tree head their proofs lead to.
+    check, and ``verify_member_signature`` rests on it; ``certified_key``
+    gives any other party's key. Certificates are distributed by
+    consortium operations; their authenticity rests on the root's signed
+    tree head their proofs lead to.
 
     A tree head's signature is verified once per context and kept in
     ``verified``, so a batch costs one verify. A certificate's revocation
@@ -401,8 +406,7 @@ class TrustContext:
         self._revocations = revocations
         self.clock = clock
         self.members: dict[int, VaspCerts] = {}  # entity number -> certs
-        self.provider_keys: dict[str, bytes] = {}
-        self.device_attestation_keys: dict[str, bytes] = {}
+        self.identities: dict[str, EvIdentityCertificate] = {}  # by name
         # Tree heads whose signature verified, as ``proven_head`` gives
         # them: keyed by the recomputed root hash and the signature, so a
         # forgery that copies a genuine proof never hits.
@@ -441,6 +445,13 @@ class TrustContext:
         if verdict in _KEPT:
             self._decided[key] = (pair, verdict)
         return verdict
+
+    def certified_key(self, name: str) -> bytes:
+        """The key ``name``'s identity certificate certifies while it is
+        VALID now; else b"", under which nothing verifies."""
+        cert = self.identities.get(name)
+        valid = cert is not None and self.validate(cert) is Verdict.VALID
+        return cert.subject_public_key if valid else b""
 
     def standing(self, member: VaspCerts, purpose: CertPurpose) -> Verdict:
         """Whether ``member`` may sign as ``purpose`` now, checking each

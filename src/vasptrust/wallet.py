@@ -13,6 +13,10 @@ on-chain history, flag migratable or imported keys, cut over to fresh
 non-migratable keys on on-boarding, and prove erasure of supervised keys on
 off-boarding before the wallet returns to private status. A refused
 boarding or checkpoint returns the ``pki.Refusal`` member naming why.
+
+The checks here take the key ``TrustContext.certified_key`` gives, so a
+device whose certificate is revoked fails every checkpoint and audit, and
+its offboarding is refused EVIDENCE_INVALID: it stays Regulated.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import codec, crypto
-from .ledger import Ledger, make_transfer
+from .ledger import Ledger, LedgerTx, make_transfer
 from .pki import Refusal
 
 NONCE_SIZE = 32
@@ -274,8 +278,10 @@ class SupervisionRecord:
     device_id: str
     supervised_handles: list[int]
     since: int
-    attestation_key: bytes  # the consortium's key for the device
     checkpoints: list[AttestationEvidence] = field(default_factory=list)
+    # An offboarding's handoff key and its last signed moves there, by the
+    # supervised handle each spends from, held until the erasure is proven.
+    handoff: tuple[int, dict[int, LedgerTx]] | None = None
 
 
 def check_key_history(device: WalletDevice, ledger: Ledger) -> bool:
@@ -318,18 +324,20 @@ def _fresh_evidence(device: WalletDevice, nonce: bytes,
     return evidence
 
 
-def _move_assets(device: WalletDevice, handles: Iterable[int], to_key: bytes,
-                 ledger: Ledger) -> None:
-    """Submit one transfer of the whole balance of each live key among
-    ``handles`` to ``to_key``, signed on ``device``."""
+def _moves(device: WalletDevice, handles: Iterable[int], to_key: bytes,
+           ledger: Ledger) -> dict[int, LedgerTx]:
+    """By handle, one transfer of the whole available balance of each live
+    key among ``handles`` to ``to_key``, signed on ``device``."""
+    moves = {}
     for handle in handles:
         slot = device.slot(handle)
-        balance = ledger.balance(slot.public_key)
+        balance = ledger.available(slot.public_key)
         if balance > 0 and not slot.erased:
-            ledger.submit_transfer(make_transfer(
+            moves[handle] = make_transfer(
                 inputs=[(slot.public_key, balance)],
                 outputs=[(to_key, balance)],
-                signers={slot.public_key: device.signer(handle)}))
+                signers={slot.public_key: device.signer(handle)})
+    return moves
 
 
 def onboard_customer(acquiring_vasp_number: int,
@@ -344,8 +352,8 @@ def onboard_customer(acquiring_vasp_number: int,
     """Acquire a customer's wallet under supervision.
 
     ``attestation_key`` is the device's attestation key as the consortium
-    directory records it; the device's own claim about its key is not
-    trusted. Checks the device's evidence, prior status, key history, then
+    certifies it; the device's own claim about its key is not trusted.
+    Checks the device's evidence, prior status, key history, then
     that no imported key still holds assets, and refuses under the first
     that fails; else cuts assets over to a freshly generated non-migratable
     key so responsibility starts on a clean key. The asset move is
@@ -370,15 +378,15 @@ def onboard_customer(acquiring_vasp_number: int,
 
     old_handles = tuple(h for h in device.handles() if not device.slot(h).erased)
     new_handle = device.generate_key(migratable=False)
-    _move_assets(device, old_handles, device.slot(new_handle).public_key,
-                 ledger)
+    for move in _moves(device, old_handles,
+                       device.slot(new_handle).public_key, ledger).values():
+        ledger.submit_transfer(move)
 
     registry.set_regulated(device.device_id, acquiring_vasp_number, now)
     report = BoardingReport(True, None, KeyTransition(old_handles, new_handle),
                             None)
     supervision = SupervisionRecord(customer_id, device.device_id,
-                                    [new_handle], now, attestation_key,
-                                    [evidence])
+                                    [new_handle], now, [evidence])
     return report, supervision
 
 
@@ -390,20 +398,22 @@ def offboard_customer(releasing_vasp_number: int,
                       supervision: SupervisionRecord,
                       nonce: bytes,
                       erasure_nonce: bytes,
-                      now: int) -> BoardingReport:
+                      now: int,
+                      *, attestation_key: bytes) -> BoardingReport:
     """Release a supervised wallet back to private status.
 
     The device is challenged first, over ``nonce``: a wallet that will not
     attest, or whose evidence fails, or whose key history does not verify,
-    is refused with nothing changed. Else assets move to one migratable
-    handoff key (ending the VASP's Travel Rule responsibility), every
-    supervised non-migratable key is erased, and fresh evidence over
-    ``erasure_nonce`` must prove the erasure before acceptance. Both
-    evidences are signed by the attestation key the supervision was
-    established with. A wallet whose erasure evidence fails, or shows a
-    supervised key live (ERASURE_NOT_PROVEN), is refused and stays
-    regulated. The asset move is submitted to the ledger mempool; the
-    caller confirms the block.
+    is refused with nothing changed. Else the device signs the moves of
+    the supervised keys' assets to one migratable handoff key (made once,
+    held on ``supervision``), every supervised non-migratable key is
+    erased, and fresh evidence over ``erasure_nonce`` must prove the
+    erasure before the moves are submitted (ending the VASP's Travel Rule
+    responsibility) and the wallet made private. Both evidences must
+    verify under ``attestation_key``. A refused wallet stays regulated
+    and submits nothing; a retry signs each live key's move again, over
+    its balance then, and keeps the move held for a key already erased.
+    The moves go to the ledger mempool; the caller confirms the block.
     """
     status = registry.status(device.device_id)
     if (status.classification is not WalletClass.REGULATED
@@ -413,28 +423,34 @@ def offboard_customer(releasing_vasp_number: int,
         raise NotSupervised(
             f"{device.device_id} is not supervised by vasp {releasing_vasp_number}")
 
-    evidence = _fresh_evidence(device, nonce, supervision.attestation_key)
+    evidence = _fresh_evidence(device, nonce, attestation_key)
     if isinstance(evidence, Refusal):
         return BoardingReport(False, evidence, None, None)
     if not check_key_history(device, ledger):
         return BoardingReport(False, Refusal.KEY_HISTORY_INVALID, None, None)
 
-    handoff_handle = device.generate_key(migratable=True)
-    _move_assets(device, supervision.supervised_handles,
-                 device.slot(handoff_handle).public_key, ledger)
+    if supervision.handoff is None:
+        supervision.handoff = device.generate_key(migratable=True), {}
+    handoff_handle, held = supervision.handoff
+    moves = {h: m for h, m in held.items() if device.slot(h).erased} | _moves(
+        device, supervision.supervised_handles,
+        device.slot(handoff_handle).public_key, ledger)
+    supervision.handoff = handoff_handle, moves
 
     to_erase = [h for h in supervision.supervised_handles
                 if not device.slot(h).migratable]
     for handle in to_erase:
         device.erase_key(handle)
 
-    evidence = _fresh_evidence(device, erasure_nonce, supervision.attestation_key)
+    evidence = _fresh_evidence(device, erasure_nonce, attestation_key)
     if isinstance(evidence, Refusal):
         return BoardingReport(False, evidence, None, None)
     reported = {r.handle: r for r in evidence.key_reports}
     if any(h not in reported or not reported[h].erased for h in to_erase):
         return BoardingReport(False, Refusal.ERASURE_NOT_PROVEN, None, None)
 
+    for move in moves.values():
+        ledger.submit_transfer(move)
     registry.set_private(device.device_id, now)
     return BoardingReport(
         True, None, KeyTransition(tuple(supervision.supervised_handles),
@@ -442,11 +458,12 @@ def offboard_customer(releasing_vasp_number: int,
 
 
 def take_checkpoint(supervision: SupervisionRecord, device: WalletDevice,
-                    nonce: bytes) -> AttestationEvidence | Refusal:
+                    nonce: bytes, attestation_key: bytes
+                    ) -> AttestationEvidence | Refusal:
     """Record and return fresh evidence from a supervised device if it
-    verifies under the attestation key the supervision was set up with and
-    answers ``nonce``; else record nothing and return why not."""
-    evidence = _fresh_evidence(device, nonce, supervision.attestation_key)
+    verifies under ``attestation_key`` and answers ``nonce``; else record
+    nothing and return why not."""
+    evidence = _fresh_evidence(device, nonce, attestation_key)
     if not isinstance(evidence, Refusal):
         supervision.checkpoints.append(evidence)
     return evidence

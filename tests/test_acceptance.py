@@ -513,7 +513,8 @@ def test_claims_flow_receipts_and_scoping(demo_config):
         result = server.request_authorization(
             7, {"driving_license_number"}, policy.usage_purpose,
             world.sim.now + i)
-        store.fetch_claims(result, now=world.sim.now + i + 1)
+        store.fetch_claims(result, world.trust.certified_key("authsrv:alice"),
+                           now=world.sim.now + i + 1)
         successes += 1
     assert len(store.receipts) == successes
     released_events = [e for e in store.audit_log if e.event == "claims_released"]
@@ -623,9 +624,9 @@ def test_offboarding_soundness(demo_config):
         attestation_key=device.attestation_public_key)
     ledger.confirm_block()
     supervised = list(supervision.supervised_handles)
-    report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                      supervision, seed("n2"), seed("n2e"),
-                                      now=9)
+    report = wallet.offboard_customer(
+        7, "alice", device, ledger, registry, supervision, seed("n2"),
+        seed("n2e"), now=9, attestation_key=device.attestation_public_key)
     assert report.accepted
     reported = {r.handle: r for r in report.erasure_evidence.key_reports}
     assert all(reported[h].erased for h in supervised
@@ -644,9 +645,9 @@ def test_offboarding_soundness(demo_config):
         7, "alice", bad, ledger2, registry2, seed("n3"), now=1,
         attestation_key=bad.attestation_public_key)
     ledger2.confirm_block()
-    refused = wallet.offboard_customer(7, "alice", bad, ledger2, registry2,
-                                       supervision2, seed("n4"), seed("n4e"),
-                                       now=9)
+    refused = wallet.offboard_customer(
+        7, "alice", bad, ledger2, registry2, supervision2, seed("n4"),
+        seed("n4e"), now=9, attestation_key=bad.attestation_public_key)
     assert (refused.accepted, refused.reason, refused.erasure_evidence) == \
         (False, pki.Refusal.ERASURE_NOT_PROVEN, None)
     assert registry2.status(bad.device_id).classification \

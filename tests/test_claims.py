@@ -17,11 +17,27 @@ def provider():
     return claims.ClaimsProvider("dmv", seed("cp:dmv"))
 
 
+# The authorization server's token key and the store's receipt key: the
+# keys their identity certificates certify in a built world.
+SERVER_KEY = crypto.generate_keypair(seed("authsrv"))
+STORE_KEY = crypto.generate_keypair(seed("store:alice"))
+
+
+def fetch(store: claims.ClaimsStore, token: claims.AuthorizationToken,
+          now: int):
+    """``store``'s fetch of ``token`` at ``now``, its signature checked
+    under the server's key."""
+    return store.fetch_claims(token, SERVER_KEY.public_key, now)
+
+
+def receipt_verifies(receipt: claims.ConsentReceipt) -> bool:
+    return crypto.verify(STORE_KEY.public_key, *codec.unseal(receipt))
+
+
 @pytest.fixture
 def setup(provider):
-    server = claims.AuthorizationServer(seed("authsrv"))
-    store = claims.ClaimsStore("alice", seed("store:alice"),
-                               authorization_server_key=server.public_key)
+    server = claims.AuthorizationServer(SERVER_KEY)
+    store = claims.ClaimsStore("alice", STORE_KEY)
     server.bind_store(store)
     store.add_claim(provider.issue_claim("alice", "driving_license_number",
                                          "DL-555-0101", 0, 10_000))
@@ -145,19 +161,19 @@ class TestFetch:
     def test_fetch_releases_claim_and_receipt(self, setup):
         store, server, policy = setup
         token = request(server, 7, {"driving_license_number"})
-        released, receipt = store.fetch_claims(token, now=5)
+        released, receipt = fetch(store, token, now=5)
         assert [c.attribute_name for c in released] == ["driving_license_number"]
         assert receipt.attributes_released == ("driving_license_number",)
         assert receipt.vasp_number == 7
         assert set(receipt.attributes_released) \
             <= set(token.permitted_attributes) <= policy.readable_attributes
-        assert store.verify_receipt(receipt)
+        assert receipt_verifies(receipt)
 
     def test_fetch_after_withdrawal(self, setup):
         store, server, _ = setup
         token = request(server, 7, {"driving_license_number"})
         store.revoke_consent("alice", now=3)
-        assert store.fetch_claims(token, now=5) is pki.Refusal.CONSENT_WITHDRAWN
+        assert fetch(store, token, now=5) is pki.Refusal.CONSENT_WITHDRAWN
         assert store.receipts == []
         assert store.audit_log[-1] == claims.AuditEntry(
             5, "fetch_refused", (("reason", pki.Refusal.CONSENT_WITHDRAWN),))
@@ -165,7 +181,7 @@ class TestFetch:
     def test_expired_token(self, setup):
         store, server, _ = setup
         token = request(server, 7, {"driving_license_number"}, now=1)
-        assert store.fetch_claims(token, now=1 + claims.TOKEN_LIFETIME) \
+        assert fetch(store, token, now=1 + claims.TOKEN_LIFETIME) \
             is pki.Refusal.TOKEN_EXPIRED
         assert store.receipts == []
 
@@ -175,7 +191,7 @@ class TestFetch:
         forged = replace(token,
                          permitted_attributes=("driving_license_number",
                                                "state_of_residence"))
-        assert store.fetch_claims(forged, now=5) is pki.Refusal.BAD_TOKEN
+        assert fetch(store, forged, now=5) is pki.Refusal.BAD_TOKEN
         assert store.receipts == []
 
     def test_every_refused_fetch_is_audited(self, setup):
@@ -184,12 +200,12 @@ class TestFetch:
         store, server, _ = setup
         token = request(server, 7, {"driving_license_number"}, now=1)
         expired = 1 + claims.TOKEN_LIFETIME
-        assert store.fetch_claims(token, now=expired) is pki.Refusal.TOKEN_EXPIRED
+        assert fetch(store, token, now=expired) is pki.Refusal.TOKEN_EXPIRED
         assert store.audit_log[-1] == claims.AuditEntry(
             expired, "fetch_refused", (("reason", pki.Refusal.TOKEN_EXPIRED),))
         forged = replace(token, purpose="marketing")
         rows = len(store.audit_log)
-        assert store.fetch_claims(forged, now=5) is pki.Refusal.BAD_TOKEN
+        assert fetch(store, forged, now=5) is pki.Refusal.BAD_TOKEN
         assert store.audit_log[rows:] == [claims.AuditEntry(
             5, "fetch_refused", (("reason", pki.Refusal.BAD_TOKEN),))]
         assert store.receipts == []
@@ -204,16 +220,16 @@ class TestFetch:
     def test_receipts_survive_withdrawal(self, setup):
         store, server, _ = setup
         token = request(server, 7, {"driving_license_number"})
-        _, receipt = store.fetch_claims(token, now=2)
+        _, receipt = fetch(store, token, now=2)
         store.revoke_consent("alice", now=3)
-        assert store.verify_receipt(receipt)
+        assert receipt_verifies(receipt)
 
     def test_expired_claims_not_released(self, setup, provider):
         store, server, _ = setup
         store.add_claim(provider.issue_claim("alice", "driving_license_number",
                                              "OLD", 0, 4))
         token = request(server, 7, {"driving_license_number"})
-        released, _ = store.fetch_claims(token, now=5)
+        released, _ = fetch(store, token, now=5)
         assert [c.attribute_value for c in released] == ["DL-555-0101"]
 
 
@@ -224,7 +240,7 @@ def test_receipt_count_equals_successful_fetches(setup):
     for i in range(30):
         token = request(server, 7, {"driving_license_number"}, now=i)
         when = i + rng.randint(0, 2 * claims.TOKEN_LIFETIME)
-        result = store.fetch_claims(token, now=when)
+        result = fetch(store, token, now=when)
         if result is pki.Refusal.TOKEN_EXPIRED:
             continue
         assert not isinstance(result, pki.Refusal)
@@ -238,7 +254,7 @@ def test_receipt_count_equals_successful_fetches(setup):
 def test_no_release_without_token_in_audit(setup):
     store, server, _ = setup
     token = request(server, 7, {"driving_license_number"})
-    store.fetch_claims(token, now=2)
+    fetch(store, token, now=2)
     released = [e for e in store.audit_log if e.event == "claims_released"]
     assert [dict(e.fields)["token"] for e in released] == [token.token_id]
 
@@ -248,7 +264,7 @@ def test_token_and_receipt_round_trip_wire(setup):
     token = request(server, 7, {"driving_license_number"})
     assert codec.canonical_decode(codec.canonical_encode(token),
                                   claims.AuthorizationToken) == token
-    _, receipt = store.fetch_claims(token, now=2)
+    _, receipt = fetch(store, token, now=2)
     assert codec.canonical_decode(codec.canonical_encode(receipt),
                                   claims.ConsentReceipt) == receipt
 

@@ -485,7 +485,8 @@ class TestInit:
     def test_manifest_counts(self, workspace):
         manifest = json.loads((workspace / "manifest.json").read_text())
         kinds = [c["kind"] for c in manifest["certificates"]]
-        assert kinds.count("identity") == 2
+        # Each VASP's, and the one configured claims provider's.
+        assert kinds.count("identity") == 3
         assert kinds.count("signing") == 4
         assert manifest["vasp_numbers"] == [7, 9]
         assert all("hex" in c for c in manifest["certificates"])

@@ -331,7 +331,9 @@ def test_building_a_world_encodes_each_certificate_once(demo_config,
     # A certificate's signing input is encoded once, for its leaf hash when
     # it is drafted: a signing certificate takes its linkage from the leaf
     # hash kept with its identity's draft, and the issued certificate is
-    # the draft with its proof.
+    # the draft with its proof. The demo world has 14: three per VASP, and
+    # one identity each for Alice's store and authorization server, the
+    # insurer, the claims provider and Alice's wallet device.
     encoded = []
 
     def recording(value, encode=codec.struct_bytes):
@@ -343,7 +345,7 @@ def test_building_a_world_encodes_each_certificate_once(demo_config,
     monkeypatch.undo()
     certs = [v for v in encoded if isinstance(
         v, (pki.EvIdentityCertificate, pki.SigningCertificate))]
-    assert len(certs) == len(world.root.issued_certificates()) == 12
+    assert len(certs) == len(world.root.issued_certificates()) == 14
 
 
 def test_registry_has_no_duplicate_keys(root):

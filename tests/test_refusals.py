@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import asked_seq, sent_frames, wire_frames
-from vasptrust import codec, pki
+from vasptrust import codec, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.claims import AuthorizationToken
 from vasptrust.config import default_config, parse_config
@@ -424,28 +424,66 @@ def test_unsolicited_lookup_answer_is_refused(world):
     reparses_exactly(world.sim.trace.events)
 
 
-def test_claim_failing_its_issuer_signature_is_not_taken(demo_config):
-    # After S2, with a fetch outstanding, the store's answer comes back
-    # holding S2's claim with its issuer signature zeroed: it is counted,
-    # not verified, and not taken.
+def s2_fetch_answer(demo_config):
+    """(trace, world, VASP 7, Alice's store, S2's fetch answer, the
+    channel) after S2, with a fetch of S2's token outstanding at SEQ."""
     trace, world = run_scenario_with_world("S2", demo_config)
     vasp, store = world.vasps[7], world.stores["alice"]
     answer = next(frame.body for frame in wire_frames(world.sim)
                   if isinstance(frame.body, ClaimsFetchResponse))
+    channel = world.channel_between(vasp, store)
+    vasp.asked[channel.id, SEQ] = (ClaimsFetchResponse, vasp.claims_token)
+    return trace, world, vasp, store, answer, channel
+
+
+def test_claim_failing_its_issuer_signature_is_not_taken(demo_config):
+    # After S2, with a fetch outstanding, the store's answer comes back
+    # holding S2's claim with its issuer signature zeroed, and S2's
+    # receipt: the claim is counted, not verified, and not taken.
+    trace, world, vasp, store, answer, channel = s2_fetch_answer(demo_config)
     (claim,) = answer.claims
     forged = dataclasses.replace(claim, issuer_signature=bytes(
         len(claim.issuer_signature)))
     assert vasp.fetched_claims == [claim]
-    channel = world.channel_between(vasp, store)
-    vasp.asked[channel.id, SEQ] = (ClaimsFetchResponse, None)  # a fetch out
     since = len(trace.events)
     world.sim.send(channel, store.name,
-                   ClaimsFetchResponse(SEQ, (forged,), None, None))
+                   ClaimsFetchResponse(SEQ, (forged,), answer.receipt, None))
     world.sim.run_until_quiet()
     assert [(e.event, e.fields) for e in events_of(world, vasp.name, since)
             if e.event.startswith("claims.")] == [
-        ("claims.claims_fetched", {"claims": 1, "verified": 0, "receipt": "no"})]
+        ("claims.claims_fetched", {"claims": 1, "verified": 0, "receipt": "yes"})]
     assert vasp.fetched_claims == [claim]
+
+
+@pytest.mark.parametrize("forgery", ["zero_signature", "another_token",
+                                     "another_vasp", "no_receipt"])
+def test_fetch_answer_whose_receipt_fails_is_refused(demo_config, forgery):
+    # With a fetch outstanding, the store answers with S2's claim and a
+    # receipt signed by 64 zero bytes, or signed by the store for another
+    # token or another VASP, or none: the answer is refused once, as
+    # receipt_invalid, and neither its claim nor its receipt is kept.
+    trace, world, vasp, store, answer, channel = s2_fetch_answer(demo_config)
+    receipt = answer.receipt
+    if forgery == "zero_signature":
+        receipt = dataclasses.replace(receipt, signature=bytes(64))
+    elif forgery == "no_receipt":
+        receipt = None
+    else:
+        field = {"another_token": ("token_id", bytes(32)),
+                 "another_vasp": ("vasp_number", 9)}[forgery]
+        receipt = codec.seal(dataclasses.replace(receipt, **dict([field])),
+                             lambda tbs: crypto.sign(
+                                 store.store._keypair.private_key, tbs))[0]
+    kept = (list(vasp.fetched_claims), list(vasp.consent_receipts))
+    since = len(trace.events)
+    world.sim.send(channel, store.name,
+                   ClaimsFetchResponse(SEQ, answer.claims, receipt, None))
+    world.sim.run_until_quiet()
+    assert [(e.event, e.fields) for e in events_of(world, vasp.name, since)
+            if e.event.startswith("claims.")] == [
+        ("claims.fetch_refused", {"reason": "receipt_invalid"})]
+    assert (vasp.fetched_claims, vasp.consent_receipts) == kept
+    assert vasp.asked == {}
 
 
 def test_attestation_answer_over_another_channel_is_unsolicited(world):

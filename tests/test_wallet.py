@@ -378,8 +378,9 @@ class TestBoarding:
         device, ledger, registry, supervision = self._onboarded()
         supervised = list(supervision.supervised_handles)
         height = ledger.height
-        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                          supervision, nonce(9), nonce(10), 9)
+        report = wallet.offboard_customer(
+            7, "alice", device, ledger, registry, supervision, nonce(9),
+            nonce(10), 9, attestation_key=device.attestation_public_key)
         assert report.accepted
         assert ledger.height == height  # the caller confirms the asset move
         ledger.confirm_block()
@@ -399,8 +400,9 @@ class TestBoarding:
                       if tx.signatures]
         corrupt_signature(ledger, cutover)
         handles = device.handles()
-        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                          supervision, nonce(9), nonce(10), 9)
+        report = wallet.offboard_customer(
+            7, "alice", device, ledger, registry, supervision, nonce(9),
+            nonce(10), 9, attestation_key=device.attestation_public_key)
         assert not report.accepted
         assert report.reason is Refusal.KEY_HISTORY_INVALID
         assert report.key_transition is None and report.erasure_evidence is None
@@ -412,8 +414,9 @@ class TestBoarding:
     def test_offboard_requires_supervision(self):
         device, ledger, registry, supervision = self._onboarded()
         with pytest.raises(wallet.NotSupervised):
-            wallet.offboard_customer(9, "alice", device, ledger, registry,
-                                     supervision, nonce(), nonce(1), 9)
+            wallet.offboard_customer(
+                9, "alice", device, ledger, registry, supervision, nonce(),
+                nonce(1), 9, attestation_key=device.attestation_public_key)
 
     def test_device_skipping_erasure_yields_erasure_not_proven(self):
         class StubbornDevice(wallet.WalletDevice):
@@ -428,8 +431,9 @@ class TestBoarding:
             7, "alice", device, ledger, registry, nonce(), 1,
             attestation_key=device.attestation_public_key)
         ledger.confirm_block()
-        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                          supervision, nonce(2), nonce(3), 9)
+        report = wallet.offboard_customer(
+            7, "alice", device, ledger, registry, supervision, nonce(2),
+            nonce(3), 9, attestation_key=device.attestation_public_key)
         assert (report.accepted, report.reason) == \
             (False, Refusal.ERASURE_NOT_PROVEN)
         assert registry.status(device.device_id).classification \
@@ -535,6 +539,152 @@ class TestBoarding:
         assert device.slot(supervised).erased
         assert world.ledger.balance(device.slot(handoff).public_key) == 500
 
+    def test_offboarding_without_proven_erasure_moves_nothing(
+            self, demo_config, monkeypatch):
+        # The device attests truthfully but skips erasure: the offboarding
+        # is refused erasure_not_proven, and once the next block confirms,
+        # the supervised key still holds all 500 units, no other key holds
+        # any, and the registry still names VASP 7. A retry makes no second
+        # handoff key and moves nothing either.
+        world = build_world(demo_config)
+        vasp, device = world.vasps[7], world.devices["wdev:alice@7"]
+        assert vasp.onboard("alice", device).accepted
+        world.confirm_block()
+        (supervised,) = vasp.supervision["alice"].supervised_handles
+        monkeypatch.setattr(device, "erase_key", lambda handle: None)
+        for _ in range(2):
+            report = vasp.offboard("alice", device)
+            world.confirm_block()
+            assert (report.accepted, report.reason) == \
+                (False, Refusal.ERASURE_NOT_PROVEN)
+            balances = {h: world.ledger.balance(device.slot(h).public_key)
+                        for h in device.handles()}
+            assert balances == {1: 0, supervised: 500, supervised + 1: 0}
+            status = world.registry.status(device.device_id)
+            assert (status.classification, status.supervising_vasp_number) \
+                == (wallet.WalletClass.REGULATED, 7)
+
+    def test_offboarding_retry_submits_the_held_moves_once(
+            self, demo_config, monkeypatch):
+        # Refused once for want of erasure, the offboarding is retried once
+        # the device erases: it is accepted, makes no new key, and moves
+        # the 500 units to the first attempt's handoff key, in one
+        # transaction, the one the retry signed.
+        world = build_world(demo_config)
+        vasp, device = world.vasps[7], world.devices["wdev:alice@7"]
+        assert vasp.onboard("alice", device).accepted
+        world.confirm_block()
+        supervision = vasp.supervision["alice"]
+        (supervised,) = supervision.supervised_handles
+        with monkeypatch.context() as stubborn:
+            stubborn.setattr(device, "erase_key", lambda handle: None)
+            assert not vasp.offboard("alice", device).accepted
+        handles = device.handles()
+        handoff, _ = supervision.handoff
+        report = vasp.offboard("alice", device)
+        block = world.confirm_block()
+        assert report.accepted and device.handles() == handles
+        assert report.key_transition == wallet.KeyTransition((supervised,),
+                                                             handoff)
+        moves = supervision.handoff[1]
+        assert list(moves) == [supervised]
+        assert block.tx_ids == (crypto.digest(codec.struct_bytes(
+            moves[supervised])),)
+        assert world.ledger.balance(device.slot(handoff).public_key) == 500
+        assert world.ledger.balance(device.slot(supervised).public_key) == 0
+        assert world.registry.status(device.device_id).classification \
+            is wallet.WalletClass.PRIVATE
+
+    def _refused_once(self, demo_config, monkeypatch):
+        """A world whose VASP 7 has onboarded Alice and been refused her
+        offboarding once, her device skipping erasure; the world, her
+        device and her supervised handle."""
+        world = build_world(demo_config)
+        vasp, device = world.vasps[7], world.devices["wdev:alice@7"]
+        assert vasp.onboard("alice", device).accepted
+        world.confirm_block()
+        with monkeypatch.context() as stubborn:
+            stubborn.setattr(device, "erase_key", lambda handle: None)
+            assert vasp.offboard("alice", device).reason \
+                is Refusal.ERASURE_NOT_PROVEN
+        (supervised,) = vasp.supervision["alice"].supervised_handles
+        return world, device, supervised
+
+    def test_offboarding_retry_moves_what_was_paid_in_since(
+            self, demo_config, monkeypatch):
+        # After the refused attempt, VASP 7 pays 100 more into the live
+        # supervised key. The retry moves all 600 to the handoff key and
+        # leaves nothing on the key it erased.
+        world, device, supervised = self._refused_once(demo_config,
+                                                       monkeypatch)
+        vasp = world.vasps[7]
+        key = device.slot(supervised).public_key
+        world.ledger.submit_transfer(make_transfer(
+            inputs=[(vasp.tx_key.public_key, 100)], outputs=[(key, 100)],
+            signers={vasp.tx_key.public_key: lambda tbs: crypto.sign(
+                vasp.tx_key.private_key, tbs)}))
+        world.confirm_block()
+        report = vasp.offboard("alice", device)
+        world.confirm_block()
+        assert report.accepted
+        handoff = report.key_transition.new_handle
+        assert world.ledger.balance(device.slot(handoff).public_key) == 600
+        assert world.ledger.balance(key) == 0
+
+    @pytest.mark.parametrize("confirmed", [True, False])
+    def test_offboarding_retry_after_the_supervised_key_spent(
+            self, demo_config, monkeypatch, confirmed):
+        # After the refused attempt, the live supervised key spends its 500
+        # back to VASP 7's treasury, confirmed or still in the mempool. The
+        # retry is accepted and moves nothing: it raises no
+        # InsufficientFunds after erasing the key.
+        world, device, supervised = self._refused_once(demo_config,
+                                                       monkeypatch)
+        vasp = world.vasps[7]
+        key = device.slot(supervised).public_key
+        world.ledger.submit_transfer(make_transfer(
+            inputs=[(key, 500)], outputs=[(vasp.tx_key.public_key, 500)],
+            signers={key: device.signer(supervised)}))
+        if confirmed:
+            world.confirm_block()
+        report = vasp.offboard("alice", device)
+        world.confirm_block()
+        assert report.accepted and device.slot(supervised).erased
+        handoff = report.key_transition.new_handle
+        assert world.ledger.balance(device.slot(handoff).public_key) == 0
+        assert world.ledger.balance(key) == 0
+
+    def test_offboarding_retry_keeps_the_move_of_a_key_already_erased(
+            self, demo_config, monkeypatch):
+        # The first attempt erases the supervised key, then the device will
+        # not attest to the erasure. The erased key can sign nothing now,
+        # so the retry submits the move held from the first attempt.
+        world = build_world(demo_config)
+        vasp, device = world.vasps[7], world.devices["wdev:alice@7"]
+        assert vasp.onboard("alice", device).accepted
+        world.confirm_block()
+        erase = device.erase_key
+
+        def erase_then_go_mute(handle):
+            erase(handle)
+            device.attestation_enabled = False
+
+        with monkeypatch.context() as mute:
+            mute.setattr(device, "erase_key", erase_then_go_mute)
+            assert vasp.offboard("alice", device).reason \
+                is Refusal.ATTESTATION_REFUSED
+        supervision = vasp.supervision["alice"]
+        (supervised,) = supervision.supervised_handles
+        assert device.slot(supervised).erased
+        handoff, held = supervision.handoff
+        device.attestation_enabled = True
+        report = vasp.offboard("alice", device)
+        block = world.confirm_block()
+        assert report.accepted
+        assert block.tx_ids == (crypto.digest(codec.struct_bytes(
+            held[supervised])),)
+        assert world.ledger.balance(device.slot(handoff).public_key) == 500
+
     def test_forged_erasure_evidence_refused(self):
         class ForgingDevice(wallet.WalletDevice):
             """Once forging, keeps its keys and, from the first erasure it
@@ -567,8 +717,9 @@ class TestBoarding:
             attestation_key=device.attestation_public_key)
         ledger.confirm_block()
         device.forging = True
-        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                          supervision, nonce(2), nonce(3), 9)
+        report = wallet.offboard_customer(
+            7, "alice", device, ledger, registry, supervision, nonce(2),
+            nonce(3), 9, attestation_key=device.attestation_public_key)
         assert (report.accepted, report.reason) == \
             (False, Refusal.EVIDENCE_INVALID)
         assert registry.status(device.device_id).classification \
@@ -591,8 +742,9 @@ class TestBoarding:
             7, "alice", device, ledger, registry, nonce(99), 1,
             attestation_key=device.attestation_public_key)
         ledger.confirm_block()
-        report = wallet.offboard_customer(7, "alice", device, ledger, registry,
-                                          supervision, nonce(2), nonce(3), 9)
+        report = wallet.offboard_customer(
+            7, "alice", device, ledger, registry, supervision, nonce(2),
+            nonce(3), 9, attestation_key=device.attestation_public_key)
         assert (report.accepted, report.reason) == \
             (False, Refusal.EVIDENCE_INVALID)
         assert registry.status(device.device_id).classification \
@@ -622,7 +774,8 @@ class TestBoarding:
         device, ledger, registry, supervision = self._onboarded()
         impostor = wallet.WalletDevice(device.device_id, seed("impostor"),
                                        STACK)
-        assert wallet.take_checkpoint(supervision, impostor, nonce(10)) \
+        assert wallet.take_checkpoint(supervision, impostor, nonce(10),
+                                      device.attestation_public_key) \
             is Refusal.EVIDENCE_INVALID
 
         class Replaying:
@@ -631,12 +784,14 @@ class TestBoarding:
             def attest(self, nonce_):
                 return device.attest(nonce(99))
 
-        assert wallet.take_checkpoint(supervision, Replaying(), nonce(11)) \
+        assert wallet.take_checkpoint(supervision, Replaying(), nonce(11),
+                                      device.attestation_public_key) \
             is Refusal.EVIDENCE_INVALID
         assert len(supervision.checkpoints) == 1  # onboarding only
 
     def test_checkpoints_accumulate(self):
         device, ledger, registry, supervision = self._onboarded()
         for i in range(3):
-            wallet.take_checkpoint(supervision, device, nonce(i + 10))
+            wallet.take_checkpoint(supervision, device, nonce(i + 10),
+                                   device.attestation_public_key)
         assert len(supervision.checkpoints) == 4  # onboarding + 3
