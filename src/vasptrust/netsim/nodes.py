@@ -313,9 +313,10 @@ class VaspNode(Node):
                 self._refused(events.ADV_REFUSED, Refusal.OWN_CERT_INVALID)
             else:
                 adv = self._own_adv = self.resolver.build_advertisement(
-                    self.claims_key.private_key, self.certs.claims.serial)
+                    self.claims_key.private_key, self.certs.claims.serial,
+                    self.certs.identity.subject.alt_domain_names)
                 self.sim.emit(self.name, events.ADV_BUILT, adv.sequence,
-                              len(adv.identifiers), payload=adv)
+                              len(content[0]), payload=adv)
                 self._advertised = content
                 self._outbox[self.vasp_number] = (adv, set())
         outbox, self._outbox = self._outbox, {}
@@ -380,9 +381,8 @@ class VaspNode(Node):
         missing = travel_rule.validate_payload(payload)
         signed, tbs = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims.serial, payload)
-        payload_id = crypto.digest(codec.first_field(SignedPayload, tbs))
-        self.sim.emit(self.name, events.PAYLOAD_SIGNED, "outbound",
-                      _present(missing), _short(payload_id), digest=payload_id)
+        self.sim.emit(self.name, events.PAYLOAD_SIGNED, "outbound", _present(missing),
+                      _short(payload.payload_id), digest=payload.payload_id)
         self._record("outbound", signed, tbs)
         return signed
 

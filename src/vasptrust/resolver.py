@@ -5,12 +5,18 @@ payment identifiers with the "@" replaced by "$" (local$domain), or bare
 public keys. Each VASP's resolver keeps a local table of its own customers'
 identifiers and learns about other VASPs' customers through signed,
 sequence-numbered full-state advertisements flooded over the federation,
-newest advertisement per origin winning (link-state semantics). An
-advertisement carries the canonical strings (``render()``) grouped under
-their suffix, separator and domain ("$acmepay.com"; "" for bare keys), so
-each travels as its local part, as DNS name compression sends a domain
-once (RFC 1035 §4.1.4). A receiver refuses any other grouping, and indexes
-each string interned: every resolver shares one object per identifier.
+newest advertisement per origin winning (link-state semantics).
+
+An advertisement has one field per identifier kind, each list strictly
+increasing: PayIDs as their local parts under the index of their domain in
+the origin identity certificate's ``alt_domain_names`` (the first whose
+lower-case form matches), e-mail addresses as theirs under their lower-
+case domain, and bare keys as their 32 bytes. A domain the receiver holds
+thus travels as a reference (as in RFC 1035 §4.1.4), and only a domain's
+holder can advertise its PayIDs, the rule route origin validation checks
+on receipt (RFC 6811). A receiver refuses any other form, and indexes the
+canonical strings (``render()``) it expands, interned: every resolver
+shares one object per identifier.
 
 Lookups answer with VASP numbers only; key material never flows back to a
 caller. Who may ask is not decided here: ``Node.handle`` serves a request
@@ -19,8 +25,9 @@ only to a caller whose certificate validates.
 
 from __future__ import annotations
 
+import operator
 import sys
-from collections.abc import Container, Iterable
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -105,51 +112,53 @@ def parse_identifier(s: str) -> CustomerIdentifier:
     return CustomerIdentifier(IdentifierKind.BARE_PUBLIC_KEY, key_bytes=key)
 
 
-def group_identifiers(rendered: Iterable[str]) -> tuple[tuple[str, ...], ...]:
-    """Canonical strings as an advertisement carries them: one group per
-    suffix, split off where ``parse_identifier`` splits, suffix first and
-    then its local parts; groups and local parts strictly increasing."""
-    groups: dict[str, set[str]] = {}
-    for s in rendered:
-        sep = "$" if "$" in s else "@" if "@" in s else None
-        local, sep, domain = s.rpartition(sep) if sep else (s, "", "")
-        groups.setdefault(sep + domain, set()).add(local)
-    return tuple((suffix, *sorted(groups[suffix])) for suffix in sorted(groups))
-
-
-@lru_cache(maxsize=4096)
-def _renders_as_itself(s: str) -> bool:
-    try:
-        return parse_identifier(s).render() == s
-    except Unparseable:
-        return False
-
-
-def _canonical(domains: tuple[tuple[str, ...], ...], expanded: tuple[str, ...]) -> bool:
-    """Whether ``domains`` (expanding to ``expanded``) groups canonical
-    strings. A suffix is parsed (and cached) alone: under it, any non-empty
-    local part that ``group_identifiers`` splits off is canonical too."""
-    return group_identifiers(expanded) == domains and all(
-        all(group[1:]) and all(map(_renders_as_itself, (
-            ("x" + group[0],) if group[0] else group[1:]))) for group in domains)
-
-
 @dataclass(frozen=True)
 class IdentifierAdvertisement:
     """Full-state advertisement: one VASP number plus every customer
-    identifier it serves (``group_identifiers``), strictly increasing sequence."""
+    identifier it serves (module docstring), strictly increasing sequence."""
 
     vasp_number: int
     sequence: int
-    domains: tuple[tuple[str, ...], ...]
+    payids: tuple[tuple[int, tuple[str, ...]], ...]  # (domain index, locals)
+    emails: tuple[tuple[str, tuple[str, ...]], ...]  # (domain, locals)
+    keys: tuple[bytes, ...]
     signer_cert_serial: int
     signature: bytes
 
-    @property
-    def identifiers(self) -> tuple[str, ...]:
-        """The canonical strings, each interned."""
-        return tuple(sys.intern(local + group[0])
-                     for group in self.domains for local in group[1:])
+
+def _rising(items: Sequence) -> bool:
+    return all(map(operator.lt, items, items[1:]))  # in C: no frame per pair
+
+
+@lru_cache(maxsize=1024)
+def _payid_suffixes(domains: tuple[str, ...]) -> tuple[str | None, ...]:
+    """The suffix each index of a certificate's ``domains`` gives its
+    PayIDs; None where the domain is invalid or, in lower case, listed
+    before, so that one domain has one index."""
+    lowered = [domain.lower() for domain in domains]
+    return tuple("$" + d if _valid_domain(d) and d not in lowered[:i] else None
+                 for i, d in enumerate(lowered))
+
+
+def _expand(adv: IdentifierAdvertisement,
+            suffixes: tuple[str | None, ...]) -> tuple[str, ...] | None:
+    """The canonical strings ``adv`` carries, each interned, its PayID
+    groups keyed into ``suffixes``; None unless every list is strictly
+    increasing, every group and local part non-empty, every e-mail domain
+    valid and in lower case with no "$" in its local parts, and every key
+    32 bytes: the one form ``build_advertisement`` makes."""
+    groups = [(i < len(suffixes) and suffixes[i], locals_) for i, locals_ in adv.payids]
+    groups += [(_valid_domain(d) and d == d.lower() and "$" not in "".join(locals_)
+                and "@" + d, locals_) for d, locals_ in adv.emails]
+    if not (_rising([i for i, _ in adv.payids]) and _rising([d for d, _ in adv.emails])
+            and _rising(adv.keys)
+            and all(len(key) == crypto.PUBLIC_KEY_SIZE for key in adv.keys)
+            and all([suffix and locals_ and locals_[0] and _rising(locals_)
+                     for suffix, locals_ in groups])):
+        return None
+    return tuple([sys.intern(local + suffix) for suffix, locals_ in groups
+                  for local in locals_]
+                 + [sys.intern(f"key:{key.hex()}") for key in adv.keys])
 
 
 class MergeOutcome(Enum):
@@ -172,7 +181,8 @@ class ResolverService:
         self.vasp_number = vasp_number
         self._customers = customers
         self._local: dict[str, str] = {}  # rendered identifier -> customer id
-        self._remote: dict[int, IdentifierAdvertisement] = {}
+        # origin -> (its advertisement held, the strings that indexed)
+        self._remote: dict[int, tuple[IdentifierAdvertisement, tuple[str, ...]]] = {}
         # Incrementally maintained identifier -> origins index so lookups
         # are plain map accesses, not scans over held advertisements. A
         # one-origin set is shared (_one_origin); a multi-origin identifier
@@ -211,16 +221,30 @@ class ResolverService:
 
     # -- federation -----------------------------------------------------------
 
-    def build_advertisement(self, claims_private_key: bytes,
-                            claims_cert_serial: int) -> IdentifierAdvertisement:
+    def build_advertisement(self, claims_private_key: bytes, claims_cert_serial: int,
+                            domains: Sequence[str]) -> IdentifierAdvertisement:
+        """Our next advertisement, signed. ``domains`` are our identity
+        certificate's ``alt_domain_names``: a PayID on none of them cannot
+        be advertised, and raises ResolverError."""
+        index = {domain.lower(): i for i, domain in reversed([*enumerate(domains)])}
+        groups: tuple[dict, dict] = ({}, {})  # PayID and e-mail locals by group
+        keys = []
+        for ident in map(parse_identifier, self._local):
+            if ident.kind is IdentifierKind.BARE_PUBLIC_KEY:
+                keys.append(ident.key_bytes)
+            elif ident.kind is IdentifierKind.EMAIL:
+                groups[1].setdefault(ident.domain_part, []).append(ident.local_part)
+            elif ident.domain_part in index:
+                groups[0].setdefault(index[ident.domain_part], []).append(ident.local_part)
+            else:
+                raise ResolverError(f"{ident.render()}: a domain we do not hold")
+        payids, emails = (tuple((k, tuple(sorted(g[k]))) for k in sorted(g))
+                          for g in groups)
         self._sequence += 1
         return codec.seal(IdentifierAdvertisement(
-            vasp_number=self.vasp_number,
-            sequence=self._sequence,
-            domains=group_identifiers(self._local),
-            signer_cert_serial=claims_cert_serial,
-            signature=b"",
-        ), lambda tbs: crypto.sign(claims_private_key, tbs))[0]
+            self.vasp_number, self._sequence, payids, emails, tuple(sorted(keys)),
+            claims_cert_serial, b""),
+            lambda tbs: crypto.sign(claims_private_key, tbs))[0]
 
     def merge_advertisement(self, adv: IdentifierAdvertisement,
                             trust: pki.TrustContext) -> MergeOutcome:
@@ -232,32 +256,29 @@ class ResolverService:
         duplicate or replay costs no certificate or signature work; a
         resolver is authoritative for its own origin and never takes an
         advertisement for it from the federation. The signer must be the
-        origin's claims-signing certificate, the grouping canonical, and
-        every PayID on a domain its identity certificate lists: only a
-        domain's holder serves its PayIDs, as a route origin authorization
-        names who may originate a prefix (RFC 6811).
+        origin's claims-signing certificate; then one pass checks the form
+        against the origin's identity certificate and expands it
+        (``_expand``), and the expansion is kept to unindex it.
         """
         held = self._remote.get(adv.vasp_number)
         if adv.vasp_number == self.vasp_number or (
-                held is not None and adv.sequence <= held.sequence):
+                held is not None and adv.sequence <= held[0].sequence):
             return MergeOutcome.STALE
         if not trust.verify_member_signature(
                 *codec.unseal(adv), adv.signer_cert_serial,
                 pki.CertPurpose.CLAIMS_SIGNING, adv.vasp_number):
             return MergeOutcome.REJECTED
-        payid_suffixes = {"$" + domain.lower() for domain in trust.members[
-            adv.vasp_number].identity.subject.alt_domain_names}
-        if not _canonical(adv.domains, identifiers := adv.identifiers) or any(
-                group[0].startswith("$") and group[0] not in payid_suffixes
-                for group in adv.domains):
+        expansion = _expand(adv, _payid_suffixes(
+            trust.members[adv.vasp_number].identity.subject.alt_domain_names))
+        if expansion is None:
             return MergeOutcome.REJECTED
 
         self.drop_origin(adv.vasp_number)
         index, origin = self._remote_index, _one_origin(adv.vasp_number)
-        for rendered in identifiers:
+        for rendered in expansion:
             owners = index.get(rendered)
             index[rendered] = origin if owners is None else owners | origin
-        self._remote[adv.vasp_number] = adv
+        self._remote[adv.vasp_number] = adv, expansion
         return MergeOutcome.APPLIED
 
     def drop_origin(self, vasp_number: int) -> None:
@@ -266,7 +287,7 @@ class ResolverService:
         if held is None:
             return
         index, origin = self._remote_index, _one_origin(vasp_number)
-        for rendered in held.identifiers:
+        for rendered in held[1]:
             owners = index.get(rendered, origin) - origin
             if not owners:
                 index.pop(rendered, None)
@@ -277,7 +298,7 @@ class ResolverService:
     def known_advertisements(self) -> list[IdentifierAdvertisement]:
         """Latest advertisement held per remote origin, for syncing a new
         neighbour."""
-        return [self._remote[n] for n in sorted(self._remote)]
+        return [self._remote[n][0] for n in sorted(self._remote)]
 
     def holds_federated(self, index: dict[str, set[int]]) -> bool:
         """Whether the identifier -> origins view learnt from the

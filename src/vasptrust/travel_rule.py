@@ -221,9 +221,12 @@ class SignedPayload:
 def sign_payload(claims_private_key: bytes, signer_cert_serial: int,
                  payload: TravelRulePayload) -> tuple[SignedPayload, bytes]:
     """``payload`` sealed, unchecked, under the claims key of certificate
-    ``signer_cert_serial``, with its signing input."""
-    return codec.seal(SignedPayload(payload, signer_cert_serial, b""),
-                      lambda tbs: crypto.sign(claims_private_key, tbs))
+    ``signer_cert_serial``, with its signing input. The payload's id is
+    taken from that input, which opens with the payload's bytes."""
+    signed, tbs = codec.seal(SignedPayload(payload, signer_cert_serial, b""),
+                             lambda tbs: crypto.sign(claims_private_key, tbs))
+    vars(payload)["payload_id"] = crypto.digest(codec.first_field(SignedPayload, tbs))
+    return signed, tbs
 
 
 @dataclass(frozen=True)

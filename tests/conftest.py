@@ -110,6 +110,17 @@ def asked_seq(node, context) -> int:
     return seq
 
 
+def carried(adv, trust: pki.TrustContext) -> list[str]:
+    """The canonical strings advertisement ``adv`` carries, a PayID group's
+    domain read from its origin's identity certificate in ``trust``."""
+    domains = trust.members[adv.vasp_number].identity.subject.alt_domain_names
+    return ([f"{local}${domains[i].lower()}" for i, locals_ in adv.payids
+             for local in locals_]
+            + [f"{local}@{domain}" for domain, locals_ in adv.emails
+               for local in locals_]
+            + [f"key:{key.hex()}" for key in adv.keys])
+
+
 @pytest.fixture
 def root() -> pki.RootAuthority:
     return pki.create_consortium_root(seed("root"))

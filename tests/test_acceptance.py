@@ -15,8 +15,8 @@ from dataclasses import replace
 import networkx as nx
 import pytest
 
-from conftest import (issue_member, make_subject, scenario_trace, seed,
-                      trust_context)
+from conftest import (carried, issue_member, make_subject, scenario_trace,
+                      seed, trust_context)
 from vasptrust import claims, codec, crypto, pki, travel_rule as tr, wallet
 from vasptrust.config import parse_config
 from vasptrust.ledger import (BadSignature, InsufficientFunds, Ledger,
@@ -323,7 +323,8 @@ def test_incremental_merge_equals_from_scratch_random_interleavings():
         for k in range(6):
             service.register(f"u{k}$vasp{number}.example")  # its own domain
             versions.append(service.service.build_advertisement(
-                member["claims"].private_key, member["claims_cert"].serial))
+                member["claims"].private_key, member["claims_cert"].serial,
+                member["identity_cert"].subject.alt_domain_names))
         origins[number] = versions
     trust = trust_context(root, *members)
 
@@ -351,7 +352,7 @@ def test_incremental_merge_equals_from_scratch_random_interleavings():
                 newest[adv.vasp_number] = adv
         expected = {}
         for origin, adv in newest.items():
-            for rendered in adv.identifiers:
+            for rendered in carried(adv, trust):
                 expected.setdefault(rendered, set()).add(origin)
         expected = {k: sorted(v) for k, v in sorted(expected.items())}
         assert receiver.resolve_map() == expected

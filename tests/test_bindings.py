@@ -16,7 +16,7 @@ import dataclasses
 
 import pytest
 
-from conftest import asked_seq, sent_frames, wire_frames
+from conftest import asked_seq, carried, sent_frames, wire_frames
 from vasptrust import claims, codec, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.ledger import LedgerTx
@@ -78,22 +78,23 @@ def accepted_responses(world, sender: int) -> list:
 
 # -- no originator data leaves before the originator consents ---------------
 
-def strings_in(value) -> set[str]:
+def strings_in(value, trust) -> set[str]:
     """Every string inside a decoded wire value. Advertisements carry
     Alice's identifiers by design, grouped under their domain; each is
-    taken whole (``alice$acmepay.com``), not as its local part, so her
-    account name is found only where her data is."""
+    taken whole (``alice$acmepay.com``, its domain read in ``trust``), not
+    as its local part, so her account name is found only where her data
+    is."""
     if isinstance(value, str):
         return {value}
     if isinstance(value, IdentifierAdvertisement):
-        return set(value.identifiers)
+        return set(carried(value, trust))
     if dataclasses.is_dataclass(value):
         value = [getattr(value, f.name) for f in dataclasses.fields(value)]
     elif isinstance(value, dict):
         value = [*value.keys(), *value.values()]
     elif not isinstance(value, (tuple, list, set, frozenset)):
         return set()
-    return set().union(*map(strings_in, value))
+    return set().union(*(strings_in(v, trust) for v in value))
 
 
 @pytest.mark.parametrize("consent", [True, False])
@@ -107,7 +108,7 @@ def test_no_originator_data_on_the_wire_without_consent(demo_config, consent):
                   alice.geographic_address}
     frames = wire_frames(world.sim)
     requests = [f for f in frames if isinstance(f.body, TravelRuleRequest)]
-    on_wire = set().union(*(strings_in(f.body) for f in frames))
+    on_wire = set().union(*(strings_in(f.body, world.trust) for f in frames))
     if consent:
         assert len(requests) == 1 and originator <= on_wire
         return
@@ -438,7 +439,7 @@ def test_no_originator_data_in_an_answer(demo_config):
     assert len(answers) == 1 and answers[0].refusal is None
     assert {alice.legal_name, alice.customer_id,
             alice.geographic_address}.isdisjoint(
-                set().union(*map(strings_in, answers)))
+                set().union(*(strings_in(a, world.trust) for a in answers)))
 
 
 def test_revoked_beneficiary_transaction_key_not_paid(world):
@@ -504,19 +505,26 @@ def test_originator_that_may_not_sign_sends_nothing(world):
 def test_payid_squatted_by_another_member_rejected_everywhere(demo_config,
                                                               monkeypatch):
     # VASP 3 registers bob$betaex.com, a PayID on betaex.com, which only
-    # VASP 9's identity certificate lists, and signs its advertisement with
-    # its own valid claims key. Every receiver refuses the advertisement
-    # whole, with no state change, so the PayID resolves to VASP 9 alone
-    # and S1 to it passes.
+    # VASP 9's identity certificate lists, builds its advertisement as if
+    # its own certificate listed betaex.com after its domains, and signs it
+    # with its own valid claims key. Every receiver reads that index
+    # against VASP 3's certificate, which it is past, and refuses the
+    # advertisement whole, with no state change, so the PayID resolves to
+    # VASP 9 alone and S1 to it passes.
     def squatted_world(config, scenario):
         world = build_world(config, scenario=scenario)
-        world.vasps[3].resolver.register_identifier(
-            "dave", parse_identifier("bob$betaex.com"))
+        resolver = world.vasps[3].resolver
+        resolver.register_identifier("dave", parse_identifier("bob$betaex.com"))
+        build = resolver.build_advertisement
+        resolver.build_advertisement = lambda key, serial, domains: build(
+            key, serial, (*domains, "betaex.com"))
         return world
 
     squatter = squatted_world(demo_config, "adhoc").vasps[3]
     squat = squatter.resolver.build_advertisement(
-        squatter.claims_key.private_key, squatter.certs.claims.serial)
+        squatter.claims_key.private_key, squatter.certs.claims.serial,
+        squatter.certs.identity.subject.alt_domain_names)
+    assert squat.payids[-1] == (1, ("bob",))
     world = build_world(demo_config)
     for number in (7, 9):
         receiver = world.vasps[number].resolver
@@ -741,8 +749,9 @@ def flood_by_hand(world, number: int) -> None:
     each of its federation channels, whatever its standing: a member that
     may not sign builds none itself."""
     node = world.vasps[number]
-    adv = node.resolver.build_advertisement(node.claims_key.private_key,
-                                            node.certs.claims.serial)
+    adv = node.resolver.build_advertisement(
+        node.claims_key.private_key, node.certs.claims.serial,
+        node.certs.identity.subject.alt_domain_names)
     for channel in world.federation_channels()[number]:
         world.sim.send(channel, node.name, messages.AdvertisementFlood((adv,)))
 

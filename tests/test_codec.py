@@ -882,7 +882,8 @@ def _signed_values(root, member) -> list:
     it by ``codec.seal``, with the public key its signature verifies
     under."""
     service = ResolverService(7, {"bob"})
-    service.register_identifier("bob", parse_identifier("bob@idp2.com"))
+    for identifier in ("bob@idp2.com", "bob$vasp7.example", "07" * 32):
+        service.register_identifier("bob", parse_identifier(identifier))
     payload = build_payload(
         CustomerRecord("A-1", "Alice", geographic_address="1 Main St"),
         "Bob", "B-9", 9, 125, 7, 1)
@@ -918,8 +919,9 @@ def _signed_values(root, member) -> list:
          root.public_key),
         (root.revoke(member["tx_cert"].serial,
                      pki.RevocationReason.SUPERSEDED, 2), root.public_key),
-        (service.build_advertisement(member["claims"].private_key,
-                                     member["claims_cert"].serial), claims_key),
+        (service.build_advertisement(
+            member["claims"].private_key, member["claims_cert"].serial,
+            member["identity_cert"].subject.alt_domain_names), claims_key),
         (travel_rule.sign_payload(member["claims"].private_key,
                                   member["claims_cert"].serial, payload)[0],
          claims_key),

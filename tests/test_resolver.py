@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import issue_member, make_subject, seed, trust_context
+from conftest import carried, issue_member, make_subject, seed, trust_context
 from vasptrust import codec, crypto, pki
 from vasptrust.resolver import (CustomerIdentifier, IdentifierKind,
                                 MergeOutcome, ResolverService,
-                                UnknownCustomer, Unparseable, _valid_domain,
-                                group_identifiers, parse_identifier)
+                                ResolverError, UnknownCustomer, Unparseable,
+                                _valid_domain, parse_identifier)
 
 
 class TestParsing:
@@ -167,9 +167,10 @@ class FederationWorld:
         self.trust = trust_context(root, *members)
 
     def advertise(self, number):
-        _, claims_cert, claims = self.creds[number]
+        identity_cert, claims_cert, claims = self.creds[number]
         return self.services[number].build_advertisement(
-            claims.private_key, claims_cert.serial)
+            claims.private_key, claims_cert.serial,
+            identity_cert.subject.alt_domain_names)
 
     def merge(self, into, adv):
         return self.services[into].merge_advertisement(adv, self.trust)
@@ -219,26 +220,38 @@ class TestAdvertisements:
         svc.register_identifier("user3", parse_identifier("a$x.com"))
         svc.register_identifier("user3", parse_identifier("b$x.com"))
         svc.register_identifier("user3", parse_identifier("c$x.com"))
+        svc.register_identifier("user3", parse_identifier("d@x.com"))
+        svc.register_identifier("user3", parse_identifier(KEY_HEX))
         adv = federation.advertise(3)
-        assert adv.domains == (("$x.com", "a", "b", "c"),)
-        assert adv.identifiers == ("a$x.com", "b$x.com", "c$x.com")
+        # x.com is third on VASP 3's certificate.
+        assert adv.payids == ((2, ("a", "b", "c")),)
+        assert adv.emails == (("x.com", ("d",)),)
+        assert adv.keys == (bytes(range(32)),)
+        assert carried(adv, federation.trust) == [
+            "a$x.com", "b$x.com", "c$x.com", "d@x.com", f"key:{KEY_HEX}"]
+
+    def test_payid_on_a_domain_not_held_cannot_be_built(self, federation):
+        svc = federation.services[3]
+        svc.register_identifier("user3", parse_identifier("a$v9.com"))
+        with pytest.raises(ResolverError):
+            federation.advertise(3)
+        assert svc._sequence == 0
 
     def test_empty_list_still_signed(self, federation):
         adv = federation.advertise(3)
-        assert adv.identifiers == ()
+        assert (adv.payids, adv.emails, adv.keys) == ((), (), ())
         assert federation.merge(7, adv) is MergeOutcome.APPLIED
 
     def test_repeated_identifier_rejected(self, federation):
         # Validly signed by VASP 3, but listing one local part twice.
-        adv = signed_as(federation, 3, domains=(("$x.com", "a", "a"),))
+        adv = signed_as(federation, 3, payids=((2, ("a", "a")),))
         assert federation.merge(7, adv) is MergeOutcome.REJECTED
         assert federation.services[7].resolve_map() == {}
 
     def test_non_canonical_identifier_answers_no_lookup(self, federation):
         # A lookup renders its argument first, so a non-canonical string
         # could never match: the merge refuses it, and indexes nothing.
-        adv = signed_as(federation, 3, domains=(("@IDP1.COM", "Alice"),))
-        assert adv.identifiers == ("Alice@IDP1.COM",)
+        adv = signed_as(federation, 3, emails=(("IDP1.COM", ("Alice",)),))
         assert federation.merge(7, adv) is MergeOutcome.REJECTED
         assert federation.services[7]._remote_index == {}
         for asked in ("Alice@IDP1.COM", "Alice@idp1.com"):
@@ -271,17 +284,17 @@ class TestAdvertisements:
         monkeypatch.setattr(crypto, "verify", lambda *args: (
             verifies.append(args), real_verify(*args))[1])
         forged = dataclasses.replace(
-            adv, domains=(("$x.com", "mallory"),),
+            adv, payids=((2, ("mallory",)),),
             signature=b"\x00" * 64)
         assert fed.merge(7, forged) is MergeOutcome.STALE
         assert verifies == []
-        assert receiver._remote[3] is adv
+        assert receiver.known_advertisements()[0] is adv
         assert receiver.resolve_map() == view_before
         # The counter does count: a newer forgery is verified and refused.
         newer = dataclasses.replace(forged, sequence=adv.sequence + 1)
         assert fed.merge(7, newer) is MergeOutcome.REJECTED
         assert len(verifies) > 0
-        assert receiver._remote[3] is adv
+        assert receiver.known_advertisements()[0] is adv
 
     def test_own_origin_never_taken_from_the_federation(self, federation):
         fed = federation
@@ -345,7 +358,7 @@ class TestAdvertisements:
         assert trust.validate(identity_cert) is pki.Verdict.EXPIRED
         assert trust.validate(claims_cert, identity_cert) is pki.Verdict.VALID
         adv = ResolverService(3, {"user3"}).build_advertisement(
-            claims.private_key, claims_cert.serial)
+            claims.private_key, claims_cert.serial, ())
         assert not trust.verify_member_signature(
             codec.struct_bytes(adv), adv.signature, claims_cert.serial,
             pki.CertPurpose.CLAIMS_SIGNING, 3)
@@ -374,7 +387,7 @@ class TestAdvertisements:
         assert fed.services[7].lookup(parse_identifier("old$x.com")) == []
 
 
-def from_scratch_table(advertisements):
+def from_scratch_table(advertisements, trust):
     """Oracle: rebuild remote state using only the highest-sequence
     advertisement per origin."""
     newest = {}
@@ -384,7 +397,7 @@ def from_scratch_table(advertisements):
             newest[adv.vasp_number] = adv
     table = {}
     for origin, adv in newest.items():
-        for rendered in adv.identifiers:
+        for rendered in carried(adv, trust):
             table.setdefault(rendered, set()).add(origin)
     return {k: sorted(v) for k, v in sorted(table.items())}
 
@@ -415,11 +428,11 @@ def test_incremental_merge_equals_from_scratch(schedule, rng):
         if rng.random() < 0.3:  # duplicate delivery
             assert fed.merge(7, adv) is MergeOutcome.STALE
 
-    expected = from_scratch_table(seen)
+    expected = from_scratch_table(seen, fed.trust)
     remote_view = {}
-    for origin, adv in receiver._remote.items():
-        for rendered in adv.identifiers:
-            remote_view.setdefault(rendered, set()).add(origin)
+    for adv in receiver.known_advertisements():
+        for rendered in carried(adv, fed.trust):
+            remote_view.setdefault(rendered, set()).add(adv.vasp_number)
     remote_view = {k: sorted(v) for k, v in sorted(remote_view.items())}
     assert remote_view == expected
     # The incrementally maintained lookup index must agree as well.
@@ -429,109 +442,167 @@ def test_incremental_merge_equals_from_scratch(schedule, rng):
 KEY_HEX = bytes(range(32)).hex()
 
 
-NON_CANONICAL = {  # name -> a grouping group_identifiers never makes
-    "groups_unsorted": (("@x.com", "b"), ("$x.com", "a")),
-    "locals_unsorted": (("$x.com", "b", "a"),),
-    "suffix_twice": (("$x.com", "a"), ("$x.com", "b")),
-    "no_local_part": (("$x.com",),),
-    "empty_group": ((),),
-    "named_under_bare_key_suffix": (("", "a$x.com"),),
-    "dollar_under_at": (("@x.com", "a$b"),),
-    "suffix_split_at_the_wrong_separator": (("@a$x.com", "b"),),
-    "no_separator": (("x.com", "a"),),
-    "domain_not_lowercase": (("$X.COM", "a"),),
-    "invalid_domain": (("$.x.com", "a"),),
-    "no_domain": (("$", "a"),),
-    "empty_local": (("$x.com", ""),),
-    "key_without_prefix": (("", KEY_HEX),),
-    "key_upper_case": (("", "key:" + KEY_HEX.upper()),),
-    "bare_key_not_hex": (("", "zz"),),
+NON_CANONICAL = {  # name -> fields build_advertisement never makes
+    # VASP 3's certificate lists vasp3.example, v3.com and x.com: PayID
+    # indexes 0, 1 and 2.
+    "groups_unsorted": {"payids": ((2, ("a",)), (1, ("b",)))},
+    "suffix_twice": {"payids": ((2, ("a",)), (2, ("b",)))},
+    "index_past_the_certificate": {"payids": ((3, ("a",)),)},
+    "locals_unsorted": {"payids": ((2, ("b", "a")),)},
+    "no_local_part": {"payids": ((2, ()),)},
+    "empty_local": {"payids": ((2, ("",)),)},
+    "email_groups_unsorted": {"emails": (("y.com", ("a",)), ("x.com", ("a",)))},
+    "email_domain_twice": {"emails": (("x.com", ("a",)), ("x.com", ("b",)))},
+    "email_locals_unsorted": {"emails": (("x.com", ("b", "a")),)},
+    "empty_group": {"emails": (("x.com", ()),)},
+    "email_empty_local": {"emails": (("x.com", ("",)),)},
+    "dollar_under_at": {"emails": (("x.com", ("a$b",)),)},
+    "domain_not_lowercase": {"emails": (("X.COM", ("a",)),)},
+    "invalid_domain": {"emails": ((".x.com", ("a",)),)},
+    "no_domain": {"emails": (("", ("a",)),)},
+    "suffix_split_at_the_wrong_separator": {"emails": (("a$x.com", ("b",)),)},
+    "key_of_31_bytes": {"keys": (bytes(31),)},
+    "key_of_33_bytes": {"keys": (bytes(33),)},
+    "keys_unsorted": {"keys": (bytes([1]) * 32, bytes(32))},
+    "key_twice": {"keys": (bytes(32), bytes(32))},
+    # A named identifier, a key's hex text, and no key at all where a
+    # key's 32 bytes go.
+    "named_under_bare_key_suffix": {"keys": (b"a$x.com",)},
+    "key_without_prefix": {"keys": (KEY_HEX.encode(),)},
+    "bare_key_not_hex": {"keys": (b"zz",)},
 }
 
 
-@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
-def test_non_canonical_grouping_rejected(federation, name):
-    # Validly signed by VASP 3, newer than what VASP 7 holds, but grouped
-    # as group_identifiers would never group canonical strings: refused,
-    # and VASP 7 keeps the advertisement and index it had.
-    fed = federation
+def assert_refused_whole(fed, changes):
+    """VASP 7 holds VASP 3's advertisement of kept$x.com; a newer one with
+    ``changes``, validly signed by VASP 3, is refused, and VASP 7 keeps the
+    advertisement and index it had."""
     fed.services[3].register_identifier("user3", parse_identifier("kept$x.com"))
     held = fed.advertise(3)
     assert fed.merge(7, held) is MergeOutcome.APPLIED
     receiver = fed.services[7]
-    index = dict(receiver._remote_index)
-    assert fed.merge(7, signed_as(fed, 3, domains=NON_CANONICAL[name])) \
-        is MergeOutcome.REJECTED
-    assert receiver._remote == {3: held}
-    assert receiver._remote_index == index
+    assert fed.merge(7, signed_as(fed, 3, **changes)) is MergeOutcome.REJECTED
+    assert receiver.known_advertisements() == [held]
+    assert receiver._remote_index == {"kept$x.com": {3}}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+def test_non_canonical_grouping_rejected(federation, name):
+    assert_refused_whole(federation, NON_CANONICAL[name])
+
+
+@pytest.mark.parametrize("domains", [("x.com", "X.COM"), ("x.com", "no such.com")])
+def test_payid_index_of_a_repeated_or_invalid_domain_rejected(root, domains):
+    # VASP 3's certificate lists vasp3.example, v3.com, x.com and a fourth
+    # domain: x.com again in upper case, whose PayIDs have index 2, or a
+    # domain no PayID renders on. Index 3 names neither.
+    assert_refused_whole(FederationWorld(root, domains),
+                         {"payids": ((3, ("a",)),)})
 
 
 @pytest.mark.parametrize("domain", ["v9.com", "nobody.com"])
 def test_payid_on_a_domain_the_origin_does_not_hold_rejected(federation,
                                                              domain):
-    # Validly signed by VASP 3 and canonically grouped, but with a PayID on
-    # a domain its identity certificate does not list (VASP 9's, or no
-    # member's): refused whole, and VASP 7 keeps the advertisement and
-    # index it had.
+    # VASP 3 registers a PayID on a domain its identity certificate does
+    # not list (VASP 9's, or no member's) and builds as if the certificate
+    # listed it fourth: every receiver reads index 3 against VASP 3's own
+    # certificate, which lists three domains, and refuses the advertisement
+    # whole.
     fed = federation
     fed.services[3].register_identifier("user3", parse_identifier("kept$x.com"))
     held = fed.advertise(3)
     assert fed.merge(7, held) is MergeOutcome.APPLIED
-    receiver = fed.services[7]
-    index = dict(receiver._remote_index)
-    squat = group_identifiers(["kept$x.com", f"bob${domain}"])
-    assert fed.merge(7, signed_as(fed, 3, domains=squat)) \
-        is MergeOutcome.REJECTED
-    assert receiver._remote == {3: held}
-    assert receiver._remote_index == index
+    identity_cert, claims_cert, claims = fed.creds[3]
+    fed.services[3].register_identifier("user3", parse_identifier(f"bob${domain}"))
+    squat = fed.services[3].build_advertisement(
+        claims.private_key, claims_cert.serial,
+        (*identity_cert.subject.alt_domain_names, domain))
+    assert squat.payids == ((2, ("kept",)), (3, ("bob",)))
+    assert fed.merge(7, squat) is MergeOutcome.REJECTED
+    assert fed.services[7].known_advertisements() == [held]
+    assert fed.services[7]._remote_index == {"kept$x.com": {3}}
 
 
 def test_payid_domain_held_in_another_case_is_applied(root):
-    # A certificate's domains compare in lower case, as rendered PayIDs do.
-    fed = FederationWorld(root, domains=("X.Com",))
+    # A certificate's domains compare in lower case, as rendered PayIDs do,
+    # and a domain listed twice is grouped under its first index.
+    fed = FederationWorld(root, domains=("X.Com", "x.COM"))
     fed.services[3].register_identifier("user3", parse_identifier("a$x.COM"))
-    assert fed.merge(7, fed.advertise(3)) is MergeOutcome.APPLIED
+    adv = fed.advertise(3)
+    assert adv.payids == ((2, ("a",)),)
+    assert fed.merge(7, adv) is MergeOutcome.APPLIED
     assert fed.services[7].lookup(parse_identifier("a$x.com")) == [3]
 
 
 _LOCAL = st.text("abAB09._-@$", min_size=1, max_size=6)
 _DOMAIN = st.text("ab0.-", min_size=1, max_size=5).filter(
     lambda d: not d.startswith("."))
+# The domains on VASP 3's certificate in the round trip, as listed: PayIDs
+# are drawn on them in any case.
+_HELD = ("v3.com", "X.Com", "a-0.B", "x.com", "b")
 _CANONICAL = st.one_of(
-    st.builds(lambda local, domain: f"{local}${domain}", _LOCAL, _DOMAIN),
+    st.builds(lambda local, domain: f"{local}${domain}", _LOCAL,
+              st.sampled_from(_HELD).flatmap(lambda d: st.sampled_from(
+                  [d, d.lower(), d.upper()]))),
     st.builds(lambda local, domain: f"{local}@{domain}",
               _LOCAL.filter(lambda local: "$" not in local), _DOMAIN),
-    st.binary(min_size=32, max_size=32).map(lambda key: f"key:{key.hex()}"),
+    st.binary(min_size=32, max_size=32).map(lambda key: key.hex()),
 )
+
+
+@pytest.fixture(scope="module")
+def round_trip_world():
+    return FederationWorld(pki.create_consortium_root(seed("round-trip-root")),
+                           _HELD[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(_CANONICAL, max_size=12))
+def test_any_canonical_identifiers_build_merge_and_resolve_back(round_trip_world,
+                                                                 written):
+    # Whatever canonical identifiers an origin registers, on a domain of
+    # its certificate in any case, it advertises, and a receiver resolves
+    # exactly those.
+    fed = round_trip_world
+    origin, receiver = ResolverService(3, {"u"}), ResolverService(7, set())
+    for s in written:
+        origin.register_identifier("u", parse_identifier(s))
+    identity_cert, claims_cert, claims = fed.creds[3]
+    adv = origin.build_advertisement(claims.private_key, claims_cert.serial,
+                                     identity_cert.subject.alt_domain_names)
+    assert receiver.merge_advertisement(adv, fed.trust) is MergeOutcome.APPLIED
+    assert receiver.resolve_map() == {
+        parse_identifier(s).render(): [3] for s in written}
+    receiver.drop_origin(3)
+    assert receiver.resolve_map() == {} and receiver._remote_index == {}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sets(_CANONICAL, max_size=12))
-def test_grouping_expands_back_and_costs_at_most_a_suffix_per_group(rendered):
-    assert all(parse_identifier(s).render() == s for s in rendered)
-    grouped = group_identifiers(rendered)
-    expanded = [local + group[0] for group in grouped for local in group[1:]]
+def test_grouping_expands_back_and_costs_at_most_a_suffix_per_group(round_trip_world,
+                                                                    written):
+    fed = round_trip_world
+    service = ResolverService(3, {"u"})
+    for s in written:
+        service.register_identifier("u", parse_identifier(s))
+    identity_cert, claims_cert, claims = fed.creds[3]
+    adv = service.build_advertisement(claims.private_key, claims_cert.serial,
+                                      identity_cert.subject.alt_domain_names)
+    rendered = {parse_identifier(s).render() for s in written}
+    expanded = carried(adv, fed.trust)
     assert len(expanded) == len(rendered) and set(expanded) == rendered
-    # A group pays its suffix's length (1 B) and its own (1 B under 128 B),
-    # so 2 B over the flat form for a group of one, and saves its suffix
-    # for every further identifier. A group of 128 B or more, which only
-    # bare keys under "" reach here, has a longer length.
+
+    # A PayID group pays 1 B for its domain, its index, where its strings
+    # paid their suffix each; an e-mail group pays its domain once. Each
+    # group also pays its own length and its local parts' (1 B each under
+    # 128 B). A bare key is its 32 bytes and their length.
     def size(values):
         return sum(len(codec.canonical_encode(v)) for v in values)
 
-    for group in grouped:
-        items = size(group)
-        assert items <= size(local + group[0] for local in group[1:]) + 1
-        assert len(codec.canonical_encode(group, tuple[str, ...])) - items == 1 \
-            or items >= 128
-    # What group_identifiers builds, a receiver takes: a resolver that
-    # registers these strings advertises them, and another merges them.
-    fed = FederationWorld(pki.create_consortium_root(seed("group-root")),
-                          tuple(sorted({parse_identifier(s).domain_part
-                                        for s in rendered if "$" in s})))
-    for s in rendered:
-        fed.services[3].register_identifier("user3", parse_identifier(s))
-    adv = fed.advertise(3)
-    assert adv.domains == grouped
-    assert fed.merge(7, adv) is MergeOutcome.APPLIED
-    assert set(fed.services[7].resolve_map()) == rendered
+    for key, locals_ in adv.payids + adv.emails:
+        items = size(locals_)
+        group = len(codec.canonical_encode((key, locals_), tuple[
+            type(key), tuple[str, ...]]))
+        assert group - items == 2 + size([key]) or items >= 127
+        assert size([key]) == 1 or isinstance(key, str)
+    assert size(adv.keys) == 33 * len(adv.keys)

@@ -9,7 +9,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import asked_seq, scenario_trace, sent_frames, wire_frames
+from conftest import (asked_seq, carried, scenario_trace, sent_frames,
+                      wire_frames)
 from vasptrust import codec, pki, wallet
 from vasptrust.config import default_config, parse_config
 from vasptrust.ledger import Ledger
@@ -21,7 +22,7 @@ from vasptrust.netsim.nodes import PendingTransfer
 from vasptrust.netsim import scenarios
 from vasptrust.netsim.scenarios import (converge_federation, flood_round,
                                         ground_truth_map)
-from vasptrust.resolver import group_identifiers, parse_identifier
+from vasptrust.resolver import parse_identifier
 from vasptrust.travel_rule import (ConsentDirection, read_payload_record,
                                    rebuild_answer)
 
@@ -331,24 +332,24 @@ class TestDeltaFlooding:
 
     def test_advertisements_carry_the_canonical_identifiers(self, demo_config):
         # Each origin advertises the canonical strings of the identifiers
-        # its config lists (a bare key as key:<hex>), once each, grouped
-        # under their suffix, and every other member holds that very
-        # grouping.
+        # its config lists (a bare key as its bytes), once each, and every
+        # other member holds that very advertisement.
         world = build_world(demo_config)
         converge_federation(world)
         for vcfg in demo_config.vasps:
             rendered = {parse_identifier(s).render()
                         for c in vcfg.customers for s in c.identifiers}
-            expected = group_identifiers(rendered)
             own = world.vasps[vcfg.vasp_number]._own_adv
-            assert own.domains == expected
-            assert sorted(own.identifiers) == sorted(rendered)
+            assert sorted(carried(own, world.trust)) == sorted(rendered)
             for other in sorted(set(world.vasps) - {vcfg.vasp_number}):
                 held = {adv.vasp_number: adv for adv in
                         world.vasps[other].resolver.known_advertisements()}
-                assert held[vcfg.vasp_number].domains == expected
-        assert any(rendered.startswith("key:")
-                   for rendered in world.vasps[7]._own_adv.identifiers)
+                assert held[vcfg.vasp_number] == own
+        # VASP 7 holds acmepay.com, its certificate's first domain, and a
+        # bare key; VASP 9 its e-mail identifiers on idp2.com.
+        assert world.vasps[7]._own_adv.payids == ((0, ("alice", "carol")),)
+        assert len(world.vasps[7]._own_adv.keys) == 1
+        assert world.vasps[9]._own_adv.emails == (("idp2.com", ("bob", "dave")),)
 
 
 def _applied(world):
@@ -857,16 +858,16 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 # because every key, nonce and id is derived from the seed, and a run
 # without faults makes no fault draw.
 PINNED = {
-    "S1": ("d3a6f89a1b7cf14715902020b7dee25dee3a7846126ffa28c29e35b796fda19b",
-           "22e3372d306dbe78298a799841eeb2ec8cd7b24a92f3fc91c559fa98bcaf1145"),
+    "S1": ("1be46aef990d8494f720439cfb66d413f70748e51f44f7fd50b32dd7962a2266",
+           "d726f2a697735c245b429368ce71d814465dda1a8345daafac224ac613589d2c"),
     "S2": ("2979c96f49651e1eadafe3ec643b1a974325fee98b5c9f6e8168b574085afe5f",
            "e5fa076cd598cfa3c17dab866034524abfed6ba898aed06ae04b1aa3df295679"),
-    "S3": ("233a15a2cf2bb54cc524a2482f455b1a0d7da4ab38fbf29b06717a7f8d1b7f39",
-           "52dcce41a0f2057d60949f8d2f2121975ececa67e790ae1243abfdb356ca0422"),
+    "S3": ("adfbe4227fd4581db5f64c26f769db58754f320f694a0e0ad1eec85ba4ae89f6",
+           "bc2b20e2a5bd08e61058da8b53b2c5fbc262eb8873ea689a839c0529040e906a"),
     "S4": ("18fc4c57b78b5bb7c7146dbbe87e4fdcbf3108f5cb4cbef2fa42ae56bc847a1f",
            "2532048b38daf89b4f06cdf454b409fff671412f8664abea71e223128c9bb911"),
-    "S5": ("bc14e22f79f06364baf6d653f098965e79d39e209998448c6110ed0e7918351b",
-           "8855782532c3c094b153f0330d2ef605b1db123ccd0676378f2ff184c098e708"),
+    "S5": ("8c6923492b0f2fd383adc708f617cd3dddf29b117385935bbf8633657883b73c",
+           "b481f6abed3e99de631872ba8b92859d113232e1aa46467eaf4d197ab10787e7"),
 }
 
 

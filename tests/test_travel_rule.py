@@ -205,6 +205,20 @@ class TestSignedPayload:
                                     member["claims_cert"].serial, build())
         assert tr.verify_signed_payload(signed, trust, 7)
 
+    def test_signing_gives_the_payload_its_id_without_an_encode(
+            self, member, monkeypatch):
+        # The signer's id is the digest of the bytes its signing input
+        # opens with, which are the payload's canonical encoding: asking
+        # for it afterwards encodes nothing.
+        payload = build()
+        tr.sign_payload(member["claims"].private_key,
+                        member["claims_cert"].serial, payload)
+        expected = crypto.digest(codec.canonical_encode(replace(payload)))
+        encodes = []
+        monkeypatch.setattr(codec, "canonical_encode",
+                            lambda *args: encodes.append(args))
+        assert payload.payload_id == expected and encodes == []
+
     @pytest.mark.parametrize("signer, serial", [
         ("tx", "tx_cert"), ("vasp3_claims", "claims_cert")],
         ids=["transaction_key_and_cert", "other_members_claims_key"])
