@@ -27,11 +27,11 @@ wire and trace digests catch it. No floating point is representable.
 Each declared type encodes through one function, generated on first use
 as source from the declared field types, compiled and cached, as
 ``dataclasses`` generates ``__init__``. Its one expression encodes
-scalars, enums and optionals in line, so such a field costs no call; a
-nested dataclass, a union and a sequence's item each call the one cached
-encoder of their own type, so each type's source is written and compiled
-once. Every class check stays in the generated code. One interpreter
-decodes every declared type, read off the type as it goes.
+scalars, enums, optionals and empty sequences in line, so such a field
+costs no call; a nested dataclass, a union and a sequence each call the
+one cached encoder of their own type, so each type's source is written
+and compiled once. Every class check stays in the generated code. One
+interpreter decodes every declared type, read off the type as it goes.
 
 One rule decides what encodes: a value encodes only as its declared type.
 Where a class is declared the value must be exactly that class, where an
@@ -58,13 +58,16 @@ never carried. Encoding keeps nothing on a value: a party derives ids and
 records from the signing input it holds, whose struct length lets it
 re-head the value's bytes (``sealed_bytes``) and slice its first field
 (``first_field``) without walking the schema, where that field's bytes
-open with their length.
+open with their length. A value whose fields' bytes a party already
+holds is framed from them (``sequence_bytes``, ``member_bytes``), with
+no encode.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import types
+from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
@@ -250,9 +253,12 @@ def _generate(typ: Any, signing: bool) -> Encoder:
             names = {m._name_: _varint(i) for i, m in enumerate(typ)}
             return (f"({const(names)}[{var}._name_] if type({val}) is {const(typ)} "
                     f"else _refuse({var}, {typ.__name__!r}, 'is not a member of'))")
-        if get_origin(typ) in _UNION_ORIGINS and \
-                len(members := _union_members(typ)[1]) == 1:
+        origin, args = get_origin(typ), get_args(typ)
+        if origin in _UNION_ORIGINS and len(members := _union_members(typ)[1]) == 1:
             return f"(_ZERO if {val} is None else _ONE + {inline(members[0], var, var)})"
+        if origin is list and args or origin is tuple and args[1:] == (Ellipsis,):
+            return (f"(_ZERO if type({val}) is {origin.__name__} and not {var} "
+                    f"else {const(_encoder(typ))}({var}))")
         return f"{const(_encoder(typ))}({expr})"
 
     def struct(cls: type, hints) -> str:
@@ -360,6 +366,19 @@ def first_field(cls: type, tbs: bytes) -> bytes:
         raise CodecError(f"{cls.__name__}.{name} does not open with its length")
     start = _fields_start(tbs)
     return tbs[start:_length_at(tbs, start, len(tbs))[1]]
+
+
+def sequence_bytes(parts: Sequence[bytes]) -> bytes:
+    """A sequence's or a struct's canonical bytes, from those of its items
+    or fields, in order: their length, then them."""
+    body = b"".join(parts)
+    return _varint(len(body)) + body
+
+
+def member_bytes(union: Any, cls: type, *fields: bytes) -> bytes:
+    """The canonical bytes of a value of dataclass ``cls`` as its member of
+    ``union``, a union of classes and not None, from its fields' bytes."""
+    return _varint(get_args(union).index(cls)) + sequence_bytes(fields)
 
 
 # -- decoding ------------------------------------------------------------------

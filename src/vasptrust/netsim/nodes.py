@@ -27,7 +27,10 @@ accepted, so a settled transfer's payload objects are freed;
 ``SignedPayload`` it signs or verifies once: its record and payload id
 come from that signing input. Values the events of one transfer repeat
 (``k/n`` presence, and the ``vasp:N`` and ``customer:ID`` names,
-interned) are built once and shared.
+interned) are built once and shared. A request is framed from its
+payload's record, and a flood from the bytes of each advertisement the
+VASP built or applied, which its outbox holds only until the next round
+forwards them: no node encodes what it already holds.
 """
 
 from __future__ import annotations
@@ -77,10 +80,11 @@ class Node:
             self._identity_key.private_key, tbs))[0].signature
 
     def ask(self, channel: SecureChannel, body: msg.MessageBody,
-            context: object) -> None:
-        """Send the request ``body`` and await its answer over ``channel``,
-        to be handled with ``context``."""
-        seq = self.sim.send(channel, self.name, body)
+            context: object, frame: bytes | None = None) -> None:
+        """Send the request ``body``, framed as ``frame`` if the sender built
+        it (``Simulation.send``), and await its answer over ``channel``, to
+        be handled with ``context``."""
+        seq = self.sim.send(channel, self.name, body, frame)
         self.asked[channel.id, seq] = (msg.ANSWER[type(body)], context)
 
     def handle(self, channel: SecureChannel, seq: int,
@@ -205,13 +209,14 @@ class VaspNode(Node):
         self.devices: dict[str, wallet.WalletDevice] = {}  # device_id -> device
         self.resolver = ResolverService(vasp_number, self.customers)
         # Delta flooding state: the content of our last own advertisement,
-        # advertisements applied since the last flood with the channels
-        # whose neighbour already has each, the channels flooded over once,
-        # the revoked serials last purged against, and the earliest tick at
-        # which a held origin lapses.
+        # advertisements built or applied since the last flood, by origin,
+        # with their canonical bytes and the channels whose neighbour
+        # already has each, the channels flooded over once, the revoked
+        # serials last purged against, and the earliest tick at which a
+        # held origin lapses.
         self._advertised: tuple | None = None
         self._own_adv: IdentifierAdvertisement | None = None
-        self._outbox: dict[int, tuple[IdentifierAdvertisement, set[int]]] = {}
+        self._outbox: dict[int, tuple[IdentifierAdvertisement, bytes, set[int]]] = {}
         self._synced: set[int] = set()
         self._revocations_seen: frozenset[int] | None = None
         self._lapse_at = 0
@@ -231,9 +236,12 @@ class VaspNode(Node):
         self.fetched_claims: list[claims_mod.SignedClaim] = []
         self.consent_receipts: list[claims_mod.ConsentReceipt] = []
 
-    def _record(self, direction: str, signed: SignedPayload, tbs: bytes) -> None:
-        """Keep ``signed``, signing input ``tbs``, as its canonical bytes."""
-        self.payload_store.append((direction, codec.sealed_bytes(signed, tbs)))
+    def _record(self, direction: str, signed: SignedPayload, tbs: bytes) -> bytes:
+        """Keep ``signed``, signing input ``tbs``, as its canonical bytes,
+        and return them."""
+        record = codec.sealed_bytes(signed, tbs)
+        self.payload_store.append((direction, record))
+        return record
 
     # -- customer management ---------------------------------------------------
 
@@ -303,7 +311,9 @@ class VaspNode(Node):
         channel is due goes out as one AdvertisementFlood, in this order
         (one Link State Update, RFC 2328 §13 and §A.3.5); a channel due
         nothing gets no message. While this VASP may not sign, it builds
-        no advertisement: the round it would is refused as an event.
+        no advertisement: the round it would is refused as an event. A
+        frame is framed from the bytes the outbox holds; a first flood over
+        a channel encodes the advertisements whose bytes it does not hold.
         """
         self._purge_lapsed()
         content = (tuple(self.resolver.local_identifiers()),
@@ -312,38 +322,45 @@ class VaspNode(Node):
             if self.trust.standing(self.certs, _CLAIMS) is not pki.Verdict.VALID:
                 self._refused(events.ADV_REFUSED, Refusal.OWN_CERT_INVALID)
             else:
+                kept: list[bytes] = []
                 adv = self._own_adv = self.resolver.build_advertisement(
                     self.claims_key.private_key, self.certs.claims.serial,
-                    self.certs.identity.subject.alt_domain_names)
+                    self.certs.identity.subject.alt_domain_names, kept.append)
                 self.sim.emit(self.name, events.ADV_BUILT, adv.sequence,
-                              len(content[0]), payload=adv)
+                              len(content[0]), digest=crypto.digest(kept[0]))
                 self._advertised = content
-                self._outbox[self.vasp_number] = (adv, set())
+                self._outbox[self.vasp_number] = (adv, kept[0], set())
         outbox, self._outbox = self._outbox, {}
         for channel in channels:
             if channel.id in self._synced:
-                advs = [adv for _, (adv, seen_on) in sorted(outbox.items())
-                        if channel.id not in seen_on]
+                due = [(adv, sealed) for _, (adv, sealed, seen_on)
+                       in sorted(outbox.items()) if channel.id not in seen_on]
             else:
                 self._synced.add(channel.id)
-                advs = [adv for adv in (self._own_adv,) if adv] \
+                held = [adv for adv in (self._own_adv,) if adv] \
                     + self.resolver.known_advertisements()
-            if advs:
-                self.sim.send(channel, self.name,
-                              msg.AdvertisementFlood(tuple(advs)))
+                due = [(adv, entry[1] if (entry := outbox.get(adv.vasp_number))
+                        and entry[0] is adv else codec.canonical_encode(adv))
+                       for adv in held]
+            if due:
+                advs, sealed = zip(*due)
+                frame = codec.member_bytes(msg.MessageBody, msg.AdvertisementFlood,
+                                           codec.sequence_bytes(sealed))
+                self.sim.send(channel, self.name, msg.AdvertisementFlood(advs), frame)
 
     def _on_advertisement_flood(self, channel: SecureChannel,
                                 body: msg.AdvertisementFlood) -> None:
+        kept: list[bytes] = []  # the bytes of an advertisement applied
         for adv in body.advertisements:
-            outcome = self.resolver.merge_advertisement(adv, self.trust)
+            outcome = self.resolver.merge_advertisement(adv, self.trust, kept.append)
             pending = self._outbox.get(adv.vasp_number)
             if outcome is MergeOutcome.APPLIED:
-                self._outbox[adv.vasp_number] = (adv, {channel.id})
+                self._outbox[adv.vasp_number] = (adv, kept.pop(), {channel.id})
                 self._lapse_at = min(
                     self._lapse_at, _lapses_at(self.trust.members[adv.vasp_number]))
             elif pending is not None and pending[0].sequence == adv.sequence:
                 # The neighbour sent us this very advertisement: it has it.
-                pending[1].add(channel.id)
+                pending[2].add(channel.id)
             self.sim.emit(self.name, events.ADV_MERGED, _name("vasp", adv.vasp_number),
                           adv.sequence, outcome.value)
 
@@ -371,20 +388,22 @@ class VaspNode(Node):
         if self.trust.standing(self.certs, _CLAIMS) is not pki.Verdict.VALID:
             self._refuse(payload, Refusal.OWN_CERT_INVALID)
             return None
-        signed = self._sign_outbound(payload)
+        signed, record = self._sign_outbound(payload)
         pending = self.pending[payload.payload_id] = PendingTransfer(payload)
-        self.ask(channel, msg.TravelRuleRequest(signed), pending)
+        self.ask(channel, msg.TravelRuleRequest(signed), pending,
+                 codec.member_bytes(msg.MessageBody, msg.TravelRuleRequest, record))
         return payload
 
-    def _sign_outbound(self, payload: TravelRulePayload) -> SignedPayload:
-        """Validate, sign and store a payload this VASP sends."""
+    def _sign_outbound(self, payload: TravelRulePayload
+                       ) -> tuple[SignedPayload, bytes]:
+        """Validate, sign and store a payload this VASP sends; return it
+        signed, and its record."""
         missing = travel_rule.validate_payload(payload)
         signed, tbs = travel_rule.sign_payload(
             self.claims_key.private_key, self.certs.claims.serial, payload)
         self.sim.emit(self.name, events.PAYLOAD_SIGNED, "outbound", _present(missing),
                       _short(payload.payload_id), digest=payload.payload_id)
-        self._record("outbound", signed, tbs)
-        return signed
+        return signed, self._record("outbound", signed, tbs)
 
     def _settle(self, pending: PendingTransfer, state: str) -> None:
         """End an open transfer in ``state``: it leaves ``pending``."""
@@ -456,7 +475,7 @@ class VaspNode(Node):
             return Refusal.BENEFICIARY_CONSENT_MISSING
         self._record("inbound", signed, tbs)
         return self._sign_outbound(travel_rule.answer_payload(
-            payload, beneficiary.customer_id, self.tx_key.public_key))
+            payload, beneficiary.customer_id, self.tx_key.public_key))[0]
 
     def _on_travel_rule_response(self, channel: SecureChannel,
                                  body: msg.TravelRuleResponse,

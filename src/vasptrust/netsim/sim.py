@@ -12,11 +12,15 @@ TCP. A frame is its body alone, encoded as its member of
 the channel's other endpoint and its seq the count of messages sent
 before it in its direction, which both endpoints keep, so neither is a
 wire field, as a TLS record names no connection and carries its sequence
-number implicitly (RFC 8446 §5.1, §5.3). Every send is logged to the
-trace and to a wire log holding the frame; its ``netsim.sent`` digest is
-that of the frame, and its event names the channel and seq. An answer
-names its request's seq on the same channel (``Node.handle``), and so
-does its ``netsim.sent`` event (``answers``): the trace pairs them too.
+number implicitly (RFC 8446 §5.1, §5.3). A sender that holds the bytes
+of a body's fields hands ``send`` the frame it builds from them
+(``codec.member_bytes``), so nothing is encoded twice; else ``send``
+encodes the body. Either way the receiver gets the body object. Every
+send is logged to the trace and to a wire log holding the frame; its
+``netsim.sent`` digest is that of the frame, and its event names the
+channel and seq. An answer names its request's seq on the same channel
+(``Node.handle``), and so does its ``netsim.sent`` event (``answers``):
+the trace pairs them too.
 
 Every trace event is declared once in ``events``, and ``emit`` takes an
 event's values in its declared order: the one path into the trace.
@@ -224,16 +228,18 @@ class Simulation:
         self.emit("sim", events.CHANNEL_ESTABLISHED, channel.id, a.name, b.name)
         return channel
 
-    def send(self, channel: SecureChannel, sender: str, body: MessageBody) -> int:
+    def send(self, channel: SecureChannel, sender: str, body: MessageBody,
+             frame: bytes | None = None) -> int:
         """Queue ``body`` on ``sender``'s direction of ``channel``; return
-        its seq there."""
+        its seq there. ``frame`` is the body's canonical frame, where the
+        sender built it from bytes it holds; else the body is encoded."""
         if not channel.open:
             raise ChannelClosed(f"channel {channel.id} is closed")
         direction = channel._dirs[sender]
         seq = direction.next_seq
-        # Encoded once, before it is queued, so a body the codec refuses is
-        # never sent; the sent event's digest is that of these bytes.
-        wire = codec.canonical_encode(body, MessageBody)
+        # Framed before it is queued, so a body the codec refuses is never
+        # sent; the sent event's digest is that of these bytes.
+        wire = codec.canonical_encode(body, MessageBody) if frame is None else frame
         direction.next_seq += 1
         direction.queue.append((seq, body))
         self._busy[channel.id, channel.endpoints().index(sender)] = (channel, sender)

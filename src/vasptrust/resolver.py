@@ -16,7 +16,9 @@ thus travels as a reference (as in RFC 1035 §4.1.4), and only a domain's
 holder can advertise its PayIDs, the rule route origin validation checks
 on receipt (RFC 6811). A receiver refuses any other form, and indexes the
 canonical strings (``render()``) it expands, interned: every resolver
-shares one object per identifier.
+shares one object per identifier. A merge that applies an advertisement,
+and a build, hand their caller its canonical bytes, re-headed from the
+signing input just verified or sealed, so a forwarder never encodes it.
 
 Lookups answer with VASP numbers only; key material never flows back to a
 caller. Who may ask is not decided here: ``Node.handle`` serves a request
@@ -27,10 +29,11 @@ from __future__ import annotations
 
 import operator
 import sys
-from collections.abc import Container, Sequence
+from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 
 from . import codec, crypto, pki
 
@@ -146,19 +149,27 @@ def _expand(adv: IdentifierAdvertisement,
     groups keyed into ``suffixes``; None unless every list is strictly
     increasing, every group and local part non-empty, every e-mail domain
     valid and in lower case with no "$" in its local parts, and every key
-    32 bytes: the one form ``build_advertisement`` makes."""
-    groups = [(i < len(suffixes) and suffixes[i], locals_) for i, locals_ in adv.payids]
-    groups += [(_valid_domain(d) and d == d.lower() and "$" not in "".join(locals_)
-                and "@" + d, locals_) for d, locals_ in adv.emails]
-    if not (_rising([i for i, _ in adv.payids]) and _rising([d for d, _ in adv.emails])
-            and _rising(adv.keys)
-            and all(len(key) == crypto.PUBLIC_KEY_SIZE for key in adv.keys)
-            and all([suffix and locals_ and locals_[0] and _rising(locals_)
-                     for suffix, locals_ in groups])):
+    32 bytes: the one form ``build_advertisement`` makes. One loop per
+    field checks and expands each group."""
+    out, last = [], -1  # below every index
+    for i, locals_ in adv.payids:
+        if not (last < i < len(suffixes) and (suffix := suffixes[i])
+                and locals_ and locals_[0] and _rising(locals_)):
+            return None
+        last = i
+        out += map(sys.intern, map(operator.add, locals_, repeat(suffix)))
+    last = ""  # below every valid domain
+    for domain, locals_ in adv.emails:
+        if not (last < domain == domain.lower() and _valid_domain(domain)
+                and locals_ and locals_[0] and _rising(locals_)
+                and "$" not in "".join(locals_)):
+            return None
+        last = domain
+        out += map(sys.intern, map(operator.add, locals_, repeat("@" + domain)))
+    if not (_rising(adv.keys)
+            and all(len(key) == crypto.PUBLIC_KEY_SIZE for key in adv.keys)):
         return None
-    return tuple([sys.intern(local + suffix) for suffix, locals_ in groups
-                  for local in locals_]
-                 + [sys.intern(f"key:{key.hex()}") for key in adv.keys])
+    return tuple(out + [sys.intern(f"key:{key.hex()}") for key in adv.keys])
 
 
 class MergeOutcome(Enum):
@@ -180,7 +191,8 @@ class ResolverService:
     def __init__(self, vasp_number: int, customers: Container[str]):
         self.vasp_number = vasp_number
         self._customers = customers
-        self._local: dict[str, str] = {}  # rendered identifier -> customer id
+        # rendered identifier -> (customer id, the identifier registered)
+        self._local: dict[str, tuple[str, CustomerIdentifier]] = {}
         # origin -> (its advertisement held, the strings that indexed)
         self._remote: dict[int, tuple[IdentifierAdvertisement, tuple[str, ...]]] = {}
         # Incrementally maintained identifier -> origins index so lookups
@@ -198,13 +210,13 @@ class ResolverService:
         decides which identifiers a customer may hold."""
         if customer_id not in self._customers:
             raise UnknownCustomer(customer_id)
-        self._local[identifier.render()] = customer_id
+        self._local[identifier.render()] = customer_id, identifier
 
     def local_identifiers(self) -> list[str]:
         return sorted(self._local)
 
     def local_customer_for(self, identifier: CustomerIdentifier) -> str | None:
-        return self._local.get(identifier.render())
+        return self._local.get(identifier.render(), (None,))[0]
 
     # -- lookup ---------------------------------------------------------------
 
@@ -222,32 +234,42 @@ class ResolverService:
     # -- federation -----------------------------------------------------------
 
     def build_advertisement(self, claims_private_key: bytes, claims_cert_serial: int,
-                            domains: Sequence[str]) -> IdentifierAdvertisement:
-        """Our next advertisement, signed. ``domains`` are our identity
-        certificate's ``alt_domain_names``: a PayID on none of them cannot
-        be advertised, and raises ResolverError."""
+                            domains: Sequence[str],
+                            keep: Callable[[bytes], object] | None = None
+                            ) -> IdentifierAdvertisement:
+        """Our next advertisement, signed, grouped from the identifiers
+        registered; ``keep``, if given, gets its canonical bytes, re-headed
+        from the signing input it was sealed over. ``domains`` are our
+        identity certificate's ``alt_domain_names``: a PayID on none of
+        them cannot be advertised, and raises ResolverError."""
         index = {domain.lower(): i for i, domain in reversed([*enumerate(domains)])}
         groups: tuple[dict, dict] = ({}, {})  # PayID and e-mail locals by group
         keys = []
-        for ident in map(parse_identifier, self._local):
+        for _, ident in self._local.values():
+            domain = ident.domain_part.lower()
             if ident.kind is IdentifierKind.BARE_PUBLIC_KEY:
                 keys.append(ident.key_bytes)
             elif ident.kind is IdentifierKind.EMAIL:
-                groups[1].setdefault(ident.domain_part, []).append(ident.local_part)
-            elif ident.domain_part in index:
-                groups[0].setdefault(index[ident.domain_part], []).append(ident.local_part)
+                groups[1].setdefault(domain, []).append(ident.local_part)
+            elif domain in index:
+                groups[0].setdefault(index[domain], []).append(ident.local_part)
             else:
                 raise ResolverError(f"{ident.render()}: a domain we do not hold")
         payids, emails = (tuple((k, tuple(sorted(g[k]))) for k in sorted(g))
                           for g in groups)
         self._sequence += 1
-        return codec.seal(IdentifierAdvertisement(
+        adv, tbs = codec.seal(IdentifierAdvertisement(
             self.vasp_number, self._sequence, payids, emails, tuple(sorted(keys)),
             claims_cert_serial, b""),
-            lambda tbs: crypto.sign(claims_private_key, tbs))[0]
+            lambda tbs: crypto.sign(claims_private_key, tbs))
+        if keep is not None:
+            keep(codec.sealed_bytes(adv, tbs))
+        return adv
 
     def merge_advertisement(self, adv: IdentifierAdvertisement,
-                            trust: pki.TrustContext) -> MergeOutcome:
+                            trust: pki.TrustContext,
+                            keep: Callable[[bytes], object] | None = None
+                            ) -> MergeOutcome:
         """Apply an advertisement if authentic and newer than what we hold.
 
         Newest advertisement per origin is authoritative: the identifier
@@ -258,14 +280,17 @@ class ResolverService:
         advertisement for it from the federation. The signer must be the
         origin's claims-signing certificate; then one pass checks the form
         against the origin's identity certificate and expands it
-        (``_expand``), and the expansion is kept to unindex it.
+        (``_expand``), and the expansion is kept to unindex it. Once it is
+        applied, ``keep``, if given, gets its canonical bytes, re-headed
+        from the signing input just verified, to forward with no encode.
         """
         held = self._remote.get(adv.vasp_number)
         if adv.vasp_number == self.vasp_number or (
                 held is not None and adv.sequence <= held[0].sequence):
             return MergeOutcome.STALE
+        tbs = codec.struct_bytes(adv)
         if not trust.verify_member_signature(
-                *codec.unseal(adv), adv.signer_cert_serial,
+                tbs, adv.signature, adv.signer_cert_serial,
                 pki.CertPurpose.CLAIMS_SIGNING, adv.vasp_number):
             return MergeOutcome.REJECTED
         expansion = _expand(adv, _payid_suffixes(
@@ -279,6 +304,8 @@ class ResolverService:
             owners = index.get(rendered)
             index[rendered] = origin if owners is None else owners | origin
         self._remote[adv.vasp_number] = adv, expansion
+        if keep is not None:
+            keep(codec.sealed_bytes(adv, tbs))
         return MergeOutcome.APPLIED
 
     def drop_origin(self, vasp_number: int) -> None:

@@ -516,8 +516,8 @@ def test_payid_squatted_by_another_member_rejected_everywhere(demo_config,
         resolver = world.vasps[3].resolver
         resolver.register_identifier("dave", parse_identifier("bob$betaex.com"))
         build = resolver.build_advertisement
-        resolver.build_advertisement = lambda key, serial, domains: build(
-            key, serial, (*domains, "betaex.com"))
+        resolver.build_advertisement = lambda key, serial, domains, keep=None: \
+            build(key, serial, (*domains, "betaex.com"), keep)
         return world
 
     squatter = squatted_world(demo_config, "adhoc").vasps[3]

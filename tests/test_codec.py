@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seed, wire_frames
-from vasptrust import claims, codec, crypto, pki, resolver, travel_rule, wallet
+from vasptrust import (claims, codec, crypto, ledger, pki, resolver,
+                       travel_rule, wallet)
 from vasptrust.config import default_config, parse_config
 from vasptrust.ledger import LedgerTx, make_transfer
 from vasptrust.netsim import messages
@@ -1267,3 +1268,104 @@ def test_each_type_is_compiled_once_into_its_own_encoder(monkeypatch):
     structs = [name for names in per_source for name in names]
     assert all(len(names) <= 1 for names in per_source)
     assert len(structs) == len(set(structs)) > len(BODY_TYPES)
+
+
+# -- an empty sequence field is encoded in line --------------------------------
+
+def _declared_sequences(typ, seen: set) -> set:
+    """Every sequence type (list[T] or tuple[T, ...]) declared in ``typ``
+    or in a type it holds."""
+    origin, args = typing.get_origin(typ), typing.get_args(typ)
+    found = set()
+    if origin is list or origin is tuple and args[1:] == (Ellipsis,):
+        found.add(typ)
+    if dataclasses.is_dataclass(typ):
+        if typ in seen:
+            return found
+        seen.add(typ)
+        args = [hint for _, hint in codec._hints(typ)]
+    for arg in args:
+        if arg is not Ellipsis:
+            found |= _declared_sequences(arg, seen)
+    return found
+
+
+SEQUENCE_TYPES = sorted(
+    _declared_sequences(typing.Union[tuple(
+        [*BODY_TYPES, *[cls for module in (claims, ledger, pki, resolver,
+                                           travel_rule, wallet)
+                        for cls in vars(module).values()
+                        if isinstance(cls, type) and is_signed(cls)]])], set())
+    | {list[str], list[int], list[Inner]}, key=repr)
+
+
+@pytest.mark.parametrize("typ", SEQUENCE_TYPES, ids=repr)
+def test_an_empty_sequence_field_is_encoded_in_line(typ, monkeypatch):
+    # An empty value of the declared class is the byte 0, written by the
+    # holder's own encoder without a call to the sequence's; a value of
+    # the other class, empty or not, still goes to that encoder, which
+    # refuses it.
+    calls = []
+    encode = codec._encoder(typ)
+    monkeypatch.setitem(codec._ENCODERS, typ,
+                        lambda value: calls.append(value) or encode(value))
+    holder = dataclasses.make_dataclass("Holder", [("items", typ)], frozen=True)
+    declared = typing.get_origin(typ)
+    other = tuple if declared is list else list
+    assert codec.canonical_encode(holder(declared())) == b"\x01\x00" \
+        == reference_encode(holder(declared()))
+    assert calls == []
+    for value in (other(), other([1])):
+        with pytest.raises(codec.CodecError, match=f"^{other.__name__} given for"):
+            codec.canonical_encode(holder(value))
+    assert calls == [other(), other([1])]
+
+
+# -- a frame is framed from the bytes of its fields -----------------------------
+
+def flood_frame(advertisements) -> bytes:
+    """The flood frame of ``advertisements``, framed from their bytes."""
+    return codec.member_bytes(
+        messages.MessageBody, messages.AdvertisementFlood,
+        codec.sequence_bytes([codec.canonical_encode(a) for a in advertisements]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(values_of(resolver.IdentifierAdvertisement), max_size=6),
+       st.integers(min_value=0, max_value=2300))
+def test_flood_frame_from_advertisement_bytes_equals_the_codecs(advertisements,
+                                                                 padding):
+    # A signature of ``padding`` bytes on the first advertisement takes the
+    # frame over 128 B (two-byte lengths) and over 2,048 B (past _V).
+    if advertisements:
+        advertisements[0] = dataclasses.replace(advertisements[0],
+                                                signature=bytes(padding))
+    body = messages.AdvertisementFlood(tuple(advertisements))
+    assert flood_frame(advertisements) == codec.canonical_encode(
+        body, messages.MessageBody)
+
+
+def test_flood_frame_equals_the_codecs_at_every_length_up_to_2100_bytes():
+    # One advertisement whose signature grows a byte at a time: its
+    # sequence's and its struct's lengths take every value through the
+    # one- to two-byte varint edge (128) and the table's edge (2,048).
+    adv = resolver.IdentifierAdvertisement(3, 1, ((0, ("a",)),), (), (), 2, b"")
+    sizes = set()
+    for n in range(2100):
+        advertisements = [dataclasses.replace(adv, signature=bytes(n))]
+        frame = flood_frame(advertisements)
+        assert frame == codec.canonical_encode(messages.AdvertisementFlood(
+            tuple(advertisements)), messages.MessageBody)
+        sizes.add(len(frame))
+    assert {127, 128, 129, 2048, 2049, 2050} <= sizes
+
+
+def test_member_bytes_frames_a_request_from_its_payload_bytes():
+    signed = travel_rule.sign_payload(
+        crypto.generate_keypair(seed("framed")).private_key, 4, build_payload(
+            CustomerRecord("A-1", "Alice", geographic_address="1 Main St"),
+            "Bob", "bob$vasp9.example", 9, 125, 7, 1))[0]
+    assert codec.member_bytes(messages.MessageBody, messages.TravelRuleRequest,
+                              codec.canonical_encode(signed)) \
+        == codec.canonical_encode(messages.TravelRuleRequest(signed),
+                                  messages.MessageBody)

@@ -19,7 +19,7 @@ from vasptrust.netsim import (ChannelClosed, FaultConfig, PeerCertInvalid,
                               Simulation, build_world)
 from vasptrust.netsim.messages import LookupRequest, MessageBody
 from vasptrust.netsim.nodes import Node
-from vasptrust.netsim.scenarios import (converge_federation,
+from vasptrust.netsim.scenarios import (converge_federation, flood_round,
                                         run_scenario_with_world)
 from vasptrust.netsim.sim import NetsimError
 from vasptrust.resolver import CustomerIdentifier, parse_identifier
@@ -274,8 +274,8 @@ def returned_frames(monkeypatch) -> list[tuple[str, int, int, MessageBody]]:
     sent = []
     send = Simulation.send
 
-    def recording_send(self, channel, sender, body):
-        seq = send(self, channel, sender, body)
+    def recording_send(self, channel, sender, body, frame=None):
+        seq = send(self, channel, sender, body, frame)
         sent.append((sender, channel.id, seq, body))
         return seq
 
@@ -459,6 +459,28 @@ def test_every_envelope_is_channel_seq_and_body(demo_config, run, request):
         assert blob[start:] == codec.canonical_encode(frame.body)
         seqs.setdefault((frame.ch, event.actor), []).append(frame.seq)
     assert seqs and all(s == list(range(len(s))) for s in seqs.values())
+
+
+def test_no_node_holds_advertisement_bytes_once_the_federation_is_quiet(
+        workloads):
+    # A node holds an advertisement's canonical bytes from the build or
+    # merge that made them until the next flooding round sends them. A
+    # seed-1 convergence stops once every view is right, with the last
+    # round's merges held; the rounds after it forward them, and once a
+    # round sends nothing, no node holds bytes.
+    world = workloads.federation_setup(1)
+    converge_federation(world, max_rounds=len(world.vasps))
+    held = [entry for vasp in world.vasps.values()
+            for entry in vasp._outbox.values()]
+    assert held and all(sealed == codec.canonical_encode(adv)
+                        for adv, sealed, _ in held)
+    for _ in range(len(world.vasps)):
+        sent = len(world.sim.wire_log)
+        flood_round(world)
+        if len(world.sim.wire_log) == sent:
+            break
+    assert len(world.sim.wire_log) == sent
+    assert all(vasp._outbox == {} for vasp in world.vasps.values())
 
 
 @pytest.mark.parametrize("scenario", ["S1", "S2", "S3", "S4", "S5"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import carried, issue_member, make_subject, seed, trust_context
 from vasptrust import codec, crypto, pki
+from vasptrust import resolver as resolver_module
 from vasptrust.resolver import (CustomerIdentifier, IdentifierKind,
                                 MergeOutcome, ResolverService,
                                 ResolverError, UnknownCustomer, Unparseable,
@@ -489,6 +491,106 @@ def assert_refused_whole(fed, changes):
 @pytest.mark.parametrize("name", sorted(NON_CANONICAL))
 def test_non_canonical_grouping_rejected(federation, name):
     assert_refused_whole(federation, NON_CANONICAL[name])
+
+
+def reference_expand(adv, suffixes):
+    """The expansion as first written, in two passes: every group keyed
+    into its suffix, every list checked strictly increasing and every
+    group's form checked, and only then the strings expanded."""
+    def rising(items):
+        return all(a < b for a, b in zip(items, items[1:]))
+
+    groups = [(i < len(suffixes) and suffixes[i], locals_)
+              for i, locals_ in adv.payids]
+    groups += [(reference_valid_domain(d) and d == d.lower()
+                and "$" not in "".join(locals_) and "@" + d, locals_)
+               for d, locals_ in adv.emails]
+    if not (rising([i for i, _ in adv.payids]) and rising([d for d, _ in adv.emails])
+            and rising(adv.keys)
+            and all(len(key) == crypto.PUBLIC_KEY_SIZE for key in adv.keys)
+            and all([suffix and locals_ and locals_[0] and rising(locals_)
+                     for suffix, locals_ in groups])):
+        return None
+    return tuple([local + suffix for suffix, locals_ in groups for local in locals_]
+                 + [f"key:{key.hex()}" for key in adv.keys])
+
+
+_LOCAL_PARTS = ["a", "b", "ab", "B", "c.d", "a@b"]  # and "a$b" in a PayID
+_EMAIL_DOMAINS = ["x.com", "y.com", "b", "b-c"]
+_KEYS = [bytes(32), bytes([1]) * 32, bytes([2]) * 32]
+
+
+def _defects(suffixes):
+    """Each way to spoil a list (name -> its strategy's spoiling of a
+    non-empty list), as drawn for the lists of the field it names."""
+    past = [len(suffixes)] + [i for i, suffix in enumerate(suffixes) if not suffix]
+    swap = st.just(lambda items: items[1:2] + items[:1] + items[2:])
+    repeat = st.just(lambda items: items[:1] + items)
+    group = st.sampled_from([
+        lambda g: (g[0], ()), lambda g: (g[0], g[1][::-1]),
+        lambda g: (g[0], ("",) + g[1]), lambda g: (g[0], g[1][:1] + g[1])])
+    return {
+        "payids": st.one_of(swap, repeat, group.map(lambda f: lambda items: [
+            f(items[0])] + items[1:]), st.sampled_from(past).map(
+                lambda i: lambda items: [(i, items[0][1])] + items[1:])),
+        "emails": st.one_of(swap, repeat, group.map(lambda f: lambda items: [
+            f(items[0])] + items[1:]), st.sampled_from(
+                ["X.com", ".x.com", "", "a$x.com", "a b"]).map(
+                lambda d: lambda items: [(d, items[0][1])] + items[1:]),
+            st.just(lambda items: [(items[0][0], items[0][1] + ("z$",))]
+                    + items[1:])),
+        "keys": st.one_of(swap, repeat, st.sampled_from([31, 33]).map(
+            lambda n: lambda items: [bytes(n)] + items[1:])),
+    }
+
+
+@st.composite
+def advertisements_and_suffixes(draw):
+    """An advertisement and the PayID suffixes of a certificate's domains:
+    in the one form ``build_advertisement`` makes, or with one defect (an
+    unsorted, repeated or empty group or local list, an empty local, an
+    index past the certificate, an e-mail domain in upper case or
+    invalid, "$" in an e-mail local, a 31- or 33-byte key)."""
+    suffixes = resolver_module._payid_suffixes(tuple(draw(st.lists(
+        st.sampled_from(["v3.com", "x.com", "V3.COM", "b", "no such.com", ".b"]),
+        max_size=4))))
+
+    def rising(items, min_size=0):
+        return st.lists(items, min_size=min_size, max_size=3,
+                        unique=True).map(sorted)
+
+    def groups(keys, locals_):
+        return draw(rising(keys).flatmap(lambda ks: st.tuples(*[st.tuples(
+            st.just(k), rising(st.sampled_from(locals_), 1).map(tuple))
+            for k in ks])).map(list))
+
+    held = [i for i, suffix in enumerate(suffixes) if suffix]
+    fields = {"payids": groups(st.sampled_from(held), _LOCAL_PARTS + ["a$b"])
+              if held else [],
+              "emails": groups(st.sampled_from(_EMAIL_DOMAINS), _LOCAL_PARTS),
+              "keys": draw(rising(st.sampled_from(_KEYS)))}
+    spoilt = [name for name, items in fields.items() if items]
+    if spoilt and draw(st.booleans()):
+        name = draw(st.sampled_from(spoilt))
+        fields[name] = draw(_defects(suffixes)[name])(fields[name])
+    return resolver_module.IdentifierAdvertisement(
+        3, 1, *(tuple(fields[n]) for n in ("payids", "emails", "keys")), 2,
+        b""), suffixes
+
+
+@settings(max_examples=1000, deadline=None)
+@given(advertisements_and_suffixes())
+def test_expansion_agrees_with_the_two_pass_reference(drawn):
+    # Over arbitrary groups, locals and keys (unsorted, repeated or empty;
+    # indexes past the certificate; domains in upper case or invalid; "$"
+    # under "@"; 31- and 33-byte keys), the one-loop expansion refuses
+    # exactly what the reference refuses, and otherwise expands the same
+    # strings, each interned.
+    adv, suffixes = drawn
+    expanded = resolver_module._expand(adv, suffixes)
+    assert expanded == reference_expand(adv, suffixes)
+    assert expanded is None or all(
+        s is sys.intern(s) for s in expanded)
 
 
 @pytest.mark.parametrize("domains", [("x.com", "X.COM"), ("x.com", "no such.com")])

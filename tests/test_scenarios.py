@@ -22,7 +22,8 @@ from vasptrust.netsim.nodes import PendingTransfer
 from vasptrust.netsim import scenarios
 from vasptrust.netsim.scenarios import (converge_federation, flood_round,
                                         ground_truth_map)
-from vasptrust.resolver import parse_identifier
+from vasptrust.resolver import (IdentifierAdvertisement, MergeOutcome,
+                                parse_identifier)
 from vasptrust.travel_rule import (ConsentDirection, read_payload_record,
                                    rebuild_answer)
 
@@ -471,27 +472,34 @@ def _carries_flood(value) -> bool:
 
 
 @pytest.mark.parametrize("chord", [0, 3], ids=["ring", "ring-with-chords"])
-def test_each_flood_is_encoded_once(chord):
+def test_a_flood_encodes_nothing(chord):
     # Encodes, at the codec's public boundary (canonical_encode and
-    # struct_bytes), of a value that is or carries an AdvertisementFlood,
-    # over a cold convergence: Simulation.send encodes each frame once
-    # and digests the bytes of that encoding, so no flood is encoded again.
+    # struct_bytes), over a cold convergence: a flood frame is framed from
+    # the bytes each advertisement was built or applied with, so no value
+    # carrying an AdvertisementFlood is encoded, and an advertisement is
+    # encoded only as a signing input, once where it is built and once
+    # where it is applied.
     world = build_world(line_config(10, ring=True, chord=chord))
-    encoded = [0]
+    floods, advertisements = [0], Counter()
     boundary = (codec.canonical_encode.__code__, codec.struct_bytes.__code__)
 
     def profile(frame, event, arg):
-        if (event == "call" and frame.f_code in boundary
-                and _carries_flood(frame.f_locals["value"])):
-            encoded[0] += 1
+        if event == "call" and frame.f_code in boundary:
+            value = frame.f_locals["value"]
+            floods[0] += _carries_flood(value)
+            if type(value) is IdentifierAdvertisement:
+                advertisements[frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
     try:
         converge_federation(world)
     finally:
         sys.setprofile(None)
-    sent = _flood_msgs(world, 0)
-    assert sent >= 100 and encoded == [sent]
+    applied = sum(e.get("outcome") == MergeOutcome.APPLIED.value
+                  for e in world.sim.trace.find("resolver.adv_merged"))
+    built = len(world.sim.trace.find("resolver.adv_built"))
+    assert _flood_msgs(world, 0) >= 100 and floods == [0]
+    assert advertisements == {"struct_bytes": built + applied} and built == 10
 
 
 class TestS4:
