@@ -5,20 +5,22 @@ license number) with a validity window. The customer keeps them in a
 personal claims store and controls access through a single active policy:
 which VASPs may read, which attributes, and for what purpose. A VASP first
 obtains an authorization token scoped by that policy, then presents it to
-the store; every successful retrieval atomically produces a consent receipt
-naming the released attributes, which the VASP keeps as exculpatory
-evidence. The customer can withdraw consent at any time, after which
-fetches release nothing; previously issued receipts remain on record.
-The store and the authorization server return a refusal as the
-``pki.Refusal`` member naming it, never as an exception.
+the store in a fetch request sealed with its claims-signing key, as it
+seals every value it signs (``netsim.messages.ClaimsFetchRequest``).
+Every successful retrieval atomically produces a consent receipt naming
+the released attributes, which the VASP keeps as exculpatory evidence.
+The customer can withdraw consent at any time, after which fetches
+release nothing; previously issued receipts remain on record. The store
+and the authorization server return a refusal as the ``pki.Refusal``
+member naming it, never as an exception.
 
 Claims share the consortium PKI's verdicts: ``verify_claim`` returns a
 ``pki.Verdict``, and judges a claim's window by certificates' rule,
 ``pki.at_tick``. ``codec.seal`` signs a claim, token or receipt over every
-field but its signature, its last; its id is the digest of those bytes,
-derived from the value and never carried in it, so no id can disagree
-with the content it names. A node passes each check here the signer's
-key that ``TrustContext.certified_key`` gives.
+field but its signature, its last; a token's or a receipt's id is the
+digest of those bytes, derived from the value and never carried in it, so
+no id can disagree with the content it names. A node passes each check
+here the signer's key that ``TrustContext.certified_key`` gives.
 """
 
 from __future__ import annotations
@@ -101,21 +103,6 @@ class AuthorizationToken:
     @cached_property
     def token_id(self) -> bytes:
         return crypto.digest(codec.struct_bytes(self))
-
-
-@dataclass(frozen=True)
-class ClaimsTerms:
-    """The terms of a token that its audience VASP signs with its claims
-    key to present the token to the claims store."""
-
-    token_id: bytes
-    purpose: str
-    signature: bytes
-
-
-def terms_bytes(token: AuthorizationToken) -> bytes:
-    """The signing input of ``token``'s terms."""
-    return codec.struct_bytes(ClaimsTerms(token.token_id, token.purpose, b""))
 
 
 @dataclass(frozen=True)

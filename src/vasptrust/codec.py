@@ -52,15 +52,16 @@ CertificateVerify signs a context string (RFC 8446 §4.4.3). The labels
 differ and open with their lengths, so no signing input of one type
 equals, or starts with, one of another. ``seal`` signs a draft over its
 signing input into its last field; ``unseal`` gives back a signed value's
-signing input and signature. A content id (of a payload, claim, token,
-receipt or ledger transaction) is the digest of those bytes, derived,
-never carried. Encoding keeps nothing on a value: a party derives ids and
-records from the signing input it holds, whose struct length lets it
-re-head the value's bytes (``sealed_bytes``) and slice its first field
-(``first_field``) without walking the schema, where that field's bytes
-open with their length. A value whose fields' bytes a party already
-holds is framed from them (``sequence_bytes``, ``member_bytes``), with
-no encode.
+signing input and signature. The content id of a token, a receipt or a
+ledger transaction is the digest of those bytes, and a payload's the
+digest of its own bytes, the first field of its ``SignedPayload``'s
+signing input: derived, never carried. Encoding keeps nothing on a
+value: a party derives ids and records from the signing input it holds,
+whose struct length lets it re-head the value's bytes (``sealed_bytes``)
+and slice its first field (``first_field``) without walking the schema,
+where that field's bytes open with their length. A value whose fields'
+bytes a party already holds is framed from them (``sequence_bytes``,
+``member_bytes``), with no encode.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ LABELS = {
     "vasptrust.ledger.LedgerTx": "vasptrust ledger transaction",
     "vasptrust.claims.SignedClaim": "vasptrust claim",
     "vasptrust.claims.AuthorizationToken": "vasptrust authorization token",
-    "vasptrust.claims.ClaimsTerms": "vasptrust claims terms",
     "vasptrust.claims.ConsentReceipt": "vasptrust consent receipt",
     "vasptrust.wallet.AttestationEvidence": "vasptrust attestation evidence",
     "vasptrust.netsim.sim.PossessionProof": "vasptrust possession proof",
+    "vasptrust.netsim.messages.ClaimsFetchRequest": "vasptrust claims fetch request",
 }
 
 # The varints of 0 to _TABLE - 1, made once: every length a frame of this
@@ -317,7 +318,7 @@ def canonical_encode(value: Any, cls: Any = None) -> bytes:
 def struct_bytes(value: Any) -> bytes:
     """The signing input of a value of a signed type: its label, then the
     struct of every field but the last. Every signed type declares its
-    signature last, and every content id is the digest of these bytes."""
+    signature last."""
     encode = _SIGNING_INPUTS.get(type(value))
     if encode is None:
         if not dataclasses.is_dataclass(type(value)):

@@ -70,9 +70,8 @@ PAYLOAD_VERIFIED = Event("travel_rule.payload_validated",
 TRANSFER_GATE = Event("travel_rule.transfer_gate",
                       "payload consent_originator beneficiary_accepted")
 TRANSFER_REFUSED = Event("travel_rule.transfer_refused", "payload reason peer_reason")
-TRANSFER_HALTED = Event("travel_rule.transfer_halted", "identifier* reason count")
-MULTI_MATCH_HALTED = Event("travel_rule.transfer_halted",
-                           "identifier* reason count vasps")
+TRANSFER_HALTED = Event("travel_rule.transfer_halted",
+                        "identifier* reason count vasps")
 CORRELATED = Event("travel_rule.correlated", "payload tx output height")
 
 # Claims gathering.

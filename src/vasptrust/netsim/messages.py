@@ -13,6 +13,10 @@ An answer's first field, ``answers``, is the seq of its request on the
 same channel, as a DNS response names its query by ID (RFC 1035
 §4.1.1); ``ANSWER`` gives each request type its answer type, whose other
 fields default to none; ``Node.handle`` refuses any other answer once.
+
+A VASP seals its ``ClaimsFetchRequest``, its agreement to the token's
+terms, as it seals every value it signs: its claims certificate's serial
+and its signature last (``TrustContext.verify_member_signature``).
 """
 
 from __future__ import annotations
@@ -81,10 +85,8 @@ class ClaimsAuthResponse:
 @dataclass(frozen=True)
 class ClaimsFetchRequest:
     token: AuthorizationToken
-    # The requesting VASP countersigns the usage purpose with its
-    # claims-signing key: its agreement to the terms of use.
-    terms_signature: bytes
-    vasp_claims_cert_serial: int
+    signer_cert_serial: int
+    signature: bytes
 
 
 @dataclass(frozen=True)

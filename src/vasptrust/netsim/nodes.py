@@ -422,7 +422,7 @@ class VaspNode(Node):
 
     def _verify_counterparty_payload(self, signed: SignedPayload, tbs: bytes,
                                      signer: int) -> bool:
-        ok = travel_rule.verify_signed_payload(signed, self.trust, signer, tbs)
+        ok = travel_rule.verify_signed_payload(signed, tbs, self.trust, signer)
         missing = travel_rule.validate_payload(signed.payload)
         payload_id = crypto.digest(codec.first_field(SignedPayload, tbs))
         self.sim.emit(self.name, events.PAYLOAD_VERIFIED, "inbound", _present(missing),
@@ -592,21 +592,21 @@ class VaspNode(Node):
         self.ask(channel, request, request)
 
     def fetch_claims(self, channel: SecureChannel) -> None:
-        """Countersign the held token's terms and fetch its claims; while
-        this VASP may not sign, nothing is sent and the fetch is refused
-        as an event."""
+        """Fetch the held token's claims in a request sealed with our claims
+        key, our agreement to its terms; while this VASP may not sign,
+        nothing is sent and the fetch is refused as an event."""
         token = self.claims_token
         if token is None:
             raise claims_mod.ClaimsError("no authorization token held")
         if self.trust.standing(self.certs, _CLAIMS) is not pki.Verdict.VALID:
             self._refused(events.FETCH_REFUSED, Refusal.OWN_CERT_INVALID)
             return
-        signature = crypto.sign(self.claims_key.private_key,
-                                claims_mod.terms_bytes(token))
+        request, _ = codec.seal(
+            msg.ClaimsFetchRequest(token, self.certs.claims.serial, b""),
+            lambda tbs: crypto.sign(self.claims_key.private_key, tbs))
         self.sim.emit(self.name, events.TERMS_ACCEPTED, _short(token.token_id),
                       token.purpose)
-        self.ask(channel, msg.ClaimsFetchRequest(
-            token, signature, self.certs.claims.serial), token)
+        self.ask(channel, request, token)
 
     def _on_claims_auth_response(self, channel: SecureChannel,
                                  body: msg.ClaimsAuthResponse,
@@ -771,8 +771,7 @@ class ClaimsStoreNode(Node):
         if self._peer_number(channel) != audience:
             result = Refusal.TOKEN_AUDIENCE_MISMATCH
         elif not self.trust.verify_member_signature(
-                claims_mod.terms_bytes(token), body.terms_signature,
-                body.vasp_claims_cert_serial, _CLAIMS, audience):
+                body, codec.struct_bytes(body), audience):
             result = Refusal.TERMS_NOT_COUNTERSIGNED
         else:
             result = self.store.fetch_claims(token, self.trust.certified_key(

@@ -142,10 +142,7 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
 
     hits = ovasp.local_lookup(target)
     world.assert_that("lookup_hit", len(hits) == 1, f"vasps={hits}")
-    if len(hits) != 1:
-        reason = Refusal.MULTIPLE_VASPS if hits else Refusal.BENEFICIARY_UNKNOWN
-        sim.emit(ovasp.name, events.TRANSFER_HALTED, beneficiary_identifier,
-                 reason.value, len(hits))
+    if _halt_unless_one(world, ovasp, beneficiary_identifier, hits):
         for name in ("payload_outbound_complete", "payload_inbound_complete",
                      "consent_originator", "consent_beneficiary",
                      "ledger_confirmed", "correlation_recorded_once"):
@@ -195,6 +192,18 @@ def scenario_s1(world: World, *, originator_vasp: int, originator_customer: str,
     world.assert_that("correlation_recorded_once",
                       len(records) == 1 and len(ovasp.correlations.records) == 1,
                       f"records={len(ovasp.correlations.records)}")
+
+
+def _halt_unless_one(world: World, vasp, identifier: str,
+                     hits: list[int]) -> bool:
+    """S1's and S5's one halt rule: unless the lookup's ``hits`` name one
+    VASP, emit the halt of the transfer to ``identifier`` and return True."""
+    if len(hits) == 1:
+        return False
+    reason = Refusal.MULTIPLE_VASPS if hits else Refusal.BENEFICIARY_UNKNOWN
+    world.sim.emit(vasp.name, events.TRANSFER_HALTED, identifier, reason.value,
+                   len(hits), hits)
+    return True
 
 
 def _require_entity(mapping: dict, key, what: str):
@@ -391,10 +400,8 @@ def scenario_s5(world: World, *, originator_vasp: int,
 
     hits = ovasp.local_lookup(target)
     world.assert_that("multi_match_detected", len(hits) > 1, f"vasps={hits}")
-    sim.emit(ovasp.name, events.MULTI_MATCH_HALTED, beneficiary_identifier,
-             Refusal.MULTIPLE_VASPS.value, len(hits), hits)
-    world.assert_that("transfer_halted",
-                      bool(sim.trace.find(events.TRANSFER_HALTED.name)))
+    world.assert_that("transfer_halted", _halt_unless_one(
+        world, ovasp, beneficiary_identifier, hits))
     no_tx = (world.ledger.height == height_before
              and world.ledger.total_supply() == supply_before
              and not sim.trace.find(events.TX_SUBMITTED.name))

@@ -382,10 +382,10 @@ class TrustContext:
     Every certificate decision a node makes goes through its context,
     which one world's nodes share today. ``validate`` gives the ``Verdict``
     on a channel peer's identity; ``standing`` makes every member-as-signer
-    check, and ``verify_member_signature`` rests on it; ``certified_key``
-    gives any other party's key. Certificates are distributed by
-    consortium operations; their authenticity rests on the root's signed
-    tree head their proofs lead to.
+    check, and ``verify_member_signature``, the one check of every value a
+    member signs, rests on it; ``certified_key`` gives any other party's
+    key. Certificates are distributed by consortium operations; their
+    authenticity rests on the root's signed tree head their proofs lead to.
 
     A tree head's signature is verified once per context and kept in
     ``verified``, so a batch costs one verify. A certificate's revocation
@@ -464,18 +464,15 @@ class TrustContext:
         verdict = self.validate(member.signing(purpose), member.identity)
         return identity if verdict is Verdict.VALID else verdict
 
-    def verify_member_signature(self, msg: bytes, sig: bytes, serial: int,
-                                purpose: CertPurpose,
-                                expected_entity: int) -> bool:
-        """True iff ``sig`` over ``msg`` verifies under ``serial``, the
-        ``purpose`` certificate of member ``expected_entity``, whose
-        ``standing`` as ``purpose`` is VALID."""
-        member = self.members.get(expected_entity)
-        cert = member and member.signing(purpose)
-        if (cert is None or cert.serial != serial
-                or self.standing(member, purpose) is not Verdict.VALID):
-            return False
-        return crypto.verify(cert.subject_public_key, msg, sig)
+    def verify_member_signature(self, value, tbs: bytes, member: int) -> bool:
+        """True iff signed ``value``'s ``signature`` over ``tbs``, its
+        signing input, verifies under its ``signer_cert_serial``, which
+        names the claims-signing certificate of ``member``, whose
+        ``standing`` as a claims signer is VALID."""
+        certs = self.members.get(member)
+        return (certs is not None and certs.claims.serial == value.signer_cert_serial
+                and self.standing(certs, CertPurpose.CLAIMS_SIGNING) is Verdict.VALID
+                and crypto.verify(certs.claims.subject_public_key, tbs, value.signature))
 
 
 class RootAuthority:

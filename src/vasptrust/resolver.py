@@ -289,9 +289,7 @@ class ResolverService:
                 held is not None and adv.sequence <= held[0].sequence):
             return MergeOutcome.STALE
         tbs = codec.struct_bytes(adv)
-        if not trust.verify_member_signature(
-                tbs, adv.signature, adv.signer_cert_serial,
-                pki.CertPurpose.CLAIMS_SIGNING, adv.vasp_number):
+        if not trust.verify_member_signature(adv, tbs, adv.vasp_number):
             return MergeOutcome.REJECTED
         expansion = _expand(adv, _payid_suffixes(
             trust.members[adv.vasp_number].identity.subject.alt_domain_names))

@@ -9,7 +9,7 @@ from hypothesis import settings
 from vasptrust import codec, crypto, pki
 from vasptrust.config import default_config, parse_config
 from vasptrust.netsim import ScenarioTrace, run_scenario_with_world
-from vasptrust.netsim.messages import MessageBody
+from vasptrust.netsim.messages import ClaimsFetchRequest, MessageBody
 from vasptrust.netsim.trace import TraceEvent
 
 
@@ -108,6 +108,12 @@ def asked_seq(node, context) -> int:
     (seq,) = [seq for (_, seq), (_, asked) in node.asked.items()
               if asked is context]
     return seq
+
+
+def sealed_fetch(token, serial: int, key: crypto.KeyPair) -> ClaimsFetchRequest:
+    """A fetch of ``token`` naming certificate ``serial``, sealed with ``key``."""
+    return codec.seal(ClaimsFetchRequest(token, serial, b""),
+                      lambda tbs: crypto.sign(key.private_key, tbs))[0]
 
 
 def carried(adv, trust: pki.TrustContext) -> list[str]:

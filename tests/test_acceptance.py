@@ -138,7 +138,8 @@ def _tamper_fixture():
 
         def check(data: bytes) -> bool:
             decoded = codec.canonical_decode(data, tr.SignedPayload)
-            return tr.verify_signed_payload(decoded, trust, 900)
+            return trust.verify_member_signature(
+                decoded, codec.struct_bytes(decoded), 900)
         return blob, check
 
     def make_evidence(i):

@@ -16,7 +16,7 @@ import dataclasses
 
 import pytest
 
-from conftest import asked_seq, carried, sent_frames, wire_frames
+from conftest import asked_seq, carried, sealed_fetch, sent_frames, wire_frames
 from vasptrust import claims, codec, crypto, pki
 from vasptrust import travel_rule as tr
 from vasptrust.ledger import LedgerTx
@@ -583,7 +583,7 @@ def test_member_revoked_before_its_first_flood_sends_only_what_it_holds(
 
 def test_member_that_may_not_sign_fetches_no_claims(demo_config):
     # After S2, VASP 7 holds a token for Alice's claims; its claims
-    # certificate is then revoked. It sends no countersigned fetch, and
+    # certificate is then revoked. It sends no sealed fetch, and
     # refuses the fetch once, as an event.
     trace, world = run_scenario_with_world("S2", demo_config)
     vasp, store = world.vasps[7], world.stores["alice"]
@@ -615,9 +615,8 @@ def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
     thief = world.vasps[9]
     receipts_before = len(store.store.receipts)
     channel = world.channel_between(thief, store)
-    thief.ask(channel, ClaimsFetchRequest(token, crypto.sign(
-        thief.claims_key.private_key, claims.terms_bytes(token)),
-        thief.certs.claims.serial), None)
+    thief.ask(channel, sealed_fetch(token, thief.certs.claims.serial,
+                                    thief.claims_key), None)
     world.sim.run_until_quiet()
     assert thief.fetched_claims == [] and thief.consent_receipts == []
     assert len(store.store.receipts) == receipts_before
@@ -628,16 +627,15 @@ def test_token_replayed_by_another_vasp_releases_nothing(demo_config):
 
 
 def test_terms_signed_by_another_vasp_release_nothing(demo_config):
-    # VASP 7 presents its own token over its own channel, but the terms
-    # carry VASP 9's valid claims signature.
+    # VASP 7 presents its own token over its own channel, but the request
+    # is sealed with VASP 9's claims key under VASP 9's claims certificate.
     trace, world = run_scenario_with_world("S2", demo_config)
     store, vasp, other = world.stores["alice"], world.vasps[7], world.vasps[9]
     token = vasp.claims_token
     fetched_before = len(vasp.fetched_claims)
     channel = world.channel_between(vasp, store)
-    vasp.ask(channel, ClaimsFetchRequest(token, crypto.sign(
-        other.claims_key.private_key, claims.terms_bytes(token)),
-        other.certs.claims.serial), None)
+    vasp.ask(channel, sealed_fetch(token, other.certs.claims.serial,
+                                   other.claims_key), None)
     world.sim.run_until_quiet()
     assert len(vasp.fetched_claims) == fetched_before
     assert len(store.store.receipts) == 1
@@ -645,6 +643,58 @@ def test_terms_signed_by_another_vasp_release_nothing(demo_config):
         (store.name, {"reason": "terms_not_countersigned"}),
         (vasp.name, {"reason": "peer_refused",
                      "peer_reason": "terms_not_countersigned"})]
+
+
+def another_token(world, token: claims.AuthorizationToken
+                  ) -> claims.AuthorizationToken:
+    """A second token of ``token``'s scope, issued a tick later."""
+    return world.auth_servers["alice"].server.request_authorization(
+        token.audience_vasp_number, set(token.permitted_attributes),
+        token.purpose, world.sim.now + 1)
+
+
+# Fetch requests VASP 7 presents over its own channel with its own token,
+# each sealed wrongly, in a world after S2.
+FORGED_FETCHES = {
+    "signature_lifted_from_another_token": lambda w, vasp: ClaimsFetchRequest(
+        vasp.claims_token, vasp.certs.claims.serial, sealed_fetch(
+            another_token(w, vasp.claims_token), vasp.certs.claims.serial,
+            vasp.claims_key).signature),
+    "serial_of_its_transaction_cert": lambda w, vasp: sealed_fetch(
+        vasp.claims_token, vasp.certs.transaction.serial, vasp.claims_key),
+    "serial_of_another_members_claims_cert": lambda w, vasp: sealed_fetch(
+        vasp.claims_token, w.vasps[9].certs.claims.serial, vasp.claims_key),
+    "sealed_with_its_transaction_key": lambda w, vasp: sealed_fetch(
+        vasp.claims_token, vasp.certs.claims.serial, vasp.tx_key),
+    "token_edited_after_sealing": lambda w, vasp: dataclasses.replace(
+        sealed_fetch(vasp.claims_token, vasp.certs.claims.serial,
+                     vasp.claims_key),
+        token=dataclasses.replace(vasp.claims_token, expires_at=10**6)),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGED_FETCHES))
+def test_a_wrongly_sealed_fetch_releases_nothing(demo_config, forgery):
+    # The request's one check, TrustContext.verify_member_signature,
+    # refuses it: one refusal from the store, the VASP's record of it, and
+    # no claim, receipt or claims_released audit row.
+    trace, world = run_scenario_with_world("S2", demo_config)
+    store, vasp = world.stores["alice"], world.vasps[7]
+    held = (list(vasp.fetched_claims), list(vasp.consent_receipts),
+            store.store.receipts)
+    audit_before = len(store.store.audit_log)
+    request = FORGED_FETCHES[forgery](world, vasp)
+    vasp.ask(world.channel_between(vasp, store), request, request.token)
+    world.sim.run_until_quiet()
+    assert fetch_refusals(trace) == [
+        (store.name, {"reason": "terms_not_countersigned"}),
+        (vasp.name, {"reason": "peer_refused",
+                     "peer_reason": "terms_not_countersigned"})]
+    assert (vasp.fetched_claims, vasp.consent_receipts,
+            store.store.receipts) == held
+    assert [row.event for row in store.store.audit_log[audit_before:]
+            if row.event == "claims_released"] == []
+    assert len(trace.find("claims.claims_released")) == 1  # S2's own
 
 
 def test_revoked_caller_refused_not_raised(world):
@@ -697,13 +747,11 @@ def request_by_hand(node, channel) -> None:
 
 
 def fetch_by_hand(node, channel) -> None:
-    """Ask for VASP ``node``'s claims with its held token, its terms
-    countersigned, over ``channel``: a VASP that may not sign asks
-    nothing itself."""
-    token = node.claims_token
-    node.ask(channel, ClaimsFetchRequest(token, crypto.sign(
-        node.claims_key.private_key, claims.terms_bytes(token)),
-        node.certs.claims.serial), None)
+    """Ask for VASP ``node``'s claims with its held token, in a request
+    sealed with its claims key, over ``channel``: a VASP that may not sign
+    asks nothing itself."""
+    node.ask(channel, sealed_fetch(node.claims_token, node.certs.claims.serial,
+                                   node.claims_key), None)
 
 
 @pytest.mark.parametrize("kind", sorted(DOOR_CASES))

@@ -908,8 +908,9 @@ def _signed_values(root, member) -> list:
                                  [("boot", crypto.digest(b"boot"))])
     device.generate_key(migratable=False)
     claims_key = member["claims"].public_key
-    terms = claims.ClaimsTerms(token.token_id, token.purpose, crypto.sign(
-        member["claims"].private_key, claims.terms_bytes(token)))
+    fetch = codec.seal(messages.ClaimsFetchRequest(
+        token, member["claims_cert"].serial, b""),
+        lambda tbs: crypto.sign(member["claims"].private_key, tbs))[0]
     node = Node(None, "vasp:7", member["identity_cert"], member["identity"],
                 None)
     nonce = b"\x04" * 32
@@ -932,7 +933,7 @@ def _signed_values(root, member) -> list:
         (receipt, store_key.public_key),
         (device.attest(b"\x03" * wallet.NONCE_SIZE),
          device.attestation_public_key),
-        (terms, claims_key),
+        (fetch, claims_key),
         (PossessionProof(nonce, node.prove_possession(nonce)),
          member["identity"].public_key),
     ]
@@ -999,9 +1000,21 @@ SIGNED_TYPES = [pki.EvIdentityCertificate, pki.SigningCertificate,
                 travel_rule.SignedPayload, travel_rule.SignedAnswer, LedgerTx,
                 claims.SignedClaim, claims.AuthorizationToken,
                 claims.ConsentReceipt, wallet.AttestationEvidence,
-                pki.TreeHead, claims.ClaimsTerms, PossessionProof]
+                pki.TreeHead, messages.ClaimsFetchRequest, PossessionProof]
 # The signed types of the program, each with its one label.
 LABELLED = [cls for cls in SIGNED_TYPES if cls is not travel_rule.SignedAnswer]
+# The values a member signs, each checked by
+# TrustContext.verify_member_signature.
+MEMBER_SIGNED = [resolver.IdentifierAdvertisement, travel_rule.SignedPayload,
+                 travel_rule.SignedAnswer, messages.ClaimsFetchRequest]
+
+
+@pytest.mark.parametrize("cls", MEMBER_SIGNED, ids=lambda cls: cls.__name__)
+def test_a_member_signed_type_ends_in_its_serial_then_its_signature(cls):
+    hints = typing.get_type_hints(cls)
+    last_two = [(f.name, hints[f.name]) for f in dataclasses.fields(cls)][-2:]
+    assert last_two == [("signer_cert_serial", int), ("signature", bytes)]
+    assert cls in SIGNED_TYPES
 
 
 def test_signed_types_list_every_sealed_type(root, member):

@@ -13,8 +13,8 @@ import textwrap
 
 import pytest
 
-from conftest import sent_frames
-from vasptrust import claims, crypto, pki
+from conftest import sealed_fetch, sent_frames
+from vasptrust import claims, pki
 from vasptrust import travel_rule as tr
 from vasptrust.netsim import build_world, messages, nodes
 
@@ -71,13 +71,11 @@ def misaddressed(world) -> messages.TravelRuleRequest:
 
 
 def forged_token(world) -> messages.ClaimsFetchRequest:
-    """VASP 7's countersigned fetch with a token no server signed."""
+    """VASP 7's sealed fetch of a token no server signed."""
     vasp7 = world.vasps[7]
     token = claims.AuthorizationToken(7, ("driving_license_number",), "kyc",
                                       10**6, bytes(64))
-    return messages.ClaimsFetchRequest(token, crypto.sign(
-        vasp7.claims_key.private_key, claims.terms_bytes(token)),
-        vasp7.certs.claims.serial)
+    return sealed_fetch(token, vasp7.certs.claims.serial, vasp7.claims_key)
 
 
 Refusal = pki.Refusal

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import issue_member, make_subject, seed
 from vasptrust import codec, crypto, pki
 from vasptrust.netsim.world import build_world
+from vasptrust.resolver import ResolverService
 
 
 def test_fresh_root_state(root):
@@ -594,10 +595,9 @@ class TestDecidedOnce:
         return certs
 
     def signs(self, trust, member) -> bool:
-        sig = crypto.sign(member["claims"].private_key, b"m")
-        return trust.verify_member_signature(
-            b"m", sig, member["claims_cert"].serial,
-            pki.CertPurpose.CLAIMS_SIGNING, 7)
+        adv = ResolverService(7, set()).build_advertisement(
+            member["claims"].private_key, member["claims_cert"].serial, ())
+        return trust.verify_member_signature(adv, codec.struct_bytes(adv), 7)
 
     def test_each_tick_reads_the_kept_decision(self, trust, member, clock,
                                                decided):

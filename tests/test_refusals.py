@@ -621,7 +621,7 @@ def test_unexpected_message_is_refused_once(world):
     # Each kind of node, sent a body it does not take.
     vasp, other = world.vasps[7], world.vasps[9]
     token = AuthorizationToken(7, (), "kyc", 300, b"s" * 64)
-    stray = ClaimsFetchRequest(token, b"", 0)
+    stray = ClaimsFetchRequest(token, 0, b"")
     for receiver in (other, world.auth_servers["alice"],
                      world.stores["alice"], world.insurer):
         body = ClaimsAuthRequest((), "kyc") \

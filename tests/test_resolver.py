@@ -361,9 +361,7 @@ class TestAdvertisements:
         assert trust.validate(claims_cert, identity_cert) is pki.Verdict.VALID
         adv = ResolverService(3, {"user3"}).build_advertisement(
             claims.private_key, claims_cert.serial, ())
-        assert not trust.verify_member_signature(
-            codec.struct_bytes(adv), adv.signature, claims_cert.serial,
-            pki.CertPurpose.CLAIMS_SIGNING, 3)
+        assert not trust.verify_member_signature(adv, codec.struct_bytes(adv), 3)
         assert ResolverService(7, set()).merge_advertisement(adv, trust) \
             is MergeOutcome.REJECTED
 

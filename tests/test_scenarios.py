@@ -95,7 +95,8 @@ class TestS1:
             "S1", demo_config,
             overrides={"beneficiary_identifier": "nobody@idp2.com"})
         assert not trace.passed
-        assert trace.find("travel_rule.transfer_halted")
+        assert trace.find("travel_rule.transfer_halted", reason="beneficiary_unknown",
+                          count=0, vasps=[])
         assert not trace.find("ledger.tx_submitted")
         assert world.ledger.confirmed_txs() == []
 
@@ -175,10 +176,9 @@ class TestS2:
 
 class TestS2Terms:
     def test_uncountersigned_terms_refused(self, demo_config):
-        # A fetch whose terms countersignature does not verify releases
-        # nothing and produces no receipt.
+        # A fetch request whose signature does not verify releases nothing
+        # and produces no receipt.
         from vasptrust.netsim.messages import ClaimsFetchRequest
-        from vasptrust import claims as claims_mod
 
         trace, world = run_scenario_with_world("S2", demo_config)
         vasp = world.vasps[7]
@@ -186,7 +186,7 @@ class TestS2Terms:
         receipts_before = len(store_node.store.receipts)
         channel = world.channel_between(vasp, store_node)
         world.sim.send(channel, vasp.name, ClaimsFetchRequest(
-            vasp.claims_token, b"\x00" * 64, vasp.certs.claims.serial))
+            vasp.claims_token, vasp.certs.claims.serial, b"\x00" * 64))
         world.sim.run_until_quiet()
         assert trace.find("claims.fetch_refused",
                           reason="terms_not_countersigned")
@@ -564,6 +564,34 @@ class TestS5:
         assert world.ledger.confirmed_txs() == []
         assert not trace.find("ledger.tx_submitted")
 
+    @staticmethod
+    def verdicts(trace) -> dict[str, bool]:
+        return {a.name: a.passed for a in trace.assertions}
+
+    def test_one_hit_is_not_halted(self, demo_config):
+        # Only VASP 9 serves bob@idp2.com: the halt rule does not halt, so
+        # no multiple_vasps halt is claimed and transfer_halted fails.
+        trace, _ = run_scenario_with_world(
+            "S5", demo_config, overrides={"beneficiary_identifier": "bob@idp2.com"})
+        assert trace.find("resolver.lookup", identifier="bob@idp2.com",
+                          vasps=[9], count=1)
+        assert trace.find("travel_rule.transfer_halted") == []
+        assert self.verdicts(trace) == {"multi_match_detected": False,
+                                        "transfer_halted": False,
+                                        "no_ledger_transfer": True}
+
+    def test_no_hit_halts_as_beneficiary_unknown(self, demo_config):
+        trace, _ = run_scenario_with_world(
+            "S5", demo_config,
+            overrides={"beneficiary_identifier": "nobody@idp2.com"})
+        (halt,) = trace.find("travel_rule.transfer_halted")
+        assert halt.fields == {"identifier": "nobody@idp2.com",
+                               "reason": "beneficiary_unknown", "count": 0,
+                               "vasps": []}
+        assert self.verdicts(trace) == {"multi_match_detected": False,
+                                        "transfer_halted": True,
+                                        "no_ledger_transfer": True}
+
 
 def test_unknown_scenario(demo_config):
     with pytest.raises(UnknownScenario):
@@ -868,8 +896,8 @@ def test_answer_from_a_vasp_not_asked_leaves_the_entry_open(demo_config):
 PINNED = {
     "S1": ("1be46aef990d8494f720439cfb66d413f70748e51f44f7fd50b32dd7962a2266",
            "d726f2a697735c245b429368ce71d814465dda1a8345daafac224ac613589d2c"),
-    "S2": ("2979c96f49651e1eadafe3ec643b1a974325fee98b5c9f6e8168b574085afe5f",
-           "e5fa076cd598cfa3c17dab866034524abfed6ba898aed06ae04b1aa3df295679"),
+    "S2": ("278410d90d4ed1e0538d222c344f10fb45925ae1e1c042ddb3fd06e12aef120a",
+           "fe773983542ea1f8ed31f375be0a896c56e671caee6a7b437000a2646c731312"),
     "S3": ("adfbe4227fd4581db5f64c26f769db58754f320f694a0e0ad1eec85ba4ae89f6",
            "bc2b20e2a5bd08e61058da8b53b2c5fbc262eb8873ea689a839c0529040e906a"),
     "S4": ("18fc4c57b78b5bb7c7146dbbe87e4fdcbf3108f5cb4cbef2fa42ae56bc847a1f",

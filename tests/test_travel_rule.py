@@ -197,13 +197,20 @@ def test_consent_store_matches_linear_scan(ops):
     assert store.records == reference.records
 
 
+def verifies(signed: tr.SignedPayload, trust: pki.TrustContext,
+             member: int) -> bool:
+    """Whether ``trust`` takes ``signed`` as signed by ``member``."""
+    return trust.verify_member_signature(signed, codec.struct_bytes(signed),
+                                         member)
+
+
 class TestSignedPayload:
     # The conftest member is VASP 7, the originator ``build`` names.
     def test_sign_and_verify(self, root, member):
         trust = trust_context(root, member)
         signed, _ = tr.sign_payload(member["claims"].private_key,
                                     member["claims_cert"].serial, build())
-        assert tr.verify_signed_payload(signed, trust, 7)
+        assert verifies(signed, trust, 7)
 
     def test_signing_gives_the_payload_its_id_without_an_encode(
             self, member, monkeypatch):
@@ -233,22 +240,22 @@ class TestSignedPayload:
         signed, _ = tr.sign_payload(key.private_key, member[serial].serial,
                                     build())
         trust = trust_context(root, member, vasp3)
-        assert not tr.verify_signed_payload(signed, trust, 7)
-        assert not tr.verify_signed_payload(signed, trust, 3)
+        assert not verifies(signed, trust, 7)
+        assert not verifies(signed, trust, 3)
 
     def test_tampered_payload_fails(self, root, member):
         trust = trust_context(root, member)
         signed, _ = tr.sign_payload(member["claims"].private_key,
                                     member["claims_cert"].serial, build())
         tampered = replace(signed, payload=replace(signed.payload, amount=999))
-        assert not tr.verify_signed_payload(tampered, trust, 7)
+        assert not verifies(tampered, trust, 7)
 
     def test_wrong_serial_fails(self, root, member):
         trust = trust_context(root, member)
         signed, _ = tr.sign_payload(member["claims"].private_key,
                                     member["claims_cert"].serial, build())
         wrong = replace(signed, signer_cert_serial=999)
-        assert not tr.verify_signed_payload(wrong, trust, 7)
+        assert not verifies(wrong, trust, 7)
 
     def test_signer_must_be_the_named_vasp(self, root, member):
         # VASP 3 signs a payload that names VASP 7 as its originator.
@@ -257,8 +264,8 @@ class TestSignedPayload:
         signed, _ = tr.sign_payload(vasp3["claims"].private_key,
                                     vasp3["claims_cert"].serial, build())
         assert signed.payload.originating_vasp_number == 7
-        assert tr.verify_signed_payload(signed, trust, 3)
-        assert not tr.verify_signed_payload(signed, trust, 7)
+        assert verifies(signed, trust, 3)
+        assert not verifies(signed, trust, 7)
 
     def test_revoked_identity_fails(self, root, member):
         trust = trust_context(root, member)
@@ -266,7 +273,7 @@ class TestSignedPayload:
                                     member["claims_cert"].serial, build())
         root.revoke(member["identity_cert"].serial,
                     pki.RevocationReason.CESSATION_OF_BUSINESS, 1)
-        assert not tr.verify_signed_payload(signed, trust, 7)
+        assert not verifies(signed, trust, 7)
 
 
 def brute_force_bipartite(payloads, outputs):
@@ -432,7 +439,7 @@ def test_answer_rebuilt_from_its_delta(root, member, request_payload):
     rebuilt = tr.rebuild_answer(request_payload, delta, TX_KEY)
     assert rebuilt == signed
     assert codec.canonical_encode(rebuilt) == codec.canonical_encode(signed)
-    assert tr.verify_signed_payload(rebuilt, trust, 7)
+    assert verifies(rebuilt, trust, 7)
     wire = codec.canonical_encode(delta)
     identifying = request_payload.originator_identifying
     assert not any(text.encode() in wire for text in (
@@ -441,7 +448,7 @@ def test_answer_rebuilt_from_its_delta(root, member, request_payload):
     assert TX_KEY not in wire
     for other in (tr.rebuild_answer(replace(request_payload, amount=126), delta, TX_KEY),
                   tr.rebuild_answer(request_payload, delta, bytes(32))):
-        assert not tr.verify_signed_payload(other, trust, 7)
+        assert not verifies(other, trust, 7)
 
 
 def test_dump_payload_store(root, member):
